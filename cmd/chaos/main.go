@@ -85,6 +85,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(2)
 	}
+	if err := validateFlags(*scale, *slaves, *parallel, *runs, *maxFaults); err != nil {
+		fmt.Fprintln(os.Stderr, "chaos:", err)
+		os.Exit(2)
+	}
 	if err := cliutil.ValidateTopologyFlags(*racks, *uplink); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(2)
@@ -163,6 +167,23 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// validateFlags rejects numeric flags the library would silently reset to
+// its defaults: `chaos -scale -4` must not quietly run the default-scale
+// experiment. Input fraction and sample interval are not chaos flags, so the
+// shared check gets their always-valid values.
+func validateFlags(scale int64, slaves, parallel, runs, maxFaults int) error {
+	if err := cliutil.ValidateRunFlags(scale, slaves, 1, 0, parallel); err != nil {
+		return err
+	}
+	if runs <= 0 {
+		return fmt.Errorf("-runs must be positive, got %d", runs)
+	}
+	if maxFaults <= 0 {
+		return fmt.Errorf("-max-faults must be positive, got %d", maxFaults)
+	}
+	return nil
 }
 
 // replayConflicts returns, in order, the generation-only flags in set (the

@@ -32,14 +32,7 @@ const (
 // byte of any figure or table.
 func TestGoldenAllOutput(t *testing.T) {
 	got := renderAll(t, NewSuite(goldenOpts))
-	if os.Getenv("IOCHAR_UPDATE_GOLDEN") != "" {
-		writeGolden(t, goldenAllFile, got)
-		return
-	}
-	want, err := os.ReadFile(goldenAllFile)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with IOCHAR_UPDATE_GOLDEN=1): %v", err)
-	}
+	want := goldenOrUpdate(t, goldenAllFile, got)
 	if !bytes.Equal(got, want) {
 		t.Errorf("-all output diverged from golden (%d bytes, want %d)\n%s",
 			len(got), len(want), firstDiff(got, want))
@@ -64,14 +57,7 @@ func TestGoldenBenchFingerprints(t *testing.T) {
 		fmt.Fprintf(&buf, "%s %s\n", w, bench.Fingerprint(rep))
 	}
 	got := buf.Bytes()
-	if os.Getenv("IOCHAR_UPDATE_GOLDEN") != "" {
-		writeGolden(t, goldenFingerprintsFile, got)
-		return
-	}
-	want, err := os.ReadFile(goldenFingerprintsFile)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with IOCHAR_UPDATE_GOLDEN=1): %v", err)
-	}
+	want := goldenOrUpdate(t, goldenFingerprintsFile, got)
 	if !bytes.Equal(got, want) {
 		t.Errorf("bench fingerprints diverged from golden:\ngot:\n%swant:\n%s", got, want)
 	}
@@ -116,34 +102,38 @@ func TestGoldenMasterFingerprints(t *testing.T) {
 		fmt.Fprintf(&buf, "%s [%s] %s\n", c.w, c.plan, bench.Fingerprint(rep))
 		fmt.Fprintf(&buf, "  namenode: records=%d bytes=%d batches=%d checkpoints=%d checkpointBytes=%d restarts=%d replayRecords=%d replayBytes=%d stalls=%d stallTime=%v safeModeWait=%v leaseGrants=%d leaseReleases=%d leaseRecoveries=%d\n",
 			nn.JournalRecords, nn.JournalBytes, nn.JournalBatches, nn.Checkpoints, nn.CheckpointBytes,
-			nn.Restarts, nn.ReplayRecords, nn.ReplayBytes, nn.ClientStalls, nn.StallTime,
+			nn.Restarts, nn.ReplayRecords, nn.ReplayBytes, nn.Stalls, nn.StallTime,
 			nn.SafeModeWait, nn.LeaseGrants, nn.LeaseReleases, nn.LeaseRecoveries)
 		fmt.Fprintf(&buf, "  jobtracker: records=%d bytes=%d batches=%d checkpoints=%d checkpointBytes=%d restarts=%d replayRecords=%d replayBytes=%d stalls=%d stallTime=%v missedEvents=%d zombieOutputs=%d\n",
 			jt.JournalRecords, jt.JournalBytes, jt.JournalBatches, jt.Checkpoints, jt.CheckpointBytes,
-			jt.Restarts, jt.ReplayRecords, jt.ReplayBytes, jt.GrantStalls, jt.StallTime,
+			jt.Restarts, jt.ReplayRecords, jt.ReplayBytes, jt.Stalls, jt.StallTime,
 			jt.MissedEvents, jt.ZombieOutputs)
 	}
 	got := buf.Bytes()
-	if os.Getenv("IOCHAR_UPDATE_GOLDEN") != "" {
-		writeGolden(t, goldenMasterFile, got)
-		return
-	}
-	want, err := os.ReadFile(goldenMasterFile)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with IOCHAR_UPDATE_GOLDEN=1): %v", err)
-	}
+	want := goldenOrUpdate(t, goldenMasterFile, got)
 	if !bytes.Equal(got, want) {
 		t.Errorf("master-recovery runs diverged from golden:\ngot:\n%swant:\n%s", got, want)
 	}
 }
 
-func writeGolden(t *testing.T, path string, data []byte) {
+// goldenOrUpdate returns the checked-in golden at path — or, when
+// IOCHAR_UPDATE_GOLDEN is set, rewrites it with got and returns got, so the
+// caller's comparison passes.
+func goldenOrUpdate(t *testing.T, path string, got []byte) []byte {
 	t.Helper()
+	if os.Getenv("IOCHAR_UPDATE_GOLDEN") == "" {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with IOCHAR_UPDATE_GOLDEN=1): %v", err)
+		}
+		return want
+	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, got, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (%d bytes)", path, len(data))
+	t.Logf("wrote %s (%d bytes)", path, len(got))
+	return got
 }

@@ -1,7 +1,7 @@
 // Package cliutil holds the small pieces the command-line front ends
-// (cmd/iochar, cmd/mrrun, cmd/bench) share: validation of the numeric
-// testbed flags, and stderr reporting of capacity-clamp warnings raised
-// during provisioning.
+// (cmd/iochar, cmd/mrrun, cmd/bench, cmd/chaos) share: validation of the
+// numeric testbed flags, and stderr reporting of capacity-clamp warnings
+// raised during provisioning.
 //
 // Validation exists because the library's withDefaults policy — reset any
 // nonsense value to the documented default — is right for programmatic use

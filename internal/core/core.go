@@ -26,6 +26,7 @@ import (
 	"iochar/internal/faults"
 	"iochar/internal/hdfs"
 	"iochar/internal/iostat"
+	"iochar/internal/journal"
 	"iochar/internal/mapred"
 	"iochar/internal/netsim"
 	"iochar/internal/sim"
@@ -190,37 +191,32 @@ type MasterRecovery struct {
 	LeaseTimeout time.Duration
 }
 
-// hdfsMasterConfig derives the NameNode's master config: MasterRecovery
-// overrides where set, Scale-compressed defaults elsewhere, client retry
-// backoff on the same timescale as the run.
-func (o Options) hdfsMasterConfig() hdfs.MasterConfig {
-	cfg := hdfs.MasterConfig{
+// journalConfig derives one master's write-ahead-log config: the
+// MasterRecovery checkpoint override where set, Hadoop's 30 s compressed by
+// Scale elsewhere, caller retry backoff on the same timescale as the run,
+// and a per-master jitter seed.
+func (o Options) journalConfig(seed int64) journal.Config {
+	cfg := journal.Config{
 		CheckpointInterval: o.MasterRecovery.CheckpointInterval,
-		SafeModeFrac:       o.MasterRecovery.SafeModeFrac,
-		LeaseTimeout:       o.MasterRecovery.LeaseTimeout,
 		RetryBase:          scaleDur(200*time.Millisecond, o.Scale),
 		RetryMax:           scaleDur(5*time.Second, o.Scale),
-		Seed:               o.Seed + 1,
+		Seed:               seed,
 	}
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = scaleDur(30*time.Second, o.Scale)
-	}
-	if cfg.LeaseTimeout <= 0 {
-		cfg.LeaseTimeout = 4 * o.Recovery.DeadTimeout
 	}
 	return cfg
 }
 
-// jtMasterConfig derives the JobTracker's master config on the same basis.
-func (o Options) jtMasterConfig() mapred.MasterConfig {
-	cfg := mapred.MasterConfig{
-		CheckpointInterval: o.MasterRecovery.CheckpointInterval,
-		RetryBase:          scaleDur(200*time.Millisecond, o.Scale),
-		RetryMax:           scaleDur(5*time.Second, o.Scale),
-		Seed:               o.Seed + 2,
+// hdfsMasterConfig adds the NameNode's own knobs to its journal config.
+func (o Options) hdfsMasterConfig() hdfs.MasterConfig {
+	cfg := hdfs.MasterConfig{
+		Journal:      o.journalConfig(o.Seed + 1),
+		SafeModeFrac: o.MasterRecovery.SafeModeFrac,
+		LeaseTimeout: o.MasterRecovery.LeaseTimeout,
 	}
-	if cfg.CheckpointInterval <= 0 {
-		cfg.CheckpointInterval = scaleDur(30*time.Second, o.Scale)
+	if cfg.LeaseTimeout <= 0 {
+		cfg.LeaseTimeout = 4 * o.Recovery.DeadTimeout
 	}
 	return cfg
 }
@@ -502,7 +498,7 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 		return nil, err
 	}
 	if masterOn {
-		rt.EnableMaster(cl.Master.MetaVols[1], opts.jtMasterConfig())
+		rt.EnableMaster(cl.Master.MetaVols[1], opts.journalConfig(opts.Seed+2))
 	}
 
 	// Fault machinery is instantiated only when a plan exists: a healthy run

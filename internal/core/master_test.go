@@ -74,8 +74,8 @@ func TestMasterRecoveryHealthyRun(t *testing.T) {
 	if nn.JournalRecords == 0 || nn.JournalBytes == 0 {
 		t.Errorf("NameNode journaled nothing: %+v", nn)
 	}
-	if nn.ClientStalls != 0 {
-		t.Errorf("clients stalled %d time(s) on a never-crashed master", nn.ClientStalls)
+	if nn.Stalls != 0 {
+		t.Errorf("clients stalled %d time(s) on a never-crashed master", nn.Stalls)
 	}
 	jt := mastered.rep.JobTracker
 	if jt.JournalRecords == 0 {
@@ -111,7 +111,7 @@ func TestNameNodeRestartMidTeraSort(t *testing.T) {
 	if nn.Restarts != 1 {
 		t.Errorf("Restarts = %d, want 1", nn.Restarts)
 	}
-	if nn.ClientStalls == 0 || nn.StallTime == 0 {
+	if nn.Stalls == 0 || nn.StallTime == 0 {
 		t.Errorf("no client stalled on the outage: %+v", nn)
 	}
 	if nn.SafeModeWait == 0 {
@@ -143,7 +143,7 @@ func TestJobTrackerRestartMidTeraSort(t *testing.T) {
 	if jt.Restarts != 1 {
 		t.Errorf("Restarts = %d, want 1", jt.Restarts)
 	}
-	if jt.GrantStalls == 0 || jt.StallTime == 0 {
+	if jt.Stalls == 0 || jt.StallTime == 0 {
 		t.Errorf("no tracker stalled on the outage: %+v", jt)
 	}
 	if jt.ReplayBytes == 0 {

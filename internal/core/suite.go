@@ -16,7 +16,7 @@ import (
 // reports stale — a new counter, a renamed field, a behavioural fix that
 // shifts byte totals — so old cache entries degrade to misses instead of
 // resurfacing outdated figures.
-const SchemaVersion = 8
+const SchemaVersion = 9
 
 // RunSource says where a resolved experiment cell came from.
 type RunSource string

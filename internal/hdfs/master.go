@@ -1,48 +1,33 @@
 // NameNode mortality: the master's metadata made durable and its process
-// made killable. Every namespace mutation appends a record to a write-ahead
-// edit journal on the master's metadata volume — real bytes through the
-// page-cache and disk models, so the metadata stream shows up in iostat
-// exactly as the paper's master-node traces do — and a periodic checkpoint
-// rolls the journal into an fsimage. Killing the NameNode stalls clients on
-// bounded exponential backoff; restarting it replays checkpoint+journal,
-// holds mutations in block-report safe mode until enough replicas are
-// re-confirmed, and recovers the leases of writers that died in the outage.
+// made killable. Every namespace mutation appends an edit record to the
+// NameNode's write-ahead log (internal/journal, which owns the journal and
+// fsimage files, the daemons, crash/restart and the client stall); this file
+// owns what is the NameNode's alone — the edit-record codec and its replay
+// (applyEdit), the fsimage rendering, writer leases, block-report safe mode
+// after a restart, and the namespace snapshot the replay-equivalence tests
+// compare.
 //
 // None of this exists unless EnableMaster is called: a run without master
 // recovery allocates no metadata volume, journals nothing, and stays
 // byte-identical to a build without this file.
-//
-// Modeling note — logical vs physical journal. The logical journal (the
-// []editRec the replay path consumes) is appended synchronously at mutation
-// time, as HDFS's logSync-before-ack guarantees; the *bytes* of those
-// records are charged to the metadata disk asynchronously in batches by the
-// editlog daemon. Durability is therefore never lost to a crash (matching
-// the synchronous-log contract) while the disk sees the batched sequential
-// append pattern real edit logging produces.
 package hdfs
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"iochar/internal/disk"
+	"iochar/internal/journal"
 	"iochar/internal/localfs"
 	"iochar/internal/sim"
 )
 
-const (
-	editsFileName = "nn_edits"
-	imageFileName = "nn_fsimage"
-)
-
 // MasterConfig tunes NameNode durability and recovery.
 type MasterConfig struct {
-	// CheckpointInterval is how often the journal is rolled into an fsimage
-	// (fs.checkpoint.period; Hadoop's default hour compressed to experiment
-	// timescales). Expired leases are also recovered on this tick.
-	CheckpointInterval time.Duration
+	// Journal configures the write-ahead log: checkpoint cadence (expired
+	// leases are also recovered on that tick) and client retry backoff.
+	Journal journal.Config
 	// SafeModeFrac is the fraction of pre-crash replicas that must be
 	// re-confirmed by block reports before a restarted NameNode leaves safe
 	// mode (dfs.safemode.threshold.pct). Safe mode also exits once every
@@ -53,43 +38,17 @@ type MasterConfig struct {
 	// before the NameNode seals the file on its behalf (the hard lease
 	// limit; Hadoop's is an hour).
 	LeaseTimeout time.Duration
-	// RetryBase and RetryMax bound the exponential backoff clients sleep on
-	// while the master is down (ipc.client.connect retry policy).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// Seed drives the jitter of client retry backoff.
-	Seed int64
 }
 
-// DefaultMasterConfig returns experiment-scale defaults; callers scale the
-// durations alongside the rest of the run's timing knobs.
-func DefaultMasterConfig() MasterConfig {
-	return MasterConfig{
-		CheckpointInterval: 30 * time.Second,
-		SafeModeFrac:       0.999,
-		LeaseTimeout:       60 * time.Second,
-		RetryBase:          200 * time.Millisecond,
-		RetryMax:           5 * time.Second,
-		Seed:               1,
-	}
-}
-
-// MasterStats counts the NameNode's durability and recovery work.
+// MasterStats counts the NameNode's durability and recovery work: the
+// journal's counters (Stalls and StallTime are client operations that found
+// the NameNode down or, for mutations, in safe mode) plus its own.
 type MasterStats struct {
-	JournalRecords  uint64        // edit records logged
-	JournalBytes    uint64        // edit bytes appended to the metadata disk
-	JournalBatches  uint64        // editlog daemon flushes
-	Checkpoints     uint64        // fsimage checkpoints written
-	CheckpointBytes uint64        // fsimage bytes written
-	Restarts        int           // times the NameNode was restarted
-	ReplayRecords   uint64        // journal records replayed across restarts
-	ReplayBytes     uint64        // fsimage+journal bytes read back at restart
+	journal.Stats
 	SafeModeWait    time.Duration // total time spent in safe mode
 	LeaseGrants     uint64        // leases granted to writers
 	LeaseReleases   uint64        // leases released by a clean Close
 	LeaseRecoveries uint64        // leases the NameNode recovered (expiry or dead client)
-	ClientStalls    uint64        // client operations that found the master unavailable
-	StallTime       time.Duration // total client time spent stalled
 }
 
 // editOp enumerates the journal's record types.
@@ -136,18 +95,10 @@ type lease struct {
 
 // masterState is the live NameNode-durability machinery hanging off an FS.
 type masterState struct {
-	cfg  MasterConfig
-	vol  *localfs.FS
-	rng  *rand.Rand
-	gen  int // incarnation; bumped per crash
-	down bool
-
-	edits      *localfs.File
-	editsBytes int64
-	pending    []editRec // records logged but not yet byte-charged
-	journal    []editRec // logical journal since the last checkpoint
-	image      NamespaceSnapshot
-	leases     map[string]*lease
+	cfg    MasterConfig
+	log    *journal.Log[editRec]
+	image  NamespaceSnapshot // the last checkpoint's fsimage
+	leases map[string]*lease
 
 	safeMode         bool
 	safeModeStart    time.Duration
@@ -155,10 +106,7 @@ type masterState struct {
 	expectedReplicas int
 	reportedReplicas int
 
-	wake    *sim.Cond // signalled when pending gains records or state changes
-	ready   *sim.Cond // signalled when the master becomes serviceable
-	stopped bool
-	stats   MasterStats
+	stats MasterStats // the NameNode's own counters; the log keeps the rest
 }
 
 // EnableMaster switches on NameNode metadata durability, journaling to the
@@ -173,60 +121,40 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 	if vol == nil {
 		panic("hdfs: EnableMaster needs a metadata volume")
 	}
-	if cfg.CheckpointInterval <= 0 {
-		cfg.CheckpointInterval = 30 * time.Second
-	}
 	if cfg.SafeModeFrac <= 0 || cfg.SafeModeFrac > 1 {
 		cfg.SafeModeFrac = 0.999
 	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 60 * time.Second
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 200 * time.Millisecond
-	}
-	if cfg.RetryMax < cfg.RetryBase {
-		cfg.RetryMax = cfg.RetryBase
-	}
 	ms := &masterState{
 		cfg:      cfg,
-		vol:      vol,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		image:    NamespaceSnapshot{},
 		leases:   make(map[string]*lease),
 		reported: make(map[*DataNode]bool),
-		wake:     sim.NewCond(fs.env),
-		ready:    sim.NewCond(fs.env),
 	}
-	f := vol.Create(editsFileName)
-	f.SetStage(disk.StageMeta)
-	ms.edits = f
 	fs.master = ms
-
-	fs.env.Go("namenode-editlog", func(p *sim.Proc) {
-		for {
-			for len(ms.pending) == 0 || ms.down {
-				if ms.stopped {
-					return
-				}
-				ms.wake.Wait(p)
+	ms.log = journal.New(fs.env, vol, journal.Spec[editRec]{
+		JournalFile:    "nn_edits",
+		ImageFile:      "nn_fsimage",
+		Stage:          disk.StageMeta,
+		FlushProc:      "namenode-editlog",
+		CheckpointProc: "namenode-checkpoint",
+		Render:         renderEdit,
+		Image: func() []byte {
+			ms.image = fs.LiveNamespace()
+			return renderImage(ms.image)
+		},
+		// No checkpoint in safe mode (the namespace is not yet trusted), and
+		// writers that stopped renewing are sealed before the image is cut.
+		Tick: func(now time.Duration) bool {
+			if ms.safeMode {
+				return false
 			}
-			fs.flushEdits(p)
-		}
-	})
-	fs.env.Go("namenode-checkpoint", func(p *sim.Proc) {
-		for {
-			p.Sleep(ms.cfg.CheckpointInterval)
-			if ms.stopped {
-				return
-			}
-			if ms.down || ms.safeMode {
-				continue
-			}
-			fs.recoverExpiredLeases(p.Now())
-			fs.checkpoint(p)
-		}
-	})
+			fs.recoverExpiredLeases(now)
+			return true
+		},
+	}, cfg.Journal)
 }
 
 // MasterEnabled reports whether EnableMaster has been called.
@@ -238,27 +166,22 @@ func (fs *FS) MasterStats() MasterStats {
 	if fs.master == nil {
 		return MasterStats{}
 	}
-	return fs.master.stats
+	st := fs.master.stats
+	st.Stats = fs.master.log.Stats()
+	return st
 }
 
 // MasterServing reports whether the NameNode is up and out of safe mode.
 func (fs *FS) MasterServing() bool {
 	ms := fs.master
-	return ms == nil || (!ms.down && !ms.safeMode)
+	return ms == nil || (!ms.log.Down() && !ms.safeMode)
 }
 
-// journalEdit logs one record: appended to the logical journal immediately
-// (the synchronous-durability contract) and queued for the editlog daemon
-// to charge its bytes to the metadata disk.
+// journalEdit logs one namespace mutation (a no-op without the master layer).
 func (fs *FS) journalEdit(r editRec) {
-	ms := fs.master
-	if ms == nil {
-		return
+	if fs.master != nil {
+		fs.master.log.Append(r)
 	}
-	ms.journal = append(ms.journal, r)
-	ms.pending = append(ms.pending, r)
-	ms.stats.JournalRecords++
-	ms.wake.Broadcast()
 }
 
 // renderEdit gives a record its on-disk shape — proportional real bytes in
@@ -267,57 +190,13 @@ func renderEdit(r editRec) string {
 	return fmt.Sprintf("%s %s %d %d %d\n", r.op, r.path, r.block, r.size, r.repl)
 }
 
-// flushEdits appends every pending record to the edits file and syncs it —
-// the batched sequential metadata write the paper's master traces show.
-func (fs *FS) flushEdits(p *sim.Proc) {
-	ms := fs.master
-	if ms == nil || len(ms.pending) == 0 {
-		return
-	}
-	batch := ms.pending
-	ms.pending = nil
-	var buf []byte
-	for _, r := range batch {
-		buf = append(buf, renderEdit(r)...)
-	}
-	ms.edits.Append(p, buf)
-	ms.edits.Sync(p)
-	ms.editsBytes += int64(len(buf))
-	ms.stats.JournalBytes += uint64(len(buf))
-	ms.stats.JournalBatches++
-}
-
 // MasterFlush synchronously drains the pending edit records to disk. The
 // run driver calls it before the final cache sync so a run's journal bytes
 // are fully accounted.
 func (fs *FS) MasterFlush(p *sim.Proc) {
 	if fs.master != nil {
-		fs.flushEdits(p)
+		fs.master.log.Flush(p)
 	}
-}
-
-// checkpoint rolls the journal: flush pending edits, snapshot the live
-// namespace as the new fsimage (real bytes written and synced), truncate
-// the edits file, and clear the logical journal.
-func (fs *FS) checkpoint(p *sim.Proc) {
-	ms := fs.master
-	fs.flushEdits(p)
-	ms.image = fs.LiveNamespace()
-	ms.journal = nil
-	ms.vol.Delete(editsFileName)
-	f := ms.vol.Create(editsFileName)
-	f.SetStage(disk.StageMeta)
-	ms.edits = f
-	ms.editsBytes = 0
-
-	data := renderImage(ms.image)
-	ms.vol.Delete(imageFileName)
-	img := ms.vol.Create(imageFileName)
-	img.SetStage(disk.StageMeta)
-	img.Append(p, data)
-	img.Sync(p)
-	ms.stats.Checkpoints++
-	ms.stats.CheckpointBytes += uint64(len(data))
 }
 
 // renderImage serializes a namespace snapshot deterministically.
@@ -347,17 +226,13 @@ func (fs *FS) CrashNameNode() {
 	if ms == nil {
 		panic("hdfs: CrashNameNode without EnableMaster")
 	}
-	if ms.down {
-		return
-	}
-	ms.down = true
-	ms.gen++
+	ms.log.Crash()
 }
 
 // NameNodeDown reports whether the NameNode is currently crashed.
 func (fs *FS) NameNodeDown() bool {
 	ms := fs.master
-	return ms != nil && ms.down
+	return ms != nil && ms.log.Down()
 }
 
 // RestartNameNode brings the NameNode back: it replays checkpoint+journal
@@ -368,58 +243,41 @@ func (fs *FS) NameNodeDown() bool {
 // outage itself cannot read as a cluster-wide dead timeout.
 func (fs *FS) RestartNameNode(p *sim.Proc) {
 	ms := fs.master
-	if ms == nil || !ms.down {
+	if ms == nil || !ms.log.Down() {
 		return
 	}
-	for _, name := range []string{imageFileName, editsFileName} {
-		sz := ms.vol.Size(name)
-		if sz <= 0 {
-			continue
+	ms.log.Restart(p, func() {
+		now := p.Now()
+		// Leases: a writer on a dead node can never renew — seal its file now
+		// so readers (and re-executed task attempts) are not wedged behind it.
+		// Live writers get a fresh renewal stamp; they were merely stalled.
+		for _, path := range sortedLeasePaths(ms.leases) {
+			l := ms.leases[path]
+			if dn, ok := fs.byNode[l.client]; ok && dn.crashed {
+				fs.recoverLease(path)
+				continue
+			}
+			l.renewed = now
 		}
-		f, err := ms.vol.Open(name)
-		if err != nil {
-			continue
+		if fs.rec != nil {
+			expected := 0
+			for _, b := range fs.blockByID {
+				expected += len(b.replicas)
+			}
+			if expected > 0 {
+				ms.safeMode = true
+				ms.safeModeStart = now
+				ms.expectedReplicas = expected
+				ms.reportedReplicas = 0
+				ms.reported = make(map[*DataNode]bool)
+			}
 		}
-		f.SetStage(disk.StageMeta)
-		f.ReadAt(p, 0, sz)
-		ms.stats.ReplayBytes += uint64(sz)
-	}
-	ms.stats.Restarts++
-	ms.stats.ReplayRecords += uint64(len(ms.journal))
-
-	now := p.Now()
-	// Leases: a writer on a dead node can never renew — seal its file now so
-	// readers (and re-executed task attempts) are not wedged behind it. Live
-	// writers get a fresh renewal stamp; they were merely stalled.
-	for _, path := range sortedLeasePaths(ms.leases) {
-		l := ms.leases[path]
-		if dn, ok := fs.byNode[l.client]; ok && dn.crashed {
-			fs.recoverLease(path)
-			continue
+		for _, dn := range fs.datanodes {
+			if !dn.crashed {
+				dn.lastBeat = now
+			}
 		}
-		l.renewed = now
-	}
-	if fs.rec != nil {
-		expected := 0
-		for _, b := range fs.blockByID {
-			expected += len(b.replicas)
-		}
-		if expected > 0 {
-			ms.safeMode = true
-			ms.safeModeStart = now
-			ms.expectedReplicas = expected
-			ms.reportedReplicas = 0
-			ms.reported = make(map[*DataNode]bool)
-		}
-	}
-	for _, dn := range fs.datanodes {
-		if !dn.crashed {
-			dn.lastBeat = now
-		}
-	}
-	ms.down = false
-	ms.wake.Broadcast()
-	ms.ready.Broadcast()
+	})
 	fs.maybeExitSafeMode()
 }
 
@@ -470,7 +328,7 @@ func (fs *FS) maybeExitSafeMode() {
 	}
 	ms.safeMode = false
 	ms.stats.SafeModeWait += fs.env.Now() - ms.safeModeStart
-	ms.ready.Broadcast()
+	ms.log.NotifyReady()
 }
 
 // waitMaster stalls a client while the NameNode cannot serve it: any
@@ -478,31 +336,16 @@ func (fs *FS) maybeExitSafeMode() {
 // mode. Retries follow bounded exponential backoff with jitter, so stalled
 // clients pile back onto the restarted master staggered, not as a herd.
 func (fs *FS) waitMaster(p *sim.Proc, mutating bool) {
-	ms := fs.master
-	if ms == nil || ms.stopped {
-		return
+	if ms := fs.master; ms != nil {
+		ms.log.Stall(p, func() bool { return ms.log.Down() || (mutating && ms.safeMode) })
 	}
-	if !ms.down && !(mutating && ms.safeMode) {
-		return
-	}
-	ms.stats.ClientStalls++
-	start := p.Now()
-	bo := sim.NewBackoff(ms.cfg.RetryBase, ms.cfg.RetryMax, ms.rng)
-	for !ms.stopped && (ms.down || (mutating && ms.safeMode)) {
-		p.Sleep(bo.Next())
-	}
-	ms.stats.StallTime += p.Now() - start
 }
 
 // WaitMasterReady blocks p until the NameNode is up and out of safe mode —
 // the run driver's barrier before waiting on block recovery.
 func (fs *FS) WaitMasterReady(p *sim.Proc) {
-	ms := fs.master
-	if ms == nil {
-		return
-	}
-	for !ms.stopped && (ms.down || ms.safeMode) {
-		ms.ready.Wait(p)
+	if ms := fs.master; ms != nil {
+		ms.log.WaitReady(p, func() bool { return !fs.MasterServing() })
 	}
 }
 
@@ -510,13 +353,9 @@ func (fs *FS) WaitMasterReady(p *sim.Proc) {
 // next tick and stalled clients unblock. Pending edit bytes are abandoned
 // unless MasterFlush ran first.
 func (fs *FS) StopMaster() {
-	ms := fs.master
-	if ms == nil || ms.stopped {
-		return
+	if fs.master != nil {
+		fs.master.log.Stop()
 	}
-	ms.stopped = true
-	ms.wake.Broadcast()
-	ms.ready.Broadcast()
 }
 
 // Lease bookkeeping, called from the namespace mutation paths.
@@ -642,7 +481,7 @@ func (fs *FS) MasterReplayNamespace() NamespaceSnapshot {
 		panic("hdfs: MasterReplayNamespace without EnableMaster")
 	}
 	snap := cloneSnapshot(ms.image)
-	for _, r := range ms.journal {
+	for _, r := range ms.log.Records() {
 		applyEdit(snap, r)
 	}
 	return snap

@@ -112,7 +112,7 @@ func (fs *FS) EnableRecovery(cfg RecoveryConfig) {
 			if rec.stopped {
 				return
 			}
-			if ms := fs.master; ms != nil && (ms.down || ms.safeMode) {
+			if !fs.MasterServing() {
 				// A dead or restarting NameNode declares nobody dead: while
 				// down it sees no clock, and in safe mode judging liveness
 				// from beats missed during its own outage would kill the
@@ -147,7 +147,7 @@ func (fs *FS) startHeartbeat(dn *DataNode) {
 			if rec.stopped || dn.crashed || dn.beatGen != gen {
 				return
 			}
-			if ms := fs.master; ms != nil && ms.down {
+			if fs.NameNodeDown() {
 				continue // nobody is listening; the beat goes unheard
 			}
 			if fs.masterNode != "" && !fs.reachable(dn.node.Name, fs.masterNode) {
@@ -325,8 +325,8 @@ func (fs *FS) replicationWorker(p *sim.Proc) {
 		// Repairs are NameNode-directed: pause while the master is down or
 		// in safe mode (block reports may be about to re-adopt the very
 		// replicas this queue would copy).
-		for ms := fs.master; ms != nil && !rec.stopped && (ms.down || ms.safeMode); {
-			ms.ready.Wait(p)
+		if ms := fs.master; ms != nil {
+			ms.log.WaitReady(p, func() bool { return !rec.stopped && !fs.MasterServing() })
 		}
 		if rec.stopped {
 			return
@@ -502,7 +502,7 @@ func (fs *FS) StopRecovery() {
 	rec.idle.Broadcast()
 	if ms := fs.master; ms != nil {
 		// Replication workers may be parked on the master-ready condition.
-		ms.ready.Broadcast()
+		ms.log.NotifyReady()
 	}
 }
 

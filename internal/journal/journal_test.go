@@ -1,0 +1,241 @@
+package journal
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"iochar/internal/disk"
+	"iochar/internal/localfs"
+	"iochar/internal/pagecache"
+	"iochar/internal/sim"
+)
+
+// The toy master: its records are ints, its live state their sum, its image
+// that sum in decimal. No HDFS, no MapReduce.
+type toy struct {
+	env *sim.Env
+	vol *localfs.FS
+	log *Log[int]
+	sum int
+}
+
+func renderToy(r int) string { return fmt.Sprintf("add %d\n", r) }
+
+func newToy(cfg Config, tick func(time.Duration) bool) *toy {
+	env := sim.New(1)
+	p := disk.SeagateST1000NM0011()
+	p.Sectors = 1 << 22
+	d := disk.New(env, p)
+	vol := localfs.New(env, d, pagecache.New(env, d, 1<<16, pagecache.DefaultOptions()))
+	m := &toy{env: env, vol: vol}
+	m.log = New(env, vol, Spec[int]{
+		JournalFile:    "toy_journal",
+		ImageFile:      "toy_image",
+		Stage:          disk.StageMeta,
+		FlushProc:      "toy-flush",
+		CheckpointProc: "toy-checkpoint",
+		Render:         renderToy,
+		Image:          func() []byte { return []byte(fmt.Sprintf("sum %d\n", m.sum)) },
+		Tick:           tick,
+	}, cfg)
+	return m
+}
+
+func (m *toy) add(r int) {
+	m.sum += r
+	m.log.Append(r)
+}
+
+// drive runs fn as the test's foreground process and drains the kernel. fn
+// must end by stopping the log: an unstopped checkpoint daemon keeps env.Run
+// alive forever, and a flush daemon left parked reads as a deadlock.
+func (m *toy) drive(t *testing.T, fn func(p *sim.Proc)) {
+	t.Helper()
+	m.env.Go("driver", fn)
+	if _, err := m.env.Run(0); err != nil {
+		t.Errorf("kernel did not drain cleanly: %v", err)
+	}
+}
+
+func TestPendingRecordsFlushAsOneBatch(t *testing.T) {
+	m := newToy(Config{}, nil)
+	m.drive(t, func(p *sim.Proc) {
+		defer m.log.Stop()
+		want := 0
+		for _, r := range []int{1, 20, 300} {
+			m.add(r) // no yield between appends: one pending batch
+			want += len(renderToy(r))
+		}
+		p.Sleep(100 * time.Millisecond) // the flush daemon's turn, disk time included
+		st := m.log.Stats()
+		if st.JournalRecords != 3 || st.JournalBatches != 1 || st.JournalBytes != uint64(want) {
+			t.Errorf("after one burst: %+v, want 3 records in 1 batch of %d bytes", st, want)
+		}
+		if got := m.vol.Size("toy_journal"); got != int64(want) {
+			t.Errorf("journal file holds %d bytes, want %d", got, want)
+		}
+		m.log.Flush(p) // nothing pending: not a batch
+		if st := m.log.Stats(); st.JournalBatches != 1 {
+			t.Errorf("empty flush counted as a batch: %+v", st)
+		}
+	})
+}
+
+func TestCheckpointRollsJournalIntoImage(t *testing.T) {
+	skip := true
+	m := newToy(Config{CheckpointInterval: time.Second}, func(time.Duration) bool { return !skip })
+	m.drive(t, func(p *sim.Proc) {
+		defer m.log.Stop()
+		m.add(7)
+		m.add(35)
+		p.Sleep(1500 * time.Millisecond) // first tick, vetoed by the hook
+		if st := m.log.Stats(); st.Checkpoints != 0 {
+			t.Fatalf("checkpoint ran on a tick the hook skipped: %+v", st)
+		}
+		skip = false
+		p.Sleep(time.Second) // second tick
+		st := m.log.Stats()
+		if st.Checkpoints != 1 || st.CheckpointBytes != uint64(len("sum 42\n")) {
+			t.Errorf("after one checkpoint: %+v, want 1 checkpoint of %d bytes", st, len("sum 42\n"))
+		}
+		if n := len(m.log.Records()); n != 0 {
+			t.Errorf("logical journal holds %d records after a checkpoint, want 0", n)
+		}
+		if got := m.vol.Size("toy_journal"); got != 0 {
+			t.Errorf("journal file holds %d bytes after a checkpoint, want a fresh empty file", got)
+		}
+		if got := string(m.vol.Peek("toy_image")); got != "sum 42\n" {
+			t.Errorf("image = %q, want %q", got, "sum 42\n")
+		}
+		m.add(8)
+		p.Sleep(time.Second) // third tick rewrites the image
+		if got := string(m.vol.Peek("toy_image")); got != "sum 50\n" {
+			t.Errorf("image after second checkpoint = %q, want %q", got, "sum 50\n")
+		}
+	})
+}
+
+func TestCrashHoldsBytesRestartReplaysThem(t *testing.T) {
+	m := newToy(Config{CheckpointInterval: time.Second}, nil)
+	m.drive(t, func(p *sim.Proc) {
+		defer m.log.Stop()
+		m.add(1)
+		p.Sleep(1500 * time.Millisecond) // flushed, then rolled into the image
+		m.add(2)
+		p.Sleep(100 * time.Millisecond) // flushed to the fresh journal
+		m.log.Crash()
+		m.log.Crash() // idempotent
+		if !m.log.Down() {
+			t.Fatal("Crash left the master up")
+		}
+		before := m.log.Stats()
+		m.add(3)
+		p.Sleep(2 * time.Second) // two checkpoint ticks pass, both idle
+		st := m.log.Stats()
+		if st.JournalBatches != before.JournalBatches || st.Checkpoints != before.Checkpoints {
+			t.Errorf("bytes reached the disk while crashed: before %+v, after %+v", before, st)
+		}
+		if got := m.log.Records(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+			t.Errorf("logical journal = %v, want [2 3] (appends survive the crash)", got)
+		}
+
+		wantBytes := m.vol.Size("toy_image") + m.vol.Size("toy_journal")
+		recovered := false
+		m.log.Restart(p, func() {
+			recovered = true
+			if m.log.Down() {
+				t.Error("recovered hook ran with the master still down")
+			}
+		})
+		st = m.log.Stats()
+		if !recovered || st.Restarts != 1 {
+			t.Errorf("recovered=%v Restarts=%d, want true and 1", recovered, st.Restarts)
+		}
+		if st.ReplayBytes != uint64(wantBytes) || st.ReplayRecords != 2 {
+			t.Errorf("replay charged %d bytes / %d records, want %d / 2", st.ReplayBytes, st.ReplayRecords, wantBytes)
+		}
+		m.log.Restart(p, func() { t.Error("Restart on a serving master ran its hook") })
+		p.Sleep(100 * time.Millisecond)
+		if st := m.log.Stats(); st.JournalBatches != before.JournalBatches+1 {
+			t.Errorf("record logged during the outage was not flushed after restart: %+v", st)
+		}
+	})
+}
+
+func TestStallCountsOneStallAndItsFullWait(t *testing.T) {
+	m := newToy(Config{RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond}, nil)
+	var waited time.Duration
+	m.env.Go("caller", func(p *sim.Proc) {
+		m.log.Stall(p, m.log.Down) // serving: free and uncounted
+		if st := m.log.Stats(); st.Stalls != 0 || p.Now() != 0 {
+			t.Errorf("caller of a serving master stalled: %+v at %v", st, p.Now())
+		}
+		p.Sleep(time.Millisecond)
+		start := p.Now()
+		m.log.Stall(p, m.log.Down)
+		waited = p.Now() - start
+	})
+	m.drive(t, func(p *sim.Proc) {
+		defer m.log.Stop()
+		m.log.Crash()
+		p.Sleep(20 * time.Millisecond)
+		m.log.Restart(p, func() {})
+		p.Sleep(10 * time.Millisecond) // the caller's last backoff step ends
+	})
+	st := m.log.Stats()
+	if st.Stalls != 1 {
+		t.Errorf("Stalls = %d, want 1 (retries are not new stalls)", st.Stalls)
+	}
+	if waited < 19*time.Millisecond || st.StallTime != waited {
+		t.Errorf("StallTime = %v, caller waited %v, outage was 20ms from its start", st.StallTime, waited)
+	}
+}
+
+func TestStopReleasesEveryone(t *testing.T) {
+	m := newToy(Config{}, nil)
+	released := 0
+	m.env.Go("stalled", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		m.log.Stall(p, m.log.Down)
+		released++
+	})
+	m.env.Go("waiting", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		m.log.WaitReady(p, m.log.Down)
+		released++
+	})
+	m.drive(t, func(p *sim.Proc) {
+		m.log.Crash()
+		p.Sleep(time.Second)
+		m.log.Stop() // still down: only Stop can release them
+		m.log.Stop()
+	})
+	// drive returning without a deadlock is the daemons' half of the
+	// contract: both exited, so nothing keeps the kernel alive.
+	if released != 2 {
+		t.Errorf("%d of 2 blocked callers released by Stop", released)
+	}
+}
+
+func TestNotifyReadyRechecksWaiters(t *testing.T) {
+	m := newToy(Config{}, nil)
+	gate := true
+	var wokeAt time.Duration
+	m.env.Go("waiting", func(p *sim.Proc) {
+		m.log.WaitReady(p, func() bool { return gate })
+		wokeAt = p.Now()
+	})
+	m.drive(t, func(p *sim.Proc) {
+		defer m.log.Stop()
+		p.Sleep(time.Millisecond)
+		m.log.NotifyReady() // condition still holds: waiter parks again
+		p.Sleep(time.Millisecond)
+		gate = false
+		m.log.NotifyReady()
+		p.Sleep(time.Millisecond)
+	})
+	if wokeAt != 2*time.Millisecond {
+		t.Errorf("waiter released at %v, want 2ms (when its condition cleared)", wokeAt)
+	}
+}

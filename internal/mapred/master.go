@@ -1,75 +1,38 @@
 // JobTracker mortality: job state journaled to the master's metadata
 // volume and the scheduler made killable. Every job-state transition — job
 // start, map completion, map-output loss, reduce completion, failure —
-// appends a record to a write-ahead journal whose bytes go through the
-// page-cache and disk models, with periodic checkpoints rolling the journal
-// into an image. Killing the JobTracker stalls task grants on bounded
-// exponential backoff; cluster-membership events (node deaths, rejoins,
-// volume failures) that fire during the outage are queued and only acted on
-// at restart, when the recovered JobTracker also reconciles zombie map
-// outputs via the task trackers' incarnation counters.
+// appends a record to the JobTracker's write-ahead log (internal/journal,
+// which owns the journal and image files, the daemons, crash/restart and the
+// grant stall); this file owns what is the JobTracker's alone — the
+// job-record codec and its replay (applyJTRec), the image rendering, the
+// cluster-membership events (node deaths, rejoins, volume failures) queued
+// during an outage and applied at restart, the reconciliation of zombie map
+// outputs via the task trackers' incarnation counters, the partition half of
+// a tracker's wait, and the job snapshot the replay-equivalence tests
+// compare.
 //
 // None of this exists unless EnableMaster is called; a run without master
 // recovery journals nothing and schedules byte-identically to a build
-// without this file. The logical journal is appended synchronously at
-// transition time (durability is never lost to a crash) while its bytes are
-// charged to the metadata disk in batches, as in the HDFS master layer.
+// without this file.
 package mapred
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"time"
 
 	"iochar/internal/disk"
+	"iochar/internal/journal"
 	"iochar/internal/localfs"
 	"iochar/internal/sim"
 )
 
-const (
-	jtJournalFileName = "jt_journal"
-	jtImageFileName   = "jt_image"
-)
-
-// MasterConfig tunes JobTracker durability and recovery.
-type MasterConfig struct {
-	// CheckpointInterval is how often the journal is rolled into an image
-	// (the mapred.jobtracker.restart.recover checkpoint cadence).
-	CheckpointInterval time.Duration
-	// RetryBase and RetryMax bound the exponential backoff task trackers
-	// sleep on while the JobTracker is down.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// Seed drives the jitter of tracker retry backoff.
-	Seed int64
-}
-
-// DefaultMasterConfig returns experiment-scale defaults; callers scale the
-// durations alongside the rest of the run's timing knobs.
-func DefaultMasterConfig() MasterConfig {
-	return MasterConfig{
-		CheckpointInterval: 30 * time.Second,
-		RetryBase:          200 * time.Millisecond,
-		RetryMax:           5 * time.Second,
-		Seed:               2,
-	}
-}
-
-// MasterStats counts the JobTracker's durability and recovery work.
+// MasterStats counts the JobTracker's durability and recovery work: the
+// journal's counters (Stalls and StallTime are tracker grant requests that
+// found the JobTracker down) plus its own.
 type MasterStats struct {
-	JournalRecords  uint64        // job-state records logged
-	JournalBytes    uint64        // journal bytes appended to the metadata disk
-	JournalBatches  uint64        // journal daemon flushes
-	Checkpoints     uint64        // image checkpoints written
-	CheckpointBytes uint64        // image bytes written
-	Restarts        int           // times the JobTracker was restarted
-	ReplayRecords   uint64        // journal records replayed across restarts
-	ReplayBytes     uint64        // image+journal bytes read back at restart
-	GrantStalls     uint64        // tracker requests that found the master down
-	StallTime       time.Duration // total tracker time spent stalled
-	MissedEvents    uint64        // membership events queued during outages
-	ZombieOutputs   uint64        // map outputs reconciled away at restart
+	journal.Stats
+	MissedEvents  uint64 // membership events queued during outages
+	ZombieOutputs uint64 // map outputs reconciled away at restart
 }
 
 // jtOp enumerates the journal's record types.
@@ -121,79 +84,37 @@ type missedEvent struct {
 // jtMaster is the live JobTracker-durability machinery hanging off a
 // Runtime.
 type jtMaster struct {
-	cfg  MasterConfig
-	vol  *localfs.FS
-	rng  *rand.Rand
-	down bool
-
-	journalFile *localfs.File
-	pending     []jtRec // records logged but not yet byte-charged
-	journal     []jtRec // logical journal since the last checkpoint
-	image       JobTrackerSnapshot
-	missed      []missedEvent
-
-	wake    *sim.Cond
-	ready   *sim.Cond
-	stopped bool
-	stats   MasterStats
+	log    *journal.Log[jtRec]
+	image  JobTrackerSnapshot // the last checkpoint's image
+	missed []missedEvent
+	stats  MasterStats // the JobTracker's own counters; the log keeps the rest
 }
 
 // EnableMaster switches on JobTracker job-state durability, journaling to
 // the given metadata volume. Call it once, before any job runs, and only
 // for runs modeling master recovery.
-func (rt *Runtime) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
+func (rt *Runtime) EnableMaster(vol *localfs.FS, cfg journal.Config) {
 	if rt.master != nil {
 		panic("mapred: EnableMaster called twice")
 	}
 	if vol == nil {
 		panic("mapred: EnableMaster needs a metadata volume")
 	}
-	if cfg.CheckpointInterval <= 0 {
-		cfg.CheckpointInterval = 30 * time.Second
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 200 * time.Millisecond
-	}
-	if cfg.RetryMax < cfg.RetryBase {
-		cfg.RetryMax = cfg.RetryBase
-	}
-	ms := &jtMaster{
-		cfg:   cfg,
-		vol:   vol,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		image: JobTrackerSnapshot{},
-		wake:  sim.NewCond(rt.env),
-		ready: sim.NewCond(rt.env),
-	}
-	f := vol.Create(jtJournalFileName)
-	f.SetStage(disk.StageMeta)
-	ms.journalFile = f
+	ms := &jtMaster{image: JobTrackerSnapshot{}}
 	rt.master = ms
 	rt.jobs = make(map[string]*jobState)
-
-	rt.env.Go("jobtracker-journal", func(p *sim.Proc) {
-		for {
-			for len(ms.pending) == 0 || ms.down {
-				if ms.stopped {
-					return
-				}
-				ms.wake.Wait(p)
-			}
-			rt.jtFlush(p)
-		}
-	})
-	rt.env.Go("jobtracker-checkpoint", func(p *sim.Proc) {
-		for {
-			p.Sleep(ms.cfg.CheckpointInterval)
-			if ms.stopped {
-				return
-			}
-			if ms.down {
-				continue
-			}
-			rt.jtCheckpoint(p)
-		}
-	})
+	ms.log = journal.New(rt.env, vol, journal.Spec[jtRec]{
+		JournalFile:    "jt_journal",
+		ImageFile:      "jt_image",
+		Stage:          disk.StageMeta,
+		FlushProc:      "jobtracker-journal",
+		CheckpointProc: "jobtracker-checkpoint",
+		Render:         renderJTRec,
+		Image: func() []byte {
+			ms.image = rt.LiveJobs()
+			return renderJTImage(ms.image)
+		},
+	}, cfg)
 }
 
 // MasterEnabled reports whether EnableMaster has been called.
@@ -205,85 +126,34 @@ func (rt *Runtime) MasterStats() MasterStats {
 	if rt.master == nil {
 		return MasterStats{}
 	}
-	return rt.master.stats
+	st := rt.master.stats
+	st.Stats = rt.master.log.Stats()
+	return st
 }
 
 // JobTrackerDown reports whether the JobTracker is currently crashed.
 func (rt *Runtime) JobTrackerDown() bool {
 	ms := rt.master
-	return ms != nil && ms.down
+	return ms != nil && ms.log.Down()
 }
 
-// jtJournal logs one record: appended to the logical journal immediately
-// and queued for the journal daemon to charge its bytes.
-func (rt *Runtime) jtJournal(r jtRec) {
-	ms := rt.master
-	if ms == nil {
-		return
-	}
-	ms.journal = append(ms.journal, r)
-	ms.pending = append(ms.pending, r)
-	ms.stats.JournalRecords++
-	ms.wake.Broadcast()
-}
-
-// jtRecord is the jobState-side hook into the journal.
+// jtRecord logs one job-state transition (a no-op without the master layer).
 func (js *jobState) jtRecord(op jtOp, a, b int) {
 	if js.rt == nil || js.rt.master == nil {
 		return
 	}
-	js.rt.jtJournal(jtRec{op: op, job: js.jobName, a: a, b: b})
+	js.rt.master.log.Append(jtRec{op: op, job: js.jobName, a: a, b: b})
 }
 
 func renderJTRec(r jtRec) string {
 	return fmt.Sprintf("%s %s %d %d\n", r.op, r.job, r.a, r.b)
 }
 
-// jtFlush appends every pending record to the journal file and syncs it.
-func (rt *Runtime) jtFlush(p *sim.Proc) {
-	ms := rt.master
-	if ms == nil || len(ms.pending) == 0 {
-		return
-	}
-	batch := ms.pending
-	ms.pending = nil
-	var buf []byte
-	for _, r := range batch {
-		buf = append(buf, renderJTRec(r)...)
-	}
-	ms.journalFile.Append(p, buf)
-	ms.journalFile.Sync(p)
-	ms.stats.JournalBytes += uint64(len(buf))
-	ms.stats.JournalBatches++
-}
-
 // MasterFlush synchronously drains pending journal records to disk.
 func (rt *Runtime) MasterFlush(p *sim.Proc) {
 	if rt.master != nil {
-		rt.jtFlush(p)
+		rt.master.log.Flush(p)
 	}
-}
-
-// jtCheckpoint rolls the journal into a fresh image, both written as real
-// bytes on the metadata volume.
-func (rt *Runtime) jtCheckpoint(p *sim.Proc) {
-	ms := rt.master
-	rt.jtFlush(p)
-	ms.image = rt.LiveJobs()
-	ms.journal = nil
-	ms.vol.Delete(jtJournalFileName)
-	f := ms.vol.Create(jtJournalFileName)
-	f.SetStage(disk.StageMeta)
-	ms.journalFile = f
-
-	data := renderJTImage(ms.image)
-	ms.vol.Delete(jtImageFileName)
-	img := ms.vol.Create(jtImageFileName)
-	img.SetStage(disk.StageMeta)
-	img.Append(p, data)
-	img.Sync(p)
-	ms.stats.Checkpoints++
-	ms.stats.CheckpointBytes += uint64(len(data))
 }
 
 func renderJTImage(snap JobTrackerSnapshot) []byte {
@@ -309,7 +179,7 @@ func (rt *Runtime) CrashJobTracker() {
 	if ms == nil {
 		panic("mapred: CrashJobTracker without EnableMaster")
 	}
-	ms.down = true
+	ms.log.Crash()
 }
 
 // RestartJobTracker brings the JobTracker back: it replays image+journal
@@ -319,55 +189,38 @@ func (rt *Runtime) CrashJobTracker() {
 // counters no longer match), and resumes scheduling.
 func (rt *Runtime) RestartJobTracker(p *sim.Proc) {
 	ms := rt.master
-	if ms == nil || !ms.down {
+	if ms == nil {
 		return
 	}
-	for _, name := range []string{jtImageFileName, jtJournalFileName} {
-		sz := ms.vol.Size(name)
-		if sz <= 0 {
-			continue
-		}
-		f, err := ms.vol.Open(name)
-		if err != nil {
-			continue
-		}
-		f.SetStage(disk.StageMeta)
-		f.ReadAt(p, 0, sz)
-		ms.stats.ReplayBytes += uint64(sz)
-	}
-	ms.stats.Restarts++
-	ms.stats.ReplayRecords += uint64(len(ms.journal))
-	ms.down = false
-
-	missed := ms.missed
-	ms.missed = nil
-	for _, ev := range missed {
-		switch ev.kind {
-		case "node-down":
-			rt.OnNodeDown(ev.name)
-		case "node-rejoin":
-			rt.OnNodeRejoin(ev.name)
-		case "vol-down":
-			rt.OnVolumeDown(ev.vol)
-		}
-	}
-	// Belt and braces: an output whose node bounced entirely within the
-	// outage produces no missed event pair that loses it, but its incarnation
-	// counter gives the zombie away.
-	for _, js := range rt.sortedJobs() {
-		for _, out := range js.outputs {
-			if out.lost {
-				continue
-			}
-			if !out.node.Alive() || out.node.Incarnation() != out.inc {
-				js.loseOutput(out)
-				ms.stats.ZombieOutputs++
+	ms.log.Restart(p, func() {
+		missed := ms.missed
+		ms.missed = nil
+		for _, ev := range missed {
+			switch ev.kind {
+			case "node-down":
+				rt.OnNodeDown(ev.name)
+			case "node-rejoin":
+				rt.OnNodeRejoin(ev.name)
+			case "vol-down":
+				rt.OnVolumeDown(ev.vol)
 			}
 		}
-		js.broadcastAll()
-	}
-	ms.wake.Broadcast()
-	ms.ready.Broadcast()
+		// Belt and braces: an output whose node bounced entirely within the
+		// outage produces no missed event pair that loses it, but its
+		// incarnation counter gives the zombie away.
+		for _, js := range rt.sortedJobs() {
+			for _, out := range js.outputs {
+				if out.lost {
+					continue
+				}
+				if !out.node.Alive() || out.node.Incarnation() != out.inc {
+					js.loseOutput(out)
+					ms.stats.ZombieOutputs++
+				}
+			}
+			js.broadcastAll()
+		}
+	})
 }
 
 // jtWait stalls a task tracker's grant request while the JobTracker is
@@ -398,48 +251,32 @@ func (rt *Runtime) jtWait(p *sim.Proc, node string) {
 
 // jtDownStall waits out a JobTracker crash with jittered backoff.
 func (rt *Runtime) jtDownStall(p *sim.Proc) {
-	ms := rt.master
-	if ms == nil || ms.stopped || !ms.down {
-		return
+	if ms := rt.master; ms != nil {
+		ms.log.Stall(p, ms.log.Down)
 	}
-	ms.stats.GrantStalls++
-	start := p.Now()
-	bo := sim.NewBackoff(ms.cfg.RetryBase, ms.cfg.RetryMax, ms.rng)
-	for !ms.stopped && ms.down {
-		p.Sleep(bo.Next())
-	}
-	ms.stats.StallTime += p.Now() - start
 }
 
 // WaitMasterReady blocks p until the JobTracker is serving — the run
 // driver's barrier before waiting out recovery.
 func (rt *Runtime) WaitMasterReady(p *sim.Proc) {
-	ms := rt.master
-	if ms == nil {
-		return
-	}
-	for !ms.stopped && ms.down {
-		ms.ready.Wait(p)
+	if ms := rt.master; ms != nil {
+		ms.log.WaitReady(p, ms.log.Down)
 	}
 }
 
 // StopMaster shuts the durability machinery down; daemons exit at their
 // next tick and stalled trackers unblock.
 func (rt *Runtime) StopMaster() {
-	ms := rt.master
-	if ms == nil || ms.stopped {
-		return
+	if rt.master != nil {
+		rt.master.log.Stop()
 	}
-	ms.stopped = true
-	ms.wake.Broadcast()
-	ms.ready.Broadcast()
 }
 
 // deferMembership queues a membership event while the JobTracker is down;
 // it reports whether the event was queued (the caller then skips acting).
 func (rt *Runtime) deferMembership(kind, name string, vol *localfs.FS) bool {
 	ms := rt.master
-	if ms == nil || !ms.down {
+	if ms == nil || !ms.log.Down() {
 		return false
 	}
 	ms.missed = append(ms.missed, missedEvent{kind: kind, name: name, vol: vol})
@@ -503,7 +340,7 @@ func (rt *Runtime) MasterReplayJobs() JobTrackerSnapshot {
 		panic("mapred: MasterReplayJobs without EnableMaster")
 	}
 	snap := cloneJTSnapshot(ms.image)
-	for _, r := range ms.journal {
+	for _, r := range ms.log.Records() {
 		applyJTRec(snap, r)
 	}
 	return snap

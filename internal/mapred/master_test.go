@@ -5,12 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"iochar/internal/journal"
 	"iochar/internal/sim"
 )
 
 // masterRigMR is newRig plus a provisioned metadata volume and the
 // JobTracker master layer.
-func masterRigMR(t *testing.T, cfg MasterConfig) *testRig {
+func masterRigMR(t *testing.T, cfg journal.Config) *testRig {
 	t.Helper()
 	r := newRig(t, nil)
 	if err := r.cl.ProvisionMasterMeta(1); err != nil {
@@ -42,7 +43,7 @@ func (r *testRig) runJobStopMaster(t *testing.T, job *Job) *Result {
 // JobTracker would rebuild from image+journal equals the scheduler's live
 // state. A short checkpoint interval forces the image to roll mid-job.
 func TestJobTrackerReplayEquivalence(t *testing.T) {
-	r := masterRigMR(t, MasterConfig{CheckpointInterval: 2 * time.Millisecond})
+	r := masterRigMR(t, journal.Config{CheckpointInterval: 2 * time.Millisecond})
 	parts, want := textParts()
 	r.loadLines("/in", parts)
 	var nonEmpty int
@@ -80,7 +81,7 @@ func TestJobTrackerReplayEquivalence(t *testing.T) {
 // after an outage: task grants must stall (not fail), scheduling must
 // resume, and the output must be exactly the healthy run's.
 func TestJobTrackerBounceMidJob(t *testing.T) {
-	r := masterRigMR(t, MasterConfig{})
+	r := masterRigMR(t, journal.Config{})
 	parts, want := textParts()
 	r.loadLines("/in", parts)
 	r.env.Go("chaos", func(p *sim.Proc) {
@@ -98,7 +99,7 @@ func TestJobTrackerBounceMidJob(t *testing.T) {
 	if st.Restarts != 1 {
 		t.Errorf("Restarts = %d, want 1", st.Restarts)
 	}
-	if st.GrantStalls == 0 || st.StallTime == 0 {
+	if st.Stalls == 0 || st.StallTime == 0 {
 		t.Errorf("no task tracker stalled on the outage: %+v", st)
 	}
 	checkWordCount(t, r.readOutput(t, "/out"), want)
@@ -108,7 +109,7 @@ func TestJobTrackerBounceMidJob(t *testing.T) {
 // JobTracker: snapshot the replayable state, crash, restart, and the
 // recovered state must match the pre-crash snapshot exactly.
 func TestJobTrackerKillReplayDiff(t *testing.T) {
-	r := masterRigMR(t, MasterConfig{})
+	r := masterRigMR(t, journal.Config{})
 	parts, _ := textParts()
 	r.loadLines("/in", parts)
 	r.env.Go("chaos", func(p *sim.Proc) {

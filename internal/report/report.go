@@ -194,7 +194,7 @@ func JobSummary(w io.Writer, rep *core.RunReport) {
 		if nn.Restarts > 0 {
 			fmt.Fprintf(w, "    restarts : %d restart(s), replayed %d record(s) / %s, safe mode %v, %d client stall(s) / %v stalled\n",
 				nn.Restarts, nn.ReplayRecords, mb(int64(nn.ReplayBytes)),
-				nn.SafeModeWait, nn.ClientStalls, nn.StallTime)
+				nn.SafeModeWait, nn.Stalls, nn.StallTime)
 		}
 		fmt.Fprintf(w, "  JobTracker : %d record(s) / %s journaled in %d flush(es), %d checkpoint(s) / %s\n",
 			jt.JournalRecords, mb(int64(jt.JournalBytes)), jt.JournalBatches,
@@ -202,7 +202,7 @@ func JobSummary(w io.Writer, rep *core.RunReport) {
 		if jt.Restarts > 0 {
 			fmt.Fprintf(w, "    restarts : %d restart(s), replayed %d record(s) / %s, %d grant stall(s) / %v stalled, %d missed event(s), %d zombie output(s)\n",
 				jt.Restarts, jt.ReplayRecords, mb(int64(jt.ReplayBytes)),
-				jt.GrantStalls, jt.StallTime, jt.MissedEvents, jt.ZombieOutputs)
+				jt.Stalls, jt.StallTime, jt.MissedEvents, jt.ZombieOutputs)
 		}
 	}
 	if len(rep.FaultsInjected) > 0 {
