@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -283,5 +285,45 @@ func TestRandomPlanSingleNodeNeverPartitions(t *testing.T) {
 				t.Fatalf("single-node plan contains %s", ev.Kind)
 			}
 		}
+	}
+}
+
+// TestGoldenRandomPlans pins the generator: RandomPlan's schedule for a seed
+// is part of every checked-in chaos verdict, so a change to what it draws —
+// or to the order it draws in — must show up here as a reviewed diff.
+// Regenerate deliberately with IOCHAR_UPDATE_GOLDEN=1.
+func TestGoldenRandomPlans(t *testing.T) {
+	const path = "testdata/random_plans.txt"
+	var buf strings.Builder
+	for _, nodes := range [][]string{
+		{"slave-00", "slave-01", "slave-02", "slave-03", "slave-04"},
+		{"slave-00"},
+	} {
+		for seed := int64(1); seed <= 64; seed++ {
+			pl := RandomPlan(seed, nodes, 200*time.Millisecond, int(1+seed%6))
+			fmt.Fprintf(&buf, "nodes=%d seed=%d %s\n", len(nodes), seed, pl)
+		}
+	}
+	got := buf.String()
+	if os.Getenv("IOCHAR_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with IOCHAR_UPDATE_GOLDEN=1): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("random plans diverged from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], wl[min(i, len(wl)-1)])
+			}
+		}
+		t.Fatalf("random plans diverged from %s (golden is longer)", path)
 	}
 }
