@@ -19,7 +19,22 @@
 //	slow-link@5s:rack=1,factor=4
 //	drop-link@8s:node=slave-04,until=30s,prob=0.3
 //
-// Timestamps are virtual time from the start of the run, parsed by
+// Each kind takes exactly the arguments below and rejects any other ("a|b"
+// means exactly one of the two; [x] is optional):
+//
+//	kill-datanode, kill-node           node
+//	fail-disk                          [node] [disk]   (both, against a cluster)
+//	slow-disk                          [node] [disk] factor
+//	restart-datanode, restart-node     node down
+//	restart-namenode, restart-jobtracker   down        (the master is the target)
+//	corrupt-block                      node and/or path
+//	drop-shuffle                       until prob
+//	partition                          nodes|rack down
+//	slow-link                          node|rack factor
+//	drop-link                          node until prob
+//
+// with factor > 1, until later than the event's own time, prob in (0,1] and
+// down > 0. Timestamps are virtual time from the start of the run, parsed by
 // time.ParseDuration. Two runs with the same plan (and, for drop-shuffle,
 // drop-link, and RandomPlan, the same seed) inject byte-identical fault
 // sequences.
@@ -125,39 +140,82 @@ type Event struct {
 	Rack   int           // Partition/SlowLink rack target, 1-indexed; 0 = unset
 }
 
+// argNames lists the plan syntax's arguments in the order String renders
+// them; the arg* bits below index it.
+var argNames = [...]string{"node", "nodes", "rack", "disk", "factor", "until", "prob", "down", "path"}
+
+// argSet is a set of arguments, one bit per argNames entry.
+type argSet uint16
+
+const (
+	argNode argSet = 1 << iota
+	argNodes
+	argRack
+	argDisk
+	argFactor
+	argUntil
+	argProb
+	argDown
+	argPath
+)
+
+// kindArgs gives each kind the arguments it takes: need lists the ones it
+// cannot run without, may the optional ones. Anything else is rejected — an
+// argument the kind ignores would still widen the event's outage window and
+// the driver's settle time. fail-disk and slow-disk leave node=/disk=
+// optional because iosim applies them to its one standalone device;
+// Injector.Start demands both against a cluster. The kinds whose target is
+// one of two forms (corrupt-block, partition, slow-link) list both under may
+// and validate checks the pairing.
+var kindArgs = map[Kind]struct{ need, may argSet }{
+	KillDataNode:      {need: argNode},
+	KillNode:          {need: argNode},
+	FailDisk:          {may: argNode | argDisk},
+	SlowDisk:          {need: argFactor, may: argNode | argDisk},
+	DropShuffle:       {need: argUntil | argProb},
+	RestartDataNode:   {need: argNode | argDown},
+	RestartNode:       {need: argNode | argDown},
+	CorruptBlock:      {may: argNode | argPath},
+	RestartNameNode:   {need: argDown},
+	RestartJobTracker: {need: argDown},
+	Partition:         {need: argDown, may: argNodes | argRack},
+	SlowLink:          {need: argFactor, may: argNode | argRack},
+	DropLink:          {need: argNode | argUntil | argProb},
+}
+
+// args renders the event's arguments in ParsePlan's syntax, parallel to
+// argNames; an argument the event does not carry is "".
+func (ev Event) args() [len(argNames)]string {
+	dur := func(d time.Duration) string {
+		if d == 0 {
+			return ""
+		}
+		return d.String()
+	}
+	num := func(f float64) string {
+		if f == 0 {
+			return ""
+		}
+		return strconv.FormatFloat(f, 'g', -1, 64)
+	}
+	rack := ""
+	if ev.Rack != 0 {
+		rack = strconv.Itoa(ev.Rack)
+	}
+	return [...]string{ev.Node, strings.Join(ev.Nodes, "+"), rack, ev.Disk,
+		num(ev.Factor), dur(ev.Until), num(ev.Prob), dur(ev.Down), ev.Path}
+}
+
 // String renders the event in ParsePlan's syntax.
 func (ev Event) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s@%s", ev.Kind, ev.At)
 	sep := ":"
-	put := func(k, v string) {
-		b.WriteString(sep + k + "=" + v)
-		sep = ","
-	}
-	if ev.Node != "" {
-		put("node", ev.Node)
-	}
-	if len(ev.Nodes) > 0 {
-		put("nodes", strings.Join(ev.Nodes, "+"))
-	}
-	if ev.Rack != 0 {
-		put("rack", strconv.Itoa(ev.Rack))
-	}
-	if ev.Disk != "" {
-		put("disk", ev.Disk)
-	}
-	if ev.Factor != 0 {
-		put("factor", strconv.FormatFloat(ev.Factor, 'g', -1, 64))
-	}
-	if ev.Kind == DropShuffle || ev.Kind == DropLink {
-		put("until", ev.Until.String())
-		put("prob", strconv.FormatFloat(ev.Prob, 'g', -1, 64))
-	}
-	if ev.Down != 0 {
-		put("down", ev.Down.String())
-	}
-	if ev.Path != "" {
-		put("path", ev.Path)
+	for i, v := range ev.args() {
+		if v != "" {
+			b.WriteString(sep + argNames[i] + "=" + v)
+			sep = ","
+		}
 	}
 	return b.String()
 }
@@ -214,12 +272,7 @@ func parseEvent(s string) (Event, error) {
 		return Event{}, fmt.Errorf("faults: %q: want kind@time[:k=v,...]", s)
 	}
 	ev := Event{Kind: Kind(kindStr)}
-	switch ev.Kind {
-	case KillDataNode, KillNode, FailDisk, SlowDisk, DropShuffle,
-		RestartDataNode, RestartNode, CorruptBlock,
-		RestartNameNode, RestartJobTracker,
-		Partition, SlowLink, DropLink:
-	default:
+	if _, ok := kindArgs[ev.Kind]; !ok {
 		return Event{}, fmt.Errorf("faults: %q: unknown fault kind %q", s, kindStr)
 	}
 	at, err := time.ParseDuration(atStr)
@@ -263,44 +316,34 @@ func parseEvent(s string) (Event, error) {
 	return ev, ev.validate()
 }
 
+// validate checks one event against its kind's argument set (kindArgs), the
+// per-argument value rules, and the three either-or target rules.
 func (ev Event) validate() error {
+	spec, ok := kindArgs[ev.Kind]
+	if !ok {
+		return fmt.Errorf("faults: unknown fault kind %q", ev.Kind)
+	}
+	for i, v := range ev.args() {
+		if v != "" && (spec.need|spec.may)&(1<<i) == 0 {
+			return fmt.Errorf("faults: %s takes no %s=", ev.Kind, argNames[i])
+		}
+	}
+	switch {
+	case spec.need&argNode != 0 && ev.Node == "":
+		return fmt.Errorf("faults: %s needs node=", ev.Kind)
+	case spec.need&argFactor != 0 && ev.Factor <= 1:
+		return fmt.Errorf("faults: %s needs factor > 1, got %g", ev.Kind, ev.Factor)
+	case spec.need&argUntil != 0 && ev.Until <= ev.At:
+		return fmt.Errorf("faults: %s needs until > the start time", ev.Kind)
+	case spec.need&argProb != 0 && (ev.Prob <= 0 || ev.Prob > 1):
+		return fmt.Errorf("faults: %s needs prob in (0,1], got %g", ev.Kind, ev.Prob)
+	case spec.need&argDown != 0 && ev.Down <= 0:
+		return fmt.Errorf("faults: %s needs down > 0", ev.Kind)
+	}
 	switch ev.Kind {
-	case KillDataNode, KillNode:
-		if ev.Node == "" {
-			return fmt.Errorf("faults: %s needs node=", ev.Kind)
-		}
-	case FailDisk:
-		// node=/disk= are required to arm against a cluster, but that is
-		// checked by Injector.Start — iosim applies disk faults to its one
-		// standalone device and has no selectors.
-	case SlowDisk:
-		if ev.Factor <= 1 {
-			return fmt.Errorf("faults: %s needs factor > 1, got %g", ev.Kind, ev.Factor)
-		}
-	case DropShuffle:
-		if ev.Until <= ev.At {
-			return fmt.Errorf("faults: %s needs until > the start time", ev.Kind)
-		}
-		if ev.Prob <= 0 || ev.Prob > 1 {
-			return fmt.Errorf("faults: %s needs prob in (0,1], got %g", ev.Kind, ev.Prob)
-		}
-	case RestartDataNode, RestartNode:
-		if ev.Node == "" {
-			return fmt.Errorf("faults: %s needs node=", ev.Kind)
-		}
-		if ev.Down <= 0 {
-			return fmt.Errorf("faults: %s needs down > 0", ev.Kind)
-		}
 	case CorruptBlock:
 		if ev.Node == "" && ev.Path == "" {
 			return fmt.Errorf("faults: %s needs node= or path=", ev.Kind)
-		}
-	case RestartNameNode, RestartJobTracker:
-		if ev.Node != "" {
-			return fmt.Errorf("faults: %s takes no node= (the master is the target)", ev.Kind)
-		}
-		if ev.Down <= 0 {
-			return fmt.Errorf("faults: %s needs down > 0", ev.Kind)
 		}
 	case Partition:
 		if (len(ev.Nodes) > 0) == (ev.Rack > 0) {
@@ -311,25 +354,9 @@ func (ev Event) validate() error {
 				return fmt.Errorf("faults: %s has an empty entry in nodes=", ev.Kind)
 			}
 		}
-		if ev.Down <= 0 {
-			return fmt.Errorf("faults: %s needs down > 0 (partitions must heal)", ev.Kind)
-		}
 	case SlowLink:
 		if (ev.Node != "") == (ev.Rack > 0) {
 			return fmt.Errorf("faults: %s needs exactly one of node= or rack=", ev.Kind)
-		}
-		if ev.Factor <= 1 {
-			return fmt.Errorf("faults: %s needs factor > 1, got %g", ev.Kind, ev.Factor)
-		}
-	case DropLink:
-		if ev.Node == "" {
-			return fmt.Errorf("faults: %s needs node=", ev.Kind)
-		}
-		if ev.Until <= ev.At {
-			return fmt.Errorf("faults: %s needs until > the start time", ev.Kind)
-		}
-		if ev.Prob <= 0 || ev.Prob > 1 {
-			return fmt.Errorf("faults: %s needs prob in (0,1], got %g", ev.Kind, ev.Prob)
 		}
 	}
 	return nil
@@ -496,7 +523,11 @@ func RandomPlan(seed int64, nodes []string, window time.Duration, n int) Plan {
 			} else {
 				ev.Disk = "mr0"
 			}
-			ev.Factor = float64(2 + rng.Intn(15)) // 2..16, used by slow-disk
+			// fail-disk draws a factor too and discards it: the draw is part
+			// of every seed's schedule.
+			if f := float64(2 + rng.Intn(15)); ev.Kind == SlowDisk {
+				ev.Factor = f // 2..16
+			}
 		case DropShuffle:
 			ev.Node = ""
 			ev.Until = ev.At + time.Duration(rng.Int63n(int64(window)))
