@@ -61,6 +61,22 @@ func TestParsePlanRejectsBadInput(t *testing.T) {
 			t.Errorf("ParsePlan(%q) accepted bad input", s)
 		}
 	}
+	// Arguments the kind ignores are rejected by name: a stray down= would
+	// widen the event's outage window and the driver's settle time.
+	for s, want := range map[string]string{
+		"kill-datanode@5s:node=slave-01,down=3s":                                        "kill-datanode takes no down=",
+		"kill-node@5s:node=a,factor=9,prob=0.5,until=1s,path=/x,disk=mr0,rack=3":        "kill-node takes no rack=",
+		"restart-namenode@5s:down=1s,disk=mr0,factor=0.5":                               "restart-namenode takes no disk=",
+		"restart-namenode@5s:node=a,down=1s":                                            "restart-namenode takes no node=",
+		"partition@5s:nodes=a+b,down=1s,node=c":                                         "partition takes no node=",
+		"fail-disk@5s:node=a,disk=hdfs0,factor=11":                                      "fail-disk takes no factor=",
+		"restart-datanode@5s:node=a,down=1s;restart-datanode@9s:node=a,down=1s,nodes=b": "restart-datanode takes no nodes=",
+	} {
+		_, err := ParsePlan(s)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParsePlan(%q) = %v, want an error containing %q", s, err, want)
+		}
+	}
 }
 
 func TestRandomPlanDeterministic(t *testing.T) {
@@ -302,6 +318,10 @@ func TestGoldenRandomPlans(t *testing.T) {
 		for seed := int64(1); seed <= 64; seed++ {
 			pl := RandomPlan(seed, nodes, 200*time.Millisecond, int(1+seed%6))
 			fmt.Fprintf(&buf, "nodes=%d seed=%d %s\n", len(nodes), seed, pl)
+			again, err := ParsePlan(pl.String())
+			if err != nil || !reflect.DeepEqual(again.Events, pl.Events) {
+				t.Errorf("seed %d on %d node(s): %q does not round-trip: %v", seed, len(nodes), pl, err)
+			}
 		}
 	}
 	got := buf.String()
