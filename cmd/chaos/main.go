@@ -31,7 +31,6 @@ import (
 	"iochar/internal/chaos"
 	"iochar/internal/cliutil"
 	"iochar/internal/core"
-	"iochar/internal/disk"
 )
 
 func main() {
@@ -41,18 +40,15 @@ func main() {
 		workload  = flag.String("workload", "", "TS | AGG | KM | PR (empty = all four)")
 		maxFaults = flag.Int("max-faults", 3, "max fault events per generated schedule")
 		outDir    = flag.String("out", "", "directory to write failing (shrunk) schedules as JSON")
-		scale     = flag.Int64("scale", 262144, "capacity divisor vs the paper's testbed")
-		slaves    = flag.Int("slaves", 5, "number of slave nodes")
-		racks     = flag.Int("racks", 1, "rack count: slave i lands in rack i%racks behind a ToR switch (1 = flat network; recorded in generated schedules)")
-		uplink    = flag.Int64("uplink", 0, "per-rack ToR uplink bandwidth in MB/s (0 = NIC rate; only meaningful with -racks > 1)")
 		mapTasks  = flag.Int64("map-tasks", 8, "map-task target for the largest workload")
-		tier      = flag.String("tier", "hdd", "device class for intermediate-data volumes: hdd | ssd (generated schedules record it; note ssd constrains -scale)")
 		masters   = flag.Bool("master-recovery", false, "force the journaled NameNode/JobTracker layers on for every run, so slave-fault schedules also exercise them (master-fault schedules imply this; recorded in generated schedules)")
 		parallel  = flag.Int("parallel", 1, "concurrent chaos runs (verdicts are identical at any value)")
 		soak      = flag.Duration("soak", 0, "loop seeds until this much wall-clock time has passed (overrides -runs)")
 		replay    = flag.String("replay", "", "replay a schedule JSON file instead of generating schedules")
 		verbose   = flag.Bool("v", false, "print every verdict, not just failures")
+		testbed   cliutil.Testbed
 	)
+	testbed.Register(flag.CommandLine, 262144, 5)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -80,28 +76,16 @@ func main() {
 		workloads = []core.Workload{w}
 	}
 
-	tierClass, err := disk.ParseClass(*tier)
+	if err := validateFlags(*runs, *maxFaults); err != nil {
+		fmt.Fprintln(os.Stderr, "chaos:", err)
+		os.Exit(2)
+	}
+	coreOpts, err := testbed.Options(*parallel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(2)
 	}
-	if err := validateFlags(*scale, *slaves, *parallel, *runs, *maxFaults); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(2)
-	}
-	if err := cliutil.ValidateTopologyFlags(*racks, *uplink); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(2)
-	}
-
-	coreOpts := []core.Option{
-		core.WithScale(*scale),
-		core.WithSlaves(*slaves),
-		core.WithRacks(*racks),
-		core.WithUplink(*uplink << 20),
-		core.WithMapTaskTarget(*mapTasks),
-		core.WithIntermediateTier(tierClass),
-	}
+	coreOpts = append(coreOpts, core.WithMapTaskTarget(*mapTasks))
 	if *masters {
 		coreOpts = append(coreOpts, core.WithMasterRecovery())
 	}
@@ -169,14 +153,9 @@ func main() {
 	}
 }
 
-// validateFlags rejects numeric flags the library would silently reset to
-// its defaults: `chaos -scale -4` must not quietly run the default-scale
-// experiment. Input fraction and sample interval are not chaos flags, so the
-// shared check gets their always-valid values.
-func validateFlags(scale int64, slaves, parallel, runs, maxFaults int) error {
-	if err := cliutil.ValidateRunFlags(scale, slaves, 1, 0, parallel); err != nil {
-		return err
-	}
+// validateFlags rejects chaos's own numeric flags where zero or less would
+// silently run nothing; the testbed flags are checked by cliutil.Testbed.
+func validateFlags(runs, maxFaults int) error {
 	if runs <= 0 {
 		return fmt.Errorf("-runs must be positive, got %d", runs)
 	}

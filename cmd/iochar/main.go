@@ -43,37 +43,21 @@ func main() {
 		table    = flag.Int("table", 0, "regenerate paper table N (5-7)")
 		all      = flag.Bool("all", false, "regenerate every figure and table")
 		attr     = flag.Bool("attr", false, "print the per-stage I/O demand breakdown (extension)")
-		hist     = flag.Bool("hist", false, "print per-request latency/size distributions for the baseline cells (extension)")
 		traceOut = flag.String("trace-out", "", "stream the baseline workloads' block traces to this file (CSV, or NDJSON if the name ends in .ndjson)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of terminal charts")
-		scale    = flag.Int64("scale", 4096, "capacity divisor vs the paper's testbed")
-		slaves   = flag.Int("slaves", 10, "number of slave nodes")
-		racks    = flag.Int("racks", 1, "rack count: slave i lands in rack i%racks behind a ToR switch (1 = flat network)")
-		uplink   = flag.Int64("uplink", 0, "per-rack ToR uplink bandwidth in MB/s (0 = NIC rate; only meaningful with -racks > 1)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		frac     = flag.Float64("input-fraction", 1, "shrink inputs further (0,1]")
-		verify   = flag.Bool("verify", false, "end-to-end HDFS checksums on every cell (extension; timing-neutral)")
-		scrub    = flag.Int64("scrub", 0, "background replica scrubber: bytes/sec rate limit, -1 = unthrottled, 0 = off (implies -verify)")
-		tier     = flag.String("tier", "hdd", "device class for intermediate-data volumes on every cell: hdd | ssd")
-		interval = flag.Duration("sample-interval", 0, "iostat sampling interval in virtual time (0 = auto: 1 s scaled down with -scale)")
 		parallel = flag.Int("parallel", 0, "experiment cells to simulate concurrently (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache-dir", "", "persist experiment cells under this directory")
 		verbose  = flag.Bool("v", false, "per-cell progress to stderr")
+		testbed  cliutil.Testbed
 	)
+	testbed.Register(flag.CommandLine, 4096, 10)
+	testbed.RegisterRun(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := cliutil.ValidateRunFlags(*scale, *slaves, *frac, *interval, *parallel); err != nil {
-		fmt.Fprintln(os.Stderr, "iochar:", err)
-		os.Exit(2)
-	}
-	if err := cliutil.ValidateTopologyFlags(*racks, *uplink); err != nil {
-		fmt.Fprintln(os.Stderr, "iochar:", err)
-		os.Exit(2)
-	}
-	tierClass, err := iochar.ParseTier(*tier)
+	testbedOpts, err := testbed.Options(*parallel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iochar:", err)
 		os.Exit(2)
@@ -81,23 +65,7 @@ func main() {
 	unsubClamps := cliutil.WarnClamps(os.Stderr, "iochar")
 	defer unsubClamps()
 
-	opts := iochar.NewOptions(
-		iochar.WithScale(*scale),
-		iochar.WithSlaves(*slaves),
-		iochar.WithRacks(*racks),
-		iochar.WithUplink(*uplink<<20),
-		iochar.WithSeed(*seed),
-		iochar.WithInputFraction(*frac),
-		iochar.WithScrubRate(*scrub),
-		iochar.WithSampleInterval(*interval),
-		iochar.WithIntermediateTier(tierClass),
-	)
-	if *hist {
-		opts = opts.With(iochar.WithHistograms())
-	}
-	if *verify || *scrub != 0 {
-		opts = opts.With(iochar.WithIntegrity())
-	}
+	opts := iochar.NewOptions(testbedOpts...)
 	sopts := []iochar.SuiteOption{iochar.WithParallelism(*parallel)}
 	if *cacheDir != "" {
 		sopts = append(sopts, iochar.WithCacheDir(*cacheDir))
@@ -115,7 +83,7 @@ func main() {
 		figures = []int{*figure}
 	case *table != 0:
 		tables = []int{*table}
-	case *attr, *hist, *traceOut != "":
+	case *attr, testbed.Hist, *traceOut != "":
 		// handled below
 	default:
 		flag.Usage()
@@ -165,7 +133,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *hist {
+	if testbed.Hist {
 		if err := iochar.RenderLatencyTable(os.Stdout, s); err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)

@@ -15,7 +15,7 @@
 //
 //	iosim -pattern seq -op read -reqkb 128 -streams 4 -seconds 10 -faults "slow-disk@5s:factor=8"
 //
-// It can also replay a trace captured with `mrrun -trace` through an
+// It can also replay a trace captured with `mrrun -trace-out` through an
 // alternative configuration ("what would this exact request stream have
 // done under FIFO / without merging"):
 //

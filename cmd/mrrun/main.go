@@ -33,22 +33,13 @@ func main() {
 		slots     = flag.String("slots", "1_8", "task slots config: 1_8 | 2_16")
 		mem       = flag.Int("mem", 32, "node memory in GB (paper used 16 or 32)")
 		compress  = flag.Bool("compress", false, "compress intermediate data")
-		scale     = flag.Int64("scale", 4096, "capacity divisor vs the paper's testbed")
-		slaves    = flag.Int("slaves", 10, "number of slave nodes")
-		racks     = flag.Int("racks", 1, "rack count: slave i lands in rack i%racks behind a ToR switch (1 = flat network)")
-		uplink    = flag.Int64("uplink", 0, "per-rack ToR uplink bandwidth in MB/s (0 = NIC rate; only meaningful with -racks > 1)")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		frac      = flag.Float64("input-fraction", 1, "shrink inputs further (0,1]")
-		tier      = flag.String("tier", "hdd", "device class for intermediate-data volumes: hdd | ssd (HDFS data disks stay mechanical)")
-		interval  = flag.Duration("sample-interval", 0, "iostat sampling interval in virtual time (0 = auto: 1 s scaled down with -scale)")
-		traceFile = flag.String("trace", "", "buffer a block-level I/O trace in memory, write CSV to this file (deprecated; prefer -trace-out)")
 		streamOut = flag.String("trace-out", "", "stream a block-level I/O trace to this file as requests complete (CSV, or NDJSON if the name ends in .ndjson); O(1) memory")
-		hist      = flag.Bool("hist", false, "collect per-request await/svctm/size histograms and print p50/p95/p99/max rows")
 		faultStr  = flag.String("faults", "", `fault plan, e.g. "kill-datanode@15s:node=slave-02;restart-datanode@10s:node=slave-01,down=5s;corrupt-block@8s:path=/bench/TS/in/part-000"`)
-		verify    = flag.Bool("verify", false, "end-to-end HDFS checksums (CRC32C), verified on every read with failover and read-repair")
 		masters   = flag.Bool("master-recovery", false, "journal NameNode/JobTracker state to dedicated master-node disks (restart-namenode/restart-jobtracker faults imply this)")
-		scrub     = flag.Int64("scrub", 0, "background replica scrubber: bytes/sec rate limit, -1 = unthrottled, 0 = off (implies -verify)")
+		testbed   cliutil.Testbed
 	)
+	testbed.Register(flag.CommandLine, 4096, 10)
+	testbed.RegisterRun(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -59,15 +50,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mrrun:", err)
 		os.Exit(2)
 	}
-	if err := cliutil.ValidateRunFlags(*scale, *slaves, *frac, *interval, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "mrrun:", err)
-		os.Exit(2)
-	}
-	if err := cliutil.ValidateTopologyFlags(*racks, *uplink); err != nil {
-		fmt.Fprintln(os.Stderr, "mrrun:", err)
-		os.Exit(2)
-	}
-	tierClass, err := iochar.ParseTier(*tier)
+	testbedOpts, err := testbed.Options(0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mrrun:", err)
 		os.Exit(2)
@@ -86,23 +69,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mrrun: unknown slots config %q (want 1_8 or 2_16)\n", *slots)
 		os.Exit(2)
 	}
-	opts := iochar.NewOptions(
-		iochar.WithScale(*scale),
-		iochar.WithSlaves(*slaves),
-		iochar.WithRacks(*racks),
-		iochar.WithUplink(*uplink<<20),
-		iochar.WithSeed(*seed),
-		iochar.WithInputFraction(*frac),
-		iochar.WithScrubRate(*scrub),
-		iochar.WithSampleInterval(*interval),
-		iochar.WithIntermediateTier(tierClass),
-	)
-	if *hist {
-		opts = opts.With(iochar.WithHistograms())
-	}
-	if *verify || *scrub != 0 {
-		opts = opts.With(iochar.WithIntegrity())
-	}
+	opts := iochar.NewOptions(testbedOpts...)
 	if *masters {
 		opts = opts.With(iochar.WithMasterRecovery())
 	}
@@ -115,16 +82,11 @@ func main() {
 		opts = opts.With(iochar.WithFaults(plan))
 	}
 
-	// All observers ride the same per-disk bus, so any combination of the
-	// in-memory collector, the streaming sink, the per-stage accumulator and
-	// -hist histograms can watch one run.
-	var collector *trace.Collector
+	// All observers ride the same per-disk bus, so the streaming sink, the
+	// per-stage accumulator and -hist histograms can watch one run.
 	var stream *trace.StreamCollector
 	var streamFile *os.File
 	var phys *iochar.PhysicalAttribution
-	if *traceFile != "" {
-		collector = trace.NewCollector()
-	}
 	if *streamOut != "" {
 		f, err := os.Create(*streamOut)
 		if err != nil {
@@ -137,16 +99,9 @@ func main() {
 			format = trace.FormatNDJSON
 		}
 		stream = trace.NewStreamCollectorFormat(f, format)
-	}
-	if collector != nil || stream != nil {
 		phys = iochar.NewPhysicalAttribution()
 		opts = opts.With(iochar.WithTraceAttach(func(dev string, d *disk.Disk) {
-			if collector != nil {
-				collector.Attach(d, dev)
-			}
-			if stream != nil {
-				stream.Attach(d, dev)
-			}
+			stream.Attach(d, dev)
 			phys.Attach(d)
 		}))
 	}
@@ -157,19 +112,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mrrun:", err)
 		os.Exit(1)
-	}
-	if collector != nil {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mrrun:", err)
-			os.Exit(1)
-		}
-		if err := trace.WriteCSV(f, collector.Records()); err != nil {
-			fmt.Fprintln(os.Stderr, "mrrun:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %d trace records to %s\n", collector.Len(), *traceFile)
 	}
 	if stream != nil {
 		if err := stream.Close(); err != nil {
@@ -220,7 +162,7 @@ func main() {
 	for _, n := range names {
 		printGroup(n, rep.FaultGroups[n])
 	}
-	if *hist {
+	if testbed.Hist {
 		fmt.Println("\nper-request distributions (p50/p95/p99/max):")
 		iochar.LatencyDists(os.Stdout, "HDFS", rep.HDFS.Hists)
 		iochar.LatencyDists(os.Stdout, "MapReduce", rep.MR.Hists)

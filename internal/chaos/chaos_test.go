@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -187,6 +188,47 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed in 1..12 tripped the broken recovery budget")
+}
+
+// TestNarrowedHalvesByArgument: the shrinker's second phase narrows by
+// argument, not by kind — a failing restart-namenode schedule's down= is
+// halved like any other outage (the per-kind switch this replaced forgot
+// both master restarts), a partition proposes the smaller cut first, and a
+// kill has nothing to narrow.
+func TestNarrowedHalvesByArgument(t *testing.T) {
+	for _, tc := range []struct {
+		plan string
+		want []string
+	}{
+		{"restart-namenode@40ms:down=24ms", []string{"restart-namenode@40ms:down=12ms"}},
+		{"restart-jobtracker@40ms:down=24ms", []string{"restart-jobtracker@40ms:down=12ms"}},
+		{"partition@10ms:nodes=slave-01+slave-02,down=20ms", []string{
+			"partition@10ms:nodes=slave-01,down=20ms",
+			"partition@10ms:nodes=slave-01+slave-02,down=10ms",
+		}},
+		{"drop-link@10ms:node=slave-01,until=30ms,prob=0.4", []string{
+			"drop-link@10ms:node=slave-01,until=20ms,prob=0.4",
+			"drop-link@10ms:node=slave-01,until=30ms,prob=0.2",
+		}},
+		{"slow-disk@10ms:node=slave-01,disk=mr0,factor=2", nil},
+		{"kill-node@10ms:node=slave-01", nil},
+	} {
+		pl, err := faults.ParsePlan("kill-datanode@1ms:node=slave-00;" + tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.Seed = 7
+		var got []string
+		for _, cand := range narrowed(pl, 1) {
+			if cand.Seed != pl.Seed || cand.Events[0].String() != pl.Events[0].String() {
+				t.Errorf("%s: candidate %s changed the seed or a sibling event", tc.plan, cand)
+			}
+			got = append(got, cand.Events[1].String())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("narrowed(%s) = %q, want %q", tc.plan, got, tc.want)
+		}
+	}
 }
 
 // TestReplayCheckedInSchedules replays every schedule under testdata/chaos —

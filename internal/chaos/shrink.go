@@ -2,10 +2,10 @@
 // reduces it to a minimal reproducing schedule before serializing it — the
 // difference between "seed 7194 fails" and a two-line fault plan a human can
 // reason about. Shrinking is greedy delta-debugging: drop whole events to a
-// fixpoint, then narrow the survivors (shorter drop-shuffle windows, lower
-// probabilities and slowdown factors). Every candidate re-runs the full
-// oracle set and is accepted only if it still fails, so the result is
-// 1-minimal with respect to these reductions within the run budget.
+// fixpoint, then narrow the survivors (smaller cut sets, shorter windows and
+// outages, lower probabilities and slowdown factors). Every candidate re-runs
+// the full oracle set and is accepted only if it still fails, so the result
+// is 1-minimal with respect to these reductions within the run budget.
 package chaos
 
 import (
@@ -57,68 +57,14 @@ func without(pl faults.Plan, i int) faults.Plan {
 	return faults.Plan{Events: ev, Seed: pl.Seed}
 }
 
-// narrowed proposes gentler variants of event i, strongest reduction first.
-// Only tunable events have variants; a kill is already minimal.
+// narrowed proposes gentler variants of event i (faults.Event.Narrowed),
+// each as the whole plan with that one event replaced.
 func narrowed(pl faults.Plan, i int) []faults.Plan {
-	ev := pl.Events[i]
 	var cands []faults.Plan
-	propose := func(e faults.Event) {
+	for _, e := range pl.Events[i].Narrowed() {
 		evs := append([]faults.Event{}, pl.Events...)
 		evs[i] = e
 		cands = append(cands, faults.Plan{Events: evs, Seed: pl.Seed})
-	}
-	switch ev.Kind {
-	case faults.DropShuffle:
-		if w := (ev.Until - ev.At) / 2; w > 0 {
-			e := ev
-			e.Until = ev.At + w
-			propose(e)
-		}
-		if p := ev.Prob / 2; p >= 0.05 {
-			e := ev
-			e.Prob = p
-			propose(e)
-		}
-	case faults.SlowDisk:
-		if f := ev.Factor / 2; f > 1 {
-			e := ev
-			e.Factor = f
-			propose(e)
-		}
-	case faults.RestartDataNode, faults.RestartNode:
-		if d := ev.Down / 2; d > 0 {
-			e := ev
-			e.Down = d
-			propose(e)
-		}
-	case faults.Partition:
-		if len(ev.Nodes) > 1 {
-			e := ev
-			e.Nodes = append([]string{}, ev.Nodes[:len(ev.Nodes)/2]...)
-			propose(e)
-		}
-		if d := ev.Down / 2; d > 0 {
-			e := ev
-			e.Down = d
-			propose(e)
-		}
-	case faults.SlowLink:
-		if f := ev.Factor / 2; f > 1 {
-			e := ev
-			e.Factor = f
-			propose(e)
-		}
-	case faults.DropLink:
-		if w := (ev.Until - ev.At) / 2; w > 0 {
-			e := ev
-			e.Until = ev.At + w
-			propose(e)
-		}
-		if p := ev.Prob / 2; p >= 0.05 {
-			e := ev
-			e.Prob = p
-			propose(e)
-		}
 	}
 	return cands
 }

@@ -1,7 +1,8 @@
-// Package cliutil holds the small pieces the command-line front ends
-// (cmd/iochar, cmd/mrrun, cmd/bench, cmd/chaos) share: validation of the
-// numeric testbed flags, and stderr reporting of capacity-clamp warnings
-// raised during provisioning.
+// Package cliutil holds the pieces the runner front ends (cmd/iochar,
+// cmd/mrrun, cmd/chaos) share: Testbed, the one definition of the flags that
+// describe the simulated testbed and of how they become core.Options;
+// the numeric validation behind it; and WarnClamps, stderr reporting of
+// capacity-clamp warnings raised during provisioning.
 //
 // Validation exists because the library's withDefaults policy — reset any
 // nonsense value to the documented default — is right for programmatic use
@@ -10,13 +11,102 @@
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
+	"iochar/internal/core"
 	"iochar/internal/disk"
 )
+
+// Testbed is the flag block every runner shares. Register defines the
+// cluster-shape flags (-scale -slaves -racks -uplink -tier) with the tool's
+// own defaults; RegisterRun adds the per-run flags (-seed -input-fraction
+// -sample-interval -verify -scrub -hist) for the tools that expose them.
+// After flag parsing, Options validates everything registered and returns
+// the matching core options, so a flag is declared, checked and applied in
+// one place.
+type Testbed struct {
+	scale    int64
+	slaves   int
+	racks    int
+	uplinkMB int64
+	tier     string
+
+	run            bool // RegisterRun was called
+	seed           int64
+	inputFraction  float64
+	sampleInterval time.Duration
+	verify         bool
+	scrub          int64
+	// Hist is exported because the tools also choose what to print by it.
+	Hist bool
+}
+
+// Register defines the cluster-shape flags on fs.
+func (t *Testbed) Register(fs *flag.FlagSet, scale int64, slaves int) {
+	fs.Int64Var(&t.scale, "scale", scale, "capacity divisor vs the paper's testbed")
+	fs.IntVar(&t.slaves, "slaves", slaves, "number of slave nodes")
+	fs.IntVar(&t.racks, "racks", 1, "rack count: slave i lands in rack i%racks behind a ToR switch (1 = flat network)")
+	fs.Int64Var(&t.uplinkMB, "uplink", 0, "per-rack ToR uplink bandwidth in MB/s (0 = NIC rate; only meaningful with -racks > 1)")
+	fs.StringVar(&t.tier, "tier", "hdd", "device class for intermediate-data volumes: hdd | ssd (HDFS data disks stay mechanical; ssd constrains -scale)")
+}
+
+// RegisterRun defines the per-run flags on fs.
+func (t *Testbed) RegisterRun(fs *flag.FlagSet) {
+	t.run = true
+	fs.Int64Var(&t.seed, "seed", 1, "simulation seed")
+	fs.Float64Var(&t.inputFraction, "input-fraction", 1, "shrink inputs further (0,1]")
+	fs.DurationVar(&t.sampleInterval, "sample-interval", 0, "iostat sampling interval in virtual time (0 = auto: 1 s scaled down with -scale)")
+	fs.BoolVar(&t.verify, "verify", false, "end-to-end HDFS checksums (CRC32C), verified on every read with failover and read-repair")
+	fs.Int64Var(&t.scrub, "scrub", 0, "background replica scrubber: bytes/sec rate limit, -1 = unthrottled, 0 = off (implies -verify)")
+	fs.BoolVar(&t.Hist, "hist", false, "collect per-request await/svctm/size histograms and print p50/p95/p99/max rows")
+}
+
+// Options validates the parsed flags — and the tool's own -parallel value,
+// 0 for a tool without one — and returns the core options they select. The
+// error is the one-line usage message; callers print it and exit 2.
+func (t *Testbed) Options(parallel int) ([]core.Option, error) {
+	frac, interval := 1.0, time.Duration(0) // always valid, for tools without the run flags
+	if t.run {
+		frac, interval = t.inputFraction, t.sampleInterval
+	}
+	if err := ValidateRunFlags(t.scale, t.slaves, frac, interval, parallel); err != nil {
+		return nil, err
+	}
+	if err := ValidateTopologyFlags(t.racks, t.uplinkMB); err != nil {
+		return nil, err
+	}
+	tier, err := disk.ParseClass(t.tier)
+	if err != nil {
+		return nil, err
+	}
+	opts := []core.Option{
+		core.WithScale(t.scale),
+		core.WithSlaves(t.slaves),
+		core.WithRacks(t.racks),
+		core.WithUplink(t.uplinkMB << 20),
+		core.WithIntermediateTier(tier),
+	}
+	if !t.run {
+		return opts, nil
+	}
+	opts = append(opts,
+		core.WithSeed(t.seed),
+		core.WithInputFraction(t.inputFraction),
+		core.WithSampleInterval(t.sampleInterval),
+		core.WithScrubRate(t.scrub),
+	)
+	if t.Hist {
+		opts = append(opts, core.WithHistograms())
+	}
+	if t.verify || t.scrub != 0 {
+		opts = append(opts, core.WithIntegrity())
+	}
+	return opts, nil
+}
 
 // ValidateRunFlags checks the numeric knobs common to the runner CLIs.
 // scale must be positive; slaves must be positive; frac must lie in (0, 1];

@@ -94,17 +94,12 @@ type Options struct {
 	// TraceAttach, when set, is called once per data disk before the run
 	// with a stable device name ("slave-03.mr1") — the hook point for
 	// internal/trace.Collector.Attach and other block-level observers.
-	TraceAttach func(dev string, d *disk.Disk)
+	TraceAttach func(dev string, d *disk.Disk) `json:"-"`
 	// Histograms collects per-request await/svctm/size distributions for
 	// each monitored device group (RunReport.HDFS.Hists and MR.Hists) via
 	// the disk observer bus. Composes freely with TraceAttach observers;
 	// off, it costs nothing.
 	Histograms bool
-	// FaultSlowDisk, when > 1, injects a degraded drive: the first slave's
-	// first intermediate-data disk services every request this many times
-	// slower — the classic straggler fault, visible end-to-end in job
-	// runtime and in the per-disk %util/await distributions.
-	FaultSlowDisk float64
 	// SharedDataDisks pools HDFS and intermediate data on the same six
 	// spindles instead of the paper's dedicated 3+3 layout — the
 	// counterfactual behind the paper's observation 4 recommendation.
@@ -147,7 +142,7 @@ type Options struct {
 	// before the runtime is built — the hook chaos testing uses to weaken
 	// recovery budgets on purpose and prove the oracles catch it. Runs with
 	// it set bypass the persistent cache (the closure is not serializable).
-	TuneMapred func(*mapred.Config)
+	TuneMapred func(*mapred.Config) `json:"-"`
 	// Integrity switches on end-to-end HDFS checksumming: per-chunk CRC32C
 	// computed from the writer's bytes, verified on every streaming read,
 	// with corrupt replicas reported and read-repaired. Off by default — a
@@ -168,7 +163,7 @@ type Options struct {
 	// any fault recovery) completes, once monitoring has stopped — a hook for
 	// tests and tools to read back HDFS contents and block placement while
 	// the cluster still exists.
-	Inspect func(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster)
+	Inspect func(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) `json:"-"`
 }
 
 // MasterRecovery configures the journaled NameNode/JobTracker layers (see
@@ -442,9 +437,6 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 				opts.TraceAttach(d.P.Name, d)
 			}
 		}
-	}
-	if opts.FaultSlowDisk > 1 {
-		cl.Slaves[0].MRDisks[0].P.SlowFactor = opts.FaultSlowDisk
 	}
 
 	// Master recovery provisions the masters' metadata volumes; a plan with

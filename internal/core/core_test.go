@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"iochar/internal/faults"
 )
 
 // fastOpts is a deliberately small testbed so the full observation suite
@@ -380,10 +382,13 @@ func TestTable3BottleneckClassification(t *testing.T) {
 // whole TeraSort job (speculative map execution softens but cannot remove
 // the hit — the straggler disk also serves shuffle reads) and inflate the
 // iostat await signature an operator would diagnose with.
-func TestFaultSlowDiskVisibleEndToEnd(t *testing.T) {
+func TestSlowDiskPlanVisibleEndToEnd(t *testing.T) {
 	healthy := mustRun(t, TS, SlotsRuns[0])
 	opts := fastOpts
-	opts.FaultSlowDisk = 8
+	var err error
+	if opts.Faults, err = faults.ParsePlan("slow-disk@1ns:node=slave-00,disk=mr0,factor=8"); err != nil {
+		t.Fatal(err)
+	}
 	degraded, err := RunOne(TS, SlotsRuns[0], opts)
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,10 @@ import (
 	"iochar/internal/sim"
 )
 
-// Option configures the simulated testbed, one knob at a time — the
-// composable successor to filling Options fields by hand. Options sprawled
-// as PRs bolted on booleans (Audit, Integrity, Histograms, fault plans,
-// tuning hooks); the With* constructors gather those knobs behind one
-// pattern, matching the suite's WithParallelism/WithCacheDir style.
-//
-// Build a testbed configuration with NewOptions:
+// Option sets one field of Options. The With* constructors are the same
+// setters as a struct literal's fields, written as functions so a caller can
+// build a configuration from a list (a CLI's flag block, a benchmark's
+// per-cell extras), matching the suite's WithParallelism/WithCacheDir style:
 //
 //	opts := core.NewOptions(
 //	    core.WithScale(4096),
@@ -25,8 +22,8 @@ import (
 //	    core.WithAudit(),
 //	)
 //
-// The Options struct remains usable directly as a thin compatibility layer
-// for one release; new knobs land here first.
+// Options is a plain struct and filling it directly is equally supported;
+// the two forms describe the same run and share one cache key.
 type Option func(*Options)
 
 // NewOptions builds an Options value from functional options. Zero fields
@@ -42,8 +39,8 @@ func NewOptions(opts ...Option) Options {
 	return o
 }
 
-// With applies additional options to an existing configuration — the bridge
-// for callers migrating from the struct form.
+// With applies additional options to an existing configuration, however it
+// was built.
 func (o Options) With(opts ...Option) Options {
 	for _, fn := range opts {
 		if fn != nil {
@@ -110,12 +107,6 @@ func WithFaults(plan faults.Plan) Option { return func(o *Options) { o.Faults = 
 
 // WithRecovery tunes HDFS failure detection and repair for fault runs.
 func WithRecovery(cfg hdfs.RecoveryConfig) Option { return func(o *Options) { o.Recovery = cfg } }
-
-// WithFaultSlowDisk degrades the first slave's first intermediate-data disk
-// by the given service-time multiplier (> 1) — the classic straggler fault.
-func WithFaultSlowDisk(factor float64) Option {
-	return func(o *Options) { o.FaultSlowDisk = factor }
-}
 
 // WithSharedDataDisks pools HDFS and intermediate data on the same spindles
 // instead of the paper's dedicated 3+3 layout.

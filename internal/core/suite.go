@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"iochar/internal/disk"
-	"iochar/internal/hdfs"
 	"iochar/internal/runcache"
 )
 
@@ -15,7 +13,8 @@ import (
 // semantics behind it. Bump it whenever a change makes previously persisted
 // reports stale — a new counter, a renamed field, a behavioural fix that
 // shifts byte totals — so old cache entries degrade to misses instead of
-// resurfacing outdated figures.
+// resurfacing outdated figures. A new or changed Options field needs no
+// bump: the cache key is derived from Options itself (runKey).
 const SchemaVersion = 9
 
 // RunSource says where a resolved experiment cell came from.
@@ -240,73 +239,28 @@ func (s *Suite) diskStore(w Workload, f Factors) (*runcache.Store, string, error
 
 // cacheable reports whether runs under opts may be persisted: live hooks
 // observe or mutate the testbed in ways the serialized report cannot carry.
+// These are exactly the Options fields tagged `json:"-"`, which runKey
+// therefore cannot see.
 func cacheable(opts Options) bool {
 	return opts.TraceAttach == nil && opts.Inspect == nil && opts.TuneMapred == nil
 }
 
-// runKeyMaterial is everything that determines a cell's outcome. It is
-// hashed (as canonical JSON) into the cell's content address, so any
-// configuration drift — testbed scale, seeds, fault plans, recovery knobs,
-// result schema — lands in a different cache slot instead of colliding.
-type runKeyMaterial struct {
-	Schema          int
-	Workload        string
-	Slots           SlotsConfig
-	MemoryGB        int
-	Compress        bool
-	Scale           int64
-	Slaves          int
-	Racks           int
-	UplinkBPS       int64
-	Seed            int64
-	SampleInterval  int64 // nanoseconds
-	MapTaskTarget   int64
-	InputFraction   float64
-	FaultSlowDisk   float64
-	SharedDataDisks bool
-	Histograms      bool
-	Faults          string // Plan.String(): the canonical plan syntax
-	FaultSeed       int64
-	Recovery        hdfs.RecoveryConfig
-	MasterRecovery  MasterRecovery
-	Audit           bool
-	Integrity       bool
-	ScrubRate       int64
-	// Storage-tier configuration: the tier class and the full device params
-	// of any SSD override. Tiered and untiered runs of the same cell have
-	// different outcomes, so both must land in distinct cache slots.
-	IntermediateTier string
-	SSD              *disk.Params
+// runKey is everything that determines a cell's outcome: the result schema,
+// the cell, and the whole testbed description. It is hashed (as canonical
+// JSON) into the cell's content address, so any configuration drift lands in
+// a different cache slot instead of colliding — and because Options is
+// embedded as it is, a new Options field is part of the key the moment it
+// exists. A new func-typed hook must be tagged `json:"-"` and refused by
+// cacheable; without the tag json.Marshal fails the run loudly.
+type runKey struct {
+	Schema   int
+	Workload string
+	Factors  Factors
+	Options  Options
 }
 
-func keyMaterial(w Workload, f Factors, opts Options) runKeyMaterial {
-	return runKeyMaterial{
-		Schema:           SchemaVersion,
-		Workload:         w.String(),
-		Slots:            f.Slots,
-		MemoryGB:         f.MemoryGB,
-		Compress:         f.Compress,
-		Scale:            opts.Scale,
-		Slaves:           opts.Slaves,
-		Racks:            opts.Racks,
-		UplinkBPS:        opts.UplinkBPS,
-		Seed:             opts.Seed,
-		SampleInterval:   int64(opts.SampleInterval),
-		MapTaskTarget:    opts.MapTaskTarget,
-		InputFraction:    opts.InputFraction,
-		FaultSlowDisk:    opts.FaultSlowDisk,
-		SharedDataDisks:  opts.SharedDataDisks,
-		Histograms:       opts.Histograms,
-		Faults:           opts.Faults.String(),
-		FaultSeed:        opts.Faults.Seed,
-		Recovery:         opts.Recovery,
-		MasterRecovery:   opts.MasterRecovery,
-		Audit:            opts.Audit,
-		Integrity:        opts.Integrity,
-		ScrubRate:        opts.ScrubRate,
-		IntermediateTier: opts.IntermediateTier.String(),
-		SSD:              opts.SSD,
-	}
+func keyMaterial(w Workload, f Factors, opts Options) runKey {
+	return runKey{Schema: SchemaVersion, Workload: w.String(), Factors: f, Options: opts}
 }
 
 // emit fires the progress callback (if any) and advances the done counter.

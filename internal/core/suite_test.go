@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -433,7 +434,9 @@ func TestCacheKeySeparatesConfigurations(t *testing.T) {
 	o.SharedDataDisks = true
 	variants["shared-disks"] = o
 	o = base
-	o.FaultSlowDisk = 4
+	if o.Faults, err = faults.ParsePlan("slow-disk@1ns:node=slave-00,disk=mr0,factor=4"); err != nil {
+		t.Fatal(err)
+	}
 	variants["slow-disk"] = o
 	o = base
 	if o.Faults, err = faults.ParsePlan(killPlan); err != nil {
@@ -468,6 +471,86 @@ func TestCacheKeySeparatesConfigurations(t *testing.T) {
 	if k, _ := runcache.Key(keyMaterial(TS, SlotsRuns[1], base)); k == baseKey {
 		t.Error("factors not in the key")
 	}
+}
+
+// TestRunKeyCoversEveryOptionsField walks Options by reflection, recursing
+// through nested structs, pointers and slices: flipping any data field must
+// change the cache key, the fields hidden from the key (`json:"-"`) must be
+// exactly the func-typed hooks, and every hook must make the run
+// uncacheable. A field added to Options — or to a struct it embeds — is thus
+// in the key the day it lands, with no list to extend.
+func TestRunKeyCoversEveryOptionsField(t *testing.T) {
+	opts := NewSuite(tinyOpts).Opts
+	key := func() string {
+		k, err := runcache.Key(keyMaterial(TS, SlotsRuns[0], opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	// flipped runs mutate, checks the key moved, and undoes the mutation.
+	flipped := func(path string, v reflect.Value, mutate func()) {
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		before := key()
+		mutate()
+		if key() == before {
+			t.Errorf("changing %s did not change the cache key", path)
+		}
+		v.Set(old)
+	}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				fpath := path + "." + f.Name
+				isFunc := f.Type.Kind() == reflect.Func
+				if hidden := f.Tag.Get("json") == "-"; hidden != isFunc {
+					t.Errorf("%s: json:\"-\" = %v but func-typed = %v (hooks, and only hooks, stay out of the key)", fpath, hidden, isFunc)
+				}
+				if !isFunc {
+					walk(fpath, v.Field(i))
+					continue
+				}
+				if !cacheable(opts) {
+					t.Fatalf("base options are not cacheable before %s is set", fpath)
+				}
+				hook := v.Field(i)
+				hook.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value { return nil }))
+				if cacheable(opts) {
+					t.Errorf("%s is set but the run is still cacheable", fpath)
+				}
+				hook.Set(reflect.Zero(f.Type))
+			}
+		case reflect.Pointer:
+			flipped(path, v, func() { v.Set(reflect.New(v.Type().Elem())) })
+			old := v.Interface()
+			v.Set(reflect.New(v.Type().Elem()))
+			walk("(*"+path+")", v.Elem())
+			v.Set(reflect.ValueOf(old))
+		case reflect.Slice:
+			flipped(path, v, func() { v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem()))) })
+			old := v.Interface()
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+			walk(path+"[0]", v.Index(0))
+			v.Set(reflect.ValueOf(old))
+		case reflect.Bool:
+			flipped(path, v, func() { v.SetBool(!v.Bool()) })
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			flipped(path, v, func() { v.SetInt(v.Int() + 1) })
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			flipped(path, v, func() { v.SetUint(v.Uint() + 1) })
+		case reflect.Float32, reflect.Float64:
+			flipped(path, v, func() { v.SetFloat(v.Float() + 0.5) })
+		case reflect.String:
+			flipped(path, v, func() { v.SetString(v.String() + "x") })
+		default:
+			t.Fatalf("%s: kind %s is not handled — teach this test how to flip it", path, v.Kind())
+		}
+	}
+	walk("Options", reflect.ValueOf(&opts).Elem())
 }
 
 // TestHookedRunsBypassDiskCache: runs with live hooks must not be persisted

@@ -362,6 +362,41 @@ func (ev Event) validate() error {
 	return nil
 }
 
+// Narrowed proposes gentler variants of the event for schedule shrinking,
+// strongest reduction first: half the cut set, half the lossy window, half
+// the drop probability, half the slowdown factor, half the outage. The rule
+// is per argument, so every kind that takes one is covered; an event with
+// nothing left to halve (a kill, a single-node cut at its floor) has none.
+func (ev Event) Narrowed() []Event {
+	var out []Event
+	if n := len(ev.Nodes); n > 1 {
+		e := ev
+		e.Nodes = append([]string{}, ev.Nodes[:n/2]...)
+		out = append(out, e)
+	}
+	if w := (ev.Until - ev.At) / 2; w > 0 {
+		e := ev
+		e.Until = ev.At + w
+		out = append(out, e)
+	}
+	if p := ev.Prob / 2; p >= 0.05 {
+		e := ev
+		e.Prob = p
+		out = append(out, e)
+	}
+	if f := ev.Factor / 2; f > 1 {
+		e := ev
+		e.Factor = f
+		out = append(out, e)
+	}
+	if d := ev.Down / 2; d > 0 {
+		e := ev
+		e.Down = d
+		out = append(out, e)
+	}
+	return out
+}
+
 // cutKeys returns the identities a partition event cuts off — its node
 // names, or an opaque rack key when the cut is a whole rack (rack
 // membership is only known once the plan is armed against a cluster).

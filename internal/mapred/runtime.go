@@ -29,9 +29,9 @@ type topology interface {
 // TaskTracker per slave, each offering Config.MapSlots and
 // Config.ReduceSlots concurrent task slots.
 type Runtime struct {
-	env *sim.Env
-	cl  *cluster.Cluster
-	fs  *hdfs.FS
+	env    *sim.Env
+	cl     *cluster.Cluster
+	fs     *hdfs.FS
 	net    transferer
 	topo   topology // rt.net's topology view, nil for topology-blind fakes
 	netRng *rand.Rand

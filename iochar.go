@@ -43,9 +43,8 @@ import (
 
 // Options configures the simulated testbed; the zero value gives the
 // defaults documented on core.Options (scale 1/1024, 10 slaves, 1 s-scaled
-// iostat interval). Prefer building it with NewOptions and the With*
-// functional options; the struct form remains as a thin compatibility
-// layer for one release.
+// iostat interval). It is a plain struct: fill it directly, or build it with
+// NewOptions and the With* functions, which are the same setters.
 type Options = core.Options
 
 // Option configures the testbed one knob at a time; see NewOptions.
@@ -76,7 +75,6 @@ var (
 	WithFaults          = core.WithFaults          // deterministic fault plan
 	WithRecovery        = core.WithRecovery        // HDFS failure detection/repair tuning
 	WithMasterRecovery  = core.WithMasterRecovery  // journaled NameNode/JobTracker state + restart recovery
-	WithFaultSlowDisk   = core.WithFaultSlowDisk   // one-knob straggler disk
 	WithSharedDataDisks = core.WithSharedDataDisks // pooled instead of dedicated spindles
 	WithTraceAttach     = core.WithTraceAttach     // per-disk observer hook
 	WithTuneMapred      = core.WithTuneMapred      // MapReduce config hook
