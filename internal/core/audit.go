@@ -213,14 +213,19 @@ func isOutputPath(path string) bool {
 // pinning every byte of every pair.
 func canonicalKVSum(data []byte) string {
 	type pair struct{ k, v []byte }
-	var pairs []pair
-	for len(data) > 0 {
-		k, v, rest := mapred.NextKV(data)
-		if len(rest) >= len(data) {
+	// Count the pairs first so the slice is allocated once at its final size
+	// rather than grown (and re-copied) by append.
+	count := 0
+	for d := data; len(d) > 0; count++ {
+		_, _, rest := mapred.NextKV(d)
+		if len(rest) >= len(d) {
 			break // malformed tail; hash what framed cleanly
 		}
-		pairs = append(pairs, pair{k, v})
-		data = rest
+		d = rest
+	}
+	pairs := make([]pair, count)
+	for i := range pairs {
+		pairs[i].k, pairs[i].v, data = mapred.NextKV(data)
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		if c := bytes.Compare(pairs[i].k, pairs[j].k); c != 0 {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"iochar/internal/faults"
+	"iochar/internal/mapred"
 )
 
 // TestAuditOracles runs the post-run invariant audit on a healthy TeraSort
@@ -62,5 +64,24 @@ func TestAuditOffByDefault(t *testing.T) {
 	}
 	if rep.Audit != nil {
 		t.Error("RunReport.Audit set without Options.Audit")
+	}
+}
+
+// TestCanonicalKVSumPinned pins the output checksum — the value chaos
+// oracles and cached reports compare — on a stream with duplicate keys out
+// of value order, an empty key and an empty value.
+func TestCanonicalKVSumPinned(t *testing.T) {
+	var stream []byte
+	for i := 0; i < 1000; i++ {
+		stream = mapred.AppendKV(stream, []byte(fmt.Sprintf("k%03d", i%97)), []byte(fmt.Sprintf("v%d", (i*7919)%1000)))
+	}
+	stream = mapred.AppendKV(stream, nil, []byte("empty key"))
+	stream = mapred.AppendKV(stream, []byte("empty value"), nil)
+	const want = "8d8b51f115349e39e0e0fc6cb214215dbaa7ec8503c62a021d75decaf6d31886" // computed by the append-grown version this replaced
+	if got := canonicalKVSum(stream); got != want {
+		t.Errorf("canonicalKVSum = %s, want %s", got, want)
+	}
+	if got := canonicalKVSum(nil); got != "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" {
+		t.Errorf("canonicalKVSum(nil) = %s, want the SHA-256 of nothing", got)
 	}
 }

@@ -707,7 +707,9 @@ func (r *Reader) Size() int64 { return r.meta.size }
 // ReadAt returns length bytes starting at off, blocking p for block reads
 // (local replica preferred; remote replicas add a network transfer). Reads
 // are clamped at EOF. It returns a *LostBlockError when every replica of
-// some covered block is unreachable.
+// some covered block is unreachable. A range inside one block comes back as
+// the DataNode's read-only view of its block file (see localfs); only a
+// range spanning blocks is assembled into a fresh slice.
 func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 	// Locating blocks is a NameNode RPC: reads stall only while the master
 	// is down (safe mode keeps the namespace readable) or while the client
@@ -719,7 +721,7 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 	if off+length > r.meta.size {
 		length = r.meta.size - off
 	}
-	out := make([]byte, 0, length)
+	var out []byte
 	var blockStart int64
 	for _, b := range r.meta.blocks {
 		blockEnd := blockStart + b.size
@@ -733,6 +735,12 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 					}
 				}
 				return nil, err
+			}
+			if hi-lo == length {
+				return data, nil
+			}
+			if out == nil {
+				out = make([]byte, 0, length)
 			}
 			out = append(out, data...)
 		}

@@ -94,6 +94,74 @@ func TestCorruptReadFailsOverAndRepairs(t *testing.T) {
 	}
 }
 
+// TestCorruptLoadedBlockSparesSiblingReplicas: the replicas of a loaded block
+// share one backing array with the slice given to Load, so corrupt-block on
+// one of them is the case where damage could spread. It must stay in the
+// struck replica: the siblings still verify, the loader's slice and a read
+// result obtained before the fault are untouched, and read-repair restores
+// the struck copy.
+func TestCorruptLoadedBlockSparesSiblingReplicas(t *testing.T) {
+	env, c, fs := rig(4)
+	fs.EnableIntegrity()
+	fs.EnableRecovery(fastRecovery())
+	data := pattern(int(fs.cfg.BlockSize))
+	want := pattern(len(data))
+	victim := c.Slaves[0].Name
+	fs.Load("/in", victim, data)
+	b := fs.files["/in"].blocks[0]
+	if len(fs.files["/in"].blocks) != 1 || len(b.replicas) != 3 || b.replicas[0].node.Name != victim {
+		t.Fatalf("want one block with three replicas, the first on %s", victim)
+	}
+	env.Go("client", func(p *sim.Proc) {
+		r, err := fs.Open("/in", victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := r.ReadAt(p, 0, int64(len(want)))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if id := fs.CorruptReplica(victim, "/in", rand.New(rand.NewSource(7))); id != b.id {
+			t.Fatalf("CorruptReplica struck block %d, want %d", id, b.id)
+		}
+		if !bytes.Equal(data, want) {
+			t.Error("the corruption wrote through to the slice given to Load")
+		}
+		if !bytes.Equal(before, want) {
+			t.Error("the corruption changed a read result obtained before it")
+		}
+		for _, dn := range b.replicas {
+			if clean := fs.replicaClean(b, dn.blocks[b.id], 0, b.size); clean != (dn.node.Name != victim) {
+				t.Errorf("replica on %s verifies: %v", dn.node.Name, clean)
+			}
+		}
+
+		// A local-first read on the victim hits the bad copy, fails over and
+		// queues the repair.
+		got, err := r.ReadAt(p, 0, int64(len(want)))
+		if err != nil {
+			t.Fatalf("read after corruption: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Error("read served wrong bytes instead of failing over")
+		}
+		fs.WaitRecovered(p)
+		fs.StopRecovery()
+	})
+	env.Run(0)
+
+	if st := fs.RecoveryStats(); st.CorruptReplicas != 1 || st.ReReplicatedBlocks != 1 {
+		t.Errorf("got %d corrupt replica(s) and %d re-replicated block(s), want 1 and 1", st.CorruptReplicas, st.ReReplicatedBlocks)
+	}
+	if a := fs.AuditReplication(); !a.OK() {
+		t.Errorf("replication audit after repair: %s", a.String())
+	}
+	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+		t.Errorf("bad chunks survived read-repair: %v", bad)
+	}
+}
+
 // TestIntegrityOffServesCorruptBytes pins the gate: without EnableIntegrity
 // nothing verifies, so a corrupted local replica is served as-is.
 func TestIntegrityOffServesCorruptBytes(t *testing.T) {

@@ -57,9 +57,23 @@ func (fs *FS) truncateToFlushed(f *file) {
 	if cut >= f.size {
 		return
 	}
-	f.size = cut
-	f.data = f.data[:cut]
+	f.truncate(cut)
 	fs.shrinkAlloc(f, (cut+disk.SectorSize-1)/disk.SectorSize)
+}
+
+// truncate drops the contents from byte offset cut (below f.size) on: the
+// segment holding the cut is re-sliced, later ones are let go.
+func (f *file) truncate(cut int64) {
+	i := f.segAt(cut)
+	keep := i
+	if s := &f.segs[i]; cut > s.off {
+		n := cut - s.off
+		s.data = s.data[:n:n]
+		keep++
+	}
+	clear(f.segs[keep:]) // let the dropped bytes go
+	f.segs = f.segs[:keep]
+	f.size = cut
 }
 
 // shrinkAlloc releases f's allocated sectors beyond keep, splitting the
@@ -110,8 +124,10 @@ func (fs *FS) Remount(p *sim.Proc) {
 
 // Corrupt flips (bit-inverts) n bytes of name starting at off — silent
 // media corruption: no timing, no cache interaction, just wrong bytes the
-// next reader will see. Returns false if the file is absent or the range
-// does not overlap it.
+// next reader will see. Each segment touched is replaced by a flipped copy:
+// the stored bytes may be shared with other files (Install) and with views
+// readers already hold, and neither may see this file's damage. Returns
+// false if the file is absent or the range does not overlap it.
 func (fs *FS) Corrupt(name string, off int64, n int) bool {
 	f, ok := fs.files[name]
 	if !ok || off < 0 || off >= f.size || n <= 0 {
@@ -121,8 +137,13 @@ func (fs *FS) Corrupt(name string, off int64, n int) bool {
 	if end > f.size {
 		end = f.size
 	}
-	for i := off; i < end; i++ {
-		f.data[i] ^= 0xFF
+	for i := f.segAt(off); i < len(f.segs) && f.segs[i].off < end; i++ {
+		s := &f.segs[i]
+		flipped := append([]byte(nil), s.data...)
+		for j := maxI(off, s.off) - s.off; j < minI(end, s.end())-s.off; j++ {
+			flipped[j] ^= 0xFF
+		}
+		s.data = flipped
 	}
 	return true
 }
@@ -130,13 +151,14 @@ func (fs *FS) Corrupt(name string, off int64, n int) bool {
 // Peek returns name's raw contents with no timing charge — the verification
 // backdoor used by audits and the datanode's remount block scan (real
 // datanodes read their own local metadata cheaply at startup; modeling that
-// traffic is out of scope, while scrub reads are charged for real).
+// traffic is out of scope, while scrub reads are charged for real). The
+// result is read-only, like ReadAt's.
 func (fs *FS) Peek(name string) []byte {
 	f, ok := fs.files[name]
 	if !ok {
 		return nil
 	}
-	return f.data
+	return f.bytes(0, f.size)
 }
 
 func (fs *FS) sortedNames() []string {

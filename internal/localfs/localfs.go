@@ -9,6 +9,26 @@
 // concurrently their extents interleave on the device — the natural origin
 // of the fragmented, seek-heavy layout that makes MapReduce intermediate
 // I/O "small and random" in the paper.
+//
+// # Who copies, who keeps
+//
+// A file's contents are an ordered list of immutable segments, and one rule
+// governs every byte in them: once stored, a byte is never written again.
+//
+//   - Append copies the caller's bytes exactly once, into a new segment
+//     sized to them. The copy is the contract, not an implementation
+//     detail: callers hand in buffers they reuse for the next call.
+//   - Install keeps the caller's slice as a segment. The caller gives the
+//     bytes up — it must not write to them afterwards — and files installed
+//     from one slice share its backing array.
+//   - Corrupt replaces each segment it touches with a flipped copy, so the
+//     damage stays in the one file it was aimed at.
+//   - Crash truncation and ReadAt/Peek only re-slice. A range inside one
+//     segment is returned as a view whose capacity equals its length (an
+//     append to it reallocates instead of reaching the file); a range that
+//     spans segments is gathered into a fresh slice. Either way the result
+//     is the file's bytes as of the call — a later Corrupt, Crash or Delete
+//     does not change it — and callers must treat it as read-only.
 package localfs
 
 import (
@@ -40,11 +60,20 @@ type extent struct {
 
 func (e extent) end() int64 { return e.sector + e.sectors }
 
+// segment is one immutable run of a file's bytes, starting at file offset
+// off.
+type segment struct {
+	off  int64
+	data []byte
+}
+
+func (s segment) end() int64 { return s.off + int64(len(s.data)) }
+
 // file is an on-"disk" file: real contents plus its device extents.
 type file struct {
 	name    string
 	size    int64
-	data    []byte
+	segs    []segment // contiguous from offset 0, none empty; see the package comment
 	extents []extent
 	alloced int64 // sectors allocated
 	opens   int
@@ -195,7 +224,7 @@ func (fs *FS) release(f *file) {
 	}
 	fs.stats.Extents -= uint64(len(f.extents))
 	f.extents = nil
-	f.data = nil
+	f.segs = nil
 }
 
 // Name returns the file's name.
@@ -209,7 +238,11 @@ func (h *File) Size() int64 { return h.f.size }
 
 // Append writes data at the end of the file, blocking p for the page-cache
 // work (which may throttle on the dirty ratio). Contents are stored
-// verbatim; timing flows through cache and disk.
+// verbatim; timing flows through cache and disk. The bytes are copied
+// before Append blocks, and that copy is the only one on the write path:
+// callers (the map-side spill's scratch run, the HDFS client's block
+// buffer, the journals) reuse data as soon as Append returns, so nothing
+// but this copy protects what they stored from their next write.
 func (h *File) Append(p *sim.Proc, data []byte) {
 	if h.f.deleted {
 		panic("localfs: append to deleted file " + h.f.name)
@@ -218,8 +251,9 @@ func (h *File) Append(p *sim.Proc, data []byte) {
 		return
 	}
 	start := h.f.size
-	h.f.data = append(h.f.data, data...)
-	h.f.size += int64(len(data))
+	// Not make+copy: go1.24's allocation profile drops the calling frame of
+	// that fused form, which would move these bytes out of localfs's row.
+	h.f.store(append([]byte(nil), data...))
 	h.fs.stats.BytesWritten += uint64(len(data))
 
 	needSectors := (h.f.size + disk.SectorSize - 1) / disk.SectorSize
@@ -234,12 +268,17 @@ func (h *File) Append(p *sim.Proc, data []byte) {
 // Install appends data without charging any virtual time or touching the
 // page cache — the bytes appear on disk, cold. It exists for experiment
 // setup (loading input datasets), which the paper's measurements exclude.
+// The file keeps data itself rather than a copy (the replicas of a loaded
+// block share one array with the generator that made it), so the caller
+// must not write to data afterwards.
 func (h *File) Install(data []byte) {
 	if h.f.deleted {
 		panic("localfs: install into deleted file " + h.f.name)
 	}
-	h.f.data = append(h.f.data, data...)
-	h.f.size += int64(len(data))
+	if len(data) == 0 {
+		return
+	}
+	h.f.store(data)
 	needSectors := (h.f.size + disk.SectorSize - 1) / disk.SectorSize
 	for h.f.alloced < needSectors {
 		h.fs.grow(h.f, needSectors-h.f.alloced)
@@ -247,11 +286,12 @@ func (h *File) Install(data []byte) {
 }
 
 // ReadAt returns length bytes from offset off, blocking p for the cache
-// fetches. Short reads at EOF return the available suffix. The content
-// slice is pinned before blocking: if the file is deleted while the read
-// waits on the disk (read-repair purging a corrupt replica under an
-// in-flight reader), the handle serves the bytes it opened — POSIX unlink
-// semantics — instead of tripping over the released file table entry.
+// fetches. Short reads at EOF return the available suffix. The content is
+// pinned before blocking: if the file is deleted while the read waits on
+// the disk (read-repair purging a corrupt replica under an in-flight
+// reader), the handle serves the bytes it opened — POSIX unlink semantics —
+// instead of tripping over the released file table entry. The result is
+// read-only (see the package comment).
 func (h *File) ReadAt(p *sim.Proc, off, length int64) []byte {
 	if off < 0 || off >= h.f.size {
 		return nil
@@ -259,7 +299,7 @@ func (h *File) ReadAt(p *sim.Proc, off, length int64) []byte {
 	if off+length > h.f.size {
 		length = h.f.size - off
 	}
-	data := h.f.data[off : off+length]
+	data := h.f.bytes(off, length)
 	for _, r := range h.f.sectorRanges(off, length) {
 		h.rs.Limit = h.f.extentEnd(r.sector)
 		h.fs.cache.ReadStaged(p, &h.rs, r.sector, int(r.sectors), h.stage)
@@ -278,6 +318,37 @@ func (h *File) Close() {
 	if h.f.opens > 0 {
 		h.f.opens--
 	}
+}
+
+// store adds seg, already owned by the file, at the end of the contents.
+func (f *file) store(seg []byte) {
+	f.segs = append(f.segs, segment{off: f.size, data: seg})
+	f.size += int64(len(seg))
+}
+
+// segAt returns the index of the segment holding file offset off, which
+// must be below f.size.
+func (f *file) segAt(off int64) int {
+	return sort.Search(len(f.segs), func(i int) bool { return f.segs[i].end() > off })
+}
+
+// bytes returns the contents of [off, off+length), which must lie inside
+// the file: a capacity-limited view when one segment holds the range,
+// gathered into a fresh slice otherwise.
+func (f *file) bytes(off, length int64) []byte {
+	if length <= 0 {
+		return nil
+	}
+	i, end := f.segAt(off), off+length
+	if s := f.segs[i]; end <= s.end() {
+		return s.data[off-s.off : end-s.off : end-s.off]
+	}
+	out := make([]byte, 0, length)
+	for ; i < len(f.segs) && f.segs[i].off < end; i++ {
+		s := f.segs[i]
+		out = append(out, s.data[maxI(off, s.off)-s.off:minI(end, s.end())-s.off]...)
+	}
+	return out
 }
 
 // sectorRanges maps the byte range [off, off+length) onto device sector

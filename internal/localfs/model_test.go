@@ -1,0 +1,281 @@
+package localfs
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"iochar/internal/sim"
+)
+
+// modelFile is the reference the filesystem is diffed against: one flat
+// []byte per name, plus the offsets at which the real file is expected to
+// change segment (every Append and Install starts one), so reads and
+// corruptions can be aimed at the boundaries.
+type modelFile struct {
+	data  []byte
+	edges []int64
+}
+
+// heldView is a slice the filesystem handed out, or was handed by Install,
+// with a private copy of what it held at that moment. Neither kind may ever
+// change afterwards, whatever happens to the file.
+type heldView struct {
+	what string
+	view []byte
+	want []byte
+}
+
+type diffRun struct {
+	t         *testing.T
+	rng       *rand.Rand
+	fs        *FS
+	files     map[string]*modelFile
+	open      map[string]*File
+	views     []heldView
+	installed []heldView // slices handed to Install, possibly to several files
+	scratch   []byte     // one buffer reused for every Append, as callers do
+}
+
+func (r *diffRun) hold(what string, view []byte) {
+	if cap(view) != len(view) {
+		r.t.Fatalf("%s: cap %d != len %d: an append to the result could write into the file", what, cap(view), len(view))
+	}
+	r.views = append(r.views, heldView{what, view, append([]byte(nil), view...)})
+	if len(r.views) > 64 {
+		r.views = r.views[1:]
+	}
+}
+
+// checkHeld verifies that every outstanding view, and every slice given to
+// Install, still holds the bytes it held when it was taken or given.
+func (r *diffRun) checkHeld(after string) {
+	for _, v := range r.views {
+		if !bytes.Equal(v.view, v.want) {
+			r.t.Fatalf("after %s: view from %s changed under its holder", after, v.what)
+		}
+	}
+	for _, v := range r.installed {
+		if !bytes.Equal(v.view, v.want) {
+			r.t.Fatalf("after %s: the slice passed to %s was written to", after, v.what)
+		}
+	}
+}
+
+// near picks an offset in [0, limit]: usually on or next to a segment edge.
+func (r *diffRun) near(m *modelFile, limit int64) int64 {
+	if limit <= 0 {
+		return 0
+	}
+	if len(m.edges) > 0 && r.rng.Intn(4) != 0 {
+		off := m.edges[r.rng.Intn(len(m.edges))] + int64(r.rng.Intn(3)-1)
+		if off >= 0 && off <= limit {
+			return off
+		}
+	}
+	return r.rng.Int63n(limit + 1)
+}
+
+func (r *diffRun) pick() (string, *modelFile) {
+	name := fmt.Sprintf("f%d", r.rng.Intn(4))
+	return name, r.files[name]
+}
+
+func (r *diffRun) step(p *sim.Proc) {
+	name, m := r.pick()
+	op := r.rng.Intn(10)
+	if m == nil {
+		op = 0
+	}
+	switch op {
+	case 0: // create (truncating an existing file)
+		r.open[name] = r.fs.Create(name)
+		r.files[name] = &modelFile{}
+		r.checkHeld("Create " + name)
+	case 1, 2: // append from the shared scratch buffer, then scribble on it
+		n := 1 + r.rng.Intn(6000)
+		r.scratch = r.scratch[:n]
+		r.rng.Read(r.scratch)
+		m.edges = append(m.edges, int64(len(m.data)))
+		m.data = append(m.data, r.scratch...)
+		r.open[name].Append(p, r.scratch)
+		for i := range r.scratch {
+			r.scratch[i] = 0xA5
+		}
+		r.checkHeld("Append " + name)
+	case 3: // install a slice, sometimes one another file already holds
+		var src []byte
+		if len(r.installed) > 0 && r.rng.Intn(2) == 0 {
+			src = r.installed[r.rng.Intn(len(r.installed))].view
+		} else {
+			src = make([]byte, 1+r.rng.Intn(9000))
+			r.rng.Read(src)
+			r.installed = append(r.installed, heldView{"Install " + name, src, append([]byte(nil), src...)})
+		}
+		m.edges = append(m.edges, int64(len(m.data)))
+		m.data = append(m.data, src...)
+		r.open[name].Install(src)
+		r.checkHeld("Install " + name)
+	case 4, 5: // read a range that starts, ends or straddles an edge
+		size := int64(len(m.data))
+		off := r.near(m, size)
+		end := r.near(m, size+10) // may run past EOF: reads clamp
+		if end < off {
+			off, end = end, off
+		}
+		got := r.open[name].ReadAt(p, off, end-off)
+		want := []byte(nil)
+		if off < size {
+			want = m.data[off:minI(end, size)]
+		}
+		if !bytes.Equal(got, want) {
+			r.t.Fatalf("ReadAt(%s, %d, %d): got %d bytes, want %d, or contents differ", name, off, end-off, len(got), len(want))
+		}
+		r.hold(fmt.Sprintf("ReadAt(%s, %d, %d)", name, off, end-off), got)
+	case 6: // peek
+		got := r.fs.Peek(name)
+		if !bytes.Equal(got, m.data) {
+			r.t.Fatalf("Peek(%s) differs from the model (%d vs %d bytes)", name, len(got), len(m.data))
+		}
+		r.hold("Peek("+name+")", got)
+	case 7: // corrupt a range, often across an edge
+		size := int64(len(m.data))
+		off := r.near(m, size) - int64(r.rng.Intn(3))
+		n := 1 + r.rng.Intn(80)
+		ok := r.fs.Corrupt(name, off, n)
+		if want := off >= 0 && off < size; ok != want {
+			r.t.Fatalf("Corrupt(%s, %d, %d) = %v on a %d-byte file", name, off, n, ok, size)
+		}
+		if ok {
+			for i := off; i < minI(off+int64(n), size); i++ {
+				m.data[i] ^= 0xFF
+			}
+		}
+		r.checkHeld(fmt.Sprintf("Corrupt(%s, %d, %d)", name, off, n))
+	case 8: // power loss: every file keeps a prefix; all of it if nothing was dirty
+		if r.rng.Intn(2) == 0 {
+			r.fs.Cache().Sync(p)
+		}
+		// Sync skips a dirty page whose readahead fill is still in flight, so
+		// ask the cache rather than assume.
+		synced := r.fs.Cache().DirtyPages() == 0
+		r.fs.Crash()
+		r.fs.Remount(p)
+		for n, mf := range r.files {
+			size := r.fs.Size(n)
+			if size < 0 || size > int64(len(mf.data)) || (synced && size != int64(len(mf.data))) {
+				r.t.Fatalf("Crash (cache clean: %v): %s is %d bytes, was %d", synced, n, size, len(mf.data))
+			}
+			mf.data = mf.data[:size]
+			for len(mf.edges) > 0 && mf.edges[len(mf.edges)-1] >= size {
+				mf.edges = mf.edges[:len(mf.edges)-1]
+			}
+			if got := r.fs.Peek(n); !bytes.Equal(got, mf.data) {
+				r.t.Fatalf("Crash: %s does not hold the first %d bytes it held before", n, size)
+			}
+		}
+		r.checkHeld("Crash")
+	case 9: // delete
+		if err := r.fs.Delete(name); err != nil {
+			r.t.Fatal(err)
+		}
+		delete(r.files, name)
+		delete(r.open, name)
+		r.checkHeld("Delete " + name)
+	}
+}
+
+// TestDifferentialAgainstFlatModel drives random operation sequences
+// through the filesystem and a flat []byte-per-name model side by side.
+func TestDifferentialAgainstFlatModel(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		env, _, fs := rig()
+		r := &diffRun{
+			t: t, rng: rand.New(rand.NewSource(seed)), fs: fs,
+			files: map[string]*modelFile{}, open: map[string]*File{},
+			scratch: make([]byte, 0, 6000),
+		}
+		env.Go("ops", func(p *sim.Proc) {
+			for i := 0; i < 400 && !t.Failed(); i++ {
+				r.step(p)
+			}
+			for name, m := range r.files {
+				if got := fs.Peek(name); !bytes.Equal(got, m.data) {
+					t.Errorf("seed %d: %s differs from the model at the end", seed, name)
+				}
+				if err := fs.Delete(name); err != nil {
+					t.Error(err)
+				}
+			}
+			r.checkHeld("the final deletes")
+		})
+		env.Run(0)
+		if leaked := fs.LeakedExtents(); leaked != 0 {
+			t.Errorf("seed %d: %d sectors leaked", seed, leaked)
+		}
+	}
+}
+
+// TestInstalledReplicasShareButDoNotLeak: two files installed from one slice
+// share its bytes; corrupting one must reach neither the other nor the
+// caller's slice.
+func TestInstalledReplicasShareButDoNotLeak(t *testing.T) {
+	_, _, fs := rig()
+	src := payload(10_000)
+	a, b := fs.Create("a"), fs.Create("b")
+	a.Install(src)
+	b.Install(src)
+	if &fs.Peek("a")[0] != &src[0] || &fs.Peek("b")[0] != &src[0] {
+		t.Error("Install copied: replicas should share the caller's array")
+	}
+	if !fs.Corrupt("a", 4_000, 100) {
+		t.Fatal("Corrupt refused an in-range strike")
+	}
+	want := payload(10_000)
+	if !bytes.Equal(src, want) {
+		t.Error("corrupting a wrote through to the slice passed to Install")
+	}
+	if !bytes.Equal(fs.Peek("b"), want) {
+		t.Error("corrupting a reached b")
+	}
+	for i := 4_000; i < 4_100; i++ {
+		want[i] ^= 0xFF
+	}
+	if !bytes.Equal(fs.Peek("a"), want) {
+		t.Error("a does not hold the flipped range")
+	}
+}
+
+// TestViewsOutliveCorruptAndDelete: a slice a reader already holds keeps the
+// bytes it was given, and cannot be used to write past its end into the file.
+func TestViewsOutliveCorruptAndDelete(t *testing.T) {
+	env, _, fs := rig()
+	env.Go("io", func(p *sim.Proc) {
+		f := fs.Create("a")
+		f.Append(p, payload(8_000))
+		want := payload(8_000)
+
+		head := f.ReadAt(p, 0, 100)
+		if cap(head) != len(head) {
+			t.Fatalf("view has cap %d, len %d", cap(head), len(head))
+		}
+		_ = append(head, 0xEE) // must reallocate, not overwrite byte 100
+		if got := f.ReadAt(p, 100, 1); got[0] != want[100] {
+			t.Error("append to a view wrote into the file")
+		}
+
+		whole := fs.Peek("a")
+		fs.Corrupt("a", 0, 8_000)
+		if !bytes.Equal(whole, want) || !bytes.Equal(head, want[:100]) {
+			t.Error("Corrupt changed a view taken before it")
+		}
+		if err := fs.Delete("a"); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(whole, want) {
+			t.Error("Delete changed a view taken before it")
+		}
+	})
+	env.Run(0)
+}

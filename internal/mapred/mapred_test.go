@@ -689,3 +689,45 @@ func TestSpeculationOffByConfig(t *testing.T) {
 		t.Errorf("speculation ran despite being disabled: %d attempts", res.SpeculativeAttempts)
 	}
 }
+
+// TestSpillKeepsEarlierPartitionsWithIdentityCodec: serializePartition
+// reuses one scratch buffer for every partition, and with compression off
+// compress.Identity hands that very buffer to Append. Each partition read
+// back from the spill file must still hold its own pairs, not the bytes of
+// whichever partition was serialized last.
+func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
+	r := newRig(t, nil)
+	if _, ok := r.rt.cfg.Codec.(compress.Identity); !ok {
+		t.Fatalf("default codec is %T, want compress.Identity", r.rt.cfg.Codec)
+	}
+	const nparts = 3
+	want := make([]run, nparts)
+	ms := &mapState{rt: r.rt, job: &Job{NumReduces: nparts}, node: r.cl.Slaves[0], spillBase: "m_test"}
+	r.env.Go("map", func(p *sim.Proc) {
+		// Keys are emitted in sorted order so the expected runs can be built
+		// alongside; partition 0 is the smallest, so later ones overwrite all
+		// of the scratch bytes it was serialized into.
+		for i := 0; i < 300; i++ {
+			part := i % nparts
+			for rep := 0; rep <= part; rep++ {
+				k, v := []byte(fmt.Sprintf("key-%04d-%d", i, rep)), []byte(fmt.Sprintf("value-%d-of-partition-%d", i, part))
+				want[part] = appendKV(want[part], k, v)
+				ms.add(p, part, k, v)
+			}
+		}
+		ms.spill(p)
+		if len(ms.spills) != 1 {
+			t.Fatalf("got %d spills, want 1", len(ms.spills))
+		}
+		sf := ms.spills[0]
+		for part, seg := range sf.segs {
+			if seg.clen == 0 {
+				t.Fatalf("partition %d is empty", part)
+			}
+			if got := sf.file.ReadAt(p, seg.off, seg.clen); !bytes.Equal(got, want[part]) {
+				t.Errorf("partition %d read back from the spill differs from what was serialized", part)
+			}
+		}
+	})
+	r.env.Run(0)
+}

@@ -64,6 +64,7 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 		rt: rt, job: job, node: node, inc: node.Incarnation(),
 		spillBase: fmt.Sprintf("m_%06d_a%d", taskIdx, attempt),
 	}
+	defer state.recycle()
 	var inRecords, inBytes, outRecords, outBytes int64
 	var cpu time.Duration
 	emit := func(k, v []byte) {
@@ -152,8 +153,23 @@ func (ms *mapState) abandon() {
 		_ = sf.vol.Delete(fmt.Sprintf("%s.spill%d", ms.spillBase, i))
 	}
 	ms.spills = nil
-	ms.arena = nil
-	ms.ents = nil
+}
+
+// sortBuf is a map attempt's collection buffer: the byte arena and the entry
+// slice whose keys and values point into it.
+type sortBuf struct {
+	arena []byte
+	ents  []kvEnt
+}
+
+// recycle hands the attempt's sort buffer to the runtime for the next
+// attempt to fill: by now every buffered pair has been serialized out (and
+// copied by Append) or the attempt was abandoned, so nothing reads it again.
+func (ms *mapState) recycle() {
+	if ms.arena != nil {
+		ms.rt.sortBufs = append(ms.rt.sortBufs, sortBuf{arena: ms.arena[:0], ents: ms.ents[:0]})
+		ms.sortBuf = sortBuf{}
+	}
 }
 
 // mapState is the map-side collection buffer and spill machinery.
@@ -163,8 +179,7 @@ type mapState struct {
 	node *cluster.Node
 	inc  int // node incarnation at attempt start
 
-	arena    []byte
-	ents     []kvEnt
+	sortBuf
 	bufBytes int64
 	scratch  run // serializePartition output buffer, reused across spills
 
@@ -191,10 +206,16 @@ type spillFile struct {
 // the on-disk outcome (spill count and sizes) that the I/O study sees.
 func (ms *mapState) add(p *sim.Proc, part int, k, v []byte) {
 	if ms.arena == nil {
-		// Size the arena to the spill threshold once, so buffering does not
-		// repeatedly reallocate (entries alias into it, so growth is a copy
-		// of every buffered byte).
-		ms.arena = make([]byte, 0, ms.rt.cfg.SortBufBytes+4096)
+		if n := len(ms.rt.sortBufs); n > 0 {
+			// A finished attempt's buffer: no fresh arena to zero, and the
+			// entry slice is already grown.
+			ms.sortBuf, ms.rt.sortBufs = ms.rt.sortBufs[n-1], ms.rt.sortBufs[:n-1]
+		} else {
+			// Size the arena to the spill threshold once, so buffering does
+			// not repeatedly reallocate (entries alias into it, so growth is
+			// a copy of every buffered byte).
+			ms.arena = make([]byte, 0, ms.rt.cfg.SortBufBytes+4096)
+		}
 	}
 	ko := len(ms.arena)
 	ms.arena = append(ms.arena, k...)
@@ -267,9 +288,12 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 		return nil, 0
 	}
 	cfg := ms.rt.cfg
-	// The caller consumes the returned run (compress + append, both copying)
-	// before the next call, so the backing array is recycled across
-	// partitions and spills instead of being regrown from nil each time.
+	// The backing array is recycled across partitions and spills instead of
+	// being regrown from nil each time, so the returned run is only good
+	// until the next call. The caller compresses and appends it first, and of
+	// those two only localfs.Append is guaranteed to copy: compress.Identity
+	// returns its argument, so with compression off Append's copy is all that
+	// keeps a spilled partition from being overwritten by the next one.
 	out := ms.scratch[:0]
 	var n int64
 	if comb := ms.job.Combiner; comb != nil {

@@ -37,6 +37,10 @@ type Runtime struct {
 	netRng *rand.Rand
 	cfg    Config
 
+	// sortBufs holds the sort buffers of finished map attempts, each taken
+	// by the next attempt that buffers a pair (see mapState.recycle).
+	sortBufs []sortBuf
+
 	// Fault mode: nil/false in healthy runs, so every recovery branch below
 	// is dead code and the scheduler is byte-identical to a build without
 	// fault tolerance.
