@@ -93,6 +93,7 @@ func main() {
 	}
 
 	env := sim.New(*seed)
+	defer env.Close() // streams are cut off at the horizon mid-request
 	d := disk.New(env, p)
 	for _, ev := range plan.Events {
 		ev := ev

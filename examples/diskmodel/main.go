@@ -24,6 +24,7 @@ import (
 // or scattered, and returns the resulting iostat aggregates.
 func run(sequential, readahead bool, total, reqSize int) (mbps, avgrq, awaitMs float64, elapsed time.Duration) {
 	env := sim.New(42)
+	defer env.Close() // unwind the disk, writeback and sampler daemons
 	p := disk.SeagateST1000NM0011()
 	d := disk.New(env, p)
 	opts := pagecache.DefaultOptions()

@@ -43,6 +43,7 @@ func genLogs(seed int64, n int) []byte {
 func main() {
 	const scale = 8192
 	env := sim.New(7)
+	defer env.Close() // unwind the testbed's daemons
 	cl, err := cluster.New(env, cluster.DefaultHardware(scale), 4)
 	if err != nil {
 		log.Fatal(err)

@@ -383,6 +383,11 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 		return nil, err
 	}
 	env := sim.New(opts.Seed)
+	// The testbed's daemons (disk servicers, writeback threads, samplers)
+	// never finish on their own, and a cancelled run leaves every process
+	// mid-flight: unwind them all on every return path, after the report has
+	// been read out of the testbed.
+	defer env.Close()
 	hw := cluster.DefaultHardware(opts.Scale).WithMemoryGB(f.MemoryGB)
 	hw.Racks = opts.Racks
 	hw.UplinkBPS = opts.UplinkBPS

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -401,5 +404,57 @@ func TestSlowDiskPlanVisibleEndToEnd(t *testing.T) {
 	if degraded.MR.AwaitMs.MeanNonzero() <= healthy.MR.AwaitMs.MeanNonzero() {
 		t.Errorf("degraded MR await %.2f not above healthy %.2f",
 			degraded.MR.AwaitMs.MeanNonzero(), healthy.MR.AwaitMs.MeanNonzero())
+	}
+}
+
+// settledGoroutines counts goroutines once the count has stopped moving: a
+// process goroutine signals its exit a few instructions before it is gone.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 20; stable++ {
+		time.Sleep(100 * time.Microsecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
+// cancelAfter reports cancellation from its nth Err poll on, so a run is
+// abandoned at the same event every time.
+type cancelAfter struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A testbed's daemons never finish and a cancelled run strands every
+// process; RunOne must unwind both, or a sweep accumulates one testbed's
+// goroutines (and everything they reference) per cell.
+func TestRunOneLeavesNoGoroutines(t *testing.T) {
+	var first int
+	for i := 0; i < 5; i++ {
+		if _, err := RunOne(TS, SlotsRuns[0], tinyOpts); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = settledGoroutines()
+		}
+	}
+	if n := settledGoroutines(); n != first {
+		t.Errorf("%d goroutines after five runs, %d after the first", n, first)
+	}
+	ctx := &cancelAfter{Context: context.Background(), polls: 20}
+	if _, err := RunOneContext(ctx, TS, SlotsRuns[0], tinyOpts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the run cancelled mid-flight", err)
+	}
+	if n := settledGoroutines(); n != first {
+		t.Errorf("%d goroutines after a cancelled run, %d after a completed one", n, first)
 	}
 }

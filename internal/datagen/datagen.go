@@ -41,13 +41,13 @@ func (g TeraGen) Part(part int, size int64) []byte {
 	if n == 0 {
 		n = 1
 	}
-	rng := rand.New(rand.NewSource(g.Seed*1_000_003 + int64(part)))
+	src := rand.NewSource(g.Seed*1_000_003 + int64(part))
 	out := make([]byte, 0, n*RecordSize)
 	row := int64(part) << 40
 	var idBuf [20]byte // row ids are non-negative, at most 19 digits
 	for i := int64(0); i < n; i++ {
 		for k := 0; k < KeySize; k++ {
-			out = append(out, byte(' '+rng.Intn(95)))
+			out = append(out, printable(src))
 		}
 		// Payload: 22-digit row id, then filler split between a repeated
 		// character and random printable bytes. The mix pins the fast-codec
@@ -66,10 +66,24 @@ func (g TeraGen) Part(part int, size int64) []byte {
 			out = append(out, fill)
 		}
 		for len(out)%RecordSize != 0 {
-			out = append(out, byte(' '+rng.Intn(95)))
+			out = append(out, printable(src))
 		}
 	}
 	return out
+}
+
+// printable returns the byte ' '+rand.New(src).Intn(95) would: 44 of every
+// 100 TeraGen bytes are one of these, so the draw skips Rand's Intn → Int31n
+// → Int31 → Int63 chain and applies Int31n's rejection bound to the source
+// directly.
+func printable(src rand.Source) byte {
+	const n = 95
+	const max = 1<<31 - 1 - (1<<31)%n
+	v := int32(src.Int63() >> 32)
+	for v > max {
+		v = int32(src.Int63() >> 32)
+	}
+	return byte(' ' + v%n)
 }
 
 // Key returns the sort key of the record starting at off.

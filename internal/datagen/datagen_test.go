@@ -2,7 +2,9 @@ package datagen
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +21,59 @@ func TestTeraGenDeterministic(t *testing.T) {
 	other := g.Part(4, 10_000)
 	if bytes.Equal(a, other) {
 		t.Error("different parts produced identical data")
+	}
+}
+
+// teraGenReference is Part as it was written before the random bytes were
+// drawn straight from the source: every one through rand.Rand.Intn. The
+// goldens pin Part's bytes only at the scales they run; this pins them for
+// any (seed, part, size).
+func teraGenReference(g TeraGen, part int, size int64) []byte {
+	n := size / RecordSize
+	if n == 0 {
+		n = 1
+	}
+	rng := rand.New(rand.NewSource(g.Seed*1_000_003 + int64(part)))
+	out := make([]byte, 0, n*RecordSize)
+	row := int64(part) << 40
+	for i := int64(0); i < n; i++ {
+		for k := 0; k < KeySize; k++ {
+			out = append(out, byte(' '+rng.Intn(95)))
+		}
+		out = append(out, fmt.Sprintf("%022d", row+i)...)
+		fill := byte('A' + i%26)
+		for k := 0; k < (RecordSize-KeySize-22)/2; k++ {
+			out = append(out, fill)
+		}
+		for len(out)%RecordSize != 0 {
+			out = append(out, byte(' '+rng.Intn(95)))
+		}
+	}
+	return out
+}
+
+func TestTeraGenMatchesIntnReference(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		part int
+		size int64
+	}{
+		{1, 0, 1}, {1, 0, 100_000}, {1, 7, 250_050}, {42, 3, 1 << 20}, {-5, 1000, 64_000}, {1 << 40, 2, 99},
+	} {
+		g := TeraGen{Seed: tc.seed}
+		got, want := g.Part(tc.part, tc.size), teraGenReference(g, tc.part, tc.size)
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d part %d size %d: Part differs from the rng.Intn reference (%d vs %d bytes)",
+				tc.seed, tc.part, tc.size, len(got), len(want))
+		}
+	}
+}
+
+func BenchmarkTeraGenPart(b *testing.B) {
+	g := TeraGen{Seed: 1}
+	b.SetBytes(1 << 20)
+	for i := 0; i < b.N; i++ {
+		g.Part(i, 1<<20)
 	}
 }
 

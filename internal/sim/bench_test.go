@@ -76,3 +76,53 @@ func BenchmarkKernelResourceHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkKernelPingPong measures the one-switch path: two procs alternating
+// through a pair of Chans, so every resume crosses to the other goroutine.
+func BenchmarkKernelPingPong(b *testing.B) {
+	env := New(1)
+	ping, pong := NewChan(env), NewChan(env)
+	env.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			ping.Put(nil)
+			pong.Get(p)
+		}
+		ping.Close()
+	})
+	env.Go("pong", func(p *Proc) {
+		for {
+			if _, ok := ping.Get(p); !ok {
+				return
+			}
+			pong.Put(nil)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := env.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkKernelCallbackUnderProcess measures callbacks fired from a process
+// stack: a sleeping proc whose every wake-up is preceded by one After
+// callback, the shape of a disk completion racing a task's timer.
+func BenchmarkKernelCallbackUnderProcess(b *testing.B) {
+	env := New(1)
+	fired := 0
+	tick := func() { fired++ }
+	env.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			env.After(time.Nanosecond, tick)
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := env.Run(0); err != nil {
+		b.Fatal(err)
+	}
+	if fired != b.N/2 {
+		b.Fatalf("%d callbacks fired, want %d", fired, b.N/2)
+	}
+}

@@ -2,10 +2,25 @@
 //
 // The kernel advances a virtual clock and runs simulated activities
 // ("processes") as goroutines that are strictly serialized: at any moment at
-// most one process executes, and control is handed between the kernel and a
-// process through unbuffered channels. Events with equal timestamps fire in
-// the order they were scheduled, so a simulation is fully deterministic for
-// a given program and seed.
+// most one goroutine — the holder of the baton — touches the environment.
+// There is no kernel goroutine. Whichever goroutine gives up the CPU (a
+// process that blocks, sleeps or finishes, or Run itself once to start) pops
+// and fires the next events on its own stack: callbacks run inline, and the
+// first event that resumes a process ends the loop. If that process is the
+// caller, it simply carries on — no goroutine switch at all; otherwise the
+// caller sends on the target's resume channel and parks on its own, one
+// switch per resume. Events with equal timestamps fire in the order they
+// were scheduled, so a simulation is fully deterministic for a given program
+// and seed.
+//
+// A consequence of baton passing: After/AfterFunc callbacks run on the
+// goroutine of the process that yielded last (or on Run's caller before any
+// process has run), so a panic in a callback surfaces on that goroutine
+// rather than in Run's caller.
+//
+// Process goroutines that have not finished stay parked after Run returns —
+// daemons by design never finish. Close unwinds them; an environment that is
+// dropped without Close leaks its goroutines and everything they reference.
 //
 // A process is any function with signature func(*Proc). Within a process,
 // virtual time passes only through blocking operations: Sleep, Resource
@@ -29,13 +44,20 @@ type Env struct {
 	now        time.Duration
 	seq        uint64
 	events     eventHeap
-	yield      chan struct{}
 	running    bool
-	blocked    int                // processes waiting on a wakeup that is NOT in the event heap
-	parked     map[*Proc]struct{} // the non-daemon processes counted by blocked
-	live       int                // spawned processes that have not finished
-	dispatched uint64             // events popped and fired since New
+	closing    bool    // Close has begun: dispatch fires nothing, park panics procKilled
+	blocked    int     // non-daemon processes waiting on a wakeup that is NOT in the event heap
+	procs      []*Proc // spawned processes that have not finished; Proc.slot is the index
+	dispatched uint64  // events popped and fired since New
 	rng        *rand.Rand
+
+	// The current Run's parameters and outcome, read and written by whichever
+	// goroutine holds the baton.
+	limit      time.Duration
+	ctx        context.Context
+	sinceCheck int           // events since ctx was last polled
+	stopErr    error         // ctx's error, once dispatch has seen it
+	done       chan struct{} // one slot: the dispatching goroutine hands the baton back to Run or Close
 }
 
 // New returns an empty environment whose clock starts at zero. The seed
@@ -43,9 +65,8 @@ type Env struct {
 // with the same seed and the same process program are identical.
 func New(seed int64) *Env {
 	return &Env{
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
+		done: make(chan struct{}, 1),
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -62,7 +83,7 @@ type event struct {
 	at  time.Duration
 	seq uint64
 	p   *Proc  // non-nil: resume this process
-	fn  func() // non-nil: run inline in the kernel (must not block)
+	fn  func() // non-nil: run inline by the dispatching goroutine (must not block)
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
@@ -136,6 +157,7 @@ type Proc struct {
 
 	killed bool       // Kill was requested; unwind at the next resume point
 	dead   bool       // the process goroutine has finished
+	slot   int32      // index in Env.procs while live (32 bits: shares a word with the flags)
 	wl     waiterList // wait list the process is currently parked on, if any
 }
 
@@ -215,7 +237,6 @@ func (h *Handle) Kill() {
 		p.wl = nil
 		if !p.daemon {
 			p.env.blocked--
-			delete(p.env.parked, p)
 		}
 		p.env.schedule(event{at: p.env.now, p: p})
 	}
@@ -230,25 +251,30 @@ func (e *Env) Go(name string, fn func(*Proc)) *Handle {
 	h := &Handle{env: e}
 	p := &Proc{env: e, name: name, resume: make(chan struct{}), handle: h}
 	h.proc = p
-	e.live++
+	p.slot = int32(len(e.procs))
+	e.procs = append(e.procs, p)
 	go func() {
-		<-p.resume // wait for the kernel to start us
-		// The final yield is deferred so that a process goroutine killed by
-		// runtime.Goexit (e.g. a test helper's t.Fatal/t.Skip inside the
-		// process) still returns control to the kernel instead of hanging
-		// the simulation. A procKilled panic (Handle.Kill) is recovered and
-		// becomes a normal exit; any other panic is re-raised after control
-		// returns to the kernel.
+		<-p.resume // wait for the first resume
+		// The final dispatch is deferred so that a process goroutine killed
+		// by runtime.Goexit (e.g. a test helper's t.Fatal/t.Skip inside the
+		// process) still hands the baton on instead of hanging the
+		// simulation. A procKilled panic (Handle.Kill, Close) is recovered
+		// and becomes a normal exit; any other panic is re-raised after the
+		// baton has been passed.
 		defer func() {
 			r := recover()
 			p.dead = true
-			e.live--
+			last := len(e.procs) - 1 // leave the registry: the last entry takes p's slot
+			e.procs[p.slot] = e.procs[last]
+			e.procs[p.slot].slot = p.slot
+			e.procs[last] = nil
+			e.procs = e.procs[:last]
 			h.done = true
 			for _, w := range h.waiters {
 				e.wake(w)
 			}
 			h.waiters = nil
-			e.yield <- struct{}{} // return control to the kernel
+			e.dispatch(p) // a dead process is never resumed: this goroutine is free to exit
 			if r != nil {
 				if _, ok := r.(procKilled); !ok {
 					panic(r)
@@ -263,7 +289,8 @@ func (e *Env) Go(name string, fn func(*Proc)) *Handle {
 	return h
 }
 
-// After schedules fn to run inline in the kernel after d elapses. fn must
+// After schedules fn to run after d elapses, inline on whichever goroutine
+// is dispatching events at that moment (see the package comment). fn must
 // not block; use Go for anything that needs virtual time of its own.
 func (e *Env) After(d time.Duration, fn func()) {
 	if d < 0 {
@@ -310,20 +337,75 @@ func (e *Env) AfterFunc(d time.Duration, fn func()) *Timer {
 func (e *Env) wake(p *Proc) {
 	if !p.daemon {
 		e.blocked--
-		delete(e.parked, p)
 	}
 	e.schedule(event{at: e.now, p: p})
 }
 
-// block yields control to the kernel until some other party calls wake.
-// The caller must have arranged for the wakeup (waiter list, etc.).
+// dispatch is the event loop. It is called by the goroutine that holds the
+// baton and is about to give up the CPU — self is its process, or nil for
+// Run — and fires events until one of them resumes a process. It returns
+// true when that process is self: the caller carries on without a channel
+// operation. Otherwise the baton has gone to another goroutine (the resumed
+// process, or Run/Close through done when the heap drained, the limit was
+// reached, ctx was cancelled or the environment is closing), and the caller
+// must touch nothing of the environment until its own resume arrives.
+func (e *Env) dispatch(self *Proc) bool {
+	for len(e.events) > 0 && !e.closing {
+		if e.ctx != nil {
+			if e.sinceCheck++; e.sinceCheck >= cancelStride {
+				e.sinceCheck = 0
+				if e.stopErr = e.ctx.Err(); e.stopErr != nil {
+					break
+				}
+			}
+		}
+		ev := e.events.pop()
+		if e.limit > 0 && ev.at > e.limit {
+			e.now = e.limit
+			e.events.push(ev)
+			break
+		}
+		e.now = ev.at
+		e.dispatched++
+		if ev.fn != nil {
+			ev.fn()
+			continue
+		}
+		if ev.p.dead {
+			// A resume raced with the process's death (it was killed and
+			// unwound before this event fired); nobody is listening.
+			continue
+		}
+		if ev.p == self {
+			return true
+		}
+		ev.p.resume <- struct{}{}
+		return false
+	}
+	e.done <- struct{}{}
+	return false
+}
+
+// park gives up the CPU until the process's next resume, which the caller
+// has arranged (a scheduled event, or a waiter list some other party wakes).
+func (p *Proc) park() {
+	if p.env.closing {
+		// Entered from a defer while Close unwinds this process: there is no
+		// virtual time left to wait in.
+		panic(procKilled{p})
+	}
+	if !p.env.dispatch(p) {
+		<-p.resume
+	}
+}
+
+// block parks until some other party calls wake. The caller must have
+// arranged for the wakeup (waiter list, etc.).
 func (p *Proc) block() {
 	if !p.daemon {
 		p.env.blocked++
-		p.env.parked[p] = struct{}{}
 	}
-	p.env.yield <- struct{}{}
-	<-p.resume
+	p.park()
 	p.wl = nil
 	if p.killed {
 		panic(procKilled{p})
@@ -343,8 +425,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	e := p.env
 	e.schedule(event{at: e.at(d), p: p})
-	e.yield <- struct{}{}
-	<-p.resume
+	p.park()
 	if p.killed {
 		panic(procKilled{p})
 	}
@@ -378,18 +459,18 @@ func (e *Env) Run(limit time.Duration) (time.Duration, error) {
 	return e.run(nil, limit)
 }
 
-// cancelStride is how many events Run processes between cancellation polls.
-// Event dispatch is two channel handoffs, so a poll every few hundred events
-// costs nothing measurable while keeping cancellation latency far below any
-// human-visible delay.
+// cancelStride is how many events dispatch fires between cancellation polls.
+// ctx.Err takes a lock and an event can cost as little as a heap pop, so
+// polling every event would show; every few hundred costs nothing measurable
+// while keeping cancellation latency far below any human-visible delay.
 const cancelStride = 256
 
 // RunContext executes like Run (including returning *DeadlockError on a
 // simulation deadlock) but polls ctx between events and stops early
 // when it is cancelled, returning ctx's error. Cancellation abandons the
-// simulation mid-flight: the virtual clock stays where it was, and process
-// goroutines that were parked stay parked until the whole Env is dropped —
-// a cancelled environment must not be resumed, only discarded.
+// simulation mid-flight: the virtual clock stays where it was and every
+// unfinished process stays parked — a cancelled environment must not be
+// resumed, only Closed.
 func (e *Env) RunContext(ctx context.Context, limit time.Duration) (time.Duration, error) {
 	return e.run(ctx, limit)
 }
@@ -398,6 +479,9 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
+	if e.closing {
+		panic("sim: Run after Close")
+	}
 	e.running = true
 	defer func() { e.running = false }()
 	if ctx != nil {
@@ -405,40 +489,19 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 			return e.now, err
 		}
 	}
-	sinceCheck := 0
-	for len(e.events) > 0 {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= cancelStride {
-				sinceCheck = 0
-				if err := ctx.Err(); err != nil {
-					return e.now, err
-				}
-			}
-		}
-		ev := e.events.pop()
-		if limit > 0 && ev.at > limit {
-			e.now = limit
-			e.events.push(ev)
-			return e.now, nil
-		}
-		e.now = ev.at
-		e.dispatched++
-		if ev.fn != nil {
-			ev.fn()
-			continue
-		}
-		if ev.p.dead {
-			// A resume raced with the process's death (it was killed and
-			// unwound before this event fired); nobody is listening.
-			continue
-		}
-		ev.p.resume <- struct{}{}
-		<-e.yield
+	e.limit, e.ctx, e.sinceCheck, e.stopErr = limit, ctx, 0, nil
+	e.dispatch(nil)
+	<-e.done
+	e.ctx = nil
+	if e.stopErr != nil {
+		return e.now, e.stopErr
 	}
-	if e.blocked > 0 {
-		names := make([]string, 0, len(e.parked))
-		for p := range e.parked {
-			names = append(names, p.name)
+	if len(e.events) == 0 && e.blocked > 0 {
+		var names []string
+		for _, p := range e.procs {
+			if p.wl != nil && !p.daemon {
+				names = append(names, p.name)
+			}
 		}
 		sort.Strings(names)
 		return e.now, &DeadlockError{At: e.now, Blocked: names}
@@ -446,11 +509,34 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 	return e.now, nil
 }
 
+// Close ends the environment: every process that has not finished — parked
+// daemons, processes a limit, a cancellation or a deadlock left mid-flight,
+// processes that never started — is killed and unwound (its defers run, as
+// for Handle.Kill), one at a time, and by the time Close returns each
+// goroutine is past its last use of the environment and about to exit. No
+// event fires and no virtual time passes; a deferred function that tries to
+// Sleep or block during the unwind is itself unwound. Close must not be
+// called from inside Run, and a closed environment must not be run again.
+// Closing twice is a no-op.
+func (e *Env) Close() {
+	if e.running {
+		panic("sim: Close called during Run")
+	}
+	e.closing = true
+	for len(e.procs) > 0 {
+		p := e.procs[len(e.procs)-1]
+		p.killed = true
+		p.resume <- struct{}{}
+		<-e.done // p's exit dispatch
+	}
+	e.events = nil
+}
+
 // Idle reports whether no events remain.
 func (e *Env) Idle() bool { return len(e.events) == 0 }
 
 // Live returns the number of spawned processes that have not finished.
-func (e *Env) Live() int { return e.live }
+func (e *Env) Live() int { return len(e.procs) }
 
 // Events returns the cumulative number of events dispatched by Run since the
 // environment was created — the kernel-throughput denominator behind the

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -774,4 +776,276 @@ func TestRunAfterRunContextLimitResumes(t *testing.T) {
 	if !done {
 		t.Error("worker never finished after resume")
 	}
+}
+
+// randomOpsTrace runs eight workers through 125 random operations each
+// (Sleep, After, Resource.Use, Chan.Put) beside two consumers draining the
+// Chan, and folds every step — who ran, what it did, at what virtual time —
+// into one hash. Operations are drawn from Env.Rand as the run proceeds, so
+// a single event fired out of order changes every later draw.
+func randomOpsTrace(seed int64) (hash uint64, end time.Duration, events uint64) {
+	e := New(seed)
+	defer e.Close()
+	h := fnv.New64a()
+	step := func(who, op int) {
+		var b [24]byte
+		binary.LittleEndian.PutUint64(b[0:], uint64(who))
+		binary.LittleEndian.PutUint64(b[8:], uint64(op))
+		binary.LittleEndian.PutUint64(b[16:], uint64(e.Now()))
+		h.Write(b[:])
+	}
+	res := NewResource(e, "r", 2)
+	c := NewChan(e)
+	const workers, opsEach = 8, 125
+	running := workers
+	for w := 0; w < workers; w++ {
+		w := w
+		e.Go("worker", func(p *Proc) {
+			for i := 0; i < opsEach; i++ {
+				rng := e.Rand()
+				d := time.Duration(rng.Intn(5)) * time.Microsecond
+				switch op := rng.Intn(4); op {
+				case 0:
+					p.Sleep(d)
+					step(w, op)
+				case 1:
+					e.After(d, func() { step(100+w, op) })
+				case 2:
+					res.Use(p, 1+rng.Intn(2), d)
+					step(w, op)
+				case 3:
+					c.Put(w)
+					step(w, op)
+				}
+			}
+			if running--; running == 0 {
+				c.Close()
+			}
+		})
+	}
+	for g := 0; g < 2; g++ {
+		g := g
+		e.Go("consumer", func(p *Proc) {
+			for {
+				v, ok := c.Get(p)
+				if !ok {
+					return
+				}
+				step(200+g, v.(int))
+			}
+		})
+	}
+	end, err := e.Run(0)
+	if err != nil {
+		panic(err)
+	}
+	return h.Sum64(), end, e.Events()
+}
+
+// The sequences below were recorded from the kernel-goroutine implementation
+// this one replaced (commit 0a8eecc): baton passing must fire events in the
+// same order, not merely a deterministic one.
+func TestEventOrderMatchesRecordedKernel(t *testing.T) {
+	for _, want := range []struct {
+		seed   int64
+		hash   uint64
+		end    time.Duration
+		events uint64
+	}{
+		{1, 0x9446368dcbf3c788, 373 * time.Microsecond, 1193},
+		{2, 0x2040a187e72f0dae, 436 * time.Microsecond, 1208},
+		{3, 0x8744969ace5197ea, 427 * time.Microsecond, 1194},
+	} {
+		hash, end, events := randomOpsTrace(want.seed)
+		if hash != want.hash || end != want.end || events != want.events {
+			t.Errorf("seed %d: trace %#x ending at %v after %d events, recorded %#x at %v after %d",
+				want.seed, hash, end, events, want.hash, want.end, want.events)
+		}
+	}
+}
+
+func TestRunLimitStopsMidSleep(t *testing.T) {
+	// The limit falls inside the only process's Sleep: the process is its own
+	// dispatcher when the limit stops the run, and a later Run must finish
+	// the same Sleep at the time it was due.
+	finish := func(limits ...time.Duration) (woke, end time.Duration) {
+		e := New(1)
+		defer e.Close()
+		e.Go("p", func(p *Proc) {
+			p.Sleep(3 * time.Second)
+			woke = p.Now()
+			p.Sleep(time.Second)
+		})
+		for _, l := range limits {
+			at, err := e.Run(l)
+			if err != nil || at != l || woke != 0 {
+				t.Fatalf("Run(%v) = %v, %v with woke=%v; want a clean pause at the limit", l, at, err, woke)
+			}
+		}
+		end, _ = e.Run(0)
+		return woke, end
+	}
+	woke, end := finish(time.Second, 2*time.Second)
+	straightWoke, straightEnd := finish()
+	if woke != 3*time.Second || woke != straightWoke || end != straightEnd {
+		t.Errorf("paused run woke at %v and ended at %v; uninterrupted run %v and %v", woke, end, straightWoke, straightEnd)
+	}
+}
+
+func TestRunContextCancelledFromProcess(t *testing.T) {
+	// The process cancels and keeps sleeping: every stride poll runs on its
+	// goroutine, which must hand the error back to RunContext's caller.
+	e := New(1)
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelledAt time.Duration
+	e.Go("ticker", func(p *Proc) {
+		for i := 0; i < 1_000_000; i++ {
+			if i == 1000 {
+				cancelledAt = p.Now()
+				cancel()
+			}
+			p.Sleep(time.Millisecond)
+		}
+	})
+	end, err := e.RunContext(ctx, 0)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if end < cancelledAt || end > cancelledAt+cancelStride*time.Millisecond {
+		t.Errorf("stopped at %v, cancelled at %v: want within one poll stride", end, cancelledAt)
+	}
+	if e.Now() != end {
+		t.Errorf("clock at %v after RunContext returned %v", e.Now(), end)
+	}
+}
+
+func TestCallbackKillsDispatchingProcess(t *testing.T) {
+	// While "victim" is parked it is the goroutine firing events, so the
+	// callback that kills it runs on the victim's own stack.
+	for _, tc := range []struct {
+		name string
+		body func(p *Proc, c *Cond)
+		dies time.Duration
+	}{
+		{"blocked", func(p *Proc, c *Cond) { c.Wait(p) }, time.Second},
+		{"sleeping", func(p *Proc, c *Cond) { p.Sleep(5 * time.Second) }, 5 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			defer e.Close()
+			c := NewCond(e)
+			var survived bool
+			var diedAt time.Duration
+			var h *Handle
+			h = e.Go("victim", func(p *Proc) {
+				defer func() { diedAt = p.Now() }()
+				tc.body(p, c)
+				survived = true
+			})
+			e.After(time.Second, func() { h.Kill() })
+			end, err := e.Run(0)
+			if err != nil || survived || !h.Done() || diedAt != tc.dies || end != tc.dies {
+				t.Errorf("end=%v err=%v survived=%v done=%v diedAt=%v, want the victim unwound at %v",
+					end, err, survived, h.Done(), diedAt, tc.dies)
+			}
+		})
+	}
+}
+
+func TestLastProcessFinishingEndsRun(t *testing.T) {
+	// The last live process exits while it holds the baton: its exit
+	// dispatch finds the heap empty and must wake Run.
+	e := New(1)
+	defer e.Close()
+	e.Go("only", func(p *Proc) { p.Sleep(time.Second) })
+	end, err := e.Run(0)
+	if err != nil || end != time.Second || e.Live() != 0 {
+		t.Errorf("end=%v err=%v live=%d, want 1s, nil, 0", end, err, e.Live())
+	}
+}
+
+func TestReentrantRunPanics(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var got any
+	e.Go("p", func(p *Proc) {
+		defer func() { got = recover() }()
+		e.Run(0)
+	})
+	e.Run(0)
+	if got != "sim: Run called reentrantly" {
+		t.Errorf("recovered %v, want the reentrancy panic", got)
+	}
+}
+
+// settledGoroutines counts goroutines once the count has stopped moving: a
+// process goroutine hands the baton on a few instructions before it exits,
+// so a count taken right after Run or Close can still include it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 20; stable++ {
+		time.Sleep(100 * time.Microsecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
+func TestCloseReleasesGoroutines(t *testing.T) {
+	before := settledGoroutines()
+	e := New(1)
+	c := NewCond(e)
+	r := NewResource(e, "r", 1)
+	var unwound, ranAfterClose int
+	e.Go("daemon", func(p *Proc) {
+		p.SetDaemon(true)
+		defer func() { unwound++ }()
+		for {
+			c.Wait(p)
+		}
+	})
+	e.Go("sleeper", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Sleep(time.Hour)
+		ranAfterClose++
+	})
+	e.Go("holder", func(p *Proc) {
+		r.Acquire(p, 1)
+		defer r.Release(1) // wakes "queued" during the unwind: must fire nothing
+		defer func() {
+			unwound++
+			p.Sleep(time.Second) // blocking in a defer during Close unwinds too
+			ranAfterClose++
+		}()
+		p.Sleep(time.Hour)
+	})
+	e.Go("queued", func(p *Proc) {
+		defer func() { unwound++ }()
+		r.Acquire(p, 1)
+		ranAfterClose++
+	})
+	if _, err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	e.Go("never-started", func(p *Proc) { ranAfterClose++ })
+	if n := settledGoroutines(); n != before+5 {
+		t.Fatalf("%d goroutines before Close, want %d parked processes above the starting %d", n, 5, before)
+	}
+	e.Close()
+	e.Close()
+	if n := settledGoroutines(); n != before {
+		t.Errorf("%d goroutines after Close, started with %d", n, before)
+	}
+	if unwound != 4 || ranAfterClose != 0 || e.Live() != 0 || e.Now() != time.Minute {
+		t.Errorf("unwound=%d ranAfterClose=%d live=%d now=%v, want 4, 0, 0, 1m", unwound, ranAfterClose, e.Live(), e.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Run after Close did not panic")
+		}
+	}()
+	e.Run(0)
 }

@@ -181,6 +181,7 @@ func Replay(recs []Record, dev string, p disk.Params) (*ReplayResult, error) {
 	}
 
 	env := sim.New(1)
+	defer env.Close() // the disk's servicer outlives the replay
 	d := disk.New(env, p)
 	var reqs []*disk.Request
 	env.Go("replay", func(pr *sim.Proc) {
