@@ -42,19 +42,23 @@ func TestGoldenAllOutput(t *testing.T) {
 // TestGoldenBenchFingerprints pins the bench outcome fingerprint of every
 // workload on the untiered path. The fingerprint hashes virtual wall time,
 // the kernel event count, HDFS/MR byte and request totals, and the job
-// counters — so even an event-count-neutral timing change is caught.
+// counters — so even an event-count-neutral timing change is caught. The
+// rows are written per configuration: goldenOpts first, then the seed-era
+// anchor — the configuration results/BENCH_quick-hdd.json was measured at,
+// whose five fingerprints have not moved since the seed.
 func TestGoldenBenchFingerprints(t *testing.T) {
 	var buf bytes.Buffer
-	for _, w := range append(core.PaperWorkloads(), core.Join) {
-		rep, err := core.RunOne(w, core.SlotsRuns[0], core.Options{
-			Scale:         goldenOpts.Scale,
-			Slaves:        goldenOpts.Slaves,
-			MapTaskTarget: goldenOpts.MapTaskTarget,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", w, err)
+	for _, opts := range []core.Options{
+		{Scale: goldenOpts.Scale, Slaves: goldenOpts.Slaves, MapTaskTarget: goldenOpts.MapTaskTarget},
+		{Scale: 65536, Slaves: 4, MapTaskTarget: 24},
+	} {
+		for _, w := range append(core.PaperWorkloads(), core.Join) {
+			rep, err := core.RunOne(w, core.SlotsRuns[0], opts)
+			if err != nil {
+				t.Fatalf("%s: %v", w, err)
+			}
+			fmt.Fprintf(&buf, "%s %s\n", w, bench.Fingerprint(rep))
 		}
-		fmt.Fprintf(&buf, "%s %s\n", w, bench.Fingerprint(rep))
 	}
 	got := buf.Bytes()
 	want := goldenOrUpdate(t, goldenFingerprintsFile, got)

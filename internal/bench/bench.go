@@ -1,213 +1,25 @@
-// Package bench is the simulator's performance harness: it executes each
-// workload (and optionally the full cold -all experiment matrix) at fixed
-// seeds and scale, measures host wall-clock, kernel events/sec, allocation
-// volume and heap footprint, and packages the numbers as a schema-versioned
-// result that is comparable across commits.
-//
-// Two properties make the numbers trustworthy:
-//
-//   - Every run records a deterministic fingerprint of its simulated outcome
-//     (virtual wall time, kernel event count, byte totals, job counters).
-//     Two revisions may only be speed-compared when their fingerprints
-//     match — an optimization that changes simulated results is a bug, not
-//     a speedup, and Compare reports exactly that.
-//   - Results embed the configuration and environment they were measured
-//     under, so a BENCH_<rev>.json is self-describing.
+// Package bench holds the run fingerprint: a hash of one run's simulated
+// outcome that is equal exactly when two runs computed the same thing. The
+// goldens (testdata/golden_fingerprints.txt, golden_master.txt) pin it per
+// workload, and benchmark/ folds it into core.outcome_hash32 — two
+// revisions may only be speed-compared when their fingerprints match, since
+// an optimization that changes simulated results is a bug, not a speedup.
 package bench
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"time"
 
 	"iochar/internal/core"
-	"iochar/internal/disk"
-	"iochar/internal/report"
 )
 
-// SchemaVersion identifies the result JSON layout. Bump it whenever a field
-// changes meaning, so downstream tooling can reject results it would
-// misread. v2 added Config.Tier and the per-workload device-await metrics
-// (hdfs_await_ms / mr_await_ms) that quantify the intermediate-tier effect.
-const SchemaVersion = 2
-
-// Config fixes everything that determines a benchmark run.
-type Config struct {
-	Scale         int64   `json:"scale"`
-	Slaves        int     `json:"slaves"`
-	MapTaskTarget int64   `json:"map_task_target"`
-	Seed          int64   `json:"seed"`
-	InputFraction float64 `json:"input_fraction,omitempty"`
-	// Racks places slave i in rack i%Racks behind a ToR switch; 0 or 1
-	// keeps the flat single-rack network (byte-identical to pre-rack
-	// results). UplinkBPS caps each rack's uplink (0 = NIC rate).
-	Racks     int   `json:"racks,omitempty"`
-	UplinkBPS int64 `json:"uplink_bps,omitempty"`
-	// Iterations is how many times each workload executes; wall-clock is
-	// the minimum across iterations (the least-noise estimator), allocation
-	// counts the per-iteration mean.
-	Iterations int `json:"iterations"`
-	// Workloads to measure; empty means the paper's four plus Join.
-	Workloads []core.Workload `json:"workloads,omitempty"`
-	// Tier selects the device class backing the intermediate-data volumes
-	// for the per-workload measurements (HDFS data disks stay mechanical).
-	// The suite measurement always runs untiered: its output hash is the
-	// correctness anchor, and it must stay comparable across results that
-	// differ only in Tier. Tiered fleets scale strictly, so a Tier of
-	// ClassSSD constrains Scale to factors both device capacities survive.
-	Tier disk.Class `json:"tier,omitempty"`
-	// Suite, when true, additionally measures the cold full -all matrix
-	// (sequential, fresh suite) and hashes its rendered output — the
-	// correctness gate for hot-path optimization.
-	Suite bool `json:"suite"`
-	// ProfileDir, when set, captures cpu.pprof and heap.pprof there.
-	ProfileDir string `json:"-"`
-}
-
-// Quick returns the smoke-test configuration: small inputs, one iteration,
-// suite included. It finishes in well under a minute on commodity hardware.
-func Quick() Config {
-	return Config{Scale: 65536, Slaves: 4, MapTaskTarget: 24, Seed: 1, Iterations: 1, Suite: true}
-}
-
-// Default returns the standard measurement configuration used for the
-// checked-in BENCH_*.json trajectory: large enough that per-workload wall
-// times are tens-of-milliseconds-noise-proof, three iterations.
-func Default() Config {
-	return Config{Scale: 16384, Slaves: 10, MapTaskTarget: 64, Seed: 1, Iterations: 3, Suite: true}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Scale <= 0 {
-		c.Scale = 16384
-	}
-	if c.Slaves <= 0 {
-		c.Slaves = 10
-	}
-	if c.MapTaskTarget <= 0 {
-		c.MapTaskTarget = 64
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Iterations <= 0 {
-		c.Iterations = 1
-	}
-	if len(c.Workloads) == 0 {
-		c.Workloads = append(core.PaperWorkloads(), core.Join)
-	}
-	return c
-}
-
-func (c Config) options() core.Options {
-	return core.NewOptions(
-		core.WithScale(c.Scale),
-		core.WithSlaves(c.Slaves),
-		core.WithRacks(c.Racks),
-		core.WithUplink(c.UplinkBPS),
-		core.WithMapTaskTarget(c.MapTaskTarget),
-		core.WithSeed(c.Seed),
-		core.WithInputFraction(c.InputFraction),
-	)
-}
-
-// workloadOptions is options() plus the tier policy: only the per-workload
-// measurements tier; the suite measurement stays on options() so its output
-// hash is tier-invariant.
-func (c Config) workloadOptions() core.Options {
-	return c.options().With(core.WithIntermediateTier(c.Tier))
-}
-
-// WorkloadResult is one workload's measurement.
-type WorkloadResult struct {
-	Workload   string `json:"workload"`
-	Iterations int    `json:"iterations"`
-
-	// Host-side cost.
-	WallNS       int64   `json:"wall_ns"` // min across iterations
-	EventsPerSec float64 `json:"events_per_sec"`
-	AllocBytes   uint64  `json:"alloc_bytes"`   // mean TotalAlloc delta per run
-	AllocObjects uint64  `json:"alloc_objects"` // mean Mallocs delta per run
-	HeapBytes    uint64  `json:"heap_bytes"`    // max post-run HeapAlloc (pre-GC)
-
-	// Simulated outcome (deterministic; part of the fingerprint).
-	VirtualNS int64  `json:"virtual_ns"`
-	Events    uint64 `json:"events"`
-
-	// Device-await means over busy intervals (deterministic, but NOT part
-	// of the fingerprint: results at different tiers are expected to differ
-	// here — that delta is the point of a tier comparison).
-	HDFSAwaitMs float64 `json:"hdfs_await_ms"`
-	MRAwaitMs   float64 `json:"mr_await_ms"`
-
-	// Fingerprint hashes the simulated outcome; equal seeds and revisions
-	// with unequal fingerprints are incomparable.
-	Fingerprint string `json:"fingerprint"`
-}
-
-// SuiteResult is the cold full-matrix measurement.
-type SuiteResult struct {
-	Cells        int    `json:"cells"`
-	WallNS       int64  `json:"wall_ns"`
-	AllocBytes   uint64 `json:"alloc_bytes"`
-	AllocObjects uint64 `json:"alloc_objects"`
-	HeapBytes    uint64 `json:"heap_bytes"`
-	// OutputSHA256 hashes the rendered -all byte stream (every figure and
-	// table) — byte-identity across revisions is the golden gate.
-	OutputSHA256 string `json:"output_sha256"`
-}
-
-// Result is one revision's complete measurement.
-type Result struct {
-	Schema    int    `json:"schema"`
-	Rev       string `json:"rev,omitempty"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-
-	Config    Config           `json:"config"`
-	Workloads []WorkloadResult `json:"workloads"`
-	Suite     *SuiteResult     `json:"suite,omitempty"`
-
-	// Baseline, when the run was given one, embeds the prior revision's
-	// result so the emitted JSON carries its own comparison point.
-	Baseline *Result `json:"baseline,omitempty"`
-}
-
-// Validate checks the structural invariants CI relies on.
-func (r *Result) Validate() error {
-	if r.Schema != SchemaVersion {
-		return fmt.Errorf("bench: schema %d, want %d", r.Schema, SchemaVersion)
-	}
-	if len(r.Workloads) == 0 {
-		return fmt.Errorf("bench: no workload results")
-	}
-	for _, w := range r.Workloads {
-		if w.Workload == "" || w.WallNS <= 0 || w.Events == 0 || w.Fingerprint == "" {
-			return fmt.Errorf("bench: incomplete result for workload %q", w.Workload)
-		}
-	}
-	if r.Config.Suite && r.Suite == nil {
-		return fmt.Errorf("bench: config requested suite measurement but result has none")
-	}
-	if r.Suite != nil && (r.Suite.Cells == 0 || r.Suite.OutputSHA256 == "") {
-		return fmt.Errorf("bench: incomplete suite result")
-	}
-	return nil
-}
-
-// fingerprint hashes the deterministic outcome of one run: virtual wall
+// Fingerprint hashes the deterministic outcome of one run: virtual wall
 // time, kernel event count, the two disk groups' whole-run totals, and the
-// per-job counters. It deliberately excludes anything host-dependent.
-func fingerprint(rep *core.RunReport) string {
+// per-job counters. It deliberately excludes anything host-dependent, and
+// hashes the disk groups' totals rather than their sampled series
+// (HDFS.AwaitMs and the rest).
+func Fingerprint(rep *core.RunReport) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "wall=%d events=%d\n", rep.Wall, rep.Events)
 	fmt.Fprintf(h, "hdfs=%d,%d,%d,%d\n",
@@ -220,186 +32,4 @@ func fingerprint(rep *core.RunReport) string {
 			j.Spills, j.ShuffleBytes, j.Runtime())
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// Fingerprint exposes the run fingerprint for tests (determinism assertions)
-// and external tooling.
-func Fingerprint(rep *core.RunReport) string { return fingerprint(rep) }
-
-// memSnapshot reads the allocator counters after a forced GC, so deltas
-// across a run measure the run alone.
-func memSnapshot() runtime.MemStats {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms
-}
-
-// Run executes the configured measurement. It is deliberately sequential —
-// parallel cells would share the allocator and scheduler and contaminate
-// each other's numbers.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Result{
-		Schema:    SchemaVersion,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Config:    cfg,
-	}
-
-	var cpuProf *os.File
-	if cfg.ProfileDir != "" {
-		if err := os.MkdirAll(cfg.ProfileDir, 0o755); err != nil {
-			return nil, err
-		}
-		f, err := os.Create(filepath.Join(cfg.ProfileDir, "cpu.pprof"))
-		if err != nil {
-			return nil, err
-		}
-		cpuProf = f
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-
-	wlOpts := cfg.workloadOptions()
-	factors := core.SlotsRuns[0] // the baseline cell: 1_8 slots, 16 GB, compress on
-	for _, w := range cfg.Workloads {
-		wr := WorkloadResult{Workload: w.String(), Iterations: cfg.Iterations}
-		for it := 0; it < cfg.Iterations; it++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			before := memSnapshot()
-			start := time.Now()
-			rep, err := core.RunOneContext(ctx, w, factors, wlOpts)
-			wall := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s iteration %d: %w", w, it, err)
-			}
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after) // pre-GC: heap still holds the run
-			fp := fingerprint(rep)
-			if wr.Fingerprint == "" {
-				wr.Fingerprint = fp
-				wr.VirtualNS = int64(rep.Wall)
-				wr.Events = rep.Events
-				wr.HDFSAwaitMs = rep.HDFS.AwaitMs.MeanNonzero()
-				wr.MRAwaitMs = rep.MR.AwaitMs.MeanNonzero()
-			} else if fp != wr.Fingerprint {
-				return nil, fmt.Errorf("bench: %s is nondeterministic: fingerprint %s then %s", w, wr.Fingerprint, fp)
-			}
-			if wr.WallNS == 0 || int64(wall) < wr.WallNS {
-				wr.WallNS = int64(wall)
-			}
-			wr.AllocBytes += after.TotalAlloc - before.TotalAlloc
-			wr.AllocObjects += after.Mallocs - before.Mallocs
-			if h := after.HeapAlloc; h > wr.HeapBytes {
-				wr.HeapBytes = h
-			}
-		}
-		wr.AllocBytes /= uint64(cfg.Iterations)
-		wr.AllocObjects /= uint64(cfg.Iterations)
-		wr.EventsPerSec = float64(wr.Events) / (float64(wr.WallNS) / 1e9)
-		res.Workloads = append(res.Workloads, wr)
-	}
-
-	if cfg.Suite {
-		// Always untiered (cfg.options, not workloadOptions): the suite hash
-		// must stay comparable across results that differ only in Tier.
-		sr, err := runSuite(ctx, cfg.options())
-		if err != nil {
-			return nil, err
-		}
-		res.Suite = sr
-	}
-
-	if cpuProf != nil {
-		pprof.StopCPUProfile()
-		cpuProf.Close()
-		hf, err := os.Create(filepath.Join(cfg.ProfileDir, "heap.pprof"))
-		if err != nil {
-			return nil, err
-		}
-		runtime.GC()
-		err = pprof.WriteHeapProfile(hf)
-		hf.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// runSuite measures the cold full -all matrix: a fresh sequential suite,
-// every figure and table rendered, output hashed.
-func runSuite(ctx context.Context, opts core.Options) (*SuiteResult, error) {
-	before := memSnapshot()
-	start := time.Now()
-	s := core.NewSuite(opts)
-	if err := s.RunAll(ctx); err != nil {
-		return nil, err
-	}
-	out := sha256.New()
-	for _, n := range core.Figures() {
-		fd, err := s.Figure(n)
-		if err != nil {
-			return nil, err
-		}
-		report.WriteFigure(out, fd)
-	}
-	for _, n := range core.Tables() {
-		td, err := s.Table(n)
-		if err != nil {
-			return nil, err
-		}
-		report.WriteTable(out, td)
-	}
-	wall := time.Since(start)
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	return &SuiteResult{
-		Cells:        s.CachedRuns(),
-		WallNS:       int64(wall),
-		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-		AllocObjects: after.Mallocs - before.Mallocs,
-		HeapBytes:    after.HeapAlloc,
-		OutputSHA256: hex.EncodeToString(out.Sum(nil)),
-	}, nil
-}
-
-// FileName returns the conventional result name for a revision.
-func FileName(rev string) string {
-	if rev == "" {
-		rev = "dev"
-	}
-	return "BENCH_" + rev + ".json"
-}
-
-// WriteFile marshals r as indented JSON to path.
-func WriteFile(path string, r *Result) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadFile reads and validates a result JSON.
-func LoadFile(path string) (*Result, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{}
-	if err := json.Unmarshal(b, r); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return r, nil
 }

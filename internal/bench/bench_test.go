@@ -1,58 +1,45 @@
 package bench
 
 import (
-	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 
 	"iochar/internal/core"
-	"iochar/internal/disk"
+	"iochar/internal/iostat"
+	"iochar/internal/mapred"
+	"iochar/internal/stats"
 )
 
-// benchCfg is a small two-workload configuration that still exercises the
-// full pipeline (sort-heavy TS, combiner-heavy AGG).
-func benchCfg() Config {
-	return Config{
-		Scale: 262144, Slaves: 3, MapTaskTarget: 16, Seed: 7, Iterations: 1,
-		Workloads: []core.Workload{core.TS, core.AGG},
+// fingerprints runs a small two-workload configuration that still exercises
+// the full pipeline (sort-heavy TS, combiner-heavy AGG) at the given seed.
+func fingerprints(t *testing.T, seed int64) map[core.Workload]string {
+	t.Helper()
+	out := map[core.Workload]string{}
+	for _, w := range []core.Workload{core.TS, core.AGG} {
+		rep, err := core.RunOne(w, core.SlotsRuns[0], core.Options{
+			Scale: 262144, Slaves: 3, MapTaskTarget: 16, Seed: seed,
+		})
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", w, seed, err)
+		}
+		if rep.Wall <= 0 || rep.Events == 0 {
+			t.Fatalf("%s seed %d: empty outcome (wall %v, events %d)", w, seed, rep.Wall, rep.Events)
+		}
+		out[w] = Fingerprint(rep)
 	}
+	return out
 }
 
-// TestRunDeterminism is the harness's core guarantee: two runs at the same
-// seed and configuration produce identical simulated outcomes — virtual
-// time, kernel event count, and the full outcome fingerprint. The
-// optimization workflow leans on this: a hot-path change is only a speedup
-// if the fingerprint survives it.
+// TestRunDeterminism is the guarantee every cross-commit comparison leans
+// on: two runs at the same seed and configuration produce the same
+// fingerprint. A hot-path change is only a speedup if the fingerprint
+// survives it.
 func TestRunDeterminism(t *testing.T) {
-	cfg := benchCfg()
-	r1, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Workloads) != len(r2.Workloads) {
-		t.Fatalf("workload counts differ: %d vs %d", len(r1.Workloads), len(r2.Workloads))
-	}
-	for i := range r1.Workloads {
-		a, b := r1.Workloads[i], r2.Workloads[i]
-		if a.Fingerprint != b.Fingerprint {
-			t.Errorf("%s: fingerprints differ across runs: %s vs %s", a.Workload, a.Fingerprint, b.Fingerprint)
+	a, b := fingerprints(t, 7), fingerprints(t, 7)
+	for w, fp := range a {
+		if b[w] != fp {
+			t.Errorf("%s: fingerprints differ across runs: %s vs %s", w, fp, b[w])
 		}
-		if a.VirtualNS != b.VirtualNS {
-			t.Errorf("%s: virtual time differs across runs: %d vs %d", a.Workload, a.VirtualNS, b.VirtualNS)
-		}
-		if a.Events != b.Events {
-			t.Errorf("%s: kernel event counts differ across runs: %d vs %d", a.Workload, a.Events, b.Events)
-		}
-	}
-	if err := r1.Validate(); err != nil {
-		t.Errorf("result fails its own schema validation: %v", err)
 	}
 }
 
@@ -60,77 +47,78 @@ func TestRunDeterminism(t *testing.T) {
 // produce a different fingerprint, or the fingerprint isn't actually
 // covering the simulated outcome.
 func TestRunSeedSensitivity(t *testing.T) {
-	cfg := benchCfg()
-	r1, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Seed = 8
-	r2, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.Workloads {
-		if r1.Workloads[i].Fingerprint == r2.Workloads[i].Fingerprint {
-			t.Errorf("%s: fingerprint identical across seeds 7 and 8", r1.Workloads[i].Workload)
+	a, b := fingerprints(t, 7), fingerprints(t, 8)
+	for w, fp := range a {
+		if b[w] == fp {
+			t.Errorf("%s: fingerprint identical across seeds 7 and 8", w)
 		}
 	}
 }
 
-// TestTieredRunAwaitCollapse measures the same configuration at both tiers:
-// the flash run must report a collapsed MapReduce-disk await (the effect the
-// checked-in BENCH_ssdtier.json documents), and its fingerprint must differ
-// — moving the intermediate volumes to a different device model changes the
-// simulated outcome by design.
-func TestTieredRunAwaitCollapse(t *testing.T) {
-	// Tiered fleets scale strictly; 16384 keeps both device capacities
-	// above the sector floor (benchCfg's 262144 would not).
-	cfg := Config{
-		Scale: 16384, Slaves: 3, MapTaskTarget: 8, Seed: 7, Iterations: 1,
-		Workloads: []core.Workload{core.TS},
+// TestFingerprintCoversHashedFields moves one field of a hand-built report
+// at a time: every field the fingerprint claims to hash must change it, and
+// the sampled await series must not.
+func TestFingerprintCoversHashedFields(t *testing.T) {
+	build := func() *core.RunReport {
+		group := func(base uint64) *iostat.Report {
+			return &iostat.Report{
+				AwaitMs:        &stats.Series{},
+				TotalReadBytes: base, TotalWrittenBytes: base + 1,
+				TotalReads: base + 2, TotalWrites: base + 3,
+			}
+		}
+		job := func(base int64) *mapred.Result {
+			return &mapred.Result{
+				Counters: mapred.Counters{
+					MapTasks: int(base), ReduceTasks: int(base) + 1, MapInputBytes: base + 2,
+					ReduceOutputBytes: base + 3, Spills: base + 4, ShuffleBytes: base + 5,
+				},
+				Start: time.Duration(base), End: time.Duration(2*base + 6),
+			}
+		}
+		return &core.RunReport{
+			Wall: time.Second, Events: 1000,
+			HDFS: group(10), MR: group(20),
+			Jobs: []*mapred.Result{job(100), job(200)},
+		}
 	}
-	hdd, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	base := Fingerprint(build())
+	if again := Fingerprint(build()); again != base {
+		t.Fatalf("fingerprint of identical reports differs: %s vs %s", base, again)
 	}
-	cfg.Tier = disk.ClassSSD
-	ssd, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, s := hdd.Workloads[0], ssd.Workloads[0]
-	if h.MRAwaitMs <= 0 || s.MRAwaitMs <= 0 {
-		t.Fatalf("await metrics missing: hdd %.3f ms, ssd %.3f ms", h.MRAwaitMs, s.MRAwaitMs)
-	}
-	if s.MRAwaitMs >= h.MRAwaitMs {
-		t.Errorf("MR await did not collapse on flash: %.3f ms vs %.3f ms", s.MRAwaitMs, h.MRAwaitMs)
-	}
-	if h.Fingerprint == s.Fingerprint {
-		t.Error("fingerprint identical across tiers: tier is not reaching the simulation")
-	}
-}
 
-// TestLoadFileRejectsSchemaMismatch: feeding an old-schema result as
-// -baseline must fail loudly, not be compared field-by-field against a
-// layout it predates.
-func TestLoadFileRejectsSchemaMismatch(t *testing.T) {
-	r := &Result{
-		Schema: SchemaVersion - 1,
-		Config: Config{Scale: 65536, Slaves: 4, Iterations: 1},
-		Workloads: []WorkloadResult{{
-			Workload: "TS", WallNS: 1, Events: 1, Fingerprint: "deadbeef",
-		}},
+	hashed := map[string]func(*core.RunReport){
+		"Wall":                   func(r *core.RunReport) { r.Wall++ },
+		"Events":                 func(r *core.RunReport) { r.Events++ },
+		"HDFS.TotalReadBytes":    func(r *core.RunReport) { r.HDFS.TotalReadBytes++ },
+		"HDFS.TotalWrittenBytes": func(r *core.RunReport) { r.HDFS.TotalWrittenBytes++ },
+		"HDFS.TotalReads":        func(r *core.RunReport) { r.HDFS.TotalReads++ },
+		"HDFS.TotalWrites":       func(r *core.RunReport) { r.HDFS.TotalWrites++ },
+		"MR.TotalReadBytes":      func(r *core.RunReport) { r.MR.TotalReadBytes++ },
+		"MR.TotalWrittenBytes":   func(r *core.RunReport) { r.MR.TotalWrittenBytes++ },
+		"MR.TotalReads":          func(r *core.RunReport) { r.MR.TotalReads++ },
+		"MR.TotalWrites":         func(r *core.RunReport) { r.MR.TotalWrites++ },
+		"job count":              func(r *core.RunReport) { r.Jobs = r.Jobs[:1] },
+		"job.MapTasks":           func(r *core.RunReport) { r.Jobs[1].MapTasks++ },
+		"job.ReduceTasks":        func(r *core.RunReport) { r.Jobs[1].ReduceTasks++ },
+		"job.MapInputBytes":      func(r *core.RunReport) { r.Jobs[1].MapInputBytes++ },
+		"job.ReduceOutputBytes":  func(r *core.RunReport) { r.Jobs[1].ReduceOutputBytes++ },
+		"job.Spills":             func(r *core.RunReport) { r.Jobs[1].Spills++ },
+		"job.ShuffleBytes":       func(r *core.RunReport) { r.Jobs[1].ShuffleBytes++ },
+		"job.Runtime":            func(r *core.RunReport) { r.Jobs[1].End++ },
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
+	for name, mutate := range hashed {
+		r := build()
+		mutate(r)
+		if Fingerprint(r) == base {
+			t.Errorf("changing %s left the fingerprint at %s", name, base)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_old.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadFile(path)
-	if err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("LoadFile(old schema) = %v, want schema-mismatch error", err)
+
+	r := build()
+	r.HDFS.AwaitMs.Add(time.Second, 12.5)
+	r.MR.AwaitMs.Add(time.Second, 3.25)
+	if got := Fingerprint(r); got != base {
+		t.Errorf("await samples moved the fingerprint: %s vs %s", got, base)
 	}
 }

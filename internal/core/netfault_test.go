@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"iochar/internal/faults"
@@ -83,25 +84,40 @@ func TestFlatTopologyByteIdentical(t *testing.T) {
 }
 
 // TestRackTopologyDeterminism pins the cross-topology determinism
-// contract: the same two-rack cell is byte-identical whether it runs
-// standalone or under a parallel sweep.
+// contract: the same two-rack cell is byte-identical across two independent
+// standalone runs and under a parallel sweep — at the NIC-rate uplink and at
+// a 40 MB/s oversubscribed one, where ToR queueing and uplink sharing
+// actually contend.
 func TestRackTopologyDeterminism(t *testing.T) {
-	par := NewSuite(rackOpts, WithParallelism(4))
+	oversubscribed := rackOpts
+	oversubscribed.UplinkBPS = 40 << 20
 	cells := []Cell{{TS, SlotsRuns[0]}, {KM, SlotsRuns[0]}, {AGG, SlotsRuns[0]}}
-	for _, c := range cells {
-		seq, err := RunOne(c.Workload, c.Factors, rackOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.Run(c.Workload, c.Factors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reportJSON(t, got) != reportJSON(t, seq) {
-			t.Errorf("%s: racks=2 parallel report differs from sequential", c.Factors.cacheKey(c.Workload))
-		}
-		if got.Network == nil || got.Network.Racks != 2 {
-			t.Errorf("%s: report Network group missing or wrong rack count: %+v", c.Factors.cacheKey(c.Workload), got.Network)
+	for _, opts := range []Options{rackOpts, oversubscribed} {
+		par := NewSuite(opts, WithParallelism(4))
+		for _, c := range cells {
+			name := fmt.Sprintf("%s uplink=%d", c.Factors.cacheKey(c.Workload), opts.UplinkBPS)
+			seq, err := RunOne(c.Workload, c.Factors, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := RunOne(c.Workload, c.Factors, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := par.Run(c.Workload, c.Factors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reportJSON(t, seq)
+			if reportJSON(t, again) != want {
+				t.Errorf("%s: two independent racks=2 runs differ", name)
+			}
+			if reportJSON(t, got) != want {
+				t.Errorf("%s: racks=2 parallel report differs from sequential", name)
+			}
+			if got.Network == nil || got.Network.Racks != 2 {
+				t.Errorf("%s: report Network group missing or wrong rack count: %+v", name, got.Network)
+			}
 		}
 	}
 }

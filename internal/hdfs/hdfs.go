@@ -227,15 +227,34 @@ func (fs *FS) netBlocked(client string) bool {
 	return false
 }
 
-// netStall sleeps one backoff step for a transient network failure,
-// charging the recovery stats. bo is created lazily by the caller.
-func (fs *FS) netStall(p *sim.Proc, bo *sim.Backoff) {
-	d := bo.Next()
-	p.Sleep(d)
-	if fs.rec != nil {
-		fs.rec.stats.NetStalls++
-		fs.rec.stats.NetStallTime += d
+// netRetry is one operation's budget of backoff stalls for transient
+// network failures: at most cfg.NetRetries of them, on one exponential
+// schedule.
+type netRetry struct {
+	fs   *FS
+	bo   *sim.Backoff
+	left int
+}
+
+func (fs *FS) newNetRetry() netRetry {
+	bo := sim.NewBackoff(fs.cfg.NetRetryBase, fs.cfg.NetRetryMax, fs.netRng)
+	return netRetry{fs: fs, bo: bo, left: fs.cfg.NetRetries}
+}
+
+// stall sleeps one backoff step, charging the recovery stats, and reports
+// true; once the budget is spent it returns false without sleeping.
+func (r *netRetry) stall(p *sim.Proc) bool {
+	if r.left <= 0 {
+		return false
 	}
+	r.left--
+	d := r.bo.Next()
+	p.Sleep(d)
+	if rec := r.fs.rec; rec != nil {
+		rec.stats.NetStalls++
+		rec.stats.NetStallTime += d
+	}
+	return true
 }
 
 // waitMasterFrom is waitMaster for a client on a known node: after the
@@ -249,9 +268,8 @@ func (fs *FS) waitMasterFrom(p *sim.Proc, mutating bool, node string) {
 	if node == "" || fs.masterNode == "" || fs.reachable(node, fs.masterNode) {
 		return
 	}
-	bo := sim.NewBackoff(fs.cfg.NetRetryBase, fs.cfg.NetRetryMax, fs.netRng)
-	for i := 0; i < fs.cfg.NetRetries && !fs.reachable(node, fs.masterNode); i++ {
-		fs.netStall(p, bo)
+	retry := fs.newNetRetry()
+	for !fs.reachable(node, fs.masterNode) && retry.stall(p) {
 	}
 	// The master may have bounced while we were cut off.
 	fs.waitMaster(p, mutating)
@@ -543,25 +561,13 @@ func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
 	if fs.integrity {
 		b.sums = chunkSums(content, fs.cfg.ChecksumChunk)
 	}
-	var bo *sim.Backoff
-	netStalls := 0
-	stall := func() bool {
-		if netStalls >= fs.cfg.NetRetries {
-			return false
-		}
-		netStalls++
-		if bo == nil {
-			bo = sim.NewBackoff(fs.cfg.NetRetryBase, fs.cfg.NetRetryMax, fs.netRng)
-		}
-		fs.netStall(p, bo)
-		return true
-	}
+	retry := fs.newNetRetry()
 	for attempt := 0; attempt < maxPipelineRetries; {
 		targets := fs.choose(w.client, w.replication)
 		if len(targets) == 0 {
 			// No eligible target. If live DataNodes exist on the far side of
 			// a partition, this is transient: wait out the heal.
-			if fs.netBlocked(w.client) && stall() {
+			if fs.netBlocked(w.client) && retry.stall(p) {
 				continue
 			}
 			return fmt.Errorf("hdfs: write %s block %d: no live datanodes", w.meta.name, id)
@@ -636,7 +642,7 @@ func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
 				break
 			}
 		}
-		if transient && stall() {
+		if transient && retry.stall(p) {
 			continue
 		}
 		attempt++
@@ -818,17 +824,12 @@ func (e *LostBlockError) Error() string {
 // scan: the reachable-side replica policy means a heal — not a repair — is
 // what brings the data back.
 func (r *Reader) readBlockRange(p *sim.Proc, b *blockMeta, off, length int64) ([]byte, error) {
-	fs := r.fs
-	var bo *sim.Backoff
-	for tries := 0; ; tries++ {
+	retry := r.fs.newNetRetry()
+	for {
 		data, transient, err := r.readBlockOnce(p, b, off, length)
-		if err == nil || !transient || tries >= fs.cfg.NetRetries {
+		if err == nil || !transient || !retry.stall(p) {
 			return data, err
 		}
-		if bo == nil {
-			bo = sim.NewBackoff(fs.cfg.NetRetryBase, fs.cfg.NetRetryMax, fs.netRng)
-		}
-		fs.netStall(p, bo)
 	}
 }
 

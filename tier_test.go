@@ -3,6 +3,8 @@ package iochar
 import (
 	"strings"
 	"testing"
+
+	"iochar/internal/bench"
 )
 
 // tierOpts is sized so the heterogeneous fleet scales strictly: at 16384
@@ -20,7 +22,9 @@ var tierFactors = Factors{Slots: Slots1x8, MemoryGB: 16, Compress: true}
 // with the flash intermediate tier: the tiered report must carry the
 // per-class iostat groups, and the intermediate-disk await — the paper's
 // headline pathology (small random spill/shuffle I/O on spindles) — must
-// collapse when that traffic moves to flash.
+// collapse when that traffic moves to flash. The two runs' outcome
+// fingerprints must differ: a different device model under the intermediate
+// volumes changes the simulated outcome by design.
 func TestTieredRunClassGroupsAndAwaitCollapse(t *testing.T) {
 	base, err := Run(TS, tierFactors, tierOpts())
 	if err != nil {
@@ -51,6 +55,9 @@ func TestTieredRunClassGroupsAndAwaitCollapse(t *testing.T) {
 	tierAwait := tiered.MR.AwaitMs.MeanNonzero()
 	if tierAwait >= baseAwait {
 		t.Errorf("intermediate-disk await did not collapse on flash: %.3f ms tiered vs %.3f ms on spindles", tierAwait, baseAwait)
+	}
+	if bench.Fingerprint(base) == bench.Fingerprint(tiered) {
+		t.Error("fingerprint identical across tiers: tier is not reaching the simulation")
 	}
 }
 
