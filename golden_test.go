@@ -45,7 +45,8 @@ func TestGoldenAllOutput(t *testing.T) {
 // counters — so even an event-count-neutral timing change is caught. The
 // rows are written per configuration: goldenOpts first, then the seed-era
 // anchor — the configuration results/BENCH_quick-hdd.json was measured at,
-// whose five fingerprints have not moved since the seed.
+// whose five fingerprints held from the seed until schema 10 swapped the
+// intermediate codec (every row here compresses, so all ten moved once).
 func TestGoldenBenchFingerprints(t *testing.T) {
 	var buf bytes.Buffer
 	for _, opts := range []core.Options{

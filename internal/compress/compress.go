@@ -1,14 +1,21 @@
 // Package compress provides the intermediate-data codecs for the MapReduce
 // runtime. The paper toggles Hadoop's mapred.compress.map.output; here the
-// equivalent is choosing between the Identity codec and Deflate, a real
-// byte-level codec (stdlib flate at its fastest level, standing in for the
-// Snappy/LZO class) paired with a virtual-CPU cost model calibrated to that
-// class (~250 MB/s compression, ~500 MB/s decompression per 2010s core).
+// equivalent is choosing between the Identity codec and LZ, a from-scratch
+// byte-oriented LZ77 block codec of the Snappy/LZO class the paper's Hadoop
+// used (hash-table match finder, literal and copy tags, no entropy stage;
+// see lz.go for the format), paired with a virtual-CPU cost model calibrated
+// to that class (~250 MB/s compression, ~500 MB/s decompression per 2010s
+// core). Ratio and price come from the same algorithm.
 //
 // Because the codec really compresses the real intermediate bytes, each
 // workload's compression ratio emerges from its own data: sorted text
 // shrinks differently from aggregation partials or graph adjacency — which
 // is exactly why the paper sees per-workload differences in Figure 12.
+//
+// Deflate (stdlib flate at its fastest level) was the production codec
+// through schema 9. It stays as the reference the tests compare LZ against:
+// an LZ77 stage plus Huffman coding bounds from above the ratio an LZ77
+// stage alone can reach on the same bytes.
 package compress
 
 import (
@@ -53,6 +60,17 @@ func (Identity) CompressCost(int) time.Duration { return 0 }
 // DecompressCost implements Codec; identity costs nothing.
 func (Identity) DecompressCost(int) time.Duration { return 0 }
 
+// Modeled single-core throughput of a 2010s-era fast codec, bytes/second.
+const (
+	fastCompressBps   = 250 << 20
+	fastDecompressBps = 500 << 20
+)
+
+// bpsCost is the virtual CPU time n bytes take at bps bytes/second.
+func bpsCost(n int, bps int64) time.Duration {
+	return time.Duration(float64(n) / float64(bps) * 1e9)
+}
+
 // Deflate is a real fast-deflate codec with a Snappy-class cost model.
 type Deflate struct {
 	// CompressBps and DecompressBps are the modeled single-core codec
@@ -63,7 +81,7 @@ type Deflate struct {
 
 // NewDeflate returns the codec with default 2010s-era fast-codec costs.
 func NewDeflate() Deflate {
-	return Deflate{CompressBps: 250 << 20, DecompressBps: 500 << 20}
+	return Deflate{CompressBps: fastCompressBps, DecompressBps: fastDecompressBps}
 }
 
 // Name implements Codec.
@@ -125,32 +143,7 @@ func (Deflate) Decompress(enc []byte) []byte {
 }
 
 // CompressCost implements Codec.
-func (c Deflate) CompressCost(n int) time.Duration {
-	return time.Duration(float64(n) / float64(c.CompressBps) * 1e9)
-}
+func (c Deflate) CompressCost(n int) time.Duration { return bpsCost(n, c.CompressBps) }
 
 // DecompressCost implements Codec.
-func (c Deflate) DecompressCost(n int) time.Duration {
-	return time.Duration(float64(n) / float64(c.DecompressBps) * 1e9)
-}
-
-// ByName returns the codec for a config string ("identity"/"none"/"off" or
-// "deflate"/"snappy"/"on").
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "identity", "none", "off", "":
-		return Identity{}, nil
-	case "deflate", "snappy", "on":
-		return NewDeflate(), nil
-	}
-	return nil, fmt.Errorf("compress: unknown codec %q", name)
-}
-
-// Ratio returns compressed/original size for src under c (1.0 for
-// incompressible or empty input).
-func Ratio(c Codec, src []byte) float64 {
-	if len(src) == 0 {
-		return 1
-	}
-	return float64(len(c.Compress(src))) / float64(len(src))
-}
+func (c Deflate) DecompressCost(n int) time.Duration { return bpsCost(n, c.DecompressBps) }

@@ -47,8 +47,8 @@ func TestDeflateIncompressibleData(t *testing.T) {
 	if !bytes.Equal(c.Decompress(enc), src) {
 		t.Error("random data round trip failed")
 	}
-	if r := Ratio(c, src); r < 0.99 {
-		t.Errorf("random data ratio = %f, expected ~1", r)
+	if len(enc) < len(src)*99/100 {
+		t.Errorf("random data shrank %d -> %d, expected ~1:1", len(src), len(enc))
 	}
 }
 
@@ -65,36 +65,6 @@ func TestCostModelLinear(t *testing.T) {
 	}
 	if c.DecompressCost(1<<20) >= one {
 		t.Error("decompression should be cheaper than compression")
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"identity", "none", "off", ""} {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if c.Name() != "identity" {
-			t.Errorf("ByName(%q) = %s, want identity", name, c.Name())
-		}
-	}
-	for _, name := range []string{"deflate", "snappy", "on"} {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if c.Name() != "deflate" {
-			t.Errorf("ByName(%q) = %s, want deflate", name, c.Name())
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("want error for unknown codec")
-	}
-}
-
-func TestRatioEmpty(t *testing.T) {
-	if Ratio(NewDeflate(), nil) != 1 {
-		t.Error("empty ratio should be 1")
 	}
 }
 
@@ -120,30 +90,9 @@ func TestQuickTextCompresses(t *testing.T) {
 			buf.WriteString(words[rng.Intn(len(words))])
 			buf.WriteByte(' ')
 		}
-		return Ratio(c, buf.Bytes()) < 0.9
+		return len(c.Compress(buf.Bytes())) < buf.Len()*9/10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkDeflateCompress(b *testing.B) {
-	c := NewDeflate()
-	src := bytes.Repeat([]byte("order|12345|item-678|cat-9|1099|3\n"), 2048)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Compress(src)
-	}
-}
-
-func BenchmarkDeflateDecompress(b *testing.B) {
-	c := NewDeflate()
-	src := bytes.Repeat([]byte("order|12345|item-678|cat-9|1099|3\n"), 2048)
-	enc := c.Compress(src)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Decompress(enc)
 	}
 }

@@ -485,7 +485,7 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 	mcfg.SortBufBytes = int64(float64(hcfg.BlockSize) * 100 / 64 * memFrac)
 	mcfg.ShuffleBufBytes = int64(float64(hcfg.BlockSize) * 140 / 64 * memFrac)
 	if f.Compress {
-		mcfg.Codec = compress.NewDeflate()
+		mcfg.Codec = compress.NewLZ()
 	}
 	if opts.TuneMapred != nil {
 		opts.TuneMapred(&mcfg)

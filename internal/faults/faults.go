@@ -283,7 +283,7 @@ func parseEvent(s string) (Event, error) {
 	if args != "" {
 		for _, kv := range strings.Split(args, ",") {
 			k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok {
+			if !ok || v == "" {
 				return Event{}, fmt.Errorf("faults: %q: bad argument %q", s, kv)
 			}
 			switch k {
@@ -331,11 +331,11 @@ func (ev Event) validate() error {
 	switch {
 	case spec.need&argNode != 0 && ev.Node == "":
 		return fmt.Errorf("faults: %s needs node=", ev.Kind)
-	case spec.need&argFactor != 0 && ev.Factor <= 1:
+	case spec.need&argFactor != 0 && !(ev.Factor > 1): // negated so NaN fails
 		return fmt.Errorf("faults: %s needs factor > 1, got %g", ev.Kind, ev.Factor)
 	case spec.need&argUntil != 0 && ev.Until <= ev.At:
 		return fmt.Errorf("faults: %s needs until > the start time", ev.Kind)
-	case spec.need&argProb != 0 && (ev.Prob <= 0 || ev.Prob > 1):
+	case spec.need&argProb != 0 && !(ev.Prob > 0 && ev.Prob <= 1):
 		return fmt.Errorf("faults: %s needs prob in (0,1], got %g", ev.Kind, ev.Prob)
 	case spec.need&argDown != 0 && ev.Down <= 0:
 		return fmt.Errorf("faults: %s needs down > 0", ev.Kind)

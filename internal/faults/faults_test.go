@@ -56,6 +56,9 @@ func TestParsePlanRejectsBadInput(t *testing.T) {
 		"drop-shuffle@5s:until=2s,prob=0.5",     // window ends before it starts
 		"drop-shuffle@5s:until=9s,prob=1.5",     // probability out of range
 		"kill-node@5s:node=a,bogus=1",           // unknown argument
+		"kill-node@5s:node=a,nodes=",            // empty value (found by FuzzParsePlan's seeds: parsed to Nodes [""], rendered without it)
+		"slow-disk@5s:factor=NaN",               // NaN passed "factor <= 1" (same seeds)
+		"drop-shuffle@5s:until=9s,prob=NaN",     // and "prob <= 0 || prob > 1"
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted bad input", s)
@@ -346,4 +349,37 @@ func TestGoldenRandomPlans(t *testing.T) {
 		}
 		t.Fatalf("random plans diverged from %s (golden is longer)", path)
 	}
+}
+
+// FuzzParsePlan: any string is rejected with an error or parses to a plan
+// that its own String() reproduces exactly — the property the chaos
+// harness's saved schedules and the CLIs' -faults flag both lean on.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"kill-node@20s:node=slave-01;fail-disk@10s:node=slave-03,disk=hdfs1",
+		"slow-disk@12s:node=slave-03,disk=mr0,factor=8;drop-shuffle@8s:until=30s,prob=0.3",
+		"restart-datanode@10s:node=slave-01,down=5s;corrupt-block@9s:path=/bench/TS/in/part-000",
+		"restart-namenode@300ms:down=60ms;restart-jobtracker@330ms:down=60ms",
+		"partition@5s:nodes=a+b,down=1s;partition@9s:rack=2,down=1s",
+		"slow-link@5s:rack=1,factor=4;drop-link@6s:node=a,until=7s,prob=0.5",
+		"kill-node@5s:node=a,nodes=",
+		"slow-disk@5s:factor=NaN",
+		"slow-disk@5s:factor=Inf",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pl, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		again, err := ParsePlan(pl.String())
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", s, pl, err)
+		}
+		if !reflect.DeepEqual(again.Events, pl.Events) {
+			t.Fatalf("%q -> %q changed the plan:\n %+v\n %+v", s, pl, pl.Events, again.Events)
+		}
+	})
 }

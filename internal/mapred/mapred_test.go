@@ -217,17 +217,19 @@ func TestCompressionShrinksIntermediate(t *testing.T) {
 		return rig.runJob(t, wordCountJob(rig.inputs("/in"), "/out"))
 	}
 	plain := run(compress.Identity{})
-	packed := run(compress.NewDeflate())
-	if packed.CompressedMapOutput >= plain.CompressedMapOutput {
-		t.Errorf("compression did not shrink map output: %d vs %d",
-			packed.CompressedMapOutput, plain.CompressedMapOutput)
-	}
-	if packed.ShuffleBytes >= plain.ShuffleBytes {
-		t.Errorf("compression did not shrink shuffle: %d vs %d", packed.ShuffleBytes, plain.ShuffleBytes)
-	}
-	// Same logical answer regardless of codec.
-	if packed.ReduceInputRecords != plain.ReduceInputRecords {
-		t.Errorf("codec changed record counts: %d vs %d", packed.ReduceInputRecords, plain.ReduceInputRecords)
+	for _, codec := range []compress.Codec{compress.NewLZ(), compress.NewDeflate()} {
+		packed := run(codec)
+		if packed.CompressedMapOutput >= plain.CompressedMapOutput {
+			t.Errorf("%s did not shrink map output: %d vs %d",
+				codec.Name(), packed.CompressedMapOutput, plain.CompressedMapOutput)
+		}
+		if packed.ShuffleBytes >= plain.ShuffleBytes {
+			t.Errorf("%s did not shrink shuffle: %d vs %d", codec.Name(), packed.ShuffleBytes, plain.ShuffleBytes)
+		}
+		// Same logical answer regardless of codec.
+		if packed.ReduceInputRecords != plain.ReduceInputRecords {
+			t.Errorf("%s changed record counts: %d vs %d", codec.Name(), packed.ReduceInputRecords, plain.ReduceInputRecords)
+		}
 	}
 }
 
