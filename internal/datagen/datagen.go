@@ -19,6 +19,7 @@
 package datagen
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 )
@@ -203,11 +204,40 @@ func (g PointGen) Part(part int, size int64) []byte {
 				out = append(out, ',')
 			}
 			v := c[d] + rng.NormFloat64()*25
-			out = strconv.AppendFloat(out, v, 'f', 3, 64)
+			out = appendFixed3(out, v)
 		}
 		out = append(out, '\n')
 	}
 	return out
+}
+
+// appendFixed3 appends v byte for byte as strconv.AppendFloat(dst, v, 'f',
+// 3, 64) does, without the arbitrary-precision conversion strconv falls back
+// to for a fixed 'f' precision. For 1 ≤ |v| < 1e9 the float64 product
+// |v|·1000 is below 2^40, so it lies within 2^-14 (6.2e-5) of the exact
+// product; when its fraction is at least 1e-3 away from one half, the exact
+// product rounds to the same integer, and that integer's digits are the
+// output. Ties, their neighbourhoods and every other v go to strconv.
+func appendFixed3(dst []byte, v float64) []byte {
+	a := math.Abs(v)
+	if !(a >= 1 && a < 1e9) {
+		return strconv.AppendFloat(dst, v, 'f', 3, 64)
+	}
+	p := a * 1000
+	n := uint64(p)
+	frac := p - float64(n)
+	if math.Abs(frac-0.5) < 1e-3 {
+		return strconv.AppendFloat(dst, v, 'f', 3, 64)
+	}
+	if frac > 0.5 {
+		n++
+	}
+	if v < 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, n/1000, 10)
+	m := n % 1000
+	return append(dst, '.', byte('0'+m/100), byte('0'+m/10%10), byte('0'+m%10))
 }
 
 // GraphGen generates PageRank input: a power-law directed graph as

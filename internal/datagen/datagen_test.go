@@ -300,3 +300,97 @@ func TestQuickGeneratorsDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fixed3Seeds are the values appendFixed3 is most likely to get wrong:
+// exact ties k/2000 and the floats either side, values whose third decimal
+// carries, the ends of the fast path's range, and everything non-finite.
+func fixed3Seeds() []float64 {
+	vs := []float64{0, math.Copysign(0, -1), 0.9995, 999.9995, 1, 1e9, -1e9, 123.456, -0.0004,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, k := range []float64{1, 125, 2001, 2125, 624_375, 1_999_999, 1_999_999_999_999} {
+		tie := k / 2000
+		vs = append(vs, tie, -tie, math.Nextafter(tie, 0), math.Nextafter(tie, math.Inf(1)))
+	}
+	vs = append(vs, math.Nextafter(1, 0), math.Nextafter(1e9, 0), math.Nextafter(1e9, math.Inf(1)))
+	return vs
+}
+
+func checkFixed3(t *testing.T, v float64) {
+	t.Helper()
+	got, want := appendFixed3(nil, v), strconv.AppendFloat(nil, v, 'f', 3, 64)
+	if !bytes.Equal(got, want) {
+		t.Errorf("appendFixed3(%v [%#x]) = %q, strconv says %q", v, math.Float64bits(v), got, want)
+	}
+}
+
+func FuzzAppendFixed3(f *testing.F) {
+	for _, v := range fixed3Seeds() {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) { checkFixed3(t, math.Float64frombits(bits)) })
+}
+
+// TestAppendFixed3MatchesStrconv sweeps what the fuzzer reaches only by
+// luck: the float64 nearest every odd k/2000 in three stretches of the fast
+// path's range (an exact tie when 125 divides k) with both neighbours, and
+// random values at PointGen's scale and over all bit patterns.
+func TestAppendFixed3MatchesStrconv(t *testing.T) {
+	for k := 1.0; k < 100_000; k += 2 {
+		for _, scale := range []float64{1, 1 << 10, 1 << 20} {
+			tie := (k + 2000*scale) / 2000
+			checkFixed3(t, tie)
+			checkFixed3(t, math.Nextafter(tie, 0))
+			checkFixed3(t, -math.Nextafter(tie, math.Inf(1)))
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 150_000; i++ {
+		checkFixed3(t, rng.Float64()*1000+rng.NormFloat64()*25)
+		checkFixed3(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// TestPointGenMatchesStrconvReference: Part is byte-identical to the
+// generator as it was written with strconv.AppendFloat alone.
+func TestPointGenMatchesStrconvReference(t *testing.T) {
+	reference := func(seed int64, part int, size int64) []byte {
+		const dims, k = 8, 16
+		crng := rand.New(rand.NewSource(seed * 31))
+		var centers [k][dims]float64
+		for i := range centers {
+			for d := range centers[i] {
+				centers[i][d] = crng.Float64() * 1000
+			}
+		}
+		rng := rand.New(rand.NewSource(seed*104_729 + int64(part)))
+		var out []byte
+		for int64(len(out)) < size {
+			c := centers[rng.Intn(k)]
+			for d := 0; d < dims; d++ {
+				if d > 0 {
+					out = append(out, ',')
+				}
+				out = strconv.AppendFloat(out, c[d]+rng.NormFloat64()*25, 'f', 3, 64)
+			}
+			out = append(out, '\n')
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		seed int64
+		part int
+	}{{1, 0}, {42, 3}, {-5, 1000}} {
+		got, want := PointGen{Seed: tc.seed}.Part(tc.part, 1<<20), reference(tc.seed, tc.part, 1<<20)
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d part %d: Part differs from the strconv reference", tc.seed, tc.part)
+		}
+	}
+}
+
+func BenchmarkPointGenPart(b *testing.B) {
+	g := PointGen{Seed: 1}
+	b.SetBytes(1 << 20)
+	for i := 0; i < b.N; i++ {
+		g.Part(i, 1<<20)
+	}
+}

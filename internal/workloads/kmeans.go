@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 
 	"iochar/internal/cluster"
@@ -55,8 +56,8 @@ func parsePointInto(dst []float64, line []byte, dims int) ([]float64, bool) {
 	start := 0
 	for i := 0; i <= len(line); i++ {
 		if i == len(line) || line[i] == ',' {
-			v, err := strconv.ParseFloat(bstr(line[start:i]), 64)
-			if err != nil {
+			v, ok := parseDecimal(line[start:i])
+			if !ok {
 				return dst, false
 			}
 			dst = append(dst, v)
@@ -66,13 +67,60 @@ func parsePointInto(dst []float64, line []byte, dims int) ([]float64, bool) {
 	return dst, len(dst) == dims
 }
 
-// parsePoint is the allocating convenience form for cold paths.
-func parsePoint(line []byte, dims int) ([]float64, bool) {
-	pt, ok := parsePointInto(make([]float64, 0, dims), line, dims)
-	if !ok {
-		return nil, false
+// parseDecimal parses one finite coordinate to the float64
+// strconv.ParseFloat returns for it. NaN and ±Inf, which ParseFloat accepts
+// by name, are rejected: every comparison in nearest is false against one,
+// so a single such record would poison a centroid for the rest of the run.
+func parseDecimal(b []byte) (float64, bool) {
+	if v, ok := exactDecimal(b); ok {
+		return v, true
 	}
-	return pt, true
+	v, err := strconv.ParseFloat(bstr(b), 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// pow10 are the divisors of exactDecimal; each is an exact float64.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// exactDecimal is the fast path for [-]digits[.digits] with at most 15
+// digits, which is every coordinate PointGen writes. The digits read as an
+// integer are below 2^53 and the power of ten is at most 1e15, so both are
+// exact float64s and their IEEE quotient is the correctly rounded value —
+// the computation strconv's own atof64exact does. It reports false for any
+// other spelling (exponents, hex, 16+ digits, a bare sign or point), which
+// parseDecimal hands to strconv.
+func exactDecimal(b []byte) (float64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	var mant uint64
+	digits, frac := 0, -1 // frac counts digits after the point, -1 before it
+	for _, c := range b {
+		switch {
+		case '0' <= c && c <= '9':
+			mant = mant*10 + uint64(c-'0')
+			digits++
+			if frac >= 0 {
+				frac++
+			}
+		case c == '.' && frac < 0:
+			frac = 0
+		default:
+			return 0, false
+		}
+	}
+	if digits == 0 || digits > 15 {
+		return 0, false
+	}
+	v := float64(mant)
+	if frac > 0 {
+		v /= pow10[frac]
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // nearest returns the index of the closest center (squared Euclidean).
@@ -285,7 +333,7 @@ func (km *KMeans) seedCenters(p *sim.Proc, fs *hdfs.FS, inputs []string, client 
 		if len(centers) >= km.K {
 			return
 		}
-		if pt, ok := parsePoint(line, km.Dims); ok {
+		if pt, ok := parsePointInto(nil, line, km.Dims); ok {
 			centers = append(centers, pt)
 		}
 	})
