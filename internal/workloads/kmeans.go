@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -48,14 +49,14 @@ func (km *KMeans) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed in
 	loadParts(fs, cl, inputDir(km.Key()), total, gen.Part)
 }
 
-// parsePointInto decodes a comma-separated coordinate line into dst[:0],
-// so per-record callers can reuse one backing array across millions of
+// parsePointInto decodes a sep-separated coordinate line into dst[:0], so
+// per-record callers can reuse one backing array across millions of
 // records. It returns the (possibly regrown) slice.
-func parsePointInto(dst []float64, line []byte, dims int) ([]float64, bool) {
+func parsePointInto(dst []float64, line []byte, sep byte, dims int) ([]float64, bool) {
 	dst = dst[:0]
 	start := 0
 	for i := 0; i <= len(line); i++ {
-		if i == len(line) || line[i] == ',' {
+		if i == len(line) || line[i] == sep {
 			v, ok := parseDecimal(line[start:i])
 			if !ok {
 				return dst, false
@@ -139,77 +140,72 @@ func nearest(pt []float64, centers [][]float64) int {
 	return best
 }
 
-// encodeSumInto serializes (count, sumVec) partials into dst[:0];
-// decodeSumInto reverses it. Both exist in buffer-reusing form because the
-// iteration jobs run them once per input record.
-func encodeSumInto(dst []byte, count int64, sum []float64) []byte {
-	out := strconv.AppendInt(dst[:0], count, 10)
+// A partial is the value iteration jobs pass from map through combine to
+// reduce: a point count and a coordinate sum in 8 little-endian bytes each
+// (uint64, then Float64bits per dimension) — the role Mahout gives its
+// ClusterObservations Writable. Text exists only at the HDFS boundary: the
+// input lines and the reducer's "count;sum;sum;…" output.
+func appendPartial(dst []byte, count uint64, sum []float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst[:0], count)
 	for _, v := range sum {
-		out = append(out, ';')
-		out = strconv.AppendFloat(out, v, 'g', -1, 64)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
-func decodeSumInto(dst []float64, v []byte) (int64, []float64) {
-	dst = dst[:0]
-	end := bytes.IndexByte(v, ';')
-	if end < 0 {
-		end = len(v)
+// partialSum folds the partials of one key. One instance serves a whole job:
+// its buffers are only live between the start of a Reduce call and the emit
+// that ends it, and every emit path copies the value out before the
+// simulation can switch to another task.
+type partialSum struct {
+	count uint64
+	sum   []float64
+	enc   []byte
+}
+
+// fold sums vals into count and sum. Every value must be the size of the
+// group's first, and that a whole number of 8-byte words with the count
+// among them; anything else is a framing bug upstream, not input.
+func (a *partialSum) fold(vals [][]byte) {
+	size := len(vals[0])
+	a.count, a.sum = 0, a.sum[:0]
+	for i := 8; i+8 <= size; i += 8 { // one per coordinate word after the count
+		a.sum = append(a.sum, 0)
 	}
-	n, err := strconv.ParseInt(bstr(v[:end]), 10, 64)
-	if err != nil {
-		panic(fmt.Sprintf("kmeans: bad partial %q", v))
-	}
-	for end < len(v) {
-		start := end + 1
-		end = start
-		for end < len(v) && v[end] != ';' {
-			end++
-		}
-		f, err := strconv.ParseFloat(bstr(v[start:end]), 64)
-		if err != nil {
+	for _, v := range vals {
+		if len(v) != size || size < 8 || size%8 != 0 {
 			panic(fmt.Sprintf("kmeans: bad partial %q", v))
 		}
-		dst = append(dst, f)
-	}
-	return n, dst
-}
-
-// decodeSum is the allocating convenience form for cold (driver-side) paths.
-func decodeSum(v []byte) (int64, []float64) { return decodeSumInto(nil, v) }
-
-// sumMerger is combiner and reducer for iteration jobs: it folds partial
-// (count, sum) pairs; the reducer's final division to a centroid happens
-// driver-side when the output is read back. One instance serves a whole job:
-// its scratch buffers are only live between the start of a Reduce call and
-// the emit that ends it, and every emit path copies the value out before the
-// simulation can switch to another task.
-type sumMerger struct {
-	sum []float64
-	dec []float64
-	enc []byte
-}
-
-// Reduce implements mapred.Reducer.
-func (m *sumMerger) Reduce(k []byte, vals [][]byte, emit func(k, v []byte)) {
-	var count int64
-	first := true
-	for _, v := range vals {
-		var n int64
-		n, m.dec = decodeSumInto(m.dec, v)
-		count += n
-		if first {
-			m.sum = append(m.sum[:0], m.dec...)
-			first = false
-		} else {
-			for i := range m.sum {
-				m.sum[i] += m.dec[i]
-			}
+		a.count += binary.LittleEndian.Uint64(v)
+		for i := range a.sum {
+			a.sum[i] += math.Float64frombits(binary.LittleEndian.Uint64(v[8+8*i:]))
 		}
 	}
-	m.enc = encodeSumInto(m.enc, count, m.sum)
-	emit(k, m.enc)
+}
+
+// sumCombiner merges a spill's partials for a centroid into one partial.
+type sumCombiner struct{ partialSum }
+
+// Reduce implements mapred.Reducer.
+func (c *sumCombiner) Reduce(k []byte, vals [][]byte, emit func(k, v []byte)) {
+	c.fold(vals)
+	c.enc = appendPartial(c.enc, c.count, c.sum)
+	emit(k, c.enc)
+}
+
+// sumReducer merges a centroid's partials and writes the total as text; the
+// division to a centroid happens driver-side, in readCenters.
+type sumReducer struct{ partialSum }
+
+// Reduce implements mapred.Reducer.
+func (r *sumReducer) Reduce(k []byte, vals [][]byte, emit func(k, v []byte)) {
+	r.fold(vals)
+	r.enc = strconv.AppendUint(r.enc[:0], r.count, 10)
+	for _, v := range r.sum {
+		r.enc = append(r.enc, ';')
+		r.enc = strconv.AppendFloat(r.enc, v, 'g', -1, 64)
+	}
+	emit(k, r.enc)
 }
 
 // iterCosts prices one distance evaluation per center per dimension plus
@@ -265,7 +261,7 @@ func (km *KMeans) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.
 			var key []byte
 			return mapred.MapperFunc(func(rec []byte, emit func(k, v []byte)) {
 				var ok bool
-				pt, ok = parsePointInto(pt, rec, km.Dims)
+				pt, ok = parsePointInto(pt, rec, ',', km.Dims)
 				if !ok {
 					return
 				}
@@ -301,17 +297,17 @@ func (km *KMeans) iterationJob(inputs []string, output string, centers [][]float
 		Format: mapred.LineFormat{},
 		Mapper: mapred.MapperFunc(func(rec []byte, emit func(k, v []byte)) {
 			var ok bool
-			pt, ok = parsePointInto(pt, rec, km.Dims)
+			pt, ok = parsePointInto(pt, rec, ',', km.Dims)
 			if !ok {
 				return
 			}
 			c := nearest(pt, centers)
 			key = strconv.AppendInt(key[:0], int64(c), 10)
-			val = encodeSumInto(val, 1, pt)
+			val = appendPartial(val, 1, pt)
 			emit(key, val)
 		}),
-		Combiner:   &sumMerger{},
-		Reducer:    &sumMerger{},
+		Combiner:   &sumCombiner{},
+		Reducer:    &sumReducer{},
 		NumReduces: km.K, // one reducer per centroid is plenty for tiny output
 		Costs:      km.iterCosts(),
 	}
@@ -333,7 +329,7 @@ func (km *KMeans) seedCenters(p *sim.Proc, fs *hdfs.FS, inputs []string, client 
 		if len(centers) >= km.K {
 			return
 		}
-		if pt, ok := parsePointInto(nil, line, km.Dims); ok {
+		if pt, ok := parsePointInto(nil, line, ',', km.Dims); ok {
 			centers = append(centers, pt)
 		}
 	})
@@ -364,13 +360,17 @@ func (km *KMeans) readCenters(p *sim.Proc, fs *hdfs.FS, dir, client string, prev
 			if err != nil || idx < 0 || idx >= len(next) {
 				return nil, fmt.Errorf("kmeans: bad center key %q", k)
 			}
-			count, sum := decodeSum(v)
+			head, coords, _ := bytes.Cut(v, []byte{';'})
+			count, err := strconv.ParseUint(bstr(head), 10, 64)
+			c, ok := parsePointInto(nil, coords, ';', km.Dims)
+			if err != nil || !ok {
+				return nil, fmt.Errorf("kmeans: bad center value %q", v)
+			}
 			if count == 0 {
 				continue
 			}
-			c := make([]float64, len(sum))
-			for i := range sum {
-				c[i] = sum[i] / float64(count)
+			for i := range c {
+				c[i] /= float64(count)
 			}
 			next[idx] = c
 		}

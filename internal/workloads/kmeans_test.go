@@ -1,9 +1,15 @@
 package workloads
 
 import (
+	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
+	"testing/quick"
+
+	"iochar/internal/datagen"
+	"iochar/internal/sim"
 )
 
 // checkParseDecimal holds parseDecimal to strconv.ParseFloat: the same
@@ -55,12 +61,12 @@ func FuzzParseDecimal(f *testing.F) {
 func TestParsePointRejectsNonFinite(t *testing.T) {
 	for _, bad := range []string{"nan", "inf", "infinity", "-Inf", "NaN", "+Infinity", "1e999", "x", ""} {
 		for _, line := range []string{bad + ",2", "1," + bad} {
-			if pt, ok := parsePointInto(nil, []byte(line), 2); ok {
+			if pt, ok := parsePointInto(nil, []byte(line), ',', 2); ok {
 				t.Errorf("parsePointInto(%q) accepted %v", line, pt)
 			}
 		}
 	}
-	pt, ok := parsePointInto(nil, []byte("-0.000,1.,.5,1234567890.123456,1e3"), 5)
+	pt, ok := parsePointInto(nil, []byte("-0.000,1.,.5,1234567890.123456,1e3"), ',', 5)
 	want := []float64{math.Copysign(0, -1), 1, 0.5, 1234567890.123456, 1000}
 	if !ok || len(pt) != len(want) {
 		t.Fatalf("parsePointInto = %v, %v", pt, ok)
@@ -70,7 +76,164 @@ func TestParsePointRejectsNonFinite(t *testing.T) {
 			t.Errorf("coordinate %d = %v [%#x], want %v", i, pt[i], math.Float64bits(pt[i]), want[i])
 		}
 	}
-	if _, ok := parsePointInto(nil, []byte("1,2,3"), 2); ok {
+	if _, ok := parsePointInto(nil, []byte("1,2,3"), ',', 2); ok {
 		t.Error("a 3-coordinate line passed as 2-dimensional")
+	}
+}
+
+// Property: a partial survives the binary form bit for bit (NaN payloads and
+// -0 included), and folding two of them adds counts and sums.
+func TestPartialRoundTrip(t *testing.T) {
+	f := func(count uint64, bits []uint64) bool {
+		sum := make([]float64, len(bits))
+		for i, b := range bits {
+			sum[i] = math.Float64frombits(b)
+		}
+		enc := appendPartial(nil, count, sum)
+		var one, two partialSum
+		one.fold([][]byte{enc})
+		two.fold([][]byte{enc, enc})
+		if len(enc) != 8*(1+len(sum)) || one.count != count || two.count != 2*count || len(one.sum) != len(sum) {
+			return false
+		}
+		for i, v := range sum {
+			// 0+v is v except that it turns -0 into +0 and quiets a NaN.
+			if one.sum[i] != v && !(math.IsNaN(v) && math.IsNaN(one.sum[i])) {
+				return false
+			}
+			if w := v + v; two.sum[i] != w && !math.IsNaN(w) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFoldRejectsMismatchedPartial: a value shorter or longer than its
+// group's first used to index-panic or silently lose coordinates.
+func TestFoldRejectsMismatchedPartial(t *testing.T) {
+	good := appendPartial(nil, 1, []float64{1, 2, 3})
+	for name, vals := range map[string][][]byte{
+		"truncated":       {good, good[:len(good)-8]},
+		"over-long":       {good, appendPartial(nil, 1, []float64{1, 2, 3, 4})},
+		"ragged":          {good, good[:len(good)-3]},
+		"ragged first":    {good[:len(good)-3], good[:len(good)-3]},
+		"shorter than 8":  {good[:5]},
+		"empty":           {nil},
+		"text, old style": {[]byte("1;1;2;3")},
+	} {
+		for _, r := range []interface {
+			Reduce(k []byte, vals [][]byte, emit func(k, v []byte))
+		}{&sumCombiner{}, &sumReducer{}} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "kmeans: bad partial") {
+						t.Errorf("%s, %T: recovered %q, want the bad-partial panic", name, r, msg)
+					}
+				}()
+				r.Reduce([]byte("0"), vals, func(k, v []byte) {})
+			}()
+		}
+	}
+}
+
+// TestKMeansIterationMatchesSerialReference: one refinement pass through
+// map, combine, spill, shuffle and reduce must produce the centers a plain
+// in-memory loop computes. Summation order differs across spills and
+// combiner groups; nothing else may.
+func TestKMeansIterationMatchesSerialReference(t *testing.T) {
+	r := newRig()
+	km := NewKMeans()
+	km.Prepare(r.fs, r.cl, 300_000, 42)
+	var got [][]float64
+	r.env.Go("driver", func(p *sim.Proc) {
+		inputs, out := r.fs.List(inputDir("KM")+"/"), outputDir("KM")+"-iter0"
+		seeds, err := km.seedCenters(p, r.fs, inputs, r.cl.Master.Name)
+		if err == nil {
+			_, err = r.rt.Run(p, km.iterationJob(inputs, out, seeds))
+		}
+		if err == nil {
+			got, err = km.readCenters(p, r.fs, out, r.cl.Master.Name, seeds)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	r.env.Run(0)
+
+	var pts [][]float64
+	gen := datagen.PointGen{Seed: 42, Dims: km.Dims, TrueCenters: km.K}
+	per := int64(300_000) / int64(len(r.cl.Slaves))
+	for i := range r.cl.Slaves {
+		datagen.Lines(gen.Part(i, per), func(line []byte) {
+			pt := make([]float64, km.Dims)
+			for d, f := range strings.Split(string(line), ",") {
+				pt[d], _ = strconv.ParseFloat(f, 64)
+			}
+			pts = append(pts, pt)
+		})
+	}
+	seeds := pts[:km.K]
+	counts := make([]float64, km.K)
+	want := make([][]float64, km.K)
+	for i := range want {
+		want[i] = make([]float64, km.Dims)
+	}
+	for _, pt := range pts {
+		c := nearest(pt, seeds)
+		counts[c]++
+		for d, v := range pt {
+			want[c][d] += v
+		}
+	}
+	if len(got) != km.K {
+		t.Fatalf("%d centers read back, want %d", len(got), km.K)
+	}
+	moved := 0
+	for c := range want {
+		for d := range want[c] {
+			if counts[c] == 0 {
+				want[c][d] = seeds[c][d] // an empty cluster keeps its center
+			} else {
+				want[c][d] /= counts[c]
+			}
+			if math.Abs(got[c][d]-want[c][d]) > 1e-9*math.Abs(want[c][d]) {
+				t.Errorf("center %d dim %d = %v, reference %v", c, d, got[c][d], want[c][d])
+			}
+		}
+		if counts[c] > 0 && got[c][0] != seeds[c][0] {
+			moved++
+		}
+	}
+	if moved < 2 {
+		t.Errorf("only %d centers moved; the pass did nothing", moved)
+	}
+}
+
+var sinkPartial partialSum
+
+// BenchmarkKMeansIterRecord is the per-record work of an iteration job
+// outside the framework: parse, nearest, encode, and the combiner's decode.
+func BenchmarkKMeansIterRecord(b *testing.B) {
+	km := NewKMeans()
+	var recs [][]byte
+	datagen.Lines(datagen.PointGen{Seed: 1}.Part(0, 64<<10), func(line []byte) { recs = append(recs, line) })
+	centers := make([][]float64, km.K)
+	for i := range centers {
+		centers[i], _ = parsePointInto(nil, recs[i], ',', km.Dims)
+	}
+	var pt []float64
+	var val []byte
+	vals := make([][]byte, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt, _ = parsePointInto(pt, recs[i%len(recs)], ',', km.Dims)
+		val = appendPartial(val, uint64(nearest(pt, centers)), pt)
+		vals[0] = val
+		sinkPartial.fold(vals)
 	}
 }
