@@ -219,25 +219,22 @@ func (g PointGen) Part(part int, size int64) []byte {
 // product rounds to the same integer, and that integer's digits are the
 // output. Ties, their neighbourhoods and every other v go to strconv.
 func appendFixed3(dst []byte, v float64) []byte {
-	a := math.Abs(v)
-	if !(a >= 1 && a < 1e9) {
-		return strconv.AppendFloat(dst, v, 'f', 3, 64)
+	if a := math.Abs(v); a >= 1 && a < 1e9 {
+		p := a * 1000
+		n := uint64(p)
+		if frac := p - float64(n); math.Abs(frac-0.5) >= 1e-3 {
+			if frac > 0.5 {
+				n++
+			}
+			if v < 0 {
+				dst = append(dst, '-')
+			}
+			dst = strconv.AppendUint(dst, n/1000, 10)
+			m := n % 1000
+			return append(dst, '.', byte('0'+m/100), byte('0'+m/10%10), byte('0'+m%10))
+		}
 	}
-	p := a * 1000
-	n := uint64(p)
-	frac := p - float64(n)
-	if math.Abs(frac-0.5) < 1e-3 {
-		return strconv.AppendFloat(dst, v, 'f', 3, 64)
-	}
-	if frac > 0.5 {
-		n++
-	}
-	if v < 0 {
-		dst = append(dst, '-')
-	}
-	dst = strconv.AppendUint(dst, n/1000, 10)
-	m := n % 1000
-	return append(dst, '.', byte('0'+m/100), byte('0'+m/10%10), byte('0'+m%10))
+	return strconv.AppendFloat(dst, v, 'f', 3, 64)
 }
 
 // GraphGen generates PageRank input: a power-law directed graph as

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"iochar/internal/datagen"
+	"iochar/internal/mapred"
 	"iochar/internal/sim"
 )
 
@@ -125,9 +126,7 @@ func TestFoldRejectsMismatchedPartial(t *testing.T) {
 		"empty":           {nil},
 		"text, old style": {[]byte("1;1;2;3")},
 	} {
-		for _, r := range []interface {
-			Reduce(k []byte, vals [][]byte, emit func(k, v []byte))
-		}{&sumCombiner{}, &sumReducer{}} {
+		for _, r := range []mapred.Reducer{&sumCombiner{}, &sumReducer{}} {
 			func() {
 				defer func() {
 					if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "kmeans: bad partial") {
