@@ -16,7 +16,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"iochar/internal/cluster"
@@ -212,36 +212,46 @@ func isOutputPath(path string) bool {
 // sorting by (key, value) makes the checksum order-insensitive while still
 // pinning every byte of every pair.
 func canonicalKVSum(data []byte) string {
-	type pair struct{ k, v []byte }
-	// Count the pairs first so the slice is allocated once at its final size
-	// rather than grown (and re-copied) by append.
-	count := 0
-	for d := data; len(d) > 0; count++ {
-		_, _, rest := mapred.NextKV(d)
-		if len(rest) >= len(d) {
-			break // malformed tail; hash what framed cleanly
-		}
-		d = rest
-	}
-	pairs := make([]pair, count)
-	for i := range pairs {
-		pairs[i].k, pairs[i].v, data = mapred.NextKV(data)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if c := bytes.Compare(pairs[i].k, pairs[j].k); c != 0 {
-			return c < 0
-		}
-		return bytes.Compare(pairs[i].v, pairs[j].v) < 0
-	})
 	h := sha256.New()
 	var n [8]byte
-	for _, pr := range pairs {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(pr.k)))
+	hashPair := func(k, v []byte) {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(k)))
 		h.Write(n[:])
-		h.Write(pr.k)
-		binary.LittleEndian.PutUint64(n[:], uint64(len(pr.v)))
+		h.Write(k)
+		binary.LittleEndian.PutUint64(n[:], uint64(len(v)))
 		h.Write(n[:])
-		h.Write(pr.v)
+		h.Write(v)
+	}
+	// Nearly every stream is (key, value)-sorted as it stands, so hash it in
+	// stream order and look for a pair out of place on the way.
+	sorted := true
+	var prevK, prevV []byte
+	for d := data; len(d) > 0 && sorted; {
+		var k, v []byte
+		k, v, d = mapred.NextKV(d)
+		c := bytes.Compare(prevK, k)
+		sorted = c < 0 || (c == 0 && bytes.Compare(prevV, v) <= 0)
+		hashPair(k, v)
+		prevK, prevV = k, v
+	}
+	if !sorted {
+		type pair struct{ k, v []byte }
+		var pairs []pair
+		for len(data) > 0 {
+			var pr pair
+			pr.k, pr.v, data = mapred.NextKV(data)
+			pairs = append(pairs, pr)
+		}
+		slices.SortFunc(pairs, func(a, b pair) int {
+			if c := bytes.Compare(a.k, b.k); c != 0 {
+				return c
+			}
+			return bytes.Compare(a.v, b.v)
+		})
+		h.Reset()
+		for _, pr := range pairs {
+			hashPair(pr.k, pr.v)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -85,3 +85,32 @@ func TestCanonicalKVSumPinned(t *testing.T) {
 		t.Errorf("canonicalKVSum(nil) = %s, want the SHA-256 of nothing", got)
 	}
 }
+
+// TestCanonicalKVSumOneKeyOutOfOrder: the shape real reduce output takes
+// under faults — key-sorted, one key's values in another order — must
+// leave the fast path and hash as the fully sorted stream does.
+func TestCanonicalKVSumOneKeyOutOfOrder(t *testing.T) {
+	build := func(dupVals ...string) []byte {
+		var stream []byte
+		for i := 0; i < 50; i++ {
+			if i == 25 {
+				for _, v := range dupVals {
+					stream = mapred.AppendKV(stream, []byte("k025"), []byte(v))
+				}
+				continue
+			}
+			stream = mapred.AppendKV(stream, []byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+		}
+		return stream
+	}
+	const want = "7d8d48326852862afaa0d840484e86c6b37eb13f963d6ff6a6c280be6ee4a6f5" // computed by the sort-everything version this replaced
+	if got := canonicalKVSum(build("a", "b", "c")); got != want {
+		t.Errorf("sorted stream: canonicalKVSum = %s, want %s", got, want)
+	}
+	if got := canonicalKVSum(build("a", "c", "b")); got != want {
+		t.Errorf("one key's values out of order: canonicalKVSum = %s, want %s", got, want)
+	}
+	if got := canonicalKVSum(build("a", "b", "d")); got == want {
+		t.Error("a different value hashed to the same sum")
+	}
+}

@@ -1,7 +1,9 @@
 package mapred
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"iochar/internal/cluster"
@@ -9,62 +11,71 @@ import (
 	"iochar/internal/sim"
 )
 
-func benchEntries(n int) []kvEnt {
-	arena := make([]byte, 0, n*16)
-	ents := make([]kvEnt, 0, n)
+// benchEntries buffers n pairs with random 10-byte keys (TeraSort's shape,
+// so nearly every comparison is decided by the prefix) over 16 partitions.
+func benchEntries(n int) sortBuf {
+	rng := rand.New(rand.NewSource(1))
+	ms := &mapState{rt: &Runtime{cfg: Config{SortBufBytes: int64(n) * 64}}}
+	key := make([]byte, 10)
 	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%07d", (i*2654435761)%n)
-		ko := len(arena)
-		arena = append(arena, k...)
-		ents = append(ents, kvEnt{part: i % 16, seq: i, key: arena[ko:len(arena):len(arena)], val: arena[ko:len(arena):len(arena)]})
+		rng.Read(key)
+		ms.add(nil, i%16, key, nil)
 	}
-	return ents
+	return ms.sortBuf
 }
 
 func BenchmarkSortKVEntries(b *testing.B) {
 	src := benchEntries(1 << 14)
-	buf := make([]kvEnt, len(src))
+	buf := make([]kvEnt, len(src.ents))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		sortKVEntries(buf)
+		copy(buf, src.ents)
+		sortKVEntries(buf, src.arena)
 	}
-	b.SetBytes(int64(len(src) * 16))
+	b.SetBytes(int64(len(src.arena)))
 }
 
-func benchRun(n, stride int) run {
+// benchRun is a sorted run of n pairs, 10-byte keys and 90-byte values;
+// run i of fan has the keys congruent to i, so the runs of one merge are
+// disjoint and interleave pair by pair.
+func benchRun(n, i, fan int) run {
+	val := bytes.Repeat([]byte("v"), 90)
 	var r run
-	for i := 0; i < n; i++ {
-		r = appendKV(r, []byte(fmt.Sprintf("key-%07d", i*stride)), []byte("0123456789abcdef"))
+	for j := 0; j < n; j++ {
+		r = appendKV(r, []byte(fmt.Sprintf("%010d", j*fan+i)), val)
 	}
 	return r
 }
 
 func BenchmarkMergeRuns(b *testing.B) {
-	for _, fan := range []int{2, 8, 32} {
+	for _, fan := range []int{2, 8, 64} {
 		b.Run(fmt.Sprintf("fanin-%d", fan), func(b *testing.B) {
 			runs := make([]run, fan)
 			for i := range runs {
-				runs[i] = benchRun(4096/fan, fan)
+				runs[i] = benchRun(4096/fan, i, fan)
 			}
+			rt := new(Runtime)
 			b.ResetTimer()
 			var total int
 			for i := 0; i < b.N; i++ {
-				total += len(mergeRuns(runs))
+				merged, pooled := rt.mergeRuns(runs)
+				total += len(merged)
+				rt.recycleMerged(merged, pooled)
 			}
 			if total == 0 {
 				b.Fatal("merge produced nothing")
 			}
+			b.SetBytes(int64(total / b.N))
 		})
 	}
 }
 
 func BenchmarkGroupRun(b *testing.B) {
-	r := benchRun(8192, 1)
+	r := benchRun(8192, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		groups := 0
-		groupRun(r, func(k []byte, vs [][]byte) { groups++ })
+		newMerger([]run{r}).groups(func(k []byte, vs [][]byte) { groups++ })
 		if groups != 8192 {
 			b.Fatal("bad grouping")
 		}

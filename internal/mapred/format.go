@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -40,101 +41,157 @@ func readKV(src []byte) (key, value, rest []byte) {
 // run is a sorted serialized KV stream.
 type run []byte
 
-// mergeRuns performs a k-way merge of sorted runs into one sorted run. The
-// result may alias a single non-empty input run, so callers must treat both
-// as read-only afterwards (they do: merged output is compressed or grouped,
-// then dropped).
-func mergeRuns(runs []run) run {
-	runs2 := runs[:0]
-	total := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			runs2 = append(runs2, r)
-			total += len(r)
-		}
-	}
-	runs = runs2
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	}
-	type cursor struct {
-		key, val, rest []byte
-	}
-	cs := make([]cursor, len(runs))
-	for i, r := range runs {
-		k, v, rest := readKV(r)
-		cs[i] = cursor{k, v, rest}
-	}
-	// Loser-tree complexity is unnecessary at our fan-ins; a linear scan of
-	// the (small) cursor set keeps this simple and deterministic.
-	out := make(run, 0, total)
-	for len(cs) > 0 {
-		best := 0
-		for i := 1; i < len(cs); i++ {
-			if bytes.Compare(cs[i].key, cs[best].key) < 0 {
-				best = i
-			}
-		}
-		out = appendKV(out, cs[best].key, cs[best].val)
-		if len(cs[best].rest) == 0 {
-			cs = append(cs[:best], cs[best+1:]...)
-			continue
-		}
-		k, v, rest := readKV(cs[best].rest)
-		cs[best] = cursor{k, v, rest}
-	}
-	return out
+// cursor is a merger's position in one run: the pair at the head, decoded.
+type cursor struct {
+	prefix   uint64 // keyPrefix(key)
+	key, val []byte // views into run
+	run      run
+	pos, end int // run[pos:end] is the head pair in wire form
 }
 
-// groupRun iterates a sorted run, invoking fn once per distinct key with
-// all its values (subslices of the run; fn must not retain them).
-func groupRun(r run, fn func(key []byte, values [][]byte)) {
+// load decodes the pair after the current one; false at the end of the run.
+func (c *cursor) load() bool {
+	if c.end == len(c.run) {
+		return false
+	}
+	c.pos = c.end
+	var rest []byte
+	c.key, c.val, rest = readKV(c.run[c.pos:])
+	c.end = len(c.run) - len(rest)
+	c.prefix = keyPrefix(c.key)
+	return true
+}
+
+// merger streams the k-way merge of sorted runs: a min-heap of cursor
+// indices ordered by (prefix, key, run index). The run index is the tie rule
+// — of equal keys the earlier run's pair comes first, and within a run pairs
+// keep their order — so the merged order is a function of the runs alone.
+// It only reads the runs, and never writes to the slice that holds them.
+type merger struct {
+	cs    []cursor
+	heap  []int // indices into cs, smallest at heap[0]
+	total int   // summed run lengths, the size of the merged stream
+}
+
+func newMerger(runs []run) *merger {
+	m := &merger{cs: make([]cursor, 0, len(runs)), heap: make([]int, 0, len(runs))}
+	for _, r := range runs {
+		if len(r) > 0 {
+			m.total += len(r)
+			m.heap = append(m.heap, len(m.cs))
+			m.cs = append(m.cs, cursor{run: r})
+			m.cs[len(m.cs)-1].load()
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return m
+}
+
+func (m *merger) less(a, b int) bool {
+	ca, cb := &m.cs[a], &m.cs[b]
+	if ca.prefix != cb.prefix {
+		return ca.prefix < cb.prefix
+	}
+	if c := bytes.Compare(ca.key, cb.key); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+func (m *merger) down(i int) {
+	h := m.heap
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && m.less(h[r], h[l]) {
+			l = r
+		}
+		if !m.less(h[l], h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+}
+
+// top returns the cursor holding the smallest pair not yet consumed, nil
+// when every run is exhausted. Its fields are good until the next call of
+// next.
+func (m *merger) top() *cursor {
+	if len(m.heap) == 0 {
+		return nil
+	}
+	return &m.cs[m.heap[0]]
+}
+
+// next consumes the top pair and returns the new top.
+func (m *merger) next() *cursor {
+	if !m.cs[m.heap[0]].load() {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	m.down(0)
+	return m.top()
+}
+
+// groups invokes fn once per distinct key of the merged stream with all its
+// values (views into the runs; fn must not retain them).
+func (m *merger) groups(fn func(key []byte, values [][]byte)) {
 	var curKey []byte
 	var vals [][]byte
-	for len(r) > 0 {
-		k, v, rest := readKV(r)
-		if curKey == nil || !bytes.Equal(k, curKey) {
+	for c := m.top(); c != nil; c = m.next() {
+		if curKey == nil || !bytes.Equal(c.key, curKey) {
 			if curKey != nil {
 				fn(curKey, vals)
 			}
-			curKey = k
+			curKey = c.key
 			vals = vals[:0]
 		}
-		vals = append(vals, v)
-		r = rest
+		vals = append(vals, c.val)
 	}
 	if curKey != nil {
 		fn(curKey, vals)
 	}
 }
 
-// countKVs returns the number of pairs in a run.
-func countKVs(r run) int64 {
-	var n int64
-	for len(r) > 0 {
-		_, _, r2 := readKV(r)
-		r = r2
-		n++
+// mergeRuns materializes the k-way merge of sorted runs. A lone non-empty
+// run is returned as it is (read-only, like the inputs). Otherwise each
+// winning pair's wire bytes are copied, not re-encoded, into a buffer from
+// rt.mergeBufs and pooled is true: the caller owes a recycleMerged.
+func (rt *Runtime) mergeRuns(runs []run) (merged run, pooled bool) {
+	m := newMerger(runs)
+	switch len(m.cs) {
+	case 0:
+		return nil, false
+	case 1:
+		return m.cs[0].run, false
 	}
-	return n
+	var out run
+	if n := len(rt.mergeBufs); n > 0 {
+		out, rt.mergeBufs = rt.mergeBufs[n-1], rt.mergeBufs[:n-1]
+	}
+	if cap(out) < m.total {
+		out = make(run, 0, m.total)
+	}
+	for c := m.top(); c != nil; c = m.next() {
+		out = append(out, c.run[c.pos:c.end]...)
+	}
+	return out, true
 }
 
-// sortedRun reports whether r is sorted by key (test helper used by
-// property tests and debug assertions).
-func sortedRun(r run) bool {
-	var prev []byte
-	for len(r) > 0 {
-		k, _, rest := readKV(r)
-		if prev != nil && bytes.Compare(prev, k) > 0 {
-			return false
-		}
-		prev = k
-		r = rest
+// recycleMerged puts a pooled mergeRuns result back for the next merge to
+// overwrite. Call it once nothing reads merged any more, which means after
+// localfs.Append has returned: compress.Identity's Compress returns its
+// argument, so Append's copy is the first one taken.
+func (rt *Runtime) recycleMerged(merged run, pooled bool) {
+	if pooled {
+		rt.mergeBufs = append(rt.mergeBufs, merged[:0])
 	}
-	return true
 }
 
 // recordIter produces record boundaries for a split under a RecordFormat.
@@ -288,45 +345,6 @@ func kvLen(data []byte) (int, bool) {
 	return pos, true
 }
 
-// records invokes fn for every record the split owns, given the bytes of
-// readRange(). For LineFormat, data begins at splitOff.
-func (it recordIter) records(data []byte, fn func(rec []byte)) {
-	switch f := it.format.(type) {
-	case FixedFormat:
-		for off := 0; off+f.Size <= len(data); off += f.Size {
-			fn(data[off : off+f.Size])
-		}
-	case LineFormat:
-		pos := 0
-		if it.splitOff != 0 {
-			// Skip the partial first line; it belongs to the prior split.
-			i := bytes.IndexByte(data, '\n')
-			if i < 0 {
-				return
-			}
-			pos = i + 1
-		}
-		limit := int(it.splitLen) // records starting before splitOff+splitLen are ours
-		for pos < len(data) && pos <= limit {
-			i := bytes.IndexByte(data[pos:], '\n')
-			if i < 0 {
-				break // unterminated tail fragment at EOF
-			}
-			fn(data[pos : pos+i])
-			pos += i + 1
-		}
-	case KVFormat:
-		for len(data) > 0 {
-			before := len(data)
-			_, _, rest := readKV(data)
-			fn(data[:before-len(rest)])
-			data = rest
-		}
-	default:
-		panic(fmt.Sprintf("mapred: unknown record format %T", it.format))
-	}
-}
-
 // nCompares estimates comparisons for sorting n items (n log2 n).
 func nCompares(n int) float64 {
 	if n < 2 {
@@ -339,21 +357,22 @@ func nCompares(n int) float64 {
 	return float64(n) * log
 }
 
-// sortKVEntries sorts entries by (partition, key, emission order). The seq
-// tiebreaker yields the effect of a stable sort (equal keys keep emission
-// order, which keeps runs deterministic) at unstable-sort cost.
-func sortKVEntries(ents []kvEnt) {
-	// slices.SortFunc moves entries directly instead of going through
-	// sort.Slice's reflection-based swapper — the comparison is a strict
-	// total order (seq breaks ties), so any sorting algorithm produces the
-	// same permutation.
+// sortKVEntries sorts index entries by (partition, key, emission order),
+// reading keys from arena only when two prefixes tie. The koff tiebreak
+// makes the comparison a strict total order, so equal keys keep emission
+// order (which keeps runs deterministic) at unstable-sort cost, and any
+// sorting algorithm produces the same permutation.
+func sortKVEntries(ents []kvEnt, arena []byte) {
 	slices.SortFunc(ents, func(a, b kvEnt) int {
 		if a.part != b.part {
-			return a.part - b.part
+			return cmp.Compare(a.part, b.part)
 		}
-		if c := bytes.Compare(a.key, b.key); c != 0 {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := bytes.Compare(a.key(arena), b.key(arena)); c != 0 {
 			return c
 		}
-		return a.seq - b.seq
+		return cmp.Compare(a.koff, b.koff)
 	})
 }

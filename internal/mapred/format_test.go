@@ -28,6 +28,46 @@ func framed(it recordIter, data []byte, c int) []string {
 	return out
 }
 
+// records invokes fn for every record the split owns, given the bytes of
+// readRange() in one piece: the batch reference the framer is tested
+// against. For LineFormat, data begins at splitOff.
+func (it recordIter) records(data []byte, fn func(rec []byte)) {
+	switch f := it.format.(type) {
+	case FixedFormat:
+		for off := 0; off+f.Size <= len(data); off += f.Size {
+			fn(data[off : off+f.Size])
+		}
+	case LineFormat:
+		pos := 0
+		if it.splitOff != 0 {
+			// Skip the partial first line; it belongs to the prior split.
+			i := bytes.IndexByte(data, '\n')
+			if i < 0 {
+				return
+			}
+			pos = i + 1
+		}
+		limit := int(it.splitLen) // records starting before splitOff+splitLen are ours
+		for pos < len(data) && pos <= limit {
+			i := bytes.IndexByte(data[pos:], '\n')
+			if i < 0 {
+				break // unterminated tail fragment at EOF
+			}
+			fn(data[pos : pos+i])
+			pos += i + 1
+		}
+	case KVFormat:
+		for len(data) > 0 {
+			before := len(data)
+			_, _, rest := readKV(data)
+			fn(data[:before-len(rest)])
+			data = rest
+		}
+	default:
+		panic(fmt.Sprintf("mapred: unknown record format %T", it.format))
+	}
+}
+
 // batch runs the reference whole-buffer framer.
 func batch(it recordIter, data []byte) []string {
 	var out []string

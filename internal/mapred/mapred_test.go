@@ -3,6 +3,9 @@ package mapred
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -404,6 +407,85 @@ func TestHashPartitionRangeAndDeterminism(t *testing.T) {
 	}
 }
 
+// modelMergeRuns is the linear-scan k-way merge the heap merger replaced,
+// kept as its reference model: of equal keys the lowest run index wins, and
+// every pair is re-encoded from its decoded key and value.
+func modelMergeRuns(runs []run) run {
+	type cursor struct {
+		key, val, rest []byte
+	}
+	var cs []cursor
+	for _, r := range runs {
+		if len(r) > 0 {
+			k, v, rest := readKV(r)
+			cs = append(cs, cursor{k, v, rest})
+		}
+	}
+	var out run
+	for len(cs) > 0 {
+		best := 0
+		for i := 1; i < len(cs); i++ {
+			if bytes.Compare(cs[i].key, cs[best].key) < 0 {
+				best = i
+			}
+		}
+		out = appendKV(out, cs[best].key, cs[best].val)
+		if len(cs[best].rest) == 0 {
+			cs = append(cs[:best], cs[best+1:]...)
+			continue
+		}
+		k, v, rest := readKV(cs[best].rest)
+		cs[best] = cursor{k, v, rest}
+	}
+	return out
+}
+
+// modelGroupRun is the grouping loop that ran over a materialized merged
+// run before the reduce side streamed.
+func modelGroupRun(r run, fn func(key []byte, values [][]byte)) {
+	var curKey []byte
+	var vals [][]byte
+	for len(r) > 0 {
+		k, v, rest := readKV(r)
+		if curKey == nil || !bytes.Equal(k, curKey) {
+			if curKey != nil {
+				fn(curKey, vals)
+			}
+			curKey = k
+			vals = vals[:0]
+		}
+		vals = append(vals, v)
+		r = rest
+	}
+	if curKey != nil {
+		fn(curKey, vals)
+	}
+}
+
+// countKVs returns the number of pairs in a run.
+func countKVs(r run) int64 {
+	var n int64
+	for len(r) > 0 {
+		_, _, r = readKV(r)
+		n++
+	}
+	return n
+}
+
+// sortedRun reports whether r is sorted by key.
+func sortedRun(r run) bool {
+	var prev []byte
+	for len(r) > 0 {
+		k, _, rest := readKV(r)
+		if prev != nil && bytes.Compare(prev, k) > 0 {
+			return false
+		}
+		prev = k
+		r = rest
+	}
+	return true
+}
+
 func TestMergeRunsProperties(t *testing.T) {
 	f := func(raw [][]byte) bool {
 		if len(raw) > 6 {
@@ -425,7 +507,7 @@ func TestMergeRunsProperties(t *testing.T) {
 			}
 			runs = append(runs, r)
 		}
-		merged := mergeRuns(runs)
+		merged, _ := new(Runtime).mergeRuns(runs)
 		if !sortedRun(merged) {
 			return false
 		}
@@ -433,6 +515,171 @@ func TestMergeRunsProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mergeKeyPool is the key alphabet of TestMergerMatchesLinearScanModel:
+// every way two keys can agree in their eight-byte prefixes and still differ
+// (or not), next to keys the prefix alone decides.
+var mergeKeyPool = []string{
+	"",                 // empty key: prefix 0, as "\x00" and "\x00\x00" below
+	"\x00", "\x00\x00", // differ from "" and each other only by trailing zeros
+	"a", "a\x00", "a\x00\x00\x00\x00\x00\x00\x00", "a\x00\x00\x00\x00\x00\x00\x00\x00", // the zero-padding collision, up to and past eight bytes
+	"ab", "abc", "b", "zzzzzzz", // shorter than eight bytes
+	"prefix__", "prefix__\x00", "prefix__a", "prefix__b", "prefix__ab", // equal in the first eight bytes
+	"prefix_", "prefix_a", "prefiy__", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+}
+
+// randomRuns draws up to maxRuns sorted runs over mergeKeyPool. Keys repeat
+// within and across runs; a value names the run and position it came from
+// (every fourth is empty), so a wrong tie order changes the merged bytes.
+// Some runs come out empty.
+func randomRuns(rng *rand.Rand, maxRuns int) []run {
+	runs := make([]run, rng.Intn(maxRuns+1))
+	for ri := range runs {
+		keys := make([]string, rng.Intn(12))
+		for i := range keys {
+			keys[i] = mergeKeyPool[rng.Intn(len(mergeKeyPool))]
+		}
+		sort.Strings(keys)
+		for i, k := range keys {
+			var v []byte
+			if i%4 != 3 {
+				v = []byte(fmt.Sprintf("r%d#%d", ri, i))
+			}
+			runs[ri] = appendKV(runs[ri], []byte(k), v)
+		}
+	}
+	return runs
+}
+
+// TestMergerMatchesLinearScanModel: over random runs — short keys, keys tied
+// in their prefixes, keys differing only by trailing 0x00, empty keys and
+// values, duplicates across runs — the merger's materialized output is
+// byte-equal to the linear-scan model's (so lower run index first on ties),
+// the streaming group loop sees what grouping the model's merged run saw,
+// and neither writes to the runs slice.
+func TestMergerMatchesLinearScanModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	rt := new(Runtime)
+	type group struct {
+		key  string
+		vals []string
+	}
+	collect := func(dst *[]group) func([]byte, [][]byte) {
+		return func(k []byte, vs [][]byte) {
+			g := group{key: string(k)}
+			for _, v := range vs {
+				g.vals = append(g.vals, string(v))
+			}
+			*dst = append(*dst, g)
+		}
+	}
+	for iter := 0; iter < 2000; iter++ {
+		runs := randomRuns(rng, 9)
+		before := slices.Clone(runs)
+		want := modelMergeRuns(slices.Clone(runs))
+
+		got, pooled := rt.mergeRuns(runs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("iter %d: merged run differs from the model\n got  %q\n want %q\n runs %q", iter, got, want, runs)
+		}
+		var wantGroups, gotGroups []group
+		modelGroupRun(want, collect(&wantGroups))
+		newMerger(runs).groups(collect(&gotGroups))
+		if !reflect.DeepEqual(gotGroups, wantGroups) {
+			t.Fatalf("iter %d: streamed groups differ from the model\n got  %q\n want %q", iter, gotGroups, wantGroups)
+		}
+		for i := range runs {
+			if !bytes.Equal(runs[i], before[i]) || (len(runs[i]) > 0 && &runs[i][0] != &before[i][0]) {
+				t.Fatalf("iter %d: merging rewrote runs[%d]", iter, i)
+			}
+		}
+		rt.recycleMerged(got, pooled) // the next merge overwrites it
+	}
+	if len(rt.mergeBufs) != 1 {
+		t.Errorf("%d pooled merge buffers after sequential merges, want 1", len(rt.mergeBufs))
+	}
+}
+
+// TestSortKVEntriesPrefixCollisions: keys the zero-padded prefix cannot
+// tell apart still sort by their full bytes, and equal keys by emission.
+func TestSortKVEntriesPrefixCollisions(t *testing.T) {
+	ms := &mapState{rt: &Runtime{cfg: Config{SortBufBytes: 1 << 20}}}
+	for i := 0; i < 3; i++ {
+		for j := len(mergeKeyPool) - 1; j >= 0; j-- {
+			ms.add(nil, j%2, []byte(mergeKeyPool[j]), []byte(strconv.Itoa(i)))
+		}
+	}
+	sortKVEntries(ms.ents, ms.arena)
+	for i := 1; i < len(ms.ents); i++ {
+		a, b := ms.ents[i-1], ms.ents[i]
+		c := bytes.Compare(a.key(ms.arena), b.key(ms.arena))
+		if a.part > b.part || (a.part == b.part && (c > 0 || (c == 0 && a.koff > b.koff))) {
+			t.Fatalf("entry %d (%d, %q, %q) sorts after entry %d (%d, %q, %q)",
+				i-1, a.part, a.key(ms.arena), a.val(ms.arena), i, b.part, b.key(ms.arena), b.val(ms.arena))
+		}
+	}
+	for _, e := range ms.ents {
+		if want := appendKV(nil, e.key(ms.arena), e.val(ms.arena)); !bytes.Equal(e.rec(ms.arena), want) {
+			t.Fatalf("rec = %q, want %q", e.rec(ms.arena), want)
+		}
+	}
+}
+
+// FuzzSortKVEntries is differential: the prefix-keyed unstable sort must
+// give the permutation sort.SliceStable gives on (part, full key) over the
+// same arena-backed entries in emission order. The input is cut into pairs
+// of one header byte (two bits of partition, four of key length) and key
+// bytes folded onto a four-letter alphabet, so ties in the prefix, in the
+// whole key, and keys differing by trailing zeros are all common.
+func FuzzSortKVEntries(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x04abcd\x04abcd\x05abcd\x00\x44abcd\x00"))
+	f.Add([]byte("\x09aaaaaaaab\x09aaaaaaaaa\x08aaaaaaaa\x0aaaaaaaaa\x00\x00"))
+	f.Add(bytes.Repeat([]byte{0x01, 0x00, 0x02, 0x00, 0x00, 0x00}, 9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 16<<10 {
+			data = data[:16<<10] // at most 24 buffered bytes an input byte: no spill
+		}
+		ms := &mapState{rt: &Runtime{cfg: Config{SortBufBytes: 1 << 20}}}
+		for len(data) > 0 {
+			part, klen := int(data[0]>>6), int(data[0]&15)
+			data = data[1:]
+			if klen > len(data) {
+				klen = len(data)
+			}
+			key := make([]byte, klen)
+			for i, b := range data[:klen] {
+				key[i] = "\x00ab\xff"[b&3]
+			}
+			data = data[klen:]
+			ms.add(nil, part, key, key[:klen/2])
+		}
+		want := slices.Clone(ms.ents)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].part != want[j].part {
+				return want[i].part < want[j].part
+			}
+			return bytes.Compare(want[i].key(ms.arena), want[j].key(ms.arena)) < 0
+		})
+		sortKVEntries(ms.ents, ms.arena)
+		if !slices.Equal(ms.ents, want) {
+			t.Fatalf("sortKVEntries disagrees with the stable sort on (part, key)\n got  %v\n want %v\n arena %q", ms.ents, want, ms.arena)
+		}
+	})
+}
+
+func TestSortBufferMustFitIndexOffsets(t *testing.T) {
+	rig := newRig(t, nil)
+	cfg := rig.rt.cfg
+	cfg.SortBufBytes = 1 << 32
+	if _, err := New(rig.env, rig.cl, rig.fs, rig.cl.Net, cfg); err == nil {
+		t.Error("New accepted a 4 GiB sort buffer, which uint32 arena offsets cannot address")
+	}
+	cfg.SortBufBytes = 1<<32 - 1
+	if _, err := New(rig.env, rig.cl, rig.fs, rig.cl.Net, cfg); err != nil {
+		t.Errorf("New rejected the largest addressable sort buffer: %v", err)
 	}
 }
 
@@ -453,7 +700,7 @@ func TestGroupRunGroupsEqualKeys(t *testing.T) {
 	r = appendKV(r, []byte("a"), []byte("2"))
 	r = appendKV(r, []byte("b"), []byte("3"))
 	var groups []string
-	groupRun(r, func(k []byte, vs [][]byte) {
+	newMerger([]run{r}).groups(func(k []byte, vs [][]byte) {
 		groups = append(groups, fmt.Sprintf("%s:%d", k, len(vs)))
 	})
 	if len(groups) != 2 || groups[0] != "a:2" || groups[1] != "b:1" {

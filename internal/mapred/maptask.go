@@ -1,7 +1,10 @@
 package mapred
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"iochar/internal/cluster"
@@ -18,13 +21,48 @@ type split struct {
 	hosts []string // nodes holding a replica of the first block
 }
 
-// kvEnt is one buffered map output pair. key/val point into the task arena;
-// seq makes the sort a deterministic total order without the cost of a
-// stable sort.
+// kvEnt is the index entry of one buffered map output pair — Hadoop's kvmeta
+// record. The pair itself sits in the task arena in wire form
+// (uvarint klen | key | uvarint vlen | value) and the sort moves only these
+// 24 bytes. prefix is the first eight key bytes, big-endian and zero-padded,
+// so most comparisons never touch the arena; koff, which grows with every
+// pair buffered, doubles as the emission-order tiebreak that makes the sort
+// a deterministic total order without the cost of a stable sort.
 type kvEnt struct {
-	part     int
-	seq      int
-	key, val []byte
+	prefix uint64
+	koff   uint32 // arena offset of the key's first byte
+	klen   uint32
+	vlen   uint32
+	part   uint32
+}
+
+func (e kvEnt) key(arena []byte) []byte { return arena[e.koff : e.koff+e.klen] }
+
+func (e kvEnt) val(arena []byte) []byte {
+	vo := e.koff + e.klen + uvarintLen(e.vlen)
+	return arena[vo : vo+e.vlen]
+}
+
+// rec is the pair in wire form, ready to append to a run.
+func (e kvEnt) rec(arena []byte) []byte {
+	return arena[e.koff-uvarintLen(e.klen) : e.koff+e.klen+uvarintLen(e.vlen)+e.vlen]
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for n.
+func uvarintLen(n uint32) uint32 { return (uint32(bits.Len32(n|1)) + 6) / 7 }
+
+// keyPrefix packs the first eight bytes of k big-endian, zero-padding a
+// shorter key: unequal prefixes order as the keys do, equal ones decide
+// nothing ("a" and "a\x00" collide) and the full keys must be compared.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p uint64
+	for i, b := range k {
+		p |= uint64(b) << (56 - 8*i)
+	}
+	return p
 }
 
 // segment locates one partition's data inside a map output file.
@@ -155,8 +193,8 @@ func (ms *mapState) abandon() {
 	ms.spills = nil
 }
 
-// sortBuf is a map attempt's collection buffer: the byte arena and the entry
-// slice whose keys and values point into it.
+// sortBuf is a map attempt's collection buffer: the byte arena and the index
+// entries whose offsets point into it.
 type sortBuf struct {
 	arena []byte
 	ents  []kvEnt
@@ -212,16 +250,21 @@ func (ms *mapState) add(p *sim.Proc, part int, k, v []byte) {
 			ms.sortBuf, ms.rt.sortBufs = ms.rt.sortBufs[n-1], ms.rt.sortBufs[:n-1]
 		} else {
 			// Size the arena to the spill threshold once, so buffering does
-			// not repeatedly reallocate (entries alias into it, so growth is
-			// a copy of every buffered byte).
+			// not repeatedly reallocate (growth is a copy of every buffered
+			// byte).
 			ms.arena = make([]byte, 0, ms.rt.cfg.SortBufBytes+4096)
 		}
 	}
+	// The pair goes in already serialized, so a spill without a combiner
+	// copies it out whole. bufBytes keeps Hadoop's accounting (16 bytes of
+	// metadata a pair), which bounds the arena from above: New has checked
+	// that every offset below the spill threshold fits a uint32.
+	ms.arena = binary.AppendUvarint(ms.arena, uint64(len(k)))
 	ko := len(ms.arena)
 	ms.arena = append(ms.arena, k...)
-	vo := len(ms.arena)
+	ms.arena = binary.AppendUvarint(ms.arena, uint64(len(v)))
 	ms.arena = append(ms.arena, v...)
-	ms.ents = append(ms.ents, kvEnt{part: part, seq: len(ms.ents), key: ms.arena[ko:vo:vo], val: ms.arena[vo:len(ms.arena):len(ms.arena)]})
+	ms.ents = append(ms.ents, kvEnt{prefix: keyPrefix(k), koff: uint32(ko), klen: uint32(len(k)), vlen: uint32(len(v)), part: uint32(part)})
 	ms.bufBytes += int64(len(k)+len(v)) + 16
 	if float64(ms.bufBytes) >= 0.8*float64(ms.rt.cfg.SortBufBytes) {
 		ms.spill(p)
@@ -238,11 +281,8 @@ func (ms *mapState) spill(p *sim.Proc) {
 		return
 	}
 	cfg := ms.rt.cfg
-	// Arena re-slicing hazard: entries hold views into ms.arena, safe since
-	// the arena is append-only and the buffer is only recycled after every
-	// entry has been serialized out.
 	ms.node.Compute(p, time.Duration(nCompares(len(ms.ents))*cfg.SortNsPerCompare))
-	sortKVEntries(ms.ents)
+	sortKVEntries(ms.ents, ms.arena)
 	if ms.zombie() {
 		return // the machine died under the sort; see the guard above
 	}
@@ -254,7 +294,7 @@ func (ms *mapState) spill(p *sim.Proc) {
 	i := 0
 	for part := 0; part < ms.job.NumReduces; part++ {
 		j := i
-		for j < len(ms.ents) && ms.ents[j].part == part {
+		for j < len(ms.ents) && int(ms.ents[j].part) == part {
 			j++
 		}
 		raw, n := ms.serializePartition(p, ms.ents[i:j])
@@ -306,18 +346,19 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 		for i < len(ents) {
 			j := i
 			vals = vals[:0]
-			for j < len(ents) && string(ents[j].key) == string(ents[i].key) {
-				vals = append(vals, ents[j].val)
+			key := ents[i].key(ms.arena)
+			for j < len(ents) && bytes.Equal(ents[j].key(ms.arena), key) {
+				vals = append(vals, ents[j].val(ms.arena))
 				j++
 			}
 			ms.combineIn += int64(j - i)
-			comb.Reduce(ents[i].key, vals, emit)
+			comb.Reduce(key, vals, emit)
 			i = j
 		}
 		ms.combineOut += n
 	} else {
 		for _, e := range ents {
-			out = appendKV(out, e.key, e.val)
+			out = append(out, e.rec(ms.arena)...)
 		}
 		n = int64(len(ents))
 	}
@@ -385,7 +426,7 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 			runs = append(runs, raw)
 			records += sg.records
 		}
-		merged := mergeRuns(runs)
+		merged, pooled := ms.rt.mergeRuns(runs)
 		ms.node.Compute(p, time.Duration(cfg.MergeNsPerByte*float64(len(merged))))
 		seg := segment{off: off, rawLen: int64(len(merged)), records: records}
 		if len(merged) > 0 {
@@ -397,6 +438,7 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 			ms.compressedBytes += seg.clen
 			ms.mergeWriteBytes += seg.clen
 		}
+		ms.rt.recycleMerged(merged, pooled)
 		segs = append(segs, seg)
 	}
 	for i, sf := range ms.spills {

@@ -49,7 +49,8 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		runs := memRuns
 		memRuns = nil
 		memBytes = 0
-		merged := mergeRuns(runs)
+		merged, pooled := rt.mergeRuns(runs)
+		defer rt.recycleMerged(merged, pooled)
 		node.Compute(sp, time.Duration(cfg.MergeNsPerByte*float64(len(merged))))
 		enc := cfg.Codec.Compress(merged)
 		node.Compute(sp, cfg.Codec.CompressCost(len(merged)))
@@ -132,7 +133,8 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 	}
 
 	// Final merge: disk runs are read back and joined with what remains in
-	// memory.
+	// memory. The merge streams into the reduce loop below and no merged run
+	// is built; its cost is charged here, on the bytes it will move.
 	runs := memRuns
 	for _, dr := range diskRuns {
 		dr.file.SetStage(disk.StageMerge)
@@ -146,8 +148,8 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		node.Compute(p, cfg.Codec.DecompressCost(len(raw)))
 		runs = append(runs, raw)
 	}
-	merged := mergeRuns(runs)
-	node.Compute(p, time.Duration(cfg.MergeNsPerByte*float64(len(merged))))
+	merge := newMerger(runs)
+	node.Compute(p, time.Duration(cfg.MergeNsPerByte*float64(merge.total)))
 
 	// Reduce and write output to HDFS with the job's replication factor.
 	if zombie() || (js.faulty && js.redOwner[part] != node.Name) {
@@ -169,7 +171,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 			werr = w.Write(p, kvBuf)
 		}
 	}
-	groupRun(merged, func(key []byte, values [][]byte) {
+	merge.groups(func(key []byte, values [][]byte) {
 		var vbytes int64
 		for _, v := range values {
 			vbytes += int64(len(v))

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -40,6 +41,9 @@ type Runtime struct {
 	// sortBufs holds the sort buffers of finished map attempts, each taken
 	// by the next attempt that buffers a pair (see mapState.recycle).
 	sortBufs []sortBuf
+	// mergeBufs holds the output buffers of finished materialized merges
+	// (see mergeRuns), so a merge neither allocates nor zeroes its output.
+	mergeBufs []run
 
 	// Fault mode: nil/false in healthy runs, so every recovery branch below
 	// is dead code and the scheduler is byte-identical to a build without
@@ -61,6 +65,10 @@ func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, net transferer, cfg Con
 	}
 	if cfg.SortBufBytes <= 0 || cfg.ShuffleBufBytes <= 0 {
 		return nil, fmt.Errorf("mapred: buffer sizes must be positive, got sort %d / shuffle %d", cfg.SortBufBytes, cfg.ShuffleBufBytes)
+	}
+	if cfg.SortBufBytes > math.MaxUint32 {
+		// Sort-buffer index entries address the arena with uint32 offsets.
+		return nil, fmt.Errorf("mapred: sort buffer of %d bytes exceeds the %d the index entries can address", cfg.SortBufBytes, uint32(math.MaxUint32))
 	}
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 256 << 10
