@@ -291,12 +291,6 @@ func (g GraphGen) Part(part int, size int64) []byte {
 	return out
 }
 
-// SplitRecords returns the largest prefix length of data that ends on a
-// record boundary for fixed-size records.
-func SplitRecords(dataLen int, recordSize int) int {
-	return dataLen - dataLen%recordSize
-}
-
 // Lines iterates newline-terminated records in data, calling fn with each
 // line (without the newline). A trailing unterminated fragment is ignored,
 // matching how the MapReduce input format treats split boundaries.

@@ -265,15 +265,6 @@ func TestLinesIgnoresTrailingFragment(t *testing.T) {
 	}
 }
 
-func TestSplitRecords(t *testing.T) {
-	if got := SplitRecords(250, 100); got != 200 {
-		t.Errorf("SplitRecords(250,100) = %d, want 200", got)
-	}
-	if got := SplitRecords(300, 100); got != 300 {
-		t.Errorf("SplitRecords(300,100) = %d, want 300", got)
-	}
-}
-
 // Property: every generator emits at least the requested volume (rounded to
 // whole records) and is deterministic.
 func TestQuickGeneratorsDeterministic(t *testing.T) {

@@ -322,9 +322,6 @@ func New(env *sim.Env, p Params) *Disk {
 	return d
 }
 
-// Model returns the device's service-time model.
-func (d *Disk) Model() DeviceModel { return d.model }
-
 // Class reports the device technology, for per-class iostat grouping.
 func (d *Disk) Class() Class { return d.model.Class() }
 
@@ -337,9 +334,6 @@ func (d *Disk) Stats() Stats {
 	}
 	return s
 }
-
-// QueueLen returns the number of queued (not yet serviced) requests.
-func (d *Disk) QueueLen() int { return len(d.queue) }
 
 // InFlight returns the number of submitted, incomplete logical requests
 // (merged sub-requests count individually).

@@ -389,7 +389,7 @@ func TestQuickSectorConservation(t *testing.T) {
 			t.Logf("sectors: got %d/%d want %d/%d", s.SectorsRead, s.SectorsWritten, wantR, wantW)
 			return false
 		}
-		return d.InFlight() == 0 && d.QueueLen() == 0
+		return d.InFlight() == 0 && len(d.queue) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -182,7 +182,7 @@ func TestDataCenterSSDDefaults(t *testing.T) {
 		t.Error("flash defaults should be read-favoured (write asymmetry)")
 	}
 	d := New(sim.New(1), p)
-	if d.Model().Channels() != p.SSD.Channels {
-		t.Errorf("Model().Channels() = %d, want %d", d.Model().Channels(), p.SSD.Channels)
+	if d.model.Channels() != p.SSD.Channels {
+		t.Errorf("model.Channels() = %d, want %d", d.model.Channels(), p.SSD.Channels)
 	}
 }

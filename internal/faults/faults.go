@@ -670,11 +670,9 @@ type Injector struct {
 	rt   *mapred.Runtime
 	plan Plan
 
-	timers   []*sim.Timer
-	victims  []string   // nodes whose DataNode or whole machine was killed for good
-	restarts []string   // nodes taken down by a restart event (they come back)
-	fired    []string   // log of injected events, in firing order
-	cuts     []armedCut // armed partition windows, for cross-form overlap checks
+	timers []*sim.Timer
+	fired  []string   // log of injected events, in firing order
+	cuts   []armedCut // armed partition windows, for cross-form overlap checks
 
 	// crashGen counts the death events fired at each node. A restart's
 	// rejoin half captures the generation its crash created and aborts if a
@@ -850,7 +848,6 @@ func (in *Injector) Start() error {
 func (in *Injector) killDataNode(ev Event) {
 	in.bumpGen(ev.Node)
 	in.fs.CrashDataNode(ev.Node)
-	in.victims = append(in.victims, ev.Node)
 	in.note(ev)
 }
 
@@ -864,7 +861,6 @@ func (in *Injector) killNode(ev Event, node *cluster.Node) {
 	in.net.SetDown(ev.Node, true)
 	in.fs.CrashDataNode(ev.Node)
 	in.rt.OnNodeDown(ev.Node)
-	in.victims = append(in.victims, ev.Node)
 	in.note(ev)
 }
 
@@ -892,7 +888,6 @@ func (in *Injector) slowDisk(ev Event, vol *localfs.FS) {
 func (in *Injector) stopDataNode(ev Event) int {
 	gen := in.bumpGen(ev.Node)
 	in.fs.CrashDataNode(ev.Node)
-	in.restarts = append(in.restarts, ev.Node)
 	in.note(ev)
 	return gen
 }
@@ -927,7 +922,6 @@ func (in *Injector) crashNode(ev Event, node *cluster.Node) int {
 	}
 	in.fs.CrashDataNode(ev.Node)
 	in.rt.OnNodeDown(ev.Node)
-	in.restarts = append(in.restarts, ev.Node)
 	in.note(ev)
 	return gen
 }
@@ -1008,15 +1002,6 @@ func (in *Injector) Stop() {
 		t.Stop()
 	}
 }
-
-// Victims returns the nodes whose DataNode or whole machine has been killed
-// for good so far, in firing order — the set iostat reporting separates out.
-func (in *Injector) Victims() []string { return append([]string(nil), in.victims...) }
-
-// RestartTargets returns the nodes a restart event has taken down so far —
-// they rejoin later and iostat reporting groups them as "recovering" rather
-// than victims.
-func (in *Injector) RestartTargets() []string { return append([]string(nil), in.restarts...) }
 
 // Fired returns a human-readable log of the events injected so far.
 func (in *Injector) Fired() []string { return append([]string(nil), in.fired...) }

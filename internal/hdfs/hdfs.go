@@ -29,22 +29,13 @@ import (
 type Config struct {
 	BlockSize   int64 // bytes; the paper's Hadoop 1.0.4 default is 64 MB
 	Replication int   // the default 3
-	// PacketSize is the granularity of the write pipeline's streaming.
-	PacketSize int64
 	// ChecksumChunk is the granularity of per-block CRC32C checksums
 	// (io.bytes.per.checksum; Hadoop's default 512 B is modeled coarser, at
 	// 16 KiB, to keep sum arrays proportional to scaled block sizes).
 	ChecksumChunk int64
 
-	// NetRetryBase and NetRetryMax bound the exponential backoff clients
-	// sleep on when the network fails transiently (a partition or a lossy
-	// link), and NetRetries caps how many such stalls one operation takes
-	// before giving up. Transient failures heal on a schedule, so the budget
-	// is generous — unlike crash handling, patience is the correct response.
-	NetRetryBase time.Duration
-	NetRetryMax  time.Duration
-	NetRetries   int
-	// Seed feeds the backoff jitter rng; healthy runs never draw from it.
+	// Seed feeds the jitter rng of the clients' sim.NewRetry stalls across
+	// transient network faults; healthy runs never draw from it.
 	Seed int64
 }
 
@@ -57,10 +48,7 @@ func DefaultConfig(scale int64) Config {
 	if bs < 16<<10 {
 		bs = 16 << 10
 	}
-	return Config{
-		BlockSize: bs, Replication: 3, PacketSize: 64 << 10, ChecksumChunk: 16 << 10,
-		NetRetryBase: 200 * time.Millisecond, NetRetryMax: 5 * time.Second, NetRetries: 64,
-	}
+	return Config{BlockSize: bs, Replication: 3, ChecksumChunk: 16 << 10}
 }
 
 // blockMeta is the NameNode's view of one block.
@@ -144,9 +132,6 @@ type DataNode struct {
 // Node returns the cluster node hosting this DataNode.
 func (dn *DataNode) Node() *cluster.Node { return dn.node }
 
-// BlockCount returns the number of replicas stored here.
-func (dn *DataNode) BlockCount() int { return len(dn.blocks) }
-
 // Alive reports whether the DataNode process is still serving.
 func (dn *DataNode) Alive() bool { return !dn.crashed }
 
@@ -154,18 +139,6 @@ func (dn *DataNode) Alive() bool { return !dn.crashed }
 func New(env *sim.Env, cfg Config, net transferer, nodes []*cluster.Node) *FS {
 	if cfg.BlockSize <= 0 || cfg.Replication <= 0 {
 		panic("hdfs: invalid config")
-	}
-	if cfg.PacketSize <= 0 {
-		cfg.PacketSize = 64 << 10
-	}
-	if cfg.NetRetryBase <= 0 {
-		cfg.NetRetryBase = 200 * time.Millisecond
-	}
-	if cfg.NetRetryMax < cfg.NetRetryBase {
-		cfg.NetRetryMax = cfg.NetRetryBase
-	}
-	if cfg.NetRetries <= 0 {
-		cfg.NetRetries = 64
 	}
 	fs := &FS{
 		env:       env,
@@ -227,34 +200,15 @@ func (fs *FS) netBlocked(client string) bool {
 	return false
 }
 
-// netRetry is one operation's budget of backoff stalls for transient
-// network failures: at most cfg.NetRetries of them, on one exponential
-// schedule.
-type netRetry struct {
-	fs   *FS
-	bo   *sim.Backoff
-	left int
-}
-
-func (fs *FS) newNetRetry() netRetry {
-	bo := sim.NewBackoff(fs.cfg.NetRetryBase, fs.cfg.NetRetryMax, fs.netRng)
-	return netRetry{fs: fs, bo: bo, left: fs.cfg.NetRetries}
-}
-
-// stall sleeps one backoff step, charging the recovery stats, and reports
-// true; once the budget is spent it returns false without sleeping.
-func (r *netRetry) stall(p *sim.Proc) bool {
-	if r.left <= 0 {
-		return false
+// netStall spends one stall of an operation's budget for transient network
+// failures, charging the recovery stats; false means the budget is spent.
+func (fs *FS) netStall(p *sim.Proc, retry *sim.Retry) bool {
+	d, ok := retry.Stall(p)
+	if ok && fs.rec != nil {
+		fs.rec.stats.NetStalls++
+		fs.rec.stats.NetStallTime += d
 	}
-	r.left--
-	d := r.bo.Next()
-	p.Sleep(d)
-	if rec := r.fs.rec; rec != nil {
-		rec.stats.NetStalls++
-		rec.stats.NetStallTime += d
-	}
-	return true
+	return ok
 }
 
 // waitMasterFrom is waitMaster for a client on a known node: after the
@@ -268,8 +222,8 @@ func (fs *FS) waitMasterFrom(p *sim.Proc, mutating bool, node string) {
 	if node == "" || fs.masterNode == "" || fs.reachable(node, fs.masterNode) {
 		return
 	}
-	retry := fs.newNetRetry()
-	for !fs.reachable(node, fs.masterNode) && retry.stall(p) {
+	retry := sim.NewRetry(fs.netRng)
+	for !fs.reachable(node, fs.masterNode) && fs.netStall(p, &retry) {
 	}
 	// The master may have bounced while we were cut off.
 	fs.waitMaster(p, mutating)
@@ -342,56 +296,18 @@ func (fs *FS) BlockLocations(path string) ([][]string, error) {
 	return out, nil
 }
 
-// choose picks replication replica targets. On the paper's flat single-rack
-// fabric: the writer's own DataNode first (if it has one), then round-robin
-// across the rest — Hadoop's default placement with rack-awareness
-// flattened. With racks > 1 the rack-aware policy applies instead (one
-// local replica, the rest on a single remote rack). Crashed and — under
+// choose picks replication replica targets by Hadoop's default rack-aware
+// placement: first replica on the writer's node (or its rack), the second
+// and third on one common remote rack, spilling anywhere eligible when a
+// rack runs short, all from one round-robin cursor so the choice is
+// deterministic. The paper's flat fabric is the one-rack case: every scan
+// for a remote rack comes up empty and leaves the cursor where it was
+// (mod the DataNode count), so placement degenerates to the writer's own
+// DataNode first, then round-robin across the rest. Crashed and — under
 // network faults — unreachable DataNodes are excluded at allocation; if
 // fewer eligible nodes exist than the requested factor, every eligible node
 // is returned (nil when none are left).
 func (fs *FS) choose(writer string, replication int) []*DataNode {
-	if fs.topo != nil && fs.topo.Racks() > 1 {
-		return fs.chooseRackAware(writer, replication)
-	}
-	live := 0
-	for _, dn := range fs.datanodes {
-		if !dn.crashed && fs.reachable(writer, dn.node.Name) {
-			live++
-		}
-	}
-	if replication > live {
-		replication = live
-	}
-	var out []*DataNode
-	if dn, ok := fs.byNode[writer]; ok && !dn.crashed {
-		out = append(out, dn)
-	}
-	for len(out) < replication {
-		dn := fs.datanodes[fs.place%len(fs.datanodes)]
-		fs.place++
-		if dn.crashed || !fs.reachable(writer, dn.node.Name) {
-			continue
-		}
-		dup := false
-		for _, have := range out {
-			if have == dn {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, dn)
-		}
-	}
-	return out
-}
-
-// chooseRackAware is Hadoop's default multi-rack placement: first replica
-// on the writer's node (or its rack), the second and third on one common
-// remote rack, spilling anywhere eligible when a rack runs short. The same
-// round-robin cursor as flat placement keeps the choice deterministic.
-func (fs *FS) chooseRackAware(writer string, replication int) []*DataNode {
 	elig := func(dn *DataNode) bool {
 		return !dn.crashed && fs.reachable(writer, dn.node.Name)
 	}
@@ -561,13 +477,13 @@ func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
 	if fs.integrity {
 		b.sums = chunkSums(content, fs.cfg.ChecksumChunk)
 	}
-	retry := fs.newNetRetry()
+	retry := sim.NewRetry(fs.netRng)
 	for attempt := 0; attempt < maxPipelineRetries; {
 		targets := fs.choose(w.client, w.replication)
 		if len(targets) == 0 {
 			// No eligible target. If live DataNodes exist on the far side of
 			// a partition, this is transient: wait out the heal.
-			if fs.netBlocked(w.client) && retry.stall(p) {
+			if fs.netBlocked(w.client) && fs.netStall(p, &retry) {
 				continue
 			}
 			return fmt.Errorf("hdfs: write %s block %d: no live datanodes", w.meta.name, id)
@@ -642,7 +558,7 @@ func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
 				break
 			}
 		}
-		if transient && retry.stall(p) {
+		if transient && fs.netStall(p, &retry) {
 			continue
 		}
 		attempt++
@@ -731,7 +647,7 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 	var blockStart int64
 	for _, b := range r.meta.blocks {
 		blockEnd := blockStart + b.size
-		lo, hi := maxI(off, blockStart), minI(off+length, blockEnd)
+		lo, hi := max(off, blockStart), min(off+length, blockEnd)
 		if lo < hi {
 			data, err := r.readBlockRange(p, b, lo-blockStart, hi-lo)
 			if err != nil {
@@ -824,10 +740,10 @@ func (e *LostBlockError) Error() string {
 // scan: the reachable-side replica policy means a heal — not a repair — is
 // what brings the data back.
 func (r *Reader) readBlockRange(p *sim.Proc, b *blockMeta, off, length int64) ([]byte, error) {
-	retry := r.fs.newNetRetry()
+	retry := sim.NewRetry(r.fs.netRng)
 	for {
 		data, transient, err := r.readBlockOnce(p, b, off, length)
-		if err == nil || !transient || !retry.stall(p) {
+		if err == nil || !transient || !r.fs.netStall(p, &retry) {
 			return data, err
 		}
 	}
@@ -886,18 +802,4 @@ func (r *Reader) readBlockOnce(p *sim.Proc, b *blockMeta, off, length int64) (da
 		return data, false, nil
 	}
 	return nil, transient, &LostBlockError{Path: r.meta.name, Block: b.id}
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

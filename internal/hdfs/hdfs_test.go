@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -385,5 +386,79 @@ func TestReplicationOneMovesLessData(t *testing.T) {
 	one, three := written(1), written(3)
 	if three < one*5/2 {
 		t.Errorf("replication 3 wrote %d sectors, want ~3x replication 1's %d", three, one)
+	}
+}
+
+// flatChoose is the flat single-rack placement loop choose had before it
+// became the one-rack case of the rack-aware policy, kept as the reference
+// model: the writer's own DataNode first, then round-robin across the rest.
+func flatChoose(fs *FS, writer string, replication int) []*DataNode {
+	live := 0
+	for _, dn := range fs.datanodes {
+		if !dn.crashed && fs.reachable(writer, dn.node.Name) {
+			live++
+		}
+	}
+	if replication > live {
+		replication = live
+	}
+	var out []*DataNode
+	if dn, ok := fs.byNode[writer]; ok && !dn.crashed {
+		out = append(out, dn)
+	}
+	for len(out) < replication {
+		dn := fs.datanodes[fs.place%len(fs.datanodes)]
+		fs.place++
+		if dn.crashed || !fs.reachable(writer, dn.node.Name) {
+			continue
+		}
+		dup := false
+		for _, have := range out {
+			if have == dn {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, dn)
+		}
+	}
+	return out
+}
+
+// On one rack the rack-aware policy must pick what the flat loop picked,
+// draw after draw from the same evolving cursor: its fruitless remote-rack
+// scans move the cursor by whole laps only.
+func TestOneRackPlacementMatchesFlatModel(t *testing.T) {
+	const slaves = 7
+	_, c, fs := rig(slaves)
+	_, _, model := rig(slaves)
+	names := func(dns []*DataNode) string {
+		s := ""
+		for _, dn := range dns {
+			s += dn.node.Name + " "
+		}
+		return s
+	}
+	rng := rand.New(rand.NewSource(20))
+	for draw := 0; draw < 1000; draw++ {
+		writer := c.Master.Name // a client that is not a DataNode
+		if w := rng.Intn(slaves + 1); w < slaves {
+			writer = c.Slaves[w].Name
+		}
+		replication := 1 + rng.Intn(slaves)
+		crashed := rng.Intn(1 << slaves)
+		if rng.Intn(4) > 0 {
+			crashed &= rng.Intn(1 << slaves) // mostly few dead nodes, sometimes most
+		}
+		for i := range fs.datanodes {
+			dead := crashed&(1<<i) != 0
+			fs.datanodes[i].crashed, model.datanodes[i].crashed = dead, dead
+		}
+		got, want := names(fs.choose(writer, replication)), names(flatChoose(model, writer, replication))
+		if got != want || fs.place%slaves != model.place%slaves {
+			t.Fatalf("draw %d (writer %s, replication %d, crashed %07b): chose [%s] cursor %d, flat model [%s] cursor %d",
+				draw, writer, replication, crashed, got, fs.place%slaves, want, model.place%slaves)
+		}
 	}
 }

@@ -63,9 +63,6 @@ func (fs *FS) EnableIntegrity() {
 	}
 }
 
-// IntegrityEnabled reports whether EnableIntegrity has been called.
-func (fs *FS) IntegrityEnabled() bool { return fs.integrity }
-
 // replicaClean checks every checksum chunk overlapping [off, off+length)
 // of the replica sb against b's end-to-end sums, with no side effects.
 // Chunk-aligned verification is what HDFS does: a read is widened to chunk
@@ -188,12 +185,6 @@ type ScrubConfig struct {
 	BytesPerSec int64
 	// PassInterval is the idle gap between full passes over the namespace.
 	PassInterval time.Duration
-}
-
-// DefaultScrubConfig returns a gentle 4 MiB/s scrub with 30 s between
-// passes.
-func DefaultScrubConfig() ScrubConfig {
-	return ScrubConfig{BytesPerSec: 4 << 20, PassInterval: 30 * time.Second}
 }
 
 // scrubState is the live scrubber hanging off an FS.

@@ -33,13 +33,6 @@ type RecoveryConfig struct {
 	Streams int
 }
 
-// DefaultRecoveryConfig returns heartbeats every 3 s, a 30 s dead timeout
-// (Hadoop's production 10.5 min compressed to experiment timescales), and
-// two replication streams.
-func DefaultRecoveryConfig() RecoveryConfig {
-	return RecoveryConfig{HeartbeatInterval: 3 * time.Second, DeadTimeout: 30 * time.Second, Streams: 2}
-}
-
 // RecoveryStats counts the repair work a run performed.
 type RecoveryStats struct {
 	ReReplicatedBlocks uint64 // block copies made to restore replication
@@ -180,9 +173,6 @@ func (fs *FS) RecoveryStats() RecoveryStats {
 	}
 	return fs.rec.stats
 }
-
-// RecoveryEnabled reports whether EnableRecovery has been called.
-func (fs *FS) RecoveryEnabled() bool { return fs.rec != nil }
 
 // CrashDataNode fail-stops the DataNode on the named cluster node: it stops
 // serving reads and write-pipeline hops immediately and stops heartbeating,

@@ -379,12 +379,3 @@ func (m *Monitor) Report(name string) *Report {
 	}
 	return g.report
 }
-
-// Groups returns the registered group names in registration order.
-func (m *Monitor) Groups() []string {
-	out := make([]string, len(m.groups))
-	for i, g := range m.groups {
-		out[i] = g.name
-	}
-	return out
-}

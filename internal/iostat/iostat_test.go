@@ -165,17 +165,6 @@ func TestMonitorUnknownReportNil(t *testing.T) {
 	}
 }
 
-func TestGroupsOrder(t *testing.T) {
-	env := sim.New(1)
-	m := NewMonitor(time.Second)
-	m.AddGroup("b", testDisk(env))
-	m.AddGroup("a", testDisk(env))
-	got := m.Groups()
-	if len(got) != 2 || got[0] != "b" || got[1] != "a" {
-		t.Errorf("Groups = %v, want [b a]", got)
-	}
-}
-
 func TestAwaitExceedsSvctmUnderQueueing(t *testing.T) {
 	env := sim.New(1)
 	d := testDisk(env)

@@ -37,7 +37,7 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// RetryBase and RetryMax bound the exponential backoff callers sleep on
 	// while the master is unavailable (the ipc.client.connect retry policy).
-	// Defaults 200 ms and RetryBase.
+	// Defaults 200 ms and RetryBase (sim.NewBackoff's).
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// Seed drives the jitter of the retry backoff.
@@ -101,12 +101,6 @@ type Log[R any] struct {
 func New[R any](env *sim.Env, vol *localfs.FS, spec Spec[R], cfg Config) *Log[R] {
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = 30 * time.Second
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 200 * time.Millisecond
-	}
-	if cfg.RetryMax < cfg.RetryBase {
-		cfg.RetryMax = cfg.RetryBase
 	}
 	l := &Log[R]{
 		spec:  spec,
@@ -255,9 +249,9 @@ func (l *Log[R]) Stall(p *sim.Proc, blocked func() bool) {
 	}
 	l.stats.Stalls++
 	start := p.Now()
-	bo := sim.NewBackoff(l.cfg.RetryBase, l.cfg.RetryMax, l.rng)
+	retry := sim.Retry{Backoff: sim.NewBackoff(l.cfg.RetryBase, l.cfg.RetryMax, l.rng), Budget: -1}
 	for !l.stopped && blocked() {
-		p.Sleep(bo.Next())
+		retry.Stall(p)
 	}
 	l.stats.StallTime += p.Now() - start
 }

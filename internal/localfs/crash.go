@@ -140,7 +140,7 @@ func (fs *FS) Corrupt(name string, off int64, n int) bool {
 	for i := f.segAt(off); i < len(f.segs) && f.segs[i].off < end; i++ {
 		s := &f.segs[i]
 		flipped := append([]byte(nil), s.data...)
-		for j := maxI(off, s.off) - s.off; j < minI(end, s.end())-s.off; j++ {
+		for j := max(off, s.off) - s.off; j < min(end, s.end())-s.off; j++ {
 			flipped[j] ^= 0xFF
 		}
 		s.data = flipped

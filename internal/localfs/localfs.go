@@ -346,7 +346,7 @@ func (f *file) bytes(off, length int64) []byte {
 	out := make([]byte, 0, length)
 	for ; i < len(f.segs) && f.segs[i].off < end; i++ {
 		s := f.segs[i]
-		out = append(out, s.data[maxI(off, s.off)-s.off:minI(end, s.end())-s.off]...)
+		out = append(out, s.data[max(off, s.off)-s.off:min(end, s.end())-s.off]...)
 	}
 	return out
 }
@@ -365,7 +365,7 @@ func (f *file) sectorRanges(off, length int64) []extent {
 		extFirst := walked
 		extLast := walked + e.sectors
 		walked = extLast
-		lo, hi := maxI(firstSect, extFirst), minI(lastSect, extLast)
+		lo, hi := max(firstSect, extFirst), min(lastSect, extLast)
 		if lo >= hi {
 			continue
 		}
@@ -383,20 +383,6 @@ func (f *file) extentEnd(sector int64) int64 {
 		}
 	}
 	return sector
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // grow allocates at least want more sectors for f (rounded up to the extent

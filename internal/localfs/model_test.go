@@ -127,7 +127,7 @@ func (r *diffRun) step(p *sim.Proc) {
 		got := r.open[name].ReadAt(p, off, end-off)
 		want := []byte(nil)
 		if off < size {
-			want = m.data[off:minI(end, size)]
+			want = m.data[off:min(end, size)]
 		}
 		if !bytes.Equal(got, want) {
 			r.t.Fatalf("ReadAt(%s, %d, %d): got %d bytes, want %d, or contents differ", name, off, end-off, len(got), len(want))
@@ -148,7 +148,7 @@ func (r *diffRun) step(p *sim.Proc) {
 			r.t.Fatalf("Corrupt(%s, %d, %d) = %v on a %d-byte file", name, off, n, ok, size)
 		}
 		if ok {
-			for i := off; i < minI(off+int64(n), size); i++ {
+			for i := off; i < min(off+int64(n), size); i++ {
 				m.data[i] ^= 0xFF
 			}
 		}

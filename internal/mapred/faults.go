@@ -39,7 +39,7 @@ func (rt *Runtime) OnVolumeDown(vol *localfs.FS) {
 // Transient network failures take a different path: a map-side node that is
 // merely partitioned away (or a path whose loss rate exhausted the
 // retransmit budget) heals on a schedule, so the fetcher waits it out under
-// the much larger MaxNetFetchRetries budget — and never charges the
+// sim.NewRetry's much larger budget — and never charges the
 // tracker's blacklist account, because the fabric, not the tracker, is at
 // fault. Losing the output (and re-executing the map) happens only when the
 // net-retry budget is exhausted too.
@@ -56,26 +56,18 @@ func (rt *Runtime) fetchOneFaulty(fp *sim.Proc, js *jobState, st *fetchState, ou
 		mark()
 		return
 	}
-	retries, netRetries := 0, 0
-	var nbo *sim.Backoff
+	retries, netRetry := 0, sim.NewRetry(rt.netRng)
 	// netStall backs off across a transient network fault; false means the
 	// budget ran out and the output was declared lost.
 	netStall := func() bool {
-		netRetries++
-		js.mu(func() {
-			js.counters.FetchRetries++
-			js.counters.NetFetchStalls++
-		})
-		if netRetries > js.cfg.MaxNetFetchRetries {
-			js.mu(func() { js.counters.FailedFetches++ })
+		js.counters.FetchRetries++
+		js.counters.NetFetchStalls++
+		_, ok := netRetry.Stall(fp)
+		if !ok {
+			js.counters.FailedFetches++
 			js.loseOutput(out)
-			return false
 		}
-		if nbo == nil {
-			nbo = sim.NewBackoff(js.cfg.NetRetryBase, js.cfg.NetRetryMax, rt.netRng)
-		}
-		fp.Sleep(nbo.Next())
-		return true
+		return ok
 	}
 	for {
 		if !node.Alive() || js.failed != nil || js.done {
@@ -117,9 +109,9 @@ func (rt *Runtime) fetchOneFaulty(fp *sim.Proc, js *jobState, st *fetchState, ou
 			}
 		}
 		retries++
-		js.mu(func() { js.counters.FetchRetries++ })
+		js.counters.FetchRetries++
 		if retries > js.cfg.MaxFetchRetries {
-			js.mu(func() { js.counters.FailedFetches++ })
+			js.counters.FailedFetches++
 			js.noteTrackerFailure(out.node.Name)
 			js.loseOutput(out)
 			return
@@ -142,7 +134,7 @@ func (js *jobState) noteTrackerFailure(node string) {
 		return
 	}
 	js.blacklisted[node] = true
-	js.mu(func() { js.counters.BlacklistedTrackers++ })
+	js.counters.BlacklistedTrackers++
 	js.mapWorkCond.Broadcast()
 	js.redCond.Broadcast()
 }

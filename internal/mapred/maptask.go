@@ -159,22 +159,20 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 	if !js.completeMap(out) {
 		return // lost the race at the wire; completeMap discarded the output
 	}
-	js.mu(func() {
-		js.counters.MapInputRecords += inRecords
-		js.counters.MapInputBytes += inBytes
-		js.counters.MapOutputRecords += outRecords
-		js.counters.MapOutputBytes += outBytes
-		js.counters.Spills += state.spillCount
-		js.counters.CompressedMapOutput += state.compressedBytes
-		js.counters.MapSpillBytes += state.spillBytes
-		js.counters.MapMergeReadBytes += state.mergeReadBytes
-		js.counters.MapMergeWriteBytes += state.mergeWriteBytes
-		js.counters.CombineInput += state.combineIn
-		js.counters.CombineOutput += state.combineOut
-		if attempt > 1 {
-			js.counters.SpeculativeWins++
-		}
-	})
+	js.counters.MapInputRecords += inRecords
+	js.counters.MapInputBytes += inBytes
+	js.counters.MapOutputRecords += outRecords
+	js.counters.MapOutputBytes += outBytes
+	js.counters.Spills += state.spillCount
+	js.counters.CompressedMapOutput += state.compressedBytes
+	js.counters.MapSpillBytes += state.spillBytes
+	js.counters.MapMergeReadBytes += state.mergeReadBytes
+	js.counters.MapMergeWriteBytes += state.mergeWriteBytes
+	js.counters.CombineInput += state.combineIn
+	js.counters.CombineOutput += state.combineOut
+	if attempt > 1 {
+		js.counters.SpeculativeWins++
+	}
 }
 
 // zombie reports whether the attempt's machine died under it — including a

@@ -238,12 +238,11 @@ func (rt *Runtime) jtWait(p *sim.Proc, node string) {
 	if rt.reachable(node, jt) {
 		return
 	}
-	bo := sim.NewBackoff(rt.cfg.NetRetryBase, rt.cfg.NetRetryMax, rt.netRng)
-	for i := 0; i < rt.cfg.MaxNetFetchRetries; i++ {
-		if rt.reachable(node, jt) || rt.topo.Down(node) {
+	retry := sim.NewRetry(rt.netRng)
+	for !rt.reachable(node, jt) && !rt.topo.Down(node) {
+		if _, ok := retry.Stall(p); !ok {
 			break
 		}
-		p.Sleep(bo.Next())
 	}
 	// The JobTracker may have bounced while this tracker was cut off.
 	rt.jtDownStall(p)

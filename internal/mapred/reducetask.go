@@ -64,7 +64,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		f.Append(sp, enc)
 		runWrite += int64(len(enc))
 		diskRuns = append(diskRuns, diskRun{vol: vol, file: f, name: name, clen: int64(len(enc)), raw: int64(len(merged))})
-		js.mu(func() { js.counters.ReduceSpills++ })
+		js.counters.ReduceSpills++
 	}
 
 	// Fetch queue: map task indices become available as maps finish. The
@@ -214,12 +214,10 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		return // zombie attempt lost the partition; discard its stats
 	}
 
-	js.mu(func() {
-		js.counters.ShuffleBytes += shuffled
-		js.counters.ReduceInputRecords += inRecords
-		js.counters.ReduceOutputRecords += outRecords
-		js.counters.ReduceOutputBytes += outBytes
-		js.counters.ReduceRunWriteBytes += runWrite
-		js.counters.ReduceRunReadBytes += runRead
-	})
+	js.counters.ShuffleBytes += shuffled
+	js.counters.ReduceInputRecords += inRecords
+	js.counters.ReduceOutputRecords += outRecords
+	js.counters.ReduceOutputBytes += outBytes
+	js.counters.ReduceRunWriteBytes += runWrite
+	js.counters.ReduceRunReadBytes += runRead
 }

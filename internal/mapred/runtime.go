@@ -85,15 +85,6 @@ func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, net transferer, cfg Con
 	if cfg.MaxTrackerFailures <= 0 {
 		cfg.MaxTrackerFailures = 3
 	}
-	if cfg.NetRetryBase <= 0 {
-		cfg.NetRetryBase = 200 * time.Millisecond
-	}
-	if cfg.NetRetryMax < cfg.NetRetryBase {
-		cfg.NetRetryMax = cfg.NetRetryBase
-	}
-	if cfg.MaxNetFetchRetries <= 0 {
-		cfg.MaxNetFetchRetries = 64
-	}
 	rt := &Runtime{env: env, cl: cl, fs: fs, net: net, cfg: cfg,
 		netRng: rand.New(rand.NewSource(cfg.Seed ^ 0x6d725f6e)),
 		active: make(map[*jobState]bool)}
@@ -199,11 +190,6 @@ type jobState struct {
 // running backup/original attempts poll this at chunk boundaries and
 // abandon, the runtime's equivalent of Hadoop killing the loser.
 func (js *jobState) taskDone(taskIdx int) bool { return js.completed[taskIdx] }
-
-// mu runs fn "atomically" — the simulation serializes all processes, so
-// this is documentation of intent rather than a lock, but it keeps every
-// counter mutation in one audited place.
-func (js *jobState) mu(fn func()) { fn() }
 
 // completeMap registers a finished map attempt's output. The first attempt
 // of a task wins; a later duplicate (speculation lost the race at the very
@@ -540,13 +526,11 @@ func (rt *Runtime) mapWorkerLoop(wp *sim.Proc, job *Job, js *jobState, node *clu
 				break
 			}
 		}
-		js.mu(func() {
-			if local {
-				js.counters.LocalMaps++
-			} else {
-				js.counters.RemoteMaps++
-			}
-		})
+		if local {
+			js.counters.LocalMaps++
+		} else {
+			js.counters.RemoteMaps++
+		}
 		js.noteAttempt(idx, node.Name)
 		rt.mapTask(wp, job, js, idx, attempt, sp, node)
 		js.clearAttempt(idx, node.Name)
@@ -574,18 +558,11 @@ func (rt *Runtime) reduceWorkerLoop(wp *sim.Proc, job *Job, js *jobState, node *
 	if !rt.faulty {
 		for {
 			rt.jtWait(wp, node.Name)
-			var part int
-			got := false
-			js.mu(func() {
-				if js.reduceNext < job.NumReduces {
-					part = js.reduceNext
-					js.reduceNext++
-					got = true
-				}
-			})
-			if !got {
+			if js.reduceNext >= job.NumReduces {
 				return
 			}
+			part := js.reduceNext
+			js.reduceNext++
 			rt.reduceTask(wp, job, js, part, node)
 		}
 	}
@@ -597,16 +574,14 @@ func (rt *Runtime) reduceWorkerLoop(wp *sim.Proc, job *Job, js *jobState, node *
 			return
 		}
 		part := -1
-		js.mu(func() {
-			for i := range js.redClaimed {
-				if !js.redClaimed[i] && !js.redDone[i] {
-					part = i
-					js.redClaimed[i] = true
-					js.redOwner[i] = node.Name
-					break
-				}
+		for i := range js.redClaimed {
+			if !js.redClaimed[i] && !js.redDone[i] {
+				part = i
+				js.redClaimed[i] = true
+				js.redOwner[i] = node.Name
+				break
 			}
-		})
+		}
 		if part < 0 {
 			if js.done {
 				return
@@ -615,14 +590,12 @@ func (rt *Runtime) reduceWorkerLoop(wp *sim.Proc, job *Job, js *jobState, node *
 			continue
 		}
 		rt.reduceTask(wp, job, js, part, node)
-		js.mu(func() {
-			if !js.redDone[part] && js.redOwner[part] == node.Name {
-				// The attempt died under this node; release it.
-				js.redClaimed[part] = false
-				js.redOwner[part] = ""
-				js.redCond.Broadcast()
-			}
-		})
+		if !js.redDone[part] && js.redOwner[part] == node.Name {
+			// The attempt died under this node; release it.
+			js.redClaimed[part] = false
+			js.redOwner[part] = ""
+			js.redCond.Broadcast()
+		}
 	}
 }
 
@@ -660,9 +633,9 @@ func (js *jobState) rejoinTracker(rt *Runtime, node *cluster.Node) {
 	}
 	delete(js.blacklisted, node.Name)
 	delete(js.trackerFailures, node.Name)
-	js.mu(func() { js.counters.TrackerRejoins++ })
+	js.counters.TrackerRejoins++
 	if js.mapLive[node.Name] > js.cfg.MapSlots || js.redLive[node.Name] > js.cfg.ReduceSlots {
-		js.mu(func() { js.counters.DoubleRegistrations++ })
+		js.counters.DoubleRegistrations++
 	}
 	for s := js.mapLive[node.Name]; s < js.cfg.MapSlots; s++ {
 		js.extra = append(js.extra, rt.spawnMapWorker(js.job, js, node, s))

@@ -182,17 +182,9 @@ type Config struct {
 	MaxTaskAttempts    int
 	MaxTrackerFailures int
 
-	// Transient-network-fault knobs: a shuffle fetch that fails because the
-	// map-side node is partitioned away (or the path is lossy) retries with
-	// exponential backoff between NetRetryBase and NetRetryMax for up to
-	// MaxNetFetchRetries attempts before the output is declared lost. The
-	// budget is generous and such failures never charge the tracker
-	// blacklist: a partition is the fabric's fault, not the tracker's.
-	NetRetryBase       time.Duration
-	NetRetryMax        time.Duration
-	MaxNetFetchRetries int
-	// Seed feeds the net-retry backoff jitter rng; healthy runs never draw
-	// from it.
+	// Seed feeds the jitter rng of the sim.NewRetry stalls with which
+	// fetchers and trackers wait out transient network faults; healthy runs
+	// never draw from it.
 	Seed int64
 
 	// Framework CPU costs (virtual) — defaults mirror a 2010s JVM stack.
@@ -212,12 +204,12 @@ func DefaultConfig(scale int64) Config {
 	return Config{
 		MapSlots:            8,
 		ReduceSlots:         1,
-		SortBufBytes:        clampI64((100<<20)/scale, 64<<10),
-		ShuffleBufBytes:     clampI64((140<<20)/scale, 64<<10),
+		SortBufBytes:        max((100<<20)/scale, 64<<10),
+		ShuffleBufBytes:     max((140<<20)/scale, 64<<10),
 		Codec:               compress.Identity{},
 		SlowstartFrac:       0.05,
 		ShuffleParallel:     5,
-		ChunkBytes:          clampI64((1<<20)/scale*4, 16<<10),
+		ChunkBytes:          max((1<<20)/scale*4, 16<<10),
 		LocalityWait:        time.Duration(int64(3*time.Second) * 64 / scale),
 		LocalityRetries:     3,
 		Speculative:         true,
@@ -226,22 +218,12 @@ func DefaultConfig(scale int64) Config {
 		FetchRetryDelay:     time.Duration(int64(time.Second) * 64 / scale),
 		MaxTaskAttempts:     4,
 		MaxTrackerFailures:  3,
-		NetRetryBase:        200 * time.Millisecond,
-		NetRetryMax:         5 * time.Second,
-		MaxNetFetchRetries:  64,
 		ParseNsPerRecord:    120,
 		ParseNsPerByte:      0.4,
 		SortNsPerCompare:    25,
 		SerializeNsPerByte:  0.5,
 		MergeNsPerByte:      0.8,
 	}
-}
-
-func clampI64(v, lo int64) int64 {
-	if v < lo {
-		return lo
-	}
-	return v
 }
 
 // Counters aggregates the per-job statistics Hadoop reports.

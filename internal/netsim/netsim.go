@@ -161,14 +161,6 @@ func Gigabit(env *sim.Env) *Network {
 	return New(env, 125<<20, 100*time.Microsecond)
 }
 
-// SetChunk overrides the interleaving granularity.
-func (n *Network) SetChunk(bytes int64) {
-	if bytes <= 0 {
-		panic("netsim: non-positive chunk")
-	}
-	n.chunk = bytes
-}
-
 // SetRacks configures the topology: racks top-of-rack switches joined by
 // uplinks of uplinkBPS bytes/sec per direction (<= 0 means uplinks match
 // the NIC rate, i.e. non-oversubscribed). Must be called before nodes are
@@ -301,10 +293,6 @@ func (n *Network) Heal(id string) {
 		}
 	}
 }
-
-// Partitioned reports whether the node is currently split from the main
-// partition.
-func (n *Network) Partitioned(name string) bool { return n.part[name] != "" }
 
 // Reachable reports whether a transfer between the two nodes could succeed
 // right now: neither endpoint down and both in the same partition. Lossy

@@ -78,10 +78,10 @@ func BenchmarkKernelResourceHandoff(b *testing.B) {
 }
 
 // BenchmarkKernelPingPong measures the one-switch path: two procs alternating
-// through a pair of Chans, so every resume crosses to the other goroutine.
+// through a pair of testChans, so every resume crosses to the other goroutine.
 func BenchmarkKernelPingPong(b *testing.B) {
 	env := New(1)
-	ping, pong := NewChan(env), NewChan(env)
+	ping, pong := &testChan{env: env}, &testChan{env: env}
 	env.Go("ping", func(p *Proc) {
 		for i := 0; i < b.N/2; i++ {
 			ping.Put(nil)

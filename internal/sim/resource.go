@@ -11,26 +11,13 @@ type Resource struct {
 	inUse    int
 	waiters  []resWaiter
 
-	// accounting
-	grants    uint64
-	waitTotal time.Duration
-	busyTime  time.Duration // integral of inUse over time, for utilization
+	busyTime  time.Duration // integral of inUse over time
 	lastTouch time.Duration
 }
 
 type resWaiter struct {
 	p *Proc
 	n int
-}
-
-func (r *Resource) removeWaiter(p *Proc) bool {
-	for i, w := range r.waiters {
-		if w.p == p {
-			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -43,12 +30,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 
 // Capacity returns the total capacity.
 func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 func (r *Resource) accrue() {
 	now := r.env.now
@@ -66,18 +47,13 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n > r.capacity {
 		panic("sim: acquire exceeds capacity on " + r.name)
 	}
-	start := r.env.now
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
 		r.accrue()
 		r.inUse += n
-		r.grants++
 		return
 	}
 	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
-	p.blockOn(r)
-	// The releaser granted our units before waking us.
-	r.waitTotal += r.env.now - start
-	r.grants++
+	p.block() // the releaser grants our units before waking us
 }
 
 // Release returns n units and admits as many FIFO waiters as now fit.
@@ -109,104 +85,12 @@ func (r *Resource) Use(p *Proc, n int, d time.Duration) {
 	r.Release(n)
 }
 
-// Utilization returns the time-averaged fraction of capacity held between
-// t=0 and now. It is 0 before any activity.
-func (r *Resource) Utilization() float64 {
-	r.accrue()
-	if r.env.now == 0 {
-		return 0
-	}
-	return float64(r.busyTime) / (float64(r.capacity) * float64(r.env.now))
-}
-
 // BusyTime returns the cumulative integral of held units over time — the
 // raw counter behind utilization sampling (one unit held for one second
 // contributes one second).
 func (r *Resource) BusyTime() time.Duration {
 	r.accrue()
 	return r.busyTime
-}
-
-// AvgWait returns the mean virtual time spent queued per grant.
-func (r *Resource) AvgWait() time.Duration {
-	if r.grants == 0 {
-		return 0
-	}
-	return r.waitTotal / time.Duration(r.grants)
-}
-
-// Chan is an unbounded FIFO queue usable across processes in virtual time.
-// Put never blocks; Get blocks until an item is available or the channel is
-// closed. A Chan with a capacity bound can be built from Resource + Chan.
-type Chan struct {
-	env     *Env
-	items   []any
-	getters []*Proc
-	closed  bool
-}
-
-// NewChan creates an empty channel.
-func NewChan(env *Env) *Chan { return &Chan{env: env} }
-
-func (c *Chan) removeWaiter(p *Proc) bool {
-	for i, g := range c.getters {
-		if g == p {
-			c.getters = append(c.getters[:i], c.getters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of queued items.
-func (c *Chan) Len() int { return len(c.items) }
-
-// Put enqueues v and wakes one waiting getter, if any.
-func (c *Chan) Put(v any) {
-	if c.closed {
-		panic("sim: Put on closed Chan")
-	}
-	c.items = append(c.items, v)
-	if len(c.getters) > 0 {
-		g := c.getters[0]
-		c.getters = c.getters[1:]
-		c.env.wake(g)
-	}
-}
-
-// Close marks the channel closed and wakes all waiting getters, which will
-// observe ok=false once the queue drains.
-func (c *Chan) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, g := range c.getters {
-		c.env.wake(g)
-	}
-	c.getters = nil
-}
-
-// Get dequeues the oldest item, blocking if the channel is empty. It returns
-// ok=false if the channel is closed and drained.
-func (c *Chan) Get(p *Proc) (any, bool) {
-	for len(c.items) == 0 {
-		if c.closed {
-			return nil, false
-		}
-		c.getters = append(c.getters, p)
-		p.blockOn(c)
-	}
-	v := c.items[0]
-	c.items = c.items[1:]
-	// If items remain and other getters wait, hand the baton on so a burst
-	// of Puts wakes every waiter it can serve.
-	if len(c.items) > 0 && len(c.getters) > 0 {
-		g := c.getters[0]
-		c.getters = c.getters[1:]
-		c.env.wake(g)
-	}
-	return v, true
 }
 
 // Cond is a broadcast condition variable in virtual time.
@@ -222,17 +106,7 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 // re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.blockOn(c)
-}
-
-func (c *Cond) removeWaiter(p *Proc) bool {
-	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
+	p.block()
 }
 
 // Broadcast wakes every waiter.
@@ -265,17 +139,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.blockOn(ev)
-}
-
-func (ev *Event) removeWaiter(p *Proc) bool {
-	for i, w := range ev.waiters {
-		if w == p {
-			ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
+	p.block()
 }
 
 // Fire marks the event fired and wakes all waiters. Firing twice panics —

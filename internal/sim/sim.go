@@ -24,9 +24,9 @@
 //
 // A process is any function with signature func(*Proc). Within a process,
 // virtual time passes only through blocking operations: Sleep, Resource
-// acquisition, Chan operations, or Handle.Wait. Plain computation between
-// blocking calls is instantaneous in virtual time (charge it explicitly with
-// Sleep if it should cost simulated CPU time).
+// acquisition, Cond.Wait, Event.Wait or Handle.Wait. Plain computation
+// between blocking calls is instantaneous in virtual time (charge it
+// explicitly with Sleep if it should cost simulated CPU time).
 package sim
 
 import (
@@ -152,25 +152,16 @@ type Proc struct {
 	env    *Env
 	name   string
 	resume chan struct{}
-	handle *Handle
 	daemon bool
 
-	killed bool       // Kill was requested; unwind at the next resume point
-	dead   bool       // the process goroutine has finished
-	slot   int32      // index in Env.procs while live (32 bits: shares a word with the flags)
-	wl     waiterList // wait list the process is currently parked on, if any
+	killed  bool  // Close is unwinding the process at its resume point
+	blocked bool  // parked on a wait list, with no wakeup in the event heap
+	slot    int32 // index in Env.procs while live (32 bits: shares a word with the flags)
 }
 
-// waiterList is implemented by every blocking primitive that parks processes
-// (Resource, Chan, Cond, Event, Handle), so Kill can unregister a parked
-// process without the primitive later waking a corpse.
-type waiterList interface {
-	removeWaiter(p *Proc) bool
-}
-
-// procKilled is the panic value that unwinds a killed process goroutine. The
-// spawn wrapper recovers it and turns it into a normal process exit, so the
-// process's own defers run — the supported way to release held resources.
+// procKilled is the panic value with which Close unwinds a process goroutine.
+// The spawn wrapper recovers it and turns it into a normal process exit, so
+// the process's own defers run — the supported way to release held resources.
 type procKilled struct{ p *Proc }
 
 // SetDaemon marks the process as a daemon: a service loop (disk servicer,
@@ -187,11 +178,8 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
-// Handle lets other processes wait for a spawned process to finish, and
-// request its cancellation with Kill.
+// Handle lets other processes wait for a spawned process to finish.
 type Handle struct {
-	env     *Env
-	proc    *Proc
 	done    bool
 	waiters []*Proc
 }
@@ -205,52 +193,14 @@ func (h *Handle) Wait(p *Proc) {
 		return
 	}
 	h.waiters = append(h.waiters, p)
-	p.blockOn(h)
-}
-
-func (h *Handle) removeWaiter(p *Proc) bool {
-	for i, w := range h.waiters {
-		if w == p {
-			h.waiters = append(h.waiters[:i], h.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Kill requests cancellation of the handle's process: the process unwinds
-// (running its defers) at its next resume point. A process parked on a wait
-// list (Resource, Cond, Event, Chan, Handle) is unregistered and dies
-// immediately; a sleeping process dies when its sleep expires; a process
-// that never started dies without running. Kill on a finished process is a
-// no-op. Note that a killed process does not release resources it holds
-// unless it arranged release with defer — kill service loops and waiters,
-// not resource holders.
-func (h *Handle) Kill() {
-	p := h.proc
-	if h.done || p.killed {
-		return
-	}
-	p.killed = true
-	if p.wl != nil {
-		p.wl.removeWaiter(p)
-		p.wl = nil
-		if !p.daemon {
-			p.env.blocked--
-		}
-		p.env.schedule(event{at: p.env.now, p: p})
-	}
-	// Otherwise the process is sleeping, ready, or running: exactly one
-	// resume is already pending (or it is on the CPU now), and the killed
-	// flag unwinds it at that point.
+	p.block()
 }
 
 // Go spawns fn as a new process starting at the current virtual time.
 // It may be called before Run, or from inside a running process.
 func (e *Env) Go(name string, fn func(*Proc)) *Handle {
-	h := &Handle{env: e}
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), handle: h}
-	h.proc = p
+	h := &Handle{}
+	p := &Proc{env: e, name: name, resume: make(chan struct{})}
 	p.slot = int32(len(e.procs))
 	e.procs = append(e.procs, p)
 	go func() {
@@ -258,12 +208,11 @@ func (e *Env) Go(name string, fn func(*Proc)) *Handle {
 		// The final dispatch is deferred so that a process goroutine killed
 		// by runtime.Goexit (e.g. a test helper's t.Fatal/t.Skip inside the
 		// process) still hands the baton on instead of hanging the
-		// simulation. A procKilled panic (Handle.Kill, Close) is recovered
-		// and becomes a normal exit; any other panic is re-raised after the
-		// baton has been passed.
+		// simulation. Close's procKilled panic is recovered and becomes a
+		// normal exit; any other panic is re-raised after the baton has been
+		// passed.
 		defer func() {
 			r := recover()
-			p.dead = true
 			last := len(e.procs) - 1 // leave the registry: the last entry takes p's slot
 			e.procs[p.slot] = e.procs[last]
 			e.procs[p.slot].slot = p.slot
@@ -281,7 +230,7 @@ func (e *Env) Go(name string, fn func(*Proc)) *Handle {
 				}
 			}
 		}()
-		if !p.killed { // killed before first run: die without executing fn
+		if !p.killed { // closed before its first run: die without executing fn
 			fn(p)
 		}
 	}()
@@ -371,11 +320,6 @@ func (e *Env) dispatch(self *Proc) bool {
 			ev.fn()
 			continue
 		}
-		if ev.p.dead {
-			// A resume raced with the process's death (it was killed and
-			// unwound before this event fired); nobody is listening.
-			continue
-		}
 		if ev.p == self {
 			return true
 		}
@@ -405,17 +349,12 @@ func (p *Proc) block() {
 	if !p.daemon {
 		p.env.blocked++
 	}
+	p.blocked = true
 	p.park()
-	p.wl = nil
+	p.blocked = false
 	if p.killed {
 		panic(procKilled{p})
 	}
-}
-
-// blockOn parks the process on wl and blocks, so Kill can unregister it.
-func (p *Proc) blockOn(wl waiterList) {
-	p.wl = wl
-	p.block()
 }
 
 // Sleep suspends the process for d of virtual time. Negative d sleeps 0.
@@ -499,7 +438,7 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 	if len(e.events) == 0 && e.blocked > 0 {
 		var names []string
 		for _, p := range e.procs {
-			if p.wl != nil && !p.daemon {
+			if p.blocked && !p.daemon {
 				names = append(names, p.name)
 			}
 		}
@@ -511,9 +450,10 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 
 // Close ends the environment: every process that has not finished — parked
 // daemons, processes a limit, a cancellation or a deadlock left mid-flight,
-// processes that never started — is killed and unwound (its defers run, as
-// for Handle.Kill), one at a time, and by the time Close returns each
-// goroutine is past its last use of the environment and about to exit. No
+// processes that never started — is unwound by a panic at the point where it
+// is parked, so its defers run, one process at a time, and by the time Close
+// returns each goroutine is past its last use of the environment and about
+// to exit. No
 // event fires and no virtual time passes; a deferred function that tries to
 // Sleep or block during the unwind is itself unwound. Close must not be
 // called from inside Run, and a closed environment must not be run again.
@@ -531,9 +471,6 @@ func (e *Env) Close() {
 	}
 	e.events = nil
 }
-
-// Idle reports whether no events remain.
-func (e *Env) Idle() bool { return len(e.events) == 0 }
 
 // Live returns the number of spawned processes that have not finished.
 func (e *Env) Live() int { return len(e.procs) }

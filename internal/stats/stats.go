@@ -101,27 +101,6 @@ func (s *Series) FracAbove(threshold float64) float64 {
 	return float64(n) / float64(len(s.Points))
 }
 
-// Percentile returns the p-th percentile (0..100) by nearest-rank on a
-// sorted copy. Empty series yield 0.
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	vals := s.Values()
-	sort.Float64s(vals)
-	if p <= 0 {
-		return vals[0]
-	}
-	if p >= 100 {
-		return vals[len(vals)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(vals)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return vals[rank]
-}
-
 // Downsample reduces the series to at most n points by averaging equal-width
 // windows, preserving overall shape for compact plotting. It returns the
 // receiver unchanged if it already fits.
@@ -146,49 +125,6 @@ func (s *Series) Downsample(n int) *Series {
 		out.Add(s.Points[hi-1].T, sum/float64(hi-lo))
 	}
 	return out
-}
-
-// Summary holds streaming moments of a value stream.
-type Summary struct {
-	N     uint64
-	Sum   float64
-	SumSq float64
-	MinV  float64
-	MaxV  float64
-}
-
-// Observe folds one value into the summary.
-func (m *Summary) Observe(v float64) {
-	if m.N == 0 || v < m.MinV {
-		m.MinV = v
-	}
-	if m.N == 0 || v > m.MaxV {
-		m.MaxV = v
-	}
-	m.N++
-	m.Sum += v
-	m.SumSq += v * v
-}
-
-// Mean returns the running mean (0 if empty).
-func (m *Summary) Mean() float64 {
-	if m.N == 0 {
-		return 0
-	}
-	return m.Sum / float64(m.N)
-}
-
-// Stddev returns the population standard deviation (0 if fewer than 2).
-func (m *Summary) Stddev() float64 {
-	if m.N < 2 {
-		return 0
-	}
-	mean := m.Mean()
-	v := m.SumSq/float64(m.N) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 // Histogram is a fixed-bucket histogram over [0, +inf) with geometric bucket

@@ -31,9 +31,6 @@ type Record struct {
 	Done    time.Duration // completion time
 }
 
-// Latency returns the request's residence time.
-func (r Record) Latency() time.Duration { return r.Done - r.Arrived }
-
 // Collector accumulates records in memory from subscribed disks. For long
 // runs prefer StreamCollector, which writes records out as they complete
 // instead of retaining them.

@@ -73,11 +73,6 @@ func All() []Workload {
 	return []Workload{NewAggregation(), NewTeraSort(), NewKMeans(), NewPageRank()}
 }
 
-// Extensions returns the workloads beyond the paper's four.
-func Extensions() []Workload {
-	return []Workload{NewJoin()}
-}
-
 // inputDir and outputDir name the HDFS layout per workload.
 func inputDir(key string) string  { return "/bench/" + key + "/in" }
 func outputDir(key string) string { return "/bench/" + key + "/out" }

@@ -370,15 +370,17 @@ func TestJoinMatchesSerialReference(t *testing.T) {
 }
 
 func TestExtensionsRegistry(t *testing.T) {
-	ext := Extensions()
-	if len(ext) != 1 || ext[0].Key() != "JOIN" {
-		t.Errorf("Extensions = %v", ext)
+	// The extension workload is reachable by key only: All() must stay the
+	// paper's four.
+	if w, err := ByKey("JOIN"); err != nil || w.Key() != "JOIN" {
+		t.Errorf("ByKey(JOIN) = %v, %v", w, err)
 	}
-	if _, err := ByKey("JOIN"); err != nil {
-		t.Error(err)
-	}
-	// All() must stay the paper's four.
 	if len(All()) != 4 {
 		t.Errorf("All() = %d workloads", len(All()))
+	}
+	for _, w := range All() {
+		if w.Key() == "JOIN" {
+			t.Error("All() includes the JOIN extension")
+		}
 	}
 }
