@@ -16,6 +16,7 @@ import (
 	"iochar/internal/cluster"
 	"iochar/internal/compress"
 	"iochar/internal/hdfs"
+	"iochar/internal/journal"
 	"iochar/internal/sim"
 )
 
@@ -979,4 +980,39 @@ func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 		}
 	})
 	r.env.Run(0)
+}
+
+// MapsDone is when the last map attempt completed, not when the last idle
+// map worker gave up its locality wait. The probe parks on the condition
+// every completion broadcasts, so it wakes at each completion's own instant.
+func TestMapsDoneIsLastMapCompletion(t *testing.T) {
+	rig := masterRigMR(t, journal.Config{}) // the master layer publishes the job state in rt.jobs
+	parts, _ := textParts()
+	for len(parts) < 20 { // 20 maps over 4 × 2 slots: three waves
+		parts = append(parts, parts[len(parts)-4])
+	}
+	rig.loadLines("/in", parts)
+	job := wordCountJob(rig.inputs("/in"), "/out")
+	var lastCompletion time.Duration
+	rig.env.Go("probe", func(p *sim.Proc) {
+		p.SetDaemon(true)
+		for rig.rt.jobs[job.Name] == nil {
+			p.Sleep(time.Microsecond)
+		}
+		js := rig.rt.jobs[job.Name]
+		for js.mapsDone < js.totalMaps {
+			js.outputsCond.Wait(p)
+		}
+		lastCompletion = p.Now()
+	})
+	res := rig.runJobStopMaster(t, job)
+	if res.Counters.MapTasks != len(parts) {
+		t.Fatalf("%d map tasks, want %d", res.Counters.MapTasks, len(parts))
+	}
+	if lastCompletion == 0 || res.MapsDone != lastCompletion {
+		t.Errorf("MapsDone = %v, last map attempt completed at %v", res.MapsDone, lastCompletion)
+	}
+	if res.MapsDone <= res.Start || res.MapsDone >= res.End {
+		t.Errorf("MapsDone %v outside (Start %v, End %v): want a map phase and a reduce tail", res.MapsDone, res.Start, res.End)
+	}
 }

@@ -210,7 +210,7 @@ func (js *jobState) completeMap(out *mapOutput) bool {
 	js.durCnt++
 	js.outputs = append(js.outputs, out)
 	js.mapsDone++
-	if js.faulty && js.mapsDone == js.totalMaps {
+	if js.mapsDone == js.totalMaps {
 		js.allMapsAt = js.env.Now()
 	}
 	js.outputsCond.Broadcast()
@@ -425,7 +425,6 @@ func (rt *Runtime) Run(p *sim.Proc, job *Job) (*Result, error) {
 			workers = append(workers, rt.spawnMapWorker(job, js, node, s))
 		}
 	}
-	mapWorkers := len(workers)
 
 	// Reduce-slot workers: start pulling partitions once slowstart allows.
 	for _, node := range rt.cl.Slaves {
@@ -434,22 +433,20 @@ func (rt *Runtime) Run(p *sim.Proc, job *Job) (*Result, error) {
 		}
 	}
 
-	for i, h := range workers {
+	for _, h := range workers {
 		h.Wait(p)
-		if i == mapWorkers-1 {
-			res.MapsDone = p.Now()
-		}
 	}
 	// Workers respawned by tracker re-registration; the slice can grow while
 	// draining (a node may rejoin more than once).
 	for i := 0; i < len(js.extra); i++ {
 		js.extra[i].Wait(p)
 	}
-	if rt.faulty {
-		res.MapsDone = js.allMapsAt // lingering workers exit late; use the real mark
-		if js.failed == nil && !js.done {
-			js.fail(&JobError{Job: job.Name, Reason: "no live task trackers left"})
-		}
+	// Not when the last map worker exited: idle workers sit out a locality
+	// wait (or, in fault mode, linger for resurrected work) past the last
+	// completion.
+	res.MapsDone = js.allMapsAt
+	if rt.faulty && js.failed == nil && !js.done {
+		js.fail(&JobError{Job: job.Name, Reason: "no live task trackers left"})
 	}
 	// Job cleanup: map output files are deleted once the job completes,
 	// which is when dirty intermediate pages that never aged out die in the
