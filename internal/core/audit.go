@@ -16,13 +16,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"math"
 	"slices"
 	"strings"
 
 	"iochar/internal/cluster"
 	"iochar/internal/hdfs"
 	"iochar/internal/localfs"
-	"iochar/internal/mapred"
 	"iochar/internal/sim"
 )
 
@@ -169,12 +170,17 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 			a.noteReadFailure(path, err)
 			continue
 		}
-		data, err := r.ReadAt(p, 0, r.Size())
+		s := newKVSummer()
+		if err := r.ReadBlocks(p, s.write); err != nil {
+			a.noteReadFailure(path, err)
+			continue
+		}
+		sum, err := s.sum()
 		if err != nil {
 			a.noteReadFailure(path, err)
 			continue
 		}
-		a.OutputSums[path] = canonicalKVSum(data)
+		a.OutputSums[path] = sum
 	}
 	return a
 }
@@ -206,41 +212,93 @@ func isOutputPath(path string) bool {
 	return ok && strings.HasPrefix(dir, "out")
 }
 
-// canonicalKVSum hashes a reduce-output KV stream as a sorted multiset of
-// pairs. Reduce outputs are key-sorted already, but values of one key can
-// legitimately arrive (and be emitted) in a different order under faults;
-// sorting by (key, value) makes the checksum order-insensitive while still
-// pinning every byte of every pair.
-func canonicalKVSum(data []byte) string {
-	h := sha256.New()
-	var n [8]byte
-	hashPair := func(k, v []byte) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(k)))
-		h.Write(n[:])
-		h.Write(k)
-		binary.LittleEndian.PutUint64(n[:], uint64(len(v)))
-		h.Write(n[:])
-		h.Write(v)
+// kvSummer computes an output file's canonical checksum from the file's
+// blocks as hdfs.Reader.ReadBlocks delivers them: SHA-256 over the pairs as
+// a (key, value)-sorted multiset, each field behind its length. Reduce
+// outputs are key-sorted already, but values of one key can legitimately
+// arrive (and be emitted) in a different order under faults; sorting makes
+// the checksum order-insensitive while still pinning every byte of every
+// pair. Nearly every stream is sorted as it stands, so pairs are hashed out
+// of the blocks in stream order — only one that straddles blocks is copied,
+// and the file is never assembled — while looking for a pair out of place.
+// The blocks are remembered for that case alone (they are views of bytes the
+// DataNodes hold anyway): sum then gathers, sorts and hashes them afresh.
+// Unlike mapred.NextKV, which trusts its input, the summer reports a stream
+// that ends inside a pair instead of indexing past it.
+type kvSummer struct {
+	h            hash.Hash
+	n            [8]byte // hash's length scratch
+	prevK, prevV []byte
+	unsorted     bool
+	blocks       [][]byte
+	carry        []byte // the copied head of a pair that straddles blocks
+	off          int64  // stream offset of the first pair not yet decoded
+}
+
+func newKVSummer() *kvSummer { return &kvSummer{h: sha256.New()} }
+
+// write takes the next block of the stream, which the summer keeps.
+func (s *kvSummer) write(block []byte) error {
+	s.blocks = append(s.blocks, block)
+	for len(block) > 0 {
+		d := block
+		if len(s.carry) > 0 {
+			// Extend the copied head by what it is known to lack.
+			_, _, _, short := splitKV(s.carry)
+			short = min(short, len(block))
+			s.carry, block = append(s.carry, block[:short]...), block[short:]
+			d = s.carry
+		}
+		k, v, n, short := splitKV(d)
+		if n == 0 {
+			if short == 0 {
+				return fmt.Errorf("corrupt KV stream at offset %d", s.off)
+			}
+			if len(s.carry) == 0 {
+				s.carry, block = append(s.carry, block...), nil
+			}
+			continue // the rest of the pair is in the next block
+		}
+		if len(s.carry) > 0 {
+			s.carry = nil // not reused: prevK and prevV point into it
+		} else {
+			block = block[n:]
+		}
+		s.off += int64(n)
+		if s.unsorted {
+			continue // only decoding now, so that a truncated tail is still found
+		}
+		if c := bytes.Compare(s.prevK, k); c > 0 || (c == 0 && bytes.Compare(s.prevV, v) > 0) {
+			s.unsorted = true
+			continue
+		}
+		s.hash(k, v)
+		s.prevK, s.prevV = k, v
 	}
-	// Nearly every stream is (key, value)-sorted as it stands, so hash it in
-	// stream order and look for a pair out of place on the way.
-	sorted := true
-	var prevK, prevV []byte
-	for d := data; len(d) > 0 && sorted; {
-		var k, v []byte
-		k, v, d = mapred.NextKV(d)
-		c := bytes.Compare(prevK, k)
-		sorted = c < 0 || (c == 0 && bytes.Compare(prevV, v) <= 0)
-		hashPair(k, v)
-		prevK, prevV = k, v
+	return nil
+}
+
+func (s *kvSummer) hash(k, v []byte) {
+	binary.LittleEndian.PutUint64(s.n[:], uint64(len(k)))
+	s.h.Write(s.n[:])
+	s.h.Write(k)
+	binary.LittleEndian.PutUint64(s.n[:], uint64(len(v)))
+	s.h.Write(s.n[:])
+	s.h.Write(v)
+}
+
+// sum returns the checksum of the stream written.
+func (s *kvSummer) sum() (string, error) {
+	if len(s.carry) > 0 {
+		return "", fmt.Errorf("truncated KV stream at offset %d", s.off)
 	}
-	if !sorted {
+	if s.unsorted {
 		type pair struct{ k, v []byte }
 		var pairs []pair
-		for len(data) > 0 {
-			var pr pair
-			pr.k, pr.v, data = mapred.NextKV(data)
-			pairs = append(pairs, pr)
+		for d := bytes.Join(s.blocks, nil); len(d) > 0; {
+			k, v, n, _ := splitKV(d) // write has checked the framing
+			pairs = append(pairs, pair{k, v})
+			d = d[n:]
 		}
 		slices.SortFunc(pairs, func(a, b pair) int {
 			if c := bytes.Compare(a.k, b.k); c != 0 {
@@ -248,10 +306,32 @@ func canonicalKVSum(data []byte) string {
 			}
 			return bytes.Compare(a.v, b.v)
 		})
-		h.Reset()
+		s.h.Reset()
 		for _, pr := range pairs {
-			hashPair(pr.k, pr.v)
+			s.hash(pr.k, pr.v)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(s.h.Sum(nil)), nil
+}
+
+// splitKV decodes the pair at the head of d; n > 0 is its wire length. When d
+// ends inside the pair n is 0 and short is how many more bytes the pair is
+// known to need; both are 0 when a length is not a uvarint at all. Lengths
+// are compared as uint64: they come from the stream, and an int sum can wrap.
+func splitKV(d []byte) (k, v []byte, n, short int) {
+	var f [2][]byte
+	for i := range f {
+		l, h := binary.Uvarint(d[n:])
+		switch left := uint64(len(d) - n - h); {
+		case h < 0:
+			return nil, nil, 0, 0
+		case h == 0:
+			return nil, nil, 0, 1
+		case left < l:
+			return nil, nil, 0, int(min(l-left, math.MaxInt32))
+		}
+		f[i] = d[n+h : n+h+int(l)]
+		n += h + int(l)
+	}
+	return f[0], f[1], n, 0
 }

@@ -405,8 +405,16 @@ func (fs *FS) CreateWith(path, clientNode string, replication int) *Writer {
 // through the replication pipeline. It returns an error only when a block
 // cannot be stored on any live DataNode.
 func (w *Writer) Write(p *sim.Proc, data []byte) error {
-	w.buf = append(w.buf, data...)
 	bs := w.fs.cfg.BlockSize
+	if need := len(w.buf) + len(data); need > cap(w.buf) {
+		// Double, up to the most the buffer ever holds — the unflushed tail
+		// of a block plus this record. Left to append, a buffer fed small
+		// records climbs there in 1.25x steps and allocates about five times
+		// its final size on the way.
+		grown := make([]byte, 0, min(max(2*cap(w.buf), need), int(bs)+len(data)))
+		w.buf = append(grown, w.buf...)
+	}
+	w.buf = append(w.buf, data...)
 	// Flush by offset and copy the tail down once, keeping the buffer's
 	// capacity: re-slicing past the flushed prefix would orphan it and force
 	// a fresh block-sized allocation on every following append.
@@ -604,7 +612,8 @@ func (fs *FS) Load(path string, firstNode string, data []byte) {
 	fs.journalEdit(editRec{op: opClose, path: path})
 }
 
-// Reader streams a byte range of a file.
+// Reader reads a file on behalf of one client node: ReadAt for a byte range,
+// ReadBlocks for the whole file a block at a time without assembling it.
 type Reader struct {
 	fs     *FS
 	meta   *fileMeta
@@ -651,12 +660,7 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 		if lo < hi {
 			data, err := r.readBlockRange(p, b, lo-blockStart, hi-lo)
 			if err != nil {
-				if _, lost := err.(*LostBlockError); lost {
-					if dle := r.fs.dataLoss(r.meta); dle != nil {
-						return nil, dle
-					}
-				}
-				return nil, err
+				return nil, r.lossOf(err)
 			}
 			if hi-lo == length {
 				return data, nil
@@ -672,6 +676,38 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// ReadBlocks reads the whole file and passes it to fn one block at a time,
+// in order, stopping at the first error from either side. It costs what
+// ReadAt(p, 0, Size()) costs — one NameNode RPC, then every block from its
+// best replica with the same failover, integrity check and remote transfer —
+// but each block reaches fn as the DataNode's read-only view of its block
+// file (see localfs), so a caller that only folds the bytes into something
+// smaller holds no copy of the file.
+func (r *Reader) ReadBlocks(p *sim.Proc, fn func(block []byte) error) error {
+	r.fs.waitMasterFrom(p, false, r.client)
+	for _, b := range r.meta.blocks {
+		data, err := r.readBlockRange(p, b, 0, b.size)
+		if err != nil {
+			return r.lossOf(err)
+		}
+		if err := fn(data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lossOf widens a failed block read into the file's DataLossError when the
+// block is gone for good.
+func (r *Reader) lossOf(err error) error {
+	if _, lost := err.(*LostBlockError); lost {
+		if dle := r.fs.dataLoss(r.meta); dle != nil {
+			return dle
+		}
+	}
+	return err
 }
 
 // DataLossError reports that a file has lost data for good: the named

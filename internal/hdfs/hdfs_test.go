@@ -3,6 +3,7 @@ package hdfs
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -460,5 +461,48 @@ func TestOneRackPlacementMatchesFlatModel(t *testing.T) {
 			t.Fatalf("draw %d (writer %s, replication %d, crashed %07b): chose [%s] cursor %d, flat model [%s] cursor %d",
 				draw, writer, replication, crashed, got, fs.place%slaves, want, model.place%slaves)
 		}
+	}
+}
+
+// TestWriterAllocationPerByteWritten: a reducer-shaped write — one block of
+// small records at replication 1 — may allocate the stored copy, page-cache
+// bookkeeping and a client buffer that doubles up to the block size (about
+// twice its final size in all). A buffer left to append's 1.25x steps
+// allocates about five times its final size and lands above 6.
+func TestWriterAllocationPerByteWritten(t *testing.T) {
+	env := sim.New(1)
+	c, err := cluster.New(env, cluster.DefaultHardware(64), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(env, DefaultConfig(64), c.Net, c.Slaves)
+	bs := int(fs.cfg.BlockSize)
+	if bs != 1<<20 {
+		t.Fatalf("block size %d, want 1 MiB", bs)
+	}
+	rec := pattern(100)
+	var perByte float64
+	env.Go("w", func(p *sim.Proc) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := fs.CreateWith("/out", c.Slaves[0].Name, 1)
+		for n := 0; n < bs; n += len(rec) {
+			if err := w.Write(p, rec[:min(len(rec), bs-n)]); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := w.Close(p); err != nil {
+			t.Error(err)
+		}
+		runtime.ReadMemStats(&after)
+		perByte = float64(after.TotalAlloc-before.TotalAlloc) / float64(bs)
+	})
+	env.Run(0)
+	if fs.Size("/out") != int64(bs) || len(fs.files["/out"].blocks) != 1 {
+		t.Fatalf("wrote %d bytes in %d blocks, want one full block", fs.Size("/out"), len(fs.files["/out"].blocks))
+	}
+	t.Logf("%.3f bytes allocated per byte written", perByte)
+	if perByte > 4.0 {
+		t.Errorf("%.3f bytes allocated per byte written, limit 4.0", perByte)
 	}
 }

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -300,6 +301,98 @@ func TestDataLossErrorStructured(t *testing.T) {
 		}
 		if len(dl.Blocks) == 0 {
 			t.Error("no lost block IDs named")
+		}
+	})
+	env.Run(0)
+}
+
+// TestReadBlocksMatchesReadAt: block by block or assembled, a whole-file read
+// returns the same bytes at the same virtual cost — on a healthy multi-block
+// file, and with integrity on and the reader-local replica of the middle
+// block corrupted, where both must fail over and report the same strike.
+func TestReadBlocksMatchesReadAt(t *testing.T) {
+	type outcome struct {
+		data    []byte
+		blocks  int
+		elapsed time.Duration
+		stats   RecoveryStats
+	}
+	read := func(corrupt, blockwise bool) outcome {
+		env, c, fs := rig(4)
+		fs.EnableIntegrity()
+		fs.EnableRecovery(fastRecovery())
+		client := c.Slaves[0].Name
+		var out outcome
+		env.Go("client", func(p *sim.Proc) {
+			w := fs.Create("/f", client)
+			w.Write(p, pattern(int(2*fs.cfg.BlockSize+5_000)))
+			w.Close(p)
+			if corrupt {
+				mid := fs.files["/f"].blocks[1]
+				sb := mid.replicas[0].blocks[mid.id]
+				if mid.replicas[0].node.Name != client || !sb.vol.Corrupt(blockFileName(mid.id), 100, 8) {
+					t.Fatal("could not corrupt the reader-local replica of the middle block")
+				}
+			}
+			r, err := fs.Open("/f", client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := p.Now()
+			if blockwise {
+				err = r.ReadBlocks(p, func(block []byte) error {
+					out.data = append(out.data, block...)
+					out.blocks++
+					return nil
+				})
+			} else {
+				out.data, err = r.ReadAt(p, 0, r.Size())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.elapsed = p.Now() - start
+			out.stats = fs.RecoveryStats()
+			fs.WaitRecovered(p)
+			fs.StopRecovery()
+		})
+		env.Run(0)
+		return out
+	}
+	for _, corrupt := range []bool{false, true} {
+		whole, blockwise := read(corrupt, false), read(corrupt, true)
+		if !bytes.Equal(blockwise.data, pattern(len(whole.data))) || !bytes.Equal(blockwise.data, whole.data) {
+			t.Errorf("corrupt=%v: ReadBlocks concatenated differs from ReadAt(0, Size())", corrupt)
+		}
+		if blockwise.blocks != 3 {
+			t.Errorf("corrupt=%v: fn saw %d blocks, want 3", corrupt, blockwise.blocks)
+		}
+		if blockwise.elapsed != whole.elapsed || blockwise.stats != whole.stats {
+			t.Errorf("corrupt=%v: ReadBlocks took %v with %+v, ReadAt %v with %+v", corrupt, blockwise.elapsed, blockwise.stats, whole.elapsed, whole.stats)
+		}
+		if got := whole.stats.ChecksumErrors; (got != 0) != corrupt {
+			t.Errorf("corrupt=%v: %d checksum errors", corrupt, got)
+		}
+	}
+}
+
+// TestReadBlocksStopsAtFnError: the caller's error comes back as it is and
+// no further block is read.
+func TestReadBlocksStopsAtFnError(t *testing.T) {
+	env, c, fs := rig(3)
+	stop := errors.New("enough")
+	env.Go("client", func(p *sim.Proc) {
+		w := fs.Create("/f", c.Slaves[0].Name)
+		w.Write(p, pattern(int(3*fs.cfg.BlockSize)))
+		w.Close(p)
+		r, err := fs.Open("/f", c.Slaves[1].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		err = r.ReadBlocks(p, func([]byte) error { calls++; return stop })
+		if err != stop || calls != 1 {
+			t.Errorf("ReadBlocks = %v after %d calls, want the caller's error after 1", err, calls)
 		}
 	})
 	env.Run(0)

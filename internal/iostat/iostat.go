@@ -122,25 +122,6 @@ func (h *Hists) Observe(c disk.Completion) {
 	h.Requests++
 }
 
-// Merge folds other's distributions into h in place — bucket arrays are
-// reused, so rolling many per-group Hists into a cluster-wide view does no
-// per-merge allocation. Shapes must match (both built by NewHists).
-func (h *Hists) Merge(other *Hists) {
-	h.Await.Merge(other.Await)
-	h.Svctm.Merge(other.Svctm)
-	h.Size.Merge(other.Size)
-	if other.AwaitMaxMs > h.AwaitMaxMs {
-		h.AwaitMaxMs = other.AwaitMaxMs
-	}
-	if other.SvctmMaxMs > h.SvctmMaxMs {
-		h.SvctmMaxMs = other.SvctmMaxMs
-	}
-	if other.SizeMax > h.SizeMax {
-		h.SizeMax = other.SizeMax
-	}
-	h.Requests += other.Requests
-}
-
 func newReport(name string) *Report {
 	return &Report{
 		Name:     name,

@@ -67,8 +67,10 @@ func (f *file) truncate(cut int64) {
 	i := f.segAt(cut)
 	keep := i
 	if s := &f.segs[i]; cut > s.off {
-		n := cut - s.off
-		s.data = s.data[:n:n]
+		s.n = cut - s.off
+		if s.data != nil {
+			s.data = s.data[:s.n:s.n]
+		}
 		keep++
 	}
 	clear(f.segs[keep:]) // let the dropped bytes go
@@ -126,8 +128,9 @@ func (fs *FS) Remount(p *sim.Proc) {
 // media corruption: no timing, no cache interaction, just wrong bytes the
 // next reader will see. Each segment touched is replaced by a flipped copy:
 // the stored bytes may be shared with other files (Install) and with views
-// readers already hold, and neither may see this file's damage. Returns
-// false if the file is absent or the range does not overlap it.
+// readers already hold, and neither may see this file's damage. A segment a
+// ReadOnce let go is skipped: it has no next reader. Returns false if the
+// file is absent or the range does not overlap it.
 func (fs *FS) Corrupt(name string, off int64, n int) bool {
 	f, ok := fs.files[name]
 	if !ok || off < 0 || off >= f.size || n <= 0 {
@@ -139,6 +142,9 @@ func (fs *FS) Corrupt(name string, off int64, n int) bool {
 	}
 	for i := f.segAt(off); i < len(f.segs) && f.segs[i].off < end; i++ {
 		s := &f.segs[i]
+		if s.data == nil {
+			continue
+		}
 		flipped := append([]byte(nil), s.data...)
 		for j := max(off, s.off) - s.off; j < min(end, s.end())-s.off; j++ {
 			flipped[j] ^= 0xFF

@@ -29,6 +29,16 @@
 //     spans segments is gathered into a fresh slice. Either way the result
 //     is the file's bytes as of the call — a later Corrupt, Crash or Delete
 //     does not change it — and callers must treat it as read-only.
+//   - ReadOnce lets go. It reads as ReadAt does and then drops the file's
+//     own reference to every segment lying wholly inside the range, so the
+//     bytes live exactly as long as the views handed out: a reader that is
+//     the only one a range will ever have (a reducer fetching its partition
+//     of a map output) does not leave a second, unreachable copy resident
+//     until the file is deleted. Size, extents and cached pages stay — the
+//     file still occupies its disk. Reading a let-go range again panics
+//     rather than returning zeros: the caller's claim to be the last reader
+//     was wrong, and invented bytes would surface as a wrong answer far
+//     from the call that made the claim.
 package localfs
 
 import (
@@ -61,13 +71,15 @@ type extent struct {
 func (e extent) end() int64 { return e.sector + e.sectors }
 
 // segment is one immutable run of a file's bytes, starting at file offset
-// off.
+// off. It carries its length because data is nil once a ReadOnce has let
+// the bytes go.
 type segment struct {
 	off  int64
+	n    int64
 	data []byte
 }
 
-func (s segment) end() int64 { return s.off + int64(len(s.data)) }
+func (s segment) end() int64 { return s.off + s.n }
 
 // file is an on-"disk" file: real contents plus its device extents.
 type file struct {
@@ -308,6 +320,18 @@ func (h *File) ReadAt(p *sim.Proc, off, length int64) []byte {
 	return data
 }
 
+// ReadOnce is ReadAt for a range's last reader: the same cache traffic,
+// stage tag, counters and result, after which the file lets go of every
+// segment lying wholly inside the range (see the package comment). Views
+// handed out earlier stay valid; reading a let-go segment again panics.
+func (h *File) ReadOnce(p *sim.Proc, off, length int64) []byte {
+	data := h.ReadAt(p, off, length)
+	// After the read, not before: a crash may have truncated the file while
+	// the read slept, and what is left is what there is to let go.
+	h.f.letGo(off, off+int64(len(data)))
+	return data
+}
+
 // Sync flushes the whole cache (per-file dirty tracking is not modeled; the
 // runtime syncs at well-defined points where whole-cache flush is faithful
 // enough).
@@ -322,8 +346,26 @@ func (h *File) Close() {
 
 // store adds seg, already owned by the file, at the end of the contents.
 func (f *file) store(seg []byte) {
-	f.segs = append(f.segs, segment{off: f.size, data: seg})
+	f.segs = append(f.segs, segment{off: f.size, n: int64(len(seg)), data: seg})
 	f.size += int64(len(seg))
+}
+
+// letGo drops the file's reference to the bytes of every segment wholly
+// inside [lo, hi).
+func (f *file) letGo(lo, hi int64) {
+	for i := f.segAt(lo); i < len(f.segs) && f.segs[i].end() <= hi; i++ {
+		if f.segs[i].off >= lo {
+			f.segs[i].data = nil
+		}
+	}
+}
+
+// held returns s's bytes, which a read is about to touch.
+func (f *file) held(s segment) []byte {
+	if s.data == nil {
+		panic(fmt.Sprintf("localfs: read of %s at offset %d: a ReadOnce let these bytes go", f.name, s.off))
+	}
+	return s.data
 }
 
 // segAt returns the index of the segment holding file offset off, which
@@ -341,12 +383,12 @@ func (f *file) bytes(off, length int64) []byte {
 	}
 	i, end := f.segAt(off), off+length
 	if s := f.segs[i]; end <= s.end() {
-		return s.data[off-s.off : end-s.off : end-s.off]
+		return f.held(s)[off-s.off : end-s.off : end-s.off]
 	}
 	out := make([]byte, 0, length)
 	for ; i < len(f.segs) && f.segs[i].off < end; i++ {
 		s := f.segs[i]
-		out = append(out, s.data[max(off, s.off)-s.off:min(end, s.end())-s.off]...)
+		out = append(out, f.held(s)[max(off, s.off)-s.off:min(end, s.end())-s.off]...)
 	}
 	return out
 }

@@ -12,10 +12,36 @@ import (
 // modelFile is the reference the filesystem is diffed against: one flat
 // []byte per name, plus the offsets at which the real file is expected to
 // change segment (every Append and Install starts one), so reads and
-// corruptions can be aimed at the boundaries.
+// corruptions can be aimed at the boundaries, and which of those segments a
+// ReadOnce has let go: the model keeps their bytes, nobody may read them.
 type modelFile struct {
 	data  []byte
 	edges []int64
+	gone  []bool // parallel to edges
+}
+
+func (m *modelFile) grow(src []byte) {
+	m.edges = append(m.edges, int64(len(m.data)))
+	m.gone = append(m.gone, false)
+	m.data = append(m.data, src...)
+}
+
+// seg returns the byte range of the i-th segment.
+func (m *modelFile) seg(i int) (lo, hi int64) {
+	if i+1 < len(m.edges) {
+		return m.edges[i], m.edges[i+1]
+	}
+	return m.edges[i], int64(len(m.data))
+}
+
+// touchesGone reports whether a read of [off, end) would need let-go bytes.
+func (m *modelFile) touchesGone(off, end int64) bool {
+	for i, gone := range m.gone {
+		if lo, hi := m.seg(i); gone && max(lo, off) < min(hi, end) {
+			return true
+		}
+	}
+	return false
 }
 
 // heldView is a slice the filesystem handed out, or was handed by Install,
@@ -77,6 +103,33 @@ func (r *diffRun) near(m *modelFile, limit int64) int64 {
 	return r.rng.Int63n(limit + 1)
 }
 
+// mustPanic runs read, which needs let-go bytes.
+func (r *diffRun) mustPanic(what string, read func()) {
+	defer func() {
+		if recover() == nil {
+			r.t.Fatalf("%s touched bytes a ReadOnce let go and did not panic", what)
+		}
+	}()
+	read()
+}
+
+// checkContents compares every byte of name the file still holds with the
+// model: through Peek while that is all of them, segment by segment behind
+// its back otherwise.
+func (r *diffRun) checkContents(after, name string, m *modelFile) {
+	if !m.touchesGone(0, int64(len(m.data))) {
+		if got := r.fs.Peek(name); !bytes.Equal(got, m.data) {
+			r.t.Fatalf("after %s: %s differs from the model (%d vs %d bytes)", after, name, len(got), len(m.data))
+		}
+		return
+	}
+	for i, gone := range m.gone {
+		if lo, hi := m.seg(i); !gone && !bytes.Equal(r.fs.files[name].bytes(lo, hi-lo), m.data[lo:hi]) {
+			r.t.Fatalf("after %s: %s differs from the model in [%d, %d)", after, name, lo, hi)
+		}
+	}
+}
+
 func (r *diffRun) pick() (string, *modelFile) {
 	name := fmt.Sprintf("f%d", r.rng.Intn(4))
 	return name, r.files[name]
@@ -84,7 +137,7 @@ func (r *diffRun) pick() (string, *modelFile) {
 
 func (r *diffRun) step(p *sim.Proc) {
 	name, m := r.pick()
-	op := r.rng.Intn(10)
+	op := r.rng.Intn(11)
 	if m == nil {
 		op = 0
 	}
@@ -97,8 +150,7 @@ func (r *diffRun) step(p *sim.Proc) {
 		n := 1 + r.rng.Intn(6000)
 		r.scratch = r.scratch[:n]
 		r.rng.Read(r.scratch)
-		m.edges = append(m.edges, int64(len(m.data)))
-		m.data = append(m.data, r.scratch...)
+		m.grow(r.scratch)
 		r.open[name].Append(p, r.scratch)
 		for i := range r.scratch {
 			r.scratch[i] = 0xA5
@@ -113,27 +165,55 @@ func (r *diffRun) step(p *sim.Proc) {
 			r.rng.Read(src)
 			r.installed = append(r.installed, heldView{"Install " + name, src, append([]byte(nil), src...)})
 		}
-		m.edges = append(m.edges, int64(len(m.data)))
-		m.data = append(m.data, src...)
+		m.grow(src)
 		r.open[name].Install(src)
 		r.checkHeld("Install " + name)
-	case 4, 5: // read a range that starts, ends or straddles an edge
+	case 4, 5, 10: // read a range that starts, ends or straddles an edge; 10 reads it once
 		size := int64(len(m.data))
 		off := r.near(m, size)
 		end := r.near(m, size+10) // may run past EOF: reads clamp
 		if end < off {
 			off, end = end, off
 		}
-		got := r.open[name].ReadAt(p, off, end-off)
+		read, what := r.open[name].ReadAt, fmt.Sprintf("ReadAt(%s, %d, %d)", name, off, end-off)
+		if op == 10 {
+			if n := len(m.edges); n > 0 && r.rng.Intn(2) == 0 {
+				// Exactly one segment, as a fetcher reads its partition.
+				off, end = m.seg(r.rng.Intn(n))
+			}
+			read, what = r.open[name].ReadOnce, fmt.Sprintf("ReadOnce(%s, %d, %d)", name, off, end-off)
+		}
+		if m.touchesGone(off, end) {
+			r.mustPanic(what, func() { read(p, off, end-off) })
+			break
+		}
+		extents := r.fs.ExtentCount(name)
+		got := read(p, off, end-off)
 		want := []byte(nil)
 		if off < size {
 			want = m.data[off:min(end, size)]
 		}
 		if !bytes.Equal(got, want) {
-			r.t.Fatalf("ReadAt(%s, %d, %d): got %d bytes, want %d, or contents differ", name, off, end-off, len(got), len(want))
+			r.t.Fatalf("%s: got %d bytes, want %d, or contents differ", what, len(got), len(want))
 		}
-		r.hold(fmt.Sprintf("ReadAt(%s, %d, %d)", name, off, end-off), got)
+		r.hold(what, got)
+		if op == 10 {
+			for i := range m.gone {
+				if lo, hi := m.seg(i); off <= lo && hi <= end {
+					m.gone[i] = true
+				}
+			}
+			if r.fs.Size(name) != size || r.fs.ExtentCount(name) != extents || r.fs.LeakedExtents() != 0 {
+				r.t.Fatalf("%s changed more than residency: %d bytes in %d extents, was %d in %d; %d sectors leaked",
+					what, r.fs.Size(name), r.fs.ExtentCount(name), size, extents, r.fs.LeakedExtents())
+			}
+			r.checkHeld(what)
+		}
 	case 6: // peek
+		if m.touchesGone(0, int64(len(m.data))) {
+			r.mustPanic("Peek("+name+")", func() { r.fs.Peek(name) })
+			break
+		}
 		got := r.fs.Peek(name)
 		if !bytes.Equal(got, m.data) {
 			r.t.Fatalf("Peek(%s) differs from the model (%d vs %d bytes)", name, len(got), len(m.data))
@@ -171,9 +251,11 @@ func (r *diffRun) step(p *sim.Proc) {
 			for len(mf.edges) > 0 && mf.edges[len(mf.edges)-1] >= size {
 				mf.edges = mf.edges[:len(mf.edges)-1]
 			}
-			if got := r.fs.Peek(n); !bytes.Equal(got, mf.data) {
-				r.t.Fatalf("Crash: %s does not hold the first %d bytes it held before", n, size)
-			}
+			mf.gone = mf.gone[:len(mf.edges)]
+			r.checkContents("Crash", n, mf)
+		}
+		if leaked := r.fs.LeakedExtents(); leaked != 0 {
+			r.t.Fatalf("Crash: %d sectors leaked", leaked)
 		}
 		r.checkHeld("Crash")
 	case 9: // delete
@@ -201,9 +283,7 @@ func TestDifferentialAgainstFlatModel(t *testing.T) {
 				r.step(p)
 			}
 			for name, m := range r.files {
-				if got := fs.Peek(name); !bytes.Equal(got, m.data) {
-					t.Errorf("seed %d: %s differs from the model at the end", seed, name)
-				}
+				r.checkContents("the last step", name, m)
 				if err := fs.Delete(name); err != nil {
 					t.Error(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -30,13 +31,20 @@ type testRig struct {
 
 func newRig(t *testing.T, mut func(*Config)) *testRig {
 	t.Helper()
+	return newRigAt(t, 8192, mut)
+}
+
+// newRigAt is newRig at another scale divisor: a smaller one for a job with
+// megabytes of data (at 8192 an HDFS block is 16 KiB in a 1 MiB extent).
+func newRigAt(t *testing.T, scale int64, mut func(*Config)) *testRig {
+	t.Helper()
 	env := sim.New(1)
-	cl, err := cluster.New(env, cluster.DefaultHardware(8192), 4)
+	cl, err := cluster.New(env, cluster.DefaultHardware(scale), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := hdfs.New(env, hdfs.DefaultConfig(8192), cl.Net, cl.Slaves)
-	cfg := DefaultConfig(8192)
+	fs := hdfs.New(env, hdfs.DefaultConfig(scale), cl.Net, cl.Slaves)
+	cfg := DefaultConfig(scale)
 	cfg.MapSlots, cfg.ReduceSlots = 2, 2
 	if mut != nil {
 		mut(&cfg)
@@ -980,6 +988,132 @@ func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 		}
 	})
 	r.env.Run(0)
+}
+
+// TestSecondMapAttemptAllocatesNoScratch: the serialization buffer rides in
+// the recycled sortBuf, so of two identical attempts on one Runtime only the
+// first grows one — the second serializes into the very same array.
+func TestSecondMapAttemptAllocatesNoScratch(t *testing.T) {
+	r := newRig(t, nil)
+	attempt := func(p *sim.Proc, base string) *byte {
+		ms := &mapState{rt: r.rt, job: &Job{NumReduces: 3}, node: r.cl.Slaves[0], spillBase: base}
+		for i := 0; i < 300; i++ {
+			ms.add(p, i%3, []byte(fmt.Sprintf("key-%04d", i)), []byte("value"))
+		}
+		ms.spill(p)
+		if len(ms.spills) != 1 || cap(ms.scratch) == 0 {
+			t.Fatalf("%s: %d spills through a %d-byte scratch, want one through a grown buffer", base, len(ms.spills), cap(ms.scratch))
+		}
+		array := &ms.scratch[:1][0]
+		ms.recycle()
+		return array
+	}
+	r.env.Go("map", func(p *sim.Proc) {
+		first := attempt(p, "m_first")
+		if len(r.rt.sortBufs) != 1 || cap(r.rt.sortBufs[0].scratch) == 0 {
+			t.Fatal("the first attempt's scratch was not recycled with its arena")
+		}
+		if second := attempt(p, "m_second"); second != first {
+			t.Error("the second attempt serialized into a scratch buffer of its own")
+		}
+	})
+	r.env.Run(0)
+}
+
+// sortJob is TeraSort in miniature: 100-byte records, the first ten bytes
+// the key, one reduce, no combiner. probe runs at the first Reduce call —
+// after the shuffle and the final merge's read-back, before any output.
+func sortJob(probe func()) *Job {
+	return &Job{
+		Name:   "sort",
+		Input:  []string{"/sort/in"},
+		Output: "/sort/out",
+		Format: FixedFormat{Size: 100},
+		Mapper: MapperFunc(func(rec []byte, emit func(k, v []byte)) { emit(rec[:10], rec[10:]) }),
+		Reducer: ReducerFunc(func(k []byte, vals [][]byte, emit func(k, v []byte)) {
+			if probe != nil {
+				probe()
+				probe = nil
+			}
+			for _, v := range vals {
+				emit(k, v)
+			}
+		}),
+		NumReduces:        1,
+		OutputReplication: 1,
+	}
+}
+
+// TestShuffledSegmentsAreNotResident: by the time a healthy reducer reduces,
+// every map output segment has been fetched exactly once and merged into the
+// reducer's own runs, and the map output files have let the bytes go: the
+// heap holds the input and one copy of the intermediate data, not two. The
+// recovery-aware fetch re-reads, so it keeps them — and must still produce
+// the same output after a dropped fetch.
+func TestShuffledSegmentsAreNotResident(t *testing.T) {
+	// 128 maps of one 128 KiB block, each a single spill, into half-MiB reduce
+	// runs: four sort arenas, the merge pool and page bookkeeping come to some
+	// 5 MiB, against 8 MiB between input + intermediate and the limit, and
+	// 8 MiB more between the limit and what the parent of ReadOnce kept.
+	const inputBytes, scale = 16 << 20, 512
+	tune := func(c *Config) { c.MapSlots, c.ShuffleBufBytes = 1, 512<<10 }
+	load := func(r *testRig) {
+		data := make([]byte, inputBytes)
+		rand.New(rand.NewSource(1)).Read(data)
+		r.fs.Load("/sort/in", r.cl.Slaves[0].Name, data)
+	}
+	output := func(r *testRig) (out []byte) {
+		r.env.Go("reader", func(p *sim.Proc) {
+			rd, err := r.fs.Open("/sort/out/part-r-00000", r.cl.Slaves[0].Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err = rd.ReadAt(p, 0, rd.Size()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		r.env.Run(0)
+		return out
+	}
+
+	var base, atReduce runtime.MemStats
+	healthy := newRigAt(t, scale, tune)
+	runtime.GC()
+	runtime.ReadMemStats(&base)
+	load(healthy)
+	res := healthy.runJob(t, sortJob(func() {
+		runtime.GC()
+		runtime.ReadMemStats(&atReduce)
+	}))
+	if res.ReduceSpills < 4 || res.CompressedMapOutput < inputBytes {
+		t.Fatalf("%d reduce spills of %d intermediate bytes: the job does not exercise the shuffle", res.ReduceSpills, res.CompressedMapOutput)
+	}
+	resident := int64(atReduce.HeapAlloc) - int64(base.HeapAlloc)
+	limit := res.MapInputBytes + res.CompressedMapOutput*3/2
+	t.Logf("%.1f MiB resident at the first Reduce; input %.1f, intermediate %.1f, limit %.1f",
+		float64(resident)/(1<<20), float64(res.MapInputBytes)/(1<<20), float64(res.CompressedMapOutput)/(1<<20), float64(limit)/(1<<20))
+	if resident > limit {
+		t.Errorf("%d bytes resident at the first Reduce, limit %d: fetched map outputs are still held next to the reducer's runs", resident, limit)
+	}
+	want := output(healthy)
+	if int64(len(want)) != res.CompressedMapOutput {
+		t.Fatalf("output is %d bytes, want the %d shuffled", len(want), res.CompressedMapOutput)
+	}
+
+	faulty := newRigAt(t, scale, tune)
+	load(faulty)
+	faulty.rt.EnableFaults()
+	drops := 0
+	faulty.rt.SetFetchFault(func(time.Duration) bool {
+		drops++
+		return drops == 3
+	})
+	if res := faulty.runJob(t, sortJob(nil)); res.FetchRetries != 1 {
+		t.Errorf("%d fetch retries, want the one dropped fetch retried", res.FetchRetries)
+	}
+	if !bytes.Equal(output(faulty), want) {
+		t.Error("output after a dropped and retried fetch differs from the healthy run's")
+	}
 }
 
 // MapsDone is when the last map attempt completed, not when the last idle

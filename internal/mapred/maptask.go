@@ -191,11 +191,13 @@ func (ms *mapState) abandon() {
 	ms.spills = nil
 }
 
-// sortBuf is a map attempt's collection buffer: the byte arena and the index
-// entries whose offsets point into it.
+// sortBuf is a map attempt's collection buffer: the byte arena, the index
+// entries whose offsets point into it, and the buffer a sorted partition is
+// serialized into on its way to the spill file.
 type sortBuf struct {
-	arena []byte
-	ents  []kvEnt
+	arena   []byte
+	ents    []kvEnt
+	scratch run // serializePartition output buffer, reused across spills
 }
 
 // recycle hands the attempt's sort buffer to the runtime for the next
@@ -203,7 +205,7 @@ type sortBuf struct {
 // copied by Append) or the attempt was abandoned, so nothing reads it again.
 func (ms *mapState) recycle() {
 	if ms.arena != nil {
-		ms.rt.sortBufs = append(ms.rt.sortBufs, sortBuf{arena: ms.arena[:0], ents: ms.ents[:0]})
+		ms.rt.sortBufs = append(ms.rt.sortBufs, sortBuf{arena: ms.arena[:0], ents: ms.ents[:0], scratch: ms.scratch[:0]})
 		ms.sortBuf = sortBuf{}
 	}
 }
@@ -217,7 +219,6 @@ type mapState struct {
 
 	sortBuf
 	bufBytes int64
-	scratch  run // serializePartition output buffer, reused across spills
 
 	spillBase  string
 	spills     []*spillFile

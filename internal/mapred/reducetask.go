@@ -96,7 +96,11 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		if seg.clen == 0 {
 			return
 		}
-		enc := out.file.ReadAt(fp, seg.off, seg.clen) // map-side disk read
+		// nextOutput hands this (map, partition) segment to one fetcher once
+		// and a healthy job never re-runs a reduce, so this is its last read:
+		// the map output file lets the bytes go, and they live only until the
+		// next spillRuns has merged them into this reducer's own run.
+		enc := out.file.ReadOnce(fp, seg.off, seg.clen) // map-side disk read
 		rt.net.Transfer(fp, out.node.Name, node.Name, seg.clen)
 		ingest(fp, enc, seg)
 	}

@@ -161,20 +161,6 @@ func (h *Histogram) Observe(v float64) {
 	h.Counts[i]++
 }
 
-// Merge folds other's observations into h in place, reusing h's bucket
-// array — no allocation, so aggregating per-disk distributions into group
-// and cluster rollups costs nothing per merge. Both histograms must have
-// the same shape (same constructor arguments); merging mismatched shapes
-// panics, since the bucket-wise sum would be meaningless.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(h.Bounds) != len(other.Bounds) || len(h.Counts) != len(other.Counts) {
-		panic("stats: merging histograms of different shapes")
-	}
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-}
-
 // Total returns the number of observations.
 func (h *Histogram) Total() uint64 {
 	var t uint64
