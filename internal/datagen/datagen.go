@@ -43,31 +43,31 @@ func (g TeraGen) Part(part int, size int64) []byte {
 		n = 1
 	}
 	src := rand.NewSource(g.Seed*1_000_003 + int64(part))
-	out := make([]byte, 0, n*RecordSize)
+	out := make([]byte, n*RecordSize)
 	row := int64(part) << 40
-	var idBuf [20]byte // row ids are non-negative, at most 19 digits
 	for i := int64(0); i < n; i++ {
-		for k := 0; k < KeySize; k++ {
-			out = append(out, printable(src))
+		rec := out[i*RecordSize : (i+1)*RecordSize]
+		for k := range rec[:KeySize] {
+			rec[k] = printable(src)
 		}
 		// Payload: 22-digit row id, then filler split between a repeated
 		// character and random printable bytes. The mix pins the fast-codec
 		// compression ratio near the ~2:1 of real GenSort records — an
 		// all-repetitive filler would overstate compression and erase the
 		// intermediate-disk pressure the paper measures for TeraSort.
-		const payLen = 22 // zero-padded width, as Sprintf("%022d") produced
-		digits := strconv.AppendInt(idBuf[:0], row+i, 10)
-		for k := len(digits); k < payLen; k++ {
-			out = append(out, '0')
+		const idEnd = KeySize + 22 // zero-padded width, as Sprintf("%022d") produced
+		const fillEnd = idEnd + (RecordSize-idEnd)/2
+		id := uint64(row + i) // non-negative: unsigned division is cheaper
+		for k := idEnd - 1; k >= KeySize; k-- {
+			rec[k] = byte('0' + id%10)
+			id /= 10
 		}
-		out = append(out, digits...)
 		fill := byte('A' + i%26)
-		half := (RecordSize - KeySize - payLen) / 2
-		for k := 0; k < half; k++ {
-			out = append(out, fill)
+		for k := idEnd; k < fillEnd; k++ {
+			rec[k] = fill
 		}
-		for len(out)%RecordSize != 0 {
-			out = append(out, printable(src))
+		for k := fillEnd; k < RecordSize; k++ {
+			rec[k] = printable(src)
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"iochar/internal/cluster"
@@ -11,28 +12,50 @@ import (
 	"iochar/internal/sim"
 )
 
-// benchEntries buffers n pairs with random 10-byte keys (TeraSort's shape,
-// so nearly every comparison is decided by the prefix) over 16 partitions.
-func benchEntries(n int) sortBuf {
+// benchEntries buffers n pairs over 16 partitions in one of the three key
+// shapes a spill sees: "terasort", random printable 10-byte keys, so nearly
+// every pair is placed by its prefix; "kmeans", 16 decimal keys with 72-byte
+// values, so every prefix ties and every tie is decided by it; and
+// "shared-prefix", 40-byte keys that differ only in the last byte, where no
+// digit of the prefix tells two entries apart and the comparator does all the
+// work.
+func benchEntries(shape string, n int) sortBuf {
 	rng := rand.New(rand.NewSource(1))
-	ms := &mapState{rt: &Runtime{cfg: Config{SortBufBytes: int64(n) * 64}}}
-	key := make([]byte, 10)
+	ms := &mapState{rt: &Runtime{cfg: Config{SortBufBytes: int64(n) * 128}}}
+	key := bytes.Repeat([]byte("k"), 40)
+	val := make([]byte, 72)
 	for i := 0; i < n; i++ {
-		rng.Read(key)
-		ms.add(nil, i%16, key, nil)
+		switch shape {
+		case "terasort":
+			for j := range key[:10] {
+				key[j] = byte(' ' + rng.Intn(95))
+			}
+			ms.add(nil, i%16, key[:10], nil)
+		case "kmeans":
+			c := rng.Intn(16)
+			ms.add(nil, c, strconv.AppendInt(nil, int64(c), 10), val)
+		case "shared-prefix":
+			key[39] = byte(rng.Intn(256))
+			ms.add(nil, i%16, key, nil)
+		}
 	}
 	return ms.sortBuf
 }
 
 func BenchmarkSortKVEntries(b *testing.B) {
-	src := benchEntries(1 << 14)
-	buf := make([]kvEnt, len(src.ents))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src.ents)
-		sortKVEntries(buf, src.arena)
+	for _, shape := range []string{"terasort", "kmeans", "shared-prefix"} {
+		b.Run(shape, func(b *testing.B) {
+			src := benchEntries(shape, 1<<14)
+			buf := sortBuf{arena: src.arena, ents: make([]kvEnt, len(src.ents))}
+			var work radixWork
+			b.SetBytes(int64(len(src.arena)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf.ents, src.ents)
+				buf.sortKVEntries(&work)
+			}
+		})
 	}
-	b.SetBytes(int64(len(src.arena)))
 }
 
 // benchRun is a sorted run of n pairs, 10-byte keys and 90-byte values;

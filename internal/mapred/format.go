@@ -2,10 +2,8 @@ package mapred
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 // appendKV serializes one pair as uvarint-length-prefixed key and value —
@@ -355,24 +353,4 @@ func nCompares(n int) float64 {
 		log++
 	}
 	return float64(n) * log
-}
-
-// sortKVEntries sorts index entries by (partition, key, emission order),
-// reading keys from arena only when two prefixes tie. The koff tiebreak
-// makes the comparison a strict total order, so equal keys keep emission
-// order (which keeps runs deterministic) at unstable-sort cost, and any
-// sorting algorithm produces the same permutation.
-func sortKVEntries(ents []kvEnt, arena []byte) {
-	slices.SortFunc(ents, func(a, b kvEnt) int {
-		if a.part != b.part {
-			return cmp.Compare(a.part, b.part)
-		}
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
-		}
-		if c := bytes.Compare(a.key(arena), b.key(arena)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.koff, b.koff)
-	})
 }

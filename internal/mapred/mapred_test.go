@@ -611,6 +611,11 @@ func TestMergerMatchesLinearScanModel(t *testing.T) {
 	}
 }
 
+// sortKVEntries sorts free-standing entries as a spill sorts its buffer's.
+func sortKVEntries(ents []kvEnt, arena []byte) {
+	(&sortBuf{arena: arena, ents: ents}).sortKVEntries(new(radixWork))
+}
+
 // TestSortKVEntriesPrefixCollisions: keys the zero-padded prefix cannot
 // tell apart still sort by their full bytes, and equal keys by emission.
 func TestSortKVEntriesPrefixCollisions(t *testing.T) {
@@ -636,35 +641,106 @@ func TestSortKVEntriesPrefixCollisions(t *testing.T) {
 	}
 }
 
-// FuzzSortKVEntries is differential: the prefix-keyed unstable sort must
-// give the permutation sort.SliceStable gives on (part, full key) over the
-// same arena-backed entries in emission order. The input is cut into pairs
-// of one header byte (two bits of partition, four of key length) and key
+// sortInput buffers the pairs FuzzSortKVEntries' encoding spells: each is one
+// header byte (two bits of partition p, two of shift s, four of key length),
+// sent to partition p<<8s | p so that every byte of part can vary, and key
 // bytes folded onto a four-letter alphabet, so ties in the prefix, in the
 // whole key, and keys differing by trailing zeros are all common.
+func sortInput(data []byte) *mapState {
+	ms := &mapState{rt: &Runtime{cfg: Config{SortBufBytes: 1 << 20}}}
+	for len(data) > 0 {
+		p, s, klen := int(data[0]>>6), 8*int(data[0]>>4&3), int(data[0]&15)
+		data = data[1:]
+		if klen > len(data) {
+			klen = len(data)
+		}
+		key := make([]byte, klen)
+		for i, b := range data[:klen] {
+			key[i] = "\x00ab\xff"[b&3]
+		}
+		data = data[klen:]
+		ms.add(nil, p<<s|p, key, key[:klen/2])
+	}
+	return ms
+}
+
+// sortShapes are the inputs the radix sort treats differently, as functions
+// from a pair count to sortInput's encoding; "a" is letter 1, "b" letter 2.
+var sortShapes = []struct {
+	name  string
+	input func(n int) []byte
+}{
+	// One (part, prefix) run of identical short keys: stability alone orders it.
+	{"every key equal", func(n int) []byte { return bytes.Repeat([]byte("\x04abab"), n) }},
+	// The same with keys past the prefix: the comparator's koff tiebreak must.
+	{"every long key equal", func(n int) []byte { return bytes.Repeat([]byte("\x0baaaaaaaabab"), n) }},
+	// No radix pass runs; every order is the comparator's.
+	{"prefixes equal, tails differ", func(n int) []byte {
+		rng := rand.New(rand.NewSource(22))
+		var out []byte
+		for i := 0; i < n; i++ {
+			tail := rng.Intn(8)
+			out = append(append(out, byte(8+tail)), "aaaaaaaa"...)
+			for j := 0; j < tail; j++ {
+				out = append(out, byte(rng.Intn(4)))
+			}
+		}
+		return out
+	}},
+	// Equal prefixes, klen ≤ 8, but not one klen: the keys differ.
+	{"trailing zeros", func(n int) []byte {
+		var out []byte
+		for i := 0; i < n; i++ {
+			out = append(out, []string{"\x03a\x00\x00", "\x01a", "\x02a\x00", "\x42a\x00", "\x41a", "\x43a\x00\x00"}[i*5%6]...)
+		}
+		return out
+	}},
+	// Runs that mix a key exactly as long as the prefix with extensions of it.
+	{"eight bytes beside nine", func(n int) []byte {
+		var out []byte
+		for i := 0; i < n; i++ {
+			out = append(out, []string{"\x09abababab\x00", "\x08abababab", "\x09ababababa", "\x08abababaa"}[i*3%4]...)
+		}
+		return out
+	}},
+	// Random keys of every length in one partition, then over partitions
+	// that differ in each of part's four bytes.
+	{"one partition", func(n int) []byte { return randomSortInput(n, 0x0f) }},
+	{"wide partitions", func(n int) []byte { return randomSortInput(n, 0xff) }},
+}
+
+func randomSortInput(n int, headerMask byte) []byte {
+	rng := rand.New(rand.NewSource(int64(n)))
+	var out []byte
+	for i := 0; i < n; i++ {
+		h := byte(rng.Intn(256)) & headerMask
+		out = append(out, h)
+		for j := 0; j < int(h&15); j++ {
+			out = append(out, byte(rng.Intn(4)))
+		}
+	}
+	return out
+}
+
+// FuzzSortKVEntries is differential: the radix sort with the comparator at
+// its leaves must give the permutation sort.SliceStable gives on (part, full
+// key) over the same arena-backed entries in emission order.
 func FuzzSortKVEntries(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x04abcd\x04abcd\x05abcd\x00\x44abcd\x00"))
 	f.Add([]byte("\x09aaaaaaaab\x09aaaaaaaaa\x08aaaaaaaa\x0aaaaaaaaa\x00\x00"))
 	f.Add(bytes.Repeat([]byte{0x01, 0x00, 0x02, 0x00, 0x00, 0x00}, 9))
+	for _, shape := range sortShapes {
+		f.Add(shape.input(200))
+	}
+	for _, n := range []int{radixMinEntries - 1, radixMinEntries, radixMinEntries + 1} {
+		f.Add(randomSortInput(n, 0xff))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 16<<10 {
 			data = data[:16<<10] // at most 24 buffered bytes an input byte: no spill
 		}
-		ms := &mapState{rt: &Runtime{cfg: Config{SortBufBytes: 1 << 20}}}
-		for len(data) > 0 {
-			part, klen := int(data[0]>>6), int(data[0]&15)
-			data = data[1:]
-			if klen > len(data) {
-				klen = len(data)
-			}
-			key := make([]byte, klen)
-			for i, b := range data[:klen] {
-				key[i] = "\x00ab\xff"[b&3]
-			}
-			data = data[klen:]
-			ms.add(nil, part, key, key[:klen/2])
-		}
+		ms := sortInput(data)
 		want := slices.Clone(ms.ents)
 		sort.SliceStable(want, func(i, j int) bool {
 			if want[i].part != want[j].part {
@@ -672,11 +748,30 @@ func FuzzSortKVEntries(f *testing.F) {
 			}
 			return bytes.Compare(want[i].key(ms.arena), want[j].key(ms.arena)) < 0
 		})
-		sortKVEntries(ms.ents, ms.arena)
+		ms.sortKVEntries(&ms.rt.sortWork)
 		if !slices.Equal(ms.ents, want) {
 			t.Fatalf("sortKVEntries disagrees with the stable sort on (part, key)\n got  %v\n want %v\n arena %q", ms.ents, want, ms.arena)
 		}
 	})
+}
+
+// TestSortKVEntriesShapes: at a spill's size, on each shape and on either
+// side of the cut-off, the radix sort gives the comparator's total order.
+func TestSortKVEntriesShapes(t *testing.T) {
+	for _, shape := range sortShapes {
+		for _, n := range []int{radixMinEntries - 1, radixMinEntries, radixMinEntries + 1, 5000} {
+			ms := sortInput(shape.input(n))
+			if len(ms.ents) != n {
+				t.Fatalf("%s: %d pairs buffered, want %d", shape.name, len(ms.ents), n)
+			}
+			want := slices.Clone(ms.ents)
+			slices.SortFunc(want, ms.compare)
+			ms.sortKVEntries(&ms.rt.sortWork)
+			if !slices.Equal(ms.ents, want) {
+				t.Errorf("%s, n = %d: the radix sort and the comparator disagree", shape.name, n)
+			}
+		}
+	}
 }
 
 func TestSortBufferMustFitIndexOffsets(t *testing.T) {
@@ -1018,6 +1113,77 @@ func TestSecondMapAttemptAllocatesNoScratch(t *testing.T) {
 		}
 	})
 	r.env.Run(0)
+}
+
+// TestSecondSpillAllocatesNoSortTmp: the radix sort's other side belongs to
+// the Runtime, so an attempt's second spill and the next attempt's first
+// sort through the array the very first spill made.
+func TestSecondSpillAllocatesNoSortTmp(t *testing.T) {
+	r := newRig(t, nil)
+	var tmp *kvEnt
+	spill := func(p *sim.Proc, ms *mapState, what string) {
+		for i := 0; i < 300; i++ {
+			ms.add(p, i%3, []byte(fmt.Sprintf("key-%04d", i*7%300)), []byte("value"))
+		}
+		ms.spill(p)
+		w := &r.rt.sortWork
+		if cap(w.tmp) < 300 {
+			t.Fatalf("%s: sorted 300 entries with a %d-entry tmp, want the radix sort to have run", what, cap(w.tmp))
+		}
+		if tmp == nil {
+			tmp = &w.tmp[:1][0]
+		} else if &w.tmp[:1][0] != tmp {
+			t.Errorf("%s: sorted through a tmp of its own", what)
+		}
+	}
+	r.env.Go("map", func(p *sim.Proc) {
+		first := &mapState{rt: r.rt, job: &Job{NumReduces: 3}, node: r.cl.Slaves[0], spillBase: "m_first"}
+		spill(p, first, "first spill")
+		spill(p, first, "second spill")
+		first.recycle()
+		second := &mapState{rt: r.rt, job: &Job{NumReduces: 3}, node: r.cl.Slaves[0], spillBase: "m_second"}
+		spill(p, second, "next attempt's first spill")
+	})
+	r.env.Run(0)
+}
+
+// TestPartitionerOutOfRangePanics: a partition outside [0, NumReduces) is a
+// pair no spill would ever write. The map task must stop there, naming the
+// job, the key and both numbers, rather than finish with fewer records than
+// were emitted. (The mapper recovers so the test can read the message; the
+// pair that panicked was not buffered, the rest of the job is untouched.)
+func TestPartitionerOutOfRangePanics(t *testing.T) {
+	for _, bad := range []int{-1, 3} {
+		rig := newRig(t, nil)
+		parts, want := textParts()
+		rig.loadLines("/in", parts)
+		job := wordCountJob(rig.inputs("/in"), "/out")
+		job.Partitioner = func(k []byte, n int) int {
+			if string(k) == "hdfs" {
+				return bad
+			}
+			return HashPartition(k, n)
+		}
+		var msgs []string
+		job.Mapper = MapperFunc(func(rec []byte, emit func(k, v []byte)) {
+			for _, w := range bytes.Fields(rec) {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							msgs = append(msgs, fmt.Sprint(r))
+						}
+					}()
+					emit(w, []byte("1"))
+				}()
+			}
+		})
+		res := rig.runJob(t, job)
+		wantMsg := fmt.Sprintf(`mapred: job wordcount: partitioner sent key "hdfs" to partition %d of 3 reduces`, bad)
+		if len(msgs) != want["hdfs"] || msgs[0] != wantMsg {
+			t.Errorf("partition %d: %d panics, want %d, the first %q, want %q (%d of %d map output records reached a reducer)",
+				bad, len(msgs), want["hdfs"], slices.Compact(msgs), wantMsg, res.ReduceInputRecords, res.MapOutputRecords)
+		}
+	}
 }
 
 // sortJob is TeraSort in miniature: 100-byte records, the first ten bytes

@@ -2,9 +2,11 @@ package mapred
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"iochar/internal/cluster"
@@ -25,9 +27,10 @@ type split struct {
 // record. The pair itself sits in the task arena in wire form
 // (uvarint klen | key | uvarint vlen | value) and the sort moves only these
 // 24 bytes. prefix is the first eight key bytes, big-endian and zero-padded,
-// so most comparisons never touch the arena; koff, which grows with every
-// pair buffered, doubles as the emission-order tiebreak that makes the sort
-// a deterministic total order without the cost of a stable sort.
+// so (part, prefix) is a twelve-byte fixed-width key a stable radix sort
+// orders without touching the arena; koff, which grows with every pair
+// buffered, is the emission order that stability preserves and the
+// comparator's tiebreak where a prefix tie sends entries to it.
 type kvEnt struct {
 	prefix uint64
 	koff   uint32 // arena offset of the key's first byte
@@ -46,6 +49,16 @@ func (e kvEnt) val(arena []byte) []byte {
 // rec is the pair in wire form, ready to append to a run.
 func (e kvEnt) rec(arena []byte) []byte {
 	return arena[e.koff-uvarintLen(e.klen) : e.koff+e.klen+uvarintLen(e.vlen)+e.vlen]
+}
+
+// digit is byte d of the entry's radix key, least significant first: eight
+// bytes of prefix, then four of part.
+func (e kvEnt) digit(d int) byte {
+	w := e.prefix
+	if d >= 8 {
+		w = uint64(e.part)
+	}
+	return byte(w >> (8 * (d & 7)))
 }
 
 // uvarintLen is the number of bytes binary.AppendUvarint writes for n.
@@ -108,7 +121,13 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 	emit := func(k, v []byte) {
 		outRecords++
 		outBytes += int64(len(k) + len(v))
-		state.add(p, job.Partitioner(k, nparts), k, v)
+		// add stores the partition as a uint32 and spill walks 0 … nparts-1: a
+		// pair sent anywhere else would be buffered, sorted and never written.
+		part := job.Partitioner(k, nparts)
+		if uint(part) >= uint(nparts) {
+			panic(fmt.Sprintf("mapred: job %s: partitioner sent key %q to partition %d of %d reduces", job.Name, k, part, nparts))
+		}
+		state.add(p, part, k, v)
 	}
 	handle := func(rec []byte) {
 		inRecords++
@@ -192,12 +211,21 @@ func (ms *mapState) abandon() {
 }
 
 // sortBuf is a map attempt's collection buffer: the byte arena, the index
-// entries whose offsets point into it, and the buffer a sorted partition is
-// serialized into on its way to the spill file.
+// entries whose offsets point into it, and the buffers a sorted partition is
+// combined and serialized through on its way to the spill file. Nothing in
+// it outlives the spill that filled it.
 type sortBuf struct {
 	arena   []byte
 	ents    []kvEnt
-	scratch run // serializePartition output buffer, reused across spills
+	scratch run      // serializePartition output buffer, reused across spills
+	vals    [][]byte // one combiner group's values: views into arena
+}
+
+// radixWork is the working space of sortKVEntries: the passes' other side
+// and the per-digit histograms (12 KB, kept off the map workers' stacks).
+type radixWork struct {
+	tmp    []kvEnt
+	counts [12][256]uint32
 }
 
 // recycle hands the attempt's sort buffer to the runtime for the next
@@ -205,9 +233,97 @@ type sortBuf struct {
 // copied by Append) or the attempt was abandoned, so nothing reads it again.
 func (ms *mapState) recycle() {
 	if ms.arena != nil {
-		ms.rt.sortBufs = append(ms.rt.sortBufs, sortBuf{arena: ms.arena[:0], ents: ms.ents[:0], scratch: ms.scratch[:0]})
+		ms.rt.sortBufs = append(ms.rt.sortBufs, sortBuf{arena: ms.arena[:0], ents: ms.ents[:0], scratch: ms.scratch[:0], vals: ms.vals[:0]})
 		ms.sortBuf = sortBuf{}
 	}
+}
+
+// radixMinEntries is the size below which filling twelve histograms costs
+// more than comparison-sorting the entries.
+const radixMinEntries = 64
+
+// sortKVEntries sorts ents by (partition, key, emission order). It is a
+// stable LSD radix sort over the twelve key bytes an entry carries — eight
+// of prefix, then four of part — with the comparator at the leaves: entries
+// are appended in koff order and every pass is stable, so a run of equal
+// (part, prefix) comes out in emission order, and only a run whose keys the
+// prefix does not determine is handed to compare, whose koff tiebreak gives
+// the order a comparison sort of the whole slice would. A digit on which
+// every entry agrees is skipped, so a job pays for the key bytes that vary.
+func (b *sortBuf) sortKVEntries(w *radixWork) {
+	ents := b.ents
+	n := len(ents)
+	if n < radixMinEntries {
+		slices.SortFunc(ents, b.compare)
+		return
+	}
+	counts := &w.counts
+	*counts = [12][256]uint32{}
+	for _, e := range ents {
+		p, q := e.prefix, e.part
+		counts[0][byte(p)]++
+		counts[1][byte(p>>8)]++
+		counts[2][byte(p>>16)]++
+		counts[3][byte(p>>24)]++
+		counts[4][byte(p>>32)]++
+		counts[5][byte(p>>40)]++
+		counts[6][byte(p>>48)]++
+		counts[7][byte(p>>56)]++
+		counts[8][byte(q)]++
+		counts[9][byte(q>>8)]++
+		counts[10][byte(q>>16)]++
+		counts[11][byte(q>>24)]++
+	}
+	w.tmp = slices.Grow(w.tmp[:0], n)
+	src, dst := ents, w.tmp[:n]
+	for d := range counts {
+		c := &counts[d]
+		if c[src[0].digit(d)] == uint32(n) {
+			continue
+		}
+		var off uint32
+		for i, k := range c {
+			c[i], off = off, off+k
+		}
+		for _, e := range src {
+			k := e.digit(d)
+			dst[c[k]] = e
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ents[0] {
+		copy(ents, src)
+	}
+	for i := 0; i < n; {
+		// Keys no longer than the prefix are their prefix's first klen bytes:
+		// with one klen throughout, the run's keys are identical and stability
+		// has already ordered it.
+		first, decided := ents[i], ents[i].klen <= 8
+		j := i + 1
+		for ; j < n && ents[j].part == first.part && ents[j].prefix == first.prefix; j++ {
+			decided = decided && ents[j].klen == first.klen
+		}
+		if !decided && j-i > 1 {
+			slices.SortFunc(ents[i:j], b.compare)
+		}
+		i = j
+	}
+}
+
+// compare orders two entries by partition, key — reading the arena only
+// when the prefixes tie — and emission order, a strict total order.
+func (b *sortBuf) compare(x, y kvEnt) int {
+	if x.part != y.part {
+		return cmp.Compare(x.part, y.part)
+	}
+	if x.prefix != y.prefix {
+		return cmp.Compare(x.prefix, y.prefix)
+	}
+	if c := bytes.Compare(x.key(b.arena), y.key(b.arena)); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.koff, y.koff)
 }
 
 // mapState is the map-side collection buffer and spill machinery.
@@ -281,7 +397,7 @@ func (ms *mapState) spill(p *sim.Proc) {
 	}
 	cfg := ms.rt.cfg
 	ms.node.Compute(p, time.Duration(nCompares(len(ms.ents))*cfg.SortNsPerCompare))
-	sortKVEntries(ms.ents, ms.arena)
+	ms.sortKVEntries(&ms.rt.sortWork)
 	if ms.zombie() {
 		return // the machine died under the sort; see the guard above
 	}
@@ -341,7 +457,7 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 			n++
 		}
 		i := 0
-		var vals [][]byte
+		vals := ms.vals
 		for i < len(ents) {
 			j := i
 			vals = vals[:0]
@@ -354,6 +470,7 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 			comb.Reduce(key, vals, emit)
 			i = j
 		}
+		ms.vals = vals
 		ms.combineOut += n
 	} else {
 		for _, e := range ents {

@@ -41,6 +41,9 @@ type Runtime struct {
 	// sortBufs holds the sort buffers of finished map attempts, each taken
 	// by the next attempt that buffers a pair (see mapState.recycle).
 	sortBufs []sortBuf
+	// sortWork is every map attempt's radix-sort working space: the sort
+	// never yields to the kernel, so no two attempts are inside it together.
+	sortWork radixWork
 	// mergeBufs holds the output buffers of finished materialized merges
 	// (see mergeRuns), so a merge neither allocates nor zeroes its output.
 	mergeBufs []run
