@@ -62,8 +62,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "iochar:", err)
 		os.Exit(2)
 	}
-	unsubClamps := cliutil.WarnClamps(os.Stderr, "iochar")
-	defer unsubClamps()
+	testbed.WarnClamps(os.Stderr, "iochar")
 
 	opts := iochar.NewOptions(testbedOpts...)
 	sopts := []iochar.SuiteOption{iochar.WithParallelism(*parallel)}

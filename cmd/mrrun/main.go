@@ -55,10 +55,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mrrun:", err)
 		os.Exit(2)
 	}
-	// Capacity-floor clamps during provisioning mean the requested -scale no
-	// longer preserves capacity ratios; surface each distinct one on stderr.
-	unsub := cliutil.WarnClamps(os.Stderr, "mrrun")
-	defer unsub()
+	testbed.WarnClamps(os.Stderr, "mrrun")
 	var sc iochar.SlotsConfig
 	switch *slots {
 	case "1_8":

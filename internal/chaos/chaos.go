@@ -84,9 +84,6 @@ func New(opts Options) *Harness {
 	return &Harness{opts: opts.withDefaults(), goldens: map[core.Workload]*golden{}}
 }
 
-// Opts returns the harness's normalized options.
-func (h *Harness) Opts() Options { return h.opts }
-
 // golden is the fault-free reference a workload's chaos runs are judged
 // against: canonical output checksums, the raw bytes of the float-carrying
 // outputs (compared numerically, not bit-exactly), and the run's wall time —

@@ -140,12 +140,12 @@ func TestCorruptionOracleAcceptance(t *testing.T) {
 
 		// Same schedule, verification off: the corrupted replica is read
 		// as-is, so the downstream output must diverge from the golden run.
-		opts := h.Opts().Core
+		opts := h.opts.Core
 		opts.Faults = pl
 		opts.Audit = true
 		raw := map[string][]byte{}
 		opts.Inspect = captureFloatOutputs(raw)
-		rep2, err := core.RunOneContext(ctx, w, h.Opts().Factors, opts)
+		rep2, err := core.RunOneContext(ctx, w, h.opts.Factors, opts)
 		if err != nil {
 			t.Fatalf("%s without integrity: %v", w, err)
 		}

@@ -1,8 +1,8 @@
 // Package cliutil holds the pieces the runner front ends (cmd/iochar,
 // cmd/mrrun, cmd/chaos) share: Testbed, the one definition of the flags that
 // describe the simulated testbed and of how they become core.Options;
-// the numeric validation behind it; and WarnClamps, stderr reporting of
-// capacity-clamp warnings raised during provisioning.
+// the numeric validation behind it; and Testbed.WarnClamps, the stderr
+// warning for a -scale that puts the disks on the capacity floor.
 //
 // Validation exists because the library's withDefaults policy — reset any
 // nonsense value to the documented default — is right for programmatic use
@@ -14,9 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
+	"iochar/internal/cluster"
 	"iochar/internal/core"
 	"iochar/internal/disk"
 )
@@ -150,22 +150,14 @@ func ValidateTopologyFlags(racks int, uplinkMB int64) error {
 	return nil
 }
 
-// WarnClamps subscribes to the disk package's capacity-clamp bus and prints
-// each distinct warning once to w, prefixed with the tool name — the CLI
-// surface for "your -scale is so large that capacity ratios no longer
-// hold". It returns the unsubscribe function. Safe for concurrent
-// notification (parallel suite cells provision concurrently).
-func WarnClamps(w io.Writer, tool string) (unsubscribe func()) {
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	return disk.SubscribeScaleClamps(func(cw disk.ClampWarning) {
-		msg := cw.String()
-		mu.Lock()
-		dup := seen[msg]
-		seen[msg] = true
-		mu.Unlock()
-		if !dup {
-			fmt.Fprintf(w, "%s: warning: %s\n", tool, msg)
-		}
-	})
+// WarnClamps prints one line to w, prefixed with the tool name, when -scale
+// puts the fleet's disks on the capacity floor — the CLI surface for "your
+// -scale is so large that capacity ratios no longer hold". Call it after
+// Options has validated the flags.
+func (t *Testbed) WarnClamps(w io.Writer, tool string) {
+	p := cluster.DefaultHardware(t.scale).DiskParams
+	if _, clamped := p.Scaled(t.scale); clamped {
+		fmt.Fprintf(w, "%s: warning: disk: scaling %s by %d wants %d sectors, clamped to the %d-sector floor (capacity ratios no longer hold at this scale)\n",
+			tool, p.Name, t.scale, p.Sectors/t.scale, disk.MinSectors)
+	}
 }

@@ -110,28 +110,27 @@ func TestTestbedOptions(t *testing.T) {
 	}
 }
 
-func TestWarnClampsPrintsEachDistinctWarningOnce(t *testing.T) {
-	var buf bytes.Buffer
-	unsub := WarnClamps(&buf, "testtool")
-	defer unsub()
-
-	p := disk.SeagateST1000NM0011()
-	p.Scaled(1 << 20)
-	p.Scaled(1 << 20) // identical clamp: deduplicated
-	p.Scaled(1 << 21) // different factor: its own line
-
-	out := buf.String()
-	if got := strings.Count(out, "testtool: warning:"); got != 2 {
-		t.Errorf("got %d warning lines, want 2:\n%s", got, out)
+// The warning is a function of -scale alone: silent while capacities stay
+// proportional, one line — the text the provisioning bus used to print — once
+// the fleet's disks sit on the floor.
+func TestWarnClamps(t *testing.T) {
+	warn := func(scale string) string {
+		t.Helper()
+		var tb Testbed
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		tb.Register(fs, 4096, 10)
+		if err := fs.Parse([]string{"-scale", scale}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		tb.WarnClamps(&buf, "testtool")
+		return buf.String()
 	}
-	if !strings.Contains(out, p.Name) {
-		t.Errorf("warning should name the device:\n%s", out)
+	if got := warn("4096"); got != "" {
+		t.Errorf("-scale 4096 warned: %q", got)
 	}
-
-	unsub()
-	before := buf.Len()
-	p.Scaled(1 << 22)
-	if buf.Len() != before {
-		t.Error("unsubscribed WarnClamps still printed")
+	const want = "testtool: warning: disk: scaling ST1000NM0011 by 1048576 wants 1907 sectors, clamped to the 65536-sector floor (capacity ratios no longer hold at this scale)\n"
+	if got := warn("1048576"); got != want {
+		t.Errorf("-scale 1048576 printed\n %q\nwant\n %q", got, want)
 	}
 }

@@ -57,10 +57,10 @@ type Hardware struct {
 	// on this device instead of DiskParams — the storage-tier hook (flash
 	// intermediate tier). HDFS data disks always use DiskParams; nil keeps
 	// the paper's all-mechanical testbed. A heterogeneous fleet is scaled
-	// strictly (disk.ScaledStrict): a Scale that would clamp either class
-	// to the capacity floor is an error, not a silent equalization of the
-	// two capacities. Incompatible with SharedDataDisks — one pooled set
-	// of spindles cannot be two device classes.
+	// strictly: a Scale that would clamp either class to the capacity
+	// floor is an error, not a silent equalization of the two capacities.
+	// Incompatible with SharedDataDisks — one pooled set of spindles
+	// cannot be two device classes.
 	MRDiskParams *disk.Params
 }
 
@@ -266,20 +266,17 @@ func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack i
 	if !dataDisks {
 		return n, nil
 	}
-	// Homogeneous fleets keep the legacy clamped scaling (warned via the
-	// disk package's clamp bus); a heterogeneous fleet must scale strictly
-	// so the two capacities stay proportional.
-	hdfsP := hw.DiskParams.Scaled(hw.Scale)
+	// A homogeneous fleet may sit on the capacity floor (the CLIs warn); a
+	// heterogeneous one may not, or its two capacities stop being
+	// proportional.
+	hdfsP, clamped := hw.DiskParams.Scaled(hw.Scale)
 	mrP := hdfsP
 	if hw.MRDiskParams != nil {
-		var err error
-		hdfsP, err = hw.DiskParams.ScaledStrict(hw.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: HDFS data disks: %w", err)
+		if clamped {
+			return nil, floorError("HDFS data disks", hw.DiskParams, hw.Scale)
 		}
-		mrP, err = hw.MRDiskParams.ScaledStrict(hw.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: intermediate-tier disks: %w", err)
+		if mrP, clamped = hw.MRDiskParams.Scaled(hw.Scale); clamped {
+			return nil, floorError("intermediate-tier disks", *hw.MRDiskParams, hw.Scale)
 		}
 	}
 	pages := hw.CachePagesPerDisk()
@@ -313,6 +310,11 @@ func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack i
 	return n, nil
 }
 
+func floorError(role string, p disk.Params, scale int64) error {
+	return fmt.Errorf("cluster: %s: disk: scaling %s by %d yields %d sectors, below the %d-sector floor; lower -scale so heterogeneous capacities stay proportional",
+		role, p.Name, scale, p.Sectors/scale, disk.MinSectors)
+}
+
 // ProvisionMasterMeta equips the master with n metadata volumes
 // ("master.meta0", ...) on the fleet's mechanical disk parameters. The
 // volumes carry the NameNode edit log / fsimage and the JobTracker job
@@ -327,7 +329,7 @@ func (c *Cluster) ProvisionMasterMeta(n int) error {
 		return fmt.Errorf("cluster: master meta volumes already provisioned")
 	}
 	hw := c.Master.HW
-	p := hw.DiskParams.Scaled(hw.Scale)
+	p, _ := hw.DiskParams.Scaled(hw.Scale)
 	pages := hw.CachePagesPerDisk()
 	for i := 0; i < n; i++ {
 		pp := p

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"iochar/internal/disk"
 	"iochar/internal/sim"
 )
 
@@ -148,8 +150,14 @@ func TestNodesShareNetwork(t *testing.T) {
 		c.Net.Transfer(p, c.Slaves[0].Name, c.Slaves[1].Name, 1<<20)
 	})
 	env.Run(0)
-	if c.Slaves[1].NIC.BytesReceived() != 1<<20 {
-		t.Error("transfer across cluster nodes failed")
+	var received uint64
+	for _, nic := range c.Net.Stats().NICs {
+		if nic.Node == c.Slaves[1].Name {
+			received = nic.BytesReceived
+		}
+	}
+	if received != 1<<20 {
+		t.Errorf("transfer across cluster nodes failed: slave 1 received %d bytes", received)
 	}
 }
 
@@ -179,11 +187,44 @@ func TestSharedDataDisksPoolSpindles(t *testing.T) {
 	env.Run(0)
 	found := false
 	for _, v := range n.MRVols {
-		if v.Exists("shared-file") {
+		if v.Size("shared-file") == 1024 {
 			found = true
 		}
 	}
 	if !found {
 		t.Error("file written via HDFS role invisible via MR role")
+	}
+}
+
+// A homogeneous fleet may sit on the capacity floor; a heterogeneous one
+// must not, and the error names the device class that would have clamped.
+func TestHeterogeneousFleetRefusesTheCapacityFloor(t *testing.T) {
+	ssd := disk.DataCenterSSD()
+	hddFloor := disk.SeagateST1000NM0011().Sectors / disk.MinSectors // largest scale the spindles survive
+	ssdFloor := ssd.Sectors / disk.MinSectors
+	if ssdFloor >= hddFloor {
+		t.Fatalf("the flash drive (%d sectors) is expected to be the smaller device", ssd.Sectors)
+	}
+	for _, c := range []struct {
+		scale int64
+		tier  *disk.Params
+		want  string // "" = provisions
+	}{
+		{hddFloor + 1, nil, ""},
+		{ssdFloor, &ssd, ""},
+		{ssdFloor + 1, &ssd, "intermediate-tier disks"},
+		{hddFloor + 1, &ssd, "HDFS data disks"},
+	} {
+		hw := DefaultHardware(c.scale)
+		hw.MRDiskParams = c.tier
+		env := sim.New(1)
+		_, err := New(env, hw, 2)
+		env.Close()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("scale %d, tier %v: %v", c.scale, c.tier != nil, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "floor")):
+			t.Errorf("scale %d: error %v, want one naming %q and the floor", c.scale, err, c.want)
+		}
 	}
 }

@@ -287,7 +287,7 @@ func TestAuditSurvivesMalformedOutput(t *testing.T) {
 	opts.Audit = true
 	var again *AuditReport
 	opts.Inspect = func(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) {
-		w := fs.Create(bad, cl.Master.Name)
+		w := fs.CreateWith(bad, cl.Master.Name, 0)
 		stream := mapred.AppendKV(mapred.AppendKV(nil, []byte("a"), []byte("1")), []byte("b"), []byte("2"))
 		if err := w.Write(p, stream[:len(stream)-1]); err != nil {
 			t.Error(err)

@@ -93,7 +93,7 @@ type Options struct {
 	InputFraction float64
 	// TraceAttach, when set, is called once per data disk before the run
 	// with a stable device name ("slave-03.mr1") — the hook point for
-	// internal/trace.Collector.Attach and other block-level observers.
+	// internal/trace.StreamCollector.Attach and other block-level observers.
 	TraceAttach func(dev string, d *disk.Disk) `json:"-"`
 	// Histograms collects per-request await/svctm/size distributions for
 	// each monitored device group (RunReport.HDFS.Hists and MR.Hists) via
@@ -490,7 +490,7 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 	if opts.TuneMapred != nil {
 		opts.TuneMapred(&mcfg)
 	}
-	rt, err := mapred.New(env, cl, fs, cl.Net, mcfg)
+	rt, err := mapred.New(env, cl, fs, mcfg)
 	if err != nil {
 		return nil, err
 	}

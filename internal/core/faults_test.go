@@ -138,7 +138,7 @@ func runTS(t *testing.T, planStr string) *tsOutcome {
 			}
 			out.inLocs[path] = counts
 		}
-		out.underRep = fs.UnderReplicated()
+		out.underRep = len(fs.AuditReplication().UnderReplicated)
 	}
 	rep, err := RunOne(TS, tsFaultFactors, opts)
 	if err != nil {

@@ -48,7 +48,7 @@ func runTSMasters(t *testing.T, planStr string) *tsOutcome {
 			}
 			out.sums[path] = sha256.Sum256(data)
 		}
-		out.underRep = fs.UnderReplicated()
+		out.underRep = len(fs.AuditReplication().UnderReplicated)
 	}
 	rep, err := RunOne(TS, tsFaultFactors, opts)
 	if err != nil {

@@ -101,6 +101,6 @@ func BenchmarkServiceTime(b *testing.B) {
 	d := New(env, SeagateST1000NM0011())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Service(int64(i%1_000_000)*977, 64)
+		d.serviceFor(Read, int64(i%1_000_000)*977, 64)
 	}
 }

@@ -140,14 +140,6 @@ type Params struct {
 	SSD *SSDParams
 }
 
-// Class reports the device technology the params describe.
-func (p Params) Class() Class {
-	if p.SSD != nil {
-		return ClassSSD
-	}
-	return ClassHDD
-}
-
 // SeagateST1000NM0011 returns the paper's drive: 1 TB, 7200 RPM, 8.5 ms
 // average seek, 150 MB/s sustained transfer, 512 KiB max request.
 //
@@ -194,9 +186,6 @@ type Request struct {
 	subArrivals []time.Duration // arrival times of merged sub-requests
 	completion  *sim.Event
 }
-
-// Done reports whether the request has completed.
-func (r *Request) Done() bool { return r.completion.Fired() }
 
 // end returns the first sector past the request.
 func (r *Request) end() int64 { return r.Sector + int64(r.Count) }
@@ -511,16 +500,10 @@ func (d *Disk) scanLOOK(ascending bool) int {
 	return best
 }
 
-// Service returns the modeled service time for a read starting at sector
-// with count sectors, given the current head position. The actual physics
-// live in the device model (see DeviceModel); this wrapper applies the
-// fault-injection SlowFactor on top, outside the model, so fail-slow
-// degradation covers every device class.
-func (d *Disk) Service(sector int64, count int) time.Duration {
-	return d.serviceFor(Read, sector, count)
-}
-
-// serviceFor prices one dispatched request: model time × SlowFactor.
+// serviceFor prices one dispatched request given the current head position:
+// model time × SlowFactor. The physics live in the device model (see
+// DeviceModel); the fault-injection SlowFactor is applied on top, outside the
+// model, so fail-slow degradation covers every device class.
 func (d *Disk) serviceFor(op Op, sector int64, count int) time.Duration {
 	t := d.model.Service(op, sector, d.headPos, count)
 	if d.P.SlowFactor > 1 {

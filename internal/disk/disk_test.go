@@ -26,7 +26,7 @@ func TestSequentialReadPaysTransferOnly(t *testing.T) {
 		elapsed = p.Now() - start
 	})
 	env.Run(0)
-	want := d.Service(d.headPos, 256) // pure transfer, head already there
+	want := d.serviceFor(Read, d.headPos, 256) // pure transfer, head already there
 	_ = want
 	transfer := time.Duration(float64(256*SectorSize) / float64(d.P.TransferBC) * 1e9)
 	if elapsed != transfer {
@@ -60,7 +60,7 @@ func TestSeekCurveMonotoneInDistance(t *testing.T) {
 	prev := time.Duration(0)
 	for _, dist := range []int64{1, 100, 10_000, 1_000_000, 8_000_000} {
 		d.headPos = 0
-		st := d.Service(dist, 1)
+		st := d.serviceFor(Read, dist, 1)
 		if st < prev {
 			t.Errorf("service time decreased with distance %d: %v < %v", dist, st, prev)
 		}
@@ -288,67 +288,30 @@ func TestOutOfBoundsPanics(t *testing.T) {
 	env.Run(0)
 }
 
+// The clamp must be loud: past the floor every disk scales to the same
+// MinSectors, which voids any experiment that depends on heterogeneous
+// capacities, so Scaled reports it and the caller warns or refuses.
 func TestScaledParamsClampAndShrink(t *testing.T) {
 	p := SeagateST1000NM0011()
-	s := p.Scaled(1024)
-	if s.Sectors != p.Sectors/1024 {
-		t.Errorf("Sectors = %d, want %d", s.Sectors, p.Sectors/1024)
-	}
-	tiny := p.Scaled(1 << 40)
-	if tiny.Sectors != MinSectors {
-		t.Errorf("Sectors = %d, want clamp at %d", tiny.Sectors, MinSectors)
+	s, clamped := p.Scaled(1024)
+	if s.Sectors != p.Sectors/1024 || clamped {
+		t.Errorf("Scaled(1024) = %d sectors, clamped %v; want %d, false", s.Sectors, clamped, p.Sectors/1024)
 	}
 	if s.TransferBC != p.TransferBC {
 		t.Error("scaling must not change timing parameters")
 	}
-}
-
-// Regression: the clamp must be loud. Scaled silently equalized every disk
-// to the same MinSectors floor at large scale factors, which voids any
-// experiment that depends on heterogeneous capacities; now every clamp
-// reports a ClampWarning on the subscription bus, and ScaledStrict refuses
-// outright.
-func TestScaledClampWarnsAndStrictErrors(t *testing.T) {
-	p := SeagateST1000NM0011()
-
-	var warns []ClampWarning
-	unsub := SubscribeScaleClamps(func(w ClampWarning) { warns = append(warns, w) })
-	defer unsub()
-
-	if s := p.Scaled(1024); s.Sectors != p.Sectors/1024 {
-		t.Fatalf("Sectors = %d, want %d", s.Sectors, p.Sectors/1024)
+	edge := p
+	edge.Sectors = 8 * MinSectors
+	if s, clamped := edge.Scaled(8); s.Sectors != MinSectors || clamped {
+		t.Errorf("scaling exactly to the floor = %d sectors, clamped %v; want %d, false", s.Sectors, clamped, MinSectors)
 	}
-	if len(warns) != 0 {
-		t.Fatalf("proportional scaling warned: %v", warns)
+	for _, factor := range []int64{1 << 20, 1 << 40} {
+		if tiny, clamped := p.Scaled(factor); tiny.Sectors != MinSectors || !clamped {
+			t.Errorf("Scaled(%d) = %d sectors, clamped %v; want the %d floor, true", factor, tiny.Sectors, clamped, MinSectors)
+		}
 	}
-
-	factor := int64(1 << 20)
-	if s := p.Scaled(factor); s.Sectors != MinSectors {
-		t.Fatalf("Sectors = %d, want clamp at %d", s.Sectors, MinSectors)
-	}
-	if len(warns) != 1 {
-		t.Fatalf("got %d clamp warnings, want 1: %v", len(warns), warns)
-	}
-	w := warns[0]
-	if w.Name != p.Name || w.Factor != factor || w.Want != p.Sectors/factor || w.Clamped != MinSectors {
-		t.Errorf("warning = %+v, want {%s %d %d %d}", w, p.Name, factor, p.Sectors/factor, MinSectors)
-	}
-
-	if _, err := p.ScaledStrict(factor); err == nil {
-		t.Error("ScaledStrict must refuse a factor that would clamp")
-	}
-	s, err := p.ScaledStrict(1024)
-	if err != nil {
-		t.Fatalf("ScaledStrict(1024): %v", err)
-	}
-	if s.Sectors != p.Sectors/1024 {
-		t.Errorf("strict Sectors = %d, want %d", s.Sectors, p.Sectors/1024)
-	}
-
-	unsub()
-	p.Scaled(factor)
-	if len(warns) != 1 {
-		t.Error("unsubscribe did not stop clamp notifications")
+	if same, clamped := p.Scaled(1); same != p || clamped {
+		t.Errorf("Scaled(1) = %+v, clamped %v; want the parameters unchanged", same, clamped)
 	}
 }
 
@@ -407,7 +370,7 @@ func TestRandomAccessAverageNearDatasheet(t *testing.T) {
 	env.Go("r", func(pr *sim.Proc) {
 		for i := 0; i < n; i++ {
 			sect := int64(env.Rand().Int63n(p.Sectors - 8))
-			st := d.Service(sect, 1)
+			st := d.serviceFor(Read, sect, 1)
 			d.headPos = sect + 1
 			total += st
 		}
@@ -428,8 +391,8 @@ func TestSlowFactorDegradesService(t *testing.T) {
 	pSlow.Name = "degraded"
 	pSlow.SlowFactor = 4
 	slow := New(env, pSlow)
-	h := healthy.Service(1<<20, 256)
-	s := slow.Service(1<<20, 256)
+	h := healthy.serviceFor(Read, 1<<20, 256)
+	s := slow.serviceFor(Read, 1<<20, 256)
 	if s != 4*h {
 		t.Errorf("degraded service %v, want 4x healthy %v", s, h)
 	}

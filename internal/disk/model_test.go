@@ -115,7 +115,7 @@ func TestSSDChannelParallelismAccounting(t *testing.T) {
 	p := newTestSSD(channels)
 	p.NoMerge = true
 	d := New(env, p)
-	service := d.Service(0, 256) // identical for every request on flash
+	service := d.serviceFor(Read, 0, 256) // identical for every request on flash
 	var elapsed time.Duration
 	env.Go("load", func(pr *sim.Proc) {
 		start := pr.Now()
@@ -153,13 +153,13 @@ func TestSSDChannelParallelismAccounting(t *testing.T) {
 func TestFailSlowAppliesToSSD(t *testing.T) {
 	env := sim.New(1)
 	d := New(env, newTestSSD(2))
-	healthy := d.Service(0, 256)
+	healthy := d.serviceFor(Read, 0, 256)
 	d.SetSlowFactor(8)
-	if got := d.Service(0, 256); got != time.Duration(float64(healthy)*8) {
+	if got := d.serviceFor(Read, 0, 256); got != time.Duration(float64(healthy)*8) {
 		t.Errorf("slow service = %v, want 8 × %v", got, healthy)
 	}
 	d.SetSlowFactor(1)
-	if got := d.Service(0, 256); got != healthy {
+	if got := d.serviceFor(Read, 0, 256); got != healthy {
 		t.Errorf("restored service = %v, want %v", got, healthy)
 	}
 }
@@ -169,7 +169,7 @@ func TestFailSlowAppliesToSSD(t *testing.T) {
 // must expose the active model.
 func TestDataCenterSSDDefaults(t *testing.T) {
 	p := DataCenterSSD()
-	if p.Class() != ClassSSD || p.SSD == nil {
+	if p.SSD == nil {
 		t.Fatal("DataCenterSSD must carry a flash model")
 	}
 	if p.SSD.Channels < 2 {

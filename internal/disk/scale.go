@@ -1,115 +1,23 @@
 package disk
 
-import (
-	"fmt"
-	"sync"
-)
-
 // MinSectors is the capacity floor Scaled will not shrink below: a device
 // under 32 MiB cannot hold even one scaled HDFS block stripe and the
 // simulation degenerates.
 const MinSectors = 1 << 16
 
-// ClampWarning reports that Scaled hit the MinSectors floor: the scale
-// factor asked for fewer sectors than the floor, so the device kept
-// MinSectors instead of its proportional share. At that point devices with
-// different nominal capacities silently end up the same size, which
-// invalidates any experiment that depends on heterogeneous capacities —
-// heterogeneous provisioning must use ScaledStrict instead.
-type ClampWarning struct {
-	Name    string // device name being scaled
-	Factor  int64  // requested scale divisor
-	Want    int64  // Sectors/Factor, what proportional scaling asked for
-	Clamped int64  // the MinSectors floor actually applied
-}
-
-func (w ClampWarning) String() string {
-	return fmt.Sprintf("disk: scaling %s by %d wants %d sectors, clamped to the %d-sector floor (capacity ratios no longer hold at this scale)",
-		w.Name, w.Factor, w.Want, w.Clamped)
-}
-
-var (
-	clampMu     sync.Mutex
-	clampObs    []clampObserver
-	clampNextID uint64
-)
-
-type clampObserver struct {
-	id uint64
-	fn func(ClampWarning)
-}
-
-// SubscribeScaleClamps registers fn on the provisioning warning bus: it is
-// called for every Scaled invocation that hits the MinSectors floor, and the
-// returned function removes the subscription. Unlike the per-disk completion
-// bus, scaling happens outside the simulation (concurrently across parallel
-// suite cells), so fn must be safe to call from multiple goroutines.
-func SubscribeScaleClamps(fn func(ClampWarning)) (unsubscribe func()) {
-	if fn == nil {
-		panic("disk: SubscribeScaleClamps with nil observer")
-	}
-	clampMu.Lock()
-	id := clampNextID
-	clampNextID++
-	clampObs = append(clampObs, clampObserver{id: id, fn: fn})
-	clampMu.Unlock()
-	return func() {
-		clampMu.Lock()
-		defer clampMu.Unlock()
-		for i := range clampObs {
-			if clampObs[i].id != id {
-				continue
-			}
-			next := make([]clampObserver, 0, len(clampObs)-1)
-			next = append(next, clampObs[:i]...)
-			next = append(next, clampObs[i+1:]...)
-			clampObs = next
-			return
-		}
-	}
-}
-
-func notifyClamp(w ClampWarning) {
-	clampMu.Lock()
-	obs := clampObs
-	clampMu.Unlock()
-	for i := range obs {
-		obs[i].fn(w)
-	}
-}
-
 // Scaled returns a copy of p with capacity divided by factor, for
 // proportionally scaled-down experiments. Timing parameters are unchanged:
 // a smaller disk is not a faster disk. Capacity never drops below
-// MinSectors; hitting that floor reports a ClampWarning on the bus
-// registered via SubscribeScaleClamps, because past it every device scales
-// to the same size regardless of its nominal capacity. Provisioning paths
-// that mix device capacities must use ScaledStrict, which refuses instead.
-func (p Params) Scaled(factor int64) Params {
+// MinSectors; clamped reports that the floor was applied, past which every
+// device scales to the same size regardless of its nominal capacity — a
+// warning for a homogeneous fleet, an error for one that mixes capacities
+// (cluster.newNode decides).
+func (p Params) Scaled(factor int64) (scaled Params, clamped bool) {
 	if factor > 1 {
-		want := p.Sectors / factor
-		if want < MinSectors {
-			notifyClamp(ClampWarning{Name: p.Name, Factor: factor, Want: want, Clamped: MinSectors})
-			want = MinSectors
+		p.Sectors /= factor
+		if clamped = p.Sectors < MinSectors; clamped {
+			p.Sectors = MinSectors
 		}
-		p.Sectors = want
 	}
-	return p
-}
-
-// ScaledStrict is Scaled without the floor: when factor would push capacity
-// below MinSectors it returns an error instead of clamping. Heterogeneous
-// fleets (the flash intermediate tier alongside mechanical HDFS disks) use
-// this path, since clamping would silently equalize distinct capacities and
-// void the comparison the tier exists to make.
-func (p Params) ScaledStrict(factor int64) (Params, error) {
-	if factor > 1 {
-		want := p.Sectors / factor
-		if want < MinSectors {
-			return Params{}, fmt.Errorf("disk: scaling %s by %d yields %d sectors, below the %d-sector floor; lower -scale so heterogeneous capacities stay proportional",
-				p.Name, factor, want, MinSectors)
-		}
-		p.Sectors = want
-	}
-	return p, nil
+	return p, clamped
 }

@@ -81,9 +81,8 @@ type fileMeta struct {
 type FS struct {
 	env        *sim.Env
 	cfg        Config
-	net        transferer
-	topo       topology // fs.net's topology view, nil for topology-blind fakes
-	masterNode string   // node hosting the NameNode ("" = topology-blind RPCs)
+	net        *netsim.Network
+	masterNode string // node hosting the NameNode ("" = topology-blind RPCs)
 	netRng     *rand.Rand
 	files      map[string]*fileMeta
 	datanodes  []*DataNode
@@ -95,21 +94,6 @@ type FS struct {
 	integrity  bool           // per-chunk checksums verified on every read
 	scrub      *scrubState    // nil unless EnableScrubber was called
 	master     *masterState   // nil unless EnableMaster was called
-}
-
-// transferer is the network dependency (satisfied by *netsim.Network).
-type transferer interface {
-	Transfer(p *sim.Proc, src, dst string, bytes int64)
-	TryTransfer(p *sim.Proc, src, dst string, bytes int64) error
-}
-
-// topology is the optional rack/reachability view of the network, satisfied
-// by *netsim.Network. Test fakes that only implement transferer keep
-// working: without it every node is reachable and the fabric is one rack.
-type topology interface {
-	Reachable(a, b string) bool
-	RackOf(name string) int
-	Racks() int
 }
 
 // storedBlock is one replica as held by a DataNode: the block file plus the
@@ -129,14 +113,8 @@ type DataNode struct {
 	beatGen  int           // heartbeat process generation (bumped per restart)
 }
 
-// Node returns the cluster node hosting this DataNode.
-func (dn *DataNode) Node() *cluster.Node { return dn.node }
-
-// Alive reports whether the DataNode process is still serving.
-func (dn *DataNode) Alive() bool { return !dn.crashed }
-
 // New creates the filesystem with a DataNode on every given node.
-func New(env *sim.Env, cfg Config, net transferer, nodes []*cluster.Node) *FS {
+func New(env *sim.Env, cfg Config, net *netsim.Network, nodes []*cluster.Node) *FS {
 	if cfg.BlockSize <= 0 || cfg.Replication <= 0 {
 		panic("hdfs: invalid config")
 	}
@@ -148,9 +126,6 @@ func New(env *sim.Env, cfg Config, net transferer, nodes []*cluster.Node) *FS {
 		files:     make(map[string]*fileMeta),
 		byNode:    make(map[string]*DataNode),
 		blockByID: make(map[int64]*blockMeta),
-	}
-	if t, ok := net.(topology); ok {
-		fs.topo = t
 	}
 	for _, n := range nodes {
 		if len(n.HDFSVols) == 0 {
@@ -173,27 +148,15 @@ func (fs *FS) Config() Config { return fs.cfg }
 // DataNode heartbeats become partition-aware: a client cut off from the
 // master stalls with backoff like a client of a crashed master, and a
 // DataNode cut off stops being heard. Empty (the default) keeps RPCs
-// topology-blind, as does a network without a topology view.
+// topology-blind.
 func (fs *FS) SetMasterNode(name string) { fs.masterNode = name }
-
-// reachable reports whether a and b can exchange bytes right now. Always
-// true for topology-blind networks.
-func (fs *FS) reachable(a, b string) bool {
-	if fs.topo == nil {
-		return true
-	}
-	return fs.topo.Reachable(a, b)
-}
 
 // netBlocked reports whether any live DataNode is currently unreachable
 // from the client — the signal that an empty placement is a transient
 // topology problem worth waiting out rather than a dead cluster.
 func (fs *FS) netBlocked(client string) bool {
-	if fs.topo == nil {
-		return false
-	}
 	for _, dn := range fs.datanodes {
-		if !dn.crashed && !fs.reachable(client, dn.node.Name) {
+		if !dn.crashed && !fs.net.Reachable(client, dn.node.Name) {
 			return true
 		}
 	}
@@ -219,11 +182,11 @@ func (fs *FS) netStall(p *sim.Proc, retry *sim.Retry) bool {
 // dead node cannot spin the simulation forever.
 func (fs *FS) waitMasterFrom(p *sim.Proc, mutating bool, node string) {
 	fs.waitMaster(p, mutating)
-	if node == "" || fs.masterNode == "" || fs.reachable(node, fs.masterNode) {
+	if node == "" || fs.masterNode == "" || fs.net.Reachable(node, fs.masterNode) {
 		return
 	}
 	retry := sim.NewRetry(fs.netRng)
-	for !fs.reachable(node, fs.masterNode) && fs.netStall(p, &retry) {
+	for !fs.net.Reachable(node, fs.masterNode) && fs.netStall(p, &retry) {
 	}
 	// The master may have bounced while we were cut off.
 	fs.waitMaster(p, mutating)
@@ -309,7 +272,7 @@ func (fs *FS) BlockLocations(path string) ([][]string, error) {
 // is returned (nil when none are left).
 func (fs *FS) choose(writer string, replication int) []*DataNode {
 	elig := func(dn *DataNode) bool {
-		return !dn.crashed && fs.reachable(writer, dn.node.Name)
+		return !dn.crashed && fs.net.Reachable(writer, dn.node.Name)
 	}
 	live := 0
 	for _, dn := range fs.datanodes {
@@ -344,8 +307,8 @@ func (fs *FS) choose(writer string, replication int) []*DataNode {
 	if dn, ok := fs.byNode[writer]; ok && elig(dn) {
 		out = append(out, dn)
 		localRack = dn.node.Rack
-	} else if fs.topo != nil {
-		localRack = fs.topo.RackOf(writer)
+	} else {
+		localRack = fs.net.RackOf(writer)
 	}
 	remoteRack := -1
 	for len(out) < replication {
@@ -377,16 +340,11 @@ type Writer struct {
 	buf         []byte
 }
 
-// Create opens a new file for writing from the given client node with the
-// filesystem's default replication. An existing path is replaced, as
-// "hadoop fs -rm && rewrite" would.
-func (fs *FS) Create(path, clientNode string) *Writer {
-	return fs.CreateWith(path, clientNode, fs.cfg.Replication)
-}
-
-// CreateWith opens a new file with an explicit replication factor, as
-// Hadoop's per-file dfs.replication does (TeraSort conventionally writes
-// its output with replication 1).
+// CreateWith opens a new file for writing from the given client node with
+// an explicit replication factor, as Hadoop's per-file dfs.replication does
+// (TeraSort conventionally writes its output with replication 1); 0 selects
+// the filesystem's default. An existing path is replaced, as "hadoop fs -rm
+// && rewrite" would.
 func (fs *FS) CreateWith(path, clientNode string, replication int) *Writer {
 	if replication <= 0 || replication > len(fs.datanodes) {
 		replication = fs.cfg.Replication
@@ -806,7 +764,7 @@ func (r *Reader) readBlockOnce(p *sim.Proc, b *blockMeta, off, length int64) (da
 		if dn.crashed {
 			continue
 		}
-		if dn.node.Name != r.client && !r.fs.reachable(r.client, dn.node.Name) {
+		if dn.node.Name != r.client && !r.fs.net.Reachable(r.client, dn.node.Name) {
 			// Partitioned away: don't even charge the remote disk read.
 			transient = true
 			continue

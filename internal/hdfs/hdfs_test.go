@@ -33,7 +33,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	env, c, fs := rig(4)
 	want := pattern(200_000)
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/data/a", c.Slaves[0].Name)
+		w := fs.CreateWith("/data/a", c.Slaves[0].Name, 0)
 		w.Write(p, want[:50_000])
 		w.Write(p, want[50_000:])
 		w.Close(p)
@@ -55,7 +55,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestReplicationFactorHonored(t *testing.T) {
 	env, c, fs := rig(5)
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/r", c.Slaves[0].Name)
+		w := fs.CreateWith("/r", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(100_000))
 		w.Close(p)
 	})
@@ -82,7 +82,7 @@ func TestFirstReplicaIsLocalToWriter(t *testing.T) {
 	env, c, fs := rig(4)
 	writer := c.Slaves[2].Name
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/local", writer)
+		w := fs.CreateWith("/local", writer, 0)
 		w.Write(p, pattern(64_000))
 		w.Close(p)
 	})
@@ -99,7 +99,7 @@ func TestBlockSplitting(t *testing.T) {
 	env, c, fs := rig(3)
 	bs := fs.Config().BlockSize
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/big", c.Slaves[0].Name)
+		w := fs.CreateWith("/big", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(int(bs*3+bs/2)))
 		w.Close(p)
 	})
@@ -110,17 +110,27 @@ func TestBlockSplitting(t *testing.T) {
 	}
 }
 
+// received returns the bytes node's NIC has taken in.
+func received(c *cluster.Cluster, node string) uint64 {
+	for _, nic := range c.Net.Stats().NICs {
+		if nic.Node == node {
+			return nic.BytesReceived
+		}
+	}
+	panic("no NIC for " + node)
+}
+
 func TestLocalReadAvoidsNetwork(t *testing.T) {
 	env, c, fs := rig(4)
 	writer := c.Slaves[0]
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/x", writer.Name)
+		w := fs.CreateWith("/x", writer.Name, 0)
 		w.Write(p, pattern(100_000))
 		w.Close(p)
-		rxBefore := writer.NIC.BytesReceived()
+		rxBefore := received(c, writer.Name)
 		r, _ := fs.Open("/x", writer.Name)
 		r.ReadAt(p, 0, 100_000)
-		if got := writer.NIC.BytesReceived() - rxBefore; got != 0 {
+		if got := received(c, writer.Name) - rxBefore; got != 0 {
 			t.Errorf("local read moved %d bytes over the network", got)
 		}
 	})
@@ -151,10 +161,10 @@ func TestRemoteReadUsesNetwork(t *testing.T) {
 		if outsider == nil {
 			t.Skip("every slave holds a replica at this scale")
 		}
-		before := outsider.NIC.BytesReceived()
+		before := received(c, outsider.Name)
 		r, _ := fs.Open("/y", outsider.Name)
 		r.ReadAt(p, 0, 16_000)
-		if got := outsider.NIC.BytesReceived() - before; got != 16_000 {
+		if got := received(c, outsider.Name) - before; got != 16_000 {
 			t.Errorf("remote read transferred %d bytes, want 16000", got)
 		}
 	})
@@ -225,7 +235,7 @@ func TestDeleteFreesBlocks(t *testing.T) {
 func TestOpenWhileWritingErrors(t *testing.T) {
 	env, c, fs := rig(3)
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/w", c.Slaves[0].Name)
+		w := fs.CreateWith("/w", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(10))
 		if _, err := fs.Open("/w", c.Slaves[0].Name); err == nil {
 			t.Error("open of in-flight file should fail")
@@ -396,7 +406,7 @@ func TestReplicationOneMovesLessData(t *testing.T) {
 func flatChoose(fs *FS, writer string, replication int) []*DataNode {
 	live := 0
 	for _, dn := range fs.datanodes {
-		if !dn.crashed && fs.reachable(writer, dn.node.Name) {
+		if !dn.crashed && fs.net.Reachable(writer, dn.node.Name) {
 			live++
 		}
 	}
@@ -410,7 +420,7 @@ func flatChoose(fs *FS, writer string, replication int) []*DataNode {
 	for len(out) < replication {
 		dn := fs.datanodes[fs.place%len(fs.datanodes)]
 		fs.place++
-		if dn.crashed || !fs.reachable(writer, dn.node.Name) {
+		if dn.crashed || !fs.net.Reachable(writer, dn.node.Name) {
 			continue
 		}
 		dup := false

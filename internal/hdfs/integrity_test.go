@@ -51,7 +51,7 @@ func TestCorruptReadFailsOverAndRepairs(t *testing.T) {
 	fs.EnableRecovery(fastRecovery())
 	want := pattern(150_000)
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/f", c.Slaves[0].Name)
+		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
 		w.Write(p, want)
 		w.Close(p)
 
@@ -169,7 +169,7 @@ func TestIntegrityOffServesCorruptBytes(t *testing.T) {
 	env, c, fs := rig(4)
 	want := pattern(100_000)
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/f", c.Slaves[0].Name)
+		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
 		w.Write(p, want)
 		w.Close(p)
 		rng := rand.New(rand.NewSource(7))
@@ -200,7 +200,7 @@ func TestScrubberFindsSilentCorruption(t *testing.T) {
 	fs.EnableScrubber(ScrubConfig{BytesPerSec: -1, PassInterval: 50 * time.Millisecond})
 	want := pattern(120_000)
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/silent", c.Slaves[1].Name)
+		w := fs.CreateWith("/silent", c.Slaves[1].Name, 0)
 		w.Write(p, want)
 		w.Close(p)
 		rng := rand.New(rand.NewSource(3))
@@ -235,7 +235,7 @@ func TestScrubberChargesScrubStage(t *testing.T) {
 	env, c, fs := rig(3)
 	fs.EnableIntegrity()
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/s", c.Slaves[0].Name)
+		w := fs.CreateWith("/s", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(80_000))
 		w.Close(p)
 	})
@@ -324,7 +324,7 @@ func TestReadBlocksMatchesReadAt(t *testing.T) {
 		client := c.Slaves[0].Name
 		var out outcome
 		env.Go("client", func(p *sim.Proc) {
-			w := fs.Create("/f", client)
+			w := fs.CreateWith("/f", client, 0)
 			w.Write(p, pattern(int(2*fs.cfg.BlockSize+5_000)))
 			w.Close(p)
 			if corrupt {
@@ -382,7 +382,7 @@ func TestReadBlocksStopsAtFnError(t *testing.T) {
 	env, c, fs := rig(3)
 	stop := errors.New("enough")
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/f", c.Slaves[0].Name)
+		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(int(3*fs.cfg.BlockSize)))
 		w.Close(p)
 		r, err := fs.Open("/f", c.Slaves[1].Name)

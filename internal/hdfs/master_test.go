@@ -35,11 +35,11 @@ func TestMasterReplayEquivalence(t *testing.T) {
 	}
 	env.Go("client", func(p *sim.Proc) {
 		defer fs.StopMaster()
-		w := fs.Create("/a", c.Slaves[0].Name)
+		w := fs.CreateWith("/a", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(150_000))
 		w.Close(p)
 		check("after close")
-		w2 := fs.Create("/b", c.Slaves[1].Name)
+		w2 := fs.CreateWith("/b", c.Slaves[1].Name, 0)
 		w2.Write(p, pattern(60_000))
 		check("mid-write")
 		w2.Close(p)
@@ -60,7 +60,7 @@ func TestMasterCheckpointRollsJournal(t *testing.T) {
 	env, c, fs := masterRig(t, 4, MasterConfig{Journal: journal.Config{CheckpointInterval: 50 * time.Millisecond}})
 	env.Go("client", func(p *sim.Proc) {
 		defer fs.StopMaster()
-		w := fs.Create("/ck", c.Slaves[0].Name)
+		w := fs.CreateWith("/ck", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(100_000))
 		w.Close(p)
 		p.Sleep(120 * time.Millisecond) // at least two checkpoint ticks
@@ -68,7 +68,7 @@ func TestMasterCheckpointRollsJournal(t *testing.T) {
 		if st.Checkpoints == 0 || st.CheckpointBytes == 0 {
 			t.Errorf("no checkpoint ran in 120ms at a 50ms interval: %+v", st)
 		}
-		w2 := fs.Create("/post", c.Slaves[1].Name)
+		w2 := fs.CreateWith("/post", c.Slaves[1].Name, 0)
 		w2.Write(p, pattern(40_000))
 		w2.Close(p)
 		if !reflect.DeepEqual(fs.LiveNamespace(), fs.MasterReplayNamespace()) {
@@ -89,7 +89,7 @@ func TestNameNodeKillReplayDiff(t *testing.T) {
 	var restartAt, closedAt time.Duration
 	env.Go("writer", func(p *sim.Proc) {
 		defer fs.StopMaster()
-		w := fs.Create("/w", c.Slaves[0].Name)
+		w := fs.CreateWith("/w", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(20_000))
 		p.Sleep(5 * time.Millisecond) // the crash lands here, mid-file
 		w.Write(p, pattern(20_000))   // block allocation stalls on the outage
@@ -136,7 +136,7 @@ func TestLeaseExpirySealsAbandonedFile(t *testing.T) {
 	})
 	env.Go("client", func(p *sim.Proc) {
 		defer fs.StopMaster()
-		w := fs.Create("/abandoned", c.Slaves[0].Name)
+		w := fs.CreateWith("/abandoned", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(40_000)) // flushes blocks; never closed
 		p.Sleep(100 * time.Millisecond)
 		st := fs.MasterStats()
@@ -164,7 +164,7 @@ func TestRestartRecoversDeadWritersLease(t *testing.T) {
 			fs.StopMaster()
 			fs.StopRecovery()
 		}()
-		w := fs.Create("/dead-writer", c.Slaves[2].Name)
+		w := fs.CreateWith("/dead-writer", c.Slaves[2].Name, 0)
 		w.Write(p, pattern(40_000))
 		fs.CrashNameNode()
 		fs.CrashDataNode(c.Slaves[2].Name)
@@ -197,7 +197,7 @@ func TestSafeModeExitThreshold(t *testing.T) {
 			fs.StopMaster()
 			fs.StopRecovery()
 		}()
-		w := fs.Create("/sm", c.Slaves[0].Name)
+		w := fs.CreateWith("/sm", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(200_000))
 		w.Close(p)
 		fs.CrashNameNode()

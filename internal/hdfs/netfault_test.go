@@ -32,7 +32,7 @@ func TestRackAwarePlacementSpread(t *testing.T) {
 	env, c, fs := rackRig(6, 3)
 	env.Go("client", func(p *sim.Proc) {
 		for _, s := range c.Slaves {
-			w := fs.Create("/spread/"+s.Name, s.Name)
+			w := fs.CreateWith("/spread/"+s.Name, s.Name, 0)
 			w.Write(p, pattern(150_000))
 			w.Close(p)
 		}
@@ -72,7 +72,7 @@ func TestReadFailoverDuringPartition(t *testing.T) {
 	want := pattern(180_000)
 	env.Go("driver", func(p *sim.Proc) {
 		defer fs.StopRecovery()
-		w := fs.Create("/cut", writer.Name)
+		w := fs.CreateWith("/cut", writer.Name, 0)
 		w.Write(p, want)
 		w.Close(p)
 		c.Net.Partition("cut-writer", []string{writer.Name})
@@ -107,7 +107,7 @@ func TestReadWaitsOutPartitionHeal(t *testing.T) {
 	var doneAt time.Duration
 	env.Go("driver", func(p *sim.Proc) {
 		defer fs.StopRecovery()
-		w := fs.Create("/healed", writer.Name)
+		w := fs.CreateWith("/healed", writer.Name, 0)
 		w.Write(p, want)
 		w.Close(p)
 		locs, err := fs.BlockLocations("/healed")

@@ -143,7 +143,7 @@ func (fs *FS) startHeartbeat(dn *DataNode) {
 			if fs.NameNodeDown() {
 				continue // nobody is listening; the beat goes unheard
 			}
-			if fs.masterNode != "" && !fs.reachable(dn.node.Name, fs.masterNode) {
+			if fs.masterNode != "" && !fs.net.Reachable(dn.node.Name, fs.masterNode) {
 				continue // partitioned away from the NameNode; the beat is lost
 			}
 			dn.lastBeat = p.Now()
@@ -443,7 +443,7 @@ func (fs *FS) chooseTarget(b *blockMeta, src string) (dst *DataNode, blocked boo
 		if holds {
 			continue
 		}
-		if !fs.reachable(src, dn.node.Name) {
+		if !fs.net.Reachable(src, dn.node.Name) {
 			blocked = true
 			continue
 		}
@@ -494,13 +494,4 @@ func (fs *FS) StopRecovery() {
 		// Replication workers may be parked on the master-ready condition.
 		ms.log.NotifyReady()
 	}
-}
-
-// UnderReplicated returns the number of blocks currently queued or in
-// flight for repair (test and report hook).
-func (fs *FS) UnderReplicated() int {
-	if fs.rec == nil {
-		return 0
-	}
-	return len(fs.rec.queue) + fs.rec.inWork
 }

@@ -16,7 +16,7 @@ func TestRejoinBeforeDetectionReAdopts(t *testing.T) {
 	fs.EnableRecovery(fastRecovery())
 	victim := c.Slaves[0].Name
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/f", c.Slaves[0].Name)
+		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(150_000))
 		w.Close(p)
 		fs.CrashDataNode(victim)
@@ -56,7 +56,7 @@ func TestRejoinAfterReReplicationPurgesExcess(t *testing.T) {
 	fs.EnableRecovery(fastRecovery())
 	victim := c.Slaves[0].Name
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/f", c.Slaves[0].Name)
+		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(200_000))
 		w.Close(p)
 		fs.CrashDataNode(victim)
@@ -106,7 +106,7 @@ func TestRejoinCancelsQueuedRepairs(t *testing.T) {
 	fs.EnableRecovery(fastRecovery())
 	victim := c.Slaves[0].Name
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/f", c.Slaves[0].Name)
+		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(150_000))
 		w.Close(p)
 		fs.CrashDataNode(victim)
@@ -139,7 +139,7 @@ func TestRejoinPurgesCrashTruncatedReplicas(t *testing.T) {
 	victim := c.Slaves[0]
 	want := pattern(180_000)
 	env.Go("client", func(p *sim.Proc) {
-		w := fs.Create("/f", victim.Name)
+		w := fs.CreateWith("/f", victim.Name, 0)
 		w.Write(p, want)
 		w.Close(p)
 		// Crash the machine's volumes without syncing: dirty pages drop and

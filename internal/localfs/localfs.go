@@ -145,12 +145,6 @@ func (fs *FS) Fail() { fs.failed = true }
 // Failed reports whether the device has fail-stopped.
 func (fs *FS) Failed() bool { return fs.failed }
 
-// Exists reports whether name exists.
-func (fs *FS) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
-}
-
 // Size returns the byte size of name, or -1 if absent.
 func (fs *FS) Size(name string) int64 {
 	f, ok := fs.files[name]
@@ -185,9 +179,6 @@ type File struct {
 // The tag is per handle, not per file: a spill file re-read by the merge pass
 // retags its handle rather than the data.
 func (h *File) SetStage(s disk.Stage) { h.stage = s }
-
-// Stage returns the handle's current pipeline-stage tag.
-func (h *File) Stage() disk.Stage { return h.stage }
 
 // Create creates an empty file and returns a handle. Creating an existing
 // name truncates it (the MapReduce runtime never does; tests may).
@@ -273,7 +264,7 @@ func (h *File) Append(p *sim.Proc, data []byte) {
 		h.fs.grow(h.f, needSectors-h.f.alloced)
 	}
 	for _, r := range h.f.sectorRanges(start, int64(len(data))) {
-		h.fs.cache.WriteStaged(p, r.sector, int(r.sectors), h.stage)
+		h.fs.cache.Write(p, r.sector, int(r.sectors), h.stage)
 	}
 }
 
@@ -314,7 +305,7 @@ func (h *File) ReadAt(p *sim.Proc, off, length int64) []byte {
 	data := h.f.bytes(off, length)
 	for _, r := range h.f.sectorRanges(off, length) {
 		h.rs.Limit = h.f.extentEnd(r.sector)
-		h.fs.cache.ReadStaged(p, &h.rs, r.sector, int(r.sectors), h.stage)
+		h.fs.cache.Read(p, &h.rs, r.sector, int(r.sectors), h.stage)
 	}
 	h.fs.stats.BytesRead += uint64(length)
 	return data

@@ -92,7 +92,7 @@ func TestDeleteFreesAndDiscards(t *testing.T) {
 	if w := d.Stats().SectorsWritten; w != 0 {
 		t.Errorf("deleted-before-writeback file still wrote %d sectors", w)
 	}
-	if fs.Exists("tmp") {
+	if fs.Size("tmp") != -1 {
 		t.Error("file still exists after delete")
 	}
 	if fs.FreeExtentCount() == 0 {

@@ -65,7 +65,7 @@ func benchRun(n, i, fan int) run {
 	val := bytes.Repeat([]byte("v"), 90)
 	var r run
 	for j := 0; j < n; j++ {
-		r = appendKV(r, []byte(fmt.Sprintf("%010d", j*fan+i)), val)
+		r = AppendKV(r, []byte(fmt.Sprintf("%010d", j*fan+i)), val)
 	}
 	return r
 }
@@ -161,7 +161,7 @@ func newBenchRig() *testRig {
 	fs := hdfs.New(env, hdfs.DefaultConfig(8192), cl.Net, cl.Slaves)
 	cfg := DefaultConfig(8192)
 	cfg.MapSlots, cfg.ReduceSlots = 2, 2
-	rt, err := New(env, cl, fs, cl.Net, cfg)
+	rt, err := New(env, cl, fs, cfg)
 	if err != nil {
 		panic(err)
 	}

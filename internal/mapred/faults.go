@@ -82,7 +82,7 @@ func (rt *Runtime) fetchOneFaulty(fp *sim.Proc, js *jobState, st *fetchState, ou
 		}
 		dropped := rt.fetchFault != nil && rt.fetchFault(fp.Now())
 		if !dropped {
-			if !rt.reachable(out.node.Name, node.Name) {
+			if !rt.net.Reachable(out.node.Name, node.Name) {
 				// Partitioned away from the map side: don't charge the
 				// remote disk read, just wait for the heal.
 				if !netStall() {

@@ -6,9 +6,9 @@ import (
 	"fmt"
 )
 
-// appendKV serializes one pair as uvarint-length-prefixed key and value —
+// AppendKV serializes one pair as uvarint-length-prefixed key and value —
 // the on-disk and on-wire intermediate format.
-func appendKV(dst, key, value []byte) []byte {
+func AppendKV(dst, key, value []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, uint64(len(value)))
@@ -16,10 +16,10 @@ func appendKV(dst, key, value []byte) []byte {
 	return dst
 }
 
-// readKV deserializes the pair at the head of src, returning the key, the
+// NextKV deserializes the pair at the head of src, returning the key, the
 // value, and the remainder. It panics on corruption — in a simulation that
 // is a bug, not an I/O error.
-func readKV(src []byte) (key, value, rest []byte) {
+func NextKV(src []byte) (key, value, rest []byte) {
 	kl, n := binary.Uvarint(src)
 	if n <= 0 {
 		panic("mapred: corrupt KV stream (key length)")
@@ -54,7 +54,7 @@ func (c *cursor) load() bool {
 	}
 	c.pos = c.end
 	var rest []byte
-	c.key, c.val, rest = readKV(c.run[c.pos:])
+	c.key, c.val, rest = NextKV(c.run[c.pos:])
 	c.end = len(c.run) - len(rest)
 	c.prefix = keyPrefix(c.key)
 	return true

@@ -59,7 +59,7 @@ func (it recordIter) records(data []byte, fn func(rec []byte)) {
 	case KVFormat:
 		for len(data) > 0 {
 			before := len(data)
-			_, _, rest := readKV(data)
+			_, _, rest := NextKV(data)
 			fn(data[:before-len(rest)])
 			data = rest
 		}
@@ -109,7 +109,7 @@ func TestQuickFramerMatchesBatch(t *testing.T) {
 		// KV data.
 		var kvData []byte
 		for i := 0; i < n; i++ {
-			kvData = appendKV(kvData, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{'v'}, i%23))
+			kvData = AppendKV(kvData, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{'v'}, i%23))
 		}
 
 		type cs struct {
@@ -217,7 +217,7 @@ func TestQuickFixedSplitsExactlyOnce(t *testing.T) {
 }
 
 func TestKVLenPartial(t *testing.T) {
-	full := appendKV(nil, []byte("key"), []byte("value"))
+	full := AppendKV(nil, []byte("key"), []byte("value"))
 	for i := 0; i < len(full); i++ {
 		if n, ok := kvLen(full[:i]); ok {
 			t.Errorf("prefix %d reported complete (n=%d)", i, n)

@@ -49,7 +49,7 @@ func newRigAt(t *testing.T, scale int64, mut func(*Config)) *testRig {
 	if mut != nil {
 		mut(&cfg)
 	}
-	rt, err := New(env, cl, fs, cl.Net, cfg)
+	rt, err := New(env, cl, fs, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -99,7 +99,7 @@ func (r *testRig) readOutput(t *testing.T, dir string) map[string][]string {
 				return
 			}
 			for len(data) > 0 {
-				k, v, rest := readKV(data)
+				k, v, rest := NextKV(data)
 				out[string(k)] = append(out[string(k)], string(v))
 				data = rest
 			}
@@ -426,7 +426,7 @@ func modelMergeRuns(runs []run) run {
 	var cs []cursor
 	for _, r := range runs {
 		if len(r) > 0 {
-			k, v, rest := readKV(r)
+			k, v, rest := NextKV(r)
 			cs = append(cs, cursor{k, v, rest})
 		}
 	}
@@ -438,12 +438,12 @@ func modelMergeRuns(runs []run) run {
 				best = i
 			}
 		}
-		out = appendKV(out, cs[best].key, cs[best].val)
+		out = AppendKV(out, cs[best].key, cs[best].val)
 		if len(cs[best].rest) == 0 {
 			cs = append(cs[:best], cs[best+1:]...)
 			continue
 		}
-		k, v, rest := readKV(cs[best].rest)
+		k, v, rest := NextKV(cs[best].rest)
 		cs[best] = cursor{k, v, rest}
 	}
 	return out
@@ -455,7 +455,7 @@ func modelGroupRun(r run, fn func(key []byte, values [][]byte)) {
 	var curKey []byte
 	var vals [][]byte
 	for len(r) > 0 {
-		k, v, rest := readKV(r)
+		k, v, rest := NextKV(r)
 		if curKey == nil || !bytes.Equal(k, curKey) {
 			if curKey != nil {
 				fn(curKey, vals)
@@ -475,7 +475,7 @@ func modelGroupRun(r run, fn func(key []byte, values [][]byte)) {
 func countKVs(r run) int64 {
 	var n int64
 	for len(r) > 0 {
-		_, _, r = readKV(r)
+		_, _, r = NextKV(r)
 		n++
 	}
 	return n
@@ -485,7 +485,7 @@ func countKVs(r run) int64 {
 func sortedRun(r run) bool {
 	var prev []byte
 	for len(r) > 0 {
-		k, _, rest := readKV(r)
+		k, _, rest := NextKV(r)
 		if prev != nil && bytes.Compare(prev, k) > 0 {
 			return false
 		}
@@ -511,7 +511,7 @@ func TestMergeRunsProperties(t *testing.T) {
 			sort.Strings(keys)
 			var r run
 			for _, k := range keys {
-				r = appendKV(r, []byte(k), []byte("v"))
+				r = AppendKV(r, []byte(k), []byte("v"))
 				all = append(all, k)
 			}
 			runs = append(runs, r)
@@ -556,7 +556,7 @@ func randomRuns(rng *rand.Rand, maxRuns int) []run {
 			if i%4 != 3 {
 				v = []byte(fmt.Sprintf("r%d#%d", ri, i))
 			}
-			runs[ri] = appendKV(runs[ri], []byte(k), v)
+			runs[ri] = AppendKV(runs[ri], []byte(k), v)
 		}
 	}
 	return runs
@@ -635,7 +635,7 @@ func TestSortKVEntriesPrefixCollisions(t *testing.T) {
 		}
 	}
 	for _, e := range ms.ents {
-		if want := appendKV(nil, e.key(ms.arena), e.val(ms.arena)); !bytes.Equal(e.rec(ms.arena), want) {
+		if want := AppendKV(nil, e.key(ms.arena), e.val(ms.arena)); !bytes.Equal(e.rec(ms.arena), want) {
 			t.Fatalf("rec = %q, want %q", e.rec(ms.arena), want)
 		}
 	}
@@ -778,19 +778,44 @@ func TestSortBufferMustFitIndexOffsets(t *testing.T) {
 	rig := newRig(t, nil)
 	cfg := rig.rt.cfg
 	cfg.SortBufBytes = 1 << 32
-	if _, err := New(rig.env, rig.cl, rig.fs, rig.cl.Net, cfg); err == nil {
+	if _, err := New(rig.env, rig.cl, rig.fs, cfg); err == nil {
 		t.Error("New accepted a 4 GiB sort buffer, which uint32 arena offsets cannot address")
 	}
 	cfg.SortBufBytes = 1<<32 - 1
-	if _, err := New(rig.env, rig.cl, rig.fs, rig.cl.Net, cfg); err != nil {
+	if _, err := New(rig.env, rig.cl, rig.fs, cfg); err != nil {
 		t.Errorf("New rejected the largest addressable sort buffer: %v", err)
+	}
+}
+
+// New used to re-default these five to values DefaultConfig does not use; a
+// zero is now an error, and a zero ChunkBytes in particular would spin
+// mapTask's input loop forever.
+func TestNewRejectsZeroChunkAndRetryBudgets(t *testing.T) {
+	rig := newRig(t, nil)
+	for name, zero := range map[string]func(*Config){
+		"ChunkBytes":         func(c *Config) { c.ChunkBytes = 0 },
+		"MaxFetchRetries":    func(c *Config) { c.MaxFetchRetries = 0 },
+		"FetchRetryDelay":    func(c *Config) { c.FetchRetryDelay = 0 },
+		"MaxTaskAttempts":    func(c *Config) { c.MaxTaskAttempts = 0 },
+		"MaxTrackerFailures": func(c *Config) { c.MaxTrackerFailures = 0 },
+	} {
+		cfg := rig.rt.cfg
+		zero(&cfg)
+		if _, err := New(rig.env, rig.cl, rig.fs, cfg); err == nil {
+			t.Errorf("New accepted a zero %s", name)
+		}
+	}
+	if rt, err := New(rig.env, rig.cl, rig.fs, rig.rt.cfg); err != nil {
+		t.Errorf("New rejected the rig's own configuration: %v", err)
+	} else if rt.cfg != rig.rt.cfg {
+		t.Errorf("New changed the configuration it was given:\n got %+v\nwant %+v", rt.cfg, rig.rt.cfg)
 	}
 }
 
 func TestKVSerializationRoundTrip(t *testing.T) {
 	f := func(k, v []byte) bool {
-		data := appendKV(nil, k, v)
-		k2, v2, rest := readKV(data)
+		data := AppendKV(nil, k, v)
+		k2, v2, rest := NextKV(data)
 		return bytes.Equal(k, k2) && bytes.Equal(v, v2) && len(rest) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -800,9 +825,9 @@ func TestKVSerializationRoundTrip(t *testing.T) {
 
 func TestGroupRunGroupsEqualKeys(t *testing.T) {
 	var r run
-	r = appendKV(r, []byte("a"), []byte("1"))
-	r = appendKV(r, []byte("a"), []byte("2"))
-	r = appendKV(r, []byte("b"), []byte("3"))
+	r = AppendKV(r, []byte("a"), []byte("1"))
+	r = AppendKV(r, []byte("a"), []byte("2"))
+	r = AppendKV(r, []byte("b"), []byte("3"))
 	var groups []string
 	newMerger([]run{r}).groups(func(k []byte, vs [][]byte) {
 		groups = append(groups, fmt.Sprintf("%s:%d", k, len(vs)))
@@ -951,7 +976,7 @@ func TestDelaySchedulingStealsRemotely(t *testing.T) {
 	fs := hdfs.New(env, hcfg, cl.Net, cl.Slaves)
 	cfg := DefaultConfig(8192)
 	cfg.MapSlots, cfg.ReduceSlots = 2, 2
-	rt, err := New(env, cl, fs, cl.Net, cfg)
+	rt, err := New(env, cl, fs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1064,7 +1089,7 @@ func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 			part := i % nparts
 			for rep := 0; rep <= part; rep++ {
 				k, v := []byte(fmt.Sprintf("key-%04d-%d", i, rep)), []byte(fmt.Sprintf("value-%d-of-partition-%d", i, part))
-				want[part] = appendKV(want[part], k, v)
+				want[part] = AppendKV(want[part], k, v)
 				ms.add(p, part, k, v)
 			}
 		}

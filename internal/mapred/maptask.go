@@ -453,7 +453,7 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 	var n int64
 	if comb := ms.job.Combiner; comb != nil {
 		emit := func(k, v []byte) {
-			out = appendKV(out, k, v)
+			out = AppendKV(out, k, v)
 			n++
 		}
 		i := 0

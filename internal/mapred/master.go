@@ -231,15 +231,15 @@ func (rt *Runtime) RestartJobTracker(p *sim.Proc) {
 // permanently dead node cannot spin the simulation.
 func (rt *Runtime) jtWait(p *sim.Proc, node string) {
 	rt.jtDownStall(p)
-	if rt.topo == nil || node == "" {
+	if node == "" {
 		return
 	}
 	jt := rt.cl.Master.Name
-	if rt.reachable(node, jt) {
+	if rt.net.Reachable(node, jt) {
 		return
 	}
 	retry := sim.NewRetry(rt.netRng)
-	for !rt.reachable(node, jt) && !rt.topo.Down(node) {
+	for !rt.net.Reachable(node, jt) && !rt.net.Down(node) {
 		if _, ok := retry.Stall(p); !ok {
 			break
 		}

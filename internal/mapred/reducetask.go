@@ -171,7 +171,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		outRecords++
 		outBytes += int64(len(k)+len(v)) + 1
 		if werr == nil {
-			kvBuf = appendKV(kvBuf[:0], k, v)
+			kvBuf = AppendKV(kvBuf[:0], k, v)
 			werr = w.Write(p, kvBuf)
 		}
 	}

@@ -9,22 +9,9 @@ import (
 
 	"iochar/internal/cluster"
 	"iochar/internal/hdfs"
+	"iochar/internal/netsim"
 	"iochar/internal/sim"
 )
-
-// transferer is the network dependency (satisfied by *netsim.Network).
-type transferer interface {
-	Transfer(p *sim.Proc, src, dst string, bytes int64)
-	TryTransfer(p *sim.Proc, src, dst string, bytes int64) error
-}
-
-// topology is the optional reachability view of the network, satisfied by
-// *netsim.Network. Topology-blind fakes keep working: without it every
-// node is always reachable.
-type topology interface {
-	Reachable(a, b string) bool
-	Down(name string) bool
-}
 
 // Runtime is the MapReduce service for one cluster: the JobTracker plus a
 // TaskTracker per slave, each offering Config.MapSlots and
@@ -33,8 +20,7 @@ type Runtime struct {
 	env    *sim.Env
 	cl     *cluster.Cluster
 	fs     *hdfs.FS
-	net    transferer
-	topo   topology // rt.net's topology view, nil for topology-blind fakes
+	net    *netsim.Network // cl.Net
 	netRng *rand.Rand
 	cfg    Config
 
@@ -62,7 +48,7 @@ type Runtime struct {
 
 // New wires a runtime. Slaves double as DataNodes and TaskTrackers, as on
 // the paper's testbed.
-func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, net transferer, cfg Config) (*Runtime, error) {
+func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, cfg Config) (*Runtime, error) {
 	if cfg.MapSlots <= 0 || cfg.ReduceSlots <= 0 {
 		return nil, fmt.Errorf("mapred: slot counts must be positive, got %d map / %d reduce", cfg.MapSlots, cfg.ReduceSlots)
 	}
@@ -74,36 +60,16 @@ func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, net transferer, cfg Con
 		return nil, fmt.Errorf("mapred: sort buffer of %d bytes exceeds the %d the index entries can address", cfg.SortBufBytes, uint32(math.MaxUint32))
 	}
 	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 256 << 10
+		// mapTask advances its input position by ChunkBytes.
+		return nil, fmt.Errorf("mapred: ChunkBytes must be positive, got %d", cfg.ChunkBytes)
 	}
-	if cfg.MaxFetchRetries <= 0 {
-		cfg.MaxFetchRetries = 3
+	if cfg.MaxFetchRetries <= 0 || cfg.FetchRetryDelay <= 0 || cfg.MaxTaskAttempts <= 0 || cfg.MaxTrackerFailures <= 0 {
+		return nil, fmt.Errorf("mapred: retry budgets must be positive, got %d fetch retries from %v / %d task attempts / %d tracker failures",
+			cfg.MaxFetchRetries, cfg.FetchRetryDelay, cfg.MaxTaskAttempts, cfg.MaxTrackerFailures)
 	}
-	if cfg.FetchRetryDelay <= 0 {
-		cfg.FetchRetryDelay = time.Second
-	}
-	if cfg.MaxTaskAttempts <= 0 {
-		cfg.MaxTaskAttempts = 4
-	}
-	if cfg.MaxTrackerFailures <= 0 {
-		cfg.MaxTrackerFailures = 3
-	}
-	rt := &Runtime{env: env, cl: cl, fs: fs, net: net, cfg: cfg,
+	return &Runtime{env: env, cl: cl, fs: fs, net: cl.Net, cfg: cfg,
 		netRng: rand.New(rand.NewSource(cfg.Seed ^ 0x6d725f6e)),
-		active: make(map[*jobState]bool)}
-	if t, ok := net.(topology); ok {
-		rt.topo = t
-	}
-	return rt, nil
-}
-
-// reachable reports whether two nodes can exchange bytes right now; always
-// true for topology-blind networks.
-func (rt *Runtime) reachable(a, b string) bool {
-	if rt.topo == nil {
-		return true
-	}
-	return rt.topo.Reachable(a, b)
+		active: make(map[*jobState]bool)}, nil
 }
 
 // EnableFaults switches the runtime's recovery machinery on: lingering map
@@ -133,9 +99,6 @@ func (rt *Runtime) OnNodeDown(name string) {
 		js.onNodeDown(name)
 	}
 }
-
-// Config returns the runtime configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
 
 // jobState is the JobTracker's view of one running job.
 type jobState struct {

@@ -78,8 +78,8 @@ type CostModel struct {
 
 // RecordFormat tells the input reader how to frame records in a split.
 type RecordFormat interface {
-	// Frame returns record boundaries handling split edges: the reader
-	// implementation is in format.go.
+	// isFormat closes the set at LineFormat, FixedFormat and KVFormat: the
+	// reader in format.go frames records by switching on the three.
 	isFormat()
 }
 
@@ -107,18 +107,9 @@ func (KVFormat) isFormat() {}
 
 // SplitKV decodes a KVFormat record into its key and value.
 func SplitKV(rec []byte) (key, value []byte) {
-	k, v, _ := readKV(rec)
+	k, v, _ := NextKV(rec)
 	return k, v
 }
-
-// AppendKV serializes one pair in the runtime's KV format — the format of
-// reduce output files. Exposed for drivers and tests that build or inspect
-// KV streams.
-func AppendKV(dst, key, value []byte) []byte { return appendKV(dst, key, value) }
-
-// NextKV decodes the pair at the head of a KV stream and returns the
-// remainder, for drivers walking reduce output files.
-func NextKV(data []byte) (key, value, rest []byte) { return readKV(data) }
 
 // Job describes one MapReduce job.
 type Job struct {

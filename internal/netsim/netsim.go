@@ -230,9 +230,6 @@ func rackName(rack int) string {
 	return "rack" + string(rune('0'+rack/10)) + string(rune('0'+rack%10))
 }
 
-// NIC returns a registered NIC or nil.
-func (n *Network) NIC(name string) *NIC { return n.nics[name] }
-
 // RackOf returns the rack a node was registered in; unregistered nodes
 // panic.
 func (n *Network) RackOf(name string) int {
@@ -343,12 +340,6 @@ func (n *Network) SetDrop(name string, prob float64, rng *rand.Rand) {
 
 // ClearDrop removes the lossy-path state for a node.
 func (n *Network) ClearDrop(name string) { delete(n.drops, name) }
-
-// BytesSent returns the total bytes transmitted by the node.
-func (nic *NIC) BytesSent() uint64 { return nic.sent }
-
-// BytesReceived returns the total bytes received by the node.
-func (nic *NIC) BytesReceived() uint64 { return nic.received }
 
 // Transfer moves bytes from node src to node dst, blocking p for the full
 // transfer time. Local "transfers" (src == dst) cost one latency only,

@@ -115,11 +115,11 @@ func TestByteAccounting(t *testing.T) {
 		n.Transfer(p, "b", "a", 11)
 	})
 	env.Run(0)
-	if a.BytesSent() != 12345 || b.BytesReceived() != 12345 {
-		t.Errorf("a->b accounting wrong: %d/%d", a.BytesSent(), b.BytesReceived())
+	if a.sent != 12345 || b.received != 12345 {
+		t.Errorf("a->b accounting wrong: %d/%d", a.sent, b.received)
 	}
-	if b.BytesSent() != 11 || a.BytesReceived() != 11 {
-		t.Errorf("b->a accounting wrong: %d/%d", b.BytesSent(), a.BytesReceived())
+	if b.sent != 11 || a.received != 11 {
+		t.Errorf("b->a accounting wrong: %d/%d", b.sent, a.received)
 	}
 }
 

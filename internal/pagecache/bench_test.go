@@ -18,11 +18,11 @@ func benchRig(opts Options) (*sim.Env, *Cache) {
 
 func BenchmarkCacheHitRead(b *testing.B) {
 	env, c := benchRig(DefaultOptions())
-	env.Go("warm", func(p *sim.Proc) { c.Read(p, nil, 0, 1024) })
+	env.Go("warm", func(p *sim.Proc) { c.Read(p, nil, 0, 1024, disk.StageNone) })
 	env.Run(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Go("r", func(p *sim.Proc) { c.Read(p, nil, 0, 1024) })
+		env.Go("r", func(p *sim.Proc) { c.Read(p, nil, 0, 1024, disk.StageNone) })
 		env.Run(0)
 	}
 }
@@ -33,7 +33,7 @@ func BenchmarkCacheColdSequential(b *testing.B) {
 		env.Go("r", func(p *sim.Proc) {
 			rs := &ReadState{}
 			for j := 0; j < 256; j++ {
-				c.Read(p, rs, int64(j*16*PageSectors), 16*PageSectors)
+				c.Read(p, rs, int64(j*16*PageSectors), 16*PageSectors, disk.StageNone)
 			}
 		})
 		env.Run(0)
@@ -56,7 +56,7 @@ func BenchmarkAblationReadahead(b *testing.B) {
 				env.Go("r", func(p *sim.Proc) {
 					rs := &ReadState{}
 					for j := 0; j < 512; j++ {
-						cache.Read(p, rs, int64(j*4*PageSectors), 4*PageSectors)
+						cache.Read(p, rs, int64(j*4*PageSectors), 4*PageSectors, disk.StageNone)
 					}
 				})
 				vt, _ = env.Run(0)
@@ -71,7 +71,7 @@ func BenchmarkWriteAndSync(b *testing.B) {
 		env, c := benchRig(DefaultOptions())
 		env.Go("w", func(p *sim.Proc) {
 			for j := 0; j < 512; j++ {
-				c.Write(p, int64(j*8*PageSectors), 8*PageSectors)
+				c.Write(p, int64(j*8*PageSectors), 8*PageSectors, disk.StageNone)
 			}
 			c.Sync(p)
 		})

@@ -193,9 +193,6 @@ func (c *Cache) DirtyPages() int { return c.dirty }
 // ResidentPages returns the number of cached pages.
 func (c *Cache) ResidentPages() int { return len(c.pages) }
 
-// Capacity returns the configured capacity in pages.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // ReadState tracks one sequential stream's readahead window. Use one per
 // open file/stream. Limit, when positive, is the first device sector the
 // prefetcher must not cross — callers set it to the end of the current file
@@ -217,15 +214,10 @@ func pageRange(sector int64, nsect int) (int64, int64) {
 // covered page is resident. rs may be nil for non-streaming access (no
 // readahead). Misses are fetched with as few, as large disk requests as the
 // miss pattern allows; sequential streams additionally prefetch a doubling
-// readahead window asynchronously.
-func (c *Cache) Read(p *sim.Proc, rs *ReadState, sector int64, nsect int) {
-	c.ReadStaged(p, rs, sector, nsect, disk.StageNone)
-}
-
-// ReadStaged is Read with a pipeline-stage tag: disk reads issued on behalf
-// of this access (demand fetches and the readahead they trigger) carry the
-// tag for per-stage physical attribution.
-func (c *Cache) ReadStaged(p *sim.Proc, rs *ReadState, sector int64, nsect int, stage disk.Stage) {
+// readahead window asynchronously. Disk reads issued on behalf of this
+// access (demand fetches and the readahead they trigger) carry the
+// pipeline-stage tag for per-stage physical attribution.
+func (c *Cache) Read(p *sim.Proc, rs *ReadState, sector int64, nsect int, stage disk.Stage) {
 	first, last := pageRange(sector, nsect)
 
 	// Readahead window bookkeeping.
@@ -328,15 +320,11 @@ func (c *Cache) fetch(first, last int64, stage disk.Stage) *sim.Event {
 // Write dirties the covered pages without touching the disk. If the dirty
 // ratio exceeds the hard limit, the writer is throttled until writeback
 // catches up — the mechanism that couples memory size to write behaviour.
-func (c *Cache) Write(p *sim.Proc, sector int64, nsect int) {
-	c.WriteStaged(p, sector, nsect, disk.StageNone)
-}
-
-// WriteStaged is Write with a pipeline-stage tag. The tag is recorded on the
-// dirtied pages (last writer wins) and travels with them to the eventual
-// writeback request, so deferred flushes are still attributed to the stage
-// that produced the data rather than to the flusher.
-func (c *Cache) WriteStaged(p *sim.Proc, sector int64, nsect int, stage disk.Stage) {
+// The pipeline-stage tag is recorded on the dirtied pages (last writer wins)
+// and travels with them to the eventual writeback request, so deferred
+// flushes are still attributed to the stage that produced the data rather
+// than to the flusher.
+func (c *Cache) Write(p *sim.Proc, sector int64, nsect int, stage disk.Stage) {
 	first, last := pageRange(sector, nsect)
 	for n := first; n < last; n++ {
 		pg := c.lookup(n)

@@ -20,9 +20,9 @@ func rig(capPages int, opts Options) (*sim.Env, *disk.Disk, *Cache) {
 func TestColdReadMissesThenHits(t *testing.T) {
 	env, d, c := rig(1024, DefaultOptions())
 	env.Go("r", func(p *sim.Proc) {
-		c.Read(p, nil, 0, 64) // 8 pages, cold
+		c.Read(p, nil, 0, 64, disk.StageNone) // 8 pages, cold
 		before := d.Stats().ReadsCompleted
-		c.Read(p, nil, 0, 64) // warm
+		c.Read(p, nil, 0, 64, disk.StageNone) // warm
 		if got := d.Stats().ReadsCompleted; got != before {
 			t.Errorf("warm read issued %d extra disk reads", got-before)
 		}
@@ -41,7 +41,7 @@ func TestWriteIsCacheOnlyUntilSync(t *testing.T) {
 	env, d, c := rig(4096, DefaultOptions())
 	env.Go("w", func(p *sim.Proc) {
 		start := p.Now()
-		c.Write(p, 0, 512) // 64 pages, well under thresholds
+		c.Write(p, 0, 512, disk.StageNone) // 64 pages, well under thresholds
 		if p.Now() != start {
 			t.Error("small write should not block in virtual time")
 		}
@@ -64,7 +64,7 @@ func TestSyncClustersContiguousDirtyPages(t *testing.T) {
 	env.Go("w", func(p *sim.Proc) {
 		// Dirty 64 contiguous pages out of order: sync must cluster them.
 		for i := 63; i >= 0; i-- {
-			c.Write(p, int64(i*PageSectors), PageSectors)
+			c.Write(p, int64(i*PageSectors), PageSectors, disk.StageNone)
 		}
 		c.Sync(p)
 	})
@@ -81,7 +81,7 @@ func TestSyncClustersContiguousDirtyPages(t *testing.T) {
 func TestDiscardDropsDirtyWithoutIO(t *testing.T) {
 	env, d, c := rig(4096, DefaultOptions())
 	env.Go("w", func(p *sim.Proc) {
-		c.Write(p, 0, 256)
+		c.Write(p, 0, 256, disk.StageNone)
 		c.Discard(0, 256)
 		c.Sync(p)
 	})
@@ -98,7 +98,7 @@ func TestDirtyThrottleTriggersInlineWriteback(t *testing.T) {
 	opts := DefaultOptions()
 	env, d, c := rig(256, opts) // tiny cache: hard limit ~102 pages
 	env.Go("w", func(p *sim.Proc) {
-		c.Write(p, 0, 150*PageSectors) // 150 dirty pages > 40% of 256
+		c.Write(p, 0, 150*PageSectors, disk.StageNone) // 150 dirty pages > 40% of 256
 	})
 	env.Run(0)
 	if c.Stats().ThrottleStalls == 0 {
@@ -115,9 +115,9 @@ func TestDirtyThrottleTriggersInlineWriteback(t *testing.T) {
 func TestLRUEvictionPrefersClean(t *testing.T) {
 	env, _, c := rig(64, DefaultOptions())
 	env.Go("w", func(p *sim.Proc) {
-		c.Read(p, nil, 0, 32*PageSectors)     // 32 clean pages
-		c.Write(p, 1<<20, 16*PageSectors)     // 16 dirty pages elsewhere
-		c.Read(p, nil, 1<<21, 30*PageSectors) // push past capacity; clean supply suffices
+		c.Read(p, nil, 0, 32*PageSectors, disk.StageNone)     // 32 clean pages
+		c.Write(p, 1<<20, 16*PageSectors, disk.StageNone)     // 16 dirty pages elsewhere
+		c.Read(p, nil, 1<<21, 30*PageSectors, disk.StageNone) // push past capacity; clean supply suffices
 	})
 	env.Run(0)
 	s := c.Stats()
@@ -127,8 +127,8 @@ func TestLRUEvictionPrefersClean(t *testing.T) {
 	if s.EvictedDirty != 0 {
 		t.Errorf("EvictedDirty = %d; clean pages were available", s.EvictedDirty)
 	}
-	if c.ResidentPages() > c.Capacity() {
-		t.Errorf("resident %d exceeds capacity %d", c.ResidentPages(), c.Capacity())
+	if c.ResidentPages() > c.capacity {
+		t.Errorf("resident %d exceeds capacity %d", c.ResidentPages(), c.capacity)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestMemoryPressureFlushesDirty(t *testing.T) {
 	opts.DirtyBGRatio = 0.90
 	env, d, c := rig(64, opts)
 	env.Go("w", func(p *sim.Proc) {
-		c.Write(p, 0, 50*PageSectors)         // 50 dirty pages
-		c.Read(p, nil, 1<<20, 40*PageSectors) // needs 40 more: pressure
+		c.Write(p, 0, 50*PageSectors, disk.StageNone)         // 50 dirty pages
+		c.Read(p, nil, 1<<20, 40*PageSectors, disk.StageNone) // needs 40 more: pressure
 	})
 	env.Run(0)
 	if c.Stats().EvictedDirty == 0 {
@@ -155,7 +155,7 @@ func TestReadaheadGrowsForSequentialStream(t *testing.T) {
 	env.Go("r", func(p *sim.Proc) {
 		rs := &ReadState{}
 		for i := 0; i < 32; i++ {
-			c.Read(p, rs, int64(i*4*PageSectors), 4*PageSectors)
+			c.Read(p, rs, int64(i*4*PageSectors), 4*PageSectors, disk.StageNone)
 		}
 	})
 	env.Run(0)
@@ -177,10 +177,10 @@ func TestReadaheadResetsOnSeek(t *testing.T) {
 	env, _, c := rig(4096, DefaultOptions())
 	env.Go("r", func(p *sim.Proc) {
 		rs := &ReadState{}
-		c.Read(p, rs, 0, 4*PageSectors)
-		c.Read(p, rs, 4*PageSectors, 4*PageSectors)
+		c.Read(p, rs, 0, 4*PageSectors, disk.StageNone)
+		c.Read(p, rs, 4*PageSectors, 4*PageSectors, disk.StageNone)
 		grown := rs.window
-		c.Read(p, rs, 1<<20, 4*PageSectors) // seek
+		c.Read(p, rs, 1<<20, 4*PageSectors, disk.StageNone) // seek
 		if rs.window != 0 {
 			t.Errorf("window = %d after seek, want 0 (was %d)", rs.window, grown)
 		}
@@ -195,7 +195,7 @@ func TestNoReadaheadAblation(t *testing.T) {
 	env.Go("r", func(p *sim.Proc) {
 		rs := &ReadState{}
 		for i := 0; i < 16; i++ {
-			c.Read(p, rs, int64(i*4*PageSectors), 4*PageSectors)
+			c.Read(p, rs, int64(i*4*PageSectors), 4*PageSectors, disk.StageNone)
 		}
 	})
 	env.Run(0)
@@ -208,7 +208,7 @@ func TestConcurrentReadersShareInFlightFetch(t *testing.T) {
 	env, d, c := rig(4096, DefaultOptions())
 	for i := 0; i < 4; i++ {
 		env.Go("r", func(p *sim.Proc) {
-			c.Read(p, nil, 0, 64)
+			c.Read(p, nil, 0, 64, disk.StageNone)
 		})
 	}
 	env.Run(0)
@@ -221,7 +221,7 @@ func TestConcurrentReadersShareInFlightFetch(t *testing.T) {
 func TestSimulationDrainsWithIdleDaemon(t *testing.T) {
 	env, _, c := rig(1024, DefaultOptions())
 	env.Go("w", func(p *sim.Proc) {
-		c.Write(p, 0, 64)
+		c.Write(p, 0, 64, disk.StageNone)
 		c.Sync(p)
 	})
 	end, _ := env.Run(0)
@@ -249,7 +249,7 @@ func TestQuickWriteSyncConservation(t *testing.T) {
 			for _, op := range ops {
 				sector := int64(op % (1 << 20))
 				n := int(op%64) + 1
-				c.Write(pr, sector, n)
+				c.Write(pr, sector, n, disk.StageNone)
 				first, last := pageRange(sector, n)
 				for pg := first; pg < last; pg++ {
 					dirtied[pg] = true
@@ -286,7 +286,7 @@ func TestQuickReadResidency(t *testing.T) {
 			for _, op := range ops {
 				sector := int64(op % (1 << 20))
 				n := int(op%128) + 1
-				c.Read(pr, nil, sector, n)
+				c.Read(pr, nil, sector, n, disk.StageNone)
 				first, last := pageRange(sector, n)
 				for pg := first; pg < last; pg++ {
 					if pgp, found := c.pages[pg]; !found || pgp.pending != nil {

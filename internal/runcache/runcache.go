@@ -45,9 +45,6 @@ func Open(dir string, version int) (*Store, error) {
 	return &Store{dir: dir, version: version}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Key derives the content address for a run configuration: the SHA-256 of
 // the canonical JSON encoding of material. Callers should include every
 // input that can change the result (and a schema version) in material;
@@ -123,20 +120,4 @@ func (s *Store) Put(key string, v any) error {
 		return fmt.Errorf("runcache: %w", err)
 	}
 	return nil
-}
-
-// Len counts the valid-looking entries (by filename shape) in the store —
-// a cheap observability hook for tests and tools, not a validity check.
-func (s *Store) Len() int {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
-			n++
-		}
-	}
-	return n
 }

@@ -65,8 +65,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if out.Name != in.Name || out.Bytes != in.Bytes || len(out.Serie) != 3 || out.Serie[1] != 2.25 {
 		t.Errorf("round trip mangled payload: %+v", out)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
+	if entries, err := filepath.Glob(filepath.Join(s.dir, "*.json")); err != nil || len(entries) != 1 {
+		t.Errorf("store holds %d entries (%v), want 1", len(entries), err)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestPutLeavesNoTempDebrisOnSuccess(t *testing.T) {
 	if err := s.Put(key, payload{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

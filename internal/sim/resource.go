@@ -130,9 +130,6 @@ type Event struct {
 // NewEvent creates an unfired event.
 func NewEvent(env *Env) *Event { return &Event{env: env} }
 
-// Fired reports whether Fire has been called.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Wait blocks p until the event fires.
 func (ev *Event) Wait(p *Proc) {
 	if ev.fired {

@@ -169,12 +169,6 @@ type procKilled struct{ p *Proc }
 // simulation drains. Daemons are excluded from deadlock detection.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
-// Env returns the environment this process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
@@ -183,9 +177,6 @@ type Handle struct {
 	done    bool
 	waiters []*Proc
 }
-
-// Done reports whether the process has finished.
-func (h *Handle) Done() bool { return h.done }
 
 // Wait blocks the calling process until the handle's process finishes.
 func (h *Handle) Wait(p *Proc) {
@@ -263,9 +254,6 @@ func (t *Timer) Stop() bool {
 	t.stopped = true
 	return true
 }
-
-// Fired reports whether the callback ran.
-func (t *Timer) Fired() bool { return t.fired }
 
 // AfterFunc schedules fn like After but returns a Timer whose Stop cancels
 // the callback if it has not fired yet — the primitive behind revocable

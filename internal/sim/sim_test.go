@@ -95,7 +95,7 @@ func TestWaitOnFinishedHandleReturnsImmediately(t *testing.T) {
 		}
 	})
 	e.Run(0)
-	if !h.Done() {
+	if !h.done {
 		t.Error("handle not done after Run")
 	}
 }
@@ -581,7 +581,7 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 		if p.Now() != before {
 			t.Error("Wait on fired event advanced time")
 		}
-		if !ev.Fired() {
+		if !ev.fired {
 			t.Error("Fired() should be true")
 		}
 	})
@@ -626,7 +626,7 @@ func TestKillBeforeFirstRunSkipsBody(t *testing.T) {
 	if ran {
 		t.Error("killed-before-start process ran")
 	}
-	if !h.Done() {
+	if !h.done {
 		t.Error("killed-before-start process not done")
 	}
 }
@@ -644,7 +644,7 @@ func TestAfterFuncStop(t *testing.T) {
 	if fired {
 		t.Error("stopped timer fired")
 	}
-	if tm.Fired() {
+	if tm.fired {
 		t.Error("Fired() true on stopped timer")
 	}
 }
@@ -657,7 +657,7 @@ func TestAfterFuncFires(t *testing.T) {
 	if at != 3*time.Second {
 		t.Errorf("fired at %v, want 3s", at)
 	}
-	if !tm.Fired() || tm.Stop() {
+	if !tm.fired || tm.Stop() {
 		t.Error("post-fire state wrong")
 	}
 }

@@ -37,15 +37,6 @@ func (s *Series) Add(t time.Duration, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Values returns just the sample values, in order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
 // Max returns the largest sample value, or 0 for an empty series.
 func (s *Series) Max() float64 {
 	max := 0.0

@@ -35,8 +35,8 @@ func TestStreamCollectorRecordAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s record path allocates %.1f objects per record, want 0", tc.name, allocs)
 			}
-			if s.Err() != nil {
-				t.Fatal(s.Err())
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -20,9 +20,9 @@ const (
 
 // StreamCollector encodes completed requests to a writer as they happen,
 // holding only a small reusable buffer — memory use is independent of trace
-// length, unlike Collector's in-RAM []Record. The simulation is serialized,
-// so no locking is needed; writer errors are sticky and surface from Err and
-// Close rather than interrupting the run.
+// length. The simulation is serialized, so no locking is needed; writer
+// errors are sticky and surface from Flush and Close rather than
+// interrupting the run.
 type StreamCollector struct {
 	bw     *bufio.Writer
 	format Format
@@ -47,17 +47,15 @@ func NewStreamCollectorFormat(w io.Writer, f Format) *StreamCollector {
 }
 
 // Attach subscribes the sink to a disk under the given device name and
-// returns the unsubscribe function. Like Collector.Attach it composes with
-// any other observers on the same disk.
+// returns the unsubscribe function. Attaching does not displace other
+// observers: any number of stream sinks and histogram monitors can watch
+// the same disk.
 func (s *StreamCollector) Attach(d *disk.Disk, dev string) func() {
 	return d.Subscribe(func(c disk.Completion) { s.record(dev, c) })
 }
 
 // Len returns the number of records encoded so far.
 func (s *StreamCollector) Len() int { return s.n }
-
-// Err returns the first writer error, if any.
-func (s *StreamCollector) Err() error { return s.err }
 
 // Flush drains the internal writer buffer to the underlying writer.
 func (s *StreamCollector) Flush() error {

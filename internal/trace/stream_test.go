@@ -49,8 +49,7 @@ func mixedDisk() (*sim.Env, *disk.Disk) {
 
 func TestStreamCollectorMatchesWriteCSV(t *testing.T) {
 	env, d := mixedDisk()
-	c := NewCollector()
-	c.Attach(d, "sda")
+	c := collect(d, "sda")
 	var got bytes.Buffer
 	s := NewStreamCollector(&got)
 	s.Attach(d, "sda")
@@ -58,11 +57,11 @@ func TestStreamCollectorMatchesWriteCSV(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() == 0 || s.Len() != c.Len() {
-		t.Fatalf("stream saw %d records, collector %d", s.Len(), c.Len())
+	if s.Len() == 0 || s.Len() != len(*c) {
+		t.Fatalf("stream saw %d records, collector %d", s.Len(), len(*c))
 	}
 	var want bytes.Buffer
-	if err := WriteCSV(&want, c.Records()); err != nil {
+	if err := WriteCSV(&want, *c); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -72,15 +71,14 @@ func TestStreamCollectorMatchesWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, c.Records()) {
+	if !reflect.DeepEqual(back, *c) {
 		t.Errorf("streamed CSV does not round-trip to the collected records")
 	}
 }
 
 func TestStreamCollectorNDJSON(t *testing.T) {
 	env, d := mixedDisk()
-	c := NewCollector()
-	c.Attach(d, "sda")
+	c := collect(d, "sda")
 	var buf bytes.Buffer
 	s := NewStreamCollectorFormat(&buf, FormatNDJSON)
 	s.Attach(d, "sda")
@@ -89,8 +87,8 @@ func TestStreamCollectorNDJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != c.Len() {
-		t.Fatalf("%d NDJSON lines, want %d", len(lines), c.Len())
+	if len(lines) != len(*c) {
+		t.Fatalf("%d NDJSON lines, want %d", len(lines), len(*c))
 	}
 	for i, line := range lines {
 		var obj struct {
@@ -105,7 +103,7 @@ func TestStreamCollectorNDJSON(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &obj); err != nil {
 			t.Fatalf("line %d: %v", i+1, err)
 		}
-		r := c.Records()[i]
+		r := (*c)[i]
 		wantOp := "R"
 		if r.Op == disk.Write {
 			wantOp = "W"
@@ -177,7 +175,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 // TestStreamCollectorBoundedMemory drives well over 1e5 completions through
 // a stream sink and checks that the only retained state is the fixed encode
-// buffer — the sink must not accumulate records the way Collector does.
+// buffer — the sink must not accumulate records.
 func TestStreamCollectorBoundedMemory(t *testing.T) {
 	const n = 150_000
 	env := sim.New(1)

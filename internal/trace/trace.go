@@ -1,8 +1,8 @@
 // Package trace provides block-level I/O tracing and replay — the
 // blktrace-style methodology behind storage characterization studies. A
-// Collector subscribes to one or more simulated disks and records every
-// completed request (timestamp, device, op, sector, size, latency); traces
-// serialize to a simple CSV and can be replayed through a fresh disk model
+// StreamCollector subscribes to one or more simulated disks and writes out
+// every completed request (timestamp, device, op, sector, size, latency);
+// traces are a simple CSV and can be replayed through a fresh disk model
 // with a different configuration, answering "what would this exact workload
 // have done on a FIFO scheduler / without merging / on a different drive".
 package trace
@@ -30,36 +30,6 @@ type Record struct {
 	Arrived time.Duration // submission time
 	Done    time.Duration // completion time
 }
-
-// Collector accumulates records in memory from subscribed disks. For long
-// runs prefer StreamCollector, which writes records out as they complete
-// instead of retaining them.
-type Collector struct {
-	recs []Record
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
-
-// Attach subscribes the collector to a disk under the given device name and
-// returns the unsubscribe function. Attaching does not displace other
-// observers: any number of collectors, histogram monitors, and stream sinks
-// can watch the same disk.
-func (c *Collector) Attach(d *disk.Disk, dev string) func() {
-	return d.Subscribe(func(cp disk.Completion) {
-		c.recs = append(c.recs, Record{
-			Dev: dev, Op: cp.Op, Sector: cp.Sector, Count: cp.Count,
-			Stage: cp.Stage, Arrived: cp.Arrived, Done: cp.Done,
-		})
-	})
-}
-
-// Records returns the collected records ordered by completion time (the
-// order they were observed).
-func (c *Collector) Records() []Record { return c.recs }
-
-// Len returns the number of collected records.
-func (c *Collector) Len() int { return len(c.recs) }
 
 // csvHeader is the column layout of a serialized trace. The stage column was
 // added later; ReadCSV still accepts the older six-field layout.

@@ -11,21 +11,33 @@ import (
 	"iochar/internal/sim"
 )
 
+// collect retains dev's completed requests in memory: what the tests compare
+// the streaming sink and the CSV codec against.
+func collect(d *disk.Disk, dev string) *[]Record {
+	recs := new([]Record)
+	d.Subscribe(func(cp disk.Completion) {
+		*recs = append(*recs, Record{
+			Dev: dev, Op: cp.Op, Sector: cp.Sector, Count: cp.Count,
+			Stage: cp.Stage, Arrived: cp.Arrived, Done: cp.Done,
+		})
+	})
+	return recs
+}
+
 func collectSome(t *testing.T) []Record {
 	t.Helper()
 	env := sim.New(1)
 	p := disk.SeagateST1000NM0011()
 	p.Sectors = 1 << 24
 	d := disk.New(env, p)
-	c := NewCollector()
-	c.Attach(d, "sda")
+	c := collect(d, "sda")
 	env.Go("io", func(pr *sim.Proc) {
 		d.Do(pr, disk.Read, 0, 256)
 		d.Do(pr, disk.Write, 1<<20, 64)
 		d.Do(pr, disk.Read, 1<<21, 8)
 	})
 	env.Run(0)
-	return c.Records()
+	return *c
 }
 
 func TestCollectorObservesCompletions(t *testing.T) {
@@ -111,8 +123,7 @@ func TestReplaySchedulerComparison(t *testing.T) {
 	p := disk.SeagateST1000NM0011()
 	p.Sectors = 1 << 24
 	d := disk.New(env, p)
-	c := NewCollector()
-	c.Attach(d, "sda")
+	c := collect(d, "sda")
 	env.Go("io", func(pr *sim.Proc) {
 		var reqs []*disk.Request
 		for i := 0; i < 64; i++ {
@@ -128,11 +139,11 @@ func TestReplaySchedulerComparison(t *testing.T) {
 	look.Scheduler = disk.SchedLOOK
 	fifo := p
 	fifo.Scheduler = disk.SchedFIFO
-	rl, err := Replay(c.Records(), "sda", look)
+	rl, err := Replay(*c, "sda", look)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := Replay(c.Records(), "sda", fifo)
+	rf, err := Replay(*c, "sda", fifo)
 	if err != nil {
 		t.Fatal(err)
 	}

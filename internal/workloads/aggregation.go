@@ -28,9 +28,6 @@ func NewAggregation() *Aggregation { return &Aggregation{seed: 1} }
 // Key implements Workload.
 func (*Aggregation) Key() string { return "AGG" }
 
-// Name implements Workload.
-func (*Aggregation) Name() string { return "Aggregation" }
-
 // PaperInputBytes implements Workload. Table 3's volume column is garbled
 // in the source text; DESIGN.md records the 512 GB assumption.
 func (*Aggregation) PaperInputBytes() int64 { return 512 << 30 }

@@ -31,9 +31,6 @@ func NewJoin() *Join { return &Join{seed: 1, FactFraction: 1.0 / 16} }
 // Key implements Workload.
 func (*Join) Key() string { return "JOIN" }
 
-// Name implements Workload.
-func (*Join) Name() string { return "Hive Join (extension)" }
-
 // PaperInputBytes implements Workload: sized like Aggregation's table.
 func (*Join) PaperInputBytes() int64 { return 512 << 30 }
 

@@ -35,9 +35,6 @@ func NewKMeans() *KMeans { return &KMeans{seed: 1, K: 16, Dims: 8, Iterations: 3
 // Key implements Workload.
 func (*KMeans) Key() string { return "KM" }
 
-// Name implements Workload.
-func (*KMeans) Name() string { return "K-means" }
-
 // PaperInputBytes implements Workload. Table 3's volume column is garbled
 // in the source text; DESIGN.md records the 256 GB assumption.
 func (*KMeans) PaperInputBytes() int64 { return 256 << 30 }

@@ -33,9 +33,6 @@ func NewPageRank() *PageRank { return &PageRank{seed: 1, Iterations: 3, Damping:
 // Key implements Workload.
 func (*PageRank) Key() string { return "PR" }
 
-// Name implements Workload.
-func (*PageRank) Name() string { return "PageRank" }
-
 // PaperInputBytes implements Workload. Table 3's volume column is garbled
 // in the source text; DESIGN.md records the 64 GB assumption (the Google
 // web graph expanded by BigDataBench's generator).

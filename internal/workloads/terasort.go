@@ -28,9 +28,6 @@ func NewTeraSort() *TeraSort { return &TeraSort{seed: 1} }
 // Key implements Workload.
 func (*TeraSort) Key() string { return "TS" }
 
-// Name implements Workload.
-func (*TeraSort) Name() string { return "TeraSort" }
-
 // PaperInputBytes implements Workload: Table 3 gives TeraSort 1 TB.
 func (*TeraSort) PaperInputBytes() int64 { return 1 << 40 }
 

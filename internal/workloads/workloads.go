@@ -36,8 +36,6 @@ func bstr(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 type Workload interface {
 	// Key is the paper's abbreviation: TS, AGG, KM, PR.
 	Key() string
-	// Name is the full workload name.
-	Name() string
 	// PaperInputBytes is the unscaled input volume attributed to the
 	// workload (Table 3; where the table is ambiguous DESIGN.md records
 	// the assumption).

@@ -31,7 +31,7 @@ func newRig() *rig {
 	fs := hdfs.New(env, hdfs.DefaultConfig(16384), cl.Net, cl.Slaves)
 	cfg := mapred.DefaultConfig(16384)
 	cfg.MapSlots, cfg.ReduceSlots = 4, 2
-	rt, err := mapred.New(env, cl, fs, cl.Net, cfg)
+	rt, err := mapred.New(env, cl, fs, cfg)
 	if err != nil {
 		panic(err)
 	}
