@@ -12,6 +12,7 @@
 package hdfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -331,13 +332,15 @@ func (fs *FS) choose(writer string, replication int) []*DataNode {
 	return out
 }
 
-// Writer streams data into a new file.
+// Writer streams data into a new file, building each block in a buffer of
+// its own (see flushBlock).
 type Writer struct {
 	fs          *FS
 	meta        *fileMeta
 	client      string // node name of the writing client
 	replication int
-	buf         []byte
+	buf         []byte // the block being filled
+	err         error  // sticky: why Write and Close are refused from now on
 }
 
 // CreateWith opens a new file for writing from the given client node with
@@ -359,42 +362,47 @@ func (fs *FS) CreateWith(path, clientNode string, replication int) *Writer {
 	return &Writer{fs: fs, meta: meta, client: clientNode, replication: replication}
 }
 
-// Write appends data to the stream, blocking p while full blocks flush
-// through the replication pipeline. It returns an error only when a block
-// cannot be stored on any live DataNode.
+// Write appends a copy of data to the stream, blocking p while full blocks
+// flush through the replication pipeline. It returns an error when a block
+// cannot be stored on any live DataNode — the file then has a hole, and
+// every later Write or Close returns that error again.
 func (w *Writer) Write(p *sim.Proc, data []byte) error {
-	bs := w.fs.cfg.BlockSize
-	if need := len(w.buf) + len(data); need > cap(w.buf) {
-		// Double, up to the most the buffer ever holds — the unflushed tail
-		// of a block plus this record. Left to append, a buffer fed small
-		// records climbs there in 1.25x steps and allocates about five times
-		// its final size on the way.
-		grown := make([]byte, 0, min(max(2*cap(w.buf), need), int(bs)+len(data)))
-		w.buf = append(grown, w.buf...)
-	}
-	w.buf = append(w.buf, data...)
-	// Flush by offset and copy the tail down once, keeping the buffer's
-	// capacity: re-slicing past the flushed prefix would orphan it and force
-	// a fresh block-sized allocation on every following append.
-	var flushed int64
-	for int64(len(w.buf))-flushed >= bs {
-		if err := w.flushBlock(p, w.buf[flushed:flushed+bs]); err != nil {
-			w.buf = w.buf[:copy(w.buf, w.buf[flushed:])]
-			return err
+	bs := int(w.fs.cfg.BlockSize)
+	for len(data) > 0 && w.err == nil {
+		n := min(len(data), bs-len(w.buf))
+		if need := len(w.buf) + n; need > cap(w.buf) {
+			// Block-sized at once, except while the file is still short of its
+			// first block: then double. Left to append, a buffer fed small
+			// records climbs in 1.25x steps and allocates about five times its
+			// final size on the way.
+			grown := bs
+			if len(w.meta.blocks) == 0 {
+				grown = min(max(2*cap(w.buf), need), bs)
+			}
+			w.buf = append(make([]byte, 0, grown), w.buf...)
 		}
-		flushed += bs
+		w.buf = append(w.buf, data[:n]...)
+		data = data[n:]
+		if len(w.buf) == bs {
+			w.err = w.flushBlock(p)
+		}
 	}
-	w.buf = w.buf[:copy(w.buf, w.buf[flushed:])]
-	return nil
+	return w.err
 }
 
-// Close flushes the final partial block and seals the file.
+// Close flushes the final partial block and seals the file. A Writer is
+// closed once: afterwards Write and Close are refused.
 func (w *Writer) Close(p *sim.Proc) error {
-	if len(w.buf) > 0 {
-		if err := w.flushBlock(p, w.buf); err != nil {
-			return err
+	if len(w.buf) > 0 && w.err == nil {
+		if cap(w.buf) > len(w.buf) {
+			// Trimmed to fit: the DataNodes keep this array for as long as the
+			// block lives, and a short tail must not pin a block-sized one.
+			w.buf = bytes.Clone(w.buf)
 		}
-		w.buf = nil
+		w.err = w.flushBlock(p)
+	}
+	if w.err != nil {
+		return w.err
 	}
 	// Sealing is a NameNode RPC: it stalls while the master is down or
 	// holding mutations in safe mode — or while the client is partitioned
@@ -403,10 +411,13 @@ func (w *Writer) Close(p *sim.Proc) error {
 	w.meta.open = false
 	w.fs.journalEdit(editRec{op: opClose, path: w.meta.name})
 	w.fs.releaseLease(w.meta.name)
+	w.err = fmt.Errorf("hdfs: write to closed file %s", w.meta.name)
 	return nil
 }
 
-// flushBlock ships one block through the write pipeline: the client streams
+// flushBlock ships w.buf as one block through the write pipeline, and the
+// DataNodes keep it: every replica stores that one array, as after Load, and
+// the Writer starts the next block in a new one. The client streams
 // packets to the first replica, which relays downstream, every replica
 // appending to its local block file concurrently. The hops run in parallel
 // processes, so pipeline time approximates max(hop) rather than sum(hop),
@@ -421,9 +432,11 @@ func (w *Writer) Close(p *sim.Proc) error {
 // network failures (a partition, a lossy link) are different: they heal on
 // a schedule, so the client stalls with backoff under the generous
 // net-retry budget instead of burning pipeline attempts.
-func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
+func (w *Writer) flushBlock(p *sim.Proc) error {
 	const maxPipelineRetries = 3
 	fs := w.fs
+	data := w.buf
+	w.buf = nil
 	// Allocating a block is a NameNode RPC: it stalls while the master is
 	// down or holding mutations in safe mode, with backoff+jitter retries.
 	fs.waitMasterFrom(p, true, w.client)
@@ -436,12 +449,8 @@ func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
 	fs.journalEdit(editRec{op: opAddBlock, path: w.meta.name, block: id, size: b.size, repl: b.want})
 	fs.renewLease(w.meta.name, p.Now())
 
-	// data can be used in place: every pipeline hop is waited on before this
-	// function returns, and the DataNode Append copies the bytes, so nothing
-	// references it afterwards — no defensive copy needed.
-	content := data
 	if fs.integrity {
-		b.sums = chunkSums(content, fs.cfg.ChecksumChunk)
+		b.sums = chunkSums(data, fs.cfg.ChecksumChunk)
 	}
 	retry := sim.NewRetry(fs.netRng)
 	for attempt := 0; attempt < maxPipelineRetries; {
@@ -471,7 +480,7 @@ func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
 				}
 				f := dn.node.NextHDFSVol().Create(blockFileName(id))
 				f.SetStage(disk.StageHDFS)
-				f.Append(hp, content)
+				f.Append(hp, data)
 				if dn.crashed {
 					// Crashed while appending: bytes are on a dead node.
 					return

@@ -474,11 +474,12 @@ func TestOneRackPlacementMatchesFlatModel(t *testing.T) {
 	}
 }
 
-// TestWriterAllocationPerByteWritten: a reducer-shaped write — one block of
-// small records at replication 1 — may allocate the stored copy, page-cache
-// bookkeeping and a client buffer that doubles up to the block size (about
-// twice its final size in all). A buffer left to append's 1.25x steps
-// allocates about five times its final size and lands above 6.
+// TestWriterAllocationPerByteWritten: a reducer-shaped write — several
+// blocks of small records, the last one partial, at replication 3 — may
+// allocate one array per block whatever the replication, a first buffer that
+// doubles up to the block size (twice that block in all), the trimmed copy of
+// the tail and page-cache bookkeeping on three DataNodes. One stored copy per
+// replica would land above 3.
 func TestWriterAllocationPerByteWritten(t *testing.T) {
 	env := sim.New(1)
 	c, err := cluster.New(env, cluster.DefaultHardware(64), 3)
@@ -491,13 +492,14 @@ func TestWriterAllocationPerByteWritten(t *testing.T) {
 		t.Fatalf("block size %d, want 1 MiB", bs)
 	}
 	rec := pattern(100)
+	total := 6*bs + bs/2
 	var perByte float64
 	env.Go("w", func(p *sim.Proc) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		w := fs.CreateWith("/out", c.Slaves[0].Name, 1)
-		for n := 0; n < bs; n += len(rec) {
-			if err := w.Write(p, rec[:min(len(rec), bs-n)]); err != nil {
+		w := fs.CreateWith("/out", c.Slaves[0].Name, 3)
+		for n := 0; n < total; n += len(rec) {
+			if err := w.Write(p, rec[:min(len(rec), total-n)]); err != nil {
 				t.Error(err)
 			}
 		}
@@ -505,14 +507,72 @@ func TestWriterAllocationPerByteWritten(t *testing.T) {
 			t.Error(err)
 		}
 		runtime.ReadMemStats(&after)
-		perByte = float64(after.TotalAlloc-before.TotalAlloc) / float64(bs)
+		perByte = float64(after.TotalAlloc-before.TotalAlloc) / float64(total)
 	})
 	env.Run(0)
-	if fs.Size("/out") != int64(bs) || len(fs.files["/out"].blocks) != 1 {
-		t.Fatalf("wrote %d bytes in %d blocks, want one full block", fs.Size("/out"), len(fs.files["/out"].blocks))
+	if fs.Size("/out") != int64(total) || len(fs.files["/out"].blocks) != 7 {
+		t.Fatalf("wrote %d bytes in %d blocks, want %d in 7", fs.Size("/out"), len(fs.files["/out"].blocks), total)
+	}
+	for _, b := range fs.files["/out"].blocks {
+		if len(b.replicas) != 3 {
+			t.Fatalf("block %d has %d replicas, want 3", b.id, len(b.replicas))
+		}
 	}
 	t.Logf("%.3f bytes allocated per byte written", perByte)
-	if perByte > 4.0 {
-		t.Errorf("%.3f bytes allocated per byte written, limit 4.0", perByte)
+	if perByte > 1.5 {
+		t.Errorf("%.3f bytes allocated per byte written, limit 1.5", perByte)
 	}
+}
+
+// TestWriterRefusesUseAfterClose: a Writer is finished once it is closed or a
+// block of its file could not be stored. A later Write must not add a block
+// to the sealed file, a second Close must not seal it again (a second opClose
+// in the edit log, a lease released twice), and after a failed flush — the
+// block was given away, the file has a hole — both keep returning the error.
+func TestWriterRefusesUseAfterClose(t *testing.T) {
+	env, c, fs := masterRig(t, 3, MasterConfig{})
+	bs := int(fs.cfg.BlockSize)
+	env.Go("client", func(p *sim.Proc) {
+		defer fs.StopMaster()
+		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
+		if err := w.Write(p, pattern(bs/2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		edits := fs.MasterStats().JournalRecords
+		const refused = "hdfs: write to closed file /f"
+		if err := w.Write(p, pattern(2*bs)); err == nil || err.Error() != refused {
+			t.Errorf("Write after Close: %v, want %q", err, refused)
+		}
+		if err := w.Close(p); err == nil || err.Error() != refused {
+			t.Errorf("second Close: %v, want %q", err, refused)
+		}
+		if got := fs.MasterStats().JournalRecords; got != edits {
+			t.Errorf("refused calls logged %d edit(s)", got-edits)
+		}
+		if fs.Size("/f") != int64(bs/2) || len(fs.files["/f"].blocks) != 1 {
+			t.Errorf("the sealed file is now %d bytes in %d blocks", fs.Size("/f"), len(fs.files["/f"].blocks))
+		}
+
+		w = fs.CreateWith("/g", c.Slaves[0].Name, 0)
+		for _, n := range c.Slaves {
+			fs.CrashDataNode(n.Name)
+		}
+		failed := w.Write(p, pattern(bs+10))
+		if failed == nil {
+			t.Fatal("a block was stored with every DataNode down")
+		}
+		if err := w.Write(p, pattern(10)); err != failed {
+			t.Errorf("Write after a failed flush: %v, want the flush error again", err)
+		}
+		if err := w.Close(p); err != failed {
+			t.Errorf("Close after a failed flush: %v, want the flush error again", err)
+		}
+		if !fs.files["/g"].open || len(fs.files["/g"].blocks) != 1 {
+			t.Errorf("after the failed flush /g is open: %v with %d blocks, want open with the one failed block", fs.files["/g"].open, len(fs.files["/g"].blocks))
+		}
+	})
+	env.Run(0)
 }

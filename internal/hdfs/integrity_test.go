@@ -397,3 +397,148 @@ func TestReadBlocksStopsAtFnError(t *testing.T) {
 	})
 	env.Run(0)
 }
+
+// writeRecords streams want into path from client in small records, the way
+// a reducer does, calling mid (if not nil) once the first block has flushed.
+func writeRecords(t *testing.T, p *sim.Proc, fs *FS, path, client string, want []byte, mid func()) {
+	t.Helper()
+	w := fs.CreateWith(path, client, 3)
+	for off := 0; off < len(want); off += 100 {
+		if err := w.Write(p, want[off:min(off+100, len(want))]); err != nil {
+			t.Fatal(err)
+		}
+		if mid != nil && len(fs.files[path].blocks) == 1 {
+			mid()
+			mid = nil
+		}
+	}
+	if err := w.Close(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sharedArray returns the first byte of the one array every live replica of
+// b is stored in, failing the test if they do not all share it.
+func sharedArray(t *testing.T, b *blockMeta) *byte {
+	t.Helper()
+	var first *byte
+	for _, dn := range b.replicas {
+		sb := dn.blocks[b.id]
+		if raw := sb.vol.Peek(sb.file.Name()); first == nil {
+			first = &raw[0]
+		} else if &raw[0] != first {
+			t.Fatalf("block %d: the replica on %s is stored in an array of its own", b.id, dn.node.Name)
+		}
+	}
+	return first
+}
+
+// TestPipelineReplicasShareOneArray: a block written through the pipeline is
+// one array on all three DataNodes, as a loaded one is, so corrupt-block on
+// one replica is again the case where damage could spread. With integrity on,
+// the chunk CRCs taken from the writer's bytes are the scribble detector: the
+// siblings still verify, and read-repair's copy shares the clean array.
+func TestPipelineReplicasShareOneArray(t *testing.T) {
+	env, c, fs := rig(4)
+	fs.EnableIntegrity()
+	fs.EnableRecovery(fastRecovery())
+	want := pattern(2*int(fs.cfg.BlockSize) + 5_000)
+	victim := c.Slaves[0].Name
+	env.Go("client", func(p *sim.Proc) {
+		writeRecords(t, p, fs, "/f", victim, want, nil)
+		blocks := fs.files["/f"].blocks
+		if len(blocks) != 3 {
+			t.Fatalf("wrote %d blocks, want 3", len(blocks))
+		}
+		for _, b := range blocks {
+			if len(b.replicas) != 3 {
+				t.Fatalf("block %d has %d replicas, want 3", b.id, len(b.replicas))
+			}
+			sharedArray(t, b)
+		}
+
+		struck := fs.blockByID[fs.CorruptReplica(victim, "/f", rand.New(rand.NewSource(7)))]
+		for _, dn := range struck.replicas {
+			if clean := fs.replicaClean(struck, dn.blocks[struck.id], 0, struck.size); clean != (dn.node.Name != victim) {
+				t.Errorf("replica of block %d on %s verifies: %v", struck.id, dn.node.Name, clean)
+			}
+		}
+		r, err := fs.Open("/f", victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.ReadAt(p, 0, r.Size()); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("read after corruption: %v, or wrong bytes served instead of failing over", err)
+		}
+		fs.WaitRecovered(p)
+		fs.StopRecovery()
+		if len(struck.replicas) != 3 {
+			t.Fatalf("block %d has %d replicas after read-repair, want 3", struck.id, len(struck.replicas))
+		}
+		sharedArray(t, struck) // the repaired copy shares its source's array
+	})
+	env.Run(0)
+
+	if st := fs.RecoveryStats(); st.CorruptReplicas != 1 || st.ReReplicatedBlocks != 1 {
+		t.Errorf("got %d corrupt replica(s) and %d re-replicated block(s), want 1 and 1", st.CorruptReplicas, st.ReReplicatedBlocks)
+	}
+	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+		t.Errorf("bad chunks survived read-repair: %v", bad)
+	}
+}
+
+// TestCrashMidFileTruncatesOnlyItsOwnReplica: a DataNode that loses power
+// while a file is being written comes back with its unflushed replica cut
+// short. Crash truncation re-slices the stored array, which its siblings
+// share: they must keep the whole block, and the copy that replaces the lost
+// replica must share theirs.
+func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
+	env, c, fs := rig(5)
+	fs.EnableIntegrity()
+	fs.EnableRecovery(fastRecovery())
+	want := pattern(2*int(fs.cfg.BlockSize) + 5_000)
+	env.Go("client", func(p *sim.Proc) {
+		var first *blockMeta
+		writeRecords(t, p, fs, "/f", c.Slaves[0].Name, want, func() {
+			first = fs.files["/f"].blocks[0]
+			victim := first.replicas[1]
+			sb := victim.blocks[first.id]
+			for _, vol := range victim.node.HDFSVols {
+				vol.Crash()
+			}
+			fs.CrashDataNode(victim.node.Name)
+			if sb.file.Size() >= first.size {
+				t.Fatal("the crash cut nothing off the victim's replica; the test needs it unflushed")
+			}
+			for _, dn := range first.replicas {
+				if clean := fs.replicaClean(first, dn.blocks[first.id], 0, first.size); clean != (dn != victim) {
+					t.Errorf("after the crash the replica on %s verifies: %v", dn.node.Name, clean)
+				}
+			}
+		})
+		fs.WaitRecovered(p)
+		fs.StopRecovery()
+		if len(first.replicas) != 3 {
+			t.Fatalf("block %d has %d replicas after re-replication, want 3", first.id, len(first.replicas))
+		}
+		sharedArray(t, first)
+		r, err := fs.Open("/f", c.Slaves[0].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.ReadAt(p, 0, r.Size()); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("read back after the crash: %v, or wrong bytes", err)
+		}
+	})
+	env.Run(0)
+
+	if st := fs.RecoveryStats(); st.ReReplicatedBlocks == 0 {
+		t.Error("nothing was re-replicated")
+	}
+	if a := fs.AuditReplication(); !a.OK() {
+		t.Errorf("replication audit after re-replication: %s", a.String())
+	}
+	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+		t.Errorf("bad chunks after the crash: %v", bad)
+	}
+}

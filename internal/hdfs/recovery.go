@@ -404,7 +404,7 @@ func (fs *FS) copyBlock(p *sim.Proc, b *blockMeta) (copied, retry bool) {
 	}
 	f := dst.node.NextHDFSVol().Create(blockFileName(b.id))
 	f.SetStage(disk.StageHDFS)
-	f.Append(p, content)
+	f.Append(p, content) // the source's read-only view: the copy shares its array
 	if b.gone || dst.crashed || f.FS().Failed() {
 		// The block was deleted — or the target (node or volume) died —
 		// while the copy was landing; crediting it now would leave an orphan

@@ -44,7 +44,7 @@ func (fs *FS) truncateToFlushed(f *file) {
 	// them in file order so the earliest file offset wins.
 	cut := f.size
 	var walked int64 // bytes of file covered by prior extents
-	for _, r := range f.sectorRanges(0, f.size) {
+	for _, r := range f.sectorRanges(nil, 0, f.size) {
 		if s := fs.cache.FirstDirtyInRange(r.sector, int(r.sectors)); s >= 0 {
 			off := walked + (s-r.sector)*disk.SectorSize
 			if off < cut {

@@ -15,12 +15,12 @@
 // A file's contents are an ordered list of immutable segments, and one rule
 // governs every byte in them: once stored, a byte is never written again.
 //
-//   - Append copies the caller's bytes exactly once, into a new segment
-//     sized to them. The copy is the contract, not an implementation
-//     detail: callers hand in buffers they reuse for the next call.
-//   - Install keeps the caller's slice as a segment. The caller gives the
-//     bytes up — it must not write to them afterwards — and files installed
-//     from one slice share its backing array.
+//   - Nobody copies on the way in. Install keeps the caller's slice, clipped
+//     to its length, as a segment: the caller gives the bytes up — it must
+//     not write to them afterwards — and files given one slice (the replicas
+//     of an HDFS block) share its backing array. Append is Install plus
+//     timing. A caller that reuses its buffer clones it at the call site
+//     and says why; nothing here does it for them.
 //   - Corrupt replaces each segment it touches with a flipped copy, so the
 //     damage stays in the one file it was aimed at.
 //   - Crash truncation and ReadAt/Peek only re-slice. A range inside one
@@ -240,30 +240,15 @@ func (h *File) FS() *FS { return h.fs }
 func (h *File) Size() int64 { return h.f.size }
 
 // Append writes data at the end of the file, blocking p for the page-cache
-// work (which may throttle on the dirty ratio). Contents are stored
-// verbatim; timing flows through cache and disk. The bytes are copied
-// before Append blocks, and that copy is the only one on the write path:
-// callers (the map-side spill's scratch run, the HDFS client's block
-// buffer, the journals) reuse data as soon as Append returns, so nothing
-// but this copy protects what they stored from their next write.
+// work (which may throttle on the dirty ratio): Install, then the timing
+// through cache and disk. The file keeps data itself, so the caller must not
+// write to it afterwards — not even while Append blocks.
 func (h *File) Append(p *sim.Proc, data []byte) {
-	if h.f.deleted {
-		panic("localfs: append to deleted file " + h.f.name)
-	}
-	if len(data) == 0 {
-		return
-	}
 	start := h.f.size
-	// Not make+copy: go1.24's allocation profile drops the calling frame of
-	// that fused form, which would move these bytes out of localfs's row.
-	h.f.store(append([]byte(nil), data...))
+	h.Install(data)
 	h.fs.stats.BytesWritten += uint64(len(data))
-
-	needSectors := (h.f.size + disk.SectorSize - 1) / disk.SectorSize
-	for h.f.alloced < needSectors {
-		h.fs.grow(h.f, needSectors-h.f.alloced)
-	}
-	for _, r := range h.f.sectorRanges(start, int64(len(data))) {
+	var runs [2]extent
+	for _, r := range h.f.sectorRanges(runs[:0], start, int64(len(data))) {
 		h.fs.cache.Write(p, r.sector, int(r.sectors), h.stage)
 	}
 }
@@ -276,12 +261,12 @@ func (h *File) Append(p *sim.Proc, data []byte) {
 // must not write to data afterwards.
 func (h *File) Install(data []byte) {
 	if h.f.deleted {
-		panic("localfs: install into deleted file " + h.f.name)
+		panic("localfs: write to deleted file " + h.f.name)
 	}
 	if len(data) == 0 {
 		return
 	}
-	h.f.store(data)
+	h.f.store(data[:len(data):len(data)])
 	needSectors := (h.f.size + disk.SectorSize - 1) / disk.SectorSize
 	for h.f.alloced < needSectors {
 		h.fs.grow(h.f, needSectors-h.f.alloced)
@@ -303,7 +288,8 @@ func (h *File) ReadAt(p *sim.Proc, off, length int64) []byte {
 		length = h.f.size - off
 	}
 	data := h.f.bytes(off, length)
-	for _, r := range h.f.sectorRanges(off, length) {
+	var runs [2]extent
+	for _, r := range h.f.sectorRanges(runs[:0], off, length) {
 		h.rs.Limit = h.f.extentEnd(r.sector)
 		h.fs.cache.Read(p, &h.rs, r.sector, int(r.sectors), h.stage)
 	}
@@ -384,27 +370,30 @@ func (f *file) bytes(off, length int64) []byte {
 	return out
 }
 
-// sectorRanges maps the byte range [off, off+length) onto device sector
-// runs, one per extent crossed.
-func (f *file) sectorRanges(off, length int64) []extent {
+// sectorRanges appends to dst the device sector runs backing the byte range
+// [off, off+length), one per extent crossed, in file order: a snapshot, as
+// callers block between runs. There is almost always one, so callers pass a
+// small array of their own and nothing is allocated.
+func (f *file) sectorRanges(dst []extent, off, length int64) []extent {
 	if length <= 0 {
-		return nil
+		return dst
 	}
 	firstSect := off / disk.SectorSize
 	lastSect := (off + length + disk.SectorSize - 1) / disk.SectorSize
-	var out []extent
 	var walked int64
 	for _, e := range f.extents {
 		extFirst := walked
-		extLast := walked + e.sectors
-		walked = extLast
-		lo, hi := max(firstSect, extFirst), min(lastSect, extLast)
-		if lo >= hi {
+		walked += e.sectors
+		if walked <= firstSect {
 			continue
 		}
-		out = append(out, extent{sector: e.sector + (lo - extFirst), sectors: hi - lo})
+		lo, hi := max(firstSect, extFirst), min(lastSect, walked)
+		dst = append(dst, extent{sector: e.sector + (lo - extFirst), sectors: hi - lo})
+		if walked >= lastSect {
+			break
+		}
 	}
-	return out
+	return dst
 }
 
 // extentEnd returns the exclusive device-sector bound of the extent

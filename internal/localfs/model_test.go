@@ -44,9 +44,9 @@ func (m *modelFile) touchesGone(off, end int64) bool {
 	return false
 }
 
-// heldView is a slice the filesystem handed out, or was handed by Install,
-// with a private copy of what it held at that moment. Neither kind may ever
-// change afterwards, whatever happens to the file.
+// heldView is a slice the filesystem handed out, or was handed by Append or
+// Install, with a private copy of what it held at that moment. Neither kind
+// may ever change afterwards, whatever happens to the file.
 type heldView struct {
 	what string
 	view []byte
@@ -54,14 +54,13 @@ type heldView struct {
 }
 
 type diffRun struct {
-	t         *testing.T
-	rng       *rand.Rand
-	fs        *FS
-	files     map[string]*modelFile
-	open      map[string]*File
-	views     []heldView
-	installed []heldView // slices handed to Install, possibly to several files
-	scratch   []byte     // one buffer reused for every Append, as callers do
+	t     *testing.T
+	rng   *rand.Rand
+	fs    *FS
+	files map[string]*modelFile
+	open  map[string]*File
+	views []heldView
+	given []heldView // slices handed to Append or Install, possibly to several files
 }
 
 func (r *diffRun) hold(what string, view []byte) {
@@ -75,18 +74,44 @@ func (r *diffRun) hold(what string, view []byte) {
 }
 
 // checkHeld verifies that every outstanding view, and every slice given to
-// Install, still holds the bytes it held when it was taken or given.
+// Append or Install, still holds the bytes it held when it was taken or given.
 func (r *diffRun) checkHeld(after string) {
 	for _, v := range r.views {
 		if !bytes.Equal(v.view, v.want) {
 			r.t.Fatalf("after %s: view from %s changed under its holder", after, v.what)
 		}
 	}
-	for _, v := range r.installed {
+	for _, v := range r.given {
 		if !bytes.Equal(v.view, v.want) {
 			r.t.Fatalf("after %s: the slice passed to %s was written to", after, v.what)
 		}
 	}
+}
+
+// give makes the slice for an Append or Install — fresh, with spare capacity
+// that stays the caller's, or one another file already holds — and checks
+// afterwards that the file stored it rather than a copy.
+func (r *diffRun) give(what, name string, m *modelFile, maxLen int, store func([]byte)) {
+	var src []byte
+	if len(r.given) > 0 && r.rng.Intn(3) == 0 {
+		src = r.given[r.rng.Intn(len(r.given))].view
+	} else {
+		n := 1 + r.rng.Intn(maxLen)
+		src = make([]byte, n, n+r.rng.Intn(3)*16)
+		r.rng.Read(src)
+		r.given = append(r.given, heldView{what, src, append([]byte(nil), src...)})
+	}
+	off := int64(len(m.data))
+	m.grow(src)
+	store(src)
+	if view := r.fs.files[name].bytes(off, int64(len(src))); &view[0] != &src[0] {
+		r.t.Fatalf("%s: the file holds a copy, not the slice it was given", what)
+	}
+	spare := src[len(src):cap(src)] // still the caller's to scribble on
+	for i := range spare {
+		spare[i] = 0xA5
+	}
+	r.checkHeld(what)
 }
 
 // near picks an offset in [0, limit]: usually on or next to a segment edge.
@@ -146,28 +171,10 @@ func (r *diffRun) step(p *sim.Proc) {
 		r.open[name] = r.fs.Create(name)
 		r.files[name] = &modelFile{}
 		r.checkHeld("Create " + name)
-	case 1, 2: // append from the shared scratch buffer, then scribble on it
-		n := 1 + r.rng.Intn(6000)
-		r.scratch = r.scratch[:n]
-		r.rng.Read(r.scratch)
-		m.grow(r.scratch)
-		r.open[name].Append(p, r.scratch)
-		for i := range r.scratch {
-			r.scratch[i] = 0xA5
-		}
-		r.checkHeld("Append " + name)
-	case 3: // install a slice, sometimes one another file already holds
-		var src []byte
-		if len(r.installed) > 0 && r.rng.Intn(2) == 0 {
-			src = r.installed[r.rng.Intn(len(r.installed))].view
-		} else {
-			src = make([]byte, 1+r.rng.Intn(9000))
-			r.rng.Read(src)
-			r.installed = append(r.installed, heldView{"Install " + name, src, append([]byte(nil), src...)})
-		}
-		m.grow(src)
-		r.open[name].Install(src)
-		r.checkHeld("Install " + name)
+	case 1, 2:
+		r.give("Append "+name, name, m, 6000, func(src []byte) { r.open[name].Append(p, src) })
+	case 3:
+		r.give("Install "+name, name, m, 9000, r.open[name].Install)
 	case 4, 5, 10: // read a range that starts, ends or straddles an edge; 10 reads it once
 		size := int64(len(m.data))
 		off := r.near(m, size)
@@ -276,7 +283,6 @@ func TestDifferentialAgainstFlatModel(t *testing.T) {
 		r := &diffRun{
 			t: t, rng: rand.New(rand.NewSource(seed)), fs: fs,
 			files: map[string]*modelFile{}, open: map[string]*File{},
-			scratch: make([]byte, 0, 6000),
 		}
 		env.Go("ops", func(p *sim.Proc) {
 			for i := 0; i < 400 && !t.Failed(); i++ {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+
+	"iochar/internal/localfs"
+	"iochar/internal/sim"
 )
 
 // AppendKV serializes one pair as uvarint-length-prefixed key and value —
@@ -182,14 +185,31 @@ func (rt *Runtime) mergeRuns(runs []run) (merged run, pooled bool) {
 	return out, true
 }
 
-// recycleMerged puts a pooled mergeRuns result back for the next merge to
-// overwrite. Call it once nothing reads merged any more, which means after
-// localfs.Append has returned: compress.Identity's Compress returns its
-// argument, so Append's copy is the first one taken.
+// recycleMerged puts what is left of a pooled mergeRuns result (see
+// appendRun) back for the next merge to overwrite. Call it once nothing
+// reads merged any more.
 func (rt *Runtime) recycleMerged(merged run, pooled bool) {
-	if pooled {
+	if pooled && merged != nil {
 		rt.mergeBufs = append(rt.mergeBufs, merged[:0])
 	}
+}
+
+// appendRun appends enc, the codec's output for raw, to f, which keeps what
+// it is given, and returns what is still the caller's of raw. So the codec's
+// own result is stored as it is. If enc is raw itself — compression off,
+// compress.Identity returns its argument — a full buffer is given away (nil
+// is returned); one with spare capacity is a recycled scratch the next run
+// will overwrite, so the file gets a copy and the buffer stays the caller's.
+func appendRun(p *sim.Proc, f *localfs.File, raw run, enc []byte) run {
+	if len(raw) > 0 && len(enc) > 0 && &enc[0] == &raw[0] {
+		if cap(raw) == len(raw) {
+			raw = nil
+		} else {
+			enc = bytes.Clone(enc)
+		}
+	}
+	f.Append(p, enc)
+	return raw
 }
 
 // recordIter produces record boundaries for a split under a RecordFormat.

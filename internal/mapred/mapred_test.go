@@ -1068,53 +1068,135 @@ func TestSpeculationOffByConfig(t *testing.T) {
 	}
 }
 
-// TestSpillKeepsEarlierPartitionsWithIdentityCodec: serializePartition
-// reuses one scratch buffer for every partition, and with compression off
-// compress.Identity hands that very buffer to Append. Each partition read
-// back from the spill file must still hold its own pairs, not the bytes of
-// whichever partition was serialized last.
+// TestSpillKeepsEarlierPartitionsWithIdentityCodec: with compression off
+// compress.Identity hands the very buffer a partition was serialized into to
+// Append, which keeps it. Every partition of every spill, read back after
+// the last one, must still hold its own pairs: a run sized from the index is
+// given away and the next one gets a buffer of its own, a combiner's run is
+// stored as a copy and its scratch serializes the next.
 func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
-	r := newRig(t, nil)
-	if _, ok := r.rt.cfg.Codec.(compress.Identity); !ok {
-		t.Fatalf("default codec is %T, want compress.Identity", r.rt.cfg.Codec)
-	}
-	const nparts = 3
-	want := make([]run, nparts)
-	ms := &mapState{rt: r.rt, job: &Job{NumReduces: nparts}, node: r.cl.Slaves[0], spillBase: "m_test"}
-	r.env.Go("map", func(p *sim.Proc) {
-		// Keys are emitted in sorted order so the expected runs can be built
-		// alongside; partition 0 is the smallest, so later ones overwrite all
-		// of the scratch bytes it was serialized into.
-		for i := 0; i < 300; i++ {
-			part := i % nparts
-			for rep := 0; rep <= part; rep++ {
-				k, v := []byte(fmt.Sprintf("key-%04d-%d", i, rep)), []byte(fmt.Sprintf("value-%d-of-partition-%d", i, part))
-				want[part] = AppendKV(want[part], k, v)
-				ms.add(p, part, k, v)
-			}
-		}
-		ms.spill(p)
-		if len(ms.spills) != 1 {
-			t.Fatalf("got %d spills, want 1", len(ms.spills))
-		}
-		sf := ms.spills[0]
-		for part, seg := range sf.segs {
-			if seg.clen == 0 {
-				t.Fatalf("partition %d is empty", part)
-			}
-			if got := sf.file.ReadAt(p, seg.off, seg.clen); !bytes.Equal(got, want[part]) {
-				t.Errorf("partition %d read back from the spill differs from what was serialized", part)
-			}
+	passThrough := ReducerFunc(func(k []byte, vals [][]byte, emit func(k, v []byte)) {
+		for _, v := range vals {
+			emit(k, v)
 		}
 	})
-	r.env.Run(0)
+	for _, comb := range []Reducer{nil, passThrough} {
+		r := newRig(t, nil)
+		if _, ok := r.rt.cfg.Codec.(compress.Identity); !ok {
+			t.Fatalf("default codec is %T, want compress.Identity", r.rt.cfg.Codec)
+		}
+		const nparts, nspills = 3, 2
+		var want [nspills][nparts]run
+		ms := &mapState{rt: r.rt, job: &Job{NumReduces: nparts, Combiner: comb}, node: r.cl.Slaves[0], spillBase: "m_test"}
+		r.env.Go("map", func(p *sim.Proc) {
+			var scratch *byte
+			for s := range want {
+				// Keys are emitted in sorted order so the expected runs can be
+				// built alongside; partition 0 is the smallest, so later ones
+				// would overwrite all of a shared buffer it was serialized into.
+				for i := 0; i < 300; i++ {
+					part := i % nparts
+					for rep := 0; rep <= part; rep++ {
+						k, v := []byte(fmt.Sprintf("key-%04d-%d", i, rep)), []byte(fmt.Sprintf("value-%d-of-partition-%d-spill-%d", i, part, s))
+						want[s][part] = AppendKV(want[s][part], k, v)
+						ms.add(p, part, k, v)
+					}
+				}
+				ms.spill(p)
+				switch {
+				case comb == nil && ms.scratch != nil:
+					t.Errorf("spill %d: a run sized from the index was not given away", s)
+				case comb != nil && cap(ms.scratch) == len(ms.scratch):
+					t.Fatalf("spill %d: the combiner's scratch has no spare capacity; the test needs a slack one", s)
+				case comb != nil && scratch == nil:
+					scratch = &ms.scratch[:1][0]
+				case comb != nil && &ms.scratch[:1][0] != scratch:
+					t.Errorf("spill %d: the combiner's scratch was not recycled", s)
+				}
+			}
+			if len(ms.spills) != nspills {
+				t.Fatalf("got %d spills, want %d", len(ms.spills), nspills)
+			}
+			for s, sf := range ms.spills {
+				for part, seg := range sf.segs {
+					if seg.clen == 0 {
+						t.Fatalf("spill %d partition %d is empty", s, part)
+					}
+					if got := sf.file.ReadAt(p, seg.off, seg.clen); !bytes.Equal(got, want[s][part]) {
+						t.Errorf("combiner %v: spill %d partition %d read back differs from what was serialized", comb != nil, s, part)
+					}
+				}
+			}
+		})
+		r.env.Run(0)
+	}
+}
+
+// TestAppendRunStoresWithoutCopying: the three things that can become of a
+// run on its way into a file. Each row appends two runs through one buffer,
+// as a spill does, and reads the first back after the second.
+func TestAppendRunStoresWithoutCopying(t *testing.T) {
+	fill := func(buf run, tag string) run {
+		for i := 0; i < 200; i++ {
+			buf = AppendKV(buf, []byte(fmt.Sprintf("key-%04d", i)), []byte(tag))
+		}
+		return buf
+	}
+	size := len(fill(nil, "first"))
+	for _, c := range []struct {
+		name     string
+		codec    compress.Codec
+		slack    int
+		gaveAway bool
+		stored   string // what the file holds: the codec's "enc", the caller's "raw", or a "copy"
+	}{
+		{"the codec's own result", compress.NewLZ(), 0, false, "enc"},
+		{"a full identity buffer", compress.Identity{}, 0, true, "raw"},
+		{"a slack identity buffer", compress.Identity{}, 64, false, "copy"},
+	} {
+		r := newRig(t, nil)
+		r.env.Go("spill", func(p *sim.Proc) {
+			f := r.cl.Slaves[0].NextMRVol().Create("runs")
+			buf := fill(make(run, 0, size+c.slack), "first")
+			want := slices.Clone(buf)
+			enc := c.codec.Compress(buf)
+			if kept := appendRun(p, f, buf, enc); (kept == nil) != c.gaveAway || (kept != nil && &kept[0] != &buf[0]) {
+				t.Fatalf("%s: appendRun gave the buffer away: %v, want %v", c.name, kept == nil, c.gaveAway)
+			}
+			view := f.ReadAt(p, 0, int64(len(enc)))
+			stored := "copy"
+			switch &view[0] {
+			case &buf[0]: // with compress.Identity this is enc too
+				stored = "raw"
+			case &enc[0]:
+				stored = "enc"
+			}
+			if stored != c.stored {
+				t.Errorf("%s: the file holds %s, want %s", c.name, stored, c.stored)
+			}
+			if c.gaveAway {
+				buf = make(run, 0, size) // as the callers do: the old array is the file's now
+			}
+			buf = fill(buf[:0], "other")
+			appendRun(p, f, buf, c.codec.Compress(buf))
+			if got := c.codec.Decompress(f.ReadAt(p, 0, int64(len(enc)))); !bytes.Equal(got, want) {
+				t.Errorf("%s: the second run overwrote the first one's stored bytes", c.name)
+			}
+			if !c.gaveAway && (cap(buf) != size+c.slack || !bytes.Equal(buf, fill(nil, "other"))) {
+				t.Errorf("%s: the caller's buffer did not stay its own", c.name)
+			}
+		})
+		r.env.Run(0)
+	}
 }
 
 // TestSecondMapAttemptAllocatesNoScratch: the serialization buffer rides in
 // the recycled sortBuf, so of two identical attempts on one Runtime only the
-// first grows one — the second serializes into the very same array.
+// first grows one — the second serializes into the very same array. With a
+// real codec, that is: it compresses out of the buffer and no file keeps it
+// (see appendRun).
 func TestSecondMapAttemptAllocatesNoScratch(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t, func(c *Config) { c.Codec = compress.NewLZ() })
 	attempt := func(p *sim.Proc, base string) *byte {
 		ms := &mapState{rt: r.rt, job: &Job{NumReduces: 3}, node: r.cl.Slaves[0], spillBase: base}
 		for i := 0; i < 300; i++ {

@@ -217,7 +217,7 @@ func (ms *mapState) abandon() {
 type sortBuf struct {
 	arena   []byte
 	ents    []kvEnt
-	scratch run      // serializePartition output buffer, reused across spills
+	scratch run      // serializePartition output buffer, reused until a spill file keeps it (see appendRun)
 	vals    [][]byte // one combiner group's values: views into arena
 }
 
@@ -229,8 +229,8 @@ type radixWork struct {
 }
 
 // recycle hands the attempt's sort buffer to the runtime for the next
-// attempt to fill: by now every buffered pair has been serialized out (and
-// copied by Append) or the attempt was abandoned, so nothing reads it again.
+// attempt to fill: by now every buffered pair has been serialized out of the
+// arena or the attempt was abandoned, so nothing reads it again.
 func (ms *mapState) recycle() {
 	if ms.arena != nil {
 		ms.rt.sortBufs = append(ms.rt.sortBufs, sortBuf{arena: ms.arena[:0], ents: ms.ents[:0], scratch: ms.scratch[:0], vals: ms.vals[:0]})
@@ -418,7 +418,7 @@ func (ms *mapState) spill(p *sim.Proc) {
 		if len(raw) > 0 {
 			enc := cfg.Codec.Compress(raw)
 			ms.node.Compute(p, cfg.Codec.CompressCost(len(raw)))
-			f.Append(p, enc)
+			ms.scratch = appendRun(p, f, raw, enc)
 			seg.clen = int64(len(enc))
 			off += seg.clen
 			ms.compressedBytes += seg.clen
@@ -428,27 +428,23 @@ func (ms *mapState) spill(p *sim.Proc) {
 	}
 	ms.spills = append(ms.spills, sf)
 	ms.spillCount++
-	// Keep the backing arrays: every buffered byte was serialized (and copied)
-	// above, so the next fill can overwrite them instead of reallocating the
-	// full sort buffer once per spill.
+	// Keep the backing arrays: every buffered byte was serialized above, so
+	// the next fill can overwrite them instead of reallocating the full sort
+	// buffer once per spill.
 	ms.arena = ms.arena[:0]
 	ms.ents = ms.ents[:0]
 	ms.bufBytes = 0
 }
 
 // serializePartition runs the combiner (if any) over one partition's sorted
-// entries and serializes them, charging serialization CPU.
+// entries and serializes them into ms.scratch, charging serialization CPU.
+// The run is good until the next call overwrites it, unless the caller
+// gives the buffer away first (see appendRun).
 func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 	if len(ents) == 0 {
 		return nil, 0
 	}
 	cfg := ms.rt.cfg
-	// The backing array is recycled across partitions and spills instead of
-	// being regrown from nil each time, so the returned run is only good
-	// until the next call. The caller compresses and appends it first, and of
-	// those two only localfs.Append is guaranteed to copy: compress.Identity
-	// returns its argument, so with compression off Append's copy is all that
-	// keeps a spilled partition from being overwritten by the next one.
 	out := ms.scratch[:0]
 	var n int64
 	if comb := ms.job.Combiner; comb != nil {
@@ -473,6 +469,14 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 		ms.vals = vals
 		ms.combineOut += n
 	} else {
+		// Sized from the index, so a buffer made here is full: see appendRun.
+		size := 0
+		for _, e := range ents {
+			size += len(e.rec(ms.arena))
+		}
+		if cap(out) < size {
+			out = make(run, 0, size)
+		}
 		for _, e := range ents {
 			out = append(out, e.rec(ms.arena)...)
 		}
@@ -548,13 +552,12 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 		if len(merged) > 0 {
 			enc := cfg.Codec.Compress(merged)
 			ms.node.Compute(p, cfg.Codec.CompressCost(len(merged)))
-			f.Append(p, enc)
+			ms.rt.recycleMerged(appendRun(p, f, merged, enc), pooled)
 			seg.clen = int64(len(enc))
 			off += seg.clen
 			ms.compressedBytes += seg.clen
 			ms.mergeWriteBytes += seg.clen
 		}
-		ms.rt.recycleMerged(merged, pooled)
 		segs = append(segs, seg)
 	}
 	for i, sf := range ms.spills {

@@ -50,18 +50,18 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		memRuns = nil
 		memBytes = 0
 		merged, pooled := rt.mergeRuns(runs)
-		defer rt.recycleMerged(merged, pooled)
 		node.Compute(sp, time.Duration(cfg.MergeNsPerByte*float64(len(merged))))
 		enc := cfg.Codec.Compress(merged)
 		node.Compute(sp, cfg.Codec.CompressCost(len(merged)))
 		if zombie() {
+			rt.recycleMerged(merged, pooled)
 			return // the machine died under the merge; its runs die with it
 		}
 		vol := node.NextMRVol()
 		name := fmt.Sprintf("r_%06d.run%d", part, idx)
 		f := vol.Create(name)
 		f.SetStage(disk.StageSpill)
-		f.Append(sp, enc)
+		rt.recycleMerged(appendRun(sp, f, merged, enc), pooled)
 		runWrite += int64(len(enc))
 		diskRuns = append(diskRuns, diskRun{vol: vol, file: f, name: name, clen: int64(len(enc)), raw: int64(len(merged))})
 		js.counters.ReduceSpills++
