@@ -86,9 +86,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "iosim: unknown op", *op)
 		os.Exit(2)
 	}
-	sectors := int64(*reqKB) * 1024 / disk.SectorSize
-	if sectors <= 0 {
+	if *streams < 1 || *seconds < 1 {
+		fmt.Fprintf(os.Stderr, "iosim: -streams and -seconds must be at least 1, got %d and %d\n", *streams, *seconds)
+		os.Exit(2)
+	}
+	if *reqKB < 1 {
 		fmt.Fprintln(os.Stderr, "iosim: request too small")
+		os.Exit(2)
+	}
+	// Each stream starts at its own 1/streams share of the disk, so a request
+	// must fit inside one share (checked on reqKB first: reqKB*1024 may
+	// overflow).
+	sectors := int64(*reqKB) * 1024 / disk.SectorSize
+	if share := p.Sectors / int64(*streams); int64(*reqKB) >= share || sectors >= share {
+		fmt.Fprintf(os.Stderr, "iosim: -reqkb %d does not fit: each of %d stream(s) gets %d sectors of %s\n", *reqKB, *streams, share, p.Name)
 		os.Exit(2)
 	}
 

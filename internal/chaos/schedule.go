@@ -88,7 +88,7 @@ func (h *Harness) schedule(w core.Workload, seed int64, plan faults.Plan) Schedu
 		Racks:          h.opts.Core.Racks,
 		UplinkBPS:      h.opts.Core.UplinkBPS,
 		Tier:           h.opts.Core.IntermediateTier,
-		MasterRecovery: h.opts.Core.MasterRecovery.Enabled,
+		MasterRecovery: h.opts.Core.MasterRecovery,
 	}
 }
 
@@ -133,7 +133,7 @@ func Replay(ctx context.Context, s Schedule) (*Verdict, error) {
 		Racks:            s.Racks,
 		UplinkBPS:        s.UplinkBPS,
 		IntermediateTier: s.Tier,
-		MasterRecovery:   core.MasterRecovery{Enabled: s.MasterRecovery},
+		MasterRecovery:   s.MasterRecovery,
 	}})
 	g, err := h.goldenFor(ctx, w)
 	if err != nil {

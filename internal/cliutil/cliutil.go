@@ -102,7 +102,7 @@ func (t *Testbed) Options(parallel int) ([]core.Option, error) {
 	if t.Hist {
 		opts = append(opts, core.WithHistograms())
 	}
-	if t.verify || t.scrub != 0 {
+	if t.verify {
 		opts = append(opts, core.WithIntegrity())
 	}
 	return opts, nil

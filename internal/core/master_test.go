@@ -18,7 +18,7 @@ func runTSMasters(t *testing.T, planStr string) *tsOutcome {
 	t.Helper()
 	opts := fastOpts
 	opts.Audit = true
-	opts.MasterRecovery.Enabled = true
+	opts.MasterRecovery = true
 	if planStr != "" {
 		plan, err := faults.ParsePlan(planStr)
 		if err != nil {

@@ -99,14 +99,11 @@ func WithScrubRate(rate int64) Option { return func(o *Options) { o.ScrubRate = 
 // NameNode/JobTracker state on provisioned metadata disks, crash–restart
 // recovery, and failover-aware clients. Master-restart fault plans imply it.
 func WithMasterRecovery() Option {
-	return func(o *Options) { o.MasterRecovery.Enabled = true }
+	return func(o *Options) { o.MasterRecovery = true }
 }
 
 // WithFaults injects a deterministic fault plan during the run.
 func WithFaults(plan faults.Plan) Option { return func(o *Options) { o.Faults = plan } }
-
-// WithRecovery tunes HDFS failure detection and repair for fault runs.
-func WithRecovery(cfg hdfs.RecoveryConfig) Option { return func(o *Options) { o.Recovery = cfg } }
 
 // WithSharedDataDisks pools HDFS and intermediate data on the same spindles
 // instead of the paper's dedicated 3+3 layout.
@@ -119,13 +116,6 @@ func WithSharedDataDisks() Option { return func(o *Options) { o.SharedDataDisks 
 // iostat groups to the report (RunReport.Classes).
 func WithIntermediateTier(c disk.Class) Option {
 	return func(o *Options) { o.IntermediateTier = c }
-}
-
-// WithSSDParams overrides the flash drive a tiered run provisions (the
-// default is disk.DataCenterSSD()); p must carry a non-nil SSD model. It has
-// no effect unless WithIntermediateTier(disk.ClassSSD) is also set.
-func WithSSDParams(p disk.Params) Option {
-	return func(o *Options) { o.SSD = &p }
 }
 
 // WithTraceAttach installs the per-disk observer hook, called once per data

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"iochar/internal/workloads"
 )
 
 // Workload identifies one benchmark of the study as a typed enum — the four
@@ -21,21 +23,34 @@ const (
 	Join                     // Hive Join (extension beyond the paper)
 )
 
-var workloadKeys = map[Workload]string{
-	TS: "TS", AGG: "AGG", KM: "KM", PR: "PR", Join: "JOIN",
+// workloadTable is where each workload is named: its abbreviation and the
+// MapReduce program that runs it.
+var workloadTable = [...]struct {
+	key     string
+	program func() workloads.Workload
+}{
+	TS:   {"TS", func() workloads.Workload { return workloads.NewTeraSort() }},
+	AGG:  {"AGG", func() workloads.Workload { return workloads.NewAggregation() }},
+	KM:   {"KM", func() workloads.Workload { return workloads.NewKMeans() }},
+	PR:   {"PR", func() workloads.Workload { return workloads.NewPageRank() }},
+	Join: {"JOIN", func() workloads.Workload { return workloads.NewJoin() }},
 }
 
 // String returns the paper's abbreviation (TS, AGG, KM, PR; JOIN for the
 // extension), or "invalid" for values outside the enum.
 func (w Workload) String() string {
-	if s, ok := workloadKeys[w]; ok {
-		return s
+	if w.Valid() {
+		return workloadTable[w].key
 	}
 	return "invalid"
 }
 
 // Valid reports whether w is one of the defined workloads.
-func (w Workload) Valid() bool { _, ok := workloadKeys[w]; return ok }
+func (w Workload) Valid() bool { return w > workloadInvalid && int(w) < len(workloadTable) }
+
+// program returns a fresh instance of the program that runs w, which must be
+// Valid.
+func (w Workload) program() workloads.Workload { return workloadTable[w].program() }
 
 // MarshalText encodes w as its abbreviation, so JSON-serialized reports and
 // cache entries stay human-readable and stable across enum reorderings.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -41,6 +42,36 @@ func TestWorkloadStringRoundTrip(t *testing.T) {
 	}
 	if Workload(99).String() != "invalid" {
 		t.Errorf("invalid String = %q", Workload(99).String())
+	}
+}
+
+// TestWorkloadTable: every constant resolves to its program, round-trips
+// through ParseWorkload and has a positive paper input, and the figure order
+// runs four distinct programs.
+func TestWorkloadTable(t *testing.T) {
+	want := map[Workload]string{
+		TS: "*workloads.TeraSort", AGG: "*workloads.Aggregation", KM: "*workloads.KMeans",
+		PR: "*workloads.PageRank", Join: "*workloads.Join",
+	}
+	for w, typ := range want {
+		p := w.program()
+		if got := fmt.Sprintf("%T", p); got != typ {
+			t.Errorf("%v runs %s, want %s", w, got, typ)
+			continue
+		}
+		if back, err := ParseWorkload(w.String()); err != nil || back != w {
+			t.Errorf("ParseWorkload(%q) = %v, %v; want %v", w.String(), back, err, w)
+		}
+		if p.PaperInputBytes() <= 0 {
+			t.Errorf("%v: non-positive paper input %d", w, p.PaperInputBytes())
+		}
+	}
+	programs := map[string]bool{}
+	for _, w := range WorkloadOrder {
+		programs[fmt.Sprintf("%T", w.program())] = true
+	}
+	if len(programs) != 4 {
+		t.Errorf("WorkloadOrder %v runs %d distinct programs, want 4", WorkloadOrder, len(programs))
 	}
 }
 

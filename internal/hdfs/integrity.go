@@ -183,7 +183,9 @@ type ScrubConfig struct {
 	// bandwidth knob); <= 0 means unthrottled — each pass runs flat out,
 	// limited only by disk speed.
 	BytesPerSec int64
-	// PassInterval is the idle gap between full passes over the namespace.
+	// PassInterval is the idle gap between full passes over the namespace;
+	// it must be positive, or a pass over an empty namespace would repeat
+	// forever at one instant.
 	PassInterval time.Duration
 }
 
@@ -211,7 +213,7 @@ func (fs *FS) EnableScrubber(cfg ScrubConfig) {
 		panic("hdfs: EnableScrubber without EnableIntegrity")
 	}
 	if cfg.PassInterval <= 0 {
-		cfg.PassInterval = 30 * time.Second
+		panic("hdfs: EnableScrubber needs a positive PassInterval")
 	}
 	st := &scrubState{cfg: cfg, done: sim.NewCond(fs.env)}
 	fs.scrub = st

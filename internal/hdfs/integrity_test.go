@@ -13,7 +13,28 @@ import (
 // fastRecovery is a recovery config small enough that detection and repair
 // complete within a short test run.
 func fastRecovery() RecoveryConfig {
-	return RecoveryConfig{HeartbeatInterval: 100 * time.Millisecond, DeadTimeout: time.Second, Streams: 2}
+	return RecoveryConfig{HeartbeatInterval: 100 * time.Millisecond, DeadTimeout: time.Second}
+}
+
+// A zero interval would loop forever at one instant, so the Enable calls
+// refuse one instead of substituting an unscaled default.
+func TestEnableRefusesNonPositiveIntervals(t *testing.T) {
+	for name, enable := range map[string]func(fs *FS){
+		"heartbeat":    func(fs *FS) { fs.EnableRecovery(RecoveryConfig{DeadTimeout: time.Second}) },
+		"dead timeout": func(fs *FS) { fs.EnableRecovery(RecoveryConfig{HeartbeatInterval: time.Second}) },
+		"scrub pass":   func(fs *FS) { fs.EnableIntegrity(); fs.EnableScrubber(ScrubConfig{}) },
+	} {
+		env, _, fs := rig(3)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a zero interval was accepted", name)
+				}
+			}()
+			enable(fs)
+		}()
+		env.Close()
+	}
 }
 
 func TestChunkSums(t *testing.T) {

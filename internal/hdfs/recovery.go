@@ -28,10 +28,11 @@ type RecoveryConfig struct {
 	// before declaring a DataNode dead. Hadoop's default is 10.5 min; fault
 	// experiments usually shorten it so recovery fits the run.
 	DeadTimeout time.Duration
-	// Streams is the number of concurrent re-replication copies
-	// (dfs.max-repl-streams, default 2).
-	Streams int
 }
+
+// replStreams is the number of concurrent re-replication copies
+// (dfs.max-repl-streams, Hadoop's default).
+const replStreams = 2
 
 // RecoveryStats counts the repair work a run performed.
 type RecoveryStats struct {
@@ -71,22 +72,17 @@ type recoveryState struct {
 }
 
 // EnableRecovery switches on failure detection and repair: one heartbeat
-// process per DataNode, the NameNode monitor, and cfg.Streams re-replication
-// workers. Call it once, before Run, and only for runs with a fault plan —
-// the machinery adds periodic events that a healthy-baseline run should not
-// carry.
+// process per DataNode, the NameNode monitor, and replStreams
+// re-replication workers. Call it once, before Run, and only for runs with a
+// fault plan — the machinery adds periodic events that a healthy-baseline
+// run should not carry. Both intervals must be positive: a zero heartbeat
+// would loop forever at one instant.
 func (fs *FS) EnableRecovery(cfg RecoveryConfig) {
 	if fs.rec != nil {
 		panic("hdfs: EnableRecovery called twice")
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 3 * time.Second
-	}
-	if cfg.DeadTimeout <= 0 {
-		cfg.DeadTimeout = 30 * time.Second
-	}
-	if cfg.Streams <= 0 {
-		cfg.Streams = 2
+	if cfg.HeartbeatInterval <= 0 || cfg.DeadTimeout <= 0 {
+		panic(fmt.Sprintf("hdfs: EnableRecovery needs positive intervals, got heartbeat %v / dead timeout %v", cfg.HeartbeatInterval, cfg.DeadTimeout))
 	}
 	rec := &recoveryState{
 		cfg:    cfg,
@@ -119,7 +115,7 @@ func (fs *FS) EnableRecovery(cfg RecoveryConfig) {
 			}
 		}
 	})
-	for i := 0; i < cfg.Streams; i++ {
+	for i := 0; i < replStreams; i++ {
 		fs.env.Go(fmt.Sprintf("re-replicator-%d", i), func(p *sim.Proc) {
 			fs.replicationWorker(p)
 		})

@@ -99,10 +99,8 @@ func TestRejoinAfterReReplicationPurgesExcess(t *testing.T) {
 // report restores the replicas and the queued repairs drain as no-ops.
 func TestRejoinCancelsQueuedRepairs(t *testing.T) {
 	env, c, fs := rig(4)
-	// Streams: 0 is invalid; use 1 with a long copy so the queue backs up —
-	// simpler: no workers would hang WaitRecovered. Instead rejoin right
-	// after detection, before workers start copying: heartbeat 100 ms, dead
-	// timeout 1 s, rejoin at 1.2 s.
+	// Rejoin right after detection, before the workers start copying:
+	// heartbeat 100 ms, dead timeout 1 s, rejoin at 1.2 s.
 	fs.EnableRecovery(fastRecovery())
 	victim := c.Slaves[0].Name
 	env.Go("client", func(p *sim.Proc) {

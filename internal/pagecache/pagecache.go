@@ -234,25 +234,10 @@ func (c *Cache) newPage(n int64) *page {
 }
 
 // New creates a cache of capacityPages pages backed by d and starts its
-// writeback daemon.
+// writeback daemon. opts is taken as given: start from DefaultOptions.
 func New(env *sim.Env, d *disk.Disk, capacityPages int, opts Options) *Cache {
 	if capacityPages < 8 {
 		capacityPages = 8
-	}
-	if opts.DirtyBGRatio <= 0 {
-		opts.DirtyBGRatio = 0.10
-	}
-	if opts.DirtyHardRatio <= opts.DirtyBGRatio {
-		opts.DirtyHardRatio = opts.DirtyBGRatio * 4
-	}
-	if opts.WritebackInterval <= 0 {
-		opts.WritebackInterval = time.Second
-	}
-	if opts.ReadaheadMaxPages <= 0 {
-		opts.ReadaheadMaxPages = 32
-	}
-	if opts.DirtyExpire <= 0 {
-		opts.DirtyExpire = 30 * time.Second
 	}
 	c := &Cache{
 		env:      env,

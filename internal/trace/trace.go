@@ -36,23 +36,14 @@ type Record struct {
 // added later; ReadCSV still accepts the older six-field layout.
 const csvHeader = "dev,op,sector,count,arrived_ns,done_ns,stage"
 
-// WriteCSV serializes records under the csvHeader layout.
+// WriteCSV serializes records under the csvHeader layout, through the same
+// row encoder as a CSV StreamCollector.
 func WriteCSV(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, csvHeader); err != nil {
-		return err
-	}
+	s := NewStreamCollector(w)
 	for _, r := range recs {
-		op := "R"
-		if r.Op == disk.Write {
-			op = "W"
-		}
-		if _, err := fmt.Fprintf(bw, "%s,%s,%d,%d,%d,%d,%s\n",
-			r.Dev, op, r.Sector, r.Count, int64(r.Arrived), int64(r.Done), r.Stage); err != nil {
-			return err
-		}
+		s.record(r.Dev, disk.Completion{Op: r.Op, Sector: r.Sector, Count: r.Count, Stage: r.Stage, Arrived: r.Arrived, Done: r.Done})
 	}
-	return bw.Flush()
+	return s.Flush()
 }
 
 // ReadCSV parses a trace written by WriteCSV. The header line is recognized

@@ -25,8 +25,8 @@ type Aggregation struct {
 // NewAggregation returns the workload.
 func NewAggregation() *Aggregation { return &Aggregation{seed: 1} }
 
-// Key implements Workload.
-func (*Aggregation) Key() string { return "AGG" }
+// key names the workload's HDFS directories.
+func (*Aggregation) key() string { return "AGG" }
 
 // PaperInputBytes implements Workload. Table 3's volume column is garbled
 // in the source text; DESIGN.md records the 512 GB assumption.
@@ -36,7 +36,7 @@ func (*Aggregation) PaperInputBytes() int64 { return 512 << 30 }
 func (a *Aggregation) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
 	a.seed = seed
 	gen := datagen.OrderGen{Seed: seed}
-	loadParts(fs, cl, inputDir(a.Key()), total, gen.Part)
+	loadParts(fs, cl, inputDir(a.key()), total, gen.Part)
 }
 
 // aggSummer is both combiner and reducer: it sums revenue values per
@@ -61,15 +61,15 @@ func (a *aggSummer) Reduce(k []byte, vals [][]byte, emit func(k, v []byte)) {
 
 // Run implements Workload.
 func (a *Aggregation) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Cluster) ([]*mapred.Result, error) {
-	inputs := fs.List(inputDir(a.Key()) + "/")
+	inputs := fs.List(inputDir(a.key()) + "/")
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("aggregation: not prepared")
 	}
-	cleanOutputs(fs, outputDir(a.Key()))
+	cleanOutputs(fs, outputDir(a.key()))
 	job := &mapred.Job{
 		Name:   "aggregation",
 		Input:  inputs,
-		Output: outputDir(a.Key()),
+		Output: outputDir(a.key()),
 		Format: mapred.LineFormat{},
 		Mapper: func() mapred.Mapper {
 			var val []byte // rebuilt right before each emit, which copies it

@@ -28,8 +28,8 @@ type Join struct {
 // NewJoin returns the workload.
 func NewJoin() *Join { return &Join{seed: 1, FactFraction: 1.0 / 16} }
 
-// Key implements Workload.
-func (*Join) Key() string { return "JOIN" }
+// key names the workload's HDFS directories.
+func (*Join) key() string { return "JOIN" }
 
 // PaperInputBytes implements Workload: sized like Aggregation's table.
 func (*Join) PaperInputBytes() int64 { return 512 << 30 }
@@ -44,8 +44,8 @@ func (j *Join) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64
 	}
 	orders := datagen.OrderGen{Seed: seed}
 	users := datagen.UserGen{Seed: seed}
-	loadParts(fs, cl, inputDir(j.Key())+"/fact", int64(float64(total)*(1-frac)), orders.Part)
-	loadParts(fs, cl, inputDir(j.Key())+"/dim", int64(float64(total)*frac), users.Part)
+	loadParts(fs, cl, inputDir(j.key())+"/fact", int64(float64(total)*(1-frac)), orders.Part)
+	loadParts(fs, cl, inputDir(j.key())+"/dim", int64(float64(total)*frac), users.Part)
 }
 
 // tag bytes distinguishing the two sides in the shuffle.
@@ -56,12 +56,12 @@ const (
 
 // Run implements Workload: one repartition-join job.
 func (j *Join) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Cluster) ([]*mapred.Result, error) {
-	facts := fs.List(inputDir(j.Key()) + "/fact/")
-	dims := fs.List(inputDir(j.Key()) + "/dim/")
+	facts := fs.List(inputDir(j.key()) + "/fact/")
+	dims := fs.List(inputDir(j.key()) + "/dim/")
 	if len(facts) == 0 || len(dims) == 0 {
 		return nil, fmt.Errorf("join: not prepared")
 	}
-	cleanOutputs(fs, outputDir(j.Key()))
+	cleanOutputs(fs, outputDir(j.key()))
 
 	// The mapper distinguishes sides by schema: dimension rows have three
 	// fields, fact rows six (a Hive multi-input job would use the split's
@@ -116,7 +116,7 @@ func (j *Join) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Clu
 	job := &mapred.Job{
 		Name:       "hive-join",
 		Input:      append(append([]string(nil), facts...), dims...),
-		Output:     outputDir(j.Key()),
+		Output:     outputDir(j.key()),
 		Format:     mapred.LineFormat{},
 		Mapper:     mapper,
 		Reducer:    reducer,

@@ -32,8 +32,8 @@ type KMeans struct {
 // NewKMeans returns the workload with BigDataBench-like defaults.
 func NewKMeans() *KMeans { return &KMeans{seed: 1, K: 16, Dims: 8, Iterations: 3} }
 
-// Key implements Workload.
-func (*KMeans) Key() string { return "KM" }
+// key names the workload's HDFS directories.
+func (*KMeans) key() string { return "KM" }
 
 // PaperInputBytes implements Workload. Table 3's volume column is garbled
 // in the source text; DESIGN.md records the 256 GB assumption.
@@ -43,7 +43,7 @@ func (*KMeans) PaperInputBytes() int64 { return 256 << 30 }
 func (km *KMeans) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
 	km.seed = seed
 	gen := datagen.PointGen{Seed: seed, Dims: km.Dims, TrueCenters: km.K}
-	loadParts(fs, cl, inputDir(km.Key()), total, gen.Part)
+	loadParts(fs, cl, inputDir(km.key()), total, gen.Part)
 }
 
 // parsePointInto decodes a sep-separated coordinate line into dst[:0], so
@@ -220,7 +220,7 @@ func (km *KMeans) iterCosts() mapred.CostModel {
 // Run implements Workload: Iterations refinement jobs, then the clustering
 // (labelling) job.
 func (km *KMeans) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Cluster) ([]*mapred.Result, error) {
-	inputs := fs.List(inputDir(km.Key()) + "/")
+	inputs := fs.List(inputDir(km.key()) + "/")
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("kmeans: not prepared")
 	}
@@ -230,7 +230,7 @@ func (km *KMeans) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.
 	}
 	var results []*mapred.Result
 	for iter := 0; iter < km.Iterations; iter++ {
-		out := fmt.Sprintf("%s-iter%d", outputDir(km.Key()), iter)
+		out := fmt.Sprintf("%s-iter%d", outputDir(km.key()), iter)
 		cleanOutputs(fs, out)
 		job := km.iterationJob(inputs, out, centers)
 		res, err := rt.Run(p, job)
@@ -244,7 +244,7 @@ func (km *KMeans) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.
 		}
 	}
 	// Clustering pass: label every point and write it back out.
-	out := outputDir(km.Key())
+	out := outputDir(km.key())
 	cleanOutputs(fs, out)
 	job := &mapred.Job{
 		Name:   "kmeans-cluster",

@@ -30,8 +30,8 @@ type PageRank struct {
 // NewPageRank returns the workload with the conventional parameters.
 func NewPageRank() *PageRank { return &PageRank{seed: 1, Iterations: 3, Damping: 0.85} }
 
-// Key implements Workload.
-func (*PageRank) Key() string { return "PR" }
+// key names the workload's HDFS directories.
+func (*PageRank) key() string { return "PR" }
 
 // PaperInputBytes implements Workload. Table 3's volume column is garbled
 // in the source text; DESIGN.md records the 64 GB assumption (the Google
@@ -42,7 +42,7 @@ func (*PageRank) PaperInputBytes() int64 { return 64 << 30 }
 func (pr *PageRank) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
 	pr.seed = seed
 	gen := datagen.GraphGen{Seed: seed}
-	loadParts(fs, cl, inputDir(pr.Key()), total, gen.Part)
+	loadParts(fs, cl, inputDir(pr.key()), total, gen.Part)
 }
 
 // Vertex state value format: "rank|dst1,dst2,..." — rank as decimal float,
@@ -87,14 +87,14 @@ func prCosts() mapred.CostModel {
 
 // Run implements Workload.
 func (pr *PageRank) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Cluster) ([]*mapred.Result, error) {
-	inputs := fs.List(inputDir(pr.Key()) + "/")
+	inputs := fs.List(inputDir(pr.key()) + "/")
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("pagerank: not prepared")
 	}
 	var results []*mapred.Result
 
 	// Job 1: adjacency construction from the raw edge list.
-	stateDir := fmt.Sprintf("%s-state0", outputDir(pr.Key()))
+	stateDir := fmt.Sprintf("%s-state0", outputDir(pr.key()))
 	cleanOutputs(fs, stateDir)
 	build := &mapred.Job{
 		Name:   "pagerank-build",
@@ -136,7 +136,7 @@ func (pr *PageRank) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluste
 	damping := pr.Damping
 	for iter := 1; iter <= pr.Iterations; iter++ {
 		prevDir := stateDir
-		stateDir = fmt.Sprintf("%s-state%d", outputDir(pr.Key()), iter)
+		stateDir = fmt.Sprintf("%s-state%d", outputDir(pr.key()), iter)
 		cleanOutputs(fs, stateDir)
 		job := &mapred.Job{
 			Name:   fmt.Sprintf("pagerank-iter%d", iter),
@@ -208,7 +208,7 @@ func (pr *PageRank) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluste
 // ReadRanks returns the final rank of every vertex after Run, for
 // verification and the examples.
 func (pr *PageRank) ReadRanks(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) map[string]float64 {
-	dir := fmt.Sprintf("%s-state%d", outputDir(pr.Key()), pr.Iterations)
+	dir := fmt.Sprintf("%s-state%d", outputDir(pr.key()), pr.Iterations)
 	out := map[string]float64{}
 	for _, path := range fs.List(dir + "/part-r-") {
 		rd, err := fs.Open(path, cl.Master.Name)

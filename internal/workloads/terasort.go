@@ -25,8 +25,8 @@ type TeraSort struct {
 // NewTeraSort returns the workload.
 func NewTeraSort() *TeraSort { return &TeraSort{seed: 1} }
 
-// Key implements Workload.
-func (*TeraSort) Key() string { return "TS" }
+// key names the workload's HDFS directories.
+func (*TeraSort) key() string { return "TS" }
 
 // PaperInputBytes implements Workload: Table 3 gives TeraSort 1 TB.
 func (*TeraSort) PaperInputBytes() int64 { return 1 << 40 }
@@ -35,7 +35,7 @@ func (*TeraSort) PaperInputBytes() int64 { return 1 << 40 }
 func (t *TeraSort) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
 	t.seed = seed
 	gen := datagen.TeraGen{Seed: seed}
-	loadParts(fs, cl, inputDir(t.Key()), total, gen.Part)
+	loadParts(fs, cl, inputDir(t.key()), total, gen.Part)
 }
 
 // sampleSplitters reads a prefix of each input file and derives r-1 key cut
@@ -91,11 +91,11 @@ func totalOrderPartition(splitters [][]byte) mapred.Partitioner {
 
 // Run implements Workload.
 func (t *TeraSort) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Cluster) ([]*mapred.Result, error) {
-	inputs := fs.List(inputDir(t.Key()) + "/")
+	inputs := fs.List(inputDir(t.key()) + "/")
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("terasort: not prepared")
 	}
-	cleanOutputs(fs, outputDir(t.Key()))
+	cleanOutputs(fs, outputDir(t.key()))
 	r := defaultReduces(cl)
 	splitters, err := sampleSplitters(p, fs, inputs, cl.Master.Name, r)
 	if err != nil {
@@ -104,7 +104,7 @@ func (t *TeraSort) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster
 	job := &mapred.Job{
 		Name:   "terasort",
 		Input:  inputs,
-		Output: outputDir(t.Key()),
+		Output: outputDir(t.key()),
 		Format: mapred.FixedFormat{Size: datagen.RecordSize},
 		Mapper: mapred.MapperFunc(func(rec []byte, emit func(k, v []byte)) {
 			emit(rec[:datagen.KeySize], rec[datagen.KeySize:])

@@ -32,10 +32,9 @@ import (
 // which the callers treat as malformed-input dead ends.
 func bstr(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Workload is one benchmark: input preparation plus a job sequence.
+// Workload is one benchmark: input preparation plus a job sequence. Each is
+// named once, by core.Workload.
 type Workload interface {
-	// Key is the paper's abbreviation: TS, AGG, KM, PR.
-	Key() string
 	// PaperInputBytes is the unscaled input volume attributed to the
 	// workload (Table 3; where the table is ambiguous DESIGN.md records
 	// the assumption).
@@ -45,30 +44,6 @@ type Workload interface {
 	Prepare(fs *hdfs.FS, cl *cluster.Cluster, bytes int64, seed int64)
 	// Run executes the workload's job sequence and returns per-job results.
 	Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Cluster) ([]*mapred.Result, error)
-}
-
-// ByKey returns the workload for a paper abbreviation.
-func ByKey(key string) (Workload, error) {
-	switch key {
-	case "TS", "ts", "terasort":
-		return NewTeraSort(), nil
-	case "AGG", "agg", "aggregation":
-		return NewAggregation(), nil
-	case "KM", "km", "kmeans":
-		return NewKMeans(), nil
-	case "PR", "pr", "pagerank":
-		return NewPageRank(), nil
-	case "JOIN", "join":
-		return NewJoin(), nil
-	}
-	return nil, fmt.Errorf("workloads: unknown workload %q (want TS, AGG, KM, PR or JOIN)", key)
-}
-
-// All returns the four paper workloads in the paper's figure order.
-// Extension workloads (Join) are reachable by key but excluded here so the
-// figure/table harness stays faithful to the paper.
-func All() []Workload {
-	return []Workload{NewAggregation(), NewTeraSort(), NewKMeans(), NewPageRank()}
 }
 
 // inputDir and outputDir name the HDFS layout per workload.

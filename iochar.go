@@ -73,7 +73,6 @@ var (
 	WithIntegrity       = core.WithIntegrity       // end-to-end HDFS checksums
 	WithScrubRate       = core.WithScrubRate       // background replica scrubber rate
 	WithFaults          = core.WithFaults          // deterministic fault plan
-	WithRecovery        = core.WithRecovery        // HDFS failure detection/repair tuning
 	WithMasterRecovery  = core.WithMasterRecovery  // journaled NameNode/JobTracker state + restart recovery
 	WithSharedDataDisks = core.WithSharedDataDisks // pooled instead of dedicated spindles
 	WithTraceAttach     = core.WithTraceAttach     // per-disk observer hook
@@ -81,7 +80,6 @@ var (
 	WithInspect         = core.WithInspect         // post-run simulation-context hook
 
 	WithIntermediateTier = core.WithIntermediateTier // device class for intermediate data
-	WithSSDParams        = core.WithSSDParams        // override the tiered flash drive
 )
 
 // Tier is a block-device class for storage-tier policy: the intermediate
@@ -97,11 +95,6 @@ const (
 
 // ParseTier resolves a device-class name ("hdd" or "ssd").
 func ParseTier(s string) (Tier, error) { return disk.ParseClass(s) }
-
-// DataCenterSSD returns the default flash drive a tiered run provisions —
-// the template for WithSSDParams overrides (adjust latency, bandwidth
-// asymmetry, or channel count on the copy).
-func DataCenterSSD() disk.Params { return disk.DataCenterSSD() }
 
 // Factors is one cell of the paper's experiment matrix: task slots, memory
 // size, and intermediate-data compression.

@@ -76,23 +76,12 @@ func TestTieredRunRejectsClampingScale(t *testing.T) {
 	}
 }
 
-// Pooled spindles cannot be two device classes.
+// Pooled spindles cannot be two device classes (cluster.New refuses it).
 func TestTieredRunRejectsSharedDataDisks(t *testing.T) {
 	_, err := Run(TS, tierFactors, tierOpts(
 		WithSharedDataDisks(), WithIntermediateTier(TierSSD)))
 	if err == nil || !strings.Contains(err.Error(), "SharedDataDisks") {
 		t.Errorf("want SharedDataDisks conflict error, got: %v", err)
-	}
-}
-
-// WithSSDParams must be given actual flash params, not a mechanical drive.
-func TestWithSSDParamsRequiresFlashModel(t *testing.T) {
-	mech := DataCenterSSD()
-	mech.SSD = nil // a "flash override" with no flash model
-	_, err := Run(TS, tierFactors, tierOpts(
-		WithIntermediateTier(TierSSD), WithSSDParams(mech)))
-	if err == nil || !strings.Contains(err.Error(), "flash") {
-		t.Errorf("want flash-model validation error, got: %v", err)
 	}
 }
 
