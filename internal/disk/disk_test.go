@@ -3,6 +3,8 @@ package disk
 import (
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -502,6 +504,127 @@ func TestUnsubscribeDuringDispatch(t *testing.T) {
 	}
 	if other != 2 {
 		t.Errorf("surviving observer fired %d times, want 2", other)
+	}
+}
+
+// pinnedDiskScenario drives a LOOK drive, a FIFO drive and an 8-channel SSD
+// through one program and logs, in firing order, every completion an
+// observer sees and every waiter's wakeup as (virtual time, event index,
+// what happened), then each device's final counters. The LOOK drive sees
+// back and front merges behind a request in service and a SetSlowFactor
+// while that request is in service; the FIFO drive goes idle and is woken
+// again; the SSD is first given fewer requests than it has idle channels, so
+// the channels a Submit wakes for nothing go back to waiting, and one of its
+// observers unsubscribes from inside its own callback.
+func pinnedDiskScenario() string {
+	env := sim.New(1)
+	defer env.Close()
+	var b strings.Builder
+	note := func(format string, args ...any) {
+		fmt.Fprintf(&b, "%v #%d ", env.Now(), env.Events())
+		fmt.Fprintf(&b, format, args...)
+		b.WriteByte('\n')
+	}
+	look := newTestDisk(env)
+	fp := SeagateST1000NM0011()
+	fp.Name, fp.Sectors, fp.Scheduler = "fifo", 1<<24, SchedFIFO
+	fifo := New(env, fp)
+	ssd := New(env, DataCenterSSD())
+	disks := []*Disk{look, fifo, ssd}
+	for _, d := range disks {
+		name := d.P.Name
+		d.Subscribe(func(c Completion) {
+			note("%s done %s %d+%d %s arrived=%v start=%v", name, c.Op, c.Sector, c.Count, c.Stage, c.Arrived, c.Start)
+		})
+	}
+	seen := 0
+	var unsub func()
+	unsub = ssd.Subscribe(func(c Completion) {
+		if seen++; seen == 2 {
+			unsub()
+		}
+		note("ssd leaver sees %d+%d", c.Sector, c.Count)
+	})
+	waitAll := func(p *sim.Proc, who string, d *Disk, reqs ...*Request) {
+		for i, r := range reqs {
+			d.Wait(p, r)
+			note("%s woke on request %d", who, i)
+		}
+	}
+
+	env.Go("look-blocker", func(p *sim.Proc) {
+		waitAll(p, "look-blocker", look, look.Submit(Read, 1<<22, 8))
+	})
+	env.Go("look-merger", func(p *sim.Proc) {
+		p.Sleep(time.Microsecond)
+		waitAll(p, "look-merger", look,
+			look.SubmitStaged(Write, 512, 128, StageSpill),
+			look.SubmitStaged(Write, 640, 128, StageHDFS),  // back merge
+			look.SubmitStaged(Write, 384, 128, StageMerge), // front merge
+			look.Submit(Read, 9<<20, 8),
+			look.Submit(Read, 1<<20, 8))
+		p.Sleep(10 * time.Millisecond)
+		waitAll(p, "look-merger", look, look.Submit(Read, 1<<23, 8))
+	})
+	env.Go("look-slow", func(p *sim.Proc) {
+		p.Sleep(2 * time.Microsecond) // the blocker is in service
+		look.SetSlowFactor(3)
+		p.Sleep(40 * time.Millisecond)
+		look.SetSlowFactor(1)
+	})
+
+	for i, sect := range []int64{9 << 20, 1 << 20, 5 << 20} {
+		who := fmt.Sprintf("fifo-%d", i)
+		env.Go(who, func(p *sim.Proc) { waitAll(p, who, fifo, fifo.Submit(Read, sect, 8)) })
+	}
+	env.Go("fifo-late", func(p *sim.Proc) {
+		p.Sleep(200 * time.Millisecond)
+		waitAll(p, "fifo-late", fifo, fifo.Submit(Write, 100, 8), fifo.Submit(Write, 108, 8))
+	})
+
+	env.Go("ssd-few", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		waitAll(p, "ssd-few", ssd,
+			ssd.Submit(Read, 0, 8), ssd.Submit(Write, 1000, 64), ssd.Submit(Read, 5000, 16))
+	})
+	env.Go("ssd-many", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond)
+		var reqs []*Request
+		for i := 0; i < 12; i++ {
+			reqs = append(reqs, ssd.Submit(Op(i%2), int64(i)*4096, 8+8*(i%3)))
+		}
+		waitAll(p, "ssd-many", ssd, reqs...)
+	})
+
+	if _, err := env.Run(0); err != nil {
+		note("run: %v", err)
+	}
+	for _, d := range disks {
+		note("%s stats %+v", d.P.Name, d.Stats())
+	}
+	return b.String()
+}
+
+// TestPinnedDiskEventOrder compares pinnedDiskScenario's log with the one
+// recorded when each disk channel was a process. Regenerate deliberately with
+// IOCHAR_UPDATE_GOLDEN=1.
+func TestPinnedDiskEventOrder(t *testing.T) {
+	const path = "testdata/event_order.txt"
+	got := pinnedDiskScenario()
+	if os.Getenv("IOCHAR_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with IOCHAR_UPDATE_GOLDEN=1): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("disk event order diverged from %s:\n got\n%s\n want\n%s", path, got, want)
 	}
 }
 
