@@ -351,8 +351,8 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 	}
 	wl := w.program()
 	env := sim.New(opts.Seed)
-	// The testbed's daemons (disk servicers, writeback threads, samplers)
-	// never finish on their own, and a cancelled run leaves every process
+	// The testbed's daemons (writeback threads; heartbeats and journal
+	// daemons when enabled) never finish on their own, and a cancelled run leaves every process
 	// mid-flight: unwind them all on every return path, after the report has
 	// been read out of the testbed.
 	defer env.Close()

@@ -45,7 +45,8 @@ func NewMonitor(interval time.Duration, nodes []*cluster.Node) *Monitor {
 	return m
 }
 
-// Start spawns the sampling process. Call at most once.
+// Start begins sampling, one After chain with a link per interval. Call
+// at most once.
 func (m *Monitor) Start(env *sim.Env) {
 	if m.started {
 		panic("cpustat: Start called twice")
@@ -55,12 +56,13 @@ func (m *Monitor) Start(env *sim.Env) {
 	for i, n := range m.nodes {
 		m.lastBusy[i] = n.CPU.BusyTime()
 	}
-	env.Go("cpustat", func(p *sim.Proc) {
-		for !m.stopped {
-			p.Sleep(m.interval)
-			m.sample(p.Now())
+	var wait func()
+	wait = func() {
+		if !m.stopped {
+			env.After(m.interval, func() { m.sample(env.Now()); wait() })
 		}
-	})
+	}
+	env.After(0, wait)
 }
 
 // Stop ends sampling, flushing a final partial interval when meaningful.

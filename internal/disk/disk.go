@@ -190,8 +190,8 @@ type Request struct {
 // end returns the first sector past the request.
 func (r *Request) end() int64 { return r.Sector + int64(r.Count) }
 
-// Disk is a simulated drive. Create with New; it runs as a background
-// process in the environment and services submitted requests forever.
+// Disk is a simulated drive. Create with New; its channels service
+// submitted requests for as long as the environment runs.
 type Disk struct {
 	P   Params
 	env *sim.Env
@@ -202,7 +202,7 @@ type Disk struct {
 	headPos      int64 // sector under the head after the last request
 	ascend       bool  // LOOK direction
 	busy         bool
-	active       int // requests in service (multi-channel devices)
+	active       int // requests in service, at most one per channel
 	lastBusy     time.Duration
 	lastWeighted time.Duration
 
@@ -269,8 +269,8 @@ func (d *Disk) Subscribe(fn func(Completion)) (unsubscribe func()) {
 	}
 }
 
-// New creates a disk and starts its service process(es): one for a
-// single-channel (mechanical) device, one per channel for flash.
+// New creates a disk and starts its channel(s): one for a single-channel
+// (mechanical) device, one per channel for flash.
 func New(env *sim.Env, p Params) *Disk {
 	if p.MaxReqSect <= 0 {
 		p.MaxReqSect = 1024
@@ -295,18 +295,10 @@ func New(env *sim.Env, p Params) *Disk {
 		ascend: true,
 		model:  model,
 	}
-	if ch := model.Channels(); ch > 1 {
-		for i := 0; i < ch; i++ {
-			env.Go(fmt.Sprintf("disk:%s:ch%d", p.Name, i), func(proc *sim.Proc) {
-				proc.SetDaemon(true)
-				d.serveChannel(proc)
-			})
-		}
-	} else {
-		env.Go("disk:"+p.Name, func(proc *sim.Proc) {
-			proc.SetDaemon(true)
-			d.serve(proc)
-		})
+	for i := 0; i < model.Channels(); i++ {
+		c := &channel{d: d}
+		c.nextFn, c.doneFn = c.next, c.done
+		env.After(0, c.nextFn)
 	}
 	return d
 }
@@ -413,44 +405,44 @@ func (d *Disk) Do(p *sim.Proc, op Op, sector int64, count int) {
 	r.completion.Wait(p)
 }
 
-// serve is the single-channel service loop: one request in service at a
-// time, as a mechanical drive's single head assembly dictates.
-func (d *Disk) serve(p *sim.Proc) {
-	for {
-		for len(d.queue) == 0 {
-			d.setBusy(false)
-			d.work.Wait(p)
-		}
-		d.setBusy(true)
-		r := d.pick()
-		start := d.env.Now()
-		p.Sleep(d.serviceFor(r.Op, r.Sector, r.Count))
-		d.complete(r, start)
-	}
+// channel is one of a device's Channels() service loops — a mechanical
+// drive's single head assembly, or one flash channel — as a pair of
+// callbacks: next puts a request in service or waits for one, done
+// completes it and calls next. Neither waits part-way through, so a channel
+// needs no process; each callback runs in the event slot the channel's
+// process resume would have taken.
+type channel struct {
+	d      *Disk
+	r      *Request      // in service
+	start  time.Duration // when r entered service
+	nextFn func()        // c.next and c.done, bound once: serving a request allocates no closure
+	doneFn func()
 }
 
-// serveChannel is one of the Channels() concurrent service loops of a
-// multi-channel (flash) device. Busy time (IOTicks, hence %util) covers any
-// interval with at least one request in service: a saturated 8-channel SSD
-// is 100% utilized, not 800%.
-func (d *Disk) serveChannel(p *sim.Proc) {
-	for {
-		for len(d.queue) == 0 {
-			if d.active == 0 {
-				d.setBusy(false)
-			}
-			d.work.Wait(p)
-		}
+// next puts the next queued request in service, or waits on d.work for one.
+// Busy time (IOTicks, hence %util) covers any interval with at least one
+// request in service: a saturated 8-channel SSD is 100% utilized, not 800%.
+func (c *channel) next() {
+	d := c.d
+	if len(d.queue) == 0 {
 		if d.active == 0 {
-			d.setBusy(true)
+			d.setBusy(false)
 		}
-		d.active++
-		r := d.pick()
-		start := d.env.Now()
-		p.Sleep(d.serviceFor(r.Op, r.Sector, r.Count))
-		d.active--
-		d.complete(r, start)
+		d.work.Then(c.nextFn)
+		return
 	}
+	if d.active == 0 {
+		d.setBusy(true)
+	}
+	d.active++
+	c.r, c.start = d.pick(), d.env.Now()
+	d.env.After(d.serviceFor(c.r.Op, c.r.Sector, c.r.Count), c.doneFn)
+}
+
+func (c *channel) done() {
+	c.d.active--
+	c.d.complete(c.r, c.start)
+	c.next()
 }
 
 // pick removes and returns the next request per the configured scheduler.

@@ -95,26 +95,29 @@ func (fs *FS) EnableRecovery(cfg RecoveryConfig) {
 		dn.lastBeat = fs.env.Now()
 		fs.startHeartbeat(dn)
 	}
-	fs.env.Go("namenode-monitor", func(p *sim.Proc) {
-		for {
-			p.Sleep(cfg.HeartbeatInterval)
+	// The NameNode monitor never waits mid-check (declareDead does not
+	// block), so it is an After chain, not a process.
+	var monitor func()
+	monitor = func() {
+		fs.env.After(cfg.HeartbeatInterval, func() {
 			if rec.stopped {
 				return
 			}
-			if !fs.MasterServing() {
-				// A dead or restarting NameNode declares nobody dead: while
-				// down it sees no clock, and in safe mode judging liveness
-				// from beats missed during its own outage would kill the
-				// whole cluster. Timestamps are reset at restart.
-				continue
-			}
-			for _, dn := range fs.datanodes {
-				if !dn.deadByNN && p.Now()-dn.lastBeat > cfg.DeadTimeout {
-					fs.declareDead(dn)
+			// A dead or restarting NameNode declares nobody dead: while down
+			// it sees no clock, and in safe mode judging liveness from beats
+			// missed during its own outage would kill the whole cluster.
+			// Timestamps are reset at restart.
+			if fs.MasterServing() {
+				for _, dn := range fs.datanodes {
+					if !dn.deadByNN && fs.env.Now()-dn.lastBeat > cfg.DeadTimeout {
+						fs.declareDead(dn)
+					}
 				}
 			}
-		}
-	})
+			monitor()
+		})
+	}
+	fs.env.After(0, monitor)
 	for i := 0; i < replStreams; i++ {
 		fs.env.Go(fmt.Sprintf("re-replicator-%d", i), func(p *sim.Proc) {
 			fs.replicationWorker(p)

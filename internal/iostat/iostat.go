@@ -267,7 +267,8 @@ func (m *Monitor) AddGroup(name string, disks ...*disk.Disk) {
 	m.byName[name] = g
 }
 
-// Start spawns the sampling process in env. Call at most once.
+// Start begins sampling in env, one After chain with a link per
+// interval. Call at most once.
 func (m *Monitor) Start(env *sim.Env) {
 	if m.started {
 		panic("iostat: Start called twice")
@@ -285,12 +286,13 @@ func (m *Monitor) Start(env *sim.Env) {
 			}
 		}
 	}
-	env.Go("iostat", func(p *sim.Proc) {
-		for !m.stopped {
-			p.Sleep(m.interval)
-			m.sampleAll(p.Now())
+	var wait func()
+	wait = func() {
+		if !m.stopped {
+			env.After(m.interval, func() { m.sampleAll(env.Now()); wait() })
 		}
-	})
+	}
+	env.After(0, wait)
 }
 
 // Stop ends sampling; a final partial interval is flushed if at least a

@@ -77,8 +77,9 @@ func BenchmarkKernelResourceHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelPingPong measures the one-switch path: two procs alternating
-// through a pair of testChans, so every resume crosses to the other goroutine.
+// BenchmarkKernelPingPong measures the cross-process path: two procs
+// alternating through a pair of testChans, so every resume switches to the
+// other process's coroutine by way of Run.
 func BenchmarkKernelPingPong(b *testing.B) {
 	env := New(1)
 	ping, pong := &testChan{env: env}, &testChan{env: env}

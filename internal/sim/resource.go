@@ -96,7 +96,7 @@ func (r *Resource) BusyTime() time.Duration {
 // Cond is a broadcast condition variable in virtual time.
 type Cond struct {
 	env     *Env
-	waiters []*Proc
+	waiters []waiter // in registration order
 }
 
 // NewCond creates a condition variable.
@@ -105,15 +105,18 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 // Wait blocks p until the next Broadcast. As with sync.Cond, callers should
 // re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters = append(c.waiters, waiter{p: p})
 	p.block()
 }
 
+// Then registers fn to run at the next Broadcast, in the event slot a
+// process waiting from this moment would be resumed in (see Event.Then).
+// fn must not block; a callback that waits again registers itself again.
+func (c *Cond) Then(fn func()) { c.waiters = append(c.waiters, waiter{fn: fn}) }
+
 // Broadcast wakes every waiter.
 func (c *Cond) Broadcast() {
-	for _, w := range c.waiters {
-		c.env.wake(w)
-	}
+	c.env.release(c.waiters)
 	c.waiters = nil
 }
 
@@ -131,6 +134,18 @@ type Event struct {
 type waiter struct {
 	p  *Proc
 	fn func()
+}
+
+// release schedules every waiter at the current time, in order: a process's
+// resume, or a callback in the slot that resume would take.
+func (e *Env) release(ws []waiter) {
+	for _, w := range ws {
+		if w.p != nil {
+			e.wake(w.p)
+		} else {
+			e.After(0, w.fn)
+		}
+	}
 }
 
 // NewEvent creates an unfired event.
@@ -166,12 +181,6 @@ func (ev *Event) Fire() {
 		panic("sim: Event fired twice")
 	}
 	ev.fired = true
-	for _, w := range ev.waiters {
-		if w.p != nil {
-			ev.env.wake(w.p)
-		} else {
-			ev.env.After(0, w.fn)
-		}
-	}
+	ev.env.release(ev.waiters)
 	ev.waiters = nil
 }

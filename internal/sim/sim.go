@@ -1,26 +1,32 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and runs simulated activities
-// ("processes") as goroutines that are strictly serialized: at any moment at
-// most one goroutine — the holder of the baton — touches the environment.
-// There is no kernel goroutine. Whichever goroutine gives up the CPU (a
-// process that blocks, sleeps or finishes, or Run itself once to start) pops
-// and fires the next events on its own stack: callbacks run inline, and the
-// first event that resumes a process ends the loop. If that process is the
-// caller, it simply carries on — no goroutine switch at all; otherwise the
-// caller sends on the target's resume channel and parks on its own, one
-// switch per resume. Events with equal timestamps fire in the order they
-// were scheduled, so a simulation is fully deterministic for a given program
-// and seed.
+// ("processes") as coroutines (iter.Pull) of the goroutine that calls Run:
+// at any moment exactly one of them, or Run itself, touches the
+// environment. There is no kernel goroutine. Whichever party gives up the
+// CPU (a process that blocks, sleeps or finishes, or Run itself once to
+// start) pops and fires the next events on its own stack: callbacks run
+// inline, and the first event that resumes a process ends the loop. If that
+// process is the caller, it simply carries on — no switch at all; otherwise
+// the caller records it as the next process and yields to Run, which
+// resumes it: a coroutine switch out and one in, neither through the Go
+// scheduler. Events with equal timestamps fire in the order they were
+// scheduled, so a simulation is fully deterministic for a given program and
+// seed.
 //
-// A consequence of baton passing: After/AfterFunc callbacks run on the
-// goroutine of the process that yielded last (or on Run's caller before any
-// process has run), so a panic in a callback surfaces on that goroutine
-// rather than in Run's caller.
+// An activity that never waits in the middle of its work needs no stack of
+// its own: it is an After chain, or a callback on an Event or Cond (Then),
+// rather than a process. Each takes the event slot a process's resume would
+// have taken, so converting one moves no event.
 //
-// Process goroutines that have not finished stay parked after Run returns —
-// daemons by design never finish. Close unwinds them; an environment that is
-// dropped without Close leaks its goroutines and everything they reference.
+// Every process and every After/AfterFunc callback runs as a coroutine of
+// Run's goroutine (or of Close's, while Close unwinds), so a panic in either
+// — or a runtime.Goexit, as t.Fatal calls — propagates out of Run to its
+// caller. An environment left that way can only be Closed.
+//
+// Processes that have not finished stay parked after Run returns — a daemon
+// by design never finishes. Close unwinds them; an environment that is
+// dropped without Close leaks their goroutines and everything they reference.
 //
 // A process is any function with signature func(*Proc). Within a process,
 // virtual time passes only through blocking operations: Sleep, Resource
@@ -32,6 +38,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
@@ -51,23 +58,19 @@ type Env struct {
 	dispatched uint64  // events popped and fired since New
 	rng        *rand.Rand
 
-	// The current Run's parameters and outcome, read and written by whichever
-	// goroutine holds the baton.
+	// The current Run's parameters and outcome.
 	limit      time.Duration
 	ctx        context.Context
-	sinceCheck int           // events since ctx was last polled
-	stopErr    error         // ctx's error, once dispatch has seen it
-	done       chan struct{} // one slot: the dispatching goroutine hands the baton back to Run or Close
+	sinceCheck int   // events since ctx was last polled
+	stopErr    error // ctx's error, once dispatch has seen it
+	next       *Proc // the process dispatch chose to run next: Run resumes it
 }
 
 // New returns an empty environment whose clock starts at zero. The seed
 // drives Env.Rand, the only source of randomness the kernel offers; two runs
 // with the same seed and the same process program are identical.
 func New(seed int64) *Env {
-	return &Env{
-		done: make(chan struct{}, 1),
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -83,7 +86,7 @@ type event struct {
 	at  time.Duration
 	seq uint64
 	p   *Proc  // non-nil: resume this process
-	fn  func() // non-nil: run inline by the dispatching goroutine (must not block)
+	fn  func() // non-nil: run inline by the dispatching party (must not block)
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
@@ -151,7 +154,8 @@ func (e *Env) at(d time.Duration) time.Duration { return e.now + d }
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan struct{}
+	resume func() (struct{}, bool) // runs the coroutine until it parks or finishes
+	yield  func(struct{}) bool     // parks the coroutine: resume returns
 	daemon bool
 
 	killed  bool  // Close is unwinding the process at its resume point
@@ -159,14 +163,14 @@ type Proc struct {
 	slot    int32 // index in Env.procs while live (32 bits: shares a word with the flags)
 }
 
-// procKilled is the panic value with which Close unwinds a process goroutine.
+// procKilled is the panic value with which Close unwinds a process.
 // The spawn wrapper recovers it and turns it into a normal process exit, so
 // the process's own defers run — the supported way to release held resources.
 type procKilled struct{ p *Proc }
 
-// SetDaemon marks the process as a daemon: a service loop (disk servicer,
-// writeback thread, sampler) that legitimately blocks forever once the
-// simulation drains. Daemons are excluded from deadlock detection.
+// SetDaemon marks the process as a daemon: a service loop (writeback
+// thread, scrubber) that legitimately blocks forever once the simulation
+// drains. Daemons are excluded from deadlock detection.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
 // Now returns the current virtual time.
@@ -191,17 +195,18 @@ func (h *Handle) Wait(p *Proc) {
 // It may be called before Run, or from inside a running process.
 func (e *Env) Go(name string, fn func(*Proc)) *Handle {
 	h := &Handle{}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	p.slot = int32(len(e.procs))
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume // wait for the first resume
-		// The final dispatch is deferred so that a process goroutine killed
-		// by runtime.Goexit (e.g. a test helper's t.Fatal/t.Skip inside the
-		// process) still hands the baton on instead of hanging the
-		// simulation. Close's procKilled panic is recovered and becomes a
-		// normal exit; any other panic is re-raised after the baton has been
-		// passed.
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// The exit is deferred so that a process that panics, calls
+		// runtime.Goexit or is unwound by Close still leaves the registry and
+		// releases its waiters. Only a process that returned dispatches on:
+		// Close's procKilled panic ends quietly, and any other panic is
+		// re-raised, which resume carries (as it does a Goexit) to Run's
+		// caller without firing another event.
+		returned := false
 		defer func() {
 			r := recover()
 			last := len(e.procs) - 1 // leave the registry: the last entry takes p's slot
@@ -214,24 +219,25 @@ func (e *Env) Go(name string, fn func(*Proc)) *Handle {
 				e.wake(w)
 			}
 			h.waiters = nil
-			e.dispatch(p) // a dead process is never resumed: this goroutine is free to exit
-			if r != nil {
-				if _, ok := r.(procKilled); !ok {
-					panic(r)
-				}
+			if _, killed := r.(procKilled); r != nil && !killed {
+				panic(r)
+			}
+			if returned {
+				e.dispatch(p) // a finished process is never resumed: its coroutine ends here
 			}
 		}()
 		if !p.killed { // closed before its first run: die without executing fn
 			fn(p)
 		}
-	}()
+		returned = true
+	})
 	e.schedule(event{at: e.now, p: p})
 	return h
 }
 
-// After schedules fn to run after d elapses, inline on whichever goroutine
-// is dispatching events at that moment (see the package comment). fn must
-// not block; use Go for anything that needs virtual time of its own.
+// After schedules fn to run after d elapses, inline in whichever process (or
+// Run) is dispatching events at that moment (see the package comment). fn
+// must not block; use Go for anything that needs to wait part-way through.
 func (e *Env) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -278,14 +284,13 @@ func (e *Env) wake(p *Proc) {
 	e.schedule(event{at: e.now, p: p})
 }
 
-// dispatch is the event loop. It is called by the goroutine that holds the
-// baton and is about to give up the CPU — self is its process, or nil for
-// Run — and fires events until one of them resumes a process. It returns
-// true when that process is self: the caller carries on without a channel
-// operation. Otherwise the baton has gone to another goroutine (the resumed
-// process, or Run/Close through done when the heap drained, the limit was
-// reached, ctx was cancelled or the environment is closing), and the caller
-// must touch nothing of the environment until its own resume arrives.
+// dispatch is the event loop. It is called by the party that is about to
+// give up the CPU — self is its process, or nil for Run — and fires events
+// until one of them resumes a process. It returns true when that process is
+// self: the caller carries on without a switch. Otherwise it has recorded the
+// process in e.next (nil when the heap drained, the limit was reached, ctx
+// was cancelled or the environment is closing), and the caller must touch
+// nothing of the environment until its own resume arrives.
 func (e *Env) dispatch(self *Proc) bool {
 	for len(e.events) > 0 && !e.closing {
 		if e.ctx != nil {
@@ -311,10 +316,9 @@ func (e *Env) dispatch(self *Proc) bool {
 		if ev.p == self {
 			return true
 		}
-		ev.p.resume <- struct{}{}
+		e.next = ev.p
 		return false
 	}
-	e.done <- struct{}{}
 	return false
 }
 
@@ -327,7 +331,7 @@ func (p *Proc) park() {
 		panic(procKilled{p})
 	}
 	if !p.env.dispatch(p) {
-		<-p.resume
+		p.yield(struct{}{})
 	}
 }
 
@@ -418,7 +422,10 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 	}
 	e.limit, e.ctx, e.sinceCheck, e.stopErr = limit, ctx, 0, nil
 	e.dispatch(nil)
-	<-e.done
+	for p := e.next; p != nil; p = e.next {
+		e.next = nil
+		p.resume()
+	}
 	e.ctx = nil
 	if e.stopErr != nil {
 		return e.now, e.stopErr
@@ -440,9 +447,8 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 // daemons, processes a limit, a cancellation or a deadlock left mid-flight,
 // processes that never started — is unwound by a panic at the point where it
 // is parked, so its defers run, one process at a time, and by the time Close
-// returns each goroutine is past its last use of the environment and about
-// to exit. No
-// event fires and no virtual time passes; a deferred function that tries to
+// returns every process's goroutine has ended. No event fires and no virtual
+// time passes; a deferred function that tries to
 // Sleep or block during the unwind is itself unwound. Close must not be
 // called from inside Run, and a closed environment must not be run again.
 // Closing twice is a no-op.
@@ -454,8 +460,7 @@ func (e *Env) Close() {
 	for len(e.procs) > 0 {
 		p := e.procs[len(e.procs)-1]
 		p.killed = true
-		p.resume <- struct{}{}
-		<-e.done // p's exit dispatch
+		p.resume()
 	}
 	e.events = nil
 }

@@ -329,8 +329,8 @@ func (c *testChan) Get(p *Proc) (any, bool) {
 	}
 	v := c.items[0]
 	c.items = c.items[1:]
-	// If items remain and other getters wait, hand the baton on so a burst
-	// of Puts wakes every waiter it can serve.
+	// If items remain and other getters wait, wake the next so a burst of
+	// Puts wakes every waiter it can serve.
 	if len(c.items) > 0 {
 		c.wakeOne()
 	}
@@ -636,6 +636,63 @@ func TestEventWaitersFireInRegistrationOrder(t *testing.T) {
 	}
 }
 
+// Process and callback waiters on one Cond fire in registration order, and a
+// callback that registers itself again takes the slots of a process that
+// waits in a loop: the twin of TestEventWaitersFireInRegistrationOrder.
+func TestCondWaitersFireInRegistrationOrder(t *testing.T) {
+	run := func(callbacks bool) []string {
+		e := New(1)
+		defer e.Close()
+		c := NewCond(e)
+		var log []string
+		note := func(who string) { log = append(log, fmt.Sprintf("%s@%v#%d", who, e.Now(), e.Events())) }
+		for i := 0; i < 4; i++ {
+			who := fmt.Sprintf("w%d", i)
+			if callbacks && i%2 == 1 {
+				woken := 0
+				var wake func()
+				wake = func() {
+					note(who)
+					if woken++; woken < 2 {
+						c.Then(wake)
+					}
+				}
+				e.After(0, func() { c.Then(wake) })
+			} else {
+				e.Go(who, func(p *Proc) {
+					for k := 0; k < 2; k++ {
+						c.Wait(p)
+						note(who)
+					}
+				})
+			}
+		}
+		e.Go("broadcaster", func(p *Proc) {
+			for k := 0; k < 2; k++ {
+				p.Sleep(time.Second)
+				c.Broadcast()
+				note("broadcast")
+			}
+		})
+		if _, err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		note("end")
+		return log
+	}
+	// Five starts, then per second the broadcaster's wakeup and the four
+	// waiters in order.
+	want := []string{
+		"broadcast@1s#6", "w0@1s#7", "w1@1s#8", "w2@1s#9", "w3@1s#10",
+		"broadcast@2s#11", "w0@2s#12", "w1@2s#13", "w2@2s#14", "w3@2s#15", "end@2s#15",
+	}
+	for _, callbacks := range []bool{false, true} {
+		if got := run(callbacks); !slices.Equal(got, want) {
+			t.Errorf("callbacks=%v: %v, want %v", callbacks, got, want)
+		}
+	}
+}
+
 func TestEventDoubleFirePanics(t *testing.T) {
 	e := New(1)
 	ev := NewEvent(e)
@@ -651,16 +708,65 @@ func TestEventDoubleFirePanics(t *testing.T) {
 	e.Run(0)
 }
 
-func TestGoexitInProcessDoesNotHangKernel(t *testing.T) {
+// A process that calls runtime.Goexit, as t.Fatal does inside one, ends the
+// goroutine that called Run without Run returning; Close afterwards releases
+// every goroutine, the parked survivor's included.
+func TestGoexitInProcessEndsRunCaller(t *testing.T) {
+	before := settledGoroutines()
 	e := New(1)
 	e.Go("dies", func(p *Proc) {
 		p.Sleep(time.Second)
-		runtime.Goexit() // simulates t.Fatal inside a process
+		runtime.Goexit()
 	})
 	e.Go("other", func(p *Proc) { p.Sleep(2 * time.Second) })
-	end, _ := e.Run(0)
-	if end != 2*time.Second {
-		t.Errorf("end = %v, want 2s", end)
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		e.Run(0)
+		returned = true
+	}()
+	<-exited
+	if returned || e.Now() != time.Second || e.Live() != 1 {
+		t.Errorf("returned=%v now=%v live=%d, want the Run goroutine gone at 1s with one process parked", returned, e.Now(), e.Live())
+	}
+	e.Close()
+	if n := settledGoroutines(); n != before || e.Live() != 0 {
+		t.Errorf("%d goroutines and %d processes after Close, started with %d goroutines", n, e.Live(), before)
+	}
+}
+
+// A panic in a process, and one in an After callback that fires while a
+// process is dispatching, each reach Run's caller, where recover sees it;
+// Close then releases every goroutine.
+func TestPanicSurfacesFromRun(t *testing.T) {
+	before := settledGoroutines()
+	for _, where := range []string{"process", "callback"} {
+		e := New(1)
+		e.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+		e.Go("victim", func(p *Proc) {
+			p.Sleep(time.Second)
+			if where == "process" {
+				panic("boom in process")
+			}
+			e.After(0, func() { panic("boom in callback") })
+			p.Sleep(time.Second) // fires the callback on this process's stack
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			e.Run(0)
+			return nil
+		}()
+		if want := "boom in " + where; got != want || e.Now() != time.Second {
+			t.Errorf("recovered %v at %v, want %q at 1s", got, e.Now(), want)
+		}
+		e.Close()
+		if e.Live() != 0 {
+			t.Errorf("%s: %d processes live after Close", where, e.Live())
+		}
+	}
+	if n := settledGoroutines(); n != before {
+		t.Errorf("%d goroutines after Close, started with %d", n, before)
 	}
 }
 
@@ -838,8 +944,8 @@ func randomOpsTrace(seed int64) (hash uint64, end time.Duration, events uint64) 
 }
 
 // The sequences below were recorded from the kernel-goroutine implementation
-// this one replaced (commit 0a8eecc): baton passing must fire events in the
-// same order, not merely a deterministic one.
+// this one replaced (commit 0a8eecc): dispatching from whichever process
+// yields must fire events in the same order, not merely a deterministic one.
 func TestEventOrderMatchesRecordedKernel(t *testing.T) {
 	for _, want := range []struct {
 		seed   int64
@@ -917,8 +1023,8 @@ func TestRunContextCancelledFromProcess(t *testing.T) {
 }
 
 func TestLastProcessFinishingEndsRun(t *testing.T) {
-	// The last live process exits while it holds the baton: its exit
-	// dispatch finds the heap empty and must wake Run.
+	// The last live process exits while it is running: its exit dispatch
+	// finds the heap empty and must end Run.
 	e := New(1)
 	defer e.Close()
 	e.Go("only", func(p *Proc) { p.Sleep(time.Second) })
@@ -942,9 +1048,8 @@ func TestReentrantRunPanics(t *testing.T) {
 	}
 }
 
-// settledGoroutines counts goroutines once the count has stopped moving: a
-// process goroutine hands the baton on a few instructions before it exits,
-// so a count taken right after Run or Close can still include it.
+// settledGoroutines counts goroutines once the count has stopped moving, so
+// that a goroutine this test started and is still exiting is not counted.
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
 	for stable := 0; stable < 20; stable++ {

@@ -146,7 +146,7 @@ func Replay(recs []Record, dev string, p disk.Params) (*ReplayResult, error) {
 	}
 
 	env := sim.New(1)
-	defer env.Close() // the disk's servicer outlives the replay
+	defer env.Close() // unwinds the replay process if Run ends early (a panic)
 	d := disk.New(env, p)
 	var reqs []*disk.Request
 	env.Go("replay", func(pr *sim.Proc) {
