@@ -965,6 +965,170 @@ func TestEventOrderMatchesRecordedKernel(t *testing.T) {
 	}
 }
 
+// presentOpsTrace runs a program made mostly of work due at the current
+// instant — After(0) chains, Sleep(0), Event and Cond callbacks registered
+// among process waiters on the same event, Resource hand-offs that take no
+// time, Go from inside a process — beside 1 µs steps that move the clock, so
+// at every instant events scheduled earlier meet events scheduled now. Every
+// step is folded into one hash, and the operations are drawn from Env.Rand
+// as the run proceeds (in callbacks too), so one event fired out of order
+// changes every later draw. The run is sliced by Run(limit) calls, one of
+// them repeated, with a process spawned between two slices, then finished.
+func presentOpsTrace(seed int64) (hash uint64, end time.Duration, events uint64) {
+	e := New(seed)
+	defer e.Close()
+	h := fnv.New64a()
+	step := func(who, op int) {
+		var b [24]byte
+		binary.LittleEndian.PutUint64(b[0:], uint64(who))
+		binary.LittleEndian.PutUint64(b[8:], uint64(op))
+		binary.LittleEndian.PutUint64(b[16:], uint64(e.Now()))
+		h.Write(b[:])
+	}
+	res := NewResource(e, "r", 2)
+	cond := NewCond(e)
+	ev := NewEvent(e)
+	var chain func(who, left int)
+	chain = func(who, left int) {
+		step(who, 100+left)
+		if left > 0 {
+			e.After(0, func() { chain(who, left-1) })
+		}
+	}
+	const workers, opsEach = 6, 90
+	running := workers
+	for w := 0; w < workers; w++ {
+		w := w
+		e.Go("worker", func(p *Proc) {
+			for i := 0; i < opsEach; i++ {
+				rng := e.Rand()
+				switch op := rng.Intn(10); op {
+				case 0:
+					p.Sleep(0)
+					step(w, op)
+				case 1:
+					n := rng.Intn(3)
+					e.After(0, func() { chain(300+w, n) })
+				case 2:
+					ev.Wait(p)
+					step(w, op)
+				case 3:
+					ev.Then(func() { step(400+w, e.Rand().Intn(4)) })
+				case 4:
+					cond.Wait(p)
+					step(w, op)
+				case 5:
+					cond.Then(func() { chain(500+w, e.Rand().Intn(2)) })
+				case 6:
+					res.Use(p, 1+rng.Intn(2), 0)
+					step(w, op)
+				case 7:
+					child := e.Go("child", func(c *Proc) {
+						c.Sleep(0)
+						res.Use(c, 1, 0)
+						step(600+w, 0)
+						e.After(0, func() { step(700+w, 0) })
+					})
+					if rng.Intn(2) == 0 {
+						child.Wait(p)
+						step(w, op)
+					}
+				case 8:
+					p.Sleep(time.Microsecond)
+					step(w, op)
+				case 9:
+					d := time.Duration(rng.Intn(3)) * time.Microsecond
+					e.After(d, func() { step(800+w, int(d)) })
+				}
+			}
+			running--
+		})
+	}
+	// The ticker releases each Event and the Cond once a microsecond while
+	// any worker might be waiting on them; it fires with waiters of both
+	// kinds registered in between its own wakeups.
+	e.Go("ticker", func(p *Proc) {
+		for running > 0 {
+			p.Sleep(time.Microsecond)
+			fired := ev
+			ev = NewEvent(e)
+			fired.Fire()
+			cond.Broadcast()
+			step(900, 0)
+		}
+	})
+	for i, limit := range []time.Duration{1, 1, 3, 4, 9, 17, 30} {
+		if i == 2 {
+			e.Go("between", func(p *Proc) { p.Sleep(0); step(1000, 0) })
+		}
+		at, err := e.Run(limit * time.Microsecond)
+		if err != nil {
+			panic(err)
+		}
+		step(1100+i, int(at))
+	}
+	end, err := e.Run(0)
+	if err != nil {
+		panic(err)
+	}
+	return h.Sum64(), end, e.Events()
+}
+
+// Pins the kernel's order where most events are due at the instant they are
+// scheduled, the case a kernel may serve without its heap. The sequences
+// were recorded from the heap-only kernel.
+func TestPresentEventOrderPinned(t *testing.T) {
+	for _, want := range []struct {
+		seed   int64
+		hash   uint64
+		end    time.Duration
+		events uint64
+	}{
+		{1, 0x9d72ed5a583d79c3, 32 * time.Microsecond, 879},
+		{2, 0xbd7571ac3ea7987d, 32 * time.Microsecond, 919},
+		{3, 0x1e1363d02ce6d076, 30 * time.Microsecond, 908},
+	} {
+		hash, end, events := presentOpsTrace(want.seed)
+		if hash != want.hash || end != want.end || events != want.events {
+			t.Errorf("seed %d: trace %#x ending at %v after %d events, recorded %#x at %v after %d",
+				want.seed, hash, end, events, want.hash, want.end, want.events)
+		}
+	}
+}
+
+// Close with events due now — callbacks, a fired Event's and a broadcast
+// Cond's waiters, a never-started process and one woken from a Cond — fires
+// none of them: only the woken process's defers run, as the unwind.
+func TestCloseRunsNothingPending(t *testing.T) {
+	e := New(1)
+	c := NewCond(e)
+	ev := NewEvent(e)
+	var ran []string
+	note := func(what string) func() { return func() { ran = append(ran, what) } }
+	unwound := false
+	e.Go("waiter", func(p *Proc) {
+		defer func() { unwound = true }()
+		c.Wait(p)
+		ran = append(ran, "waiter resumed")
+	})
+	e.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+	if _, err := e.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Events()
+	e.After(0, note("after"))
+	ev.Then(note("event callback"))
+	c.Then(note("cond callback"))
+	ev.Fire()
+	c.Broadcast()
+	e.Go("never-started", func(p *Proc) { ran = append(ran, "never-started") })
+	e.Close()
+	if len(ran) != 0 || !unwound || e.Events() != before || e.Live() != 0 || e.Now() != time.Second {
+		t.Errorf("Close ran %v (unwound=%v, %d events fired, %d live, now %v); want nothing run, the waiter unwound, no event, no process, 1s",
+			ran, unwound, e.Events()-before, e.Live(), e.Now())
+	}
+}
+
 func TestRunLimitStopsMidSleep(t *testing.T) {
 	// The limit falls inside the only process's Sleep: the process is its own
 	// dispatcher when the limit stops the run, and a later Run must finish
