@@ -182,9 +182,9 @@ type Request struct {
 	Count  int   // sectors
 	Stage  Stage // pipeline stage of the first (absorbing) sub-request
 
-	arrived     time.Duration
-	subArrivals []time.Duration // arrival times of merged sub-requests
-	completion  *sim.Event
+	arrived    time.Duration
+	merged     int       // sub-requests merged into this one
+	completion sim.Event // fired once, for the request and every merged part
 }
 
 // end returns the first sector past the request.
@@ -344,14 +344,8 @@ func (d *Disk) SubmitStaged(op Op, sector int64, count int, stage Stage) *Reques
 			return r
 		}
 	}
-	r := &Request{
-		Op:         op,
-		Sector:     sector,
-		Count:      count,
-		Stage:      stage,
-		arrived:    d.env.Now(),
-		completion: sim.NewEvent(d.env),
-	}
+	r := &Request{Op: op, Sector: sector, Count: count, Stage: stage, arrived: d.env.Now()}
+	r.completion.Init(d.env)
 	d.queue = append(d.queue, r)
 	d.work.Broadcast()
 	return r
@@ -367,14 +361,14 @@ func (d *Disk) tryMerge(op Op, sector int64, count int) *Request {
 		}
 		if q.end() == sector { // back merge
 			q.Count += count
-			q.subArrivals = append(q.subArrivals, d.env.Now())
+			q.merged++
 			d.bumpMerge(op)
 			return q
 		}
 		if sector+int64(count) == q.Sector { // front merge
 			q.Sector = sector
 			q.Count += count
-			q.subArrivals = append(q.subArrivals, d.env.Now())
+			q.merged++
 			d.bumpMerge(op)
 			return q
 		}
@@ -533,7 +527,7 @@ func (d *Disk) complete(r *Request, start time.Duration) {
 		d.stats.SectorsWritten += uint64(r.Count)
 		d.stats.TimeWriting += residence
 	}
-	d.inflight -= 1 + len(r.subArrivals)
+	d.inflight -= 1 + r.merged
 	if len(d.obs) != 0 {
 		c := Completion{
 			Op:      r.Op,

@@ -141,6 +141,33 @@ func TestFrontMerge(t *testing.T) {
 	}
 }
 
+// A request is one object, its completion event inside it, and a request
+// that merges into a queued one allocates nothing.
+func TestSubmitAllocations(t *testing.T) {
+	env := sim.New(1)
+	defer env.Close()
+	d := newTestDisk(env)
+	sector := int64(0)
+	alone := testing.AllocsPerRun(100, func() {
+		sector += 1 << 16
+		d.Submit(Read, sector, 8)
+		env.Run(0)
+	})
+	withMerges := testing.AllocsPerRun(100, func() {
+		sector += 1 << 16
+		for i := int64(0); i < 4; i++ {
+			d.Submit(Write, sector+8*i, 8)
+		}
+		env.Run(0)
+	})
+	if alone != 1 || withMerges != 1 {
+		t.Errorf("Submit allocates %v objects for a request alone and %v for one that three more merge into, want 1 and 1", alone, withMerges)
+	}
+	if s := d.Stats(); s.WritesCompleted != 101 || s.WritesMerged != 303 || d.InFlight() != 0 {
+		t.Errorf("%d writes completed, %d merged, %d in flight; want 101, 303, 0", s.WritesCompleted, s.WritesMerged, d.InFlight())
+	}
+}
+
 func TestMergeRespectsMaxRequestSize(t *testing.T) {
 	env := sim.New(1)
 	p := SeagateST1000NM0011()

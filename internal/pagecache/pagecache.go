@@ -308,32 +308,32 @@ func (c *Cache) Read(p *sim.Proc, rs *ReadState, sector int64, nsect int, stage 
 	}
 
 	// Collect misses in [first, last), then fetch each contiguous miss run
-	// with one submission (the block layer may merge runs further).
-	var waits []*sim.Event
+	// with one submission (the block layer may merge runs further). The
+	// waits stay on the stack unless there are more than a few.
+	var buf [4]*sim.Event
+	waits := buf[:0]
 	runStart := int64(-1)
-	flushRun := func(end int64) {
-		if runStart < 0 {
-			return
-		}
-		ev := c.fetch(runStart, end, stage)
-		waits = append(waits, ev)
-		runStart = -1
-	}
 	for n := first; n < last; n++ {
-		if pg := c.lookup(n); pg != nil {
-			c.stats.Hits++
-			if pg.pending != nil {
-				waits = append(waits, pg.pending)
+		pg := c.lookup(n)
+		if pg == nil {
+			c.stats.Misses++
+			if runStart < 0 {
+				runStart = n
 			}
-			flushRun(n)
 			continue
 		}
-		c.stats.Misses++
-		if runStart < 0 {
-			runStart = n
+		c.stats.Hits++
+		if pg.pending != nil {
+			waits = append(waits, pg.pending)
+		}
+		if runStart >= 0 {
+			waits = append(waits, c.fetch(runStart, n, stage))
+			runStart = -1
 		}
 	}
-	flushRun(last)
+	if runStart >= 0 {
+		waits = append(waits, c.fetch(runStart, last, stage))
+	}
 
 	// Asynchronous readahead beyond the demanded range.
 	if ra > 0 {
@@ -362,33 +362,53 @@ func (c *Cache) Read(p *sim.Proc, rs *ReadState, sector int64, nsect int, stage 
 	}
 }
 
+// fill is a fetch in flight, its one allocation besides the disk request:
+// pages [first, last) are pending on ev until req completes.
+type fill struct {
+	ev          sim.Event
+	c           *Cache
+	req         *disk.Request
+	first, last int64
+	step        func() // f.run, bound once
+	registered  bool   // run has registered step on req's completion
+}
+
 // fetch inserts pending pages [first,last) and submits one disk read for
 // them, returning the completion event. Pages become clean residents once
 // the read completes.
 func (c *Cache) fetch(first, last int64, stage disk.Stage) *sim.Event {
-	ev := sim.NewEvent(c.env)
+	f := &fill{c: c, first: first, last: last}
+	f.ev.Init(c.env)
 	for n := first; n < last; n++ {
 		pg := c.newPage(n)
 		pg.stage = stage
-		pg.pending = ev
+		pg.pending = &f.ev
 		c.insert(pg)
 	}
-	req := c.d.SubmitStaged(disk.Read, first*PageSectors, int(last-first)*PageSectors, stage)
+	f.req = c.d.SubmitStaged(disk.Read, first*PageSectors, int(last-first)*PageSectors, stage)
 	// The fill is a callback on req's completion, registered from a
 	// zero-delay callback: the registration takes the event slot a fill
 	// process's first resume took, and the fill the slot of that process's
 	// wakeup, so the event sequence is the one fill processes produced.
-	c.env.After(0, func() {
-		c.d.OnComplete(req, func() {
-			for n := first; n < last; n++ {
-				if pg := c.pages.get(n); pg != nil && pg.pending == ev {
-					pg.pending = nil
-				}
-			}
-			ev.Fire()
-		})
-	})
-	return ev
+	f.step = f.run
+	c.env.After(0, f.step)
+	return &f.ev
+}
+
+// run is both of a fill's callbacks: the first registers the second on req's
+// completion, which settles the pages still pending on f and fires f.ev.
+func (f *fill) run() {
+	if !f.registered {
+		f.registered = true
+		f.c.d.OnComplete(f.req, f.step)
+		return
+	}
+	for n := f.first; n < f.last; n++ {
+		if pg := f.c.pages.get(n); pg != nil && pg.pending == &f.ev {
+			pg.pending = nil
+		}
+	}
+	f.ev.Fire()
 }
 
 // Write dirties the covered pages without touching the disk. If the dirty

@@ -42,6 +42,33 @@ func TestColdReadMissesThenHits(t *testing.T) {
 	}
 }
 
+// A miss allocates its fill record, the callback bound to it and the disk
+// request, and nothing per page once the cache is full (evicted page structs
+// are recycled): at most three objects for a cold one-page Read.
+func TestColdReadAllocationsPerMiss(t *testing.T) {
+	env, _, c := rig(8, DefaultOptions())
+	defer env.Close()
+	var perRead float64
+	env.Go("r", func(p *sim.Proc) {
+		page := int64(0)
+		read := func() {
+			c.Read(p, nil, page*PageSectors, PageSectors, disk.StageNone)
+			page++
+		}
+		for page < 8 {
+			read()
+		}
+		perRead = testing.AllocsPerRun(100, read)
+	})
+	if _, err := env.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%v objects allocated per one-page Read", perRead)
+	if s := c.Stats(); perRead > 3 || s.Misses != 109 || s.Hits != 0 {
+		t.Errorf("%v objects allocated per one-page Read over %d misses and %d hits, want ≤ 3 over 109 misses", perRead, s.Misses, s.Hits)
+	}
+}
+
 func TestWriteIsCacheOnlyUntilSync(t *testing.T) {
 	env, d, c := rig(4096, DefaultOptions())
 	env.Go("w", func(p *sim.Proc) {

@@ -105,6 +105,32 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelPresent measures events due at the instant they are
+// scheduled — about half of io_storm's — beside the ~100 outstanding future
+// timers io_storm's heap holds: two procs hand a single unit back and forth
+// at one instant, each Sleep(0) a self-resume and each Release a wake.
+func BenchmarkKernelPresent(b *testing.B) {
+	env := New(1)
+	for i := 0; i < 100; i++ {
+		env.After(time.Hour+time.Duration(i), func() {})
+	}
+	res := NewResource(env, "unit", 1)
+	worker := func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			res.Acquire(p, 1)
+			p.Sleep(0)
+			res.Release(1)
+		}
+	}
+	env.Go("a", worker)
+	env.Go("b", worker)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := env.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkKernelCallbackUnderProcess measures callbacks fired from a process
 // stack: a sleeping proc whose every wake-up is preceded by one After
 // callback, the shape of a disk completion racing a task's timer.

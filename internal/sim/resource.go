@@ -96,7 +96,7 @@ func (r *Resource) BusyTime() time.Duration {
 // Cond is a broadcast condition variable in virtual time.
 type Cond struct {
 	env     *Env
-	waiters []waiter // in registration order
+	waiters waitList
 }
 
 // NewCond creates a condition variable.
@@ -105,20 +105,17 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 // Wait blocks p until the next Broadcast. As with sync.Cond, callers should
 // re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, waiter{p: p})
+	c.waiters.add(waiter{p: p})
 	p.block()
 }
 
 // Then registers fn to run at the next Broadcast, in the event slot a
 // process waiting from this moment would be resumed in (see Event.Then).
 // fn must not block; a callback that waits again registers itself again.
-func (c *Cond) Then(fn func()) { c.waiters = append(c.waiters, waiter{fn: fn}) }
+func (c *Cond) Then(fn func()) { c.waiters.add(waiter{fn: fn}) }
 
 // Broadcast wakes every waiter.
-func (c *Cond) Broadcast() {
-	c.env.release(c.waiters)
-	c.waiters = nil
-}
+func (c *Cond) Broadcast() { c.waiters.release(c.env) }
 
 // Event is a one-shot completion event: processes Wait on it, callbacks are
 // registered with Then, and a single Fire releases them all. Waiting on an
@@ -127,7 +124,7 @@ func (c *Cond) Broadcast() {
 type Event struct {
 	env     *Env
 	fired   bool
-	waiters []waiter // in registration order
+	waiters waitList
 }
 
 // waiter is a process to resume (p) or a callback to run (fn).
@@ -136,27 +133,51 @@ type waiter struct {
 	fn func()
 }
 
-// release schedules every waiter at the current time, in order: a process's
-// resume, or a callback in the slot that resume would take.
-func (e *Env) release(ws []waiter) {
-	for _, w := range ws {
-		if w.p != nil {
-			e.wake(w.p)
-		} else {
-			e.After(0, w.fn)
-		}
+// waitList holds waiters in registration order: the first inline, the rest
+// in more. Most lists never hold a second, so waiting costs no allocation.
+type waitList struct {
+	first waiter
+	more  []waiter
+}
+
+func (l *waitList) add(w waiter) {
+	if l.first.p == nil && l.first.fn == nil {
+		l.first = w
+	} else {
+		l.more = append(l.more, w)
 	}
 }
 
-// NewEvent creates an unfired event.
-func NewEvent(env *Env) *Event { return &Event{env: env} }
+// release schedules every waiter at the current time, in order — a process's
+// resume, or a callback in the slot that resume would take — and empties the
+// list, keeping the overflow's array for the next round.
+func (l *waitList) release(e *Env) {
+	for i := -1; i < len(l.more); i++ {
+		w := l.first
+		if i >= 0 {
+			w = l.more[i]
+		}
+		if w.p != nil {
+			e.wake(w.p)
+		} else if w.fn != nil {
+			e.After(0, w.fn)
+		}
+	}
+	l.first = waiter{}
+	clear(l.more)
+	l.more = l.more[:0]
+}
+
+// Init makes ev an unfired event of env, in place: an Event lives inside
+// the record of the operation it completes.
+func (ev *Event) Init(env *Env) { *ev = Event{env: env} }
 
 // Wait blocks p until the event fires.
 func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, waiter{p: p})
+	ev.waiters.add(waiter{p: p})
 	p.block()
 }
 
@@ -170,7 +191,7 @@ func (ev *Event) Then(fn func()) {
 		fn()
 		return
 	}
-	ev.waiters = append(ev.waiters, waiter{fn: fn})
+	ev.waiters.add(waiter{fn: fn})
 }
 
 // Fire marks the event fired and releases all waiters in registration
@@ -181,6 +202,5 @@ func (ev *Event) Fire() {
 		panic("sim: Event fired twice")
 	}
 	ev.fired = true
-	ev.env.release(ev.waiters)
-	ev.waiters = nil
+	ev.waiters.release(ev.env)
 }

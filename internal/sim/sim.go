@@ -12,7 +12,11 @@
 // resumes it: a coroutine switch out and one in, neither through the Go
 // scheduler. Events with equal timestamps fire in the order they were
 // scheduled, so a simulation is fully deterministic for a given program and
-// seed.
+// seed. A heap keeps that (time, seq) order for events due later; an event
+// due at the instant it is scheduled (a wake, Sleep(0), After(0), a released
+// waiter) skips it for a FIFO. An Event's or Cond's first waiter is held
+// inline, so one waiter costs no allocation, and an Event can live inside
+// the record of the operation it completes (Event.Init).
 //
 // An activity that never waits in the middle of its work needs no stack of
 // its own: it is an After chain, or a callback on an Event or Cond (Then),
@@ -50,10 +54,12 @@ import (
 type Env struct {
 	now        time.Duration
 	seq        uint64
-	events     eventHeap
+	events     eventHeap // events that were due after the clock's reading when scheduled
+	present    []event   // events that were due at it: all due now, in seq order
+	head       int       // present[head:] are pending; the slice resets when they run out
 	running    bool
 	closing    bool    // Close has begun: dispatch fires nothing, park panics procKilled
-	blocked    int     // non-daemon processes waiting on a wakeup that is NOT in the event heap
+	blocked    int     // non-daemon processes waiting on a wakeup that is NOT queued
 	procs      []*Proc // spawned processes that have not finished; Proc.slot is the index
 	dispatched uint64  // events popped and fired since New
 	rng        *rand.Rand
@@ -97,12 +103,9 @@ type event struct {
 // scheduling path allocation-free apart from amortized slice growth.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (a *event) before(b *event) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 // push appends ev and restores the heap invariant (sift-up).
 func (h *eventHeap) push(ev event) {
@@ -147,8 +150,35 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-func (e *Env) schedule(ev event)                { ev.seq = e.seq; e.seq++; e.events.push(ev) }
 func (e *Env) at(d time.Duration) time.Duration { return e.now + d }
+
+// schedule gives ev the next seq and queues it, an event due now at the back
+// of present. (at, seq) order holds across both queues: an event in present
+// has a larger seq than any in the heap due now, and the clock cannot
+// advance while present holds one.
+func (e *Env) schedule(ev event) {
+	ev.seq = e.seq
+	e.seq++
+	if ev.at == e.now {
+		e.present = append(e.present, ev)
+	} else {
+		e.events.push(ev)
+	}
+}
+
+// pop removes the earliest pending event by (at, seq): the heap's top or
+// present's head.
+func (e *Env) pop() event {
+	if len(e.present) == 0 || len(e.events) > 0 && e.events[0].before(&e.present[e.head]) {
+		return e.events.pop()
+	}
+	ev := e.present[e.head]
+	e.present[e.head] = event{} // drop references held by the vacated slot
+	if e.head++; e.head == len(e.present) {
+		e.present, e.head = e.present[:0], 0
+	}
+	return ev
+}
 
 // Proc is the handle a running process uses to interact with virtual time.
 type Proc struct {
@@ -159,7 +189,7 @@ type Proc struct {
 	daemon bool
 
 	killed  bool  // Close is unwinding the process at its resume point
-	blocked bool  // parked on a wait list, with no wakeup in the event heap
+	blocked bool  // parked on a wait list, with no wakeup queued
 	slot    int32 // index in Env.procs while live (32 bits: shares a word with the flags)
 }
 
@@ -288,11 +318,11 @@ func (e *Env) wake(p *Proc) {
 // give up the CPU — self is its process, or nil for Run — and fires events
 // until one of them resumes a process. It returns true when that process is
 // self: the caller carries on without a switch. Otherwise it has recorded the
-// process in e.next (nil when the heap drained, the limit was reached, ctx
+// process in e.next (nil when no event was left, the limit was reached, ctx
 // was cancelled or the environment is closing), and the caller must touch
 // nothing of the environment until its own resume arrives.
 func (e *Env) dispatch(self *Proc) bool {
-	for len(e.events) > 0 && !e.closing {
+	for len(e.events)+len(e.present) > 0 && !e.closing {
 		if e.ctx != nil {
 			if e.sinceCheck++; e.sinceCheck >= cancelStride {
 				e.sinceCheck = 0
@@ -301,10 +331,14 @@ func (e *Env) dispatch(self *Proc) bool {
 				}
 			}
 		}
-		ev := e.events.pop()
+		ev := e.pop()
 		if e.limit > 0 && ev.at > e.limit {
 			e.now = e.limit
 			e.events.push(ev)
+			for _, ev := range e.present[e.head:] { // only a limit behind the clock leaves any
+				e.events.push(ev)
+			}
+			e.present, e.head = e.present[:0], 0
 			break
 		}
 		e.now = ev.at
@@ -362,7 +396,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 }
 
-// DeadlockError reports a simulation deadlock: the event heap drained while
+// DeadlockError reports a simulation deadlock: the event queues drained while
 // non-daemon processes remained blocked with no pending wakeup. Blocked
 // lists the stuck processes' names, sorted, so a harness can record the
 // deadlock as a finding instead of crashing.
@@ -382,7 +416,7 @@ func (d *DeadlockError) Error() string {
 	return b.String()
 }
 
-// Run executes the simulation until the event heap is empty or until limit
+// Run executes the simulation until no event is left or until limit
 // (if positive) is reached. It returns the final virtual time. If processes
 // remain blocked with no pending events — a simulation deadlock — Run
 // returns a *DeadlockError naming them.
@@ -430,7 +464,7 @@ func (e *Env) run(ctx context.Context, limit time.Duration) (time.Duration, erro
 	if e.stopErr != nil {
 		return e.now, e.stopErr
 	}
-	if len(e.events) == 0 && e.blocked > 0 {
+	if len(e.events)+len(e.present) == 0 && e.blocked > 0 {
 		var names []string
 		for _, p := range e.procs {
 			if p.blocked && !p.daemon {
@@ -462,7 +496,7 @@ func (e *Env) Close() {
 		p.killed = true
 		p.resume()
 	}
-	e.events = nil
+	e.events, e.present, e.head = nil, nil, 0
 }
 
 // Live returns the number of spawned processes that have not finished.

@@ -550,9 +550,17 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
+// newEvent returns an unfired event of its own, for tests that share one
+// between processes by pointer.
+func newEvent(e *Env) *Event {
+	ev := new(Event)
+	ev.Init(e)
+	return ev
+}
+
 func TestEventWakesAllWaiters(t *testing.T) {
 	e := New(1)
-	ev := NewEvent(e)
+	ev := newEvent(e)
 	woke := 0
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *Proc) {
@@ -575,7 +583,7 @@ func TestEventWakesAllWaiters(t *testing.T) {
 
 func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	e := New(1)
-	ev := NewEvent(e)
+	ev := newEvent(e)
 	e.Go("p", func(p *Proc) {
 		ev.Fire()
 		before := p.Now()
@@ -599,7 +607,7 @@ func TestEventWaitersFireInRegistrationOrder(t *testing.T) {
 	run := func(callbacks bool) []string {
 		e := New(1)
 		defer e.Close()
-		ev := NewEvent(e)
+		ev := newEvent(e)
 		var log []string
 		note := func(who string) { log = append(log, fmt.Sprintf("%s@%v#%d", who, e.Now(), e.Events())) }
 		for i := 0; i < 4; i++ {
@@ -693,9 +701,39 @@ func TestCondWaitersFireInRegistrationOrder(t *testing.T) {
 	}
 }
 
+// An Event's only waiter, a process or a callback, is held inline: waiting
+// costs no allocation. (Scheduling reuses the queues' arrays, which the
+// warm-up run of AllocsPerRun grows.)
+func TestOneWaiterAllocatesNothing(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var ev Event
+	fire, noop := ev.Fire, func() {}
+	var wait float64
+	e.Go("waiter", func(p *Proc) {
+		wait = testing.AllocsPerRun(100, func() {
+			ev.Init(e)
+			e.After(0, fire)
+			ev.Wait(p)
+		})
+	})
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	then := testing.AllocsPerRun(100, func() {
+		ev.Init(e)
+		ev.Then(noop)
+		e.After(0, fire)
+		e.Run(0)
+	})
+	if wait != 0 || then != 0 {
+		t.Errorf("one waiter allocates %v objects by Wait and %v by Then, want 0", wait, then)
+	}
+}
+
 func TestEventDoubleFirePanics(t *testing.T) {
 	e := New(1)
-	ev := NewEvent(e)
+	ev := newEvent(e)
 	e.Go("p", func(p *Proc) {
 		ev.Fire()
 		defer func() {
@@ -987,7 +1025,7 @@ func presentOpsTrace(seed int64) (hash uint64, end time.Duration, events uint64)
 	}
 	res := NewResource(e, "r", 2)
 	cond := NewCond(e)
-	ev := NewEvent(e)
+	ev := newEvent(e)
 	var chain func(who, left int)
 	chain = func(who, left int) {
 		step(who, 100+left)
@@ -1051,7 +1089,7 @@ func presentOpsTrace(seed int64) (hash uint64, end time.Duration, events uint64)
 		for running > 0 {
 			p.Sleep(time.Microsecond)
 			fired := ev
-			ev = NewEvent(e)
+			ev = newEvent(e)
 			fired.Fire()
 			cond.Broadcast()
 			step(900, 0)
@@ -1102,7 +1140,7 @@ func TestPresentEventOrderPinned(t *testing.T) {
 func TestCloseRunsNothingPending(t *testing.T) {
 	e := New(1)
 	c := NewCond(e)
-	ev := NewEvent(e)
+	ev := newEvent(e)
 	var ran []string
 	note := func(what string) func() { return func() { ran = append(ran, what) } }
 	unwound := false
