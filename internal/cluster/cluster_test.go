@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +139,71 @@ func TestSyncAllFlushesDirtyPages(t *testing.T) {
 		}
 	})
 	env.Run(0)
+}
+
+// A testbed that has run to completion leaves no process and no goroutine
+// behind, and nothing outside it keeps it reachable: dropped without Close,
+// it is collected. Every page cache, disk and node points at the
+// environment, so the environment's finalizer runs only once they are all
+// garbage.
+func TestFinishedTestbedIsCollectable(t *testing.T) {
+	before := settledGoroutines()
+	collected := make(chan struct{})
+	if live := runWithoutClose(t, collected); live != 0 {
+		t.Errorf("%d processes live after the run, want 0", live)
+	}
+	if n := settledGoroutines(); n != before {
+		t.Errorf("%d goroutines after the run, started with %d", n, before)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the finished testbed is still reachable after garbage collection")
+		}
+	}
+}
+
+// runWithoutClose builds a two-slave testbed, dirties every MR volume's
+// cache, syncs, runs the simulation dry and drops the testbed without
+// Close, returning how many processes it left. collected is closed when the
+// testbed's environment is collected.
+func runWithoutClose(t *testing.T, collected chan struct{}) int {
+	env := sim.New(1)
+	runtime.SetFinalizer(env, func(*sim.Env) { close(collected) })
+	c, err := New(env, DefaultHardware(1024), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Go("w", func(p *sim.Proc) {
+		for _, s := range c.Slaves {
+			for _, v := range s.MRVols {
+				v.Create("x").Append(p, make([]byte, 64<<10))
+			}
+		}
+		c.SyncAll(p)
+	})
+	if _, err := env.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	return env.Live()
+}
+
+// settledGoroutines counts goroutines once the count has stopped moving: a
+// process goroutine signals its exit a few instructions before it is gone.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 20; stable++ {
+		time.Sleep(100 * time.Microsecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+		}
+	}
+	return n
 }
 
 func TestNodesShareNetwork(t *testing.T) {

@@ -351,10 +351,10 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 	}
 	wl := w.program()
 	env := sim.New(opts.Seed)
-	// The testbed's daemons (writeback threads; heartbeats and journal
-	// daemons when enabled) never finish on their own, and a cancelled run leaves every process
-	// mid-flight: unwind them all on every return path, after the report has
-	// been read out of the testbed.
+	// The testbed's daemon processes (heartbeats, journal daemons and the
+	// scrubber, when enabled) never finish on their own, and a cancelled run
+	// leaves every process mid-flight: unwind them all on every return path,
+	// after the report has been read out of the testbed.
 	defer env.Close()
 	hw := cluster.DefaultHardware(opts.Scale).WithMemoryGB(f.MemoryGB)
 	hw.Racks = opts.Racks

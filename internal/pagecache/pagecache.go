@@ -216,7 +216,7 @@ type Cache struct {
 	free     *page   // recycled page structs, linked through next
 	dirty    int
 
-	kick  *sim.Cond // unparks the writeback daemon when pages first dirty
+	kick  *sim.Cond // wakes the background flusher when pages first dirty
 	stats Stats
 }
 
@@ -234,8 +234,12 @@ func (c *Cache) newPage(n int64) *page {
 }
 
 // New creates a cache of capacityPages pages backed by d and starts its
-// writeback daemon. opts is taken as given: start from DefaultOptions.
+// background flusher. opts is taken as given: start from DefaultOptions. It
+// panics on a non-positive WritebackInterval, which would spin the flusher.
 func New(env *sim.Env, d *disk.Disk, capacityPages int, opts Options) *Cache {
+	if opts.WritebackInterval <= 0 {
+		panic("pagecache: non-positive WritebackInterval")
+	}
 	if capacityPages < 8 {
 		capacityPages = 8
 	}
@@ -246,10 +250,9 @@ func New(env *sim.Env, d *disk.Disk, capacityPages int, opts Options) *Cache {
 		capacity: capacityPages,
 		kick:     sim.NewCond(env),
 	}
-	env.Go("writeback:"+d.P.Name, func(p *sim.Proc) {
-		p.SetDaemon(true)
-		c.writebackLoop(p)
-	})
+	w := &writeback{c: c}
+	w.stepFn = w.step
+	env.After(0, w.stepFn)
 	return c
 }
 
@@ -442,7 +445,7 @@ func (c *Cache) Write(p *sim.Proc, sector int64, nsect int, stage disk.Stage) {
 	// scarce.
 	if float64(c.dirty) > c.opts.DirtyHardRatio*float64(c.capacity) {
 		c.stats.ThrottleStalls++
-		c.flushDown(p, int(c.opts.DirtyHardRatio*float64(c.capacity)/2))
+		c.flushAndWait(p, int(c.opts.DirtyHardRatio*float64(c.capacity)/2))
 	}
 }
 
@@ -550,49 +553,90 @@ func (c *Cache) writeRun(start int64, pages int, stage disk.Stage) *disk.Request
 	return c.d.SubmitStaged(disk.Write, start*PageSectors, pages*PageSectors, stage)
 }
 
-// writebackLoop is the background flusher. It parks on a condition while the
-// cache is fully clean (so a drained simulation can terminate), and while
-// dirty pages exist it wakes every WritebackInterval; when the dirty ratio
-// exceeds the background threshold it flushes clustered runs until back
-// under half the threshold. Dirty pages below the threshold are left to age
-// — they are either discarded with their file or flushed by Sync.
-func (c *Cache) writebackLoop(p *sim.Proc) {
-	for {
-		for c.dirty == 0 {
-			c.kick.Wait(p)
-		}
-		p.Sleep(c.opts.WritebackInterval)
-		if float64(c.dirty) > c.opts.DirtyBGRatio*float64(c.capacity) {
-			c.flushDown(p, int(c.opts.DirtyBGRatio*float64(c.capacity)/2))
-		}
-		c.flushExpired(p)
-	}
+// writeback is the background flusher: step, bound once in New, runs in the
+// event slots a flusher process would resume in, and parks no goroutine.
+type writeback struct {
+	c      *Cache
+	f      flush
+	inline bool // step is registering on a request (see step)
+	stepFn func()
 }
 
-// flushExpired flushes every dirty page older than DirtyExpire, so residues
-// below the background ratio still reach the disk (and a drained simulation
-// eventually reaches dirty == 0 and parks the daemon).
-func (c *Cache) flushExpired(p *sim.Proc) {
-	cutoff := c.env.Now() - c.opts.DirtyExpire
-	if cutoff < 0 || c.dirty == 0 {
+// step carries the flusher on. It waits for the flush's next request. After
+// a flush down it flushes, in one round, the pages dirtied DirtyExpire or
+// more ago; after that, or at the start, it parks on kick while the cache is
+// clean (so a drained simulation ends), or else sleeps WritebackInterval
+// with the next flush down set: above the background ratio, to half of it.
+// Pages below the ratio age until discarded, synced or expired. OnComplete
+// runs step at once on a completed request: inline makes that a loop turn.
+func (w *writeback) step() {
+	if w.inline {
+		w.inline = false
 		return
 	}
-	for _, r := range c.flushRuns(c.dirty, cutoff) {
-		c.d.Wait(p, r)
+	for c := w.c; ; {
+		if r := w.f.next(); r != nil {
+			w.inline = true
+			c.d.OnComplete(r, w.stepFn)
+			if w.inline { // r is in flight: step runs again when it completes
+				w.inline = false
+				return
+			}
+		} else if w.f.cutoff == math.MaxInt64 { // a flush down is done
+			w.f = flush{c: c, cutoff: c.env.Now() - c.opts.DirtyExpire, rounds: 1}
+		} else if c.dirty == 0 {
+			c.kick.Then(w.stepFn)
+			return
+		} else {
+			bg := c.opts.DirtyBGRatio * float64(c.capacity)
+			w.f = c.flushDown(int(bg), int(bg/2))
+			c.env.After(c.opts.WritebackInterval, w.stepFn)
+			return
+		}
 	}
 }
 
-// flushDown flushes dirty pages (clean-marking them, keeping them resident)
-// until at most target dirty pages remain.
-func (c *Cache) flushDown(p *sim.Proc, target int) {
-	for c.dirty > target {
-		reqs := c.flushRuns(c.dirty-target, math.MaxInt64)
-		if len(reqs) == 0 {
-			return
+// flush is the one path that writes dirty pages back and waits for them:
+// Sync and a throttled writer drive it from a process, the flusher from
+// callbacks. next writes in rounds of flushRuns, handing out each round's
+// requests in order; once they are waited for, a round starts while rounds
+// are left and more than target (start, at first) pages are dirty.
+type flush struct {
+	c      *Cache
+	start  int             // dirty pages the first round needs more than
+	target int             // dirty pages to leave
+	cutoff time.Duration   // write only pages dirtied at or before this
+	rounds int             // rounds left to start
+	reqs   []*disk.Request // the round's requests not yet handed out
+}
+
+// flushDown returns the flush from more than start dirty pages to target.
+func (c *Cache) flushDown(start, target int) flush {
+	return flush{c: c, start: start, target: target, cutoff: math.MaxInt64, rounds: math.MaxInt}
+}
+
+// next returns the next request to wait for, or nil when the flush is done.
+func (f *flush) next() *disk.Request {
+	if len(f.reqs) == 0 {
+		if f.rounds == 0 || f.c.dirty <= f.start || f.cutoff < 0 { // < 0: nothing is old enough
+			return nil
 		}
-		for _, r := range reqs {
-			c.d.Wait(p, r)
+		f.rounds--
+		f.start = f.target
+		if f.reqs = f.c.flushRuns(f.c.dirty-f.target, f.cutoff); len(f.reqs) == 0 {
+			return nil // a round that writes nothing ends the flush
 		}
+	}
+	r := f.reqs[0]
+	f.reqs = f.reqs[1:]
+	return r
+}
+
+// flushAndWait flushes down to target dirty pages, blocking p until done.
+func (c *Cache) flushAndWait(p *sim.Proc, target int) {
+	f := c.flushDown(target, target)
+	for r := f.next(); r != nil; r = f.next() {
+		c.d.Wait(p, r)
 	}
 }
 
@@ -631,7 +675,7 @@ func (c *Cache) flushRuns(limit int, cutoff time.Duration) []*disk.Request {
 
 // Sync flushes every dirty page and blocks p until the writes complete.
 func (c *Cache) Sync(p *sim.Proc) {
-	c.flushDown(p, 0)
+	c.flushAndWait(p, 0)
 }
 
 // DropAll empties the cache without writeback — the fate of every resident

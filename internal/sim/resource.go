@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Resource is a counted resource (e.g. CPU cores, task slots, a bandwidth
 // token pool) with strict FIFO admission in virtual time.
@@ -66,15 +69,16 @@ func (r *Resource) Release(n int) {
 	}
 	r.accrue()
 	r.inUse -= n
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	k := 0
+	for ; k < len(r.waiters); k++ {
+		w := r.waiters[k]
 		if r.inUse+w.n > r.capacity {
 			break
 		}
 		r.inUse += w.n
-		r.waiters = r.waiters[1:]
 		r.env.wake(w.p)
 	}
+	r.waiters = slices.Delete(r.waiters, 0, k) // in place: Acquire reuses the array
 }
 
 // Use acquires n units, sleeps for d, and releases them — the common

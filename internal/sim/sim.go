@@ -28,9 +28,10 @@
 // — or a runtime.Goexit, as t.Fatal calls — propagates out of Run to its
 // caller. An environment left that way can only be Closed.
 //
-// Processes that have not finished stay parked after Run returns — a daemon
-// by design never finishes. Close unwinds them; an environment that is
-// dropped without Close leaks their goroutines and everything they reference.
+// Processes that have not finished stay parked after Run returns; Close
+// unwinds them. Dropped without Close, an environment leaks their goroutines
+// and all they reference, but one whose processes have all finished holds no
+// goroutine (a daemon written as callbacks parks none) and is collected.
 //
 // A process is any function with signature func(*Proc). Within a process,
 // virtual time passes only through blocking operations: Sleep, Resource
@@ -198,9 +199,9 @@ type Proc struct {
 // the process's own defers run — the supported way to release held resources.
 type procKilled struct{ p *Proc }
 
-// SetDaemon marks the process as a daemon: a service loop (writeback
-// thread, scrubber) that legitimately blocks forever once the simulation
-// drains. Daemons are excluded from deadlock detection.
+// SetDaemon marks the process as a daemon: a service loop (the HDFS
+// scrubber) that legitimately blocks forever once the simulation drains.
+// Daemons are excluded from deadlock detection.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
 // Now returns the current virtual time.

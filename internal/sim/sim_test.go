@@ -731,6 +731,37 @@ func TestOneWaiterAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A Resource hand-off reuses its waiter queue's array: once the queue has
+// held a waiter, a contended Acquire and the Release that admits it allocate
+// nothing.
+func TestResourceHandoffAllocatesNothing(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	res := NewResource(e, "unit", 1)
+	handoff := func(p *Proc) {
+		res.Acquire(p, 1)
+		p.Sleep(time.Nanosecond)
+		res.Release(1)
+	}
+	var allocs float64
+	done := false
+	e.Go("a", func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() { handoff(p) })
+		done = true
+	})
+	e.Go("b", func(p *Proc) {
+		for !done {
+			handoff(p)
+		}
+	})
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a Resource hand-off allocates %v objects, want 0", allocs)
+	}
+}
+
 func TestEventDoubleFirePanics(t *testing.T) {
 	e := New(1)
 	ev := newEvent(e)
