@@ -242,17 +242,20 @@ func (r *diffRun) step(p *sim.Proc) {
 		r.checkHeld(fmt.Sprintf("Corrupt(%s, %d, %d)", name, off, n))
 	case 8: // power loss: every file keeps a prefix; all of it if nothing was dirty
 		if r.rng.Intn(2) == 0 {
+			// Sync waits out fills in flight under dirty pages: after it,
+			// every file survives whole.
 			r.fs.Cache().Sync(p)
+			if d := r.fs.Cache().DirtyPages(); d != 0 {
+				r.t.Fatalf("Sync left %d pages dirty", d)
+			}
 		}
-		// Sync skips a dirty page whose readahead fill is still in flight, so
-		// ask the cache rather than assume.
-		synced := r.fs.Cache().DirtyPages() == 0
+		clean := r.fs.Cache().DirtyPages() == 0
 		r.fs.Crash()
 		r.fs.Remount(p)
 		for n, mf := range r.files {
 			size := r.fs.Size(n)
-			if size < 0 || size > int64(len(mf.data)) || (synced && size != int64(len(mf.data))) {
-				r.t.Fatalf("Crash (cache clean: %v): %s is %d bytes, was %d", synced, n, size, len(mf.data))
+			if size < 0 || size > int64(len(mf.data)) || (clean && size != int64(len(mf.data))) {
+				r.t.Fatalf("Crash (cache clean: %v): %s is %d bytes, was %d", clean, n, size, len(mf.data))
 			}
 			mf.data = mf.data[:size]
 			for len(mf.edges) > 0 && mf.edges[len(mf.edges)-1] >= size {

@@ -68,6 +68,35 @@ func BenchmarkAblationReadahead(b *testing.B) {
 	}
 }
 
+// BenchmarkThrottleAmongCleanPages is io_storm's writeback pattern: thousands
+// of clean resident pages, and a writer crossing the hard dirty ratio in
+// one-page writes, so each throttle flushes a round of ~165 dirty pages that
+// lie above 8192 clean ones in page order. An op is 1024 writes (five
+// throttles) and, once the writer is done, the expiry of what it left dirty.
+func BenchmarkThrottleAmongCleanPages(b *testing.B) {
+	const clean = 8192
+	opts := DefaultOptions()
+	opts.DirtyHardRatio = 0.01 // 327 of the rig's 32768 pages
+	env, c := benchRig(opts)
+	defer env.Close()
+	env.Go("warm", func(p *sim.Proc) {
+		for n := int64(0); n < clean; n += 128 {
+			c.Read(p, nil, n*PageSectors, 128*PageSectors, disk.StageNone)
+		}
+	})
+	env.Run(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Go("w", func(p *sim.Proc) {
+			for n := int64(clean); n < clean+1024; n++ {
+				c.Write(p, n*PageSectors, PageSectors, disk.StageNone)
+			}
+		})
+		env.Run(0)
+	}
+	b.ReportMetric(float64(c.Stats().ThrottleStalls)/float64(b.N), "stalls/op")
+}
+
 func BenchmarkWriteAndSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env, c := benchRig(DefaultOptions())

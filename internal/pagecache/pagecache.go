@@ -9,9 +9,12 @@
 // the levers behind the paper's memory-size observations (more memory ⇒
 // fewer I/O requests, absorbed spill files, bigger writeback bursts).
 //
-// Host cost follows what is resident. Pages live in a two-level page table
-// indexed by page number, whose chunks exist only while they hold a page;
-// writeback, crash and discard walk it in page order and skip empty chunks.
+// Host cost follows what is resident, and writeback's what is dirty. Pages
+// live in a two-level page table indexed by page number, whose chunks exist
+// only while they hold a page and keep two bitmaps, of the slots that hold a
+// page and of the pages that are dirty. Discard walks the first, writeback
+// and crash the second, in page order, a word per 64 slots, skipping empty
+// chunks.
 // Page structs are recycled through a free list the moment they leave the
 // cache, so nothing holds a *page across a simulation yield: a fill re-looks
 // its pages up by number when its disk read completes and settles only those
@@ -21,6 +24,7 @@ package pagecache
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"iochar/internal/disk"
@@ -135,71 +139,105 @@ const (
 	chunkPages = 1 << chunkShift
 )
 
+// A chunk's two bitmaps, one bit per slot: which slots hold a page, and
+// which of those pages are dirty.
+const (
+	residentBits = iota
+	dirtyBits
+)
+
 // pageTable maps page numbers to resident pages: a directory indexed by page
-// number / chunkPages whose entries hold a chunk of page slots and its
-// resident count. A chunk is allocated when its first page arrives and
-// released when its last leaves, so the table's memory follows what is
-// resident, not the device's size.
+// number / chunkPages whose entries are chunks of page slots. A chunk is
+// allocated when its first page arrives and released when its last leaves,
+// so the table's memory follows what is resident, not the device's size.
+// The table owns dirtiness too: setDirty and setClean are the only writers
+// of a page's dirty flag, its chunk's dirty bit and the dirty count.
 type pageTable struct {
-	dir   []chunk
-	spare *[chunkPages]*page // the last released chunk, reused by the next
-	n     int                // resident pages
+	dir      []*chunk // nil where the chunk holds no page
+	spare    *chunk   // the last released chunk, reused by the next
+	n, dirty int      // resident and dirty pages
 }
 
 type chunk struct {
-	pages    *[chunkPages]*page // nil while the chunk holds no page
+	pages    [chunkPages]*page
+	bits     [2][chunkPages / 64]uint64 // residentBits, dirtyBits
 	resident int
+}
+
+// flip toggles page n's bit in the chunk's bitmap set; each caller knows
+// which way it goes.
+func (ch *chunk) flip(set int, n int64) {
+	ch.bits[set][n>>6&(chunkPages/64-1)] ^= 1 << (n & 63)
 }
 
 // get returns page n, or nil if it is not resident — including n < 0 and n
 // past the device, which dirtyRunAround asks about at either end.
 func (t *pageTable) get(n int64) *page {
-	if i := uint64(n >> chunkShift); i < uint64(len(t.dir)) && t.dir[i].pages != nil {
+	if i := uint64(n >> chunkShift); i < uint64(len(t.dir)) && t.dir[i] != nil {
 		return t.dir[i].pages[n&(chunkPages-1)]
 	}
 	return nil
 }
 
-// put makes pg resident in its (empty) slot.
+// put makes clean page pg resident in its (empty) slot.
 func (t *pageTable) put(pg *page) {
 	i := int(pg.num >> chunkShift)
 	if i >= len(t.dir) {
-		t.dir = append(t.dir, make([]chunk, i+1-len(t.dir))...)
+		t.dir = append(t.dir, make([]*chunk, i+1-len(t.dir))...)
 	}
-	ch := &t.dir[i]
-	if ch.pages == nil {
-		if ch.pages, t.spare = t.spare, nil; ch.pages == nil {
-			ch.pages = new([chunkPages]*page)
+	ch := t.dir[i]
+	if ch == nil {
+		if ch, t.spare = t.spare, nil; ch == nil {
+			ch = new(chunk)
 		}
+		t.dir[i] = ch
 	}
 	ch.pages[pg.num&(chunkPages-1)] = pg
+	ch.flip(residentBits, pg.num)
 	ch.resident++
 	t.n++
 }
 
-// del empties resident page n's slot.
+// del empties clean resident page n's slot.
 func (t *pageTable) del(n int64) {
-	ch := &t.dir[n>>chunkShift]
+	ch := t.dir[n>>chunkShift]
 	ch.pages[n&(chunkPages-1)] = nil
+	ch.flip(residentBits, n)
 	t.n--
 	if ch.resident--; ch.resident == 0 {
-		t.spare, ch.pages = ch.pages, nil
+		t.spare, t.dir[n>>chunkShift] = ch, nil
 	}
 }
 
-// next returns the lowest-numbered resident page in [lo, hi), or nil.
-func (t *pageTable) next(lo, hi int64) *page {
+// setDirty marks clean resident page pg dirty as of at.
+func (t *pageTable) setDirty(pg *page, at time.Duration) {
+	t.dir[pg.num>>chunkShift].flip(dirtyBits, pg.num)
+	pg.dirty, pg.dirtyAt = true, at
+	t.dirty++
+}
+
+// setClean marks dirty resident page pg clean.
+func (t *pageTable) setClean(pg *page) {
+	t.dir[pg.num>>chunkShift].flip(dirtyBits, pg.num)
+	pg.dirty = false
+	t.dirty--
+}
+
+// next returns the lowest-numbered page in [lo, hi) whose bit is set in its
+// chunk's bitmap set (residentBits or dirtyBits), or nil. It visits a word
+// per 64 slots and skips chunks that hold no page.
+func (t *pageTable) next(set int, lo, hi int64) *page {
 	hi = min(hi, int64(len(t.dir))<<chunkShift)
-	for lo = max(lo, 0); lo < hi; {
-		end := min((lo|(chunkPages-1))+1, hi)
-		if pages := t.dir[lo>>chunkShift].pages; pages != nil {
-			for ; lo < end; lo++ {
-				if pg := pages[lo&(chunkPages-1)]; pg != nil {
-					return pg
+	for lo = max(lo, 0); lo < hi; lo = (lo | (chunkPages - 1)) + 1 {
+		ch := t.dir[lo>>chunkShift]
+		for s := lo & (chunkPages - 1); ch != nil && s < chunkPages; s = (s | 63) + 1 {
+			if word := ch.bits[set][s>>6] >> (s & 63); word != 0 {
+				if n := lo&^(chunkPages-1) + s + int64(bits.TrailingZeros64(word)); n < hi {
+					return ch.pages[n&(chunkPages-1)]
 				}
+				return nil
 			}
 		}
-		lo = end
 	}
 	return nil
 }
@@ -214,7 +252,6 @@ type Cache struct {
 	pages    pageTable
 	lru      lruList // front = most recently used
 	free     *page   // recycled page structs, linked through next
-	dirty    int
 
 	kick  *sim.Cond // wakes the background flusher when pages first dirty
 	stats Stats
@@ -260,7 +297,7 @@ func New(env *sim.Env, d *disk.Disk, capacityPages int, opts Options) *Cache {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyPages returns the current number of dirty pages.
-func (c *Cache) DirtyPages() int { return c.dirty }
+func (c *Cache) DirtyPages() int { return c.pages.dirty }
 
 // ResidentPages returns the number of cached pages.
 func (c *Cache) ResidentPages() int { return c.pages.n }
@@ -431,10 +468,8 @@ func (c *Cache) Write(p *sim.Proc, sector int64, nsect int, stage disk.Stage) {
 		}
 		pg.stage = stage
 		if !pg.dirty {
-			pg.dirty = true
-			pg.dirtyAt = c.env.Now()
-			c.dirty++
-			if c.dirty == 1 {
+			c.pages.setDirty(pg, c.env.Now())
+			if c.pages.dirty == 1 {
 				c.kick.Broadcast() // unpark the writeback daemon
 			}
 		}
@@ -443,7 +478,7 @@ func (c *Cache) Write(p *sim.Proc, sector int64, nsect int, stage disk.Stage) {
 	// pushes the cache past the hard limit performs writeback itself, which
 	// is what couples write-heavy workloads to disk speed when memory is
 	// scarce.
-	if float64(c.dirty) > c.opts.DirtyHardRatio*float64(c.capacity) {
+	if float64(c.pages.dirty) > c.opts.DirtyHardRatio*float64(c.capacity) {
 		c.stats.ThrottleStalls++
 		c.flushAndWait(p, int(c.opts.DirtyHardRatio*float64(c.capacity)/2))
 	}
@@ -501,10 +536,10 @@ func (c *Cache) evictOne() bool {
 
 func (c *Cache) remove(pg *page) {
 	c.lru.remove(pg)
-	c.pages.del(pg.num)
 	if pg.dirty {
-		c.dirty--
+		c.pages.setClean(pg)
 	}
+	c.pages.del(pg.num)
 	// Recycle the struct (see the package comment). num is left as it is
 	// until the struct is reused, so a walk can step past a page it removed.
 	pg.pending = nil
@@ -584,7 +619,7 @@ func (w *writeback) step() {
 			}
 		} else if w.f.cutoff == math.MaxInt64 { // a flush down is done
 			w.f = flush{c: c, cutoff: c.env.Now() - c.opts.DirtyExpire, rounds: 1}
-		} else if c.dirty == 0 {
+		} else if c.pages.dirty == 0 {
 			c.kick.Then(w.stepFn)
 			return
 		} else {
@@ -618,12 +653,12 @@ func (c *Cache) flushDown(start, target int) flush {
 // next returns the next request to wait for, or nil when the flush is done.
 func (f *flush) next() *disk.Request {
 	if len(f.reqs) == 0 {
-		if f.rounds == 0 || f.c.dirty <= f.start || f.cutoff < 0 { // < 0: nothing is old enough
+		if f.rounds == 0 || f.c.pages.dirty <= f.start || f.cutoff < 0 { // < 0: nothing is old enough
 			return nil
 		}
 		f.rounds--
 		f.start = f.target
-		if f.reqs = f.c.flushRuns(f.c.dirty-f.target, f.cutoff); len(f.reqs) == 0 {
+		if f.reqs = f.c.flushRuns(f.c.pages.dirty-f.target, f.cutoff); len(f.reqs) == 0 {
 			return nil // a round that writes nothing ends the flush
 		}
 	}
@@ -640,19 +675,19 @@ func (c *Cache) flushAndWait(p *sim.Proc, target int) {
 	}
 }
 
-// flushRuns walks the page table in page order, clean-marks up to limit
-// dirty pages that have no fill in flight and were dirtied at or before
-// cutoff, and writes them back as contiguous runs capped at the device's
-// request ceiling — writeback's characteristic large sequential bursts. It
-// returns the requests in submission order.
+// flushRuns walks the dirty pages in page order, clean-marks up to limit
+// that have no fill in flight and were dirtied at or before cutoff, and
+// writes them back as contiguous runs capped at the device's request
+// ceiling — writeback's characteristic large sequential bursts. It returns
+// the requests in submission order.
 func (c *Cache) flushRuns(limit int, cutoff time.Duration) []*disk.Request {
 	maxRun := c.d.P.MaxReqSect / PageSectors
 	var reqs []*disk.Request
 	var start int64
 	var stage disk.Stage
 	run := 0 // pages in the run starting at start
-	for pg := c.pages.next(0, math.MaxInt64); pg != nil && limit > 0; pg = c.pages.next(pg.num+1, math.MaxInt64) {
-		if !pg.dirty || pg.pending != nil || pg.dirtyAt > cutoff {
+	for pg := c.pages.next(dirtyBits, 0, math.MaxInt64); pg != nil && limit > 0; pg = c.pages.next(dirtyBits, pg.num+1, math.MaxInt64) {
+		if pg.pending != nil || pg.dirtyAt > cutoff {
 			continue
 		}
 		if run > 0 && (pg.num != start+int64(run) || run >= maxRun) {
@@ -663,8 +698,7 @@ func (c *Cache) flushRuns(limit int, cutoff time.Duration) []*disk.Request {
 			start, stage = pg.num, pg.stage
 		}
 		run++
-		pg.dirty = false
-		c.dirty--
+		c.pages.setClean(pg)
 		limit--
 	}
 	if run > 0 {
@@ -673,9 +707,14 @@ func (c *Cache) flushRuns(limit int, cutoff time.Duration) []*disk.Request {
 	return reqs
 }
 
-// Sync flushes every dirty page and blocks p until the writes complete.
+// Sync flushes every dirty page and blocks p until the writes complete. A
+// page dirtied under a fill in flight cannot be written before the fill
+// lands, and a flush ends when all it finds dirty are such pages: Sync then
+// waits for the lowest one's fill and flushes again.
 func (c *Cache) Sync(p *sim.Proc) {
-	c.flushAndWait(p, 0)
+	for c.flushAndWait(p, 0); c.pages.dirty > 0; c.flushAndWait(p, 0) {
+		c.pages.next(dirtyBits, 0, math.MaxInt64).pending.Wait(p)
+	}
 }
 
 // DropAll empties the cache without writeback — the fate of every resident
@@ -692,10 +731,8 @@ func (c *Cache) DropAll() {
 // file: bytes past the first dirty page never reached the platter.
 func (c *Cache) FirstDirtyInRange(sector int64, nsect int) int64 {
 	first, last := pageRange(sector, nsect)
-	for pg := c.pages.next(first, last); pg != nil; pg = c.pages.next(pg.num+1, last) {
-		if pg.dirty {
-			return max(pg.num*PageSectors, sector)
-		}
+	if pg := c.pages.next(dirtyBits, first, last); pg != nil {
+		return max(pg.num*PageSectors, sector)
 	}
 	return -1
 }
@@ -712,7 +749,7 @@ func (c *Cache) Discard(sector int64, nsect int) {
 // discard removes the resident pages in [first, last) that have no fill in
 // flight.
 func (c *Cache) discard(first, last int64) {
-	for pg := c.pages.next(first, last); pg != nil; pg = c.pages.next(pg.num+1, last) {
+	for pg := c.pages.next(residentBits, first, last); pg != nil; pg = c.pages.next(residentBits, pg.num+1, last) {
 		if pg.pending != nil {
 			continue
 		}

@@ -3,6 +3,7 @@ package pagecache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"slices"
@@ -89,6 +90,25 @@ func TestWriteIsCacheOnlyUntilSync(t *testing.T) {
 	env.Run(0)
 	if c.DirtyPages() != 0 {
 		t.Errorf("DirtyPages = %d after sync, want 0", c.DirtyPages())
+	}
+}
+
+// A page one process reads and another dirties before the read's fill lands
+// cannot be written until the fill does. Sync must wait for the fill and
+// write the page, not return with it dirty and leave it to expire 30 s later.
+func TestSyncWaitsForFillsInFlight(t *testing.T) {
+	env, d, c := rig(1024, DefaultOptions())
+	defer env.Close()
+	env.Go("reader", func(p *sim.Proc) { c.Read(p, nil, 0, PageSectors, disk.StageHDFS) })
+	env.Go("writer", func(p *sim.Proc) {
+		c.Write(p, 0, PageSectors, disk.StageSpill)
+		c.Sync(p)
+		if w := d.Stats().SectorsWritten; c.DirtyPages() != 0 || w != PageSectors || p.Now() >= time.Second {
+			t.Errorf("Sync returned at %v with %d dirty pages and %d sectors written, want 0 and %d before the flusher's first wake", p.Now(), c.DirtyPages(), w, PageSectors)
+		}
+	})
+	if _, err := env.Run(0); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -468,12 +488,14 @@ const recordedScenario = `100µs #15 drop: resident 36 dirty 16
 40.040726966s #86 expired: dirty 0
 40.040726966s #86 end 40.040726966s <nil> stats {Hits:52 Misses:25 ReadaheadPages:12 FlushedPages:31 EvictedClean:0 EvictedDirty:0 DiscardedDirty:17 ThrottleStalls:0} disk {ReadsCompleted:5 ReadsMerged:2 SectorsRead:296 TimeReading:21.033201ms WritesCompleted:7 WritesMerged:0 SectorsWritten:248 TimeWriting:115.374846ms IOTicks:51.286844ms WeightedTicks:137.033046ms}`
 
-// TestPageTableMatchesMap runs the page table and a map[int64]*page through
-// the same random puts, gets, deletes and ordered walks, in alternating fill
-// and drain phases so chunks fill, empty and are reused. Page numbers are
-// drawn half uniformly and half from the edges: page 0, both sides of every
-// chunk boundary, the device's last page, and the out-of-range neighbours
-// dirtyRunAround asks about (−1 and one past the end).
+// TestPageTableMatchesMap runs the page table and two maps (resident pages,
+// dirty page numbers) through the same random puts, gets, deletes, dirty and
+// clean marks and ordered walks of both kinds, in alternating fill and drain
+// phases so chunks fill, empty and are reused. Page numbers are drawn half
+// uniformly and half from the edges: page 0, both sides of every chunk
+// boundary, the device's last page, and the out-of-range neighbours
+// dirtyRunAround asks about (−1 and one past the end). A dirty page leaves
+// as Cache.remove makes it leave: marked clean, then deleted.
 func TestPageTableMatchesMap(t *testing.T) {
 	const npages = 3*chunkPages + 17 // the last chunk is partial
 	edges := []int64{-1, 0, 1, npages - 1, npages}
@@ -489,56 +511,89 @@ func TestPageTableMatchesMap(t *testing.T) {
 	}
 	var tab pageTable
 	model := map[int64]*page{}
+	dirty := map[int64]bool{}
+	in := [2]func(int64) bool{
+		residentBits: func(k int64) bool { return model[k] != nil },
+		dirtyBits:    func(k int64) bool { return dirty[k] },
+	}
+	// chunks checks every chunk's bitmaps against the maps, that a chunk is
+	// allocated iff it holds a page, and that the spare a released chunk
+	// became holds no page and no bit, so reusing it or its directory entry
+	// brings back nothing stale.
+	chunks := func(step int) {
+		for i, ch := range tab.dir {
+			var want [2][chunkPages / 64]uint64
+			for set := range want {
+				for s := int64(0); s < chunkPages; s++ {
+					if in[set](int64(i)<<chunkShift | s) {
+						want[set][s>>6] |= 1 << (s & 63)
+					}
+				}
+			}
+			held := 0
+			for _, w := range want[residentBits] {
+				held += bits.OnesCount64(w)
+			}
+			if (ch != nil) != (held > 0) || ch != nil && (ch.bits != want || ch.resident != held) {
+				t.Fatalf("step %d: chunk %d (allocated %v) disagrees with the maps, which hold %d of its pages", step, i, ch != nil, held)
+			}
+		}
+		if tab.spare != nil && *tab.spare != (chunk{}) {
+			t.Fatalf("step %d: the spare chunk keeps a page or a bit", step)
+		}
+	}
 	for step := 0; step < 40000; step++ {
 		n := pick()
 		fill := step/4000%2 == 0
-		switch op := rng.Intn(8); {
+		switch op := rng.Intn(10); {
 		case op < 3 && (fill || op == 0) && n >= 0 && n < npages && model[n] == nil:
 			pg := &page{num: n}
 			tab.put(pg)
 			model[n] = pg
 		case op < 6 && model[n] != nil:
+			if dirty[n] {
+				tab.setClean(model[n])
+				delete(dirty, n)
+			}
 			tab.del(n)
 			delete(model, n)
-		case op == 7:
+		case op < 8 && model[n] != nil:
+			if dirty[n] {
+				tab.setClean(model[n])
+				delete(dirty, n)
+			} else {
+				tab.setDirty(model[n], time.Duration(step))
+				dirty[n] = true
+			}
+		case op == 9:
 			lo, hi := pick(), pick()+1
 			if rng.Intn(4) == 0 {
 				lo, hi = math.MinInt64, math.MaxInt64
 			}
-			var got, want []int64
-			for pg := tab.next(lo, hi); pg != nil; pg = tab.next(pg.num+1, hi) {
-				got = append(got, pg.num)
-			}
-			for k := range model {
-				if k >= lo && k < hi {
-					want = append(want, k)
+			for set := range in {
+				var got, want []int64
+				for pg := tab.next(set, lo, hi); pg != nil; pg = tab.next(set, pg.num+1, hi) {
+					got = append(got, pg.num)
+				}
+				for k := max(lo, -1); k < min(hi, npages+1); k++ {
+					if in[set](k) {
+						want = append(want, k)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: walk of bitmap %d over [%d,%d) visited %v, the map holds %v", step, set, lo, hi, got, want)
 				}
 			}
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d: walk [%d,%d) visited %v, map holds %v", step, lo, hi, got, want)
-			}
+			chunks(step)
 		}
-		if got := tab.get(n); got != model[n] {
-			t.Fatalf("step %d: get(%d) = %p, map holds %p", step, n, got, model[n])
+		if got := tab.get(n); got != model[n] || got != nil && got.dirty != dirty[n] {
+			t.Fatalf("step %d: get(%d) = %p, map holds %p (dirty %v)", step, n, got, model[n], dirty[n])
 		}
-		if tab.n != len(model) {
-			t.Fatalf("step %d: table counts %d pages, map holds %d", step, tab.n, len(model))
+		if tab.n != len(model) || tab.dirty != len(dirty) {
+			t.Fatalf("step %d: table counts %d pages, %d dirty; the maps hold %d, %d", step, tab.n, tab.dirty, len(model), len(dirty))
 		}
 	}
-	// Chunk memory follows residency: a chunk is allocated iff it holds a
-	// page, and its count is what it holds.
-	for i, ch := range tab.dir {
-		held := 0
-		for k := range model {
-			if k>>chunkShift == int64(i) {
-				held++
-			}
-		}
-		if (ch.pages != nil) != (held > 0) || ch.resident != held {
-			t.Errorf("chunk %d: allocated %v with count %d, map holds %d of its pages", i, ch.pages != nil, ch.resident, held)
-		}
-	}
+	chunks(40000)
 }
 
 // The out-of-range neighbours of a dirty run at either end of the device are
