@@ -55,6 +55,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mrrun:", err)
 		os.Exit(2)
 	}
+	if *mem <= 0 {
+		fmt.Fprintf(os.Stderr, "mrrun: -mem must be positive GB, got %d\n", *mem)
+		os.Exit(2)
+	}
 	testbed.WarnClamps(os.Stderr, "mrrun")
 	var sc iochar.SlotsConfig
 	switch *slots {

@@ -76,6 +76,9 @@ func (t *Testbed) Options(parallel int) ([]core.Option, error) {
 	if err := ValidateRunFlags(t.scale, t.slaves, frac, interval, parallel); err != nil {
 		return nil, err
 	}
+	if err := core.CheckSlaves(t.slaves); err != nil {
+		return nil, fmt.Errorf("-slaves: %w", err)
+	}
 	if err := ValidateTopologyFlags(t.racks, t.uplinkMB); err != nil {
 		return nil, err
 	}

@@ -72,6 +72,8 @@ func TestTestbedOptions(t *testing.T) {
 		{"-scale", false, 1, []string{"-scale", "-4"}},
 		{"-scale", true, 0, []string{"-scale", "0"}},
 		{"-slaves", false, 1, []string{"-slaves", "0"}},
+		{"-slaves: 2 slaves cannot hold HDFS's 3 replicas", true, 0, []string{"-slaves", "2"}}, // panicked in hdfs.New
+		{"-slaves: 1 slaves", false, 1, []string{"-slaves", "1"}},
 		{"-parallel", false, -1, nil},
 		{"-racks", true, 0, []string{"-racks", "0"}},
 		{"-uplink", true, 0, []string{"-uplink", "40"}}, // at the default -racks 1

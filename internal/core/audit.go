@@ -161,6 +161,7 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 
 	a.BadChunks = fs.AuditIntegrity()
 
+	scratch := make([]byte, 0, hashBatch) // every file's summer batches into it in turn
 	for _, path := range fs.List(auditPrefix) {
 		if !isOutputPath(path) {
 			continue
@@ -170,7 +171,7 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 			a.noteReadFailure(path, err)
 			continue
 		}
-		s := newKVSummer()
+		s := newKVSummer(scratch)
 		if err := r.ReadBlocks(p, s.write); err != nil {
 			a.noteReadFailure(path, err)
 			continue
@@ -223,11 +224,13 @@ func isOutputPath(path string) bool {
 // and the file is never assembled — while looking for a pair out of place.
 // The blocks are remembered for that case alone (they are views of bytes the
 // DataNodes hold anyway): sum then gathers, sorts and hashes them afresh.
+// Pairs reach the hash in batches, framed in buf, which is written when the
+// next pair would not fit and by sum; a pair larger than buf is hashed as is.
 // Unlike mapred.NextKV, which trusts its input, the summer reports a stream
 // that ends inside a pair instead of indexing past it.
 type kvSummer struct {
 	h            hash.Hash
-	n            [8]byte // hash's length scratch
+	buf          []byte // framed pairs not yet written to h
 	prevK, prevV []byte
 	unsorted     bool
 	blocks       [][]byte
@@ -235,7 +238,11 @@ type kvSummer struct {
 	off          int64  // stream offset of the first pair not yet decoded
 }
 
-func newKVSummer() *kvSummer { return &kvSummer{h: sha256.New()} }
+// hashBatch is the capacity of the scratch array a summer batches into.
+const hashBatch = 8 << 10
+
+// newKVSummer returns a summer that owns scratch's array until sum returns.
+func newKVSummer(scratch []byte) *kvSummer { return &kvSummer{h: sha256.New(), buf: scratch[:0]} }
 
 // write takes the next block of the stream, which the summer keeps.
 func (s *kvSummer) write(block []byte) error {
@@ -279,12 +286,20 @@ func (s *kvSummer) write(block []byte) error {
 }
 
 func (s *kvSummer) hash(k, v []byte) {
-	binary.LittleEndian.PutUint64(s.n[:], uint64(len(k)))
-	s.h.Write(s.n[:])
-	s.h.Write(k)
-	binary.LittleEndian.PutUint64(s.n[:], uint64(len(v)))
-	s.h.Write(s.n[:])
-	s.h.Write(v)
+	n := 16 + len(k) + len(v)
+	if len(s.buf)+n > cap(s.buf) {
+		s.h.Write(s.buf)
+		s.buf = s.buf[:0]
+		if n > cap(s.buf) {
+			s.h.Write(binary.LittleEndian.AppendUint64(s.buf, uint64(len(k))))
+			s.h.Write(k)
+			s.h.Write(binary.LittleEndian.AppendUint64(s.buf, uint64(len(v))))
+			s.h.Write(v)
+			return
+		}
+	}
+	s.buf = append(binary.LittleEndian.AppendUint64(s.buf, uint64(len(k))), k...)
+	s.buf = append(binary.LittleEndian.AppendUint64(s.buf, uint64(len(v))), v...)
 }
 
 // sum returns the checksum of the stream written.
@@ -307,10 +322,12 @@ func (s *kvSummer) sum() (string, error) {
 			return bytes.Compare(a.v, b.v)
 		})
 		s.h.Reset()
+		s.buf = s.buf[:0]
 		for _, pr := range pairs {
 			s.hash(pr.k, pr.v)
 		}
 	}
+	s.h.Write(s.buf)
 	return hex.EncodeToString(s.h.Sum(nil)), nil
 }
 

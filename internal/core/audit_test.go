@@ -178,7 +178,12 @@ func canonicalKVSum(data []byte) string {
 
 // streamKVSum sums data as the audit does a file of blockSize-byte blocks.
 func streamKVSum(data []byte, blockSize int) (string, error) {
-	s := newKVSummer()
+	return batchedKVSum(make([]byte, 0, hashBatch), data, blockSize)
+}
+
+// batchedKVSum is streamKVSum with the hash input batched in scratch.
+func batchedKVSum(scratch, data []byte, blockSize int) (string, error) {
+	s := newKVSummer(scratch)
 	for len(data) > 0 {
 		n := min(blockSize, len(data))
 		if err := s.write(data[:n:n]); err != nil {
@@ -220,6 +225,45 @@ func TestStreamedSumMatchesCanonical(t *testing.T) {
 		for bs := 1; bs <= max(len(stream), 1); bs++ {
 			if got, err := streamKVSum(stream, bs); err != nil || got != want {
 				t.Fatalf("stream %d (%d bytes) in %d-byte blocks: %s, %v; want %s", i, len(stream), bs, got, err, want)
+			}
+		}
+	}
+}
+
+// TestBatchedSumMatchesCanonical: whether a pair fits the hash batch, fills
+// it or is larger than all of it, and whether the stream is sorted or voids
+// the batch it has gathered so far by a pair out of place, the batched digest
+// is canonicalKVSum's — also in a scratch array an earlier summer abandoned
+// mid-file, as the audit does after a read failure — and the batch never
+// outgrows the scratch array.
+func TestBatchedSumMatchesCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 500; i++ {
+		pairs := make([][2][]byte, rng.Intn(12))
+		for j := range pairs {
+			pairs[j] = [2][]byte{[]byte(fmt.Sprintf("k%02d", rng.Intn(20))), bytes.Repeat([]byte("v"), rng.Intn(4)*rng.Intn(40))}
+		}
+		if i%2 == 0 {
+			slices.SortFunc(pairs, func(a, b [2][]byte) int {
+				return cmp.Or(bytes.Compare(a[0], b[0]), bytes.Compare(a[1], b[1]))
+			})
+		}
+		var stream []byte
+		for _, pr := range pairs {
+			stream = mapred.AppendKV(stream, pr[0], pr[1])
+		}
+		want := canonicalKVSum(stream)
+		for _, batch := range []int{0, 1, 16, 19, 40, 100, hashBatch} {
+			scratch := make([]byte, 0, batch)
+			_ = newKVSummer(scratch).write(stream[:len(stream)/2]) // abandoned, its pairs left in scratch
+			for _, bs := range []int{1, 7, max(len(stream), 1)} {
+				if got, err := batchedKVSum(scratch, stream, bs); err != nil || got != want {
+					t.Fatalf("stream %d, %d-byte batch, %d-byte blocks: %s, %v; want %s\n%q", i, batch, bs, got, err, want, stream)
+				}
+			}
+			// A pair that does not fit is hashed, not appended to a grown buffer.
+			if s := newKVSummer(scratch); s.write(stream) != nil || cap(s.buf) != batch {
+				t.Fatalf("stream %d: the %d-byte batch grew to %d bytes", i, batch, cap(s.buf))
 			}
 		}
 	}

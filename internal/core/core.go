@@ -336,6 +336,15 @@ const (
 	GroupClassSSD = "ssd"
 )
 
+// CheckSlaves returns an error when n slaves are fewer than the DataNodes
+// HDFS writes every block to; RunOne returns it, the CLIs exit 2 with it.
+func CheckSlaves(n int) error {
+	if r := hdfs.DefaultConfig(1).Replication; n < r {
+		return fmt.Errorf("%d slaves cannot hold HDFS's %d replicas of a block (need at least %d)", n, r, r)
+	}
+	return nil
+}
+
 // RunOne builds a fresh testbed and executes one experiment cell.
 func RunOne(w Workload, f Factors, opts Options) (*RunReport, error) {
 	return RunOneContext(context.Background(), w, f, opts)
@@ -348,6 +357,9 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 	opts = opts.withDefaults()
 	if !w.Valid() {
 		return nil, fmt.Errorf("core: invalid workload %d (use the Workload constants or ParseWorkload)", uint8(w))
+	}
+	if err := CheckSlaves(opts.Slaves); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	wl := w.program()
 	env := sim.New(opts.Seed)

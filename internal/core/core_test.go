@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -43,6 +44,23 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.InputFraction != 1 {
 		t.Errorf("InputFraction = %f", o.InputFraction)
+	}
+}
+
+// Regression: fewer slaves than HDFS's replication factor panicked in
+// hdfs.New ("fewer datanodes than the replication factor") instead of
+// returning an error.
+func TestTooFewSlavesIsAnError(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		opts := fastOpts
+		opts.Slaves = n
+		rep, err := RunOne(TS, SlotsRuns[0], opts)
+		if err == nil || rep != nil || err.Error() != fmt.Sprintf("core: %d slaves cannot hold HDFS's 3 replicas of a block (need at least 3)", n) {
+			t.Errorf("%d slaves: %v, %v; want the replication error", n, rep, err)
+		}
+	}
+	if err := CheckSlaves(3); err != nil {
+		t.Errorf("3 slaves: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -70,13 +71,54 @@ func benchRun(n, i, fan int) run {
 	return r
 }
 
+// teraSortRuns deals 20 000 pairs with random printable 10-byte keys and
+// 90-byte values, TeraSort's records, across fan sorted runs at random: which
+// run holds the next smallest key is as hard to predict as it is in a
+// TeraSort merge.
+func teraSortRuns(fan int) []run {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]string, fan)
+	for i := 0; i < 20000; i++ {
+		k := make([]byte, 10)
+		for j := range k {
+			k[j] = byte(' ' + rng.Intn(95))
+		}
+		r := rng.Intn(fan)
+		keys[r] = append(keys[r], string(k))
+	}
+	val := bytes.Repeat([]byte("v"), 90)
+	runs := make([]run, fan)
+	for i, ks := range keys {
+		slices.Sort(ks)
+		for _, k := range ks {
+			runs[i] = AppendKV(runs[i], []byte(k), val)
+		}
+	}
+	return runs
+}
+
 func BenchmarkMergeRuns(b *testing.B) {
-	for _, fan := range []int{2, 8, 64} {
-		b.Run(fmt.Sprintf("fanin-%d", fan), func(b *testing.B) {
-			runs := make([]run, fan)
-			for i := range runs {
-				runs[i] = benchRun(4096/fan, i, fan)
-			}
+	interleaved := func(fan int) []run {
+		runs := make([]run, fan)
+		for i := range runs {
+			runs[i] = benchRun(4096/fan, i, fan)
+		}
+		return runs
+	}
+	for _, c := range []struct {
+		name string
+		fan  int
+		runs func(fan int) []run
+	}{
+		{"fanin-2", 2, interleaved},
+		{"fanin-8", 8, interleaved},
+		{"fanin-64", 64, interleaved},
+		{"random-fanin-2", 2, teraSortRuns},
+		{"random-fanin-8", 8, teraSortRuns},
+		{"random-fanin-12", 12, teraSortRuns},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			runs := c.runs(c.fan)
 			rt := new(Runtime)
 			b.ResetTimer()
 			var total int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"iochar/internal/localfs"
 	"iochar/internal/sim"
@@ -44,56 +45,94 @@ type run []byte
 
 // cursor is a merger's position in one run: the pair at the head, decoded.
 type cursor struct {
-	prefix   uint64 // keyPrefix(key)
+	prefix   uint64 // KeyPrefix(key), math.MaxUint64 once done
+	done     bool   // the run is exhausted
 	key, val []byte // views into run
 	run      run
 	pos, end int // run[pos:end] is the head pair in wire form
 }
 
-// load decodes the pair after the current one; false at the end of the run.
+// load decodes the pair after the current one; false, and done, at the end of
+// the run. One-byte lengths are decoded inline; any other pair, a truncated
+// one too, is NextKV's.
 func (c *cursor) load() bool {
 	if c.end == len(c.run) {
+		c.prefix, c.done = math.MaxUint64, true
 		return false
 	}
 	c.pos = c.end
-	var rest []byte
-	c.key, c.val, rest = NextKV(c.run[c.pos:])
-	c.end = len(c.run) - len(rest)
-	c.prefix = keyPrefix(c.key)
+	r := c.run[c.pos:]
+	if kl := int(r[0]); kl < 0x80 && kl+1 < len(r) && r[kl+1] < 0x80 && kl+2+int(r[kl+1]) <= len(r) {
+		c.key, c.val = r[1:1+kl], r[kl+2:kl+2+int(r[kl+1])]
+		c.end += kl + 2 + len(c.val)
+	} else {
+		var rest []byte
+		c.key, c.val, rest = NextKV(r)
+		c.end = len(c.run) - len(rest)
+	}
+	c.prefix = KeyPrefix(c.key)
 	return true
 }
 
-// merger streams the k-way merge of sorted runs: a min-heap of cursor
-// indices ordered by (prefix, key, run index). The run index is the tie rule
-// — of equal keys the earlier run's pair comes first, and within a run pairs
-// keep their order — so the merged order is a function of the runs alone.
-// It only reads the runs, and never writes to the slice that holds them.
+// merger streams the k-way merge of sorted runs: a tournament tree of losers
+// over cursors ordered by (prefix, key, run index). The run index is the tie
+// rule — of equal keys the earlier run's pair comes first, and within a run
+// pairs keep their order — so the merged order is a function of the runs
+// alone. Each node caches its loser's prefix, so replaying the winner's path
+// compares one uint64 per level and reads keys only on a prefix tie; a done
+// cursor has the largest prefix, and a live key with that prefix beats it on
+// the tie. It only reads the runs, and never writes to the slice that holds
+// them.
 type merger struct {
-	cs    []cursor
-	heap  []int // indices into cs, smallest at heap[0]
-	total int   // summed run lengths, the size of the merged stream
+	cs []cursor
+	// tree[0] is the winner, tree[n] the loser at node n (children 2n and
+	// 2n+1) for 0 < n < len(cs); cursor i is leaf len(cs)+i.
+	tree  []node
+	total int // summed run lengths, the size of the merged stream
+}
+
+type node struct {
+	prefix uint64
+	i      int // index into cs
 }
 
 func newMerger(runs []run) *merger {
-	m := &merger{cs: make([]cursor, 0, len(runs)), heap: make([]int, 0, len(runs))}
+	m := &merger{cs: make([]cursor, 0, len(runs))}
 	for _, r := range runs {
 		if len(r) > 0 {
 			m.total += len(r)
-			m.heap = append(m.heap, len(m.cs))
 			m.cs = append(m.cs, cursor{run: r})
 			m.cs[len(m.cs)-1].load()
 		}
 	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.down(i)
+	m.tree = make([]node, len(m.cs))
+	if len(m.cs) > 0 {
+		m.tree[0].i = m.play(1)
 	}
 	return m
 }
 
+// play fills in the losers under node n and returns the winner there.
+func (m *merger) play(n int) int {
+	if n >= len(m.cs) {
+		return n - len(m.cs)
+	}
+	w, l := m.play(2*n), m.play(2*n+1)
+	if m.less(l, w) {
+		w, l = l, w
+	}
+	m.tree[n] = node{m.cs[l].prefix, l}
+	return w
+}
+
+// less orders cursors by (prefix, key, run index), done ones last.
 func (m *merger) less(a, b int) bool {
 	ca, cb := &m.cs[a], &m.cs[b]
 	if ca.prefix != cb.prefix {
 		return ca.prefix < cb.prefix
+	}
+	if ca.done != cb.done {
+		return cb.done
 	}
 	if c := bytes.Compare(ca.key, cb.key); c != 0 {
 		return c < 0
@@ -101,42 +140,34 @@ func (m *merger) less(a, b int) bool {
 	return a < b
 }
 
-func (m *merger) down(i int) {
-	h := m.heap
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		if r := l + 1; r < len(h) && m.less(h[r], h[l]) {
-			l = r
-		}
-		if !m.less(h[l], h[i]) {
-			return
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-}
-
 // top returns the cursor holding the smallest pair not yet consumed, nil
 // when every run is exhausted. Its fields are good until the next call of
 // next.
 func (m *merger) top() *cursor {
-	if len(m.heap) == 0 {
+	if len(m.cs) == 0 || m.cs[m.tree[0].i].done {
 		return nil
 	}
-	return &m.cs[m.heap[0]]
+	return &m.cs[m.tree[0].i]
 }
 
 // next consumes the top pair and returns the new top.
 func (m *merger) next() *cursor {
-	if !m.cs[m.heap[0]].load() {
-		last := len(m.heap) - 1
-		m.heap[0] = m.heap[last]
-		m.heap = m.heap[:last]
+	w := m.tree[0].i
+	m.cs[w].load()
+	p := m.cs[w].prefix
+	for n := (w + len(m.cs)) >> 1; n > 0; n >>= 1 {
+		lose, win := m.tree[n], node{p, w}
+		if lose.prefix == p { // apart from ties, the swap compiles to selects
+			if m.less(lose.i, w) {
+				lose, win = win, lose
+			}
+		} else if lose.prefix < p {
+			lose, win = win, lose
+		}
+		m.tree[n] = lose
+		w, p = win.i, win.prefix
 	}
-	m.down(0)
+	m.tree[0].i = w
 	return m.top()
 }
 
@@ -235,19 +266,13 @@ func (it recordIter) readRange() (off, length int64) {
 	case FixedFormat:
 		rs := int64(f.Size)
 		first := (it.splitOff + rs - 1) / rs * rs
-		afterLast := (it.splitOff + it.splitLen + rs - 1) / rs * rs
-		if afterLast > it.fileSize {
-			afterLast = it.fileSize
-		}
+		afterLast := min((it.splitOff+it.splitLen+rs-1)/rs*rs, it.fileSize)
 		if first >= afterLast {
 			return 0, 0
 		}
 		return first, afterLast - first
 	case LineFormat:
-		end := it.splitOff + it.splitLen + maxLineOverread
-		if end > it.fileSize {
-			end = it.fileSize
-		}
+		end := min(it.splitOff+it.splitLen+maxLineOverread, it.fileSize)
 		return it.splitOff, end - it.splitOff
 	case KVFormat:
 		return 0, it.fileSize // whole-file split
@@ -331,14 +356,9 @@ func (f *framer) feed(chunk []byte, fn func(rec []byte)) {
 // consume drops n framed bytes from the head of pending.
 func (f *framer) consume(n int) {
 	f.relPos += int64(n)
-	rest := f.pending[n:]
 	// Copy down rather than re-slice so the backing array does not pin the
 	// whole history of chunks.
-	if len(rest) == 0 {
-		f.pending = f.pending[:0]
-	} else {
-		f.pending = append(f.pending[:0], rest...)
-	}
+	f.pending = append(f.pending[:0], f.pending[n:]...)
 }
 
 // kvLen returns the byte length of the complete KV pair at the head of

@@ -3,6 +3,7 @@ package mapred
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -234,5 +235,43 @@ func TestNCompares(t *testing.T) {
 	}
 	if nCompares(1024) <= nCompares(512)*1.5 {
 		t.Error("n log n should grow superlinearly")
+	}
+}
+
+// TestCursorLoadMatchesNextKV: the merger's inline decode of one-byte
+// lengths agrees with NextKV on either side of the one-byte boundary (0, 127
+// and 128 for key and value alike, pair after pair), and a pair cut inside
+// its value panics in load as it does in NextKV.
+func TestCursorLoadMatchesNextKV(t *testing.T) {
+	var r run
+	for _, kl := range []int{0, 127, 128} {
+		for _, vl := range []int{0, 127, 128} {
+			r = AppendKV(r, bytes.Repeat([]byte{byte(kl)}, kl), bytes.Repeat([]byte{byte(vl)}, vl))
+		}
+	}
+	c := cursor{run: r}
+	for rest := []byte(r); len(rest) > 0; {
+		var k, v []byte
+		at := len(r) - len(rest)
+		k, v, rest = NextKV(rest)
+		if !c.load() || c.pos != at || c.end != len(r)-len(rest) || !bytes.Equal(c.key, k) || !bytes.Equal(c.val, v) || c.prefix != KeyPrefix(k) {
+			t.Fatalf("pair at %d: load gave [%d:%d] %d-byte key, %d-byte value; NextKV [%d:%d] %d, %d",
+				at, c.pos, c.end, len(c.key), len(c.val), at, len(r)-len(rest), len(k), len(v))
+		}
+	}
+	if c.load() || !c.done || c.prefix != math.MaxUint64 {
+		t.Errorf("past the last pair: done %v, prefix %#x", c.done, c.prefix)
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, vl := range []int{5, 127, 128} {
+		pair := AppendKV(nil, []byte("key"), bytes.Repeat([]byte("v"), vl))
+		cut := pair[:len(pair)-2]
+		if !panics(func() { NextKV(cut) }) || !panics(func() { (&cursor{run: cut}).load() }) {
+			t.Errorf("%d-byte value cut short: NextKV and load must both panic", vl)
+		}
 	}
 }

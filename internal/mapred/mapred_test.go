@@ -416,7 +416,7 @@ func TestHashPartitionRangeAndDeterminism(t *testing.T) {
 	}
 }
 
-// modelMergeRuns is the linear-scan k-way merge the heap merger replaced,
+// modelMergeRuns is the linear-scan k-way merge the merger replaced,
 // kept as its reference model: of equal keys the lowest run index wins, and
 // every pair is re-encoded from its decoded key and value.
 func modelMergeRuns(runs []run) run {
@@ -539,76 +539,134 @@ var mergeKeyPool = []string{
 	"prefix_", "prefix_a", "prefiy__", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff",
 }
 
-// randomRuns draws up to maxRuns sorted runs over mergeKeyPool. Keys repeat
-// within and across runs; a value names the run and position it came from
-// (every fourth is empty), so a wrong tie order changes the merged bytes.
-// Some runs come out empty.
-func randomRuns(rng *rand.Rand, maxRuns int) []run {
-	runs := make([]run, rng.Intn(maxRuns+1))
+// randomRuns draws n sorted runs over mergeKeyPool, each of up to 11 pairs,
+// so they run out at different points of the merge. Keys repeat within and
+// across runs; a value names the run and position it came from (every fourth
+// is empty), so a wrong tie order changes the merged bytes. Some runs come
+// out empty.
+func randomRuns(rng *rand.Rand, n int) []run {
+	runs := make([]run, n)
 	for ri := range runs {
 		keys := make([]string, rng.Intn(12))
 		for i := range keys {
 			keys[i] = mergeKeyPool[rng.Intn(len(mergeKeyPool))]
 		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			var v []byte
-			if i%4 != 3 {
-				v = []byte(fmt.Sprintf("r%d#%d", ri, i))
-			}
-			runs[ri] = AppendKV(runs[ri], []byte(k), v)
-		}
+		runs[ri] = sortedRunOf(keys, ri)
 	}
 	return runs
 }
 
+// sortedRunOf sorts keys and encodes them as run ri of a merge, each value
+// naming the run and the key's position in it (every fourth empty).
+func sortedRunOf(keys []string, ri int) run {
+	sort.Strings(keys)
+	var r run
+	for i, k := range keys {
+		var v []byte
+		if i%4 != 3 {
+			v = []byte(fmt.Sprintf("r%d#%d", ri, i))
+		}
+		r = AppendKV(r, []byte(k), v)
+	}
+	return r
+}
+
+type mergeGroup struct {
+	key  string
+	vals []string
+}
+
+func collectGroups(dst *[]mergeGroup) func([]byte, [][]byte) {
+	return func(k []byte, vs [][]byte) {
+		g := mergeGroup{key: string(k)}
+		for _, v := range vs {
+			g.vals = append(g.vals, string(v))
+		}
+		*dst = append(*dst, g)
+	}
+}
+
+// checkMergeAgainstModel fails t unless rt.mergeRuns(runs) is byte-equal to
+// the linear-scan model's merge, the streaming group loop sees what grouping
+// the model's merged run saw, and neither writes to runs.
+func checkMergeAgainstModel(t *testing.T, rt *Runtime, runs []run) {
+	t.Helper()
+	before := slices.Clone(runs)
+	want := modelMergeRuns(slices.Clone(runs))
+	got, pooled := rt.mergeRuns(runs)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%d runs: merged run differs from the model\n got  %q\n want %q\n runs %q", len(runs), got, want, runs)
+	}
+	var wantGroups, gotGroups []mergeGroup
+	modelGroupRun(want, collectGroups(&wantGroups))
+	newMerger(runs).groups(collectGroups(&gotGroups))
+	if !reflect.DeepEqual(gotGroups, wantGroups) {
+		t.Fatalf("%d runs: streamed groups differ from the model\n got  %q\n want %q", len(runs), gotGroups, wantGroups)
+	}
+	for i := range runs {
+		if !bytes.Equal(runs[i], before[i]) || (len(runs[i]) > 0 && &runs[i][0] != &before[i][0]) {
+			t.Fatalf("%d runs: merging rewrote runs[%d]", len(runs), i)
+		}
+	}
+	rt.recycleMerged(got, pooled) // the next merge overwrites it
+}
+
 // TestMergerMatchesLinearScanModel: over random runs — short keys, keys tied
 // in their prefixes, keys differing only by trailing 0x00, empty keys and
-// values, duplicates across runs — the merger's materialized output is
-// byte-equal to the linear-scan model's (so lower run index first on ties),
-// the streaming group loop sees what grouping the model's merged run saw,
-// and neither writes to the runs slice.
+// values, duplicates across runs, \xff… keys whose prefix is the exhausted
+// runs' — at every fan-in from 0 to 70, so tournaments of every shape, not
+// only powers of two, the merger agrees with the linear-scan model (so lower
+// run index first on ties) and leaves the runs as they were.
 func TestMergerMatchesLinearScanModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	rt := new(Runtime)
-	type group struct {
-		key  string
-		vals []string
-	}
-	collect := func(dst *[]group) func([]byte, [][]byte) {
-		return func(k []byte, vs [][]byte) {
-			g := group{key: string(k)}
-			for _, v := range vs {
-				g.vals = append(g.vals, string(v))
-			}
-			*dst = append(*dst, g)
-		}
-	}
 	for iter := 0; iter < 2000; iter++ {
-		runs := randomRuns(rng, 9)
-		before := slices.Clone(runs)
-		want := modelMergeRuns(slices.Clone(runs))
-
-		got, pooled := rt.mergeRuns(runs)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("iter %d: merged run differs from the model\n got  %q\n want %q\n runs %q", iter, got, want, runs)
+		checkMergeAgainstModel(t, rt, randomRuns(rng, rng.Intn(10)))
+	}
+	for fan := 1; fan <= 70; fan++ {
+		for iter := 0; iter < 20; iter++ {
+			checkMergeAgainstModel(t, rt, randomRuns(rng, fan))
 		}
-		var wantGroups, gotGroups []group
-		modelGroupRun(want, collect(&wantGroups))
-		newMerger(runs).groups(collect(&gotGroups))
-		if !reflect.DeepEqual(gotGroups, wantGroups) {
-			t.Fatalf("iter %d: streamed groups differ from the model\n got  %q\n want %q", iter, gotGroups, wantGroups)
-		}
-		for i := range runs {
-			if !bytes.Equal(runs[i], before[i]) || (len(runs[i]) > 0 && &runs[i][0] != &before[i][0]) {
-				t.Fatalf("iter %d: merging rewrote runs[%d]", iter, i)
+	}
+	// Live \xff… keys outlast every other run, in the first run, the last,
+	// and one in the middle of an odd tournament.
+	ff := []string{"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
+	for _, at := range []int{0, 3, 6} {
+		runs := make([]run, 7)
+		for ri := range runs {
+			keys := []string{"a", "b"}
+			if ri == at {
+				keys = append(keys, ff...)
 			}
+			runs[ri] = sortedRunOf(keys, ri)
 		}
-		rt.recycleMerged(got, pooled) // the next merge overwrites it
+		checkMergeAgainstModel(t, rt, runs)
 	}
 	if len(rt.mergeBufs) != 1 {
 		t.Errorf("%d pooled merge buffers after sequential merges, want 1", len(rt.mergeBufs))
 	}
+}
+
+// FuzzMergeRuns: any runs the fuzzer can spell merge as the linear-scan
+// model merges them. data is a sequence of keys, each a length byte (mod 12)
+// and that many bytes, dealt round-robin to fan runs.
+func FuzzMergeRuns(f *testing.F) {
+	f.Add([]byte("\x01a\x02a\x00\x01b\x00"), uint8(2))
+	f.Add([]byte("\x08\xff\xff\xff\xff\xff\xff\xff\xff\x01a\x09\xff\xff\xff\xff\xff\xff\xff\xff\xff"), uint8(3))
+	f.Add([]byte("\x09prefix__a\x08prefix__\x09prefix__\x00\x03abc\x00\x02ab"), uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, fan uint8) {
+		keys := make([][]string, int(fan)%70+1)
+		for i := 0; len(data) > 0; i++ {
+			n := min(int(data[0])%12, len(data)-1)
+			keys[i%len(keys)] = append(keys[i%len(keys)], string(data[1:1+n]))
+			data = data[1+n:]
+		}
+		runs := make([]run, len(keys))
+		for ri, ks := range keys {
+			runs[ri] = sortedRunOf(ks, ri)
+		}
+		checkMergeAgainstModel(t, new(Runtime), runs)
+	})
 }
 
 // sortKVEntries sorts free-standing entries as a spill sorts its buffer's.

@@ -64,10 +64,10 @@ func (e kvEnt) digit(d int) byte {
 // uvarintLen is the number of bytes binary.AppendUvarint writes for n.
 func uvarintLen(n uint32) uint32 { return (uint32(bits.Len32(n|1)) + 6) / 7 }
 
-// keyPrefix packs the first eight bytes of k big-endian, zero-padding a
+// KeyPrefix packs the first eight bytes of k big-endian, zero-padding a
 // shorter key: unequal prefixes order as the keys do, equal ones decide
 // nothing ("a" and "a\x00" collide) and the full keys must be compared.
-func keyPrefix(k []byte) uint64 {
+func KeyPrefix(k []byte) uint64 {
 	if len(k) >= 8 {
 		return binary.BigEndian.Uint64(k)
 	}
@@ -379,7 +379,7 @@ func (ms *mapState) add(p *sim.Proc, part int, k, v []byte) {
 	ms.arena = append(ms.arena, k...)
 	ms.arena = binary.AppendUvarint(ms.arena, uint64(len(v)))
 	ms.arena = append(ms.arena, v...)
-	ms.ents = append(ms.ents, kvEnt{prefix: keyPrefix(k), koff: uint32(ko), klen: uint32(len(k)), vlen: uint32(len(v)), part: uint32(part)})
+	ms.ents = append(ms.ents, kvEnt{prefix: KeyPrefix(k), koff: uint32(ko), klen: uint32(len(k)), vlen: uint32(len(v)), part: uint32(part)})
 	ms.bufBytes += int64(len(k)+len(v)) + 16
 	if float64(ms.bufBytes) >= 0.8*float64(ms.rt.cfg.SortBufBytes) {
 		ms.spill(p)

@@ -70,22 +70,25 @@ func sampleSplitters(p *sim.Proc, fs *hdfs.FS, inputs []string, client string, r
 
 // totalOrderPartition returns a partitioner routing keys by binary search
 // over the splitters, so partition i holds keys <= all of partition i+1 —
-// concatenated reduce outputs are globally sorted.
+// concatenated reduce outputs are globally sorted. A probe compares full
+// keys only when their mapred.KeyPrefix values (the splitters' precomputed) tie.
 func totalOrderPartition(splitters [][]byte) mapred.Partitioner {
+	prefixes := make([]uint64, len(splitters))
+	for i, s := range splitters {
+		prefixes[i] = mapred.KeyPrefix(s)
+	}
 	return func(key []byte, n int) int {
+		p := mapred.KeyPrefix(key)
 		lo, hi := 0, len(splitters)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if bytes.Compare(key, splitters[mid]) < 0 {
+			if sp := prefixes[mid]; p < sp || (p == sp && bytes.Compare(key, splitters[mid]) < 0) {
 				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
-		if lo >= n {
-			lo = n - 1
-		}
-		return lo
+		return min(lo, n-1)
 	}
 }
 

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -390,6 +391,51 @@ func TestExtensionsRegistry(t *testing.T) {
 		for _, d := range []string{inputDir(w.key()), outputDir(w.key())} {
 			if got := r.fs.List(d); len(got) != 0 {
 				t.Errorf("preparing Join wrote %v under %s's %s", got, w.key(), d)
+			}
+		}
+	}
+}
+
+// TestTotalOrderPartitionMatchesCompareSearch: routing by prefix first, and
+// by the full keys only on a prefix tie, sends every key where the binary
+// search over bytes.Compare sends it — keys shorter than eight bytes, "a"
+// against "a\x00" (one prefix), keys equal to a splitter, keys sharing a
+// splitter's first eight bytes, and TeraGen's keys — for every reduce count
+// up to one past the splitters.
+func TestTotalOrderPartitionMatchesCompareSearch(t *testing.T) {
+	search := func(splitters [][]byte, key []byte, n int) int {
+		i := sort.Search(len(splitters), func(i int) bool { return bytes.Compare(key, splitters[i]) < 0 })
+		return min(i, n-1)
+	}
+	pool := []string{"", "\x00", "a", "a\x00", "a\x00\x00\x00\x00\x00\x00\x00", "a\x00\x00\x00\x00\x00\x00\x00\x00",
+		"ab", "b", "prefix_", "prefix__", "prefix__\x00", "prefix__a", "prefix__b", "prefix__ba", "prefiy",
+		"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00"}
+	keys := slices.Clone(pool)
+	var tera []string // TeraGen keys, every other one a splitter below
+	data := datagen.TeraGen{Seed: 3}.Part(0, 20*datagen.RecordSize)
+	for i := 0; i < 20; i++ {
+		k := string(datagen.Key(data, i*datagen.RecordSize))
+		keys = append(keys, k, k[:8], k[:9], k[:8]+"\x00", k[:8]+"~~") // the key, then keys that share its prefix
+		if i%2 == 0 {
+			tera = append(tera, k)
+		}
+	}
+	for _, splitterSet := range [][]string{
+		{"a", "a\x00", "prefix__", "prefix__b"},
+		{"", "a\x00\x00\x00\x00\x00\x00\x00", "ab", "prefix__a", "\xff\xff\xff\xff\xff\xff\xff\xff"},
+		tera,
+	} {
+		splitters := make([][]byte, len(splitterSet))
+		for i, s := range splitterSet {
+			splitters[i] = []byte(s)
+		}
+		slices.SortFunc(splitters, bytes.Compare)
+		part := totalOrderPartition(splitters)
+		for n := 1; n <= len(splitters)+1; n++ {
+			for _, k := range keys {
+				if got, want := part([]byte(k), n), search(splitters, []byte(k), n); got != want {
+					t.Errorf("splitters %q, %d reduces: key %q to %d, want %d", splitters, n, k, got, want)
+				}
 			}
 		}
 	}
