@@ -107,8 +107,7 @@ func main() {
 	defer env.Close() // streams are cut off at the horizon mid-request
 	d := disk.New(env, p)
 	for _, ev := range plan.Events {
-		ev := ev
-		env.AfterFunc(ev.At, func() {
+		env.After(ev.At, func() {
 			d.SetSlowFactor(ev.Factor)
 			fmt.Fprintf(os.Stderr, "iosim: t=%v %s\n", env.Now(), ev)
 		})

@@ -43,6 +43,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -339,6 +340,8 @@ func (ev Event) validate() error {
 		return fmt.Errorf("faults: %s needs prob in (0,1], got %g", ev.Kind, ev.Prob)
 	case spec.need&argDown != 0 && ev.Down <= 0:
 		return fmt.Errorf("faults: %s needs down > 0", ev.Kind)
+	case ev.Rack < 0:
+		return fmt.Errorf("faults: %s needs rack >= 1 (racks are 1-indexed), got %d", ev.Kind, ev.Rack)
 	}
 	switch ev.Kind {
 	case CorruptBlock:
@@ -397,14 +400,46 @@ func (ev Event) Narrowed() []Event {
 	return out
 }
 
-// cutKeys returns the identities a partition event cuts off — its node
-// names, or an opaque rack key when the cut is a whole rack (rack
-// membership is only known once the plan is armed against a cluster).
-func (ev Event) cutKeys() []string {
+// cut is a partition's window and the names it cuts off. Injector.Start
+// names a cut's member nodes; Validate, which has no cluster to resolve a
+// rack with, names a whole rack by an opaque key, so there a nodes= cut and
+// a rack= cut never meet.
+type cut struct {
+	at, until time.Duration
+	names     []string
+}
+
+// cut returns the partition event's cut as the plan alone can name it: its
+// nodes, or its rack's key.
+func (ev Event) cut() cut {
+	c := cut{at: ev.At, until: ev.end(), names: ev.Nodes}
 	if ev.Rack > 0 {
-		return []string{fmt.Sprintf("rack:%d", ev.Rack)}
+		c.names = []string{fmt.Sprintf("rack:%d", ev.Rack)}
 	}
-	return ev.Nodes
+	return c
+}
+
+// meets reports whether two cuts are in force at once and share a name:
+// the first heal would reunite nodes the other cut still isolates.
+func (c cut) meets(o cut) bool {
+	if c.at >= o.until || o.at >= c.until {
+		return false
+	}
+	for _, name := range c.names {
+		if slices.Contains(o.names, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// end returns when the event is undone — a restart's rejoin, a partition's
+// heal, a lossy link's clear — or, for a fault that stays, its own time.
+func (ev Event) end() time.Duration {
+	if ev.Kind == DropLink {
+		return ev.Until
+	}
+	return ev.At + ev.Down
 }
 
 // victim names the entity an event takes down — the target node, or the
@@ -444,10 +479,6 @@ func (pl Plan) HasMasterFaults() bool {
 // pairing is checked by Injector.Start instead.
 func (pl Plan) Validate() error {
 	type window struct{ at, until time.Duration }
-	type cut struct {
-		at, until time.Duration
-		keys      []string
-	}
 	seen := make(map[string]bool, len(pl.Events))
 	wins := make(map[string][]window)
 	var cuts []cut
@@ -461,9 +492,9 @@ func (pl Plan) Validate() error {
 		}
 		seen[key] = true
 		if ev.Kind == Partition {
-			c := cut{at: ev.At, until: ev.At + ev.Down, keys: ev.cutKeys()}
+			c := ev.cut()
 			for _, prev := range cuts {
-				if c.at < prev.until && prev.at < c.until && keysIntersect(prev.keys, c.keys) {
+				if c.meets(prev) {
 					return fmt.Errorf("faults: partition at %v overlaps an in-flight partition window (%v-%v) on the same nodes",
 						ev.At, prev.at, prev.until)
 				}
@@ -502,17 +533,6 @@ func (ev Event) window() (victim string, until time.Duration, ok bool) {
 		return ev.victim(), ev.At + ev.Down, true
 	}
 	return "", 0, false
-}
-
-func keysIntersect(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // RandomPlan samples n fault events uniformly over [0, window) against the
@@ -660,8 +680,8 @@ func (ev *Event) shift(d time.Duration) {
 }
 
 // Injector arms a plan against a concrete cluster. Create with New, call
-// Start before sim.Env.Run, and Stop after the workload (plus recovery)
-// drains to cancel any events that never fired.
+// Start before sim.Env.Run, and Stop once the workload (plus recovery) has
+// drained, so that nothing still pending fires.
 type Injector struct {
 	env  *sim.Env
 	cl   *cluster.Cluster
@@ -670,338 +690,317 @@ type Injector struct {
 	rt   *mapred.Runtime
 	plan Plan
 
-	timers []*sim.Timer
-	fired  []string   // log of injected events, in firing order
-	cuts   []armedCut // armed partition windows, for cross-form overlap checks
+	stopped bool     // Stop was called: pending callbacks do nothing
+	fired   []string // log of injected events, in firing order
+	cuts    []cut    // armed partitions by member, for the check Validate cannot make
 
-	// crashGen counts the death events fired at each node. A restart's
-	// rejoin half captures the generation its crash created and aborts if a
-	// later kill or crash superseded it — otherwise a reboot whose journal
-	// replay outlives the next power failure would resurrect a node that is
-	// supposed to be down (or down for good).
+	// crashGen counts the death events fired at each victim. A restart's up
+	// half runs only while the generation its down half created is current —
+	// otherwise a reboot whose journal replay outlives the next power failure
+	// would resurrect a node that is supposed to be down (or down for good).
 	crashGen map[string]int
-}
-
-// bumpGen records one death event at node and returns the new generation.
-func (in *Injector) bumpGen(node string) int {
-	if in.crashGen == nil {
-		in.crashGen = make(map[string]int)
-	}
-	in.crashGen[node]++
-	return in.crashGen[node]
 }
 
 // New wires an injector. fs and rt may be nil when the plan does not touch
 // the corresponding subsystem (checked at Start).
 func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, rt *mapred.Runtime, plan Plan) *Injector {
-	return &Injector{env: env, cl: cl, net: cl.Net, fs: fs, rt: rt, plan: plan}
+	return &Injector{env: env, cl: cl, net: cl.Net, fs: fs, rt: rt, plan: plan, crashGen: map[string]int{}}
 }
 
-// Start validates every event's target and schedules the plan as cancellable
-// virtual-time callbacks. Shuffle-drop windows install a single seeded hook
-// into the MapReduce runtime. Returns an error (scheduling nothing) if any
-// event names an unknown node or disk.
+// Start checks every event's target and schedules the plan through one
+// path: in plan order, each event's fault at its time and then, for a kind
+// that is undone, its rejoin, heal or clear at its end; the drop-shuffle
+// log lines come last. The kernel fires callbacks due at one instant in the
+// order they were scheduled, so this order is part of every run's outcome.
+// Shuffle-drop windows install a single seeded hook into the MapReduce
+// runtime. An event naming an unknown node, disk or rack, or a subsystem
+// the injector was not given, makes Start return an error, and then
+// nothing it scheduled fires.
 func (in *Injector) Start() error {
 	var drops []Event
 	for i, ev := range in.plan.Events {
-		i, ev := i, ev
+		fire, heal, err := in.arm(i, ev)
+		if err != nil {
+			in.Stop()
+			return err
+		}
 		if ev.Kind == DropShuffle {
 			drops = append(drops, ev)
 			continue
 		}
-		if ev.Kind == CorruptBlock {
-			if in.fs == nil {
-				return fmt.Errorf("faults: %s without an HDFS instance", ev.Kind)
-			}
-			if ev.Node != "" && in.cl.FindNode(ev.Node) == nil {
-				return fmt.Errorf("faults: %s: unknown node %q", ev.Kind, ev.Node)
-			}
-			// One rng per event, derived from the plan seed and the event's
-			// position, so victim choice is deterministic and independent of
-			// sibling events.
-			rng := rand.New(rand.NewSource(in.plan.Seed ^ int64(i+1)*0x9E3779B97F4A7C))
-			in.timers = append(in.timers, in.env.AfterFunc(ev.At, func() { in.corruptBlock(ev, rng) }))
-			continue
-		}
-		if ev.Kind == RestartNameNode || ev.Kind == RestartJobTracker {
-			if ev.Kind == RestartNameNode {
-				if in.fs == nil || !in.fs.MasterEnabled() {
-					return fmt.Errorf("faults: %s needs master recovery enabled (core.WithMasterRecovery)", ev.Kind)
-				}
-			} else if in.rt == nil || !in.rt.MasterEnabled() {
-				return fmt.Errorf("faults: %s needs master recovery enabled (core.WithMasterRecovery)", ev.Kind)
-			}
-			gen := new(int)
-			kind := ev.Kind
-			fire := func() {
-				*gen = in.bumpGen(ev.victim())
-				if kind == RestartNameNode {
-					in.fs.CrashNameNode()
-				} else {
-					in.rt.CrashJobTracker()
-				}
-				in.note(ev)
-			}
-			rejoin := func() {
-				in.env.Go("restart:"+ev.victim(), func(p *sim.Proc) {
-					if in.crashGen[ev.victim()] != *gen {
-						return
-					}
-					if kind == RestartNameNode {
-						in.fs.RestartNameNode(p)
-					} else {
-						in.rt.RestartJobTracker(p)
-					}
-					in.noteRejoin(ev)
-				})
-			}
-			in.timers = append(in.timers, in.env.AfterFunc(ev.At, fire))
-			in.timers = append(in.timers, in.env.AfterFunc(ev.At+ev.Down, rejoin))
-			continue
-		}
-		if ev.Kind == Partition || ev.Kind == SlowLink || ev.Kind == DropLink {
-			if err := in.armNetFault(i, ev); err != nil {
-				return err
-			}
-			continue
-		}
-		if ev.Node == "" {
-			return fmt.Errorf("faults: %s needs node= to target a cluster", ev.Kind)
-		}
-		node := in.cl.FindNode(ev.Node)
-		if node == nil {
-			return fmt.Errorf("faults: %s: unknown node %q", ev.Kind, ev.Node)
-		}
-		var fire func()
-		var rejoin func()
-		switch ev.Kind {
-		case KillDataNode:
-			if in.fs == nil {
-				return fmt.Errorf("faults: %s without an HDFS instance", ev.Kind)
-			}
-			fire = func() { in.killDataNode(ev) }
-		case KillNode:
-			if in.fs == nil || in.rt == nil {
-				return fmt.Errorf("faults: %s without HDFS and MapReduce instances", ev.Kind)
-			}
-			fire = func() { in.killNode(ev, node) }
-		case RestartDataNode:
-			if in.fs == nil {
-				return fmt.Errorf("faults: %s without an HDFS instance", ev.Kind)
-			}
-			gen := new(int)
-			fire = func() { *gen = in.stopDataNode(ev) }
-			rejoin = func() { in.rejoinDataNode(ev, *gen) }
-		case RestartNode:
-			if in.fs == nil || in.rt == nil {
-				return fmt.Errorf("faults: %s without HDFS and MapReduce instances", ev.Kind)
-			}
-			gen := new(int)
-			fire = func() { *gen = in.crashNode(ev, node) }
-			rejoin = func() { in.rebootNode(ev, node, *gen) }
-		case FailDisk, SlowDisk:
-			if ev.Disk == "" {
-				return fmt.Errorf("faults: %s needs node= and disk= to target a cluster", ev.Kind)
-			}
-			vol, err := findVol(node, ev.Disk)
-			if err != nil {
-				return err
-			}
-			if ev.Kind == SlowDisk {
-				fire = func() { in.slowDisk(ev, vol) }
-			} else {
-				fire = func() { in.failDisk(ev, node, vol) }
-			}
-		}
-		in.timers = append(in.timers, in.env.AfterFunc(ev.At, fire))
-		if rejoin != nil {
-			in.timers = append(in.timers, in.env.AfterFunc(ev.At+ev.Down, rejoin))
+		in.at(ev.At, fire)
+		if heal != nil {
+			in.at(ev.end(), heal)
 		}
 	}
-	if len(drops) > 0 {
-		if in.rt == nil {
-			return fmt.Errorf("faults: %s without a MapReduce instance", DropShuffle)
-		}
+	if len(drops) == 0 {
+		return nil
+	}
+	for _, d := range drops {
+		// The hook below is passive; log each window when it opens so
+		// reports still show that the run was perturbed.
+		in.at(d.At, func() { in.logf("%s", d) })
+	}
+	rng := rand.New(rand.NewSource(in.plan.Seed))
+	in.rt.SetFetchFault(func(now time.Duration) bool {
 		for _, d := range drops {
-			d := d
-			// The hook below is passive; log each window when it opens so
-			// reports still show that the run was perturbed.
-			in.timers = append(in.timers, in.env.AfterFunc(d.At, func() { in.note(d) }))
-		}
-		rng := rand.New(rand.NewSource(in.plan.Seed))
-		in.rt.SetFetchFault(func(now time.Duration) bool {
-			for _, d := range drops {
-				if now >= d.At && now < d.Until {
-					// One deterministic draw per in-window fetch; windows
-					// never stack (first match wins).
-					return rng.Float64() < d.Prob
-				}
+			if now >= d.At && now < d.Until {
+				// One deterministic draw per in-window fetch; windows
+				// never stack (first match wins).
+				return rng.Float64() < d.Prob
 			}
-			return false
-		})
-	}
+		}
+		return false
+	})
 	return nil
 }
 
-// killDataNode fail-stops just the DataNode process: the machine, its NIC,
-// and its TaskTracker stay up.
-func (in *Injector) killDataNode(ev Event) {
-	in.bumpGen(ev.Node)
-	in.fs.CrashDataNode(ev.Node)
-	in.note(ev)
+// at schedules fn to run t from now (Start runs at time zero, so at the
+// plan's own timestamps) unless Stop has been called by then.
+func (in *Injector) at(t time.Duration, fn func()) {
+	in.env.After(t, func() {
+		if !in.stopped {
+			fn()
+		}
+	})
 }
 
-// killNode fail-stops the whole machine, in the order the control planes
+// arm checks one event's target and returns its two halves: fire injects
+// the fault at ev.At, and heal, nil for a fault that stays, undoes it at
+// ev.end(). Drop-shuffle is only checked: Start installs its hook. i is the
+// event's index in the plan, which keys its partition id and its rng.
+func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
+	var node *cluster.Node
+	if ev.Node != "" {
+		if node = in.cl.FindNode(ev.Node); node == nil {
+			return nil, nil, fmt.Errorf("faults: %s: unknown node %q", ev.Kind, ev.Node)
+		}
+	}
+	switch k := ev.Kind; {
+	case k == RestartNameNode && (in.fs == nil || !in.fs.MasterEnabled()),
+		k == RestartJobTracker && (in.rt == nil || !in.rt.MasterEnabled()):
+		return nil, nil, fmt.Errorf("faults: %s needs master recovery enabled (core.WithMasterRecovery)", k)
+	case (k == KillNode || k == RestartNode) && (in.fs == nil || in.rt == nil):
+		return nil, nil, fmt.Errorf("faults: %s without HDFS and MapReduce instances", k)
+	case (k == KillDataNode || k == RestartDataNode || k == CorruptBlock) && in.fs == nil:
+		return nil, nil, fmt.Errorf("faults: %s without an HDFS instance", k)
+	case k == DropShuffle && in.rt == nil:
+		return nil, nil, fmt.Errorf("faults: %s without a MapReduce instance", k)
+	}
+	switch ev.Kind {
+	case RestartNameNode:
+		fire, heal = in.restart(ev, in.fs.CrashNameNode, in.fs.RestartNameNode)
+	case RestartJobTracker:
+		fire, heal = in.restart(ev, in.rt.CrashJobTracker, in.rt.RestartJobTracker)
+	case KillDataNode, RestartDataNode:
+		// Only the DataNode process dies: volumes, page cache, NIC and
+		// TaskTracker stay up, and the restart sends a block report.
+		fire, heal = in.restart(ev, func() { in.fs.CrashDataNode(ev.Node) },
+			func(p *sim.Proc) { in.fs.RejoinDataNode(p, ev.Node) })
+	case KillNode, RestartNode:
+		// The reboot remounts every volume (a journal replay, in virtual
+		// time), then the NIC returns, the DataNode rejoins with a block
+		// report, and the TaskTracker re-registers so its slots rejoin
+		// scheduling.
+		var up []func(*sim.Proc)
+		for _, vol := range slices.Concat(node.HDFSVols, node.MRVols) {
+			up = append(up, vol.Remount)
+		}
+		up = append(up, func(p *sim.Proc) {
+			node.SetDown(false)
+			in.net.SetDown(node.Name, false)
+			in.fs.RejoinDataNode(p, node.Name)
+			in.rt.OnNodeRejoin(node.Name)
+		})
+		fire, heal = in.restart(ev, func() { in.nodeDown(node, ev.Kind == RestartNode) }, up...)
+	case FailDisk, SlowDisk:
+		if node == nil {
+			return nil, nil, fmt.Errorf("faults: %s needs node= to target a cluster", ev.Kind)
+		}
+		if ev.Disk == "" {
+			return nil, nil, fmt.Errorf("faults: %s needs node= and disk= to target a cluster", ev.Kind)
+		}
+		vol, err := findVol(node, ev.Disk)
+		if err != nil {
+			return nil, nil, err
+		}
+		if ev.Kind == SlowDisk {
+			fire = func() {
+				vol.Disk().SetSlowFactor(ev.Factor)
+				in.logf("%s", ev)
+			}
+		} else {
+			fire = func() { in.failDisk(ev, node, vol) }
+		}
+	case CorruptBlock:
+		rng := in.rng(i)
+		// A target that stores nothing eligible (already died, or never
+		// held the path) makes the event a logged no-op.
+		fire = func() { in.logf("%s blk=%d", ev, in.fs.CorruptReplica(ev.Node, ev.Path, rng)) }
+	case Partition:
+		c := ev.cut()
+		if ev.Rack > 0 {
+			r, err := in.rack(ev)
+			if err != nil {
+				return nil, nil, err
+			}
+			c.names = in.net.RackNodes(r)
+		}
+		for _, name := range ev.Nodes {
+			if in.cl.FindNode(name) == nil {
+				return nil, nil, fmt.Errorf("faults: %s: unknown node %q", ev.Kind, name)
+			}
+		}
+		for _, prev := range in.cuts {
+			if c.meets(prev) {
+				return nil, nil, fmt.Errorf("faults: %s overlaps an in-flight partition window on the same nodes", ev)
+			}
+		}
+		in.cuts = append(in.cuts, c)
+		id := fmt.Sprintf("cut%d", i)
+		fire = func() {
+			in.net.Partition(id, c.names)
+			in.logf("%s", ev)
+		}
+		heal = func() {
+			in.net.Heal(id)
+			in.logf("heal %s", strings.Join(c.names, "+"))
+		}
+	case SlowLink:
+		if ev.Rack == 0 {
+			fire = func() {
+				in.net.SetNICSlow(ev.Node, ev.Factor)
+				in.logf("%s", ev)
+			}
+			break
+		}
+		r, err := in.rack(ev)
+		if err != nil {
+			return nil, nil, err
+		}
+		fire = func() {
+			in.net.SetUplinkSlow(r, ev.Factor)
+			in.logf("%s", ev)
+		}
+	case DropLink:
+		rng := in.rng(i)
+		fire = func() {
+			in.net.SetDrop(ev.Node, ev.Prob, rng)
+			in.logf("%s", ev)
+		}
+		heal = func() {
+			in.net.ClearDrop(ev.Node)
+			in.logf("clear drop-link %s", ev.Node)
+		}
+	}
+	return fire, heal, nil
+}
+
+// restart builds a death's two halves around the crash-generation guard.
+// fire counts a death at ev's victim, runs down and logs ev. heal, nil for
+// a kill (which has no down=), starts a process that runs the up steps in
+// order and logs the rejoin — checking before each step, since a remount
+// takes virtual time, that no later death has superseded this one. So a
+// restart never resurrects a victim whose next outage has already begun.
+func (in *Injector) restart(ev Event, down func(), up ...func(*sim.Proc)) (fire, heal func()) {
+	v := ev.victim()
+	var gen int
+	fire = func() {
+		in.crashGen[v]++
+		gen = in.crashGen[v]
+		down()
+		in.logf("%s", ev)
+	}
+	if ev.Down == 0 {
+		return fire, nil
+	}
+	heal = func() {
+		in.env.Go(string(ev.Kind)+":"+v, func(p *sim.Proc) {
+			for _, step := range up {
+				if in.crashGen[v] != gen {
+					return
+				}
+				step(p)
+			}
+			in.logf("rejoin %s", v)
+		})
+	}
+	return fire, heal
+}
+
+// nodeDown fail-stops the whole machine, in the order the control planes
 // would observe it: the machine stops (tasks abandon at their next chunk),
 // the NIC goes dark (in-flight transfers collapse), the DataNode stops
 // heartbeating, and the JobTracker writes off the node's attempts/outputs.
-func (in *Injector) killNode(ev Event, node *cluster.Node) {
-	in.bumpGen(ev.Node)
+// A crash (restart-node's power failure) also crashes every local volume:
+// dirty pages are lost and files truncated to their flushed prefix.
+func (in *Injector) nodeDown(node *cluster.Node, crash bool) {
 	node.SetDown(true)
-	in.net.SetDown(ev.Node, true)
-	in.fs.CrashDataNode(ev.Node)
-	in.rt.OnNodeDown(ev.Node)
-	in.note(ev)
+	in.net.SetDown(node.Name, true)
+	if crash {
+		for _, vol := range slices.Concat(node.HDFSVols, node.MRVols) {
+			vol.Crash()
+		}
+	}
+	in.fs.CrashDataNode(node.Name)
+	in.rt.OnNodeDown(node.Name)
 }
 
 // failDisk fail-stops one volume. HDFS volumes report straight to the
 // NameNode's repair queue; intermediate volumes lose their map outputs.
 func (in *Injector) failDisk(ev Event, node *cluster.Node, vol *localfs.FS) {
-	if isHDFSVol(node, vol) && in.fs != nil {
+	if slices.Contains(node.HDFSVols, vol) && in.fs != nil {
 		in.fs.FailVolume(ev.Node, vol) // calls vol.Fail and queues repairs
 	} else {
 		vol.Fail()
 	}
-	if isMRVol(node, vol) && in.rt != nil {
+	if slices.Contains(node.MRVols, vol) && in.rt != nil {
 		in.rt.OnVolumeDown(vol)
 	}
-	in.note(ev)
+	in.logf("%s", ev)
 }
 
-func (in *Injector) slowDisk(ev Event, vol *localfs.FS) {
-	vol.Disk().SetSlowFactor(ev.Factor)
-	in.note(ev)
-}
-
-// stopDataNode is the down half of restart-datanode: only the DataNode
-// process dies — volumes, page cache, NIC, and TaskTracker stay up.
-func (in *Injector) stopDataNode(ev Event) int {
-	gen := in.bumpGen(ev.Node)
-	in.fs.CrashDataNode(ev.Node)
-	in.note(ev)
-	return gen
-}
-
-// rejoinDataNode is the up half of restart-datanode: the process restarts
-// and sends its block report. gen is the generation the paired stop
-// created; if a later kill or crash hit the node during the outage, this
-// rejoin is superseded and must not resurrect it.
-func (in *Injector) rejoinDataNode(ev Event, gen int) {
-	in.env.Go("rejoin:"+ev.Node, func(p *sim.Proc) {
-		if in.crashGen[ev.Node] != gen {
-			return
-		}
-		in.fs.RejoinDataNode(p, ev.Node)
-		in.noteRejoin(ev)
-	})
-}
-
-// crashNode is the down half of restart-node: the machine power-fails.
-// Every local volume crashes (dirty pages lost, files truncated to their
-// flushed prefix), the NIC goes dark, and the control planes observe the
-// death exactly as for kill-node.
-func (in *Injector) crashNode(ev Event, node *cluster.Node) int {
-	gen := in.bumpGen(ev.Node)
-	node.SetDown(true)
-	in.net.SetDown(ev.Node, true)
-	for _, vol := range node.HDFSVols {
-		vol.Crash()
+// rack returns a rack= target 0-indexed (the plan syntax is 1-indexed),
+// checked against the network's racks.
+func (in *Injector) rack(ev Event) (int, error) {
+	if in.net.Racks() <= 1 {
+		return 0, fmt.Errorf("faults: %s targets rack %d on a flat network (set racks > 1)", ev.Kind, ev.Rack)
 	}
-	for _, vol := range node.MRVols {
-		vol.Crash()
+	if ev.Rack > in.net.Racks() {
+		return 0, fmt.Errorf("faults: %s: rack %d out of range (cluster has %d)", ev.Kind, ev.Rack, in.net.Racks())
 	}
-	in.fs.CrashDataNode(ev.Node)
-	in.rt.OnNodeDown(ev.Node)
-	in.note(ev)
-	return gen
+	return ev.Rack - 1, nil
 }
 
-// rebootNode is the up half of restart-node: volumes remount (journal
-// replay), the NIC returns, the DataNode rejoins with a block report, and
-// the TaskTracker re-registers so its slots rejoin scheduling. gen is the
-// generation the paired crash created; the reboot aborts — including
-// between volume remounts, which replay journals in virtual time — as soon
-// as a later death event supersedes it, so a reboot never resurrects a node
-// whose next outage has already begun.
-func (in *Injector) rebootNode(ev Event, node *cluster.Node, gen int) {
-	in.env.Go("reboot:"+ev.Node, func(p *sim.Proc) {
-		stale := func() bool { return in.crashGen[ev.Node] != gen }
-		for _, vol := range node.HDFSVols {
-			if stale() {
-				return
-			}
-			vol.Remount(p)
-		}
-		for _, vol := range node.MRVols {
-			if stale() {
-				return
-			}
-			vol.Remount(p)
-		}
-		if stale() {
-			return
-		}
-		node.SetDown(false)
-		in.net.SetDown(ev.Node, false)
-		in.fs.RejoinDataNode(p, ev.Node)
-		if in.rt != nil {
-			in.rt.OnNodeRejoin(ev.Node)
-		}
-		in.noteRejoin(ev)
-	})
+// rng returns event i's own random source, derived from the plan seed and
+// the event's position, so what it draws is deterministic and independent
+// of sibling events.
+func (in *Injector) rng(i int) *rand.Rand {
+	return rand.New(rand.NewSource(in.plan.Seed ^ int64(i+1)*0x9E3779B97F4A7C))
 }
 
-// corruptBlock flips bytes in one stored replica, chosen deterministically
-// by the event's rng. A target that stores nothing eligible (already died,
-// or never held the path) makes the event a logged no-op.
-func (in *Injector) corruptBlock(ev Event, rng *rand.Rand) {
-	id := in.fs.CorruptReplica(ev.Node, ev.Path, rng)
-	in.fired = append(in.fired, fmt.Sprintf("t=%v %s blk=%d", in.env.Now(), ev, id))
+// logf appends a line to the fired log, stamped with the current time.
+func (in *Injector) logf(format string, args ...any) {
+	in.fired = append(in.fired, fmt.Sprintf("t=%v ", in.env.Now())+fmt.Sprintf(format, args...))
 }
 
-func (in *Injector) noteRejoin(ev Event) {
-	in.fired = append(in.fired, fmt.Sprintf("t=%v rejoin %s", in.env.Now(), ev.victim()))
-}
-
-func (in *Injector) note(ev Event) {
-	in.fired = append(in.fired, fmt.Sprintf("t=%v %s", in.env.Now(), ev))
-}
-
-// LastAt returns the firing time of the plan's latest event — the point past
-// which no further fault will change cluster state. Drivers that audit
-// invariants after a run use it to let late-scheduled faults fire (and be
-// recovered from) before judging the cluster quiescent.
+// LastAt returns the latest time at which the plan changes cluster state —
+// its last fault, rejoin, heal or clear. Drivers that audit invariants
+// after a run use it to let late-scheduled faults fire (and be recovered
+// from) before judging the cluster quiescent.
 func (in *Injector) LastAt() time.Duration {
 	var last time.Duration
 	for _, ev := range in.plan.Events {
-		at := ev.At + ev.Down // restarts/partitions settle at their rejoin/heal
-		if ev.Kind == DropLink && ev.Until > at {
-			at = ev.Until // lossy paths settle when the window closes
-		}
-		if at > last {
-			last = at
-		}
+		last = max(last, ev.end())
 	}
 	return last
 }
 
-// Stop cancels events that have not fired yet. Call it once the run (and its
-// recovery tail) is over, so Env.Run(0) is not held open by pending faults.
-func (in *Injector) Stop() {
-	for _, t := range in.timers {
-		t.Stop()
-	}
-}
+// Stop disarms the plan: a fault, rejoin, heal or clear that has not fired
+// yet does nothing when its time comes. Call it once the run (and its
+// recovery tail) is over, or when the workload fails, so no fault lands on
+// a cluster that is being judged.
+func (in *Injector) Stop() { in.stopped = true }
 
 // Fired returns a human-readable log of the events injected so far.
 func (in *Injector) Fired() []string { return append([]string(nil), in.fired...) }
@@ -1027,22 +1026,4 @@ func findVol(node *cluster.Node, sel string) (*localfs.FS, error) {
 		return nil, fmt.Errorf("faults: node %s has no %s volume %d", node.Name, role, idx)
 	}
 	return vols[idx], nil
-}
-
-func isHDFSVol(node *cluster.Node, vol *localfs.FS) bool {
-	for _, v := range node.HDFSVols {
-		if v == vol {
-			return true
-		}
-	}
-	return false
-}
-
-func isMRVol(node *cluster.Node, vol *localfs.FS) bool {
-	for _, v := range node.MRVols {
-		if v == vol {
-			return true
-		}
-	}
-	return false
 }

@@ -245,6 +245,8 @@ func TestParsePlanRejectsBadNetworkFaults(t *testing.T) {
 		"drop-link@5s:node=a,until=30s,prob=1.5",                           // probability out of range
 		"partition@10s:nodes=a+b,down=20s;partition@15s:nodes=b+c,down=5s", // overlapping cuts share b
 		"partition@10s:rack=2,down=20s;partition@15s:rack=2,down=5s",       // overlapping cuts, same rack
+		"partition@1s:nodes=a,rack=-1,down=1s",                             // racks are 1-indexed
+		"slow-link@1s:node=a,rack=-3,factor=2",                             // racks are 1-indexed
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted bad input", s)
@@ -366,6 +368,8 @@ func FuzzParsePlan(f *testing.F) {
 		"kill-node@5s:node=a,nodes=",
 		"slow-disk@5s:factor=NaN",
 		"slow-disk@5s:factor=Inf",
+		"partition@1s:nodes=a,rack=-1,down=1s",
+		"slow-link@1s:node=a,rack=-3,factor=2",
 	} {
 		f.Add(s)
 	}

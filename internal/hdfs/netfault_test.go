@@ -130,7 +130,7 @@ func TestReadWaitsOutPartitionHeal(t *testing.T) {
 			}
 		}
 		start := env.Now()
-		env.AfterFunc(healAt, func() { c.Net.Heal("cut-all") })
+		env.After(healAt, func() { c.Net.Heal("cut-all") })
 		c.Net.Partition("cut-all", cut)
 		r, err := fs.Open("/healed", reader.Name)
 		if err != nil {

@@ -19,7 +19,7 @@ import (
 // shuffle, so their tasks are re-enqueued (Hadoop's TaskTracker reports the
 // failed mapred.local.dir and the affected attempts are re-run).
 func (rt *Runtime) OnVolumeDown(vol *localfs.FS) {
-	if rt.deferMembership("vol-down", "", vol) {
+	if rt.deferMembership(func() { rt.OnVolumeDown(vol) }) {
 		return // the JobTracker is down; it learns of this at restart
 	}
 	for js := range rt.active {

@@ -1091,7 +1091,7 @@ func TestMidRunFailSlowDiskTriggersSpeculation(t *testing.T) {
 	// Degrade every disk of slave 0 shortly after the job starts, as the
 	// injector's slow-disk event does — not before, so early attempts are
 	// scheduled against a healthy-looking node.
-	rig.env.AfterFunc(100*time.Microsecond, func() {
+	rig.env.After(100*time.Microsecond, func() {
 		for _, d := range rig.cl.Slaves[0].HDFSDisks {
 			d.SetSlowFactor(30)
 		}

@@ -73,21 +73,13 @@ type jtRec struct {
 	a, b int
 }
 
-// missedEvent is a cluster-membership change that fired while the
-// JobTracker was down and must be applied at restart, in arrival order.
-type missedEvent struct {
-	kind string // "node-down" | "node-rejoin" | "vol-down"
-	name string
-	vol  *localfs.FS
-}
-
 // jtMaster is the live JobTracker-durability machinery hanging off a
 // Runtime.
 type jtMaster struct {
 	log    *journal.Log[jtRec]
 	image  JobTrackerSnapshot // the last checkpoint's image
-	missed []missedEvent
-	stats  MasterStats // the JobTracker's own counters; the log keeps the rest
+	missed []func()           // membership changes that arrived while it was down, in arrival order
+	stats  MasterStats        // the JobTracker's own counters; the log keeps the rest
 }
 
 // EnableMaster switches on JobTracker job-state durability, journaling to
@@ -195,15 +187,8 @@ func (rt *Runtime) RestartJobTracker(p *sim.Proc) {
 	ms.log.Restart(p, func() {
 		missed := ms.missed
 		ms.missed = nil
-		for _, ev := range missed {
-			switch ev.kind {
-			case "node-down":
-				rt.OnNodeDown(ev.name)
-			case "node-rejoin":
-				rt.OnNodeRejoin(ev.name)
-			case "vol-down":
-				rt.OnVolumeDown(ev.vol)
-			}
+		for _, apply := range missed {
+			apply()
 		}
 		// Belt and braces: an output whose node bounced entirely within the
 		// outage produces no missed event pair that loses it, but its
@@ -271,14 +256,15 @@ func (rt *Runtime) StopMaster() {
 	}
 }
 
-// deferMembership queues a membership event while the JobTracker is down;
-// it reports whether the event was queued (the caller then skips acting).
-func (rt *Runtime) deferMembership(kind, name string, vol *localfs.FS) bool {
+// deferMembership queues a membership event while the JobTracker is down:
+// apply is the caller again, run at restart. It reports whether the event
+// was queued (the caller then skips acting).
+func (rt *Runtime) deferMembership(apply func()) bool {
 	ms := rt.master
 	if ms == nil || !ms.log.Down() {
 		return false
 	}
-	ms.missed = append(ms.missed, missedEvent{kind: kind, name: name, vol: vol})
+	ms.missed = append(ms.missed, apply)
 	ms.stats.MissedEvents++
 	return true
 }

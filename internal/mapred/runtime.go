@@ -92,7 +92,7 @@ func (rt *Runtime) SetFetchFault(f func(now time.Duration) bool) {
 // declared lost (their tasks re-enqueued), and its claimed reduce
 // partitions are released for other nodes.
 func (rt *Runtime) OnNodeDown(name string) {
-	if rt.deferMembership("node-down", name, nil) {
+	if rt.deferMembership(func() { rt.OnNodeDown(name) }) {
 		return // the JobTracker is down; it learns of this at restart
 	}
 	for js := range rt.active {
@@ -572,7 +572,7 @@ func (rt *Runtime) OnNodeRejoin(name string) {
 	if !rt.faulty {
 		return
 	}
-	if rt.deferMembership("node-rejoin", name, nil) {
+	if rt.deferMembership(func() { rt.OnNodeRejoin(name) }) {
 		return // re-registration waits out the JobTracker outage
 	}
 	node := rt.cl.FindNode(name)

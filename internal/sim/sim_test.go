@@ -854,37 +854,6 @@ func TestKillBeforeFirstRunSkipsBody(t *testing.T) {
 	}
 }
 
-func TestAfterFuncStop(t *testing.T) {
-	e := New(1)
-	var fired bool
-	tm := e.AfterFunc(2*time.Second, func() { fired = true })
-	e.After(time.Second, func() {
-		if !tm.Stop() {
-			t.Error("Stop before expiry should report true")
-		}
-	})
-	e.Run(0)
-	if fired {
-		t.Error("stopped timer fired")
-	}
-	if tm.fired {
-		t.Error("Fired() true on stopped timer")
-	}
-}
-
-func TestAfterFuncFires(t *testing.T) {
-	e := New(1)
-	var at time.Duration
-	tm := e.AfterFunc(3*time.Second, func() { at = e.Now() })
-	e.Run(0)
-	if at != 3*time.Second {
-		t.Errorf("fired at %v, want 3s", at)
-	}
-	if !tm.fired || tm.Stop() {
-		t.Error("post-fire state wrong")
-	}
-}
-
 func TestRunContextCompletesUncancelled(t *testing.T) {
 	e := New(1)
 	e.Go("worker", func(p *Proc) { p.Sleep(5 * time.Second) })
