@@ -14,9 +14,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -146,21 +147,11 @@ func main() {
 	if len(rep.Classes) > 0 {
 		// Tiered run: the per-device-class split (every spindle vs every
 		// flash device) behind the hdd.*/ssd.* report series.
-		classes := make([]string, 0, len(rep.Classes))
-		for n := range rep.Classes {
-			classes = append(classes, n)
-		}
-		sort.Strings(classes)
-		for _, n := range classes {
+		for _, n := range slices.Sorted(maps.Keys(rep.Classes)) {
 			printGroup(n, rep.Classes[n])
 		}
 	}
-	names := make([]string, 0, len(rep.FaultGroups))
-	for n := range rep.FaultGroups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(rep.FaultGroups)) {
 		printGroup(n, rep.FaultGroups[n])
 	}
 	if testbed.Hist {

@@ -10,6 +10,8 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,14 +74,8 @@ func CompareOutputs(wantSums, gotSums map[string]string, wantRaw, gotRaw map[str
 	for p := range gotSums {
 		paths[p] = true
 	}
-	ordered := make([]string, 0, len(paths))
-	for p := range paths {
-		ordered = append(ordered, p)
-	}
-	sort.Strings(ordered)
-
 	var findings []string
-	for _, p := range ordered {
+	for _, p := range slices.Sorted(maps.Keys(paths)) {
 		want, okW := wantSums[p]
 		got, okG := gotSums[p]
 		switch {

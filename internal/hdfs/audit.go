@@ -6,6 +6,8 @@ package hdfs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -51,11 +53,7 @@ func (fs *FS) AuditReplication() ReplicationAudit {
 	}
 
 	// NameNode side: every live block must meet its achievable target.
-	ids := make([]int64, 0, len(fs.blockByID))
-	for id := range fs.blockByID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Sorted(maps.Keys(fs.blockByID))
 	owner := make(map[int64]string, len(ids))
 	for name, f := range fs.files {
 		for _, b := range f.blocks {
@@ -101,7 +99,7 @@ func (fs *FS) AuditReplication() ReplicationAudit {
 		if dn.crashed {
 			continue
 		}
-		for _, id := range sortedBlockIDs(dn.blocks) {
+		for _, id := range slices.Sorted(maps.Keys(dn.blocks)) {
 			b, ok := fs.blockByID[id]
 			credited := false
 			if ok {

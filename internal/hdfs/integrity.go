@@ -14,8 +14,9 @@ package hdfs
 
 import (
 	"hash/crc32"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"iochar/internal/disk"
@@ -156,7 +157,7 @@ func (fs *FS) CorruptReplica(node, path string, rng *rand.Rand) int64 {
 		if dn.crashed {
 			continue
 		}
-		for _, id := range sortedBlockIDs(dn.blocks) {
+		for _, id := range slices.Sorted(maps.Keys(dn.blocks)) {
 			if (eligible == nil || eligible[id]) && !dn.blocks[id].vol.Failed() {
 				cands = append(cands, cand{dn, id})
 			}
@@ -236,12 +237,7 @@ func (fs *FS) EnableScrubber(cfg ScrubConfig) {
 // scrubPass verifies one full sweep of the namespace: every stored replica
 // of every live block, in block-ID then replica order.
 func (fs *FS) scrubPass(p *sim.Proc, st *scrubState) {
-	ids := make([]int64, 0, len(fs.blockByID))
-	for id := range fs.blockByID {
-		ids = append(ids, id)
-	}
-	sortInt64s(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(fs.blockByID)) {
 		if st.stopped {
 			return
 		}
@@ -268,7 +264,6 @@ func (fs *FS) scrubPass(p *sim.Proc, st *scrubState) {
 			}
 			h.SetStage(disk.StageScrub)
 			h.ReadAt(p, 0, b.size)
-			h.Close()
 			if fs.rec != nil {
 				fs.rec.stats.ScrubbedBlocks++
 				fs.rec.stats.ScrubbedBytes += uint64(b.size)
@@ -316,12 +311,7 @@ func (fs *FS) AuditIntegrity() []string {
 		return nil
 	}
 	var bad []string
-	ids := make([]int64, 0, len(fs.blockByID))
-	for id := range fs.blockByID {
-		ids = append(ids, id)
-	}
-	sortInt64s(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(fs.blockByID)) {
 		b := fs.blockByID[id]
 		for _, dn := range b.replicas {
 			if dn.crashed {
@@ -337,8 +327,4 @@ func (fs *FS) AuditIntegrity() []string {
 		}
 	}
 	return bad
-}
-
-func sortInt64s(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -2,10 +2,9 @@
 // made killable. Every namespace mutation appends an edit record to the
 // NameNode's write-ahead log (internal/journal, which owns the journal and
 // fsimage files, the daemons, crash/restart and the client stall); this file
-// owns what is the NameNode's alone — the edit-record codec and its replay
-// (applyEdit), the fsimage rendering, writer leases, block-report safe mode
-// after a restart, and the namespace snapshot the replay-equivalence tests
-// compare.
+// owns what is the NameNode's alone — the edit-record and fsimage codecs,
+// the replay that rebuilds the namespace from their bytes (applyEdit),
+// writer leases, and block-report safe mode after a restart.
 //
 // None of this exists unless EnableMaster is called: a run without master
 // recovery allocates no metadata volume, journals nothing, and stays
@@ -14,7 +13,9 @@ package hdfs
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"iochar/internal/disk"
@@ -62,20 +63,13 @@ const (
 	opLeaseRecover
 )
 
-func (op editOp) String() string {
-	switch op {
-	case opCreate:
-		return "OP_ADD"
-	case opAddBlock:
-		return "OP_ADD_BLOCK"
-	case opClose:
-		return "OP_CLOSE"
-	case opDelete:
-		return "OP_DELETE"
-	case opLeaseRecover:
-		return "OP_REASSIGN_LEASE"
-	}
-	return "OP_INVALID"
+// editOpNames spells each record type in the journal, rendering and parsing.
+var editOpNames = [...]string{
+	opCreate:       "OP_ADD",
+	opAddBlock:     "OP_ADD_BLOCK",
+	opClose:        "OP_CLOSE",
+	opDelete:       "OP_DELETE",
+	opLeaseRecover: "OP_REASSIGN_LEASE",
 }
 
 // editRec is one journal record.
@@ -97,7 +91,6 @@ type lease struct {
 type masterState struct {
 	cfg    MasterConfig
 	log    *journal.Log[editRec]
-	image  NamespaceSnapshot // the last checkpoint's fsimage
 	leases map[string]*lease
 
 	safeMode         bool
@@ -129,7 +122,6 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 	}
 	ms := &masterState{
 		cfg:      cfg,
-		image:    NamespaceSnapshot{},
 		leases:   make(map[string]*lease),
 		reported: make(map[*DataNode]bool),
 	}
@@ -141,10 +133,8 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 		FlushProc:      "namenode-editlog",
 		CheckpointProc: "namenode-checkpoint",
 		Render:         renderEdit,
-		Image: func() []byte {
-			ms.image = fs.LiveNamespace()
-			return renderImage(ms.image)
-		},
+		Parse:          parseEdit,
+		Image:          func() []byte { return renderImage(fs.LiveNamespace()) },
 		// No checkpoint in safe mode (the namespace is not yet trusted), and
 		// writers that stopped renewing are sealed before the image is cut.
 		Tick: func(now time.Duration) bool {
@@ -185,9 +175,19 @@ func (fs *FS) journalEdit(r editRec) {
 }
 
 // renderEdit gives a record its on-disk shape — proportional real bytes in
-// the spirit of an edit-log record, not a serialization format.
+// the spirit of an edit-log record — and parseEdit reads it back, accepting
+// only what renderEdit writes.
 func renderEdit(r editRec) string {
-	return fmt.Sprintf("%s %s %d %d %d\n", r.op, r.path, r.block, r.size, r.repl)
+	return fmt.Sprintf("%s %s %d %d %d\n", editOpNames[r.op], r.path, r.block, r.size, r.repl)
+}
+
+func parseEdit(line string) (r editRec, err error) {
+	var op string
+	_, err = fmt.Sscanf(line, "%s %s %d %d %d", &op, &r.path, &r.block, &r.size, &r.repl)
+	if r.op = editOp(slices.Index(editOpNames[:], op)); err == nil && (r.op < 0 || renderEdit(r) != line+"\n") {
+		err = fmt.Errorf("hdfs: %q is not an edit record", line)
+	}
+	return r, err
 }
 
 // MasterFlush synchronously drains the pending edit records to disk. The
@@ -201,20 +201,50 @@ func (fs *FS) MasterFlush(p *sim.Proc) {
 
 // renderImage serializes a namespace snapshot deterministically.
 func renderImage(snap NamespaceSnapshot) []byte {
-	paths := make([]string, 0, len(snap))
-	for p := range snap {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
 	var buf []byte
-	for _, p := range paths {
+	for _, p := range slices.Sorted(maps.Keys(snap)) {
 		f := snap[p]
-		buf = append(buf, fmt.Sprintf("F %s %d %t\n", p, f.Size, f.Open)...)
+		buf = fmt.Appendf(buf, "F %s %d %t\n", p, f.Size, f.Open)
 		for _, b := range f.Blocks {
-			buf = append(buf, fmt.Sprintf("B %d %d %d\n", b.ID, b.Size, b.Want)...)
+			buf = fmt.Appendf(buf, "B %d %d %d\n", b.ID, b.Size, b.Want)
 		}
 	}
 	return buf
+}
+
+// parseImage reads renderImage's bytes back, accepting only what it writes:
+// whatever a line misreads, rendering the result again gives away.
+func parseImage(image []byte) (NamespaceSnapshot, error) {
+	snap, lines := NamespaceSnapshot{}, strings.Split(string(image), "\n")
+	var f *FileRecord
+	for _, line := range lines[:len(lines)-1] {
+		var path string
+		var b BlockRecord
+		if _, err := fmt.Sscanf(line, "B %d %d %d", &b.ID, &b.Size, &b.Want); err == nil && f != nil {
+			f.Blocks = append(f.Blocks, b)
+			continue
+		}
+		f = new(FileRecord)
+		_, _ = fmt.Sscanf(line, "F %s %d %t", &path, &f.Size, &f.Open) // a misread renders differently below
+		snap[path] = f
+	}
+	if string(renderImage(snap)) != string(image) {
+		return nil, fmt.Errorf("hdfs: fsimage is not as renderImage writes it")
+	}
+	return snap, nil
+}
+
+// replayNamespace is a restarting NameNode's rebuild: the fsimage with the
+// journal records after it applied.
+func replayNamespace(image []byte, records []editRec) NamespaceSnapshot {
+	snap, err := parseImage(image)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range records {
+		applyEdit(snap, r)
+	}
+	return snap
 }
 
 // CrashNameNode fail-stops the NameNode process: clients stall, heartbeats
@@ -236,7 +266,8 @@ func (fs *FS) NameNodeDown() bool {
 }
 
 // RestartNameNode brings the NameNode back: it replays checkpoint+journal
-// off the metadata disk (charged as a sequential read), recovers the leases
+// off the metadata disk (charged as a sequential read), checks the
+// namespace rebuilt from those bytes against the live one, recovers the leases
 // of writers whose nodes died during the outage, and — when failure
 // detection is running — enters safe mode until enough replicas are
 // re-confirmed by block reports. Heartbeat timestamps are reset so the
@@ -246,12 +277,13 @@ func (fs *FS) RestartNameNode(p *sim.Proc) {
 	if ms == nil || !ms.log.Down() {
 		return
 	}
-	ms.log.Restart(p, func() {
+	ms.log.Restart(p, func(image []byte, records []editRec) {
+		journal.Check("hdfs: NameNode", renderImage(replayNamespace(image, records)), renderImage(fs.LiveNamespace()))
 		now := p.Now()
 		// Leases: a writer on a dead node can never renew — seal its file now
 		// so readers (and re-executed task attempts) are not wedged behind it.
 		// Live writers get a fresh renewal stamp; they were merely stalled.
-		for _, path := range sortedLeasePaths(ms.leases) {
+		for _, path := range slices.Sorted(maps.Keys(ms.leases)) {
 			l := ms.leases[path]
 			if dn, ok := fs.byNode[l.client]; ok && dn.crashed {
 				fs.recoverLease(path)
@@ -407,30 +439,20 @@ func (fs *FS) recoverLease(path string) {
 
 // recoverExpiredLeases hard-expires leases that have gone LeaseTimeout
 // without renewal — the writer died without its node being declared dead
-// (or simply hung) and the file must not stay unreadable forever.
+// (or simply hung) and the file must not stay unreadable forever. The scan
+// is in path order: its journal records must be deterministic.
 func (fs *FS) recoverExpiredLeases(now time.Duration) {
 	ms := fs.master
-	for _, path := range sortedLeasePaths(ms.leases) {
+	for _, path := range slices.Sorted(maps.Keys(ms.leases)) {
 		if now-ms.leases[path].renewed > ms.cfg.LeaseTimeout {
 			fs.recoverLease(path)
 		}
 	}
 }
 
-// sortedLeasePaths fixes lease-scan order (map iteration is randomized and
-// the scan's journal records must be deterministic).
-func sortedLeasePaths(leases map[string]*lease) []string {
-	paths := make([]string, 0, len(leases))
-	for p := range leases {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
 // Replay-equivalence surface: a canonical namespace snapshot buildable both
-// from the live state and from checkpoint+journal, so tests can pin that a
-// restarted master reconstructs exactly the state the live master held.
+// from the live state and from the fsimage and journal bytes, so a restart
+// and the tests can check that the bytes rebuild exactly the live state.
 
 // BlockRecord is one block in a namespace snapshot.
 type BlockRecord struct {
@@ -449,16 +471,6 @@ type FileRecord struct {
 // NamespaceSnapshot is a canonical copy of the NameNode's namespace.
 type NamespaceSnapshot map[string]*FileRecord
 
-func cloneSnapshot(snap NamespaceSnapshot) NamespaceSnapshot {
-	out := make(NamespaceSnapshot, len(snap))
-	for p, f := range snap {
-		c := &FileRecord{Size: f.Size, Open: f.Open}
-		c.Blocks = append(c.Blocks, f.Blocks...)
-		out[p] = c
-	}
-	return out
-}
-
 // LiveNamespace snapshots the NameNode's in-memory namespace.
 func (fs *FS) LiveNamespace() NamespaceSnapshot {
 	snap := make(NamespaceSnapshot, len(fs.files))
@@ -472,19 +484,16 @@ func (fs *FS) LiveNamespace() NamespaceSnapshot {
 	return snap
 }
 
-// MasterReplayNamespace rebuilds the namespace the way a restarting
-// NameNode does: start from the last checkpoint's fsimage and apply the
-// journal. Equality with LiveNamespace is the durability invariant.
+// MasterReplayNamespace rebuilds the namespace a NameNode restarting now
+// would: the fsimage and journal bytes on its volume, plus the records not
+// yet flushed, through the code RestartNameNode runs. Equality with
+// LiveNamespace is the durability invariant.
 func (fs *FS) MasterReplayNamespace() NamespaceSnapshot {
 	ms := fs.master
 	if ms == nil {
 		panic("hdfs: MasterReplayNamespace without EnableMaster")
 	}
-	snap := cloneSnapshot(ms.image)
-	for _, r := range ms.log.Records() {
-		applyEdit(snap, r)
-	}
-	return snap
+	return replayNamespace(ms.log.Peek())
 }
 
 func applyEdit(snap NamespaceSnapshot, r editRec) {

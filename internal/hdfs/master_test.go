@@ -2,8 +2,11 @@ package hdfs
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"iochar/internal/cluster"
 	"iochar/internal/journal"
@@ -233,4 +236,43 @@ func TestSafeModeExitThreshold(t *testing.T) {
 		}
 	})
 	env.Run(0)
+}
+
+// fieldOK reports whether s can be one space-separated field of a journal
+// line: a path the namespace could hold, never empty and without
+// whitespace.
+func fieldOK(s string) bool {
+	return s != "" && utf8.ValidString(s) && !strings.ContainsFunc(s, unicode.IsSpace)
+}
+
+// FuzzEditCodec: an edit record and an fsimage built from fuzzed fields
+// parse back to themselves, and arbitrary bytes given to either parser
+// return an error without panicking — anything accepted renders back to
+// exactly those bytes.
+func FuzzEditCodec(f *testing.F) {
+	f.Add(uint8(opAddBlock), "/bench/TS/in/part-00000", int64(1073741825), int64(65536), 3, true,
+		[]byte("F /a 65536 false\nB 1 65536 3\nF /b 0 true\n"))
+	f.Add(uint8(opCreate), "/x", int64(-1), int64(0), -2, false, []byte("OP_ADD_BLOCK /a 1 2 3"))
+	f.Add(uint8(opDelete), "%d", int64(0), int64(1), 0, false, []byte("B 1 2 3\nF /a 0 false\n"))
+	f.Fuzz(func(t *testing.T, op uint8, path string, block, size int64, repl int, open bool, raw []byte) {
+		if fieldOK(path) {
+			r := editRec{op: editOp(int(op) % len(editOpNames)), path: path, block: block, size: size, repl: repl}
+			if got, err := parseEdit(strings.TrimSuffix(renderEdit(r), "\n")); err != nil || got != r {
+				t.Errorf("record %+v came back as %+v, %v", r, got, err)
+			}
+			snap := NamespaceSnapshot{
+				path:       {Size: size, Open: open, Blocks: []BlockRecord{{block, size, repl}, {block + 1, 0, 1}}},
+				path + "/": {Open: !open},
+			}
+			if got, err := parseImage(renderImage(snap)); err != nil || !reflect.DeepEqual(got, snap) {
+				t.Errorf("fsimage %q came back as %v, %v", renderImage(snap), got, err)
+			}
+		}
+		if r, err := parseEdit(string(raw)); err == nil && renderEdit(r) != string(raw)+"\n" {
+			t.Errorf("parseEdit accepted %q as %+v, which renders as %q", raw, r, renderEdit(r))
+		}
+		if snap, err := parseImage(raw); err == nil && string(renderImage(snap)) != string(raw) {
+			t.Errorf("parseImage accepted %q, which renders as %q", raw, renderImage(snap))
+		}
+	})
 }

@@ -10,7 +10,8 @@ package hdfs
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"iochar/internal/disk"
@@ -206,7 +207,7 @@ func (fs *FS) FailVolume(node string, vol *localfs.FS) {
 	if fs.rec != nil {
 		fs.rec.stats.FailedVolumes++
 	}
-	for _, id := range sortedBlockIDs(dn.blocks) {
+	for _, id := range slices.Sorted(maps.Keys(dn.blocks)) {
 		if dn.blocks[id].vol != vol {
 			continue
 		}
@@ -219,26 +220,14 @@ func (fs *FS) FailVolume(node string, vol *localfs.FS) {
 	}
 }
 
-// sortedBlockIDs fixes an iteration order for a DataNode's block map: Go
-// randomizes map order per run, and the repair queue's order shifts disk
-// contention enough to change downstream event timing — which would break
-// the same-seed-same-run determinism guarantee.
-func sortedBlockIDs(blocks map[int64]storedBlock) []int64 {
-	ids := make([]int64, 0, len(blocks))
-	for id := range blocks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // declareDead is the NameNode acting on a missed-heartbeat timeout: every
 // replica on the dead node is struck from the block map and each affected
-// block joins the repair queue.
+// block joins the repair queue, in block-ID order: map order is random, and
+// the queue's order moves disk contention and so every later event.
 func (fs *FS) declareDead(dn *DataNode) {
 	dn.deadByNN = true
 	fs.rec.stats.DeadDataNodes++
-	for _, id := range sortedBlockIDs(dn.blocks) {
+	for _, id := range slices.Sorted(maps.Keys(dn.blocks)) {
 		if b := fs.blockByID[id]; b != nil {
 			fs.dropReplica(b, dn)
 		}

@@ -11,6 +11,8 @@ package hdfs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"iochar/internal/localfs"
 	"iochar/internal/sim"
@@ -74,7 +76,7 @@ func (fs *FS) reregister(p *sim.Proc, dn *DataNode) {
 	// was down. The node returned before the dead timeout, so these were
 	// never struck by detection; without this the NameNode keeps crediting
 	// copies the node cannot serve and never queues their repair.
-	for _, id := range sortedBlockIDs(old) {
+	for _, id := range slices.Sorted(maps.Keys(old)) {
 		if _, confirmed := dn.blocks[id]; confirmed {
 			continue
 		}

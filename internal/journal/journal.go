@@ -7,19 +7,26 @@
 // record type, how it renders, how their live state renders as an image, and
 // what they do after a replay; everything else is here, once.
 //
-// Modelling note — logical vs physical journal. The logical journal (the
-// records a replay consumes) is appended synchronously at mutation time, as
-// Hadoop's logSync-before-ack guarantees; the *bytes* of those records are
-// charged to the metadata disk asynchronously, in batches, by the flush
-// daemon. Durability is therefore never lost to a crash (the synchronous-log
-// contract) while the disk sees the batched sequential append pattern real
-// edit logging produces — real bytes through the page-cache and disk models,
-// so the metadata stream shows up in iostat as the paper's master-node
-// traces do.
+// The image and journal bytes on the volume are the master's one copy of
+// its durable state: a restart parses what it reads back and the master
+// rebuilds from that. The flush daemon appends records to the journal file
+// in batches, so the disk sees the batched sequential pattern real edit
+// logging produces — real bytes through the page-cache and disk models, so
+// the metadata stream shows up in iostat as the paper's master-node traces
+// do. A record not yet in the file is the one exception: it waits in the
+// log's pending list, which a crash keeps and a restart applies after the
+// file's records. Hadoop's logSync instead makes a record durable before
+// the mutation is acknowledged; this model does not yet. A checkpoint cuts
+// its image while records may still be pending; they reach the fresh journal
+// file after the image already holds them, so the log counts them (covered)
+// and a replay skips them.
 package journal
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"iochar/internal/disk"
@@ -66,12 +73,13 @@ type Spec[R any] struct {
 	Stage                  disk.Stage
 	// FlushProc and CheckpointProc name the two daemon processes.
 	FlushProc, CheckpointProc string
-	// Render gives a record its on-disk shape — proportional real bytes in
-	// the spirit of a log record, not a serialization format.
+	// Render gives a record its on-disk shape, one line ending in a newline;
+	// Parse reads that line back, without its newline.
 	Render func(R) string
-	// Image snapshots the master's live state as the next checkpoint image.
-	// It runs after the checkpoint's flush, at the instant the logical
-	// journal is cleared, so image plus journal always equals live state.
+	Parse  func(line string) (R, error)
+	// Image renders the master's live state as the next checkpoint image.
+	// It runs after the checkpoint's flush, so the image plus the journal
+	// records after it always equal live state.
 	Image func() []byte
 	// Tick, when set, runs on every checkpoint tick the master is up for,
 	// before the checkpoint; returning false skips this tick's checkpoint.
@@ -86,8 +94,8 @@ type Log[R any] struct {
 	rng  *rand.Rand
 
 	file    *localfs.File
-	pending []R // records logged but not yet byte-charged
-	records []R // logical journal since the last checkpoint
+	pending []R // records logged but not yet in the journal file
+	covered int // leading records of the journal (file, then pending) the image holds
 
 	down    bool
 	stopped bool
@@ -147,19 +155,13 @@ func (l *Log[R]) create(name string) *localfs.File {
 	return f
 }
 
-// Append logs one record: appended to the logical journal immediately (the
-// synchronous-durability contract) and queued for the flush daemon to charge
-// its bytes to the metadata disk.
+// Append logs one record, queued for the flush daemon to write to the
+// journal file.
 func (l *Log[R]) Append(r R) {
-	l.records = append(l.records, r)
 	l.pending = append(l.pending, r)
 	l.stats.JournalRecords++
 	l.wake.Broadcast()
 }
-
-// Records returns the logical journal since the last checkpoint — what a
-// restart replays on top of the image. The slice is the log's own.
-func (l *Log[R]) Records() []R { return l.records }
 
 // Stats returns a copy of the counters.
 func (l *Log[R]) Stats() Stats { return l.stats }
@@ -185,12 +187,13 @@ func (l *Log[R]) Flush(p *sim.Proc) {
 }
 
 // checkpoint rolls the journal: flush pending records, take the live state
-// as the new image (real bytes written and synced), recreate the journal
-// file empty, and clear the logical journal.
+// as the new image (real bytes written and synced) and recreate the journal
+// file empty. Records logged while the flush blocked are in the image and
+// still pending; they are the new journal's covered prefix.
 func (l *Log[R]) checkpoint(p *sim.Proc) {
 	l.Flush(p)
+	l.covered = len(l.pending)
 	data := l.spec.Image()
-	l.records = nil
 	l.file = l.create(l.spec.JournalFile)
 	img := l.create(l.spec.ImageFile)
 	img.Append(p, data)
@@ -200,9 +203,10 @@ func (l *Log[R]) checkpoint(p *sim.Proc) {
 }
 
 // Crash fail-stops the master: callers stall, the daemons idle, and no bytes
-// reach the disk until Restart. The metadata volume itself survives (the
-// logical journal is already durable). It never blocks, so a fault
-// injector's inline timer callback may call it; a second call is a no-op.
+// reach the disk until Restart. The metadata volume itself survives, and so
+// do the pending records (see the package comment). It never blocks, so a
+// fault injector's inline timer callback may call it; a second call is a
+// no-op.
 func (l *Log[R]) Crash() { l.down = true }
 
 // Down reports whether the master is currently crashed.
@@ -210,32 +214,69 @@ func (l *Log[R]) Down() bool { return l.down }
 
 // Restart brings a crashed master back: it reads image and journal off the
 // metadata disk (the replay, charged as sequential reads), marks the master
-// up, runs recovered — the caller's post-replay reconciliation, which must
+// up, runs recovered with the image bytes and the journal records after
+// them — the caller rebuilds its state from those and reconciles, and must
 // not block — and then wakes the daemons and everyone parked in WaitReady.
 // On a master that is not down it does nothing.
-func (l *Log[R]) Restart(p *sim.Proc, recovered func()) {
+func (l *Log[R]) Restart(p *sim.Proc, recovered func(image []byte, records []R)) {
 	if !l.down {
 		return
 	}
-	for _, name := range []string{l.spec.ImageFile, l.spec.JournalFile} {
+	var read [2][]byte
+	for i, name := range []string{l.spec.ImageFile, l.spec.JournalFile} {
 		sz := l.vol.Size(name)
 		if sz <= 0 {
 			continue
 		}
-		f, err := l.vol.Open(name)
-		if err != nil {
-			continue
-		}
+		f, _ := l.vol.Open(name) // Size found it
 		f.SetStage(l.spec.Stage)
-		f.ReadAt(p, 0, sz)
+		read[i] = f.ReadAt(p, 0, sz)
 		l.stats.ReplayBytes += uint64(sz)
 	}
+	records := l.replay(read[1])
 	l.stats.Restarts++
-	l.stats.ReplayRecords += uint64(len(l.records))
+	l.stats.ReplayRecords += uint64(len(records))
 	l.down = false
-	recovered()
+	recovered(read[0], records)
 	l.wake.Broadcast()
 	l.ready.Broadcast()
+}
+
+// Peek returns what a restart at this instant would recover from — the
+// image bytes and the journal records after them — read off the volume
+// without charging the disk.
+func (l *Log[R]) Peek() ([]byte, []R) {
+	return l.vol.Peek(l.spec.ImageFile), l.replay(l.vol.Peek(l.spec.JournalFile))
+}
+
+// replay parses the journal file's bytes, appends the records still pending
+// and drops the covered ones the image already holds.
+func (l *Log[R]) replay(journal []byte) []R {
+	var records []R
+	for len(journal) > 0 {
+		var line []byte
+		line, journal, _ = bytes.Cut(journal, []byte{'\n'})
+		r, err := l.spec.Parse(string(line))
+		if err != nil {
+			panic(fmt.Sprintf("journal: %s: %v", l.spec.JournalFile, err))
+		}
+		records = append(records, r)
+	}
+	return append(records, l.pending...)[l.covered:]
+}
+
+// Check panics, naming the first line where they part, unless the state a
+// restart rebuilt from the bytes renders as the live state does.
+func Check(who string, replayed, live []byte) {
+	r, l := strings.Split(string(replayed), "\n"), strings.Split(string(live), "\n")
+	i := 0
+	for i < min(len(r), len(l))-1 && r[i] == l[i] {
+		i++
+	}
+	if r[i] != l[i] || len(r) != len(l) {
+		panic(fmt.Sprintf("%s: replayed state diverges from live at image line %d:\n replayed %q\n live     %q",
+			who, i+1, r[i], l[i]))
+	}
 }
 
 // Stall holds a caller while blocked() says the master cannot serve it,

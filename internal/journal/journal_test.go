@@ -22,6 +22,26 @@ type toy struct {
 
 func renderToy(r int) string { return fmt.Sprintf("add %d\n", r) }
 
+func parseToy(line string) (r int, err error) {
+	_, err = fmt.Sscanf(line, "add %d", &r)
+	return r, err
+}
+
+// rebuild is the toy's restart: the image's sum plus the records after it.
+func rebuild(t *testing.T, image []byte, records []int) int {
+	t.Helper()
+	var sum int
+	if len(image) > 0 {
+		if _, err := fmt.Sscanf(string(image), "sum %d\n", &sum); err != nil {
+			t.Fatalf("toy image: %v", err)
+		}
+	}
+	for _, r := range records {
+		sum += r
+	}
+	return sum
+}
+
 func newToy(cfg Config, tick func(time.Duration) bool) *toy {
 	env := sim.New(1)
 	p := disk.SeagateST1000NM0011()
@@ -36,6 +56,7 @@ func newToy(cfg Config, tick func(time.Duration) bool) *toy {
 		FlushProc:      "toy-flush",
 		CheckpointProc: "toy-checkpoint",
 		Render:         renderToy,
+		Parse:          parseToy,
 		Image:          func() []byte { return []byte(fmt.Sprintf("sum %d\n", m.sum)) },
 		Tick:           tick,
 	}, cfg)
@@ -99,8 +120,8 @@ func TestCheckpointRollsJournalIntoImage(t *testing.T) {
 		if st.Checkpoints != 1 || st.CheckpointBytes != uint64(len("sum 42\n")) {
 			t.Errorf("after one checkpoint: %+v, want 1 checkpoint of %d bytes", st, len("sum 42\n"))
 		}
-		if n := len(m.log.Records()); n != 0 {
-			t.Errorf("logical journal holds %d records after a checkpoint, want 0", n)
+		if _, recs := m.log.Peek(); len(recs) != 0 {
+			t.Errorf("a restart would replay %v after a checkpoint, want nothing", recs)
 		}
 		if got := m.vol.Size("toy_journal"); got != 0 {
 			t.Errorf("journal file holds %d bytes after a checkpoint, want a fresh empty file", got)
@@ -136,16 +157,19 @@ func TestCrashHoldsBytesRestartReplaysThem(t *testing.T) {
 		if st.JournalBatches != before.JournalBatches || st.Checkpoints != before.Checkpoints {
 			t.Errorf("bytes reached the disk while crashed: before %+v, after %+v", before, st)
 		}
-		if got := m.log.Records(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-			t.Errorf("logical journal = %v, want [2 3] (appends survive the crash)", got)
+		if _, got := m.log.Peek(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+			t.Errorf("a restart would replay %v, want [2 3] (appends survive the crash)", got)
 		}
 
 		wantBytes := m.vol.Size("toy_image") + m.vol.Size("toy_journal")
 		recovered := false
-		m.log.Restart(p, func() {
+		m.log.Restart(p, func(image []byte, records []int) {
 			recovered = true
 			if m.log.Down() {
 				t.Error("recovered hook ran with the master still down")
+			}
+			if got := rebuild(t, image, records); got != m.sum {
+				t.Errorf("rebuilt sum %d from the bytes, live sum %d", got, m.sum)
 			}
 		})
 		st = m.log.Stats()
@@ -155,10 +179,61 @@ func TestCrashHoldsBytesRestartReplaysThem(t *testing.T) {
 		if st.ReplayBytes != uint64(wantBytes) || st.ReplayRecords != 2 {
 			t.Errorf("replay charged %d bytes / %d records, want %d / 2", st.ReplayBytes, st.ReplayRecords, wantBytes)
 		}
-		m.log.Restart(p, func() { t.Error("Restart on a serving master ran its hook") })
+		m.log.Restart(p, func([]byte, []int) { t.Error("Restart on a serving master ran its hook") })
 		p.Sleep(100 * time.Millisecond)
 		if st := m.log.Stats(); st.JournalBatches != before.JournalBatches+1 {
 			t.Errorf("record logged during the outage was not flushed after restart: %+v", st)
+		}
+	})
+}
+
+// TestCheckpointCoveredRecordsAreNotReplayed: records logged while the
+// checkpoint's flush blocks are in its image and reach the fresh journal
+// after it. A restart must skip them — one that applied them again would
+// count them twice.
+func TestCheckpointCoveredRecordsAreNotReplayed(t *testing.T) {
+	var m *toy
+	m = newToy(Config{CheckpointInterval: time.Second}, func(time.Duration) bool {
+		m.add(5) // pending at the tick: the checkpoint's flush has a batch to block on
+		return true
+	})
+	restart := func(p *sim.Proc) {
+		m.log.Restart(p, func(image []byte, records []int) {
+			if got := rebuild(t, image, records); got != m.sum {
+				t.Errorf("restart rebuilt sum %d from image %q and records %v, live sum %d", got, image, records, m.sum)
+			}
+		})
+	}
+	m.drive(t, func(p *sim.Proc) {
+		defer m.log.Stop()
+		m.add(1)
+		p.Sleep(time.Second + time.Microsecond) // the checkpoint's flush of [5] is on the disk
+		m.add(20)
+		m.add(300)
+		m.log.Crash() // the flush daemon idles: 20 and 300 stay pending
+		if st := m.log.Stats(); st.Checkpoints != 0 {
+			t.Fatalf("checkpoint finished before the records it should cover: %+v", st)
+		}
+		p.Sleep(100 * time.Millisecond)
+		if got := string(m.vol.Peek("toy_image")); got != "sum 326\n" {
+			t.Fatalf("image = %q, want %q: it holds the records logged during its flush", got, "sum 326\n")
+		}
+		restart(p) // the covered records are still pending
+		if st := m.log.Stats(); st.ReplayRecords != 0 {
+			t.Errorf("first restart replayed %d records, want 0 (the image holds both)", st.ReplayRecords)
+		}
+		m.add(4000)
+		p.Sleep(100 * time.Millisecond)
+		if got := string(m.vol.Peek("toy_journal")); got != "add 20\nadd 300\nadd 4000\n" {
+			t.Fatalf("journal = %q, want the covered records ahead of the new one", got)
+		}
+		m.log.Crash()
+		restart(p) // now the covered records are in the file
+		if st := m.log.Stats(); st.ReplayRecords != 1 {
+			t.Errorf("restarts replayed %d records in all, want 1 (only 4000 is after the image)", st.ReplayRecords)
+		}
+		if image, records := m.log.Peek(); rebuild(t, image, records) != m.sum {
+			t.Errorf("Peek rebuilt from image %q and records %v, live sum %d", image, records, m.sum)
 		}
 	})
 }
@@ -180,7 +255,7 @@ func TestStallCountsOneStallAndItsFullWait(t *testing.T) {
 		defer m.log.Stop()
 		m.log.Crash()
 		p.Sleep(20 * time.Millisecond)
-		m.log.Restart(p, func() {})
+		m.log.Restart(p, func([]byte, []int) {})
 		p.Sleep(10 * time.Millisecond) // the caller's last backoff step ends
 	})
 	st := m.log.Stats()

@@ -26,8 +26,7 @@ const maxJournalSectors = 4096 // 2 MiB
 // size are released, as a journal replay frees uncommitted allocations.
 // The volume is left failed; Remount brings it back.
 func (fs *FS) Crash() {
-	names := fs.sortedNames()
-	for _, name := range names {
+	for _, name := range fs.List() {
 		fs.truncateToFlushed(fs.files[name])
 	}
 	fs.cache.DropAll()
@@ -165,8 +164,4 @@ func (fs *FS) Peek(name string) []byte {
 		return nil
 	}
 	return f.bytes(0, f.size)
-}
-
-func (fs *FS) sortedNames() []string {
-	return fs.List()
 }

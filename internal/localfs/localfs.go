@@ -43,6 +43,8 @@ package localfs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"iochar/internal/disk"
@@ -88,7 +90,6 @@ type file struct {
 	segs    []segment // contiguous from offset 0, none empty; see the package comment
 	extents []extent
 	alloced int64 // sectors allocated
-	opens   int
 	deleted bool
 }
 
@@ -155,14 +156,7 @@ func (fs *FS) Size(name string) int64 {
 }
 
 // List returns all file names, sorted.
-func (fs *FS) List() []string {
-	out := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (fs *FS) List() []string { return slices.Sorted(maps.Keys(fs.files)) }
 
 // File is an open handle. Writers append; readers use ReadAt with a
 // per-handle readahead state.
@@ -190,7 +184,6 @@ func (fs *FS) Create(name string) *File {
 	fs.files[name] = f
 	fs.stats.FilesCreated++
 	fs.journalRecs++
-	f.opens++
 	return &File{fs: fs, f: f}
 }
 
@@ -200,7 +193,6 @@ func (fs *FS) Open(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("localfs: open %s on %s: no such file", name, fs.d.P.Name)
 	}
-	f.opens++
 	return &File{fs: fs, f: f}, nil
 }
 
@@ -314,12 +306,8 @@ func (h *File) ReadOnce(p *sim.Proc, off, length int64) []byte {
 // enough).
 func (h *File) Sync(p *sim.Proc) { h.fs.cache.Sync(p) }
 
-// Close releases the handle.
-func (h *File) Close() {
-	if h.f.opens > 0 {
-		h.f.opens--
-	}
-}
+// Close releases the handle, which holds nothing that needs releasing.
+func (h *File) Close() {}
 
 // store adds seg, already owned by the file, at the end of the contents.
 func (f *file) store(seg []byte) {

@@ -4,12 +4,11 @@
 // appends a record to the JobTracker's write-ahead log (internal/journal,
 // which owns the journal and image files, the daemons, crash/restart and the
 // grant stall); this file owns what is the JobTracker's alone — the
-// job-record codec and its replay (applyJTRec), the image rendering, the
-// cluster-membership events (node deaths, rejoins, volume failures) queued
-// during an outage and applied at restart, the reconciliation of zombie map
-// outputs via the task trackers' incarnation counters, the partition half of
-// a tracker's wait, and the job snapshot the replay-equivalence tests
-// compare.
+// job-record and image codecs, the replay that rebuilds the job table from
+// their bytes (applyJTRec), the cluster-membership events (node deaths,
+// rejoins, volume failures) queued during an outage and applied at restart,
+// the reconciliation of zombie map outputs via the task trackers'
+// incarnation counters, and the partition half of a tracker's wait.
 //
 // None of this exists unless EnableMaster is called; a run without master
 // recovery journals nothing and schedules byte-identically to a build
@@ -18,7 +17,9 @@ package mapred
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"iochar/internal/disk"
 	"iochar/internal/journal"
@@ -47,22 +48,14 @@ const (
 	jOpEnd
 )
 
-func (op jtOp) String() string {
-	switch op {
-	case jOpStart:
-		return "JOB_START"
-	case jOpMapDone:
-		return "MAP_DONE"
-	case jOpMapLost:
-		return "MAP_LOST"
-	case jOpRedDone:
-		return "REDUCE_DONE"
-	case jOpFail:
-		return "JOB_FAIL"
-	case jOpEnd:
-		return "JOB_END"
-	}
-	return "INVALID"
+// jtOpNames spells each record type in the journal, rendering and parsing.
+var jtOpNames = [...]string{
+	jOpStart:   "JOB_START",
+	jOpMapDone: "MAP_DONE",
+	jOpMapLost: "MAP_LOST",
+	jOpRedDone: "REDUCE_DONE",
+	jOpFail:    "JOB_FAIL",
+	jOpEnd:     "JOB_END",
 }
 
 // jtRec is one journal record. a/b carry the op's integers: task or
@@ -77,9 +70,8 @@ type jtRec struct {
 // Runtime.
 type jtMaster struct {
 	log    *journal.Log[jtRec]
-	image  JobTrackerSnapshot // the last checkpoint's image
-	missed []func()           // membership changes that arrived while it was down, in arrival order
-	stats  MasterStats        // the JobTracker's own counters; the log keeps the rest
+	missed []func()    // membership changes that arrived while it was down, in arrival order
+	stats  MasterStats // the JobTracker's own counters; the log keeps the rest
 }
 
 // EnableMaster switches on JobTracker job-state durability, journaling to
@@ -92,21 +84,17 @@ func (rt *Runtime) EnableMaster(vol *localfs.FS, cfg journal.Config) {
 	if vol == nil {
 		panic("mapred: EnableMaster needs a metadata volume")
 	}
-	ms := &jtMaster{image: JobTrackerSnapshot{}}
-	rt.master = ms
 	rt.jobs = make(map[string]*jobState)
-	ms.log = journal.New(rt.env, vol, journal.Spec[jtRec]{
+	rt.master = &jtMaster{log: journal.New(rt.env, vol, journal.Spec[jtRec]{
 		JournalFile:    "jt_journal",
 		ImageFile:      "jt_image",
 		Stage:          disk.StageMeta,
 		FlushProc:      "jobtracker-journal",
 		CheckpointProc: "jobtracker-checkpoint",
 		Render:         renderJTRec,
-		Image: func() []byte {
-			ms.image = rt.LiveJobs()
-			return renderJTImage(ms.image)
-		},
-	}, cfg)
+		Parse:          parseJTRec,
+		Image:          func() []byte { return renderJTImage(rt.LiveJobs()) },
+	}, cfg)}
 }
 
 // MasterEnabled reports whether EnableMaster has been called.
@@ -137,8 +125,19 @@ func (js *jobState) jtRecord(op jtOp, a, b int) {
 	js.rt.master.log.Append(jtRec{op: op, job: js.jobName, a: a, b: b})
 }
 
+// renderJTRec gives a record its on-disk shape and parseJTRec reads it
+// back, accepting only what renderJTRec writes.
 func renderJTRec(r jtRec) string {
-	return fmt.Sprintf("%s %s %d %d\n", r.op, r.job, r.a, r.b)
+	return fmt.Sprintf("%s %s %d %d\n", jtOpNames[r.op], r.job, r.a, r.b)
+}
+
+func parseJTRec(line string) (r jtRec, err error) {
+	var op string
+	_, err = fmt.Sscanf(line, "%s %s %d %d", &op, &r.job, &r.a, &r.b)
+	if r.op = jtOp(slices.Index(jtOpNames[:], op)); err == nil && (r.op < 0 || renderJTRec(r) != line+"\n") {
+		err = fmt.Errorf("mapred: %q is not a job record", line)
+	}
+	return r, err
 }
 
 // MasterFlush synchronously drains pending journal records to disk.
@@ -149,18 +148,51 @@ func (rt *Runtime) MasterFlush(p *sim.Proc) {
 }
 
 func renderJTImage(snap JobTrackerSnapshot) []byte {
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var buf []byte
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(snap)) {
 		j := snap[n]
-		buf = append(buf, fmt.Sprintf("J %s %d %d %t\n", n, j.TotalMaps, j.Reduces, j.Failed)...)
-		buf = append(buf, fmt.Sprintf("M %v\nR %v\n", j.MapDone, j.RedDone)...)
+		buf = fmt.Appendf(buf, "J %s %d %d %t\n", n, j.TotalMaps, j.Reduces, j.Failed)
+		buf = fmt.Appendf(buf, "M %v\nR %v\n", j.MapDone, j.RedDone)
 	}
 	return buf
+}
+
+// parseJTImage reads renderJTImage's bytes back, three lines a job,
+// accepting only what it writes: whatever a line misreads, rendering the
+// result again gives away.
+func parseJTImage(image []byte) (JobTrackerSnapshot, error) {
+	snap, lines := JobTrackerSnapshot{}, strings.Split(string(image), "\n")
+	for ; len(lines) >= 3; lines = lines[3:] {
+		var name string
+		j := &JobRecord{MapDone: bools(lines[1]), RedDone: bools(lines[2])}
+		_, _ = fmt.Sscanf(lines[0], "J %s %d %d %t", &name, &j.TotalMaps, &j.Reduces, &j.Failed) // a misread renders differently below
+		snap[name] = j
+	}
+	if string(renderJTImage(snap)) != string(image) {
+		return nil, fmt.Errorf("mapred: job image is not as renderJTImage writes it")
+	}
+	return snap, nil
+}
+
+// bools reads an image's M or R line, fmt's rendering of a []bool.
+func bools(line string) (v []bool) {
+	for _, f := range strings.Fields(strings.Trim(line, "MR []")) {
+		v = append(v, f == "true")
+	}
+	return v
+}
+
+// replayJobs is a restarting JobTracker's rebuild: the image with the
+// journal records after it applied.
+func replayJobs(image []byte, records []jtRec) JobTrackerSnapshot {
+	snap, err := parseJTImage(image)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range records {
+		applyJTRec(snap, r)
+	}
+	return snap
 }
 
 // CrashJobTracker fail-stops the JobTracker: task grants stall, membership
@@ -175,7 +207,8 @@ func (rt *Runtime) CrashJobTracker() {
 }
 
 // RestartJobTracker brings the JobTracker back: it replays image+journal
-// off the metadata disk (charged as a sequential read), applies the
+// off the metadata disk (charged as a sequential read), checks the job
+// table rebuilt from those bytes against the live one, applies the
 // membership events missed during the outage in arrival order, reconciles
 // zombie map outputs whose nodes died or bounced unseen (their incarnation
 // counters no longer match), and resumes scheduling.
@@ -184,7 +217,8 @@ func (rt *Runtime) RestartJobTracker(p *sim.Proc) {
 	if ms == nil {
 		return
 	}
-	ms.log.Restart(p, func() {
+	ms.log.Restart(p, func(image []byte, records []jtRec) {
+		journal.Check("mapred: JobTracker", renderJTImage(replayJobs(image, records)), renderJTImage(rt.LiveJobs()))
 		missed := ms.missed
 		ms.missed = nil
 		for _, apply := range missed {
@@ -193,7 +227,8 @@ func (rt *Runtime) RestartJobTracker(p *sim.Proc) {
 		// Belt and braces: an output whose node bounced entirely within the
 		// outage produces no missed event pair that loses it, but its
 		// incarnation counter gives the zombie away.
-		for _, js := range rt.sortedJobs() {
+		for _, name := range slices.Sorted(maps.Keys(rt.jobs)) {
+			js := rt.jobs[name]
 			for _, out := range js.outputs {
 				if out.lost {
 					continue
@@ -269,15 +304,6 @@ func (rt *Runtime) deferMembership(apply func()) bool {
 	return true
 }
 
-func (rt *Runtime) sortedJobs() []*jobState {
-	out := make([]*jobState, 0, len(rt.jobs))
-	for _, js := range rt.jobs {
-		out = append(out, js)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].jobName < out[j].jobName })
-	return out
-}
-
 // Replay-equivalence surface.
 
 // JobRecord is one in-flight job in a JobTracker snapshot.
@@ -293,17 +319,6 @@ type JobRecord struct {
 // state, keyed by job name.
 type JobTrackerSnapshot map[string]*JobRecord
 
-func cloneJTSnapshot(snap JobTrackerSnapshot) JobTrackerSnapshot {
-	out := make(JobTrackerSnapshot, len(snap))
-	for n, j := range snap {
-		c := &JobRecord{TotalMaps: j.TotalMaps, Reduces: j.Reduces, Failed: j.Failed}
-		c.MapDone = append(c.MapDone, j.MapDone...)
-		c.RedDone = append(c.RedDone, j.RedDone...)
-		out[n] = c
-	}
-	return out
-}
-
 // LiveJobs snapshots the scheduler's in-memory view of every in-flight job.
 func (rt *Runtime) LiveJobs() JobTrackerSnapshot {
 	snap := make(JobTrackerSnapshot, len(rt.jobs))
@@ -316,19 +331,16 @@ func (rt *Runtime) LiveJobs() JobTrackerSnapshot {
 	return snap
 }
 
-// MasterReplayJobs rebuilds the job state the way a restarting JobTracker
-// does: last checkpoint image plus the journal. Equality with LiveJobs is
-// the durability invariant.
+// MasterReplayJobs rebuilds the job state a JobTracker restarting now
+// would: the image and journal bytes on its volume, plus the records not
+// yet flushed, through the code RestartJobTracker runs. Equality with
+// LiveJobs is the durability invariant.
 func (rt *Runtime) MasterReplayJobs() JobTrackerSnapshot {
 	ms := rt.master
 	if ms == nil {
 		panic("mapred: MasterReplayJobs without EnableMaster")
 	}
-	snap := cloneJTSnapshot(ms.image)
-	for _, r := range ms.log.Records() {
-		applyJTRec(snap, r)
-	}
-	return snap
+	return replayJobs(ms.log.Peek())
 }
 
 func applyJTRec(snap JobTrackerSnapshot, r jtRec) {

@@ -2,8 +2,11 @@ package mapred
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"iochar/internal/journal"
 	"iochar/internal/sim"
@@ -145,4 +148,40 @@ func TestJobTrackerKillReplayDiff(t *testing.T) {
 		}
 	})
 	r.runJobStopMaster(t, wordCountJob(r.inputs("/in"), "/out"))
+}
+
+// FuzzJTCodec: a job record and a job image built from fuzzed fields parse
+// back to themselves, and arbitrary bytes given to either parser return an
+// error without panicking — anything accepted renders back to exactly those
+// bytes.
+func FuzzJTCodec(f *testing.F) {
+	f.Add(uint8(jOpStart), "TS-sort", 12, 4, true, uint64(0b1011), uint8(9),
+		[]byte("J KM-iter1 2 1 false\nM [true false]\nR [false]\n"))
+	f.Add(uint8(jOpEnd), "job", -1, 0, false, uint64(0), uint8(0), []byte("MAP_DONE job 3 0"))
+	f.Add(uint8(jOpFail), "[]", 0, 0, false, uint64(1), uint8(1), []byte("J a 0 0 false\nM []\nR []"))
+	f.Fuzz(func(t *testing.T, op uint8, job string, a, b int, failed bool, bits uint64, n uint8, raw []byte) {
+		if job != "" && utf8.ValidString(job) && !strings.ContainsFunc(job, unicode.IsSpace) {
+			r := jtRec{op: jtOp(int(op) % len(jtOpNames)), job: job, a: a, b: b}
+			if got, err := parseJTRec(strings.TrimSuffix(renderJTRec(r), "\n")); err != nil || got != r {
+				t.Errorf("record %+v came back as %+v, %v", r, got, err)
+			}
+			var done []bool // nil when empty, as LiveJobs leaves it
+			for i := range int(n) % 65 {
+				done = append(done, bits>>i&1 == 1)
+			}
+			snap := JobTrackerSnapshot{
+				job:       {TotalMaps: a, Reduces: b, MapDone: done, RedDone: done[len(done)/2:], Failed: failed},
+				job + "2": {TotalMaps: b},
+			}
+			if got, err := parseJTImage(renderJTImage(snap)); err != nil || !reflect.DeepEqual(got, snap) {
+				t.Errorf("image %q came back as %v, %v", renderJTImage(snap), got, err)
+			}
+		}
+		if r, err := parseJTRec(string(raw)); err == nil && renderJTRec(r) != string(raw)+"\n" {
+			t.Errorf("parseJTRec accepted %q as %+v, which renders as %q", raw, r, renderJTRec(r))
+		}
+		if snap, err := parseJTImage(raw); err == nil && string(renderJTImage(snap)) != string(raw) {
+			t.Errorf("parseJTImage accepted %q, which renders as %q", raw, renderJTImage(snap))
+		}
+	})
 }

@@ -2,9 +2,11 @@ package mapred
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"iochar/internal/cluster"
@@ -579,12 +581,8 @@ func (rt *Runtime) OnNodeRejoin(name string) {
 	if node == nil {
 		return
 	}
-	jobs := make([]*jobState, 0, len(rt.active))
-	for js := range rt.active {
-		jobs = append(jobs, js)
-	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].jobName < jobs[j].jobName })
-	for _, js := range jobs {
+	byName := func(a, b *jobState) int { return strings.Compare(a.jobName, b.jobName) }
+	for _, js := range slices.SortedFunc(maps.Keys(rt.active), byName) {
 		js.rejoinTracker(rt, node)
 	}
 }

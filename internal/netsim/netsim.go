@@ -22,8 +22,9 @@ package netsim
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"iochar/internal/sim"
@@ -542,12 +543,7 @@ func (n *Network) Stats() *Stats {
 			RxBusy:        nic.rxBusy,
 		})
 	}
-	racks := make([]int, 0, len(n.uplinks))
-	for r := range n.uplinks {
-		racks = append(racks, r)
-	}
-	sort.Ints(racks)
-	for _, r := range racks {
+	for _, r := range slices.Sorted(maps.Keys(n.uplinks)) {
 		u := n.uplinks[r]
 		st.Uplinks = append(st.Uplinks, UplinkStat{
 			Rack:      u.rack,

@@ -11,7 +11,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -191,10 +193,5 @@ func Devices(recs []Record) []string {
 	for _, r := range recs {
 		set[r.Dev] = true
 	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(set))
 }
