@@ -12,6 +12,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -23,12 +24,15 @@ const testOnlyAPIFile = "testdata/test_only_api.txt"
 // TestNoTestOnlyAPI fails when something exported under internal/ — a
 // function, type, variable, constant, method or interface method — is used
 // by no non-test file of the root module or of benchmark/ other than inside
-// its own declaration: code only tests reach is traffic nobody sends. Uses
-// are resolved by go/types (see apiCensus), so a called A.Len does not keep
-// B.Len alive, and a method counts as used when an interface reaches it.
-// Deliberate exceptions — reference models, fixtures and accessors a
-// surviving assertion reads — are listed with a reason in
-// testdata/test_only_api.txt as "pkg.Name reason" or "pkg.Type.Method reason".
+// its own declaration, or when a field of a struct declared there, exported
+// or not, is read by none: code only tests reach is traffic nobody sends,
+// and a field nothing reads is state nobody needs. Uses are resolved by
+// go/types (see apiCensus), so a called A.Len does not keep B.Len alive, a
+// method counts as used when an interface reaches it, and a field counts as
+// read when a type programs serialize reaches it. Deliberate exceptions —
+// reference models, fixtures, and accessors and counters a surviving
+// assertion reads — are listed with a reason in testdata/test_only_api.txt
+// as "pkg.Name reason" or "pkg.Type.Member reason".
 func TestNoTestOnlyAPI(t *testing.T) {
 	t.Run("resolves by type", func(t *testing.T) {
 		// A.Len is called and B.Len is not: the case a bare-name match
@@ -70,6 +74,41 @@ func main() { _ = x.Total(x.Square{}) }`,
 			t.Errorf("unreached = %v, want %v", got, want)
 		}
 	})
+	t.Run("a field counts when it is read", func(t *testing.T) {
+		// hits is only written, through ++ and an index expression too;
+		// misses is read only inside a method of its own struct; a
+		// composite-literal key writes limit, it does not read it.
+		got := fixtureCensus(t, map[string]string{
+			"fixture/internal/x": `package x
+type Counter struct{ hits, misses int; seen []bool; limit int }
+func (c *Counter) Miss() { c.misses++; c.hits = c.misses }
+func New() *Counter { c := &Counter{limit: 3, seen: make([]bool, 1)}; c.seen[0] = true; c.hits++; return c }`,
+			"fixture/cmd/tool": `package main
+import "fixture/internal/x"
+func main() { x.New().Miss() }`,
+		})
+		if want := []string{"x.Counter.hits", "x.Counter.limit", "x.Counter.seen"}; !slices.Equal(got, want) {
+			t.Errorf("unreached = %v, want %v", got, want)
+		}
+	})
+	t.Run("a serialized type reaches its fields", func(t *testing.T) {
+		// Report is a root: the encoder reads its exported fields and,
+		// through a slice of pointers, Inner's. It skips unexported and
+		// the json:"-" Skip, and Other is out of its reach.
+		got := fixtureCensus(t, map[string]string{
+			"fixture/internal/x": `package x
+type Report struct { Rows []*Inner; unexported int; Skip int ` + "`json:\"-\"`" + ` }
+type Inner struct{ N int }
+type Other struct{ M int }
+func Make() (Report, Other) { return Report{Rows: nil, unexported: 1, Skip: 2}, Other{M: 1} }`,
+			"fixture/cmd/tool": `package main
+import "fixture/internal/x"
+func main() { _, _ = x.Make() }`,
+		}, "x.Report")
+		if want := []string{"x.Other.M", "x.Report.Skip", "x.Report.unexported"}; !slices.Equal(got, want) {
+			t.Errorf("unreached = %v, want %v", got, want)
+		}
+	})
 
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{}
@@ -94,7 +133,7 @@ func main() { _ = x.Total(x.Square{}) }`,
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared, reached, err := apiCensus(fset, files)
+	declared, reached, err := apiCensus(fset, files, serializedRoots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +161,7 @@ func main() { _ = x.Total(x.Square{}) }`,
 				t.Errorf("%s lists %s, which non-test code now uses: drop the line", testOnlyAPIFile, key)
 			}
 		} else if !reached[key] {
-			t.Errorf("%s is exported but only tests use it: delete it, unexport it, or list it in %s with a reason", key, testOnlyAPIFile)
+			t.Errorf("%s is reached only by tests (an export nothing uses or a field nothing reads): delete it, unexport it, or list it in %s with a reason", key, testOnlyAPIFile)
 		}
 	}
 	for key, seen := range allowed {
@@ -132,9 +171,17 @@ func main() { _ = x.Total(x.Square{}) }`,
 	}
 }
 
-// fixtureCensus runs apiCensus over in-memory packages and returns the
-// unreached keys, sorted.
-func fixtureCensus(t *testing.T, src map[string]string) []string {
+// serializedRoots are the types programs serialize, as "pkg.Type": the
+// encoder reads every field it reaches, so no identifier has to.
+var serializedRoots = []string{
+	"core.RunReport", // written to the run cache
+	"core.runKey",    // hashed into the run cache's key
+	"chaos.Schedule", // written as schedule files
+}
+
+// fixtureCensus runs apiCensus over in-memory packages with the given
+// serialized roots and returns the unreached keys, sorted.
+func fixtureCensus(t *testing.T, src map[string]string, roots ...string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{}
@@ -145,7 +192,7 @@ func fixtureCensus(t *testing.T, src map[string]string) []string {
 		}
 		files[pkg] = []*ast.File{f}
 	}
-	declared, reached, err := apiCensus(fset, files)
+	declared, reached, err := apiCensus(fset, files, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +219,17 @@ type (
 
 // apiCensus type-checks the packages in files (import path → parsed non-test
 // files; any other import is the standard library, type-checked from
-// GOROOT's source) and returns the exported declarations of every package
-// with an internal/ path element, sorted, as "pkg.Name" or
-// "pkg.Type.Method", and which of them are reached. A declaration is reached
-// when an identifier anywhere in files outside the declaration itself
-// resolves to it, or — a method — when its receiver type implements an
-// interface that has it and that is either the standard library's (which
-// calls through it out of sight) or one of files' own whose method is
-// itself used.
-func apiCensus(fset *token.FileSet, files map[string][]*ast.File) (declared []string, reached map[string]bool, err error) {
+// GOROOT's source) and returns the exported declarations and the struct
+// fields of every package with an internal/ path element, sorted, as
+// "pkg.Name", "pkg.Type.Method" or "pkg.Type.Field", and which of them are
+// reached. A declaration is reached when an identifier anywhere in files
+// outside the declaration itself resolves to it, or — a method — when its
+// receiver type implements an interface that has it and that is either the
+// standard library's (which calls through it out of sight) or one of files'
+// own whose method is itself used. A field is reached when it is read (see
+// fieldWrites), or when encoding/json would read it on its way from one of
+// roots ("pkg.Type" as the keys are).
+func apiCensus(fset *token.FileSet, files map[string][]*ast.File, roots []string) (declared []string, reached map[string]bool, err error) {
 	c := &census{
 		fset:  fset,
 		files: files,
@@ -210,8 +259,16 @@ func apiCensus(fset *token.FileSet, files map[string][]*ast.File) (declared []st
 	if err != nil {
 		return nil, nil, err
 	}
+	writes := fieldWrites(c.info, files)
+	read := map[*types.Var]bool{}
+	for id, obj := range c.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[v.Origin()] = true
+		}
+	}
 
 	reached = map[string]bool{}
+	var fields []field
 	for pkg, fs := range files {
 		if !strings.Contains(pkg, "/internal/") {
 			continue
@@ -257,6 +314,9 @@ func apiCensus(fset *token.FileSet, files map[string][]*ast.File) (declared []st
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							add("", s.Name, s, nil)
+							if slices.Contains(roots, path.Base(pkg)+"."+s.Name.Name) {
+								serialized(c.info.Defs[s.Name].Type(), read, map[types.Type]bool{})
+							}
 							if it, ok := s.Type.(*ast.InterfaceType); ok {
 								for _, m := range it.Methods.List {
 									for _, id := range m.Names {
@@ -272,10 +332,109 @@ func apiCensus(fset *token.FileSet, files map[string][]*ast.File) (declared []st
 					}
 				}
 			}
+			// Every named struct's named fields, a function's own types
+			// too; an embedded field is a use of its type.
+			ast.Inspect(f, func(n ast.Node) bool {
+				if s, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, fl := range st.Fields.List {
+							for _, id := range fl.Names {
+								fields = append(fields, field{path.Base(pkg) + "." + s.Name.Name + "." + id.Name, c.info.Defs[id].(*types.Var)})
+							}
+						}
+					}
+				}
+				return true
+			})
 		}
+	}
+	// Fields are judged once every root has been walked.
+	for _, f := range fields {
+		declared = append(declared, f.key)
+		reached[f.key] = read[f.v]
 	}
 	sort.Strings(declared)
 	return declared, reached, nil
+}
+
+type field struct {
+	key string
+	v   *types.Var
+}
+
+// fieldWrites returns the identifiers in files that name a field only to
+// write it: an assignment or ++/-- target, also through index expressions
+// (x.f[i] = v writes f), and a composite literal's key. Any other use of a
+// field reads it.
+func fieldWrites(info *types.Info, files map[string][]*ast.File) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				writes[x.Sel] = true
+				return
+			default:
+				return
+			}
+		}
+	}
+	for _, fs := range files {
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						target(e)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							writes[id] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return writes
+}
+
+// serialized marks in read every field encoding/json reads of a t value:
+// the exported, untagged-out fields of the structs t reaches, and what
+// they reach in turn.
+func serialized(t types.Type, read map[*types.Var]bool, seen map[types.Type]bool) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		serialized(t.Underlying(), read, seen)
+	case *types.Pointer:
+		serialized(t.Elem(), read, seen)
+	case *types.Slice:
+		serialized(t.Elem(), read, seen)
+	case *types.Array:
+		serialized(t.Elem(), read, seen)
+	case *types.Map:
+		serialized(t.Key(), read, seen)
+		serialized(t.Elem(), read, seen)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); (f.Exported() || f.Embedded()) && reflect.StructTag(t.Tag(i)).Get("json") != "-" {
+				read[f.Origin()] = true
+				serialized(f.Type(), read, seen)
+			}
+		}
+	}
 }
 
 // census is apiCensus's importer: it type-checks each package of files once,

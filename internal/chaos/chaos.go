@@ -22,17 +22,15 @@ import (
 
 	"iochar/internal/core"
 	"iochar/internal/faults"
-	"iochar/internal/hdfs"
 )
 
-// Options configures the harness.
+// Options configures the harness. Every run executes the paper's 1_8 /
+// 16 GB / compression-on baseline cell, core.SlotsRuns[0]: a Schedule does
+// not record its cell, so Replay runs the one that wrote it.
 type Options struct {
 	// Core is the fault-free testbed configuration every chaos run perturbs.
 	// Faults, Audit, and Inspect must be left unset — the harness owns them.
 	Core core.Options
-	// Factors is the experiment cell chaos runs execute; the zero value
-	// selects the paper's 1_8 / 16 GB / compression-on baseline.
-	Factors core.Factors
 	// MaxFaults caps the events per generated schedule (default 3).
 	MaxFaults int
 	// Parallelism bounds concurrent chaos runs (default 1). Verdicts are
@@ -53,9 +51,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Core.Seed == 0 {
 		o.Core.Seed = 1
-	}
-	if o.Factors.Slots.Name == "" {
-		o.Factors = core.SlotsRuns[0]
 	}
 	if o.MaxFaults <= 0 {
 		o.MaxFaults = 3
@@ -108,7 +103,7 @@ func (h *Harness) goldenFor(ctx context.Context, w core.Workload) (*golden, erro
 	opts.Integrity = true
 	raw := map[string][]byte{}
 	opts.Inspect = captureFloatOutputs(raw)
-	rep, err := core.RunOneContext(ctx, w, h.opts.Factors, opts)
+	rep, err := core.RunOneContext(ctx, w, core.SlotsRuns[0], opts)
 	if err != nil {
 		return nil, err
 	}
@@ -138,11 +133,7 @@ func (e *GoldenError) Error() string {
 type RecoveryCounters struct {
 	ReExecutedMaps      int64 `json:"re_executed_maps"`
 	FetchRetries        int64 `json:"fetch_retries"`
-	NetFetchStalls      int64 `json:"net_fetch_stalls"`
-	FailedFetches       int64 `json:"failed_fetches"`
 	BlacklistedTrackers int64 `json:"blacklisted_trackers"`
-	SpeculativeAttempts int64 `json:"speculative_attempts"`
-	TrackerRejoins      int64 `json:"tracker_rejoins"`
 	DoubleRegistrations int64 `json:"double_registrations"`
 }
 
@@ -151,11 +142,7 @@ func sumCounters(rep *core.RunReport) RecoveryCounters {
 	for _, j := range rep.Jobs {
 		c.ReExecutedMaps += j.ReExecutedMaps
 		c.FetchRetries += j.FetchRetries
-		c.NetFetchStalls += j.NetFetchStalls
-		c.FailedFetches += j.FailedFetches
 		c.BlacklistedTrackers += j.BlacklistedTrackers
-		c.SpeculativeAttempts += j.SpeculativeAttempts
-		c.TrackerRejoins += j.TrackerRejoins
 		c.DoubleRegistrations += j.DoubleRegistrations
 	}
 	return c
@@ -174,11 +161,10 @@ type Verdict struct {
 	// whose only replica a fault destroyed post-commit. Nothing the system
 	// promised was violated, so these do not fail the run.
 	ExpectedLoss []string `json:"expected_loss,omitempty"`
-	// Wall, Recovery, and Counters describe the faulted run (zero when the
-	// run failed outright and produced no report).
-	Wall     time.Duration      `json:"wall_ns"`
-	Recovery hdfs.RecoveryStats `json:"recovery"`
-	Counters RecoveryCounters   `json:"counters"`
+	// Wall and Counters describe the faulted run (zero when the run failed
+	// outright and produced no report).
+	Wall     time.Duration    `json:"wall_ns"`
+	Counters RecoveryCounters `json:"counters"`
 	// Shrunk is the minimal reproducing schedule of a failed run.
 	Shrunk *Schedule `json:"shrunk,omitempty"`
 }
@@ -203,7 +189,6 @@ func (h *Harness) RunSeed(ctx context.Context, w core.Workload, seed int64) (*Ve
 	v.Survived = len(findings) == 0
 	if rep != nil {
 		v.Wall = rep.Wall
-		v.Recovery = rep.Recovery
 		v.Counters = sumCounters(rep)
 	}
 	if !v.Survived {
@@ -231,7 +216,7 @@ func (h *Harness) check(ctx context.Context, w core.Workload, plan faults.Plan, 
 	}
 	raw := map[string][]byte{}
 	opts.Inspect = captureFloatOutputs(raw)
-	rep, err = core.RunOneContext(ctx, w, h.opts.Factors, opts)
+	rep, err = core.RunOneContext(ctx, w, core.SlotsRuns[0], opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, nil, nil, ctx.Err()

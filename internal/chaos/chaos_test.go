@@ -145,7 +145,7 @@ func TestCorruptionOracleAcceptance(t *testing.T) {
 		opts.Audit = true
 		raw := map[string][]byte{}
 		opts.Inspect = captureFloatOutputs(raw)
-		rep2, err := core.RunOneContext(ctx, w, h.opts.Factors, opts)
+		rep2, err := core.RunOneContext(ctx, w, core.SlotsRuns[0], opts)
 		if err != nil {
 			t.Fatalf("%s without integrity: %v", w, err)
 		}

@@ -146,7 +146,6 @@ func Replay(ctx context.Context, s Schedule) (*Verdict, error) {
 	v := &Verdict{Schedule: s, Survived: len(findings) == 0, Findings: findings, ExpectedLoss: expected}
 	if rep != nil {
 		v.Wall = rep.Wall
-		v.Recovery = rep.Recovery
 		v.Counters = sumCounters(rep)
 	}
 	return v, nil

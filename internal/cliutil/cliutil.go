@@ -16,7 +16,6 @@ import (
 	"io"
 	"time"
 
-	"iochar/internal/cluster"
 	"iochar/internal/core"
 	"iochar/internal/disk"
 )
@@ -158,7 +157,7 @@ func ValidateTopologyFlags(racks int, uplinkMB int64) error {
 // -scale is so large that capacity ratios no longer hold". Call it after
 // Options has validated the flags.
 func (t *Testbed) WarnClamps(w io.Writer, tool string) {
-	p := cluster.DefaultHardware(t.scale).DiskParams
+	p := disk.SeagateST1000NM0011() // the drive cluster provisions
 	if _, clamped := p.Scaled(t.scale); clamped {
 		fmt.Fprintf(w, "%s: warning: disk: scaling %s by %d wants %d sectors, clamped to the %d-sector floor (capacity ratios no longer hold at this scale)\n",
 			tool, p.Name, t.scale, p.Sectors/t.scale, disk.MinSectors)

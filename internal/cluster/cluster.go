@@ -22,31 +22,35 @@ import (
 	"iochar/internal/sim"
 )
 
+// Table 1's fixed node hardware: every slave has disksPerRole drives for
+// HDFS data and disksPerRole for MapReduce intermediate data, all the Seagate
+// ST1000NM0011 (disk.SeagateST1000NM0011), and a 1 GbE NIC; memReservedFrac
+// of memory is unavailable to the page cache (OS, DataNode/TaskTracker
+// daemons, task JVM heaps).
+const (
+	disksPerRole    = 3
+	netBPS          = 125 << 20 // bytes/second each direction
+	memReservedFrac = 0.25
+)
+
 // Hardware describes one node's resources, defaulting to the paper's
 // Table 1 configuration.
 type Hardware struct {
 	Cores       int   // physical cores (2 × 6 for dual E5645)
 	MemoryBytes int64 // 16 or 32 GB in the paper's experiments
-	HDFSDisks   int   // disks dedicated to HDFS data
-	MRDisks     int   // disks dedicated to MapReduce intermediate data
-	DiskParams  disk.Params
-	NetBPS      int64 // NIC bandwidth, bytes/second each direction
 	Scale       int64 // capacity divisor (1 = paper scale)
 
 	// Racks splits the fleet across this many top-of-rack switches (0 or 1
 	// keeps the paper's flat single-switch fabric). Slave i lands in rack
 	// i mod Racks; the master shares rack 0. UplinkBPS is the per-direction
 	// bandwidth of each rack's uplink to the aggregation layer (0 = match
-	// NetBPS, i.e. non-oversubscribed).
+	// the NIC, i.e. non-oversubscribed).
 	Racks     int
 	UplinkBPS int64
 
-	// MemReservedFrac is the fraction of memory unavailable to the page
-	// cache (OS, DataNode/TaskTracker daemons, task JVM heaps).
-	MemReservedFrac float64
-	PageCacheOpts   pagecache.Options
+	PageCacheOpts pagecache.Options
 
-	// SharedDataDisks pools all HDFSDisks+MRDisks data disks: HDFS block
+	// SharedDataDisks pools all 2 × disksPerRole data disks: HDFS block
 	// files and MapReduce intermediate files share every spindle, instead
 	// of the paper testbed's dedicated 3+3 split. The paper's observation 4
 	// recommends the dedicated layout because the two traffic classes have
@@ -54,10 +58,10 @@ type Hardware struct {
 	SharedDataDisks bool
 
 	// MRDiskParams, when non-nil, provisions the intermediate-data volumes
-	// on this device instead of DiskParams — the storage-tier hook (flash
-	// intermediate tier). HDFS data disks always use DiskParams; nil keeps
-	// the paper's all-mechanical testbed. A heterogeneous fleet is scaled
-	// strictly: a Scale that would clamp either class to the capacity
+	// on this device instead of Table 1's drive — the storage-tier hook
+	// (flash intermediate tier). HDFS data disks always use that drive; nil
+	// keeps the paper's all-mechanical testbed. A heterogeneous fleet is
+	// scaled strictly: a Scale that would clamp either class to the capacity
 	// floor is an error, not a silent equalization of the two capacities.
 	// Incompatible with SharedDataDisks — one pooled set of spindles
 	// cannot be two device classes.
@@ -71,15 +75,10 @@ func DefaultHardware(scale int64) Hardware {
 		scale = 1
 	}
 	return Hardware{
-		Cores:           12,
-		MemoryBytes:     32 << 30,
-		HDFSDisks:       3,
-		MRDisks:         3,
-		DiskParams:      disk.SeagateST1000NM0011(),
-		NetBPS:          125 << 20,
-		Scale:           scale,
-		MemReservedFrac: 0.25,
-		PageCacheOpts:   pagecache.DefaultOptions(),
+		Cores:         12,
+		MemoryBytes:   32 << 30,
+		Scale:         scale,
+		PageCacheOpts: pagecache.DefaultOptions(),
 	}
 }
 
@@ -92,12 +91,8 @@ func (h Hardware) WithMemoryGB(gb int) Hardware {
 // CachePagesPerDisk returns the page-cache budget for each data disk: the
 // cacheable fraction of memory, scaled, split across the data disks.
 func (h Hardware) CachePagesPerDisk() int {
-	cacheable := float64(h.MemoryBytes) * (1 - h.MemReservedFrac) / float64(h.Scale)
-	disks := h.HDFSDisks + h.MRDisks
-	if disks == 0 {
-		disks = 1
-	}
-	pages := int(cacheable / float64(disks) / pagecache.PageSize)
+	cacheable := float64(h.MemoryBytes) * (1 - memReservedFrac) / float64(h.Scale)
+	pages := int(cacheable / (2 * disksPerRole) / pagecache.PageSize)
 	// Floor of 512 KiB per disk: below this, concurrent stream readahead
 	// windows cannot coexist at all, which no real deployment exhibits.
 	if pages < 128 {
@@ -112,7 +107,6 @@ type Node struct {
 	HW   Hardware
 	Rack int
 	CPU  *sim.Resource
-	NIC  *netsim.NIC
 
 	HDFSVols []*localfs.FS // one filesystem per HDFS data disk
 	MRVols   []*localfs.FS // one filesystem per intermediate-data disk
@@ -222,9 +216,6 @@ func New(env *sim.Env, hw Hardware, nSlaves int) (*Cluster, error) {
 	if hw.Cores <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one core, got %d", hw.Cores)
 	}
-	if hw.HDFSDisks <= 0 || hw.MRDisks <= 0 {
-		return nil, fmt.Errorf("cluster: need at least one HDFS and one MR disk, got %d+%d", hw.HDFSDisks, hw.MRDisks)
-	}
 	if hw.MRDiskParams != nil && hw.SharedDataDisks {
 		return nil, fmt.Errorf("cluster: SharedDataDisks pools one set of spindles and cannot combine with a dedicated intermediate-tier device (MRDiskParams)")
 	}
@@ -235,7 +226,7 @@ func New(env *sim.Env, hw Hardware, nSlaves int) (*Cluster, error) {
 	if racks > nSlaves {
 		return nil, fmt.Errorf("cluster: %d racks but only %d slaves", racks, nSlaves)
 	}
-	net := netsim.New(env, hw.NetBPS, 100_000) // 100 µs
+	net := netsim.New(env, netBPS, 100_000) // 100 µs
 	if racks > 1 {
 		net.SetRacks(racks, hw.UplinkBPS)
 	}
@@ -261,19 +252,20 @@ func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack i
 		HW:   hw,
 		Rack: rack,
 		CPU:  sim.NewResource(env, name+".cpu", hw.Cores),
-		NIC:  net.AddNodeRack(name, rack),
 	}
+	net.AddNodeRack(name, rack)
 	if !dataDisks {
 		return n, nil
 	}
 	// A homogeneous fleet may sit on the capacity floor (the CLIs warn); a
 	// heterogeneous one may not, or its two capacities stop being
 	// proportional.
-	hdfsP, clamped := hw.DiskParams.Scaled(hw.Scale)
+	drive := disk.SeagateST1000NM0011()
+	hdfsP, clamped := drive.Scaled(hw.Scale)
 	mrP := hdfsP
 	if hw.MRDiskParams != nil {
 		if clamped {
-			return nil, floorError("HDFS data disks", hw.DiskParams, hw.Scale)
+			return nil, floorError("HDFS data disks", drive, hw.Scale)
 		}
 		if mrP, clamped = hw.MRDiskParams.Scaled(hw.Scale); clamped {
 			return nil, floorError("intermediate-tier disks", *hw.MRDiskParams, hw.Scale)
@@ -284,11 +276,11 @@ func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack i
 		p.Name = fmt.Sprintf("%s.%s%d", name, role, i)
 		d := disk.New(env, p)
 		cache := pagecache.New(env, d, pages, hw.PageCacheOpts)
-		return localfs.New(env, d, cache)
+		return localfs.New(d, cache)
 	}
 	if hw.SharedDataDisks {
 		// One pooled set of spindles; both roles rotate over all of them.
-		for i := 0; i < hw.HDFSDisks+hw.MRDisks; i++ {
+		for i := 0; i < 2*disksPerRole; i++ {
 			fs := mkvol(hdfsP, "data", i)
 			n.HDFSVols = append(n.HDFSVols, fs)
 			n.MRVols = append(n.MRVols, fs)
@@ -297,12 +289,12 @@ func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack i
 		}
 		return n, nil
 	}
-	for i := 0; i < hw.HDFSDisks; i++ {
+	for i := 0; i < disksPerRole; i++ {
 		fs := mkvol(hdfsP, "hdfs", i)
 		n.HDFSVols = append(n.HDFSVols, fs)
 		n.HDFSDisks = append(n.HDFSDisks, fs.Disk())
 	}
-	for i := 0; i < hw.MRDisks; i++ {
+	for i := 0; i < disksPerRole; i++ {
 		fs := mkvol(mrP, "mr", i)
 		n.MRVols = append(n.MRVols, fs)
 		n.MRDisks = append(n.MRDisks, fs.Disk())
@@ -329,14 +321,14 @@ func (c *Cluster) ProvisionMasterMeta(n int) error {
 		return fmt.Errorf("cluster: master meta volumes already provisioned")
 	}
 	hw := c.Master.HW
-	p, _ := hw.DiskParams.Scaled(hw.Scale)
+	p, _ := disk.SeagateST1000NM0011().Scaled(hw.Scale)
 	pages := hw.CachePagesPerDisk()
 	for i := 0; i < n; i++ {
 		pp := p
 		pp.Name = fmt.Sprintf("%s.meta%d", c.Master.Name, i)
 		d := disk.New(c.Env, pp)
 		cache := pagecache.New(c.Env, d, pages, hw.PageCacheOpts)
-		fs := localfs.New(c.Env, d, cache)
+		fs := localfs.New(d, cache)
 		c.Master.MetaVols = append(c.Master.MetaVols, fs)
 		c.Master.MetaDisks = append(c.Master.MetaDisks, d)
 	}

@@ -18,12 +18,6 @@ func TestDefaultHardwareMatchesTable1(t *testing.T) {
 	if hw.MemoryBytes != 32<<30 {
 		t.Errorf("Memory = %d, want 32 GB", hw.MemoryBytes)
 	}
-	if hw.HDFSDisks != 3 || hw.MRDisks != 3 {
-		t.Errorf("disks = %d/%d, want 3/3", hw.HDFSDisks, hw.MRDisks)
-	}
-	if hw.DiskParams.RPM != 7200 {
-		t.Errorf("RPM = %d, want 7200", hw.DiskParams.RPM)
-	}
 }
 
 func TestWithMemoryGB(t *testing.T) {
@@ -69,6 +63,11 @@ func TestClusterLayout(t *testing.T) {
 	for _, s := range c.Slaves {
 		if len(s.HDFSVols) != 3 || len(s.MRVols) != 3 {
 			t.Errorf("%s vols = %d/%d, want 3/3", s.Name, len(s.HDFSVols), len(s.MRVols))
+		}
+		for _, d := range append(s.HDFSDisks, s.MRDisks...) {
+			if d.P.RPM != 7200 {
+				t.Errorf("%s RPM = %d, want 7200", d.P.Name, d.P.RPM)
+			}
 		}
 	}
 }

@@ -18,9 +18,6 @@ import (
 // Bytes are logical (as issued by the stage); HDFS writes additionally fan
 // out by the replication factor at the device level.
 type Attribution struct {
-	Workload Workload
-	Factors  Factors
-
 	HDFSInputRead   int64 // map-task split reads
 	HDFSOutputWrite int64 // reduce output (pre-replication)
 	SpillWrite      int64 // map-side spill writes (post-codec)
@@ -49,8 +46,8 @@ func (a *Attribution) MRShare() float64 {
 }
 
 // attribution folds job counters into the breakdown.
-func attribution(w Workload, f Factors, jobs []*mapred.Result) *Attribution {
-	a := &Attribution{Workload: w, Factors: f}
+func attribution(jobs []*mapred.Result) *Attribution {
+	a := &Attribution{}
 	for _, j := range jobs {
 		a.HDFSInputRead += j.MapInputBytes
 		a.HDFSOutputWrite += j.ReduceOutputBytes
@@ -71,7 +68,7 @@ func (s *Suite) Attribution(w Workload, f Factors) (*Attribution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return attribution(w, f, rep.Jobs), nil
+	return attribution(rep.Jobs), nil
 }
 
 // AttributionTable renders the breakdown of every workload under the

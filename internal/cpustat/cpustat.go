@@ -18,7 +18,6 @@ type Monitor struct {
 	interval time.Duration
 	nodes    []*cluster.Node
 	series   *stats.Series // cluster-wide mean utilization, percent
-	perNode  []*stats.Series
 	lastBusy []time.Duration
 	lastAt   time.Duration
 	stopped  bool
@@ -38,9 +37,6 @@ func NewMonitor(interval time.Duration, nodes []*cluster.Node) *Monitor {
 		nodes:    nodes,
 		series:   stats.NewSeries("cpu.%util"),
 		lastBusy: make([]time.Duration, len(nodes)),
-	}
-	for _, n := range nodes {
-		m.perNode = append(m.perNode, stats.NewSeries(n.Name+".cpu%"))
 	}
 	return m
 }
@@ -88,7 +84,6 @@ func (m *Monitor) sample(now time.Duration) {
 	for i, n := range m.nodes {
 		busy := n.CPU.BusyTime()
 		util := float64(busy-m.lastBusy[i]) / (float64(elapsed) * float64(n.CPU.Capacity())) * 100
-		m.perNode[i].Add(now, util)
 		m.lastBusy[i] = busy
 		total += util
 	}
@@ -98,11 +93,3 @@ func (m *Monitor) sample(now time.Duration) {
 
 // Util returns the cluster-wide mean CPU utilization series (percent).
 func (m *Monitor) Util() *stats.Series { return m.series }
-
-// NodeUtil returns one node's utilization series, or nil if out of range.
-func (m *Monitor) NodeUtil(i int) *stats.Series {
-	if i < 0 || i >= len(m.perNode) {
-		return nil
-	}
-	return m.perNode[i]
-}

@@ -131,6 +131,10 @@ func (r *lagged) printable(dst []byte) {
 // Key returns the sort key of the record starting at off.
 func Key(data []byte, off int) []byte { return data[off : off+KeySize] }
 
+// users is the user universe: OrderGen draws its user ids from [0, users)
+// and UserGen writes one row per id.
+const users = 100_000
+
 // OrderGen generates the Hive Aggregation table: one order item per line,
 // "order|user|item|category|price|quantity". Categories follow a Zipf
 // distribution — aggregation output is much smaller than its input, as with
@@ -152,7 +156,7 @@ func (g OrderGen) Part(part int, size int64) []byte {
 	order := int64(part) << 36
 	for int64(len(out)) < size {
 		order++
-		user := rng.Intn(100_000)
+		user := rng.Intn(users)
 		item := rng.Intn(1_000_000)
 		cat := zipf.Uint64()
 		price := rng.Intn(9900) + 100 // cents
@@ -175,22 +179,17 @@ func (g OrderGen) Part(part int, size int64) []byte {
 }
 
 // UserGen generates the dimension table for the Join query: one user per
-// line, "user|name|region". User ids are dense in [0, Users), matching the
+// line, "user|name|region". User ids are dense in [0, users), matching the
 // uniform user draw of OrderGen, so a fact⋈dimension equi-join on user id
 // has realistic hit rates.
 type UserGen struct {
-	Seed  int64
-	Users int // default 100_000, the OrderGen user universe
+	Seed int64
 }
 
 // Part returns approximately size bytes of whole user lines. The table is
 // range-partitioned: part i carries a contiguous id slice, as a dimension
 // table export would be.
 func (g UserGen) Part(part int, size int64) []byte {
-	users := g.Users
-	if users <= 0 {
-		users = 100_000
-	}
 	rng := rand.New(rand.NewSource(g.Seed*65_537 + int64(part)))
 	regions := []string{"north", "south", "east", "west", "central"}
 	out := make([]byte, 0, size+128)
@@ -282,18 +281,16 @@ func appendFixed3(dst []byte, v float64) []byte {
 // "src\tdst" edge lines, built by preferential attachment so in-degree
 // follows the heavy-tailed distribution of real web graphs.
 type GraphGen struct {
-	Seed      int64
-	OutDegree int // average edges per new vertex (default 8)
+	Seed int64
 }
+
+// outDegree is GraphGen's edges per new vertex.
+const outDegree = 8
 
 // Part returns approximately size bytes of whole edge lines. Vertices are
 // globally numbered per part (part-disjoint subgraphs, as a crawler shard
 // would produce), which keeps generation parallel and deterministic.
 func (g GraphGen) Part(part int, size int64) []byte {
-	deg := g.OutDegree
-	if deg <= 0 {
-		deg = 8
-	}
 	rng := rand.New(rand.NewSource(g.Seed*179_424_673 + int64(part)))
 	base := int64(part) << 32
 	out := make([]byte, 0, size+256)
@@ -310,7 +307,7 @@ func (g GraphGen) Part(part int, size int64) []byte {
 	for int64(len(out)) < size {
 		src := next
 		next++
-		for e := 0; e < deg; e++ {
+		for e := 0; e < outDegree; e++ {
 			var dst int64
 			if rng.Intn(10) == 0 {
 				dst = base + rng.Int63n(next-base) // uniform exploration

@@ -30,10 +30,6 @@ import (
 type Config struct {
 	BlockSize   int64 // bytes; the paper's Hadoop 1.0.4 default is 64 MB
 	Replication int   // the default 3
-	// ChecksumChunk is the granularity of per-block CRC32C checksums
-	// (io.bytes.per.checksum; Hadoop's default 512 B is modeled coarser, at
-	// 16 KiB, to keep sum arrays proportional to scaled block sizes).
-	ChecksumChunk int64
 
 	// Seed feeds the jitter rng of the clients' sim.NewRetry stalls across
 	// transient network faults; healthy runs never draw from it.
@@ -49,7 +45,7 @@ func DefaultConfig(scale int64) Config {
 	if bs < 16<<10 {
 		bs = 16 << 10
 	}
-	return Config{BlockSize: bs, Replication: 3, ChecksumChunk: 16 << 10}
+	return Config{BlockSize: bs, Replication: 3}
 }
 
 // blockMeta is the NameNode's view of one block.
@@ -450,7 +446,7 @@ func (w *Writer) flushBlock(p *sim.Proc) error {
 	fs.renewLease(w.meta.name, p.Now())
 
 	if fs.integrity {
-		b.sums = chunkSums(data, fs.cfg.ChecksumChunk)
+		b.sums = chunkSums(data)
 	}
 	retry := sim.NewRetry(fs.netRng)
 	for attempt := 0; attempt < maxPipelineRetries; {
@@ -563,7 +559,7 @@ func (fs *FS) Load(path string, firstNode string, data []byte) {
 		replicas := fs.choose(firstNode, fs.cfg.Replication)
 		b := &blockMeta{id: id, size: end - off, want: fs.cfg.Replication, replicas: replicas}
 		if fs.integrity {
-			b.sums = chunkSums(data[off:end], fs.cfg.ChecksumChunk)
+			b.sums = chunkSums(data[off:end])
 		}
 		meta.blocks = append(meta.blocks, b)
 		meta.size += b.size

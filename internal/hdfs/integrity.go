@@ -25,16 +25,18 @@ import (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// chunkSums returns the CRC32C of each ChecksumChunk-sized piece of data
+// checksumChunk is the granularity of per-block CRC32C checksums
+// (io.bytes.per.checksum; Hadoop's default 512 B is modeled coarser, at
+// 16 KiB, to keep sum arrays proportional to scaled block sizes).
+const checksumChunk int64 = 16 << 10
+
+// chunkSums returns the CRC32C of each checksumChunk-sized piece of data
 // (last chunk short).
-func chunkSums(data []byte, chunk int64) []uint32 {
-	if chunk <= 0 {
-		chunk = 16 << 10
-	}
-	n := (int64(len(data)) + chunk - 1) / chunk
+func chunkSums(data []byte) []uint32 {
+	n := (int64(len(data)) + checksumChunk - 1) / checksumChunk
 	sums := make([]uint32, 0, n)
-	for off := int64(0); off < int64(len(data)); off += chunk {
-		end := off + chunk
+	for off := int64(0); off < int64(len(data)); off += checksumChunk {
+		end := off + checksumChunk
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
@@ -57,7 +59,7 @@ func (fs *FS) EnableIntegrity() {
 		}
 		for _, dn := range b.replicas {
 			if sb, ok := dn.blocks[b.id]; ok && !sb.vol.Failed() {
-				b.sums = chunkSums(sb.vol.Peek(sb.file.Name()), fs.cfg.ChecksumChunk)
+				b.sums = chunkSums(sb.vol.Peek(sb.file.Name()))
 				break
 			}
 		}
@@ -72,19 +74,15 @@ func (fs *FS) replicaClean(b *blockMeta, sb storedBlock, off, length int64) bool
 	if b.sums == nil {
 		return true
 	}
-	chunk := fs.cfg.ChecksumChunk
-	if chunk <= 0 {
-		chunk = 16 << 10
-	}
 	raw := sb.vol.Peek(sb.file.Name())
 	if int64(len(raw)) != b.size {
 		return false // truncated or overgrown replica is corrupt by definition
 	}
-	c0 := off / chunk
-	c1 := (off + length + chunk - 1) / chunk
+	c0 := off / checksumChunk
+	c1 := (off + length + checksumChunk - 1) / checksumChunk
 	for c := c0; c < c1 && c < int64(len(b.sums)); c++ {
-		lo := c * chunk
-		hi := lo + chunk
+		lo := c * checksumChunk
+		hi := lo + checksumChunk
 		if hi > b.size {
 			hi = b.size
 		}
@@ -197,7 +195,6 @@ type scrubState struct {
 	// lastPassStart is the start time of the most recently *completed* pass;
 	// ScrubWait uses it to wait for a pass that began after a given moment.
 	lastPassStart time.Duration
-	passes        int
 	done          *sim.Cond
 }
 
@@ -227,7 +224,6 @@ func (fs *FS) EnableScrubber(cfg ScrubConfig) {
 				return
 			}
 			st.lastPassStart = start
-			st.passes++
 			st.done.Broadcast()
 			p.Sleep(cfg.PassInterval)
 		}

@@ -39,19 +39,19 @@ func TestEnableRefusesNonPositiveIntervals(t *testing.T) {
 
 func TestChunkSums(t *testing.T) {
 	data := pattern(40_000)
-	sums := chunkSums(data, 16<<10)
+	sums := chunkSums(data)
 	if len(sums) != 3 {
 		t.Fatalf("got %d chunks, want 3 (two full 16 KiB + tail)", len(sums))
 	}
-	if got := chunkSums(nil, 16<<10); len(got) != 0 {
+	if got := chunkSums(nil); len(got) != 0 {
 		t.Errorf("empty data produced %d sums", len(got))
 	}
 	// Same bytes, same sums; one flipped byte in the middle chunk changes
 	// exactly that chunk's sum.
-	again := chunkSums(data, 16<<10)
+	again := chunkSums(data)
 	mut := append([]byte(nil), data...)
 	mut[20_000] ^= 0xFF
-	mutSums := chunkSums(mut, 16<<10)
+	mutSums := chunkSums(mut)
 	for i := range sums {
 		if sums[i] != again[i] {
 			t.Fatalf("chunk %d not deterministic", i)

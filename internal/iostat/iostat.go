@@ -152,7 +152,6 @@ func (r *Report) add(s Sample) {
 
 // group is a named set of devices sampled together.
 type group struct {
-	name    string
 	disks   []*disk.Disk
 	last    disk.Stats
 	lastPer []disk.Stats // per-device snapshots for the pooled series
@@ -262,7 +261,7 @@ func (m *Monitor) AddGroup(name string, disks ...*disk.Disk) {
 	if len(disks) == 0 {
 		panic(fmt.Sprintf("iostat: empty group %q", name))
 	}
-	g := &group{name: name, disks: disks, lastPer: make([]disk.Stats, len(disks)), report: newReport(name)}
+	g := &group{disks: disks, lastPer: make([]disk.Stats, len(disks)), report: newReport(name)}
 	m.groups = append(m.groups, g)
 	m.byName[name] = g
 }

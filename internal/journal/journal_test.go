@@ -47,7 +47,7 @@ func newToy(cfg Config, tick func(time.Duration) bool) *toy {
 	p := disk.SeagateST1000NM0011()
 	p.Sectors = 1 << 22
 	d := disk.New(env, p)
-	vol := localfs.New(env, d, pagecache.New(env, d, 1<<16, pagecache.DefaultOptions()))
+	vol := localfs.New(d, pagecache.New(env, d, 1<<16, pagecache.DefaultOptions()))
 	m := &toy{env: env, vol: vol}
 	m.log = New(env, vol, Spec[int]{
 		JournalFile:    "toy_journal",

@@ -95,7 +95,6 @@ type file struct {
 
 // FS is one disk's filesystem. Create with New.
 type FS struct {
-	env     *sim.Env
 	cache   *pagecache.Cache
 	d       *disk.Disk
 	extSize int64
@@ -110,9 +109,8 @@ type FS struct {
 }
 
 // New creates a filesystem covering the whole device behind cache.
-func New(env *sim.Env, d *disk.Disk, cache *pagecache.Cache) *FS {
+func New(d *disk.Disk, cache *pagecache.Cache) *FS {
 	return &FS{
-		env:     env,
 		cache:   cache,
 		d:       d,
 		extSize: DefaultExtentSectors,

@@ -17,7 +17,7 @@ func rig() (*sim.Env, *disk.Disk, *FS) {
 	p.Sectors = 1 << 22
 	d := disk.New(env, p)
 	c := pagecache.New(env, d, 1<<16, pagecache.DefaultOptions())
-	return env, d, New(env, d, c)
+	return env, d, New(d, c)
 }
 
 func payload(n int) []byte {
@@ -234,7 +234,7 @@ func TestQuickMultiFileIntegrity(t *testing.T) {
 		dp.Sectors = 1 << 22
 		d := disk.New(env, dp)
 		c := pagecache.New(env, d, 1<<16, pagecache.DefaultOptions())
-		fs := New(env, d, c)
+		fs := New(d, c)
 		want := map[string][]byte{}
 		handles := map[string]*File{}
 		okAll := true

@@ -33,7 +33,7 @@ func (rt *Runtime) OnVolumeDown(vol *localfs.FS) {
 
 // fetchOneFaulty is the recovery-aware shuffle fetch: a fetch that fails
 // (the map-side node died mid-transfer, or the injected fetch fault dropped
-// it) is retried with exponential backoff up to MaxFetchRetries times, and
+// it) is retried with exponential backoff up to maxFetchRetries times, and
 // past that the map output is declared lost, which re-enqueues its task.
 //
 // Transient network failures take a different path: a map-side node that is
@@ -110,7 +110,7 @@ func (rt *Runtime) fetchOneFaulty(fp *sim.Proc, js *jobState, st *fetchState, ou
 		}
 		retries++
 		js.counters.FetchRetries++
-		if retries > js.cfg.MaxFetchRetries {
+		if retries > maxFetchRetries {
 			js.counters.FailedFetches++
 			js.noteTrackerFailure(out.node.Name)
 			js.loseOutput(out)
@@ -121,7 +121,7 @@ func (rt *Runtime) fetchOneFaulty(fp *sim.Proc, js *jobState, st *fetchState, ou
 }
 
 // noteTrackerFailure charges one failed task attempt to a tracker; at
-// Config.MaxTrackerFailures the node is blacklisted — no new attempts are
+// maxTrackerFailures the node is blacklisted — no new attempts are
 // scheduled there (Hadoop's per-job tracker blacklist), so a fail-slow node
 // stops soaking up the retry budget. Parked workers on the node are woken
 // so they observe the blacklist and vacate their slots.
@@ -130,7 +130,7 @@ func (js *jobState) noteTrackerFailure(node string) {
 		return
 	}
 	js.trackerFailures[node]++
-	if js.trackerFailures[node] < js.cfg.MaxTrackerFailures {
+	if js.trackerFailures[node] < maxTrackerFailures {
 		return
 	}
 	js.blacklisted[node] = true

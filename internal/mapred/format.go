@@ -362,23 +362,16 @@ func (f *framer) consume(n int) {
 }
 
 // kvLen returns the byte length of the complete KV pair at the head of
-// data, or ok=false if data holds only a partial pair.
+// data, or ok=false if data holds only a partial pair. Lengths are compared
+// as uint64, so a corrupt one too large for an int reads as a partial pair.
 func kvLen(data []byte) (int, bool) {
-	kl, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, false
-	}
-	pos := n + int(kl)
-	if pos > len(data) {
-		return 0, false
-	}
-	vl, m := binary.Uvarint(data[pos:])
-	if m <= 0 {
-		return 0, false
-	}
-	pos += m + int(vl)
-	if pos > len(data) {
-		return 0, false
+	pos := 0
+	for range 2 {
+		l, n := binary.Uvarint(data[pos:])
+		if n <= 0 || uint64(len(data)-pos-n) < l {
+			return 0, false
+		}
+		pos += n + int(l)
 	}
 	return pos, true
 }

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -86,6 +87,39 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// FuzzFramerKV feeds a KVFormat framer arbitrary bytes in chunks of
+// arbitrary size, which must never panic (a corrupt-block fault can hand it
+// any bytes), and then an AppendKV stream of pairs cut from the same bytes,
+// which must frame back into exactly those pairs at every chunking.
+func FuzzFramerKV(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(AppendKV(AppendKV(nil, []byte("key"), []byte("value")), nil, nil), uint8(2))
+	// A key length of 2^63+5: as an int it wraps negative.
+	f.Add(append(binary.AppendUvarint(nil, 1<<63+5), "abcde"...), uint8(3))
+	f.Add(bytes.Repeat([]byte{0xff}, 12), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		c := int(chunk)%97 + 1
+		framed(recordIter{format: KVFormat{}, fileSize: int64(len(data))}, data, c)
+
+		var stream []byte
+		var want []string
+		for rest := data; len(rest) > 0; {
+			kl := int(rest[0]) % len(rest)
+			k, v := rest[1:1+kl], rest[1+kl:]
+			v = v[:min(len(v), int(rest[0])/3)]
+			stream = AppendKV(stream, k, v)
+			want = append(want, string(AppendKV(nil, k, v)))
+			rest = rest[1+kl+len(v):]
+		}
+		it := recordIter{format: KVFormat{}, fileSize: int64(len(stream))}
+		for _, size := range append([]int{c}, chunkSizes...) {
+			if got := framed(it, stream, size); !equalStrings(got, want) {
+				t.Fatalf("chunks of %d framed %q, want %q", size, got, want)
+			}
+		}
+	})
 }
 
 // Property: the streaming framer produces exactly the records of the batch

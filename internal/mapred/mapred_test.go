@@ -845,17 +845,14 @@ func TestSortBufferMustFitIndexOffsets(t *testing.T) {
 	}
 }
 
-// New used to re-default these five to values DefaultConfig does not use; a
-// zero is now an error, and a zero ChunkBytes in particular would spin
-// mapTask's input loop forever.
+// A zero in any of these is an error, not a default: a zero ChunkBytes in
+// particular would spin mapTask's input loop forever.
 func TestNewRejectsZeroChunkAndRetryBudgets(t *testing.T) {
 	rig := newRig(t, nil)
 	for name, zero := range map[string]func(*Config){
-		"ChunkBytes":         func(c *Config) { c.ChunkBytes = 0 },
-		"MaxFetchRetries":    func(c *Config) { c.MaxFetchRetries = 0 },
-		"FetchRetryDelay":    func(c *Config) { c.FetchRetryDelay = 0 },
-		"MaxTaskAttempts":    func(c *Config) { c.MaxTaskAttempts = 0 },
-		"MaxTrackerFailures": func(c *Config) { c.MaxTrackerFailures = 0 },
+		"ChunkBytes":      func(c *Config) { c.ChunkBytes = 0 },
+		"FetchRetryDelay": func(c *Config) { c.FetchRetryDelay = 0 },
+		"MaxTaskAttempts": func(c *Config) { c.MaxTaskAttempts = 0 },
 	} {
 		cfg := rig.rt.cfg
 		zero(&cfg)

@@ -82,7 +82,6 @@ func KeyPrefix(k []byte) uint64 {
 type segment struct {
 	off     int64
 	clen    int64 // compressed length on disk
-	rawLen  int64
 	records int64
 }
 
@@ -132,7 +131,7 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 	handle := func(rec []byte) {
 		inRecords++
 		inBytes += int64(len(rec))
-		cpu += time.Duration(cfg.ParseNsPerRecord + cfg.ParseNsPerByte*float64(len(rec)))
+		cpu += time.Duration(parseNsPerRecord + parseNsPerByte*float64(len(rec)))
 		cpu += time.Duration(job.Costs.MapNsPerRecord + job.Costs.MapNsPerByte*float64(len(rec)))
 		job.Mapper.Map(rec, emit)
 	}
@@ -396,7 +395,7 @@ func (ms *mapState) spill(p *sim.Proc) {
 		return
 	}
 	cfg := ms.rt.cfg
-	ms.node.Compute(p, time.Duration(nCompares(len(ms.ents))*cfg.SortNsPerCompare))
+	ms.node.Compute(p, time.Duration(nCompares(len(ms.ents))*sortNsPerCompare))
 	ms.sortKVEntries(&ms.rt.sortWork)
 	if ms.zombie() {
 		return // the machine died under the sort; see the guard above
@@ -414,7 +413,7 @@ func (ms *mapState) spill(p *sim.Proc) {
 		}
 		raw, n := ms.serializePartition(p, ms.ents[i:j])
 		i = j
-		seg := segment{off: off, rawLen: int64(len(raw)), records: n}
+		seg := segment{off: off, records: n}
 		if len(raw) > 0 {
 			enc := cfg.Codec.Compress(raw)
 			ms.node.Compute(p, cfg.Codec.CompressCost(len(raw)))
@@ -444,7 +443,6 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 	if len(ents) == 0 {
 		return nil, 0
 	}
-	cfg := ms.rt.cfg
 	out := ms.scratch[:0]
 	var n int64
 	if comb := ms.job.Combiner; comb != nil {
@@ -482,7 +480,7 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 		}
 		n = int64(len(ents))
 	}
-	ms.node.Compute(p, time.Duration(cfg.SerializeNsPerByte*float64(len(out))))
+	ms.node.Compute(p, time.Duration(serializeNsPerByte*float64(len(out))))
 	ms.scratch = out
 	return out, n
 }
@@ -547,8 +545,8 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 			records += sg.records
 		}
 		merged, pooled := ms.rt.mergeRuns(runs)
-		ms.node.Compute(p, time.Duration(cfg.MergeNsPerByte*float64(len(merged))))
-		seg := segment{off: off, rawLen: int64(len(merged)), records: records}
+		ms.node.Compute(p, time.Duration(mergeNsPerByte*float64(len(merged))))
+		seg := segment{off: off, records: records}
 		if len(merged) > 0 {
 			enc := cfg.Codec.Compress(merged)
 			ms.node.Compute(p, cfg.Codec.CompressCost(len(merged)))

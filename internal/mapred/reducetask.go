@@ -28,7 +28,6 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		file *localfs.File
 		name string
 		clen int64
-		raw  int64
 	}
 	var (
 		memRuns   []run
@@ -50,7 +49,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		memRuns = nil
 		memBytes = 0
 		merged, pooled := rt.mergeRuns(runs)
-		node.Compute(sp, time.Duration(cfg.MergeNsPerByte*float64(len(merged))))
+		node.Compute(sp, time.Duration(mergeNsPerByte*float64(len(merged))))
 		enc := cfg.Codec.Compress(merged)
 		node.Compute(sp, cfg.Codec.CompressCost(len(merged)))
 		if zombie() {
@@ -63,7 +62,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		f.SetStage(disk.StageSpill)
 		rt.recycleMerged(appendRun(sp, f, merged, enc), pooled)
 		runWrite += int64(len(enc))
-		diskRuns = append(diskRuns, diskRun{vol: vol, file: f, name: name, clen: int64(len(enc)), raw: int64(len(merged))})
+		diskRuns = append(diskRuns, diskRun{vol: vol, file: f, name: name, clen: int64(len(enc))})
 		js.counters.ReduceSpills++
 	}
 
@@ -104,12 +103,8 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		rt.net.Transfer(fp, out.node.Name, node.Name, seg.clen)
 		ingest(fp, enc, seg)
 	}
-	nFetchers := cfg.ShuffleParallel
-	if nFetchers < 1 {
-		nFetchers = 1
-	}
 	var fetchers []*sim.Handle
-	for i := 0; i < nFetchers; i++ {
+	for i := 0; i < shuffleParallel; i++ {
 		fetchers = append(fetchers, rt.env.Go(fmt.Sprintf("fetch-r%d-%d", part, i), func(fp *sim.Proc) {
 			for {
 				if zombie() {
@@ -153,7 +148,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		runs = append(runs, raw)
 	}
 	merge := newMerger(runs)
-	node.Compute(p, time.Duration(cfg.MergeNsPerByte*float64(merge.total)))
+	node.Compute(p, time.Duration(mergeNsPerByte*float64(merge.total)))
 
 	// Reduce and write output to HDFS with the job's replication factor.
 	if zombie() || (js.faulty && js.redOwner[part] != node.Name) {

@@ -65,9 +65,9 @@ func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, cfg Config) (*Runtime, 
 		// mapTask advances its input position by ChunkBytes.
 		return nil, fmt.Errorf("mapred: ChunkBytes must be positive, got %d", cfg.ChunkBytes)
 	}
-	if cfg.MaxFetchRetries <= 0 || cfg.FetchRetryDelay <= 0 || cfg.MaxTaskAttempts <= 0 || cfg.MaxTrackerFailures <= 0 {
-		return nil, fmt.Errorf("mapred: retry budgets must be positive, got %d fetch retries from %v / %d task attempts / %d tracker failures",
-			cfg.MaxFetchRetries, cfg.FetchRetryDelay, cfg.MaxTaskAttempts, cfg.MaxTrackerFailures)
+	if cfg.FetchRetryDelay <= 0 || cfg.MaxTaskAttempts <= 0 {
+		return nil, fmt.Errorf("mapred: retry budgets must be positive, got fetch retry delay %v / %d task attempts",
+			cfg.FetchRetryDelay, cfg.MaxTaskAttempts)
 	}
 	return &Runtime{env: env, cl: cl, fs: fs, net: cl.Net, cfg: cfg,
 		netRng: rand.New(rand.NewSource(cfg.Seed ^ 0x6d725f6e)),
@@ -149,7 +149,7 @@ type jobState struct {
 	redCond      *sim.Cond
 
 	// Tracker blacklisting (fault mode): failed attempts per tracker, and
-	// the trackers excluded from new scheduling after MaxTrackerFailures.
+	// the trackers excluded from new scheduling after maxTrackerFailures.
 	trackerFailures map[string]int
 	blacklisted     map[string]bool
 }
@@ -463,7 +463,7 @@ func (rt *Runtime) mapWorkerLoop(wp *sim.Proc, job *Job, js *jobState, node *clu
 		if rt.faulty && (!node.Alive() || js.blacklisted[node.Name]) {
 			return // tracker died or was blacklisted; work goes elsewhere
 		}
-		idx, remain := js.pickMap(node.Name, misses >= rt.cfg.LocalityRetries)
+		idx, remain := js.pickMap(node.Name, misses >= localityRetries)
 		if !remain {
 			if !rt.faulty || js.done || js.failed != nil {
 				return

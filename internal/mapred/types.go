@@ -127,10 +127,28 @@ type Job struct {
 	// part files (0 = filesystem default). TeraSort conventionally writes
 	// its output with replication 1.
 	OutputReplication int
-	// KeepOutput true leaves part files in HDFS; otherwise the caller may
-	// delete them between experiment repetitions.
-	KeepOutput bool
 }
+
+// Settings the paper holds at Hadoop 1.0.4's defaults and no experiment
+// varies.
+const (
+	// shuffleParallel is mapred.reduce.parallel.copies: parallel fetchers
+	// per reduce task.
+	shuffleParallel = 5
+	// localityRetries bounds delay scheduling (Config.LocalityWait).
+	localityRetries = 3
+	// Fault mode's fetch retries before a map output is lost, and failed
+	// attempts before a tracker is blacklisted (see Config.FetchRetryDelay).
+	maxFetchRetries    = 3
+	maxTrackerFailures = 3
+
+	// Framework CPU costs (virtual) — a 2010s JVM stack.
+	parseNsPerRecord   = 120
+	parseNsPerByte     = 0.4
+	sortNsPerCompare   = 25
+	serializeNsPerByte = 0.5
+	mergeNsPerByte     = 0.8
+)
 
 // Config is the cluster-wide runtime configuration (mapred-site.xml).
 type Config struct {
@@ -141,15 +159,13 @@ type Config struct {
 	ShuffleBufBytes int64 // reduce-side in-memory merge budget
 	Codec           compress.Codec
 	SlowstartFrac   float64 // fraction of maps done before reducers launch
-	ShuffleParallel int     // parallel fetchers per reduce task
 	ChunkBytes      int64   // input streaming granularity
 
 	// LocalityWait is delay scheduling: an idle map slot with no data-local
-	// work waits this long (up to LocalityRetries times) before accepting a
+	// work waits this long (up to localityRetries times) before accepting a
 	// remote split, so data-hosting nodes get first claim. Without it, slot
 	// counts near the task count destroy locality artificially.
-	LocalityWait    time.Duration
-	LocalityRetries int
+	LocalityWait time.Duration
 
 	// Speculative enables backup attempts for straggling map tasks
 	// (mapred.map.tasks.speculative.execution, on by default in Hadoop 1.x).
@@ -160,30 +176,21 @@ type Config struct {
 
 	// Fault-tolerance knobs, consulted only when the runtime's fault mode
 	// is enabled (Runtime.EnableFaults). A reduce fetch that fails is
-	// retried up to MaxFetchRetries times with exponential backoff starting
+	// retried up to maxFetchRetries times with exponential backoff starting
 	// at FetchRetryDelay; after that the map output is declared lost and its
 	// task re-executed. A map task may be attempted MaxTaskAttempts times
 	// (including speculation and re-execution) before the job fails with a
 	// *JobError — Hadoop's mapred.map.max.attempts. A tracker that
-	// accumulates MaxTrackerFailures failed attempts in one job is
+	// accumulates maxTrackerFailures failed attempts in one job is
 	// blacklisted: no new attempts are scheduled there, so a fail-slow node
 	// stops soaking up retries (Hadoop's mapred.max.tracker.failures).
-	MaxFetchRetries    int
-	FetchRetryDelay    time.Duration
-	MaxTaskAttempts    int
-	MaxTrackerFailures int
+	FetchRetryDelay time.Duration
+	MaxTaskAttempts int
 
 	// Seed feeds the jitter rng of the sim.NewRetry stalls with which
 	// fetchers and trackers wait out transient network faults; healthy runs
 	// never draw from it.
 	Seed int64
-
-	// Framework CPU costs (virtual) — defaults mirror a 2010s JVM stack.
-	ParseNsPerRecord   float64
-	ParseNsPerByte     float64
-	SortNsPerCompare   float64
-	SerializeNsPerByte float64
-	MergeNsPerByte     float64
 }
 
 // DefaultConfig returns Hadoop-1.0.4-flavoured defaults at the given scale
@@ -199,21 +206,12 @@ func DefaultConfig(scale int64) Config {
 		ShuffleBufBytes:     max((140<<20)/scale, 64<<10),
 		Codec:               compress.Identity{},
 		SlowstartFrac:       0.05,
-		ShuffleParallel:     5,
 		ChunkBytes:          max((1<<20)/scale*4, 16<<10),
 		LocalityWait:        time.Duration(int64(3*time.Second) * 64 / scale),
-		LocalityRetries:     3,
 		Speculative:         true,
 		SpeculativeSlowdown: 3,
-		MaxFetchRetries:     3,
 		FetchRetryDelay:     time.Duration(int64(time.Second) * 64 / scale),
 		MaxTaskAttempts:     4,
-		MaxTrackerFailures:  3,
-		ParseNsPerRecord:    120,
-		ParseNsPerByte:      0.4,
-		SortNsPerCompare:    25,
-		SerializeNsPerByte:  0.5,
-		MergeNsPerByte:      0.8,
 	}
 }
 
@@ -239,9 +237,9 @@ type Counters struct {
 	// Fault-recovery counters, nonzero only under fault injection.
 	ReExecutedMaps      int64 // map tasks re-run because their output was lost
 	FetchRetries        int64 // reduce fetch attempts that were retried
-	FailedFetches       int64 // fetches abandoned after MaxFetchRetries
+	FailedFetches       int64 // fetches abandoned after maxFetchRetries
 	NetFetchStalls      int64 // fetch retries spent waiting out transient network faults
-	BlacklistedTrackers int64 // trackers excluded after MaxTrackerFailures
+	BlacklistedTrackers int64 // trackers excluded after maxTrackerFailures
 	TrackerRejoins      int64 // restarted trackers that re-registered mid-job
 	DoubleRegistrations int64 // rejoins that would have over-filled a node's slots (must stay 0)
 

@@ -45,14 +45,14 @@ func BenchmarkCacheColdSequential(b *testing.B) {
 // sequential scan with and without prefetching.
 func BenchmarkAblationReadahead(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		off  bool
-	}{{"readahead", false}, {"none", true}} {
+		name     string
+		maxPages int
+	}{{"readahead", DefaultOptions().ReadaheadMaxPages}, {"none", 0}} {
 		b.Run(c.name, func(b *testing.B) {
 			var vt time.Duration
 			for i := 0; i < b.N; i++ {
 				opts := DefaultOptions()
-				opts.NoReadahead = c.off
+				opts.ReadaheadMaxPages = c.maxPages
 				env, cache := benchRig(opts)
 				env.Go("r", func(p *sim.Proc) {
 					rs := &ReadState{}

@@ -48,15 +48,15 @@ type Options struct {
 	DirtyHardRatio float64
 	// WritebackInterval is the period of the background flusher.
 	WritebackInterval time.Duration
-	// ReadaheadMaxPages caps the readahead window (Linux default 128 KiB).
+	// ReadaheadMaxPages caps the readahead window (Linux default 128 KiB);
+	// 0 disables prefetching.
 	ReadaheadMaxPages int
-	// DirtyExpire is the age at which a dirty page is flushed regardless of
-	// the dirty ratio (Linux dirty_expire_centisecs, default 30 s). Without
-	// it, small dirty residues would sit in memory forever.
-	DirtyExpire time.Duration
-	// NoReadahead disables prefetching (ablation).
-	NoReadahead bool
 }
+
+// dirtyExpire is the age at which a dirty page is flushed regardless of the
+// dirty ratio (Linux dirty_expire_centisecs, default 30 s). Without it,
+// small dirty residues would sit in memory forever.
+const dirtyExpire = 30 * time.Second
 
 // DefaultOptions returns Linux-flavoured defaults.
 func DefaultOptions() Options {
@@ -65,7 +65,6 @@ func DefaultOptions() Options {
 		DirtyHardRatio:    0.40,
 		WritebackInterval: time.Second,
 		ReadaheadMaxPages: 32, // 128 KiB
-		DirtyExpire:       30 * time.Second,
 	}
 }
 
@@ -331,7 +330,7 @@ func (c *Cache) Read(p *sim.Proc, rs *ReadState, sector int64, nsect int, stage 
 
 	// Readahead window bookkeeping.
 	ra := 0
-	if rs != nil && !c.opts.NoReadahead {
+	if rs != nil {
 		if first == rs.nextPage || (first < rs.nextPage && last > rs.nextPage) {
 			rs.window *= 2
 			if rs.window == 0 {
@@ -598,7 +597,7 @@ type writeback struct {
 }
 
 // step carries the flusher on. It waits for the flush's next request. After
-// a flush down it flushes, in one round, the pages dirtied DirtyExpire or
+// a flush down it flushes, in one round, the pages dirtied dirtyExpire or
 // more ago; after that, or at the start, it parks on kick while the cache is
 // clean (so a drained simulation ends), or else sleeps WritebackInterval
 // with the next flush down set: above the background ratio, to half of it.
@@ -618,7 +617,7 @@ func (w *writeback) step() {
 				return
 			}
 		} else if w.f.cutoff == math.MaxInt64 { // a flush down is done
-			w.f = flush{c: c, cutoff: c.env.Now() - c.opts.DirtyExpire, rounds: 1}
+			w.f = flush{c: c, cutoff: c.env.Now() - dirtyExpire, rounds: 1}
 		} else if c.pages.dirty == 0 {
 			c.kick.Then(w.stepFn)
 			return

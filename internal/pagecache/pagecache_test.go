@@ -243,7 +243,7 @@ func TestReadaheadResetsOnSeek(t *testing.T) {
 
 func TestNoReadaheadAblation(t *testing.T) {
 	opts := DefaultOptions()
-	opts.NoReadahead = true
+	opts.ReadaheadMaxPages = 0
 	env, _, c := rig(4096, opts)
 	env.Go("r", func(p *sim.Proc) {
 		rs := &ReadState{}
@@ -253,7 +253,7 @@ func TestNoReadaheadAblation(t *testing.T) {
 	})
 	env.Run(0)
 	if got := c.Stats().ReadaheadPages; got != 0 {
-		t.Errorf("ReadaheadPages = %d with NoReadahead, want 0", got)
+		t.Errorf("ReadaheadPages = %d with a zero window cap, want 0", got)
 	}
 }
 

@@ -197,7 +197,7 @@ type Proc struct {
 // procKilled is the panic value with which Close unwinds a process.
 // The spawn wrapper recovers it and turns it into a normal process exit, so
 // the process's own defers run — the supported way to release held resources.
-type procKilled struct{ p *Proc }
+type procKilled struct{}
 
 // SetDaemon marks the process as a daemon: a service loop (the HDFS
 // scrubber) that legitimately blocks forever once the simulation drains.
@@ -332,7 +332,7 @@ func (p *Proc) park() {
 	if p.env.closing {
 		// Entered from a defer while Close unwinds this process: there is no
 		// virtual time left to wait in.
-		panic(procKilled{p})
+		panic(procKilled{})
 	}
 	if !p.env.dispatch(p) {
 		p.yield(struct{}{})
@@ -349,7 +349,7 @@ func (p *Proc) block() {
 	p.park()
 	p.blocked = false
 	if p.killed {
-		panic(procKilled{p})
+		panic(procKilled{})
 	}
 }
 
@@ -362,7 +362,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	e.schedule(event{at: e.at(d), p: p})
 	p.park()
 	if p.killed {
-		panic(procKilled{p})
+		panic(procKilled{})
 	}
 }
 

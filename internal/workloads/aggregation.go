@@ -18,12 +18,10 @@ import (
 // evaluation dominate, so the map-side CPU cost is high (CPU-bound in
 // Table 3) while output is tiny — which is why the paper finds AGG the most
 // HDFS-read-intensive workload (Table 6) with hardly any intermediate I/O.
-type Aggregation struct {
-	seed int64
-}
+type Aggregation struct{}
 
 // NewAggregation returns the workload.
-func NewAggregation() *Aggregation { return &Aggregation{seed: 1} }
+func NewAggregation() *Aggregation { return &Aggregation{} }
 
 // key names the workload's HDFS directories.
 func (*Aggregation) key() string { return "AGG" }
@@ -34,7 +32,6 @@ func (*Aggregation) PaperInputBytes() int64 { return 512 << 30 }
 
 // Prepare implements Workload.
 func (a *Aggregation) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
-	a.seed = seed
 	gen := datagen.OrderGen{Seed: seed}
 	loadParts(fs, cl, inputDir(a.key()), total, gen.Part)
 }

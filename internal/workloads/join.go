@@ -18,15 +18,13 @@ import (
 // I/O pattern neither AGG nor TS has: two heterogeneous inputs shuffled
 // into the same reduce space, with output between AGG's (tiny) and TS's
 // (everything).
-type Join struct {
-	seed int64
-	// FactFraction sets the dimension table's size as a fraction of the
-	// fact table (default 1/16).
-	FactFraction float64
-}
+type Join struct{}
+
+// dimFraction is the dimension table's share of the input volume.
+const dimFraction = 1.0 / 16
 
 // NewJoin returns the workload.
-func NewJoin() *Join { return &Join{seed: 1, FactFraction: 1.0 / 16} }
+func NewJoin() *Join { return &Join{} }
 
 // key names the workload's HDFS directories.
 func (*Join) key() string { return "JOIN" }
@@ -37,15 +35,10 @@ func (*Join) PaperInputBytes() int64 { return 512 << 30 }
 // Prepare implements Workload: the fact table under in/fact and the
 // dimension table under in/dim.
 func (j *Join) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
-	j.seed = seed
-	frac := j.FactFraction
-	if frac <= 0 || frac >= 1 {
-		frac = 1.0 / 16
-	}
 	orders := datagen.OrderGen{Seed: seed}
 	users := datagen.UserGen{Seed: seed}
-	loadParts(fs, cl, inputDir(j.key())+"/fact", int64(float64(total)*(1-frac)), orders.Part)
-	loadParts(fs, cl, inputDir(j.key())+"/dim", int64(float64(total)*frac), users.Part)
+	loadParts(fs, cl, inputDir(j.key())+"/fact", int64(float64(total)*(1-dimFraction)), orders.Part)
+	loadParts(fs, cl, inputDir(j.key())+"/dim", int64(float64(total)*dimFraction), users.Part)
 }
 
 // tag bytes distinguishing the two sides in the shuffle.

@@ -21,16 +21,17 @@ import (
 // that labels and writes every point (I/O-bound, output ≈ input), matching
 // the two-phase bottleneck classification of Table 3.
 type KMeans struct {
-	seed int64
-	// K is the number of centers; Dims the point dimensionality;
-	// Iterations the refinement passes before the labelling pass.
-	K          int
+	// Dims is the point dimensionality; Iterations the refinement passes
+	// before the labelling pass.
 	Dims       int
 	Iterations int
 }
 
+// numCenters is K-means' K, the number of centers.
+const numCenters = 16
+
 // NewKMeans returns the workload with BigDataBench-like defaults.
-func NewKMeans() *KMeans { return &KMeans{seed: 1, K: 16, Dims: 8, Iterations: 3} }
+func NewKMeans() *KMeans { return &KMeans{Dims: 8, Iterations: 3} }
 
 // key names the workload's HDFS directories.
 func (*KMeans) key() string { return "KM" }
@@ -41,8 +42,7 @@ func (*KMeans) PaperInputBytes() int64 { return 256 << 30 }
 
 // Prepare implements Workload.
 func (km *KMeans) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
-	km.seed = seed
-	gen := datagen.PointGen{Seed: seed, Dims: km.Dims, TrueCenters: km.K}
+	gen := datagen.PointGen{Seed: seed, Dims: km.Dims, TrueCenters: numCenters}
 	loadParts(fs, cl, inputDir(km.key()), total, gen.Part)
 }
 
@@ -208,7 +208,7 @@ func (r *sumReducer) Reduce(k []byte, vals [][]byte, emit func(k, v []byte)) {
 // iterCosts prices one distance evaluation per center per dimension plus
 // float parsing — the arithmetic that makes iterations CPU-bound.
 func (km *KMeans) iterCosts() mapred.CostModel {
-	perRecord := float64(km.K*km.Dims)*4 + float64(km.Dims)*45 // distances + ParseFloat
+	perRecord := float64(numCenters*km.Dims)*4 + float64(km.Dims)*45 // distances + ParseFloat
 	return mapred.CostModel{
 		MapNsPerRecord:    perRecord,
 		MapNsPerByte:      4,
@@ -305,7 +305,7 @@ func (km *KMeans) iterationJob(inputs []string, output string, centers [][]float
 		}),
 		Combiner:   &sumCombiner{},
 		Reducer:    &sumReducer{},
-		NumReduces: km.K, // one reducer per centroid is plenty for tiny output
+		NumReduces: numCenters, // one reducer per centroid is plenty for tiny output
 		Costs:      km.iterCosts(),
 	}
 }
@@ -317,20 +317,20 @@ func (km *KMeans) seedCenters(p *sim.Proc, fs *hdfs.FS, inputs []string, client 
 	if err != nil {
 		return nil, err
 	}
-	data, err := rd.ReadAt(p, 0, int64(km.K*km.Dims*24+1024))
+	data, err := rd.ReadAt(p, 0, int64(numCenters*km.Dims*24+1024))
 	if err != nil {
 		return nil, err
 	}
 	var centers [][]float64
 	datagen.Lines(data, func(line []byte) {
-		if len(centers) >= km.K {
+		if len(centers) >= numCenters {
 			return
 		}
 		if pt, ok := parsePointInto(nil, line, ',', km.Dims); ok {
 			centers = append(centers, pt)
 		}
 	})
-	if len(centers) < km.K {
+	if len(centers) < numCenters {
 		return nil, fmt.Errorf("kmeans: only %d seed centers in first read", len(centers))
 	}
 	return centers, nil

@@ -164,7 +164,7 @@ func TestKMeansIterationMatchesSerialReference(t *testing.T) {
 	r.env.Run(0)
 
 	var pts [][]float64
-	gen := datagen.PointGen{Seed: 42, Dims: km.Dims, TrueCenters: km.K}
+	gen := datagen.PointGen{Seed: 42, Dims: km.Dims, TrueCenters: numCenters}
 	per := int64(300_000) / int64(len(r.cl.Slaves))
 	for i := range r.cl.Slaves {
 		datagen.Lines(gen.Part(i, per), func(line []byte) {
@@ -175,9 +175,9 @@ func TestKMeansIterationMatchesSerialReference(t *testing.T) {
 			pts = append(pts, pt)
 		})
 	}
-	seeds := pts[:km.K]
-	counts := make([]float64, km.K)
-	want := make([][]float64, km.K)
+	seeds := pts[:numCenters]
+	counts := make([]float64, numCenters)
+	want := make([][]float64, numCenters)
 	for i := range want {
 		want[i] = make([]float64, km.Dims)
 	}
@@ -188,8 +188,8 @@ func TestKMeansIterationMatchesSerialReference(t *testing.T) {
 			want[c][d] += v
 		}
 	}
-	if len(got) != km.K {
-		t.Fatalf("%d centers read back, want %d", len(got), km.K)
+	if len(got) != numCenters {
+		t.Fatalf("%d centers read back, want %d", len(got), numCenters)
 	}
 	moved := 0
 	for c := range want {
@@ -220,7 +220,7 @@ func BenchmarkKMeansIterRecord(b *testing.B) {
 	km := NewKMeans()
 	var recs [][]byte
 	datagen.Lines(datagen.PointGen{Seed: 1}.Part(0, 64<<10), func(line []byte) { recs = append(recs, line) })
-	centers := make([][]float64, km.K)
+	centers := make([][]float64, numCenters)
 	for i := range centers {
 		centers[i], _ = parsePointInto(nil, recs[i], ',', km.Dims)
 	}

@@ -20,15 +20,16 @@ import (
 // rewrites each pass is far smaller than TeraSort's shuffle, so its
 // intermediate-disk pressure is modest — as in the paper's Table 7.
 type PageRank struct {
-	seed int64
 	// Iterations is the number of power iterations after the build job.
 	Iterations int
-	// Damping is the standard teleport factor.
-	Damping float64
 }
 
+// damping is the standard teleport factor. It is typed, so 1-damping is
+// the float64 difference, not the exact 0.15.
+const damping float64 = 0.85
+
 // NewPageRank returns the workload with the conventional parameters.
-func NewPageRank() *PageRank { return &PageRank{seed: 1, Iterations: 3, Damping: 0.85} }
+func NewPageRank() *PageRank { return &PageRank{Iterations: 3} }
 
 // key names the workload's HDFS directories.
 func (*PageRank) key() string { return "PR" }
@@ -40,7 +41,6 @@ func (*PageRank) PaperInputBytes() int64 { return 64 << 30 }
 
 // Prepare implements Workload.
 func (pr *PageRank) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
-	pr.seed = seed
 	gen := datagen.GraphGen{Seed: seed}
 	loadParts(fs, cl, inputDir(pr.key()), total, gen.Part)
 }
@@ -133,7 +133,6 @@ func (pr *PageRank) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluste
 	results = append(results, res)
 
 	// Power iterations over the vertex state.
-	damping := pr.Damping
 	for iter := 1; iter <= pr.Iterations; iter++ {
 		prevDir := stateDir
 		stateDir = fmt.Sprintf("%s-state%d", outputDir(pr.key()), iter)

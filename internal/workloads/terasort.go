@@ -18,12 +18,10 @@ import (
 // CPU cost is tiny, so the job is bounded by disk and network — the paper's
 // I/O-bound classification, and the workload with the heaviest intermediate
 // (MapReduce-disk) traffic because map output equals the full input.
-type TeraSort struct {
-	seed int64
-}
+type TeraSort struct{}
 
 // NewTeraSort returns the workload.
-func NewTeraSort() *TeraSort { return &TeraSort{seed: 1} }
+func NewTeraSort() *TeraSort { return &TeraSort{} }
 
 // key names the workload's HDFS directories.
 func (*TeraSort) key() string { return "TS" }
@@ -33,7 +31,6 @@ func (*TeraSort) PaperInputBytes() int64 { return 1 << 40 }
 
 // Prepare implements Workload.
 func (t *TeraSort) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
-	t.seed = seed
 	gen := datagen.TeraGen{Seed: seed}
 	loadParts(fs, cl, inputDir(t.key()), total, gen.Part)
 }

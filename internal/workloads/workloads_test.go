@@ -227,7 +227,7 @@ func TestKMeansIterationsConvergeAndClusterPassLabelsAll(t *testing.T) {
 	labels := map[int]int64{}
 	for _, kv := range r.readKVOutput(t, outputDir("KM")) {
 		c, err := strconv.Atoi(string(kv[0]))
-		if err != nil || c < 0 || c >= km.K {
+		if err != nil || c < 0 || c >= numCenters {
 			t.Fatalf("bad cluster label %q", kv[0])
 		}
 		labels[c]++
