@@ -6,6 +6,7 @@
 //
 //	iochar -figure 1          # one figure (1-12)
 //	iochar -table 6           # one table (5-7)
+//	iochar -figure 1 -table 5 # both, figure first
 //	iochar -all               # every figure and table
 //	iochar -figure 3 -csv     # CSV instead of terminal rendering
 //	iochar -scale 8192        # smaller/faster testbed (default 4096)
@@ -62,6 +63,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "iochar:", err)
 		os.Exit(2)
 	}
+	// -figure and -table combine, figures first as under -all.
+	var figures, tables []int
+	switch {
+	case *all:
+		figures, tables = iochar.Figures(), iochar.Tables()
+	case *figure != 0 || *table != 0:
+		if *figure != 0 {
+			figures = []int{*figure}
+		}
+		if *table != 0 {
+			tables = []int{*table}
+		}
+	case *attr, testbed.Hist, *traceOut != "":
+		// handled below
+	default:
+		flag.Usage()
+		os.Exit(2)
+	}
+	cells, err := cellsFor(figures, tables)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "iochar:", err)
+		os.Exit(2)
+	}
+	// The trace file is created before anything runs, so a path that cannot
+	// be written fails at once.
+	var traceFile *os.File
+	if *traceOut != "" {
+		if traceFile, err = os.Create(*traceOut); err != nil {
+			fmt.Fprintln(os.Stderr, "iochar:", err)
+			os.Exit(1)
+		}
+	}
 	testbed.WarnClamps(os.Stderr, "iochar")
 
 	opts := iochar.NewOptions(testbedOpts...)
@@ -74,25 +107,16 @@ func main() {
 	}
 	s := iochar.NewSuite(opts, sopts...)
 
-	var figures, tables []int
-	switch {
-	case *all:
-		figures, tables = iochar.Figures(), iochar.Tables()
-	case *figure != 0:
-		figures = []int{*figure}
-	case *table != 0:
-		tables = []int{*table}
-	case *attr, testbed.Hist, *traceOut != "":
-		// handled below
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	start := time.Now()
 	// Resolve every needed cell up front across the worker pool; rendering
-	// below then serves purely from memory.
-	if err := prewarm(ctx, s, figures, tables); err != nil {
+	// below then serves purely from memory. -all sweeps the full matrix.
+	switch {
+	case *all:
+		err = s.RunAll(ctx)
+	case len(cells) > 0:
+		err = s.Prewarm(ctx, cells)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "iochar:", err)
 		os.Exit(1)
 	}
@@ -138,8 +162,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *traceOut != "" {
-		if err := streamTraces(ctx, *traceOut, opts); err != nil {
+	if traceFile != nil {
+		if err := streamTraces(ctx, traceFile, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
@@ -156,14 +180,10 @@ func main() {
 // records as they complete, so memory stays flat however long the traces
 // get. Trace runs bypass the suite cache by construction (live observers
 // cannot be serialized).
-func streamTraces(ctx context.Context, path string, opts iochar.Options) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+func streamTraces(ctx context.Context, f *os.File, opts iochar.Options) error {
 	defer f.Close()
 	format := trace.FormatCSV
-	if strings.HasSuffix(path, ".ndjson") {
+	if strings.HasSuffix(f.Name(), ".ndjson") {
 		format = trace.FormatNDJSON
 	}
 	sink := trace.NewStreamCollectorFormat(f, format)
@@ -178,35 +198,29 @@ func streamTraces(ctx context.Context, path string, opts iochar.Options) error {
 	if err := sink.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "streamed %d trace records to %s\n", sink.Len(), path)
-	return nil
+	fmt.Fprintf(os.Stderr, "streamed %d trace records to %s\n", sink.Len(), f.Name())
+	return f.Close()
 }
 
-// prewarm resolves the cells the requested outputs need, in parallel. -all
-// sweeps the full matrix; single figures/tables sweep just their own cells.
-func prewarm(ctx context.Context, s *iochar.Suite, figures, tables []int) error {
-	if len(figures) == len(iochar.Figures()) && len(tables) == len(iochar.Tables()) {
-		return s.RunAll(ctx)
-	}
+// cellsFor lists the cells the requested figures and tables render from; an
+// unknown figure or table is an error.
+func cellsFor(figures, tables []int) ([]iochar.Cell, error) {
 	var cells []iochar.Cell
 	for _, n := range figures {
 		fc, err := iochar.FigureCells(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cells = append(cells, fc...)
 	}
 	for _, n := range tables {
 		tc, err := iochar.TableCells(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cells = append(cells, tc...)
 	}
-	if len(cells) == 0 {
-		return nil
-	}
-	return s.Prewarm(ctx, cells)
+	return cells, nil
 }
 
 // progressLine renders one resolved cell to stderr, e.g.

@@ -259,7 +259,15 @@ func decode(enc []byte) ([]byte, error) {
 			if length > len(dst)-d || length > len(enc)-s {
 				return nil, errLZCorrupt
 			}
-			copy(dst[d:], enc[s:s+length])
+			if length <= 16 && len(enc)-s >= 16 && len(dst)-d >= 16 {
+				// Two words. The bytes past the literal are scratch until
+				// the elements after it write them; a stream that stops
+				// short of them fails the final length check.
+				binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(enc[s:]))
+				binary.LittleEndian.PutUint64(dst[d+8:], binary.LittleEndian.Uint64(enc[s+8:]))
+			} else {
+				copy(dst[d:], enc[s:s+length])
+			}
 			d += length
 			s += length
 			continue
@@ -284,10 +292,20 @@ func decode(enc []byte) ([]byte, error) {
 			return nil, errLZCorrupt
 		}
 		// A copy may overlap its own output (offset < length repeats a
-		// pattern). Each pass copies what is already final; from the second
-		// on, the distance from the source start is a multiple of offset,
-		// so the period is preserved.
-		for from, end := d-offset, d+length; d < end; {
+		// pattern). At offset 8 or more each word reads only bytes already
+		// final, and what lands past end is rewritten like a literal's. The
+		// general loop copies what is already final in each pass; from the
+		// second on, the distance from the source start is a multiple of
+		// offset, so the period is preserved.
+		from, end := d-offset, d+length
+		if offset >= 8 && end+8 <= len(dst) {
+			for ; d < end; d, from = d+8, from+8 {
+				binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(dst[from:]))
+			}
+			d = end
+			continue
+		}
+		for d < end {
 			d += copy(dst[d:end], dst[from:d])
 		}
 	}

@@ -2,8 +2,11 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"iochar/internal/datagen"
@@ -199,14 +202,128 @@ func fuzzSeeds(f *testing.F, add func(src []byte)) {
 	add(bytes.Repeat([]byte("ab"), 40<<10)) // long overlapping copies, two blocks
 }
 
-// FuzzLZDecode: the decoder is total. Any bytes decode or return an error;
+// decodeReference is decode with a byte-range copy per element and no word
+// paths: the model the decoder must agree with.
+func decodeReference(enc []byte) ([]byte, error) {
+	n, s := binary.Uvarint(enc)
+	if s <= 0 {
+		return nil, errLZHeader
+	}
+	if n > 64*uint64(len(enc)) {
+		return nil, errLZTooLong
+	}
+	dst := make([]byte, n)
+	d := 0
+	for s < len(enc) {
+		tag := enc[s]
+		var offset, length int
+		switch tag & 3 {
+		case tagLiteral:
+			x := int(tag >> 2)
+			switch {
+			case x < 60:
+				s++
+			case x == 60 && s+1 < len(enc):
+				x = int(enc[s+1])
+				s += 2
+			case x == 61 && s+2 < len(enc):
+				x = int(enc[s+1]) | int(enc[s+2])<<8
+				s += 3
+			default:
+				return nil, errLZCorrupt
+			}
+			length = x + 1
+			if length > len(dst)-d || length > len(enc)-s {
+				return nil, errLZCorrupt
+			}
+			copy(dst[d:], enc[s:s+length])
+			d += length
+			s += length
+			continue
+		case tagCopy1:
+			if s+1 >= len(enc) {
+				return nil, errLZCorrupt
+			}
+			length = 4 + int(tag>>2)&7
+			offset = int(tag&0xe0)<<3 | int(enc[s+1])
+			s += 2
+		case tagCopy2:
+			if s+2 >= len(enc) {
+				return nil, errLZCorrupt
+			}
+			length = 1 + int(tag>>2)
+			offset = int(enc[s+1]) | int(enc[s+2])<<8
+			s += 3
+		default:
+			return nil, errLZCorrupt
+		}
+		if offset == 0 || offset > d || length > len(dst)-d {
+			return nil, errLZCorrupt
+		}
+		for from, end := d-offset, d+length; d < end; {
+			d += copy(dst[d:end], dst[from:d])
+		}
+	}
+	if d != len(dst) {
+		return nil, errLZCorrupt
+	}
+	return dst, nil
+}
+
+// checkDecodeMatchesReference fails t unless decode and decodeReference give
+// the same bytes, or both an error.
+func checkDecodeMatchesReference(t *testing.T, enc []byte) {
+	t.Helper()
+	got, err := decode(enc)
+	want, wantErr := decodeReference(enc)
+	if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("decode(%x) = %x, %v; reference %x, %v", enc, got, err, want, wantErr)
+	}
+}
+
+// TestLZDecodeWordPathsMatchReference walks the word paths' edges: copies at
+// offsets 1…16 (the word copy starts at 8) of 4…64 bytes that end exactly at
+// the output's end or 1…8 bytes before it, where a literal finishes the
+// stream, and literals of 1…17 bytes that end it (16 is the last the
+// two-word copy takes).
+func TestLZDecodeWordPathsMatchReference(t *testing.T) {
+	lead := []byte("abcdefghijklmnop")
+	for offset := 1; offset <= len(lead); offset++ {
+		for length := 4; length <= 64; length++ {
+			for short := 0; short <= 8; short++ {
+				enc := make([]byte, 64)
+				n := binary.PutUvarint(enc, uint64(len(lead)+length+short))
+				n += emitLiteral(enc[n:], lead)
+				n += emitCopy(enc[n:], offset, length)
+				n += emitLiteral(enc[n:], lead[:short])
+				checkDecodeMatchesReference(t, enc[:n])
+			}
+		}
+	}
+	for head := 0; head <= 24; head++ {
+		for length := 1; length <= 17; length++ {
+			raw := corpus(t, "ts", head+length)
+			enc := make([]byte, 64)
+			n := binary.PutUvarint(enc, uint64(len(raw)))
+			n += emitLiteral(enc[n:], raw[:head])
+			n += emitLiteral(enc[n:], raw[head:])
+			checkDecodeMatchesReference(t, enc[:n])
+			if got, err := decode(enc[:n]); err != nil || !bytes.Equal(got, raw) {
+				t.Fatalf("%d-byte literal after %d: decoded %q, %v", length, head, got, err)
+			}
+		}
+	}
+}
+
+// FuzzLZDecode: the decoder is total and agrees with decodeReference. Any
+// bytes decode to the reference's bytes or return an error where it does;
 // an index or allocation panic fails the target.
 func FuzzLZDecode(f *testing.F) {
 	lz := NewLZ()
 	fuzzSeeds(f, func(src []byte) { f.Add(lz.Compress(src)) })
 	f.Fuzz(func(t *testing.T, enc []byte) {
-		raw, err := decode(enc)
-		if err == nil && len(raw) > 64*len(enc) {
+		checkDecodeMatchesReference(t, enc)
+		if raw, err := decode(enc); err == nil && len(raw) > 64*len(enc) {
 			t.Errorf("%d bytes decoded to %d", len(enc), len(raw))
 		}
 	})
@@ -234,12 +351,44 @@ func FuzzLZRoundTrip(f *testing.F) {
 
 var benchSink []byte
 
+// kmPartials is size bytes of a K-means iteration's map output as a spill
+// holds it: KV-framed pairs of a center's decimal index and a (count 1,
+// point) partial in little-endian words, grouped by key. A float's sign and
+// exponent bytes repeat from point to point and little else does, so LZ
+// sees short literals between short copies.
+func kmPartials(size int) []byte {
+	var byKey [16][]byte
+	i := 0
+	datagen.Lines(datagen.PointGen{Seed: 1}.Part(0, int64(size)), func(line []byte) {
+		val := binary.LittleEndian.AppendUint64(nil, 1)
+		for _, f := range bytes.Split(line, []byte(",")) {
+			v, _ := strconv.ParseFloat(string(f), 64)
+			val = binary.LittleEndian.AppendUint64(val, math.Float64bits(v))
+		}
+		key := strconv.Itoa(i % len(byKey))
+		kv := append(binary.AppendUvarint(byKey[i%len(byKey)], uint64(len(key))), key...)
+		byKey[i%len(byKey)] = append(binary.AppendUvarint(kv, uint64(len(val))), val...)
+		i++
+	})
+	return bytes.Join(byKey[:], nil)[:size]
+}
+
 // BenchmarkCodec is the codec row of the per-layer ledger: both codecs, both
-// directions, the four corpora, on the ~32 KiB blocks mapred hands over.
+// directions, the four corpora and K-means' binary partials, on the ~32 KiB
+// blocks mapred hands over.
 func BenchmarkCodec(b *testing.B) {
+	type input struct {
+		name string
+		src  []byte
+	}
+	var inputs []input
+	for _, c := range corpora {
+		inputs = append(inputs, input{c.name, corpus(b, c.name, 32<<10)})
+	}
+	inputs = append(inputs, input{"km-partials", kmPartials(32 << 10)})
 	for _, codec := range []Codec{NewLZ(), NewDeflate()} {
-		for _, c := range corpora {
-			src := corpus(b, c.name, 32<<10)
+		for _, c := range inputs {
+			src := c.src
 			enc := codec.Compress(src)
 			b.Run(fmt.Sprintf("%s/compress/%s", codec.Name(), c.name), func(b *testing.B) {
 				b.SetBytes(int64(len(src)))

@@ -11,6 +11,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -24,6 +25,7 @@ import (
 	"iochar/internal/cluster"
 	"iochar/internal/hdfs"
 	"iochar/internal/localfs"
+	"iochar/internal/mapred"
 	"iochar/internal/sim"
 )
 
@@ -308,16 +310,33 @@ func (s *kvSummer) sum() (string, error) {
 		return "", fmt.Errorf("truncated KV stream at offset %d", s.off)
 	}
 	if s.unsorted {
-		type pair struct{ k, v []byte }
-		var pairs []pair
-		for d := bytes.Join(s.blocks, nil); len(d) > 0; {
-			k, v, n, _ := splitKV(d) // write has checked the framing
-			pairs = append(pairs, pair{k, v})
-			d = d[n:]
+		// A field's first 8 bytes as a zero-padded big-endian word
+		// (mapred.KeyPrefix) order two fields whenever the words differ, so
+		// bytes.Compare runs only on a tie.
+		type pair struct {
+			kp, vp uint64
+			k, v   []byte
+		}
+		data, n := bytes.Join(s.blocks, nil), 0
+		for d := data; len(d) > 0; n++ {
+			_, _, l, _ := splitKV(d) // write has checked the framing
+			d = d[l:]
+		}
+		pairs := make([]pair, n)
+		for i, d := 0, data; i < n; i++ {
+			k, v, l, _ := splitKV(d)
+			pairs[i] = pair{mapred.KeyPrefix(k), mapred.KeyPrefix(v), k, v}
+			d = d[l:]
 		}
 		slices.SortFunc(pairs, func(a, b pair) int {
+			if a.kp != b.kp {
+				return cmp.Compare(a.kp, b.kp)
+			}
 			if c := bytes.Compare(a.k, b.k); c != 0 {
 				return c
+			}
+			if a.vp != b.vp {
+				return cmp.Compare(a.vp, b.vp)
 			}
 			return bytes.Compare(a.v, b.v)
 		})

@@ -366,6 +366,18 @@ func FuzzStreamKVSum(f *testing.F) {
 	f.Add(append(mapred.AppendKV(nil, []byte("z"), []byte("9")), sorted...), 3)
 	f.Add(sorted[:len(sorted)-1], 2)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 'k'}, 5)
+	// Unsorted streams for the fallback's prefix-keyed sort: fields that tie
+	// on their first 8 bytes, a field against itself plus a zero byte (the
+	// same padded prefix), and empty fields.
+	kvs := func(fields ...string) (b []byte) {
+		for i := 0; i < len(fields); i += 2 {
+			b = mapred.AppendKV(b, []byte(fields[i]), []byte(fields[i+1]))
+		}
+		return b
+	}
+	f.Add(kvs("centroid-9", "12345678;b", "centroid-1", "12345678;a", "centroid-1", "12345678", "centroid", ""), 7)
+	f.Add(kvs("a\x00", "v", "a", "v\x00", "a", "v", "a", "", "a\x00", ""), 3)
+	f.Add(kvs("b", "", "", "x", "", "", "a", "\x00"), 64)
 	f.Fuzz(func(t *testing.T, data []byte, blockSize int) {
 		if blockSize < 1 {
 			blockSize = 1

@@ -51,84 +51,104 @@ func (km *KMeans) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed in
 // records. It returns the (possibly regrown) slice.
 func parsePointInto(dst []float64, line []byte, sep byte, dims int) ([]float64, bool) {
 	dst = dst[:0]
-	start := 0
-	for i := 0; i <= len(line); i++ {
-		if i == len(line) || line[i] == sep {
-			v, ok := parseDecimal(line[start:i])
-			if !ok {
-				return dst, false
-			}
-			dst = append(dst, v)
-			start = i + 1
+	for {
+		v, n, ok := parseField(line, sep)
+		if !ok {
+			return dst, false
 		}
+		dst = append(dst, v)
+		if n == len(line) {
+			return dst, len(dst) == dims
+		}
+		line = line[n+1:]
 	}
-	return dst, len(dst) == dims
 }
 
-// parseDecimal parses one finite coordinate to the float64
-// strconv.ParseFloat returns for it. NaN and ±Inf, which ParseFloat accepts
-// by name, are rejected: every comparison in nearest is false against one,
-// so a single such record would poison a centroid for the rest of the run.
-func parseDecimal(b []byte) (float64, bool) {
-	if v, ok := exactDecimal(b); ok {
-		return v, true
-	}
-	v, err := strconv.ParseFloat(bstr(b), 64)
-	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// pow10 are the divisors of exactDecimal; each is an exact float64.
+// pow10 are the divisors of parseField's exact path; each is an exact
+// float64.
 var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-// exactDecimal is the fast path for [-]digits[.digits] with at most 15
-// digits, which is every coordinate PointGen writes. The digits read as an
-// integer are below 2^53 and the power of ten is at most 1e15, so both are
-// exact float64s and their IEEE quotient is the correctly rounded value —
-// the computation strconv's own atof64exact does. It reports false for any
-// other spelling (exponents, hex, 16+ digits, a bare sign or point), which
-// parseDecimal hands to strconv.
-func exactDecimal(b []byte) (float64, bool) {
-	neg := len(b) > 0 && b[0] == '-'
+// parseField parses the coordinate at the head of b, up to sep or the end,
+// to the float64 strconv.ParseFloat returns for it, and reports the field's
+// length. NaN and ±Inf, which ParseFloat accepts by name, are rejected:
+// every comparison in nearest is false against one, so a single such record
+// would poison a centroid for the rest of the run.
+//
+// One pass reads [-]digits[.digits] with at most 15 digits, which is every
+// coordinate PointGen writes. The digits read as an integer are below 2^53
+// and the power of ten is at most 1e15, so both are exact float64s and their
+// IEEE quotient is the correctly rounded value — the computation strconv's
+// own atof64exact does. Any other spelling (exponents, hex, 16+ digits, a
+// bare sign or point) is delimited afresh and handed to strconv.
+func parseField(b []byte, sep byte) (float64, int, bool) {
+	i := 0
+	neg := len(b) > 0 && b[0] == '-' && sep != '-'
 	if neg {
-		b = b[1:]
+		i = 1
 	}
 	var mant uint64
-	digits, frac := 0, -1 // frac counts digits after the point, -1 before it
-	for _, c := range b {
-		switch {
-		case '0' <= c && c <= '9':
-			mant = mant*10 + uint64(c-'0')
-			digits++
-			if frac >= 0 {
-				frac++
-			}
-		case c == '.' && frac < 0:
-			frac = 0
-		default:
-			return 0, false
+	start, frac := i, 0
+	for ; i < len(b) && b[i] != sep && b[i]-'0' <= 9; i++ {
+		mant = mant*10 + uint64(b[i]-'0')
+	}
+	if i < len(b) && b[i] == '.' && sep != '.' {
+		i++
+		for ; i < len(b) && b[i] != sep && b[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+			frac++
 		}
+		start++ // the point is not a digit
 	}
-	if digits == 0 || digits > 15 {
-		return 0, false
+	if digits := i - start; digits > 0 && digits <= 15 && (i == len(b) || b[i] == sep) {
+		v := float64(mant) / pow10[frac]
+		if neg {
+			v = -v
+		}
+		return v, i, true
 	}
-	v := float64(mant)
-	if frac > 0 {
-		v /= pow10[frac]
+	n := bytes.IndexByte(b, sep)
+	if n < 0 {
+		n = len(b)
 	}
-	if neg {
-		v = -v
-	}
-	return v, true
+	v, err := strconv.ParseFloat(bstr(b[:n]), 64)
+	return v, n, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// nearest returns the index of the closest center (squared Euclidean).
+// nearest returns the index of the closest center (squared Euclidean), the
+// lowest on a tie. Four centers share each pass over pt; each distance is
+// summed in dimension order as the one-at-a-time loop sums it, so every
+// distance, and so every choice, is the same bit for bit.
 func nearest(pt []float64, centers [][]float64) int {
 	best, bestD := 0, 0.0
-	for i, c := range centers {
-		d := 0.0
-		for j := range pt {
-			diff := pt[j] - c[j]
-			d += diff * diff
+	i := 0
+	for ; i+4 <= len(centers); i += 4 {
+		c0, c1, c2, c3 := centers[i][:len(pt)], centers[i+1][:len(pt)], centers[i+2][:len(pt)], centers[i+3][:len(pt)]
+		var d0, d1, d2, d3 float64
+		for j, x := range pt {
+			e0, e1, e2, e3 := x-c0[j], x-c1[j], x-c2[j], x-c3[j]
+			d0 += e0 * e0
+			d1 += e1 * e1
+			d2 += e2 * e2
+			d3 += e3 * e3
+		}
+		if i == 0 || d0 < bestD {
+			best, bestD = i, d0
+		}
+		if d1 < bestD {
+			best, bestD = i+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = i+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = i+3, d3
+		}
+	}
+	for ; i < len(centers); i++ {
+		c, d := centers[i][:len(pt)], 0.0
+		for j, x := range pt {
+			e := x - c[j]
+			d += e * e
 		}
 		if i == 0 || d < bestD {
 			best, bestD = i, d

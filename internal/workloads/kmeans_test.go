@@ -1,8 +1,11 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,19 +16,26 @@ import (
 	"iochar/internal/sim"
 )
 
-// checkParseDecimal holds parseDecimal to strconv.ParseFloat: the same
-// accept/reject decision on everything finite, the same bits when accepted,
-// and a reject where strconv returns NaN or ±Inf.
+// checkParseDecimal holds parseField, on s as one whole field, to
+// strconv.ParseFloat: the same accept/reject decision on everything finite,
+// the same bits and the whole of s when accepted, and a reject where strconv
+// returns NaN or ±Inf.
 func checkParseDecimal(t *testing.T, s string) {
 	t.Helper()
+	sep := byte(',')
+	for strings.IndexByte(s, sep) >= 0 {
+		if sep++; sep == ',' {
+			return // s holds every byte, so no separator leaves it one field
+		}
+	}
 	want, err := strconv.ParseFloat(s, 64)
 	wantOK := err == nil && !math.IsNaN(want) && !math.IsInf(want, 0)
-	got, ok := parseDecimal([]byte(s))
+	got, n, ok := parseField([]byte(s), sep)
 	if ok != wantOK {
-		t.Errorf("parseDecimal(%q) ok=%v, strconv says %v (%v, %v)", s, ok, wantOK, want, err)
-	} else if ok && math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("parseDecimal(%q) = %v [%#x], strconv says %v [%#x]",
-			s, got, math.Float64bits(got), want, math.Float64bits(want))
+		t.Errorf("parseField(%q) ok=%v, strconv says %v (%v, %v)", s, ok, wantOK, want, err)
+	} else if ok && (math.Float64bits(got) != math.Float64bits(want) || n != len(s)) {
+		t.Errorf("parseField(%q) = %v [%#x] over %d bytes, strconv says %v [%#x]",
+			s, got, math.Float64bits(got), n, want, math.Float64bits(want))
 	}
 }
 
@@ -54,6 +64,50 @@ func FuzzParseDecimal(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(checkParseDecimal)
+}
+
+// parsePointReference is parsePointInto as a split on sep and a
+// strconv.ParseFloat per field, NaN and ±Inf rejected.
+func parsePointReference(line []byte, sep byte) ([]float64, bool) {
+	var pt []float64
+	for _, f := range bytes.Split(line, []byte{sep}) {
+		v, err := strconv.ParseFloat(string(f), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, false
+		}
+		pt = append(pt, v)
+	}
+	return pt, true
+}
+
+// FuzzParsePoint: for any line and any separator byte — one the exact
+// path also reads as a sign, a point or a digit included — parsePointInto
+// accepts what the reference accepts, with the same bits, and holds the
+// coordinate count to dims.
+func FuzzParsePoint(f *testing.F) {
+	datagen.Lines(datagen.PointGen{Seed: 1}.Part(0, 2<<10), func(line []byte) { f.Add(string(line), byte(',')) })
+	seeds := decimalSeeds()
+	for i, sep := range []byte{',', ';', '.', '-', '1', 'e', '\n', 0} {
+		f.Add(strings.Join(seeds[i*8:i*8+8], string(sep)), sep)
+	}
+	f.Add("1.5,-2.25,3", byte('.'))
+	f.Add("-1--2", byte('-'))
+	f.Fuzz(func(t *testing.T, line string, sep byte) {
+		want, wantOK := parsePointReference([]byte(line), sep)
+		dims := bytes.Count([]byte(line), []byte{sep}) + 1
+		got, ok := parsePointInto(nil, []byte(line), sep, dims)
+		if ok != wantOK {
+			t.Fatalf("parsePointInto(%q, %q) ok=%v, reference %v %v", line, sep, ok, wantOK, want)
+		}
+		for i := range want {
+			if ok && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("parsePointInto(%q, %q)[%d] = %v, reference %v", line, sep, i, got[i], want[i])
+			}
+		}
+		if _, ok := parsePointInto(nil, []byte(line), sep, dims+1); ok {
+			t.Fatalf("parsePointInto(%q, %q) passed %d coordinates as %d", line, sep, dims, dims+1)
+		}
+	})
 }
 
 // TestParsePointRejectsNonFinite: strconv.ParseFloat returns NaN and ±Inf
@@ -209,6 +263,88 @@ func TestKMeansIterationMatchesSerialReference(t *testing.T) {
 	}
 	if moved < 2 {
 		t.Errorf("only %d centers moved; the pass did nothing", moved)
+	}
+}
+
+// nearestOneAtATime is nearest as one center per pass over the point: the
+// reference the four-center passes must match index for index.
+func nearestOneAtATime(pt []float64, centers [][]float64) int {
+	best, bestD := 0, 0.0
+	for i, c := range centers {
+		d := 0.0
+		for j := range pt {
+			diff := pt[j] - c[j]
+			d += diff * diff
+		}
+		if i == 0 || d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// TestNearestMatchesOneAtATime covers K = 1…17 (every remainder of K mod 4
+// beside whole groups) at 1…9 dimensions, on coordinates drawn from a small
+// grid so that distances tie, with duplicated centers (a tie keeps the lower
+// index) and coordinates of ±1e200, whose squares overflow to +Inf.
+func TestNearestMatchesOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	coord := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 1e200
+		case 1:
+			return -1e200
+		case 2, 3:
+			return rng.NormFloat64()
+		}
+		return float64(rng.Intn(3) - 1)
+	}
+	point := func(dims int) []float64 {
+		pt := make([]float64, dims)
+		for j := range pt {
+			pt[j] = coord()
+		}
+		return pt
+	}
+	for k := 1; k <= 17; k++ {
+		for dims := 1; dims <= 9; dims++ {
+			centers := make([][]float64, k)
+			for i := range centers {
+				if centers[i] = point(dims); i > 0 && rng.Intn(3) == 0 {
+					centers[i] = centers[rng.Intn(i)] // a duplicate of an earlier center
+				}
+			}
+			for range 200 {
+				pt := point(dims)
+				if got, want := nearest(pt, centers), nearestOneAtATime(pt, centers); got != want {
+					t.Fatalf("K=%d dims=%d point %v: nearest %d, one at a time %d\ncenters %v", k, dims, pt, got, want, centers)
+				}
+			}
+			same := slices.Repeat([][]float64{centers[0]}, k)
+			if got := nearest(centers[0], same); got != 0 {
+				t.Fatalf("K=%d dims=%d: %d identical centers gave index %d, want 0", k, dims, k, got)
+			}
+		}
+	}
+}
+
+var sinkNearest int
+
+// BenchmarkNearest assigns a PointGen part's points among 16 centers of 8
+// dimensions, the iteration jobs' shape.
+func BenchmarkNearest(b *testing.B) {
+	var pts [][]float64
+	datagen.Lines(datagen.PointGen{Seed: 1}.Part(0, 4<<20), func(line []byte) {
+		pt, _ := parsePointInto(nil, line, ',', 8)
+		pts = append(pts, pt)
+	})
+	centers := pts[:numCenters]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pt := range pts {
+			sinkNearest += nearest(pt, centers)
+		}
 	}
 }
 
