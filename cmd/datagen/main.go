@@ -25,8 +25,8 @@ func main() {
 		seed = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
-	if *size < 1 {
-		fmt.Fprintf(os.Stderr, "datagen: -bytes must be at least 1, got %d\n", *size)
+	if *size < 1 || *part < 0 {
+		fmt.Fprintf(os.Stderr, "datagen: -bytes must be at least 1 and -part non-negative, got %d and %d\n", *size, *part)
 		os.Exit(2)
 	}
 

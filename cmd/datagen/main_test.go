@@ -43,6 +43,10 @@ func TestNonPositiveBytesIsUsageError(t *testing.T) {
 			}
 		}
 	}
+	// A negative -part wrapped the row ids (part<<40 as uint64) and exited 0.
+	if status, out, msg := datagen("-part -1"); status != 2 || out != "" || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "datagen: ") {
+		t.Errorf("-part -1: status %d, %d bytes out, stderr %q; want 2, none and one datagen: line", status, len(out), msg)
+	}
 	if status, out, msg := datagen("-bytes 1"); status != 0 || len(out) != 100 {
 		t.Errorf("-bytes 1: status %d, %d bytes out (stderr %q); want 0 and one 100-byte record", status, len(out), msg)
 	}

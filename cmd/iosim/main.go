@@ -76,14 +76,9 @@ func main() {
 		runReplay(*replay, *dev, p)
 		return
 	}
-	var dop disk.Op
-	switch *op {
-	case "read":
-		dop = disk.Read
-	case "write":
-		dop = disk.Write
-	default:
-		fmt.Fprintln(os.Stderr, "iosim: unknown op", *op)
+	dop, ok := map[string]disk.Op{"read": disk.Read, "write": disk.Write}[*op]
+	if !ok || *pattern != "seq" && *pattern != "rand" {
+		fmt.Fprintf(os.Stderr, "iosim: -op must be read or write and -pattern seq or rand, got %q and %q\n", *op, *pattern)
 		os.Exit(2)
 	}
 	if *streams < 1 || *seconds < 1 {

@@ -85,6 +85,9 @@ func (t *Testbed) Options(parallel int) ([]core.Option, error) {
 	if err != nil {
 		return nil, err
 	}
+	if t.scrub < -1 {
+		return nil, fmt.Errorf("-scrub must be a rate, -1 (unthrottled) or 0 (off), got %d", t.scrub)
+	}
 	opts := []core.Option{
 		core.WithScale(t.scale),
 		core.WithSlaves(t.slaves),

@@ -81,6 +81,7 @@ func TestTestbedOptions(t *testing.T) {
 		{`"nvme"`, false, 1, []string{"-tier", "nvme"}},
 		{"-input-fraction", true, 0, []string{"-input-fraction", "0"}},
 		{"-sample-interval", true, 0, []string{"-sample-interval", "-1s"}},
+		{"-scrub", true, 0, []string{"-scrub", "-5"}}, // ran unthrottled under a cache key of its own
 	} {
 		_, err := parse(c.run, c.args...).Options(c.parallel)
 		switch {

@@ -68,8 +68,9 @@ type AuditReport struct {
 	// expected for replication-factor-1 outputs.
 	DataLoss []DataLossRecord `json:"data_loss,omitempty"`
 	// BadChunks lists stored replicas whose bytes fail the end-to-end
-	// checksums at audit time (hdfs.AuditIntegrity). Empty unless integrity
-	// is enabled; nonzero means corruption survived read-repair and scrub.
+	// checksums at audit time (hdfs.ReplicationAudit.BadChunks). Empty
+	// unless integrity is enabled; nonzero means corruption survived
+	// read-repair and scrub.
 	BadChunks []string `json:"bad_chunks,omitempty"`
 }
 
@@ -131,6 +132,7 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 	for _, s := range ra.Orphans {
 		a.HDFSViolations = append(a.HDFSViolations, "orphan "+s)
 	}
+	a.BadChunks = ra.BadChunks
 
 	// Allocator accounting holds on every volume — failed or not, dead node
 	// or not — because Fail() freezes a volume without disturbing its file
@@ -160,8 +162,6 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 		a.LeakedSectors += v.LeakedExtents()
 		a.DirtyPages += v.Cache().DirtyPages()
 	}
-
-	a.BadChunks = fs.AuditIntegrity()
 
 	scratch := make([]byte, 0, hashBatch) // every file's summer batches into it in turn
 	for _, path := range fs.List(auditPrefix) {

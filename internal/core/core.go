@@ -354,6 +354,15 @@ func RunOne(w Workload, f Factors, opts Options) (*RunReport, error) {
 // the discrete-event loop, so a long cell aborts promptly when ctx is
 // cancelled (returning ctx's error) instead of simulating to completion.
 func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*RunReport, error) {
+	return runOne(ctx, w, f, opts, nil)
+}
+
+// runOne is RunOneContext with the input parts taken from in, the table a
+// sweep's cells share, or from a table of the cell's own when in is nil.
+func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *workloads.PartTable) (*RunReport, error) {
+	if in == nil {
+		in = workloads.NewPartTable()
+	}
 	opts = opts.withDefaults()
 	if !w.Valid() {
 		return nil, fmt.Errorf("core: invalid workload %d (use the Workload constants or ParseWorkload)", uint8(w))
@@ -485,7 +494,7 @@ func RunOneContext(ctx context.Context, w Workload, f Factors, opts Options) (*R
 		fs.EnableScrubber(opts.scrubConfig())
 	}
 
-	wl.Prepare(fs, cl, opts.inputBytes(wl), opts.Seed)
+	wl.Prepare(fs, cl, in, opts.inputBytes(wl), opts.Seed)
 
 	mon := iostat.NewMonitor(opts.SampleInterval)
 	mon.AddGroup(GroupHDFS, cl.AllHDFSDisks()...)

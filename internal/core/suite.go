@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"iochar/internal/runcache"
+	"iochar/internal/workloads"
 )
 
 // SchemaVersion identifies the RunReport result schema and the simulation
@@ -99,6 +102,8 @@ type Suite struct {
 	mu       sync.Mutex
 	cache    map[string]*RunReport
 	inflight map[string]*inflightCell
+	inputs   map[Workload]*workloads.PartTable // shared by sweeps' cells of a workload
+	pending  map[Workload]int                  // sweeps' cells of a workload not yet resolved
 	store    *runcache.Store
 	storeErr error
 	opened   bool
@@ -123,6 +128,8 @@ func NewSuite(opts Options, sopts ...SuiteOption) *Suite {
 		parallelism: 1,
 		cache:       map[string]*RunReport{},
 		inflight:    map[string]*inflightCell{},
+		inputs:      map[Workload]*workloads.PartTable{},
+		pending:     map[Workload]int{},
 	}
 	for _, o := range sopts {
 		o(s)
@@ -195,7 +202,10 @@ func (s *Suite) execute(ctx context.Context, w Workload, f Factors) (*RunReport,
 			return rep, nil
 		}
 	}
-	rep, err := RunOneContext(ctx, w, f, s.Opts)
+	s.mu.Lock()
+	in := s.inputs[w] // nil outside a sweep: the cell generates its own
+	s.mu.Unlock()
+	rep, err := runOne(ctx, w, f, s.Opts, in)
 	if err != nil {
 		if ctx.Err() == nil {
 			s.emit(w, f, SourceExecuted, err)
@@ -287,20 +297,13 @@ func (s *Suite) CachedRuns() int {
 // cells shared between families (the baselines) listed once — in a stable
 // order.
 func MatrixCells() []Cell {
-	var cells []Cell
-	seen := map[string]bool{}
-	for _, w := range WorkloadOrder {
-		for _, fam := range []family{famSlots, famMemory, famCompress} {
-			for _, f := range fam.runs {
-				key := f.cacheKey(w)
-				if !seen[key] {
-					seen[key] = true
-					cells = append(cells, Cell{Workload: w, Factors: f})
-				}
-			}
+	var runs []Factors
+	for _, f := range slices.Concat(SlotsRuns, MemoryRuns, CompressRuns) {
+		if !slices.Contains(runs, f) {
+			runs = append(runs, f)
 		}
 	}
-	return cells
+	return workloadCells(runs)
 }
 
 // FigureCells returns the cells paper Figure n renders from.
@@ -309,13 +312,7 @@ func FigureCells(n int) ([]Cell, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no figure %d (paper has 1-12)", n)
 	}
-	var cells []Cell
-	for _, w := range WorkloadOrder {
-		for _, f := range spec.fam.runs {
-			cells = append(cells, Cell{Workload: w, Factors: f})
-		}
-	}
-	return cells, nil
+	return workloadCells(spec.fam.runs), nil
 }
 
 // TableCells returns the cells paper Table n renders from.
@@ -329,40 +326,64 @@ func TableCells(n int) ([]Cell, error) {
 	default:
 		return nil, fmt.Errorf("core: no table %d (reproducible tables are 5, 6, 7)", n)
 	}
+	return workloadCells(runs), nil
+}
+
+// workloadCells returns runs for each workload in WorkloadOrder, grouped by
+// workload.
+func workloadCells(runs []Factors) []Cell {
 	var cells []Cell
 	for _, w := range WorkloadOrder {
 		for _, f := range runs {
 			cells = append(cells, Cell{Workload: w, Factors: f})
 		}
 	}
-	return cells, nil
+	return cells
 }
 
 // Prewarm resolves the given cells across the worker pool and blocks until
 // all have finished (or ctx is cancelled), returning the first error. After
 // a successful Prewarm every figure or table over those cells renders from
 // memory without further execution.
+//
+// A workload's cells share one input table, dropped as the last of them
+// resolves (executed, failed, cancelled or loaded from disk). Cells take
+// workers in list order, each workload's together where its first one is
+// listed, so at most the pool's size of workloads hold inputs at once.
 func (s *Suite) Prewarm(ctx context.Context, cells []Cell) error {
+	first := map[Workload]int{} // a workload's cells queue together at its first
+	for i := len(cells) - 1; i >= 0; i-- {
+		first[cells[i].Workload] = i
+	}
+	queue := slices.Clone(cells)
+	slices.SortStableFunc(queue, func(a, b Cell) int { return first[a.Workload] - first[b.Workload] })
+	work := make(chan Cell, len(cells))
 	s.mu.Lock()
 	s.total += len(cells)
+	for _, c := range queue {
+		if s.pending[c.Workload]++; s.inputs[c.Workload] == nil {
+			s.inputs[c.Workload] = workloads.NewPartTable()
+		}
+		work <- c
+	}
 	s.mu.Unlock()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for _, c := range cells {
+	close(work)
+	var wg sync.WaitGroup
+	var firstErr error // under s.mu
+	for range min(s.parallelism, len(cells)) {
 		wg.Add(1)
-		go func(c Cell) {
+		go func() {
 			defer wg.Done()
-			if _, err := s.RunContext(ctx, c.Workload, c.Factors); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			for c := range work {
+				_, err := s.RunContext(ctx, c.Workload, c.Factors)
+				s.mu.Lock()
+				if s.pending[c.Workload]--; s.pending[c.Workload] == 0 {
+					delete(s.inputs, c.Workload)
 				}
-				errMu.Unlock()
+				firstErr = cmp.Or(firstErr, err)
+				s.mu.Unlock()
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
 	return firstErr

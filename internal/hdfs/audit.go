@@ -19,6 +19,7 @@ type ReplicationAudit struct {
 	Orphans         []string // "node/blk_N" replica files outside the block map
 	LostBlocks      []string // "path blk_N" blocks with zero live replicas
 	Stale           []string // "node/blk_N" credited replicas with wrong size or bad chunks
+	BadChunks       []string // the Stale replicas of blocks with checksums (integrity on)
 }
 
 // OK reports whether the audit found no violations.
@@ -74,7 +75,10 @@ func (fs *FS) AuditReplication() ReplicationAudit {
 				// NameNode still credits is a stale replica that could
 				// serve wrong data.
 				if sb.file.Size() != b.size || !fs.replicaClean(b, sb, 0, b.size) {
-					a.Stale = append(a.Stale, fmt.Sprintf("%s/blk_%d", dn.node.Name, id))
+					a.Stale = append(a.Stale, dn.node.Name+"/"+blockFileName(id))
+					if b.sums != nil {
+						a.BadChunks = append(a.BadChunks, a.Stale[len(a.Stale)-1])
+					}
 					continue
 				}
 				have++

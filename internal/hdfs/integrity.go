@@ -296,31 +296,3 @@ func (fs *FS) StopScrubber() {
 	fs.scrub.stopped = true
 	fs.scrub.done.Broadcast()
 }
-
-// AuditIntegrity verifies every stored replica of every live block against
-// the end-to-end checksums, with no timing charge (it is an oracle, not a
-// workload). It returns "node/blk_N" identifiers of replicas with bad
-// chunks — empty on a cluster whose data fully survived. Nil sums (a block
-// written before EnableIntegrity, or integrity off) verify trivially.
-func (fs *FS) AuditIntegrity() []string {
-	if !fs.integrity {
-		return nil
-	}
-	var bad []string
-	for _, id := range slices.Sorted(maps.Keys(fs.blockByID)) {
-		b := fs.blockByID[id]
-		for _, dn := range b.replicas {
-			if dn.crashed {
-				continue
-			}
-			sb, ok := dn.blocks[id]
-			if !ok || sb.vol.Failed() {
-				continue
-			}
-			if !fs.replicaClean(b, sb, 0, b.size) {
-				bad = append(bad, dn.node.Name+"/"+blockFileName(id))
-			}
-		}
-	}
-	return bad
-}

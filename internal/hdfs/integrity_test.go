@@ -3,7 +3,9 @@ package hdfs
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -111,7 +113,7 @@ func TestCorruptReadFailsOverAndRepairs(t *testing.T) {
 	if a := fs.AuditReplication(); !a.OK() {
 		t.Errorf("replication audit after repair: %s", a.String())
 	}
-	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+	if bad := fs.AuditReplication().BadChunks; len(bad) != 0 {
 		t.Errorf("bad chunks survived read-repair: %v", bad)
 	}
 }
@@ -179,7 +181,7 @@ func TestCorruptLoadedBlockSparesSiblingReplicas(t *testing.T) {
 	if a := fs.AuditReplication(); !a.OK() {
 		t.Errorf("replication audit after repair: %s", a.String())
 	}
-	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+	if bad := fs.AuditReplication().BadChunks; len(bad) != 0 {
 		t.Errorf("bad chunks survived read-repair: %v", bad)
 	}
 }
@@ -242,7 +244,7 @@ func TestScrubberFindsSilentCorruption(t *testing.T) {
 	if st.CorruptReplicas == 0 {
 		t.Error("scrubber missed the corruption")
 	}
-	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+	if bad := fs.AuditReplication().BadChunks; len(bad) != 0 {
 		t.Errorf("bad chunks survived scrub: %v", bad)
 	}
 	if a := fs.AuditReplication(); !a.OK() {
@@ -503,7 +505,7 @@ func TestPipelineReplicasShareOneArray(t *testing.T) {
 	if st := fs.RecoveryStats(); st.CorruptReplicas != 1 || st.ReReplicatedBlocks != 1 {
 		t.Errorf("got %d corrupt replica(s) and %d re-replicated block(s), want 1 and 1", st.CorruptReplicas, st.ReReplicatedBlocks)
 	}
-	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+	if bad := fs.AuditReplication().BadChunks; len(bad) != 0 {
 		t.Errorf("bad chunks survived read-repair: %v", bad)
 	}
 }
@@ -559,7 +561,80 @@ func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
 	if a := fs.AuditReplication(); !a.OK() {
 		t.Errorf("replication audit after re-replication: %s", a.String())
 	}
-	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+	if bad := fs.AuditReplication().BadChunks; len(bad) != 0 {
 		t.Errorf("bad chunks after the crash: %v", bad)
+	}
+}
+
+// auditIntegrityReference is the integrity audit as the pass of its own it
+// was until the replication audit took it over: every live replica of every
+// live block checked against the block's sums. It is the model
+// ReplicationAudit.BadChunks is held to.
+func auditIntegrityReference(fs *FS) []string {
+	if !fs.integrity {
+		return nil
+	}
+	var bad []string
+	for _, id := range slices.Sorted(maps.Keys(fs.blockByID)) {
+		b := fs.blockByID[id]
+		for _, dn := range b.replicas {
+			if dn.crashed {
+				continue
+			}
+			sb, ok := dn.blocks[id]
+			if !ok || sb.vol.Failed() {
+				continue
+			}
+			if !fs.replicaClean(b, sb, 0, b.size) {
+				bad = append(bad, dn.node.Name+"/"+blockFileName(id))
+			}
+		}
+	}
+	return bad
+}
+
+// TestBadChunksMatchIntegrityPass: the replication audit's BadChunks is
+// what the separate integrity pass reported, with integrity off and on,
+// over clean, corrupt and wrong-size replicas — and over a wrong-size
+// replica of a block without sums, which is stale but, its sums being nil,
+// no bad chunk.
+func TestBadChunksMatchIntegrityPass(t *testing.T) {
+	for _, integrity := range []bool{false, true} {
+		env, c, fs := rig(4)
+		if integrity {
+			fs.EnableIntegrity()
+		}
+		fs.Load("/a", c.Slaves[0].Name, pattern(300_000))
+		fs.Load("/b", c.Slaves[1].Name, pattern(200_000))
+		check := func(stage string, wantBad, wantStale int) {
+			t.Helper()
+			a := fs.AuditReplication()
+			want := auditIntegrityReference(fs)
+			if !slices.Equal(a.BadChunks, want) || len(want) != wantBad || len(a.Stale) != wantStale {
+				t.Errorf("integrity %v, %s: BadChunks %v, the integrity pass %v (want %d), Stale %v (want %d)",
+					integrity, stage, a.BadChunks, want, wantBad, a.Stale, wantStale)
+			}
+		}
+		bad := func(n int) int {
+			if integrity {
+				return n
+			}
+			return 0
+		}
+		check("clean", 0, 0)
+		if fs.CorruptReplica(c.Slaves[0].Name, "/a", rand.New(rand.NewSource(3))) < 0 {
+			t.Fatal("CorruptReplica found no replica")
+		}
+		check("one corrupt replica", bad(1), bad(1))
+
+		b := fs.files["/b"].blocks[0]
+		dn := b.replicas[len(b.replicas)-1]
+		short := dn.blocks[b.id].vol.Create("short")
+		short.Install(pattern(100))
+		dn.blocks[b.id] = storedBlock{file: short, vol: short.FS()}
+		check("and one short replica", bad(2), bad(1)+1)
+		b.sums = nil
+		check("whose block has no sums", bad(1), bad(1)+1)
+		env.Close()
 	}
 }

@@ -172,7 +172,7 @@ func TestRejoinPurgesCrashTruncatedReplicas(t *testing.T) {
 	if a := fs.AuditReplication(); !a.OK() {
 		t.Errorf("audit after crash-restart rejoin: %s", a.String())
 	}
-	if bad := fs.AuditIntegrity(); len(bad) != 0 {
+	if bad := fs.AuditReplication().BadChunks; len(bad) != 0 {
 		t.Errorf("bad chunks after crash-restart rejoin: %v", bad)
 	}
 }

@@ -17,10 +17,10 @@
 //
 //   - Nobody copies on the way in. Install keeps the caller's slice, clipped
 //     to its length, as a segment: the caller gives the bytes up — it must
-//     not write to them afterwards — and files given one slice (the replicas
-//     of an HDFS block) share its backing array. Append is Install plus
-//     timing. A caller that reuses its buffer clones it at the call site
-//     and says why; nothing here does it for them.
+//     not write to them afterwards — and files given one slice (a block's
+//     replicas; an input part on every testbed of a sweep) share its backing
+//     array. Append is Install plus timing. A caller that reuses its buffer
+//     clones it at the call site and says why; nothing here does it for them.
 //   - Corrupt replaces each segment it touches with a flipped copy, so the
 //     damage stays in the one file it was aimed at.
 //   - Crash truncation and ReadAt/Peek only re-slice. A range inside one

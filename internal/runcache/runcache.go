@@ -14,6 +14,7 @@
 package runcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -59,13 +60,13 @@ func Key(material any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// envelope is the on-disk entry framing. Version and Key are verified on
-// read so a schema bump or a renamed/copied file degrades to a miss instead
-// of deserializing a stale payload into current-code structs.
-type envelope struct {
-	Version int             `json:"version"`
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
+// header returns an entry's bytes up to its payload P, with room for P and
+// the closing brace: an entry is {"version":V,"key":K,"payload":P}. Get
+// checks V and K so a schema bump or a renamed/copied file degrades to a
+// miss instead of deserializing a stale payload into current-code structs.
+func (s *Store) header(key string, room int) []byte {
+	k, _ := json.Marshal(key) // a string always encodes
+	return fmt.Appendf(make([]byte, 0, 40+len(k)+room), `{"version":%d,"key":%s,"payload":`, s.version, k)
 }
 
 // Path returns the file an entry for key lives at.
@@ -76,34 +77,30 @@ func (s *Store) Path(key string) string {
 // Get loads the entry for key into out, reporting whether a valid entry was
 // found. Every failure mode — absent file, truncated or corrupt JSON,
 // version or key mismatch, payload that does not fit out — returns false.
+// The version and key are checked before the payload is decoded, once.
 // On false, out may have been partially populated; discard it.
 func (s *Store) Get(key string, out any) bool {
 	b, err := os.ReadFile(s.Path(key))
 	if err != nil {
 		return false
 	}
-	var env envelope
-	if err := json.Unmarshal(b, &env); err != nil {
+	h := s.header(key, 0)
+	if !bytes.HasPrefix(b, h) || b[len(b)-1] != '}' {
 		return false
 	}
-	if env.Version != s.version || env.Key != key || len(env.Payload) == 0 {
-		return false
-	}
-	return json.Unmarshal(env.Payload, out) == nil
+	return json.Unmarshal(b[len(h):len(b)-1], out) == nil
 }
 
 // Put stores v under key, replacing any existing entry (including corrupt
-// ones). The write is atomic: a temp file in the same directory is renamed
-// over the final path.
+// ones). The payload is encoded once and framed as it is: json.Marshal's
+// output is already compact and escaped. The write is atomic: a temp file
+// in the same directory is renamed over the final path.
 func (s *Store) Put(key string, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("runcache: encoding %s: %w", key, err)
 	}
-	b, err := json.Marshal(envelope{Version: s.version, Key: key, Payload: payload})
-	if err != nil {
-		return fmt.Errorf("runcache: encoding %s: %w", key, err)
-	}
+	b := append(append(s.header(key, len(payload)+1), payload...), '}')
 	tmp, err := os.CreateTemp(s.dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("runcache: %w", err)

@@ -225,3 +225,39 @@ func TestEnvelopeIsPlainJSON(t *testing.T) {
 		t.Errorf("envelope = %+v", env)
 	}
 }
+
+// envelope is how Put framed an entry until it wrote the frame around the
+// payload itself: json.Marshal of this struct, re-scanning the payload.
+type envelope struct {
+	Version int             `json:"version"`
+	Key     string          `json:"key"`
+	Payload json.RawMessage `json:"payload"`
+}
+
+// TestPutWritesTheEnvelopeBytes: an entry's file is byte for byte what
+// json.Marshal of the envelope wrote, for strings json escapes (HTML
+// characters, U+2028, invalid UTF-8, quotes) too, so entries written either
+// way hit.
+func TestPutWritesTheEnvelopeBytes(t *testing.T) {
+	s := testStore(t, 12)
+	for _, in := range []any{
+		payload{Name: "TS", Bytes: 1 << 40, Serie: []float64{0.1, 1e-9, 3}},
+		payload{Name: "<a href=\"x\">&amp;</a> \u2028 \xff \\ \t"},
+		map[string]any{"<key>": []string{"&", "\u2029"}, "nil": nil},
+		nil,
+	} {
+		key, _ := Key(in)
+		if err := s.Put(key, in); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(s.Path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := json.Marshal(in)
+		want, _ := json.Marshal(envelope{Version: 12, Key: key, Payload: p})
+		if string(got) != string(want) {
+			t.Errorf("Put(%v) wrote\n%s\nwant\n%s", in, got, want)
+		}
+	}
+}

@@ -31,9 +31,9 @@ func (*Aggregation) key() string { return "AGG" }
 func (*Aggregation) PaperInputBytes() int64 { return 512 << 30 }
 
 // Prepare implements Workload.
-func (a *Aggregation) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
+func (a *Aggregation) Prepare(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, total int64, seed int64) {
 	gen := datagen.OrderGen{Seed: seed}
-	loadParts(fs, cl, inputDir(a.key()), total, gen.Part)
+	loadParts(fs, cl, in, inputDir(a.key()), total, gen)
 }
 
 // aggSummer is both combiner and reducer: it sums revenue values per

@@ -34,11 +34,11 @@ func (*Join) PaperInputBytes() int64 { return 512 << 30 }
 
 // Prepare implements Workload: the fact table under in/fact and the
 // dimension table under in/dim.
-func (j *Join) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
+func (j *Join) Prepare(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, total int64, seed int64) {
 	orders := datagen.OrderGen{Seed: seed}
 	users := datagen.UserGen{Seed: seed}
-	loadParts(fs, cl, inputDir(j.key())+"/fact", int64(float64(total)*(1-dimFraction)), orders.Part)
-	loadParts(fs, cl, inputDir(j.key())+"/dim", int64(float64(total)*dimFraction), users.Part)
+	loadParts(fs, cl, in, inputDir(j.key())+"/fact", int64(float64(total)*(1-dimFraction)), orders)
+	loadParts(fs, cl, in, inputDir(j.key())+"/dim", int64(float64(total)*dimFraction), users)
 }
 
 // tag bytes distinguishing the two sides in the shuffle.

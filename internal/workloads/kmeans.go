@@ -41,9 +41,9 @@ func (*KMeans) key() string { return "KM" }
 func (*KMeans) PaperInputBytes() int64 { return 256 << 30 }
 
 // Prepare implements Workload.
-func (km *KMeans) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
+func (km *KMeans) Prepare(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, total int64, seed int64) {
 	gen := datagen.PointGen{Seed: seed, Dims: km.Dims, TrueCenters: numCenters}
-	loadParts(fs, cl, inputDir(km.key()), total, gen.Part)
+	loadParts(fs, cl, in, inputDir(km.key()), total, gen)
 }
 
 // parsePointInto decodes a sep-separated coordinate line into dst[:0], so

@@ -200,7 +200,7 @@ func TestFoldRejectsMismatchedPartial(t *testing.T) {
 func TestKMeansIterationMatchesSerialReference(t *testing.T) {
 	r := newRig()
 	km := NewKMeans()
-	km.Prepare(r.fs, r.cl, 300_000, 42)
+	km.Prepare(r.fs, r.cl, NewPartTable(), 300_000, 42)
 	var got [][]float64
 	r.env.Go("driver", func(p *sim.Proc) {
 		inputs, out := r.fs.List(inputDir("KM")+"/"), outputDir("KM")+"-iter0"

@@ -40,9 +40,9 @@ func (*PageRank) key() string { return "PR" }
 func (*PageRank) PaperInputBytes() int64 { return 64 << 30 }
 
 // Prepare implements Workload.
-func (pr *PageRank) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
+func (pr *PageRank) Prepare(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, total int64, seed int64) {
 	gen := datagen.GraphGen{Seed: seed}
-	loadParts(fs, cl, inputDir(pr.key()), total, gen.Part)
+	loadParts(fs, cl, in, inputDir(pr.key()), total, gen)
 }
 
 // Vertex state value format: "rank|dst1,dst2,..." — rank as decimal float,

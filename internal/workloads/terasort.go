@@ -30,9 +30,9 @@ func (*TeraSort) key() string { return "TS" }
 func (*TeraSort) PaperInputBytes() int64 { return 1 << 40 }
 
 // Prepare implements Workload.
-func (t *TeraSort) Prepare(fs *hdfs.FS, cl *cluster.Cluster, total int64, seed int64) {
+func (t *TeraSort) Prepare(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, total int64, seed int64) {
 	gen := datagen.TeraGen{Seed: seed}
-	loadParts(fs, cl, inputDir(t.key()), total, gen.Part)
+	loadParts(fs, cl, in, inputDir(t.key()), total, gen)
 }
 
 // sampleSplitters reads a prefix of each input file and derives r-1 key cut

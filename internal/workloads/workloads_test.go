@@ -42,7 +42,7 @@ func newRig() *rig {
 // runWorkload prepares and runs a workload, returning its results.
 func (r *rig) runWorkload(t *testing.T, w Workload, bytes int64) []*mapred.Result {
 	t.Helper()
-	w.Prepare(r.fs, r.cl, bytes, 42)
+	w.Prepare(r.fs, r.cl, NewPartTable(), bytes, 42)
 	var results []*mapred.Result
 	var err error
 	r.env.Go("driver", func(p *sim.Proc) {
@@ -383,7 +383,7 @@ func TestExtensionsRegistry(t *testing.T) {
 	if j.key() != "JOIN" {
 		t.Fatalf("Join keyed %q", j.key())
 	}
-	j.Prepare(r.fs, r.cl, 100_000, 42)
+	j.Prepare(r.fs, r.cl, NewPartTable(), 100_000, 42)
 	if len(r.fs.List(inputDir(j.key())+"/")) == 0 {
 		t.Fatal("Join prepared no input")
 	}
