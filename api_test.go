@@ -29,10 +29,11 @@ const testOnlyAPIFile = "testdata/test_only_api.txt"
 // and a field nothing reads is state nobody needs. Uses are resolved by
 // go/types (see apiCensus), so a called A.Len does not keep B.Len alive, a
 // method counts as used when an interface reaches it, and a field counts as
-// read when a type programs serialize reaches it. Deliberate exceptions —
-// reference models, fixtures, and accessors and counters a surviving
-// assertion reads — are listed with a reason in testdata/test_only_api.txt
-// as "pkg.Name reason" or "pkg.Type.Member reason".
+// read when one of serializedRoots, the types a run's input is serialized
+// as, reaches it. Deliberate exceptions — reference models, fixtures, and
+// accessors and counters a surviving assertion reads — are listed with a
+// reason in testdata/test_only_api.txt as "pkg.Name reason" or
+// "pkg.Type.Member reason".
 func TestNoTestOnlyAPI(t *testing.T) {
 	t.Run("resolves by type", func(t *testing.T) {
 		// A.Len is called and B.Len is not: the case a bare-name match
@@ -109,6 +110,26 @@ func main() { _, _ = x.Make() }`,
 			t.Errorf("unreached = %v, want %v", got, want)
 		}
 	})
+	t.Run("a cached output is not a reader", func(t *testing.T) {
+		// Key is an input root; Report is stored the same way, but as
+		// output, so only what code reads of it counts: Used, not Unused.
+		got := fixtureCensus(t, map[string]string{
+			"fixture/internal/x": `package x
+import "encoding/json"
+type Key struct{ Seed int }
+type Report struct{ Used, Unused int }
+func Store(k Key, r Report) ([]byte, []byte) { a, _ := json.Marshal(k); b, _ := json.Marshal(r); return a, b }`,
+			"fixture/cmd/tool": `package main
+import "fixture/internal/x"
+func main() { r := x.Report{Used: 1, Unused: 2}; x.Store(x.Key{Seed: 1}, r); println(r.Used) }`,
+		}, "x.Key")
+		if want := []string{"x.Report.Unused"}; !slices.Equal(got, want) {
+			t.Errorf("unreached = %v, want %v", got, want)
+		}
+		if slices.Contains(serializedRoots, "core.RunReport") {
+			t.Error("serializedRoots lists core.RunReport, the run cache's output")
+		}
+	})
 
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{}
@@ -171,10 +192,12 @@ func main() { _, _ = x.Make() }`,
 	}
 }
 
-// serializedRoots are the types programs serialize, as "pkg.Type": the
-// encoder reads every field it reaches, so no identifier has to.
+// serializedRoots are the types a run's input is serialized as, as
+// "pkg.Type": the encoder reads every field it reaches, so no identifier has
+// to. A type serialized as output is no root: the run cache stores every
+// RunReport field, and storing a value nothing reads back keeps nobody's
+// counter alive.
 var serializedRoots = []string{
-	"core.RunReport", // written to the run cache
 	"core.runKey",    // hashed into the run cache's key
 	"chaos.Schedule", // written as schedule files
 }

@@ -35,6 +35,7 @@ import (
 	"iochar"
 	"iochar/internal/cliutil"
 	"iochar/internal/disk"
+	"iochar/internal/report"
 	"iochar/internal/trace"
 )
 
@@ -150,17 +151,26 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// The extension tables honour -csv as Tables 5–7 do.
+	writeTable := report.WriteTable
+	if *csv {
+		writeTable = report.WriteTableCSV
+	}
 	if *attr {
-		if err := iochar.RenderAttribution(os.Stdout, s); err != nil {
+		td, err := s.AttributionTable()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
+		writeTable(os.Stdout, td)
 	}
 	if testbed.Hist {
-		if err := iochar.RenderLatencyTable(os.Stdout, s); err != nil {
+		td, err := s.LatencyTable()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
+		writeTable(os.Stdout, td)
 	}
 	if traceFile != nil {
 		if err := streamTraces(ctx, traceFile, opts); err != nil {

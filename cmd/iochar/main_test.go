@@ -68,3 +68,17 @@ func TestFigureAndTableBothRender(t *testing.T) {
 		t.Errorf("status %d, Figure 1 at %d and Table 6 at %d of stdout; stderr %q", status, fig, tab, msg)
 	}
 }
+
+// Regression: -attr and -hist printed aligned terminal tables under -csv,
+// which Tables 5–7 honour. Both now print their header as a CSV line.
+func TestExtensionTablesHonourCSV(t *testing.T) {
+	status, out, msg := runIochar(t, "-scale 262144 -slaves 3 -attr -hist -csv")
+	for _, header := range []string{"stage,AGG,TS,KM,PR\n", "workload,group,metric,p50,p95,p99,max\n"} {
+		if status != 0 || !strings.Contains(out, header) {
+			t.Errorf("status %d, stdout lacks the CSV header %q:\n%s\nstderr %q", status, header, out, msg)
+		}
+	}
+	if strings.Contains(out, "  ") {
+		t.Errorf("aligned terminal output under -csv:\n%s", out)
+	}
+}

@@ -108,9 +108,13 @@ func main() {
 		}))
 	}
 
-	rep, err := iochar.RunContext(ctx, w, iochar.Factors{
+	// A one-cell suite, so -hist renders the run through the suite's
+	// distribution table.
+	s := iochar.NewSuite(opts)
+	cell := iochar.Cell{Workload: w, Factors: iochar.Factors{
 		Slots: sc, MemoryGB: *mem, Compress: *compress,
-	}, opts)
+	}}
+	rep, err := s.RunContext(ctx, cell.Workload, cell.Factors)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mrrun:", err)
 		os.Exit(1)
@@ -155,9 +159,11 @@ func main() {
 		printGroup(n, rep.FaultGroups[n])
 	}
 	if testbed.Hist {
-		fmt.Println("\nper-request distributions (p50/p95/p99/max):")
-		iochar.LatencyDists(os.Stdout, "HDFS", rep.HDFS.Hists)
-		iochar.LatencyDists(os.Stdout, "MapReduce", rep.MR.Hists)
+		fmt.Println()
+		if err := iochar.RenderLatencyTable(os.Stdout, s, cell); err != nil {
+			fmt.Fprintln(os.Stderr, "mrrun:", err)
+			os.Exit(1)
+		}
 	}
 	if phys != nil {
 		fmt.Println()

@@ -177,21 +177,26 @@ func (pa *PhysicalAttribution) Table() *TableData {
 }
 
 // LatencyTable renders per-request await/svctm/request-size distributions
-// (p50/p95/p99/max) for every workload's baseline cell — the tail companion
-// to Table 4's interval means. It requires Options.Histograms; the
-// distributions serialize with the report, so the table is served from the
-// run cache like any figure.
-func (s *Suite) LatencyTable() (*TableData, error) {
+// (p50/p95/p99/max) for the given cells, or for every workload's baseline
+// cell when none is given — the tail companion to Table 4's interval means.
+// It requires Options.Histograms; the distributions serialize with the
+// report, so the table is served from the run cache like any figure.
+func (s *Suite) LatencyTable(cells ...Cell) (*TableData, error) {
 	if !s.Opts.Histograms {
 		return nil, fmt.Errorf("core: LatencyTable requires Options.Histograms")
+	}
+	if len(cells) == 0 {
+		for _, wkey := range WorkloadOrder {
+			cells = append(cells, Cell{wkey, SlotsRuns[0]})
+		}
 	}
 	t := &TableData{
 		ID:     0,
 		Title:  "I/O latency and request-size distributions (per physical request; extension of Table 4)",
 		Header: []string{"workload", "group", "metric", "p50", "p95", "p99", "max"},
 	}
-	for _, wkey := range WorkloadOrder {
-		rep, err := s.Run(wkey, SlotsRuns[0])
+	for _, c := range cells {
+		rep, err := s.Run(c.Workload, c.Factors)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +213,7 @@ func (s *Suite) LatencyTable() (*TableData, error) {
 				// (they report the bucket's upper edge); clamp for display.
 				q := func(p float64) float64 { return math.Min(hist.Quantile(p), max) }
 				t.Rows = append(t.Rows, []string{
-					wkey.String(), gr.name, metric,
+					c.Workload.String(), gr.name, metric,
 					fmt.Sprintf(format, q(0.50)),
 					fmt.Sprintf(format, q(0.95)),
 					fmt.Sprintf(format, q(0.99)),

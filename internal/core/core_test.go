@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -134,122 +133,6 @@ func TestDeterministicAcrossSuites(t *testing.T) {
 	}
 	if a.HDFS.TotalReadBytes != b.HDFS.TotalReadBytes {
 		t.Errorf("HDFS bytes differ: %d vs %d", a.HDFS.TotalReadBytes, b.HDFS.TotalReadBytes)
-	}
-}
-
-// --- The paper's four concluding observations, as assertions. ---
-
-// Observation 1: task slots leave the four I/O metrics essentially
-// unchanged.
-func TestObservation1SlotsLeaveIOMetricsUnchanged(t *testing.T) {
-	for _, wkey := range []Workload{AGG, TS} {
-		a := mustRun(t, wkey, SlotsRuns[0])
-		b := mustRun(t, wkey, SlotsRuns[1])
-		within := func(name string, x, y, tol float64) {
-			if x == 0 && y == 0 {
-				return
-			}
-			if d := math.Abs(x-y) / math.Max(x, y); d > tol {
-				t.Errorf("%s %s drifts %.0f%% across slot configs (%.2f vs %.2f)", wkey, name, d*100, x, y)
-			}
-		}
-		within("HDFS read MB/s", a.HDFS.RMBs.Mean(), b.HDFS.RMBs.Mean(), 0.30)
-		within("HDFS %util", a.HDFS.Util.Mean(), b.HDFS.Util.Mean(), 0.30)
-		within("HDFS avgrq-sz", a.HDFS.AvgrqSz.MeanNonzero(), b.HDFS.AvgrqSz.MeanNonzero(), 0.35)
-	}
-}
-
-// Observation 2: more memory reduces the number of I/O requests and eases
-// intermediate-disk pressure (spill-heavy TS), and raises HDFS read
-// bandwidth for large inputs.
-func TestObservation2MemoryReducesIO(t *testing.T) {
-	lo := mustRun(t, TS, MemoryRuns[0])
-	hi := mustRun(t, TS, MemoryRuns[1])
-	loReq := lo.MR.TotalReads + lo.MR.TotalWrites
-	hiReq := hi.MR.TotalReads + hi.MR.TotalWrites
-	if hiReq >= loReq {
-		t.Errorf("MR requests did not fall with memory: %d -> %d", loReq, hiReq)
-	}
-	if hi.MR.Util.Mean() >= lo.MR.Util.Mean() {
-		t.Errorf("MR util did not fall with memory: %.1f -> %.1f", lo.MR.Util.Mean(), hi.MR.Util.Mean())
-	}
-	if hi.HDFS.RMBs.Mean() <= lo.HDFS.RMBs.Mean() {
-		t.Errorf("HDFS read bandwidth did not rise with memory: %.1f -> %.1f",
-			lo.HDFS.RMBs.Mean(), hi.HDFS.RMBs.Mean())
-	}
-	// Small-output workloads see little write-side change (paper: K-means).
-	kmLo := mustRun(t, KM, MemoryRuns[0])
-	kmHi := mustRun(t, KM, MemoryRuns[1])
-	_ = kmLo
-	_ = kmHi
-}
-
-// Observation 3: compression shrinks MapReduce intermediate I/O but leaves
-// HDFS I/O (bytes moved) untouched.
-func TestObservation3CompressionIsMapReduceOnly(t *testing.T) {
-	off := mustRun(t, TS, CompressRuns[0])
-	on := mustRun(t, TS, CompressRuns[1])
-	if on.MR.TotalWrittenBytes >= off.MR.TotalWrittenBytes {
-		t.Errorf("compression did not shrink intermediate writes: %d -> %d",
-			off.MR.TotalWrittenBytes, on.MR.TotalWrittenBytes)
-	}
-	if on.MR.AvgrqSz.MeanNonzero() >= off.MR.AvgrqSz.MeanNonzero() {
-		t.Errorf("compression did not shrink MR avgrq-sz: %.0f -> %.0f",
-			off.MR.AvgrqSz.MeanNonzero(), on.MR.AvgrqSz.MeanNonzero())
-	}
-	// HDFS data is never compressed: what the job asked HDFS for — map input
-	// read, reduce output written — is identical by construction.
-	onJob, offJob := on.Jobs[0], off.Jobs[0]
-	if onJob.MapInputBytes != offJob.MapInputBytes || onJob.ReduceOutputBytes != offJob.ReduceOutputBytes {
-		t.Errorf("compression changed what the job asked HDFS for: in %d vs %d, out %d vs %d",
-			offJob.MapInputBytes, onJob.MapInputBytes, offJob.ReduceOutputBytes, onJob.ReduceOutputBytes)
-	}
-	// Device-level reads may differ only by what timing can change: a
-	// speculative backup map re-reads its split chunk by chunk until the
-	// original wins — at most one split per backup (LZ, seed 1: 3 backups
-	// with compression on, none off, 1,024,000 extra bytes) — plus sub-percent
-	// readahead/eviction drift.
-	split := float64(offJob.MapInputBytes) / float64(offJob.MapTasks)
-	bound := 0.01*float64(off.HDFS.TotalReadBytes) +
-		split*float64(onJob.SpeculativeAttempts+offJob.SpeculativeAttempts)
-	if drift := math.Abs(float64(on.HDFS.TotalReadBytes) - float64(off.HDFS.TotalReadBytes)); drift > bound {
-		t.Errorf("compression changed HDFS read volume by %.0f bytes (%d vs %d), more than %.0f: 1%% plus one split per speculative backup (%d on, %d off)",
-			drift, off.HDFS.TotalReadBytes, on.HDFS.TotalReadBytes, bound, onJob.SpeculativeAttempts, offJob.SpeculativeAttempts)
-	}
-}
-
-// Observation 4: HDFS I/O is large-sequential, MapReduce intermediate I/O
-// small-random — avgrq-sz tells them apart for every workload with real
-// intermediate traffic.
-func TestObservation4AccessPatternContrast(t *testing.T) {
-	for _, wkey := range []Workload{TS, KM, PR} {
-		rep := mustRun(t, wkey, SlotsRuns[0])
-		h := rep.HDFS.AvgrqSz.MeanNonzero()
-		m := rep.MR.AvgrqSz.MeanNonzero()
-		if m == 0 {
-			continue // negligible intermediate traffic at this scale
-		}
-		if h <= m {
-			t.Errorf("%s: HDFS avgrq-sz %.0f not above MapReduce %.0f", wkey, h, m)
-		}
-	}
-}
-
-// Table 6/7 shape: AGG leads HDFS busy fractions; TS leads MapReduce's.
-func TestTablesBusyFractionOrdering(t *testing.T) {
-	reps := map[Workload]*RunReport{}
-	for _, wkey := range WorkloadOrder {
-		reps[wkey] = mustRun(t, wkey, SlotsRuns[0])
-	}
-	aggBusy := reps[AGG].HDFS.Util.Mean()
-	tsBusyMR := reps[TS].MR.Util.Mean()
-	for _, wkey := range []Workload{KM, PR} {
-		if got := reps[wkey].HDFS.Util.Mean(); got > aggBusy {
-			t.Errorf("HDFS mean util: %s (%.2f) above AGG (%.2f)", wkey, got, aggBusy)
-		}
-		if got := reps[wkey].MR.Util.Mean(); got > tsBusyMR {
-			t.Errorf("MR mean util: %s (%.2f) above TS (%.2f)", wkey, got, tsBusyMR)
-		}
 	}
 }
 
@@ -388,25 +271,6 @@ func TestAttributionTableShape(t *testing.T) {
 		if len(row) != 5 {
 			t.Errorf("row %q has %d cells", row[0], len(row))
 		}
-	}
-}
-
-// Table 3: the CPU-bound vs I/O-bound classification, measured rather than
-// asserted — AGG keeps the cores busier than TS (CPU-bound), while TS keeps
-// the intermediate disks busier than anyone (I/O-bound).
-func TestTable3BottleneckClassification(t *testing.T) {
-	agg := mustRun(t, AGG, SlotsRuns[0])
-	ts := mustRun(t, TS, SlotsRuns[0])
-	pr := mustRun(t, PR, SlotsRuns[0])
-	if agg.CPUUtil == nil || agg.CPUUtil.Len() == 0 {
-		t.Fatal("no CPU samples")
-	}
-	if agg.CPUUtil.Mean() <= ts.CPUUtil.Mean() {
-		t.Errorf("CPU util: AGG %.1f should exceed TS %.1f (CPU-bound vs I/O-bound)",
-			agg.CPUUtil.Mean(), ts.CPUUtil.Mean())
-	}
-	if pr.CPUUtil.Mean() <= ts.CPUUtil.Mean() {
-		t.Errorf("CPU util: PR %.1f should exceed TS %.1f", pr.CPUUtil.Mean(), ts.CPUUtil.Mean())
 	}
 }
 

@@ -36,8 +36,6 @@ type Sample struct {
 	SvctmMs float64
 	WaitMs  float64 // await - svctm: pure queueing delay (paper §3.2)
 	AvgrqSz float64 // sectors
-	Rps     float64 // read requests completed per second
-	Wps     float64 // write requests completed per second
 }
 
 // Report accumulates the per-interval series for one device group.
@@ -50,8 +48,6 @@ type Report struct {
 	SvctmMs *stats.Series
 	WaitMs  *stats.Series
 	AvgrqSz *stats.Series
-	Rps     *stats.Series
-	Wps     *stats.Series
 
 	// UtilPool pools per-device %util samples: one sample per member device
 	// per interval, rather than the group average. Distribution statistics
@@ -132,8 +128,6 @@ func newReport(name string) *Report {
 		SvctmMs:  stats.NewSeries(name + ".svctm"),
 		WaitMs:   stats.NewSeries(name + ".wait"),
 		AvgrqSz:  stats.NewSeries(name + ".avgrq-sz"),
-		Rps:      stats.NewSeries(name + ".r/s"),
-		Wps:      stats.NewSeries(name + ".w/s"),
 		UtilPool: stats.NewSeries(name + ".%util-per-disk"),
 	}
 }
@@ -146,8 +140,6 @@ func (r *Report) add(s Sample) {
 	r.SvctmMs.Add(s.T, s.SvctmMs)
 	r.WaitMs.Add(s.T, s.WaitMs)
 	r.AvgrqSz.Add(s.T, s.AvgrqSz)
-	r.Rps.Add(s.T, s.Rps)
-	r.Wps.Add(s.T, s.Wps)
 }
 
 // group is a named set of devices sampled together.
@@ -201,8 +193,6 @@ func Derive(prev, cur disk.Stats, elapsed time.Duration, ndev int) Sample {
 		RMBs: float64(dsr) * disk.SectorSize / (1 << 20) / sec,
 		WMBs: float64(dsw) * disk.SectorSize / (1 << 20) / sec,
 		Util: float64(dticks) / (float64(elapsed) * float64(ndev)) * 100,
-		Rps:  float64(dr) / sec,
-		Wps:  float64(dw) / sec,
 	}
 	if n := dr + dw; n > 0 {
 		// Computed in float seconds: sub-millisecond precision matters at

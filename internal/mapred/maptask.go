@@ -187,7 +187,6 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 	js.counters.MapMergeReadBytes += state.mergeReadBytes
 	js.counters.MapMergeWriteBytes += state.mergeWriteBytes
 	js.counters.CombineInput += state.combineIn
-	js.counters.CombineOutput += state.combineOut
 	if attempt > 1 {
 		js.counters.SpeculativeWins++
 	}
@@ -344,7 +343,6 @@ type mapState struct {
 	mergeReadBytes  int64 // attribution: spill re-reads at merge
 	mergeWriteBytes int64 // attribution: merged output writes
 	combineIn       int64
-	combineOut      int64
 }
 
 type spillFile struct {
@@ -465,7 +463,6 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 			i = j
 		}
 		ms.vals = vals
-		ms.combineOut += n
 	} else {
 		// Sized from the index, so a buffer made here is full: see appendRun.
 		size := 0

@@ -594,7 +594,6 @@ func (js *jobState) rejoinTracker(rt *Runtime, node *cluster.Node) {
 	}
 	delete(js.blacklisted, node.Name)
 	delete(js.trackerFailures, node.Name)
-	js.counters.TrackerRejoins++
 	if js.mapLive[node.Name] > js.cfg.MapSlots || js.redLive[node.Name] > js.cfg.ReduceSlots {
 		js.counters.DoubleRegistrations++
 	}

@@ -229,7 +229,6 @@ type Counters struct {
 	CompressedMapOutput int64 // after compression (what hits the disk)
 	Spills              int64
 	CombineInput        int64
-	CombineOutput       int64
 
 	SpeculativeAttempts int64 // backup map attempts launched
 	SpeculativeWins     int64 // backups that beat the original
@@ -240,7 +239,6 @@ type Counters struct {
 	FailedFetches       int64 // fetches abandoned after maxFetchRetries
 	NetFetchStalls      int64 // fetch retries spent waiting out transient network faults
 	BlacklistedTrackers int64 // trackers excluded after maxTrackerFailures
-	TrackerRejoins      int64 // restarted trackers that re-registered mid-job
 	DoubleRegistrations int64 // rejoins that would have over-filled a node's slots (must stay 0)
 
 	ShuffleBytes        int64 // compressed bytes moved to reducers

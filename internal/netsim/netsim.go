@@ -96,7 +96,6 @@ type NIC struct {
 	received uint64
 	retrans  uint64 // bytes retransmitted on lossy paths
 	txBusy   time.Duration
-	rxBusy   time.Duration
 }
 
 // uplink is one rack's connection to the aggregation layer, full duplex.
@@ -403,7 +402,6 @@ func (n *Network) TryTransfer(p *sim.Proc, src, dst string, bytes int64) error {
 		}
 		s.tx.Release(1)
 		s.txBusy += t
-		d.rxBusy += t
 		if su != nil {
 			su.upBusy += t
 			du.downBusy += t
@@ -494,12 +492,10 @@ func (n *Network) chunkDropped(src, dst string) bool {
 // NICStat is one NIC's traffic snapshot.
 type NICStat struct {
 	Node          string        `json:"node"`
-	Rack          int           `json:"rack"`
 	BytesSent     uint64        `json:"bytes_sent"`
 	BytesReceived uint64        `json:"bytes_received"`
 	RetransBytes  uint64        `json:"retrans_bytes,omitempty"`
 	TxBusy        time.Duration `json:"tx_busy"`
-	RxBusy        time.Duration `json:"rx_busy"`
 }
 
 // UplinkStat is one rack uplink's traffic snapshot.
@@ -516,7 +512,6 @@ type UplinkStat struct {
 // uplinks by rack number.
 type Stats struct {
 	Racks           int          `json:"racks"`
-	NICBPS          int64        `json:"nic_bps"`
 	NICs            []NICStat    `json:"nics"`
 	Uplinks         []UplinkStat `json:"uplinks,omitempty"`
 	FailedTransfers uint64       `json:"failed_transfers,omitempty"`
@@ -527,7 +522,6 @@ type Stats struct {
 func (n *Network) Stats() *Stats {
 	st := &Stats{
 		Racks:           n.racks,
-		NICBPS:          n.bps,
 		FailedTransfers: n.failedTransfers,
 		DroppedChunks:   n.droppedChunks,
 	}
@@ -535,12 +529,10 @@ func (n *Network) Stats() *Stats {
 		nic := n.nics[name]
 		st.NICs = append(st.NICs, NICStat{
 			Node:          nic.Node,
-			Rack:          nic.Rack,
 			BytesSent:     nic.sent,
 			BytesReceived: nic.received,
 			RetransBytes:  nic.retrans,
 			TxBusy:        nic.txBusy,
-			RxBusy:        nic.rxBusy,
 		})
 	}
 	for _, r := range slices.Sorted(maps.Keys(n.uplinks)) {

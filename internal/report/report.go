@@ -8,12 +8,10 @@ package report
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"time"
 
 	"iochar/internal/core"
-	"iochar/internal/iostat"
 	"iochar/internal/stats"
 )
 
@@ -280,26 +278,6 @@ func writeNetwork(w io.Writer, rep *core.RunReport) {
 		fmt.Fprintf(w, "    stalls: HDFS clients %d / %v waiting out partitions, shuffle %d net fetch retries\n",
 			rs.NetStalls, rs.NetStallTime, netFetchStalls)
 	}
-}
-
-// WriteLatencyDists renders one group's per-request distributions as
-// p50/p95/p99/max rows — the tail companion to the Table-4 interval means.
-// Groups monitored without EnableHistograms (h == nil) print nothing.
-func WriteLatencyDists(w io.Writer, name string, h *iostat.Hists) {
-	if h == nil || h.Requests == 0 {
-		return
-	}
-	fmt.Fprintf(w, "  %-5s distributions over %d requests:\n", name, h.Requests)
-	row := func(metric string, hist *stats.Histogram, max float64, unit string) {
-		// Bucketed quantiles report the bucket's upper edge, which can land
-		// past the true maximum; clamp so the row reads consistently.
-		q := func(p float64) float64 { return math.Min(hist.Quantile(p), max) }
-		fmt.Fprintf(w, "    %-6s p50 %9.2f  p95 %9.2f  p99 %9.2f  max %9.2f  %s\n",
-			metric, q(0.50), q(0.95), q(0.99), max, unit)
-	}
-	row("await", h.Await, h.AwaitMaxMs, "ms")
-	row("svctm", h.Svctm, h.SvctmMaxMs, "ms")
-	row("rq-sz", h.Size, h.SizeMax, "sectors")
 }
 
 func mb(b int64) string {

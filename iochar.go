@@ -37,7 +37,6 @@ import (
 	"iochar/internal/core"
 	"iochar/internal/disk"
 	"iochar/internal/faults"
-	"iochar/internal/iostat"
 	"iochar/internal/report"
 )
 
@@ -290,10 +289,11 @@ func RenderAttribution(w io.Writer, s *Suite) error {
 }
 
 // RenderLatencyTable renders per-request latency/size distributions
-// (p50/p95/p99/max of await, svctm and request size) for every workload's
-// baseline cell. The suite must be built with Options.Histograms set.
-func RenderLatencyTable(w io.Writer, s *Suite) error {
-	td, err := s.LatencyTable()
+// (p50/p95/p99/max of await, svctm and request size) for the given cells,
+// or for every workload's baseline cell when none is given. The suite must
+// be built with Options.Histograms set.
+func RenderLatencyTable(w io.Writer, s *Suite, cells ...Cell) error {
+	td, err := s.LatencyTable(cells...)
 	if err != nil {
 		return err
 	}
@@ -313,10 +313,4 @@ func NewPhysicalAttribution() *PhysicalAttribution { return core.NewPhysicalAttr
 // totals to w.
 func RenderPhysicalAttribution(w io.Writer, pa *PhysicalAttribution) {
 	report.WriteTable(w, pa.Table())
-}
-
-// LatencyDists renders one monitored group's per-request distributions
-// (collected under Options.Histograms) as p50/p95/p99/max rows.
-func LatencyDists(w io.Writer, name string, h *iostat.Hists) {
-	report.WriteLatencyDists(w, name, h)
 }
