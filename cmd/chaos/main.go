@@ -58,9 +58,8 @@ func main() {
 		var set []string
 		flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 		if c := replayConflicts(set); len(c) > 0 {
-			fmt.Fprintf(os.Stderr, "chaos: -replay re-judges one saved schedule and cannot be combined with -%s\n",
+			fmt.Fprintf(os.Stderr, "chaos: -replay re-judges one saved schedule at its own shape and cannot be combined with -%s\n",
 				strings.Join(c, ", -"))
-			flag.Usage()
 			os.Exit(2)
 		}
 		os.Exit(replayFile(ctx, *replay))
@@ -165,16 +164,14 @@ func validateFlags(runs, maxFaults int) error {
 	return nil
 }
 
-// replayConflicts returns, in order, the generation-only flags in set (the
-// explicitly passed flag names) that are meaningless next to -replay: a
-// replay runs exactly one schedule whose workload and shape come from the
-// file, so -soak, -runs, and -workload would be silently ignored — reject
-// them instead.
+// replayConflicts returns, in order, the flags in set (the explicitly
+// passed flag names) other than -replay and -v: a replay runs exactly one
+// schedule whose workload, testbed and plan all come from the file, so any
+// other flag would be silently ignored — reject it instead.
 func replayConflicts(set []string) []string {
-	conflicting := map[string]bool{"soak": true, "runs": true, "workload": true}
 	var out []string
 	for _, name := range set {
-		if conflicting[name] {
+		if name != "replay" && name != "v" {
 			out = append(out, name)
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -89,9 +88,9 @@ func main() {
 	}
 	// The trace file is created before anything runs, so a path that cannot
 	// be written fails at once.
-	var traceFile *os.File
+	var sink *trace.StreamCollector
 	if *traceOut != "" {
-		if traceFile, err = os.Create(*traceOut); err != nil {
+		if sink, err = trace.Create(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
@@ -172,8 +171,8 @@ func main() {
 		}
 		writeTable(os.Stdout, td)
 	}
-	if traceFile != nil {
-		if err := streamTraces(ctx, traceFile, opts); err != nil {
+	if sink != nil {
+		if err := streamTraces(ctx, sink, *traceOut, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
@@ -190,13 +189,7 @@ func main() {
 // records as they complete, so memory stays flat however long the traces
 // get. Trace runs bypass the suite cache by construction (live observers
 // cannot be serialized).
-func streamTraces(ctx context.Context, f *os.File, opts iochar.Options) error {
-	defer f.Close()
-	format := trace.FormatCSV
-	if strings.HasSuffix(f.Name(), ".ndjson") {
-		format = trace.FormatNDJSON
-	}
-	sink := trace.NewStreamCollectorFormat(f, format)
+func streamTraces(ctx context.Context, sink *trace.StreamCollector, path string, opts iochar.Options) error {
 	for _, w := range iochar.Workloads() {
 		prefix := w.String() + ":"
 		runOpts := opts.With(iochar.WithTraceAttach(
@@ -208,8 +201,8 @@ func streamTraces(ctx context.Context, f *os.File, opts iochar.Options) error {
 	if err := sink.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "streamed %d trace records to %s\n", sink.Len(), f.Name())
-	return f.Close()
+	fmt.Fprintf(os.Stderr, "streamed %d trace records to %s\n", sink.Len(), path)
+	return nil
 }
 
 // cellsFor lists the cells the requested figures and tables render from; an

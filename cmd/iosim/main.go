@@ -26,6 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"iochar/internal/disk"
@@ -50,6 +52,21 @@ func main() {
 		faultSt = flag.String("faults", "", `slow-disk fault plan for the device, e.g. "slow-disk@5s:factor=8"`)
 	)
 	flag.Parse()
+
+	// A replay issues the trace's own requests at their own times, so only
+	// the device flags apply to it; any other would be silently ignored.
+	if *replay != "" {
+		var set []string
+		flag.Visit(func(f *flag.Flag) {
+			if !slices.Contains([]string{"replay", "dev", "sched", "nomerge"}, f.Name) {
+				set = append(set, f.Name)
+			}
+		})
+		if len(set) > 0 {
+			fmt.Fprintf(os.Stderr, "iosim: -replay replays the trace's own requests and cannot be combined with -%s\n", strings.Join(set, ", -"))
+			os.Exit(2)
+		}
+	}
 
 	plan, err := faults.ParsePlan(*faultSt)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"strings"
 	"syscall"
 
 	"iochar"
@@ -87,20 +86,12 @@ func main() {
 	// All observers ride the same per-disk bus, so the streaming sink, the
 	// per-stage accumulator and -hist histograms can watch one run.
 	var stream *trace.StreamCollector
-	var streamFile *os.File
 	var phys *iochar.PhysicalAttribution
 	if *streamOut != "" {
-		f, err := os.Create(*streamOut)
-		if err != nil {
+		if stream, err = trace.Create(*streamOut); err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(1)
 		}
-		streamFile = f
-		format := trace.FormatCSV
-		if strings.HasSuffix(*streamOut, ".ndjson") {
-			format = trace.FormatNDJSON
-		}
-		stream = trace.NewStreamCollectorFormat(f, format)
 		phys = iochar.NewPhysicalAttribution()
 		opts = opts.With(iochar.WithTraceAttach(func(dev string, d *disk.Disk) {
 			stream.Attach(d, dev)
@@ -124,7 +115,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(1)
 		}
-		streamFile.Close()
 		fmt.Printf("streamed %d trace records to %s\n", stream.Len(), *streamOut)
 	}
 	iochar.Summarize(os.Stdout, rep)
@@ -143,20 +133,10 @@ func main() {
 	}
 	printGroup("HDFS", rep.HDFS)
 	printGroup("MapReduce", rep.MR)
-	if rep.Masters != nil {
-		// Master metadata stream: the NameNode edit journal / fsimage and
-		// the JobTracker job-state journal on the master's own disks.
-		printGroup("masters", rep.Masters)
-	}
-	if len(rep.Classes) > 0 {
-		// Tiered run: the per-device-class split (every spindle vs every
-		// flash device) behind the hdd.*/ssd.* report series.
-		for _, n := range slices.Sorted(maps.Keys(rep.Classes)) {
-			printGroup(n, rep.Classes[n])
-		}
-	}
-	for _, n := range slices.Sorted(maps.Keys(rep.FaultGroups)) {
-		printGroup(n, rep.FaultGroups[n])
+	// Every other group in name order: fault splits, the per-class split of
+	// a tiered run, the master's metadata disks.
+	for _, n := range slices.Sorted(maps.Keys(rep.Groups)) {
+		printGroup(n, rep.Groups[n])
 	}
 	if testbed.Hist {
 		fmt.Println()

@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"iochar/internal/disk"
@@ -115,10 +116,12 @@ type Node struct {
 	// provisioned via ProvisionMasterMeta — the paper's testbed masters do
 	// no data I/O, so these exist only when master recovery is modeled.
 	MetaVols []*localfs.FS
-
-	HDFSDisks []*disk.Disk
-	MRDisks   []*disk.Disk
-	MetaDisks []*disk.Disk
+	// Vols lists each of the node's distinct volumes once: the HDFS
+	// volumes, then the intermediate ones unless SharedDataDisks pooled
+	// them with the HDFS ones, then the metadata volumes. Every loop over all
+	// of a node's volumes or disks reads it; the role lists above hold the
+	// same volumes.
+	Vols []*localfs.FS
 
 	mrNext   int  // round-robin cursor for intermediate volumes
 	hdfsNext int  // round-robin cursor for HDFS volumes
@@ -284,21 +287,17 @@ func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack i
 			fs := mkvol(hdfsP, "data", i)
 			n.HDFSVols = append(n.HDFSVols, fs)
 			n.MRVols = append(n.MRVols, fs)
-			n.HDFSDisks = append(n.HDFSDisks, fs.Disk())
-			n.MRDisks = append(n.MRDisks, fs.Disk())
 		}
+		n.Vols = n.HDFSVols
 		return n, nil
 	}
 	for i := 0; i < disksPerRole; i++ {
-		fs := mkvol(hdfsP, "hdfs", i)
-		n.HDFSVols = append(n.HDFSVols, fs)
-		n.HDFSDisks = append(n.HDFSDisks, fs.Disk())
+		n.HDFSVols = append(n.HDFSVols, mkvol(hdfsP, "hdfs", i))
 	}
 	for i := 0; i < disksPerRole; i++ {
-		fs := mkvol(mrP, "mr", i)
-		n.MRVols = append(n.MRVols, fs)
-		n.MRDisks = append(n.MRDisks, fs.Disk())
+		n.MRVols = append(n.MRVols, mkvol(mrP, "mr", i))
 	}
+	n.Vols = slices.Concat(n.HDFSVols, n.MRVols)
 	return n, nil
 }
 
@@ -328,80 +327,54 @@ func (c *Cluster) ProvisionMasterMeta(n int) error {
 		pp.Name = fmt.Sprintf("%s.meta%d", c.Master.Name, i)
 		d := disk.New(c.Env, pp)
 		cache := pagecache.New(c.Env, d, pages, hw.PageCacheOpts)
-		fs := localfs.New(d, cache)
-		c.Master.MetaVols = append(c.Master.MetaVols, fs)
-		c.Master.MetaDisks = append(c.Master.MetaDisks, d)
+		c.Master.MetaVols = append(c.Master.MetaVols, localfs.New(d, cache))
 	}
+	c.Master.Vols = append(c.Master.Vols, c.Master.MetaVols...)
 	return nil
 }
 
 // AllHDFSDisks returns every HDFS data disk across the slaves, for iostat
 // grouping.
 func (c *Cluster) AllHDFSDisks() []*disk.Disk {
-	var out []*disk.Disk
-	for _, s := range c.Slaves {
-		out = append(out, s.HDFSDisks...)
-	}
-	return out
+	return c.slaveDisks(func(n *Node, v *localfs.FS) bool { return slices.Contains(n.HDFSVols, v) })
 }
 
 // AllMRDisks returns every intermediate-data disk across the slaves.
 func (c *Cluster) AllMRDisks() []*disk.Disk {
-	var out []*disk.Disk
-	for _, s := range c.Slaves {
-		out = append(out, s.MRDisks...)
-	}
-	return out
+	return c.slaveDisks(func(n *Node, v *localfs.FS) bool { return slices.Contains(n.MRVols, v) })
 }
 
 // DisksByClass returns every data disk of the given device class across the
-// slaves, deduplicated (SharedDataDisks aliases the HDFS and MR lists), in
-// stable provisioning order — for the per-class iostat groups of a tiered
-// run.
+// slaves, in provisioning order — for the per-class iostat groups of a
+// tiered run.
 func (c *Cluster) DisksByClass(class disk.Class) []*disk.Disk {
+	return c.slaveDisks(func(_ *Node, v *localfs.FS) bool { return v.Disk().Class() == class })
+}
+
+// slaveDisks returns the disks of the slaves' volumes that keep selects,
+// walking each slave's Vols in order.
+func (c *Cluster) slaveDisks(keep func(*Node, *localfs.FS) bool) []*disk.Disk {
 	var out []*disk.Disk
-	seen := make(map[*disk.Disk]bool)
-	add := func(ds []*disk.Disk) {
-		for _, d := range ds {
-			if !seen[d] && d.Class() == class {
-				seen[d] = true
-				out = append(out, d)
+	for _, s := range c.Slaves {
+		for _, v := range s.Vols {
+			if keep(s, v) {
+				out = append(out, v.Disk())
 			}
 		}
-	}
-	for _, s := range c.Slaves {
-		add(s.HDFSDisks)
-		add(s.MRDisks)
 	}
 	return out
 }
 
-// SyncAll flushes every page cache on every slave — end-of-run barrier so
-// iostat captures all writes. Volumes are deduplicated by identity: with
-// SharedDataDisks the HDFS and MR volume lists alias the same filesystems,
-// and each cache must flush exactly once. Dead nodes and failed volumes are
-// skipped — their unwritten cache contents are lost, as on real hardware.
+// SyncAll flushes every page cache on every slave, then on the master — the
+// end-of-run barrier so iostat captures all writes. Dead nodes and failed
+// volumes are skipped — their unwritten cache contents are lost, as on real
+// hardware.
 func (c *Cluster) SyncAll(p *sim.Proc) {
-	seen := make(map[*localfs.FS]bool)
-	sync := func(v *localfs.FS) {
-		if seen[v] || v.Failed() {
-			return
+	for _, n := range slices.Concat(c.Slaves, []*Node{c.Master}) {
+		for _, v := range n.Vols {
+			if n.Alive() && !v.Failed() {
+				v.Cache().Sync(p)
+			}
 		}
-		seen[v] = true
-		v.Cache().Sync(p)
-	}
-	for _, s := range c.Slaves {
-		if !s.Alive() {
-			continue
-		}
-		for _, v := range s.HDFSVols {
-			sync(v)
-		}
-		for _, v := range s.MRVols {
-			sync(v)
-		}
-	}
-	for _, v := range c.Master.MetaVols {
-		sync(v)
 	}
 }

@@ -64,8 +64,8 @@ func TestClusterLayout(t *testing.T) {
 		if len(s.HDFSVols) != 3 || len(s.MRVols) != 3 {
 			t.Errorf("%s vols = %d/%d, want 3/3", s.Name, len(s.HDFSVols), len(s.MRVols))
 		}
-		for _, d := range append(s.HDFSDisks, s.MRDisks...) {
-			if d.P.RPM != 7200 {
+		for _, v := range s.Vols {
+			if d := v.Disk(); d.P.RPM != 7200 {
 				t.Errorf("%s RPM = %d, want 7200", d.P.Name, d.P.RPM)
 			}
 		}
@@ -290,6 +290,48 @@ func TestHeterogeneousFleetRefusesTheCapacityFloor(t *testing.T) {
 			t.Errorf("scale %d, tier %v: %v", c.scale, c.tier != nil, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "floor")):
 			t.Errorf("scale %d: error %v, want one naming %q and the floor", c.scale, err, c.want)
+		}
+	}
+}
+
+// Vols lists each distinct volume once, in the order SyncAll flushes them:
+// HDFS, then MR unless pooled, then (on the master) metadata. The role
+// groups read off it keep their per-role membership.
+func TestVolsListEachVolumeOnce(t *testing.T) {
+	names := func(n *Node) string {
+		var out []string
+		for _, v := range n.Vols {
+			out = append(out, strings.TrimPrefix(v.Disk().P.Name, n.Name+"."))
+		}
+		return strings.Join(out, " ")
+	}
+	for _, tc := range []struct {
+		shared   bool
+		want     string
+		perGroup int
+	}{
+		{false, "hdfs0 hdfs1 hdfs2 mr0 mr1 mr2", 6},
+		{true, "data0 data1 data2 data3 data4 data5", 12},
+	} {
+		hw := DefaultHardware(8192)
+		hw.SharedDataDisks = tc.shared
+		c, err := New(sim.New(1), hw, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ProvisionMasterMeta(2); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range c.Slaves {
+			if got := names(s); got != tc.want {
+				t.Errorf("shared=%v: %s.Vols = %s, want %s", tc.shared, s.Name, got, tc.want)
+			}
+		}
+		if got := names(c.Master); got != "meta0 meta1" {
+			t.Errorf("shared=%v: master.Vols = %s, want meta0 meta1", tc.shared, got)
+		}
+		if h, m, d := len(c.AllHDFSDisks()), len(c.AllMRDisks()), len(c.DisksByClass(disk.ClassHDD)); h != tc.perGroup || m != tc.perGroup || d != 12 {
+			t.Errorf("shared=%v: %d HDFS, %d MR, %d HDD disks; want %d, %d, 12", tc.shared, h, m, d, tc.perGroup, tc.perGroup)
 		}
 	}
 }

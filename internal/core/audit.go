@@ -24,7 +24,6 @@ import (
 
 	"iochar/internal/cluster"
 	"iochar/internal/hdfs"
-	"iochar/internal/localfs"
 	"iochar/internal/mapred"
 	"iochar/internal/sim"
 )
@@ -136,31 +135,19 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 
 	// Allocator accounting holds on every volume — failed or not, dead node
 	// or not — because Fail() freezes a volume without disturbing its file
-	// table. Volumes are deduplicated by identity (SharedDataDisks aliases
-	// the role lists). Dirty pages are only an invariant where SyncAll
-	// reaches: a dead node's or failed volume's cache legitimately holds
-	// unwritten data, exactly as powered-off hardware would.
-	seen := make(map[*localfs.FS]bool)
-	for _, s := range cl.Slaves {
-		vols := append(append([]*localfs.FS{}, s.HDFSVols...), s.MRVols...)
-		for _, v := range vols {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
+	// table. Dirty pages are only an invariant where SyncAll reaches: a dead
+	// node's or failed volume's cache legitimately holds unwritten data,
+	// exactly as powered-off hardware would. The master's metadata volumes
+	// (present only under master recovery) are held to the same standard:
+	// journal rolls must not leak extents, and MasterFlush+SyncAll must have
+	// left nothing dirty.
+	for _, n := range slices.Concat(cl.Slaves, []*cluster.Node{cl.Master}) {
+		for _, v := range n.Vols {
 			a.LeakedSectors += v.LeakedExtents()
-			if s.Alive() && !v.Failed() {
+			if n.Alive() && !v.Failed() {
 				a.DirtyPages += v.Cache().DirtyPages()
 			}
 		}
-	}
-
-	// The master's metadata volumes (present only under master recovery) are
-	// held to the same standard: journal rolls must not leak extents, and
-	// MasterFlush+SyncAll must have left nothing dirty.
-	for _, v := range cl.Master.MetaVols {
-		a.LeakedSectors += v.LeakedExtents()
-		a.DirtyPages += v.Cache().DirtyPages()
 	}
 
 	scratch := make([]byte, 0, hashBatch) // every file's summer batches into it in turn

@@ -27,6 +27,7 @@ import (
 	"iochar/internal/hdfs"
 	"iochar/internal/iostat"
 	"iochar/internal/journal"
+	"iochar/internal/localfs"
 	"iochar/internal/mapred"
 	"iochar/internal/netsim"
 	"iochar/internal/sim"
@@ -111,7 +112,7 @@ type Options struct {
 	// provisions the MR volumes on flash (disk.DataCenterSSD) while HDFS
 	// data disks stay mechanical — the tiering experiment the paper's
 	// small-random-write observation motivates. Tiered runs also monitor
-	// per-class disk groups (RunReport.Classes, "hdd"/"ssd").
+	// per-class disk groups (RunReport.Groups' "hdd"/"ssd").
 	IntermediateTier disk.Class
 	// Faults is a deterministic fault plan injected during the run (see
 	// internal/faults for the syntax and event kinds). A non-empty plan
@@ -288,19 +289,18 @@ type RunReport struct {
 	// bytes and busy time, retransmitted bytes, and failed transfers.
 	Network *netsim.Stats
 
-	// Classes holds the per-device-class iostat reports ("hdd"/"ssd") of a
-	// tiered run; nil when the fleet is homogeneous (IntermediateTier off).
-	Classes map[string]*iostat.Report
+	// Groups holds the iostat report of every monitored group other than
+	// HDFS and MR, keyed by its Group* name: the per-device-class groups of
+	// a tiered run, the victim/recovering/survivor splits of a fault plan
+	// that kills or restarts a node, and the master's metadata disks when
+	// the master layers run. Nil when there are none.
+	Groups map[string]*iostat.Report
 
 	// Fault-run observability; zero/nil for healthy runs.
-	Recovery       hdfs.RecoveryStats        // HDFS repair work performed
-	FaultsInjected []string                  // events that actually fired, in order
-	FaultGroups    map[string]*iostat.Report // victim/survivor disk splits
+	Recovery       hdfs.RecoveryStats // HDFS repair work performed
+	FaultsInjected []string           // events that actually fired, in order
 
-	// Master-recovery observability; zero/nil unless the master layers ran.
-	// Masters is the iostat report over the master node's metadata disks —
-	// the edit-journal/checkpoint stream the paper's master traces show.
-	Masters    *iostat.Report
+	// Master-recovery observability; zero unless the master layers ran.
 	NameNode   hdfs.MasterStats
 	JobTracker mapred.MasterStats
 
@@ -409,17 +409,10 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 		extentSectors = 2048
 	}
 	for _, s := range cl.Slaves {
-		for _, v := range s.HDFSVols {
+		for _, v := range s.Vols {
 			v.SetExtentSectors(extentSectors)
-		}
-		for _, v := range s.MRVols {
-			v.SetExtentSectors(extentSectors)
-		}
-	}
-	if opts.TraceAttach != nil {
-		for _, s := range cl.Slaves {
-			for _, d := range append(append([]*disk.Disk{}, s.HDFSDisks...), s.MRDisks...) {
-				opts.TraceAttach(d.P.Name, d)
+			if opts.TraceAttach != nil {
+				opts.TraceAttach(v.Disk().P.Name, v.Disk())
 			}
 		}
 	}
@@ -503,14 +496,13 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 	// adds no groups, no events and no bytes of output, keeping the HDD-only
 	// path byte-identical. The monitor's single sampling process covers all
 	// groups, so the extra groups on tiered runs add no kernel events either.
-	classGroups := opts.IntermediateTier == disk.ClassSSD
-	if classGroups {
+	if opts.IntermediateTier == disk.ClassSSD {
 		mon.AddGroup(GroupClassHDD, cl.DisksByClass(disk.ClassHDD)...)
 		mon.AddGroup(GroupClassSSD, cl.DisksByClass(disk.ClassSSD)...)
 	}
-	faultGroups := addFaultGroups(mon, cl, opts.Faults)
+	addFaultGroups(mon, cl, opts.Faults)
 	if masterOn {
-		mon.AddGroup(GroupMasters, cl.Master.MetaDisks...)
+		mon.AddGroup(GroupMasters, disksOf(cl.Master.Vols)...)
 	}
 	if opts.Histograms {
 		mon.EnableHistograms()
@@ -590,39 +582,46 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 		return nil, fmt.Errorf("core: %s: %w", f.cacheKey(w), runErr)
 	}
 	rep.Events = env.Events()
-	rep.HDFS = mon.Report(GroupHDFS)
-	rep.MR = mon.Report(GroupMR)
-	if classGroups {
-		rep.Classes = map[string]*iostat.Report{
-			GroupClassHDD: mon.Report(GroupClassHDD),
-			GroupClassSSD: mon.Report(GroupClassSSD),
+	for _, r := range mon.Reports() {
+		switch r.Name {
+		case GroupHDFS:
+			rep.HDFS = r
+		case GroupMR:
+			rep.MR = r
+		default:
+			if rep.Groups == nil {
+				rep.Groups = map[string]*iostat.Report{}
+			}
+			rep.Groups[r.Name] = r
 		}
 	}
 	rep.CPUUtil = cpu.Util()
 	rep.Network = cl.Net.Stats()
 	if masterOn {
-		rep.Masters = mon.Report(GroupMasters)
 		rep.NameNode = fs.MasterStats()
 		rep.JobTracker = rt.MasterStats()
 	}
 	if inj != nil {
 		rep.Recovery = fs.RecoveryStats()
 		rep.FaultsInjected = inj.Fired()
-		if len(faultGroups) > 0 {
-			rep.FaultGroups = make(map[string]*iostat.Report, len(faultGroups))
-			for _, name := range faultGroups {
-				rep.FaultGroups[name] = mon.Report(name)
-			}
-		}
 	}
 	return rep, nil
 }
 
+// disksOf returns the disks under vols, in order.
+func disksOf(vols []*localfs.FS) []*disk.Disk {
+	out := make([]*disk.Disk, len(vols))
+	for i, v := range vols {
+		out[i] = v.Disk()
+	}
+	return out
+}
+
 // addFaultGroups registers victim/survivor disk groups for plans that kill a
-// node or its DataNode, returning the group names added. Victims are known
-// statically from the plan, so the split covers the whole run — including
-// the healthy period before the fault fires.
-func addFaultGroups(mon *iostat.Monitor, cl *cluster.Cluster, plan faults.Plan) []string {
+// node or its DataNode. Victims are known statically from the plan, so the
+// split covers the whole run — including the healthy period before the
+// fault fires.
+func addFaultGroups(mon *iostat.Monitor, cl *cluster.Cluster, plan faults.Plan) {
 	victim := map[string]bool{}
 	recovering := map[string]bool{}
 	for _, ev := range plan.Events {
@@ -634,27 +633,23 @@ func addFaultGroups(mon *iostat.Monitor, cl *cluster.Cluster, plan faults.Plan) 
 		}
 	}
 	if len(victim) == 0 && len(recovering) == 0 {
-		return nil
+		return
 	}
 	var vh, vm, rh, rm, sh, sm []*disk.Disk
 	for _, s := range cl.Slaves {
+		h, m := &sh, &sm
 		switch {
 		case victim[s.Name]:
-			vh = append(vh, s.HDFSDisks...)
-			vm = append(vm, s.MRDisks...)
+			h, m = &vh, &vm
 		case recovering[s.Name]:
-			rh = append(rh, s.HDFSDisks...)
-			rm = append(rm, s.MRDisks...)
-		default:
-			sh = append(sh, s.HDFSDisks...)
-			sm = append(sm, s.MRDisks...)
+			h, m = &rh, &rm
 		}
+		*h = append(*h, disksOf(s.HDFSVols)...)
+		*m = append(*m, disksOf(s.MRVols)...)
 	}
-	var names []string
 	add := func(name string, disks []*disk.Disk) {
 		if len(disks) > 0 {
 			mon.AddGroup(name, disks...)
-			names = append(names, name)
 		}
 	}
 	add(GroupHDFSVictims, vh)
@@ -663,7 +658,6 @@ func addFaultGroups(mon *iostat.Monitor, cl *cluster.Cluster, plan faults.Plan) 
 	add(GroupMRRecovering, rm)
 	add(GroupHDFSSurvivors, sh)
 	add(GroupMRSurvivors, sm)
-	return names
 }
 
 // WorkloadOrder is the paper's figure ordering.

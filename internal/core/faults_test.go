@@ -77,7 +77,7 @@ func TestHealthyPathMatchesSeedGolden(t *testing.T) {
 		if got != want {
 			t.Errorf("%s drifted from the seed golden:\n got  %+v\n want %+v", wk, got, want)
 		}
-		if rep.Recovery != (hdfs.RecoveryStats{}) || rep.FaultsInjected != nil || rep.FaultGroups != nil {
+		if rep.Recovery != (hdfs.RecoveryStats{}) || rep.FaultsInjected != nil || rep.Groups != nil {
 			t.Errorf("%s: healthy run carries fault-run state: %+v", wk, rep)
 		}
 	}
@@ -190,11 +190,11 @@ func TestDataNodeLossMidTeraSort(t *testing.T) {
 	// Victim/survivor iostat splits exist and the victim group flatlines
 	// after the kill while survivors absorb the recovery writes.
 	for _, name := range []string{GroupHDFSVictims, GroupMRVictims, GroupHDFSSurvivors, GroupMRSurvivors} {
-		if faulty.rep.FaultGroups[name] == nil {
+		if faulty.rep.Groups[name] == nil {
 			t.Errorf("missing fault iostat group %q", name)
 		}
 	}
-	if hv, sv := faulty.rep.FaultGroups[GroupHDFSVictims], faulty.rep.FaultGroups[GroupHDFSSurvivors]; hv != nil && sv != nil {
+	if hv, sv := faulty.rep.Groups[GroupHDFSVictims], faulty.rep.Groups[GroupHDFSSurvivors]; hv != nil && sv != nil {
 		if sv.TotalWrittenBytes <= hv.TotalWrittenBytes {
 			t.Errorf("survivors wrote %d <= victim's %d; recovery traffic missing",
 				sv.TotalWrittenBytes, hv.TotalWrittenBytes)
@@ -268,11 +268,11 @@ func TestRestartDataNodeMidTeraSort(t *testing.T) {
 		t.Errorf("DeadDataNodes = %d, want 1 (the bounce must cross the dead timeout)", rec.DeadDataNodes)
 	}
 	for _, name := range []string{GroupHDFSRecovering, GroupMRRecovering, GroupHDFSSurvivors, GroupMRSurvivors} {
-		if faulty.rep.FaultGroups[name] == nil {
+		if faulty.rep.Groups[name] == nil {
 			t.Errorf("missing fault iostat group %q", name)
 		}
 	}
-	if faulty.rep.FaultGroups[GroupHDFSVictims] != nil {
+	if faulty.rep.Groups[GroupHDFSVictims] != nil {
 		t.Error("restart-only plan registered a victims group")
 	}
 	if faulty.underRep != 0 {

@@ -81,7 +81,7 @@ func TestMasterRecoveryHealthyRun(t *testing.T) {
 	if jt.JournalRecords == 0 {
 		t.Errorf("JobTracker journaled nothing: %+v", jt)
 	}
-	if mastered.rep.Masters == nil || mastered.rep.Masters.TotalWrittenBytes == 0 {
+	if meta := mastered.rep.Groups[GroupMasters]; meta == nil || meta.TotalWrittenBytes == 0 {
 		t.Error("masters iostat group missing or empty")
 	}
 	if mastered.rep.Audit == nil || !mastered.rep.Audit.Clean() {
@@ -191,7 +191,7 @@ func TestMasterFaultPlanImpliesRecovery(t *testing.T) {
 	if rep.NameNode.Restarts != 1 {
 		t.Errorf("implied master recovery did not run: %+v", rep.NameNode)
 	}
-	if rep.Masters == nil {
+	if rep.Groups[GroupMasters] == nil {
 		t.Error("masters iostat group missing on an implied-recovery run")
 	}
 }

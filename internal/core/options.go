@@ -113,7 +113,7 @@ func WithSharedDataDisks() Option { return func(o *Options) { o.SharedDataDisks 
 // intermediate-data (spill/merge/shuffle) volumes: disk.ClassHDD keeps the
 // paper's all-mechanical layout, disk.ClassSSD provisions the MR volumes on
 // flash while HDFS data disks stay mechanical. Tiered runs add per-class
-// iostat groups to the report (RunReport.Classes).
+// iostat groups to the report (RunReport.Groups).
 func WithIntermediateTier(c disk.Class) Option {
 	return func(o *Options) { o.IntermediateTier = c }
 }

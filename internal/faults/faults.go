@@ -803,7 +803,7 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 		// report, and the TaskTracker re-registers so its slots rejoin
 		// scheduling.
 		var up []func(*sim.Proc)
-		for _, vol := range slices.Concat(node.HDFSVols, node.MRVols) {
+		for _, vol := range node.Vols {
 			up = append(up, vol.Remount)
 		}
 		up = append(up, func(p *sim.Proc) {
@@ -938,7 +938,7 @@ func (in *Injector) nodeDown(node *cluster.Node, crash bool) {
 	node.SetDown(true)
 	in.net.SetDown(node.Name, true)
 	if crash {
-		for _, vol := range slices.Concat(node.HDFSVols, node.MRVols) {
+		for _, vol := range node.Vols {
 			vol.Crash()
 		}
 	}

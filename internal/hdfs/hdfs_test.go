@@ -178,8 +178,8 @@ func TestLoadIsInstantAndCold(t *testing.T) {
 		t.Error("Load consumed virtual time")
 	}
 	for _, s := range c.Slaves {
-		for _, d := range s.HDFSDisks {
-			if d.Stats().SectorsWritten != 0 {
+		for _, v := range s.HDFSVols {
+			if v.Disk().Stats().SectorsWritten != 0 {
 				t.Error("Load generated disk writes")
 			}
 		}
@@ -388,8 +388,8 @@ func TestReplicationOneMovesLessData(t *testing.T) {
 		env.Run(0)
 		var total uint64
 		for _, s := range c.Slaves {
-			for _, d := range s.HDFSDisks {
-				total += d.Stats().SectorsWritten
+			for _, v := range s.HDFSVols {
+				total += v.Disk().Stats().SectorsWritten
 			}
 		}
 		return total

@@ -271,8 +271,8 @@ func TestScrubberChargesScrubStage(t *testing.T) {
 	}
 	before := int64(0)
 	for _, s := range c.Slaves {
-		for _, d := range s.HDFSDisks {
-			before += int64(d.Stats().SectorsRead)
+		for _, v := range s.HDFSVols {
+			before += int64(v.Disk().Stats().SectorsRead)
 		}
 	}
 	fs.EnableScrubber(ScrubConfig{BytesPerSec: -1, PassInterval: time.Second})
@@ -283,8 +283,8 @@ func TestScrubberChargesScrubStage(t *testing.T) {
 	env.Run(0)
 	after := int64(0)
 	for _, s := range c.Slaves {
-		for _, d := range s.HDFSDisks {
-			after += int64(d.Stats().SectorsRead)
+		for _, v := range s.HDFSVols {
+			after += int64(v.Disk().Stats().SectorsRead)
 		}
 	}
 	if after <= before {

@@ -213,7 +213,6 @@ func Derive(prev, cur disk.Stats, elapsed time.Duration, ndev int) Sample {
 type Monitor struct {
 	interval time.Duration
 	groups   []*group
-	byName   map[string]*group
 	stopped  bool
 	started  bool
 	hists    bool
@@ -236,7 +235,7 @@ func NewMonitor(interval time.Duration) *Monitor {
 	if interval <= 0 {
 		panic("iostat: non-positive interval")
 	}
-	return &Monitor{interval: interval, byName: map[string]*group{}}
+	return &Monitor{interval: interval}
 }
 
 // AddGroup registers a named device group. Panics on duplicates or after
@@ -245,7 +244,7 @@ func (m *Monitor) AddGroup(name string, disks ...*disk.Disk) {
 	if m.started {
 		panic("iostat: AddGroup after Start")
 	}
-	if _, dup := m.byName[name]; dup {
+	if m.Report(name) != nil {
 		panic(fmt.Sprintf("iostat: duplicate group %q", name))
 	}
 	if len(disks) == 0 {
@@ -253,7 +252,6 @@ func (m *Monitor) AddGroup(name string, disks ...*disk.Disk) {
 	}
 	g := &group{disks: disks, lastPer: make([]disk.Stats, len(disks)), report: newReport(name)}
 	m.groups = append(m.groups, g)
-	m.byName[name] = g
 }
 
 // Start begins sampling in env, one After chain with a link per
@@ -343,11 +341,21 @@ func (g *group) refreshTotals(cur disk.Stats) {
 	r.TotalWrites = cur.WritesCompleted
 }
 
+// Reports returns every group's report, in the order the groups were added.
+func (m *Monitor) Reports() []*Report {
+	out := make([]*Report, len(m.groups))
+	for i, g := range m.groups {
+		out[i] = g.report
+	}
+	return out
+}
+
 // Report returns the accumulated report for a group, or nil if unknown.
 func (m *Monitor) Report(name string) *Report {
-	g := m.byName[name]
-	if g == nil {
-		return nil
+	for _, g := range m.groups {
+		if g.report.Name == name {
+			return g.report
+		}
 	}
-	return g.report
+	return nil
 }

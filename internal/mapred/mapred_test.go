@@ -935,11 +935,8 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 		})
 		// Cripple every disk of slave 0: map attempts reading their split
 		// from it crawl.
-		for _, d := range rig.cl.Slaves[0].HDFSDisks {
-			d.P.SlowFactor = 30
-		}
-		for _, d := range rig.cl.Slaves[0].MRDisks {
-			d.P.SlowFactor = 30
+		for _, v := range rig.cl.Slaves[0].Vols {
+			v.Disk().P.SlowFactor = 30
 		}
 		rig.loadLines("/in", bigParts())
 		res := rig.runJob(t, wordCountJob(rig.inputs("/in"), "/out"))
@@ -1089,11 +1086,8 @@ func TestMidRunFailSlowDiskTriggersSpeculation(t *testing.T) {
 	// injector's slow-disk event does — not before, so early attempts are
 	// scheduled against a healthy-looking node.
 	rig.env.After(100*time.Microsecond, func() {
-		for _, d := range rig.cl.Slaves[0].HDFSDisks {
-			d.SetSlowFactor(30)
-		}
-		for _, d := range rig.cl.Slaves[0].MRDisks {
-			d.SetSlowFactor(30)
+		for _, v := range rig.cl.Slaves[0].Vols {
+			v.Disk().SetSlowFactor(30)
 		}
 	})
 	res := rig.runJob(t, wordCountJob(rig.inputs("/in"), "/out"))

@@ -180,11 +180,11 @@ func JobSummary(w io.Writer, rep *core.RunReport) {
 			rep.CPUUtil.Mean(), rep.CPUUtil.Max())
 	}
 	writeNetwork(w, rep)
-	if rep.Masters != nil {
+	if meta := rep.Groups[core.GroupMasters]; meta != nil {
 		nn, jt := rep.NameNode, rep.JobTracker
 		fmt.Fprintf(w, "  meta : read %s, wrote %s, %d+%d requests (master-node disks)\n",
-			mb(int64(rep.Masters.TotalReadBytes)), mb(int64(rep.Masters.TotalWrittenBytes)),
-			rep.Masters.TotalReads, rep.Masters.TotalWrites)
+			mb(int64(meta.TotalReadBytes)), mb(int64(meta.TotalWrittenBytes)),
+			meta.TotalReads, meta.TotalWrites)
 		fmt.Fprintf(w, "  NameNode   : %d edit(s) / %s journaled in %d flush(es), %d checkpoint(s) / %s, leases %d granted / %d released / %d recovered\n",
 			nn.JournalRecords, mb(int64(nn.JournalBytes)), nn.JournalBatches,
 			nn.Checkpoints, mb(int64(nn.CheckpointBytes)),

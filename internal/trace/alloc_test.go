@@ -21,13 +21,13 @@ func TestStreamCollectorRecordAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		format Format
+		ndjson bool
 	}{
-		{"csv", FormatCSV},
-		{"ndjson", FormatNDJSON},
+		{"csv", false},
+		{"ndjson", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewStreamCollectorFormat(io.Discard, tc.format)
+			s := newStreamCollector(io.Discard, tc.ndjson)
 			s.record("slave-03.mr1", c) // warm up: grow the encode buffer once
 			allocs := testing.AllocsPerRun(1000, func() {
 				s.record("slave-03.mr1", c)

@@ -3,29 +3,23 @@ package trace
 import (
 	"bufio"
 	"io"
+	"os"
 	"strconv"
+	"strings"
 
 	"iochar/internal/disk"
 )
 
-// Format selects the streaming encoding.
-type Format uint8
-
-// Supported stream encodings. CSV matches WriteCSV's layout; NDJSON emits
-// one JSON object per line for downstream tools that prefer it.
-const (
-	FormatCSV Format = iota
-	FormatNDJSON
-)
-
 // StreamCollector encodes completed requests to a writer as they happen,
 // holding only a small reusable buffer — memory use is independent of trace
-// length. The simulation is serialized, so no locking is needed; writer
-// errors are sticky and surface from Flush and Close rather than
-// interrupting the run.
+// length. It writes CSV in WriteCSV's layout, or NDJSON, one JSON object per
+// line, for downstream tools that prefer it. The simulation is serialized,
+// so no locking is needed; writer errors are sticky and surface from Flush
+// and Close rather than interrupting the run.
 type StreamCollector struct {
 	bw     *bufio.Writer
-	format Format
+	file   io.Closer // the file Create opened; nil for NewStreamCollector
+	ndjson bool
 	buf    []byte // reusable per-record encode buffer
 	n      int
 	err    error
@@ -34,13 +28,25 @@ type StreamCollector struct {
 // NewStreamCollector returns a CSV stream sink writing to w, header
 // included.
 func NewStreamCollector(w io.Writer) *StreamCollector {
-	return NewStreamCollectorFormat(w, FormatCSV)
+	return newStreamCollector(w, false)
 }
 
-// NewStreamCollectorFormat returns a stream sink with an explicit format.
-func NewStreamCollectorFormat(w io.Writer, f Format) *StreamCollector {
-	s := &StreamCollector{bw: bufio.NewWriter(w), format: f, buf: make([]byte, 0, 128)}
-	if f == FormatCSV {
+// Create creates the file at path and returns a sink streaming to it: NDJSON
+// when the name ends in ".ndjson", CSV otherwise. Close flushes the sink and
+// closes the file.
+func Create(path string) (*StreamCollector, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	s := newStreamCollector(f, strings.HasSuffix(path, ".ndjson"))
+	s.file = f
+	return s, nil
+}
+
+func newStreamCollector(w io.Writer, ndjson bool) *StreamCollector {
+	s := &StreamCollector{bw: bufio.NewWriter(w), ndjson: ndjson, buf: make([]byte, 0, 128)}
+	if !ndjson {
 		_, s.err = s.bw.WriteString(csvHeader + "\n")
 	}
 	return s
@@ -66,9 +72,17 @@ func (s *StreamCollector) Flush() error {
 	return s.err
 }
 
-// Close flushes the sink. The underlying writer, if it needs closing, is
-// the caller's to close.
-func (s *StreamCollector) Close() error { return s.Flush() }
+// Close flushes the sink and closes the file Create opened. A
+// NewStreamCollector's writer, if it needs closing, is the caller's to close.
+func (s *StreamCollector) Close() error {
+	err := s.Flush()
+	if s.file != nil {
+		if cerr := s.file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
 
 func (s *StreamCollector) record(dev string, c disk.Completion) {
 	if s.err != nil {
@@ -79,7 +93,7 @@ func (s *StreamCollector) record(dev string, c disk.Completion) {
 		op = 'W'
 	}
 	b := s.buf[:0]
-	if s.format == FormatCSV {
+	if !s.ndjson {
 		b = append(b, dev...)
 		b = append(b, ',', op, ',')
 		b = strconv.AppendInt(b, c.Sector, 10)

@@ -80,7 +80,7 @@ func TestStreamCollectorNDJSON(t *testing.T) {
 	env, d := mixedDisk()
 	c := collect(d, "sda")
 	var buf bytes.Buffer
-	s := NewStreamCollectorFormat(&buf, FormatNDJSON)
+	s := newStreamCollector(&buf, true)
 	s.Attach(d, "sda")
 	driveMixed(env, d)
 	if err := s.Close(); err != nil {

@@ -30,8 +30,8 @@ func TestTieredRunClassGroupsAndAwaitCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Classes != nil {
-		t.Errorf("untiered run reported per-class groups: %v", base.Classes)
+	if base.Groups != nil {
+		t.Errorf("untiered run reported extra iostat groups: %v", base.Groups)
 	}
 
 	tiered, err := Run(TS, tierFactors, tierOpts(WithIntermediateTier(TierSSD)))
@@ -39,15 +39,15 @@ func TestTieredRunClassGroupsAndAwaitCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, class := range []string{"hdd", "ssd"} {
-		r, ok := tiered.Classes[class]
+		r, ok := tiered.Groups[class]
 		if !ok || r == nil {
-			t.Fatalf("tiered run missing class group %q (have %v)", class, tiered.Classes)
+			t.Fatalf("tiered run missing class group %q (have %v)", class, tiered.Groups)
 		}
 		if r.Util.Len() == 0 {
 			t.Errorf("class group %q collected no samples", class)
 		}
 	}
-	if util := tiered.Classes["ssd"].Util.Max(); util <= 0 {
+	if util := tiered.Groups["ssd"].Util.Max(); util <= 0 {
 		t.Error("flash devices saw no traffic in a tiered TeraSort")
 	}
 
