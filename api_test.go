@@ -21,7 +21,7 @@ import (
 
 const testOnlyAPIFile = "testdata/test_only_api.txt"
 
-// TestNoTestOnlyAPI fails when something exported under internal/ — a
+// TestNoTestOnlyAPI fails when something a non-main package exports — a
 // function, type, variable, constant, method or interface method — is used
 // by no non-test file of the root module or of benchmark/ other than inside
 // its own declaration, or when a field of a struct declared there, exported
@@ -128,6 +128,23 @@ func main() { r := x.Report{Used: 1, Unused: 2}; x.Store(x.Key{Seed: 1}, r); pri
 		}
 		if slices.Contains(serializedRoots, "core.RunReport") {
 			t.Error("serializedRoots lists core.RunReport, the run cache's output")
+		}
+	})
+	t.Run("every importable package is censused", func(t *testing.T) {
+		// lib is neither internal nor main, so an alias layer at the root
+		// is judged like internal/: Unused is reported. A main package
+		// cannot be imported, so its unused Helper is not.
+		got := fixtureCensus(t, map[string]string{
+			"fixture/lib": `package lib
+func Used() {}
+func Unused() {}`,
+			"fixture/cmd/tool": `package main
+import "fixture/lib"
+func Helper() {}
+func main() { lib.Used() }`,
+		})
+		if want := []string{"lib.Unused"}; !slices.Equal(got, want) {
+			t.Errorf("unreached = %v, want %v", got, want)
 		}
 	})
 
@@ -243,7 +260,7 @@ type (
 // apiCensus type-checks the packages in files (import path → parsed non-test
 // files; any other import is the standard library, type-checked from
 // GOROOT's source) and returns the exported declarations and the struct
-// fields of every package with an internal/ path element, sorted, as
+// fields of every package but a main one, sorted, as
 // "pkg.Name", "pkg.Type.Method" or "pkg.Type.Field", and which of them are
 // reached. A declaration is reached when an identifier anywhere in files
 // outside the declaration itself resolves to it, or — a method — when its
@@ -293,7 +310,7 @@ func apiCensus(fset *token.FileSet, files map[string][]*ast.File, roots []string
 	reached = map[string]bool{}
 	var fields []field
 	for pkg, fs := range files {
-		if !strings.Contains(pkg, "/internal/") {
+		if c.pkgs[pkg].Name() == "main" {
 			continue
 		}
 		add := func(prefix string, id *ast.Ident, node ast.Node, recv types.Type) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"iochar/internal/core"
+	"iochar/internal/report"
 )
 
 // benchOpts is the shared benchmark testbed: the paper's 1+10 layout at an
@@ -208,15 +209,19 @@ func BenchmarkAblationMemory(b *testing.B) {
 func BenchmarkRenderAll(b *testing.B) {
 	s := suite()
 	for i := 0; i < b.N; i++ {
-		for _, n := range Figures() {
-			if err := RenderFigure(io.Discard, s, n); err != nil {
+		for _, n := range core.Figures() {
+			fd, err := s.Figure(n)
+			if err != nil {
 				b.Fatal(err)
 			}
+			report.WriteFigure(io.Discard, fd)
 		}
-		for _, n := range Tables() {
-			if err := RenderTable(io.Discard, s, n); err != nil {
+		for _, n := range core.Tables() {
+			td, err := s.Table(n)
+			if err != nil {
 				b.Fatal(err)
 			}
+			report.WriteTable(io.Discard, td)
 		}
 	}
 }

@@ -31,8 +31,8 @@ import (
 	"syscall"
 	"time"
 
-	"iochar"
 	"iochar/internal/cliutil"
+	"iochar/internal/core"
 	"iochar/internal/disk"
 	"iochar/internal/report"
 	"iochar/internal/trace"
@@ -67,7 +67,7 @@ func main() {
 	var figures, tables []int
 	switch {
 	case *all:
-		figures, tables = iochar.Figures(), iochar.Tables()
+		figures, tables = core.Figures(), core.Tables()
 	case *figure != 0 || *table != 0:
 		if *figure != 0 {
 			figures = []int{*figure}
@@ -97,15 +97,15 @@ func main() {
 	}
 	testbed.WarnClamps(os.Stderr, "iochar")
 
-	opts := iochar.NewOptions(testbedOpts...)
-	sopts := []iochar.SuiteOption{iochar.WithParallelism(*parallel)}
+	opts := core.NewOptions(testbedOpts...)
+	sopts := []core.SuiteOption{core.WithParallelism(*parallel)}
 	if *cacheDir != "" {
-		sopts = append(sopts, iochar.WithCacheDir(*cacheDir))
+		sopts = append(sopts, core.WithCacheDir(*cacheDir))
 	}
 	if *verbose {
-		sopts = append(sopts, iochar.WithProgress(progressLine))
+		sopts = append(sopts, core.WithProgress(progressLine))
 	}
-	s := iochar.NewSuite(opts, sopts...)
+	s := core.NewSuite(opts, sopts...)
 
 	start := time.Now()
 	// Resolve every needed cell up front across the worker pool; rendering
@@ -120,40 +120,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "iochar:", err)
 		os.Exit(1)
 	}
+	// -csv switches every renderer: figures, Tables 5–7 and the extension tables.
+	writeFigure, writeTable := report.WriteFigure, report.WriteTable
+	if *csv {
+		writeFigure, writeTable = report.WriteFigureCSV, report.WriteTableCSV
+	}
 	for _, n := range figures {
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "figure %d...\n", n)
 		}
-		var err error
-		if *csv {
-			err = iochar.RenderFigureCSV(os.Stdout, s, n)
-		} else {
-			err = iochar.RenderFigure(os.Stdout, s, n)
-		}
+		fd, err := s.Figure(n)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
+		writeFigure(os.Stdout, fd)
 	}
 	for _, n := range tables {
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "table %d...\n", n)
 		}
-		var err error
-		if *csv {
-			err = iochar.RenderTableCSV(os.Stdout, s, n)
-		} else {
-			err = iochar.RenderTable(os.Stdout, s, n)
-		}
+		td, err := s.Table(n)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
-	}
-	// The extension tables honour -csv as Tables 5–7 do.
-	writeTable := report.WriteTable
-	if *csv {
-		writeTable = report.WriteTableCSV
+		writeTable(os.Stdout, td)
 	}
 	if *attr {
 		td, err := s.AttributionTable()
@@ -189,12 +181,12 @@ func main() {
 // records as they complete, so memory stays flat however long the traces
 // get. Trace runs bypass the suite cache by construction (live observers
 // cannot be serialized).
-func streamTraces(ctx context.Context, sink *trace.StreamCollector, path string, opts iochar.Options) error {
-	for _, w := range iochar.Workloads() {
+func streamTraces(ctx context.Context, sink *trace.StreamCollector, path string, opts core.Options) error {
+	for _, w := range core.WorkloadOrder {
 		prefix := w.String() + ":"
-		runOpts := opts.With(iochar.WithTraceAttach(
+		runOpts := opts.With(core.WithTraceAttach(
 			func(dev string, d *disk.Disk) { sink.Attach(d, prefix+dev) }))
-		if _, err := iochar.RunContext(ctx, w, iochar.SlotsRuns[0], runOpts); err != nil {
+		if _, err := core.RunOneContext(ctx, w, core.SlotsRuns[0], runOpts); err != nil {
 			return err
 		}
 	}
@@ -207,17 +199,17 @@ func streamTraces(ctx context.Context, sink *trace.StreamCollector, path string,
 
 // cellsFor lists the cells the requested figures and tables render from; an
 // unknown figure or table is an error.
-func cellsFor(figures, tables []int) ([]iochar.Cell, error) {
-	var cells []iochar.Cell
+func cellsFor(figures, tables []int) ([]core.Cell, error) {
+	var cells []core.Cell
 	for _, n := range figures {
-		fc, err := iochar.FigureCells(n)
+		fc, err := core.FigureCells(n)
 		if err != nil {
 			return nil, err
 		}
 		cells = append(cells, fc...)
 	}
 	for _, n := range tables {
-		tc, err := iochar.TableCells(n)
+		tc, err := core.TableCells(n)
 		if err != nil {
 			return nil, err
 		}
@@ -230,9 +222,9 @@ func cellsFor(figures, tables []int) ([]iochar.Cell, error) {
 //
 //	cell 3/20 TS_1_8 mem=16G compress=true: executed
 //	cell 4/20 KM_2_16 mem=16G compress=true: cache
-func progressLine(ev iochar.ProgressEvent) {
+func progressLine(ev core.ProgressEvent) {
 	src := "executed"
-	if ev.Source == iochar.SourceDisk {
+	if ev.Source == core.SourceDisk {
 		src = "cache"
 	}
 	total := ""

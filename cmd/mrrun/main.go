@@ -20,10 +20,12 @@ import (
 	"slices"
 	"syscall"
 
-	"iochar"
 	"iochar/internal/cliutil"
+	"iochar/internal/core"
 	"iochar/internal/disk"
+	"iochar/internal/faults"
 	"iochar/internal/iostat"
+	"iochar/internal/report"
 	"iochar/internal/trace"
 )
 
@@ -45,7 +47,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	w, err := iochar.ParseWorkload(*workload)
+	w, err := core.ParseWorkload(*workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mrrun:", err)
 		os.Exit(2)
@@ -60,40 +62,40 @@ func main() {
 		os.Exit(2)
 	}
 	testbed.WarnClamps(os.Stderr, "mrrun")
-	var sc iochar.SlotsConfig
+	var sc core.SlotsConfig
 	switch *slots {
 	case "1_8":
-		sc = iochar.Slots1x8
+		sc = core.Slots1x8
 	case "2_16":
-		sc = iochar.Slots2x16
+		sc = core.Slots2x16
 	default:
 		fmt.Fprintf(os.Stderr, "mrrun: unknown slots config %q (want 1_8 or 2_16)\n", *slots)
 		os.Exit(2)
 	}
-	opts := iochar.NewOptions(testbedOpts...)
+	opts := core.NewOptions(testbedOpts...)
 	if *masters {
-		opts = opts.With(iochar.WithMasterRecovery())
+		opts = opts.With(core.WithMasterRecovery())
 	}
 	if *faultStr != "" {
-		plan, err := iochar.ParseFaultPlan(*faultStr)
+		plan, err := faults.ParsePlan(*faultStr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(2)
 		}
-		opts = opts.With(iochar.WithFaults(plan))
+		opts = opts.With(core.WithFaults(plan))
 	}
 
 	// All observers ride the same per-disk bus, so the streaming sink, the
 	// per-stage accumulator and -hist histograms can watch one run.
 	var stream *trace.StreamCollector
-	var phys *iochar.PhysicalAttribution
+	var phys *core.PhysicalAttribution
 	if *streamOut != "" {
 		if stream, err = trace.Create(*streamOut); err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(1)
 		}
-		phys = iochar.NewPhysicalAttribution()
-		opts = opts.With(iochar.WithTraceAttach(func(dev string, d *disk.Disk) {
+		phys = core.NewPhysicalAttribution()
+		opts = opts.With(core.WithTraceAttach(func(dev string, d *disk.Disk) {
 			stream.Attach(d, dev)
 			phys.Attach(d)
 		}))
@@ -101,8 +103,8 @@ func main() {
 
 	// A one-cell suite, so -hist renders the run through the suite's
 	// distribution table.
-	s := iochar.NewSuite(opts)
-	cell := iochar.Cell{Workload: w, Factors: iochar.Factors{
+	s := core.NewSuite(opts)
+	cell := core.Cell{Workload: w, Factors: core.Factors{
 		Slots: sc, MemoryGB: *mem, Compress: *compress,
 	}}
 	rep, err := s.RunContext(ctx, cell.Workload, cell.Factors)
@@ -117,7 +119,7 @@ func main() {
 		}
 		fmt.Printf("streamed %d trace records to %s\n", stream.Len(), *streamOut)
 	}
-	iochar.Summarize(os.Stdout, rep)
+	report.JobSummary(os.Stdout, rep)
 
 	fmt.Println("\niostat (mean over busy intervals / peak):")
 	fmt.Printf("  %-10s %16s %16s %14s %12s %14s\n",
@@ -140,13 +142,15 @@ func main() {
 	}
 	if testbed.Hist {
 		fmt.Println()
-		if err := iochar.RenderLatencyTable(os.Stdout, s, cell); err != nil {
+		td, err := s.LatencyTable(cell)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(1)
 		}
+		report.WriteTable(os.Stdout, td)
 	}
 	if phys != nil {
 		fmt.Println()
-		iochar.RenderPhysicalAttribution(os.Stdout, phys)
+		report.WriteTable(os.Stdout, phys.Table())
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"log"
 	"time"
 
-	"iochar"
+	"iochar/internal/core"
 )
 
 func main() {
@@ -30,12 +30,12 @@ func main() {
 	fmt.Println("shared (6 pooled disks/node), 1/8192 scale, 16 GB nodes:")
 	fmt.Println()
 	fmt.Printf("%-4s %-10s %12s %14s %14s\n", "", "layout", "runtime", "await (ms)", "avgrq-sz")
-	for _, wk := range []iochar.Workload{iochar.TS, iochar.AGG} {
+	for _, wk := range []core.Workload{core.TS, core.AGG} {
 		var base time.Duration
 		for _, shared := range []bool{false, true} {
-			rep, err := iochar.Run(wk, iochar.Factors{
-				Slots: iochar.Slots1x8, MemoryGB: 16, Compress: false,
-			}, iochar.Options{Scale: 8192, SharedDataDisks: shared})
+			rep, err := core.RunOne(wk, core.Factors{
+				Slots: core.Slots1x8, MemoryGB: 16, Compress: false,
+			}, core.Options{Scale: 8192, SharedDataDisks: shared})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,27 +6,34 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+
+	"iochar/internal/core"
+	"iochar/internal/report"
 )
 
 // goldenOpts is deliberately tiny: the golden test runs the full 20-cell
 // matrix three times (sequential, parallel, warm cache), so each cell must
 // be cheap. Byte-identity does not depend on scale.
-var goldenOpts = Options{Scale: 262144, Slaves: 3, MapTaskTarget: 8}
+var goldenOpts = core.Options{Scale: 262144, Slaves: 3, MapTaskTarget: 8}
 
 // renderAll regenerates every figure and table into one buffer — the exact
-// byte stream `iochar -all` writes to stdout.
-func renderAll(t *testing.T, s *Suite) []byte {
+// byte stream `iochar -all` writes to stdout, by the loop it runs.
+func renderAll(t *testing.T, s *core.Suite) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, n := range Figures() {
-		if err := RenderFigure(&buf, s, n); err != nil {
+	for _, n := range core.Figures() {
+		fd, err := s.Figure(n)
+		if err != nil {
 			t.Fatalf("figure %d: %v", n, err)
 		}
+		report.WriteFigure(&buf, fd)
 	}
-	for _, n := range Tables() {
-		if err := RenderTable(&buf, s, n); err != nil {
+	for _, n := range core.Tables() {
+		td, err := s.Table(n)
+		if err != nil {
 			t.Fatalf("table %d: %v", n, err)
 		}
+		report.WriteTable(&buf, td)
 	}
 	return buf.Bytes()
 }
@@ -37,24 +44,24 @@ func renderAll(t *testing.T, s *Suite) []byte {
 // warm persistent cache.
 func TestAllOutputByteIdenticalAcrossExecutors(t *testing.T) {
 	ctx := context.Background()
-	cells := len(MatrixCells())
+	cells := len(core.MatrixCells())
 	dir := t.TempDir()
 
-	seq := NewSuite(goldenOpts)
+	seq := core.NewSuite(goldenOpts)
 	seqOut := renderAll(t, seq)
 	if len(seqOut) == 0 {
 		t.Fatal("sequential render produced no output")
 	}
 
 	var parExec, parDisk atomic.Int64
-	par := NewSuite(goldenOpts,
-		WithParallelism(4),
-		WithCacheDir(dir),
-		WithProgress(func(ev ProgressEvent) {
+	par := core.NewSuite(goldenOpts,
+		core.WithParallelism(4),
+		core.WithCacheDir(dir),
+		core.WithProgress(func(ev core.ProgressEvent) {
 			switch ev.Source {
-			case SourceExecuted:
+			case core.SourceExecuted:
 				parExec.Add(1)
-			case SourceDisk:
+			case core.SourceDisk:
 				parDisk.Add(1)
 			}
 		}))
@@ -74,14 +81,14 @@ func TestAllOutputByteIdenticalAcrossExecutors(t *testing.T) {
 	}
 
 	var warmExec, warmDisk atomic.Int64
-	warm := NewSuite(goldenOpts,
-		WithParallelism(4),
-		WithCacheDir(dir),
-		WithProgress(func(ev ProgressEvent) {
+	warm := core.NewSuite(goldenOpts,
+		core.WithParallelism(4),
+		core.WithCacheDir(dir),
+		core.WithProgress(func(ev core.ProgressEvent) {
 			switch ev.Source {
-			case SourceExecuted:
+			case core.SourceExecuted:
 				warmExec.Add(1)
-			case SourceDisk:
+			case core.SourceDisk:
 				warmDisk.Add(1)
 			}
 		}))

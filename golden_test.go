@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"iochar/internal/bench"
@@ -31,7 +32,7 @@ const (
 // tiering disabled nothing in the device-model extraction may shift a single
 // byte of any figure or table.
 func TestGoldenAllOutput(t *testing.T) {
-	got := renderAll(t, NewSuite(goldenOpts))
+	got := renderAll(t, core.NewSuite(goldenOpts))
 	want := goldenOrUpdate(t, goldenAllFile, got)
 	if !bytes.Equal(got, want) {
 		t.Errorf("-all output diverged from golden (%d bytes, want %d)\n%s",
@@ -53,7 +54,7 @@ func TestGoldenBenchFingerprints(t *testing.T) {
 		{Scale: goldenOpts.Scale, Slaves: goldenOpts.Slaves, MapTaskTarget: goldenOpts.MapTaskTarget},
 		{Scale: 65536, Slaves: 4, MapTaskTarget: 24},
 	} {
-		for _, w := range append(core.PaperWorkloads(), core.Join) {
+		for _, w := range slices.Concat(core.WorkloadOrder, []core.Workload{core.Join}) {
 			rep, err := core.RunOne(w, core.SlotsRuns[0], opts)
 			if err != nil {
 				t.Fatalf("%s: %v", w, err)

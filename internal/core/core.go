@@ -601,8 +601,8 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 		rep.NameNode = fs.MasterStats()
 		rep.JobTracker = rt.MasterStats()
 	}
+	rep.Recovery = fs.RecoveryStats()
 	if inj != nil {
-		rep.Recovery = fs.RecoveryStats()
 		rep.FaultsInjected = inj.Fired()
 	}
 	return rep, nil

@@ -83,6 +83,25 @@ func TestHealthyPathMatchesSeedGolden(t *testing.T) {
 	}
 }
 
+// A scrubber needs no fault plan, and its run reports what it read. The
+// counters once lived in the recovery machinery only a plan switches on, so
+// a scrub-only run read every replica and reported zero.
+func TestScrubOnlyRunCountsItsScrubbing(t *testing.T) {
+	opts := tinyOpts
+	opts.ScrubRate = -1
+	rep, err := RunOne(TS, SlotsRuns[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := rep.Recovery
+	if rs.ScrubbedBlocks == 0 || rs.ScrubbedBytes == 0 {
+		t.Errorf("scrub-only run counted no scrubbing: %+v", rs)
+	}
+	if rs.ChecksumErrors != 0 || rs.CorruptReplicas != 0 || rep.FaultsInjected != nil {
+		t.Errorf("clean scrub-only run reports repair work: %+v", rs)
+	}
+}
+
 // tsFaultFactors is the cell the DataNode-loss experiment runs.
 var tsFaultFactors = Factors{Slots: Slots1x8, MemoryGB: 16, Compress: true}
 

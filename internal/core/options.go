@@ -105,10 +105,6 @@ func WithMasterRecovery() Option {
 // WithFaults injects a deterministic fault plan during the run.
 func WithFaults(plan faults.Plan) Option { return func(o *Options) { o.Faults = plan } }
 
-// WithSharedDataDisks pools HDFS and intermediate data on the same spindles
-// instead of the paper's dedicated 3+3 layout.
-func WithSharedDataDisks() Option { return func(o *Options) { o.SharedDataDisks = true } }
-
 // WithIntermediateTier selects the device class backing the
 // intermediate-data (spill/merge/shuffle) volumes: disk.ClassHDD keeps the
 // paper's all-mechanical layout, disk.ClassSSD provisions the MR volumes on

@@ -89,11 +89,3 @@ func ParseWorkload(s string) (Workload, error) {
 	}
 	return workloadInvalid, fmt.Errorf("core: unknown workload %q (want TS, AGG, KM, PR or JOIN)", s)
 }
-
-// PaperWorkloads returns the four paper workloads in the paper's figure
-// order (WorkloadOrder).
-func PaperWorkloads() []Workload {
-	out := make([]Workload, len(WorkloadOrder))
-	copy(out, WorkloadOrder)
-	return out
-}

@@ -92,14 +92,9 @@ func TestWorkloadJSONEncoding(t *testing.T) {
 	}
 }
 
-func TestPaperWorkloadsMatchesOrder(t *testing.T) {
-	ws := PaperWorkloads()
+func TestWorkloadOrderIsFigureOrder(t *testing.T) {
+	ws := WorkloadOrder
 	if len(ws) != 4 || ws[0] != AGG || ws[1] != TS || ws[2] != KM || ws[3] != PR {
-		t.Errorf("PaperWorkloads() = %v", ws)
-	}
-	// Defensive copy: mutating the return must not corrupt WorkloadOrder.
-	ws[0] = PR
-	if WorkloadOrder[0] != AGG {
-		t.Error("PaperWorkloads aliases WorkloadOrder")
+		t.Errorf("WorkloadOrder = %v", ws)
 	}
 }

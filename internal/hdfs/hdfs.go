@@ -88,6 +88,7 @@ type FS struct {
 	nextBlock  int64
 	place      int            // round-robin placement cursor
 	rec        *recoveryState // nil unless EnableRecovery was called
+	stats      RecoveryStats  // repair work, counted whether or not rec is set
 	integrity  bool           // per-chunk checksums verified on every read
 	scrub      *scrubState    // nil unless EnableScrubber was called
 	master     *masterState   // nil unless EnableMaster was called
@@ -164,9 +165,9 @@ func (fs *FS) netBlocked(client string) bool {
 // failures, charging the recovery stats; false means the budget is spent.
 func (fs *FS) netStall(p *sim.Proc, retry *sim.Retry) bool {
 	d, ok := retry.Stall(p)
-	if ok && fs.rec != nil {
-		fs.rec.stats.NetStalls++
-		fs.rec.stats.NetStallTime += d
+	if ok {
+		fs.stats.NetStalls++
+		fs.stats.NetStallTime += d
 	}
 	return ok
 }
@@ -514,8 +515,8 @@ func (w *Writer) flushBlock(p *sim.Proc) error {
 			if len(b.replicas) < b.want {
 				fs.enqueueUnderReplicated(b)
 			}
-			if attempt > 0 && fs.rec != nil {
-				fs.rec.stats.PipelineRetries += uint64(attempt)
+			if attempt > 0 {
+				fs.stats.PipelineRetries += uint64(attempt)
 			}
 			return nil
 		}
@@ -793,9 +794,7 @@ func (r *Reader) readBlockOnce(p *sim.Proc, b *blockMeta, off, length int64) (da
 			if errors.Is(err, netsim.ErrTransient) {
 				transient = true
 			}
-			if r.fs.rec != nil {
-				r.fs.rec.stats.ReadFailovers++
-			}
+			r.fs.stats.ReadFailovers++
 			continue
 		}
 		return data, false, nil

@@ -99,9 +99,7 @@ func (fs *FS) verifyRange(b *blockMeta, sb storedBlock, off, length int64) bool 
 	if fs.replicaClean(b, sb, off, length) {
 		return true
 	}
-	if fs.rec != nil {
-		fs.rec.stats.ChecksumErrors++
-	}
+	fs.stats.ChecksumErrors++
 	return false
 }
 
@@ -119,9 +117,7 @@ func (fs *FS) reportCorrupt(b *blockMeta, dn *DataNode) {
 		sb.vol.Delete(sb.file.Name())
 		delete(dn.blocks, b.id)
 	}
-	if fs.rec != nil {
-		fs.rec.stats.CorruptReplicas++
-	}
+	fs.stats.CorruptReplicas++
 	fs.strikeReplica(b, dn)
 }
 
@@ -260,10 +256,8 @@ func (fs *FS) scrubPass(p *sim.Proc, st *scrubState) {
 			}
 			h.SetStage(disk.StageScrub)
 			h.ReadAt(p, 0, b.size)
-			if fs.rec != nil {
-				fs.rec.stats.ScrubbedBlocks++
-				fs.rec.stats.ScrubbedBytes += uint64(b.size)
-			}
+			fs.stats.ScrubbedBlocks++
+			fs.stats.ScrubbedBytes += uint64(b.size)
 			if !fs.verifyWhole(b, sb) {
 				fs.reportCorrupt(b, dn)
 			}

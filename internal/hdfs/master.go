@@ -322,9 +322,7 @@ func (fs *FS) masterBlockReport(dn *DataNode) {
 		return
 	}
 	ms.reported[dn] = true
-	if fs.rec != nil {
-		fs.rec.stats.BlockReports++
-	}
+	fs.stats.BlockReports++
 	n := 0
 	for id := range dn.blocks {
 		if b := fs.blockByID[id]; b != nil && holdsReplica(b, dn) {

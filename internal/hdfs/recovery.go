@@ -63,7 +63,6 @@ type RecoveryStats struct {
 // recoveryState is the live recovery machinery hanging off an FS.
 type recoveryState struct {
 	cfg     RecoveryConfig
-	stats   RecoveryStats
 	queue   []*blockMeta // under-replicated blocks awaiting repair
 	queued  map[int64]bool
 	inWork  int       // copies currently in flight
@@ -165,14 +164,9 @@ func (fs *FS) startHeartbeat(dn *DataNode) {
 	})
 }
 
-// RecoveryStats returns a copy of the repair counters (zero value when
-// recovery was never enabled).
-func (fs *FS) RecoveryStats() RecoveryStats {
-	if fs.rec == nil {
-		return RecoveryStats{}
-	}
-	return fs.rec.stats
-}
+// RecoveryStats returns a copy of the repair counters; a run that fails,
+// corrupts and scrubs nothing leaves them all zero.
+func (fs *FS) RecoveryStats() RecoveryStats { return fs.stats }
 
 // CrashDataNode fail-stops the DataNode on the named cluster node: it stops
 // serving reads and write-pipeline hops immediately and stops heartbeating,
@@ -204,9 +198,7 @@ func (fs *FS) FailVolume(node string, vol *localfs.FS) {
 		panic("hdfs: FailVolume: no datanode on " + node)
 	}
 	vol.Fail()
-	if fs.rec != nil {
-		fs.rec.stats.FailedVolumes++
-	}
+	fs.stats.FailedVolumes++
 	for _, id := range slices.Sorted(maps.Keys(dn.blocks)) {
 		if dn.blocks[id].vol != vol {
 			continue
@@ -226,7 +218,7 @@ func (fs *FS) FailVolume(node string, vol *localfs.FS) {
 // the queue's order moves disk contention and so every later event.
 func (fs *FS) declareDead(dn *DataNode) {
 	dn.deadByNN = true
-	fs.rec.stats.DeadDataNodes++
+	fs.stats.DeadDataNodes++
 	for _, id := range slices.Sorted(maps.Keys(dn.blocks)) {
 		if b := fs.blockByID[id]; b != nil {
 			fs.dropReplica(b, dn)
@@ -245,9 +237,7 @@ func (fs *FS) dropReplica(b *blockMeta, dn *DataNode) {
 		}
 	}
 	if len(b.replicas) == 0 {
-		if fs.rec != nil {
-			fs.rec.stats.LostBlocks++
-		}
+		fs.stats.LostBlocks++
 		return
 	}
 	if len(b.replicas) < b.want {
@@ -270,7 +260,7 @@ func (fs *FS) dequeueRepair(b *blockMeta) {
 		}
 	}
 	delete(rec.queued, b.id)
-	rec.stats.CancelledRepairs++
+	fs.stats.CancelledRepairs++
 	rec.idle.Broadcast()
 }
 
@@ -322,7 +312,7 @@ func (fs *FS) replicationWorker(p *sim.Proc) {
 				// The block got back to target while queued — typically a
 				// rejoining node re-adopting the very replica whose loss
 				// queued the repair.
-				rec.stats.CancelledRepairs++
+				fs.stats.CancelledRepairs++
 			}
 			rec.idle.Broadcast()
 			continue
@@ -405,8 +395,8 @@ func (fs *FS) copyBlock(p *sim.Proc, b *blockMeta) (copied, retry bool) {
 	}
 	dst.blocks[b.id] = storedBlock{file: f, vol: f.FS()}
 	b.replicas = append(b.replicas, dst)
-	fs.rec.stats.ReReplicatedBlocks++
-	fs.rec.stats.ReReplicatedBytes += uint64(b.size)
+	fs.stats.ReReplicatedBlocks++
+	fs.stats.ReReplicatedBytes += uint64(b.size)
 	return true, false
 }
 

@@ -48,9 +48,7 @@ func (fs *FS) RejoinDataNode(p *sim.Proc, node string) {
 func (fs *FS) reregister(p *sim.Proc, dn *DataNode) {
 	dn.deadByNN = false
 	dn.lastBeat = p.Now()
-	if fs.rec != nil {
-		fs.rec.stats.BlockReports++
-	}
+	fs.stats.BlockReports++
 
 	old := dn.blocks
 	dn.blocks = make(map[int64]storedBlock)
@@ -107,9 +105,7 @@ func (fs *FS) strikeReplica(b *blockMeta, dn *DataNode) {
 func (fs *FS) reconcileReported(dn *DataNode, vol *localfs.FS, name string, id int64, old map[int64]storedBlock) {
 	purge := func() {
 		vol.Delete(name)
-		if fs.rec != nil {
-			fs.rec.stats.StaleReplicasPurged++
-		}
+		fs.stats.StaleReplicasPurged++
 	}
 	b := fs.blockByID[id]
 	if b == nil || b.gone {
@@ -144,9 +140,7 @@ func (fs *FS) reconcileReported(dn *DataNode, vol *localfs.FS, name string, id i
 	if !holdsLanded(b, dn) {
 		b.landed = append(b.landed, dn)
 	}
-	if fs.rec != nil {
-		fs.rec.stats.ReAdoptedReplicas++
-	}
+	fs.stats.ReAdoptedReplicas++
 	if len(b.replicas) >= b.want {
 		// Re-adoption restored the target factor: strike the pending
 		// re-replication queued when the node bounced inside its own

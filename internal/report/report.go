@@ -203,23 +203,26 @@ func JobSummary(w io.Writer, rep *core.RunReport) {
 				jt.Stalls, jt.StallTime, jt.MissedEvents, jt.ZombieOutputs)
 		}
 	}
+	rs := rep.Recovery
 	if len(rep.FaultsInjected) > 0 {
 		fmt.Fprintf(w, "  faults injected:\n")
 		for _, ev := range rep.FaultsInjected {
 			fmt.Fprintf(w, "    %s\n", ev)
 		}
-		rs := rep.Recovery
 		fmt.Fprintf(w, "  HDFS recovery: %d block(s) / %s re-replicated, %d dead DataNode(s), %d failed volume(s), %d lost block(s), %d read failover(s), %d pipeline retries\n",
 			rs.ReReplicatedBlocks, mb(int64(rs.ReReplicatedBytes)), rs.DeadDataNodes,
 			rs.FailedVolumes, rs.LostBlocks, rs.ReadFailovers, rs.PipelineRetries)
-		if rs.ChecksumErrors+rs.ScrubbedBlocks > 0 || rs.CorruptReplicas > 0 {
-			fmt.Fprintf(w, "  integrity    : %d checksum error(s), %d corrupt replica(s) repaired, %d replica(s) / %s scrubbed\n",
-				rs.ChecksumErrors, rs.CorruptReplicas, rs.ScrubbedBlocks, mb(int64(rs.ScrubbedBytes)))
-		}
-		if rs.BlockReports > 0 {
-			fmt.Fprintf(w, "  rejoin       : %d block report(s), %d replica(s) re-adopted, %d stale purged, %d queued repair(s) cancelled\n",
-				rs.BlockReports, rs.ReAdoptedReplicas, rs.StaleReplicasPurged, rs.CancelledRepairs)
-		}
+	}
+	// A scrubber runs without a fault plan, so its line does not wait for one.
+	if rs.ChecksumErrors+rs.ScrubbedBlocks > 0 || rs.CorruptReplicas > 0 {
+		fmt.Fprintf(w, "  integrity    : %d checksum error(s), %d corrupt replica(s) repaired, %d replica(s) / %s scrubbed\n",
+			rs.ChecksumErrors, rs.CorruptReplicas, rs.ScrubbedBlocks, mb(int64(rs.ScrubbedBytes)))
+	}
+	if rs.BlockReports > 0 {
+		fmt.Fprintf(w, "  rejoin       : %d block report(s), %d replica(s) re-adopted, %d stale purged, %d queued repair(s) cancelled\n",
+			rs.BlockReports, rs.ReAdoptedReplicas, rs.StaleReplicasPurged, rs.CancelledRepairs)
+	}
+	if len(rep.FaultsInjected) > 0 {
 		var reexec, retries, failed int64
 		for _, j := range rep.Jobs {
 			reexec += j.ReExecutedMaps

@@ -5,18 +5,20 @@ import (
 	"testing"
 
 	"iochar/internal/bench"
+	"iochar/internal/core"
+	"iochar/internal/disk"
 )
 
 // tierOpts is sized so the heterogeneous fleet scales strictly: at 16384
 // both the 1 TB spindles and the 800 GB flash drive stay above the
 // MinSectors floor.
-func tierOpts(extra ...Option) Options {
-	return NewOptions(append([]Option{
-		WithScale(16384), WithSlaves(3), WithMapTaskTarget(8),
+func tierOpts(extra ...core.Option) core.Options {
+	return core.NewOptions(append([]core.Option{
+		core.WithScale(16384), core.WithSlaves(3), core.WithMapTaskTarget(8),
 	}, extra...)...)
 }
 
-var tierFactors = Factors{Slots: Slots1x8, MemoryGB: 16, Compress: true}
+var tierFactors = core.Factors{Slots: core.Slots1x8, MemoryGB: 16, Compress: true}
 
 // TestTieredRunClassGroupsAndAwaitCollapse runs TeraSort all-mechanical and
 // with the flash intermediate tier: the tiered report must carry the
@@ -26,7 +28,7 @@ var tierFactors = Factors{Slots: Slots1x8, MemoryGB: 16, Compress: true}
 // fingerprints must differ: a different device model under the intermediate
 // volumes changes the simulated outcome by design.
 func TestTieredRunClassGroupsAndAwaitCollapse(t *testing.T) {
-	base, err := Run(TS, tierFactors, tierOpts())
+	base, err := core.RunOne(core.TS, tierFactors, tierOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestTieredRunClassGroupsAndAwaitCollapse(t *testing.T) {
 		t.Errorf("untiered run reported extra iostat groups: %v", base.Groups)
 	}
 
-	tiered, err := Run(TS, tierFactors, tierOpts(WithIntermediateTier(TierSSD)))
+	tiered, err := core.RunOne(core.TS, tierFactors, tierOpts(core.WithIntermediateTier(disk.ClassSSD)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +67,9 @@ func TestTieredRunClassGroupsAndAwaitCollapse(t *testing.T) {
 // device class to the capacity floor is an error, not a silent
 // equalization of the two capacities.
 func TestTieredRunRejectsClampingScale(t *testing.T) {
-	_, err := Run(TS, tierFactors, NewOptions(
-		WithScale(262144), WithSlaves(3), WithMapTaskTarget(8),
-		WithIntermediateTier(TierSSD)))
+	_, err := core.RunOne(core.TS, tierFactors, core.NewOptions(
+		core.WithScale(262144), core.WithSlaves(3), core.WithMapTaskTarget(8),
+		core.WithIntermediateTier(disk.ClassSSD)))
 	if err == nil {
 		t.Fatal("tiered run at a clamping scale must fail")
 	}
@@ -78,22 +80,23 @@ func TestTieredRunRejectsClampingScale(t *testing.T) {
 
 // Pooled spindles cannot be two device classes (cluster.New refuses it).
 func TestTieredRunRejectsSharedDataDisks(t *testing.T) {
-	_, err := Run(TS, tierFactors, tierOpts(
-		WithSharedDataDisks(), WithIntermediateTier(TierSSD)))
+	opts := tierOpts(core.WithIntermediateTier(disk.ClassSSD))
+	opts.SharedDataDisks = true
+	_, err := core.RunOne(core.TS, tierFactors, opts)
 	if err == nil || !strings.Contains(err.Error(), "SharedDataDisks") {
 		t.Errorf("want SharedDataDisks conflict error, got: %v", err)
 	}
 }
 
-// ParseTier mirrors the CLI -tier flag values.
+// disk.ParseClass reads the CLI -tier flag values.
 func TestParseTier(t *testing.T) {
-	if c, err := ParseTier("ssd"); err != nil || c != TierSSD {
-		t.Errorf("ParseTier(ssd) = %v, %v", c, err)
+	if c, err := disk.ParseClass("ssd"); err != nil || c != disk.ClassSSD {
+		t.Errorf("ParseClass(ssd) = %v, %v", c, err)
 	}
-	if c, err := ParseTier("hdd"); err != nil || c != TierHDD {
-		t.Errorf("ParseTier(hdd) = %v, %v", c, err)
+	if c, err := disk.ParseClass("hdd"); err != nil || c != disk.ClassHDD {
+		t.Errorf("ParseClass(hdd) = %v, %v", c, err)
 	}
-	if _, err := ParseTier("nvme"); err == nil {
-		t.Error("ParseTier must reject unknown classes")
+	if _, err := disk.ParseClass("nvme"); err == nil {
+		t.Error("ParseClass must reject unknown classes")
 	}
 }
