@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"os/signal"
@@ -122,24 +123,7 @@ func main() {
 	report.JobSummary(os.Stdout, rep)
 
 	fmt.Println("\niostat (mean over busy intervals / peak):")
-	fmt.Printf("  %-10s %16s %16s %14s %12s %14s\n",
-		"group", "rMB/s", "wMB/s", "%util", "await(ms)", "avgrq-sz")
-	printGroup := func(name string, r *iostat.Report) {
-		fmt.Printf("  %-10s %7.1f / %6.1f %7.1f / %6.1f %6.1f / %5.1f %5.2f / %4.1f %7.0f / %5.0f\n",
-			name,
-			r.RMBs.MeanNonzero(), r.RMBs.Max(),
-			r.WMBs.MeanNonzero(), r.WMBs.Max(),
-			r.Util.MeanNonzero(), r.Util.Max(),
-			r.AwaitMs.MeanNonzero(), r.AwaitMs.Max(),
-			r.AvgrqSz.MeanNonzero(), r.AvgrqSz.Max())
-	}
-	printGroup("HDFS", rep.HDFS)
-	printGroup("MapReduce", rep.MR)
-	// Every other group in name order: fault splits, the per-class split of
-	// a tiered run, the master's metadata disks.
-	for _, n := range slices.Sorted(maps.Keys(rep.Groups)) {
-		printGroup(n, rep.Groups[n])
-	}
+	writeIostat(os.Stdout, rep)
 	if testbed.Hist {
 		fmt.Println()
 		td, err := s.LatencyTable(cell)
@@ -152,5 +136,33 @@ func main() {
 	if phys != nil {
 		fmt.Println()
 		report.WriteTable(os.Stdout, phys.Table())
+	}
+}
+
+// writeIostat prints one row per disk group: HDFS, MapReduce, then every
+// other group in name order (fault splits, the per-class split of a tiered
+// run, the master's metadata disks). The name column is as wide as the
+// widest name, and never narrower than the 10 a plain run's names fit in.
+func writeIostat(w io.Writer, rep *core.RunReport) {
+	names := []string{"HDFS", "MapReduce"}
+	groups := []*iostat.Report{rep.HDFS, rep.MR}
+	for _, n := range slices.Sorted(maps.Keys(rep.Groups)) {
+		names = append(names, n)
+		groups = append(groups, rep.Groups[n])
+	}
+	width := 10
+	for _, n := range names {
+		width = max(width, len(n))
+	}
+	fmt.Fprintf(w, "  %-*s %16s %16s %14s %12s %14s\n",
+		width, "group", "rMB/s", "wMB/s", "%util", "await(ms)", "avgrq-sz")
+	for i, r := range groups {
+		fmt.Fprintf(w, "  %-*s %7.1f / %6.1f %7.1f / %6.1f %6.1f / %5.1f %5.2f / %4.1f %7.0f / %5.0f\n",
+			width, names[i],
+			r.RMBs.MeanNonzero(), r.RMBs.Max(),
+			r.WMBs.MeanNonzero(), r.WMBs.Max(),
+			r.Util.MeanNonzero(), r.Util.Max(),
+			r.AwaitMs.MeanNonzero(), r.AwaitMs.Max(),
+			r.AvgrqSz.MeanNonzero(), r.AvgrqSz.Max())
 	}
 }

@@ -139,8 +139,8 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 	// node's or failed volume's cache legitimately holds unwritten data,
 	// exactly as powered-off hardware would. The master's metadata volumes
 	// (present only under master recovery) are held to the same standard:
-	// journal rolls must not leak extents, and MasterFlush+SyncAll must have
-	// left nothing dirty.
+	// journal rolls must not leak extents, and the logs' Flush plus SyncAll
+	// must have left nothing dirty.
 	for _, n := range slices.Concat(cl.Slaves, []*cluster.Node{cl.Master}) {
 		for _, v := range n.Vols {
 			a.LeakedSectors += v.LeakedExtents()

@@ -45,8 +45,8 @@ var (
 	hdfsAbove90  = probe{"HDFS % of disk-intervals >90 %util", func(r *RunReport) float64 { return 100 * r.HDFS.UtilPool.FracAbove(90) }}
 	mrAbove90    = probe{"MR % of disk-intervals >90 %util", func(r *RunReport) float64 { return 100 * r.MR.UtilPool.FracAbove(90) }}
 	cpuUtil      = probe{"CPU %util (run mean)", func(r *RunReport) float64 { return r.CPUUtil.Mean() }}
-	famBase      = family{famSlots.key, SlotsRuns[:1]}   // the baseline cell alone
-	famMem16     = family{famMemory.key, MemoryRuns[:1]} // the 16 GB cell alone
+	famBase      = family{SlotsRuns[:1], famSlots.label}   // the baseline cell alone
+	famMem16     = family{MemoryRuns[:1], famMemory.label} // the 16 GB cell alone
 )
 
 // speculativeSplits is the HDFS read volume, in MB, that speculative backup
@@ -66,7 +66,7 @@ type val struct {
 	p   probe
 }
 
-func (v val) label() string { return v.w.String() + "_" + FactorLabel(v.fam.key, v.f) }
+func (v val) label() string { return v.w.String() + "_" + v.fam.label(v.f) }
 
 // vals reads p on every cell of fam for each workload, in order.
 func vals(fam family, p probe, ws ...Workload) []val {

@@ -522,8 +522,10 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 				inj.Stop()
 				fs.StopRecovery()
 			}
-			fs.StopMaster()
-			rt.StopMaster()
+			if masterOn {
+				fs.Master().Stop()
+				rt.Master().Stop()
+			}
 		}()
 		start := p.Now()
 		jobs, err := wl.Run(p, rt, fs, cl)
@@ -559,9 +561,11 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 			fs.WaitRecovered(p)
 		}
 		// Drain pending journal bytes so iostat and the audit account the
-		// full metadata stream (no-ops without the master layers).
-		fs.MasterFlush(p)
-		rt.MasterFlush(p)
+		// full metadata stream.
+		if masterOn {
+			fs.Master().Flush(p)
+			rt.Master().Flush(p)
+		}
 		cl.SyncAll(p) // flush caches so iostat sees all writes
 		rep.Jobs = jobs
 		rep.Wall = p.Now() - start
@@ -682,20 +686,3 @@ var (
 		{Slots: Slots1x8, MemoryGB: 32, Compress: true},
 	}
 )
-
-// FactorLabel names a factor level for display ("1_8"/"2_16", "16G"/"32G",
-// "off"/"on") by experiment family.
-func FactorLabel(family string, f Factors) string {
-	switch family {
-	case "slots":
-		return f.Slots.Name
-	case "memory":
-		return fmt.Sprintf("%dG", f.MemoryGB)
-	case "compress":
-		if f.Compress {
-			return "on"
-		}
-		return "off"
-	}
-	return "?"
-}

@@ -204,14 +204,17 @@ func TestTables67Shape(t *testing.T) {
 
 func TestFactorLabel(t *testing.T) {
 	f := Factors{Slots: Slots2x16, MemoryGB: 16, Compress: true}
-	cases := map[string]string{"slots": "2_16", "memory": "16G", "compress": "on"}
-	for fam, want := range cases {
-		if got := FactorLabel(fam, f); got != want {
-			t.Errorf("FactorLabel(%s) = %s, want %s", fam, got, want)
+	cases := map[string]struct {
+		fam  family
+		want string
+	}{"slots": {famSlots, "2_16"}, "memory": {famMemory, "16G"}, "compress": {famCompress, "on"}}
+	for name, c := range cases {
+		if got := c.fam.label(f); got != c.want {
+			t.Errorf("%s label = %s, want %s", name, got, c.want)
 		}
 	}
-	if FactorLabel("bogus", f) != "?" {
-		t.Error("unknown family should be ?")
+	if got := famCompress.label(Factors{}); got != "off" {
+		t.Errorf("compress label of an uncompressed cell = %s, want off", got)
 	}
 }
 

@@ -60,16 +60,22 @@ var (
 	metricRqSz  = metric{"Avg Size of I/O Requests", "sectors (avgrq-sz)", func(r *iostat.Report) *stats.Series { return r.AvgrqSz }}
 )
 
-// family bundles an experiment family's runs with its display naming.
+// family bundles an experiment family's runs with how it names a level
+// for display ("1_8"/"2_16", "16G"/"32G", "off"/"on").
 type family struct {
-	key  string
-	runs []Factors
+	runs  []Factors
+	label func(Factors) string
 }
 
 var (
-	famSlots    = family{"slots", SlotsRuns}
-	famMemory   = family{"memory", MemoryRuns}
-	famCompress = family{"compress", CompressRuns}
+	famSlots    = family{SlotsRuns, func(f Factors) string { return f.Slots.Name }}
+	famMemory   = family{MemoryRuns, func(f Factors) string { return fmt.Sprintf("%dG", f.MemoryGB) }}
+	famCompress = family{CompressRuns, func(f Factors) string {
+		if f.Compress {
+			return "on"
+		}
+		return "off"
+	}}
 )
 
 // scenario selects a disk group from a run report.
@@ -95,7 +101,7 @@ func (s *Suite) panel(fam family, m metric, sc scenario) (Panel, error) {
 			}
 			series := m.sel(sc.sel(rep))
 			row := SeriesRow{
-				Label:    wkey.String() + "_" + FactorLabel(fam.key, f),
+				Label:    wkey.String() + "_" + fam.label(f),
 				Mean:     series.Mean(),
 				MeanBusy: series.MeanNonzero(),
 				Peak:     series.Max(),

@@ -32,7 +32,7 @@ func runTSMasters(t *testing.T, planStr string) *tsOutcome {
 		if base != nil {
 			base(p, fs, cl)
 		}
-		if !reflect.DeepEqual(fs.LiveNamespace(), fs.MasterReplayNamespace()) {
+		if !reflect.DeepEqual(fs.LiveNamespace(), fs.Master().Replayed()) {
 			t.Error("replayed NameNode state diverges from the live namespace at end of run")
 		}
 		for _, path := range fs.List("/bench/TS/out/") {

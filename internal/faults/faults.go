@@ -777,8 +777,8 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 		}
 	}
 	switch k := ev.Kind; {
-	case k == RestartNameNode && (in.fs == nil || !in.fs.MasterEnabled()),
-		k == RestartJobTracker && (in.rt == nil || !in.rt.MasterEnabled()):
+	case k == RestartNameNode && (in.fs == nil || in.fs.Master() == nil),
+		k == RestartJobTracker && (in.rt == nil || in.rt.Master() == nil):
 		return nil, nil, fmt.Errorf("faults: %s needs master recovery enabled (core.WithMasterRecovery)", k)
 	case (k == KillNode || k == RestartNode) && (in.fs == nil || in.rt == nil):
 		return nil, nil, fmt.Errorf("faults: %s without HDFS and MapReduce instances", k)
@@ -789,9 +789,9 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 	}
 	switch ev.Kind {
 	case RestartNameNode:
-		fire, heal = in.restart(ev, in.fs.CrashNameNode, in.fs.RestartNameNode)
+		fire, heal = in.restart(ev, in.fs.Master().Crash, in.fs.RestartNameNode)
 	case RestartJobTracker:
-		fire, heal = in.restart(ev, in.rt.CrashJobTracker, in.rt.RestartJobTracker)
+		fire, heal = in.restart(ev, in.rt.Master().Crash, in.rt.RestartJobTracker)
 	case KillDataNode, RestartDataNode:
 		// Only the DataNode process dies: volumes, page cache, NIC and
 		// TaskTracker stay up, and the restart sends a block report.

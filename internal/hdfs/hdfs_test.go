@@ -533,7 +533,7 @@ func TestWriterRefusesUseAfterClose(t *testing.T) {
 	env, c, fs := masterRig(t, 3, MasterConfig{})
 	bs := int(fs.cfg.BlockSize)
 	env.Go("client", func(p *sim.Proc) {
-		defer fs.StopMaster()
+		defer fs.Master().Stop()
 		w := fs.CreateWith("/f", c.Slaves[0].Name, 0)
 		if err := w.Write(p, pattern(bs/2)); err != nil {
 			t.Fatal(err)

@@ -1,10 +1,11 @@
 // NameNode mortality: the master's metadata made durable and its process
 // made killable. Every namespace mutation appends an edit record to the
 // NameNode's write-ahead log (internal/journal, which owns the journal and
-// fsimage files, the daemons, crash/restart and the client stall); this file
-// owns what is the NameNode's alone — the edit-record and fsimage codecs,
-// the replay that rebuilds the namespace from their bytes (applyEdit),
-// writer leases, and block-report safe mode after a restart.
+// fsimage files, the daemons, crash/restart with the replay and its check
+// against live state, and the client stall); this file owns what is the
+// NameNode's alone — the edit-record and fsimage codecs, the step a replay
+// applies each record with (applyEdit), writer leases, and block-report safe
+// mode after a restart.
 //
 // None of this exists unless EnableMaster is called: a run without master
 // recovery allocates no metadata volume, journals nothing, and stays
@@ -90,7 +91,7 @@ type lease struct {
 // masterState is the live NameNode-durability machinery hanging off an FS.
 type masterState struct {
 	cfg    MasterConfig
-	log    *journal.Log[editRec]
+	log    *journal.Log[editRec, NamespaceSnapshot]
 	leases map[string]*lease
 
 	safeMode         bool
@@ -126,7 +127,8 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 		reported: make(map[*DataNode]bool),
 	}
 	fs.master = ms
-	ms.log = journal.New(fs.env, vol, journal.Spec[editRec]{
+	ms.log = journal.New(fs.env, vol, journal.Spec[editRec, NamespaceSnapshot]{
+		Master:         "hdfs: NameNode",
 		JournalFile:    "nn_edits",
 		ImageFile:      "nn_fsimage",
 		Stage:          disk.StageMeta,
@@ -134,7 +136,10 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 		CheckpointProc: "namenode-checkpoint",
 		Render:         renderEdit,
 		Parse:          parseEdit,
-		Image:          func() []byte { return renderImage(fs.LiveNamespace()) },
+		Live:           fs.LiveNamespace,
+		Apply:          applyEdit,
+		RenderImage:    renderImage,
+		ParseImage:     parseImage,
 		// No checkpoint in safe mode (the namespace is not yet trusted), and
 		// writers that stopped renewing are sealed before the image is cut.
 		Tick: func(now time.Duration) bool {
@@ -147,8 +152,15 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 	}, cfg.Journal)
 }
 
-// MasterEnabled reports whether EnableMaster has been called.
-func (fs *FS) MasterEnabled() bool { return fs.master != nil }
+// Master is the NameNode's write-ahead log, nil unless EnableMaster was
+// called: the run driver flushes and stops it, the fault injector crashes
+// it.
+func (fs *FS) Master() *journal.Log[editRec, NamespaceSnapshot] {
+	if fs.master == nil {
+		return nil
+	}
+	return fs.master.log
+}
 
 // MasterStats returns a copy of the NameNode durability counters (zero
 // value when the master layer is not enabled).
@@ -190,15 +202,6 @@ func parseEdit(line string) (r editRec, err error) {
 	return r, err
 }
 
-// MasterFlush synchronously drains the pending edit records to disk. The
-// run driver calls it before the final cache sync so a run's journal bytes
-// are fully accounted.
-func (fs *FS) MasterFlush(p *sim.Proc) {
-	if fs.master != nil {
-		fs.master.log.Flush(p)
-	}
-}
-
 // renderImage serializes a namespace snapshot deterministically.
 func renderImage(snap NamespaceSnapshot) []byte {
 	var buf []byte
@@ -234,51 +237,20 @@ func parseImage(image []byte) (NamespaceSnapshot, error) {
 	return snap, nil
 }
 
-// replayNamespace is a restarting NameNode's rebuild: the fsimage with the
-// journal records after it applied.
-func replayNamespace(image []byte, records []editRec) NamespaceSnapshot {
-	snap, err := parseImage(image)
-	if err != nil {
-		panic(err)
-	}
-	for _, r := range records {
-		applyEdit(snap, r)
-	}
-	return snap
-}
-
-// CrashNameNode fail-stops the NameNode process: clients stall, heartbeats
-// go unheard, and no metadata is journaled until RestartNameNode. The
-// metadata volume itself survives (the journal is already durable). Safe to
-// call from a fault injector's inline timer callback — it never blocks.
-func (fs *FS) CrashNameNode() {
-	ms := fs.master
-	if ms == nil {
-		panic("hdfs: CrashNameNode without EnableMaster")
-	}
-	ms.log.Crash()
-}
-
-// NameNodeDown reports whether the NameNode is currently crashed.
-func (fs *FS) NameNodeDown() bool {
-	ms := fs.master
-	return ms != nil && ms.log.Down()
-}
-
 // RestartNameNode brings the NameNode back: it replays checkpoint+journal
 // off the metadata disk (charged as a sequential read), checks the
-// namespace rebuilt from those bytes against the live one, recovers the leases
-// of writers whose nodes died during the outage, and — when failure
-// detection is running — enters safe mode until enough replicas are
-// re-confirmed by block reports. Heartbeat timestamps are reset so the
-// outage itself cannot read as a cluster-wide dead timeout.
+// namespace rebuilt from those bytes against the live one (both in
+// journal.Log.Restart), recovers the leases of writers whose nodes died
+// during the outage, and — when failure detection is running — enters
+// safe mode until enough replicas are re-confirmed by block reports.
+// Heartbeat timestamps are reset so the outage itself cannot read as a
+// cluster-wide dead timeout.
 func (fs *FS) RestartNameNode(p *sim.Proc) {
 	ms := fs.master
 	if ms == nil || !ms.log.Down() {
 		return
 	}
-	ms.log.Restart(p, func(image []byte, records []editRec) {
-		journal.Check("hdfs: NameNode", renderImage(replayNamespace(image, records)), renderImage(fs.LiveNamespace()))
+	ms.log.Restart(p, func() {
 		now := p.Now()
 		// Leases: a writer on a dead node can never renew — seal its file now
 		// so readers (and re-executed task attempts) are not wedged behind it.
@@ -379,15 +351,6 @@ func (fs *FS) WaitMasterReady(p *sim.Proc) {
 	}
 }
 
-// StopMaster shuts the durability machinery down; daemons exit at their
-// next tick and stalled clients unblock. Pending edit bytes are abandoned
-// unless MasterFlush ran first.
-func (fs *FS) StopMaster() {
-	if fs.master != nil {
-		fs.master.log.Stop()
-	}
-}
-
 // Lease bookkeeping, called from the namespace mutation paths.
 
 func (fs *FS) grantLease(path, client string) {
@@ -482,19 +445,8 @@ func (fs *FS) LiveNamespace() NamespaceSnapshot {
 	return snap
 }
 
-// MasterReplayNamespace rebuilds the namespace a NameNode restarting now
-// would: the fsimage and journal bytes on its volume, plus the records not
-// yet flushed, through the code RestartNameNode runs. Equality with
-// LiveNamespace is the durability invariant.
-func (fs *FS) MasterReplayNamespace() NamespaceSnapshot {
-	ms := fs.master
-	if ms == nil {
-		panic("hdfs: MasterReplayNamespace without EnableMaster")
-	}
-	return replayNamespace(ms.log.Peek())
-}
-
-func applyEdit(snap NamespaceSnapshot, r editRec) {
+// applyEdit is a replay's step: one edit record applied to a namespace.
+func applyEdit(snap NamespaceSnapshot, r editRec) NamespaceSnapshot {
 	switch r.op {
 	case opCreate:
 		snap[r.path] = &FileRecord{Open: true}
@@ -510,4 +462,5 @@ func applyEdit(snap NamespaceSnapshot, r editRec) {
 	case opDelete:
 		delete(snap, r.path)
 	}
+	return snap
 }

@@ -32,12 +32,12 @@ func masterRig(t *testing.T, nSlaves int, cfg MasterConfig) (*sim.Env, *cluster.
 func TestMasterReplayEquivalence(t *testing.T) {
 	env, c, fs := masterRig(t, 4, MasterConfig{})
 	check := func(stage string) {
-		if !reflect.DeepEqual(fs.LiveNamespace(), fs.MasterReplayNamespace()) {
+		if !reflect.DeepEqual(fs.LiveNamespace(), fs.Master().Replayed()) {
 			t.Errorf("%s: replayed namespace diverges from live state", stage)
 		}
 	}
 	env.Go("client", func(p *sim.Proc) {
-		defer fs.StopMaster()
+		defer fs.Master().Stop()
 		w := fs.CreateWith("/a", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(150_000))
 		w.Close(p)
@@ -62,7 +62,7 @@ func TestMasterReplayEquivalence(t *testing.T) {
 func TestMasterCheckpointRollsJournal(t *testing.T) {
 	env, c, fs := masterRig(t, 4, MasterConfig{Journal: journal.Config{CheckpointInterval: 50 * time.Millisecond}})
 	env.Go("client", func(p *sim.Proc) {
-		defer fs.StopMaster()
+		defer fs.Master().Stop()
 		w := fs.CreateWith("/ck", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(100_000))
 		w.Close(p)
@@ -74,7 +74,7 @@ func TestMasterCheckpointRollsJournal(t *testing.T) {
 		w2 := fs.CreateWith("/post", c.Slaves[1].Name, 0)
 		w2.Write(p, pattern(40_000))
 		w2.Close(p)
-		if !reflect.DeepEqual(fs.LiveNamespace(), fs.MasterReplayNamespace()) {
+		if !reflect.DeepEqual(fs.LiveNamespace(), fs.Master().Replayed()) {
 			t.Error("image+journal replay diverges after a checkpoint")
 		}
 	})
@@ -91,23 +91,23 @@ func TestNameNodeKillReplayDiff(t *testing.T) {
 	var preCrash NamespaceSnapshot
 	var restartAt, closedAt time.Duration
 	env.Go("writer", func(p *sim.Proc) {
-		defer fs.StopMaster()
+		defer fs.Master().Stop()
 		w := fs.CreateWith("/w", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(20_000))
 		p.Sleep(5 * time.Millisecond) // the crash lands here, mid-file
 		w.Write(p, pattern(20_000))   // block allocation stalls on the outage
 		w.Close(p)
 		closedAt = p.Now()
-		if !reflect.DeepEqual(fs.LiveNamespace(), fs.MasterReplayNamespace()) {
+		if !reflect.DeepEqual(fs.LiveNamespace(), fs.Master().Replayed()) {
 			t.Error("replayed namespace diverges after the bounce")
 		}
 	})
 	env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
 		preCrash = fs.LiveNamespace()
-		fs.CrashNameNode()
-		if !fs.NameNodeDown() {
-			t.Error("CrashNameNode left the master serving")
+		fs.Master().Crash()
+		if !fs.Master().Down() {
+			t.Error("Crash left the NameNode serving")
 		}
 		p.Sleep(20 * time.Millisecond)
 		fs.RestartNameNode(p)
@@ -138,7 +138,7 @@ func TestLeaseExpirySealsAbandonedFile(t *testing.T) {
 		LeaseTimeout: 30 * time.Millisecond,
 	})
 	env.Go("client", func(p *sim.Proc) {
-		defer fs.StopMaster()
+		defer fs.Master().Stop()
 		w := fs.CreateWith("/abandoned", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(40_000)) // flushes blocks; never closed
 		p.Sleep(100 * time.Millisecond)
@@ -149,7 +149,7 @@ func TestLeaseExpirySealsAbandonedFile(t *testing.T) {
 		if fs.files["/abandoned"].open {
 			t.Error("file still open after its lease expired")
 		}
-		if !reflect.DeepEqual(fs.LiveNamespace(), fs.MasterReplayNamespace()) {
+		if !reflect.DeepEqual(fs.LiveNamespace(), fs.Master().Replayed()) {
 			t.Error("replayed namespace diverges after lease recovery")
 		}
 	})
@@ -164,12 +164,12 @@ func TestRestartRecoversDeadWritersLease(t *testing.T) {
 	fs.EnableRecovery(RecoveryConfig{HeartbeatInterval: time.Millisecond, DeadTimeout: 5 * time.Millisecond})
 	env.Go("driver", func(p *sim.Proc) {
 		defer func() {
-			fs.StopMaster()
+			fs.Master().Stop()
 			fs.StopRecovery()
 		}()
 		w := fs.CreateWith("/dead-writer", c.Slaves[2].Name, 0)
 		w.Write(p, pattern(40_000))
-		fs.CrashNameNode()
+		fs.Master().Crash()
 		fs.CrashDataNode(c.Slaves[2].Name)
 		p.Sleep(10 * time.Millisecond)
 		fs.RestartNameNode(p)
@@ -180,7 +180,7 @@ func TestRestartRecoversDeadWritersLease(t *testing.T) {
 		if fs.MasterStats().LeaseRecoveries == 0 {
 			t.Error("no lease recovery recorded for the dead writer")
 		}
-		if !reflect.DeepEqual(fs.LiveNamespace(), fs.MasterReplayNamespace()) {
+		if !reflect.DeepEqual(fs.LiveNamespace(), fs.Master().Replayed()) {
 			t.Error("replayed namespace diverges after dead-writer lease recovery")
 		}
 	})
@@ -197,13 +197,13 @@ func TestSafeModeExitThreshold(t *testing.T) {
 	fs.EnableRecovery(RecoveryConfig{HeartbeatInterval: 10 * time.Second, DeadTimeout: 100 * time.Second})
 	env.Go("driver", func(p *sim.Proc) {
 		defer func() {
-			fs.StopMaster()
+			fs.Master().Stop()
 			fs.StopRecovery()
 		}()
 		w := fs.CreateWith("/sm", c.Slaves[0].Name, 0)
 		w.Write(p, pattern(200_000))
 		w.Close(p)
-		fs.CrashNameNode()
+		fs.Master().Crash()
 		p.Sleep(time.Millisecond)
 		fs.RestartNameNode(p)
 		ms := fs.master

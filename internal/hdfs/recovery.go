@@ -139,7 +139,7 @@ func (fs *FS) startHeartbeat(dn *DataNode) {
 			if rec.stopped || dn.crashed || dn.beatGen != gen {
 				return
 			}
-			if fs.NameNodeDown() {
+			if ms := fs.master; ms != nil && ms.log.Down() {
 				continue // nobody is listening; the beat goes unheard
 			}
 			if fs.masterNode != "" && !fs.net.Reachable(dn.node.Name, fs.masterNode) {

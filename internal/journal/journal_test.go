@@ -11,14 +11,17 @@ import (
 	"iochar/internal/sim"
 )
 
-// The toy master: its records are ints, its live state their sum, its image
-// that sum in decimal. No HDFS, no MapReduce.
+// The toy master: its records are ints, its state how many it has applied
+// and their sum, its image those two in decimal on two lines. No HDFS, no
+// MapReduce.
 type toy struct {
-	env *sim.Env
-	vol *localfs.FS
-	log *Log[int]
-	sum int
+	env  *sim.Env
+	vol  *localfs.FS
+	log  *Log[int, toyState]
+	live toyState
 }
+
+type toyState struct{ n, sum int }
 
 func renderToy(r int) string { return fmt.Sprintf("add %d\n", r) }
 
@@ -27,19 +30,15 @@ func parseToy(line string) (r int, err error) {
 	return r, err
 }
 
-// rebuild is the toy's restart: the image's sum plus the records after it.
-func rebuild(t *testing.T, image []byte, records []int) int {
-	t.Helper()
-	var sum int
+func applyToy(s toyState, r int) toyState { return toyState{s.n + 1, s.sum + r} }
+
+func renderToyImage(s toyState) []byte { return fmt.Appendf(nil, "n %d\nsum %d\n", s.n, s.sum) }
+
+func parseToyImage(image []byte) (s toyState, err error) {
 	if len(image) > 0 {
-		if _, err := fmt.Sscanf(string(image), "sum %d\n", &sum); err != nil {
-			t.Fatalf("toy image: %v", err)
-		}
+		_, err = fmt.Sscanf(string(image), "n %d\nsum %d\n", &s.n, &s.sum)
 	}
-	for _, r := range records {
-		sum += r
-	}
-	return sum
+	return s, err
 }
 
 func newToy(cfg Config, tick func(time.Duration) bool) *toy {
@@ -49,7 +48,8 @@ func newToy(cfg Config, tick func(time.Duration) bool) *toy {
 	d := disk.New(env, p)
 	vol := localfs.New(d, pagecache.New(env, d, 1<<16, pagecache.DefaultOptions()))
 	m := &toy{env: env, vol: vol}
-	m.log = New(env, vol, Spec[int]{
+	m.log = New(env, vol, Spec[int, toyState]{
+		Master:         "toy",
 		JournalFile:    "toy_journal",
 		ImageFile:      "toy_image",
 		Stage:          disk.StageMeta,
@@ -57,14 +57,17 @@ func newToy(cfg Config, tick func(time.Duration) bool) *toy {
 		CheckpointProc: "toy-checkpoint",
 		Render:         renderToy,
 		Parse:          parseToy,
-		Image:          func() []byte { return []byte(fmt.Sprintf("sum %d\n", m.sum)) },
+		Live:           func() toyState { return m.live },
+		Apply:          applyToy,
+		RenderImage:    renderToyImage,
+		ParseImage:     parseToyImage,
 		Tick:           tick,
 	}, cfg)
 	return m
 }
 
 func (m *toy) add(r int) {
-	m.sum += r
+	m.live = applyToy(m.live, r)
 	m.log.Append(r)
 }
 
@@ -117,22 +120,22 @@ func TestCheckpointRollsJournalIntoImage(t *testing.T) {
 		skip = false
 		p.Sleep(time.Second) // second tick
 		st := m.log.Stats()
-		if st.Checkpoints != 1 || st.CheckpointBytes != uint64(len("sum 42\n")) {
-			t.Errorf("after one checkpoint: %+v, want 1 checkpoint of %d bytes", st, len("sum 42\n"))
+		if st.Checkpoints != 1 || st.CheckpointBytes != uint64(len("n 2\nsum 42\n")) {
+			t.Errorf("after one checkpoint: %+v, want 1 checkpoint of %d bytes", st, len("n 2\nsum 42\n"))
 		}
-		if _, recs := m.log.Peek(); len(recs) != 0 {
+		if _, recs := m.log.peek(); len(recs) != 0 {
 			t.Errorf("a restart would replay %v after a checkpoint, want nothing", recs)
 		}
 		if got := m.vol.Size("toy_journal"); got != 0 {
 			t.Errorf("journal file holds %d bytes after a checkpoint, want a fresh empty file", got)
 		}
-		if got := string(m.vol.Peek("toy_image")); got != "sum 42\n" {
-			t.Errorf("image = %q, want %q", got, "sum 42\n")
+		if got := string(m.vol.Peek("toy_image")); got != "n 2\nsum 42\n" {
+			t.Errorf("image = %q, want %q", got, "n 2\nsum 42\n")
 		}
 		m.add(8)
 		p.Sleep(time.Second) // third tick rewrites the image
-		if got := string(m.vol.Peek("toy_image")); got != "sum 50\n" {
-			t.Errorf("image after second checkpoint = %q, want %q", got, "sum 50\n")
+		if got := string(m.vol.Peek("toy_image")); got != "n 3\nsum 50\n" {
+			t.Errorf("image after second checkpoint = %q, want %q", got, "n 3\nsum 50\n")
 		}
 	})
 }
@@ -157,19 +160,19 @@ func TestCrashHoldsBytesRestartReplaysThem(t *testing.T) {
 		if st.JournalBatches != before.JournalBatches || st.Checkpoints != before.Checkpoints {
 			t.Errorf("bytes reached the disk while crashed: before %+v, after %+v", before, st)
 		}
-		if _, got := m.log.Peek(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		if _, got := m.log.peek(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 			t.Errorf("a restart would replay %v, want [2 3] (appends survive the crash)", got)
 		}
 
 		wantBytes := m.vol.Size("toy_image") + m.vol.Size("toy_journal")
 		recovered := false
-		m.log.Restart(p, func(image []byte, records []int) {
+		if got := m.log.Replayed(); got != m.live {
+			t.Errorf("a restart would rebuild %+v from the bytes, live state %+v", got, m.live)
+		}
+		m.log.Restart(p, func() {
 			recovered = true
 			if m.log.Down() {
-				t.Error("recovered hook ran with the master still down")
-			}
-			if got := rebuild(t, image, records); got != m.sum {
-				t.Errorf("rebuilt sum %d from the bytes, live sum %d", got, m.sum)
+				t.Error("reconcile ran with the master still down")
 			}
 		})
 		st = m.log.Stats()
@@ -179,7 +182,7 @@ func TestCrashHoldsBytesRestartReplaysThem(t *testing.T) {
 		if st.ReplayBytes != uint64(wantBytes) || st.ReplayRecords != 2 {
 			t.Errorf("replay charged %d bytes / %d records, want %d / 2", st.ReplayBytes, st.ReplayRecords, wantBytes)
 		}
-		m.log.Restart(p, func([]byte, []int) { t.Error("Restart on a serving master ran its hook") })
+		m.log.Restart(p, func() { t.Error("Restart on a serving master ran its reconcile") })
 		p.Sleep(100 * time.Millisecond)
 		if st := m.log.Stats(); st.JournalBatches != before.JournalBatches+1 {
 			t.Errorf("record logged during the outage was not flushed after restart: %+v", st)
@@ -198,11 +201,11 @@ func TestCheckpointCoveredRecordsAreNotReplayed(t *testing.T) {
 		return true
 	})
 	restart := func(p *sim.Proc) {
-		m.log.Restart(p, func(image []byte, records []int) {
-			if got := rebuild(t, image, records); got != m.sum {
-				t.Errorf("restart rebuilt sum %d from image %q and records %v, live sum %d", got, image, records, m.sum)
-			}
-		})
+		if image, records := m.log.peek(); m.log.Replayed() != m.live {
+			t.Errorf("a restart would rebuild %+v from image %q and records %v, live state %+v",
+				m.log.Replayed(), image, records, m.live)
+		}
+		m.log.Restart(p, func() {}) // panics on a divergent replay
 	}
 	m.drive(t, func(p *sim.Proc) {
 		defer m.log.Stop()
@@ -215,8 +218,8 @@ func TestCheckpointCoveredRecordsAreNotReplayed(t *testing.T) {
 			t.Fatalf("checkpoint finished before the records it should cover: %+v", st)
 		}
 		p.Sleep(100 * time.Millisecond)
-		if got := string(m.vol.Peek("toy_image")); got != "sum 326\n" {
-			t.Fatalf("image = %q, want %q: it holds the records logged during its flush", got, "sum 326\n")
+		if got := string(m.vol.Peek("toy_image")); got != "n 4\nsum 326\n" {
+			t.Fatalf("image = %q, want %q: it holds the records logged during its flush", got, "n 4\nsum 326\n")
 		}
 		restart(p) // the covered records are still pending
 		if st := m.log.Stats(); st.ReplayRecords != 0 {
@@ -232,10 +235,37 @@ func TestCheckpointCoveredRecordsAreNotReplayed(t *testing.T) {
 		if st := m.log.Stats(); st.ReplayRecords != 1 {
 			t.Errorf("restarts replayed %d records in all, want 1 (only 4000 is after the image)", st.ReplayRecords)
 		}
-		if image, records := m.log.Peek(); rebuild(t, image, records) != m.sum {
-			t.Errorf("Peek rebuilt from image %q and records %v, live sum %d", image, records, m.sum)
+		if got := m.log.Replayed(); got != m.live {
+			t.Errorf("Replayed = %+v, live state %+v", got, m.live)
 		}
 	})
+}
+
+// TestRestartPanicsOnDivergentReplay: a live change the journal never saw
+// makes the state rebuilt from the bytes differ from the live one. The
+// restart must panic naming the first image line where they part, before
+// the master's reconcile runs.
+func TestRestartPanicsOnDivergentReplay(t *testing.T) {
+	m := newToy(Config{}, nil)
+	var got any
+	reconciled := false
+	m.drive(t, func(p *sim.Proc) {
+		defer m.log.Stop()
+		defer func() { got = recover() }()
+		m.add(1)
+		m.add(2)
+		p.Sleep(100 * time.Millisecond) // both flushed
+		m.live.sum += 10                // never journaled: line 1 agrees, line 2 does not
+		m.log.Crash()
+		m.log.Restart(p, func() { reconciled = true })
+	})
+	want := "toy: replayed state diverges from live at image line 2:\n replayed \"sum 3\"\n live     \"sum 13\""
+	if got != want {
+		t.Errorf("restart panicked with %v, want %q", got, want)
+	}
+	if reconciled {
+		t.Error("reconcile ran after a divergent replay")
+	}
 }
 
 func TestStallCountsOneStallAndItsFullWait(t *testing.T) {
@@ -255,7 +285,7 @@ func TestStallCountsOneStallAndItsFullWait(t *testing.T) {
 		defer m.log.Stop()
 		m.log.Crash()
 		p.Sleep(20 * time.Millisecond)
-		m.log.Restart(p, func([]byte, []int) {})
+		m.log.Restart(p, func() {})
 		p.Sleep(10 * time.Millisecond) // the caller's last backoff step ends
 	})
 	st := m.log.Stats()

@@ -2,13 +2,14 @@
 // volume and the scheduler made killable. Every job-state transition — job
 // start, map completion, map-output loss, reduce completion, failure —
 // appends a record to the JobTracker's write-ahead log (internal/journal,
-// which owns the journal and image files, the daemons, crash/restart and the
-// grant stall); this file owns what is the JobTracker's alone — the
-// job-record and image codecs, the replay that rebuilds the job table from
-// their bytes (applyJTRec), the cluster-membership events (node deaths,
-// rejoins, volume failures) queued during an outage and applied at restart,
-// the reconciliation of zombie map outputs via the task trackers'
-// incarnation counters, and the partition half of a tracker's wait.
+// which owns the journal and image files, the daemons, crash/restart with
+// the replay and its check against live state, and the grant stall); this
+// file owns what is the JobTracker's alone — the job-record and image
+// codecs, the step a replay applies each record with (applyJTRec), the
+// cluster-membership events (node deaths, rejoins, volume failures) queued
+// during an outage and applied at restart, the reconciliation of zombie
+// map outputs via the task trackers' incarnation counters, and the
+// partition half of a tracker's wait.
 //
 // None of this exists unless EnableMaster is called; a run without master
 // recovery journals nothing and schedules byte-identically to a build
@@ -69,7 +70,7 @@ type jtRec struct {
 // jtMaster is the live JobTracker-durability machinery hanging off a
 // Runtime.
 type jtMaster struct {
-	log    *journal.Log[jtRec]
+	log    *journal.Log[jtRec, JobTrackerSnapshot]
 	missed []func()    // membership changes that arrived while it was down, in arrival order
 	stats  MasterStats // the JobTracker's own counters; the log keeps the rest
 }
@@ -85,7 +86,8 @@ func (rt *Runtime) EnableMaster(vol *localfs.FS, cfg journal.Config) {
 		panic("mapred: EnableMaster needs a metadata volume")
 	}
 	rt.jobs = make(map[string]*jobState)
-	rt.master = &jtMaster{log: journal.New(rt.env, vol, journal.Spec[jtRec]{
+	rt.master = &jtMaster{log: journal.New(rt.env, vol, journal.Spec[jtRec, JobTrackerSnapshot]{
+		Master:         "mapred: JobTracker",
 		JournalFile:    "jt_journal",
 		ImageFile:      "jt_image",
 		Stage:          disk.StageMeta,
@@ -93,12 +95,22 @@ func (rt *Runtime) EnableMaster(vol *localfs.FS, cfg journal.Config) {
 		CheckpointProc: "jobtracker-checkpoint",
 		Render:         renderJTRec,
 		Parse:          parseJTRec,
-		Image:          func() []byte { return renderJTImage(rt.LiveJobs()) },
+		Live:           rt.LiveJobs,
+		Apply:          applyJTRec,
+		RenderImage:    renderJTImage,
+		ParseImage:     parseJTImage,
 	}, cfg)}
 }
 
-// MasterEnabled reports whether EnableMaster has been called.
-func (rt *Runtime) MasterEnabled() bool { return rt.master != nil }
+// Master is the JobTracker's write-ahead log, nil unless EnableMaster was
+// called: the run driver flushes and stops it, the fault injector crashes
+// it.
+func (rt *Runtime) Master() *journal.Log[jtRec, JobTrackerSnapshot] {
+	if rt.master == nil {
+		return nil
+	}
+	return rt.master.log
+}
 
 // MasterStats returns a copy of the JobTracker durability counters (zero
 // value when the master layer is not enabled).
@@ -109,12 +121,6 @@ func (rt *Runtime) MasterStats() MasterStats {
 	st := rt.master.stats
 	st.Stats = rt.master.log.Stats()
 	return st
-}
-
-// JobTrackerDown reports whether the JobTracker is currently crashed.
-func (rt *Runtime) JobTrackerDown() bool {
-	ms := rt.master
-	return ms != nil && ms.log.Down()
 }
 
 // jtRecord logs one job-state transition (a no-op without the master layer).
@@ -138,13 +144,6 @@ func parseJTRec(line string) (r jtRec, err error) {
 		err = fmt.Errorf("mapred: %q is not a job record", line)
 	}
 	return r, err
-}
-
-// MasterFlush synchronously drains pending journal records to disk.
-func (rt *Runtime) MasterFlush(p *sim.Proc) {
-	if rt.master != nil {
-		rt.master.log.Flush(p)
-	}
 }
 
 func renderJTImage(snap JobTrackerSnapshot) []byte {
@@ -182,33 +181,10 @@ func bools(line string) (v []bool) {
 	return v
 }
 
-// replayJobs is a restarting JobTracker's rebuild: the image with the
-// journal records after it applied.
-func replayJobs(image []byte, records []jtRec) JobTrackerSnapshot {
-	snap, err := parseJTImage(image)
-	if err != nil {
-		panic(err)
-	}
-	for _, r := range records {
-		applyJTRec(snap, r)
-	}
-	return snap
-}
-
-// CrashJobTracker fail-stops the JobTracker: task grants stall, membership
-// events queue, and nothing is journaled until RestartJobTracker. Safe to
-// call from a fault injector's inline timer callback — it never blocks.
-func (rt *Runtime) CrashJobTracker() {
-	ms := rt.master
-	if ms == nil {
-		panic("mapred: CrashJobTracker without EnableMaster")
-	}
-	ms.log.Crash()
-}
-
 // RestartJobTracker brings the JobTracker back: it replays image+journal
 // off the metadata disk (charged as a sequential read), checks the job
-// table rebuilt from those bytes against the live one, applies the
+// table rebuilt from those bytes against the live one (both in
+// journal.Log.Restart), applies the
 // membership events missed during the outage in arrival order, reconciles
 // zombie map outputs whose nodes died or bounced unseen (their incarnation
 // counters no longer match), and resumes scheduling.
@@ -217,8 +193,7 @@ func (rt *Runtime) RestartJobTracker(p *sim.Proc) {
 	if ms == nil {
 		return
 	}
-	ms.log.Restart(p, func(image []byte, records []jtRec) {
-		journal.Check("mapred: JobTracker", renderJTImage(replayJobs(image, records)), renderJTImage(rt.LiveJobs()))
+	ms.log.Restart(p, func() {
 		missed := ms.missed
 		ms.missed = nil
 		for _, apply := range missed {
@@ -283,14 +258,6 @@ func (rt *Runtime) WaitMasterReady(p *sim.Proc) {
 	}
 }
 
-// StopMaster shuts the durability machinery down; daemons exit at their
-// next tick and stalled trackers unblock.
-func (rt *Runtime) StopMaster() {
-	if rt.master != nil {
-		rt.master.log.Stop()
-	}
-}
-
 // deferMembership queues a membership event while the JobTracker is down:
 // apply is the caller again, run at restart. It reports whether the event
 // was queued (the caller then skips acting).
@@ -331,19 +298,8 @@ func (rt *Runtime) LiveJobs() JobTrackerSnapshot {
 	return snap
 }
 
-// MasterReplayJobs rebuilds the job state a JobTracker restarting now
-// would: the image and journal bytes on its volume, plus the records not
-// yet flushed, through the code RestartJobTracker runs. Equality with
-// LiveJobs is the durability invariant.
-func (rt *Runtime) MasterReplayJobs() JobTrackerSnapshot {
-	ms := rt.master
-	if ms == nil {
-		panic("mapred: MasterReplayJobs without EnableMaster")
-	}
-	return replayJobs(ms.log.Peek())
-}
-
-func applyJTRec(snap JobTrackerSnapshot, r jtRec) {
+// applyJTRec is a replay's step: one job record applied to a job table.
+func applyJTRec(snap JobTrackerSnapshot, r jtRec) JobTrackerSnapshot {
 	switch r.op {
 	case jOpStart:
 		snap[r.job] = &JobRecord{
@@ -371,4 +327,5 @@ func applyJTRec(snap JobTrackerSnapshot, r jtRec) {
 	case jOpEnd:
 		delete(snap, r.job)
 	}
+	return snap
 }

@@ -32,7 +32,7 @@ func (r *testRig) runJobStopMaster(t *testing.T, job *Job) *Result {
 	var err error
 	r.env.Go("driver", func(p *sim.Proc) {
 		res, err = r.rt.Run(p, job)
-		r.rt.StopMaster()
+		r.rt.Master().Stop()
 	})
 	r.env.Run(0)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestJobTrackerReplayEquivalence(t *testing.T) {
 	r.env.Go("checker", func(p *sim.Proc) {
 		for i := 0; i < 400; i++ {
 			p.Sleep(250 * time.Microsecond)
-			live, replay := r.rt.LiveJobs(), r.rt.MasterReplayJobs()
+			live, replay := r.rt.LiveJobs(), r.rt.Master().Replayed()
 			if len(live) > 0 {
 				nonEmpty++
 			}
@@ -74,7 +74,7 @@ func TestJobTrackerReplayEquivalence(t *testing.T) {
 	if st.Checkpoints == 0 {
 		t.Error("no checkpoint rolled mid-job at a 2ms interval")
 	}
-	if live, replay := r.rt.LiveJobs(), r.rt.MasterReplayJobs(); len(live) != 0 || len(replay) != 0 {
+	if live, replay := r.rt.LiveJobs(), r.rt.Master().Replayed(); len(live) != 0 || len(replay) != 0 {
 		t.Errorf("job state not retired after completion: live %d, replay %d", len(live), len(replay))
 	}
 	checkWordCount(t, r.readOutput(t, "/out"), want)
@@ -89,9 +89,9 @@ func TestJobTrackerBounceMidJob(t *testing.T) {
 	r.loadLines("/in", parts)
 	r.env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond)
-		r.rt.CrashJobTracker()
-		if !r.rt.JobTrackerDown() {
-			t.Error("CrashJobTracker left the master serving")
+		r.rt.Master().Crash()
+		if !r.rt.Master().Down() {
+			t.Error("Crash left the JobTracker serving")
 		}
 		p.Sleep(10 * time.Millisecond)
 		r.rt.RestartJobTracker(p)
@@ -122,10 +122,10 @@ func TestJobTrackerKillReplayDiff(t *testing.T) {
 			t.Error("no job in flight at crash time; move the crash earlier")
 			return
 		}
-		r.rt.CrashJobTracker()
+		r.rt.Master().Crash()
 		p.Sleep(5 * time.Millisecond)
 		r.rt.RestartJobTracker(p)
-		post := r.rt.MasterReplayJobs()
+		post := r.rt.Master().Replayed()
 		// Map completions journaled during the outage (trackers finish work
 		// already granted) are legitimately ahead of the snapshot; every bit
 		// set pre-crash must survive, and nothing may regress.
