@@ -75,7 +75,7 @@ func main() {
 		workloads = []core.Workload{w}
 	}
 
-	if err := validateFlags(*runs, *maxFaults); err != nil {
+	if err := validateFlags(*runs, *maxFaults, *soak); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(2)
 	}
@@ -152,9 +152,12 @@ func main() {
 	}
 }
 
-// validateFlags rejects chaos's own numeric flags where zero or less would
-// silently run nothing; the testbed flags are checked by cliutil.Testbed.
-func validateFlags(runs, maxFaults int) error {
+// validateFlags rejects chaos's own numeric flags where a value would silently
+// run nothing (or -runs seeds, for -soak); cliutil.Testbed checks the rest.
+func validateFlags(runs, maxFaults int, soak time.Duration) error {
+	if soak < 0 {
+		return fmt.Errorf("-soak must not be negative, got %v", soak)
+	}
 	if runs <= 0 {
 		return fmt.Errorf("-runs must be positive, got %d", runs)
 	}

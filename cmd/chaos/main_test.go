@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Regression: chaos never validated its numeric flags, so `-runs 0` ran
@@ -16,21 +17,24 @@ import (
 // had the same defect; cliutil.Testbed checks those for every runner — see
 // TestTestbedOptions there.)
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(8, 3); err != nil {
+	if err := validateFlags(8, 3, 0); err != nil {
 		t.Errorf("the flag defaults were rejected: %v", err)
 	}
 	cases := []struct {
 		want           string
 		runs, maxFault int
+		soak           time.Duration
 	}{
-		{"-runs", 0, 3},
-		{"-runs", -2, 3},
-		{"-max-faults", 8, 0},
+		{"-runs", 0, 3, 0},
+		{"-runs", -2, 3, 0},
+		{"-max-faults", 8, 0, 0},
+		// Regression: a negative -soak ran -runs seeds and exited 0.
+		{"-soak", 8, 3, -5 * time.Second},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.runs, c.maxFault)
+		err := validateFlags(c.runs, c.maxFault, c.soak)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("validateFlags(%d,%d) = %v, want error mentioning %q", c.runs, c.maxFault, err, c.want)
+			t.Errorf("validateFlags(%d,%d,%v) = %v, want error mentioning %q", c.runs, c.maxFault, c.soak, err, c.want)
 		}
 	}
 }

@@ -66,6 +66,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "iosim: -replay replays the trace's own requests and cannot be combined with -%s\n", strings.Join(set, ", -"))
 			os.Exit(2)
 		}
+	} else if *dev != "" {
+		fmt.Fprintln(os.Stderr, "iosim: -dev names a device within a trace and needs -replay")
+		os.Exit(2)
 	}
 
 	plan, err := faults.ParsePlan(*faultSt)

@@ -15,8 +15,10 @@ import (
 // without the plan, and `-streams 0 -pattern foo` was accepted. Next to
 // -replay, only -dev, -sched and -nomerge are valid; any other flag is a
 // usage error (exit 2 and one iosim: line) before the trace is read, so a
-// trace file that does not exist is never opened. The test re-runs its own
-// binary as the command, with the arguments in IOSIM_ARGS.
+// trace file that does not exist is never opened. And -dev, which names a
+// device within the trace, ran the default pattern without -replay; it is a
+// usage error too. The test re-runs its own binary as the command, with the
+// arguments in IOSIM_ARGS.
 func TestReplayRejectsPatternFlags(t *testing.T) {
 	if args := os.Getenv("IOSIM_ARGS"); args != "" {
 		// A fresh flag set, so the test binary's own -test.* flags do not
@@ -34,6 +36,7 @@ func TestReplayRejectsPatternFlags(t *testing.T) {
 		{replay + "-reqkb 4", "with -reqkb\n"},
 		{replay + "-seconds 3", "with -seconds\n"},
 		{replay + "-dev slave-00.mr0 -sched fifo -nomerge -seed 2", "with -seed\n"},
+		{"-dev sda -seconds 1", "needs -replay\n"},
 	} {
 		args := tc.args
 		cmd := exec.Command(os.Args[0], "-test.run=^TestReplayRejectsPatternFlags$")
@@ -48,8 +51,9 @@ func TestReplayRejectsPatternFlags(t *testing.T) {
 			}
 			status = exit.ExitCode()
 		}
-		if msg := errs.String(); status != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "iosim: -replay ") || !strings.HasSuffix(msg, tc.named) {
-			t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one iosim: -replay line ending %q", args, status, out.Len(), msg, tc.named)
+		prefix := "iosim: " + strings.Fields(args)[0] + " " // the flag named first
+		if msg := errs.String(); status != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, prefix) || !strings.HasSuffix(msg, tc.named) {
+			t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one %q line ending %q", args, status, out.Len(), msg, prefix, tc.named)
 		}
 	}
 	// The device flags stay valid: this one gets as far as opening the file.

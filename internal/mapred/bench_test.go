@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"iochar/internal/cluster"
+	"iochar/internal/compress"
 	"iochar/internal/hdfs"
 	"iochar/internal/sim"
 )
@@ -191,6 +192,47 @@ func BenchmarkAblationCombiner(b *testing.B) {
 			b.ReportMetric(float64(shuffle)/1024, "shuffle-KB")
 		})
 	}
+}
+
+// BenchmarkMultiSpillAttempt is one map attempt's spill-and-merge path under
+// LZ: TeraSort-shaped pairs (10-byte keys, 90-byte values) over 8 partitions
+// in two spills, merged into the map output from the runs the spills kept,
+// with no Decompress. Each iteration is one attempt, recycled for the next
+// as the runtime recycles finished attempts.
+func BenchmarkMultiSpillAttempt(b *testing.B) {
+	const nparts, perSpill = 8, 400
+	rig := newBenchRig()
+	rig.rt.cfg.Codec = compress.NewLZ()
+	rng := rand.New(rand.NewSource(1))
+	recs := make([][]byte, 2*perSpill)
+	for i := range recs {
+		recs[i] = make([]byte, 100)
+		for j := range recs[i] {
+			recs[i][j] = byte(' ' + rng.Intn(95))
+		}
+	}
+	b.SetBytes(int64(len(recs) * 100))
+	rig.env.Go("map", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ms := &mapState{rt: rig.rt, job: &Job{NumReduces: nparts}, node: rig.cl.Slaves[0], spillBase: "m"}
+			for j, rec := range recs {
+				ms.add(p, int(rec[0])%nparts, rec[:10], rec[10:])
+				if j == perSpill-1 {
+					ms.spill(p, false)
+				}
+			}
+			out := ms.finish(p, 0)
+			if out == nil || len(ms.spills) != 2 {
+				b.Fatalf("%d spills, want a finished merge of two", len(ms.spills))
+			}
+			if err := out.vol.Delete(out.file.Name()); err != nil {
+				b.Fatal(err)
+			}
+			ms.recycle()
+		}
+	})
+	rig.env.Run(0)
 }
 
 // newBenchRig mirrors newRig without *testing.T plumbing.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"iochar/internal/compress"
 	"iochar/internal/localfs"
 	"iochar/internal/sim"
 )
@@ -241,6 +242,19 @@ func appendRun(p *sim.Proc, f *localfs.File, raw run, enc []byte) run {
 	}
 	f.Append(p, enc)
 	return raw
+}
+
+// keptRun is a run a task stored as enc, an array the codec made, kept
+// beside raw, the run it encodes, for the task's own read-back of it.
+type keptRun struct{ enc, raw []byte }
+
+// decodeRun returns what got, a read-back of k, decodes to: k.raw only if got
+// is the stored slice itself, not Corrupt's copy, a gathered or a cut read.
+func decodeRun(c compress.Codec, got []byte, k keptRun) run {
+	if len(k.raw) > 0 && len(got) == len(k.enc) && &got[0] == &k.enc[0] {
+		return k.raw
+	}
+	return c.Decompress(got)
 }
 
 // recordIter produces record boundaries for a split under a RecordFormat.

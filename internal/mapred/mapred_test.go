@@ -18,6 +18,7 @@ import (
 	"iochar/internal/compress"
 	"iochar/internal/hdfs"
 	"iochar/internal/journal"
+	"iochar/internal/localfs"
 	"iochar/internal/sim"
 )
 
@@ -1151,7 +1152,7 @@ func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 						ms.add(p, part, k, v)
 					}
 				}
-				ms.spill(p)
+				ms.spill(p, false)
 				switch {
 				case comb == nil && ms.scratch != nil:
 					t.Errorf("spill %d: a run sized from the index was not given away", s)
@@ -1242,33 +1243,204 @@ func TestAppendRunStoresWithoutCopying(t *testing.T) {
 // TestSecondMapAttemptAllocatesNoScratch: the serialization buffer rides in
 // the recycled sortBuf, so of two identical attempts on one Runtime only the
 // first grows one — the second serializes into the very same array. With a
-// real codec, that is: it compresses out of the buffer and no file keeps it
-// (see appendRun).
+// real codec, that is: a lone spill is the map output, which nothing reads
+// back, so it keeps no run and every partition goes through the one
+// scratch; an attempt that spills twice keeps each run it encoded for its
+// merge (see keptRun), and the largest goes back as the scratch.
 func TestSecondMapAttemptAllocatesNoScratch(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.Codec = compress.NewLZ() })
-	attempt := func(p *sim.Proc, base string) *byte {
-		ms := &mapState{rt: r.rt, job: &Job{NumReduces: 3}, node: r.cl.Slaves[0], spillBase: base}
-		for i := 0; i < 300; i++ {
-			ms.add(p, i%3, []byte(fmt.Sprintf("key-%04d", i)), []byte("value"))
+	const nparts = 3
+	for _, nspills := range []int{1, 2} {
+		r := newRig(t, func(c *Config) { c.Codec = compress.NewLZ() })
+		// attempt returns the array its first partition was serialized into
+		// and the scratch its sort buffer goes back with.
+		attempt := func(p *sim.Proc, base string) (first, recycled *byte) {
+			ms := &mapState{rt: r.rt, job: &Job{NumReduces: nparts}, node: r.cl.Slaves[0], spillBase: base}
+			for s := range nspills {
+				if s > 0 {
+					ms.spill(p, false)
+				}
+				for i := 0; i < 300; i++ {
+					ms.add(p, i%nparts, []byte(fmt.Sprintf("key-%04d-%d", i, s)), []byte("value"))
+				}
+			}
+			if out := ms.finish(p, 0); out == nil || len(ms.spills) != nspills || cap(ms.scratch) == 0 {
+				t.Fatalf("%s: %d spills, %d-byte scratch; want %d finished and a scratch to recycle", base, len(ms.spills), cap(ms.scratch), nspills)
+			}
+			var kept []*byte
+			for _, sf := range ms.spills {
+				for _, sg := range sf.segs {
+					if sg.kept.raw != nil {
+						kept = append(kept, &sg.kept.raw[0])
+					}
+				}
+			}
+			recycled = &ms.scratch[:1][0]
+			switch {
+			case nspills == 1 && len(kept) == 0:
+				first = recycled
+			case nspills == 1 || len(kept) != nspills*nparts:
+				t.Fatalf("%s: %d of %d segments kept their run", base, len(kept), nspills*nparts)
+			case !slices.Contains(kept, recycled):
+				t.Errorf("%s: the scratch that goes back is not one of the kept runs", base)
+			default:
+				first = kept[0]
+			}
+			ms.recycle()
+			return first, recycled
 		}
-		ms.spill(p)
-		if len(ms.spills) != 1 || cap(ms.scratch) == 0 {
-			t.Fatalf("%s: %d spills through a %d-byte scratch, want one through a grown buffer", base, len(ms.spills), cap(ms.scratch))
-		}
-		array := &ms.scratch[:1][0]
-		ms.recycle()
-		return array
+		r.env.Go("map", func(p *sim.Proc) {
+			_, recycled := attempt(p, "m_first")
+			if first, _ := attempt(p, "m_second"); first != recycled {
+				t.Errorf("%d spill(s): the second attempt serialized into a scratch buffer of its own", nspills)
+			}
+		})
+		r.env.Run(0)
 	}
-	r.env.Go("map", func(p *sim.Proc) {
-		first := attempt(p, "m_first")
-		if len(r.rt.sortBufs) != 1 || cap(r.rt.sortBufs[0].scratch) == 0 {
-			t.Fatal("the first attempt's scratch was not recycled with its arena")
+}
+
+// countingCodec is a codec that counts its Decompress calls.
+type countingCodec struct {
+	compress.Codec
+	decodes *int
+}
+
+func (c countingCodec) Decompress(enc []byte) []byte {
+	*c.decodes++
+	return c.Codec.Decompress(enc)
+}
+
+// TestMultiSpillMergeDecodesNothingItKept: an attempt that spills twice
+// merges runs it encoded itself, so it calls Decompress for none of them,
+// and its map output holds the bytes the same attempt stores when every
+// segment is decoded (its kept runs dropped before finish). A segment that
+// reads back as a copy — Corrupt twice over, the same bytes in a new
+// array — is decoded, and only that one.
+func TestMultiSpillMergeDecodesNothingItKept(t *testing.T) {
+	const nparts, nspills = 4, 2
+	attempt := func(prep func(ms *mapState)) (stored [][]byte, decodes int) {
+		r := newRig(t, func(c *Config) { c.Codec = countingCodec{compress.NewLZ(), &decodes} })
+		r.env.Go("map", func(p *sim.Proc) {
+			ms := &mapState{rt: r.rt, job: &Job{NumReduces: nparts}, node: r.cl.Slaves[0], spillBase: "m"}
+			rng := rand.New(rand.NewSource(1))
+			for range nspills {
+				for i := 0; i < 400; i++ {
+					ms.add(p, i%nparts, []byte(fmt.Sprintf("key-%05d", rng.Intn(1000))), []byte(fmt.Sprintf("value-%d", i)))
+				}
+				ms.spill(p, false)
+			}
+			prep(ms)
+			out := ms.finish(p, 0)
+			if out == nil || len(ms.spills) != nspills {
+				t.Fatalf("%d spills, want a finished merge of %d", len(ms.spills), nspills)
+			}
+			for _, seg := range out.segs {
+				stored = append(stored, out.file.ReadAt(p, seg.off, seg.clen))
+			}
+		})
+		r.env.Run(0)
+		return stored, decodes
+	}
+	want, all := attempt(func(ms *mapState) {
+		for _, sf := range ms.spills {
+			for i := range sf.segs {
+				sf.segs[i].kept = keptRun{}
+			}
 		}
-		if second := attempt(p, "m_second"); second != first {
-			t.Error("the second attempt serialized into a scratch buffer of its own")
+	})
+	if all != nparts*nspills {
+		t.Fatalf("the decode-everything reference decoded %d segments, want %d", all, nparts*nspills)
+	}
+	got, decodes := attempt(func(*mapState) {})
+	if decodes != 0 || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Errorf("kept runs: %d decodes (want 0), map output equal to the reference: %v", decodes, slices.EqualFunc(got, want, bytes.Equal))
+	}
+	got, decodes = attempt(func(ms *mapState) {
+		sf, seg := ms.spills[1], ms.spills[1].segs[2]
+		for range 2 {
+			sf.vol.Corrupt(sf.file.Name(), seg.off, int(seg.clen))
+		}
+	})
+	if decodes != 1 || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Errorf("a copied segment: %d decodes (want 1), map output equal to the reference: %v", decodes, slices.EqualFunc(got, want, bytes.Equal))
+	}
+}
+
+// TestKeptRunOnlyForTheStoredSlice: decodeRun takes the kept run only for a
+// read-back that is the stored slice itself. A flipped copy Corrupt made, a
+// range gathered from two segments and a view cut short are decoded.
+func TestKeptRunOnlyForTheStoredSlice(t *testing.T) {
+	r := newRig(t, nil)
+	lz := compress.NewLZ()
+	raw := run(AppendKV(nil, []byte("key"), bytes.Repeat([]byte("value"), 40)))
+	enc := lz.Compress(raw)
+	r.env.Go("read", func(p *sim.Proc) {
+		vol := r.cl.Slaves[0].NextMRVol()
+		whole, halves := vol.Create("whole"), vol.Create("halves")
+		whole.Append(p, enc)
+		halves.Append(p, enc[:len(enc)/2])
+		halves.Append(p, enc[len(enc)/2:])
+		k := keptRun{enc, raw}
+		readBack := func(f *localfs.File, n int64) []byte { return f.ReadAt(p, 0, n) }
+		for _, c := range []struct {
+			name    string
+			got     func() []byte
+			decoded bool
+		}{
+			{"the stored slice", func() []byte { return readBack(whole, int64(len(enc))) }, false},
+			{"a gathered copy", func() []byte { return readBack(halves, int64(len(enc))) }, true},
+			{"a truncated view", func() []byte { return readBack(whole, int64(len(enc)-1)) }, true},
+			{"a corrupted copy", func() []byte {
+				vol.Corrupt("whole", 1, 1)
+				return readBack(whole, int64(len(enc)))
+			}, true},
+		} {
+			decodes := 0
+			got := c.got()
+			func() {
+				defer func() { recover() }() // a cut or flipped stream need not decode
+				decodeRun(countingCodec{lz, &decodes}, got, k)
+			}()
+			if (decodes == 1) != c.decoded {
+				t.Errorf("%s: decoded %v, want %v", c.name, decodes == 1, c.decoded)
+			}
 		}
 	})
 	r.env.Run(0)
+}
+
+// TestSpillingTasksDecodeOnlyShuffledSegments: with maps that spill several
+// times and reducers that spill runs to disk, a job calls Decompress exactly
+// as often as with buffers large enough for neither — once per fetched map
+// output segment, the only runs a task did not encode itself — and writes
+// the same output.
+func TestSpillingTasksDecodeOnlyShuffledSegments(t *testing.T) {
+	job := func(tiny bool) (*Result, map[string][]string, int) {
+		decodes := 0
+		rig := newRig(t, func(c *Config) {
+			c.Codec = countingCodec{compress.NewLZ(), &decodes}
+			if tiny {
+				c.SortBufBytes, c.ShuffleBufBytes = 4<<10, 2<<10
+			}
+		})
+		parts, _ := textParts()
+		rig.loadLines("/in", parts)
+		res := rig.runJob(t, wordCountJob(rig.inputs("/in"), "/out"))
+		return res, rig.readOutput(t, "/out"), decodes
+	}
+	roomy, want, fetched := job(false)
+	if roomy.Spills != int64(roomy.MapTasks) || roomy.ReduceSpills != 0 {
+		t.Fatalf("roomy buffers: %d spills of %d maps, %d reduce spills; want one each and none", roomy.Spills, roomy.MapTasks, roomy.ReduceSpills)
+	}
+	tight, got, decodes := job(true)
+	if tight.Spills <= int64(tight.MapTasks) || tight.ReduceSpills == 0 {
+		t.Fatalf("tiny buffers: %d spills of %d maps, %d reduce spills; want merges on both sides", tight.Spills, tight.MapTasks, tight.ReduceSpills)
+	}
+	if decodes != fetched {
+		t.Errorf("%d Decompress calls with spilling tasks, want the %d of the shuffle alone", decodes, fetched)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("spilling tasks wrote a different output")
+	}
 }
 
 // TestSecondSpillAllocatesNoSortTmp: the radix sort's other side belongs to
@@ -1281,7 +1453,7 @@ func TestSecondSpillAllocatesNoSortTmp(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			ms.add(p, i%3, []byte(fmt.Sprintf("key-%04d", i*7%300)), []byte("value"))
 		}
-		ms.spill(p)
+		ms.spill(p, false)
 		w := &r.rt.sortWork
 		if cap(w.tmp) < 300 {
 			t.Fatalf("%s: sorted 300 entries with a %d-entry tmp, want the radix sort to have run", what, cap(w.tmp))

@@ -83,6 +83,7 @@ type segment struct {
 	off     int64
 	clen    int64 // compressed length on disk
 	records int64
+	kept    keptRun // a spill's, for the attempt's own merge
 }
 
 // mapOutput is the shuffle-visible result of one finished map task.
@@ -379,14 +380,14 @@ func (ms *mapState) add(p *sim.Proc, part int, k, v []byte) {
 	ms.ents = append(ms.ents, kvEnt{prefix: KeyPrefix(k), koff: uint32(ko), klen: uint32(len(k)), vlen: uint32(len(v)), part: uint32(part)})
 	ms.bufBytes += int64(len(k)+len(v)) + 16
 	if float64(ms.bufBytes) >= 0.8*float64(ms.rt.cfg.SortBufBytes) {
-		ms.spill(p)
+		ms.spill(p, false)
 	}
 }
 
 // spill sorts the buffer and writes one spill file with a segment per
 // partition (combined and compressed), on the node's next intermediate
-// volume.
-func (ms *mapState) spill(p *sim.Proc) {
+// volume; last is finish's call.
+func (ms *mapState) spill(p *sim.Proc, last bool) {
 	// A zombie must not touch the node's volumes (they may all be failed
 	// mid-crash); the attempt is abandoned at the next boundary check.
 	if len(ms.ents) == 0 || ms.zombie() {
@@ -402,6 +403,7 @@ func (ms *mapState) spill(p *sim.Proc) {
 	f := vol.Create(fmt.Sprintf("%s.spill%d", ms.spillBase, len(ms.spills)))
 	f.SetStage(disk.StageSpill)
 	sf := &spillFile{vol: vol, file: f}
+	keep := !last || len(ms.spills) > 0 // not the map output: the merge reads it
 	var off int64
 	i := 0
 	for part := 0; part < ms.job.NumReduces; part++ {
@@ -416,6 +418,9 @@ func (ms *mapState) spill(p *sim.Proc) {
 			enc := cfg.Codec.Compress(raw)
 			ms.node.Compute(p, cfg.Codec.CompressCost(len(raw)))
 			ms.scratch = appendRun(p, f, raw, enc)
+			if keep && &enc[0] != &raw[0] { // raw is the segment's now
+				seg.kept, ms.scratch = keptRun{enc, raw}, nil
+			}
 			seg.clen = int64(len(enc))
 			off += seg.clen
 			ms.compressedBytes += seg.clen
@@ -489,7 +494,7 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 		ms.abandon() // the machine died after the last chunk was processed
 		return nil
 	}
-	ms.spill(p)
+	ms.spill(p, true)
 	if ms.zombie() {
 		ms.abandon() // the final spill slept through a node bounce
 		return nil
@@ -504,13 +509,16 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 	}
 	if len(ms.spills) == 1 {
 		// The lone spill file IS the map output; from here on its reads
-		// serve the shuffle.
+		// serve the shuffle, and nothing pins a run it kept.
 		sf := ms.spills[0]
+		for i := range sf.segs {
+			sf.segs[i].kept = keptRun{}
+		}
 		sf.file.SetStage(disk.StageShuffle)
 		return &mapOutput{taskIdx: taskIdx, node: ms.node, inc: ms.inc, vol: sf.vol, file: sf.file, segs: sf.segs}
 	}
 	// Multi-spill merge: per partition, read every spill's segment back,
-	// decompress, k-way merge, recompress, append to the final file.
+	// decode it (decodeRun), k-way merge, recompress, append to the file.
 	vol := ms.node.NextMRVol()
 	f := vol.Create(ms.spillBase + ".out")
 	f.SetStage(disk.StageMerge)
@@ -536,10 +544,13 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 				return nil
 			}
 			ms.mergeReadBytes += sg.clen
-			raw := cfg.Codec.Decompress(enc)
+			raw := decodeRun(cfg.Codec, enc, sg.kept)
 			ms.node.Compute(p, cfg.Codec.DecompressCost(len(raw)))
 			runs = append(runs, raw)
 			records += sg.records
+			if cap(sg.kept.raw) > cap(ms.scratch) { // the largest serializes the next attempt
+				ms.scratch = sg.kept.raw
+			}
 		}
 		merged, pooled := ms.rt.mergeRuns(runs)
 		ms.node.Compute(p, time.Duration(mergeNsPerByte*float64(len(merged))))

@@ -24,10 +24,12 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		return js.faulty && (!node.Alive() || node.Incarnation() != inc)
 	}
 	type diskRun struct {
-		vol  *localfs.FS
-		file *localfs.File
-		name string
-		clen int64
+		vol    *localfs.FS
+		file   *localfs.File
+		name   string
+		clen   int64
+		kept   keptRun // the merged run, for the final merge
+		pooled bool    // kept.raw is from rt.mergeBufs
 	}
 	var (
 		memRuns   []run
@@ -60,9 +62,13 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		name := fmt.Sprintf("r_%06d.run%d", part, idx)
 		f := vol.Create(name)
 		f.SetStage(disk.StageSpill)
-		rt.recycleMerged(appendRun(sp, f, merged, enc), pooled)
+		dr := diskRun{vol: vol, file: f, name: name, clen: int64(len(enc)), kept: keptRun{enc, merged}, pooled: pooled}
+		if rest := appendRun(sp, f, merged, enc); &enc[0] == &merged[0] {
+			dr.kept = keptRun{} // compress.Identity: merged is the file's, or copied
+			rt.recycleMerged(rest, pooled)
+		}
 		runWrite += int64(len(enc))
-		diskRuns = append(diskRuns, diskRun{vol: vol, file: f, name: name, clen: int64(len(enc))})
+		diskRuns = append(diskRuns, dr)
 		js.counters.ReduceSpills++
 	}
 
@@ -143,7 +149,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 			return
 		}
 		runRead += dr.clen
-		raw := cfg.Codec.Decompress(enc)
+		raw := decodeRun(cfg.Codec, enc, dr.kept)
 		node.Compute(p, cfg.Codec.DecompressCost(len(raw)))
 		runs = append(runs, raw)
 	}
@@ -182,6 +188,9 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		}
 		job.Reducer.Reduce(key, values, emit)
 	})
+	for _, dr := range diskRuns {
+		rt.recycleMerged(dr.kept.raw, dr.pooled)
+	}
 	node.Compute(p, cpu)
 	if werr == nil {
 		werr = w.Close(p)
