@@ -75,7 +75,7 @@ func main() {
 		workloads = []core.Workload{w}
 	}
 
-	if err := validateFlags(*runs, *maxFaults, *soak); err != nil {
+	if err := validateFlags(*runs, *maxFaults, *mapTasks, *soak); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(2)
 	}
@@ -153,8 +153,9 @@ func main() {
 }
 
 // validateFlags rejects chaos's own numeric flags where a value would silently
-// run nothing (or -runs seeds, for -soak); cliutil.Testbed checks the rest.
-func validateFlags(runs, maxFaults int, soak time.Duration) error {
+// run nothing, -runs seeds (for -soak) or core's default map-task target
+// (for -map-tasks); cliutil.Testbed checks the rest.
+func validateFlags(runs, maxFaults int, mapTasks int64, soak time.Duration) error {
 	if soak < 0 {
 		return fmt.Errorf("-soak must not be negative, got %v", soak)
 	}
@@ -163,6 +164,9 @@ func validateFlags(runs, maxFaults int, soak time.Duration) error {
 	}
 	if maxFaults <= 0 {
 		return fmt.Errorf("-max-faults must be positive, got %d", maxFaults)
+	}
+	if mapTasks <= 0 {
+		return fmt.Errorf("-map-tasks must be positive, got %d", mapTasks)
 	}
 	return nil
 }

@@ -17,24 +17,28 @@ import (
 // had the same defect; cliutil.Testbed checks those for every runner — see
 // TestTestbedOptions there.)
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(8, 3, 0); err != nil {
+	if err := validateFlags(8, 3, 8, 0); err != nil {
 		t.Errorf("the flag defaults were rejected: %v", err)
 	}
 	cases := []struct {
 		want           string
 		runs, maxFault int
+		mapTasks       int64
 		soak           time.Duration
 	}{
-		{"-runs", 0, 3, 0},
-		{"-runs", -2, 3, 0},
-		{"-max-faults", 8, 0, 0},
+		{"-runs", 0, 3, 8, 0},
+		{"-runs", -2, 3, 8, 0},
+		{"-max-faults", 8, 0, 8, 0},
 		// Regression: a negative -soak ran -runs seeds and exited 0.
-		{"-soak", 8, 3, -5 * time.Second},
+		{"-soak", 8, 3, 8, -5 * time.Second},
+		// Regression: core read a non-positive target as its default, 512.
+		{"-map-tasks", 8, 3, 0, 0},
+		{"-map-tasks", 8, 3, -4, 0},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.runs, c.maxFault, c.soak)
+		err := validateFlags(c.runs, c.maxFault, c.mapTasks, c.soak)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("validateFlags(%d,%d,%v) = %v, want error mentioning %q", c.runs, c.maxFault, c.soak, err, c.want)
+			t.Errorf("validateFlags(%d,%d,%d,%v) = %v, want error mentioning %q", c.runs, c.maxFault, c.mapTasks, c.soak, err, c.want)
 		}
 	}
 }
@@ -59,13 +63,9 @@ func TestReplayConflicts(t *testing.T) {
 	}
 }
 
-// Regression: -replay silently ignored every flag but -soak, -runs and
-// -workload, so `-replay f.json -racks 2 -scale 4 -tier ssd -max-faults 0`
-// replayed the file at its own shape and exited 0. Any flag other than -v
-// next to -replay is now a usage error: exit 2 and one chaos: line, before
-// the file is read. The test re-runs its own binary as the command, with the
-// arguments in CHAOS_ARGS.
-func TestReplayRejectsEveryOtherFlag(t *testing.T) {
+// TestMain runs the command itself when CHAOS_ARGS is set: the usage tests
+// re-run their own binary as chaos with those arguments.
+func TestMain(m *testing.M) {
 	if args := os.Getenv("CHAOS_ARGS"); args != "" {
 		// A fresh flag set, so the test binary's own -test.* flags do not
 		// count as set.
@@ -74,6 +74,36 @@ func TestReplayRejectsEveryOtherFlag(t *testing.T) {
 		main()
 		os.Exit(0)
 	}
+	os.Exit(m.Run())
+}
+
+// wantUsageError runs chaos with args and fails t unless it exits 2, prints
+// nothing on stdout and one chaos: line on stderr ending in named.
+func wantUsageError(t *testing.T, args, named string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "CHAOS_ARGS="+args)
+	var out, errs bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errs
+	status := 0
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		status = exit.ExitCode()
+	}
+	if msg := errs.String(); status != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "chaos: ") || !strings.HasSuffix(msg, named) {
+		t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one chaos: line ending %q", args, status, out.Len(), msg, named)
+	}
+}
+
+// Regression: -replay silently ignored every flag but -soak, -runs and
+// -workload, so `-replay f.json -racks 2 -scale 4 -tier ssd -max-faults 0`
+// replayed the file at its own shape and exited 0. Any flag other than -v
+// next to -replay is now a usage error: exit 2 and one chaos: line, before
+// the file is read.
+func TestReplayRejectsEveryOtherFlag(t *testing.T) {
 	const replay = "-replay ../../internal/chaos/testdata/chaos/TS-corrupt-restart.json "
 	for _, tc := range []struct{ args, named string }{
 		{replay + "-racks 2 -scale 4 -tier ssd -max-faults 0", "with -max-faults, -racks, -scale, -tier\n"},
@@ -81,21 +111,15 @@ func TestReplayRejectsEveryOtherFlag(t *testing.T) {
 		{replay + "-parallel 2", "with -parallel\n"},
 		{replay + "-out x", "with -out\n"},
 	} {
-		args := tc.args
-		cmd := exec.Command(os.Args[0], "-test.run=^TestReplayRejectsEveryOtherFlag$")
-		cmd.Env = append(os.Environ(), "CHAOS_ARGS="+args)
-		var out, errs bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errs
-		status := 0
-		if err := cmd.Run(); err != nil {
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) {
-				t.Fatal(err)
-			}
-			status = exit.ExitCode()
-		}
-		if msg := errs.String(); status != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "chaos: ") || !strings.HasSuffix(msg, tc.named) {
-			t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one chaos: line ending %q", args, status, out.Len(), msg, tc.named)
-		}
+		wantUsageError(t, tc.args, tc.named)
+	}
+}
+
+// Regression: `-map-tasks -4` (or 0) ran, exited 0 and printed what
+// `-map-tasks 512` prints: core reads a non-positive target as its default.
+func TestNonPositiveMapTasksIsUsageError(t *testing.T) {
+	for _, n := range []string{"0", "-4"} {
+		wantUsageError(t, "-runs 1 -workload TS -scale 262144 -slaves 3 -map-tasks "+n+" -v",
+			"-map-tasks must be positive, got "+n+"\n")
 	}
 }

@@ -60,7 +60,7 @@ func (t *Testbed) RegisterRun(fs *flag.FlagSet) {
 	fs.Float64Var(&t.inputFraction, "input-fraction", 1, "shrink inputs further (0,1]")
 	fs.DurationVar(&t.sampleInterval, "sample-interval", 0, "iostat sampling interval in virtual time (0 = auto: 1 s scaled down with -scale)")
 	fs.BoolVar(&t.verify, "verify", false, "end-to-end HDFS checksums (CRC32C), verified on every read with failover and read-repair")
-	fs.Int64Var(&t.scrub, "scrub", 0, "background replica scrubber: bytes/sec rate limit, -1 = unthrottled, 0 = off (implies -verify)")
+	fs.Int64Var(&t.scrub, "scrub", 0, "background replica scrubber: bytes/sec rate limit (at least 1048576), -1 = unthrottled, 0 = off (implies -verify)")
 	fs.BoolVar(&t.Hist, "hist", false, "collect per-request await/svctm/size histograms and print p50/p95/p99/max rows")
 }
 
@@ -85,8 +85,9 @@ func (t *Testbed) Options(parallel int) ([]core.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.scrub < -1 {
-		return nil, fmt.Errorf("-scrub must be a rate, -1 (unthrottled) or 0 (off), got %d", t.scrub)
+	// 1 MiB/s is the floor (MIN_SCAN_RATE) Hadoop 1.x's block scanner clamps to.
+	if t.scrub < -1 || t.scrub > 0 && t.scrub < 1<<20 {
+		return nil, fmt.Errorf("-scrub must be a rate of at least 1048576 bytes/sec, -1 (unthrottled) or 0 (off), got %d", t.scrub)
 	}
 	opts := []core.Option{
 		core.WithScale(t.scale),

@@ -82,6 +82,9 @@ func TestTestbedOptions(t *testing.T) {
 		{"-input-fraction", true, 0, []string{"-input-fraction", "0"}},
 		{"-sample-interval", true, 0, []string{"-sample-interval", "-1s"}},
 		{"-scrub", true, 0, []string{"-scrub", "-5"}}, // ran unthrottled under a cache key of its own
+		{"-scrub", true, 0, []string{"-scrub", "1"}},  // a pass took millions of virtual seconds; iostat grew until memory ran out
+		{"-scrub", true, 0, []string{"-scrub", "1048575"}},
+		{"", true, 0, []string{"-scrub", "1048576"}},
 	} {
 		_, err := parse(c.run, c.args...).Options(c.parallel)
 		switch {

@@ -64,6 +64,9 @@ type blockMeta struct {
 	// computed from the writer's bytes (the end-to-end property: the client's
 	// checksum travels with the block). Nil unless integrity is enabled.
 	sums []uint32
+	// verified is the first byte of an array whose first size bytes are
+	// known to match sums; every replica shares it (see replicaClean).
+	verified *byte
 }
 
 // fileMeta is one namespace entry.
@@ -447,7 +450,7 @@ func (w *Writer) flushBlock(p *sim.Proc) error {
 	fs.renewLease(w.meta.name, p.Now())
 
 	if fs.integrity {
-		b.sums = chunkSums(data)
+		b.sums, b.verified = chunkSums(data), firstByte(data)
 	}
 	retry := sim.NewRetry(fs.netRng)
 	for attempt := 0; attempt < maxPipelineRetries; {
@@ -560,7 +563,7 @@ func (fs *FS) Load(path string, firstNode string, data []byte) {
 		replicas := fs.choose(firstNode, fs.cfg.Replication)
 		b := &blockMeta{id: id, size: end - off, want: fs.cfg.Replication, replicas: replicas}
 		if fs.integrity {
-			b.sums = chunkSums(data[off:end])
+			b.sums, b.verified = chunkSums(data[off:end]), firstByte(data[off:end])
 		}
 		meta.blocks = append(meta.blocks, b)
 		meta.size += b.size

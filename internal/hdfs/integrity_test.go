@@ -458,9 +458,10 @@ func sharedArray(t *testing.T, b *blockMeta) *byte {
 
 // TestPipelineReplicasShareOneArray: a block written through the pipeline is
 // one array on all three DataNodes, as a loaded one is, so corrupt-block on
-// one replica is again the case where damage could spread. With integrity on,
-// the chunk CRCs taken from the writer's bytes are the scribble detector: the
-// siblings still verify, and read-repair's copy shares the clean array.
+// one replica is again the case where damage could spread. The siblings
+// still verify and read-repair's copy shares the clean array. The read-back
+// against the writer's bytes is the scribble detector: the chunk CRCs trust
+// an array they have passed, so a write into it in place would pass them.
 func TestPipelineReplicasShareOneArray(t *testing.T) {
 	env, c, fs := rig(4)
 	fs.EnableIntegrity()
@@ -514,7 +515,8 @@ func TestPipelineReplicasShareOneArray(t *testing.T) {
 // while a file is being written comes back with its unflushed replica cut
 // short. Crash truncation re-slices the stored array, which its siblings
 // share: they must keep the whole block, and the copy that replaces the lost
-// replica must share theirs.
+// replica must share theirs. As above, the read-back is what would see the
+// truncation write into the shared array.
 func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
 	env, c, fs := rig(5)
 	fs.EnableIntegrity()
@@ -566,10 +568,127 @@ func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
 	}
 }
 
+// cleanByRecompute is replicaClean without its memo, the model it is held
+// to: the replica's bytes checksummed afresh and compared chunk by chunk
+// with b's sums over the chunks [off, off+length) touches, a replica of the
+// wrong length being corrupt.
+func cleanByRecompute(b *blockMeta, sb storedBlock, off, length int64) bool {
+	if b.sums == nil {
+		return true
+	}
+	raw := sb.vol.Peek(sb.file.Name())
+	if int64(len(raw)) != b.size {
+		return false
+	}
+	c0, c1 := off/checksumChunk, (off+length+checksumChunk-1)/checksumChunk
+	return slices.Equal(chunkSums(raw)[c0:c1], b.sums[c0:c1])
+}
+
+// TestVerifyMemoMatchesRecompute: replicaClean's memo never changes its
+// answer. A run meets every way a stored replica comes about or changes: a
+// load and a pipeline write, corrupt-block, a read that fails over and the
+// read-repair it queues, crash truncation of an unflushed replica, the
+// DataNode's restart and rejoin, and a scrub pass that finds a second
+// corruption. After each step, every replica on every DataNode verifies —
+// as a whole block and over its last chunk — exactly as a recompute says.
+func TestVerifyMemoMatchesRecompute(t *testing.T) {
+	// One-MiB blocks outgrow the dirty limits, so a crash keeps a flushed
+	// prefix of the unflushed replica: a cut that is empty would never meet
+	// the memo.
+	env, c, _ := rig(5)
+	fs := New(env, Config{BlockSize: 1 << 20, Replication: 3}, c.Net, c.Slaves)
+	fs.EnableIntegrity()
+	fs.EnableRecovery(fastRecovery())
+	check := func(step string) {
+		t.Helper()
+		replicas := 0
+		for _, dn := range fs.datanodes {
+			for _, id := range slices.Sorted(maps.Keys(dn.blocks)) {
+				b, sb := fs.blockByID[id], dn.blocks[id]
+				last := (b.size - 1) / checksumChunk * checksumChunk
+				for _, r := range [][2]int64{{0, b.size}, {last, b.size - last}} {
+					if got, want := fs.replicaClean(b, sb, r[0], r[1]), cleanByRecompute(b, sb, r[0], r[1]); got != want {
+						t.Errorf("%s: block %d on %s, bytes [%d, %d): replicaClean %v, recomputed %v",
+							step, id, dn.node.Name, r[0], r[0]+r[1], got, want)
+					}
+				}
+				replicas++
+			}
+		}
+		if replicas == 0 {
+			t.Fatalf("%s: no replica to check", step)
+		}
+	}
+	want := pattern(2*int(fs.cfg.BlockSize) + 5_000)
+	reader := c.Slaves[0].Name
+	fs.Load("/in", reader, want)
+	env.Go("client", func(p *sim.Proc) {
+		writeRecords(t, p, fs, "/f", c.Slaves[1].Name, want, nil)
+		check("load and pipeline write")
+
+		if fs.CorruptReplica(reader, "/in", rand.New(rand.NewSource(7))) < 0 {
+			t.Fatal("CorruptReplica found no replica")
+		}
+		check("corrupt-block")
+
+		r, err := fs.Open("/in", reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.ReadAt(p, 0, r.Size()); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after corruption: %v, or wrong bytes", err)
+		}
+		fs.WaitRecovered(p)
+		if st := fs.RecoveryStats(); st.ChecksumErrors == 0 || st.ReReplicatedBlocks == 0 {
+			t.Fatalf("the read neither failed over nor queued a repair: %+v", st)
+		}
+		check("failed-over read and read-repair")
+
+		var victim *DataNode
+		writeRecords(t, p, fs, "/g", c.Slaves[2].Name, want, func() {
+			first := fs.files["/g"].blocks[0]
+			victim = first.replicas[1]
+			for _, vol := range victim.node.HDFSVols {
+				vol.Crash()
+			}
+			fs.CrashDataNode(victim.node.Name)
+			if n := victim.blocks[first.id].file.Size(); n == 0 || n >= first.size {
+				t.Fatalf("the crash left %d of the victim's %d bytes; the step needs a flushed prefix of them", n, first.size)
+			}
+			check("crash truncation")
+		})
+		fs.WaitRecovered(p)
+		for _, vol := range victim.node.HDFSVols {
+			vol.Remount(p)
+		}
+		fs.RejoinDataNode(p, victim.node.Name)
+		fs.WaitRecovered(p)
+		check("restart and rejoin")
+
+		if fs.CorruptReplica("", "/f", rand.New(rand.NewSource(3))) < 0 {
+			t.Fatal("CorruptReplica found no replica")
+		}
+		fs.EnableScrubber(ScrubConfig{BytesPerSec: -1, PassInterval: time.Hour})
+		fs.ScrubWait(p)
+		fs.StopScrubber()
+		fs.WaitRecovered(p)
+		check("scrub pass")
+		fs.StopRecovery()
+	})
+	env.Run(0)
+
+	if st := fs.RecoveryStats(); st.CorruptReplicas != 2 || st.StaleReplicasPurged == 0 {
+		t.Errorf("got %d corrupt replica(s) and %d stale one(s) purged, want 2 and some", st.CorruptReplicas, st.StaleReplicasPurged)
+	}
+	if a := fs.AuditReplication(); !a.OK() || len(a.BadChunks) != 0 {
+		t.Errorf("replication audit at the end: %s, bad chunks %v", a.String(), a.BadChunks)
+	}
+}
+
 // auditIntegrityReference is the integrity audit as the pass of its own it
 // was until the replication audit took it over: every live replica of every
-// live block checked against the block's sums. It is the model
-// ReplicationAudit.BadChunks is held to.
+// live block checked against the block's sums by recomputing them. It is the
+// model ReplicationAudit.BadChunks is held to.
 func auditIntegrityReference(fs *FS) []string {
 	if !fs.integrity {
 		return nil
@@ -585,7 +704,7 @@ func auditIntegrityReference(fs *FS) []string {
 			if !ok || sb.vol.Failed() {
 				continue
 			}
-			if !fs.replicaClean(b, sb, 0, b.size) {
+			if !cleanByRecompute(b, sb, 0, b.size) {
 				bad = append(bad, dn.node.Name+"/"+blockFileName(id))
 			}
 		}

@@ -14,6 +14,8 @@
 //
 // A file's contents are an ordered list of immutable segments, and one rule
 // governs every byte in them: once stored, a byte is never written again.
+// HDFS relies on it: a replica stored in an array whose block already
+// matched its checksums is not checksummed again.
 //
 //   - Nobody copies on the way in. Install keeps the caller's slice, clipped
 //     to its length, as a segment: the caller gives the bytes up — it must
