@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,6 +114,18 @@ func TestReplayRejectsEveryOtherFlag(t *testing.T) {
 	} {
 		wantUsageError(t, tc.args, tc.named)
 	}
+}
+
+// Regression: a schedule with a non-positive scale or slave count, or a
+// negative map-task target, rack count or uplink rate, replayed on core's
+// default testbed (1/1024, 10 slaves) and exited 0.
+func TestReplayRejectsAnotherTestbed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.json")
+	bad := `{"workload":"TS","plan":"kill-node@5ms:node=slave-01","scale":-5,"slaves":0,"map_task_target":-3,"racks":-2,"uplink_bps":-7}`
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantUsageError(t, "-replay "+path, "racks -2 and uplink_bps -7 not negative\n")
 }
 
 // Regression: `-map-tasks -4` (or 0) ran, exited 0 and printed what

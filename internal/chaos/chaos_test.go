@@ -344,12 +344,90 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if got != s {
 		t.Errorf("round trip changed the schedule:\n %+v\n %+v", got, s)
 	}
-	if _, err := ParseSchedule([]byte(`{"workload":"TS","plan":"explode@1s"}`)); err == nil {
+	if _, err := ParseSchedule([]byte(`{"workload":"TS","plan":"explode@1s","scale":262144,"slaves":5}`)); err == nil {
 		t.Error("bad plan syntax accepted")
 	}
-	if _, err := ParseSchedule([]byte(`{"workload":"nope","plan":""}`)); err == nil {
+	if _, err := ParseSchedule([]byte(`{"workload":"nope","plan":"","scale":262144,"slaves":5}`)); err == nil {
 		t.Error("unknown workload accepted")
 	}
+}
+
+// TestParseSchedule: a schedule names its whole testbed. Regression: scale
+// and slaves of 0 or below, and negative map-task targets, rack counts and
+// uplink rates, were accepted and replayed on core's defaults (1/1024, 10
+// slaves) — another experiment than the one the file records. A 0 where the
+// JSON may omit the field still means the default.
+func TestParseSchedule(t *testing.T) {
+	const plan = `"workload":"TS","plan":"kill-node@5ms:node=slave-01"`
+	for _, c := range []struct {
+		json string
+		ok   bool
+	}{
+		{`{` + plan + `,"scale":262144,"slaves":5}`, true},
+		{`{` + plan + `,"scale":262144,"slaves":5,"map_task_target":0,"racks":0,"uplink_bps":0}`, true},
+		{`{` + plan + `,"scale":262144,"slaves":5,"map_task_target":8,"racks":2,"uplink_bps":40000000}`, true},
+		{`{` + plan + `,"scale":-5,"slaves":0,"map_task_target":-3,"racks":-2,"uplink_bps":-7}`, false},
+		{`{` + plan + `}`, false},
+		{`{` + plan + `,"scale":0,"slaves":5}`, false},
+		{`{` + plan + `,"scale":-5,"slaves":5}`, false},
+		{`{` + plan + `,"scale":262144}`, false},
+		{`{` + plan + `,"scale":262144,"slaves":-1}`, false},
+		{`{` + plan + `,"scale":262144,"slaves":5,"map_task_target":-3}`, false},
+		{`{` + plan + `,"scale":262144,"slaves":5,"racks":-2}`, false},
+		{`{` + plan + `,"scale":262144,"slaves":5,"uplink_bps":-7}`, false},
+	} {
+		s, err := ParseSchedule([]byte(c.json))
+		if (err == nil) != c.ok {
+			t.Errorf("ParseSchedule(%s) = %+v, %v; want ok %v", c.json, s, err, c.ok)
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "chaos", "*.json"))
+	if err != nil || len(paths) != 18 {
+		t.Fatalf("%d pinned schedules (%v), want 18", len(paths), err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSchedule(data); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
+// FuzzParseSchedule: parsing never panics, and a schedule it accepts comes
+// back unchanged through Marshal and a second parse.
+func FuzzParseSchedule(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "chaos", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"workload":"TS","plan":"kill-node@5ms:node=slave-01","scale":-5,"slaves":0,"map_task_target":-3,"racks":-2,"uplink_bps":-7}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSchedule(data)
+		if err != nil {
+			return
+		}
+		b, err := s.Marshal()
+		if err != nil {
+			t.Fatalf("Marshal(%+v): %v", s, err)
+		}
+		back, err := ParseSchedule(b)
+		if err != nil {
+			t.Fatalf("the marshalled schedule does not parse: %v\n%s", err, b)
+		}
+		if back != s {
+			t.Fatalf("round trip changed the schedule:\n %+v\n %+v", s, back)
+		}
+	})
 }
 
 // kv builds a KV stream from alternating key, value strings.

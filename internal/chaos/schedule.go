@@ -59,11 +59,15 @@ func (s Schedule) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// ParseSchedule decodes a schedule and validates its plan syntax.
+// ParseSchedule decodes a schedule and validates its plan syntax and testbed:
+// a 0 scale or slave count, or a negative size, would replay on another one.
 func ParseSchedule(data []byte) (Schedule, error) {
 	var s Schedule
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Schedule{}, fmt.Errorf("chaos: bad schedule: %w", err)
+	}
+	if s.Scale <= 0 || s.Slaves <= 0 || s.MapTaskTarget < 0 || s.Racks < 0 || s.UplinkBPS < 0 {
+		return Schedule{}, fmt.Errorf("chaos: bad schedule: scale %d and slaves %d must be positive, map_task_target %d, racks %d and uplink_bps %d not negative", s.Scale, s.Slaves, s.MapTaskTarget, s.Racks, s.UplinkBPS)
 	}
 	if _, err := core.ParseWorkload(s.Workload); err != nil {
 		return Schedule{}, err

@@ -92,9 +92,9 @@ type Options struct {
 	// InputFraction further shrinks every workload's input relative to
 	// PaperInputBytes()/Scale (benchmarks use < 1 for speed); default 1.
 	InputFraction float64
-	// TraceAttach, when set, is called once per data disk before the run
-	// with a stable device name ("slave-03.mr1") — the hook point for
-	// internal/trace.StreamCollector.Attach and other block-level observers.
+	// TraceAttach, when set, is called once per disk (slave data disks, then
+	// any master metadata disks) before the run with a stable device name
+	// ("slave-03.mr1") — the hook for trace.StreamCollector.Attach and others.
 	TraceAttach func(dev string, d *disk.Disk) `json:"-"`
 	// Histograms collects per-request await/svctm/size distributions for
 	// each monitored device group (RunReport.HDFS.Hists and MR.Hists) via
@@ -424,6 +424,11 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 	if masterOn {
 		if err := cl.ProvisionMasterMeta(2); err != nil {
 			return nil, err
+		}
+		if opts.TraceAttach != nil {
+			for _, v := range cl.Master.Vols {
+				opts.TraceAttach(v.Disk().P.Name, v.Disk())
+			}
 		}
 	}
 

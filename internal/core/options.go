@@ -114,8 +114,8 @@ func WithIntermediateTier(c disk.Class) Option {
 	return func(o *Options) { o.IntermediateTier = c }
 }
 
-// WithTraceAttach installs the per-disk observer hook, called once per data
-// disk before the run. Runs with it set bypass the persistent cache.
+// WithTraceAttach installs the per-disk observer hook, called once per disk,
+// master's too, before the run. Runs with it set bypass the persistent cache.
 func WithTraceAttach(fn func(dev string, d *disk.Disk)) Option {
 	return func(o *Options) { o.TraceAttach = fn }
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -127,5 +128,56 @@ func TestTraceAttachOrderPinned(t *testing.T) {
 	}
 	if sink.Len() != 1488 {
 		t.Errorf("trace records = %d, want 1488", sink.Len())
+	}
+}
+
+// Regression: TraceAttach reached the slaves' disks only, so under master
+// recovery the NameNode's and JobTracker's journal I/O (stage meta) was in
+// no trace and no physical table, though iostat's masters group counted it.
+// The master's metadata disks now follow the slaves', and every completion
+// on them is one meta record.
+func TestTraceAttachReachesMasterDisks(t *testing.T) {
+	var devs []string
+	var buf bytes.Buffer
+	sink := trace.NewStreamCollector(&buf)
+	var masters []*disk.Disk
+	opts := volOpts
+	opts.MasterRecovery = true
+	opts.TraceAttach = func(dev string, d *disk.Disk) {
+		devs = append(devs, dev)
+		sink.Attach(d, dev)
+		if strings.HasPrefix(dev, "master.") {
+			masters = append(masters, d)
+		}
+	}
+	if _, err := RunOne(TS, SlotsRuns[0], opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(devs) != 26 || !slices.Equal(devs[24:], []string{"master.meta0", "master.meta1"}) {
+		t.Fatalf("attached %v, want the 24 slave disks then master.meta0 and master.meta1", devs)
+	}
+	var completions uint64
+	for _, d := range masters {
+		s := d.Stats()
+		completions += s.ReadsCompleted + s.WritesCompleted
+	}
+	recs, err := trace.ReadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta, onMasters uint64
+	for _, r := range recs {
+		if r.Stage == disk.StageMeta {
+			meta++
+		}
+		if strings.HasPrefix(r.Dev, "master.") {
+			onMasters++
+		}
+	}
+	if completions == 0 || meta != completions || onMasters != completions {
+		t.Errorf("%d meta records and %d on master disks for %d master-disk completions, want one meta record each", meta, onMasters, completions)
 	}
 }

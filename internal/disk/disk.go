@@ -171,7 +171,6 @@ type Stats struct {
 	SectorsWritten  uint64
 	TimeWriting     time.Duration // total residence time of completed writes
 	IOTicks         time.Duration // time the device was busy
-	WeightedTicks   time.Duration // integral of in-flight requests over time
 }
 
 // Request is one block-layer request. It may absorb contiguous requests by
@@ -196,15 +195,14 @@ type Disk struct {
 	P   Params
 	env *sim.Env
 
-	queue        []*Request
-	inflight     int
-	work         *sim.Cond
-	headPos      int64 // sector under the head after the last request
-	ascend       bool  // LOOK direction
-	busy         bool
-	active       int // requests in service, at most one per channel
-	lastBusy     time.Duration
-	lastWeighted time.Duration
+	queue    []*Request
+	inflight int
+	work     *sim.Cond
+	headPos  int64 // sector under the head after the last request
+	ascend   bool  // LOOK direction
+	busy     bool
+	active   int // requests in service, at most one per channel
+	lastBusy time.Duration
 
 	stats Stats
 	model DeviceModel
@@ -337,7 +335,6 @@ func (d *Disk) SubmitStaged(op Op, sector int64, count int, stage Stage) *Reques
 	if sector < 0 || sector > d.P.Sectors-int64(count) { // sector+count may overflow
 		panic(fmt.Sprintf("disk %s: request [%d,+%d) out of bounds (disk has %d sectors)", d.P.Name, sector, count, d.P.Sectors))
 	}
-	d.accrueWeighted()
 	d.inflight++
 	if !d.P.NoMerge {
 		if r := d.tryMerge(op, sector, count); r != nil {
@@ -511,7 +508,6 @@ func (d *Disk) SetSlowFactor(f float64) { d.P.SlowFactor = f }
 // complete finalizes accounting for r and wakes its waiters. start is the
 // time the device began servicing r.
 func (d *Disk) complete(r *Request, start time.Duration) {
-	d.accrueWeighted()
 	now := d.env.Now()
 	d.headPos = r.end()
 	// Linux semantics: a merged request completes as ONE request (merges
@@ -556,11 +552,4 @@ func (d *Disk) setBusy(b bool) {
 	}
 	d.busy = b
 	d.lastBusy = now
-}
-
-// accrueWeighted maintains the in-flight integral (field 11 of diskstats).
-func (d *Disk) accrueWeighted() {
-	now := d.env.Now()
-	d.stats.WeightedTicks += time.Duration(d.inflight) * (now - d.lastWeighted)
-	d.lastWeighted = now
 }

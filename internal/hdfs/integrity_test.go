@@ -516,9 +516,13 @@ func TestPipelineReplicasShareOneArray(t *testing.T) {
 // short. Crash truncation re-slices the stored array, which its siblings
 // share: they must keep the whole block, and the copy that replaces the lost
 // replica must share theirs. As above, the read-back is what would see the
-// truncation write into the shared array.
+// truncation write into the shared array. One-MiB blocks outgrow the dirty
+// limits, so the crash keeps a flushed prefix and the stored slice is cut
+// inside it; at the rig's 16 KiB blocks it was cut to nothing and dropped,
+// and the re-slice never ran.
 func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
-	env, c, fs := rig(5)
+	env, c, _ := rig(5)
+	fs := New(env, Config{BlockSize: 1 << 20, Replication: 3}, c.Net, c.Slaves)
 	fs.EnableIntegrity()
 	fs.EnableRecovery(fastRecovery())
 	want := pattern(2*int(fs.cfg.BlockSize) + 5_000)
@@ -532,8 +536,8 @@ func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
 				vol.Crash()
 			}
 			fs.CrashDataNode(victim.node.Name)
-			if sb.file.Size() >= first.size {
-				t.Fatal("the crash cut nothing off the victim's replica; the test needs it unflushed")
+			if n := sb.file.Size(); n == 0 || n >= first.size {
+				t.Fatalf("the crash left %d of the victim's %d bytes; the test needs a flushed prefix of them", n, first.size)
 			}
 			for _, dn := range first.replicas {
 				if clean := fs.replicaClean(first, dn.blocks[first.id], 0, first.size); clean != (dn != victim) {

@@ -165,7 +165,6 @@ func (g *group) combined() disk.Stats {
 		out.SectorsWritten += s.SectorsWritten
 		out.TimeWriting += s.TimeWriting
 		out.IOTicks += s.IOTicks
-		out.WeightedTicks += s.WeightedTicks
 	}
 	return out
 }

@@ -256,37 +256,6 @@ func TestUtilPoolRecordsPerDiskSamples(t *testing.T) {
 	}
 }
 
-func TestStopRefreshesTotalsOnDroppedTail(t *testing.T) {
-	// I/O completing in a tail shorter than interval/10 is dropped from the
-	// interval series (too noisy for rates) but must still count toward the
-	// whole-run totals.
-	env := sim.New(1)
-	d := testDisk(env)
-	m := NewMonitor(100 * time.Millisecond)
-	m.AddGroup("g", d)
-	m.Start(env)
-	env.Go("load", func(p *sim.Proc) {
-		d.Do(p, disk.Write, 0, 1024)
-		p.Sleep(205*time.Millisecond - p.Now()) // wake just past the t=200ms sample
-		d.Do(p, disk.Write, 1024, 64)           // contiguous: completes in well under 10ms
-		m.Stop(p.Now())
-	})
-	env.Run(0)
-	rep := m.Report("g")
-	if got := rep.WMBs.Len(); got != 2 {
-		t.Fatalf("sampled %d intervals, want 2 (tail must be dropped)", got)
-	}
-	if want := uint64(1024+64) * disk.SectorSize; rep.TotalWrittenBytes != want {
-		t.Errorf("TotalWrittenBytes = %d, want %d (tail write lost)", rep.TotalWrittenBytes, want)
-	}
-	if rep.TotalWrites != 2 {
-		t.Errorf("TotalWrites = %d, want 2", rep.TotalWrites)
-	}
-	if got, want := rep.TotalWrittenBytes, d.Stats().SectorsWritten*disk.SectorSize; got != want {
-		t.Errorf("report totals %d disagree with disk.Stats %d", got, want)
-	}
-}
-
 func TestMonitorHistograms(t *testing.T) {
 	env := sim.New(1)
 	d := testDisk(env)

@@ -486,7 +486,7 @@ const recordedScenario = `100µs #15 drop: resident 36 dirty 16
 31.005561031s #82 disk write [16320,+160)
 31.010559878s #84 disk write [24000,+24)
 40.040726966s #86 expired: dirty 0
-40.040726966s #86 end 40.040726966s <nil> stats {Hits:52 Misses:25 ReadaheadPages:12 FlushedPages:31 EvictedClean:0 EvictedDirty:0 DiscardedDirty:17 ThrottleStalls:0} disk {ReadsCompleted:5 ReadsMerged:2 SectorsRead:296 TimeReading:21.033201ms WritesCompleted:7 WritesMerged:0 SectorsWritten:248 TimeWriting:115.374846ms IOTicks:51.286844ms WeightedTicks:137.033046ms}`
+40.040726966s #86 end 40.040726966s <nil> stats {Hits:52 Misses:25 ReadaheadPages:12 FlushedPages:31 EvictedClean:0 EvictedDirty:0 DiscardedDirty:17 ThrottleStalls:0} disk {ReadsCompleted:5 ReadsMerged:2 SectorsRead:296 TimeReading:21.033201ms WritesCompleted:7 WritesMerged:0 SectorsWritten:248 TimeWriting:115.374846ms IOTicks:51.286844ms}`
 
 // TestPageTableMatchesMap runs the page table and two maps (resident pages,
 // dirty page numbers) through the same random puts, gets, deletes, dirty and
