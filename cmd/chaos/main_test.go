@@ -79,7 +79,8 @@ func TestMain(m *testing.M) {
 }
 
 // wantUsageError runs chaos with args and fails t unless it exits 2, prints
-// nothing on stdout and one chaos: line on stderr ending in named.
+// nothing on stdout and one line on stderr that names the tool once, as its
+// prefix, and ends in named.
 func wantUsageError(t *testing.T, args, named string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
@@ -94,7 +95,7 @@ func wantUsageError(t *testing.T, args, named string) {
 		}
 		status = exit.ExitCode()
 	}
-	if msg := errs.String(); status != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "chaos: ") || !strings.HasSuffix(msg, named) {
+	if msg := errs.String(); status != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || strings.Count(msg, "chaos:") != 1 || !strings.HasPrefix(msg, "chaos: ") || !strings.HasSuffix(msg, named) {
 		t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one chaos: line ending %q", args, status, out.Len(), msg, named)
 	}
 }
@@ -126,6 +127,22 @@ func TestReplayRejectsAnotherTestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantUsageError(t, "-replay "+path, "racks -2 and uplink_bps -7 not negative\n")
+}
+
+// Regression: a schedule that is not JSON, or whose scale is 0, printed
+// "chaos: chaos: bad schedule: …": main prefixed an error that named the
+// tool already.
+func TestReplayBadScheduleNamesTheToolOnce(t *testing.T) {
+	for _, tc := range []struct{ schedule, named string }{
+		{`{"workload":"TS",`, "unexpected end of JSON input\n"},
+		{`{"workload":"TS","plan":"kill-node@5ms:node=slave-01","scale":0,"slaves":3}`, "uplink_bps 0 not negative\n"},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(tc.schedule), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantUsageError(t, "-replay "+path, tc.named)
+	}
 }
 
 // Regression: `-map-tasks -4` (or 0) ran, exited 0 and printed what

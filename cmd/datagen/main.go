@@ -21,12 +21,13 @@ func main() {
 	var (
 		kind = flag.String("kind", "text", "text | table | points | graph")
 		size = flag.Int64("bytes", 1<<20, "approximate output volume")
-		part = flag.Int("part", 0, "part index (parts are independent shards)")
+		part = flag.Int("part", 0, "part index, 0 to 16777215 (parts are independent shards)")
 		seed = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
-	if *size < 1 || *part < 0 {
-		fmt.Fprintf(os.Stderr, "datagen: -bytes must be at least 1 and -part non-negative, got %d and %d\n", *size, *part)
+	// TeraGen's row ids are part<<40 + i in 64 bits: part 1<<24 repeats part 0's.
+	if *size < 1 || *part < 0 || *part >= 1<<24 {
+		fmt.Fprintf(os.Stderr, "datagen: -bytes must be at least 1 and -part in [0, 16777216), got %d and %d\n", *size, *part)
 		os.Exit(2)
 	}
 

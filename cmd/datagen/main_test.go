@@ -43,9 +43,15 @@ func TestNonPositiveBytesIsUsageError(t *testing.T) {
 			}
 		}
 	}
-	// A negative -part wrapped the row ids (part<<40 as uint64) and exited 0.
-	if status, out, msg := datagen("-part -1"); status != 2 || out != "" || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "datagen: ") {
-		t.Errorf("-part -1: status %d, %d bytes out, stderr %q; want 2, none and one datagen: line", status, len(out), msg)
+	// A negative -part wrapped the row ids (part<<40 as uint64) and exited 0;
+	// so did -part 16777216, whose part<<40 wraps to part 0's ids.
+	for _, part := range []string{"-1", "16777216", "9223372036854775807"} {
+		if status, out, msg := datagen("-part " + part); status != 2 || out != "" || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "datagen: ") {
+			t.Errorf("-part %s: status %d, %d bytes out, stderr %q; want 2, none and one datagen: line", part, status, len(out), msg)
+		}
+	}
+	if status, out, msg := datagen("-part 16777215 -bytes 100"); status != 0 || !strings.Contains(out, "0018446742974197923840") {
+		t.Errorf("-part 16777215: status %d, output %q (stderr %q); want 0 and row id 18446742974197923840", status, out, msg)
 	}
 	if status, out, msg := datagen("-bytes 1"); status != 0 || len(out) != 100 {
 		t.Errorf("-bytes 1: status %d, %d bytes out (stderr %q); want 0 and one 100-byte record", status, len(out), msg)

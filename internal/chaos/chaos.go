@@ -123,7 +123,7 @@ type GoldenError struct {
 }
 
 func (e *GoldenError) Error() string {
-	return "chaos: golden " + e.Workload + " run failed its own audit: " +
+	return "golden " + e.Workload + " run failed its own audit: " +
 		joinMax(e.Violations, 3)
 }
 

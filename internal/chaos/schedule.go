@@ -64,10 +64,10 @@ func (s Schedule) Marshal() ([]byte, error) {
 func ParseSchedule(data []byte) (Schedule, error) {
 	var s Schedule
 	if err := json.Unmarshal(data, &s); err != nil {
-		return Schedule{}, fmt.Errorf("chaos: bad schedule: %w", err)
+		return Schedule{}, fmt.Errorf("bad schedule: %w", err)
 	}
 	if s.Scale <= 0 || s.Slaves <= 0 || s.MapTaskTarget < 0 || s.Racks < 0 || s.UplinkBPS < 0 {
-		return Schedule{}, fmt.Errorf("chaos: bad schedule: scale %d and slaves %d must be positive, map_task_target %d, racks %d and uplink_bps %d not negative", s.Scale, s.Slaves, s.MapTaskTarget, s.Racks, s.UplinkBPS)
+		return Schedule{}, fmt.Errorf("bad schedule: scale %d and slaves %d must be positive, map_task_target %d, racks %d and uplink_bps %d not negative", s.Scale, s.Slaves, s.MapTaskTarget, s.Racks, s.UplinkBPS)
 	}
 	if _, err := core.ParseWorkload(s.Workload); err != nil {
 		return Schedule{}, err

@@ -38,7 +38,8 @@ type TeraGen struct{ Seed int64 }
 // Part returns approximately size bytes of whole 100-byte records for the
 // given part index. Keys are uniform random printable bytes, so sort load
 // balances, and payloads carry structured filler (compressible, like
-// TeraGen's).
+// TeraGen's). Parts run from 0 to 2²⁴−1: record i's row id is part<<40 + i
+// in 64 bits, so part 2²⁴ would repeat part 0's.
 func (g TeraGen) Part(part int, size int64) []byte {
 	n := size / RecordSize
 	if n == 0 {
@@ -92,14 +93,25 @@ func (r *lagged) seed(seed int64) {
 	}
 }
 
+// vector is whether printable and refill run the AVX2 kernel
+// (lagged_amd64.s), set once at init where the CPU has it. The Go loops
+// are the path everywhere else and the reference the kernel is tested
+// against; tests switch between the two here.
+var vector = hasAVX2
+
 // refill replaces the window x[m..m+607) with x[m+607..m+1214): the first
 // 273 add an output of the old window, the rest one just written.
 func (r *lagged) refill() {
-	for k := 0; k < 273; k++ {
-		r.w[k] += r.w[k+334]
-	}
-	for k := 273; k < 607; k++ {
-		r.w[k] += r.w[k-273]
+	if vector {
+		addLagged(r.w[:273], r.w[334:])
+		addLagged(r.w[273:], r.w[:334])
+	} else {
+		for k := 0; k < 273; k++ {
+			r.w[k] += r.w[k+334]
+		}
+		for k := 273; k < 607; k++ {
+			r.w[k] += r.w[k-273]
+		}
 	}
 	r.i = 0
 }
@@ -116,6 +128,9 @@ func (r *lagged) printable(dst []byte) {
 		}
 		w := r.w[r.i:min(len(r.w), r.i+len(dst))]
 		j := 0
+		if vector {
+			j = printable8(dst, w)
+		}
 		for ; j < len(w); j++ {
 			v := uint32(w[j]>>32) & (1<<31 - 1)
 			if v > max { // Int31n draws again: this output makes no byte

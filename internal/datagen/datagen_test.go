@@ -52,7 +52,39 @@ func teraGenReference(g TeraGen, part int, size int64) []byte {
 	return out
 }
 
-func TestTeraGenMatchesIntnReference(t *testing.T) {
+// paths names printable's and refill's two implementations by the value of
+// vector that selects them.
+var paths = []struct {
+	name   string
+	vector bool
+}{{"go", false}, {"avx2", true}}
+
+// setVector selects a path for the caller's duration and reports whether
+// this CPU can run it; the returned func restores the init-time choice.
+func setVector(on bool) (ok bool, restore func()) {
+	was := vector
+	vector = on
+	return !on || hasAVX2, func() { vector = was }
+}
+
+// bothPaths runs f once on the Go loops and once on the AVX2 kernel,
+// skipping the kernel where the CPU lacks it.
+func bothPaths(t *testing.T, f func(t *testing.T)) {
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			ok, restore := setVector(p.vector)
+			defer restore()
+			if !ok {
+				t.Skip("no AVX2 on this CPU")
+			}
+			f(t)
+		})
+	}
+}
+
+func TestTeraGenMatchesIntnReference(t *testing.T) { bothPaths(t, testTeraGenMatchesIntnReference) }
+
+func testTeraGenMatchesIntnReference(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
 		part int
@@ -70,16 +102,21 @@ func TestTeraGenMatchesIntnReference(t *testing.T) {
 }
 
 // FuzzTeraGenPart: Part equals the rng.Intn reference for any seed, part and
-// size up to 64 KiB. Parts are 16-bit: the reference formats part<<40 + i
-// as a signed number, so it must stay non-negative.
+// size up to 64 KiB, on both paths. Parts are 16-bit: the reference formats
+// part<<40 + i as a signed number, so it must stay non-negative.
 func FuzzTeraGenPart(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(1))
 	f.Add(int64(-5), uint16(1000), uint16(64_000))
 	f.Add(int64(math.MinInt64), uint16(3), uint16(60_700))
 	f.Fuzz(func(t *testing.T, seed int64, part, size uint16) {
 		g := TeraGen{Seed: seed}
-		if got, want := g.Part(int(part), int64(size)), teraGenReference(g, int(part), int64(size)); !bytes.Equal(got, want) {
-			t.Errorf("seed %d part %d size %d: Part differs from the rng.Intn reference", seed, part, size)
+		want := teraGenReference(g, int(part), int64(size))
+		for _, p := range paths {
+			ok, restore := setVector(p.vector)
+			if ok && !bytes.Equal(g.Part(int(part), int64(size)), want) {
+				t.Errorf("seed %d part %d size %d: Part on the %s path differs from the rng.Intn reference", seed, part, size, p.name)
+			}
+			restore()
 		}
 	})
 }
@@ -88,7 +125,9 @@ var laggedSeeds = []int64{0, 1, -5, 1 << 40, math.MinInt64}
 
 // TestLaggedMatchesSource: lagged's stream is rand.NewSource's, output for
 // output, across more than four refills.
-func TestLaggedMatchesSource(t *testing.T) {
+func TestLaggedMatchesSource(t *testing.T) { bothPaths(t, testLaggedMatchesSource) }
+
+func testLaggedMatchesSource(t *testing.T) {
 	for _, seed := range laggedSeeds {
 		src := rand.NewSource(seed).(rand.Source64)
 		var r lagged
@@ -108,7 +147,9 @@ func TestLaggedMatchesSource(t *testing.T) {
 
 // TestPrintableMatchesIntn: a million printable draws are the bytes
 // ' '+rand.New(src).Intn(95) gives.
-func TestPrintableMatchesIntn(t *testing.T) {
+func TestPrintableMatchesIntn(t *testing.T) { bothPaths(t, testPrintableMatchesIntn) }
+
+func testPrintableMatchesIntn(t *testing.T) {
 	for _, seed := range laggedSeeds {
 		rng := rand.New(rand.NewSource(seed))
 		var r lagged
@@ -137,26 +178,78 @@ func (o *outputs) Seed(int64) {}
 // TestPrintableRedrawsLikeInt31n: an output above Int31n's rejection bound
 // makes no byte, anywhere in the window and at its last slot before a
 // refill. A real stream holds one in ~7·10⁸, so the draws above never meet
-// one.
+// one. Every third slot redrawn leaves the kernel no clean 8-output group.
 func TestPrintableRedrawsLikeInt31n(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		var slots []int
+		for k := 0; k < 607; k += 3 { // 203 of 607, the last slot among them
+			slots = append(slots, k)
+		}
+		checkRedraws(t, slots, 7, 1<<20)
+	})
+}
+
+// TestPrintableSparseRedraws: a redrawn output after clean 8-output groups
+// hands the kernel's group to the Go loop, which draws past it, and the
+// kernel takes over again. Drawn in one span, slot 13 sits in the second
+// group, 600 in the window's last full group once the kernel resumes at
+// 14, and 606 is the window's last output; TeraGen's 10- and 34-byte
+// spans meet them at other offsets.
+func TestPrintableSparseRedraws(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		for _, spans := range [][]int{{1 << 20}, {10, 34}, {44}} {
+			checkRedraws(t, []int{13, 600, 606}, spans...)
+		}
+	})
+}
+
+// checkRedraws draws a window seeded with 3 whose slots are pushed above
+// the rejection bound, and the next 100 bytes after it, in printable calls
+// of spans[0], spans[1], … bytes (cycling), and compares them with what
+// rand.Intn draws from the same outputs.
+func checkRedraws(t *testing.T, slots []int, spans ...int) {
+	t.Helper()
 	var r lagged
 	r.seed(3)
-	for k := range r.w {
-		if k%3 == 0 { // 203 of 607, the last slot among them
-			r.w[k] |= (1<<31 - 3) << 32
-		}
+	for _, k := range slots {
+		r.w[k] |= (1<<31 - 3) << 32
 	}
 	next := r
 	next.refill()
 	src := outputs(append(r.w[:len(r.w):len(r.w)], next.w[:]...))
 	rng := rand.New(&src)
-	got := make([]byte, len(r.w)-203+100)
-	r.printable(got[:7])
-	r.printable(got[7:])
+	got := make([]byte, len(r.w)-len(slots)+100)
+	for k, c := 0, 0; k < len(got); c++ {
+		n := min(len(got)-k, spans[c%len(spans)])
+		r.printable(got[k : k+n])
+		k += n
+	}
 	for k, b := range got {
 		if want := byte(' ' + rng.Intn(95)); b != want {
-			t.Fatalf("draw %d: printable %q, Intn %q", k, b, want)
+			t.Fatalf("spans %v, draw %d: printable %q, Intn %q", spans, k, b, want)
 		}
+	}
+}
+
+// BenchmarkPrintable: the kernel alone on each path, 600 outputs of one
+// window, no refill.
+func BenchmarkPrintable(b *testing.B) {
+	for _, p := range paths {
+		b.Run(p.name, func(b *testing.B) {
+			ok, restore := setVector(p.vector)
+			defer restore()
+			if !ok {
+				b.Skip("no AVX2 on this CPU")
+			}
+			var r lagged
+			r.seed(1)
+			dst := make([]byte, 600)
+			b.SetBytes(int64(len(dst)))
+			for i := 0; i < b.N; i++ {
+				r.i = 0
+				r.printable(dst)
+			}
+		})
 	}
 }
 
