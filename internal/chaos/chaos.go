@@ -16,6 +16,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -204,19 +205,8 @@ func (h *Harness) RunSeed(ctx context.Context, w core.Workload, seed int64) (*Ve
 // produces leaves enough of the cluster alive that recovery is supposed to
 // succeed.
 func (h *Harness) check(ctx context.Context, w core.Workload, plan faults.Plan, g *golden) (findings, expected []string, rep *core.RunReport, err error) {
-	opts := h.opts.Core
-	opts.Faults = plan
-	opts.Audit = true
-	opts.Integrity = true
-	if planCorrupts(plan) {
-		// Silent corruption in data the workload never re-reads is only
-		// found by the scrubber; run it unthrottled so one pass fits the
-		// post-run barrier regardless of data volume.
-		opts.ScrubRate = -1
-	}
 	raw := map[string][]byte{}
-	opts.Inspect = captureFloatOutputs(raw)
-	rep, err = core.RunOneContext(ctx, w, core.SlotsRuns[0], opts)
+	rep, err = core.RunOneContext(ctx, w, core.SlotsRuns[0], h.checkOptions(plan, raw))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, nil, nil, ctx.Err()
@@ -232,14 +222,21 @@ func (h *Harness) check(ctx context.Context, w core.Workload, plan faults.Plan, 
 	return findings, expected, rep, nil
 }
 
-// planCorrupts reports whether the plan injects silent block corruption.
-func planCorrupts(plan faults.Plan) bool {
-	for _, ev := range plan.Events {
-		if ev.Kind == faults.CorruptBlock {
-			return true
-		}
+// checkOptions is the testbed check runs plan on: audited, checksummed,
+// with the float outputs captured into raw.
+func (h *Harness) checkOptions(plan faults.Plan, raw map[string][]byte) core.Options {
+	opts := h.opts.Core
+	opts.Faults = plan
+	opts.Audit = true
+	opts.Integrity = true
+	if slices.ContainsFunc(plan.Events, func(ev faults.Event) bool { return ev.Kind == faults.CorruptBlock }) {
+		// Silent corruption in data the workload never re-reads is only
+		// found by the scrubber; run it unthrottled so one pass fits the
+		// post-run barrier regardless of data volume.
+		opts.ScrubRate = -1
 	}
-	return false
+	opts.Inspect = captureFloatOutputs(raw)
+	return opts
 }
 
 // classifyExpectedLoss splits out findings that are physics rather than

@@ -96,6 +96,20 @@ func (h *Harness) schedule(w core.Workload, seed int64, plan faults.Plan) Schedu
 	}
 }
 
+// testbed is the fault-free configuration the schedule was drawn on.
+func (s Schedule) testbed() core.Options {
+	return core.Options{
+		Scale:            s.Scale,
+		Slaves:           s.Slaves,
+		Seed:             s.Seed,
+		MapTaskTarget:    s.MapTaskTarget,
+		Racks:            s.Racks,
+		UplinkBPS:        s.UplinkBPS,
+		IntermediateTier: s.Tier,
+		MasterRecovery:   s.MasterRecovery,
+	}
+}
+
 // Nodes returns the slave names of an n-slave testbed — the targets fault
 // schedules draw from.
 func Nodes(n int) []string {
@@ -129,16 +143,7 @@ func Replay(ctx context.Context, s Schedule) (*Verdict, error) {
 		return nil, err
 	}
 	plan.Seed = s.PlanSeed
-	h := New(Options{Core: core.Options{
-		Scale:            s.Scale,
-		Slaves:           s.Slaves,
-		Seed:             s.Seed,
-		MapTaskTarget:    s.MapTaskTarget,
-		Racks:            s.Racks,
-		UplinkBPS:        s.UplinkBPS,
-		IntermediateTier: s.Tier,
-		MasterRecovery:   s.MasterRecovery,
-	}})
+	h := New(Options{Core: s.testbed()})
 	g, err := h.goldenFor(ctx, w)
 	if err != nil {
 		return nil, err

@@ -90,7 +90,6 @@ func (fs *FS) shrinkAlloc(f *file, keep int64) {
 			// Whole extent is past the cut: free it.
 			fs.freeExtent(e)
 			f.extents = append(f.extents[:i], f.extents[i+1:]...)
-			fs.stats.Extents--
 			i--
 			continue
 		}

@@ -60,10 +60,8 @@ const DefaultExtentSectors = 2048
 // Stats counts filesystem-level activity.
 type Stats struct {
 	FilesCreated uint64
-	FilesDeleted uint64
 	BytesWritten uint64
 	BytesRead    uint64
-	Extents      uint64 // currently allocated extents across live files
 }
 
 // extent is a contiguous run of device sectors.
@@ -206,7 +204,6 @@ func (fs *FS) Delete(name string) error {
 	}
 	fs.release(f)
 	delete(fs.files, name)
-	fs.stats.FilesDeleted++
 	fs.journalRecs++
 	return nil
 }
@@ -217,7 +214,6 @@ func (fs *FS) release(f *file) {
 		fs.cache.Discard(e.sector, int(e.sectors))
 		fs.freeExtent(e)
 	}
-	fs.stats.Extents -= uint64(len(f.extents))
 	f.extents = nil
 	f.segs = nil
 }
@@ -420,7 +416,6 @@ func (fs *FS) grow(f *file, want int64) {
 		f.extents[len(f.extents)-1].sectors += e.sectors
 	} else {
 		f.extents = append(f.extents, e)
-		fs.stats.Extents++
 	}
 	f.alloced += n
 }
