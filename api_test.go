@@ -150,30 +150,7 @@ func main() { lib.Used() }`,
 	})
 
 	fset := token.NewFileSet()
-	files := map[string][]*ast.File{}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (p == ".bench_build" || p == ".git") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		// As the compiler does, take only the files this platform builds:
-		// internal/datagen declares its kernel once per architecture.
-		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := path.Join("iochar", filepath.ToSlash(filepath.Dir(p)))
-		files[pkg] = append(files[pkg], f)
-		return nil
-	})
+	files, err := parseTree(fset, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,22 +159,7 @@ func main() { lib.Used() }`,
 		t.Fatal(err)
 	}
 
-	allowed := map[string]bool{}
-	lf, err := os.Open(testOnlyAPIFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	for sc := bufio.NewScanner(lf); sc.Scan(); {
-		key, reason, _ := strings.Cut(strings.TrimSpace(sc.Text()), " ")
-		if key == "" || strings.HasPrefix(key, "#") {
-			continue
-		}
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("%s: %s has no reason", testOnlyAPIFile, key)
-		}
-		allowed[key] = false
-	}
+	allowed, _ := readExceptions(t)
 	for _, key := range declared {
 		if _, listed := allowed[key]; listed {
 			allowed[key] = true
@@ -215,6 +177,234 @@ func main() { lib.Used() }`,
 	}
 }
 
+// TestNoTestOnlyKnob fails when an exported field of a struct declared under
+// internal/ is written by a test while non-test code writes it nowhere, or
+// only ever the same constant: a setting no program turns is a constant, and
+// each one a test turns doubles a configuration space no run explores. A
+// write is what TestNoTestOnlyAPI counts as one (see fieldWrites); a
+// composite literal or assignment whose value is not a constant expression
+// turns the field. Deliberate exceptions are listed in
+// testdata/test_only_api.txt as "knob pkg.Type.Field reason".
+func TestNoTestOnlyKnob(t *testing.T) {
+	t.Run("finds what only tests turn", func(t *testing.T) {
+		// Fixed is written once, as a constant; Test only by the test;
+		// Twice with two constants, Turned with a variable, and hidden is
+		// not exported. Outside is no internal/ struct.
+		got := fixtureKnobs(t, map[string]string{
+			"fixture/internal/x/x.go": `package x
+type Config struct{ Fixed, Test, Twice, Turned, hidden int }
+func Default(n int) Config { return Config{Fixed: 8, Twice: 1, Turned: n, hidden: 2} }
+func Other() Config { c := Default(1); c.Twice = 2; return c }`,
+			"fixture/internal/x/x_test.go": `package x
+func cases() []Config { return []Config{{Fixed: 4, Test: 1, Twice: 3, Turned: 5, hidden: 6}} }`,
+			"fixture/lib/lib.go": `package lib
+type Outside struct{ N int }`,
+			"fixture/lib/lib_test.go": `package lib
+var _ = Outside{N: 1}`,
+		})
+		if want := []string{"x.Config.Fixed", "x.Config.Test"}; !slices.Equal(got, want) {
+			t.Errorf("knobs = %v, want %v", got, want)
+		}
+	})
+	t.Run("an external test package and an indirect write", func(t *testing.T) {
+		// The x_test package writes through an assignment, ++ and an
+		// index; Slice's program write stores one element, no value.
+		got := fixtureKnobs(t, map[string]string{
+			"fixture/internal/x/x.go": `package x
+type Config struct{ A, B int; Slice []int }
+func Default() Config { c := Config{A: 1, Slice: make([]int, 1)}; c.Slice[0] = 3; return c }`,
+			"fixture/internal/x/x_ext_test.go": `package x_test
+import "fixture/internal/x"
+func mutate() { c := x.Default(); c.A = 2; c.B++; c.Slice[0] = 1 }`,
+		})
+		if want := []string{"x.Config.A", "x.Config.B"}; !slices.Equal(got, want) {
+			t.Errorf("knobs = %v, want %v", got, want)
+		}
+	})
+
+	fset := token.NewFileSet()
+	files, err := parseTree(fset, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	knobs, err := knobCensus(fset, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, allowed := readExceptions(t)
+	for _, key := range knobs {
+		if _, listed := allowed[key]; listed {
+			allowed[key] = true
+		} else {
+			t.Errorf("%s is turned only by tests (no program writes it, or only one constant): make it a constant, or list it in %s as \"knob %s reason\"", key, testOnlyAPIFile, key)
+		}
+	}
+	for key, seen := range allowed {
+		if !seen {
+			t.Errorf("%s lists knob %s, which a program turns or no test writes: drop the line", testOnlyAPIFile, key)
+		}
+	}
+}
+
+// parseTree parses the module's Go files and benchmark/'s — with tests,
+// or without — taking only the files this platform builds, as the compiler
+// does (internal/datagen declares its kernel once per architecture). It
+// returns them by import path; an external test package (package x_test)
+// is keyed by its directory's path plus "_test".
+func parseTree(fset *token.FileSet, tests bool) (map[string][]*ast.File, error) {
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (p == ".bench_build" || p == ".git") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || (!tests && strings.HasSuffix(p, "_test.go")) {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := path.Join("iochar", filepath.ToSlash(filepath.Dir(p)))
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			pkg += "_test"
+		}
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	return files, err
+}
+
+// readExceptions reads testdata/test_only_api.txt: the API census's
+// exceptions ("key reason") and the knob census's ("knob key reason"), each
+// keyed false until a census finds it.
+func readExceptions(t *testing.T) (api, knobs map[string]bool) {
+	t.Helper()
+	lf, err := os.Open(testOnlyAPIFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	api, knobs = map[string]bool{}, map[string]bool{}
+	for sc := bufio.NewScanner(lf); sc.Scan(); {
+		line, into := strings.TrimSpace(sc.Text()), api
+		if rest, ok := strings.CutPrefix(line, "knob "); ok {
+			line, into = rest, knobs
+		}
+		key, reason, _ := strings.Cut(line, " ")
+		if key == "" || strings.HasPrefix(key, "#") {
+			continue
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("%s: %s has no reason", testOnlyAPIFile, key)
+		}
+		into[key] = false
+	}
+	return api, knobs
+}
+
+// fixtureKnobs runs knobCensus over in-memory files and returns what it
+// finds.
+func fixtureKnobs(t *testing.T, src map[string]string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	knobs, err := knobCensus(fset, parseFixture(t, fset, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return knobs
+}
+
+// parseFixture parses in-memory sources keyed by import path (one file
+// each) or by "path/name.go", grouped by package as parseTree groups them.
+func parseFixture(t *testing.T, fset *token.FileSet, src map[string]string) map[string][]*ast.File {
+	t.Helper()
+	files := map[string][]*ast.File{}
+	for key, text := range src {
+		pkg, name := key, key+"/fixture.go"
+		if strings.HasSuffix(key, ".go") {
+			pkg, name = path.Dir(key), key
+		}
+		f, err := parser.ParseFile(fset, name, text, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			pkg += "_test"
+		}
+		files[pkg] = append(files[pkg], f)
+	}
+	return files
+}
+
+// knobCensus type-checks files (tests included, see parseTree) and returns,
+// sorted as "pkg.Type.Field", the exported fields of the structs that
+// non-test files under an internal/ directory declare which a test file
+// writes while non-test files write them nowhere or only ever one constant.
+func knobCensus(fset *token.FileSet, files map[string][]*ast.File) ([]string, error) {
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	if _, err := typeCheck(fset, files, info); err != nil {
+		return nil, err
+	}
+	isTest := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
+	names := map[*types.Var]string{}
+	for pkg, fs := range files {
+		if !strings.Contains(pkg, "/internal/") {
+			continue
+		}
+		for _, f := range fs {
+			if isTest(f.Pos()) {
+				continue
+			}
+			structFields(f, func(s *ast.TypeSpec, id *ast.Ident) {
+				if id.IsExported() {
+					names[info.Defs[id].(*types.Var)] = path.Base(pkg) + "." + s.Name.Name + "." + id.Name
+				}
+			})
+		}
+	}
+	type tally struct {
+		test, turned bool
+		values       map[string]bool // the constants non-test code writes
+	}
+	tallies := map[*types.Var]*tally{}
+	for id, val := range fieldWrites(info, files) {
+		v := info.Uses[id].(*types.Var).Origin()
+		if _, ok := names[v]; !ok {
+			continue
+		}
+		tl := tallies[v]
+		if tl == nil {
+			tl = &tally{values: map[string]bool{}}
+			tallies[v] = tl
+		}
+		tv := info.Types[val]
+		switch {
+		case isTest(id.Pos()):
+			tl.test = true
+		case val != nil && tv.IsNil():
+			tl.values["nil"] = true
+		case val != nil && tv.Value != nil:
+			tl.values[tv.Value.ExactString()] = true
+		default:
+			tl.turned = true
+		}
+	}
+	var knobs []string
+	for v, tl := range tallies {
+		if tl.test && !tl.turned && len(tl.values) <= 1 {
+			knobs = append(knobs, names[v])
+		}
+	}
+	sort.Strings(knobs)
+	return knobs, nil
+}
+
 // serializedRoots are the types a run's input is serialized as, as
 // "pkg.Type": the encoder reads every field it reaches, so no identifier has
 // to. A type serialized as output is no root: the run cache stores every
@@ -230,14 +420,7 @@ var serializedRoots = []string{
 func fixtureCensus(t *testing.T, src map[string]string, roots ...string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
-	files := map[string][]*ast.File{}
-	for pkg, text := range src {
-		f, err := parser.ParseFile(fset, pkg+"/fixture.go", text, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[pkg] = []*ast.File{f}
-	}
+	files := parseFixture(t, fset, src)
 	declared, reached, err := apiCensus(fset, files, roots)
 	if err != nil {
 		t.Fatal(err)
@@ -276,20 +459,9 @@ type (
 // fieldWrites), or when encoding/json would read it on its way from one of
 // roots ("pkg.Type" as the keys are).
 func apiCensus(fset *token.FileSet, files map[string][]*ast.File, roots []string) (declared []string, reached map[string]bool, err error) {
-	c := &census{
-		fset:  fset,
-		files: files,
-		std:   importer.ForCompiler(fset, "source", nil),
-		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-	}
-	for pkg := range files {
-		if _, err := c.Import(pkg); err != nil {
-			return nil, nil, err
-		}
-	}
-	if c.errs != nil {
-		return nil, nil, fmt.Errorf("type errors: %v", c.errs)
+	c, err := typeCheck(fset, files, &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}})
+	if err != nil {
+		return nil, nil, err
 	}
 	uses := map[types.Object][]token.Pos{}
 	for id, obj := range c.info.Uses {
@@ -308,8 +480,8 @@ func apiCensus(fset *token.FileSet, files map[string][]*ast.File, roots []string
 	writes := fieldWrites(c.info, files)
 	read := map[*types.Var]bool{}
 	for id, obj := range c.info.Uses {
-		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
-			read[v.Origin()] = true
+		if _, written := writes[id]; !written && isField(obj) {
+			read[obj.(*types.Var).Origin()] = true
 		}
 	}
 
@@ -378,19 +550,8 @@ func apiCensus(fset *token.FileSet, files map[string][]*ast.File, roots []string
 					}
 				}
 			}
-			// Every named struct's named fields, a function's own types
-			// too; an embedded field is a use of its type.
-			ast.Inspect(f, func(n ast.Node) bool {
-				if s, ok := n.(*ast.TypeSpec); ok {
-					if st, ok := s.Type.(*ast.StructType); ok {
-						for _, fl := range st.Fields.List {
-							for _, id := range fl.Names {
-								fields = append(fields, field{path.Base(pkg) + "." + s.Name.Name + "." + id.Name, c.info.Defs[id].(*types.Var)})
-							}
-						}
-					}
-				}
-				return true
+			structFields(f, func(s *ast.TypeSpec, id *ast.Ident) {
+				fields = append(fields, field{path.Base(pkg) + "." + s.Name.Name + "." + id.Name, c.info.Defs[id].(*types.Var)})
 			})
 		}
 	}
@@ -408,21 +569,41 @@ type field struct {
 	v   *types.Var
 }
 
+// structFields calls fn with every named field of every named struct in f,
+// a function's own types too; an embedded field is a use of its type, not
+// a field.
+func structFields(f *ast.File, fn func(s *ast.TypeSpec, id *ast.Ident)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if s, ok := n.(*ast.TypeSpec); ok {
+			if st, ok := s.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						fn(s, id)
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
 // fieldWrites returns the identifiers in files that name a field only to
 // write it: an assignment or ++/-- target, also through index expressions
 // (x.f[i] = v writes f), and a composite literal's key. Any other use of a
-// field reads it.
-func fieldWrites(info *types.Info, files map[string][]*ast.File) map[*ast.Ident]bool {
-	writes := map[*ast.Ident]bool{}
-	target := func(e ast.Expr) {
+// field reads it. Each maps to the expression it stores, or to nil where it
+// stores no one expression's value: ++/--, an operator assignment, an
+// element through an index, a tuple assignment.
+func fieldWrites(info *types.Info, files map[string][]*ast.File) map[*ast.Ident]ast.Expr {
+	writes := map[*ast.Ident]ast.Expr{}
+	target := func(e, val ast.Expr) {
 		for {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
 				e = x.X
 			case *ast.IndexExpr:
-				e = x.X
+				e, val = x.X, nil
 			case *ast.SelectorExpr:
-				writes[x.Sel] = true
+				writes[x.Sel] = val
 				return
 			default:
 				return
@@ -434,16 +615,18 @@ func fieldWrites(info *types.Info, files map[string][]*ast.File) map[*ast.Ident]
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, e := range n.Lhs {
-						target(e)
+					for i, e := range n.Lhs {
+						var val ast.Expr
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							val = n.Rhs[i]
+						}
+						target(e, val)
 					}
 				case *ast.IncDecStmt:
-					target(n.X)
+					target(n.X, nil)
 				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
-							writes[id] = true
-						}
+					if id, ok := n.Key.(*ast.Ident); ok && isField(info.Uses[id]) {
+						writes[id] = n.Value
 					}
 				}
 				return true
@@ -451,6 +634,11 @@ func fieldWrites(info *types.Info, files map[string][]*ast.File) map[*ast.Ident]
 		}
 	}
 	return writes
+}
+
+func isField(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField()
 }
 
 // serialized marks in read every field encoding/json reads of a t value:
@@ -483,7 +671,28 @@ func serialized(t types.Type, read map[*types.Var]bool, seen map[types.Type]bool
 	}
 }
 
-// census is apiCensus's importer: it type-checks each package of files once,
+// typeCheck type-checks every package of files into info (any other import
+// is the standard library, type-checked from GOROOT's source).
+func typeCheck(fset *token.FileSet, files map[string][]*ast.File, info *types.Info) (*census, error) {
+	c := &census{
+		fset:  fset,
+		files: files,
+		std:   importer.ForCompiler(fset, "source", nil),
+		pkgs:  map[string]*types.Package{},
+		info:  info,
+	}
+	for pkg := range files {
+		if _, err := c.Import(pkg); err != nil {
+			return nil, err
+		}
+	}
+	if c.errs != nil {
+		return nil, fmt.Errorf("type errors: %v", c.errs)
+	}
+	return c, nil
+}
+
+// census is typeCheck's importer: it type-checks each package of files once,
 // into one shared Info, so an object has one identity wherever it is used.
 type census struct {
 	fset  *token.FileSet

@@ -79,6 +79,9 @@ func main() {
 	}
 	if *faultStr != "" {
 		plan, err := faults.ParsePlan(*faultStr)
+		if err == nil {
+			err = plan.CheckTargets(opts.Slaves, opts.Racks, opts.SharedDataDisks)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(2)

@@ -15,17 +15,21 @@ import (
 )
 
 // Regression: -slaves 1 or 2 passed validation and panicked in hdfs.New
-// ("fewer datanodes than the replication factor"), and -mem 0 reached
-// mapred.New as zero-sized buffers and exited 1. Each is a usage error: exit
-// 2 and one mrrun: line, before anything runs. The test re-runs its own
-// binary as the command, with the arguments in MRRUN_ARGS.
+// ("fewer datanodes than the replication factor"), -mem 0 reached
+// mapred.New as zero-sized buffers and exited 1, and so did a fault plan
+// naming a slave, rack or disk the testbed lacks, from the injector. Each
+// is a usage error: exit 2 and one mrrun: line, before anything runs. The
+// test re-runs its own binary as the command, with the arguments in
+// MRRUN_ARGS.
 func TestTestbedUsageErrors(t *testing.T) {
 	if args := os.Getenv("MRRUN_ARGS"); args != "" {
 		os.Args = append([]string{"mrrun"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
-	for _, args := range []string{"-slaves 2", "-slaves 1", "-mem 0", "-mem -16"} {
+	for _, args := range []string{"-slaves 2", "-slaves 1", "-mem 0", "-mem -16",
+		"-faults kill-node@1s:node=slave-10", "-racks 2 -faults partition@1s:rack=3,down=1s",
+		"-faults fail-disk@1s:node=slave-01,disk=mr7"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestTestbedUsageErrors$")
 		cmd.Env = append(os.Environ(), "MRRUN_ARGS="+args)
 		var out, errs bytes.Buffer

@@ -37,8 +37,6 @@ type Options struct {
 	// Parallelism bounds concurrent chaos runs (default 1). Verdicts are
 	// identical at any value: every run owns its simulation kernel and RNG.
 	Parallelism int
-	// ShrinkBudget caps the candidate runs one shrink may spend (default 32).
-	ShrinkBudget int
 }
 
 func (o Options) withDefaults() Options {
@@ -58,9 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism < 1 {
 		o.Parallelism = 1
-	}
-	if o.ShrinkBudget <= 0 {
-		o.ShrinkBudget = 32
 	}
 	return o
 }

@@ -161,7 +161,6 @@ func TestCorruptionOracleAcceptance(t *testing.T) {
 // schedule to a minimal reproduction of at most two faults.
 func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	opts := testOpts()
-	opts.ShrinkBudget = 16
 	opts.Core.TuneMapred = func(c *mapred.Config) { c.MaxTaskAttempts = 1 }
 	h := New(opts)
 	for seed := int64(1); seed <= 12; seed++ {
@@ -375,6 +374,12 @@ func TestParseSchedule(t *testing.T) {
 		{`{` + plan + `,"scale":262144,"slaves":5,"map_task_target":-3}`, false},
 		{`{` + plan + `,"scale":262144,"slaves":5,"racks":-2}`, false},
 		{`{` + plan + `,"scale":262144,"slaves":5,"uplink_bps":-7}`, false},
+		// Targets the testbed lacks: a sixth slave, a third rack, a fourth
+		// intermediate disk.
+		{`{"workload":"TS","plan":"kill-node@5ms:node=slave-05","scale":262144,"slaves":5}`, false},
+		{`{"workload":"TS","plan":"partition@5ms:rack=3,down=1s","scale":262144,"slaves":5,"racks":2}`, false},
+		{`{"workload":"TS","plan":"fail-disk@5ms:node=slave-01,disk=mr3","scale":262144,"slaves":5}`, false},
+		{`{"workload":"TS","plan":"fail-disk@5ms:node=slave-04,disk=mr2","scale":262144,"slaves":5}`, true},
 	} {
 		s, err := ParseSchedule([]byte(c.json))
 		if (err == nil) != c.ok {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"iochar/internal/cluster"
 	"iochar/internal/core"
 	"iochar/internal/disk"
 	"iochar/internal/faults"
@@ -59,8 +60,9 @@ func (s Schedule) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// ParseSchedule decodes a schedule and validates its plan syntax and testbed:
-// a 0 scale or slave count, or a negative size, would replay on another one.
+// ParseSchedule decodes a schedule and validates its testbed and plan: a 0
+// scale or slave count, or a negative size, would replay on another one, a
+// plan target that testbed lacks would fail the replay.
 func ParseSchedule(data []byte) (Schedule, error) {
 	var s Schedule
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -72,7 +74,11 @@ func ParseSchedule(data []byte) (Schedule, error) {
 	if _, err := core.ParseWorkload(s.Workload); err != nil {
 		return Schedule{}, err
 	}
-	if _, err := faults.ParsePlan(s.Plan); err != nil {
+	plan, err := faults.ParsePlan(s.Plan)
+	if err == nil {
+		err = plan.CheckTargets(s.Slaves, s.Racks, false)
+	}
+	if err != nil {
 		return Schedule{}, err
 	}
 	return s, nil
@@ -115,7 +121,7 @@ func (s Schedule) testbed() core.Options {
 func Nodes(n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = fmt.Sprintf("slave-%02d", i)
+		out[i] = cluster.SlaveName(i)
 	}
 	return out
 }

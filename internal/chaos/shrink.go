@@ -15,8 +15,11 @@ import (
 	"iochar/internal/faults"
 )
 
+// shrinkBudget caps the candidate runs one shrink may spend.
+const shrinkBudget = 32
+
 func (h *Harness) shrink(ctx context.Context, w core.Workload, plan faults.Plan, g *golden) faults.Plan {
-	budget := h.opts.ShrinkBudget
+	budget := shrinkBudget
 	fails := func(pl faults.Plan) bool {
 		if budget <= 0 || ctx.Err() != nil {
 			return false

@@ -29,6 +29,7 @@ import (
 // of memory is unavailable to the page cache (OS, DataNode/TaskTracker
 // daemons, task JVM heaps).
 const (
+	cores           = 12 // physical cores, 2 × 6 for dual E5645
 	disksPerRole    = 3
 	netBPS          = 125 << 20 // bytes/second each direction
 	memReservedFrac = 0.25
@@ -37,7 +38,6 @@ const (
 // Hardware describes one node's resources, defaulting to the paper's
 // Table 1 configuration.
 type Hardware struct {
-	Cores       int   // physical cores (2 × 6 for dual E5645)
 	MemoryBytes int64 // 16 or 32 GB in the paper's experiments
 	Scale       int64 // capacity divisor (1 = paper scale)
 
@@ -49,7 +49,9 @@ type Hardware struct {
 	Racks     int
 	UplinkBPS int64
 
-	PageCacheOpts pagecache.Options
+	// ReadaheadMaxPages caps each page cache's readahead window (see
+	// pagecache.New).
+	ReadaheadMaxPages int
 
 	// SharedDataDisks pools all 2 × disksPerRole data disks: HDFS block
 	// files and MapReduce intermediate files share every spindle, instead
@@ -76,10 +78,9 @@ func DefaultHardware(scale int64) Hardware {
 		scale = 1
 	}
 	return Hardware{
-		Cores:         12,
-		MemoryBytes:   32 << 30,
-		Scale:         scale,
-		PageCacheOpts: pagecache.DefaultOptions(),
+		MemoryBytes:       32 << 30,
+		Scale:             scale,
+		ReadaheadMaxPages: pagecache.DefaultReadaheadPages,
 	}
 }
 
@@ -216,9 +217,6 @@ func New(env *sim.Env, hw Hardware, nSlaves int) (*Cluster, error) {
 	if nSlaves <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one slave, got %d", nSlaves)
 	}
-	if hw.Cores <= 0 {
-		return nil, fmt.Errorf("cluster: need at least one core, got %d", hw.Cores)
-	}
 	if hw.MRDiskParams != nil && hw.SharedDataDisks {
 		return nil, fmt.Errorf("cluster: SharedDataDisks pools one set of spindles and cannot combine with a dedicated intermediate-tier device (MRDiskParams)")
 	}
@@ -234,13 +232,13 @@ func New(env *sim.Env, hw Hardware, nSlaves int) (*Cluster, error) {
 		net.SetRacks(racks, hw.UplinkBPS)
 	}
 	c := &Cluster{Env: env, Net: net}
-	master, err := newNode(env, net, "master", hw, 0, false)
+	master, err := newNode(env, net, MasterName, hw, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	c.Master = master
 	for i := 0; i < nSlaves; i++ {
-		s, err := newNode(env, net, fmt.Sprintf("slave-%02d", i), hw, i%racks, true)
+		s, err := newNode(env, net, SlaveName(i), hw, i%racks, true)
 		if err != nil {
 			return nil, err
 		}
@@ -249,12 +247,34 @@ func New(env *sim.Env, hw Hardware, nSlaves int) (*Cluster, error) {
 	return c, nil
 }
 
+// MasterName names the master node.
+const MasterName = "master"
+
+// SlaveName names slave i, from 0.
+func SlaveName(i int) string { return fmt.Sprintf("slave-%02d", i) }
+
+// SlaveIndex inverts SlaveName: false for a name no slave has.
+func SlaveIndex(name string) (int, bool) {
+	var i int
+	_, err := fmt.Sscanf(name, "slave-%d", &i)
+	return i, err == nil && i >= 0 && SlaveName(i) == name
+}
+
+// VolsPerRole is the number of HDFS volumes a slave has, and of
+// intermediate ones: pooled, both roles share all its data disks.
+func VolsPerRole(pooled bool) int {
+	if pooled {
+		return 2 * disksPerRole
+	}
+	return disksPerRole
+}
+
 func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack int, dataDisks bool) (*Node, error) {
 	n := &Node{
 		Name: name,
 		HW:   hw,
 		Rack: rack,
-		CPU:  sim.NewResource(env, name+".cpu", hw.Cores),
+		CPU:  sim.NewResource(env, name+".cpu", cores),
 	}
 	net.AddNodeRack(name, rack)
 	if !dataDisks {
@@ -278,7 +298,7 @@ func newNode(env *sim.Env, net *netsim.Network, name string, hw Hardware, rack i
 	mkvol := func(p disk.Params, role string, i int) *localfs.FS {
 		p.Name = fmt.Sprintf("%s.%s%d", name, role, i)
 		d := disk.New(env, p)
-		cache := pagecache.New(env, d, pages, hw.PageCacheOpts)
+		cache := pagecache.New(env, d, pages, hw.ReadaheadMaxPages)
 		return localfs.New(d, cache)
 	}
 	if hw.SharedDataDisks {
@@ -326,7 +346,7 @@ func (c *Cluster) ProvisionMasterMeta(n int) error {
 		pp := p
 		pp.Name = fmt.Sprintf("%s.meta%d", c.Master.Name, i)
 		d := disk.New(c.Env, pp)
-		cache := pagecache.New(c.Env, d, pages, hw.PageCacheOpts)
+		cache := pagecache.New(c.Env, d, pages, hw.ReadaheadMaxPages)
 		c.Master.MetaVols = append(c.Master.MetaVols, localfs.New(d, cache))
 	}
 	c.Master.Vols = append(c.Master.Vols, c.Master.MetaVols...)

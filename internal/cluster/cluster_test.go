@@ -12,8 +12,12 @@ import (
 
 func TestDefaultHardwareMatchesTable1(t *testing.T) {
 	hw := DefaultHardware(1)
-	if hw.Cores != 12 {
-		t.Errorf("Cores = %d, want 12 (2 x E5645)", hw.Cores)
+	c, err := New(sim.New(1), DefaultHardware(1024), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Slaves[0].CPU.Capacity(); got != 12 {
+		t.Errorf("cores = %d, want 12 (2 x E5645)", got)
 	}
 	if hw.MemoryBytes != 32<<30 {
 		t.Errorf("Memory = %d, want 32 GB", hw.MemoryBytes)
@@ -74,15 +78,13 @@ func TestClusterLayout(t *testing.T) {
 
 func TestComputeQueuesBeyondCores(t *testing.T) {
 	env := sim.New(1)
-	hw := DefaultHardware(1024)
-	hw.Cores = 2
-	c, err := New(env, hw, 1)
+	c, err := New(env, DefaultHardware(1024), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := c.Slaves[0]
 	var last time.Duration
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2*cores; i++ {
 		env.Go("task", func(p *sim.Proc) {
 			n.Compute(p, time.Second)
 			if p.Now() > last {
@@ -92,7 +94,7 @@ func TestComputeQueuesBeyondCores(t *testing.T) {
 	}
 	env.Run(0)
 	if last != 2*time.Second {
-		t.Errorf("4 tasks on 2 cores finished at %v, want 2s", last)
+		t.Errorf("%d tasks on %d cores finished at %v, want 2s", 2*cores, cores, last)
 	}
 }
 

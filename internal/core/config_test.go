@@ -28,8 +28,7 @@ func TestDerivedConfigPinned(t *testing.T) {
 		fmt.Fprintf(&buf, "scale=%d seed=%d\n", scale, o.Seed)
 		fmt.Fprintf(&buf, "  sample_interval %v\n", o.SampleInterval)
 		fmt.Fprintf(&buf, "  hdfs.EnableRecovery heartbeat=%v dead_timeout=%v\n", rec.HeartbeatInterval, rec.DeadTimeout)
-		fmt.Fprintf(&buf, "  hdfs.EnableMaster %s safe_mode_frac=%v lease_timeout=%v\n",
-			journalLine(nn.Journal), nn.SafeModeFrac, nn.LeaseTimeout)
+		fmt.Fprintf(&buf, "  hdfs.EnableMaster %s lease_timeout=%v\n", journalLine(nn.Journal), nn.LeaseTimeout)
 		fmt.Fprintf(&buf, "  mapred.EnableMaster %s\n", journalLine(o.journalConfig(o.Seed+2)))
 		for _, rate := range []int64{-1, 8 << 20} {
 			o.ScrubRate = rate

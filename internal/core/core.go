@@ -182,7 +182,7 @@ func (o Options) journalConfig(seed int64) journal.Config {
 
 // hdfsMasterConfig adds the NameNode's hard lease limit to its journal
 // config: four DataNode dead timeouts, so lease recovery never races live
-// failure detection. Safe mode keeps hdfs's default threshold.
+// failure detection.
 func (o Options) hdfsMasterConfig() hdfs.MasterConfig {
 	return hdfs.MasterConfig{
 		Journal:      o.journalConfig(o.Seed + 1),
@@ -339,8 +339,8 @@ const (
 // CheckSlaves returns an error when n slaves are fewer than the DataNodes
 // HDFS writes every block to; RunOne returns it, the CLIs exit 2 with it.
 func CheckSlaves(n int) error {
-	if r := hdfs.DefaultConfig(1).Replication; n < r {
-		return fmt.Errorf("%d slaves cannot hold HDFS's %d replicas of a block (need at least %d)", n, r, r)
+	if n < hdfs.Replication {
+		return fmt.Errorf("%d slaves cannot hold HDFS's %[2]d replicas of a block (need at least %[2]d)", n, hdfs.Replication)
 	}
 	return nil
 }
@@ -387,7 +387,7 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 	// count — a pure artifact. Bounding the window at 64 KiB and giving the
 	// cache a modest floor keeps stream working sets inside the cache at
 	// both slot levels, as they were on the real machines.
-	hw.PageCacheOpts.ReadaheadMaxPages = 16
+	hw.ReadaheadMaxPages = 16
 	hw.SharedDataDisks = opts.SharedDataDisks
 	if opts.IntermediateTier == disk.ClassSSD {
 		ssd := disk.DataCenterSSD()

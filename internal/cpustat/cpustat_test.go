@@ -10,9 +10,7 @@ import (
 
 func rig(nslaves int) (*sim.Env, *cluster.Cluster) {
 	env := sim.New(1)
-	hw := cluster.DefaultHardware(8192)
-	hw.Cores = 4
-	cl, err := cluster.New(env, hw, nslaves)
+	cl, err := cluster.New(env, cluster.DefaultHardware(8192), nslaves)
 	if err != nil {
 		panic(err)
 	}
@@ -24,9 +22,9 @@ func TestUtilizationTracksLoad(t *testing.T) {
 	m := NewMonitor(100*time.Millisecond, cl.Slaves)
 	m.Start(env)
 	env.Go("load", func(p *sim.Proc) {
-		// Slave 0: 2 of 4 cores busy for 1s. Slave 1 idle.
-		done := make([]*sim.Handle, 0, 2)
-		for i := 0; i < 2; i++ {
+		// Slave 0: half its cores busy for 1s. Slave 1 idle.
+		var done []*sim.Handle
+		for i := 0; i < cl.Slaves[0].CPU.Capacity()/2; i++ {
 			done = append(done, env.Go("burn", func(b *sim.Proc) {
 				cl.Slaves[0].Compute(b, time.Second)
 			}))
@@ -67,7 +65,7 @@ func TestSaturationCapsAt100(t *testing.T) {
 	m.Start(env)
 	env.Go("load", func(p *sim.Proc) {
 		var hs []*sim.Handle
-		for i := 0; i < 8; i++ { // 8 tasks on 4 cores
+		for i := 0; i < 2*cl.Slaves[0].CPU.Capacity(); i++ { // two tasks a core
 			hs = append(hs, env.Go("burn", func(b *sim.Proc) {
 				cl.Slaves[0].Compute(b, 200*time.Millisecond)
 			}))

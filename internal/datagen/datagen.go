@@ -150,23 +150,21 @@ func Key(data []byte, off int) []byte { return data[off : off+KeySize] }
 // and UserGen writes one row per id.
 const users = 100_000
 
+// categories is the number of distinct group-by keys OrderGen draws.
+const categories = 1000
+
 // OrderGen generates the Hive Aggregation table: one order item per line,
 // "order|user|item|category|price|quantity". Categories follow a Zipf
 // distribution — aggregation output is much smaller than its input, as with
 // the paper's OLAP query.
 type OrderGen struct {
-	Seed       int64
-	Categories int // number of distinct group-by keys (default 1000)
+	Seed int64
 }
 
 // Part returns approximately size bytes of whole order lines.
 func (g OrderGen) Part(part int, size int64) []byte {
-	cats := g.Categories
-	if cats <= 0 {
-		cats = 1000
-	}
 	rng := rand.New(rand.NewSource(g.Seed*7_368_787 + int64(part)))
-	zipf := rand.NewZipf(rng, 1.2, 1, uint64(cats-1))
+	zipf := rand.NewZipf(rng, 1.2, 1, categories-1)
 	out := make([]byte, 0, size+128)
 	order := int64(part) << 36
 	for int64(len(out)) < size {
@@ -201,14 +199,15 @@ type UserGen struct {
 	Seed int64
 }
 
-// Part returns approximately size bytes of whole user lines. The table is
-// range-partitioned: part i carries a contiguous id slice, as a dimension
-// table export would be.
+// Part returns approximately size bytes of whole user lines: consecutive
+// ids from part*7919 mod users, wrapping at users. Parts are not a
+// partition of the ids: two parts whose runs overlap both carry the ids in
+// common (4,727 at core's test scale), each with its own region, so a join
+// meets duplicate dimension rows. ROADMAP item 16(b) gives each id one row.
 func (g UserGen) Part(part int, size int64) []byte {
 	rng := rand.New(rand.NewSource(g.Seed*65_537 + int64(part)))
 	regions := []string{"north", "south", "east", "west", "central"}
 	out := make([]byte, 0, size+128)
-	// Walk ids from a per-part base so parts partition the universe.
 	id := part * 7919 % users
 	for int64(len(out)) < size {
 		out = strconv.AppendInt(out, int64(id), 10)
@@ -223,29 +222,26 @@ func (g UserGen) Part(part int, size int64) []byte {
 	return out
 }
 
+// PointDims is the dimensionality of PointGen's points; trueCenters is the
+// number of cluster centers they are drawn around.
+const (
+	PointDims   = 8
+	trueCenters = 16
+)
+
 // PointGen generates K-means input: one point per line, comma-separated
-// float coordinates, drawn around TrueCenters cluster centers.
+// float coordinates, drawn around trueCenters cluster centers.
 type PointGen struct {
-	Seed        int64
-	Dims        int // default 8
-	TrueCenters int // default 16
+	Seed int64
 }
 
 // Part returns approximately size bytes of whole point lines.
 func (g PointGen) Part(part int, size int64) []byte {
-	dims := g.Dims
-	if dims <= 0 {
-		dims = 8
-	}
-	k := g.TrueCenters
-	if k <= 0 {
-		k = 16
-	}
 	// Centers are derived from the seed only, identical across parts.
 	crng := rand.New(rand.NewSource(g.Seed * 31))
-	centers := make([][]float64, k)
+	centers := make([][]float64, trueCenters)
 	for i := range centers {
-		centers[i] = make([]float64, dims)
+		centers[i] = make([]float64, PointDims)
 		for d := range centers[i] {
 			centers[i][d] = crng.Float64() * 1000
 		}
@@ -253,8 +249,8 @@ func (g PointGen) Part(part int, size int64) []byte {
 	rng := rand.New(rand.NewSource(g.Seed*104_729 + int64(part)))
 	out := make([]byte, 0, size+256)
 	for int64(len(out)) < size {
-		c := centers[rng.Intn(k)]
-		for d := 0; d < dims; d++ {
+		c := centers[rng.Intn(trueCenters)]
+		for d := 0; d < PointDims; d++ {
 			if d > 0 {
 				out = append(out, ',')
 			}

@@ -315,7 +315,7 @@ func TestOrderGenSchema(t *testing.T) {
 }
 
 func TestOrderGenCategorySkew(t *testing.T) {
-	g := OrderGen{Seed: 5, Categories: 100}
+	g := OrderGen{Seed: 5}
 	data := g.Part(0, 200_000)
 	counts := map[string]int{}
 	total := 0
@@ -337,15 +337,15 @@ func TestOrderGenCategorySkew(t *testing.T) {
 }
 
 func TestPointGenParsesAndClusters(t *testing.T) {
-	g := PointGen{Seed: 9, Dims: 4, TrueCenters: 3}
+	g := PointGen{Seed: 9}
 	data := g.Part(0, 100_000)
 	var pts [][]float64
 	Lines(data, func(line []byte) {
 		fields := strings.Split(string(line), ",")
-		if len(fields) != 4 {
-			t.Fatalf("point %q has %d dims, want 4", line, len(fields))
+		if len(fields) != PointDims {
+			t.Fatalf("point %q has %d dims, want %d", line, len(fields), PointDims)
 		}
-		pt := make([]float64, 4)
+		pt := make([]float64, PointDims)
 		for i, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
@@ -373,7 +373,7 @@ func TestPointGenParsesAndClusters(t *testing.T) {
 }
 
 func TestPointGenCentersSharedAcrossParts(t *testing.T) {
-	g := PointGen{Seed: 9, Dims: 2, TrueCenters: 2}
+	g := PointGen{Seed: 9}
 	a, b := g.Part(0, 50_000), g.Part(1, 50_000)
 	mean := func(data []byte) float64 {
 		var sum float64

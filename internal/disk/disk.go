@@ -118,6 +118,10 @@ const (
 	SchedFIFO
 )
 
+// MaxReqSectors is the block layer's merge ceiling per request, in sectors:
+// Linux's max_sectors_kb of 512 KiB, on every device.
+const MaxReqSectors = 1024
+
 // Params describes a drive and its block-layer configuration.
 type Params struct {
 	Name       string
@@ -126,7 +130,6 @@ type Params struct {
 	MaxSeek    time.Duration // full-stroke seek
 	RPM        int           // spindle speed
 	TransferBC int64         // sustained transfer, bytes/second
-	MaxReqSect int           // merge ceiling per request, in sectors (Linux max_sectors_kb)
 	Scheduler  Sched
 	NoMerge    bool // disable request merging (ablation)
 	// SlowFactor degrades every service time by this multiplier (fault
@@ -134,10 +137,10 @@ type Params struct {
 	// rebuilding). 0 or 1 means healthy. Applied outside the device model,
 	// so fail-slow faults degrade flash and mechanical drives alike.
 	SlowFactor float64
-	// SSD, when non-nil, selects the flash device model (per-op latency +
-	// bandwidth + channel parallelism) instead of the mechanical one; the
-	// mechanical fields (MinSeek/MaxSeek/RPM/TransferBC) are then ignored.
-	SSD *SSDParams
+	// Flash selects DataCenterSSD's flash model (per-op latency + bandwidth
+	// + channel parallelism) instead of the mechanical one; the mechanical
+	// fields (MinSeek/MaxSeek/RPM/TransferBC) are then ignored.
+	Flash bool
 }
 
 // SeagateST1000NM0011 returns the paper's drive: 1 TB, 7200 RPM, 8.5 ms
@@ -154,7 +157,6 @@ func SeagateST1000NM0011() Params {
 		MaxSeek:    12500 * time.Microsecond, // 0.5 + (8.5-0.5)*3/2
 		RPM:        7200,
 		TransferBC: 150 << 20,
-		MaxReqSect: 1024, // 512 KiB
 		Scheduler:  SchedLOOK,
 	}
 }
@@ -270,20 +272,11 @@ func (d *Disk) Subscribe(fn func(Completion)) (unsubscribe func()) {
 // New creates a disk and starts its channel(s): one for a single-channel
 // (mechanical) device, one per channel for flash.
 func New(env *sim.Env, p Params) *Disk {
-	if p.MaxReqSect <= 0 {
-		p.MaxReqSect = 1024
+	if p.Sectors <= 0 || !p.Flash && (p.RPM <= 0 || p.TransferBC <= 0) {
+		panic("disk: invalid params for " + p.Name)
 	}
-	var model DeviceModel
-	if p.SSD != nil {
-		s := *p.SSD
-		if p.Sectors <= 0 || s.ReadBC <= 0 || s.WriteBC <= 0 || s.ReadLatency < 0 || s.WriteLatency < 0 {
-			panic("disk: invalid SSD params for " + p.Name)
-		}
-		model = ssdModel{s: s}
-	} else {
-		if p.Sectors <= 0 || p.RPM <= 0 || p.TransferBC <= 0 {
-			panic("disk: invalid params for " + p.Name)
-		}
+	var model DeviceModel = ssdModel{}
+	if !p.Flash {
 		model = newHDDModel(p)
 	}
 	d := &Disk{
@@ -353,7 +346,7 @@ func (d *Disk) SubmitStaged(op Op, sector int64, count int, stage Stage) *Reques
 // absorbing request, or nil if no merge applies.
 func (d *Disk) tryMerge(op Op, sector int64, count int) *Request {
 	for _, q := range d.queue {
-		if q.Op != op || q.Count+count > d.P.MaxReqSect {
+		if q.Op != op || q.Count+count > MaxReqSectors {
 			continue
 		}
 		if q.end() == sector { // back merge

@@ -172,12 +172,11 @@ func TestMergeRespectsMaxRequestSize(t *testing.T) {
 	env := sim.New(1)
 	p := SeagateST1000NM0011()
 	p.Sectors = 1 << 24
-	p.MaxReqSect = 256
 	d := New(env, p)
 	env.Go("blocker", func(pr *sim.Proc) { d.Do(pr, Read, 1<<20, 256) })
 	env.Go("s", func(pr *sim.Proc) {
 		var reqs []*Request
-		for i := 0; i < 4; i++ { // 4 x 128 sectors; ceiling allows only 2 per request
+		for i := 0; i < 16; i++ { // 16 x 128 sectors; ceiling allows only 8 per request
 			reqs = append(reqs, d.Submit(Write, int64(i*128), 128))
 		}
 		for _, r := range reqs {
@@ -187,7 +186,7 @@ func TestMergeRespectsMaxRequestSize(t *testing.T) {
 	env.Run(0)
 	s := d.Stats()
 	if s.WritesCompleted != 2 {
-		t.Errorf("WritesCompleted = %d, want 2 (256-sector ceiling)", s.WritesCompleted)
+		t.Errorf("WritesCompleted = %d, want 2 (%d-sector ceiling)", s.WritesCompleted, MaxReqSectors)
 	}
 }
 

@@ -101,43 +101,34 @@ func (m hddModel) Service(op Op, sector, head int64, count int) time.Duration {
 func (m hddModel) Channels() int { return 1 }
 func (m hddModel) Class() Class  { return ClassHDD }
 
-// SSDParams describes a flash drive: no positional cost, per-operation
+// The flash drive DataCenterSSD describes: no positional cost, per-operation
 // latency plus sustained bandwidth, with read/write asymmetry (program
-// operations are slower than page reads) and internal channel parallelism.
-type SSDParams struct {
-	ReadLatency  time.Duration // per-request read latency (page read + controller)
-	WriteLatency time.Duration // per-request program latency
-	ReadBC       int64         // sustained read bandwidth, bytes/second
-	WriteBC      int64         // sustained write bandwidth, bytes/second
-	// Channels is the number of independent flash channels: requests on
-	// different channels service concurrently, which is why small random
-	// I/O does not collapse SSD throughput the way it does a spindle.
-	Channels int
-}
+// operations are slower than page reads), and ssdChannels independent flash
+// channels servicing requests concurrently, which is why small random I/O
+// does not collapse SSD throughput the way it does a spindle.
+const (
+	ssdReadLatency  = 50 * time.Microsecond // page read + controller
+	ssdWriteLatency = 65 * time.Microsecond // program
+	ssdReadBC       = 500 << 20             // sustained bandwidth, bytes/second
+	ssdWriteBC      = 460 << 20
+	ssdChannels     = 8
+)
 
 // ssdModel prices a request as per-op latency + size/bandwidth for the
 // operation's direction. There is no seek or rotation term.
-type ssdModel struct {
-	s SSDParams
-}
+type ssdModel struct{}
 
-func (m ssdModel) Service(op Op, sector, head int64, count int) time.Duration {
-	lat, bw := m.s.ReadLatency, m.s.ReadBC
+func (ssdModel) Service(op Op, sector, head int64, count int) time.Duration {
+	lat, bw := ssdReadLatency, ssdReadBC
 	if op == Write {
-		lat, bw = m.s.WriteLatency, m.s.WriteBC
+		lat, bw = ssdWriteLatency, ssdWriteBC
 	}
 	bytes := int64(count) * SectorSize
 	return lat + time.Duration(float64(bytes)/float64(bw)*1e9)
 }
 
-func (m ssdModel) Channels() int {
-	if m.s.Channels > 1 {
-		return m.s.Channels
-	}
-	return 1
-}
-
-func (m ssdModel) Class() Class { return ClassSSD }
+func (ssdModel) Channels() int { return ssdChannels }
+func (ssdModel) Class() Class  { return ClassSSD }
 
 // DataCenterSSD returns a datacenter SATA flash drive of the paper's era
 // (2013-class, Intel DC S3700-like): 800 GB, ~50 µs reads, ~65 µs writes,
@@ -145,16 +136,9 @@ func (m ssdModel) Class() Class { return ClassSSD }
 // FIFO — elevator sweeps buy nothing on a device with no head.
 func DataCenterSSD() Params {
 	return Params{
-		Name:       "DC-S3700-800G",
-		Sectors:    1_600_000_000, // ~800 GB
-		MaxReqSect: 1024,          // 512 KiB
-		Scheduler:  SchedFIFO,
-		SSD: &SSDParams{
-			ReadLatency:  50 * time.Microsecond,
-			WriteLatency: 65 * time.Microsecond,
-			ReadBC:       500 << 20,
-			WriteBC:      460 << 20,
-			Channels:     8,
-		},
+		Name:      "DC-S3700-800G",
+		Sectors:   1_600_000_000, // ~800 GB
+		Scheduler: SchedFIFO,
+		Flash:     true,
 	}
 }

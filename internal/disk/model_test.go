@@ -7,20 +7,11 @@ import (
 	"iochar/internal/sim"
 )
 
-func newTestSSD(channels int) Params {
-	return Params{
-		Name:       "testssd",
-		Sectors:    1 << 24,
-		MaxReqSect: 1024,
-		Scheduler:  SchedFIFO,
-		SSD: &SSDParams{
-			ReadLatency:  100 * time.Microsecond,
-			WriteLatency: 130 * time.Microsecond,
-			ReadBC:       512 << 20,
-			WriteBC:      460 << 20,
-			Channels:     channels,
-		},
-	}
+// newTestSSD is DataCenterSSD on an 8 GiB device.
+func newTestSSD() Params {
+	p := DataCenterSSD()
+	p.Sectors = 1 << 24
+	return p
 }
 
 // Regression (sweep order): pickLOOK must dispatch strictly in sweep order —
@@ -76,7 +67,7 @@ func TestLOOKSweepOrderStableUnderMerges(t *testing.T) {
 // asymmetry.
 func TestSSDServiceFlatAndAsymmetric(t *testing.T) {
 	env := sim.New(1)
-	d := New(env, newTestSSD(1))
+	d := New(env, newTestSSD())
 	if d.Class() != ClassSSD {
 		t.Fatalf("Class = %v, want ssd", d.Class())
 	}
@@ -110,9 +101,9 @@ func TestSSDServiceFlatAndAsymmetric(t *testing.T) {
 // makespan is ceil(N/C) service times, not N; busy accounting (IOTicks,
 // hence %util) covers the union of in-service intervals exactly once.
 func TestSSDChannelParallelismAccounting(t *testing.T) {
-	const channels, requests = 4, 8
+	const channels, requests = ssdChannels, 2 * ssdChannels
 	env := sim.New(1)
-	p := newTestSSD(channels)
+	p := newTestSSD()
 	p.NoMerge = true
 	d := New(env, p)
 	service := d.serviceFor(Read, 0, 256) // identical for every request on flash
@@ -152,7 +143,7 @@ func TestSSDChannelParallelismAccounting(t *testing.T) {
 // degrades flash exactly as it degrades spindles.
 func TestFailSlowAppliesToSSD(t *testing.T) {
 	env := sim.New(1)
-	d := New(env, newTestSSD(2))
+	d := New(env, newTestSSD())
 	healthy := d.serviceFor(Read, 0, 256)
 	d.SetSlowFactor(8)
 	if got := d.serviceFor(Read, 0, 256); got != time.Duration(float64(healthy)*8) {
@@ -164,25 +155,17 @@ func TestFailSlowAppliesToSSD(t *testing.T) {
 	}
 }
 
-// The default flash drive must advertise multiple channels and a FIFO
-// scheduler (elevator sweeps buy nothing without a head), and Disk.Model
-// must expose the active model.
+// The default flash drive must be flash, with multiple channels and a FIFO
+// scheduler (elevator sweeps buy nothing without a head).
 func TestDataCenterSSDDefaults(t *testing.T) {
 	p := DataCenterSSD()
-	if p.SSD == nil {
+	if !p.Flash {
 		t.Fatal("DataCenterSSD must carry a flash model")
-	}
-	if p.SSD.Channels < 2 {
-		t.Errorf("Channels = %d, want parallelism", p.SSD.Channels)
 	}
 	if p.Scheduler != SchedFIFO {
 		t.Errorf("Scheduler = %v, want FIFO", p.Scheduler)
 	}
-	if p.SSD.WriteLatency <= p.SSD.ReadLatency || p.SSD.WriteBC >= p.SSD.ReadBC {
-		t.Error("flash defaults should be read-favoured (write asymmetry)")
-	}
-	d := New(sim.New(1), p)
-	if d.model.Channels() != p.SSD.Channels {
-		t.Errorf("model.Channels() = %d, want %d", d.model.Channels(), p.SSD.Channels)
+	if d := New(sim.New(1), p); d.model.Channels() < 2 {
+		t.Errorf("model.Channels() = %d, want parallelism", d.model.Channels())
 	}
 }

@@ -840,7 +840,7 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 	case Partition:
 		c := ev.cut()
 		if ev.Rack > 0 {
-			r, err := in.rack(ev)
+			r, err := rackIndex(ev, in.net.Racks())
 			if err != nil {
 				return nil, nil, err
 			}
@@ -874,7 +874,7 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 			}
 			break
 		}
-		r, err := in.rack(ev)
+		r, err := rackIndex(ev, in.net.Racks())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -960,14 +960,14 @@ func (in *Injector) failDisk(ev Event, node *cluster.Node, vol *localfs.FS) {
 	in.logf("%s", ev)
 }
 
-// rack returns a rack= target 0-indexed (the plan syntax is 1-indexed),
-// checked against the network's racks.
-func (in *Injector) rack(ev Event) (int, error) {
-	if in.net.Racks() <= 1 {
+// rackIndex returns a rack= target 0-indexed (the plan syntax is 1-indexed),
+// checked against a network of racks racks (one or none is flat).
+func rackIndex(ev Event, racks int) (int, error) {
+	if racks <= 1 {
 		return 0, fmt.Errorf("faults: %s targets rack %d on a flat network (set racks > 1)", ev.Kind, ev.Rack)
 	}
-	if ev.Rack > in.net.Racks() {
-		return 0, fmt.Errorf("faults: %s: rack %d out of range (cluster has %d)", ev.Kind, ev.Rack, in.net.Racks())
+	if ev.Rack > racks {
+		return 0, fmt.Errorf("faults: %s: rack %d out of range (cluster has %d)", ev.Kind, ev.Rack, racks)
 	}
 	return ev.Rack - 1, nil
 }
@@ -1005,25 +1005,61 @@ func (in *Injector) Stop() { in.stopped = true }
 // Fired returns a human-readable log of the events injected so far.
 func (in *Injector) Fired() []string { return append([]string(nil), in.fired...) }
 
-// findVol resolves a disk selector ("hdfs1", "mr0", or "data2" for pooled
-// layouts) against a node's volumes.
+// findVol resolves a disk selector against a node's volumes.
 func findVol(node *cluster.Node, sel string) (*localfs.FS, error) {
-	role := strings.TrimRight(sel, "0123456789")
-	idx, err := strconv.Atoi(sel[len(role):])
+	role, idx, err := parseDisk(sel, node.Name, len(node.HDFSVols))
 	if err != nil {
-		return nil, fmt.Errorf("faults: bad disk selector %q (want e.g. hdfs0 or mr1)", sel)
+		return nil, err
 	}
-	var vols []*localfs.FS
-	switch role {
-	case "hdfs", "data":
-		vols = node.HDFSVols
-	case "mr":
-		vols = node.MRVols
-	default:
-		return nil, fmt.Errorf("faults: bad disk role %q in %q (want hdfs, mr, or data)", role, sel)
+	if role == "mr" {
+		return node.MRVols[idx], nil
 	}
-	if idx < 0 || idx >= len(vols) {
-		return nil, fmt.Errorf("faults: node %s has no %s volume %d", node.Name, role, idx)
+	return node.HDFSVols[idx], nil
+}
+
+// parseDisk splits a disk selector — "hdfs1", "mr0", or "data2" for pooled
+// layouts, which name the HDFS volumes — into its role and index, checked
+// against a node with vols volumes of each role.
+func parseDisk(sel, node string, vols int) (role string, idx int, err error) {
+	role = strings.TrimRight(sel, "0123456789")
+	idx, err = strconv.Atoi(sel[len(role):])
+	switch {
+	case err != nil:
+		err = fmt.Errorf("faults: bad disk selector %q (want e.g. hdfs0 or mr1)", sel)
+	case role != "hdfs" && role != "data" && role != "mr":
+		err = fmt.Errorf("faults: bad disk role %q in %q (want hdfs, mr, or data)", role, sel)
+	case idx >= vols:
+		err = fmt.Errorf("faults: node %s has no %s volume %d", node, role, idx)
 	}
-	return vols[idx], nil
+	return role, idx, err
+}
+
+// CheckTargets returns an error for the first event whose node, nodes=,
+// rack= or disk= target a testbed of the given slaves and racks lacks
+// (pooled: cluster.Hardware.SharedDataDisks). Start finds the same on the
+// built cluster; found before the run, a plan for another testbed is a
+// usage error instead of a failed run.
+func (pl Plan) CheckTargets(slaves, racks int, pooled bool) error {
+	for _, ev := range pl.Events {
+		for _, name := range append([]string{ev.Node}, ev.Nodes...) {
+			if i, ok := cluster.SlaveIndex(name); name != "" && name != cluster.MasterName && (!ok || i >= slaves) {
+				return fmt.Errorf("faults: %s: unknown node %q (the testbed has %s to %s)",
+					ev.Kind, name, cluster.SlaveName(0), cluster.SlaveName(slaves-1))
+			}
+		}
+		var err error
+		if ev.Rack > 0 {
+			_, err = rackIndex(ev, racks)
+		}
+		if vols := cluster.VolsPerRole(pooled); err == nil && ev.Node != "" && ev.Disk != "" {
+			if ev.Node == cluster.MasterName {
+				vols = 0
+			}
+			_, _, err = parseDisk(ev.Disk, ev.Node, vols)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

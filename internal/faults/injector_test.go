@@ -41,27 +41,32 @@ func mustPlan(t *testing.T, s string) Plan {
 
 // TestStartRejectsBadTargets covers the targets a plan can only be checked
 // against once there is a cluster: node names, disk selectors, rack numbers
-// and a nodes= cut meeting a rack= cut.
+// and a nodes= cut meeting a rack= cut. Plan.CheckTargets finds the node,
+// disk and rack ones (before) from the testbed's shape alone, with Start's
+// message.
 func TestStartRejectsBadTargets(t *testing.T) {
 	for _, tc := range []struct {
-		plan  string
-		racks int
-		want  string
+		plan   string
+		racks  int
+		before bool
+		want   string
 	}{
-		{"kill-node@1s:node=slave-09", 1, `kill-node: unknown node "slave-09"`},
-		{"drop-link@1s:node=slave-09,until=2s,prob=0.5", 1, `drop-link: unknown node "slave-09"`},
-		{"partition@1s:nodes=slave-00+slave-09,down=1s", 1, `partition: unknown node "slave-09"`},
-		{"fail-disk@1s:node=slave-00,disk=hdfs", 1, `bad disk selector "hdfs"`},
-		{"fail-disk@1s:node=slave-00,disk=ssd0", 1, `bad disk role "ssd" in "ssd0"`},
-		{"slow-disk@1s:node=slave-00,disk=mr9,factor=2", 1, "node slave-00 has no mr volume 9"},
-		{"fail-disk@1s:disk=hdfs0", 1, "fail-disk needs node= to target a cluster"},
-		{"slow-disk@1s:node=slave-00,factor=2", 1, "slow-disk needs node= and disk= to target a cluster"},
-		{"partition@1s:rack=1,down=1s", 1, "partition targets rack 1 on a flat network"},
-		{"slow-link@1s:rack=1,factor=2", 1, "slow-link targets rack 1 on a flat network"},
-		{"partition@1s:rack=3,down=1s", 2, "partition: rack 3 out of range (cluster has 2)"},
-		{"slow-link@1s:rack=3,factor=2", 2, "slow-link: rack 3 out of range (cluster has 2)"},
+		{"kill-node@1s:node=slave-09", 1, true, `kill-node: unknown node "slave-09"`},
+		{"drop-link@1s:node=slave-09,until=2s,prob=0.5", 1, true, `drop-link: unknown node "slave-09"`},
+		{"partition@1s:nodes=slave-00+slave-09,down=1s", 1, true, `partition: unknown node "slave-09"`},
+		{"kill-node@1s:node=slave-4", 1, true, `kill-node: unknown node "slave-4"`},
+		{"fail-disk@1s:node=slave-00,disk=hdfs", 1, true, `bad disk selector "hdfs"`},
+		{"fail-disk@1s:node=slave-00,disk=ssd0", 1, true, `bad disk role "ssd" in "ssd0"`},
+		{"slow-disk@1s:node=slave-00,disk=mr9,factor=2", 1, true, "node slave-00 has no mr volume 9"},
+		{"fail-disk@1s:node=master,disk=hdfs0", 1, true, "node master has no hdfs volume 0"},
+		{"fail-disk@1s:disk=hdfs0", 1, false, "fail-disk needs node= to target a cluster"},
+		{"slow-disk@1s:node=slave-00,factor=2", 1, false, "slow-disk needs node= and disk= to target a cluster"},
+		{"partition@1s:rack=1,down=1s", 1, true, "partition targets rack 1 on a flat network"},
+		{"slow-link@1s:rack=1,factor=2", 1, true, "slow-link targets rack 1 on a flat network"},
+		{"partition@1s:rack=3,down=1s", 2, true, "partition: rack 3 out of range (cluster has 2)"},
+		{"slow-link@1s:rack=3,factor=2", 2, true, "slow-link: rack 3 out of range (cluster has 2)"},
 		// slave-01 is in rack 2: the rack cut would reunite it at 2s.
-		{"partition@1s:nodes=slave-01,down=2s;partition@2s:rack=2,down=5s", 2,
+		{"partition@1s:nodes=slave-01,down=2s;partition@2s:rack=2,down=5s", 2, false,
 			"partition@2s:rack=2,down=5s overlaps an in-flight partition window on the same nodes"},
 	} {
 		env, cl, fs, rt := testbed(t, tc.racks)
@@ -69,6 +74,28 @@ func TestStartRejectsBadTargets(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Start(%q) on %d rack(s) = %v, want an error containing %q", tc.plan, tc.racks, err, tc.want)
 		}
+		err = mustPlan(t, tc.plan).CheckTargets(len(cl.Slaves), tc.racks, false)
+		if (err != nil) != tc.before || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CheckTargets(%q) on %d rack(s) = %v, want an error (%v) containing %q", tc.plan, tc.racks, err, tc.before, tc.want)
+		}
+	}
+	// What a testbed has passes: its last slave, every disk of each role
+	// (data5 only pooled), a rack of a two-rack fabric.
+	for _, tc := range []struct {
+		plan   string
+		racks  int
+		pooled bool
+	}{
+		{"kill-node@1s:node=slave-03;slow-disk@2s:node=slave-00,disk=mr2,factor=2", 1, false},
+		{"fail-disk@1s:node=slave-01,disk=hdfs2;partition@2s:rack=2,down=1s", 2, false},
+		{"fail-disk@1s:node=slave-01,disk=data5", 1, true},
+	} {
+		if err := mustPlan(t, tc.plan).CheckTargets(4, tc.racks, tc.pooled); err != nil {
+			t.Errorf("CheckTargets(%q) on 4 slaves, %d rack(s), pooled %v: %v", tc.plan, tc.racks, tc.pooled, err)
+		}
+	}
+	if err := mustPlan(t, "fail-disk@1s:node=slave-01,disk=data5").CheckTargets(4, 1, false); err == nil {
+		t.Error("CheckTargets accepted data5 on a dedicated layout of three HDFS disks")
 	}
 }
 

@@ -16,7 +16,7 @@ func BenchmarkReadVerified(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs := New(env, Config{BlockSize: 1 << 20, Replication: 3}, c.Net, c.Slaves)
+	fs := New(env, Config{BlockSize: 1 << 20}, c.Net, c.Slaves)
 	fs.EnableIntegrity()
 	data := pattern(8 << 20)
 	fs.Load("/in", c.Slaves[0].Name, data)

@@ -26,10 +26,13 @@ import (
 	"iochar/internal/sim"
 )
 
+// Replication is the filesystem's default replication factor, Hadoop
+// 1.0.4's dfs.replication.
+const Replication = 3
+
 // Config holds filesystem-wide parameters.
 type Config struct {
-	BlockSize   int64 // bytes; the paper's Hadoop 1.0.4 default is 64 MB
-	Replication int   // the default 3
+	BlockSize int64 // bytes; the paper's Hadoop 1.0.4 default is 64 MB
 
 	// Seed feeds the jitter rng of the clients' sim.NewRetry stalls across
 	// transient network faults; healthy runs never draw from it.
@@ -45,7 +48,7 @@ func DefaultConfig(scale int64) Config {
 	if bs < 16<<10 {
 		bs = 16 << 10
 	}
-	return Config{BlockSize: bs, Replication: 3}
+	return Config{BlockSize: bs}
 }
 
 // blockMeta is the NameNode's view of one block.
@@ -116,7 +119,7 @@ type DataNode struct {
 
 // New creates the filesystem with a DataNode on every given node.
 func New(env *sim.Env, cfg Config, net *netsim.Network, nodes []*cluster.Node) *FS {
-	if cfg.BlockSize <= 0 || cfg.Replication <= 0 {
+	if cfg.BlockSize <= 0 {
 		panic("hdfs: invalid config")
 	}
 	fs := &FS{
@@ -136,7 +139,7 @@ func New(env *sim.Env, cfg Config, net *netsim.Network, nodes []*cluster.Node) *
 		fs.datanodes = append(fs.datanodes, dn)
 		fs.byNode[n.Name] = dn
 	}
-	if len(fs.datanodes) < cfg.Replication {
+	if len(fs.datanodes) < Replication {
 		panic("hdfs: fewer datanodes than the replication factor")
 	}
 	return fs
@@ -350,7 +353,7 @@ type Writer struct {
 // && rewrite" would.
 func (fs *FS) CreateWith(path, clientNode string, replication int) *Writer {
 	if replication <= 0 || replication > len(fs.datanodes) {
-		replication = fs.cfg.Replication
+		replication = Replication
 	}
 	if fs.Exists(path) {
 		fs.Delete(path)
@@ -552,7 +555,7 @@ func (fs *FS) Load(path string, firstNode string, data []byte) {
 	}
 	meta := &fileMeta{name: path}
 	fs.files[path] = meta
-	fs.journalEdit(editRec{op: opCreate, path: path, repl: fs.cfg.Replication})
+	fs.journalEdit(editRec{op: opCreate, path: path, repl: Replication})
 	for off := int64(0); off < int64(len(data)); off += fs.cfg.BlockSize {
 		end := off + fs.cfg.BlockSize
 		if end > int64(len(data)) {
@@ -560,8 +563,8 @@ func (fs *FS) Load(path string, firstNode string, data []byte) {
 		}
 		id := fs.nextBlock
 		fs.nextBlock++
-		replicas := fs.choose(firstNode, fs.cfg.Replication)
-		b := &blockMeta{id: id, size: end - off, want: fs.cfg.Replication, replicas: replicas}
+		replicas := fs.choose(firstNode, Replication)
+		b := &blockMeta{id: id, size: end - off, want: Replication, replicas: replicas}
 		if fs.integrity {
 			b.sums, b.verified = chunkSums(data[off:end]), firstByte(data[off:end])
 		}

@@ -366,8 +366,8 @@ func TestCreateWithInvalidReplicationFallsBack(t *testing.T) {
 	env.Run(0)
 	locs, _ := fs.BlockLocations("/bad")
 	for _, l := range locs {
-		if len(l) != fs.Config().Replication {
-			t.Errorf("fallback replication = %d, want %d", len(l), fs.Config().Replication)
+		if len(l) != Replication {
+			t.Errorf("fallback replication = %d, want %d", len(l), Replication)
 		}
 	}
 }

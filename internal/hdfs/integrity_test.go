@@ -522,7 +522,7 @@ func TestPipelineReplicasShareOneArray(t *testing.T) {
 // and the re-slice never ran.
 func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
 	env, c, _ := rig(5)
-	fs := New(env, Config{BlockSize: 1 << 20, Replication: 3}, c.Net, c.Slaves)
+	fs := New(env, Config{BlockSize: 1 << 20}, c.Net, c.Slaves)
 	fs.EnableIntegrity()
 	fs.EnableRecovery(fastRecovery())
 	want := pattern(2*int(fs.cfg.BlockSize) + 5_000)
@@ -600,7 +600,7 @@ func TestVerifyMemoMatchesRecompute(t *testing.T) {
 	// prefix of the unflushed replica: a cut that is empty would never meet
 	// the memo.
 	env, c, _ := rig(5)
-	fs := New(env, Config{BlockSize: 1 << 20, Replication: 3}, c.Net, c.Slaves)
+	fs := New(env, Config{BlockSize: 1 << 20}, c.Net, c.Slaves)
 	fs.EnableIntegrity()
 	fs.EnableRecovery(fastRecovery())
 	check := func(step string) {

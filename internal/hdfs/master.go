@@ -19,23 +19,22 @@ import (
 	"strings"
 	"time"
 
-	"iochar/internal/disk"
 	"iochar/internal/journal"
 	"iochar/internal/localfs"
 	"iochar/internal/sim"
 )
+
+// safeModeFrac is the fraction of pre-crash replicas that must be
+// re-confirmed by block reports before a restarted NameNode leaves safe mode
+// (dfs.safemode.threshold.pct). Safe mode also exits once every live
+// DataNode has reported, so a replica lost forever cannot wedge the cluster.
+const safeModeFrac = 0.999
 
 // MasterConfig tunes NameNode durability and recovery.
 type MasterConfig struct {
 	// Journal configures the write-ahead log: checkpoint cadence (expired
 	// leases are also recovered on that tick) and client retry backoff.
 	Journal journal.Config
-	// SafeModeFrac is the fraction of pre-crash replicas that must be
-	// re-confirmed by block reports before a restarted NameNode leaves safe
-	// mode (dfs.safemode.threshold.pct). Safe mode also exits once every
-	// live DataNode has reported, so a replica lost forever cannot wedge
-	// the cluster.
-	SafeModeFrac float64
 	// LeaseTimeout is how long a writer may go without renewing its lease
 	// before the NameNode seals the file on its behalf (the hard lease
 	// limit; Hadoop's is an hour).
@@ -115,9 +114,6 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 	if vol == nil {
 		panic("hdfs: EnableMaster needs a metadata volume")
 	}
-	if cfg.SafeModeFrac <= 0 || cfg.SafeModeFrac > 1 {
-		cfg.SafeModeFrac = 0.999
-	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 60 * time.Second
 	}
@@ -131,7 +127,6 @@ func (fs *FS) EnableMaster(vol *localfs.FS, cfg MasterConfig) {
 		Master:         "hdfs: NameNode",
 		JournalFile:    "nn_edits",
 		ImageFile:      "nn_fsimage",
-		Stage:          disk.StageMeta,
 		FlushProc:      "namenode-editlog",
 		CheckpointProc: "namenode-checkpoint",
 		Render:         renderEdit,
@@ -314,7 +309,7 @@ func (fs *FS) maybeExitSafeMode() {
 	if ms == nil || !ms.safeMode {
 		return
 	}
-	need := int(ms.cfg.SafeModeFrac * float64(ms.expectedReplicas))
+	need := int(safeModeFrac * float64(ms.expectedReplicas))
 	done := ms.reportedReplicas >= need
 	if !done {
 		done = true

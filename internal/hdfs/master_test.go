@@ -187,12 +187,12 @@ func TestRestartRecoversDeadWritersLease(t *testing.T) {
 	env.Run(0)
 }
 
-// TestSafeModeExitThreshold pins the safe-mode exit rule: with
-// SafeModeFrac=1 every pre-crash replica must be re-confirmed, so safe mode
-// holds until the last DataNode's block report lands. Reads are served
+// TestSafeModeExitThreshold pins the safe-mode exit rule: safe mode holds
+// until block reports re-confirm int(safeModeFrac × expected) pre-crash
+// replicas or every live DataNode has reported. Reads are served
 // throughout; mutations are not.
 func TestSafeModeExitThreshold(t *testing.T) {
-	env, c, fs := masterRig(t, 4, MasterConfig{SafeModeFrac: 1.0})
+	env, c, fs := masterRig(t, 4, MasterConfig{})
 	// Long heartbeat interval so the test drives block reports by hand.
 	fs.EnableRecovery(RecoveryConfig{HeartbeatInterval: 10 * time.Second, DeadTimeout: 100 * time.Second})
 	env.Go("driver", func(p *sim.Proc) {
@@ -220,16 +220,18 @@ func TestSafeModeExitThreshold(t *testing.T) {
 		if _, err := r.ReadAt(p, 0, 1000); err != nil {
 			t.Errorf("data read failed in safe mode: %v", err)
 		}
-		for _, dn := range fs.datanodes[:len(fs.datanodes)-1] {
-			fs.masterBlockReport(dn)
-		}
-		if !ms.safeMode {
-			t.Error("safe mode exited below the full-replica threshold")
-		}
 		p.Sleep(2 * time.Millisecond) // accrue measurable safe-mode wait
-		fs.masterBlockReport(fs.datanodes[len(fs.datanodes)-1])
-		if ms.safeMode {
-			t.Error("safe mode held after every replica was re-confirmed")
+		need := int(safeModeFrac * float64(ms.expectedReplicas))
+		for i, dn := range fs.datanodes {
+			fs.masterBlockReport(dn)
+			want := ms.reportedReplicas < need && i < len(fs.datanodes)-1
+			if ms.safeMode != want {
+				t.Errorf("after %d of %d block reports (%d of %d replicas, threshold %d): safe mode %v, want %v",
+					i+1, len(fs.datanodes), ms.reportedReplicas, ms.expectedReplicas, need, ms.safeMode, want)
+			}
+			if i == 0 && !ms.safeMode {
+				t.Error("safe mode exited on the first block report: the threshold was never exercised")
+			}
 		}
 		if fs.MasterStats().SafeModeWait == 0 {
 			t.Error("SafeModeWait not accounted")

@@ -73,9 +73,8 @@ type Spec[R, S any] struct {
 	// Master names the master in a divergent replay's panic.
 	Master string
 	// JournalFile and ImageFile name the two files on the metadata volume;
-	// Stage tags their disk requests.
+	// their disk requests are tagged disk.StageMeta.
 	JournalFile, ImageFile string
-	Stage                  disk.Stage
 	// FlushProc and CheckpointProc name the two daemon processes.
 	FlushProc, CheckpointProc string
 	// Render gives a record its on-disk shape, one line ending in a newline;
@@ -162,7 +161,7 @@ func New[R, S any](env *sim.Env, vol *localfs.FS, spec Spec[R, S], cfg Config) *
 func (l *Log[R, S]) create(name string) *localfs.File {
 	_ = l.vol.Delete(name) // fails only when there is nothing to replace
 	f := l.vol.Create(name)
-	f.SetStage(l.spec.Stage)
+	f.SetStage(disk.StageMeta)
 	return f
 }
 
@@ -241,7 +240,7 @@ func (l *Log[R, S]) Restart(p *sim.Proc, reconcile func()) {
 			continue
 		}
 		f, _ := l.vol.Open(name) // Size found it
-		f.SetStage(l.spec.Stage)
+		f.SetStage(disk.StageMeta)
 		read[i] = f.ReadAt(p, 0, sz)
 		l.stats.ReplayBytes += uint64(sz)
 	}

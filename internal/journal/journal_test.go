@@ -46,13 +46,12 @@ func newToy(cfg Config, tick func(time.Duration) bool) *toy {
 	p := disk.SeagateST1000NM0011()
 	p.Sectors = 1 << 22
 	d := disk.New(env, p)
-	vol := localfs.New(d, pagecache.New(env, d, 1<<16, pagecache.DefaultOptions()))
+	vol := localfs.New(d, pagecache.New(env, d, 1<<16, pagecache.DefaultReadaheadPages))
 	m := &toy{env: env, vol: vol}
 	m.log = New(env, vol, Spec[int, toyState]{
 		Master:         "toy",
 		JournalFile:    "toy_journal",
 		ImageFile:      "toy_image",
-		Stage:          disk.StageMeta,
 		FlushProc:      "toy-flush",
 		CheckpointProc: "toy-checkpoint",
 		Render:         renderToy,

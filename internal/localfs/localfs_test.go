@@ -16,7 +16,7 @@ func rig() (*sim.Env, *disk.Disk, *FS) {
 	p := disk.SeagateST1000NM0011()
 	p.Sectors = 1 << 22
 	d := disk.New(env, p)
-	c := pagecache.New(env, d, 1<<16, pagecache.DefaultOptions())
+	c := pagecache.New(env, d, 1<<16, pagecache.DefaultReadaheadPages)
 	return env, d, New(d, c)
 }
 
@@ -242,7 +242,7 @@ func TestQuickMultiFileIntegrity(t *testing.T) {
 		dp := disk.SeagateST1000NM0011()
 		dp.Sectors = 1 << 22
 		d := disk.New(env, dp)
-		c := pagecache.New(env, d, 1<<16, pagecache.DefaultOptions())
+		c := pagecache.New(env, d, 1<<16, pagecache.DefaultReadaheadPages)
 		fs := New(d, c)
 		want := map[string][]byte{}
 		handles := map[string]*File{}

@@ -116,7 +116,7 @@ func (rt *Runtime) fetchOneFaulty(fp *sim.Proc, js *jobState, st *fetchState, ou
 			js.loseOutput(out)
 			return
 		}
-		fp.Sleep(js.cfg.FetchRetryDelay << (retries - 1)) // exponential backoff
+		fp.Sleep(js.cfg.fetchRetryDelay << (retries - 1)) // exponential backoff
 	}
 }
 

@@ -140,7 +140,7 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 	// processing as Hadoop's record readers do — the interleaving is what
 	// lets CPU-bound workloads hide their I/O behind computation.
 	fr := newFramer(it)
-	for pos := readOff; pos < readOff+readLen && !fr.done; pos += cfg.ChunkBytes {
+	for pos := readOff; pos < readOff+readLen && !fr.done; pos += cfg.chunkBytes {
 		if js.taskDone(taskIdx) {
 			state.abandon() // another attempt won; stop wasting the disks
 			return
@@ -149,7 +149,7 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 			state.abandon() // our tracker died mid-task, or the job is over
 			return
 		}
-		n := cfg.ChunkBytes
+		n := cfg.chunkBytes
 		if pos+n > readOff+readLen {
 			n = readOff + readLen - pos
 		}

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"strings"
 
-	"iochar/internal/disk"
 	"iochar/internal/journal"
 	"iochar/internal/localfs"
 	"iochar/internal/sim"
@@ -90,7 +89,6 @@ func (rt *Runtime) EnableMaster(vol *localfs.FS, cfg journal.Config) {
 		Master:         "mapred: JobTracker",
 		JournalFile:    "jt_journal",
 		ImageFile:      "jt_image",
-		Stage:          disk.StageMeta,
 		FlushProc:      "jobtracker-journal",
 		CheckpointProc: "jobtracker-checkpoint",
 		Render:         renderJTRec,

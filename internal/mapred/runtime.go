@@ -61,13 +61,8 @@ func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, cfg Config) (*Runtime, 
 		// Sort-buffer index entries address the arena with uint32 offsets.
 		return nil, fmt.Errorf("mapred: sort buffer of %d bytes exceeds the %d the index entries can address", cfg.SortBufBytes, uint32(math.MaxUint32))
 	}
-	if cfg.ChunkBytes <= 0 {
-		// mapTask advances its input position by ChunkBytes.
-		return nil, fmt.Errorf("mapred: ChunkBytes must be positive, got %d", cfg.ChunkBytes)
-	}
-	if cfg.FetchRetryDelay <= 0 || cfg.MaxTaskAttempts <= 0 {
-		return nil, fmt.Errorf("mapred: retry budgets must be positive, got fetch retry delay %v / %d task attempts",
-			cfg.FetchRetryDelay, cfg.MaxTaskAttempts)
+	if cfg.MaxTaskAttempts <= 0 {
+		return nil, fmt.Errorf("mapred: the task attempt budget must be positive, got %d", cfg.MaxTaskAttempts)
 	}
 	return &Runtime{env: env, cl: cl, fs: fs, net: cl.Net, cfg: cfg,
 		netRng: rand.New(rand.NewSource(cfg.Seed ^ 0x6d725f6e)),
@@ -301,11 +296,11 @@ func (js *jobState) claim(i int) int {
 // duration), or -1. Hadoop's progress-rate heuristic reduces to elapsed
 // time here because attempts progress linearly.
 func (js *jobState) pickStraggler() int {
-	if js.cfg == nil || !js.cfg.Speculative || js.durCnt == 0 {
+	if js.durCnt == 0 {
 		return -1
 	}
 	avg := js.durSum / time.Duration(js.durCnt)
-	threshold := time.Duration(float64(avg) * js.cfg.SpeculativeSlowdown)
+	threshold := time.Duration(float64(avg) * speculativeSlowdown)
 	best, bestElapsed := -1, threshold
 	now := js.env.Now()
 	for i := range js.splits {
@@ -367,7 +362,7 @@ func (rt *Runtime) Run(p *sim.Proc, job *Job) (*Result, error) {
 		rt.active[js] = true
 		defer delete(rt.active, js)
 	}
-	js.slowAt = int(rt.cfg.SlowstartFrac * float64(js.totalMaps))
+	js.slowAt = int(slowstartFrac * float64(js.totalMaps))
 	if js.slowAt < 1 {
 		js.slowAt = 1
 	}
@@ -449,7 +444,7 @@ func (rt *Runtime) spawnMapWorker(job *Job, js *jobState, node *cluster.Node, s 
 		// Heartbeat stagger: a tracker fills one slot per heartbeat round, so
 		// the first claims spread across nodes instead of one node's full
 		// slot bank draining the task queue.
-		wp.Sleep(time.Duration(s) * rt.cfg.LocalityWait / 4)
+		wp.Sleep(time.Duration(s) * rt.cfg.localityWait / 4)
 		rt.mapWorkerLoop(wp, job, js, node)
 	})
 }
@@ -478,7 +473,7 @@ func (rt *Runtime) mapWorkerLoop(wp *sim.Proc, job *Job, js *jobState, node *clu
 			// Delay scheduling: wait for local work to appear or for the
 			// steal budget to unlock.
 			misses++
-			wp.Sleep(rt.cfg.LocalityWait)
+			wp.Sleep(rt.cfg.localityWait)
 			continue
 		}
 		misses = 0

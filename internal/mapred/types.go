@@ -135,10 +135,18 @@ const (
 	// shuffleParallel is mapred.reduce.parallel.copies: parallel fetchers
 	// per reduce task.
 	shuffleParallel = 5
-	// localityRetries bounds delay scheduling (Config.LocalityWait).
+	// slowstartFrac of a job's maps are done before its reducers launch
+	// (mapred.reduce.slowstart.completed.maps).
+	slowstartFrac = 0.05
+	// Speculative execution, always on: a map task that has run
+	// speculativeSlowdown times the mean completed-task duration while
+	// idle slots exist gets a backup attempt.
+	speculativeSlowdown = 3
+	// localityRetries bounds delay scheduling (Config.localityWait).
 	localityRetries = 3
 	// Fault mode's fetch retries before a map output is lost, and failed
-	// attempts before a tracker is blacklisted (see Config.FetchRetryDelay).
+	// attempts before a tracker is blacklisted: no new attempts are
+	// scheduled there (Hadoop's mapred.max.tracker.failures).
 	maxFetchRetries    = 3
 	maxTrackerFailures = 3
 
@@ -158,39 +166,27 @@ type Config struct {
 	SortBufBytes    int64 // io.sort.mb: map-side buffer before a spill
 	ShuffleBufBytes int64 // reduce-side in-memory merge budget
 	Codec           compress.Codec
-	SlowstartFrac   float64 // fraction of maps done before reducers launch
-	ChunkBytes      int64   // input streaming granularity
 
-	// LocalityWait is delay scheduling: an idle map slot with no data-local
-	// work waits this long (up to localityRetries times) before accepting a
-	// remote split, so data-hosting nodes get first claim. Without it, slot
-	// counts near the task count destroy locality artificially.
-	LocalityWait time.Duration
-
-	// Speculative enables backup attempts for straggling map tasks
-	// (mapred.map.tasks.speculative.execution, on by default in Hadoop 1.x).
-	// A task becomes a straggler once it has run SpeculativeSlowdown times
-	// the mean completed-task duration while idle slots exist.
-	Speculative         bool
-	SpeculativeSlowdown float64
-
-	// Fault-tolerance knobs, consulted only when the runtime's fault mode
-	// is enabled (Runtime.EnableFaults). A reduce fetch that fails is
-	// retried up to maxFetchRetries times with exponential backoff starting
-	// at FetchRetryDelay; after that the map output is declared lost and its
-	// task re-executed. A map task may be attempted MaxTaskAttempts times
-	// (including speculation and re-execution) before the job fails with a
-	// *JobError — Hadoop's mapred.map.max.attempts. A tracker that
-	// accumulates maxTrackerFailures failed attempts in one job is
-	// blacklisted: no new attempts are scheduled there, so a fail-slow node
-	// stops soaking up retries (Hadoop's mapred.max.tracker.failures).
-	FetchRetryDelay time.Duration
+	// MaxTaskAttempts is how often fault mode (Runtime.EnableFaults)
+	// attempts a map task, speculation and re-execution included, before
+	// the job fails with a *JobError (mapred.map.max.attempts).
 	MaxTaskAttempts int
 
 	// Seed feeds the jitter rng of the sim.NewRetry stalls with which
 	// fetchers and trackers wait out transient network faults; healthy runs
 	// never draw from it.
 	Seed int64
+
+	// Derived from DefaultConfig's scale: a map task streams its input in
+	// chunkBytes; an idle map slot with no data-local work waits
+	// localityWait, up to localityRetries times, before taking a remote
+	// split (delay scheduling; without it, slot counts near the task count
+	// destroy locality); a failed fetch backs off exponentially from
+	// fetchRetryDelay, up to maxFetchRetries times before its map output is
+	// declared lost and the task re-executed.
+	chunkBytes      int64
+	localityWait    time.Duration
+	fetchRetryDelay time.Duration
 }
 
 // DefaultConfig returns Hadoop-1.0.4-flavoured defaults at the given scale
@@ -200,18 +196,15 @@ func DefaultConfig(scale int64) Config {
 		scale = 1
 	}
 	return Config{
-		MapSlots:            8,
-		ReduceSlots:         1,
-		SortBufBytes:        max((100<<20)/scale, 64<<10),
-		ShuffleBufBytes:     max((140<<20)/scale, 64<<10),
-		Codec:               compress.Identity{},
-		SlowstartFrac:       0.05,
-		ChunkBytes:          max((1<<20)/scale*4, 16<<10),
-		LocalityWait:        time.Duration(int64(3*time.Second) * 64 / scale),
-		Speculative:         true,
-		SpeculativeSlowdown: 3,
-		FetchRetryDelay:     time.Duration(int64(time.Second) * 64 / scale),
-		MaxTaskAttempts:     4,
+		MapSlots:        8,
+		ReduceSlots:     1,
+		SortBufBytes:    max((100<<20)/scale, 64<<10),
+		ShuffleBufBytes: max((140<<20)/scale, 64<<10),
+		Codec:           compress.Identity{},
+		MaxTaskAttempts: 4,
+		chunkBytes:      max((1<<20)/scale*4, 16<<10),
+		localityWait:    time.Duration(int64(3*time.Second) * 64 / scale),
+		fetchRetryDelay: time.Duration(int64(time.Second) * 64 / scale),
 	}
 }
 

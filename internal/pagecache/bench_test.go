@@ -8,16 +8,16 @@ import (
 	"iochar/internal/sim"
 )
 
-func benchRig(opts Options) (*sim.Env, *Cache) {
+func benchRig(capPages, readaheadMaxPages int) (*sim.Env, *Cache) {
 	env := sim.New(1)
 	p := disk.SeagateST1000NM0011()
 	p.Sectors = 1 << 26
 	d := disk.New(env, p)
-	return env, New(env, d, 1<<15, opts)
+	return env, New(env, d, capPages, readaheadMaxPages)
 }
 
 func BenchmarkCacheHitRead(b *testing.B) {
-	env, c := benchRig(DefaultOptions())
+	env, c := benchRig(1<<15, DefaultReadaheadPages)
 	env.Go("warm", func(p *sim.Proc) { c.Read(p, nil, 0, 1024, disk.StageNone) })
 	env.Run(0)
 	b.ResetTimer()
@@ -29,7 +29,7 @@ func BenchmarkCacheHitRead(b *testing.B) {
 
 func BenchmarkCacheColdSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		env, c := benchRig(DefaultOptions())
+		env, c := benchRig(1<<15, DefaultReadaheadPages)
 		env.Go("r", func(p *sim.Proc) {
 			rs := &ReadState{}
 			for j := 0; j < 256; j++ {
@@ -47,13 +47,11 @@ func BenchmarkAblationReadahead(b *testing.B) {
 	for _, c := range []struct {
 		name     string
 		maxPages int
-	}{{"readahead", DefaultOptions().ReadaheadMaxPages}, {"none", 0}} {
+	}{{"readahead", DefaultReadaheadPages}, {"none", 0}} {
 		b.Run(c.name, func(b *testing.B) {
 			var vt time.Duration
 			for i := 0; i < b.N; i++ {
-				opts := DefaultOptions()
-				opts.ReadaheadMaxPages = c.maxPages
-				env, cache := benchRig(opts)
+				env, cache := benchRig(1<<15, c.maxPages)
 				env.Go("r", func(p *sim.Proc) {
 					rs := &ReadState{}
 					for j := 0; j < 512; j++ {
@@ -70,14 +68,13 @@ func BenchmarkAblationReadahead(b *testing.B) {
 
 // BenchmarkThrottleAmongCleanPages is io_storm's writeback pattern: thousands
 // of clean resident pages, and a writer crossing the hard dirty ratio in
-// one-page writes, so each throttle flushes a round of ~165 dirty pages that
-// lie above 8192 clean ones in page order. An op is 1024 writes (five
-// throttles) and, once the writer is done, the expiry of what it left dirty.
+// one-page writes, so its throttle flushes ~1640 dirty pages that lie above
+// 4096 clean ones in page order. An op is 4096 writes (one throttle, at
+// 0.40 of the 8192-page cache) and, once the writer is done, the expiry of
+// what it left dirty.
 func BenchmarkThrottleAmongCleanPages(b *testing.B) {
-	const clean = 8192
-	opts := DefaultOptions()
-	opts.DirtyHardRatio = 0.01 // 327 of the rig's 32768 pages
-	env, c := benchRig(opts)
+	const clean = 4096
+	env, c := benchRig(8192, DefaultReadaheadPages)
 	defer env.Close()
 	env.Go("warm", func(p *sim.Proc) {
 		for n := int64(0); n < clean; n += 128 {
@@ -88,7 +85,7 @@ func BenchmarkThrottleAmongCleanPages(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Go("w", func(p *sim.Proc) {
-			for n := int64(clean); n < clean+1024; n++ {
+			for n := int64(clean); n < 2*clean; n++ {
 				c.Write(p, n*PageSectors, PageSectors, disk.StageNone)
 			}
 		})
@@ -99,7 +96,7 @@ func BenchmarkThrottleAmongCleanPages(b *testing.B) {
 
 func BenchmarkWriteAndSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		env, c := benchRig(DefaultOptions())
+		env, c := benchRig(1<<15, DefaultReadaheadPages)
 		env.Go("w", func(p *sim.Proc) {
 			for j := 0; j < 512; j++ {
 				c.Write(p, int64(j*8*PageSectors), 8*PageSectors, disk.StageNone)

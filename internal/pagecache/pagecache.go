@@ -37,36 +37,17 @@ const (
 	PageSectors = PageSize / disk.SectorSize
 )
 
-// Options tune the cache's writeback and readahead behaviour. The defaults
-// (see DefaultOptions) follow Linux conventions.
-type Options struct {
-	// DirtyBGRatio is the dirty fraction above which background writeback
-	// starts working aggressively (Linux dirty_background_ratio).
-	DirtyBGRatio float64
-	// DirtyHardRatio is the dirty fraction at which writers block until
-	// writeback catches up (Linux dirty_ratio).
-	DirtyHardRatio float64
-	// WritebackInterval is the period of the background flusher.
-	WritebackInterval time.Duration
-	// ReadaheadMaxPages caps the readahead window (Linux default 128 KiB);
-	// 0 disables prefetching.
-	ReadaheadMaxPages int
-}
+// Linux's writeback defaults. A dirty page is flushed once dirtyExpire old
+// whatever the ratios, so small dirty residues do not sit in memory forever.
+const (
+	dirtyBGRatio      = 0.10             // dirty_background_ratio: background writeback works hard above it
+	dirtyHardRatio    = 0.40             // dirty_ratio: writers block until writeback catches up
+	writebackInterval = time.Second      // the background flusher's period
+	dirtyExpire       = 30 * time.Second // dirty_expire_centisecs
+)
 
-// dirtyExpire is the age at which a dirty page is flushed regardless of the
-// dirty ratio (Linux dirty_expire_centisecs, default 30 s). Without it,
-// small dirty residues would sit in memory forever.
-const dirtyExpire = 30 * time.Second
-
-// DefaultOptions returns Linux-flavoured defaults.
-func DefaultOptions() Options {
-	return Options{
-		DirtyBGRatio:      0.10,
-		DirtyHardRatio:    0.40,
-		WritebackInterval: time.Second,
-		ReadaheadMaxPages: 32, // 128 KiB
-	}
-}
+// DefaultReadaheadPages is Linux's readahead window cap, 128 KiB.
+const DefaultReadaheadPages = 32
 
 // Stats counts cache activity for tests and reports.
 type Stats struct {
@@ -243,14 +224,14 @@ func (t *pageTable) next(set int, lo, hi int64) *page {
 
 // Cache is the page cache for one device. Create with New.
 type Cache struct {
-	env  *sim.Env
-	d    *disk.Disk
-	opts Options
+	env *sim.Env
+	d   *disk.Disk
 
-	capacity int // pages
-	pages    pageTable
-	lru      lruList // front = most recently used
-	free     *page   // recycled page structs, linked through next
+	readahead int // readahead window cap, in pages
+	capacity  int // pages
+	pages     pageTable
+	lru       lruList // front = most recently used
+	free      *page   // recycled page structs, linked through next
 
 	kick  *sim.Cond // wakes the background flusher when pages first dirty
 	stats Stats
@@ -270,21 +251,18 @@ func (c *Cache) newPage(n int64) *page {
 }
 
 // New creates a cache of capacityPages pages backed by d and starts its
-// background flusher. opts is taken as given: start from DefaultOptions. It
-// panics on a non-positive WritebackInterval, which would spin the flusher.
-func New(env *sim.Env, d *disk.Disk, capacityPages int, opts Options) *Cache {
-	if opts.WritebackInterval <= 0 {
-		panic("pagecache: non-positive WritebackInterval")
-	}
+// background flusher. readaheadMaxPages caps the readahead window; 0
+// disables prefetching.
+func New(env *sim.Env, d *disk.Disk, capacityPages, readaheadMaxPages int) *Cache {
 	if capacityPages < 8 {
 		capacityPages = 8
 	}
 	c := &Cache{
-		env:      env,
-		d:        d,
-		opts:     opts,
-		capacity: capacityPages,
-		kick:     sim.NewCond(env),
+		env:       env,
+		d:         d,
+		readahead: readaheadMaxPages,
+		capacity:  capacityPages,
+		kick:      sim.NewCond(env),
 	}
 	w := &writeback{c: c}
 	w.stepFn = w.step
@@ -336,8 +314,8 @@ func (c *Cache) Read(p *sim.Proc, rs *ReadState, sector int64, nsect int, stage 
 			if rs.window == 0 {
 				rs.window = 4
 			}
-			if rs.window > c.opts.ReadaheadMaxPages {
-				rs.window = c.opts.ReadaheadMaxPages
+			if rs.window > c.readahead {
+				rs.window = c.readahead
 			}
 		} else {
 			rs.window = 0 // seek: reset
@@ -477,9 +455,9 @@ func (c *Cache) Write(p *sim.Proc, sector int64, nsect int, stage disk.Stage) {
 	// pushes the cache past the hard limit performs writeback itself, which
 	// is what couples write-heavy workloads to disk speed when memory is
 	// scarce.
-	if float64(c.pages.dirty) > c.opts.DirtyHardRatio*float64(c.capacity) {
+	if float64(c.pages.dirty) > dirtyHardRatio*float64(c.capacity) {
 		c.stats.ThrottleStalls++
-		c.flushAndWait(p, int(c.opts.DirtyHardRatio*float64(c.capacity)/2))
+		c.flushAndWait(p, int(dirtyHardRatio*float64(c.capacity)/2))
 	}
 }
 
@@ -547,9 +525,9 @@ func (c *Cache) remove(pg *page) {
 }
 
 // dirtyRunAround returns the maximal contiguous run [lo, hi) of dirty page
-// numbers containing n, capped at the device's request ceiling.
+// numbers containing n, capped at the block layer's request ceiling.
 func (c *Cache) dirtyRunAround(n int64) (lo, hi int64) {
-	maxPages := int64(c.d.P.MaxReqSect / PageSectors)
+	maxPages := int64(disk.MaxReqSectors / PageSectors)
 	lo = n
 	for lo > n-maxPages {
 		pg := c.pages.get(lo - 1)
@@ -599,7 +577,7 @@ type writeback struct {
 // step carries the flusher on. It waits for the flush's next request. After
 // a flush down it flushes, in one round, the pages dirtied dirtyExpire or
 // more ago; after that, or at the start, it parks on kick while the cache is
-// clean (so a drained simulation ends), or else sleeps WritebackInterval
+// clean (so a drained simulation ends), or else sleeps writebackInterval
 // with the next flush down set: above the background ratio, to half of it.
 // Pages below the ratio age until discarded, synced or expired. OnComplete
 // runs step at once on a completed request: inline makes that a loop turn.
@@ -622,9 +600,9 @@ func (w *writeback) step() {
 			c.kick.Then(w.stepFn)
 			return
 		} else {
-			bg := c.opts.DirtyBGRatio * float64(c.capacity)
+			bg := dirtyBGRatio * float64(c.capacity)
 			w.f = c.flushDown(int(bg), int(bg/2))
-			c.env.After(c.opts.WritebackInterval, w.stepFn)
+			c.env.After(writebackInterval, w.stepFn)
 			return
 		}
 	}
@@ -676,11 +654,11 @@ func (c *Cache) flushAndWait(p *sim.Proc, target int) {
 
 // flushRuns walks the dirty pages in page order, clean-marks up to limit
 // that have no fill in flight and were dirtied at or before cutoff, and
-// writes them back as contiguous runs capped at the device's request
+// writes them back as contiguous runs capped at the block layer's request
 // ceiling — writeback's characteristic large sequential bursts. It returns
 // the requests in submission order.
 func (c *Cache) flushRuns(limit int, cutoff time.Duration) []*disk.Request {
-	maxRun := c.d.P.MaxReqSect / PageSectors
+	maxRun := disk.MaxReqSectors / PageSectors
 	var reqs []*disk.Request
 	var start int64
 	var stage disk.Stage

@@ -16,16 +16,16 @@ import (
 	"iochar/internal/sim"
 )
 
-func rig(capPages int, opts Options) (*sim.Env, *disk.Disk, *Cache) {
+func rig(capPages, readaheadMaxPages int) (*sim.Env, *disk.Disk, *Cache) {
 	env := sim.New(1)
 	p := disk.SeagateST1000NM0011()
 	p.Sectors = 1 << 24
 	d := disk.New(env, p)
-	return env, d, New(env, d, capPages, opts)
+	return env, d, New(env, d, capPages, readaheadMaxPages)
 }
 
 func TestColdReadMissesThenHits(t *testing.T) {
-	env, d, c := rig(1024, DefaultOptions())
+	env, d, c := rig(1024, DefaultReadaheadPages)
 	env.Go("r", func(p *sim.Proc) {
 		c.Read(p, nil, 0, 64, disk.StageNone) // 8 pages, cold
 		before := d.Stats().ReadsCompleted
@@ -48,7 +48,7 @@ func TestColdReadMissesThenHits(t *testing.T) {
 // request, and nothing per page once the cache is full (evicted page structs
 // are recycled): at most three objects for a cold one-page Read.
 func TestColdReadAllocationsPerMiss(t *testing.T) {
-	env, _, c := rig(8, DefaultOptions())
+	env, _, c := rig(8, DefaultReadaheadPages)
 	defer env.Close()
 	var perRead float64
 	env.Go("r", func(p *sim.Proc) {
@@ -72,7 +72,7 @@ func TestColdReadAllocationsPerMiss(t *testing.T) {
 }
 
 func TestWriteIsCacheOnlyUntilSync(t *testing.T) {
-	env, d, c := rig(4096, DefaultOptions())
+	env, d, c := rig(4096, DefaultReadaheadPages)
 	env.Go("w", func(p *sim.Proc) {
 		start := p.Now()
 		c.Write(p, 0, 512, disk.StageNone) // 64 pages, well under thresholds
@@ -97,7 +97,7 @@ func TestWriteIsCacheOnlyUntilSync(t *testing.T) {
 // cannot be written until the fill does. Sync must wait for the fill and
 // write the page, not return with it dirty and leave it to expire 30 s later.
 func TestSyncWaitsForFillsInFlight(t *testing.T) {
-	env, d, c := rig(1024, DefaultOptions())
+	env, d, c := rig(1024, DefaultReadaheadPages)
 	defer env.Close()
 	env.Go("reader", func(p *sim.Proc) { c.Read(p, nil, 0, PageSectors, disk.StageHDFS) })
 	env.Go("writer", func(p *sim.Proc) {
@@ -113,7 +113,7 @@ func TestSyncWaitsForFillsInFlight(t *testing.T) {
 }
 
 func TestSyncClustersContiguousDirtyPages(t *testing.T) {
-	env, d, c := rig(4096, DefaultOptions())
+	env, d, c := rig(4096, DefaultReadaheadPages)
 	env.Go("w", func(p *sim.Proc) {
 		// Dirty 64 contiguous pages out of order: sync must cluster them.
 		for i := 63; i >= 0; i-- {
@@ -132,7 +132,7 @@ func TestSyncClustersContiguousDirtyPages(t *testing.T) {
 }
 
 func TestDiscardDropsDirtyWithoutIO(t *testing.T) {
-	env, d, c := rig(4096, DefaultOptions())
+	env, d, c := rig(4096, DefaultReadaheadPages)
 	env.Go("w", func(p *sim.Proc) {
 		c.Write(p, 0, 256, disk.StageNone)
 		c.Discard(0, 256)
@@ -148,8 +148,7 @@ func TestDiscardDropsDirtyWithoutIO(t *testing.T) {
 }
 
 func TestDirtyThrottleTriggersInlineWriteback(t *testing.T) {
-	opts := DefaultOptions()
-	env, d, c := rig(256, opts) // tiny cache: hard limit ~102 pages
+	env, d, c := rig(256, DefaultReadaheadPages) // tiny cache: hard limit ~102 pages
 	env.Go("w", func(p *sim.Proc) {
 		c.Write(p, 0, 150*PageSectors, disk.StageNone) // 150 dirty pages > 40% of 256
 	})
@@ -166,7 +165,7 @@ func TestDirtyThrottleTriggersInlineWriteback(t *testing.T) {
 }
 
 func TestLRUEvictionPrefersClean(t *testing.T) {
-	env, _, c := rig(64, DefaultOptions())
+	env, _, c := rig(64, DefaultReadaheadPages)
 	env.Go("w", func(p *sim.Proc) {
 		c.Read(p, nil, 0, 32*PageSectors, disk.StageNone)     // 32 clean pages
 		c.Write(p, 1<<20, 16*PageSectors, disk.StageNone)     // 16 dirty pages elsewhere
@@ -186,13 +185,12 @@ func TestLRUEvictionPrefersClean(t *testing.T) {
 }
 
 func TestMemoryPressureFlushesDirty(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DirtyHardRatio = 0.95 // keep throttling out of the way
-	opts.DirtyBGRatio = 0.90
-	env, d, c := rig(64, opts)
+	// 50 dirty pages stay under the hard limit of 128 × 0.40; a read of 90
+	// more, all in flight together, leaves only dirty pages to evict.
+	env, d, c := rig(128, DefaultReadaheadPages)
 	env.Go("w", func(p *sim.Proc) {
 		c.Write(p, 0, 50*PageSectors, disk.StageNone)         // 50 dirty pages
-		c.Read(p, nil, 1<<20, 40*PageSectors, disk.StageNone) // needs 40 more: pressure
+		c.Read(p, nil, 1<<20, 90*PageSectors, disk.StageNone) // needs 90 of the 78 free: pressure
 	})
 	env.Run(0)
 	if c.Stats().EvictedDirty == 0 {
@@ -204,7 +202,7 @@ func TestMemoryPressureFlushesDirty(t *testing.T) {
 }
 
 func TestReadaheadGrowsForSequentialStream(t *testing.T) {
-	env, d, c := rig(4096, DefaultOptions())
+	env, d, c := rig(4096, DefaultReadaheadPages)
 	env.Go("r", func(p *sim.Proc) {
 		rs := &ReadState{}
 		for i := 0; i < 32; i++ {
@@ -227,7 +225,7 @@ func TestReadaheadGrowsForSequentialStream(t *testing.T) {
 }
 
 func TestReadaheadResetsOnSeek(t *testing.T) {
-	env, _, c := rig(4096, DefaultOptions())
+	env, _, c := rig(4096, DefaultReadaheadPages)
 	env.Go("r", func(p *sim.Proc) {
 		rs := &ReadState{}
 		c.Read(p, rs, 0, 4*PageSectors, disk.StageNone)
@@ -242,9 +240,7 @@ func TestReadaheadResetsOnSeek(t *testing.T) {
 }
 
 func TestNoReadaheadAblation(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ReadaheadMaxPages = 0
-	env, _, c := rig(4096, opts)
+	env, _, c := rig(4096, 0)
 	env.Go("r", func(p *sim.Proc) {
 		rs := &ReadState{}
 		for i := 0; i < 16; i++ {
@@ -258,7 +254,7 @@ func TestNoReadaheadAblation(t *testing.T) {
 }
 
 func TestConcurrentReadersShareInFlightFetch(t *testing.T) {
-	env, d, c := rig(4096, DefaultOptions())
+	env, d, c := rig(4096, DefaultReadaheadPages)
 	for i := 0; i < 4; i++ {
 		env.Go("r", func(p *sim.Proc) {
 			c.Read(p, nil, 0, 64, disk.StageNone)
@@ -271,29 +267,8 @@ func TestConcurrentReadersShareInFlightFetch(t *testing.T) {
 	}
 }
 
-// With a non-positive WritebackInterval the flusher would wake at the
-// instant it went to sleep, forever, and the clock would never move while a
-// page is dirty: New refuses it before anything runs.
-func TestNewRefusesNonPositiveWritebackInterval(t *testing.T) {
-	for _, interval := range []time.Duration{0, -time.Second} {
-		env := sim.New(1)
-		d := disk.New(env, disk.SeagateST1000NM0011())
-		opts := DefaultOptions()
-		opts.WritebackInterval = interval
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("WritebackInterval %v was accepted", interval)
-				}
-			}()
-			New(env, d, 64, opts)
-		}()
-		env.Close()
-	}
-}
-
 func TestSimulationDrainsWithIdleDaemon(t *testing.T) {
-	env, _, c := rig(1024, DefaultOptions())
+	env, _, c := rig(1024, DefaultReadaheadPages)
 	env.Go("w", func(p *sim.Proc) {
 		c.Write(p, 0, 64, disk.StageNone)
 		c.Sync(p)
@@ -320,9 +295,9 @@ func TestQuickWriteSyncConservation(t *testing.T) {
 		p := disk.SeagateST1000NM0011()
 		p.Sectors = 1 << 24
 		d := disk.New(env, p)
-		opts := DefaultOptions()
-		opts.DirtyHardRatio = 0.9 // lets dirty pages crowd out clean ones before writers stall
-		c := New(env, d, 64, opts)
+		// 32 pages: one write of up to 32 fills the cache with dirty pages
+		// before its writer stalls at the end, above 0.40 × 32 of them.
+		c := New(env, d, 32, DefaultReadaheadPages)
 		dirtyAfterSync := -1
 		env.Go("w", func(pr *sim.Proc) {
 			for _, op := range ops {
@@ -371,7 +346,7 @@ func TestQuickReadResidency(t *testing.T) {
 		p := disk.SeagateST1000NM0011()
 		p.Sectors = 1 << 24
 		d := disk.New(env, p)
-		c := New(env, d, 1<<16, DefaultOptions())
+		c := New(env, d, 1<<16, DefaultReadaheadPages)
 		ok := true
 		env.Go("r", func(pr *sim.Proc) {
 			for _, op := range ops {
@@ -401,7 +376,7 @@ func TestQuickReadResidency(t *testing.T) {
 // logs every observable step with its virtual time and env.Events() at that
 // moment, the index of the event that ran it.
 func pinnedScenario() (log []string, events uint64) {
-	env, d, c := rig(4096, DefaultOptions())
+	env, d, c := rig(4096, DefaultReadaheadPages)
 	defer env.Close()
 	note := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%v #%d ", env.Now(), env.Events())+fmt.Sprintf(format, args...))
@@ -605,7 +580,7 @@ func TestDirtyRunAroundStopsAtDeviceEnds(t *testing.T) {
 		p := disk.SeagateST1000NM0011()
 		p.Sectors = npages * PageSectors
 		d := disk.New(env, p)
-		c := New(env, d, 4096, DefaultOptions())
+		c := New(env, d, 4096, DefaultReadaheadPages)
 		env.Go("w", func(pr *sim.Proc) {
 			c.Write(pr, 0, 4*PageSectors, disk.StageNone)
 			c.Write(pr, (npages-3)*PageSectors, 3*PageSectors, disk.StageNone)
@@ -649,7 +624,7 @@ func TestPinnedScenarioEventOrder(t *testing.T) {
 //     the background ratio; the next wake finds more than half the ratio
 //     dirty, but not more than the ratio, and leaves them to expire.
 func writebackScenario() string {
-	env, d, c := rig(256, DefaultOptions())
+	env, d, c := rig(256, DefaultReadaheadPages)
 	defer env.Close()
 	var b strings.Builder
 	note := func(format string, args ...any) {

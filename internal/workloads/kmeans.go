@@ -20,18 +20,17 @@ import (
 // centers — CPU-bound, tiny output) followed by a final clustering pass
 // that labels and writes every point (I/O-bound, output ≈ input), matching
 // the two-phase bottleneck classification of Table 3.
-type KMeans struct {
-	// Dims is the point dimensionality; Iterations the refinement passes
-	// before the labelling pass.
-	Dims       int
-	Iterations int
-}
+type KMeans struct{}
 
-// numCenters is K-means' K, the number of centers.
-const numCenters = 16
+// numCenters is K-means' K, the number of centers; kmeansIterations the
+// refinement passes before the labelling pass.
+const (
+	numCenters       = 16
+	kmeansIterations = 3
+)
 
 // NewKMeans returns the workload with BigDataBench-like defaults.
-func NewKMeans() *KMeans { return &KMeans{Dims: 8, Iterations: 3} }
+func NewKMeans() *KMeans { return &KMeans{} }
 
 // key names the workload's HDFS directories.
 func (*KMeans) key() string { return "KM" }
@@ -42,7 +41,7 @@ func (*KMeans) PaperInputBytes() int64 { return 256 << 30 }
 
 // Prepare implements Workload.
 func (km *KMeans) Prepare(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, total int64, seed int64) {
-	gen := datagen.PointGen{Seed: seed, Dims: km.Dims, TrueCenters: numCenters}
+	gen := datagen.PointGen{Seed: seed}
 	loadParts(fs, cl, in, inputDir(km.key()), total, gen)
 }
 
@@ -228,7 +227,7 @@ func (r *sumReducer) Reduce(k []byte, vals [][]byte, emit func(k, v []byte)) {
 // iterCosts prices one distance evaluation per center per dimension plus
 // float parsing — the arithmetic that makes iterations CPU-bound.
 func (km *KMeans) iterCosts() mapred.CostModel {
-	perRecord := float64(numCenters*km.Dims)*4 + float64(km.Dims)*45 // distances + ParseFloat
+	perRecord := float64(numCenters*datagen.PointDims)*4 + float64(datagen.PointDims)*45 // distances + ParseFloat
 	return mapred.CostModel{
 		MapNsPerRecord:    perRecord,
 		MapNsPerByte:      4,
@@ -237,8 +236,8 @@ func (km *KMeans) iterCosts() mapred.CostModel {
 	}
 }
 
-// Run implements Workload: Iterations refinement jobs, then the clustering
-// (labelling) job.
+// Run implements Workload: kmeansIterations refinement jobs, then the
+// clustering (labelling) job.
 func (km *KMeans) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.Cluster) ([]*mapred.Result, error) {
 	inputs := fs.List(inputDir(km.key()) + "/")
 	if len(inputs) == 0 {
@@ -249,7 +248,7 @@ func (km *KMeans) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.
 		return nil, err
 	}
 	var results []*mapred.Result
-	for iter := 0; iter < km.Iterations; iter++ {
+	for iter := 0; iter < kmeansIterations; iter++ {
 		out := fmt.Sprintf("%s-iter%d", outputDir(km.key()), iter)
 		cleanOutputs(fs, out)
 		job := km.iterationJob(inputs, out, centers)
@@ -278,7 +277,7 @@ func (km *KMeans) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluster.
 			var key []byte
 			return mapred.MapperFunc(func(rec []byte, emit func(k, v []byte)) {
 				var ok bool
-				pt, ok = parsePointInto(pt, rec, ',', km.Dims)
+				pt, ok = parsePointInto(pt, rec, ',', datagen.PointDims)
 				if !ok {
 					return
 				}
@@ -314,7 +313,7 @@ func (km *KMeans) iterationJob(inputs []string, output string, centers [][]float
 		Format: mapred.LineFormat{},
 		Mapper: mapred.MapperFunc(func(rec []byte, emit func(k, v []byte)) {
 			var ok bool
-			pt, ok = parsePointInto(pt, rec, ',', km.Dims)
+			pt, ok = parsePointInto(pt, rec, ',', datagen.PointDims)
 			if !ok {
 				return
 			}
@@ -337,7 +336,7 @@ func (km *KMeans) seedCenters(p *sim.Proc, fs *hdfs.FS, inputs []string, client 
 	if err != nil {
 		return nil, err
 	}
-	data, err := rd.ReadAt(p, 0, int64(numCenters*km.Dims*24+1024))
+	data, err := rd.ReadAt(p, 0, int64(numCenters*datagen.PointDims*24+1024))
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +345,7 @@ func (km *KMeans) seedCenters(p *sim.Proc, fs *hdfs.FS, inputs []string, client 
 		if len(centers) >= numCenters {
 			return
 		}
-		if pt, ok := parsePointInto(nil, line, ',', km.Dims); ok {
+		if pt, ok := parsePointInto(nil, line, ',', datagen.PointDims); ok {
 			centers = append(centers, pt)
 		}
 	})
@@ -379,7 +378,7 @@ func (km *KMeans) readCenters(p *sim.Proc, fs *hdfs.FS, dir, client string, prev
 			}
 			head, coords, _ := bytes.Cut(v, []byte{';'})
 			count, err := strconv.ParseUint(bstr(head), 10, 64)
-			c, ok := parsePointInto(nil, coords, ';', km.Dims)
+			c, ok := parsePointInto(nil, coords, ';', datagen.PointDims)
 			if err != nil || !ok {
 				return nil, fmt.Errorf("kmeans: bad center value %q", v)
 			}

@@ -218,11 +218,11 @@ func TestKMeansIterationMatchesSerialReference(t *testing.T) {
 	r.env.Run(0)
 
 	var pts [][]float64
-	gen := datagen.PointGen{Seed: 42, Dims: km.Dims, TrueCenters: numCenters}
+	gen := datagen.PointGen{Seed: 42}
 	per := int64(300_000) / int64(len(r.cl.Slaves))
 	for i := range r.cl.Slaves {
 		datagen.Lines(gen.Part(i, per), func(line []byte) {
-			pt := make([]float64, km.Dims)
+			pt := make([]float64, datagen.PointDims)
 			for d, f := range strings.Split(string(line), ",") {
 				pt[d], _ = strconv.ParseFloat(f, 64)
 			}
@@ -233,7 +233,7 @@ func TestKMeansIterationMatchesSerialReference(t *testing.T) {
 	counts := make([]float64, numCenters)
 	want := make([][]float64, numCenters)
 	for i := range want {
-		want[i] = make([]float64, km.Dims)
+		want[i] = make([]float64, datagen.PointDims)
 	}
 	for _, pt := range pts {
 		c := nearest(pt, seeds)
@@ -353,12 +353,11 @@ var sinkPartial partialSum
 // BenchmarkKMeansIterRecord is the per-record work of an iteration job
 // outside the framework: parse, nearest, encode, and the combiner's decode.
 func BenchmarkKMeansIterRecord(b *testing.B) {
-	km := NewKMeans()
 	var recs [][]byte
 	datagen.Lines(datagen.PointGen{Seed: 1}.Part(0, 64<<10), func(line []byte) { recs = append(recs, line) })
 	centers := make([][]float64, numCenters)
 	for i := range centers {
-		centers[i], _ = parsePointInto(nil, recs[i], ',', km.Dims)
+		centers[i], _ = parsePointInto(nil, recs[i], ',', datagen.PointDims)
 	}
 	var pt []float64
 	var val []byte
@@ -366,7 +365,7 @@ func BenchmarkKMeansIterRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, _ = parsePointInto(pt, recs[i%len(recs)], ',', km.Dims)
+		pt, _ = parsePointInto(pt, recs[i%len(recs)], ',', datagen.PointDims)
 		val = appendPartial(val, uint64(nearest(pt, centers)), pt)
 		vals[0] = val
 		sinkPartial.fold(vals)

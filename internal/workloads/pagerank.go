@@ -19,17 +19,17 @@ import (
 // CPU cost per byte (CPU-bound in Table 3), and the iteration state it
 // rewrites each pass is far smaller than TeraSort's shuffle, so its
 // intermediate-disk pressure is modest — as in the paper's Table 7.
-type PageRank struct {
-	// Iterations is the number of power iterations after the build job.
-	Iterations int
-}
+type PageRank struct{}
+
+// pagerankIterations is the number of power iterations after the build job.
+const pagerankIterations = 3
 
 // damping is the standard teleport factor. It is typed, so 1-damping is
 // the float64 difference, not the exact 0.15.
 const damping float64 = 0.85
 
 // NewPageRank returns the workload with the conventional parameters.
-func NewPageRank() *PageRank { return &PageRank{Iterations: 3} }
+func NewPageRank() *PageRank { return &PageRank{} }
 
 // key names the workload's HDFS directories.
 func (*PageRank) key() string { return "PR" }
@@ -133,7 +133,7 @@ func (pr *PageRank) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluste
 	results = append(results, res)
 
 	// Power iterations over the vertex state.
-	for iter := 1; iter <= pr.Iterations; iter++ {
+	for iter := 1; iter <= pagerankIterations; iter++ {
 		prevDir := stateDir
 		stateDir = fmt.Sprintf("%s-state%d", outputDir(pr.key()), iter)
 		cleanOutputs(fs, stateDir)
@@ -207,7 +207,7 @@ func (pr *PageRank) Run(p *sim.Proc, rt *mapred.Runtime, fs *hdfs.FS, cl *cluste
 // ReadRanks returns the final rank of every vertex after Run, for
 // verification and the examples.
 func (pr *PageRank) ReadRanks(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) map[string]float64 {
-	dir := fmt.Sprintf("%s-state%d", outputDir(pr.key()), pr.Iterations)
+	dir := fmt.Sprintf("%s-state%d", outputDir(pr.key()), pagerankIterations)
 	out := map[string]float64{}
 	for _, path := range fs.List(dir + "/part-r-") {
 		rd, err := fs.Open(path, cl.Master.Name)

@@ -207,11 +207,9 @@ func TestAggregationMatchesSerialReference(t *testing.T) {
 
 func TestKMeansIterationsConvergeAndClusterPassLabelsAll(t *testing.T) {
 	r := newRig()
-	km := NewKMeans()
-	km.Iterations = 2
-	results := r.runWorkload(t, km, 300_000)
-	if len(results) != km.Iterations+1 {
-		t.Fatalf("got %d job results, want %d iterations + clustering", len(results), km.Iterations+1)
+	results := r.runWorkload(t, NewKMeans(), 300_000)
+	if len(results) != kmeansIterations+1 {
+		t.Fatalf("got %d job results, want %d iterations + clustering", len(results), kmeansIterations+1)
 	}
 	iter, clusterRes := results[0], results[len(results)-1]
 	// Iteration output (centroid partials) is tiny; clustering output ~ input.
@@ -247,7 +245,6 @@ func TestKMeansIterationsConvergeAndClusterPassLabelsAll(t *testing.T) {
 func TestPageRankRanksFavorHighInDegree(t *testing.T) {
 	r := newRig()
 	pr := NewPageRank()
-	pr.Iterations = 2
 	r.runWorkload(t, pr, 200_000)
 
 	// Serial in-degree reference from the same generated parts.
