@@ -81,6 +81,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "iosim: only slow-disk faults apply to the standalone disk model, got %s\n", ev.Kind)
 			os.Exit(2)
 		}
+		if ev.Node != "" || ev.Disk != "" {
+			fmt.Fprintf(os.Stderr, "iosim: %s names a node or disk, but the standalone disk model has one device (drop node= and disk=)\n", ev)
+			os.Exit(2)
+		}
 	}
 
 	p := disk.SeagateST1000NM0011()

@@ -62,7 +62,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mrrun: -mem must be positive GB, got %d\n", *mem)
 		os.Exit(2)
 	}
-	testbed.WarnClamps(os.Stderr, "mrrun")
 	var sc core.SlotsConfig
 	switch *slots {
 	case "1_8":
@@ -80,7 +79,7 @@ func main() {
 	if *faultStr != "" {
 		plan, err := faults.ParsePlan(*faultStr)
 		if err == nil {
-			err = plan.CheckTargets(opts.Slaves, opts.Racks, opts.SharedDataDisks)
+			_, err = plan.Resolve(opts.Slaves, opts.Racks, opts.SharedDataDisks)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
@@ -88,6 +87,9 @@ func main() {
 		}
 		opts = opts.With(core.WithFaults(plan))
 	}
+	// Warned once every usage error is ruled out, so each of those is the
+	// one line on stderr.
+	testbed.WarnClamps(os.Stderr, "mrrun")
 
 	// All observers ride the same per-disk bus, so the streaming sink, the
 	// per-stage accumulator and -hist histograms can watch one run.

@@ -30,22 +30,60 @@ func TestTestbedUsageErrors(t *testing.T) {
 	for _, args := range []string{"-slaves 2", "-slaves 1", "-mem 0", "-mem -16",
 		"-faults kill-node@1s:node=slave-10", "-racks 2 -faults partition@1s:rack=3,down=1s",
 		"-faults fail-disk@1s:node=slave-01,disk=mr7"} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestTestbedUsageErrors$")
-		cmd.Env = append(os.Environ(), "MRRUN_ARGS="+args)
-		var out, errs bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errs
-		status := 0
-		if err := cmd.Run(); err != nil {
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) {
-				t.Fatal(err)
-			}
-			status = exit.ExitCode()
-		}
-		if msg := errs.String(); status != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "mrrun: ") {
-			t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one mrrun: line", args, status, out.Len(), msg)
+		status, out, msg := mrrun(t, args)
+		if status != 2 || len(out) != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "mrrun: ") {
+			t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one mrrun: line", args, status, len(out), msg)
 		}
 	}
+}
+
+// Regression: kill-node, kill-datanode, restart-node and restart-datanode
+// aimed at the master passed the plan checks and panicked at their firing
+// ("hdfs: CrashDataNode: no datanode on master"), and corrupt-block at the
+// master was a silent no-op. The master runs no DataNode, TaskTracker or
+// data disk, so each is a usage error: exit 2 and one mrrun: line, no
+// panic. The network kinds still target it and run.
+func TestFaultsOnTheMaster(t *testing.T) {
+	for _, tc := range []struct {
+		plan   string
+		status int
+	}{
+		{"kill-node@300ms:node=master", 2},
+		{"kill-datanode@300ms:node=master", 2},
+		{"restart-node@300ms:node=master,down=50ms", 2},
+		{"restart-datanode@300ms:node=master,down=50ms", 2},
+		{"corrupt-block@300ms:node=master", 2},
+		{"partition@100ms:nodes=master,down=50ms", 0},
+		{"slow-link@100ms:node=master,factor=4", 0},
+		{"drop-link@100ms:node=master,until=300ms,prob=0.3", 0},
+	} {
+		status, out, msg := mrrun(t, "-scale 65536 -slaves 4 -faults "+tc.plan)
+		switch {
+		case status != tc.status || strings.Contains(msg, "panic"):
+			t.Errorf("%s: status %d, stderr %q; want %d and no panic", tc.plan, status, msg, tc.status)
+		case status == 2 && (len(out) != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "mrrun: ")):
+			t.Errorf("%s: %d bytes out, stderr %q; want none and one mrrun: line", tc.plan, len(out), msg)
+		}
+	}
+}
+
+// mrrun runs the test binary as the command with args, through
+// TestTestbedUsageErrors, whose first lines run main with MRRUN_ARGS, and
+// returns its exit status, stdout and stderr.
+func mrrun(t *testing.T, args string) (status int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTestbedUsageErrors$")
+	cmd.Env = append(os.Environ(), "MRRUN_ARGS="+args)
+	var out, errs bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errs
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		status = exit.ExitCode()
+	}
+	return status, out.String(), errs.String()
 }
 
 // Regression: the iostat view printed group names in a 10-wide column, so a

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"iochar/internal/core"
 	"iochar/internal/disk"
@@ -374,9 +375,10 @@ func TestParseSchedule(t *testing.T) {
 		{`{` + plan + `,"scale":262144,"slaves":5,"map_task_target":-3}`, false},
 		{`{` + plan + `,"scale":262144,"slaves":5,"racks":-2}`, false},
 		{`{` + plan + `,"scale":262144,"slaves":5,"uplink_bps":-7}`, false},
-		// Targets the testbed lacks: a sixth slave, a third rack, a fourth
-		// intermediate disk.
+		// Targets the testbed lacks: a sixth slave, a TaskTracker on the
+		// master, a third rack, a fourth intermediate disk.
 		{`{"workload":"TS","plan":"kill-node@5ms:node=slave-05","scale":262144,"slaves":5}`, false},
+		{`{"workload":"TS","plan":"kill-node@5ms:node=master","scale":262144,"slaves":5}`, false},
 		{`{"workload":"TS","plan":"partition@5ms:rack=3,down=1s","scale":262144,"slaves":5,"racks":2}`, false},
 		{`{"workload":"TS","plan":"fail-disk@5ms:node=slave-01,disk=mr3","scale":262144,"slaves":5}`, false},
 		{`{"workload":"TS","plan":"fail-disk@5ms:node=slave-04,disk=mr2","scale":262144,"slaves":5}`, true},
@@ -501,4 +503,85 @@ func TestCompareOutputsFloatTolerant(t *testing.T) {
 	if fs := CompareOutputs(want, got, wraw, map[string][]byte{}); len(fs) != 1 {
 		t.Errorf("missing capture not flagged: %v", fs)
 	}
+}
+
+// FuzzPlanRuns: a plan that ParsePlan accepts and Plan.Resolve accepts for a
+// testbed runs on that testbed. On a tiny TeraSort testbed (scale 262144,
+// three slaves, one or two racks) the run must not panic and must not fail
+// at Injector.Start, which binds what the resolver let through: a target
+// that passes the resolver and cannot be bound is a plan contract broken. A
+// failed workload is not judged here — the oracles judge it. Plans whose
+// faults reach past 2 s of virtual time, beyond the run's end, are skipped:
+// the driver would only wait them out. Under -short the seeds run without
+// the pinned schedules' plans and kill-node's, which waits out a stall of
+// minutes of virtual time: about ten runs.
+func FuzzPlanRuns(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "chaos", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if testing.Short() {
+		paths = nil
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var s Schedule
+		if err := json.Unmarshal(data, &s); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s.Plan, uint8(s.Racks))
+	}
+	for _, plan := range []string{
+		// A DataNode, TaskTracker or data disk on the master: rejected.
+		"kill-node@300ms:node=master",
+		"kill-datanode@300ms:node=master",
+		"restart-node@300ms:node=master,down=50ms",
+		"restart-datanode@300ms:node=master,down=50ms",
+		"corrupt-block@300ms:node=master",
+		// A live node without an intermediate volume: rejected.
+		"fail-disk@100ms:node=slave-00,disk=mr0;fail-disk@110ms:node=slave-00,disk=mr1;fail-disk@120ms:node=slave-00,disk=mr2",
+		// One plan per kind.
+		"kill-datanode@100ms:node=slave-01",
+		"kill-node@100ms:node=slave-01",
+		"fail-disk@100ms:node=slave-02,disk=mr1",
+		"slow-disk@100ms:node=slave-00,disk=hdfs0,factor=4",
+		"drop-shuffle@50ms:until=300ms,prob=0.3",
+		"restart-datanode@100ms:node=slave-02,down=50ms",
+		"restart-node@100ms:node=slave-00,down=60ms",
+		"corrupt-block@100ms:node=slave-01",
+		"restart-namenode@80ms:down=40ms",
+		"restart-jobtracker@120ms:down=25ms",
+		"partition@100ms:nodes=master+slave-02,down=50ms",
+		"slow-link@100ms:node=master,factor=3",
+		"drop-link@100ms:node=slave-02,until=200ms,prob=0.3",
+	} {
+		if !testing.Short() || !strings.HasPrefix(plan, "kill-node@100ms") {
+			f.Add(plan, uint8(1))
+		}
+	}
+	f.Add("partition@100ms:rack=1,down=50ms;slow-link@200ms:rack=2,factor=3", uint8(2))
+	f.Fuzz(func(t *testing.T, plan string, racks uint8) {
+		r := min(max(int(racks), 1), 2)
+		pl, err := faults.ParsePlan(plan)
+		if err != nil {
+			return
+		}
+		if _, err := pl.Resolve(3, r, false); err != nil {
+			return
+		}
+		for _, ev := range pl.Events {
+			if max(ev.At+ev.Down, ev.Until) > 2*time.Second {
+				return
+			}
+		}
+		opts := core.NewOptions(core.WithScale(262144), core.WithSlaves(3), core.WithRacks(r),
+			core.WithSeed(1), core.WithFaults(pl))
+		_, err = core.RunOne(core.TS, core.Factors{Slots: core.Slots1x8, MemoryGB: 16}, opts)
+		if err != nil && strings.HasPrefix(err.Error(), "faults:") {
+			t.Fatalf("%q passed Resolve on 3 slaves and %d rack(s), then failed at Start: %v", plan, r, err)
+		}
+	})
 }

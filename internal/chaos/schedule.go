@@ -76,7 +76,7 @@ func ParseSchedule(data []byte) (Schedule, error) {
 	}
 	plan, err := faults.ParsePlan(s.Plan)
 	if err == nil {
-		err = plan.CheckTargets(s.Slaves, s.Racks, false)
+		_, err = plan.Resolve(s.Slaves, s.Racks, false)
 	}
 	if err != nil {
 		return Schedule{}, err

@@ -20,24 +20,30 @@
 //	drop-link@8s:node=slave-04,until=30s,prob=0.3
 //
 // Each kind takes exactly the arguments below and rejects any other ("a|b"
-// means exactly one of the two; [x] is optional):
+// means exactly one of the two; [x] is optional), and its node= or nodes=
+// may name only the nodes in the last column:
 //
-//	kill-datanode, kill-node           node
-//	fail-disk                          [node] [disk]   (both, against a cluster)
-//	slow-disk                          [node] [disk] factor
-//	restart-datanode, restart-node     node down
-//	restart-namenode, restart-jobtracker   down        (the master is the target)
-//	corrupt-block                      node and/or path
-//	drop-shuffle                       until prob
-//	partition                          nodes|rack down
-//	slow-link                          node|rack factor
-//	drop-link                          node until prob
+//	kill-datanode, kill-node              node                  a slave
+//	fail-disk                             node disk             a slave
+//	slow-disk                             [node] [disk] factor  a slave (both, against a cluster)
+//	restart-datanode, restart-node        node down             a slave
+//	restart-namenode, restart-jobtracker  down                  (the master is the target)
+//	corrupt-block                         node and/or path      a slave
+//	drop-shuffle                          until prob
+//	partition                             nodes|rack down       any node
+//	slow-link                             node|rack factor      any node
+//	drop-link                             node until prob       any node
 //
 // with factor > 1, until later than the event's own time, prob in (0,1] and
 // down > 0. Timestamps are virtual time from the start of the run, parsed by
 // time.ParseDuration. Two runs with the same plan (and, for drop-shuffle,
 // drop-link, and RandomPlan, the same seed) inject byte-identical fault
 // sequences.
+//
+// The master runs only the NameNode and the JobTracker: it holds no
+// DataNode, TaskTracker or data disk. Plan.Resolve checks every target
+// against a testbed's shape before the run; Injector.Start binds what it
+// resolved to the built cluster.
 package faults
 
 import (
@@ -160,18 +166,23 @@ const (
 	argPath
 )
 
-// kindArgs gives each kind the arguments it takes: need lists the ones it
-// cannot run without, may the optional ones. Anything else is rejected — an
-// argument the kind ignores would still widen the event's outage window and
-// the driver's settle time. fail-disk and slow-disk leave node=/disk=
-// optional because iosim applies them to its one standalone device;
-// Injector.Start demands both against a cluster. The kinds whose target is
+// kindArgs gives each kind the arguments it takes and the nodes they may
+// name: need lists the arguments it cannot run without, may the optional
+// ones. Anything else is rejected — an argument the kind ignores would still
+// widen the event's outage window and the driver's settle time. node= and
+// nodes= name a slave, or also the master where master is set: the master
+// has a NIC but no DataNode, TaskTracker or data disk. slow-disk leaves
+// node=/disk= optional because iosim applies it to its one standalone
+// device; Resolve demands both against a testbed. The kinds whose target is
 // one of two forms (corrupt-block, partition, slow-link) list both under may
 // and validate checks the pairing.
-var kindArgs = map[Kind]struct{ need, may argSet }{
+var kindArgs = map[Kind]struct {
+	need, may argSet
+	master    bool
+}{
 	KillDataNode:      {need: argNode},
 	KillNode:          {need: argNode},
-	FailDisk:          {may: argNode | argDisk},
+	FailDisk:          {need: argNode | argDisk},
 	SlowDisk:          {need: argFactor, may: argNode | argDisk},
 	DropShuffle:       {need: argUntil | argProb},
 	RestartDataNode:   {need: argNode | argDown},
@@ -179,9 +190,9 @@ var kindArgs = map[Kind]struct{ need, may argSet }{
 	CorruptBlock:      {may: argNode | argPath},
 	RestartNameNode:   {need: argDown},
 	RestartJobTracker: {need: argDown},
-	Partition:         {need: argDown, may: argNodes | argRack},
-	SlowLink:          {need: argFactor, may: argNode | argRack},
-	DropLink:          {need: argNode | argUntil | argProb},
+	Partition:         {need: argDown, may: argNodes | argRack, master: true},
+	SlowLink:          {need: argFactor, may: argNode | argRack, master: true},
+	DropLink:          {need: argNode | argUntil | argProb, master: true},
 }
 
 // args renders the event's arguments in ParsePlan's syntax, parallel to
@@ -332,6 +343,8 @@ func (ev Event) validate() error {
 	switch {
 	case spec.need&argNode != 0 && ev.Node == "":
 		return fmt.Errorf("faults: %s needs node=", ev.Kind)
+	case spec.need&argDisk != 0 && ev.Disk == "":
+		return fmt.Errorf("faults: %s needs disk=", ev.Kind)
 	case spec.need&argFactor != 0 && !(ev.Factor > 1): // negated so NaN fails
 		return fmt.Errorf("faults: %s needs factor > 1, got %g", ev.Kind, ev.Factor)
 	case spec.need&argUntil != 0 && ev.Until <= ev.At:
@@ -400,26 +413,13 @@ func (ev Event) Narrowed() []Event {
 	return out
 }
 
-// cut is a partition's window and the names it cuts off. Injector.Start
-// names a cut's member nodes; Validate, which has no cluster to resolve a
-// rack with, names a whole rack by an opaque key, so there a nodes= cut and
-// a rack= cut never meet.
+// cut is a partition's window and the nodes it cuts off.
 type cut struct {
 	at, until time.Duration
 	names     []string
 }
 
-// cut returns the partition event's cut as the plan alone can name it: its
-// nodes, or its rack's key.
-func (ev Event) cut() cut {
-	c := cut{at: ev.At, until: ev.end(), names: ev.Nodes}
-	if ev.Rack > 0 {
-		c.names = []string{fmt.Sprintf("rack:%d", ev.Rack)}
-	}
-	return c
-}
-
-// meets reports whether two cuts are in force at once and share a name:
+// meets reports whether two cuts are in force at once and share a node:
 // the first heal would reunite nodes the other cut still isolates.
 func (c cut) meets(o cut) bool {
 	if c.at >= o.until || o.at >= c.until {
@@ -471,17 +471,12 @@ func (pl Plan) HasMasterFaults() bool {
 // (a restart's rejoin firing inside a later restart of the same victim
 // would resurrect a node that is supposed to be down), no overlapping lossy
 // windows on one node (the earlier window's cleanup would strip the later
-// window's drop state mid-flight), and no partition whose cut set overlaps
-// an in-flight partition window — node membership in concurrent cuts must
-// be disjoint, or the first heal would reunite nodes the second cut is
-// still supposed to isolate. A nodes= cut and a rack= cut never conflict
-// statically: rack membership is only known once the plan is armed, so that
-// pairing is checked by Injector.Start instead.
+// window's drop state mid-flight). Partitions that overlap are found by
+// Resolve, which knows a rack's members.
 func (pl Plan) Validate() error {
 	type window struct{ at, until time.Duration }
 	seen := make(map[string]bool, len(pl.Events))
 	wins := make(map[string][]window)
-	var cuts []cut
 	for _, ev := range pl.Events {
 		if err := ev.validate(); err != nil {
 			return err
@@ -491,17 +486,6 @@ func (pl Plan) Validate() error {
 			return fmt.Errorf("faults: duplicate event %q", key)
 		}
 		seen[key] = true
-		if ev.Kind == Partition {
-			c := ev.cut()
-			for _, prev := range cuts {
-				if c.meets(prev) {
-					return fmt.Errorf("faults: partition at %v overlaps an in-flight partition window (%v-%v) on the same nodes",
-						ev.At, prev.at, prev.until)
-				}
-			}
-			cuts = append(cuts, c)
-			continue
-		}
 		v, until, windowed := ev.window()
 		if !windowed {
 			continue
@@ -519,7 +503,7 @@ func (pl Plan) Validate() error {
 
 // window returns the victim key and end time of the event's outage window;
 // ok is false for events that hold no window (instant faults, fire-only
-// degradations, and partitions, which Validate checks by cut set instead).
+// degradations, and partitions, which Resolve checks by cut set instead).
 func (ev Event) window() (victim string, until time.Duration, ok bool) {
 	switch {
 	case ev.Kind == Partition:
@@ -628,8 +612,8 @@ func RandomPlan(seed int64, nodes []string, window time.Duration, n int) Plan {
 // cross-event rules: an outage window opening inside an earlier outage of
 // the same victim is pushed past it, and an exact duplicate event is pushed
 // 1 ms later. Partitions are all charged to one shared victim — random
-// plans simply never overlap two cuts, which satisfies Validate's cut-set
-// rule without reasoning about membership. Deterministic, and convergent
+// plans simply never overlap two cuts, which satisfies Resolve's cut rule
+// without reasoning about membership. Deterministic, and convergent
 // because every nudge moves an event strictly forward in time.
 func resolveConflicts(pl *Plan) {
 	for pass := 0; pass < len(pl.Events)+1; pass++ {
@@ -679,6 +663,120 @@ func (ev *Event) shift(d time.Duration) {
 	}
 }
 
+// Target is one event's targets resolved against a testbed's shape (see
+// Plan.Resolve): what Injector.Start binds to the cluster's objects.
+type Target struct {
+	node    int      // node=: the slave's index; -1 for the master or none
+	members []string // nodes=, or rack='s nodes: what a partition cuts off
+	rack    int      // rack=: the rack's index, from 0
+	role    string   // disk=: "hdfs", "data" (the pooled HDFS list) or "mr"
+	disk    int      // disk=: the volume's index within its role
+}
+
+// Resolve checks every event's targets against a testbed of slaves slaves
+// on racks racks (0 or 1 is a flat network) whose data disks are pooled or
+// not (cluster.Hardware.SharedDataDisks), and returns them resolved, in plan
+// order. It returns the first error instead: a node the testbed lacks or
+// the kind cannot target (kindArgs' master column), a rack or a volume it
+// lacks, a disk kind without both node= and disk=, a partition whose cut
+// meets one still in force (the first heal would reunite nodes the other
+// cut still isolates), or fail-disk on every volume of a node's HDFS or
+// intermediate list: the node would have nowhere left to write, and
+// kill-node is the fault that stops a machine whole.
+func (pl Plan) Resolve(slaves, racks int, pooled bool) ([]Target, error) {
+	out := make([]Target, len(pl.Events))
+	var cuts []cut
+	failed := map[string][]int{} // failed volumes, by node and role list
+	for i, ev := range pl.Events {
+		t := &out[i]
+		t.node, t.members = -1, ev.Nodes
+		for j, name := range append([]string{ev.Node}, ev.Nodes...) {
+			n, ok := cluster.SlaveIndex(name)
+			switch {
+			case name == "" || name == cluster.MasterName && kindArgs[ev.Kind].master:
+				continue
+			case name == cluster.MasterName:
+				return nil, fmt.Errorf("faults: %s: the master runs no DataNode, TaskTracker or data disk (target a slave)", ev.Kind)
+			case !ok || n >= slaves:
+				return nil, fmt.Errorf("faults: %s: unknown node %q (the testbed has %s to %s)",
+					ev.Kind, name, cluster.SlaveName(0), cluster.SlaveName(slaves-1))
+			case j == 0:
+				t.node = n
+			}
+		}
+		var err error
+		switch disk := ev.Kind == FailDisk || ev.Kind == SlowDisk; {
+		case ev.Rack > 0 && racks <= 1:
+			err = fmt.Errorf("faults: %s targets rack %d on a flat network (set racks > 1)", ev.Kind, ev.Rack)
+		case ev.Rack > racks:
+			err = fmt.Errorf("faults: %s: rack %d out of range (cluster has %d)", ev.Kind, ev.Rack, racks)
+		case ev.Rack > 0:
+			t.rack = ev.Rack - 1
+			t.members = rackNodes(t.rack, slaves, racks)
+		case disk && (ev.Node == "" || ev.Disk == ""):
+			err = fmt.Errorf("faults: %s needs node= and disk= to target a cluster", ev.Kind)
+		case disk:
+			t.role, t.disk, err = parseDisk(ev.Disk, ev.Node, cluster.VolsPerRole(pooled))
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch ev.Kind {
+		case Partition:
+			c := cut{at: ev.At, until: ev.end(), names: t.members}
+			for _, prev := range cuts {
+				if c.meets(prev) {
+					return nil, fmt.Errorf("faults: %s overlaps an in-flight partition window on the same nodes", ev)
+				}
+			}
+			cuts = append(cuts, c)
+		case FailDisk:
+			list := ev.Node // a pooled node's roles share one list
+			if t.role == "mr" && !pooled {
+				list += " mr"
+			}
+			if !slices.Contains(failed[list], t.disk) {
+				failed[list] = append(failed[list], t.disk)
+			}
+			if len(failed[list]) == cluster.VolsPerRole(pooled) {
+				return nil, fmt.Errorf("faults: %s fails the last %s volume of %s (kill-node stops a whole machine)", ev, t.role, ev.Node)
+			}
+		}
+	}
+	return out, nil
+}
+
+// rackNodes names rack r's nodes in the order cluster.New registers them
+// with the network: the master, in rack 0, then every slave i with
+// i%racks == r.
+func rackNodes(r, slaves, racks int) []string {
+	var out []string
+	if r == 0 {
+		out = append(out, cluster.MasterName)
+	}
+	for i := r; i < slaves; i += racks {
+		out = append(out, cluster.SlaveName(i))
+	}
+	return out
+}
+
+// parseDisk splits a disk selector — "hdfs1", "mr0", or "data2" for pooled
+// layouts, which name the HDFS volumes — into its role and index, checked
+// against a node with vols volumes of each role.
+func parseDisk(sel, node string, vols int) (role string, idx int, err error) {
+	role = strings.TrimRight(sel, "0123456789")
+	idx, err = strconv.Atoi(sel[len(role):])
+	switch {
+	case err != nil:
+		err = fmt.Errorf("faults: bad disk selector %q (want e.g. hdfs0 or mr1)", sel)
+	case role != "hdfs" && role != "data" && role != "mr":
+		err = fmt.Errorf("faults: bad disk role %q in %q (want hdfs, mr, or data)", role, sel)
+	case idx >= vols:
+		err = fmt.Errorf("faults: node %s has no %s volume %d", node, role, idx)
+	}
+	return role, idx, err
+}
+
 // Injector arms a plan against a concrete cluster. Create with New, call
 // Start before sim.Env.Run, and Stop once the workload (plus recovery) has
 // drained, so that nothing still pending fires.
@@ -692,7 +790,6 @@ type Injector struct {
 
 	stopped bool     // Stop was called: pending callbacks do nothing
 	fired   []string // log of injected events, in firing order
-	cuts    []cut    // armed partitions by member, for the check Validate cannot make
 
 	// crashGen counts the death events fired at each victim. A restart's up
 	// half runs only while the generation its down half created is current —
@@ -701,25 +798,29 @@ type Injector struct {
 	crashGen map[string]int
 }
 
-// New wires an injector. fs and rt may be nil when the plan does not touch
-// the corresponding subsystem (checked at Start).
+// New wires an injector to a built cluster and its HDFS and MapReduce
+// instances.
 func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, rt *mapred.Runtime, plan Plan) *Injector {
 	return &Injector{env: env, cl: cl, net: cl.Net, fs: fs, rt: rt, plan: plan, crashGen: map[string]int{}}
 }
 
-// Start checks every event's target and schedules the plan through one
-// path: in plan order, each event's fault at its time and then, for a kind
-// that is undone, its rejoin, heal or clear at its end; the drop-shuffle
-// log lines come last. The kernel fires callbacks due at one instant in the
-// order they were scheduled, so this order is part of every run's outcome.
-// Shuffle-drop windows install a single seeded hook into the MapReduce
-// runtime. An event naming an unknown node, disk or rack, or a subsystem
-// the injector was not given, makes Start return an error, and then
-// nothing it scheduled fires.
+// Start resolves the plan against the cluster's shape (Plan.Resolve) and
+// schedules it through one path: in plan order, each event's fault at its
+// time and then, for a kind that is undone, its rejoin, heal or clear at
+// its end; the drop-shuffle log lines come last. The kernel fires callbacks
+// due at one instant in the order they were scheduled, so this order is
+// part of every run's outcome. Shuffle-drop windows install a single seeded
+// hook into the MapReduce runtime. A target the cluster lacks, or a master
+// restart on a cluster whose master is not journaled, makes Start return an
+// error, and then nothing it scheduled fires.
 func (in *Injector) Start() error {
+	targets, err := in.plan.Resolve(len(in.cl.Slaves), in.net.Racks(), in.cl.Master.HW.SharedDataDisks)
+	if err != nil {
+		return err
+	}
 	var drops []Event
 	for i, ev := range in.plan.Events {
-		fire, heal, err := in.arm(i, ev)
+		fire, heal, err := in.arm(i, ev, targets[i])
 		if err != nil {
 			in.Stop()
 			return err
@@ -765,27 +866,16 @@ func (in *Injector) at(t time.Duration, fn func()) {
 	})
 }
 
-// arm checks one event's target and returns its two halves: fire injects
-// the fault at ev.At, and heal, nil for a fault that stays, undoes it at
-// ev.end(). Drop-shuffle is only checked: Start installs its hook. i is the
-// event's index in the plan, which keys its partition id and its rng.
-func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
-	var node *cluster.Node
-	if ev.Node != "" {
-		if node = in.cl.FindNode(ev.Node); node == nil {
-			return nil, nil, fmt.Errorf("faults: %s: unknown node %q", ev.Kind, ev.Node)
-		}
-	}
-	switch k := ev.Kind; {
-	case k == RestartNameNode && (in.fs == nil || in.fs.Master() == nil),
-		k == RestartJobTracker && (in.rt == nil || in.rt.Master() == nil):
+// arm binds one event's resolved targets to the cluster's objects and
+// returns its two halves: fire injects the fault at ev.At, and heal, nil
+// for a fault that stays, undoes it at ev.end(). Drop-shuffle binds
+// nothing: Start installs its hook. i is the event's index in the plan,
+// which keys its partition id and its rng. The one error is a master
+// restart whose master is not journaled.
+func (in *Injector) arm(i int, ev Event, t Target) (fire, heal func(), err error) {
+	if k := ev.Kind; k == RestartNameNode && in.fs.Master() == nil ||
+		k == RestartJobTracker && in.rt.Master() == nil {
 		return nil, nil, fmt.Errorf("faults: %s needs master recovery enabled (core.WithMasterRecovery)", k)
-	case (k == KillNode || k == RestartNode) && (in.fs == nil || in.rt == nil):
-		return nil, nil, fmt.Errorf("faults: %s without HDFS and MapReduce instances", k)
-	case (k == KillDataNode || k == RestartDataNode || k == CorruptBlock) && in.fs == nil:
-		return nil, nil, fmt.Errorf("faults: %s without an HDFS instance", k)
-	case k == DropShuffle && in.rt == nil:
-		return nil, nil, fmt.Errorf("faults: %s without a MapReduce instance", k)
 	}
 	switch ev.Kind {
 	case RestartNameNode:
@@ -802,6 +892,7 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 		// time), then the NIC returns, the DataNode rejoins with a block
 		// report, and the TaskTracker re-registers so its slots rejoin
 		// scheduling.
+		node := in.cl.Slaves[t.node]
 		var up []func(*sim.Proc)
 		for _, vol := range node.Vols {
 			up = append(up, vol.Remount)
@@ -814,15 +905,10 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 		})
 		fire, heal = in.restart(ev, func() { in.nodeDown(node, ev.Kind == RestartNode) }, up...)
 	case FailDisk, SlowDisk:
-		if node == nil {
-			return nil, nil, fmt.Errorf("faults: %s needs node= to target a cluster", ev.Kind)
-		}
-		if ev.Disk == "" {
-			return nil, nil, fmt.Errorf("faults: %s needs node= and disk= to target a cluster", ev.Kind)
-		}
-		vol, err := findVol(node, ev.Disk)
-		if err != nil {
-			return nil, nil, err
+		node := in.cl.Slaves[t.node]
+		vol := node.HDFSVols[t.disk]
+		if t.role == "mr" {
+			vol = node.MRVols[t.disk]
 		}
 		if ev.Kind == SlowDisk {
 			fire = func() {
@@ -838,48 +924,22 @@ func (in *Injector) arm(i int, ev Event) (fire, heal func(), err error) {
 		// held the path) makes the event a logged no-op.
 		fire = func() { in.logf("%s blk=%d", ev, in.fs.CorruptReplica(ev.Node, ev.Path, rng)) }
 	case Partition:
-		c := ev.cut()
-		if ev.Rack > 0 {
-			r, err := rackIndex(ev, in.net.Racks())
-			if err != nil {
-				return nil, nil, err
-			}
-			c.names = in.net.RackNodes(r)
-		}
-		for _, name := range ev.Nodes {
-			if in.cl.FindNode(name) == nil {
-				return nil, nil, fmt.Errorf("faults: %s: unknown node %q", ev.Kind, name)
-			}
-		}
-		for _, prev := range in.cuts {
-			if c.meets(prev) {
-				return nil, nil, fmt.Errorf("faults: %s overlaps an in-flight partition window on the same nodes", ev)
-			}
-		}
-		in.cuts = append(in.cuts, c)
 		id := fmt.Sprintf("cut%d", i)
 		fire = func() {
-			in.net.Partition(id, c.names)
+			in.net.Partition(id, t.members)
 			in.logf("%s", ev)
 		}
 		heal = func() {
 			in.net.Heal(id)
-			in.logf("heal %s", strings.Join(c.names, "+"))
+			in.logf("heal %s", strings.Join(t.members, "+"))
 		}
 	case SlowLink:
-		if ev.Rack == 0 {
-			fire = func() {
-				in.net.SetNICSlow(ev.Node, ev.Factor)
-				in.logf("%s", ev)
-			}
-			break
-		}
-		r, err := rackIndex(ev, in.net.Racks())
-		if err != nil {
-			return nil, nil, err
-		}
 		fire = func() {
-			in.net.SetUplinkSlow(r, ev.Factor)
+			if ev.Rack == 0 {
+				in.net.SetNICSlow(ev.Node, ev.Factor)
+			} else {
+				in.net.SetUplinkSlow(t.rack, ev.Factor)
+			}
 			in.logf("%s", ev)
 		}
 	case DropLink:
@@ -949,27 +1009,15 @@ func (in *Injector) nodeDown(node *cluster.Node, crash bool) {
 // failDisk fail-stops one volume. HDFS volumes report straight to the
 // NameNode's repair queue; intermediate volumes lose their map outputs.
 func (in *Injector) failDisk(ev Event, node *cluster.Node, vol *localfs.FS) {
-	if slices.Contains(node.HDFSVols, vol) && in.fs != nil {
+	if slices.Contains(node.HDFSVols, vol) {
 		in.fs.FailVolume(ev.Node, vol) // calls vol.Fail and queues repairs
 	} else {
 		vol.Fail()
 	}
-	if slices.Contains(node.MRVols, vol) && in.rt != nil {
+	if slices.Contains(node.MRVols, vol) {
 		in.rt.OnVolumeDown(vol)
 	}
 	in.logf("%s", ev)
-}
-
-// rackIndex returns a rack= target 0-indexed (the plan syntax is 1-indexed),
-// checked against a network of racks racks (one or none is flat).
-func rackIndex(ev Event, racks int) (int, error) {
-	if racks <= 1 {
-		return 0, fmt.Errorf("faults: %s targets rack %d on a flat network (set racks > 1)", ev.Kind, ev.Rack)
-	}
-	if ev.Rack > racks {
-		return 0, fmt.Errorf("faults: %s: rack %d out of range (cluster has %d)", ev.Kind, ev.Rack, racks)
-	}
-	return ev.Rack - 1, nil
 }
 
 // rng returns event i's own random source, derived from the plan seed and
@@ -1004,62 +1052,3 @@ func (in *Injector) Stop() { in.stopped = true }
 
 // Fired returns a human-readable log of the events injected so far.
 func (in *Injector) Fired() []string { return append([]string(nil), in.fired...) }
-
-// findVol resolves a disk selector against a node's volumes.
-func findVol(node *cluster.Node, sel string) (*localfs.FS, error) {
-	role, idx, err := parseDisk(sel, node.Name, len(node.HDFSVols))
-	if err != nil {
-		return nil, err
-	}
-	if role == "mr" {
-		return node.MRVols[idx], nil
-	}
-	return node.HDFSVols[idx], nil
-}
-
-// parseDisk splits a disk selector — "hdfs1", "mr0", or "data2" for pooled
-// layouts, which name the HDFS volumes — into its role and index, checked
-// against a node with vols volumes of each role.
-func parseDisk(sel, node string, vols int) (role string, idx int, err error) {
-	role = strings.TrimRight(sel, "0123456789")
-	idx, err = strconv.Atoi(sel[len(role):])
-	switch {
-	case err != nil:
-		err = fmt.Errorf("faults: bad disk selector %q (want e.g. hdfs0 or mr1)", sel)
-	case role != "hdfs" && role != "data" && role != "mr":
-		err = fmt.Errorf("faults: bad disk role %q in %q (want hdfs, mr, or data)", role, sel)
-	case idx >= vols:
-		err = fmt.Errorf("faults: node %s has no %s volume %d", node, role, idx)
-	}
-	return role, idx, err
-}
-
-// CheckTargets returns an error for the first event whose node, nodes=,
-// rack= or disk= target a testbed of the given slaves and racks lacks
-// (pooled: cluster.Hardware.SharedDataDisks). Start finds the same on the
-// built cluster; found before the run, a plan for another testbed is a
-// usage error instead of a failed run.
-func (pl Plan) CheckTargets(slaves, racks int, pooled bool) error {
-	for _, ev := range pl.Events {
-		for _, name := range append([]string{ev.Node}, ev.Nodes...) {
-			if i, ok := cluster.SlaveIndex(name); name != "" && name != cluster.MasterName && (!ok || i >= slaves) {
-				return fmt.Errorf("faults: %s: unknown node %q (the testbed has %s to %s)",
-					ev.Kind, name, cluster.SlaveName(0), cluster.SlaveName(slaves-1))
-			}
-		}
-		var err error
-		if ev.Rack > 0 {
-			_, err = rackIndex(ev, racks)
-		}
-		if vols := cluster.VolsPerRole(pooled); err == nil && ev.Node != "" && ev.Disk != "" {
-			if ev.Node == cluster.MasterName {
-				vols = 0
-			}
-			_, _, err = parseDisk(ev.Disk, ev.Node, vols)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -74,6 +74,9 @@ func TestParsePlanRejectsBadInput(t *testing.T) {
 		"partition@5s:nodes=a+b,down=1s,node=c":                                         "partition takes no node=",
 		"fail-disk@5s:node=a,disk=hdfs0,factor=11":                                      "fail-disk takes no factor=",
 		"restart-datanode@5s:node=a,down=1s;restart-datanode@9s:node=a,down=1s,nodes=b": "restart-datanode takes no nodes=",
+		// No program runs a bare fail-disk: iosim takes only slow-disk.
+		"fail-disk@5s:disk=hdfs0": "fail-disk needs node=",
+		"fail-disk@5s:node=a":     "fail-disk needs disk=",
 	} {
 		_, err := ParsePlan(s)
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -231,22 +234,20 @@ func TestParsePlanNetworkFaultsRoundTrip(t *testing.T) {
 
 func TestParsePlanRejectsBadNetworkFaults(t *testing.T) {
 	for _, s := range []string{
-		"partition@10s:nodes=a+b",                                          // missing down
-		"partition@10s:down=5s",                                            // no target
-		"partition@10s:nodes=a+b,rack=1,down=5s",                           // both targets
-		"partition@10s:nodes=a++b,down=5s",                                 // empty node entry
-		"slow-link@5s:node=a",                                              // missing factor
-		"slow-link@5s:factor=8",                                            // no target
-		"slow-link@5s:node=a,rack=1,factor=8",                              // both targets
-		"slow-link@5s:rack=1,factor=1",                                     // factor must be > 1
-		"drop-link@5s:until=30s,prob=0.3",                                  // missing node
-		"drop-link@5s:node=a,until=2s,prob=0.3",                            // window ends before start
-		"drop-link@5s:node=a,until=30s,prob=0",                             // probability out of range
-		"drop-link@5s:node=a,until=30s,prob=1.5",                           // probability out of range
-		"partition@10s:nodes=a+b,down=20s;partition@15s:nodes=b+c,down=5s", // overlapping cuts share b
-		"partition@10s:rack=2,down=20s;partition@15s:rack=2,down=5s",       // overlapping cuts, same rack
-		"partition@1s:nodes=a,rack=-1,down=1s",                             // racks are 1-indexed
-		"slow-link@1s:node=a,rack=-3,factor=2",                             // racks are 1-indexed
+		"partition@10s:nodes=a+b",                // missing down
+		"partition@10s:down=5s",                  // no target
+		"partition@10s:nodes=a+b,rack=1,down=5s", // both targets
+		"partition@10s:nodes=a++b,down=5s",       // empty node entry
+		"slow-link@5s:node=a",                    // missing factor
+		"slow-link@5s:factor=8",                  // no target
+		"slow-link@5s:node=a,rack=1,factor=8",    // both targets
+		"slow-link@5s:rack=1,factor=1",           // factor must be > 1
+		"drop-link@5s:until=30s,prob=0.3",        // missing node
+		"drop-link@5s:node=a,until=2s,prob=0.3",  // window ends before start
+		"drop-link@5s:node=a,until=30s,prob=0",   // probability out of range
+		"drop-link@5s:node=a,until=30s,prob=1.5", // probability out of range
+		"partition@1s:nodes=a,rack=-1,down=1s",   // racks are 1-indexed
+		"slow-link@1s:node=a,rack=-3,factor=2",   // racks are 1-indexed
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted bad input", s)
@@ -256,16 +257,26 @@ func TestParsePlanRejectsBadNetworkFaults(t *testing.T) {
 
 func TestValidatePartitionOverlap(t *testing.T) {
 	// Disjoint concurrent cuts are fine; so are back-to-back cuts of the
-	// same nodes.
+	// same nodes. On four slaves and two racks, rack 1 holds the master,
+	// slave-00 and slave-02.
 	for _, s := range []string{
-		"partition@10s:nodes=a+b,down=20s;partition@15s:nodes=c+d,down=5s",
-		"partition@10s:nodes=a+b,down=5s;partition@20s:nodes=a+b,down=5s",
+		"partition@10s:nodes=slave-00+slave-01,down=20s;partition@15s:nodes=slave-02+slave-03,down=5s",
+		"partition@10s:nodes=slave-00+slave-01,down=5s;partition@20s:nodes=slave-00+slave-01,down=5s",
 		"partition@10s:rack=1,down=20s;partition@15s:rack=2,down=5s",
-		// A nodes= cut and a rack= cut cannot be compared statically.
-		"partition@10s:nodes=a+b,down=20s;partition@15s:rack=1,down=5s",
+		"partition@10s:nodes=slave-01+slave-03,down=20s;partition@15s:rack=1,down=5s",
 	} {
-		if _, err := ParsePlan(s); err != nil {
-			t.Errorf("ParsePlan(%q) rejected a valid plan: %v", s, err)
+		if _, err := mustPlan(t, s).Resolve(4, 2, false); err != nil {
+			t.Errorf("Resolve(%q) rejected a valid plan: %v", s, err)
+		}
+	}
+	// Concurrent cuts sharing a node: the first heal would reunite it.
+	for _, s := range []string{
+		"partition@10s:nodes=slave-00+slave-01,down=20s;partition@15s:nodes=slave-01+slave-02,down=5s",
+		"partition@10s:rack=2,down=20s;partition@15s:rack=2,down=5s",
+		"partition@10s:nodes=slave-00+slave-01,down=20s;partition@15s:rack=1,down=5s",
+	} {
+		if _, err := mustPlan(t, s).Resolve(4, 2, false); err == nil || !strings.Contains(err.Error(), "overlaps an in-flight partition window") {
+			t.Errorf("Resolve(%q) = %v, want the overlap refused", s, err)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -39,48 +41,62 @@ func mustPlan(t *testing.T, s string) Plan {
 	return pl
 }
 
-// TestStartRejectsBadTargets covers the targets a plan can only be checked
-// against once there is a cluster: node names, disk selectors, rack numbers
-// and a nodes= cut meeting a rack= cut. Plan.CheckTargets finds the node,
-// disk and rack ones (before) from the testbed's shape alone, with Start's
-// message.
+// TestStartRejectsBadTargets: Plan.Resolve rejects a target the testbed's
+// shape lacks or the kind cannot take — node names, the master for a kind
+// that needs a DataNode, TaskTracker or data disk, disk selectors, rack
+// numbers and a cut meeting another through a rack's members — and Start,
+// which resolves against its cluster's shape, fails with the same message.
 func TestStartRejectsBadTargets(t *testing.T) {
 	for _, tc := range []struct {
-		plan   string
-		racks  int
-		before bool
-		want   string
+		plan  string
+		racks int
+		want  string
 	}{
-		{"kill-node@1s:node=slave-09", 1, true, `kill-node: unknown node "slave-09"`},
-		{"drop-link@1s:node=slave-09,until=2s,prob=0.5", 1, true, `drop-link: unknown node "slave-09"`},
-		{"partition@1s:nodes=slave-00+slave-09,down=1s", 1, true, `partition: unknown node "slave-09"`},
-		{"kill-node@1s:node=slave-4", 1, true, `kill-node: unknown node "slave-4"`},
-		{"fail-disk@1s:node=slave-00,disk=hdfs", 1, true, `bad disk selector "hdfs"`},
-		{"fail-disk@1s:node=slave-00,disk=ssd0", 1, true, `bad disk role "ssd" in "ssd0"`},
-		{"slow-disk@1s:node=slave-00,disk=mr9,factor=2", 1, true, "node slave-00 has no mr volume 9"},
-		{"fail-disk@1s:node=master,disk=hdfs0", 1, true, "node master has no hdfs volume 0"},
-		{"fail-disk@1s:disk=hdfs0", 1, false, "fail-disk needs node= to target a cluster"},
-		{"slow-disk@1s:node=slave-00,factor=2", 1, false, "slow-disk needs node= and disk= to target a cluster"},
-		{"partition@1s:rack=1,down=1s", 1, true, "partition targets rack 1 on a flat network"},
-		{"slow-link@1s:rack=1,factor=2", 1, true, "slow-link targets rack 1 on a flat network"},
-		{"partition@1s:rack=3,down=1s", 2, true, "partition: rack 3 out of range (cluster has 2)"},
-		{"slow-link@1s:rack=3,factor=2", 2, true, "slow-link: rack 3 out of range (cluster has 2)"},
+		{"kill-node@1s:node=slave-09", 1, `kill-node: unknown node "slave-09"`},
+		{"drop-link@1s:node=slave-09,until=2s,prob=0.5", 1, `drop-link: unknown node "slave-09"`},
+		{"partition@1s:nodes=slave-00+slave-09,down=1s", 1, `partition: unknown node "slave-09"`},
+		{"kill-node@1s:node=slave-4", 1, `kill-node: unknown node "slave-4"`},
+		{"kill-node@1s:node=master", 1, "kill-node: the master runs no DataNode, TaskTracker or data disk"},
+		{"kill-datanode@1s:node=master", 1, "kill-datanode: the master runs no DataNode"},
+		{"restart-node@1s:node=master,down=1s", 1, "restart-node: the master runs no DataNode"},
+		{"restart-datanode@1s:node=master,down=1s", 1, "restart-datanode: the master runs no DataNode"},
+		{"corrupt-block@1s:node=master", 1, "corrupt-block: the master runs no DataNode"},
+		{"fail-disk@1s:node=master,disk=hdfs0", 1, "fail-disk: the master runs no DataNode"},
+		{"slow-disk@1s:node=master,disk=mr0,factor=2", 1, "slow-disk: the master runs no DataNode"},
+		{"fail-disk@1s:node=slave-00,disk=hdfs", 1, `bad disk selector "hdfs"`},
+		{"fail-disk@1s:node=slave-00,disk=ssd0", 1, `bad disk role "ssd" in "ssd0"`},
+		{"slow-disk@1s:node=slave-00,disk=mr9,factor=2", 1, "node slave-00 has no mr volume 9"},
+		{"fail-disk@1s:node=slave-01,disk=data5", 1, "node slave-01 has no data volume 5"},
+		{"slow-disk@1s:disk=hdfs0,factor=2", 1, "slow-disk needs node= and disk= to target a cluster"},
+		{"slow-disk@1s:node=slave-00,factor=2", 1, "slow-disk needs node= and disk= to target a cluster"},
+		{"partition@1s:rack=1,down=1s", 1, "partition targets rack 1 on a flat network"},
+		{"slow-link@1s:rack=1,factor=2", 1, "slow-link targets rack 1 on a flat network"},
+		{"partition@1s:rack=3,down=1s", 2, "partition: rack 3 out of range (cluster has 2)"},
+		{"slow-link@1s:rack=3,factor=2", 2, "slow-link: rack 3 out of range (cluster has 2)"},
 		// slave-01 is in rack 2: the rack cut would reunite it at 2s.
-		{"partition@1s:nodes=slave-01,down=2s;partition@2s:rack=2,down=5s", 2, false,
+		{"partition@1s:nodes=slave-01,down=2s;partition@2s:rack=2,down=5s", 2,
 			"partition@2s:rack=2,down=5s overlaps an in-flight partition window on the same nodes"},
+		// The master is in rack 1.
+		{"partition@1s:rack=1,down=2s;partition@2s:nodes=master,down=1s", 2,
+			"partition@2s:nodes=master,down=1s overlaps an in-flight partition window on the same nodes"},
+		// A live node with no volume of a role left to write to.
+		{"fail-disk@1s:node=slave-00,disk=mr0;fail-disk@2s:node=slave-00,disk=mr1;fail-disk@3s:node=slave-00,disk=mr2", 1,
+			"fail-disk@3s:node=slave-00,disk=mr2 fails the last mr volume of slave-00"},
+		{"fail-disk@1s:node=slave-00,disk=hdfs0;fail-disk@2s:node=slave-00,disk=data1;fail-disk@3s:node=slave-00,disk=hdfs2", 1,
+			"fail-disk@3s:node=slave-00,disk=hdfs2 fails the last hdfs volume of slave-00"},
 	} {
 		env, cl, fs, rt := testbed(t, tc.racks)
-		err := New(env, cl, fs, rt, mustPlan(t, tc.plan)).Start()
+		_, err := mustPlan(t, tc.plan).Resolve(len(cl.Slaves), tc.racks, false)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Start(%q) on %d rack(s) = %v, want an error containing %q", tc.plan, tc.racks, err, tc.want)
+			t.Errorf("Resolve(%q) on %d rack(s) = %v, want an error containing %q", tc.plan, tc.racks, err, tc.want)
 		}
-		err = mustPlan(t, tc.plan).CheckTargets(len(cl.Slaves), tc.racks, false)
-		if (err != nil) != tc.before || err != nil && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("CheckTargets(%q) on %d rack(s) = %v, want an error (%v) containing %q", tc.plan, tc.racks, err, tc.before, tc.want)
+		if err2 := New(env, cl, fs, rt, mustPlan(t, tc.plan)).Start(); err2 == nil || err == nil || err2.Error() != err.Error() {
+			t.Errorf("Start(%q) on %d rack(s) = %v, want Resolve's %v", tc.plan, tc.racks, err2, err)
 		}
 	}
 	// What a testbed has passes: its last slave, every disk of each role
-	// (data5 only pooled), a rack of a two-rack fabric.
+	// (data5 only pooled), a rack of a two-rack fabric, and the master as a
+	// network kind's target.
 	for _, tc := range []struct {
 		plan   string
 		racks  int
@@ -89,38 +105,62 @@ func TestStartRejectsBadTargets(t *testing.T) {
 		{"kill-node@1s:node=slave-03;slow-disk@2s:node=slave-00,disk=mr2,factor=2", 1, false},
 		{"fail-disk@1s:node=slave-01,disk=hdfs2;partition@2s:rack=2,down=1s", 2, false},
 		{"fail-disk@1s:node=slave-01,disk=data5", 1, true},
+		{"partition@1s:nodes=master,down=1s;slow-link@2s:node=master,factor=2;drop-link@3s:node=master,until=4s,prob=0.5", 1, false},
+		// Volumes left on each list: hdfs0 and data0 are one volume, and
+		// pooled roles share six.
+		{"fail-disk@1s:node=slave-00,disk=hdfs0;fail-disk@2s:node=slave-00,disk=data0;fail-disk@3s:node=slave-00,disk=hdfs1;" +
+			"fail-disk@4s:node=slave-00,disk=mr0;fail-disk@5s:node=slave-00,disk=mr1;fail-disk@6s:node=slave-01,disk=mr2", 1, false},
+		{"fail-disk@1s:node=slave-00,disk=mr0;fail-disk@2s:node=slave-00,disk=hdfs1;fail-disk@3s:node=slave-00,disk=data2;" +
+			"fail-disk@4s:node=slave-00,disk=mr3;fail-disk@5s:node=slave-00,disk=data4", 1, true},
 	} {
-		if err := mustPlan(t, tc.plan).CheckTargets(4, tc.racks, tc.pooled); err != nil {
-			t.Errorf("CheckTargets(%q) on 4 slaves, %d rack(s), pooled %v: %v", tc.plan, tc.racks, tc.pooled, err)
+		if _, err := mustPlan(t, tc.plan).Resolve(4, tc.racks, tc.pooled); err != nil {
+			t.Errorf("Resolve(%q) on 4 slaves, %d rack(s), pooled %v: %v", tc.plan, tc.racks, tc.pooled, err)
 		}
 	}
-	if err := mustPlan(t, "fail-disk@1s:node=slave-01,disk=data5").CheckTargets(4, 1, false); err == nil {
-		t.Error("CheckTargets accepted data5 on a dedicated layout of three HDFS disks")
+	const sixth = "fail-disk@1s:node=slave-00,disk=mr0;fail-disk@2s:node=slave-00,disk=hdfs1;fail-disk@3s:node=slave-00,disk=data2;" +
+		"fail-disk@4s:node=slave-00,disk=mr3;fail-disk@5s:node=slave-00,disk=data4;fail-disk@6s:node=slave-00,disk=hdfs5"
+	if _, err := mustPlan(t, sixth).Resolve(4, 1, true); err == nil || !strings.Contains(err.Error(), "fails the last hdfs volume of slave-00") {
+		t.Errorf("Resolve(%q) pooled = %v, want the last pooled volume refused", sixth, err)
 	}
 }
 
-// TestStartNeedsItsSubsystems: a kind whose HDFS, MapReduce or journaled
-// master instance is missing is refused at Start, not at its firing.
+// TestResolvedRackMatchesNetwork: the members Resolve names for a rack from
+// the testbed's shape are the nodes cluster.New registered in that rack, in
+// registration order (the order the network lists its NICs in) — the order
+// the partition's heal line prints.
+func TestResolvedRackMatchesNetwork(t *testing.T) {
+	for racks := 1; racks <= 3; racks++ {
+		_, cl, _, _ := testbed(t, racks)
+		for r := 0; r < racks; r++ {
+			var want []string
+			for _, nic := range cl.Net.Stats().NICs {
+				if cl.Net.RackOf(nic.Node) == r {
+					want = append(want, nic.Node)
+				}
+			}
+			if got := rackNodes(r, len(cl.Slaves), racks); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d racks: rack %d resolves to %q, want %q", racks, r, got, want)
+			}
+			if racks == 1 {
+				continue
+			}
+			targets, err := mustPlan(t, fmt.Sprintf("partition@1s:rack=%d,down=1s", r+1)).Resolve(len(cl.Slaves), racks, false)
+			if err != nil || !reflect.DeepEqual(targets[0].members, want) {
+				t.Errorf("%d racks: partition of rack %d cuts %q (%v), want %q", racks, r+1, targets, err, want)
+			}
+		}
+	}
+}
+
+// TestStartNeedsItsSubsystems: a master restart on a cluster whose master
+// is not journaled is refused at Start, not at its firing.
 func TestStartNeedsItsSubsystems(t *testing.T) {
 	env, cl, fs, rt := testbed(t, 1)
-	for _, tc := range []struct {
-		plan string
-		fs   *hdfs.FS
-		rt   *mapred.Runtime
-		want string
-	}{
-		{"kill-datanode@1s:node=slave-00", nil, rt, "kill-datanode without an HDFS instance"},
-		{"restart-datanode@1s:node=slave-00,down=1s", nil, rt, "restart-datanode without an HDFS instance"},
-		{"corrupt-block@1s:node=slave-00", nil, rt, "corrupt-block without an HDFS instance"},
-		{"kill-node@1s:node=slave-00", fs, nil, "kill-node without HDFS and MapReduce instances"},
-		{"restart-node@1s:node=slave-00,down=1s", nil, rt, "restart-node without HDFS and MapReduce instances"},
-		{"drop-shuffle@1s:until=2s,prob=0.5", fs, nil, "drop-shuffle without a MapReduce instance"},
-		{"restart-namenode@1s:down=1s", nil, rt, "restart-namenode needs master recovery enabled"},
-		{"restart-namenode@1s:down=1s", fs, rt, "restart-namenode needs master recovery enabled"},
-		{"restart-jobtracker@1s:down=1s", fs, nil, "restart-jobtracker needs master recovery enabled"},
-		{"restart-jobtracker@1s:down=1s", fs, rt, "restart-jobtracker needs master recovery enabled"},
+	for _, tc := range []struct{ plan, want string }{
+		{"restart-namenode@1s:down=1s", "restart-namenode needs master recovery enabled"},
+		{"restart-jobtracker@1s:down=1s", "restart-jobtracker needs master recovery enabled"},
 	} {
-		err := New(env, cl, tc.fs, tc.rt, mustPlan(t, tc.plan)).Start()
+		err := New(env, cl, fs, rt, mustPlan(t, tc.plan)).Start()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Start(%q) = %v, want an error containing %q", tc.plan, err, tc.want)
 		}
@@ -131,9 +171,9 @@ func TestStartNeedsItsSubsystems(t *testing.T) {
 // bad one never fire.
 func TestStartErrorFiresNothing(t *testing.T) {
 	env, cl, fs, rt := testbed(t, 1)
-	in := New(env, cl, fs, rt, mustPlan(t, "kill-node@1s:node=slave-01;kill-node@2s:node=slave-09"))
+	in := New(env, cl, fs, rt, mustPlan(t, "kill-node@1s:node=slave-01;restart-namenode@2s:down=1s"))
 	if err := in.Start(); err == nil {
-		t.Fatal("Start accepted an unknown node")
+		t.Fatal("Start accepted a NameNode restart without master recovery")
 	}
 	if _, err := env.Run(0); err != nil {
 		t.Fatal(err)

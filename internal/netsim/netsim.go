@@ -240,17 +240,6 @@ func (n *Network) RackOf(name string) int {
 	return nic.Rack
 }
 
-// RackNodes returns the nodes registered in a rack, in registration order.
-func (n *Network) RackNodes(rack int) []string {
-	var out []string
-	for _, name := range n.order {
-		if n.nics[name].Rack == rack {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // SetDown marks a node unreachable (or reachable again). Transfers touching
 // a down node fail at the next chunk boundary, so in-flight flows collapse
 // within one chunk's serialization time rather than hanging.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -435,9 +436,12 @@ func TestRackAssignmentHelpers(t *testing.T) {
 	if n.RackOf("s1") != 1 || n.RackOf("m") != 0 {
 		t.Error("RackOf wrong")
 	}
-	got := n.RackNodes(0)
-	if len(got) != 2 || got[0] != "m" || got[1] != "s2" {
-		t.Errorf("RackNodes(0) = %v, want [m s2] in registration order", got)
+	var got []string
+	for _, nic := range n.Stats().NICs {
+		got = append(got, nic.Node)
+	}
+	if strings.Join(got, " ") != "m s1 s2" {
+		t.Errorf("Stats().NICs = %v, want [m s1 s2] in registration order", got)
 	}
 	if n.Racks() != 2 {
 		t.Errorf("Racks() = %d, want 2", n.Racks())
