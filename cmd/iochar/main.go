@@ -13,7 +13,7 @@
 //	iochar -all -parallel 4   # fan experiment cells out across 4 workers
 //	iochar -all -cache-dir ~/.cache/iochar  # persist cells across runs
 //	iochar -hist              # per-request latency/size distributions
-//	iochar -trace-out t.csv   # stream baseline block traces to a file
+//	iochar -trace-out t.csv   # write the baseline runs' block traces to a file
 //
 // Runs are cached within one invocation, so -all executes each experiment
 // cell exactly once even though figures share runs. With -cache-dir the
@@ -33,7 +33,6 @@ import (
 
 	"iochar/internal/cliutil"
 	"iochar/internal/core"
-	"iochar/internal/disk"
 	"iochar/internal/report"
 	"iochar/internal/trace"
 )
@@ -44,7 +43,7 @@ func main() {
 		table    = flag.Int("table", 0, "regenerate paper table N (5-7)")
 		all      = flag.Bool("all", false, "regenerate every figure and table")
 		attr     = flag.Bool("attr", false, "print the per-stage I/O demand breakdown (extension)")
-		traceOut = flag.String("trace-out", "", "stream the baseline workloads' block traces to this file (CSV, or NDJSON if the name ends in .ndjson)")
+		traceOut = flag.String("trace-out", "", "write the baseline workloads' block traces to this file (CSV, or NDJSON if the name ends in .ndjson)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of terminal charts")
 		parallel = flag.Int("parallel", 0, "experiment cells to simulate concurrently (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache-dir", "", "persist experiment cells under this directory")
@@ -164,7 +163,7 @@ func main() {
 		writeTable(os.Stdout, td)
 	}
 	if sink != nil {
-		if err := streamTraces(ctx, sink, *traceOut, opts); err != nil {
+		if err := writeTraces(ctx, sink, *traceOut, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
@@ -175,25 +174,25 @@ func main() {
 	}
 }
 
-// streamTraces runs every paper workload at the baseline cell with a
-// streaming trace sink attached, writing one combined file whose device
-// names are prefixed by workload ("TS:slave-03.mr1"). The sink encodes
-// records as they complete, so memory stays flat however long the traces
-// get. Trace runs bypass the suite cache by construction (live observers
-// cannot be serialized).
-func streamTraces(ctx context.Context, sink *trace.StreamCollector, path string, opts core.Options) error {
+// writeTraces runs every paper workload at the baseline cell and writes
+// each run's disk log to one combined file whose device names are prefixed
+// by workload ("TS:slave-03.mr1"). One run's log is held at a time, 64
+// bytes a completion. The runs bypass the suite: a report loaded from its
+// disk cache carries no log.
+func writeTraces(ctx context.Context, sink *trace.StreamCollector, path string, opts core.Options) error {
+	n := 0
 	for _, w := range core.WorkloadOrder {
-		prefix := w.String() + ":"
-		runOpts := opts.With(core.WithTraceAttach(
-			func(dev string, d *disk.Disk) { sink.Attach(d, prefix+dev) }))
-		if _, err := core.RunOneContext(ctx, w, core.SlotsRuns[0], runOpts); err != nil {
+		rep, err := core.RunOneContext(ctx, w, core.SlotsRuns[0], opts)
+		if err != nil {
 			return err
 		}
+		rep.Log.WriteTrace(sink, w.String()+":")
+		n += len(rep.Log.Entries)
 	}
 	if err := sink.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "streamed %d trace records to %s\n", sink.Len(), path)
+	fmt.Fprintf(os.Stderr, "streamed %d trace records to %s\n", n, path)
 	return nil
 }
 

@@ -7,7 +7,7 @@
 //
 //	mrrun -workload TS -slots 2_16 -mem 16 -compress
 //	mrrun -workload AGG -scale 8192
-//	mrrun -workload TS -hist -trace-out ts.csv   # histograms AND a trace
+//	mrrun -workload TS -hist -trace-out ts.csv   # histograms and a trace
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"iochar/internal/cliutil"
 	"iochar/internal/core"
-	"iochar/internal/disk"
 	"iochar/internal/faults"
 	"iochar/internal/iostat"
 	"iochar/internal/report"
@@ -36,7 +35,7 @@ func main() {
 		slots     = flag.String("slots", "1_8", "task slots config: 1_8 | 2_16")
 		mem       = flag.Int("mem", 32, "node memory in GB (paper used 16 or 32)")
 		compress  = flag.Bool("compress", false, "compress intermediate data")
-		streamOut = flag.String("trace-out", "", "stream a block-level I/O trace to this file as requests complete (CSV, or NDJSON if the name ends in .ndjson); O(1) memory")
+		streamOut = flag.String("trace-out", "", "write the run's block-level I/O trace to this file (CSV, or NDJSON if the name ends in .ndjson) and print the physical per-stage table")
 		faultStr  = flag.String("faults", "", `fault plan, e.g. "kill-datanode@15s:node=slave-02;restart-datanode@10s:node=slave-01,down=5s;corrupt-block@8s:path=/bench/TS/in/part-000"`)
 		masters   = flag.Bool("master-recovery", false, "journal NameNode/JobTracker state to dedicated master-node disks (restart-namenode/restart-jobtracker faults imply this)")
 		testbed   cliutil.Testbed
@@ -91,20 +90,14 @@ func main() {
 	// one line on stderr.
 	testbed.WarnClamps(os.Stderr, "mrrun")
 
-	// All observers ride the same per-disk bus, so the streaming sink, the
-	// per-stage accumulator and -hist histograms can watch one run.
+	// The trace file is created before the run, so a path that cannot be
+	// written fails at once; the records are the run's disk log.
 	var stream *trace.StreamCollector
-	var phys *core.PhysicalAttribution
 	if *streamOut != "" {
 		if stream, err = trace.Create(*streamOut); err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(1)
 		}
-		phys = core.NewPhysicalAttribution()
-		opts = opts.With(core.WithTraceAttach(func(dev string, d *disk.Disk) {
-			stream.Attach(d, dev)
-			phys.Attach(d)
-		}))
 	}
 
 	// A one-cell suite, so -hist renders the run through the suite's
@@ -119,11 +112,12 @@ func main() {
 		os.Exit(1)
 	}
 	if stream != nil {
+		rep.Log.WriteTrace(stream, "")
 		if err := stream.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "mrrun:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("streamed %d trace records to %s\n", stream.Len(), *streamOut)
+		fmt.Printf("streamed %d trace records to %s\n", len(rep.Log.Entries), *streamOut)
 	}
 	report.JobSummary(os.Stdout, rep)
 
@@ -138,9 +132,9 @@ func main() {
 		}
 		report.WriteTable(os.Stdout, td)
 	}
-	if phys != nil {
+	if stream != nil {
 		fmt.Println()
-		report.WriteTable(os.Stdout, phys.Table())
+		report.WriteTable(os.Stdout, rep.Log.Physical().Table())
 	}
 }
 

@@ -40,7 +40,8 @@ type Testbed struct {
 	sampleInterval time.Duration
 	verify         bool
 	scrub          int64
-	// Hist is exported because the tools also choose what to print by it.
+	// Hist is -hist, which selects what the tools print and sets no option:
+	// every run fills its per-request distributions.
 	Hist bool
 }
 
@@ -61,7 +62,7 @@ func (t *Testbed) RegisterRun(fs *flag.FlagSet) {
 	fs.DurationVar(&t.sampleInterval, "sample-interval", 0, "iostat sampling interval in virtual time (0 = auto: 1 s scaled down with -scale)")
 	fs.BoolVar(&t.verify, "verify", false, "end-to-end HDFS checksums (CRC32C), verified on every read with failover and read-repair")
 	fs.Int64Var(&t.scrub, "scrub", 0, "background replica scrubber: bytes/sec rate limit (at least 1048576), -1 = unthrottled, 0 = off (implies -verify)")
-	fs.BoolVar(&t.Hist, "hist", false, "collect per-request await/svctm/size histograms and print p50/p95/p99/max rows")
+	fs.BoolVar(&t.Hist, "hist", false, "print per-request await/svctm/size distributions as p50/p95/p99/max rows")
 }
 
 // Options validates the parsed flags — and the tool's own -parallel value,
@@ -105,9 +106,6 @@ func (t *Testbed) Options(parallel int) ([]core.Option, error) {
 		core.WithSampleInterval(t.sampleInterval),
 		core.WithScrubRate(t.scrub),
 	)
-	if t.Hist {
-		opts = append(opts, core.WithHistograms())
-	}
 	if t.verify {
 		opts = append(opts, core.WithIntegrity())
 	}

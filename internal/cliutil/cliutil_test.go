@@ -102,7 +102,7 @@ func TestTestbedOptions(t *testing.T) {
 	}
 	// -scrub leaves Integrity unset: core.RunOneContext implies it.
 	want := core.Options{Scale: 8192, Slaves: 3, Racks: 2, UplinkBPS: 40 << 20, IntermediateTier: disk.ClassSSD,
-		Seed: 7, InputFraction: 0.5, SampleInterval: 5 * time.Millisecond, ScrubRate: -1, Histograms: true}
+		Seed: 7, InputFraction: 0.5, SampleInterval: 5 * time.Millisecond, ScrubRate: -1}
 	if got := core.NewOptions(opts...); !reflect.DeepEqual(got, want) {
 		t.Errorf("options from flags:\n got  %+v\n want %+v", got, want)
 	}

@@ -121,38 +121,17 @@ func (s *Suite) AttributionTable() (*TableData, error) {
 	return t, nil
 }
 
-// PhysicalAttribution accumulates device-level per-stage totals from
-// stage-tagged request completions — the physical counterpart of
-// Attribution's logical byte counts. The two differ by exactly the layers in
-// between: the page cache absorbs re-reads and short-lived spills, writeback
-// clusters small appends into large requests, and HDFS writes fan out by the
-// replication factor. Attach it to data disks via Options.TraceAttach.
+// PhysicalAttribution is device-level per-stage totals of a run's
+// stage-tagged request completions (DiskLog.Physical) — the physical
+// counterpart of Attribution's logical byte counts. The two differ by
+// exactly the layers in between: the page cache absorbs re-reads and
+// short-lived spills, writeback clusters small appends into large requests,
+// and HDFS writes fan out by the replication factor.
 type PhysicalAttribution struct {
 	Reads      [disk.NumStages]uint64
 	Writes     [disk.NumStages]uint64
 	ReadBytes  [disk.NumStages]int64
 	WriteBytes [disk.NumStages]int64
-}
-
-// NewPhysicalAttribution returns an empty accumulator.
-func NewPhysicalAttribution() *PhysicalAttribution { return &PhysicalAttribution{} }
-
-// Attach subscribes the accumulator to a disk; the returned function
-// unsubscribes it.
-func (pa *PhysicalAttribution) Attach(d *disk.Disk) func() {
-	return d.Subscribe(pa.Observe)
-}
-
-// Observe folds one completed request into the per-stage totals.
-func (pa *PhysicalAttribution) Observe(c disk.Completion) {
-	bytes := int64(c.Count) * disk.SectorSize
-	if c.Op == disk.Read {
-		pa.Reads[c.Stage]++
-		pa.ReadBytes[c.Stage] += bytes
-	} else {
-		pa.Writes[c.Stage]++
-		pa.WriteBytes[c.Stage] += bytes
-	}
 }
 
 // Table renders the accumulated per-stage physical totals; stages with no
@@ -182,12 +161,9 @@ func (pa *PhysicalAttribution) Table() *TableData {
 // LatencyTable renders per-request await/svctm/request-size distributions
 // (p50/p95/p99/max) for the given cells, or for every workload's baseline
 // cell when none is given — the tail companion to Table 4's interval means.
-// It requires Options.Histograms; the distributions serialize with the
-// report, so the table is served from the run cache like any figure.
+// Every run fills the distributions, and they serialize with the report,
+// so the table is served from the run cache like any figure.
 func (s *Suite) LatencyTable(cells ...Cell) (*TableData, error) {
-	if !s.Opts.Histograms {
-		return nil, fmt.Errorf("core: LatencyTable requires Options.Histograms")
-	}
 	if len(cells) == 0 {
 		for _, wkey := range WorkloadOrder {
 			cells = append(cells, Cell{wkey, SlotsRuns[0]})

@@ -94,13 +94,8 @@ type Options struct {
 	InputFraction float64
 	// TraceAttach, when set, is called once per disk (slave data disks, then
 	// any master metadata disks) before the run with a stable device name
-	// ("slave-03.mr1") — the hook for trace.StreamCollector.Attach and others.
+	// ("slave-03.mr1"), for a live observer; RunReport.Log needs no hook.
 	TraceAttach func(dev string, d *disk.Disk) `json:"-"`
-	// Histograms collects per-request await/svctm/size distributions for
-	// each monitored device group (RunReport.HDFS.Hists and MR.Hists) via
-	// the disk observer bus. Composes freely with TraceAttach observers;
-	// off, it costs nothing.
-	Histograms bool
 	// SharedDataDisks pools HDFS and intermediate data on the same six
 	// spindles instead of the paper's dedicated 3+3 layout — the
 	// counterfactual behind the paper's observation 4 recommendation.
@@ -289,6 +284,10 @@ type RunReport struct {
 	// bytes and busy time, retransmitted bytes, and failed transfers.
 	Network *netsim.Stats
 
+	// Log is the run's disk completions (DiskLog), which every group's Hists
+	// fold. It is not persisted: a report from the run cache has none.
+	Log *DiskLog `json:"-"`
+
 	// Groups holds the iostat report of every monitored group other than
 	// HDFS and MR, keyed by its Group* name: the per-device-class groups of
 	// a tiered run, the victim/recovering/survivor splits of a fault plan
@@ -408,12 +407,11 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 	if extentSectors > 2048 {
 		extentSectors = 2048
 	}
+	log := &DiskLog{}
 	for _, s := range cl.Slaves {
 		for _, v := range s.Vols {
 			v.SetExtentSectors(extentSectors)
-			if opts.TraceAttach != nil {
-				opts.TraceAttach(v.Disk().P.Name, v.Disk())
-			}
+			log.attach(v.Disk(), opts.TraceAttach)
 		}
 	}
 
@@ -425,10 +423,8 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 		if err := cl.ProvisionMasterMeta(2); err != nil {
 			return nil, err
 		}
-		if opts.TraceAttach != nil {
-			for _, v := range cl.Master.Vols {
-				opts.TraceAttach(v.Disk().P.Name, v.Disk())
-			}
+		for _, v := range cl.Master.Vols {
+			log.attach(v.Disk(), opts.TraceAttach)
 		}
 	}
 
@@ -509,14 +505,17 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 	if masterOn {
 		mon.AddGroup(GroupMasters, disksOf(cl.Master.Vols)...)
 	}
-	if opts.Histograms {
-		mon.EnableHistograms()
-	}
 	mon.Start(env)
 	cpu := cpustat.NewMonitor(opts.SampleInterval, cl.Slaves)
 	cpu.Start(env)
+	var histN int // the groups' Hists fold the log's entries before Stop
+	stopMonitors := func(now time.Duration) {
+		histN = len(log.Entries)
+		mon.Stop(now)
+		cpu.Stop(now)
+	}
 
-	rep := &RunReport{Workload: w, Factors: f}
+	rep := &RunReport{Workload: w, Factors: f, Log: log}
 	var runErr error
 	env.Go("driver", func(p *sim.Proc) {
 		// The injector and recovery loops must stop even when the workload
@@ -536,8 +535,7 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 		jobs, err := wl.Run(p, rt, fs, cl)
 		if err != nil {
 			runErr = err
-			mon.Stop(p.Now())
-			cpu.Stop(p.Now())
+			stopMonitors(p.Now())
 			return
 		}
 		if inj != nil {
@@ -574,8 +572,7 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 		cl.SyncAll(p) // flush caches so iostat sees all writes
 		rep.Jobs = jobs
 		rep.Wall = p.Now() - start
-		mon.Stop(p.Now())
-		cpu.Stop(p.Now())
+		stopMonitors(p.Now())
 		if opts.Audit {
 			rep.Audit = auditRun(p, fs, cl)
 		}
@@ -591,7 +588,8 @@ func runOne(ctx context.Context, w Workload, f Factors, opts Options, in *worklo
 		return nil, fmt.Errorf("core: %s: %w", f.cacheKey(w), runErr)
 	}
 	rep.Events = env.Events()
-	for _, r := range mon.Reports() {
+	for r, disks := range mon.Groups() {
+		r.Hists = log.hists(disks, histN)
 		switch r.Name {
 		case GroupHDFS:
 			rep.HDFS = r

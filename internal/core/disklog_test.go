@@ -18,15 +18,17 @@ import (
 	"iochar/internal/trace"
 )
 
-// A run is a log. One recorder subscribes once to every disk of a run and
-// keeps its completions; pure functions of that record rebuild every live
-// per-disk view: each group's iostat samples, UtilPool and totals, its
-// Hists, the PhysicalAttribution table and the -trace-out records. The
-// differential below diffs each against what the live Monitor and observers
-// produced, interval by interval, with float ==. The reference reads
-// neither disk.Stats nor the Monitor: counts, sectors and residence come
-// from the completions whose Done falls in an interval, busy time from the
-// union of their service spans, group membership from the options.
+// A run is a log. A reference recorder, attached through TraceAttach,
+// subscribes once to every disk of a run and keeps its completions; pure
+// functions of that record rebuild every per-disk view: each group's iostat
+// samples, UtilPool and totals (which the live Monitor samples from
+// disk.Stats), and its Hists, the physical table and the -trace-out records
+// (which the run derives from its own DiskLog). The differential below
+// diffs each against what the run produced, interval by interval, with
+// float ==. The reference reads neither disk.Stats, the Monitor nor the
+// run's log: counts, sectors and residence come from the completions whose
+// Done falls in an interval, busy time from the union of their service
+// spans, group membership from the options.
 
 // logged is one completion and the device that delivered it.
 type logged struct {
@@ -34,14 +36,14 @@ type logged struct {
 	c   disk.Completion
 }
 
-// diskLog is a run's record of disk completions.
-type diskLog struct {
+// refLog is the reference recorder's record of a run's disk completions.
+type refLog struct {
 	devs  []string                     // in attach order
 	all   []logged                     // every completion, in delivery order
 	byDev map[string][]disk.Completion // each device's, in Done order
 }
 
-func (l *diskLog) attach(dev string, d *disk.Disk) {
+func (l *refLog) attach(dev string, d *disk.Disk) {
 	if l.byDev == nil {
 		l.byDev = map[string][]disk.Completion{}
 	}
@@ -203,13 +205,12 @@ func groupMembers(o Options) map[string][]string {
 	return g
 }
 
-// logRun is one run with the recorder and the live observers attached.
+// logRun is one run with the reference recorder attached.
 type logRun struct {
 	opts  Options
 	rep   *RunReport
-	log   diskLog
-	trace bytes.Buffer // what -trace-out writes
-	phys  *PhysicalAttribution
+	log   refLog
+	trace bytes.Buffer // what -trace-out writes: the run's log as CSV
 	disks []*disk.Disk
 }
 
@@ -225,18 +226,17 @@ func (r *logRun) merges() (n uint64) {
 
 func runLogged(t *testing.T, w Workload, f Factors, opts Options) *logRun {
 	t.Helper()
-	r := &logRun{opts: opts, phys: NewPhysicalAttribution()}
-	sink := trace.NewStreamCollector(&r.trace)
+	r := &logRun{opts: opts}
 	opts.TraceAttach = func(dev string, d *disk.Disk) {
 		r.log.attach(dev, d)
-		sink.Attach(d, dev)
-		r.phys.Attach(d)
 		r.disks = append(r.disks, d)
 	}
 	var err error
 	if r.rep, err = RunOne(w, f, opts); err != nil {
 		t.Fatal(err)
 	}
+	sink := trace.NewStreamCollector(&r.trace)
+	r.rep.Log.WriteTrace(sink, "")
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +272,11 @@ type diffStats struct {
 	dropped                               bool
 }
 
-// diffAgainstLog diffs every live view of r against the log-derived
-// reference, each over its own window, and checks iostat's per-interval
-// identities: Σ interval bytes = the totals at Stop, 0 ≤ %util ≤ 100,
-// wait = max(0, await − svctm), and Little's law where it applies.
+// diffAgainstLog checks that the run's DiskLog is the reference recorder's
+// sequence, diffs every view of r against the reference's, each over its
+// own window, and checks iostat's per-interval identities: Σ interval bytes
+// = the totals at Stop, 0 ≤ %util ≤ 100, wait = max(0, await − svctm), and
+// Little's law where it applies.
 func diffAgainstLog(t *testing.T, r *logRun) diffStats {
 	t.Helper()
 	o := r.opts.withDefaults()
@@ -286,6 +287,16 @@ func diffAgainstLog(t *testing.T, r *logRun) diffStats {
 		bounds = append(bounds, stop)
 	}
 	st := diffStats{completions: len(r.log.all), intervals: len(ticks), dropped: dropped}
+
+	runLog := r.rep.Log
+	if !slices.Equal(runLog.Devs, r.log.devs) || len(runLog.Entries) != len(r.log.all) {
+		t.Fatalf("the run logged %d completions on %v, the recorder %d on %v", len(runLog.Entries), runLog.Devs, len(r.log.all), r.log.devs)
+	}
+	for i, e := range runLog.Entries {
+		if want := r.log.all[i]; runLog.Devs[e.Dev] != want.dev || e.Completion != want.c {
+			t.Fatalf("log entry %d: %s %+v, the recorder's %s %+v", i, runLog.Devs[e.Dev], e.Completion, want.dev, want.c)
+		}
+	}
 
 	members := groupMembers(o)
 	var wantDevs []string
@@ -358,22 +369,20 @@ func diffAgainstLog(t *testing.T, r *logRun) diffStats {
 			[4]uint64{total.sectR * disk.SectorSize, total.sectW * disk.SectorSize, total.reads, total.writes}; got != want {
 			t.Errorf("%s: totals (read B, written B, reads, writes) %v, log %v", name, got, want)
 		}
-		if o.Histograms {
-			want := iostat.NewHists()
-			for _, dev := range devs {
-				for _, c := range r.log.byDev[dev] {
-					if c.Done <= stop {
-						want.Observe(c)
-					}
+		want := iostat.NewHists()
+		for _, dev := range devs {
+			for _, c := range r.log.byDev[dev] {
+				if c.Done <= stop {
+					want.Observe(c)
 				}
 			}
-			if !reflect.DeepEqual(rep.Hists, want) {
-				t.Errorf("%s: Hists (%d requests) differ from the log's over [0, %v] (%d requests)", name, rep.Hists.Requests, stop, want.Requests)
-			}
+		}
+		if !reflect.DeepEqual(rep.Hists, want) {
+			t.Errorf("%s: Hists (%d requests) differ from the log's over [0, %v] (%d requests)", name, rep.Hists.Requests, stop, want.Requests)
 		}
 	}
 
-	// PhysicalAttribution and the trace keep counting after Stop, through
+	// The physical table and the trace keep counting after Stop, through
 	// audit and Inspect reads: their window is the whole log.
 	var phys PhysicalAttribution
 	recs := make([]trace.Record, len(r.log.all))
@@ -394,10 +403,10 @@ func diffAgainstLog(t *testing.T, r *logRun) diffStats {
 		}
 		recs[i] = trace.Record{Dev: e.dev, Op: c.Op, Sector: c.Sector, Count: c.Count, Stage: c.Stage, Arrived: c.Arrived, Done: c.Done}
 	}
-	if *r.phys != phys {
-		t.Errorf("PhysicalAttribution %+v, log %+v", *r.phys, phys)
+	if live := r.rep.Log.Physical(); *live != phys {
+		t.Errorf("PhysicalAttribution %+v, log %+v", *live, phys)
 	}
-	if got, want := r.phys.Table(), phys.Table(); !reflect.DeepEqual(got, want) {
+	if got, want := r.rep.Log.Physical().Table(), phys.Table(); !reflect.DeepEqual(got, want) {
 		t.Errorf("physical table %v, log %v", got.Rows, want.Rows)
 	}
 	var want bytes.Buffer
@@ -451,7 +460,7 @@ func inFlightArea(r *logRun, devs []string, from, to time.Duration) time.Duratio
 }
 
 // logOpts is the differential's smallest testbed: four slaves of six disks.
-var logOpts = Options{Scale: 65536, Slaves: 4, MapTaskTarget: 24, Histograms: true}
+var logOpts = Options{Scale: 65536, Slaves: 4, MapTaskTarget: 24}
 
 // tsFaultedPlan is the benchmark's ts_faulted plan: a fail-slow MR disk, a
 // NameNode bounce, a DataNode restart, a rack partition and a JobTracker
@@ -483,7 +492,7 @@ func TestLogReproducesLiveViews(t *testing.T) {
 	uncompressed := logOpts
 	uncompressed.Scale = 16384
 	faulted := Options{Scale: 65536, Slaves: 6, MapTaskTarget: 64, Racks: 2, UplinkBPS: 40 << 20,
-		MasterRecovery: true, Integrity: true, Histograms: true, Audit: true, Faults: plan(tsFaultedPlan)}
+		MasterRecovery: true, Integrity: true, Audit: true, Faults: plan(tsFaultedPlan)}
 	killRestart := logOpts
 	killRestart.Faults = plan("kill-node@1s:node=slave-01;restart-node@100ms:node=slave-02,down=50ms")
 	tenSlaves := Options{Scale: 131072, Slaves: 10, MapTaskTarget: 32}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -10,36 +11,26 @@ import (
 	"iochar/internal/trace"
 )
 
-// TestRunWithHistogramsAndStreamTrace runs one cell with every observer at
-// once — per-request histograms, a streaming trace sink and the physical
-// per-stage accumulator — and checks each output is complete and that the
-// trace is identical to what a stream-only run produces. This is the
-// end-to-end version of the per-disk simultaneity test in internal/trace.
+// TestRunWithHistogramsAndStreamTrace runs one cell with a live streaming
+// trace sink attached and checks what the run derives from its disk log:
+// each group's histograms, the physical per-stage table, and a trace
+// byte-identical to the one the live sink streamed.
 func TestRunWithHistogramsAndStreamTrace(t *testing.T) {
-	runStream := func(histograms bool) (*RunReport, *bytes.Buffer, *PhysicalAttribution) {
-		var buf bytes.Buffer
-		sink := trace.NewStreamCollector(&buf)
-		pa := NewPhysicalAttribution()
-		opts := tinyOpts
-		opts.Histograms = histograms
-		opts.TraceAttach = func(dev string, d *disk.Disk) {
-			sink.Attach(d, dev)
-			pa.Attach(d)
-		}
-		rep, err := RunOne(TS, SlotsRuns[0], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if sink.Len() == 0 {
-			t.Fatal("stream sink observed no requests")
-		}
-		return rep, &buf, pa
+	var live bytes.Buffer
+	sink := trace.NewStreamCollector(&live)
+	opts := tinyOpts
+	opts.TraceAttach = func(dev string, d *disk.Disk) { sink.Attach(d, dev) }
+	rep, err := RunOne(TS, SlotsRuns[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Len() == 0 {
+		t.Fatal("stream sink observed no requests")
 	}
 
-	rep, combined, pa := runStream(true)
 	for _, gr := range []struct {
 		name string
 		h    *iostat.Hists
@@ -52,20 +43,26 @@ func TestRunWithHistogramsAndStreamTrace(t *testing.T) {
 			t.Errorf("%s await quantiles not monotone: p50=%g p95=%g p99=%g", gr.name, p50, p95, p99)
 		}
 	}
+	pa := rep.Log.Physical()
 	var physReqs uint64
 	for st := 0; st < disk.NumStages; st++ {
 		physReqs += pa.Reads[st] + pa.Writes[st]
 	}
-	if physReqs == 0 {
-		t.Error("physical attribution observed no requests")
+	if physReqs != uint64(sink.Len()) {
+		t.Errorf("physical attribution counted %d requests, the live sink %d", physReqs, sink.Len())
 	}
 	if pa.Reads[disk.StageHDFS]+pa.Writes[disk.StageHDFS] == 0 {
 		t.Error("no requests attributed to the HDFS stage")
 	}
 
-	_, alone, _ := runStream(false)
-	if !bytes.Equal(combined.Bytes(), alone.Bytes()) {
-		t.Error("streamed trace differs when histograms are also enabled")
+	var fromLog bytes.Buffer
+	logSink := trace.NewStreamCollector(&fromLog)
+	rep.Log.WriteTrace(logSink, "")
+	if err := logSink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromLog.Bytes(), live.Bytes()) {
+		t.Errorf("trace from the run's log (%d bytes) differs from the live stream (%d bytes)", fromLog.Len(), live.Len())
 	}
 }
 
@@ -73,9 +70,7 @@ func TestRunWithHistogramsAndStreamTrace(t *testing.T) {
 // histograms must serialize and deserialize without losing distribution
 // state (quantiles are derived from the bucket counts alone).
 func TestHistogramsSurviveJSONRoundTrip(t *testing.T) {
-	opts := tinyOpts
-	opts.Histograms = true
-	rep, err := RunOne(TS, SlotsRuns[0], opts)
+	rep, err := RunOne(TS, SlotsRuns[0], tinyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +99,26 @@ func TestHistogramsSurviveJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLatencyTableRequiresHistograms checks both the guard and the happy
-// path of the suite-level distribution table.
-func TestLatencyTableRequiresHistograms(t *testing.T) {
-	if _, err := sharedSuite.LatencyTable(); err == nil {
-		t.Error("LatencyTable without Options.Histograms: want error")
+// TestLatencyTableServedFromCache: every run fills its histograms, so a
+// cell cached by a suite that never asked for them answers LatencyTable
+// from disk without simulating anything.
+func TestLatencyTableServedFromCache(t *testing.T) {
+	dir := t.TempDir()
+	var cells []Cell
+	for _, w := range WorkloadOrder {
+		cells = append(cells, Cell{w, SlotsRuns[0]})
 	}
-	opts := tinyOpts
-	opts.Histograms = true
-	s := NewSuite(opts, WithParallelism(2))
-	td, err := s.LatencyTable()
+	if err := NewSuite(tinyOpts, WithCacheDir(dir), WithParallelism(2)).Prewarm(context.Background(), cells); err != nil {
+		t.Fatal(err)
+	}
+
+	var warm countingProgress
+	td, err := NewSuite(tinyOpts, WithCacheDir(dir), WithProgress(warm.fn)).LatencyTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(td.Rows) == 0 {
-		t.Fatal("LatencyTable produced no rows")
+	if warm.executed.Load() != 0 || warm.disk.Load() != int64(len(cells)) {
+		t.Errorf("LatencyTable: executed=%d disk=%d, want %d disk hits", warm.executed.Load(), warm.disk.Load(), len(cells))
 	}
 	perWorkload := map[string]int{}
 	for _, row := range td.Rows {

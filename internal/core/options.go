@@ -18,7 +18,6 @@ import (
 //
 //	opts := core.NewOptions(
 //	    core.WithScale(4096),
-//	    core.WithHistograms(),
 //	    core.WithAudit(),
 //	)
 //
@@ -80,9 +79,9 @@ func WithMapTaskTarget(n int64) Option { return func(o *Options) { o.MapTaskTarg
 // paper volume (0 < f <= 1).
 func WithInputFraction(f float64) Option { return func(o *Options) { o.InputFraction = f } }
 
-// WithHistograms collects per-request await/svctm/size distributions for
-// each monitored device group.
-func WithHistograms() Option { return func(o *Options) { o.Histograms = true } }
+// WithHistograms sets nothing: every run fills its groups' Hists from its
+// disk log. It stays while benchmark/ passes it.
+func WithHistograms() Option { return func(*Options) {} }
 
 // WithAudit switches on the post-run invariant audit (RunReport.Audit).
 func WithAudit() Option { return func(o *Options) { o.Audit = true } }

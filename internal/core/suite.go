@@ -18,7 +18,7 @@ import (
 // shifts byte totals — so old cache entries degrade to misses instead of
 // resurfacing outdated figures. A new or changed Options field needs no
 // bump: the cache key is derived from Options itself (runKey).
-const SchemaVersion = 13
+const SchemaVersion = 14
 
 // RunSource says where a resolved experiment cell came from.
 type RunSource string

@@ -210,10 +210,9 @@ type Disk struct {
 	model DeviceModel
 
 	// obs are the completion observers (block-level tracing, as blktrace
-	// would provide — see internal/trace — plus latency histograms in
-	// internal/iostat). Every completed request fans out to all of them.
-	obs       []observer
-	nextObsID uint64
+	// would provide — see internal/trace — and a run's disk log in
+	// internal/core). Every completed request fans out to all of them.
+	obs []func(Completion)
 }
 
 // Completion describes one completed block-layer request as delivered to
@@ -232,41 +231,17 @@ type Completion struct {
 	Done    time.Duration // completion time
 }
 
-type observer struct {
-	id uint64
-	fn func(Completion)
-}
-
-// Subscribe registers fn to observe every completed request and returns a
-// function that removes the subscription. Any number of observers may be
-// attached concurrently; each completion is delivered to all of them in
-// subscription order. With no observers attached the completion path does no
-// extra work.
+// Subscribe registers fn to observe every completed request for the rest
+// of the disk's life. Any number of observers may be attached; each
+// completion is delivered to all of them in subscription order. With no
+// observers attached the completion path does no extra work.
 //
 // The simulation is strictly serialized, so observers need no locking.
-// Unsubscribing from inside an observer callback is safe; it takes effect
-// for the next completion. Unsubscribe is idempotent.
-func (d *Disk) Subscribe(fn func(Completion)) (unsubscribe func()) {
+func (d *Disk) Subscribe(fn func(Completion)) {
 	if fn == nil {
 		panic("disk: Subscribe with nil observer")
 	}
-	id := d.nextObsID
-	d.nextObsID++
-	d.obs = append(d.obs, observer{id: id, fn: fn})
-	return func() {
-		for i := range d.obs {
-			if d.obs[i].id != id {
-				continue
-			}
-			// Copy-on-write so a dispatch loop holding the old slice
-			// header is unaffected by the removal.
-			next := make([]observer, 0, len(d.obs)-1)
-			next = append(next, d.obs[:i]...)
-			next = append(next, d.obs[i+1:]...)
-			d.obs = next
-			return
-		}
-	}
+	d.obs = append(d.obs, fn)
 }
 
 // New creates a disk and starts its channel(s): one for a single-channel
@@ -527,11 +502,8 @@ func (d *Disk) complete(r *Request, start time.Duration) {
 			Start:   start,
 			Done:    now,
 		}
-		// Snapshot the slice header: unsubscribing mid-dispatch replaces
-		// d.obs (copy-on-write), leaving this loop's view intact.
-		obs := d.obs
-		for i := range obs {
-			obs[i].fn(c)
+		for _, fn := range d.obs {
+			fn(c)
 		}
 	}
 	r.completion.Fire()

@@ -475,23 +475,17 @@ func TestSubscribeFansOutToAllObservers(t *testing.T) {
 	env := sim.New(1)
 	d := newTestDisk(env)
 	var a, b []Completion
-	unsubA := d.Subscribe(func(c Completion) { a = append(a, c) })
+	d.Subscribe(func(c Completion) { a = append(a, c) })
 	d.Subscribe(func(c Completion) { b = append(b, c) })
 	env.Go("io", func(p *sim.Proc) {
 		d.Do(p, Read, 0, 64)
 		d.Do(p, Write, 1<<20, 128)
 		d.Do(p, Read, 1<<21, 8)
-		// Unsubscribing mid-run stops a alone; b keeps observing.
-		unsubA()
-		unsubA() // idempotent
 		d.Do(p, Write, 1<<22, 16)
 	})
 	env.Run(0)
-	if len(a) != 3 {
-		t.Fatalf("unsubscribed observer saw %d completions, want 3", len(a))
-	}
-	if len(b) != 4 {
-		t.Fatalf("second observer saw %d completions, want 4", len(b))
+	if len(a) != 4 || len(b) != 4 {
+		t.Fatalf("observers saw %d and %d completions, want 4 each", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -504,32 +498,7 @@ func TestSubscribeFansOutToAllObservers(t *testing.T) {
 		}
 	}
 	if b[3].Op != Write || b[3].Count != 16 {
-		t.Errorf("post-unsubscribe completion = %+v, want the 16-sector write", b[3])
-	}
-}
-
-func TestUnsubscribeDuringDispatch(t *testing.T) {
-	// An observer removing itself from inside its own callback must not
-	// disturb the fan-out to the remaining observers.
-	env := sim.New(1)
-	d := newTestDisk(env)
-	var selfRemoved, other int
-	var unsub func()
-	unsub = d.Subscribe(func(Completion) {
-		selfRemoved++
-		unsub()
-	})
-	d.Subscribe(func(Completion) { other++ })
-	env.Go("io", func(p *sim.Proc) {
-		d.Do(p, Read, 0, 8)
-		d.Do(p, Read, 1<<20, 8)
-	})
-	env.Run(0)
-	if selfRemoved != 1 {
-		t.Errorf("self-removing observer fired %d times, want 1", selfRemoved)
-	}
-	if other != 2 {
-		t.Errorf("surviving observer fired %d times, want 2", other)
+		t.Errorf("last completion = %+v, want the 16-sector write", b[3])
 	}
 }
 
@@ -541,7 +510,7 @@ func TestUnsubscribeDuringDispatch(t *testing.T) {
 // while that request is in service; the FIFO drive goes idle and is woken
 // again; the SSD is first given fewer requests than it has idle channels, so
 // the channels a Submit wakes for nothing go back to waiting, and one of its
-// observers unsubscribes from inside its own callback.
+// observers notes only the first two completions it sees.
 func pinnedDiskScenario() string {
 	env := sim.New(1)
 	defer env.Close()
@@ -564,12 +533,10 @@ func pinnedDiskScenario() string {
 		})
 	}
 	seen := 0
-	var unsub func()
-	unsub = ssd.Subscribe(func(c Completion) {
-		if seen++; seen == 2 {
-			unsub()
+	ssd.Subscribe(func(c Completion) {
+		if seen++; seen <= 2 {
+			note("ssd leaver sees %d+%d", c.Sector, c.Count)
 		}
-		note("ssd leaver sees %d+%d", c.Sector, c.Count)
 	})
 	waitAll := func(p *sim.Proc, who string, d *Disk, reqs ...*Request) {
 		for i, r := range reqs {
@@ -651,31 +618,5 @@ func TestPinnedDiskEventOrder(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("disk event order diverged from %s:\n got\n%s\n want\n%s", path, got, want)
-	}
-}
-
-func TestSubscribeReplacementPattern(t *testing.T) {
-	// Single-slot replacement (the old SetTrace semantics) is expressed on
-	// the bus as unsubscribe-then-subscribe, without displacing other
-	// observers.
-	env := sim.New(1)
-	d := newTestDisk(env)
-	var first, second, bus int
-	d.Subscribe(func(Completion) { bus++ })
-	unsub := d.Subscribe(func(Completion) { first++ })
-	unsub()
-	d.Subscribe(func(Completion) { second++ })
-	env.Go("io", func(p *sim.Proc) {
-		d.Do(p, Write, 0, 32)
-	})
-	env.Run(0)
-	if first != 0 {
-		t.Errorf("replaced trace fn fired %d times, want 0", first)
-	}
-	if second != 1 {
-		t.Errorf("current trace fn fired %d times, want 1", second)
-	}
-	if bus != 1 {
-		t.Errorf("bus observer fired %d times, want 1", bus)
 	}
 }

@@ -19,6 +19,7 @@ package iostat
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"iochar/internal/disk"
@@ -62,18 +63,16 @@ type Report struct {
 	TotalReads        uint64
 	TotalWrites       uint64
 
-	// Hists holds per-request distributions when the Monitor was started
-	// with EnableHistograms; nil otherwise. Interval means (the series
-	// above) answer Table 4; the distributions answer tail questions the
-	// paper poses in §3.2 — what p95/p99 await looks like, not just the
-	// average.
+	// Hists holds per-request distributions, which the run folds from its
+	// disk log (core.DiskLog): the series above answer Table 4 with interval
+	// means, these the tail questions of the paper's §3.2 (p95/p99 await).
 	Hists *Hists
 }
 
 // Hists are per-request latency and size distributions for one device group,
-// observed from every completed request via the disk observer bus. Unlike
-// the interval series, which average over whole seconds, these see each
-// request individually, so tail percentiles are exact up to bucket width.
+// folded from every completed request. Unlike the interval series, which
+// average over whole seconds, they see each request, so tail percentiles
+// are exact up to bucket width.
 type Hists struct {
 	Await *stats.Histogram // residence time per request (await), milliseconds
 	Svctm *stats.Histogram // device service time per request, milliseconds
@@ -214,18 +213,6 @@ type Monitor struct {
 	groups   []*group
 	stopped  bool
 	started  bool
-	hists    bool
-	unsubs   []func()
-}
-
-// EnableHistograms makes Start attach a per-request observer to every group
-// device (via disk.Subscribe, so it composes with any number of trace
-// sinks), populating Report.Hists. Call before Start.
-func (m *Monitor) EnableHistograms() {
-	if m.started {
-		panic("iostat: EnableHistograms after Start")
-	}
-	m.hists = true
 }
 
 // NewMonitor creates a monitor with the given sampling interval (the paper
@@ -264,13 +251,6 @@ func (m *Monitor) Start(env *sim.Env) {
 	for _, g := range m.groups {
 		g.last = g.combined()
 		g.lastAt = now
-		if m.hists {
-			h := NewHists()
-			g.report.Hists = h
-			for _, d := range g.disks {
-				m.unsubs = append(m.unsubs, d.Subscribe(h.Observe))
-			}
-		}
 	}
 	var wait func()
 	wait = func() {
@@ -299,10 +279,6 @@ func (m *Monitor) Stop(now time.Duration) {
 			g.refreshTotals(g.combined())
 		}
 	}
-	for _, u := range m.unsubs {
-		u()
-	}
-	m.unsubs = nil
 }
 
 func (m *Monitor) sampleAll(now time.Duration) {
@@ -340,13 +316,16 @@ func (g *group) refreshTotals(cur disk.Stats) {
 	r.TotalWrites = cur.WritesCompleted
 }
 
-// Reports returns every group's report, in the order the groups were added.
-func (m *Monitor) Reports() []*Report {
-	out := make([]*Report, len(m.groups))
-	for i, g := range m.groups {
-		out[i] = g.report
+// Groups yields every group's report and devices, in the order the groups
+// were added.
+func (m *Monitor) Groups() iter.Seq2[*Report, []*disk.Disk] {
+	return func(yield func(*Report, []*disk.Disk) bool) {
+		for _, g := range m.groups {
+			if !yield(g.report, g.disks) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // Report returns the accumulated report for a group, or nil if unknown.

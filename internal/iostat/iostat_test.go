@@ -256,27 +256,19 @@ func TestUtilPoolRecordsPerDiskSamples(t *testing.T) {
 	}
 }
 
-func TestMonitorHistograms(t *testing.T) {
+func TestHistsObserve(t *testing.T) {
 	env := sim.New(1)
 	d := testDisk(env)
-	m := NewMonitor(100 * time.Millisecond)
-	m.AddGroup("g", d)
-	m.EnableHistograms()
-	m.Start(env)
+	h := NewHists()
+	d.Subscribe(h.Observe)
 	env.Go("load", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
 			d.Do(p, disk.Read, int64(i)<<16, 64)
 		}
-		m.Stop(p.Now())
-		d.Do(p, disk.Read, 1<<22, 64) // after Stop: must not be observed
 	})
 	env.Run(0)
-	h := m.Report("g").Hists
-	if h == nil {
-		t.Fatal("Hists nil after EnableHistograms")
-	}
 	if h.Requests != 16 {
-		t.Fatalf("Requests = %d, want 16 (the post-Stop request must not be observed)", h.Requests)
+		t.Fatalf("Requests = %d, want 16", h.Requests)
 	}
 	p50, p95 := h.Await.Quantile(0.50), h.Await.Quantile(0.95)
 	if !(p50 > 0 && p50 <= p95 && p95 <= h.AwaitMaxMs*1.5) {
@@ -285,20 +277,7 @@ func TestMonitorHistograms(t *testing.T) {
 	if h.Svctm.Quantile(0.5) <= 0 || h.Size.Quantile(0.5) <= 0 {
 		t.Error("svctm/size histograms empty")
 	}
-}
-
-func TestMonitorWithoutHistogramsHasNilHists(t *testing.T) {
-	env := sim.New(1)
-	d := testDisk(env)
-	m := NewMonitor(100 * time.Millisecond)
-	m.AddGroup("g", d)
-	m.Start(env)
-	env.Go("load", func(p *sim.Proc) {
-		d.Do(p, disk.Read, 0, 64)
-		m.Stop(p.Now())
-	})
-	env.Run(0)
-	if m.Report("g").Hists != nil {
-		t.Error("Hists non-nil without EnableHistograms; observers-off must stay zero-cost")
+	if h.SizeMax != 64 {
+		t.Errorf("SizeMax = %g, want 64", h.SizeMax)
 	}
 }

@@ -28,9 +28,9 @@ func TestStreamCollectorRecordAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newStreamCollector(io.Discard, tc.ndjson)
-			s.record("slave-03.mr1", c) // warm up: grow the encode buffer once
+			s.Record("slave-03.mr1", c) // warm up: grow the encode buffer once
 			allocs := testing.AllocsPerRun(1000, func() {
-				s.record("slave-03.mr1", c)
+				s.Record("slave-03.mr1", c)
 			})
 			if allocs != 0 {
 				t.Errorf("%s record path allocates %.1f objects per record, want 0", tc.name, allocs)

@@ -10,12 +10,12 @@ import (
 	"iochar/internal/disk"
 )
 
-// StreamCollector encodes completed requests to a writer as they happen,
-// holding only a small reusable buffer — memory use is independent of trace
-// length. It writes CSV in WriteCSV's layout, or NDJSON, one JSON object per
-// line, for downstream tools that prefer it. The simulation is serialized,
-// so no locking is needed; writer errors are sticky and surface from Flush
-// and Close rather than interrupting the run.
+// StreamCollector encodes completed requests to a writer, holding only a
+// small reusable buffer — memory use is independent of trace length. It
+// writes CSV in WriteCSV's layout, or NDJSON, one JSON object per line, for
+// downstream tools that prefer it. The simulation is serialized, so no
+// locking is needed; writer errors are sticky and surface from Flush and
+// Close rather than interrupting the caller.
 type StreamCollector struct {
 	bw     *bufio.Writer
 	file   io.Closer // the file Create opened; nil for NewStreamCollector
@@ -52,12 +52,10 @@ func newStreamCollector(w io.Writer, ndjson bool) *StreamCollector {
 	return s
 }
 
-// Attach subscribes the sink to a disk under the given device name and
-// returns the unsubscribe function. Attaching does not displace other
-// observers: any number of stream sinks and histogram monitors can watch
-// the same disk.
-func (s *StreamCollector) Attach(d *disk.Disk, dev string) func() {
-	return d.Subscribe(func(c disk.Completion) { s.record(dev, c) })
+// Attach subscribes the sink to a disk under the given device name, to
+// encode each request as it completes.
+func (s *StreamCollector) Attach(d *disk.Disk, dev string) {
+	d.Subscribe(func(c disk.Completion) { s.Record(dev, c) })
 }
 
 // Len returns the number of records encoded so far.
@@ -84,7 +82,8 @@ func (s *StreamCollector) Close() error {
 	return err
 }
 
-func (s *StreamCollector) record(dev string, c disk.Completion) {
+// Record encodes one completed request under the given device name.
+func (s *StreamCollector) Record(dev string, c disk.Completion) {
 	if s.err != nil {
 		return
 	}

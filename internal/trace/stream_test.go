@@ -227,7 +227,7 @@ func BenchmarkStreamCollectorRecord(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.record("slave-03.mr1", c)
+		s.Record("slave-03.mr1", c)
 	}
 	if err := s.Close(); err != nil {
 		b.Fatal(err)

@@ -43,7 +43,7 @@ const csvHeader = "dev,op,sector,count,arrived_ns,done_ns,stage"
 func WriteCSV(w io.Writer, recs []Record) error {
 	s := NewStreamCollector(w)
 	for _, r := range recs {
-		s.record(r.Dev, disk.Completion{Op: r.Op, Sector: r.Sector, Count: r.Count, Stage: r.Stage, Arrived: r.Arrived, Done: r.Done})
+		s.Record(r.Dev, disk.Completion{Op: r.Op, Sector: r.Sector, Count: r.Count, Stage: r.Stage, Arrived: r.Arrived, Done: r.Done})
 	}
 	return s.Flush()
 }
