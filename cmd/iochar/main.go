@@ -163,7 +163,7 @@ func main() {
 		writeTable(os.Stdout, td)
 	}
 	if sink != nil {
-		if err := writeTraces(ctx, sink, *traceOut, opts); err != nil {
+		if err := writeTraces(ctx, s, sink, *traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "iochar:", err)
 			os.Exit(1)
 		}
@@ -174,15 +174,19 @@ func main() {
 	}
 }
 
-// writeTraces runs every paper workload at the baseline cell and writes
-// each run's disk log to one combined file whose device names are prefixed
-// by workload ("TS:slave-03.mr1"). One run's log is held at a time, 64
-// bytes a completion. The runs bypass the suite: a report loaded from its
-// disk cache carries no log.
-func writeTraces(ctx context.Context, sink *trace.StreamCollector, path string, opts core.Options) error {
+// writeTraces writes every paper workload's baseline run to one combined
+// file whose device names are prefixed by workload ("TS:slave-03.mr1"). The
+// suite serves each run, so a cell -attr or -hist has already resolved is
+// not simulated again; a report loaded from the disk cache carries no log of
+// its disk completions, and that cell alone is run afresh, its log held
+// only until it is written (64 bytes a completion).
+func writeTraces(ctx context.Context, s *core.Suite, sink *trace.StreamCollector, path string) error {
 	n := 0
 	for _, w := range core.WorkloadOrder {
-		rep, err := core.RunOneContext(ctx, w, core.SlotsRuns[0], opts)
+		rep, err := s.RunContext(ctx, w, core.SlotsRuns[0])
+		if err == nil && rep.Log == nil {
+			rep, err = core.RunOneContext(ctx, w, core.SlotsRuns[0], s.Opts)
+		}
 		if err != nil {
 			return err
 		}

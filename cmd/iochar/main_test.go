@@ -2,11 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
+
+	"iochar/internal/cluster"
+	"iochar/internal/core"
+	"iochar/internal/hdfs"
+	"iochar/internal/sim"
+	"iochar/internal/trace"
 )
 
 // runIochar re-runs the test binary as the command with args, through
@@ -80,5 +88,51 @@ func TestExtensionTablesHonourCSV(t *testing.T) {
 	}
 	if strings.Contains(out, "  ") {
 		t.Errorf("aligned terminal output under -csv:\n%s", out)
+	}
+}
+
+// Regression: -trace-out simulated the four baseline cells again after
+// -attr and -hist had resolved them through the suite, whose reports carry
+// the disk log the trace is written from. Driven as main drives the suite
+// under -hist -attr -trace-out, each baseline cell now runs once.
+func TestTraceOutReusesTheSuitesRuns(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	count := core.WithInspect(func(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) {
+		mu.Lock()
+		defer mu.Unlock()
+		runs[strings.Split(fs.List("/bench/")[0], "/")[2]]++ // /bench/<KEY>/...
+	})
+	s := core.NewSuite(core.NewOptions(core.WithScale(262144), core.WithSlaves(3), count))
+	if _, err := s.AttributionTable(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LatencyTable(); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/t.csv"
+	sink, err := trace.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeTraces(context.Background(), s, sink, path); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range core.WorkloadOrder {
+		if runs[w.String()] != 1 {
+			t.Errorf("%s: %d simulated runs, want 1", w, runs[w.String()])
+		}
+	}
+	if len(runs) != len(core.WorkloadOrder) {
+		t.Errorf("runs by workload %v, want one of each of %v", runs, core.WorkloadOrder)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range core.WorkloadOrder {
+		if !bytes.Contains(data, []byte("\n"+w.String()+":slave-")) {
+			t.Errorf("the trace has no record of %s's disks", w)
+		}
 	}
 }

@@ -150,7 +150,7 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 		}
 	}
 
-	scratch := make([]byte, 0, hashBatch) // every file's summer batches into it in turn
+	s := newKVSummer(make([]byte, 0, hashBatch)) // reset for every file, keeping its arrays
 	for _, path := range fs.List(auditPrefix) {
 		if !isOutputPath(path) {
 			continue
@@ -160,7 +160,7 @@ func auditRun(p *sim.Proc, fs *hdfs.FS, cl *cluster.Cluster) *AuditReport {
 			a.noteReadFailure(path, err)
 			continue
 		}
-		s := newKVSummer(scratch)
+		s.reset()
 		if err := r.ReadBlocks(p, s.write); err != nil {
 			a.noteReadFailure(path, err)
 			continue
@@ -205,26 +205,27 @@ func isOutputPath(path string) bool {
 // kvSummer computes an output file's canonical checksum from the file's
 // blocks as hdfs.Reader.ReadBlocks delivers them: SHA-256 over the pairs as
 // a (key, value)-sorted multiset, each field behind its length. Reduce
-// outputs are key-sorted already, but values of one key can legitimately
-// arrive (and be emitted) in a different order under faults; sorting makes
-// the checksum order-insensitive while still pinning every byte of every
-// pair. Nearly every stream is sorted as it stands, so pairs are hashed out
-// of the blocks in stream order — only one that straddles blocks is copied,
-// and the file is never assembled — while looking for a pair out of place.
-// The blocks are remembered for that case alone (they are views of bytes the
-// DataNodes hold anyway): sum then gathers, sorts and hashes them afresh.
-// Pairs reach the hash in batches, framed in buf, which is written when the
-// next pair would not fit and by sum; a pair larger than buf is hashed as is.
-// Unlike mapred.NextKV, which trusts its input, the summer reports a stream
-// that ends inside a pair instead of indexing past it.
+// outputs are key-sorted already, but one key's values can arrive (and be
+// emitted) in any order, under faults or from an identity reducer. So the
+// summer gathers one key group at a time as views of the blocks (only a pair
+// that straddles blocks is copied; the file is never assembled), sorts its
+// values if they came out of order, and hashes it when the key changes. The
+// blocks are remembered for a stream whose keys go backwards alone (they are
+// views of bytes the DataNodes hold anyway): sum then gathers, sorts and
+// hashes them afresh. Pairs reach the hash in batches, framed in buf, which
+// is written when the next pair would not fit and by sum; a pair larger than
+// buf is hashed as is. Unlike mapred.NextKV, which trusts its input, the
+// summer reports a stream that ends inside a pair instead of indexing past it.
 type kvSummer struct {
-	h            hash.Hash
-	buf          []byte // framed pairs not yet written to h
-	prevK, prevV []byte
-	unsorted     bool
-	blocks       [][]byte
-	carry        []byte // the copied head of a pair that straddles blocks
-	off          int64  // stream offset of the first pair not yet decoded
+	h        hash.Hash
+	buf      []byte   // framed pairs not yet written to h
+	key      []byte   // the key of the group being gathered
+	vals     [][]byte // its values in stream order; empty before the first pair
+	shuffled bool     // vals are out of order
+	unsorted bool     // a key went backwards
+	blocks   [][]byte
+	carry    []byte // the copied head of a pair that straddles blocks
+	off      int64  // stream offset of the first pair not yet decoded
 }
 
 // hashBatch is the capacity of the scratch array a summer batches into.
@@ -232,6 +233,13 @@ const hashBatch = 8 << 10
 
 // newKVSummer returns a summer that owns scratch's array until sum returns.
 func newKVSummer(scratch []byte) *kvSummer { return &kvSummer{h: sha256.New(), buf: scratch[:0]} }
+
+// reset readies the summer for another stream; the batch and group arrays
+// are kept for it.
+func (s *kvSummer) reset() {
+	s.h.Reset()
+	*s = kvSummer{h: s.h, buf: s.buf[:0], vals: s.vals[:0]}
+}
 
 // write takes the next block of the stream, which the summer keeps.
 func (s *kvSummer) write(block []byte) error {
@@ -256,7 +264,7 @@ func (s *kvSummer) write(block []byte) error {
 			continue // the rest of the pair is in the next block
 		}
 		if len(s.carry) > 0 {
-			s.carry = nil // not reused: prevK and prevV point into it
+			s.carry = nil // not reused: the group may hold views of it
 		} else {
 			block = block[n:]
 		}
@@ -264,14 +272,31 @@ func (s *kvSummer) write(block []byte) error {
 		if s.unsorted {
 			continue // only decoding now, so that a truncated tail is still found
 		}
-		if c := bytes.Compare(s.prevK, k); c > 0 || (c == 0 && bytes.Compare(s.prevV, v) > 0) {
+		switch c := bytes.Compare(s.key, k); {
+		case len(s.vals) == 0: // the first pair
+		case c > 0:
 			s.unsorted = true
 			continue
+		case c < 0:
+			s.hashGroup()
+		default:
+			s.shuffled = s.shuffled || bytes.Compare(s.vals[len(s.vals)-1], v) > 0
 		}
-		s.hash(k, v)
-		s.prevK, s.prevV = k, v
+		s.key, s.vals = k, append(s.vals, v)
 	}
 	return nil
+}
+
+// hashGroup hashes the gathered key group in value order and empties it.
+func (s *kvSummer) hashGroup() {
+	if s.shuffled {
+		slices.SortFunc(s.vals, bytes.Compare)
+		s.shuffled = false
+	}
+	for _, v := range s.vals {
+		s.hash(s.key, v)
+	}
+	s.vals = s.vals[:0]
 }
 
 func (s *kvSummer) hash(k, v []byte) {
@@ -296,6 +321,7 @@ func (s *kvSummer) sum() (string, error) {
 	if len(s.carry) > 0 {
 		return "", fmt.Errorf("truncated KV stream at offset %d", s.off)
 	}
+	s.hashGroup() // the last group; hashed afresh below if a key went backwards
 	if s.unsorted {
 		// A field's first 8 bytes as a zero-padded big-endian word
 		// (mapred.KeyPrefix) order two fields whenever the words differ, so

@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"iochar/internal/cluster"
+	"iochar/internal/datagen"
 	"iochar/internal/faults"
 	"iochar/internal/hdfs"
 	"iochar/internal/mapred"
@@ -183,7 +185,11 @@ func streamKVSum(data []byte, blockSize int) (string, error) {
 
 // batchedKVSum is streamKVSum with the hash input batched in scratch.
 func batchedKVSum(scratch, data []byte, blockSize int) (string, error) {
-	s := newKVSummer(scratch)
+	return sumBlocks(newKVSummer(scratch), data, blockSize)
+}
+
+// sumBlocks writes data to s in blockSize-byte blocks and sums it.
+func sumBlocks(s *kvSummer, data []byte, blockSize int) (string, error) {
 	for len(data) > 0 {
 		n := min(blockSize, len(data))
 		if err := s.write(data[:n:n]); err != nil {
@@ -231,22 +237,26 @@ func TestStreamedSumMatchesCanonical(t *testing.T) {
 }
 
 // TestBatchedSumMatchesCanonical: whether a pair fits the hash batch, fills
-// it or is larger than all of it, and whether the stream is sorted or voids
-// the batch it has gathered so far by a pair out of place, the batched digest
-// is canonicalKVSum's — also in a scratch array an earlier summer abandoned
-// mid-file, as the audit does after a read failure — and the batch never
-// outgrows the scratch array.
+// it or is larger than all of it, and whether the stream is sorted, sorted by
+// key with each key's values in arrival order, or voids the batch it has
+// gathered so far by a key out of place, the batched digest is
+// canonicalKVSum's — also in a scratch array an earlier summer abandoned
+// mid-file, and in a summer reset after abandoning one, as the audit does
+// after a read failure — and the batch never outgrows the scratch array.
 func TestBatchedSumMatchesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 750; i++ {
 		pairs := make([][2][]byte, rng.Intn(12))
 		for j := range pairs {
-			pairs[j] = [2][]byte{[]byte(fmt.Sprintf("k%02d", rng.Intn(20))), bytes.Repeat([]byte("v"), rng.Intn(4)*rng.Intn(40))}
+			pairs[j] = [2][]byte{[]byte(fmt.Sprintf("k%02d", rng.Intn(20))), bytes.Repeat([]byte{"vw"[rng.Intn(2)]}, rng.Intn(4)*rng.Intn(40))}
 		}
-		if i%2 == 0 {
+		switch i % 3 {
+		case 0:
 			slices.SortFunc(pairs, func(a, b [2][]byte) int {
 				return cmp.Or(bytes.Compare(a[0], b[0]), bytes.Compare(a[1], b[1]))
 			})
+		case 1:
+			slices.SortStableFunc(pairs, func(a, b [2][]byte) int { return bytes.Compare(a[0], b[0]) })
 		}
 		var stream []byte
 		for _, pr := range pairs {
@@ -260,6 +270,12 @@ func TestBatchedSumMatchesCanonical(t *testing.T) {
 				if got, err := batchedKVSum(scratch, stream, bs); err != nil || got != want {
 					t.Fatalf("stream %d, %d-byte batch, %d-byte blocks: %s, %v; want %s\n%q", i, batch, bs, got, err, want, stream)
 				}
+			}
+			s := newKVSummer(scratch)
+			_ = s.write(stream[len(stream)/3:]) // abandoned, perhaps mid-pair
+			s.reset()
+			if got, err := sumBlocks(s, stream, 5); err != nil || got != want {
+				t.Fatalf("stream %d, %d-byte batch, a reset summer: %s, %v; want %s\n%q", i, batch, got, err, want, stream)
 			}
 			// A pair that does not fit is hashed, not appended to a grown buffer.
 			if s := newKVSummer(scratch); s.write(stream) != nil || cap(s.buf) != batch {
@@ -287,6 +303,40 @@ func TestStreamedSumOneKeyOutOfOrder(t *testing.T) {
 	for _, bs := range []int{1, 7, 64, len(stream) - 1, len(stream), len(stream) + 1} {
 		if got, err := streamKVSum(stream, bs); err != nil || got != want {
 			t.Errorf("%d-byte blocks: %s, %v; want %s", bs, got, err, want)
+		}
+	}
+}
+
+// TestSumGroupsOutOfValueOrder: several keys whose values each arrive out of
+// order, with pairs straddling every block boundary (some held in the carry,
+// one longer than the batch), hash as the sorted stream does — also when a
+// key goes backwards after a reordered group, which leaves the group path
+// for the whole-file sort.
+func TestSumGroupsOutOfValueOrder(t *testing.T) {
+	var sorted, grouped []byte
+	for _, k := range []string{"alpha", "beta", "delta", "gamma"} {
+		vals := []string{"v3", "v10", "", "v1", strings.Repeat("w", 200), "v2", "v2"}
+		for _, v := range vals {
+			grouped = mapred.AppendKV(grouped, []byte(k), []byte(v))
+		}
+		slices.Sort(vals)
+		for _, v := range vals {
+			sorted = mapred.AppendKV(sorted, []byte(k), []byte(v))
+		}
+	}
+	backwards := mapred.AppendKV(slices.Clip(grouped), []byte("beta"), []byte("v0"))
+	want, wantBack := canonicalKVSum(sorted), canonicalKVSum(backwards)
+	if got := canonicalKVSum(grouped); got != want {
+		t.Fatalf("the model sums the grouped stream to %s, the sorted one to %s", got, want)
+	}
+	for bs := 1; bs <= len(backwards); bs++ {
+		for _, batch := range []int{16, hashBatch} {
+			if got, err := batchedKVSum(make([]byte, 0, batch), grouped, bs); err != nil || got != want {
+				t.Fatalf("%d-byte blocks, %d-byte batch: %s, %v; want %s", bs, batch, got, err, want)
+			}
+			if got, err := batchedKVSum(make([]byte, 0, batch), backwards, bs); err != nil || got != wantBack {
+				t.Fatalf("a key going backwards, %d-byte blocks, %d-byte batch: %s, %v; want %s", bs, batch, got, err, wantBack)
+			}
 		}
 	}
 }
@@ -378,6 +428,12 @@ func FuzzStreamKVSum(f *testing.F) {
 	f.Add(kvs("centroid-9", "12345678;b", "centroid-1", "12345678;a", "centroid-1", "12345678", "centroid", ""), 7)
 	f.Add(kvs("a\x00", "v", "a", "v\x00", "a", "v", "a", "", "a\x00", ""), 3)
 	f.Add(kvs("b", "", "", "x", "", "", "a", "\x00"), 64)
+	// Key-sorted streams whose groups arrive out of value order, cut so that
+	// pairs straddle blocks; the last two go backwards after such a group.
+	f.Add(kvs("a", "3", "a", "1", "a", "2", "b", "z", "b", "", "c", "y", "c", "x"), 2)
+	f.Add(kvs("k1", "12345678;b", "k1", "12345678;a", "k1", "12345678", "k2", "b", "k2", "a"), 5)
+	f.Add(kvs("a", "2", "a", "1", "b", "9", "b", "8", "a", "0"), 3)
+	f.Add(kvs("", "b", "", "a", "x", "y", "", "c"), 1)
 	f.Fuzz(func(t *testing.T, data []byte, blockSize int) {
 		if blockSize < 1 {
 			blockSize = 1
@@ -394,4 +450,60 @@ func FuzzStreamKVSum(f *testing.F) {
 			t.Fatalf("%d-byte blocks: streamed %s from a stream the whole-file form cannot decode", blockSize, got)
 		}
 	})
+}
+
+// kmeansShapedStream is a clustering job's reduce output of about size
+// bytes: a few center keys in byte order, each holding PointGen lines in the
+// order the points arrived, which is not value order.
+func kmeansShapedStream(size int64) []byte {
+	keys := []string{"11", "14", "3", "7"}
+	groups := make([][][]byte, len(keys))
+	i := 0
+	datagen.Lines(datagen.PointGen{Seed: 1}.Part(0, size), func(line []byte) {
+		groups[i*7%len(keys)] = append(groups[i*7%len(keys)], line)
+		i++
+	})
+	var stream []byte
+	for j, k := range keys {
+		for _, v := range groups[j] {
+			stream = mapred.AppendKV(stream, []byte(k), v)
+		}
+	}
+	return stream
+}
+
+// TestKMeansShapedSumAllocatesLessThanTheStream: a stream whose keys are in
+// order and whose values are not is summed group by group, out of the
+// blocks, so the audit allocates less than the file it reads — not a copy of
+// the whole file plus a 64-byte sort record per pair.
+func TestKMeansShapedSumAllocatesLessThanTheStream(t *testing.T) {
+	stream := kmeansShapedStream(1 << 20)
+	want := canonicalKVSum(stream)
+	scratch := make([]byte, 0, hashBatch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := batchedKVSum(scratch, stream, 64<<10)
+	runtime.ReadMemStats(&after)
+	if err != nil || got != want {
+		t.Fatalf("sum %s, %v; want %s", got, err, want)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated to sum a %d-byte stream", alloc, len(stream))
+	if alloc >= uint64(len(stream)) {
+		t.Errorf("%d bytes allocated to sum a %d-byte stream; want fewer than the stream", alloc, len(stream))
+	}
+}
+
+// BenchmarkKMeansShapedSum sums a 4 MiB clustering output in 64 KiB blocks.
+func BenchmarkKMeansShapedSum(b *testing.B) {
+	stream := kmeansShapedStream(4 << 20)
+	scratch := make([]byte, 0, hashBatch)
+	b.SetBytes(int64(len(stream)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := batchedKVSum(scratch, stream, 64<<10); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -98,6 +98,9 @@ type FS struct {
 	integrity  bool           // per-chunk checksums verified on every read
 	scrub      *scrubState    // nil unless EnableScrubber was called
 	master     *masterState   // nil unless EnableMaster was called
+	// staging holds emptied block-capacity buffers that closed Writers gave
+	// back, for the next Writer to fill (see Writer.Close).
+	staging [][]byte
 }
 
 // storedBlock is one replica as held by a DataNode: the block file plus the
@@ -335,14 +338,14 @@ func (fs *FS) choose(writer string, replication int) []*DataNode {
 	return out
 }
 
-// Writer streams data into a new file, building each block in a buffer of
-// its own (see flushBlock).
+// Writer streams data into a new file, building each block in a
+// block-capacity buffer from the FS's staging stack (see flushBlock and Close).
 type Writer struct {
 	fs          *FS
 	meta        *fileMeta
 	client      string // node name of the writing client
 	replication int
-	buf         []byte // the block being filled
+	buf         []byte // the block being filled; nil until the next byte arrives
 	err         error  // sticky: why Write and Close are refused from now on
 }
 
@@ -372,18 +375,14 @@ func (fs *FS) CreateWith(path, clientNode string, replication int) *Writer {
 func (w *Writer) Write(p *sim.Proc, data []byte) error {
 	bs := int(w.fs.cfg.BlockSize)
 	for len(data) > 0 && w.err == nil {
-		n := min(len(data), bs-len(w.buf))
-		if need := len(w.buf) + n; need > cap(w.buf) {
-			// Block-sized at once, except while the file is still short of its
-			// first block: then double. Left to append, a buffer fed small
-			// records climbs in 1.25x steps and allocates about five times its
-			// final size on the way.
-			grown := bs
-			if len(w.meta.blocks) == 0 {
-				grown = min(max(2*cap(w.buf), need), bs)
+		if w.buf == nil {
+			if k := len(w.fs.staging) - 1; k >= 0 {
+				w.buf, w.fs.staging = w.fs.staging[k], w.fs.staging[:k]
+			} else {
+				w.buf = make([]byte, 0, bs)
 			}
-			w.buf = append(make([]byte, 0, grown), w.buf...)
 		}
+		n := min(len(data), bs-len(w.buf))
 		w.buf = append(w.buf, data[:n]...)
 		data = data[n:]
 		if len(w.buf) == bs {
@@ -397,11 +396,12 @@ func (w *Writer) Write(p *sim.Proc, data []byte) error {
 // closed once: afterwards Write and Close are refused.
 func (w *Writer) Close(p *sim.Proc) error {
 	if len(w.buf) > 0 && w.err == nil {
-		if cap(w.buf) > len(w.buf) {
-			// Trimmed to fit: the DataNodes keep this array for as long as the
-			// block lives, and a short tail must not pin a block-sized one.
-			w.buf = bytes.Clone(w.buf)
-		}
+		// The DataNodes keep the tail's array for as long as the block lives,
+		// so it is stored trimmed to fit, and the block-capacity buffer goes
+		// back on the stack for the next Writer.
+		staged := w.buf
+		w.buf = bytes.Clone(staged)
+		w.fs.staging = append(w.fs.staging, staged[:0])
 		w.err = w.flushBlock(p)
 	}
 	if w.err != nil {
@@ -420,7 +420,7 @@ func (w *Writer) Close(p *sim.Proc) error {
 
 // flushBlock ships w.buf as one block through the write pipeline, and the
 // DataNodes keep it: every replica stores that one array, as after Load, and
-// the Writer starts the next block in a new one. The client streams
+// the Writer starts the next block in another buffer. The client streams
 // packets to the first replica, which relays downstream, every replica
 // appending to its local block file concurrently. The hops run in parallel
 // processes, so pipeline time approximates max(hop) rather than sum(hop),

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -476,9 +477,10 @@ func TestOneRackPlacementMatchesFlatModel(t *testing.T) {
 
 // TestWriterAllocationPerByteWritten: a reducer-shaped write — several
 // blocks of small records, the last one partial, at replication 3 — may
-// allocate one array per block whatever the replication, a first buffer that
-// doubles up to the block size (twice that block in all), the trimmed copy of
-// the tail and page-cache bookkeeping on three DataNodes. One stored copy per
+// allocate one block-capacity buffer per block whatever the replication (the
+// tail's is staged for the next Writer), the trimmed copy of the tail and
+// page-cache bookkeeping on three DataNodes: 1.21 bytes a byte. A first
+// buffer that doubled up to the block size came to 1.46; one stored copy per
 // replica would land above 3.
 func TestWriterAllocationPerByteWritten(t *testing.T) {
 	env := sim.New(1)
@@ -516,6 +518,73 @@ func TestWriterAllocationPerByteWritten(t *testing.T) {
 	for _, b := range fs.files["/out"].blocks {
 		if len(b.replicas) != 3 {
 			t.Fatalf("block %d has %d replicas, want 3", b.id, len(b.replicas))
+		}
+	}
+	t.Logf("%.3f bytes allocated per byte written", perByte)
+	if perByte > 1.35 {
+		t.Errorf("%.3f bytes allocated per byte written, limit 1.35", perByte)
+	}
+}
+
+// TestSubBlockFilesAllocateTheirSize: files shorter than a block, written
+// in 100-byte records one after another through one FS, each allocate about
+// their own size — the trimmed tail the DataNodes keep — because every
+// Writer after the first fills the block-capacity buffer its predecessor
+// gave back. A buffer that grows by doubling from empty and is then cloned
+// costs about three times the file. Each file still reads back its own
+// bytes: no block may keep the buffer that goes back on the stack.
+func TestSubBlockFilesAllocateTheirSize(t *testing.T) {
+	env := sim.New(1)
+	c, err := cluster.New(env, cluster.DefaultHardware(64), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(env, DefaultConfig(64), c.Net, c.Slaves)
+	bs := int(fs.cfg.BlockSize)
+	rec := pattern(100)
+	const files = 24
+	size := func(i int) int { return bs/4 + i*bs/(2*files) + 50 } // a quarter to three quarters of a block
+	total := 0
+	var perByte float64
+	env.Go("w", func(p *sim.Proc) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < files; i++ {
+			rec[0] = byte(i)
+			w := fs.CreateWith(fmt.Sprintf("/out/part-%02d", i), c.Slaves[i%3].Name, 3)
+			for n := 0; n < size(i); n += len(rec) {
+				if err := w.Write(p, rec[:min(len(rec), size(i)-n)]); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := w.Close(p); err != nil {
+				t.Error(err)
+			}
+			total += size(i)
+		}
+		runtime.ReadMemStats(&after)
+		perByte = float64(after.TotalAlloc-before.TotalAlloc) / float64(total)
+		for i := 0; i < files; i++ {
+			r, err := fs.Open(fmt.Sprintf("/out/part-%02d", i), c.Slaves[0].Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.ReadAt(p, 0, int64(size(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < len(got); n += len(rec) {
+				if got[n] != byte(i) {
+					t.Fatalf("file %d: the record at byte %d starts %d", i, n, got[n])
+				}
+			}
+		}
+	})
+	env.Run(0)
+	for i := 0; i < files; i++ {
+		f := fs.files[fmt.Sprintf("/out/part-%02d", i)]
+		if len(f.blocks) != 1 || len(f.blocks[0].replicas) != 3 {
+			t.Fatalf("file %d: %d blocks, want one with 3 replicas", i, len(f.blocks))
 		}
 	}
 	t.Logf("%.3f bytes allocated per byte written", perByte)

@@ -379,8 +379,8 @@ func (c *Cache) Read(p *sim.Proc, rs *ReadState, sector int64, nsect int, stage 
 	}
 }
 
-// fill is a fetch in flight, its one allocation besides the disk request:
-// pages [first, last) are pending on ev until req completes.
+// fill is a fetch in flight, allocated with its step closure and its disk
+// request: pages [first, last) are pending on ev until req completes.
 type fill struct {
 	ev          sim.Event
 	c           *Cache
