@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"iochar/internal/core"
+	"iochar/internal/faults"
 	"iochar/internal/iostat"
 	"iochar/internal/stats"
 )
@@ -63,6 +64,59 @@ func TestFaultsOnTheMaster(t *testing.T) {
 			t.Errorf("%s: status %d, stderr %q; want %d and no panic", tc.plan, status, msg, tc.status)
 		case status == 2 && (len(out) != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "mrrun: ")):
 			t.Errorf("%s: %d bytes out, stderr %q; want none and one mrrun: line", tc.plan, len(out), msg)
+		}
+	}
+}
+
+// TestPlanCrossEventRules: two events of a plan may not hold one target at
+// once — a restart's victim (a slave, the NameNode or the JobTracker), a
+// drop-link's node, or a node a partition cuts off — and a plan may not
+// repeat an event. Each refused plan fails ParsePlan or Resolve on mrrun's
+// testbed and exits 2 with one mrrun: line; each allowed plan passes both
+// and runs to exit 0. Back-to-back windows do not overlap, and the three
+// kinds of hold are separate: a lossy window or a cut over a restarting
+// node, and a NameNode outage over a JobTracker one, are allowed. On four
+// slaves and two racks, rack 1 holds the master, slave-00 and slave-02.
+func TestPlanCrossEventRules(t *testing.T) {
+	for _, tc := range []struct {
+		plan    string
+		allowed bool
+	}{
+		{"restart-node@100ms:node=slave-01,down=50ms;restart-node@120ms:node=slave-01,down=50ms", false},
+		{"restart-datanode@100ms:node=slave-01,down=50ms;restart-datanode@120ms:node=slave-01,down=50ms", false},
+		{"restart-datanode@100ms:node=slave-02,down=50ms;restart-node@120ms:node=slave-02,down=50ms", false},
+		{"restart-namenode@100ms:down=50ms;restart-namenode@120ms:down=50ms", false},
+		{"restart-jobtracker@100ms:down=50ms;restart-jobtracker@120ms:down=50ms", false},
+		{"drop-link@100ms:node=slave-01,until=200ms,prob=0.3;drop-link@150ms:node=slave-01,until=250ms,prob=0.3", false},
+		{"kill-datanode@100ms:node=slave-01;kill-datanode@100ms:node=slave-01", false},
+		{"partition@100ms:nodes=slave-00+slave-01,down=200ms;partition@150ms:nodes=slave-01+slave-02,down=50ms", false},
+		{"partition@100ms:rack=2,down=200ms;partition@150ms:rack=2,down=50ms", false},
+		{"partition@100ms:nodes=slave-00+slave-01,down=200ms;partition@150ms:rack=1,down=50ms", false},
+
+		{"restart-node@100ms:node=slave-01,down=50ms;restart-node@150ms:node=slave-01,down=50ms", true},
+		{"restart-namenode@100ms:down=50ms;restart-namenode@150ms:down=50ms", true},
+		{"drop-link@100ms:node=slave-01,until=150ms,prob=0.3;drop-link@150ms:node=slave-01,until=200ms,prob=0.3", true},
+		{"restart-node@100ms:node=slave-01,down=100ms;drop-link@120ms:node=slave-01,until=250ms,prob=0.3", true},
+		{"restart-node@100ms:node=slave-01,down=100ms;partition@120ms:nodes=slave-01,down=50ms", true},
+		{"restart-namenode@100ms:down=50ms;restart-jobtracker@120ms:down=50ms", true},
+		{"partition@100ms:nodes=slave-00+slave-01,down=200ms;partition@150ms:nodes=slave-02+slave-03,down=50ms", true},
+		{"partition@100ms:nodes=slave-00+slave-01,down=50ms;partition@200ms:nodes=slave-00+slave-01,down=50ms", true},
+		{"partition@100ms:rack=1,down=200ms;partition@150ms:rack=2,down=50ms", true},
+		{"partition@100ms:nodes=slave-01+slave-03,down=200ms;partition@150ms:rack=1,down=50ms", true},
+	} {
+		pl, err := faults.ParsePlan(tc.plan)
+		if err == nil {
+			_, err = pl.Resolve(4, 2, false)
+		}
+		if (err == nil) != tc.allowed {
+			t.Errorf("%s: ParsePlan+Resolve = %v, want allowed %v", tc.plan, err, tc.allowed)
+		}
+		status, out, msg := mrrun(t, "-scale 65536 -slaves 4 -racks 2 -faults "+tc.plan)
+		switch {
+		case tc.allowed && status != 0:
+			t.Errorf("%s: status %d, stderr %q; want 0", tc.plan, status, msg)
+		case !tc.allowed && (status != 2 || len(out) != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "mrrun: ")):
+			t.Errorf("%s: status %d, %d bytes out, stderr %q; want 2, none and one mrrun: line", tc.plan, status, len(out), msg)
 		}
 	}
 }

@@ -563,6 +563,9 @@ func FuzzPlanRuns(f *testing.F) {
 		}
 	}
 	f.Add("partition@100ms:rack=1,down=50ms;slow-link@200ms:rack=2,factor=3", uint8(2))
+	// Back-to-back restarts of one slave run; the overlapping twin is refused.
+	f.Add("restart-node@100ms:node=slave-01,down=50ms;restart-node@150ms:node=slave-01,down=50ms", uint8(1))
+	f.Add("restart-node@100ms:node=slave-01,down=50ms;restart-node@120ms:node=slave-01,down=50ms", uint8(1))
 	f.Fuzz(func(t *testing.T, plan string, racks uint8) {
 		r := min(max(int(racks), 1), 2)
 		pl, err := faults.ParsePlan(plan)

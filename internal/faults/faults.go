@@ -41,9 +41,12 @@
 // sequences.
 //
 // The master runs only the NameNode and the JobTracker: it holds no
-// DataNode, TaskTracker or data disk. Plan.Resolve checks every target
-// against a testbed's shape before the run; Injector.Start binds what it
-// resolved to the built cluster.
+// DataNode, TaskTracker or data disk. ParsePlan checks each event alone and
+// refuses a repeated one. Plan.Resolve checks every target against a
+// testbed's shape, and refuses two events that hold one target in windows
+// that overlap (back-to-back ones do not): restarts of one victim, drop-link
+// windows on one node, partitions cutting one node off. Injector.Start
+// resolves the same way and binds the targets to the built cluster.
 package faults
 
 import (
@@ -260,6 +263,7 @@ func ParsePlan(s string) (Plan, error) {
 	if s == "" {
 		return pl, nil
 	}
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -269,10 +273,12 @@ func ParsePlan(s string) (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
+		key := ev.String()
+		if seen[key] {
+			return Plan{}, fmt.Errorf("faults: duplicate event %q", key)
+		}
+		seen[key] = true
 		pl.Events = append(pl.Events, ev)
-	}
-	if err := pl.Validate(); err != nil {
-		return Plan{}, err
 	}
 	return pl, nil
 }
@@ -413,24 +419,46 @@ func (ev Event) Narrowed() []Event {
 	return out
 }
 
-// cut is a partition's window and the nodes it cuts off.
-type cut struct {
+// span is what an event holds from at until until: names in one set — the
+// victims that restarts take down, the nodes drop-links make lossy, or the
+// nodes partitions cut off. An event that holds nothing has no names.
+type span struct {
 	at, until time.Duration
+	set       string
 	names     []string
 }
 
-// meets reports whether two cuts are in force at once and share a node:
-// the first heal would reunite nodes the other cut still isolates.
-func (c cut) meets(o cut) bool {
-	if c.at >= o.until || o.at >= c.until {
-		return false
+// meets returns a name two spans of one set hold at the same instant, or ""
+// if there is none. Such spans undo each other: the first to end would
+// rejoin a victim the other keeps down, clear the other's drop state, or
+// reunite a node the other still cuts off.
+func (s span) meets(o span) string {
+	if s.set != o.set || s.at >= o.until || o.at >= s.until {
+		return ""
 	}
-	for _, name := range c.names {
+	for _, name := range s.names {
 		if slices.Contains(o.names, name) {
-			return true
+			return name
 		}
 	}
-	return false
+	return ""
+}
+
+// holds returns what the event holds from At until end(): a restart's
+// victim, a drop-link's node, or the nodes a partition cuts off, which the
+// caller passes as cut. The three are separate sets: a lossy window or a
+// cut over a restarting node is harmless, since its paths already fail.
+func (ev Event) holds(cut []string) span {
+	s := span{at: ev.At, until: ev.end()}
+	switch ev.Kind {
+	case RestartDataNode, RestartNode, RestartNameNode, RestartJobTracker:
+		s.set, s.names = "down", []string{ev.victim()}
+	case DropLink:
+		s.set, s.names = "lossy", []string{ev.Node}
+	case Partition:
+		s.set, s.names = "cut", cut
+	}
+	return s
 }
 
 // end returns when the event is undone — a restart's rejoin, a partition's
@@ -443,8 +471,7 @@ func (ev Event) end() time.Duration {
 }
 
 // victim names the entity an event takes down — the target node, or the
-// master process for master faults. Used to detect conflicting outage
-// windows on one victim.
+// master process for master faults.
 func (ev Event) victim() string {
 	switch ev.Kind {
 	case RestartNameNode:
@@ -466,65 +493,13 @@ func (pl Plan) HasMasterFaults() bool {
 	return false
 }
 
-// Validate checks the plan's cross-event structure: every event valid on
-// its own, no exact duplicates, no overlapping outage windows on one victim
-// (a restart's rejoin firing inside a later restart of the same victim
-// would resurrect a node that is supposed to be down), no overlapping lossy
-// windows on one node (the earlier window's cleanup would strip the later
-// window's drop state mid-flight). Partitions that overlap are found by
-// Resolve, which knows a rack's members.
-func (pl Plan) Validate() error {
-	type window struct{ at, until time.Duration }
-	seen := make(map[string]bool, len(pl.Events))
-	wins := make(map[string][]window)
-	for _, ev := range pl.Events {
-		if err := ev.validate(); err != nil {
-			return err
-		}
-		key := ev.String()
-		if seen[key] {
-			return fmt.Errorf("faults: duplicate event %q", key)
-		}
-		seen[key] = true
-		v, until, windowed := ev.window()
-		if !windowed {
-			continue
-		}
-		for _, w := range wins[v] {
-			if ev.At < w.until && w.at < until {
-				return fmt.Errorf("faults: overlapping outage windows on %s (%v-%v and %v-%v)",
-					v, w.at, w.until, ev.At, until)
-			}
-		}
-		wins[v] = append(wins[v], window{at: ev.At, until: until})
-	}
-	return nil
-}
-
-// window returns the victim key and end time of the event's outage window;
-// ok is false for events that hold no window (instant faults, fire-only
-// degradations, and partitions, which Resolve checks by cut set instead).
-func (ev Event) window() (victim string, until time.Duration, ok bool) {
-	switch {
-	case ev.Kind == Partition:
-		return "", 0, false
-	case ev.Kind == DropLink:
-		// Namespaced separately from restarts: a lossy window over a node
-		// outage is harmless (the path already fails), but two lossy windows
-		// on one node would tear each other's state down.
-		return "droplink:" + ev.Node, ev.Until, true
-	case ev.Down > 0:
-		return ev.victim(), ev.At + ev.Down, true
-	}
-	return "", 0, false
-}
-
 // RandomPlan samples n fault events uniformly over [0, window) against the
-// given nodes, deterministically for a seed. Disk faults always target index
-// 0 of a random role (every node has at least one disk per role); kill-node
-// and restart-node are excluded when nodes has a single entry, since losing
-// the only slave cannot be survived (even briefly — a restart still loses
-// the only copy of running attempts). Events are sorted by time.
+// given nodes, a testbed's slaves in order, deterministically for a seed.
+// Disk faults always target index 0 of a random role (every node has at
+// least one disk per role); kill-node and restart-node are excluded when
+// nodes has a single entry, since losing the only slave cannot be survived
+// (even briefly — a restart still loses the only copy of running attempts).
+// Events are sorted by time, and the plan passes Resolve on that testbed.
 func RandomPlan(seed int64, nodes []string, window time.Duration, n int) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	kinds := []Kind{KillDataNode, FailDisk, SlowDisk, DropShuffle, RestartDataNode, CorruptBlock,
@@ -602,35 +577,35 @@ func RandomPlan(seed int64, nodes []string, window time.Duration, n int) Plan {
 	}
 	sort.SliceStable(pl.Events, func(i, j int) bool { return pl.Events[i].At < pl.Events[j].At })
 	resolveConflicts(&pl)
-	if err := pl.Validate(); err != nil {
+	if _, err := pl.Resolve(len(nodes), 1, false); err != nil {
 		panic("faults: RandomPlan generated an invalid plan: " + err.Error())
 	}
 	return pl
 }
 
-// resolveConflicts nudges randomly drawn events that violate the plan's
-// cross-event rules: an outage window opening inside an earlier outage of
-// the same victim is pushed past it, and an exact duplicate event is pushed
-// 1 ms later. Partitions are all charged to one shared victim — random
-// plans simply never overlap two cuts, which satisfies Resolve's cut rule
-// without reasoning about membership. Deterministic, and convergent
-// because every nudge moves an event strictly forward in time.
+// resolveConflicts nudges randomly drawn events that break the plan's
+// cross-event rules: an event whose hold opens inside, or at the end of, an
+// earlier hold of the same name is pushed 1 ms past it, and an exact
+// duplicate event is pushed 1 ms later. Every partition cuts off one shared
+// name — random plans simply never overlap two cuts, which satisfies
+// Resolve's rule without reasoning about membership — so each hold has one
+// name. Deterministic, and convergent because every nudge moves an event
+// strictly forward in time.
 func resolveConflicts(pl *Plan) {
+	oneCut := []string{"partition"}
 	for pass := 0; pass < len(pl.Events)+1; pass++ {
 		changed := false
 		seen := make(map[string]bool, len(pl.Events))
 		end := make(map[string]time.Duration)
 		for i := range pl.Events {
 			ev := &pl.Events[i]
-			if v, until, ok := conflictVictim(*ev); ok {
-				if e := end[v]; ev.At <= e {
+			if s := ev.holds(oneCut); s.names != nil {
+				name := s.set + " " + s.names[0]
+				if e := end[name]; ev.At <= e {
 					ev.shift(e + time.Millisecond - ev.At)
 					changed = true
-					_, until, _ = conflictVictim(*ev)
 				}
-				if until > end[v] {
-					end[v] = until
-				}
+				end[name] = max(end[name], ev.end())
 			}
 			for seen[ev.String()] {
 				ev.shift(time.Millisecond)
@@ -643,15 +618,6 @@ func resolveConflicts(pl *Plan) {
 		}
 		sort.SliceStable(pl.Events, func(i, j int) bool { return pl.Events[i].At < pl.Events[j].At })
 	}
-}
-
-// conflictVictim is resolveConflicts's window accounting: like
-// Event.window, but all partitions share one victim (see resolveConflicts).
-func conflictVictim(ev Event) (victim string, until time.Duration, ok bool) {
-	if ev.Kind == Partition {
-		return "partition", ev.At + ev.Down, true
-	}
-	return ev.window()
 }
 
 // shift moves the event later by d, dragging a window end (drop-shuffle,
@@ -678,14 +644,14 @@ type Target struct {
 // not (cluster.Hardware.SharedDataDisks), and returns them resolved, in plan
 // order. It returns the first error instead: a node the testbed lacks or
 // the kind cannot target (kindArgs' master column), a rack or a volume it
-// lacks, a disk kind without both node= and disk=, a partition whose cut
-// meets one still in force (the first heal would reunite nodes the other
-// cut still isolates), or fail-disk on every volume of a node's HDFS or
-// intermediate list: the node would have nowhere left to write, and
-// kill-node is the fault that stops a machine whole.
+// lacks, a disk kind without both node= and disk=, two events that hold one
+// target at once (Event.holds: restart victims, drop-link nodes, and the
+// nodes partitions cut off, racks' members included), or fail-disk on
+// every volume of a node's HDFS or intermediate list: the node would have
+// nowhere left to write, and kill-node is the fault that stops a machine
+// whole.
 func (pl Plan) Resolve(slaves, racks int, pooled bool) ([]Target, error) {
 	out := make([]Target, len(pl.Events))
-	var cuts []cut
 	failed := map[string][]int{} // failed volumes, by node and role list
 	for i, ev := range pl.Events {
 		t := &out[i]
@@ -721,16 +687,13 @@ func (pl Plan) Resolve(slaves, racks int, pooled bool) ([]Target, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch ev.Kind {
-		case Partition:
-			c := cut{at: ev.At, until: ev.end(), names: t.members}
-			for _, prev := range cuts {
-				if c.meets(prev) {
-					return nil, fmt.Errorf("faults: %s overlaps an in-flight partition window on the same nodes", ev)
-				}
+		s := ev.holds(t.members)
+		for j, prev := range pl.Events[:i] {
+			if name := s.meets(prev.holds(out[j].members)); name != "" {
+				return nil, fmt.Errorf("faults: %s overlaps %s on %s", ev, prev, name)
 			}
-			cuts = append(cuts, c)
-		case FailDisk:
+		}
+		if ev.Kind == FailDisk {
 			list := ev.Node // a pooled node's roles share one list
 			if t.role == "mr" && !pooled {
 				list += " mr"
@@ -810,9 +773,10 @@ func New(env *sim.Env, cl *cluster.Cluster, fs *hdfs.FS, rt *mapred.Runtime, pla
 // its end; the drop-shuffle log lines come last. The kernel fires callbacks
 // due at one instant in the order they were scheduled, so this order is
 // part of every run's outcome. Shuffle-drop windows install a single seeded
-// hook into the MapReduce runtime. A target the cluster lacks, or a master
-// restart on a cluster whose master is not journaled, makes Start return an
-// error, and then nothing it scheduled fires.
+// hook into the MapReduce runtime. A target the cluster lacks, two events
+// that hold one target at once, or a master restart on a cluster whose
+// master is not journaled makes Start return an error, and then nothing it
+// scheduled fires.
 func (in *Injector) Start() error {
 	targets, err := in.plan.Resolve(len(in.cl.Slaves), in.net.Racks(), in.cl.Master.HW.SharedDataDisks)
 	if err != nil {

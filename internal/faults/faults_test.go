@@ -269,14 +269,16 @@ func TestValidatePartitionOverlap(t *testing.T) {
 			t.Errorf("Resolve(%q) rejected a valid plan: %v", s, err)
 		}
 	}
-	// Concurrent cuts sharing a node: the first heal would reunite it.
-	for _, s := range []string{
-		"partition@10s:nodes=slave-00+slave-01,down=20s;partition@15s:nodes=slave-01+slave-02,down=5s",
-		"partition@10s:rack=2,down=20s;partition@15s:rack=2,down=5s",
-		"partition@10s:nodes=slave-00+slave-01,down=20s;partition@15s:rack=1,down=5s",
+	// Concurrent cuts sharing a node: the first heal would reunite it. The
+	// refusal names both events and the first node they share; rack 2 is
+	// slave-01 and slave-03.
+	for s, want := range map[string]string{
+		"partition@10s:nodes=slave-00+slave-01,down=20s;partition@15s:nodes=slave-01+slave-02,down=5s": "faults: partition@15s:nodes=slave-01+slave-02,down=5s overlaps partition@10s:nodes=slave-00+slave-01,down=20s on slave-01",
+		"partition@10s:rack=2,down=20s;partition@15s:rack=2,down=5s":                                   "faults: partition@15s:rack=2,down=5s overlaps partition@10s:rack=2,down=20s on slave-01",
+		"partition@10s:nodes=slave-00+slave-01,down=20s;partition@15s:rack=1,down=5s":                  "faults: partition@15s:rack=1,down=5s overlaps partition@10s:nodes=slave-00+slave-01,down=20s on slave-00",
 	} {
-		if _, err := mustPlan(t, s).Resolve(4, 2, false); err == nil || !strings.Contains(err.Error(), "overlaps an in-flight partition window") {
-			t.Errorf("Resolve(%q) = %v, want the overlap refused", s, err)
+		if _, err := mustPlan(t, s).Resolve(4, 2, false); err == nil || err.Error() != want {
+			t.Errorf("Resolve(%q) = %v, want %q", s, err, want)
 		}
 	}
 }
@@ -299,13 +301,34 @@ func TestRandomPlanGeneratesNetworkFaults(t *testing.T) {
 				t.Fatalf("seed %d: partition down=%v outside [%v, %v]", seed, ev.Down, window/8, window/8+window/4)
 			}
 		}
-		if err := pl.Validate(); err != nil {
+		if _, err := pl.Resolve(len(nodes), 1, false); err != nil {
 			t.Fatalf("seed %d: invalid random plan: %v", seed, err)
 		}
 	}
 	for _, k := range []Kind{Partition, SlowLink, DropLink} {
 		if !kinds[k] {
 			t.Errorf("no seed in 1..120 generated %s", k)
+		}
+	}
+}
+
+// TestRandomPlansResolve: RandomPlan's plans pass Resolve on the testbed
+// its nodes name, across seeds and cluster sizes, and round-trip through
+// ParsePlan, which refuses a repeated event.
+func TestRandomPlansResolve(t *testing.T) {
+	for slaves := 1; slaves <= 6; slaves++ {
+		nodes := make([]string, slaves)
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("slave-%02d", i)
+		}
+		for seed := int64(1); seed <= 200; seed++ {
+			pl := RandomPlan(seed, nodes, 200*time.Millisecond, int(1+seed%8))
+			if _, err := pl.Resolve(len(nodes), 1, false); err != nil {
+				t.Fatalf("seed %d on %d slave(s): %s: %v", seed, slaves, pl, err)
+			}
+			if _, err := ParsePlan(pl.String()); err != nil {
+				t.Fatalf("seed %d on %d slave(s): %s: %v", seed, slaves, pl, err)
+			}
 		}
 	}
 }
@@ -381,6 +404,8 @@ func FuzzParsePlan(f *testing.F) {
 		"slow-disk@5s:factor=Inf",
 		"partition@1s:nodes=a,rack=-1,down=1s",
 		"slow-link@1s:node=a,rack=-3,factor=2",
+		// Overlapping restarts of one victim: Resolve refuses them, ParsePlan does not.
+		"restart-node@1s:node=slave-01,down=5s;restart-node@3s:node=slave-01,down=5s",
 	} {
 		f.Add(s)
 	}

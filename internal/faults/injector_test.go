@@ -44,8 +44,9 @@ func mustPlan(t *testing.T, s string) Plan {
 // TestStartRejectsBadTargets: Plan.Resolve rejects a target the testbed's
 // shape lacks or the kind cannot take — node names, the master for a kind
 // that needs a DataNode, TaskTracker or data disk, disk selectors, rack
-// numbers and a cut meeting another through a rack's members — and Start,
-// which resolves against its cluster's shape, fails with the same message.
+// numbers, a cut meeting another through a rack's members, and restarts or
+// lossy windows that overlap on one target — and Start, which resolves
+// against its cluster's shape, fails with the same message.
 func TestStartRejectsBadTargets(t *testing.T) {
 	for _, tc := range []struct {
 		plan  string
@@ -75,10 +76,18 @@ func TestStartRejectsBadTargets(t *testing.T) {
 		{"slow-link@1s:rack=3,factor=2", 2, "slow-link: rack 3 out of range (cluster has 2)"},
 		// slave-01 is in rack 2: the rack cut would reunite it at 2s.
 		{"partition@1s:nodes=slave-01,down=2s;partition@2s:rack=2,down=5s", 2,
-			"partition@2s:rack=2,down=5s overlaps an in-flight partition window on the same nodes"},
+			"partition@2s:rack=2,down=5s overlaps partition@1s:nodes=slave-01,down=2s on slave-01"},
 		// The master is in rack 1.
 		{"partition@1s:rack=1,down=2s;partition@2s:nodes=master,down=1s", 2,
-			"partition@2s:nodes=master,down=1s overlaps an in-flight partition window on the same nodes"},
+			"partition@2s:nodes=master,down=1s overlaps partition@1s:rack=1,down=2s on master"},
+		// Restarts of one victim, or drop-link windows on one node, that
+		// overlap: the refusal names both events and what they share.
+		{"restart-node@1s:node=slave-01,down=5s;restart-datanode@3s:node=slave-01,down=5s", 1,
+			"restart-datanode@3s:node=slave-01,down=5s overlaps restart-node@1s:node=slave-01,down=5s on slave-01"},
+		{"restart-jobtracker@1s:down=5s;restart-jobtracker@2s:down=1s", 1,
+			"restart-jobtracker@2s:down=1s overlaps restart-jobtracker@1s:down=5s on jobtracker"},
+		{"drop-link@1s:node=master,until=5s,prob=0.5;drop-link@4s:node=master,until=9s,prob=0.5", 1,
+			"drop-link@4s:node=master,until=9s,prob=0.5 overlaps drop-link@1s:node=master,until=5s,prob=0.5 on master"},
 		// A live node with no volume of a role left to write to.
 		{"fail-disk@1s:node=slave-00,disk=mr0;fail-disk@2s:node=slave-00,disk=mr1;fail-disk@3s:node=slave-00,disk=mr2", 1,
 			"fail-disk@3s:node=slave-00,disk=mr2 fails the last mr volume of slave-00"},
