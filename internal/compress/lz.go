@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -88,8 +89,7 @@ func (LZ) Compress(src []byte) []byte {
 			d += encodeBlock(dst[d:], block, &sc.table)
 		}
 	}
-	out := make([]byte, d)
-	copy(out, dst)
+	out := bytes.Clone(dst[:d]) // not make+copy: that zeroes what the copy overwrites
 	lzScratches.Put(sc)
 	return out
 }

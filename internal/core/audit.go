@@ -290,7 +290,7 @@ func (s *kvSummer) write(block []byte) error {
 // hashGroup hashes the gathered key group in value order and empties it.
 func (s *kvSummer) hashGroup() {
 	if s.shuffled {
-		slices.SortFunc(s.vals, bytes.Compare)
+		slices.SortFunc(s.vals, compareFields)
 		s.shuffled = false
 	}
 	for _, v := range s.vals {
@@ -361,6 +361,19 @@ func (s *kvSummer) sum() (string, error) {
 	}
 	s.h.Write(s.buf)
 	return hex.EncodeToString(s.h.Sum(nil)), nil
+}
+
+// compareFields orders two fields as bytes.Compare does. Their first eight
+// bytes as a big-endian word (mapred.KeyPrefix of a field that long) order
+// them whenever the words differ, so bytes.Compare runs only on a tie or a
+// shorter field.
+func compareFields(a, b []byte) int {
+	if len(a) >= 8 && len(b) >= 8 {
+		if pa, pb := binary.BigEndian.Uint64(a), binary.BigEndian.Uint64(b); pa != pb {
+			return cmp.Compare(pa, pb)
+		}
+	}
+	return bytes.Compare(a, b)
 }
 
 // splitKV decodes the pair at the head of d; n > 0 is its wire length. When d

@@ -41,6 +41,13 @@
 //     rather than returning zeros: the caller's claim to be the last reader
 //     was wrong, and invented bytes would surface as a wrong answer far
 //     from the call that made the claim.
+//   - Taking an array back. "Never written again" binds while a file holds
+//     the bytes. A caller that gave a file its array may write to it again
+//     once no file holds it — the file was deleted, or ReadOnce let the
+//     range go — and the last view it handed out will not be read again.
+//     MapReduce's run arrays come back so with compression off, and never
+//     under a fault plan, where re-reads and crash truncation keep views
+//     alive.
 package localfs
 
 import (

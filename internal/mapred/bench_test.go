@@ -124,9 +124,9 @@ func BenchmarkMergeRuns(b *testing.B) {
 			b.ResetTimer()
 			var total int
 			for i := 0; i < b.N; i++ {
-				merged, pooled := rt.mergeRuns(runs)
+				merged, _ := rt.mergeRuns(runs)
 				total += len(merged)
-				rt.recycleMerged(merged, pooled)
+				rt.runs.put(merged)
 			}
 			if total == 0 {
 				b.Fatal("merge produced nothing")

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"iochar/internal/compress"
 	"iochar/internal/localfs"
@@ -193,55 +195,91 @@ func (m *merger) groups(fn func(key []byte, values [][]byte)) {
 }
 
 // mergeRuns materializes the k-way merge of sorted runs. A lone non-empty
-// run is returned as it is (read-only, like the inputs). Otherwise each
-// winning pair's wire bytes are copied, not re-encoded, into a buffer from
-// rt.mergeBufs and pooled is true: the caller owes a recycleMerged.
-func (rt *Runtime) mergeRuns(runs []run) (merged run, pooled bool) {
+// run is returned as it is (read-only, like the inputs) with its index as
+// lone. Otherwise lone is -1 and each winning pair's wire bytes are copied,
+// not re-encoded, into an array from rt.runs that is the caller's.
+func (rt *Runtime) mergeRuns(runs []run) (merged run, lone int) {
 	m := newMerger(runs)
 	switch len(m.cs) {
 	case 0:
-		return nil, false
+		return nil, -1
 	case 1:
-		return m.cs[0].run, false
+		return m.cs[0].run, slices.IndexFunc(runs, func(r run) bool { return len(r) > 0 })
 	}
-	var out run
-	if n := len(rt.mergeBufs); n > 0 {
-		out, rt.mergeBufs = rt.mergeBufs[n-1], rt.mergeBufs[:n-1]
-	}
-	if cap(out) < m.total {
-		out = make(run, 0, m.total)
-	}
+	out := rt.runs.get(m.total)
 	for c := m.top(); c != nil; c = m.next() {
 		out = append(out, c.run[c.pos:c.end]...)
 	}
-	return out, true
+	return out, -1
 }
 
-// recycleMerged puts what is left of a pooled mergeRuns result (see
-// appendRun) back for the next merge to overwrite. Call it once nothing
-// reads merged any more.
-func (rt *Runtime) recycleMerged(merged run, pooled bool) {
-	if pooled && merged != nil {
-		rt.mergeBufs = append(rt.mergeBufs, merged[:0])
+// runList is the runtime's bounded best-fit free list of run arrays. A
+// spill's partition and a materialized merge take the smallest free array
+// that holds them, so once earlier runs' arrays have come back neither
+// allocates nor zeroes its output. An array comes back when nothing reads
+// it any more: one the task kept to itself (a run it compressed, a kept
+// run) after its last use, and one it gave a private localfs file (see
+// segment.own) once the run's last reader is done, never under a fault plan.
+type runList struct {
+	free []run
+	// onPut, a test switch, sees each array that comes back and keeps it
+	// from the list by returning false.
+	onPut func(run) bool
+}
+
+// maxFreeRuns bounds the list. When an array comes back to a full one the
+// smallest of them is left to the collector: a large array can hold any
+// run, a small one only small ones.
+const maxFreeRuns = 64
+
+// get returns an empty run with room for n bytes: the smallest free array
+// that fits, or a new one of exactly n.
+func (l *runList) get(n int) run {
+	i := sort.Search(len(l.free), func(i int) bool { return cap(l.free[i]) >= n })
+	if i == len(l.free) {
+		return make(run, 0, n)
+	}
+	r := l.free[i]
+	l.free = slices.Delete(l.free, i, i+1)
+	return r[:0]
+}
+
+// put gives r's array back for a later get to overwrite; nothing may read r
+// afterwards. The list is kept in order of capacity.
+func (l *runList) put(r run) {
+	if cap(r) == 0 || (l.onPut != nil && !l.onPut(r)) {
+		return
+	}
+	i := sort.Search(len(l.free), func(i int) bool { return cap(l.free[i]) >= cap(r) })
+	if l.free = slices.Insert(l.free, i, r[:0]); len(l.free) > maxFreeRuns {
+		l.free = slices.Delete(l.free, 0, 1)
+	}
+}
+
+// giveBack puts back arrays that private localfs files were given, once the
+// last reader of their runs is done. Under a fault plan nothing comes back:
+// re-fetches, zombie attempts and crash truncation keep views of them alive.
+func (rt *Runtime) giveBack(arrays ...run) {
+	if rt.faulty {
+		return
+	}
+	for _, r := range arrays {
+		rt.runs.put(r)
 	}
 }
 
 // appendRun appends enc, the codec's output for raw, to f, which keeps what
-// it is given, and returns what is still the caller's of raw. So the codec's
-// own result is stored as it is. If enc is raw itself — compression off,
-// compress.Identity returns its argument — a full buffer is given away (nil
-// is returned); one with spare capacity is a recycled scratch the next run
-// will overwrite, so the file gets a copy and the buffer stays the caller's.
+// it is given, so the codec's own result is stored as it is. It returns the
+// array of the caller's that f now holds: raw if enc is raw itself
+// (compression off: compress.Identity returns its argument), which the
+// caller records as the file's (segment.own), and nil otherwise, when raw
+// stays the caller's.
 func appendRun(p *sim.Proc, f *localfs.File, raw run, enc []byte) run {
-	if len(raw) > 0 && len(enc) > 0 && &enc[0] == &raw[0] {
-		if cap(raw) == len(raw) {
-			raw = nil
-		} else {
-			enc = bytes.Clone(enc)
-		}
-	}
 	f.Append(p, enc)
-	return raw
+	if len(raw) > 0 && len(enc) > 0 && &enc[0] == &raw[0] {
+		return raw
+	}
+	return nil
 }
 
 // keptRun is a run a task stored as enc, an array the codec made, kept

@@ -596,7 +596,7 @@ func checkMergeAgainstModel(t *testing.T, rt *Runtime, runs []run) {
 	t.Helper()
 	before := slices.Clone(runs)
 	want := modelMergeRuns(slices.Clone(runs))
-	got, pooled := rt.mergeRuns(runs)
+	got, lone := rt.mergeRuns(runs)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%d runs: merged run differs from the model\n got  %q\n want %q\n runs %q", len(runs), got, want, runs)
 	}
@@ -611,7 +611,11 @@ func checkMergeAgainstModel(t *testing.T, rt *Runtime, runs []run) {
 			t.Fatalf("%d runs: merging rewrote runs[%d]", len(runs), i)
 		}
 	}
-	rt.recycleMerged(got, pooled) // the next merge overwrites it
+	if lone < 0 {
+		rt.runs.put(got) // the next merge overwrites it
+	} else if &got[0] != &runs[lone][0] {
+		t.Fatalf("%d runs: the lone run came back as a copy", len(runs))
+	}
 }
 
 // TestMergerMatchesLinearScanModel: over random runs — short keys, keys tied
@@ -619,16 +623,36 @@ func checkMergeAgainstModel(t *testing.T, rt *Runtime, runs []run) {
 // values, duplicates across runs, \xff… keys whose prefix is the exhausted
 // runs' — at every fan-in from 0 to 70, so tournaments of every shape, not
 // only powers of two, the merger agrees with the linear-scan model (so lower
-// run index first on ties) and leaves the runs as they were.
+// run index first on ties) and leaves the runs as they were. Each merged
+// array goes back, so only a merge larger than every earlier one makes an
+// array: the rest are fitted from the free list.
 func TestMergerMatchesLinearScanModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	rt := new(Runtime)
+	arrays := map[*byte]bool{}
+	rt.runs.onPut = func(r run) bool {
+		arrays[&r[:1][0]] = true
+		return true
+	}
+	largest, records := 0, 0
+	check := func(runs []run) {
+		total, nonEmpty := 0, 0
+		for _, r := range runs {
+			if len(r) > 0 {
+				total, nonEmpty = total+len(r), nonEmpty+1
+			}
+		}
+		if nonEmpty > 1 && total > largest {
+			largest, records = total, records+1
+		}
+		checkMergeAgainstModel(t, rt, runs)
+	}
 	for iter := 0; iter < 2000; iter++ {
-		checkMergeAgainstModel(t, rt, randomRuns(rng, rng.Intn(10)))
+		check(randomRuns(rng, rng.Intn(10)))
 	}
 	for fan := 1; fan <= 70; fan++ {
 		for iter := 0; iter < 20; iter++ {
-			checkMergeAgainstModel(t, rt, randomRuns(rng, fan))
+			check(randomRuns(rng, fan))
 		}
 	}
 	// Live \xff… keys outlast every other run, in the first run, the last,
@@ -643,10 +667,10 @@ func TestMergerMatchesLinearScanModel(t *testing.T) {
 			}
 			runs[ri] = sortedRunOf(keys, ri)
 		}
-		checkMergeAgainstModel(t, rt, runs)
+		check(runs)
 	}
-	if len(rt.mergeBufs) != 1 {
-		t.Errorf("%d pooled merge buffers after sequential merges, want 1", len(rt.mergeBufs))
+	if len(arrays) != records || len(rt.runs.free) != records {
+		t.Errorf("%d merge arrays made, %d free after sequential merges; want one per record size, %d", len(arrays), len(rt.runs.free), records)
 	}
 }
 
@@ -1098,11 +1122,11 @@ func TestMidRunFailSlowDiskTriggersSpeculation(t *testing.T) {
 }
 
 // TestSpillKeepsEarlierPartitionsWithIdentityCodec: with compression off
-// compress.Identity hands the very buffer a partition was serialized into to
+// compress.Identity hands the very array a partition was serialized into to
 // Append, which keeps it. Every partition of every spill, read back after
-// the last one, must still hold its own pairs: a run sized from the index is
-// given away and the next one gets a buffer of its own, a combiner's run is
-// stored as a copy and its scratch serializes the next.
+// the last one, must still hold its own pairs: each is an array of its own
+// that its segment records as the file's, and a combiner's output is copied
+// into one out of the buffer the attempt's next partition combines into.
 func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 	passThrough := ReducerFunc(func(k []byte, vals [][]byte, emit func(k, v []byte)) {
 		for _, v := range vals {
@@ -1119,10 +1143,11 @@ func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 		ms := &mapState{rt: r.rt, job: &Job{NumReduces: nparts, Combiner: comb}, node: r.cl.Slaves[0], spillBase: "m_test"}
 		r.env.Go("map", func(p *sim.Proc) {
 			var scratch *byte
+			owned := map[*byte]bool{}
 			for s := range want {
 				// Keys are emitted in sorted order so the expected runs can be
 				// built alongside; partition 0 is the smallest, so later ones
-				// would overwrite all of a shared buffer it was serialized into.
+				// would overwrite all of a shared array it was serialized into.
 				for i := 0; i < 300; i++ {
 					part := i % nparts
 					for rep := 0; rep <= part; rep++ {
@@ -1132,16 +1157,23 @@ func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 					}
 				}
 				ms.spill(p, false)
+				for part, seg := range ms.spills[s].segs {
+					if len(seg.own) == 0 || owned[&seg.own[0]] {
+						t.Fatalf("spill %d partition %d: the file holds no array of its own", s, part)
+					}
+					owned[&seg.own[0]] = true
+				}
 				switch {
 				case comb == nil && ms.scratch != nil:
-					t.Errorf("spill %d: a run sized from the index was not given away", s)
-				case comb != nil && cap(ms.scratch) == len(ms.scratch):
-					t.Fatalf("spill %d: the combiner's scratch has no spare capacity; the test needs a slack one", s)
+					t.Errorf("spill %d: a run sized from the index went through a combiner buffer", s)
 				case comb != nil && scratch == nil:
 					scratch = &ms.scratch[:1][0]
 				case comb != nil && &ms.scratch[:1][0] != scratch:
-					t.Errorf("spill %d: the combiner's scratch was not recycled", s)
+					t.Errorf("spill %d: the combiner's buffer was not recycled", s)
 				}
+			}
+			if scratch != nil && owned[scratch] {
+				t.Error("a spill file holds the combiner's buffer")
 			}
 			if len(ms.spills) != nspills {
 				t.Fatalf("got %d spills, want %d", len(ms.spills), nspills)
@@ -1161,9 +1193,13 @@ func TestSpillKeepsEarlierPartitionsWithIdentityCodec(t *testing.T) {
 	}
 }
 
-// TestAppendRunStoresWithoutCopying: the three things that can become of a
-// run on its way into a file. Each row appends two runs through one buffer,
-// as a spill does, and reads the first back after the second.
+// TestAppendRunStoresWithoutCopying: what can become of a run on its way
+// into a file. The codec's own result is stored and the caller keeps its
+// buffer; with compression off the file holds the caller's array itself,
+// full or with spare capacity, and appendRun hands back that array for the
+// caller to record. Each row appends two runs, the second through the first
+// one's buffer when it is still the caller's, and reads the first back after
+// the second.
 func TestAppendRunStoresWithoutCopying(t *testing.T) {
 	fill := func(buf run, tag string) run {
 		for i := 0; i < 200; i++ {
@@ -1173,15 +1209,14 @@ func TestAppendRunStoresWithoutCopying(t *testing.T) {
 	}
 	size := len(fill(nil, "first"))
 	for _, c := range []struct {
-		name     string
-		codec    compress.Codec
-		slack    int
-		gaveAway bool
-		stored   string // what the file holds: the codec's "enc", the caller's "raw", or a "copy"
+		name   string
+		codec  compress.Codec
+		slack  int
+		stored string // what the file holds: the codec's "enc" or the caller's "raw"
 	}{
-		{"the codec's own result", compress.NewLZ(), 0, false, "enc"},
-		{"a full identity buffer", compress.Identity{}, 0, true, "raw"},
-		{"a slack identity buffer", compress.Identity{}, 64, false, "copy"},
+		{"the codec's own result", compress.NewLZ(), 0, "enc"},
+		{"a full identity buffer", compress.Identity{}, 0, "raw"},
+		{"a slack identity buffer", compress.Identity{}, 64, "raw"},
 	} {
 		r := newRig(t, nil)
 		r.env.Go("spill", func(p *sim.Proc) {
@@ -1189,8 +1224,9 @@ func TestAppendRunStoresWithoutCopying(t *testing.T) {
 			buf := fill(make(run, 0, size+c.slack), "first")
 			want := slices.Clone(buf)
 			enc := c.codec.Compress(buf)
-			if kept := appendRun(p, f, buf, enc); (kept == nil) != c.gaveAway || (kept != nil && &kept[0] != &buf[0]) {
-				t.Fatalf("%s: appendRun gave the buffer away: %v, want %v", c.name, kept == nil, c.gaveAway)
+			held := appendRun(p, f, buf, enc)
+			if (held != nil) != (c.stored == "raw") || (held != nil && &held[0] != &buf[0]) {
+				t.Fatalf("%s: appendRun handed back %v, want the caller's array: %v", c.name, held != nil, c.stored == "raw")
 			}
 			view := f.ReadAt(p, 0, int64(len(enc)))
 			stored := "copy"
@@ -1203,7 +1239,7 @@ func TestAppendRunStoresWithoutCopying(t *testing.T) {
 			if stored != c.stored {
 				t.Errorf("%s: the file holds %s, want %s", c.name, stored, c.stored)
 			}
-			if c.gaveAway {
+			if held != nil {
 				buf = make(run, 0, size) // as the callers do: the old array is the file's now
 			}
 			buf = fill(buf[:0], "other")
@@ -1211,28 +1247,32 @@ func TestAppendRunStoresWithoutCopying(t *testing.T) {
 			if got := c.codec.Decompress(f.ReadAt(p, 0, int64(len(enc)))); !bytes.Equal(got, want) {
 				t.Errorf("%s: the second run overwrote the first one's stored bytes", c.name)
 			}
-			if !c.gaveAway && (cap(buf) != size+c.slack || !bytes.Equal(buf, fill(nil, "other"))) {
-				t.Errorf("%s: the caller's buffer did not stay its own", c.name)
-			}
 		})
 		r.env.Run(0)
 	}
 }
 
-// TestSecondMapAttemptAllocatesNoScratch: the serialization buffer rides in
-// the recycled sortBuf, so of two identical attempts on one Runtime only the
-// first grows one — the second serializes into the very same array. With a
-// real codec, that is: a lone spill is the map output, which nothing reads
-// back, so it keeps no run and every partition goes through the one
-// scratch; an attempt that spills twice keeps each run it encoded for its
-// merge (see keptRun), and the largest goes back as the scratch.
+// TestSecondMapAttemptAllocatesNoScratch: the arrays an attempt serializes
+// into come from the runtime's free list, so of two identical attempts on
+// one Runtime only the first makes one for its first partition — the second
+// serializes into an array the first gave back. With a real codec, that is:
+// a lone spill is the map output, which nothing reads back, so it keeps no
+// run and each partition's array goes back once it is compressed; an
+// attempt that spills twice keeps each run it encoded for its merge (see
+// keptRun), and they go back after it.
 func TestSecondMapAttemptAllocatesNoScratch(t *testing.T) {
 	const nparts = 3
 	for _, nspills := range []int{1, 2} {
 		r := newRig(t, func(c *Config) { c.Codec = compress.NewLZ() })
+		var put []*byte // every array given back, in order
+		r.rt.runs.onPut = func(a run) bool {
+			put = append(put, &a[:1][0])
+			return true
+		}
 		// attempt returns the array its first partition was serialized into
-		// and the scratch its sort buffer goes back with.
-		attempt := func(p *sim.Proc, base string) (first, recycled *byte) {
+		// and the arrays it gave back.
+		attempt := func(p *sim.Proc, base string) (first *byte, back []*byte) {
+			put = nil
 			ms := &mapState{rt: r.rt, job: &Job{NumReduces: nparts}, node: r.cl.Slaves[0], spillBase: base}
 			for s := range nspills {
 				if s > 0 {
@@ -1242,8 +1282,8 @@ func TestSecondMapAttemptAllocatesNoScratch(t *testing.T) {
 					ms.add(p, i%nparts, []byte(fmt.Sprintf("key-%04d-%d", i, s)), []byte("value"))
 				}
 			}
-			if out := ms.finish(p, 0); out == nil || len(ms.spills) != nspills || cap(ms.scratch) == 0 {
-				t.Fatalf("%s: %d spills, %d-byte scratch; want %d finished and a scratch to recycle", base, len(ms.spills), cap(ms.scratch), nspills)
+			if out := ms.finish(p, 0); out == nil || len(ms.spills) != nspills || len(put) == 0 {
+				t.Fatalf("%s: %d spills, %d arrays given back; want %d finished and arrays to recycle", base, len(ms.spills), len(put), nspills)
 			}
 			var kept []*byte
 			for _, sf := range ms.spills {
@@ -1253,24 +1293,23 @@ func TestSecondMapAttemptAllocatesNoScratch(t *testing.T) {
 					}
 				}
 			}
-			recycled = &ms.scratch[:1][0]
 			switch {
 			case nspills == 1 && len(kept) == 0:
-				first = recycled
+				first = put[0]
 			case nspills == 1 || len(kept) != nspills*nparts:
 				t.Fatalf("%s: %d of %d segments kept their run", base, len(kept), nspills*nparts)
-			case !slices.Contains(kept, recycled):
-				t.Errorf("%s: the scratch that goes back is not one of the kept runs", base)
+			case slices.ContainsFunc(kept, func(k *byte) bool { return !slices.Contains(put, k) }):
+				t.Errorf("%s: a kept run did not go back", base)
 			default:
 				first = kept[0]
 			}
 			ms.recycle()
-			return first, recycled
+			return first, slices.Clone(put)
 		}
 		r.env.Go("map", func(p *sim.Proc) {
-			_, recycled := attempt(p, "m_first")
-			if first, _ := attempt(p, "m_second"); first != recycled {
-				t.Errorf("%d spill(s): the second attempt serialized into a scratch buffer of its own", nspills)
+			_, back := attempt(p, "m_first")
+			if first, _ := attempt(p, "m_second"); !slices.Contains(back, first) {
+				t.Errorf("%d spill(s): the second attempt serialized into an array of its own", nspills)
 			}
 		})
 		r.env.Run(0)

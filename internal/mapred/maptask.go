@@ -79,11 +79,20 @@ func KeyPrefix(k []byte) uint64 {
 }
 
 // segment locates one partition's data inside a map output file.
+//
+// own is the array from rt.runs the file was given for it (compression off,
+// see appendRun), and who gives it back is the ownership rule: a spill's
+// after the attempt's multi-spill merge has deleted the spill file; a map
+// output's after the one reducer that ReadOnce'd it has merged it (the
+// reducer's diskRun.own, gone back after its final merge and Delete, is the
+// same rule). A merge whose output is a lone input run stores that run's
+// array, so the output takes over the input's record and the input's goes.
 type segment struct {
 	off     int64
 	clen    int64 // compressed length on disk
 	records int64
 	kept    keptRun // a spill's, for the attempt's own merge
+	own     run
 }
 
 // mapOutput is the shuffle-visible result of one finished map task.
@@ -211,12 +220,12 @@ func (ms *mapState) abandon() {
 
 // sortBuf is a map attempt's collection buffer: the byte arena, the index
 // entries whose offsets point into it, and the buffers a sorted partition is
-// combined and serialized through on its way to the spill file. Nothing in
-// it outlives the spill that filled it.
+// combined on its way to the spill file. Nothing in it outlives the spill
+// that filled it.
 type sortBuf struct {
 	arena   []byte
 	ents    []kvEnt
-	scratch run      // serializePartition output buffer, reused until a spill file keeps it (see appendRun)
+	scratch run      // a combiner's output, grown by append: copied into an exact-fit run
 	vals    [][]byte // one combiner group's values: views into arena
 }
 
@@ -417,9 +426,12 @@ func (ms *mapState) spill(p *sim.Proc, last bool) {
 		if len(raw) > 0 {
 			enc := cfg.Codec.Compress(raw)
 			ms.node.Compute(p, cfg.Codec.CompressCost(len(raw)))
-			ms.scratch = appendRun(p, f, raw, enc)
-			if keep && &enc[0] != &raw[0] { // raw is the segment's now
-				seg.kept, ms.scratch = keptRun{enc, raw}, nil
+			switch seg.own = appendRun(p, f, raw, enc); {
+			case seg.own != nil: // the file holds raw
+			case keep:
+				seg.kept = keptRun{enc, raw}
+			default:
+				ms.rt.runs.put(raw)
 			}
 			seg.clen = int64(len(enc))
 			off += seg.clen
@@ -439,18 +451,18 @@ func (ms *mapState) spill(p *sim.Proc, last bool) {
 }
 
 // serializePartition runs the combiner (if any) over one partition's sorted
-// entries and serializes them into ms.scratch, charging serialization CPU.
-// The run is good until the next call overwrites it, unless the caller
-// gives the buffer away first (see appendRun).
+// entries and serializes them into an array from rt.runs, charging
+// serialization CPU. The run is the caller's.
 func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 	if len(ents) == 0 {
 		return nil, 0
 	}
-	out := ms.scratch[:0]
+	var out run
 	var n int64
 	if comb := ms.job.Combiner; comb != nil {
+		buf := ms.scratch[:0]
 		emit := func(k, v []byte) {
-			out = AppendKV(out, k, v)
+			buf = AppendKV(buf, k, v)
 			n++
 		}
 		i := 0
@@ -467,23 +479,20 @@ func (ms *mapState) serializePartition(p *sim.Proc, ents []kvEnt) (run, int64) {
 			comb.Reduce(key, vals, emit)
 			i = j
 		}
-		ms.vals = vals
+		ms.vals, ms.scratch = vals, buf
+		out = append(ms.rt.runs.get(len(buf)), buf...)
 	} else {
-		// Sized from the index, so a buffer made here is full: see appendRun.
 		size := 0
 		for _, e := range ents {
 			size += len(e.rec(ms.arena))
 		}
-		if cap(out) < size {
-			out = make(run, 0, size)
-		}
+		out = ms.rt.runs.get(size)
 		for _, e := range ents {
 			out = append(out, e.rec(ms.arena)...)
 		}
 		n = int64(len(ents))
 	}
 	ms.node.Compute(p, time.Duration(serializeNsPerByte*float64(len(out))))
-	ms.scratch = out
 	return out, n
 }
 
@@ -509,9 +518,10 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 	}
 	if len(ms.spills) == 1 {
 		// The lone spill file IS the map output; from here on its reads
-		// serve the shuffle, and nothing pins a run it kept.
+		// serve the shuffle, and the runs it kept go back.
 		sf := ms.spills[0]
 		for i := range sf.segs {
+			ms.rt.runs.put(sf.segs[i].kept.raw)
 			sf.segs[i].kept = keptRun{}
 		}
 		sf.file.SetStage(disk.StageShuffle)
@@ -527,11 +537,13 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 	}
 	segs := make([]segment, 0, ms.job.NumReduces)
 	var off int64
+	var runs []run
+	var from []*segment // runs[i]'s spill segment
 	for part := 0; part < ms.job.NumReduces; part++ {
-		var runs []run
+		runs, from = runs[:0], from[:0]
 		var records int64
 		for _, sf := range ms.spills {
-			sg := sf.segs[part]
+			sg := &sf.segs[part]
 			if sg.clen == 0 {
 				continue
 			}
@@ -546,19 +558,21 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 			ms.mergeReadBytes += sg.clen
 			raw := decodeRun(cfg.Codec, enc, sg.kept)
 			ms.node.Compute(p, cfg.Codec.DecompressCost(len(raw)))
-			runs = append(runs, raw)
+			runs, from = append(runs, raw), append(from, sg)
 			records += sg.records
-			if cap(sg.kept.raw) > cap(ms.scratch) { // the largest serializes the next attempt
-				ms.scratch = sg.kept.raw
-			}
 		}
-		merged, pooled := ms.rt.mergeRuns(runs)
+		merged, lone := ms.rt.mergeRuns(runs)
 		ms.node.Compute(p, time.Duration(mergeNsPerByte*float64(len(merged))))
 		seg := segment{off: off, records: records}
 		if len(merged) > 0 {
 			enc := cfg.Codec.Compress(merged)
 			ms.node.Compute(p, cfg.Codec.CompressCost(len(merged)))
-			ms.rt.recycleMerged(appendRun(p, f, merged, enc), pooled)
+			switch seg.own = appendRun(p, f, merged, enc); {
+			case seg.own != nil && lone >= 0: // the file holds the spill's array
+				seg.own, from[lone].own = from[lone].own, nil
+			case seg.own == nil && lone < 0:
+				ms.rt.runs.put(merged)
+			}
 			seg.clen = int64(len(enc))
 			off += seg.clen
 			ms.compressedBytes += seg.clen
@@ -572,6 +586,10 @@ func (ms *mapState) finish(p *sim.Proc, taskIdx int) *mapOutput {
 				continue // the crash already removed this spill
 			}
 			panic(err)
+		}
+		for _, sg := range sf.segs {
+			ms.rt.giveBack(sg.own)
+			ms.rt.runs.put(sg.kept.raw)
 		}
 	}
 	// Merge writes are done; subsequent reads of this handle serve fetchers.

@@ -24,15 +24,16 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		return js.faulty && (!node.Alive() || node.Incarnation() != inc)
 	}
 	type diskRun struct {
-		vol    *localfs.FS
-		file   *localfs.File
-		name   string
-		clen   int64
-		kept   keptRun // the merged run, for the final merge
-		pooled bool    // kept.raw is from rt.mergeBufs
+		vol  *localfs.FS
+		file *localfs.File
+		name string
+		clen int64
+		kept keptRun // the merged run, for the final merge
+		own  run     // see segment.own
 	}
 	var (
 		memRuns   []run
+		memOwn    []run // memRuns[i]'s map output array (segment.own)
 		memBytes  int64
 		diskRuns  []diskRun
 		runSeq    int
@@ -47,26 +48,31 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 	spillRuns := func(sp *sim.Proc) {
 		idx := runSeq
 		runSeq++
-		runs := memRuns
-		memRuns = nil
+		runs, owns := memRuns, memOwn
+		memRuns, memOwn = nil, nil
 		memBytes = 0
-		merged, pooled := rt.mergeRuns(runs)
+		merged, lone := rt.mergeRuns(runs)
 		node.Compute(sp, time.Duration(mergeNsPerByte*float64(len(merged))))
 		enc := cfg.Codec.Compress(merged)
 		node.Compute(sp, cfg.Codec.CompressCost(len(merged)))
 		if zombie() {
-			rt.recycleMerged(merged, pooled)
+			if lone < 0 {
+				rt.runs.put(merged)
+			}
 			return // the machine died under the merge; its runs die with it
 		}
 		vol := node.NextMRVol()
 		name := fmt.Sprintf("r_%06d.run%d", part, idx)
 		f := vol.Create(name)
 		f.SetStage(disk.StageSpill)
-		dr := diskRun{vol: vol, file: f, name: name, clen: int64(len(enc)), kept: keptRun{enc, merged}, pooled: pooled}
-		if rest := appendRun(sp, f, merged, enc); &enc[0] == &merged[0] {
-			dr.kept = keptRun{} // compress.Identity: merged is the file's, or copied
-			rt.recycleMerged(rest, pooled)
+		dr := diskRun{vol: vol, file: f, name: name, clen: int64(len(enc))}
+		switch dr.own = appendRun(sp, f, merged, enc); {
+		case dr.own == nil:
+			dr.kept = keptRun{enc, merged}
+		case lone >= 0: // the file holds the fetched segment's array
+			dr.own, owns[lone] = owns[lone], nil
 		}
+		rt.giveBack(owns...)
 		runWrite += int64(len(enc))
 		diskRuns = append(diskRuns, dr)
 		js.counters.ReduceSpills++
@@ -84,7 +90,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		}
 		raw := cfg.Codec.Decompress(enc)
 		node.Compute(fp, cfg.Codec.DecompressCost(len(raw)))
-		memRuns = append(memRuns, raw)
+		memRuns, memOwn = append(memRuns, raw), append(memOwn, seg.own)
 		memBytes += int64(len(raw))
 		shuffled += seg.clen
 		inRecords += seg.records
@@ -104,7 +110,8 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		// nextOutput hands this (map, partition) segment to one fetcher once
 		// and a healthy job never re-runs a reduce, so this is its last read:
 		// the map output file lets the bytes go, and they live only until the
-		// next spillRuns has merged them into this reducer's own run.
+		// next spillRuns has merged them into this reducer's own run (or the
+		// final merge has read them); then seg.own goes back to rt.runs.
 		enc := out.file.ReadOnce(fp, seg.off, seg.clen) // map-side disk read
 		rt.net.Transfer(fp, out.node.Name, node.Name, seg.clen)
 		ingest(fp, enc, seg)
@@ -189,7 +196,7 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 		job.Reducer.Reduce(key, values, emit)
 	})
 	for _, dr := range diskRuns {
-		rt.recycleMerged(dr.kept.raw, dr.pooled)
+		rt.runs.put(dr.kept.raw)
 	}
 	node.Compute(p, cpu)
 	if werr == nil {
@@ -217,7 +224,9 @@ func (rt *Runtime) reduceTask(p *sim.Proc, job *Job, js *jobState, part int, nod
 			}
 			panic(err)
 		}
+		rt.giveBack(dr.own)
 	}
+	rt.giveBack(memOwn...)
 	if zombie() || !js.finishReduce(part, node.Name) {
 		return // zombie attempt lost the partition; discard its stats
 	}

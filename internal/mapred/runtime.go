@@ -32,9 +32,9 @@ type Runtime struct {
 	// sortWork is every map attempt's radix-sort working space: the sort
 	// never yields to the kernel, so no two attempts are inside it together.
 	sortWork radixWork
-	// mergeBufs holds the output buffers of finished materialized merges
-	// (see mergeRuns), so a merge neither allocates nor zeroes its output.
-	mergeBufs []run
+	// runs is the free list every serialized partition and materialized
+	// merge takes its array from (see runList).
+	runs runList
 
 	// Fault mode: nil/false in healthy runs, so every recovery branch below
 	// is dead code and the scheduler is byte-identical to a build without
