@@ -49,6 +49,7 @@ func main() {
 		testbed   cliutil.Testbed
 	)
 	testbed.Register(flag.CommandLine, 262144, 5)
+	cliutil.Once("chaos", flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"iochar/internal/cliutil"
 	"iochar/internal/datagen"
 )
 
@@ -24,6 +25,7 @@ func main() {
 		part = flag.Int("part", 0, "part index, 0 to 16777215 (parts are independent shards)")
 		seed = flag.Int64("seed", 1, "generator seed")
 	)
+	cliutil.Once("datagen", flag.CommandLine)
 	flag.Parse()
 	// TeraGen's row ids are part<<40 + i in 64 bits: part 1<<24 repeats part 0's.
 	if *size < 1 || *part < 0 || *part >= 1<<24 {

@@ -52,6 +52,7 @@ func main() {
 	)
 	testbed.Register(flag.CommandLine, 4096, 10)
 	testbed.RegisterRun(flag.CommandLine)
+	cliutil.Once("iochar", flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

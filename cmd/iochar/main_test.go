@@ -46,9 +46,10 @@ func TestMain(m *testing.M) {
 
 // Regression: -figure 13 and -table 4 exited 1 from the sweep, and a trace
 // file that cannot be created failed only after the figure was simulated and
-// printed. Each now fails before anything runs, with one iochar: line and
-// nothing on stdout: an unknown figure or table as a usage error (2), the
-// trace file as a failure (1).
+// printed; a repeated flag kept its last value. Each now fails before
+// anything runs, with one iochar: line and nothing on stdout: an unknown
+// figure or table and a repeated flag as usage errors (2), the trace file as
+// a failure (1).
 func TestFailuresBeforeAnythingRuns(t *testing.T) {
 	for _, tc := range []struct {
 		args   string
@@ -59,6 +60,9 @@ func TestFailuresBeforeAnythingRuns(t *testing.T) {
 		{"-figure 1 -table 4", 2},
 		{"-figure -1", 2},
 		{"-figure 1 -trace-out " + t.TempDir() + "/missing/x.csv", 1},
+		{"-figure 5 -figure 6", 2}, // printed only Figure 6 and exited 0
+		{"-table 6 -table 7", 2},   // printed only Table 7 and exited 0
+		{"-scale 262144 -figure 1 -scale 4096", 2},
 	} {
 		status, out, msg := runIochar(t, tc.args)
 		if status != tc.status || out != "" || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "iochar: ") {

@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"iochar/internal/cliutil"
 	"iochar/internal/disk"
 	"iochar/internal/faults"
 	"iochar/internal/iostat"
@@ -51,6 +52,7 @@ func main() {
 		dev     = flag.String("dev", "", "device name within the trace (with -replay)")
 		faultSt = flag.String("faults", "", `slow-disk fault plan for the device, e.g. "slow-disk@5s:factor=8"`)
 	)
+	cliutil.Once("iosim", flag.CommandLine)
 	flag.Parse()
 
 	// A replay issues the trace's own requests at their own times, so only

@@ -1,8 +1,9 @@
 // Package cliutil holds the pieces the runner front ends (cmd/iochar,
 // cmd/mrrun, cmd/chaos) share: Testbed, the one definition of the flags that
 // describe the simulated testbed and of how they become core.Options;
-// the numeric validation behind it; and Testbed.WarnClamps, the stderr
-// warning for a -scale that puts the disks on the capacity floor.
+// the numeric validation behind it; Testbed.WarnClamps, the stderr
+// warning for a -scale that puts the disks on the capacity floor; and Once,
+// which every tool (datagen and iosim too) applies before parsing.
 //
 // Validation exists because the library's withDefaults policy — reset any
 // nonsense value to the documented default — is right for programmatic use
@@ -14,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"iochar/internal/core"
@@ -164,4 +166,35 @@ func (t *Testbed) WarnClamps(w io.Writer, tool string) {
 		fmt.Fprintf(w, "%s: warning: disk: scaling %s by %d wants %d sectors, clamped to the %d-sector floor (capacity ratios no longer hold at this scale)\n",
 			tool, p.Name, t.scale, p.Sectors/t.scale, disk.MinSectors)
 	}
+}
+
+// Once makes a second value for any flag defined on fs so far a usage
+// error: the tool prints one "<tool>: " line on stderr and exits 2. Go's
+// flag package keeps the last value, so `iochar -figure 5 -figure 6`
+// printed only Figure 6 and exited 0. Call it after defining the flags and
+// before fs.Parse.
+func Once(tool string, fs *flag.FlagSet) {
+	fs.VisitAll(func(f *flag.Flag) { f.Value = &once{Value: f.Value, tool: tool, name: f.Name} })
+}
+
+// once is a flag's value that refuses to be set twice.
+type once struct {
+	flag.Value
+	tool, name string
+	set        bool
+}
+
+func (o *once) Set(s string) error {
+	if o.set {
+		fmt.Fprintf(os.Stderr, "%s: -%s given more than once (%s, then %s)\n", o.tool, o.name, o.Value, s)
+		os.Exit(2)
+	}
+	o.set = true
+	return o.Value.Set(s)
+}
+
+// IsBoolFlag keeps a boolean flag's bare form (-all, not -all=true).
+func (o *once) IsBoolFlag() bool {
+	b, ok := o.Value.(interface{ IsBoolFlag() bool })
+	return ok && b.IsBoolFlag()
 }

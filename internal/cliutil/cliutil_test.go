@@ -140,3 +140,27 @@ func TestWarnClamps(t *testing.T) {
 		t.Errorf("-scale 1048576 printed\n %q\nwant\n %q", got, want)
 	}
 }
+
+// TestOnceKeepsSingleValues: under Once, flags given once parse as before,
+// a boolean's bare form included, and an invalid value stays the flag
+// package's own error. A repeat exits the process, which cmd/iochar's tests
+// run as the command.
+func TestOnceKeepsSingleValues(t *testing.T) {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.SetOutput(new(bytes.Buffer))
+	all := fs.Bool("all", false, "")
+	n := fs.Int("n", 0, "")
+	var tb Testbed
+	tb.Register(fs, 4096, 10)
+	Once("tool", fs)
+	if err := fs.Parse([]string{"-all", "-n", "3", "-scale", "8192"}); err != nil || !*all || *n != 3 || tb.scale != 8192 {
+		t.Errorf("parse: err %v, -all %v, -n %d, -scale %d", err, *all, *n, tb.scale)
+	}
+	fs = flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.SetOutput(new(bytes.Buffer))
+	fs.Int("n", 0, "")
+	Once("tool", fs)
+	if err := fs.Parse([]string{"-n", "x"}); err == nil || !strings.Contains(err.Error(), `invalid value "x" for flag -n`) {
+		t.Errorf("an invalid value: %v", err)
+	}
+}

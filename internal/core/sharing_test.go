@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"iochar/internal/cluster"
+	"iochar/internal/datagen"
 	"iochar/internal/faults"
 	"iochar/internal/hdfs"
 	"iochar/internal/runcache"
@@ -30,7 +31,21 @@ func (g countingGen) Part(part int, size int64) []byte {
 	return g.gen.Part(part, size)
 }
 
-// countingInputs hands its table every generator wrapped in a countingGen.
+// countingSeekable counts the snapshot passes it runs, as countingGen
+// counts parts: a TeraGen part costs one pass, and its bytes are made where
+// they are read.
+type countingSeekable struct {
+	gen workloads.Seekable
+	n   *atomic.Int64
+}
+
+func (g countingSeekable) Table(part int, size int64) *datagen.TeraTable {
+	g.n.Add(1)
+	return g.gen.Table(part, size)
+}
+
+// countingInputs hands its table every generator wrapped in a countingGen
+// or a countingSeekable.
 type countingInputs struct {
 	in workloads.Inputs
 	n  *atomic.Int64
@@ -38,6 +53,10 @@ type countingInputs struct {
 
 func (c countingInputs) Parts(gen workloads.Generator, n int, size int64) [][]byte {
 	return c.in.Parts(countingGen{gen, c.n}, n, size)
+}
+
+func (c countingInputs) Tables(gen workloads.Seekable, n int, size int64) []*datagen.TeraTable {
+	return c.in.Tables(countingSeekable{gen, c.n}, n, size)
 }
 
 // countingProgram is a workload whose Prepare loads through countingInputs.
@@ -66,7 +85,8 @@ func countGenerations(t *testing.T) *atomic.Int64 {
 
 // TestSweepGeneratesEachPartOnce: a sweep generates every distinct input
 // part once however many of its cells load it — one part per slave for each
-// of the four workloads — and holds no input once it is done.
+// of the four workloads, TeraSort's as one snapshot pass each — and holds no
+// input once it is done.
 func TestSweepGeneratesEachPartOnce(t *testing.T) {
 	n := countGenerations(t)
 	want := int64(len(WorkloadOrder) * fastOpts.Slaves)

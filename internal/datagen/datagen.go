@@ -23,6 +23,7 @@ package datagen
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 )
 
@@ -41,57 +42,272 @@ type TeraGen struct{ Seed int64 }
 // TeraGen's). Parts run from 0 to 2²⁴−1: record i's row id is part<<40 + i
 // in 64 bits, so part 2²⁴ would repeat part 0's.
 func (g TeraGen) Part(part int, size int64) []byte {
-	n := size / RecordSize
-	if n == 0 {
-		n = 1
-	}
-	var src lagged
-	src.seed(g.Seed*1_000_003 + int64(part))
+	n := teraRecords(size)
+	var c teraCursor
+	c.src.seed(g.Seed*1_000_003 + int64(part))
+	c.setRow(part, 0)
 	out := make([]byte, n*RecordSize)
-	// Payload: 22-digit row id, then filler split between a repeated
-	// character and random printable bytes. The mix pins the fast-codec
-	// compression ratio near the ~2:1 of real GenSort records — an
-	// all-repetitive filler would overstate compression and erase the
-	// intermediate-disk pressure the paper measures for TeraSort.
-	const idEnd = KeySize + 22 // zero-padded width, as Sprintf("%022d") produced
-	const fillEnd = idEnd + (RecordSize-idEnd)/2
-	var id [idEnd - KeySize]byte // part<<40 + i, counted up in place
-	for k, v := len(id)-1, uint64(int64(part)<<40); k >= 0; k-- {
-		id[k] = byte('0' + v%10)
+	c.records(out)
+	return out
+}
+
+// teraRecords is how many records a part of size bytes holds.
+func teraRecords(size int64) int64 { return max(size/RecordSize, 1) }
+
+// A record's layout: the key, a 22-digit row id, then filler split between
+// a repeated character and random printable bytes. The mix pins the
+// fast-codec compression ratio near the ~2:1 of real GenSort records — an
+// all-repetitive filler would overstate compression and erase the
+// intermediate-disk pressure the paper measures for TeraSort.
+const (
+	idEnd   = KeySize + 22 // zero-padded width, as Sprintf("%022d") produced
+	fillEnd = idEnd + (RecordSize-idEnd)/2
+
+	// drawsPerRecord is how many printable bytes a record draws.
+	drawsPerRecord = KeySize + RecordSize - fillEnd
+)
+
+// teraCursor makes a part's records in order, from the source's state at
+// the start of record rec.
+type teraCursor struct {
+	src lagged
+	rec int64
+	id  [idEnd - KeySize]byte // part<<40 + rec, counted up in place
+}
+
+// setRow positions the row id at record rec of part.
+func (c *teraCursor) setRow(part int, rec int64) {
+	c.rec = rec
+	for k, v := len(c.id)-1, uint64(int64(part)<<40+rec); k >= 0; k-- {
+		c.id[k] = byte('0' + v%10)
 		v /= 10
 	}
-	for i := int64(0); i < n; i++ {
-		rec := out[i*RecordSize : (i+1)*RecordSize]
-		src.printable(rec[:KeySize])
-		copy(rec[KeySize:idEnd], id[:])
-		k := len(id) - 1
-		for ; id[k] == '9'; k-- {
-			id[k] = '0'
+}
+
+// fills are the filler rows: record i repeats 'A' + i%26.
+var fills = func() (f [26][fillEnd - idEnd]byte) {
+	for i := range f {
+		for k := range f[i] {
+			f[i][k] = byte('A' + i)
 		}
-		id[k]++
-		fill := byte('A' + i%26)
-		for k := idEnd; k < fillEnd; k++ {
-			rec[k] = fill
-		}
-		src.printable(rec[fillEnd:])
 	}
-	return out
+	return f
+}()
+
+// drawBatch is how many records' random bytes records draws in one
+// printable call.
+const drawBatch = 64
+
+// records writes records c.rec, c.rec+1, … to dst, a whole number of
+// records, and moves past them. A record's 44 random bytes are its key and
+// its tail, drawn in that order, so a batch of records draws them all in
+// one printable call and lays them out after.
+func (c *teraCursor) records(dst []byte) {
+	var draws [drawBatch * drawsPerRecord]byte
+	for len(dst) > 0 {
+		n := min(len(dst)/RecordSize, drawBatch)
+		c.src.printable(draws[:n*drawsPerRecord])
+		for i, d := 0, draws[:]; i < n; i, d = i+1, d[drawsPerRecord:] {
+			// Fixed-size array moves, which compile to a few loads and
+			// stores each instead of memmove calls.
+			rec := dst[i*RecordSize : (i+1)*RecordSize]
+			*(*[KeySize]byte)(rec) = [KeySize]byte(d)
+			*(*[idEnd - KeySize]byte)(rec[KeySize:]) = c.id
+			*(*[fillEnd - idEnd]byte)(rec[idEnd:]) = fills[c.rec%26]
+			*(*[RecordSize - fillEnd]byte)(rec[fillEnd:]) = [RecordSize - fillEnd]byte(d[KeySize:])
+			k := len(c.id) - 1
+			for ; c.id[k] == '9'; k-- {
+				c.id[k] = '0'
+			}
+			c.id[k]++
+			c.rec++
+		}
+		dst = dst[n*RecordSize:]
+	}
+}
+
+// stripeRecords is the distance between a TeraTable's snapshots: about
+// 1 MiB of records.
+const stripeRecords = 1 << 20 / RecordSize
+
+// TeraTable is what a TeraGen part keeps resident when its bytes are made
+// where they are read: the lagged source's state at the start of every
+// stripe (4,864 bytes each). Any byte range of the part is regenerated from
+// the snapshot before it, byte for byte as Part makes it. A table is never
+// written after Table returns, so testbeds running in parallel share one.
+type TeraTable struct {
+	part   int
+	n      int64    // records
+	stripe int64    // records between snapshots: stripeRecords
+	snaps  []lagged // snaps[s] is the state at record s·stripe
+}
+
+// Table runs the snapshot pass of Part(part, size): the part's lagged
+// outputs are drawn once, without being turned into bytes, and the state at
+// each stripe's first record is kept.
+func (g TeraGen) Table(part int, size int64) *TeraTable { return g.table(part, size, stripeRecords) }
+
+// table is Table with stripe records between snapshots.
+func (g TeraGen) table(part int, size, stripe int64) *TeraTable {
+	n := teraRecords(size)
+	t := &TeraTable{part: part, n: n, stripe: stripe, snaps: make([]lagged, (n+stripe-1)/stripe)}
+	t.snaps[0].seed(g.Seed*1_000_003 + int64(part))
+	for s := 1; s < len(t.snaps); s++ {
+		t.snaps[s] = t.snaps[s-1]
+		t.snaps[s].skip(stripe * drawsPerRecord)
+	}
+	return t
+}
+
+// Size is the part's length in bytes.
+func (t *TeraTable) Size() int64 { return t.n * RecordSize }
+
+// Reader returns a function that appends bytes [lo, hi) of the part to dst
+// (0 ≤ lo ≤ hi ≤ Size()). It keeps up to maxCursors places in the part and
+// regenerates from the record holding lo's byte, going on from the place
+// nearest at or before it in the same stripe, or from the stripe's
+// snapshot, so interleaved sequential readers (a testbed's maps, each on
+// its own block, and a map's read that runs into the next block) each make
+// their records once. A reader is not safe for concurrent use; the table
+// under it is.
+func (t *TeraTable) Reader() func(dst []byte, lo, hi int64) []byte {
+	r := &teraReader{t: t}
+	return r.appendTo
+}
+
+// maxCursors bounds a reader's places in a part: a testbed runs fewer maps
+// on one part at once.
+const maxCursors = 16
+
+// teraReader is a TeraTable reader's places.
+type teraReader struct {
+	t     *TeraTable
+	ws    []*teraWindow
+	clock int64 // reads so far, which date each place's last use
+}
+
+func (r *teraReader) appendTo(dst []byte, lo, hi int64) []byte {
+	if lo >= hi {
+		return dst
+	}
+	w := r.pick(lo / RecordSize)
+	r.clock++
+	w.used = r.clock
+	return w.appendTo(dst, lo, hi)
+}
+
+// pick returns the place that reaches record rec most cheaply: one whose
+// last record made is rec, else the nearest at or before rec and not
+// before its stripe's snapshot, else a new one, or past maxCursors the one
+// used least recently.
+func (r *teraReader) pick(rec int64) *teraWindow {
+	var near, old *teraWindow
+	for _, w := range r.ws {
+		if w.made && w.c.rec-1 == rec {
+			return w
+		}
+		if w.c.rec <= rec && w.c.rec >= rec/r.t.stripe*r.t.stripe && (near == nil || w.c.rec > near.c.rec) {
+			near = w
+		}
+		if old == nil || w.used < old.used {
+			old = w
+		}
+	}
+	switch {
+	case near != nil:
+		return near
+	case len(r.ws) < maxCursors:
+		w := &teraWindow{t: r.t}
+		w.c.src = r.t.snaps[0]
+		w.c.setRow(r.t.part, 0)
+		r.ws = append(r.ws, w)
+		return w
+	}
+	return old
+}
+
+// teraWindow is one place of a TeraTable reader: the cursor, and the record
+// it made last, which the next read starts inside when a read ends
+// mid-record.
+type teraWindow struct {
+	t    *TeraTable
+	c    teraCursor
+	last [RecordSize]byte // record c.rec−1, when made is set
+	made bool
+	used int64 // the reader's clock at this place's last read
+}
+
+func (w *teraWindow) appendTo(dst []byte, lo, hi int64) []byte {
+	if lo >= hi {
+		return dst
+	}
+	if r := lo / RecordSize; w.made && r == w.c.rec-1 {
+		end := min(hi, w.c.rec*RecordSize)
+		dst = append(dst, w.last[lo-r*RecordSize:end-r*RecordSize]...)
+		if lo = end; lo == hi {
+			return dst
+		}
+	}
+	w.seek(lo / RecordSize)
+	if head := lo % RecordSize; head != 0 || hi-lo < RecordSize {
+		w.c.records(w.last[:])
+		dst = append(dst, w.last[head:min(RecordSize, head+hi-lo)]...)
+		lo += min(RecordSize-head, hi-lo)
+	}
+	if whole := (hi - lo) / RecordSize; whole > 0 {
+		n := len(dst)
+		dst = slices.Grow(dst, int(whole*RecordSize))[:n+int(whole*RecordSize)]
+		w.c.records(dst[n:])
+		copy(w.last[:], dst[len(dst)-RecordSize:])
+		lo += whole * RecordSize
+	}
+	if lo < hi {
+		w.c.records(w.last[:])
+		dst = append(dst, w.last[:hi-lo]...)
+	}
+	w.made = true
+	return dst
+}
+
+// seek positions the cursor at record r: onward from where it stands when
+// that is in r's stripe and not past r, from the stripe's snapshot
+// otherwise.
+func (w *teraWindow) seek(r int64) {
+	if r == w.c.rec {
+		return
+	}
+	if s := r / w.t.stripe; w.c.rec > r || w.c.rec < s*w.t.stripe {
+		w.c.src, w.c.rec = w.t.snaps[s], s*w.t.stripe
+	}
+	w.c.src.skip((r - w.c.rec) * drawsPerRecord)
+	w.c.setRow(w.t.part, r)
+	w.made = false
 }
 
 // lagged is math/rand's default source without its interface: the additive
 // lagged Fibonacci generator x[n] = x[n−607] + x[n−273] mod 2⁶⁴, continued
 // a window of 607 outputs at a time from the source's first 607.
 type lagged struct {
-	w [607]uint64 // the next outputs, in order
-	i int         // how many of w are drawn
+	w     [607]uint64 // the next outputs, in order
+	i     int         // how many of w are drawn
+	clean bool        // known: no output in w is above Int31n's rejection bound
 }
+
+// bound is Int31n(95)'s rejection bound: an output whose bits 32–62 exceed
+// it makes no byte, and the next output is drawn instead.
+const bound = 1<<31 - 1 - (1<<31)%95
 
 func (r *lagged) seed(seed int64) {
 	src := rand.NewSource(seed).(rand.Source64)
+	r.clean = true
 	for k := range r.w {
 		r.w[k] = src.Uint64()
+		r.clean = r.clean && !redrawn(r.w[k])
 	}
 }
+
+// redrawn is whether Int31n draws again after output x.
+func redrawn(x uint64) bool { return uint32(x>>32)&(1<<31-1) > bound }
 
 // vector is whether printable and refill run the AVX2 kernel
 // (lagged_amd64.s), set once at init where the CPU has it. The Go loops
@@ -100,18 +316,29 @@ func (r *lagged) seed(seed int64) {
 var vector = hasAVX2
 
 // refill replaces the window x[m..m+607) with x[m+607..m+1214): the first
-// 273 add an output of the old window, the rest one just written.
-func (r *lagged) refill() {
-	if vector {
+// 273 add an output of the old window, the rest one just written. With
+// note, the same pass notes whether the new window is clean, so skip can
+// step over it whole; printable's refills leave that unknown.
+func (r *lagged) refill(note bool) {
+	switch {
+	case vector && note:
+		a := addLaggedRedraw(r.w[:273], r.w[334:])
+		r.clean = !addLaggedRedraw(r.w[273:], r.w[:334]) && !a
+	case vector:
 		addLagged(r.w[:273], r.w[334:])
 		addLagged(r.w[273:], r.w[:334])
-	} else {
+		r.clean = false
+	default:
+		var v uint32 // bit 31 set once some bits 32–62 exceed bound: v+3 ≥ 2³¹
 		for k := 0; k < 273; k++ {
 			r.w[k] += r.w[k+334]
+			v |= uint32(r.w[k]>>32)&(1<<31-1) + (1<<31 - 1 - bound)
 		}
 		for k := 273; k < 607; k++ {
 			r.w[k] += r.w[k-273]
+			v |= uint32(r.w[k]>>32)&(1<<31-1) + (1<<31 - 1 - bound)
 		}
+		r.clean = note && v>>31 == 0
 	}
 	r.i = 0
 }
@@ -121,10 +348,9 @@ func (r *lagged) refill() {
 // draws again above its rejection bound and returns the value mod 95.
 func (r *lagged) printable(dst []byte) {
 	const n = 95
-	const max = 1<<31 - 1 - (1<<31)%n
 	for len(dst) > 0 {
 		if r.i == len(r.w) {
-			r.refill()
+			r.refill(false)
 		}
 		w := r.w[r.i:min(len(r.w), r.i+len(dst))]
 		j := 0
@@ -133,13 +359,34 @@ func (r *lagged) printable(dst []byte) {
 		}
 		for ; j < len(w); j++ {
 			v := uint32(w[j]>>32) & (1<<31 - 1)
-			if v > max { // Int31n draws again: this output makes no byte
+			if v > bound { // Int31n draws again: this output makes no byte
 				r.i++
 				break
 			}
 			dst[j] = byte(' ' + v%n)
 		}
 		r.i, dst = r.i+j, dst[j:]
+	}
+}
+
+// skip moves past d printable draws without making their bytes: where
+// printable(make([]byte, d)) would leave the stream. A window known clean
+// is stepped over whole; any other is walked output by output.
+func (r *lagged) skip(d int64) {
+	for d > 0 {
+		if r.i == len(r.w) {
+			r.refill(true)
+		}
+		if r.clean {
+			k := int(min(int64(len(r.w)-r.i), d))
+			r.i, d = r.i+k, d-int64(k)
+			continue
+		}
+		for ; r.i < len(r.w) && d > 0; r.i++ {
+			if !redrawn(r.w[r.i]) {
+				d--
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -121,6 +122,85 @@ func FuzzTeraGenPart(f *testing.F) {
 	})
 }
 
+// checkWindows reads windows [lo, hi) of a table through one reader, in
+// order, and compares each with the part's bytes.
+func checkWindows(t *testing.T, what string, tab *TeraTable, part []byte, windows ...[2]int64) {
+	t.Helper()
+	read := tab.Reader()
+	for _, w := range windows {
+		lo, hi := w[0], w[1]
+		prefix := []byte("prefix")
+		got := read(prefix, lo, hi)
+		if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], part[lo:hi]) {
+			t.Fatalf("%s: window [%d, %d) after %v differs from Part's bytes", what, lo, hi, windows)
+		}
+	}
+}
+
+// FuzzTeraGenWindow: a table's reader returns Part's bytes for any seed,
+// part, size and stripe, at any two windows up to 64 KiB read one after the
+// other (the second resumes, seeks back or jumps ahead), on both paths.
+func FuzzTeraGenWindow(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(1), uint8(0), uint16(0), uint16(1), uint16(1), uint16(99))
+	f.Add(int64(-5), uint16(1000), uint16(64_000), uint8(7), uint16(150), uint16(16_384), uint16(16_534), uint16(16_384))
+	f.Add(int64(math.MinInt64), uint16(3), uint16(60_700), uint8(1), uint16(60_650), uint16(60_700), uint16(0), uint16(250))
+	f.Add(int64(42), uint16(9), uint16(30_000), uint8(12), uint16(1_199), uint16(1_201), uint16(1_200), uint16(2_401))
+	f.Fuzz(func(t *testing.T, seed int64, part, size uint16, stripe uint8, lo1, hi1, lo2, hi2 uint16) {
+		g := TeraGen{Seed: seed}
+		want := g.Part(int(part), int64(size))
+		n := int64(len(want))
+		window := func(lo, hi uint16) [2]int64 {
+			a, b := min(int64(lo), n), min(int64(hi), n)
+			return [2]int64{min(a, b), max(a, b)}
+		}
+		for _, p := range paths {
+			ok, restore := setVector(p.vector)
+			if ok {
+				tab := g.table(int(part), int64(size), 1+int64(stripe))
+				checkWindows(t, p.name, tab, want, window(lo1, hi1), window(lo2, hi2))
+			}
+			restore()
+		}
+	})
+}
+
+// TestTeraTableMatchesPart: at the real stripe, a 16 KiB-chunked sequential
+// read (a map's), twenty such reads taking turns, windows across stripe
+// edges and record edges, and the last record's bytes all equal Part's.
+func TestTeraTableMatchesPart(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		g := TeraGen{Seed: 7}
+		const size = 2*stripeRecords*RecordSize + 12_345
+		part, tab := g.Part(5, size), g.Table(5, size)
+		if tab.Size() != int64(len(part)) || len(tab.snaps) != 3 {
+			t.Fatalf("table of %d bytes in %d stripes, part of %d", tab.Size(), len(tab.snaps), len(part))
+		}
+		var seq [][2]int64
+		for lo := int64(0); lo < tab.Size(); lo += 16 << 10 {
+			seq = append(seq, [2]int64{lo, min(lo+16<<10, tab.Size())})
+		}
+		checkWindows(t, "sequential", tab, part, seq...)
+		// Twenty maps' blocks at once, a chunk each in turn, each read
+		// running a record into the next block: more than the reader's
+		// places, so it takes the least recently used back.
+		var turns [][2]int64
+		blk := tab.Size() / 20
+		for pos := int64(0); pos < blk+100; pos += 16 << 10 {
+			for lo := int64(0); lo < tab.Size(); lo += blk {
+				if a := lo + pos; a < min(lo+blk+100, tab.Size()) {
+					turns = append(turns, [2]int64{a, min(a+16<<10, lo+blk+100, tab.Size())})
+				}
+			}
+		}
+		checkWindows(t, "interleaved", tab, part, turns...)
+		edge := int64(stripeRecords * RecordSize)
+		checkWindows(t, "stripe edges", tab, part,
+			[2]int64{edge - 50, edge + 50}, [2]int64{2*edge - 1, 2*edge + 1}, [2]int64{edge, edge + 100},
+			[2]int64{tab.Size() - 1, tab.Size()}, [2]int64{0, 1}, [2]int64{edge - 7_000, 2*edge + 7_000},
+			[2]int64{5, 5}, [2]int64{333, 377}, [2]int64{377, 401})
+	})
+}
+
 var laggedSeeds = []int64{0, 1, -5, 1 << 40, math.MinInt64}
 
 // TestLaggedMatchesSource: lagged's stream is rand.NewSource's, output for
@@ -134,7 +214,7 @@ func testLaggedMatchesSource(t *testing.T) {
 		r.seed(seed)
 		for k := 0; k < 5*len(r.w)+17; k++ {
 			if r.i == len(r.w) {
-				r.refill()
+				r.refill(k%2 == 0)
 			}
 			got, want := r.w[r.i], src.Uint64()
 			r.i++
@@ -203,6 +283,91 @@ func TestPrintableSparseRedraws(t *testing.T) {
 	})
 }
 
+// withRedraws returns the source seeded with 3 whose current window has
+// redrawn outputs at now and whose next window, once refilled, has them at
+// next: that window's outputs are chosen, then the current ones solved for.
+func withRedraws(now, next []int) lagged {
+	var r lagged
+	r.seed(3)
+	if len(next) > 0 {
+		want := r
+		want.refill(false)
+		for _, k := range next {
+			want.w[k] |= (1<<31 - 3) << 32
+		}
+		for k := 273; k < 607; k++ { // x[k] = next[k] − next[k−273]
+			r.w[k] = want.w[k] - want.w[k-273]
+		}
+		for k := 0; k < 273; k++ { // then x[k] = next[k] − x[k+334]
+			r.w[k] = want.w[k] - r.w[k+334]
+		}
+	}
+	for _, k := range now {
+		r.w[k] |= (1<<31 - 3) << 32
+	}
+	r.clean = true
+	for _, x := range r.w {
+		r.clean = r.clean && !redrawn(x)
+	}
+	return r
+}
+
+// TestRefillNotesRedraws: a noting refill finds the new window clean
+// exactly when it holds no output above the bound, at every slot the
+// kernel's four-word steps and scalar tails reach, on both paths.
+func TestRefillNotesRedraws(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		for _, slots := range [][]int{nil, {0}, {3}, {271}, {272}, {273}, {274}, {333}, {334}, {603}, {605}, {606}, {10, 500}} {
+			r := withRedraws(nil, slots)
+			r.refill(true)
+			if r.clean != (len(slots) == 0) {
+				t.Errorf("redrawn slots %v: refill notes the window clean: %v", slots, r.clean)
+			}
+			for k, x := range r.w {
+				if redrawn(x) != slices.Contains(slots, k) {
+					t.Fatalf("redrawn slots %v: output %d redrawn %v after refill", slots, k, redrawn(x))
+				}
+			}
+		}
+	})
+}
+
+// TestSkipRedrawsLikePrintable: skip(d) leaves the source where printable of
+// d bytes does, with redrawn outputs in the window it starts in, in the
+// window a refill brings (dense, sparse, at its edges) or in none, from the
+// window's start or partway in; the next bytes drawn are the same.
+func TestSkipRedrawsLikePrintable(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		var dense []int
+		for k := 1; k < 607; k += 3 {
+			dense = append(dense, k)
+		}
+		for _, tc := range []struct{ now, next []int }{
+			{nil, nil}, {[]int{0, 13, 600, 606}, nil}, {nil, []int{0, 13, 272, 273, 600, 606}},
+			{nil, dense}, {dense, nil}, {[]int{606}, []int{0}},
+		} {
+			for _, start := range []int{0, 5, 606} {
+				for _, d := range []int64{0, 1, 7, 601, 602, 607, 700, 1213, 1214, 1500, 5000} {
+					a := withRedraws(tc.now, tc.next)
+					a.printable(make([]byte, start))
+					b := a
+					a.skip(d)
+					b.printable(make([]byte, d))
+					if a.w != b.w || a.i != b.i {
+						t.Fatalf("redraws %v/%v, after %d drawn: skip(%d) at output %d, printable at %d", tc.now, tc.next, start, d, a.i, b.i)
+					}
+					x, y := make([]byte, 100), make([]byte, 100)
+					a.printable(x)
+					b.printable(y)
+					if !bytes.Equal(x, y) {
+						t.Fatalf("redraws %v/%v: the draws after skip(%d) differ", tc.now, tc.next, d)
+					}
+				}
+			}
+		}
+	})
+}
+
 // checkRedraws draws a window seeded with 3 whose slots are pushed above
 // the rejection bound, and the next 100 bytes after it, in printable calls
 // of spans[0], spans[1], … bytes (cycling), and compares them with what
@@ -215,7 +380,7 @@ func checkRedraws(t *testing.T, slots []int, spans ...int) {
 		r.w[k] |= (1<<31 - 3) << 32
 	}
 	next := r
-	next.refill()
+	next.refill(false)
 	src := outputs(append(r.w[:len(r.w):len(r.w)], next.w[:]...))
 	rng := rand.New(&src)
 	got := make([]byte, len(r.w)-len(slots)+100)
@@ -258,6 +423,42 @@ func BenchmarkTeraGenPart(b *testing.B) {
 	b.SetBytes(1 << 20)
 	for i := 0; i < b.N; i++ {
 		g.Part(i, 1<<20)
+	}
+}
+
+// BenchmarkTeraTableRead: a 4 MiB part made as a testbed's maps read it,
+// every block at once in turns of one 16 KiB chunk each, through one
+// reader into one buffer, at two block sizes, beside Part making it whole
+// and the snapshot pass alone.
+func BenchmarkTeraTableRead(b *testing.B) {
+	const size = 4 << 20
+	g := TeraGen{Seed: 1}
+	b.Run("part", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			g.Part(i, size)
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			g.Table(i, size)
+		}
+	})
+	for _, block := range []int64{1 << 20, 256 << 10} {
+		b.Run(fmt.Sprintf("blocks-%dKiB", block>>10), func(b *testing.B) {
+			tab := g.Table(0, size)
+			buf := make([]byte, 0, 32<<10)
+			b.SetBytes(tab.Size())
+			for i := 0; i < b.N; i++ {
+				read := tab.Reader()
+				for pos := int64(0); pos < block; pos += 16 << 10 {
+					for lo := int64(0); lo+pos < tab.Size(); lo += block {
+						buf = read(buf[:0], lo+pos, min(lo+pos+16<<10, lo+block, tab.Size()))
+					}
+				}
+			}
+		})
 	}
 }
 

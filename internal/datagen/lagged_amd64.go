@@ -32,6 +32,12 @@ func printable8(dst []byte, w []uint64) int
 //go:noescape
 func addLagged(dst, src []uint64)
 
+// addLaggedRedraw is addLagged that also reports whether any sum is an
+// output Int31n draws again after: skip's refill.
+//
+//go:noescape
+func addLaggedRedraw(dst, src []uint64) (redraw bool)
+
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
 func xgetbv() (lo, hi uint32)

@@ -108,6 +108,59 @@ tail:
 end:
 	RET
 
+// func addLaggedRedraw(dst, src []uint64) (redraw bool)
+//
+// addLagged that also tests each sum as printable8 does: bits 32–62
+// against the rejection bound, the comparisons OR-ed into Y7 (R10 in the
+// scalar tail, as bits + 3, whose bit 31 is the comparison).
+TEXT ·addLaggedRedraw(SB), NOSPLIT, $0-49
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	XORQ AX, AX
+	XORQ R9, R9
+	XORQ R10, R10
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	JZ   rtail
+	VPBROADCASTQ lagconst<>+0(SB), Y8
+	VPBROADCASTQ lagconst<>+8(SB), Y9
+	VPXOR        Y7, Y7, Y7
+
+rquad:
+	VMOVDQU  (DI)(AX*8), Y0
+	VPADDQ   (SI)(AX*8), Y0, Y0
+	VMOVDQU  Y0, (DI)(AX*8)
+	VPSRLQ   $32, Y0, Y1
+	VPAND    Y8, Y1, Y1
+	VPCMPGTQ Y9, Y1, Y1
+	VPOR     Y1, Y7, Y7
+	ADDQ     $4, AX
+	CMPQ     AX, DX
+	JB       rquad
+	VPTEST   Y7, Y7
+	SETNE    R9B
+	VZEROUPPER
+
+rtail:
+	CMPQ AX, CX
+	JAE  rend
+	MOVQ (SI)(AX*8), R8
+	ADDQ (DI)(AX*8), R8
+	MOVQ R8, (DI)(AX*8)
+	SHRQ $32, R8
+	ANDL $0x7fffffff, R8
+	ADDL $3, R8
+	ORL  R8, R10
+	INCQ AX
+	JMP  rtail
+
+rend:
+	SHRL $31, R10
+	ORL  R10, R9
+	MOVB R9B, redraw+48(FP)
+	RET
+
 // func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -76,7 +76,7 @@ func (fs *FS) AuditReplication() ReplicationAudit {
 				// serve wrong data.
 				if sb.file.Size() != b.size || !fs.replicaClean(b, sb, 0, b.size) {
 					a.Stale = append(a.Stale, dn.node.Name+"/"+blockFileName(id))
-					if b.sums != nil {
+					if b.checked() {
 						a.BadChunks = append(a.BadChunks, a.Stale[len(a.Stale)-1])
 					}
 					continue

@@ -65,11 +65,27 @@ type blockMeta struct {
 	gone   bool // file deleted; drop from recovery queues
 	// sums holds the per-chunk CRC32C checksums of the block's true content,
 	// computed from the writer's bytes (the end-to-end property: the client's
-	// checksum travels with the block). Nil unless integrity is enabled.
-	sums []uint32
-	// verified is the first byte of an array whose first size bytes are
-	// known to match sums; every replica shares it (see replicaClean).
-	verified *byte
+	// checksum travels with the block). Nil unless integrity is enabled, and
+	// for a generated block until a replica first needs them: lazySums makes
+	// them from the source, which holds the true content whatever happens
+	// to a replica, and an untouched replica is clean on the memo alone.
+	sums     []uint32
+	lazySums func() []uint32
+	// verified is the stored run (an array, or a generated range) whose
+	// first size bytes are known to match sums; every replica shares it
+	// (see replicaClean).
+	verified localfs.Origin
+}
+
+// checked is whether b carries end-to-end sums, made or still to be made.
+func (b *blockMeta) checked() bool { return b.sums != nil || b.lazySums != nil }
+
+// checksums returns b's sums, making them first if they are lazy.
+func (b *blockMeta) checksums() []uint32 {
+	if b.lazySums != nil {
+		b.sums, b.lazySums = b.lazySums(), nil
+	}
+	return b.sums
 }
 
 // fileMeta is one namespace entry.
@@ -453,7 +469,7 @@ func (w *Writer) flushBlock(p *sim.Proc) error {
 	fs.renewLease(w.meta.name, p.Now())
 
 	if fs.integrity {
-		b.sums, b.verified = chunkSums(data), firstByte(data)
+		b.sums, b.verified = chunkSums(data), localfs.ArrayOrigin(data)
 	}
 	retry := sim.NewRetry(fs.netRng)
 	for attempt := 0; attempt < maxPipelineRetries; {
@@ -549,34 +565,81 @@ func blockFileName(id int64) string { return fmt.Sprintf("blk_%d", id) }
 // Load installs a file's content instantly (no virtual time, cold caches),
 // for experiment setup. Placement starts each file's pipeline at a caller-
 // chosen node so datasets spread evenly; the usual replica policy applies.
+// A block's replicas keep data's own bytes, uncopied.
 func (fs *FS) Load(path string, firstNode string, data []byte) {
+	fs.load(path, firstNode, int64(len(data)),
+		func(lo, hi int64) func(*localfs.File) { return func(f *localfs.File) { f.Install(data[lo:hi]) } },
+		func(b *blockMeta, lo, hi int64) { b.sums = chunkSums(data[lo:hi]) })
+}
+
+// LoadSource is Load for size bytes made where they are read: every
+// replica of a block keeps the block's range of src and none of its bytes.
+// With integrity on, a block's sums are made from src only when a replica
+// that is no longer the untouched range needs them.
+func (fs *FS) LoadSource(path, firstNode string, src localfs.Source, size int64) {
+	shared := &sharedSource{src: src}
+	fs.load(path, firstNode, size,
+		func(lo, hi int64) func(*localfs.File) {
+			return func(f *localfs.File) { f.InstallSource(shared, lo, hi-lo) }
+		},
+		func(b *blockMeta, lo, hi int64) {
+			b.lazySums = func() []uint32 { return chunkSums(src.Reader()(nil, lo, hi)) }
+		})
+}
+
+// sharedSource is the descriptor a loaded file's block replicas share: its
+// Source, read through one reader for all of them. A map's read that runs
+// a record into the next block then meets the place that made its own
+// block, and the next block's map can go on from there, whichever replicas
+// serve them. A file lives in one testbed, whose reads never run
+// concurrently; the Source under it may be shared by testbeds running in
+// parallel.
+type sharedSource struct {
+	src  localfs.Source
+	read func(dst []byte, lo, hi int64) []byte
+}
+
+// Reader implements localfs.Source: every replica gets the file's one
+// reader.
+func (s *sharedSource) Reader() func(dst []byte, lo, hi int64) []byte {
+	if s.read == nil {
+		s.read = s.src.Reader()
+	}
+	return s.read
+}
+
+// load is Load and LoadSource: block returns what puts bytes [lo, hi) of
+// the file on each replica of the block holding them, and sum gives that
+// block its checksums.
+func (fs *FS) load(path, firstNode string, size int64, block func(lo, hi int64) func(*localfs.File), sum func(b *blockMeta, lo, hi int64)) {
 	if fs.Exists(path) {
 		fs.Delete(path)
 	}
 	meta := &fileMeta{name: path}
 	fs.files[path] = meta
 	fs.journalEdit(editRec{op: opCreate, path: path, repl: Replication})
-	for off := int64(0); off < int64(len(data)); off += fs.cfg.BlockSize {
-		end := off + fs.cfg.BlockSize
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
+	for off := int64(0); off < size; off += fs.cfg.BlockSize {
+		end := min(off+fs.cfg.BlockSize, size)
 		id := fs.nextBlock
 		fs.nextBlock++
 		replicas := fs.choose(firstNode, Replication)
 		b := &blockMeta{id: id, size: end - off, want: Replication, replicas: replicas}
 		if fs.integrity {
-			b.sums, b.verified = chunkSums(data[off:end]), firstByte(data[off:end])
+			sum(b, off, end)
 		}
 		meta.blocks = append(meta.blocks, b)
 		meta.size += b.size
 		fs.blockByID[id] = b
 		fs.journalEdit(editRec{op: opAddBlock, path: path, block: id, size: b.size, repl: b.want})
+		install := block(off, end)
 		for _, dn := range replicas {
 			f := dn.node.NextHDFSVol().Create(blockFileName(id))
 			f.SetStage(disk.StageHDFS)
-			f.Install(data[off:end])
+			install(f)
 			dn.blocks[id] = storedBlock{file: f, vol: f.FS()}
+			if fs.integrity {
+				b.verified = f.FS().Origin(f.Name())
+			}
 		}
 	}
 	fs.journalEdit(editRec{op: opClose, path: path})
@@ -610,7 +673,7 @@ func (r *Reader) Size() int64 { return r.meta.size }
 // are clamped at EOF. It returns a *LostBlockError when every replica of
 // some covered block is unreachable. A range inside one block comes back as
 // the DataNode's read-only view of its block file (see localfs); only a
-// range spanning blocks is assembled into a fresh slice.
+// range spanning blocks is assembled into a fresh slice, by ReadAppend.
 func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 	// Locating blocks is a NameNode RPC: reads stall only while the master
 	// is down (safe mode keeps the namespace readable) or while the client
@@ -619,33 +682,60 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 	if off < 0 || off >= r.meta.size {
 		return nil, nil
 	}
-	if off+length > r.meta.size {
-		length = r.meta.size - off
+	length = min(length, r.meta.size-off)
+	var blockStart int64
+	for _, b := range r.meta.blocks {
+		if off < blockStart+b.size {
+			if lo := off - blockStart; lo+length <= b.size {
+				data, err := r.readBlockRange(p, b, lo, length, func(f *localfs.File) []byte { return f.ReadAt(p, lo, length) })
+				if err != nil {
+					return nil, r.lossOf(err)
+				}
+				return data, nil
+			}
+			break
+		}
+		blockStart += b.size
 	}
-	var out []byte
+	data, err := r.appendRange(p, make([]byte, 0, length), off, length)
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// ReadAppend is ReadAt into the caller's buffer: the same block reads,
+// failover and transfers, with the bytes appended to dst, so a reader that
+// frames records in a buffer of its own copies each byte once at most (a
+// generated block is made where it lands). On an error dst comes back as
+// it was.
+func (r *Reader) ReadAppend(p *sim.Proc, dst []byte, off, length int64) ([]byte, error) {
+	r.fs.waitMasterFrom(p, false, r.client)
+	return r.appendRange(p, dst, off, length)
+}
+
+// appendRange is ReadAppend after the NameNode RPC.
+func (r *Reader) appendRange(p *sim.Proc, dst []byte, off, length int64) ([]byte, error) {
+	if off < 0 || off >= r.meta.size {
+		return dst, nil
+	}
+	length = min(length, r.meta.size-off)
 	var blockStart int64
 	for _, b := range r.meta.blocks {
 		blockEnd := blockStart + b.size
-		lo, hi := max(off, blockStart), min(off+length, blockEnd)
-		if lo < hi {
-			data, err := r.readBlockRange(p, b, lo-blockStart, hi-lo)
+		if lo, hi := max(off, blockStart)-blockStart, min(off+length, blockEnd)-blockStart; lo < hi {
+			data, err := r.readBlockRange(p, b, lo, hi-lo, func(f *localfs.File) []byte { return f.ReadAppend(p, dst, lo, hi-lo) })
 			if err != nil {
-				return nil, r.lossOf(err)
+				return dst, r.lossOf(err)
 			}
-			if hi-lo == length {
-				return data, nil
-			}
-			if out == nil {
-				out = make([]byte, 0, length)
-			}
-			out = append(out, data...)
+			dst = data
 		}
 		blockStart = blockEnd
 		if blockStart >= off+length {
 			break
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ReadBlocks reads the whole file and passes it to fn one block at a time,
@@ -658,7 +748,7 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 func (r *Reader) ReadBlocks(p *sim.Proc, fn func(block []byte) error) error {
 	r.fs.waitMasterFrom(p, false, r.client)
 	for _, b := range r.meta.blocks {
-		data, err := r.readBlockRange(p, b, 0, b.size)
+		data, err := r.readBlockRange(p, b, 0, b.size, func(f *localfs.File) []byte { return f.ReadAt(p, 0, b.size) })
 		if err != nil {
 			return r.lossOf(err)
 		}
@@ -736,7 +826,7 @@ func (e *LostBlockError) Error() string {
 }
 
 // readBlockRange reads [off, off+length) of one block from the best
-// replica: local if present (pure disk path), else the placement-order
+// replica, taking the bytes with read from its block file: local if present (pure disk path), else the placement-order
 // first remote (disk at the remote node + network transfer). Replicas on
 // crashed DataNodes are skipped, and a remote transfer that collapses
 // mid-stream (source crashed) fails the client over to the next replica —
@@ -745,10 +835,10 @@ func (e *LostBlockError) Error() string {
 // retransmits) the client stalls with backoff and retries the candidate
 // scan: the reachable-side replica policy means a heal — not a repair — is
 // what brings the data back.
-func (r *Reader) readBlockRange(p *sim.Proc, b *blockMeta, off, length int64) ([]byte, error) {
+func (r *Reader) readBlockRange(p *sim.Proc, b *blockMeta, off, length int64, read func(*localfs.File) []byte) ([]byte, error) {
 	retry := sim.NewRetry(r.fs.netRng)
 	for {
-		data, transient, err := r.readBlockOnce(p, b, off, length)
+		data, transient, err := r.readBlockOnce(p, b, off, length, read)
 		if err == nil || !transient || !r.fs.netStall(p, &retry) {
 			return data, err
 		}
@@ -758,9 +848,12 @@ func (r *Reader) readBlockRange(p *sim.Proc, b *blockMeta, off, length int64) ([
 // readBlockOnce makes one pass over the replica candidates. transient
 // reports that at least one candidate failed for a reason that heals
 // (partition, lossy link), so the caller may retry.
-func (r *Reader) readBlockOnce(p *sim.Proc, b *blockMeta, off, length int64) (data []byte, transient bool, err error) {
-	// Candidate order: local replica first, then placement order.
-	cands := make([]*DataNode, 0, len(b.replicas))
+func (r *Reader) readBlockOnce(p *sim.Proc, b *blockMeta, off, length int64, read func(*localfs.File) []byte) (data []byte, transient bool, err error) {
+	// Candidate order: local replica first, then placement order. A map
+	// reads its split a chunk at a time through here, so the list stays on
+	// the stack.
+	var buf [Replication + 1]*DataNode
+	cands := buf[:0]
 	for _, dn := range b.replicas {
 		if dn.node.Name == r.client {
 			cands = append(cands, dn)
@@ -785,7 +878,7 @@ func (r *Reader) readBlockOnce(p *sim.Proc, b *blockMeta, off, length int64) (da
 		if !ok || sb.vol.Failed() {
 			continue
 		}
-		data := sb.file.ReadAt(p, off, length)
+		data := read(sb.file)
 		if r.fs.integrity && !r.fs.verifyRange(b, sb, off, length) {
 			// A chunk covering this range failed its CRC: strike the replica,
 			// queue read-repair, and fail over to the next candidate — the

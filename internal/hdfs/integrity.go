@@ -54,13 +54,13 @@ func chunkSums(data []byte) []uint32 {
 func (fs *FS) EnableIntegrity() {
 	fs.integrity = true
 	for _, b := range fs.blockByID {
-		if b.sums != nil {
+		if b.checked() {
 			continue
 		}
 		for _, dn := range b.replicas {
 			if sb, ok := dn.blocks[b.id]; ok && !sb.vol.Failed() {
-				raw := sb.vol.Peek(sb.file.Name())
-				b.sums, b.verified = chunkSums(raw), firstByte(raw)
+				b.sums = chunkSums(sb.vol.Peek(sb.file.Name()))
+				b.verified = sb.vol.Origin(sb.file.Name())
 				break
 			}
 		}
@@ -71,44 +71,38 @@ func (fs *FS) EnableIntegrity() {
 // of the replica sb against b's end-to-end sums. Chunk-aligned verification
 // is what HDFS does: a read is widened to chunk boundaries for checksumming.
 // Its one effect, which no virtual time, event or counter sees, is the memo
-// b.verified: a replica of b.size bytes stored in an array that passed is
-// clean unhashed, as localfs never writes a stored byte again (Corrupt
-// damages a copy, a crash re-slices shorter).
+// b.verified: a replica of b.size bytes stored in one run that passed (an
+// array, or a generated range no Corrupt has split) is clean unhashed and
+// unmade, as localfs never writes a stored byte again (Corrupt damages a
+// copy, a crash re-slices shorter).
 func (fs *FS) replicaClean(b *blockMeta, sb storedBlock, off, length int64) bool {
-	if b.sums == nil {
+	if !b.checked() {
 		return true
 	}
-	raw := sb.vol.Peek(sb.file.Name())
-	if int64(len(raw)) != b.size {
-		return false // truncated or overgrown replica is corrupt by definition
+	if sb.vol.Size(sb.file.Name()) != b.size {
+		return false // truncated, overgrown or deleted replica is corrupt by definition
 	}
-	if firstByte(raw) == b.verified {
+	origin := sb.vol.Origin(sb.file.Name())
+	if origin.Same(b.verified) {
 		return true
 	}
+	raw, sums := sb.vol.Peek(sb.file.Name()), b.checksums()
 	c0 := off / checksumChunk
 	c1 := (off + length + checksumChunk - 1) / checksumChunk
-	for c := c0; c < c1 && c < int64(len(b.sums)); c++ {
+	for c := c0; c < c1 && c < int64(len(sums)); c++ {
 		lo := c * checksumChunk
 		hi := lo + checksumChunk
 		if hi > b.size {
 			hi = b.size
 		}
-		if crc32.Checksum(raw[lo:hi], castagnoli) != b.sums[c] {
+		if crc32.Checksum(raw[lo:hi], castagnoli) != sums[c] {
 			return false
 		}
 	}
 	if off == 0 && length == b.size {
-		b.verified = firstByte(raw)
+		b.verified = origin
 	}
 	return true
-}
-
-// firstByte identifies the array data is stored in (nil when it is empty).
-func firstByte(data []byte) *byte {
-	if len(data) == 0 {
-		return nil
-	}
-	return &data[0]
 }
 
 // verifyRange is replicaClean plus the checksum-error counter — the form
@@ -273,7 +267,7 @@ func (fs *FS) scrubPass(p *sim.Proc, st *scrubState) {
 				continue
 			}
 			h.SetStage(disk.StageScrub)
-			h.ReadAt(p, 0, b.size)
+			h.Scan(p, 0, b.size)
 			fs.stats.ScrubbedBlocks++
 			fs.stats.ScrubbedBytes += uint64(b.size)
 			if !fs.verifyWhole(b, sb) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"iochar/internal/datagen"
 	"iochar/internal/sim"
 )
 
@@ -577,7 +578,7 @@ func TestCrashMidFileTruncatesOnlyItsOwnReplica(t *testing.T) {
 // with b's sums over the chunks [off, off+length) touches, a replica of the
 // wrong length being corrupt.
 func cleanByRecompute(b *blockMeta, sb storedBlock, off, length int64) bool {
-	if b.sums == nil {
+	if !b.checked() {
 		return true
 	}
 	raw := sb.vol.Peek(sb.file.Name())
@@ -585,13 +586,14 @@ func cleanByRecompute(b *blockMeta, sb storedBlock, off, length int64) bool {
 		return false
 	}
 	c0, c1 := off/checksumChunk, (off+length+checksumChunk-1)/checksumChunk
-	return slices.Equal(chunkSums(raw)[c0:c1], b.sums[c0:c1])
+	return slices.Equal(chunkSums(raw)[c0:c1], b.checksums()[c0:c1])
 }
 
 // TestVerifyMemoMatchesRecompute: replicaClean's memo never changes its
 // answer. A run meets every way a stored replica comes about or changes: a
-// load and a pipeline write, corrupt-block, a read that fails over and the
-// read-repair it queues, crash truncation of an unflushed replica, the
+// load, a generated load and a pipeline write, corrupt-block (of a stored
+// and of a generated replica), a read that fails over and the read-repair
+// it queues, crash truncation of an unflushed replica, the
 // DataNode's restart and rejoin, and a scrub pass that finds a second
 // corruption. After each step, every replica on every DataNode verifies —
 // as a whole block and over its last chunk — exactly as a recompute says.
@@ -626,25 +628,34 @@ func TestVerifyMemoMatchesRecompute(t *testing.T) {
 	want := pattern(2*int(fs.cfg.BlockSize) + 5_000)
 	reader := c.Slaves[0].Name
 	fs.Load("/in", reader, want)
+	// A generated input: untouched replicas pass on the memo unmade, and a
+	// corrupted one is split around its damage.
+	gen := datagen.TeraGen{Seed: 3}
+	genWant := gen.Part(1, int64(len(want)))
+	fs.LoadSource("/gen", reader, gen.Table(1, int64(len(want))), int64(len(genWant)))
 	env.Go("client", func(p *sim.Proc) {
 		writeRecords(t, p, fs, "/f", c.Slaves[1].Name, want, nil)
 		check("load and pipeline write")
 
-		if fs.CorruptReplica(reader, "/in", rand.New(rand.NewSource(7))) < 0 {
-			t.Fatal("CorruptReplica found no replica")
+		for _, path := range []string{"/in", "/gen"} {
+			if fs.CorruptReplica(reader, path, rand.New(rand.NewSource(7))) < 0 {
+				t.Fatal("CorruptReplica found no replica")
+			}
 		}
 		check("corrupt-block")
 
-		r, err := fs.Open("/in", reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := r.ReadAt(p, 0, r.Size()); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("read after corruption: %v, or wrong bytes", err)
+		for path, want := range map[string][]byte{"/in": want, "/gen": genWant} {
+			r, err := fs.Open(path, reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.ReadAt(p, 0, r.Size()); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("read of %s after corruption: %v, or wrong bytes", path, err)
+			}
 		}
 		fs.WaitRecovered(p)
-		if st := fs.RecoveryStats(); st.ChecksumErrors == 0 || st.ReReplicatedBlocks == 0 {
-			t.Fatalf("the read neither failed over nor queued a repair: %+v", st)
+		if st := fs.RecoveryStats(); st.ChecksumErrors < 2 || st.ReReplicatedBlocks < 2 {
+			t.Fatalf("the reads neither failed over nor queued repairs: %+v", st)
 		}
 		check("failed-over read and read-repair")
 
@@ -681,8 +692,15 @@ func TestVerifyMemoMatchesRecompute(t *testing.T) {
 	})
 	env.Run(0)
 
-	if st := fs.RecoveryStats(); st.CorruptReplicas != 2 || st.StaleReplicasPurged == 0 {
-		t.Errorf("got %d corrupt replica(s) and %d stale one(s) purged, want 2 and some", st.CorruptReplicas, st.StaleReplicasPurged)
+	var off int64
+	for _, b := range fs.files["/gen"].blocks { // made from the source, lazily: the true content's
+		if !slices.Equal(b.checksums(), chunkSums(genWant[off:off+b.size])) {
+			t.Errorf("block %d of /gen: its sums are not those of Part's bytes", b.id)
+		}
+		off += b.size
+	}
+	if st := fs.RecoveryStats(); st.CorruptReplicas != 3 || st.StaleReplicasPurged == 0 {
+		t.Errorf("got %d corrupt replica(s) and %d stale one(s) purged, want 3 and some", st.CorruptReplicas, st.StaleReplicasPurged)
 	}
 	if a := fs.AuditReplication(); !a.OK() || len(a.BadChunks) != 0 {
 		t.Errorf("replication audit at the end: %s, bad chunks %v", a.String(), a.BadChunks)

@@ -237,7 +237,7 @@ func (fs *FS) dropReplica(b *blockMeta, dn *DataNode) {
 		}
 	}
 	if len(b.replicas) == 0 {
-		b.verified = nil // the memo must not keep an array no replica serves
+		b.verified = localfs.Origin{} // the memo must not keep a run no replica serves
 		fs.stats.LostBlocks++
 		return
 	}

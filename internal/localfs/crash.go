@@ -74,6 +74,10 @@ func (f *file) truncate(cut int64) {
 	}
 	clear(f.segs[keep:]) // let the dropped bytes go
 	f.segs = f.segs[:keep]
+	if f.gens != nil {
+		clear((*f.gens)[keep:])
+		*f.gens = (*f.gens)[:keep]
+	}
 	f.size = cut
 }
 
@@ -126,28 +130,55 @@ func (fs *FS) Remount(p *sim.Proc) {
 // media corruption: no timing, no cache interaction, just wrong bytes the
 // next reader will see. Each segment touched is replaced by a flipped copy:
 // the stored bytes may be shared with other files (Install) and with views
-// readers already hold, and neither may see this file's damage. A segment a
-// ReadOnce let go is skipped: it has no next reader. Returns false if the
-// file is absent or the range does not overlap it.
+// readers already hold, and neither may see this file's damage. A generated
+// segment is split around the range, and only the range is made and
+// flipped. A segment a ReadOnce let go is skipped: it has no next reader.
+// Returns false if the file is absent or the range does not overlap it.
 func (fs *FS) Corrupt(name string, off int64, n int) bool {
 	f, ok := fs.files[name]
 	if !ok || off < 0 || off >= f.size || n <= 0 {
 		return false
 	}
-	end := off + int64(n)
-	if end > f.size {
-		end = f.size
+	end := min(off+int64(n), f.size)
+	segs, gens := f.segs, []generated(nil)
+	f.segs = make([]segment, 0, len(segs)+2)
+	if f.gens != nil {
+		gens = *f.gens
+		*f.gens = make([]generated, 0, len(segs)+2)
 	}
-	for i := f.segAt(off); i < len(f.segs) && f.segs[i].off < end; i++ {
-		s := &f.segs[i]
-		if s.data == nil {
+	keep := func(s segment, g generated) {
+		f.segs = append(f.segs, s)
+		if f.gens != nil {
+			*f.gens = append(*f.gens, g)
+		}
+	}
+	for i, s := range segs {
+		lo, hi := max(off, s.off), min(end, s.end())
+		var g generated
+		if gens != nil {
+			g = gens[i]
+		}
+		if lo >= hi || (s.data == nil && g.src == nil) {
+			keep(s, g)
 			continue
 		}
-		flipped := append([]byte(nil), s.data...)
-		for j := max(off, s.off) - s.off; j < min(end, s.end())-s.off; j++ {
+		var flipped []byte
+		if g.src == nil {
+			flipped = append([]byte(nil), s.data...)
+			lo, hi = s.off, s.end()
+		} else {
+			if lo > s.off {
+				keep(segment{off: s.off, n: lo - s.off}, generated{src: g.src, at: g.at})
+			}
+			flipped = g.reader()(nil, g.at+lo-s.off, g.at+hi-s.off)
+		}
+		for j := max(off, lo) - lo; j < min(end, hi)-lo; j++ {
 			flipped[j] ^= 0xFF
 		}
-		s.data = flipped
+		keep(segment{off: lo, n: hi - lo, data: flipped}, generated{})
+		if hi < s.end() {
+			keep(segment{off: hi, n: s.end() - hi}, generated{src: g.src, at: g.at + hi - s.off})
+		}
 	}
 	return true
 }

@@ -23,14 +23,27 @@
 //     replicas; an input part on every testbed of a sweep) share its backing
 //     array. Append is Install plus timing. A caller that reuses its buffer
 //     clones it at the call site and says why; nothing here does it for them.
+//   - A generated segment holds no bytes at all. InstallSource keeps a
+//     Source and a range of it (a TeraGen part's snapshot table and a
+//     block's offsets), and every read makes the bytes it returns: ReadAt
+//     into a fresh slice, ReadAppend into the caller's (Scan charges a
+//     read and makes nothing). The source is a pure
+//     function of its description and never changes, so any number of
+//     files share one (a block's replicas; a sweep's testbeds), and each
+//     file keeps a reader of it, which goes on from where its last read
+//     ended (a loaded block's replicas share theirs).
 //   - Corrupt replaces each segment it touches with a flipped copy, so the
-//     damage stays in the one file it was aimed at.
+//     damage stays in the one file it was aimed at. A generated segment is
+//     split around the range instead, and only the range is made and
+//     flipped: the file's other bytes, and every other file sharing the
+//     source, still read what the source makes.
 //   - Crash truncation and ReadAt/Peek only re-slice. A range inside one
-//     segment is returned as a view whose capacity equals its length (an
-//     append to it reallocates instead of reaching the file); a range that
-//     spans segments is gathered into a fresh slice. Either way the result
-//     is the file's bytes as of the call — a later Corrupt, Crash or Delete
-//     does not change it — and callers must treat it as read-only.
+//     held segment is returned as a view whose capacity equals its length
+//     (an append to it reallocates instead of reaching the file); a range
+//     that spans segments, or is generated, is gathered into a fresh
+//     slice. Either way the result is the file's bytes as of the call — a
+//     later Corrupt, Crash or Delete does not change it — and callers must
+//     treat it as read-only.
 //   - ReadOnce lets go. It reads as ReadAt does and then drops the file's
 //     own reference to every segment lying wholly inside the range, so the
 //     bytes live exactly as long as the views handed out: a reader that is
@@ -80,21 +93,57 @@ type extent struct {
 func (e extent) end() int64 { return e.sector + e.sectors }
 
 // segment is one immutable run of a file's bytes, starting at file offset
-// off. It carries its length because data is nil once a ReadOnce has let
-// the bytes go.
+// off: held in data, or made by the file's generated entry for it. It
+// carries its length because data is nil for a generated segment and once
+// a ReadOnce has let the bytes go.
 type segment struct {
 	off  int64
 	n    int64
 	data []byte
 }
 
+// generated is what makes a generated segment's bytes: the source, the
+// offset of the segment's first byte in it, and the reader its reads go
+// through, made at the first and kept, so sequential reads make each byte
+// once. A file keeps these beside its segments only once it has one (most
+// files never do, and a segment stays three words).
+type generated struct {
+	src  Source
+	at   int64
+	read func(dst []byte, lo, hi int64) []byte
+}
+
+// reader returns g's reader, making it at the first read.
+func (g *generated) reader() func(dst []byte, lo, hi int64) []byte {
+	if g.read == nil {
+		g.read = g.src.Reader()
+	}
+	return g.read
+}
+
+// Source is stored content made where it is read: a deterministic function
+// of its description, so every file given one holds the description and
+// none of its bytes (an input part generated on read; see the package
+// comment).
+type Source interface {
+	// Reader returns a function that appends the source's bytes [lo, hi) to
+	// dst. It may keep its place between calls, so reads that go on where
+	// the last one ended are the cheapest, and it is not safe for
+	// concurrent use: files of one testbed may share one (a block's
+	// replicas do), testbeds running in parallel may not.
+	Reader() func(dst []byte, lo, hi int64) []byte
+}
+
 func (s segment) end() int64 { return s.off + s.n }
 
 // file is an on-"disk" file: real contents plus its device extents.
 type file struct {
-	name    string
-	size    int64
-	segs    []segment // contiguous from offset 0, none empty; see the package comment
+	name string
+	size int64
+	segs []segment // contiguous from offset 0, none empty; see the package comment
+	// gens is parallel to segs once a segment is generated, nil before:
+	// most files never have one, and a pointer keeps their struct small.
+	gens    *[]generated
 	extents []extent
 	alloced int64 // sectors allocated
 	deleted bool
@@ -222,7 +271,7 @@ func (fs *FS) release(f *file) {
 		fs.freeExtent(e)
 	}
 	f.extents = nil
-	f.segs = nil
+	f.segs, f.gens = nil, nil
 }
 
 // Name returns the file's name.
@@ -255,13 +304,36 @@ func (h *File) Append(p *sim.Proc, data []byte) {
 // block share one array with the generator that made it), so the caller
 // must not write to data afterwards.
 func (h *File) Install(data []byte) {
-	if h.f.deleted {
-		panic("localfs: write to deleted file " + h.f.name)
+	if len(data) > 0 {
+		h.install(segment{n: int64(len(data)), data: data[:len(data):len(data)]}, generated{})
 	}
-	if len(data) == 0 {
-		return
+}
+
+// InstallSource is Install for n bytes of src from offset at on: the file
+// keeps the description, and every read makes the bytes it returns.
+func (h *File) InstallSource(src Source, at, n int64) {
+	if n > 0 {
+		h.install(segment{n: n}, generated{src: src, at: at})
 	}
-	h.f.store(data[:len(data):len(data)])
+}
+
+// install appends seg, already owned by the file and made by g if g has a
+// source, and allocates its sectors.
+func (h *File) install(seg segment, g generated) {
+	f := h.f
+	if f.deleted {
+		panic("localfs: write to deleted file " + f.name)
+	}
+	if g.src != nil && f.gens == nil {
+		gens := make([]generated, len(f.segs), len(f.segs)+1)
+		f.gens = &gens
+	}
+	seg.off = f.size
+	f.segs = append(f.segs, seg)
+	if f.gens != nil {
+		*f.gens = append(*f.gens, g)
+	}
+	f.size += seg.n
 	needSectors := (h.f.size + disk.SectorSize - 1) / disk.SectorSize
 	for h.f.alloced < needSectors {
 		h.fs.grow(h.f, needSectors-h.f.alloced)
@@ -276,20 +348,56 @@ func (h *File) Install(data []byte) {
 // instead of tripping over the released file table entry. The result is
 // read-only (see the package comment).
 func (h *File) ReadAt(p *sim.Proc, off, length int64) []byte {
-	if off < 0 || off >= h.f.size {
+	length = h.clamp(off, length)
+	if length <= 0 {
 		return nil
 	}
-	if off+length > h.f.size {
-		length = h.f.size - off
-	}
 	data := h.f.bytes(off, length)
+	h.charge(p, off, length)
+	return data
+}
+
+// ReadAppend is ReadAt into the caller's buffer: the same cache traffic,
+// stage tag and counters, with the bytes appended to dst, so a reader that
+// frames records in a buffer of its own takes them in one copy — none for
+// a generated range, which is made where it lands.
+func (h *File) ReadAppend(p *sim.Proc, dst []byte, off, length int64) []byte {
+	length = h.clamp(off, length)
+	if length <= 0 {
+		return dst
+	}
+	dst = h.f.appendRange(dst, off, length)
+	h.charge(p, off, length)
+	return dst
+}
+
+// Scan is ReadAt for a reader that needs the read to happen and not its
+// bytes (the scrubber, which verifies against checksums by other means):
+// the same cache traffic, stage tag and counters, and a generated range is
+// not made.
+func (h *File) Scan(p *sim.Proc, off, length int64) {
+	if length = h.clamp(off, length); length > 0 {
+		h.charge(p, off, length)
+	}
+}
+
+// clamp returns how much of [off, off+length) lies inside the file.
+func (h *File) clamp(off, length int64) int64 {
+	if off < 0 || off >= h.f.size {
+		return 0
+	}
+	return min(length, h.f.size-off)
+}
+
+// charge is a read's timing: the cache fetches of [off, off+length) and
+// the counters.
+func (h *File) charge(p *sim.Proc, off, length int64) {
 	var runs [2]extent
 	for _, r := range h.f.sectorRanges(runs[:0], off, length) {
 		h.rs.Limit = h.f.extentEnd(r.sector)
 		h.fs.cache.Read(p, &h.rs, r.sector, int(r.sectors), h.stage)
 	}
 	h.fs.stats.BytesRead += uint64(length)
-	return data
 }
 
 // ReadOnce is ReadAt for a range's last reader: the same cache traffic,
@@ -312,28 +420,37 @@ func (h *File) Sync(p *sim.Proc) { h.fs.cache.Sync(p) }
 // Close releases the handle, which holds nothing that needs releasing.
 func (h *File) Close() {}
 
-// store adds seg, already owned by the file, at the end of the contents.
-func (f *file) store(seg []byte) {
-	f.segs = append(f.segs, segment{off: f.size, n: int64(len(seg)), data: seg})
-	f.size += int64(len(seg))
-}
-
 // letGo drops the file's reference to the bytes of every segment wholly
 // inside [lo, hi).
 func (f *file) letGo(lo, hi int64) {
 	for i := f.segAt(lo); i < len(f.segs) && f.segs[i].end() <= hi; i++ {
 		if f.segs[i].off >= lo {
 			f.segs[i].data = nil
+			if f.gens != nil {
+				(*f.gens)[i] = generated{}
+			}
 		}
 	}
 }
 
-// held returns s's bytes, which a read is about to touch.
-func (f *file) held(s segment) []byte {
-	if s.data == nil {
-		panic(fmt.Sprintf("localfs: read of %s at offset %d: a ReadOnce let these bytes go", f.name, s.off))
+// source returns what makes segment i's bytes, or nil when the segment
+// holds them or a ReadOnce let them go.
+func (f *file) source(i int) *generated {
+	if f.gens == nil || (*f.gens)[i].src == nil {
+		return nil
 	}
-	return s.data
+	return &(*f.gens)[i]
+}
+
+// gone is whether a ReadOnce let segment i go.
+func (f *file) gone(i int) bool { return f.segs[i].data == nil && f.source(i) == nil }
+
+// held panics unless segment i still has its bytes, which a read is about
+// to touch.
+func (f *file) held(i int) {
+	if f.gone(i) {
+		panic(fmt.Sprintf("localfs: read of %s at offset %d: a ReadOnce let these bytes go", f.name, f.segs[i].off))
+	}
 }
 
 // segAt returns the index of the segment holding file offset off, which
@@ -343,22 +460,76 @@ func (f *file) segAt(off int64) int {
 }
 
 // bytes returns the contents of [off, off+length), which must lie inside
-// the file: a capacity-limited view when one segment holds the range,
-// gathered into a fresh slice otherwise.
+// the file: a capacity-limited view when one held segment has the range,
+// made or gathered into a fresh slice otherwise.
 func (f *file) bytes(off, length int64) []byte {
 	if length <= 0 {
 		return nil
 	}
 	i, end := f.segAt(off), off+length
-	if s := f.segs[i]; end <= s.end() {
-		return f.held(s)[off-s.off : end-s.off : end-s.off]
+	if s := f.segs[i]; end <= s.end() && s.data != nil {
+		return s.data[off-s.off : end-s.off : end-s.off]
 	}
-	out := make([]byte, 0, length)
-	for ; i < len(f.segs) && f.segs[i].off < end; i++ {
+	return f.appendRange(make([]byte, 0, length), off, length)
+}
+
+// appendRange appends the contents of [off, off+length), which must lie
+// inside the file, to dst. A generated segment's bytes come from its
+// reader, which goes on from where its last read ended.
+func (f *file) appendRange(dst []byte, off, length int64) []byte {
+	end := off + length
+	for i := f.segAt(off); i < len(f.segs) && f.segs[i].off < end; i++ {
+		f.held(i)
 		s := f.segs[i]
-		out = append(out, f.held(s)[max(off, s.off)-s.off:min(end, s.end())-s.off]...)
+		lo, hi := max(off, s.off)-s.off, min(end, s.end())-s.off
+		if g := f.source(i); g != nil {
+			dst = g.reader()(dst, g.at+lo, g.at+hi)
+		} else {
+			dst = append(dst, s.data[lo:hi]...)
+		}
 	}
-	return out
+	return dst
+}
+
+// Origin identifies the one stored run that holds all of a file's bytes:
+// the first byte of its array, or its Source and the offset the file starts
+// at in it. Two files of one size whose Origins are the Same hold the same
+// bytes, since nothing stored is written again.
+type Origin struct {
+	arr *byte
+	src Source
+	at  int64
+}
+
+// Same reports whether o and q name one stored run; the zero Origin names
+// none.
+func (o Origin) Same(q Origin) bool {
+	if o.src != nil {
+		return o.src == q.src && o.at == q.at
+	}
+	return o.arr != nil && o.arr == q.arr
+}
+
+// ArrayOrigin is the Origin of a file that stores data whole.
+func ArrayOrigin(data []byte) Origin {
+	if len(data) == 0 {
+		return Origin{}
+	}
+	return Origin{arr: &data[0]}
+}
+
+// Origin returns name's Origin, or the zero Origin when the file is absent
+// or empty, spans several runs (a corrupted range makes three) or a
+// ReadOnce let its bytes go.
+func (fs *FS) Origin(name string) Origin {
+	f, ok := fs.files[name]
+	if !ok || len(f.segs) != 1 {
+		return Origin{}
+	}
+	if g := f.source(0); g != nil {
+		return Origin{src: g.src, at: g.at}
+	}
+	return ArrayOrigin(f.segs[0].data)
 }
 
 // sectorRanges appends to dst the device sector runs backing the byte range

@@ -6,24 +6,74 @@ import (
 	"math/rand"
 	"testing"
 
+	"iochar/internal/datagen"
 	"iochar/internal/sim"
 )
 
 // modelFile is the reference the filesystem is diffed against: one flat
 // []byte per name, plus the offsets at which the real file is expected to
-// change segment (every Append and Install starts one), so reads and
-// corruptions can be aimed at the boundaries, and which of those segments a
-// ReadOnce has let go: the model keeps their bytes, nobody may read them.
+// change segment (every Append, Install and InstallSource starts one, and a
+// Corrupt splits a generated one around its range), so reads and
+// corruptions can be aimed at the boundaries, which of those segments are
+// generated, and which a ReadOnce has let go: the model keeps their bytes,
+// nobody may read them.
 type modelFile struct {
 	data  []byte
 	edges []int64
 	gone  []bool // parallel to edges
+	gen   []bool // parallel to edges
 }
 
-func (m *modelFile) grow(src []byte) {
+func (m *modelFile) grow(src []byte, gen bool) {
 	m.edges = append(m.edges, int64(len(m.data)))
 	m.gone = append(m.gone, false)
+	m.gen = append(m.gen, gen)
 	m.data = append(m.data, src...)
+}
+
+// corrupt flips [off, end) and splits every generated segment it touches
+// at the range's ends: the touched middle is bytes now.
+func (m *modelFile) corrupt(off, end int64) {
+	for i := off; i < end; i++ {
+		m.data[i] ^= 0xFF
+	}
+	var edges []int64
+	var gone, gen []bool
+	keep := func(e int64, g bool) {
+		edges, gone, gen = append(edges, e), append(gone, false), append(gen, g)
+	}
+	for i, e := range m.edges {
+		lo, hi := m.seg(i)
+		a, b := max(lo, off), min(hi, end)
+		if !m.gen[i] || m.gone[i] || a >= b {
+			edges, gone, gen = append(edges, e), append(gone, m.gone[i]), append(gen, m.gen[i])
+			continue
+		}
+		if lo < a {
+			keep(lo, true)
+		}
+		keep(a, false)
+		if b < hi {
+			keep(b, true)
+		}
+	}
+	m.edges, m.gone, m.gen = edges, gone, gen
+}
+
+// sources are the generated contents a run installs: TeraGen parts, each
+// shared by every file given a range of it, beside the bytes Part makes.
+type source struct {
+	tab  *datagen.TeraTable
+	part []byte
+}
+
+func newSources() []source {
+	var out []source
+	for i, size := range []int64{300_000, 40_000} {
+		g := datagen.TeraGen{Seed: 11}
+		out = append(out, source{g.Table(i, size), g.Part(i, size)})
+	}
+	return out
 }
 
 // seg returns the byte range of the i-th segment.
@@ -54,13 +104,14 @@ type heldView struct {
 }
 
 type diffRun struct {
-	t     *testing.T
-	rng   *rand.Rand
-	fs    *FS
-	files map[string]*modelFile
-	open  map[string]*File
-	views []heldView
-	given []heldView // slices handed to Append or Install, possibly to several files
+	t       *testing.T
+	rng     *rand.Rand
+	fs      *FS
+	sources []source
+	files   map[string]*modelFile
+	open    map[string]*File
+	views   []heldView
+	given   []heldView // slices handed to Append or Install, possibly to several files
 }
 
 func (r *diffRun) hold(what string, view []byte) {
@@ -102,7 +153,7 @@ func (r *diffRun) give(what, name string, m *modelFile, maxLen int, store func([
 		r.given = append(r.given, heldView{what, src, append([]byte(nil), src...)})
 	}
 	off := int64(len(m.data))
-	m.grow(src)
+	m.grow(src, false)
 	store(src)
 	if view := r.fs.files[name].bytes(off, int64(len(src))); &view[0] != &src[0] {
 		r.t.Fatalf("%s: the file holds a copy, not the slice it was given", what)
@@ -112,6 +163,27 @@ func (r *diffRun) give(what, name string, m *modelFile, maxLen int, store func([
 		spare[i] = 0xA5
 	}
 	r.checkHeld(what)
+}
+
+// installSource gives name a range of one of the run's sources, often one
+// another file holds too, and checks that the file keeps the description
+// and no bytes.
+func (r *diffRun) installSource(name string, m *modelFile) {
+	src := r.sources[r.rng.Intn(len(r.sources))]
+	size := int64(len(src.part))
+	at := r.rng.Int63n(size)
+	if r.rng.Intn(2) == 0 {
+		at = at / 1000 * 1000 // replicas of one block start at one offset
+	}
+	n := 1 + r.rng.Int63n(min(9000, size-at))
+	m.grow(src.part[at:at+n], true)
+	r.open[name].InstallSource(src.tab, at, n)
+	f := r.fs.files[name]
+	last := len(f.segs) - 1
+	if s, g := f.segs[last], f.source(last); s.data != nil || s.n != n || g == nil || g.src != src.tab || g.at != at {
+		r.t.Fatalf("InstallSource(%s, %d, %d) stored %d bytes, or another range", name, at, n, len(s.data))
+	}
+	r.checkHeld("InstallSource " + name)
 }
 
 // near picks an offset in [0, limit]: usually on or next to a segment edge.
@@ -162,7 +234,7 @@ func (r *diffRun) pick() (string, *modelFile) {
 
 func (r *diffRun) step(p *sim.Proc) {
 	name, m := r.pick()
-	op := r.rng.Intn(11)
+	op := r.rng.Intn(13)
 	if m == nil {
 		op = 0
 	}
@@ -175,7 +247,12 @@ func (r *diffRun) step(p *sim.Proc) {
 		r.give("Append "+name, name, m, 6000, func(src []byte) { r.open[name].Append(p, src) })
 	case 3:
 		r.give("Install "+name, name, m, 9000, r.open[name].Install)
-	case 4, 5, 10: // read a range that starts, ends or straddles an edge; 10 reads it once
+	case 11:
+		r.installSource(name, m)
+	case 4, 5, 10, 12: // read a range that starts, ends or straddles an edge; 10 reads it once, 12 appends it
+		if m.touchesGone(0, int64(len(m.data))) && r.rng.Intn(2) == 0 {
+			op = 4 // mostly read what is still there
+		}
 		size := int64(len(m.data))
 		off := r.near(m, size)
 		end := r.near(m, size+10) // may run past EOF: reads clamp
@@ -183,6 +260,19 @@ func (r *diffRun) step(p *sim.Proc) {
 			off, end = end, off
 		}
 		read, what := r.open[name].ReadAt, fmt.Sprintf("ReadAt(%s, %d, %d)", name, off, end-off)
+		prefix := []byte(nil)
+		if op == 12 {
+			prefix = make([]byte, r.rng.Intn(40), 40+r.rng.Intn(2)*9000)
+			r.rng.Read(prefix)
+			read = func(p *sim.Proc, off, n int64) []byte {
+				got := r.open[name].ReadAppend(p, prefix, off, n)
+				if !bytes.Equal(got[:len(prefix)], prefix) {
+					r.t.Fatalf("ReadAppend(%s, %d, %d) changed the bytes before it", name, off, n)
+				}
+				return got[len(prefix):]
+			}
+			what = fmt.Sprintf("ReadAppend(%s, %d, %d)", name, off, end-off)
+		}
 		if op == 10 {
 			if n := len(m.edges); n > 0 && r.rng.Intn(2) == 0 {
 				// Exactly one segment, as a fetcher reads its partition.
@@ -203,7 +293,9 @@ func (r *diffRun) step(p *sim.Proc) {
 		if !bytes.Equal(got, want) {
 			r.t.Fatalf("%s: got %d bytes, want %d, or contents differ", what, len(got), len(want))
 		}
-		r.hold(what, got)
+		if op != 12 {
+			r.hold(what, got)
+		}
 		if op == 10 {
 			for i := range m.gone {
 				if lo, hi := m.seg(i); off <= lo && hi <= end {
@@ -234,12 +326,20 @@ func (r *diffRun) step(p *sim.Proc) {
 		if want := off >= 0 && off < size; ok != want {
 			r.t.Fatalf("Corrupt(%s, %d, %d) = %v on a %d-byte file", name, off, n, ok, size)
 		}
+		what := fmt.Sprintf("Corrupt(%s, %d, %d)", name, off, n)
 		if ok {
-			for i := off; i < min(off+int64(n), size); i++ {
-				m.data[i] ^= 0xFF
+			m.corrupt(off, min(off+int64(n), size))
+			if f := r.fs.files[name]; len(f.segs) != len(m.edges) || f.gens != nil && len(*f.gens) != len(f.segs) {
+				r.t.Fatalf("%s: %d segments, the model %d, or generated entries not beside them", what, len(f.segs), len(m.edges))
 			}
 		}
-		r.checkHeld(fmt.Sprintf("Corrupt(%s, %d, %d)", name, off, n))
+		for n, mf := range r.files { // the damage is this file's alone
+			r.checkContents(what, n, mf)
+		}
+		for _, src := range r.sources {
+			checkSource(r.t, what, src)
+		}
+		r.checkHeld(what)
 	case 8: // power loss: every file keeps a prefix; all of it if nothing was dirty
 		if r.rng.Intn(2) == 0 {
 			// Sync waits out fills in flight under dirty pages: after it,
@@ -261,7 +361,10 @@ func (r *diffRun) step(p *sim.Proc) {
 			for len(mf.edges) > 0 && mf.edges[len(mf.edges)-1] >= size {
 				mf.edges = mf.edges[:len(mf.edges)-1]
 			}
-			mf.gone = mf.gone[:len(mf.edges)]
+			mf.gone, mf.gen = mf.gone[:len(mf.edges)], mf.gen[:len(mf.edges)]
+			if f := r.fs.files[n]; f.gens != nil && len(*f.gens) != len(f.segs) {
+				r.t.Fatalf("Crash: %s has %d segments and %d generated entries", n, len(f.segs), len(*f.gens))
+			}
 			r.checkContents("Crash", n, mf)
 		}
 		if leaked := r.fs.LeakedExtents(); leaked != 0 {
@@ -278,13 +381,24 @@ func (r *diffRun) step(p *sim.Proc) {
 	}
 }
 
+// checkSource holds a source to the bytes Part made for it: no file's
+// damage may reach a description files share.
+func checkSource(t *testing.T, after string, src source) {
+	t.Helper()
+	if got := src.tab.Reader()(nil, 0, src.tab.Size()); !bytes.Equal(got, src.part) {
+		t.Fatalf("after %s: a shared source no longer makes Part's bytes", after)
+	}
+}
+
 // TestDifferentialAgainstFlatModel drives random operation sequences
 // through the filesystem and a flat []byte-per-name model side by side.
+// Files hold given arrays and generated ranges of two shared TeraGen parts,
+// which the model holds as Part's bytes.
 func TestDifferentialAgainstFlatModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		env, _, fs := rig()
 		r := &diffRun{
-			t: t, rng: rand.New(rand.NewSource(seed)), fs: fs,
+			t: t, rng: rand.New(rand.NewSource(seed)), fs: fs, sources: newSources(),
 			files: map[string]*modelFile{}, open: map[string]*File{},
 		}
 		env.Go("ops", func(p *sim.Proc) {

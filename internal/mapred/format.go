@@ -349,12 +349,12 @@ func newFramer(it recordIter) *framer {
 	return &framer{it: it, skippedHead: it.splitOff == 0}
 }
 
-// feed appends one chunk and emits every complete owned record in it.
-func (f *framer) feed(chunk []byte, fn func(rec []byte)) {
+// frame emits every complete owned record in pending, which the caller
+// appends each chunk to (a map reads straight into it).
+func (f *framer) frame(fn func(rec []byte)) {
 	if f.done {
 		return
 	}
-	f.pending = append(f.pending, chunk...)
 	switch fmtv := f.it.format.(type) {
 	case FixedFormat:
 		n := len(f.pending) / fmtv.Size * fmtv.Size

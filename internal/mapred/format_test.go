@@ -22,7 +22,8 @@ func framed(it recordIter, data []byte, c int) []string {
 		if end > len(data) {
 			end = len(data)
 		}
-		fr.feed(data[pos:end], func(rec []byte) { out = append(out, string(rec)) })
+		fr.pending = append(fr.pending, data[pos:end]...)
+		fr.frame(func(rec []byte) { out = append(out, string(rec)) })
 		if fr.done {
 			break
 		}

@@ -16,6 +16,7 @@ import (
 
 	"iochar/internal/cluster"
 	"iochar/internal/compress"
+	"iochar/internal/datagen"
 	"iochar/internal/hdfs"
 	"iochar/internal/journal"
 	"iochar/internal/localfs"
@@ -1661,4 +1662,48 @@ func TestMapsDoneIsLastMapCompletion(t *testing.T) {
 	if res.MapsDone <= res.Start || res.MapsDone >= res.End {
 		t.Errorf("MapsDone %v outside (Start %v, End %v): want a map phase and a reduce tail", res.MapsDone, res.Start, res.End)
 	}
+}
+
+// TestMapChunkReadsAllocateNothing: a map reads a generated TeraSort input
+// straight into its framer's pending buffer, through the file's reader of
+// the part. Once pending has grown and the read has its place in the part,
+// a chunk read allocates nothing: not per chunk, not where a chunk crosses
+// a block's end, not where a record does.
+func TestMapChunkReadsAllocateNothing(t *testing.T) {
+	env := sim.New(1)
+	cl, err := cluster.New(env, cluster.DefaultHardware(1024), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := hdfs.New(env, hdfs.Config{BlockSize: 256 << 10}, cl.Net, cl.Slaves)
+	tab := datagen.TeraGen{Seed: 1}.Table(0, 3*256<<10+5_000)
+	node, size, chunk := cl.Slaves[0].Name, tab.Size(), int64(16<<10)
+	fs.LoadSource("/in", node, tab, size)
+	env.Go("map", func(p *sim.Proc) {
+		rd, err := fs.Open("/in", node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := newFramer(recordIter{format: FixedFormat{Size: datagen.RecordSize}, splitLen: size, fileSize: size})
+		var records int64
+		read := func(from, to int64) {
+			for pos := from; pos < to; pos += chunk {
+				if fr.pending, err = rd.ReadAppend(p, fr.pending, pos, min(chunk, to-pos)); err != nil {
+					t.Fatal(err)
+				}
+				fr.frame(func([]byte) { records++ })
+			}
+		}
+		read(0, size)  // grows pending, fills the cache
+		read(0, chunk) // a read from the start: the part's reader takes a new place
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(chunk, size)
+		runtime.ReadMemStats(&after)
+		chunks := (size - 1) / chunk
+		if n := after.Mallocs - before.Mallocs; records != 2*size/datagen.RecordSize || n != 0 {
+			t.Errorf("%d chunks framed %d records (want %d) in %d allocations; want none", chunks, records, 2*size/datagen.RecordSize, n)
+		}
+	})
+	env.Run(0)
 }

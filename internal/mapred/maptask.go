@@ -162,7 +162,7 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 		if pos+n > readOff+readLen {
 			n = readOff + readLen - pos
 		}
-		data, err := reader.ReadAt(p, pos, n)
+		fr.pending, err = reader.ReadAppend(p, fr.pending, pos, n)
 		if err != nil {
 			state.abandon()
 			if state.zombie() {
@@ -174,7 +174,7 @@ func (rt *Runtime) mapTask(p *sim.Proc, job *Job, js *jobState, taskIdx, attempt
 			js.fail(&JobError{Job: job.Name, Reason: fmt.Sprintf("map %d: input unreadable", taskIdx), Err: err})
 			return
 		}
-		fr.feed(data, handle)
+		fr.frame(handle)
 		if cpu > 0 {
 			node.Compute(p, cpu)
 			cpu = 0

@@ -22,6 +22,7 @@ import (
 	"unsafe"
 
 	"iochar/internal/cluster"
+	"iochar/internal/datagen"
 	"iochar/internal/hdfs"
 	"iochar/internal/mapred"
 	"iochar/internal/sim"
@@ -54,11 +55,20 @@ func outputDir(key string) string { return "/bench/" + key + "/out" }
 
 // loadParts spreads generated parts across the slaves: one part per slave,
 // sized to total/nslaves, mirroring a parallel generation job whose outputs
-// are local-first.
+// are local-first. A Seekable generator's parts (TeraGen's) are made where
+// they are read: each is loaded as its snapshot table, which every replica
+// of its blocks shares.
 func loadParts(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, dir string, total int64, gen Generator) {
-	per := max(total/int64(len(cl.Slaves)), 1)
-	for i, data := range in.Parts(gen, len(cl.Slaves), per) {
-		fs.Load(fmt.Sprintf("%s/part-%05d", dir, i), cl.Slaves[i].Name, data)
+	n, per := len(cl.Slaves), max(total/int64(len(cl.Slaves)), 1)
+	path := func(i int) string { return fmt.Sprintf("%s/part-%05d", dir, i) }
+	if s, ok := gen.(Seekable); ok {
+		for i, tab := range in.Tables(s, n, per) {
+			fs.LoadSource(path(i), cl.Slaves[i].Name, tab, tab.Size())
+		}
+		return
+	}
+	for i, data := range in.Parts(gen, n, per) {
+		fs.Load(path(i), cl.Slaves[i].Name, data)
 	}
 }
 
@@ -67,58 +77,81 @@ type Generator interface {
 	Part(part int, size int64) []byte
 }
 
-// Inputs supplies parts 0..n-1 of gen, each of size bytes (a test wraps it).
-type Inputs interface {
-	Parts(gen Generator, n int, size int64) [][]byte
+// Seekable is a generator whose parts are made where they are read: Table
+// is a part's snapshot pass, and the table regenerates any range of it.
+type Seekable interface {
+	Table(part int, size int64) *datagen.TeraTable
 }
 
-// PartTable is Inputs generating each distinct part (generator value, index,
-// size) once and handing all its callers the same bytes: a sweep's cells of
-// a workload share one. hdfs.Load installs the slice uncopied and nothing
+// Inputs supplies parts 0..n-1 of a generator, each of size bytes, as bytes
+// or as snapshot tables (a test wraps it).
+type Inputs interface {
+	Parts(gen Generator, n int, size int64) [][]byte
+	Tables(gen Seekable, n int, size int64) []*datagen.TeraTable
+}
+
+// PartTable is Inputs making each distinct part (generator value, index,
+// size) once and handing all its callers the same one: a sweep's cells of a
+// workload share one. hdfs.Load installs a byte part uncopied and nothing
 // stored is written again, so testbeds share it as a block's replicas do
-// (localfs's "who copies, who keeps"). It is safe for concurrent use.
+// (localfs's "who copies, who keeps"); a snapshot table is never written
+// after it is made, so they share that too. It is safe for concurrent use.
 type PartTable struct {
-	mu    sync.Mutex
-	parts map[partKey]*part
+	mu     sync.Mutex
+	parts  map[partKey]*part // byte parts
+	tables map[partKey]*part // snapshot tables
 }
 
 type partKey struct {
-	gen  Generator
+	gen  any // a Generator, or a Seekable in tables
 	i    int
 	size int64
 }
 
-// part is a table entry; the caller that claims it sets data, then closes ready.
+// part is a table entry; the caller that claims it sets v, then closes ready.
 type part struct {
 	ready chan struct{}
-	data  []byte
+	v     any // []byte, or *datagen.TeraTable
 }
 
 // NewPartTable returns an empty table.
-func NewPartTable() *PartTable { return &PartTable{parts: map[partKey]*part{}} }
+func NewPartTable() *PartTable {
+	return &PartTable{parts: map[partKey]*part{}, tables: map[partKey]*part{}}
+}
 
 // Parts generates each part nobody has claimed and waits last for those
 // other callers claimed, so callers that arrive together split the work.
 func (t *PartTable) Parts(gen Generator, n int, size int64) [][]byte {
+	return claim(t, t.parts, gen, n, size, func(k partKey) []byte { return k.gen.(Generator).Part(k.i, k.size) })
+}
+
+// Tables is Parts for snapshot tables: each part's snapshot pass runs once.
+func (t *PartTable) Tables(gen Seekable, n int, size int64) []*datagen.TeraTable {
+	return claim(t, t.tables, gen, n, size, func(k partKey) *datagen.TeraTable { return k.gen.(Seekable).Table(k.i, k.size) })
+}
+
+// claim returns entries 0..n-1 of gen's parts of size bytes in m, making
+// each one nobody has claimed with mk and waiting last for the others.
+func claim[T any](t *PartTable, m map[partKey]*part, gen any, n int, size int64, mk func(partKey) T) []T {
 	ps := make([]*part, n)
 	for i := range ps {
 		k := partKey{gen, i, size}
 		t.mu.Lock()
-		p, claimed := t.parts[k]
+		p, claimed := m[k]
 		if !claimed {
 			p = &part{ready: make(chan struct{})}
-			t.parts[k] = p
+			m[k] = p
 		}
 		t.mu.Unlock()
 		if ps[i] = p; !claimed {
-			p.data = k.gen.Part(k.i, k.size)
+			p.v = mk(k)
 			close(p.ready)
 		}
 	}
-	out := make([][]byte, n)
+	out := make([]T, n)
 	for i, p := range ps {
 		<-p.ready
-		out[i] = p.data
+		out[i] = p.v.(T)
 	}
 	return out
 }
