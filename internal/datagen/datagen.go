@@ -162,31 +162,29 @@ func (g TeraGen) table(part int, size, stripe int64) *TeraTable {
 // Size is the part's length in bytes.
 func (t *TeraTable) Size() int64 { return t.n * RecordSize }
 
-// Reader returns a function that appends bytes [lo, hi) of the part to dst
-// (0 ≤ lo ≤ hi ≤ Size()). It keeps up to maxCursors places in the part and
-// regenerates from the record holding lo's byte, going on from the place
-// nearest at or before it in the same stripe, or from the stripe's
-// snapshot, so interleaved sequential readers (a testbed's maps, each on
-// its own block, and a map's read that runs into the next block) each make
-// their records once. A reader is not safe for concurrent use; the table
-// under it is.
-func (t *TeraTable) Reader() func(dst []byte, lo, hi int64) []byte {
-	r := &teraReader{t: t}
-	return r.appendTo
-}
+// Reader returns a reader of the part with no place in it yet. A reader is
+// not safe for concurrent use; the table under it is.
+func (t *TeraTable) Reader() *TeraReader { return &TeraReader{t: t} }
 
 // maxCursors bounds a reader's places in a part: a testbed runs fewer maps
 // on one part at once.
 const maxCursors = 16
 
-// teraReader is a TeraTable reader's places.
-type teraReader struct {
+// TeraReader makes byte ranges of a TeraTable's part. It keeps up to
+// maxCursors places in the part and regenerates from the record holding a
+// read's first byte, going on from the place nearest at or before it in the
+// same stripe, or from the stripe's snapshot, so interleaved sequential
+// readers (a testbed's maps, each on its own block, and a map's read that
+// runs into the next block) each make their records once.
+type TeraReader struct {
 	t     *TeraTable
 	ws    []*teraWindow
 	clock int64 // reads so far, which date each place's last use
 }
 
-func (r *teraReader) appendTo(dst []byte, lo, hi int64) []byte {
+// AppendTo appends bytes [lo, hi) of the part to dst (0 ≤ lo ≤ hi ≤
+// Size()).
+func (r *TeraReader) AppendTo(dst []byte, lo, hi int64) []byte {
 	if lo >= hi {
 		return dst
 	}
@@ -200,7 +198,7 @@ func (r *teraReader) appendTo(dst []byte, lo, hi int64) []byte {
 // last record made is rec, else the nearest at or before rec and not
 // before its stripe's snapshot, else a new one, or past maxCursors the one
 // used least recently.
-func (r *teraReader) pick(rec int64) *teraWindow {
+func (r *TeraReader) pick(rec int64) *teraWindow {
 	var near, old *teraWindow
 	for _, w := range r.ws {
 		if w.made && w.c.rec-1 == rec {
@@ -316,19 +314,14 @@ func redrawn(x uint64) bool { return uint32(x>>32)&(1<<31-1) > bound }
 var vector = hasAVX2
 
 // refill replaces the window x[m..m+607) with x[m+607..m+1214): the first
-// 273 add an output of the old window, the rest one just written. With
-// note, the same pass notes whether the new window is clean, so skip can
-// step over it whole; printable's refills leave that unknown.
-func (r *lagged) refill(note bool) {
-	switch {
-	case vector && note:
-		a := addLaggedRedraw(r.w[:273], r.w[334:])
-		r.clean = !addLaggedRedraw(r.w[273:], r.w[:334]) && !a
-	case vector:
-		addLagged(r.w[:273], r.w[334:])
-		addLagged(r.w[273:], r.w[:334])
-		r.clean = false
-	default:
+// 273 add an output of the old window, the rest one just written. The same
+// pass notes whether the new window is clean, so skip can step over it
+// whole.
+func (r *lagged) refill() {
+	if vector {
+		a := addLagged(r.w[:273], r.w[334:])
+		r.clean = !addLagged(r.w[273:], r.w[:334]) && !a
+	} else {
 		var v uint32 // bit 31 set once some bits 32–62 exceed bound: v+3 ≥ 2³¹
 		for k := 0; k < 273; k++ {
 			r.w[k] += r.w[k+334]
@@ -338,7 +331,7 @@ func (r *lagged) refill(note bool) {
 			r.w[k] += r.w[k-273]
 			v |= uint32(r.w[k]>>32)&(1<<31-1) + (1<<31 - 1 - bound)
 		}
-		r.clean = note && v>>31 == 0
+		r.clean = v>>31 == 0
 	}
 	r.i = 0
 }
@@ -350,7 +343,7 @@ func (r *lagged) printable(dst []byte) {
 	const n = 95
 	for len(dst) > 0 {
 		if r.i == len(r.w) {
-			r.refill(false)
+			r.refill()
 		}
 		w := r.w[r.i:min(len(r.w), r.i+len(dst))]
 		j := 0
@@ -375,7 +368,7 @@ func (r *lagged) printable(dst []byte) {
 func (r *lagged) skip(d int64) {
 	for d > 0 {
 		if r.i == len(r.w) {
-			r.refill(true)
+			r.refill()
 		}
 		if r.clean {
 			k := int(min(int64(len(r.w)-r.i), d))

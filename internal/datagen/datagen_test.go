@@ -126,7 +126,7 @@ func FuzzTeraGenPart(f *testing.F) {
 // order, and compares each with the part's bytes.
 func checkWindows(t *testing.T, what string, tab *TeraTable, part []byte, windows ...[2]int64) {
 	t.Helper()
-	read := tab.Reader()
+	read := tab.Reader().AppendTo
 	for _, w := range windows {
 		lo, hi := w[0], w[1]
 		prefix := []byte("prefix")
@@ -214,7 +214,7 @@ func testLaggedMatchesSource(t *testing.T) {
 		r.seed(seed)
 		for k := 0; k < 5*len(r.w)+17; k++ {
 			if r.i == len(r.w) {
-				r.refill(k%2 == 0)
+				r.refill()
 			}
 			got, want := r.w[r.i], src.Uint64()
 			r.i++
@@ -291,7 +291,7 @@ func withRedraws(now, next []int) lagged {
 	r.seed(3)
 	if len(next) > 0 {
 		want := r
-		want.refill(false)
+		want.refill()
 		for _, k := range next {
 			want.w[k] |= (1<<31 - 3) << 32
 		}
@@ -312,14 +312,14 @@ func withRedraws(now, next []int) lagged {
 	return r
 }
 
-// TestRefillNotesRedraws: a noting refill finds the new window clean
+// TestRefillNotesRedraws: a refill finds the new window clean
 // exactly when it holds no output above the bound, at every slot the
 // kernel's four-word steps and scalar tails reach, on both paths.
 func TestRefillNotesRedraws(t *testing.T) {
 	bothPaths(t, func(t *testing.T) {
 		for _, slots := range [][]int{nil, {0}, {3}, {271}, {272}, {273}, {274}, {333}, {334}, {603}, {605}, {606}, {10, 500}} {
 			r := withRedraws(nil, slots)
-			r.refill(true)
+			r.refill()
 			if r.clean != (len(slots) == 0) {
 				t.Errorf("redrawn slots %v: refill notes the window clean: %v", slots, r.clean)
 			}
@@ -380,7 +380,7 @@ func checkRedraws(t *testing.T, slots []int, spans ...int) {
 		r.w[k] |= (1<<31 - 3) << 32
 	}
 	next := r
-	next.refill(false)
+	next.refill()
 	src := outputs(append(r.w[:len(r.w):len(r.w)], next.w[:]...))
 	rng := rand.New(&src)
 	got := make([]byte, len(r.w)-len(slots)+100)
@@ -451,7 +451,7 @@ func BenchmarkTeraTableRead(b *testing.B) {
 			buf := make([]byte, 0, 32<<10)
 			b.SetBytes(tab.Size())
 			for i := 0; i < b.N; i++ {
-				read := tab.Reader()
+				read := tab.Reader().AppendTo
 				for pos := int64(0); pos < block; pos += 16 << 10 {
 					for lo := int64(0); lo+pos < tab.Size(); lo += block {
 						buf = read(buf[:0], lo+pos, min(lo+pos+16<<10, lo+block, tab.Size()))

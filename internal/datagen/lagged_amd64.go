@@ -26,17 +26,12 @@ var hasAVX2 = func() bool {
 //go:noescape
 func printable8(dst []byte, w []uint64) int
 
-// addLagged adds src[k] to dst[k] for k in ascending order, four at a time:
+// addLagged adds src[k] to dst[k] for k in ascending order, four at a time,
+// and reports whether any sum is an output Int31n draws again after:
 // refill's loops, whose reads trail their writes by 273 or 334 words.
 //
 //go:noescape
-func addLagged(dst, src []uint64)
-
-// addLaggedRedraw is addLagged that also reports whether any sum is an
-// output Int31n draws again after: skip's refill.
-//
-//go:noescape
-func addLaggedRedraw(dst, src []uint64) (redraw bool)
+func addLagged(dst, src []uint64) (redraw bool)
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 

@@ -78,42 +78,12 @@ none:
 	MOVQ AX, ret+48(FP)
 	RET
 
-// func addLagged(dst, src []uint64)
-TEXT ·addLagged(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	JZ   tail
-
-quad:
-	VMOVDQU (DI)(AX*8), Y0
-	VPADDQ  (SI)(AX*8), Y0, Y0
-	VMOVDQU Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, DX
-	JB      quad
-	VZEROUPPER
-
-tail:
-	CMPQ AX, CX
-	JAE  end
-	MOVQ (SI)(AX*8), R8
-	ADDQ R8, (DI)(AX*8)
-	INCQ AX
-	JMP  tail
-
-end:
-	RET
-
-// func addLaggedRedraw(dst, src []uint64) (redraw bool)
+// func addLagged(dst, src []uint64) (redraw bool)
 //
-// addLagged that also tests each sum as printable8 does: bits 32–62
-// against the rejection bound, the comparisons OR-ed into Y7 (R10 in the
-// scalar tail, as bits + 3, whose bit 31 is the comparison).
-TEXT ·addLaggedRedraw(SB), NOSPLIT, $0-49
+// Each sum is tested as printable8 tests an output: bits 32–62 against the
+// rejection bound, the comparisons OR-ed into Y7 (R10 in the scalar tail,
+// as bits + 3, whose bit 31 is the comparison).
+TEXT ·addLagged(SB), NOSPLIT, $0-49
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI

@@ -8,8 +8,4 @@ const hasAVX2 = false
 
 func printable8([]byte, []uint64) int { panic("datagen: no vector kernel on this architecture") }
 
-func addLagged(dst, src []uint64) { panic("datagen: no vector kernel on this architecture") }
-
-func addLaggedRedraw(dst, src []uint64) bool {
-	panic("datagen: no vector kernel on this architecture")
-}
+func addLagged(dst, src []uint64) bool { panic("datagen: no vector kernel on this architecture") }

@@ -573,39 +573,21 @@ func (fs *FS) Load(path string, firstNode string, data []byte) {
 }
 
 // LoadSource is Load for size bytes made where they are read: every
-// replica of a block keeps the block's range of src and none of its bytes.
-// With integrity on, a block's sums are made from src only when a replica
-// that is no longer the untouched range needs them.
+// replica of a block keeps the block's range of src and none of its bytes,
+// and all of them read through src. A map's read that runs a record into the
+// next block then meets the place that made its own block, and the next
+// block's map can go on from there, whichever replicas serve them. src must
+// belong to this FS's testbed alone (see localfs.Source). With integrity on,
+// a block's sums are made from src only when a replica that is no longer the
+// untouched range needs them.
 func (fs *FS) LoadSource(path, firstNode string, src localfs.Source, size int64) {
-	shared := &sharedSource{src: src}
 	fs.load(path, firstNode, size,
 		func(lo, hi int64) func(*localfs.File) {
-			return func(f *localfs.File) { f.InstallSource(shared, lo, hi-lo) }
+			return func(f *localfs.File) { f.InstallSource(src, lo, hi-lo) }
 		},
 		func(b *blockMeta, lo, hi int64) {
-			b.lazySums = func() []uint32 { return chunkSums(src.Reader()(nil, lo, hi)) }
+			b.lazySums = func() []uint32 { return chunkSums(src.AppendTo(nil, lo, hi)) }
 		})
-}
-
-// sharedSource is the descriptor a loaded file's block replicas share: its
-// Source, read through one reader for all of them. A map's read that runs
-// a record into the next block then meets the place that made its own
-// block, and the next block's map can go on from there, whichever replicas
-// serve them. A file lives in one testbed, whose reads never run
-// concurrently; the Source under it may be shared by testbeds running in
-// parallel.
-type sharedSource struct {
-	src  localfs.Source
-	read func(dst []byte, lo, hi int64) []byte
-}
-
-// Reader implements localfs.Source: every replica gets the file's one
-// reader.
-func (s *sharedSource) Reader() func(dst []byte, lo, hi int64) []byte {
-	if s.read == nil {
-		s.read = s.src.Reader()
-	}
-	return s.read
 }
 
 // load is Load and LoadSource: block returns what puts bytes [lo, hi) of
@@ -707,8 +689,8 @@ func (r *Reader) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 // ReadAppend is ReadAt into the caller's buffer: the same block reads,
 // failover and transfers, with the bytes appended to dst, so a reader that
 // frames records in a buffer of its own copies each byte once at most (a
-// generated block is made where it lands). On an error dst comes back as
-// it was.
+// generated block is made where it lands). On an error dst comes back at
+// its length on entry, without the blocks read before the one that failed.
 func (r *Reader) ReadAppend(p *sim.Proc, dst []byte, off, length int64) ([]byte, error) {
 	r.fs.waitMasterFrom(p, false, r.client)
 	return r.appendRange(p, dst, off, length)
@@ -720,13 +702,14 @@ func (r *Reader) appendRange(p *sim.Proc, dst []byte, off, length int64) ([]byte
 		return dst, nil
 	}
 	length = min(length, r.meta.size-off)
+	n := len(dst) // what a failed read gives back
 	var blockStart int64
 	for _, b := range r.meta.blocks {
 		blockEnd := blockStart + b.size
 		if lo, hi := max(off, blockStart)-blockStart, min(off+length, blockEnd)-blockStart; lo < hi {
 			data, err := r.readBlockRange(p, b, lo, hi-lo, func(f *localfs.File) []byte { return f.ReadAppend(p, dst, lo, hi-lo) })
 			if err != nil {
-				return dst, r.lossOf(err)
+				return dst[:n], r.lossOf(err)
 			}
 			dst = data
 		}

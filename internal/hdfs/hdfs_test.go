@@ -288,6 +288,41 @@ func TestReadAtEOFClamps(t *testing.T) {
 
 // Property: for any content and any read window, HDFS returns exactly the
 // bytes written, across block boundaries and replica choices.
+// TestReadAppendFailsWithoutPartialBlocks: a read that spans blocks and
+// meets a lost block after a readable one gives dst back at its length on
+// entry, so a caller that retries into the same buffer frames no byte
+// twice; ReadAt gives nil. A read that fits before the lost block succeeds.
+func TestReadAppendFailsWithoutPartialBlocks(t *testing.T) {
+	env, c, fs := rig(4)
+	bs := fs.cfg.BlockSize
+	want := pattern(int(2*bs + 5_000))
+	fs.Load("/f", c.Slaves[0].Name, want)
+	lost := fs.files["/f"].blocks[1]
+	for _, dn := range lost.replicas {
+		delete(dn.blocks, lost.id)
+	}
+	env.Go("client", func(p *sim.Proc) {
+		r, err := fs.Open("/f", c.Slaves[1].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("framed")
+		dst := append(make([]byte, 0, 3*bs), prefix...)
+		got, err := r.ReadAppend(p, dst, bs/2, bs)
+		if err == nil || !bytes.Equal(got, prefix) {
+			t.Errorf("ReadAppend across the lost block: %d bytes, error %v; want the %d-byte prefix and an error", len(got), err, len(prefix))
+		}
+		if got, err := r.ReadAt(p, bs/2, bs); err == nil || got != nil {
+			t.Errorf("ReadAt across the lost block: %d bytes, error %v; want nil and an error", len(got), err)
+		}
+		got, err = r.ReadAppend(p, dst, 0, bs)
+		if err != nil || !bytes.Equal(got, append(prefix, want[:bs]...)) {
+			t.Errorf("ReadAppend of the readable block: %d bytes, error %v", len(got), err)
+		}
+	})
+	env.Run(0)
+}
+
 func TestQuickReadWindows(t *testing.T) {
 	env, c, fs := rig(4)
 	content := pattern(300_000)

@@ -632,7 +632,7 @@ func TestVerifyMemoMatchesRecompute(t *testing.T) {
 	// corrupted one is split around its damage.
 	gen := datagen.TeraGen{Seed: 3}
 	genWant := gen.Part(1, int64(len(want)))
-	fs.LoadSource("/gen", reader, gen.Table(1, int64(len(want))), int64(len(genWant)))
+	fs.LoadSource("/gen", reader, gen.Table(1, int64(len(want))).Reader(), int64(len(genWant)))
 	env.Go("client", func(p *sim.Proc) {
 		writeRecords(t, p, fs, "/f", c.Slaves[1].Name, want, nil)
 		check("load and pipeline write")

@@ -168,9 +168,9 @@ func (fs *FS) Corrupt(name string, off int64, n int) bool {
 			lo, hi = s.off, s.end()
 		} else {
 			if lo > s.off {
-				keep(segment{off: s.off, n: lo - s.off}, generated{src: g.src, at: g.at})
+				keep(segment{off: s.off, n: lo - s.off}, g)
 			}
-			flipped = g.reader()(nil, g.at+lo-s.off, g.at+hi-s.off)
+			flipped = g.src.AppendTo(nil, g.at+lo-s.off, g.at+hi-s.off)
 		}
 		for j := max(off, lo) - lo; j < min(end, hi)-lo; j++ {
 			flipped[j] ^= 0xFF

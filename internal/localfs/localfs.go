@@ -24,14 +24,14 @@
 //     array. Append is Install plus timing. A caller that reuses its buffer
 //     clones it at the call site and says why; nothing here does it for them.
 //   - A generated segment holds no bytes at all. InstallSource keeps a
-//     Source and a range of it (a TeraGen part's snapshot table and a
-//     block's offsets), and every read makes the bytes it returns: ReadAt
-//     into a fresh slice, ReadAppend into the caller's (Scan charges a
-//     read and makes nothing). The source is a pure
-//     function of its description and never changes, so any number of
-//     files share one (a block's replicas; a sweep's testbeds), and each
-//     file keeps a reader of it, which goes on from where its last read
-//     ended (a loaded block's replicas share theirs).
+//     Source and a range of it (a reader of a TeraGen part's snapshot
+//     table and a block's offsets), and every read makes the bytes it
+//     returns: ReadAt into a fresh slice, ReadAppend into the caller's (Scan
+//     charges a read and makes nothing). What it makes is a pure function
+//     of its description and never changes, so any number of files of one
+//     testbed share one source (a loaded file's block replicas), which
+//     goes on from where its last read ended; testbeds share the table
+//     under their sources.
 //   - Corrupt replaces each segment it touches with a flipped copy, so the
 //     damage stays in the one file it was aimed at. A generated segment is
 //     split around the range instead, and only the range is made and
@@ -102,23 +102,13 @@ type segment struct {
 	data []byte
 }
 
-// generated is what makes a generated segment's bytes: the source, the
-// offset of the segment's first byte in it, and the reader its reads go
-// through, made at the first and kept, so sequential reads make each byte
-// once. A file keeps these beside its segments only once it has one (most
-// files never do, and a segment stays three words).
+// generated is what makes a generated segment's bytes: the source and the
+// offset of the segment's first byte in it. A file keeps these beside its
+// segments only once it has one (most files never do, and a segment stays
+// three words).
 type generated struct {
-	src  Source
-	at   int64
-	read func(dst []byte, lo, hi int64) []byte
-}
-
-// reader returns g's reader, making it at the first read.
-func (g *generated) reader() func(dst []byte, lo, hi int64) []byte {
-	if g.read == nil {
-		g.read = g.src.Reader()
-	}
-	return g.read
+	src Source
+	at  int64
 }
 
 // Source is stored content made where it is read: a deterministic function
@@ -126,12 +116,12 @@ func (g *generated) reader() func(dst []byte, lo, hi int64) []byte {
 // none of its bytes (an input part generated on read; see the package
 // comment).
 type Source interface {
-	// Reader returns a function that appends the source's bytes [lo, hi) to
-	// dst. It may keep its place between calls, so reads that go on where
-	// the last one ended are the cheapest, and it is not safe for
-	// concurrent use: files of one testbed may share one (a block's
-	// replicas do), testbeds running in parallel may not.
-	Reader() func(dst []byte, lo, hi int64) []byte
+	// AppendTo appends the source's bytes [lo, hi) to dst. It may keep its
+	// place between calls, so reads that go on where the last one ended are
+	// the cheapest, and it is not safe for concurrent use: files of one
+	// testbed may share one (a block's replicas do), testbeds running in
+	// parallel may not.
+	AppendTo(dst []byte, lo, hi int64) []byte
 }
 
 func (s segment) end() int64 { return s.off + s.n }
@@ -475,7 +465,7 @@ func (f *file) bytes(off, length int64) []byte {
 
 // appendRange appends the contents of [off, off+length), which must lie
 // inside the file, to dst. A generated segment's bytes come from its
-// reader, which goes on from where its last read ended.
+// source, which goes on from where its last read ended.
 func (f *file) appendRange(dst []byte, off, length int64) []byte {
 	end := off + length
 	for i := f.segAt(off); i < len(f.segs) && f.segs[i].off < end; i++ {
@@ -483,7 +473,7 @@ func (f *file) appendRange(dst []byte, off, length int64) []byte {
 		s := f.segs[i]
 		lo, hi := max(off, s.off)-s.off, min(end, s.end())-s.off
 		if g := f.source(i); g != nil {
-			dst = g.reader()(dst, g.at+lo, g.at+hi)
+			dst = g.src.AppendTo(dst, g.at+lo, g.at+hi)
 		} else {
 			dst = append(dst, s.data[lo:hi]...)
 		}

@@ -60,10 +60,11 @@ func (m *modelFile) corrupt(off, end int64) {
 	m.edges, m.gone, m.gen = edges, gone, gen
 }
 
-// sources are the generated contents a run installs: TeraGen parts, each
-// shared by every file given a range of it, beside the bytes Part makes.
+// sources are the generated contents a run installs: readers of TeraGen
+// parts' tables, each shared by every file given a range of it as a loaded
+// file's replicas share theirs, beside the bytes Part makes.
 type source struct {
-	tab  *datagen.TeraTable
+	read *datagen.TeraReader
 	part []byte
 }
 
@@ -71,7 +72,7 @@ func newSources() []source {
 	var out []source
 	for i, size := range []int64{300_000, 40_000} {
 		g := datagen.TeraGen{Seed: 11}
-		out = append(out, source{g.Table(i, size), g.Part(i, size)})
+		out = append(out, source{g.Table(i, size).Reader(), g.Part(i, size)})
 	}
 	return out
 }
@@ -177,10 +178,10 @@ func (r *diffRun) installSource(name string, m *modelFile) {
 	}
 	n := 1 + r.rng.Int63n(min(9000, size-at))
 	m.grow(src.part[at:at+n], true)
-	r.open[name].InstallSource(src.tab, at, n)
+	r.open[name].InstallSource(src.read, at, n)
 	f := r.fs.files[name]
 	last := len(f.segs) - 1
-	if s, g := f.segs[last], f.source(last); s.data != nil || s.n != n || g == nil || g.src != src.tab || g.at != at {
+	if s, g := f.segs[last], f.source(last); s.data != nil || s.n != n || g == nil || g.src != src.read || g.at != at {
 		r.t.Fatalf("InstallSource(%s, %d, %d) stored %d bytes, or another range", name, at, n, len(s.data))
 	}
 	r.checkHeld("InstallSource " + name)
@@ -385,7 +386,7 @@ func (r *diffRun) step(p *sim.Proc) {
 // damage may reach a description files share.
 func checkSource(t *testing.T, after string, src source) {
 	t.Helper()
-	if got := src.tab.Reader()(nil, 0, src.tab.Size()); !bytes.Equal(got, src.part) {
+	if got := src.read.AppendTo(nil, 0, int64(len(src.part))); !bytes.Equal(got, src.part) {
 		t.Fatalf("after %s: a shared source no longer makes Part's bytes", after)
 	}
 }

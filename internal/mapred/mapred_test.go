@@ -1678,7 +1678,7 @@ func TestMapChunkReadsAllocateNothing(t *testing.T) {
 	fs := hdfs.New(env, hdfs.Config{BlockSize: 256 << 10}, cl.Net, cl.Slaves)
 	tab := datagen.TeraGen{Seed: 1}.Table(0, 3*256<<10+5_000)
 	node, size, chunk := cl.Slaves[0].Name, tab.Size(), int64(16<<10)
-	fs.LoadSource("/in", node, tab, size)
+	fs.LoadSource("/in", node, tab.Reader(), size)
 	env.Go("map", func(p *sim.Proc) {
 		rd, err := fs.Open("/in", node)
 		if err != nil {

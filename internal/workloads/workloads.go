@@ -56,14 +56,14 @@ func outputDir(key string) string { return "/bench/" + key + "/out" }
 // loadParts spreads generated parts across the slaves: one part per slave,
 // sized to total/nslaves, mirroring a parallel generation job whose outputs
 // are local-first. A Seekable generator's parts (TeraGen's) are made where
-// they are read: each is loaded as its snapshot table, which every replica
-// of its blocks shares.
+// they are read: each is loaded as a reader of its snapshot table, which
+// every replica of its blocks shares.
 func loadParts(fs *hdfs.FS, cl *cluster.Cluster, in Inputs, dir string, total int64, gen Generator) {
 	n, per := len(cl.Slaves), max(total/int64(len(cl.Slaves)), 1)
 	path := func(i int) string { return fmt.Sprintf("%s/part-%05d", dir, i) }
 	if s, ok := gen.(Seekable); ok {
 		for i, tab := range in.Tables(s, n, per) {
-			fs.LoadSource(path(i), cl.Slaves[i].Name, tab, tab.Size())
+			fs.LoadSource(path(i), cl.Slaves[i].Name, tab.Reader(), tab.Size())
 		}
 		return
 	}
