@@ -132,7 +132,7 @@ func BenchmarkWorkloads(b *testing.B) {
 //	go test -run '^$' -bench PaperScale -benchtime 1x -o "$dir/iochar.test" \
 //		-outputdir "$dir" -cpuprofile cpu.out -memprofile mem.out .
 //
-// It holds ~4.4 GB at its peak; peak-rss-MB is the test process's
+// It holds ~2.6 GB at its peak; peak-rss-MB is the test process's
 // high-water mark (Linux only).
 func BenchmarkPaperScale(b *testing.B) {
 	opts := core.Options{Scale: 1024, Slaves: 10, Seed: 1}
