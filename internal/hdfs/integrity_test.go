@@ -658,6 +658,15 @@ func TestVerifyMemoMatchesRecompute(t *testing.T) {
 			t.Fatalf("the reads neither failed over nor queued repairs: %+v", st)
 		}
 		check("failed-over read and read-repair")
+		for _, b := range fs.files["/gen"].blocks { // the repair copied a generated range by reference
+			first := b.replicas[0].blocks[b.id]
+			origin := first.vol.Origin(first.file.Name())
+			for _, dn := range b.replicas {
+				if sb := dn.blocks[b.id]; !sb.vol.Origin(sb.file.Name()).Same(origin) {
+					t.Errorf("block %d of /gen: the replica on %s is not the loaded generated range", b.id, dn.node.Name)
+				}
+			}
+		}
 
 		var victim *DataNode
 		writeRecords(t, p, fs, "/g", c.Slaves[2].Name, want, func() {

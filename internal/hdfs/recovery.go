@@ -368,7 +368,7 @@ func (fs *FS) copyBlock(p *sim.Proc, b *blockMeta) (copied, retry bool) {
 		}
 		return false, false // nothing live to copy from, or no eligible target
 	}
-	content := sb.file.ReadAt(p, 0, b.size)
+	content := sb.file.ReadContents(p, 0, b.size)
 	if fs.integrity && !fs.verifyRange(b, sb, 0, b.size) {
 		// The chosen source is itself corrupt: strike it and retry from the
 		// survivors — replication must never propagate bad bytes.
@@ -383,7 +383,7 @@ func (fs *FS) copyBlock(p *sim.Proc, b *blockMeta) (copied, retry bool) {
 	}
 	f := dst.node.NextHDFSVol().Create(blockFileName(b.id))
 	f.SetStage(disk.StageHDFS)
-	f.Append(p, content) // the source's read-only view: the copy shares its array
+	f.AppendContents(p, content) // the copy shares the source's arrays and generated ranges
 	if b.gone || dst.crashed || f.FS().Failed() {
 		// The block was deleted — or the target (node or volume) died —
 		// while the copy was landing; crediting it now would leave an orphan

@@ -32,6 +32,10 @@
 //     testbed share one source (a loaded file's block replicas), which
 //     goes on from where its last read ended; testbeds share the table
 //     under their sources.
+//   - A copy of a range to another file (HDFS re-replication) goes by
+//     reference too: ReadContents returns the range's runs as of the read,
+//     arrays and sources alike, and AppendContents keeps them, so a copy
+//     of a generated range is still generated.
 //   - Corrupt replaces each segment it touches with a flipped copy, so the
 //     damage stays in the one file it was aimed at. A generated segment is
 //     split around the range instead, and only the range is made and
@@ -280,9 +284,26 @@ func (h *File) Size() int64 { return h.f.size }
 func (h *File) Append(p *sim.Proc, data []byte) {
 	start := h.f.size
 	h.Install(data)
-	h.fs.stats.BytesWritten += uint64(len(data))
+	h.written(p, start)
+}
+
+// AppendContents is Append for what another file's ReadContents found: the
+// file keeps its runs, arrays and sources alike, as Install keeps a slice.
+func (h *File) AppendContents(p *sim.Proc, c Contents) {
+	start := h.f.size
+	for i, s := range c.segs {
+		h.install(s, c.gens[i])
+	}
+	h.written(p, start)
+}
+
+// written is an append's timing: the counters, and the cache writes of the
+// bytes from start to the end of the file.
+func (h *File) written(p *sim.Proc, start int64) {
+	n := h.f.size - start
+	h.fs.stats.BytesWritten += uint64(n)
 	var runs [2]extent
-	for _, r := range h.f.sectorRanges(runs[:0], start, int64(len(data))) {
+	for _, r := range h.f.sectorRanges(runs[:0], start, n) {
 		h.fs.cache.Write(p, r.sector, int(r.sectors), h.stage)
 	}
 }
@@ -359,6 +380,40 @@ func (h *File) ReadAppend(p *sim.Proc, dst []byte, off, length int64) []byte {
 	dst = h.f.appendRange(dst, off, length)
 	h.charge(p, off, length)
 	return dst
+}
+
+// Contents is a range of a file as the read that found it saw it, by
+// reference: the held runs' arrays and the generated runs' sources, none of
+// them made or copied.
+type Contents struct {
+	segs []segment
+	gens []generated // beside segs
+}
+
+// ReadContents is ReadAt for a reader that stores what it reads in another
+// file (re-replication): the same cache traffic, stage tag and counters,
+// and the range by reference, so a copy of a generated range stays
+// generated.
+func (h *File) ReadContents(p *sim.Proc, off, length int64) Contents {
+	var c Contents
+	if length = h.clamp(off, length); length <= 0 {
+		return c
+	}
+	f, end := h.f, off+length
+	for i := f.segAt(off); i < len(f.segs) && f.segs[i].off < end; i++ {
+		f.held(i)
+		s := f.segs[i]
+		lo, hi := max(off, s.off)-s.off, min(end, s.end())-s.off
+		seg, g := segment{n: hi - lo}, generated{}
+		if src := f.source(i); src != nil {
+			g = generated{src: src.src, at: src.at + lo}
+		} else {
+			seg.data = s.data[lo:hi:hi]
+		}
+		c.segs, c.gens = append(c.segs, seg), append(c.gens, g)
+	}
+	h.charge(p, off, length)
+	return c
 }
 
 // Scan is ReadAt for a reader that needs the read to happen and not its

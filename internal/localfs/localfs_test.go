@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"iochar/internal/datagen"
 	"iochar/internal/disk"
 	"iochar/internal/pagecache"
 	"iochar/internal/sim"
@@ -322,6 +324,68 @@ func TestInstallThenAppendCoexist(t *testing.T) {
 		want := append(payload(10_000), payload(5_000)...)
 		if !bytes.Equal(got, want) {
 			t.Error("install+append content mismatch")
+		}
+	})
+	env.Run(0)
+}
+
+// TestCopyByContents: a range copied with ReadContents and AppendContents
+// reads what ReadAt returned, at the virtual time and counters of ReadAt
+// plus Append, and keeps the source's runs: a copied generated range stays
+// generated (its Origin is the source's), and damage to the copy reaches
+// neither the source file nor the source.
+func TestCopyByContents(t *testing.T) {
+	const size = 200_000
+	part := datagen.TeraGen{Seed: 5}.Part(0, size+1000)
+	held := payload(30_000)
+	want := append(append([]byte(nil), part[1000:1000+size]...), held...)
+	for j := 50_000; j < 50_100; j++ {
+		want[j] ^= 0xFF
+	}
+	copyRange := func(byContents bool, off, n int64) (got, src []byte, st Stats, now time.Duration) {
+		env, _, fs := rig()
+		read := datagen.TeraGen{Seed: 5}.Table(0, size+1000).Reader()
+		env.Go("io", func(p *sim.Proc) {
+			a := fs.Create("a")
+			a.InstallSource(read, 1000, size)
+			a.Install(held)
+			fs.Corrupt("a", 50_000, 100)
+			b := fs.Create("b")
+			if byContents {
+				b.AppendContents(p, a.ReadContents(p, off, n))
+			} else {
+				b.Append(p, a.ReadAt(p, off, n))
+			}
+			got = b.ReadAt(p, 0, b.Size())
+			fs.Corrupt("b", 0, int(b.Size()))
+			src = a.ReadAt(p, 0, a.Size())
+		})
+		env.Run(0)
+		return got, src, fs.Stats(), env.Now()
+	}
+	for _, r := range [][2]int64{{0, size + 30_000}, {49_000, 2_000}, {1_000, 40_000}, {size - 10, 20}} {
+		got, src, st, now := copyRange(true, r[0], r[1])
+		wantGot, _, wantSt, wantNow := copyRange(false, r[0], r[1])
+		if !bytes.Equal(got, want[r[0]:r[0]+r[1]]) || !bytes.Equal(got, wantGot) {
+			t.Errorf("copy of [%d, +%d): not the source's bytes", r[0], r[1])
+		}
+		if !bytes.Equal(src, want) {
+			t.Errorf("copy of [%d, +%d): damage to the copy reached the source", r[0], r[1])
+		}
+		if st != wantSt || now != wantNow {
+			t.Errorf("copy of [%d, +%d): %+v at %v; ReadAt and Append: %+v at %v", r[0], r[1], st, now, wantSt, wantNow)
+		}
+	}
+	// A generated file copied whole is the same stored run.
+	env, _, fs := rig()
+	read := datagen.TeraGen{Seed: 5}.Table(0, size+1000).Reader()
+	env.Go("io", func(p *sim.Proc) {
+		a := fs.Create("a")
+		a.InstallSource(read, 1000, size)
+		b := fs.Create("b")
+		b.AppendContents(p, a.ReadContents(p, 0, size))
+		if !fs.Origin("b").Same(fs.Origin("a")) {
+			t.Error("a whole generated file's copy is not its stored run")
 		}
 	})
 	env.Run(0)
